@@ -533,12 +533,12 @@ func (m *Machine) Checkpoint(group string) (CheckpointStats, error) {
 // passes through the invariant watchdog before being handed back: a restore
 // that resurrects a broken object graph is an error, not a success.
 func (m *Machine) Restore(group string) (*Group, RestoreStats, error) {
-	return m.restoreChecked(group, RestoreEager)
+	return m.restore(group, RestoreEager)
 }
 
 // RestoreLazily is Restore with on-demand page loading.
 func (m *Machine) RestoreLazily(group string) (*Group, RestoreStats, error) {
-	return m.restoreChecked(group, RestoreLazy)
+	return m.restore(group, RestoreLazy)
 }
 
 // RestoreSpeculatively restores the named group with validated
@@ -547,31 +547,27 @@ func (m *Machine) RestoreLazily(group string) (*Group, RestoreStats, error) {
 // the whole image, rolling back to a serial restore on any mismatch. The
 // returned group is the live one — the speculative group when validation
 // succeeded, its serial replacement after a rollback (Rollbacks=1 in the
-// stats). The invariant auditor runs after the state machine settles,
-// exactly like every other restore path.
+// stats).
 func (m *Machine) RestoreSpeculatively(group string) (*Group, RestoreStats, error) {
-	g, st, err := m.SLS.RestoreGroup(group, m.Store, RestoreSpeculative, true)
-	if err != nil {
-		return g, st, err
-	}
-	g2, fin, err := m.SLS.FinishSpeculation(g)
-	if err != nil {
-		return g2, st, err
-	}
-	st.PagesSpeculated = fin.PagesSpeculated
-	st.PagesValidated = fin.PagesValidated
-	st.Rollbacks = fin.Rollbacks
-	st.Time += fin.Time
-	if rep := m.Audit(); !rep.OK() {
-		return g2, st, fmt.Errorf("aurora: post-restore self-check failed: %s", rep)
-	}
-	return g2, st, nil
+	return m.restore(group, RestoreSpeculative)
 }
 
-func (m *Machine) restoreChecked(group string, mode sls.RestoreMode) (*Group, RestoreStats, error) {
+// restore is the one restore path: rebuild in the given mode, settle the
+// speculation state machine when the mode started one, then audit.
+func (m *Machine) restore(group string, mode sls.RestoreMode) (*Group, RestoreStats, error) {
 	g, st, err := m.SLS.RestoreGroup(group, m.Store, mode, true)
 	if err != nil {
 		return g, st, err
+	}
+	if mode == RestoreSpeculative {
+		var fin RestoreStats
+		if g, fin, err = m.SLS.FinishSpeculation(g); err != nil {
+			return g, st, err
+		}
+		st.PagesSpeculated = fin.PagesSpeculated
+		st.PagesValidated = fin.PagesValidated
+		st.Rollbacks = fin.Rollbacks
+		st.Time += fin.Time
 	}
 	if rep := m.Audit(); !rep.OK() {
 		return g, st, fmt.Errorf("aurora: post-restore self-check failed: %s", rep)

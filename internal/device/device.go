@@ -72,7 +72,7 @@ func (d *Device) Stats() Stats {
 func (d *Device) SetTracer(tr *trace.Tracer) { d.tr = tr }
 
 // SetFlight attaches the flight recorder; nil disables it. Only ordered
-// submissions (SubmitWriteAfter with a real barrier) are recorded: those
+// submissions (Submit with a real barrier) are recorded: those
 // are the commit points — superblock writes — and they arrive from the
 // single-threaded commit path, keeping the ring deterministic. Recording
 // every data submit would flood the ring and, under a parallel flush,
@@ -133,7 +133,10 @@ func (d *Device) WriteAt(p []byte, off int64) (int, error) {
 	return len(p), nil
 }
 
-// SubmitWrite queues p at off asynchronously. The data is immediately
+// Submit queues the concatenation of bufs at off as one asynchronous write
+// whose transfer may not begin before virtual time after (0 for none). It
+// is the device's single write primitive: one command, one queue occupancy
+// for the total size, the fixed latency added once. The data is immediately
 // visible to reads (the simulation has no volatile write cache to lose) but
 // the returned virtual time is when the transfer is durable; callers that
 // need durability must WaitUntil it.
@@ -143,190 +146,129 @@ func (d *Device) WriteAt(p []byte, off int64) (int, error) {
 // latency is added once at the end, overlapping the next transfer. Sustained
 // submission therefore approaches device bandwidth instead of serializing on
 // per-command latency.
-func (d *Device) SubmitWrite(p []byte, off int64) (time.Duration, error) {
-	if err := d.check(len(p), off); err != nil {
-		return 0, err
-	}
-	occupancy := clock.XferTime(0, d.costs.DevWriteBps, int64(len(p)))
-	d.mu.Lock()
-	d.copyIn(p, off)
-	d.stats.Writes++
-	d.stats.BytesWritten += int64(len(p))
-	now := d.clk.Now()
-	start := d.nextFree
-	if now > start {
-		start = now
-	}
-	d.nextFree = start + occupancy
-	done := d.nextFree + d.costs.DevWriteLatency
-	if d.tr != nil {
-		traceSubmit(d.tr, "dev.write", now, start, done, 0, int64(len(p)), off)
-	}
-	d.mu.Unlock()
-	return done, nil
-}
-
-// SubmitWriteAfter queues p at off like SubmitWrite, but the transfer may
-// not begin before virtual time after. It models a completion-ordered
-// submission: a commit record issued from the completion callback of its
-// dependencies, enforcing write ordering at the device without blocking
-// the submitting thread's clock. This is the only ordering primitive the
-// device offers — there is no FUA bit, and plain submits may complete in
-// any order across queue members.
-func (d *Device) SubmitWriteAfter(p []byte, off int64, after time.Duration) (time.Duration, error) {
-	if err := d.check(len(p), off); err != nil {
-		return 0, err
-	}
-	occupancy := clock.XferTime(0, d.costs.DevWriteBps, int64(len(p)))
-	d.mu.Lock()
-	d.copyIn(p, off)
-	d.stats.Writes++
-	d.stats.BytesWritten += int64(len(p))
-	now := d.clk.Now()
-	start := d.nextFree
-	if now > start {
-		start = now
-	}
-	var stall time.Duration
-	if after > start {
-		stall = after - start
-		start = after
-	}
-	d.nextFree = start + occupancy
-	done := d.nextFree + d.costs.DevWriteLatency
-	if d.tr != nil {
-		traceSubmit(d.tr, "dev.write_after", now, start, done, stall, int64(len(p)), off)
-	}
-	d.mu.Unlock()
-	if after > 0 {
-		d.fl.Record(int64(now), flight.EvDevWrite, off, int64(len(p)), int64(after), "")
-	}
-	return done, nil
-}
-
-// SubmitWritev queues the concatenation of bufs at off as one asynchronous
-// write: one command, one queue occupancy for the total size, the fixed
-// latency added once. It is the batched flush path's entry point — page
-// payloads scattered in memory land in a contiguous device run without an
-// intermediate staging copy or per-page lock round trips.
+//
+// after models a completion-ordered submission: a commit record issued from
+// the completion callback of its dependencies, enforcing write ordering at
+// the device without blocking the submitting thread's clock. It is the only
+// ordering primitive the device offers — there is no FUA bit, and plain
+// submits may complete in any order across queue members.
 //
 // Zero-length payload slices are legal and contribute nothing; a vector with
 // no bytes at all is a no-op that completes immediately without issuing a
 // command. A vector that would run past the device end fails whole: no bytes
 // land and neither the queue model nor the traffic counters move.
-func (d *Device) SubmitWritev(bufs [][]byte, off int64) (time.Duration, error) {
-	var total int64
-	for _, b := range bufs {
-		total += int64(len(b))
-	}
+func (d *Device) Submit(bufs [][]byte, off int64, after time.Duration) (time.Duration, error) {
+	total := vecLen(bufs)
 	if err := d.check(int(total), off); err != nil {
 		return 0, err
 	}
 	if total == 0 {
 		return d.clk.Now(), nil
 	}
-	// Occupancy accrues per payload slice so a vectored submit charges the
-	// queue exactly what the equivalent SubmitWrite sequence would.
-	var occupancy time.Duration
-	for _, b := range bufs {
-		occupancy += clock.XferTime(0, d.costs.DevWriteBps, int64(len(b)))
+	done, err := d.write(d.clk, d.tr, writeName(len(bufs), after), bufs, off, total, after)
+	if err == nil && after > 0 {
+		d.fl.Record(int64(d.clk.Now()), flight.EvDevWrite, off, total, int64(after), "")
 	}
-	d.mu.Lock()
-	o := off
-	for _, b := range bufs {
-		d.copyIn(b, o)
-		o += int64(len(b))
-	}
-	d.stats.Writes++
-	d.stats.BytesWritten += total
-	now := d.clk.Now()
-	start := d.nextFree
-	if now > start {
-		start = now
-	}
-	d.nextFree = start + occupancy
-	done := d.nextFree + d.costs.DevWriteLatency
-	if d.tr != nil {
-		traceSubmit(d.tr, "dev.writev", now, start, done, 0, total, off)
-	}
-	d.mu.Unlock()
-	return done, nil
+	return done, err
 }
 
-// SubmitWritevAfter queues the concatenation of bufs at off like
-// SubmitWritev, but the transfer may not begin before virtual time after —
-// the vectored form of SubmitWriteAfter. The WAL append path uses it to
-// land a frame plus its sector padding as one command ordered behind the
-// durability horizon it depends on.
-func (d *Device) SubmitWritevAfter(bufs [][]byte, off int64, after time.Duration) (time.Duration, error) {
-	var total int64
-	for _, b := range bufs {
-		total += int64(len(b))
-	}
-	if err := d.check(int(total), off); err != nil {
-		return 0, err
-	}
-	if total == 0 {
-		return d.clk.Now(), nil
-	}
-	var occupancy time.Duration
-	for _, b := range bufs {
-		occupancy += clock.XferTime(0, d.costs.DevWriteBps, int64(len(b)))
-	}
-	d.mu.Lock()
-	o := off
-	for _, b := range bufs {
-		d.copyIn(b, o)
-		o += int64(len(b))
-	}
-	d.stats.Writes++
-	d.stats.BytesWritten += total
-	now := d.clk.Now()
-	start := d.nextFree
-	if now > start {
-		start = now
-	}
-	var stall time.Duration
-	if after > start {
-		stall = after - start
-		start = after
-	}
-	d.nextFree = start + occupancy
-	done := d.nextFree + d.costs.DevWriteLatency
-	if d.tr != nil {
-		traceSubmit(d.tr, "dev.writev_after", now, start, done, stall, total, off)
-	}
-	d.mu.Unlock()
-	if after > 0 {
-		d.fl.Record(int64(now), flight.EvDevWrite, off, total, int64(after), "")
-	}
-	return done, nil
+// SubmitWrite is Submit for one unordered buffer.
+func (d *Device) SubmitWrite(p []byte, off int64) (time.Duration, error) {
+	v := [1][]byte{p} // stays on the stack: Submit does not retain bufs
+	return d.Submit(v[:], off, 0)
 }
 
 // SubmitRead queues a read: data is returned immediately but the virtual
 // completion time reflects queued bandwidth, so batched readers (restore,
 // prefetch) pay pipelined bandwidth rather than per-command latency.
 func (d *Device) SubmitRead(p []byte, off int64) (time.Duration, error) {
+	return d.read(d.clk, d.tr, p, off)
+}
+
+func vecLen(bufs [][]byte) int64 {
+	var total int64
+	for _, b := range bufs {
+		total += int64(len(b))
+	}
+	return total
+}
+
+// writeName is the trace name of a write submit, a function of its shape
+// alone: vectored when the caller passed more than one buffer, ordered when
+// it passed a constraint.
+func writeName(nbufs int, after time.Duration) string {
+	switch {
+	case nbufs > 1 && after > 0:
+		return "dev.writev_after"
+	case nbufs > 1:
+		return "dev.writev"
+	case after > 0:
+		return "dev.write_after"
+	default:
+		return "dev.write"
+	}
+}
+
+// write lands vec at off as one command of size bytes and queues it. clk and
+// tr belong to whoever issued the command: the device itself, or the stripe
+// this device is a member of (members run on a discard clock).
+func (d *Device) write(clk clock.Clock, tr *trace.Tracer, name string, vec [][]byte, off, size int64, after time.Duration) (time.Duration, error) {
+	// Occupancy accrues per payload slice so a vectored submit charges the
+	// queue exactly what the equivalent single-buffer sequence would.
+	var occupancy time.Duration
+	for _, b := range vec {
+		occupancy += clock.XferTime(0, d.costs.DevWriteBps, int64(len(b)))
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if err := d.check(int(size), off); err != nil {
+		return 0, err
+	}
+	o := off
+	for _, b := range vec {
+		d.copyIn(b, o)
+		o += int64(len(b))
+	}
+	d.stats.Writes++
+	d.stats.BytesWritten += size
+	return d.enqueue(clk, tr, name, off, size, occupancy, d.costs.DevWriteLatency, after), nil
+}
+
+// read is write's counterpart for one queued read command.
+func (d *Device) read(clk clock.Clock, tr *trace.Tracer, p []byte, off int64) (time.Duration, error) {
+	occupancy := clock.XferTime(0, d.costs.DevReadBps, int64(len(p)))
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	if err := d.check(len(p), off); err != nil {
 		return 0, err
 	}
-	occupancy := clock.XferTime(0, d.costs.DevReadBps, int64(len(p)))
-	d.mu.Lock()
 	d.copyOut(p, off)
 	d.stats.Reads++
 	d.stats.BytesRead += int64(len(p))
-	now := d.clk.Now()
+	return d.enqueue(clk, tr, "dev.read", off, int64(len(p)), occupancy, d.costs.DevReadLatency, 0), nil
+}
+
+// enqueue is the queue model, written once: a command of n bytes enters the
+// queue when the device is next free (or now, or after — whichever is
+// latest), holds it for occupancy, and completes latency later. Requires
+// d.mu.
+func (d *Device) enqueue(clk clock.Clock, tr *trace.Tracer, name string, off, n int64, occupancy, latency, after time.Duration) time.Duration {
+	now := clk.Now()
 	start := d.nextFree
 	if now > start {
 		start = now
 	}
-	d.nextFree = start + occupancy
-	done := d.nextFree + d.costs.DevReadLatency
-	if d.tr != nil {
-		traceSubmit(d.tr, "dev.read", now, start, done, 0, int64(len(p)), off)
+	var stall time.Duration
+	if after > start {
+		stall = after - start
+		start = after
 	}
-	d.mu.Unlock()
-	return done, nil
+	d.nextFree = start + occupancy
+	done := d.nextFree + latency
+	if tr != nil {
+		traceSubmit(tr, name, now, start, done, stall, n, off)
+	}
+	return done
 }
 
 // WaitUntil advances the caller's clock to virtual time t if t is in the
@@ -534,133 +476,33 @@ func (s *Stripe) WriteAt(p []byte, off int64) (int, error) {
 	return len(p), nil
 }
 
-// SubmitWrite queues a striped write and returns its durable completion time.
-func (s *Stripe) SubmitWrite(p []byte, off int64) (time.Duration, error) {
-	if err := s.check(len(p), off); err != nil {
-		return 0, err
-	}
-	var done time.Duration
-	for _, e := range s.split(p, off) {
-		t, err := s.submitMember(e)
-		if err != nil {
-			return 0, err
-		}
-		if t > done {
-			done = t
-		}
-	}
-	return done, nil
-}
-
-func (s *Stripe) submitMember(e extent) (time.Duration, error) {
-	return s.submitMemberAfter(e, 0)
-}
-
-func (s *Stripe) submitMemberAfter(e extent, after time.Duration) (time.Duration, error) {
-	d := s.devs[e.dev]
-	occupancy := clock.XferTime(0, s.costs.DevWriteBps, e.size)
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := d.check(len(e.p), e.off); err != nil {
-		return 0, err
-	}
-	d.copyIn(e.p, e.off)
-	d.stats.Writes++
-	d.stats.BytesWritten += e.size
-	now := s.clk.Now()
-	start := d.nextFree
-	if now > start {
-		start = now
-	}
-	var stall time.Duration
-	if after > start {
-		stall = after - start
-		start = after
-	}
-	d.nextFree = start + occupancy
-	done := d.nextFree + s.costs.DevWriteLatency
-	if s.tr != nil {
-		name := "dev.write"
-		if after > 0 {
-			name = "dev.write_after"
-		}
-		traceSubmit(s.tr, name, now, start, done, stall, e.size, e.off)
-	}
-	return done, nil
-}
-
-// SubmitWriteAfter queues a striped write whose member transfers may not
-// begin before virtual time after. See Device.SubmitWriteAfter.
-func (s *Stripe) SubmitWriteAfter(p []byte, off int64, after time.Duration) (time.Duration, error) {
-	if err := s.check(len(p), off); err != nil {
-		return 0, err
-	}
-	var done time.Duration
-	for _, e := range s.split(p, off) {
-		t, err := s.submitMemberAfter(e, after)
-		if err != nil {
-			return 0, err
-		}
-		if t > done {
-			done = t
-		}
-	}
-	if after > 0 {
-		s.fl.Record(int64(s.clk.Now()), flight.EvDevWrite, off, int64(len(p)), int64(after), "")
-	}
-	return done, nil
-}
-
-// SubmitWritev queues the concatenation of bufs across the stripe. Each
+// Submit queues the concatenation of bufs across the stripe, its member
+// transfers not beginning before virtual time after. See Device.Submit. Each
 // stripe-unit extent becomes one member command carrying all the payload
 // slices that fall inside it, so a batch of page writes costs one member
 // lock round trip per 64 KiB instead of one per page. The virtual-time
 // outcome is identical to submitting the pages one by one: member queue
 // occupancy accrues by total bytes either way.
-func (s *Stripe) SubmitWritev(bufs [][]byte, off int64) (time.Duration, error) {
-	return s.submitWritev(bufs, off, 0)
-}
-
-// SubmitWritevAfter queues a striped vectored write whose member transfers
-// may not begin before virtual time after. See Device.SubmitWritevAfter.
-func (s *Stripe) SubmitWritevAfter(bufs [][]byte, off int64, after time.Duration) (time.Duration, error) {
-	done, err := s.submitWritev(bufs, off, after)
-	if err != nil {
-		return 0, err
-	}
-	if after > 0 {
-		var total int64
-		for _, b := range bufs {
-			total += int64(len(b))
-		}
-		s.fl.Record(int64(s.clk.Now()), flight.EvDevWrite, off, total, int64(after), "")
-	}
-	return done, nil
-}
-
-func (s *Stripe) submitWritev(bufs [][]byte, off int64, after time.Duration) (time.Duration, error) {
-	var total int64
-	for _, b := range bufs {
-		total += int64(len(b))
-	}
+func (s *Stripe) Submit(bufs [][]byte, off int64, after time.Duration) (time.Duration, error) {
+	total := vecLen(bufs)
 	if err := s.check(int(total), off); err != nil {
 		return 0, err
 	}
 	if total == 0 {
 		return s.clk.Now(), nil
 	}
+	name := writeName(len(bufs), after)
 	var done time.Duration
-	bi, bo := 0, 0 // position in bufs of the next unconsumed byte
-	for rem := total; rem > 0; {
-		blk := off / s.unit
-		in := off % s.unit
-		dev := int(blk % int64(len(s.devs)))
-		devBlk := blk / int64(len(s.devs))
+	var scratch [16][]byte // a unit of page-sized slices; longer vectors spill to the heap
+	bi, bo := 0, 0         // position in bufs of the next unconsumed byte
+	for o, rem := off, total; rem > 0; {
+		blk := o / s.unit
+		in := o % s.unit
 		run := s.unit - in
 		if run > rem {
 			run = rem
 		}
-		var vec [][]byte
+		vec := scratch[:0]
 		for need := run; need > 0; {
 			b := bufs[bi][bo:]
 			if int64(len(b)) > need {
@@ -674,57 +516,32 @@ func (s *Stripe) submitWritev(bufs [][]byte, off int64, after time.Duration) (ti
 				bo = 0
 			}
 		}
-		t, err := s.submitMemberVec(dev, vec, devBlk*s.unit+in, run, after)
+		d := s.devs[blk%int64(len(s.devs))]
+		t, err := d.write(s.clk, s.tr, name, vec, blk/int64(len(s.devs))*s.unit+in, run, after)
 		if err != nil {
 			return 0, err
 		}
 		if t > done {
 			done = t
 		}
-		off += run
+		o += run
 		rem -= run
+	}
+	if after > 0 {
+		s.fl.Record(int64(s.clk.Now()), flight.EvDevWrite, off, total, int64(after), "")
 	}
 	return done, nil
 }
 
-func (s *Stripe) submitMemberVec(dev int, vec [][]byte, off, size int64, after time.Duration) (time.Duration, error) {
-	d := s.devs[dev]
-	var occupancy time.Duration
-	for _, b := range vec {
-		occupancy += clock.XferTime(0, s.costs.DevWriteBps, int64(len(b)))
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := d.check(int(size), off); err != nil {
-		return 0, err
-	}
-	o := off
-	for _, b := range vec {
-		d.copyIn(b, o)
-		o += int64(len(b))
-	}
-	d.stats.Writes++
-	d.stats.BytesWritten += size
-	now := s.clk.Now()
-	start := d.nextFree
-	if now > start {
-		start = now
-	}
-	var stall time.Duration
-	if after > start {
-		stall = after - start
-		start = after
-	}
-	d.nextFree = start + occupancy
-	done := d.nextFree + s.costs.DevWriteLatency
-	if s.tr != nil {
-		name := "dev.writev"
-		if after > 0 {
-			name = "dev.writev_after"
-		}
-		traceSubmit(s.tr, name, now, start, done, stall, size, off)
-	}
-	return done, nil
+// SubmitWrite is Submit for one unordered buffer.
+func (s *Stripe) SubmitWrite(p []byte, off int64) (time.Duration, error) {
+	v := [1][]byte{p} // stays on the stack: Submit does not retain bufs
+	return s.Submit(v[:], off, 0)
+}
+
+// SubmitWritev is Submit without an ordering constraint.
+func (s *Stripe) SubmitWritev(bufs [][]byte, off int64) (time.Duration, error) {
+	return s.Submit(bufs, off, 0)
 }
 
 // SubmitRead queues a striped read, returning the completion time.
@@ -734,27 +551,10 @@ func (s *Stripe) SubmitRead(p []byte, off int64) (time.Duration, error) {
 	}
 	var done time.Duration
 	for _, e := range s.split(p, off) {
-		d := s.devs[e.dev]
-		occupancy := clock.XferTime(0, s.costs.DevReadBps, e.size)
-		d.mu.Lock()
-		if err := d.check(len(e.p), e.off); err != nil {
-			d.mu.Unlock()
+		t, err := s.devs[e.dev].read(s.clk, s.tr, e.p, e.off)
+		if err != nil {
 			return 0, err
 		}
-		d.copyOut(e.p, e.off)
-		d.stats.Reads++
-		d.stats.BytesRead += e.size
-		now := s.clk.Now()
-		start := d.nextFree
-		if now > start {
-			start = now
-		}
-		d.nextFree = start + occupancy
-		t := d.nextFree + s.costs.DevReadLatency
-		if s.tr != nil {
-			traceSubmit(s.tr, "dev.read", now, start, t, 0, e.size, e.off)
-		}
-		d.mu.Unlock()
 		if t > done {
 			done = t
 		}

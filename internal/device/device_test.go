@@ -285,93 +285,13 @@ func TestStripeMatchesFlatProperty(t *testing.T) {
 	}
 }
 
-// TestSubmitWritevMatchesSubmitWrite: a vectored submit must leave the same
-// bytes and the same virtual completion time as page-at-a-time submits of
-// the identical payload, on both a bare device and a stripe (including runs
-// that straddle stripe-unit and member boundaries).
-func TestSubmitWritevMatchesSubmitWrite(t *testing.T) {
-	const page = 4096
-	const pages = 48 // 192 KiB: crosses three 64 KiB stripe units
-	payload := make([]byte, pages*page)
-	for i := range payload {
-		payload[i] = byte(i*7 + i/page)
-	}
-	bufs := make([][]byte, pages)
-	for i := range bufs {
-		bufs[i] = payload[i*page : (i+1)*page]
-	}
-
-	t.Run("device", func(t *testing.T) {
-		a, _ := newDev(1 << 20)
-		b, _ := newDev(1 << 20)
-		var serial time.Duration
-		for i, buf := range bufs {
-			d, err := a.SubmitWrite(buf, int64(i*page))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if d > serial {
-				serial = d
-			}
-		}
-		vec, err := b.SubmitWritev(bufs, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if vec != serial {
-			t.Fatalf("vectored completion %v, serial %v", vec, serial)
-		}
-		ga := make([]byte, len(payload))
-		gb := make([]byte, len(payload))
-		a.ReadAt(ga, 0)
-		b.ReadAt(gb, 0)
-		if !bytes.Equal(ga, payload) || !bytes.Equal(gb, payload) {
-			t.Fatal("payload mismatch after submit")
-		}
-	})
-
-	t.Run("stripe", func(t *testing.T) {
-		a, _ := newStripe()
-		b, _ := newStripe()
-		const off = 60 << 10 // start inside a unit, 4 KiB before its end
-		var serial time.Duration
-		for i, buf := range bufs {
-			d, err := a.SubmitWrite(buf, off+int64(i*page))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if d > serial {
-				serial = d
-			}
-		}
-		vec, err := b.SubmitWritev(bufs, off)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if vec != serial {
-			t.Fatalf("vectored completion %v, serial %v", vec, serial)
-		}
-		ga := make([]byte, len(payload))
-		gb := make([]byte, len(payload))
-		if _, err := a.ReadAt(ga, off); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := b.ReadAt(gb, off); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(ga, payload) || !bytes.Equal(gb, payload) {
-			t.Fatal("payload mismatch after striped submit")
-		}
-	})
-}
-
 func TestSubmitWritevZeroLengthBuffers(t *testing.T) {
 	page := func(b byte) []byte { return bytes.Repeat([]byte{b}, 4096) }
 
 	t.Run("interleaved-empty", func(t *testing.T) {
 		d, _ := newDev(1 << 20)
 		vec := [][]byte{{}, page(0xA1), nil, page(0xB2), {}}
-		if _, err := d.SubmitWritev(vec, 8192); err != nil {
+		if _, err := d.Submit(vec, 8192, 0); err != nil {
 			t.Fatal(err)
 		}
 		got := make([]byte, 8192)
@@ -388,7 +308,7 @@ func TestSubmitWritevZeroLengthBuffers(t *testing.T) {
 
 	t.Run("entirely-empty", func(t *testing.T) {
 		d, clk := newDev(1 << 20)
-		done, err := d.SubmitWritev([][]byte{{}, nil, {}}, 4096)
+		done, err := d.Submit([][]byte{{}, nil, {}}, 4096, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -404,7 +324,7 @@ func TestSubmitWritevZeroLengthBuffers(t *testing.T) {
 		// A zero-byte vector at the very end of the device is in range:
 		// [size, size) is empty.
 		d, _ := newDev(1 << 20)
-		if _, err := d.SubmitWritev(nil, 1<<20); err != nil {
+		if _, err := d.Submit(nil, 1<<20, 0); err != nil {
 			t.Fatalf("zero bytes at device end: %v", err)
 		}
 	})
@@ -424,43 +344,7 @@ func TestSubmitWritevZeroLengthBuffers(t *testing.T) {
 	})
 }
 
-func TestSubmitWritevPartialOutOfRangeFailsWhole(t *testing.T) {
-	// A vector that would run past the device end must fail atomically:
-	// no bytes land (even for the in-range prefix), no stats move, and
-	// the queue model does not advance.
-	check := func(t *testing.T, read func(p []byte, off int64) (int, error),
-		submit func([][]byte, int64) (time.Duration, error), stats func() Stats, size int64) {
-		vec := [][]byte{bytes.Repeat([]byte{0x01}, 4096), bytes.Repeat([]byte{0x02}, 4096)}
-		off := size - 4096 // second buffer exceeds the device
-		before := stats()
-		if _, err := submit(vec, off); err == nil {
-			t.Fatal("overrunning vector did not fail")
-		}
-		if st := stats(); st != before {
-			t.Fatalf("failed vector moved counters: %+v -> %+v", before, st)
-		}
-		got := make([]byte, 4096)
-		if _, err := read(got, off); err != nil {
-			t.Fatal(err)
-		}
-		for i, b := range got {
-			if b != 0 {
-				t.Fatalf("failed vector landed byte %d = %#x", i, b)
-			}
-		}
-	}
-
-	t.Run("device", func(t *testing.T) {
-		d, _ := newDev(1 << 20)
-		check(t, d.ReadAt, d.SubmitWritev, d.Stats, d.Size())
-	})
-	t.Run("stripe", func(t *testing.T) {
-		s, _ := newStripe()
-		check(t, s.ReadAt, s.SubmitWritev, s.Stats, s.Size())
-	})
-}
-
-func TestSubmitWriteAfterOrdersTransfer(t *testing.T) {
+func TestOrderedSubmitOrdersTransfer(t *testing.T) {
 	d, clk := newDev(1 << 20)
 	costs := clock.DefaultCosts()
 	buf := make([]byte, 4096)
@@ -473,7 +357,7 @@ func TestSubmitWriteAfterOrdersTransfer(t *testing.T) {
 	// Constrained to start far in the future: completion is pushed past the
 	// constraint, regardless of the queue being free earlier.
 	after := plain + time.Millisecond
-	ordered, err := d.SubmitWriteAfter(buf, 4096, after)
+	ordered, err := d.Submit([][]byte{buf}, 4096, after)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,7 +366,7 @@ func TestSubmitWriteAfterOrdersTransfer(t *testing.T) {
 	}
 	// A past constraint is a no-op: behaves like a plain submit.
 	clk.Advance(2 * time.Millisecond)
-	relaxed, err := d.SubmitWriteAfter(buf, 8192, clk.Now()-time.Millisecond)
+	relaxed, err := d.Submit([][]byte{buf}, 8192, clk.Now()-time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,10 +50,7 @@ var ErrPowerCut = errors.New("faultdev: power cut")
 type Inner interface {
 	ReadAt(p []byte, off int64) (int, error)
 	WriteAt(p []byte, off int64) (int, error)
-	SubmitWrite(p []byte, off int64) (time.Duration, error)
-	SubmitWriteAfter(p []byte, off int64, after time.Duration) (time.Duration, error)
-	SubmitWritev(bufs [][]byte, off int64) (time.Duration, error)
-	SubmitWritevAfter(bufs [][]byte, off int64, after time.Duration) (time.Duration, error)
+	Submit(bufs [][]byte, off int64, after time.Duration) (time.Duration, error)
 	SubmitRead(p []byte, off int64) (time.Duration, error)
 	WaitUntil(t time.Duration)
 	Flush()
@@ -347,7 +344,7 @@ func (d *Dev) crashLocked(idx int64, vec [][]byte, off, total int64, after time.
 // submitLocked is the shared write path: count the submit, maybe crash,
 // otherwise capture the pre-image, forward to the inner device, and track
 // the write as pending until its completion time passes. after is the
-// ordering constraint for SubmitWriteAfter-shaped submits (0 for none).
+// inner device's ordering constraint (0 for none).
 func (d *Dev) submitLocked(vec [][]byte, off int64, sync bool, after time.Duration) (time.Duration, error) {
 	if d.crashed {
 		return 0, d.deadErr()
@@ -359,10 +356,7 @@ func (d *Dev) submitLocked(vec [][]byte, off int64, sync bool, after time.Durati
 	if off < 0 || off+total > d.inner.Size() {
 		// Delegate so the caller sees the inner device's error; rejected
 		// writes are not counted and cannot trigger the cut.
-		if len(vec) == 1 {
-			return d.inner.SubmitWrite(vec[0], off)
-		}
-		return d.inner.SubmitWritev(vec, off)
+		return d.inner.Submit(vec, off, 0)
 	}
 	idx := d.submits
 	d.submits++
@@ -373,14 +367,11 @@ func (d *Dev) submitLocked(vec [][]byte, off int64, sync bool, after time.Durati
 	d.inner.PeekAt(pre, off)
 	var done time.Duration
 	var err error
-	switch {
-	case sync:
+	if sync {
 		_, err = d.inner.WriteAt(flatten(vec, total), off)
 		done = d.clk.Now() // durable on return; never pending
-	case len(vec) == 1:
-		done, err = d.inner.SubmitWriteAfter(vec[0], off, after)
-	default:
-		done, err = d.inner.SubmitWritevAfter(vec, off, after)
+	} else {
+		done, err = d.inner.Submit(vec, off, after)
 	}
 	if err != nil {
 		return 0, err
@@ -404,35 +395,12 @@ func (d *Dev) WriteAt(p []byte, off int64) (int, error) {
 	return len(p), nil
 }
 
-// SubmitWrite queues a counted asynchronous write.
-func (d *Dev) SubmitWrite(p []byte, off int64) (time.Duration, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.submitLocked([][]byte{p}, off, false, 0)
-}
-
-// SubmitWriteAfter queues a counted asynchronous write carrying the inner
-// device's ordering constraint — it is one submit index like any other, so
-// the sweep also crashes on (and tears) commit-point writes.
-func (d *Dev) SubmitWriteAfter(p []byte, off int64, after time.Duration) (time.Duration, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.submitLocked([][]byte{p}, off, false, after)
-}
-
-// SubmitWritev queues a counted vectored write — one submit index for the
-// whole vector, mirroring the one-command semantics of the inner device.
-func (d *Dev) SubmitWritev(bufs [][]byte, off int64) (time.Duration, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.submitLocked(bufs, off, false, 0)
-}
-
-// SubmitWritevAfter queues a counted vectored write carrying an ordering
-// constraint — one submit index, like SubmitWriteAfter. WAL frame appends
-// arrive here, so the sweep crashes on (and tears) them like any commit
-// write.
-func (d *Dev) SubmitWritevAfter(bufs [][]byte, off int64, after time.Duration) (time.Duration, error) {
+// Submit queues a counted asynchronous write — one submit index for the
+// whole vector, mirroring the one-command semantics of the inner device,
+// and carrying its ordering constraint through. Commit-point writes
+// (superblocks, WAL frames) are submit indexes like any other, so the sweep
+// crashes on (and tears) them too.
+func (d *Dev) Submit(bufs [][]byte, off int64, after time.Duration) (time.Duration, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.submitLocked(bufs, off, false, after)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+	"time"
 
 	"aurora/internal/clock"
 	"aurora/internal/device"
@@ -14,6 +15,11 @@ func newDev(t *testing.T, plan Plan) (*Dev, *clock.Virtual) {
 	clk := clock.NewVirtual()
 	inner := device.New(clk, clock.DefaultCosts(), 1<<20)
 	return New(inner, clk, plan), clk
+}
+
+// SubmitWrite is the one-buffer, unordered Submit most tests here need.
+func (d *Dev) SubmitWrite(p []byte, off int64) (time.Duration, error) {
+	return d.Submit([][]byte{p}, off, 0)
 }
 
 func peekAll(d *Dev) []byte {
@@ -278,10 +284,10 @@ func TestStripeComposition(t *testing.T) {
 	}
 }
 
-func TestSubmitWritevCountsOnce(t *testing.T) {
+func TestVectoredSubmitCountsOnce(t *testing.T) {
 	d, _ := newDev(t, Plan{CutAtSubmit: -1})
 	vec := [][]byte{make([]byte, 4096), make([]byte, 4096)}
-	if _, err := d.SubmitWritev(vec, 0); err != nil {
+	if _, err := d.Submit(vec, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	if got := d.Submits(); got != 1 {

@@ -106,7 +106,7 @@ func (s *Store) AuditLive() []string {
 	}
 
 	// Durability times must be monotone in epoch: a later checkpoint can
-	// never become durable before an earlier one (SubmitWriteAfter orders
+	// never become durable before an earlier one (an ordered Submit puts
 	// every superblock behind its interval).
 	epochs := make([]Epoch, 0, len(s.durableAt))
 	for e := range s.durableAt {

@@ -134,18 +134,13 @@ func (s *Store) writePageBatch(oid OID, writes []PageWrite) error {
 	}
 	sort.Slice(order, func(a, b int) bool { return addrs[order[a]] < addrs[order[b]] })
 	var done time.Duration
+	bufs := make([][]byte, 0, len(writes))
 	submit := func(lo, hi int) error { // order[lo:hi] is one contiguous run
-		var t time.Duration
-		var err error
-		if hi-lo == 1 {
-			t, err = s.dev.SubmitWrite(writes[order[lo]].Data, addrs[order[lo]])
-		} else {
-			bufs := make([][]byte, hi-lo)
-			for i := range bufs {
-				bufs[i] = writes[order[lo+i]].Data
-			}
-			t, err = s.dev.SubmitWritev(bufs, addrs[order[lo]])
+		bufs = bufs[:0]
+		for _, i := range order[lo:hi] {
+			bufs = append(bufs, writes[i].Data)
 		}
+		t, err := s.dev.Submit(bufs, addrs[order[lo]], 0)
 		if err != nil {
 			s.mu.Lock()
 			s.unreserve(addrs)

@@ -75,12 +75,8 @@ func (s *Store) Checkpoint() (CheckpointStats, error) {
 			if err != nil {
 				return st, err
 			}
-			done, err := s.dev.SubmitWrite(encodeChunk(c), addr)
-			if err != nil {
+			if _, err := s.submitLocked(encodeChunk(c), addr, 0); err != nil {
 				return st, err
-			}
-			if done > s.pendingDurable {
-				s.pendingDurable = done
 			}
 			s.retireBlock(c.addr)
 			c.addr = addr
@@ -95,12 +91,8 @@ func (s *Store) Checkpoint() (CheckpointStats, error) {
 		if err != nil {
 			return st, err
 		}
-		done, err := s.dev.SubmitWrite(rec, addr)
-		if err != nil {
+		if _, err := s.submitLocked(rec, addr, 0); err != nil {
 			return st, err
-		}
-		if done > s.pendingDurable {
-			s.pendingDurable = done
 		}
 		o.recordAddr = addr
 		o.recordLen = int64(len(rec))
@@ -120,27 +112,23 @@ func (s *Store) Checkpoint() (CheckpointStats, error) {
 	// sizes the run; allocation only ever shrinks the encoded state, so the
 	// real index always fits and any over-allocated tail returns to the
 	// metadata pool.
-	trialLen := int64(len(encodeIndex(s.indexState(cur)).b)) + 4 // + CRC
+	trialLen := int64(encodeIndex(s.indexState(cur)).Len()) + 4 // + CRC
 	idxRun := blocksFor(trialLen)
 	idxAddr, err := s.allocMetaRun(idxRun)
 	if err != nil {
 		return st, err
 	}
 	e := encodeIndex(s.indexState(cur))
-	idxLen := int64(len(e.b)) + 4
+	idxLen := int64(e.Len()) + 4
 	if extra := idxRun - blocksFor(idxLen); extra > 0 {
 		s.metaFree = append(s.metaFree, blockRun{addr: idxAddr + blocksFor(idxLen)*BlockSize, n: extra})
 		for i := blocksFor(idxLen); i < idxRun; i++ {
 			delete(s.birthOf, idxAddr+i*BlockSize)
 		}
 	}
-	idxBytes := e.seal()
-	done, err := s.dev.SubmitWrite(idxBytes, idxAddr)
-	if err != nil {
+	idxBytes := e.Seal()
+	if _, err := s.submitLocked(idxBytes, idxAddr, 0); err != nil {
 		return st, err
-	}
-	if done > s.pendingDurable {
-		s.pendingDurable = done
 	}
 	st.MetaBytes += idxLen
 	idxSpan.End(trace.I("index_bytes", idxLen))
@@ -157,12 +145,11 @@ func (s *Store) Checkpoint() (CheckpointStats, error) {
 		walBase: s.walBase, walBlocks: s.walBlocks,
 	})
 	slotOff := int64(s.superSlot) * BlockSize
-	sbDone, err := s.dev.SubmitWriteAfter(sb, slotOff, s.pendingDurable)
+	sbDone, err := s.submitLocked(sb, slotOff, s.pendingDurable)
 	if err != nil {
 		return st, err
 	}
 	s.superSlot = 1 - s.superSlot
-	s.pendingDurable = sbDone
 	superSpan.End(trace.I("epoch", int64(cur)))
 
 	// 4. The committed checkpoint joins retained history. Its index

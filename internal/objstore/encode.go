@@ -1,13 +1,16 @@
 package objstore
 
 // Binary encoding for on-device metadata: object records, checkpoint
-// indexes, and superblocks. All integers are little-endian; every structure
-// ends in a CRC-32 so recovery can reject torn or stale metadata.
+// indexes, and superblocks, in the sealed-record wire form of internal/rec.
+// All integers are little-endian; every structure ends in a CRC-32 so
+// recovery can reject torn or stale metadata.
 
 import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+
+	"aurora/internal/rec"
 )
 
 // Magic numbers for the on-device structures.
@@ -26,130 +29,46 @@ const (
 	shapeJournal = 3
 )
 
-// enc is an append-only little-endian encoder.
-type enc struct{ b []byte }
-
-func (e *enc) u8(v uint8)   { e.b = append(e.b, v) }
-func (e *enc) u16(v uint16) { e.b = binary.LittleEndian.AppendUint16(e.b, v) }
-func (e *enc) u32(v uint32) { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
-func (e *enc) u64(v uint64) { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
-func (e *enc) i64(v int64)  { e.u64(uint64(v)) }
-func (e *enc) bytes(p []byte) {
-	e.u32(uint32(len(p)))
-	e.b = append(e.b, p...)
-}
-
-// seal appends the CRC of everything encoded so far.
-func (e *enc) seal() []byte {
-	e.u32(crc32.ChecksumIEEE(e.b))
-	return e.b
-}
-
-// dec is a sequential little-endian decoder.
-type dec struct {
-	b   []byte
-	off int
-	err error
-}
-
-func newDec(b []byte) (*dec, error) {
-	if len(b) < 4 {
-		return nil, fmt.Errorf("%w: short buffer", ErrCorrupt)
+// openSealed verifies b's trailing CRC and returns a decoder over the body.
+func openSealed(b []byte) (*rec.Decoder, error) {
+	d, err := rec.NewDecoder(b)
+	if err != nil {
+		return nil, corrupt(err)
 	}
-	body, sum := b[:len(b)-4], binary.LittleEndian.Uint32(b[len(b)-4:])
-	if crc32.ChecksumIEEE(body) != sum {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
-	}
-	return &dec{b: body}, nil
+	return d, nil
 }
 
-func (d *dec) fail() {
-	if d.err == nil {
-		d.err = fmt.Errorf("%w: truncated structure", ErrCorrupt)
-	}
-}
-
-func (d *dec) u8() uint8 {
-	if d.off+1 > len(d.b) {
-		d.fail()
-		return 0
-	}
-	v := d.b[d.off]
-	d.off++
-	return v
-}
-
-func (d *dec) u16() uint16 {
-	if d.off+2 > len(d.b) {
-		d.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint16(d.b[d.off:])
-	d.off += 2
-	return v
-}
-
-func (d *dec) u32() uint32 {
-	if d.off+4 > len(d.b) {
-		d.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(d.b[d.off:])
-	d.off += 4
-	return v
-}
-
-func (d *dec) u64() uint64 {
-	if d.off+8 > len(d.b) {
-		d.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.b[d.off:])
-	d.off += 8
-	return v
-}
-
-func (d *dec) i64() int64 { return int64(d.u64()) }
-
-func (d *dec) bytes() []byte {
-	n := int(d.u32())
-	if d.err != nil || d.off+n > len(d.b) {
-		d.fail()
-		return nil
-	}
-	v := d.b[d.off : d.off+n : d.off+n]
-	d.off += n
-	return v
-}
+// corrupt reports a codec failure as the store's ErrCorrupt.
+func corrupt(err error) error { return fmt.Errorf("%w: %v", ErrCorrupt, err) }
 
 // encodeRecord serializes one object's committed state.
 func encodeRecord(o *object) []byte {
-	var e enc
-	e.u32(magicRecord)
-	e.u64(uint64(o.oid))
-	e.u16(o.utype)
-	e.i64(o.size)
+	var e rec.Encoder
+	e.U32(magicRecord)
+	e.U64(uint64(o.oid))
+	e.U16(o.utype)
+	e.I64(o.size)
 	switch {
 	case o.journal != nil:
-		e.u8(shapeJournal)
-		e.i64(o.journal.extentAddr)
-		e.i64(o.journal.capBlocks)
-		e.u64(o.journal.generation)
-		e.u64(o.journal.flushedSeq)
+		e.U8(shapeJournal)
+		e.I64(o.journal.extentAddr)
+		e.I64(o.journal.capBlocks)
+		e.U64(o.journal.generation)
+		e.U64(o.journal.flushedSeq)
 	case o.chunks != nil:
-		e.u8(shapeChunks)
+		e.U8(shapeChunks)
 		// Chunk roots, sorted for determinism.
 		idxs := sortedChunkIdxs(o)
-		e.u32(uint32(len(idxs)))
+		e.U32(uint32(len(idxs)))
 		for _, ci := range idxs {
-			e.i64(ci)
-			e.i64(o.chunks[ci].addr)
+			e.I64(ci)
+			e.I64(o.chunks[ci].addr)
 		}
 	default:
-		e.u8(shapeInline)
-		e.bytes(o.inline)
+		e.U8(shapeInline)
+		e.Bytes(o.inline)
 	}
-	return e.seal()
+	return e.Seal()
 }
 
 func sortedChunkIdxs(o *object) []int64 {
@@ -167,42 +86,45 @@ func sortedChunkIdxs(o *object) []int64 {
 
 // decodeRecord parses an object record. Chunk contents load lazily.
 func decodeRecord(b []byte) (*object, error) {
-	d, err := newDec(b)
+	d, err := openSealed(b)
 	if err != nil {
 		return nil, err
 	}
-	if d.u32() != magicRecord {
+	if d.U32() != magicRecord {
 		return nil, fmt.Errorf("%w: bad record magic", ErrCorrupt)
 	}
 	o := &object{
-		oid:   OID(d.u64()),
-		utype: d.u16(),
-		size:  d.i64(),
+		oid:   OID(d.U64()),
+		utype: d.U16(),
+		size:  d.I64(),
 	}
-	switch shape := d.u8(); shape {
+	switch shape := d.U8(); shape {
 	case shapeJournal:
 		o.journal = &journalState{
-			extentAddr: d.i64(),
-			capBlocks:  d.i64(),
-			generation: d.u64(),
-			flushedSeq: d.u64(),
+			extentAddr: d.I64(),
+			capBlocks:  d.I64(),
+			generation: d.U64(),
+			flushedSeq: d.U64(),
 		}
 	case shapeChunks:
-		n := int(d.u32())
+		n := int(d.U32())
+		if n > d.Remaining()/16 {
+			// A corrupt count must not size the map or drive the loop.
+			return nil, fmt.Errorf("%w: %d chunk roots in %d bytes", ErrCorrupt, n, d.Remaining())
+		}
 		o.chunks = make(map[int64]*chunk, n)
-		for i := 0; i < n; i++ {
-			ci := d.i64()
-			addr := d.i64()
+		for i := 0; i < n && d.Err() == nil; i++ {
+			ci := d.I64()
+			addr := d.I64()
 			o.chunks[ci] = &chunk{addr: addr, loaded: false}
 		}
 	case shapeInline:
-		raw := d.bytes()
-		o.inline = append([]byte(nil), raw...)
+		o.inline = d.Bytes()
 	default:
 		return nil, fmt.Errorf("%w: unknown shape %d", ErrCorrupt, shape)
 	}
-	if d.err != nil {
-		return nil, d.err
+	if err := d.Err(); err != nil {
+		return nil, corrupt(err)
 	}
 	return o, nil
 }
@@ -261,71 +183,71 @@ type indexEntry struct {
 // encodeIndex serializes a checkpoint index, returning the unsealed body.
 // The caller encodes from post-allocation state (the index's own blocks are
 // allocated before the final encode), so no field patching is needed.
-func encodeIndex(st *indexState) *enc {
-	var e enc
-	e.u32(magicIndex)
-	e.u64(uint64(st.epoch))
-	e.u64(uint64(st.nextOID))
-	e.i64(st.nextBlk)
-	e.u32(uint32(len(st.freelist)))
+func encodeIndex(st *indexState) *rec.Encoder {
+	var e rec.Encoder
+	e.U32(magicIndex)
+	e.U64(uint64(st.epoch))
+	e.U64(uint64(st.nextOID))
+	e.I64(st.nextBlk)
+	e.U32(uint32(len(st.freelist)))
 	for _, a := range st.freelist {
-		e.i64(a)
+		e.I64(a)
 	}
-	e.u32(uint32(len(st.deadlist)))
+	e.U32(uint32(len(st.deadlist)))
 	for _, db := range st.deadlist {
-		e.i64(db.addr)
-		e.u64(uint64(db.birth))
-		e.u64(uint64(db.freedAt))
+		e.I64(db.addr)
+		e.U64(uint64(db.birth))
+		e.U64(uint64(db.freedAt))
 	}
-	e.u32(uint32(len(st.retained)))
+	e.U32(uint32(len(st.retained)))
 	for _, c := range st.retained {
-		e.u64(uint64(c.epoch))
-		e.i64(c.indexAddr)
-		e.i64(c.indexLen)
+		e.U64(uint64(c.epoch))
+		e.I64(c.indexAddr)
+		e.I64(c.indexLen)
 	}
-	e.u32(uint32(len(st.objects)))
+	e.U32(uint32(len(st.objects)))
 	for _, o := range st.objects {
-		e.u64(uint64(o.oid))
-		e.i64(o.addr)
-		e.i64(o.len)
+		e.U64(uint64(o.oid))
+		e.I64(o.addr)
+		e.I64(o.len)
 	}
 	return &e
 }
 
 // decodeIndex parses a checkpoint index.
 func decodeIndex(b []byte) (*indexState, error) {
-	d, err := newDec(b)
+	d, err := openSealed(b)
 	if err != nil {
 		return nil, err
 	}
-	if d.u32() != magicIndex {
+	if d.U32() != magicIndex {
 		return nil, fmt.Errorf("%w: bad index magic", ErrCorrupt)
 	}
 	st := &indexState{
-		epoch:   Epoch(d.u64()),
-		nextOID: OID(d.u64()),
-		nextBlk: d.i64(),
+		epoch:   Epoch(d.U64()),
+		nextOID: OID(d.U64()),
+		nextBlk: d.I64(),
 	}
-	for i, n := 0, int(d.u32()); i < n && d.err == nil; i++ {
-		st.freelist = append(st.freelist, d.i64())
+	for i, n := 0, int(d.U32()); i < n && d.Err() == nil; i++ {
+		st.freelist = append(st.freelist, d.I64())
 	}
-	for i, n := 0, int(d.u32()); i < n && d.err == nil; i++ {
+	for i, n := 0, int(d.U32()); i < n && d.Err() == nil; i++ {
 		st.deadlist = append(st.deadlist, deadBlock{
-			addr: d.i64(), birth: Epoch(d.u64()), freedAt: Epoch(d.u64()),
+			addr: d.I64(), birth: Epoch(d.U64()), freedAt: Epoch(d.U64()),
 		})
 	}
-	for i, n := 0, int(d.u32()); i < n && d.err == nil; i++ {
+	for i, n := 0, int(d.U32()); i < n && d.Err() == nil; i++ {
 		st.retained = append(st.retained, ckptInfo{
-			epoch: Epoch(d.u64()), indexAddr: d.i64(), indexLen: d.i64(),
+			epoch: Epoch(d.U64()), indexAddr: d.I64(), indexLen: d.I64(),
 		})
 	}
-	for i, n := 0, int(d.u32()); i < n && d.err == nil; i++ {
+	for i, n := 0, int(d.U32()); i < n && d.Err() == nil; i++ {
 		st.objects = append(st.objects, indexEntry{
-			oid: OID(d.u64()), addr: d.i64(), len: d.i64(),
+			oid: OID(d.U64()), addr: d.I64(), len: d.I64(),
 		})
 	}
-	if d.err != nil {
-		return nil, d.err
+	if err := d.Err(); err != nil {
+		return nil, corrupt(err)
 	}
 	return st, nil
 }
@@ -342,14 +264,14 @@ type superblock struct {
 
 // encodeSuperblock fills one block.
 func encodeSuperblock(sb superblock) []byte {
-	var e enc
-	e.u32(magicSuper)
-	e.u64(uint64(sb.epoch))
-	e.i64(sb.indexAddr)
-	e.i64(sb.indexLen)
-	e.i64(sb.walBase)
-	e.i64(sb.walBlocks)
-	body := e.seal()
+	var e rec.Encoder
+	e.U32(magicSuper)
+	e.U64(uint64(sb.epoch))
+	e.I64(sb.indexAddr)
+	e.I64(sb.indexLen)
+	e.I64(sb.walBase)
+	e.I64(sb.walBlocks)
+	body := e.Seal()
 	out := make([]byte, BlockSize)
 	copy(out, body)
 	return out
@@ -362,21 +284,21 @@ func decodeSuperblock(b []byte) (superblock, bool) {
 	if len(b) < bodyLen {
 		return superblock{}, false
 	}
-	d, err := newDec(b[:bodyLen])
+	d, err := openSealed(b[:bodyLen])
 	if err != nil {
 		return superblock{}, false
 	}
-	if d.u32() != magicSuper {
+	if d.U32() != magicSuper {
 		return superblock{}, false
 	}
 	sb := superblock{
-		epoch:     Epoch(d.u64()),
-		indexAddr: d.i64(),
-		indexLen:  d.i64(),
-		walBase:   d.i64(),
-		walBlocks: d.i64(),
+		epoch:     Epoch(d.U64()),
+		indexAddr: d.I64(),
+		indexLen:  d.I64(),
+		walBase:   d.I64(),
+		walBlocks: d.I64(),
 	}
-	if d.err != nil {
+	if d.Err() != nil {
 		return superblock{}, false
 	}
 	return sb, true

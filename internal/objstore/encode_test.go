@@ -1,8 +1,11 @@
 package objstore
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
+
+	"aurora/internal/rec"
 )
 
 func TestRecordCodecInline(t *testing.T) {
@@ -64,18 +67,44 @@ func TestRecordCodecJournal(t *testing.T) {
 }
 
 func TestRecordCodecRejectsCorruption(t *testing.T) {
-	o := &object{oid: 1, utype: 1, inline: []byte("x")}
-	b := encodeRecord(o)
-	b[5] ^= 0xFF
-	if _, err := decodeRecord(b); err == nil {
-		t.Fatal("corrupt record decoded")
+	flipped := encodeRecord(&object{oid: 1, utype: 1, inline: []byte("x")})
+	flipped[5] ^= 0xFF
+	// Validly sealed, but the chunk count promises four billion roots the
+	// record does not hold: it must fail before sizing a map off the count.
+	var huge rec.Encoder
+	huge.U32(magicRecord)
+	huge.U64(7)
+	huge.U16(2)
+	huge.I64(1 << 30)
+	huge.U8(shapeChunks)
+	huge.U32(0xFFFFFFFF)
+	huge.I64(0)
+	huge.I64(4096)
+	// Resealed one root short of the count it states.
+	chunked := encodeRecord(&object{oid: 7, utype: 2, chunks: map[int64]*chunk{0: {addr: 4096}, 3: {addr: 8192}}})
+
+	for _, tc := range []struct {
+		name string
+		b    []byte
+	}{
+		{"flipped byte", flipped},
+		{"nil", nil},
+		{"short buffer", []byte{1, 2, 3}},
+		{"huge chunk count", huge.Seal()},
+		{"chunk count past the record", resealed(chunked[:len(chunked)-4-16])},
+	} {
+		if _, err := decodeRecord(tc.b); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", tc.name, err)
+		}
 	}
-	if _, err := decodeRecord(nil); err == nil {
-		t.Fatal("nil decoded")
-	}
-	if _, err := decodeRecord([]byte{1, 2, 3}); err == nil {
-		t.Fatal("short buffer decoded")
-	}
+}
+
+// resealed puts a valid CRC on body, so only the decoder's structural checks
+// stand between a damaged record and the caller.
+func resealed(body []byte) []byte {
+	var e rec.Encoder
+	e.Append(body)
+	return e.Seal()
 }
 
 func TestSuperblockCodec(t *testing.T) {
@@ -109,7 +138,7 @@ func TestIndexCodecRoundTrip(t *testing.T) {
 		objects:  []indexEntry{{oid: 9, addr: 20480, len: 50}},
 	}
 	e := encodeIndex(st)
-	got, err := decodeIndex(e.seal())
+	got, err := decodeIndex(e.Seal())
 	if err != nil {
 		t.Fatal(err)
 	}

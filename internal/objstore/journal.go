@@ -138,16 +138,13 @@ func (j *Journal) Append(payload []byte) (uint64, error) {
 	off := js.extentAddr + js.tail
 	js.tail += need
 	j.o.size = js.tail
-	done, err := j.s.dev.SubmitWrite(frame, off)
+	// The frame joins the interval's durability horizon: the next
+	// superblock must not be able to land on media that lost this append,
+	// or recovery to that epoch would find a gap in the extent.
+	done, err := j.s.submitLocked(frame, off, 0)
 	if err != nil {
 		j.s.mu.Unlock()
 		return 0, err
-	}
-	// Fold the frame into the interval's durability horizon: the next
-	// superblock must not be able to land on media that lost this append,
-	// or recovery to that epoch would find a gap in the extent.
-	if done > j.s.pendingDurable {
-		j.s.pendingDurable = done
 	}
 	dev, clk, costs := j.s.dev, j.s.clk, j.s.costs
 	j.s.mu.Unlock()

@@ -183,12 +183,8 @@ func (s *Store) writePageLocked(o *object, pg int64, data []byte) error {
 	if err != nil {
 		return err
 	}
-	done, err := s.dev.SubmitWrite(data, addr)
-	if err != nil {
+	if _, err := s.submitLocked(data, addr, 0); err != nil {
 		return err
-	}
-	if done > s.pendingDurable {
-		s.pendingDurable = done
 	}
 	s.retireBlock(c.addrs[slot])
 	c.addrs[slot] = addr

@@ -82,10 +82,7 @@ var (
 type BlockDev interface {
 	ReadAt(p []byte, off int64) (int, error)
 	WriteAt(p []byte, off int64) (int, error)
-	SubmitWrite(p []byte, off int64) (time.Duration, error)
-	SubmitWriteAfter(p []byte, off int64, after time.Duration) (time.Duration, error)
-	SubmitWritev(bufs [][]byte, off int64) (time.Duration, error)
-	SubmitWritevAfter(bufs [][]byte, off int64, after time.Duration) (time.Duration, error)
+	Submit(bufs [][]byte, off int64, after time.Duration) (time.Duration, error)
 	SubmitRead(p []byte, off int64) (time.Duration, error)
 	WaitUntil(t time.Duration)
 	Flush()
@@ -213,6 +210,7 @@ type Store struct {
 	// pendingDurable is the completion time of the latest submitted write
 	// belonging to the in-progress interval; the next commit waits for it.
 	pendingDurable time.Duration
+	one            [1][]byte // submitLocked's vector, so single-buffer writes allocate none
 	// durableAt maps committed epochs to their durability times.
 	durableAt map[Epoch]time.Duration
 
@@ -367,6 +365,19 @@ func (s *Store) PendingDurable() time.Duration {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.pendingDurable
+}
+
+// submitLocked queues p at off, its transfer not starting before after, and
+// folds the completion time into the interval's durability horizon — which
+// the next commit point is in turn ordered behind. Requires mu.
+func (s *Store) submitLocked(p []byte, off int64, after time.Duration) (time.Duration, error) {
+	s.one[0] = p
+	done, err := s.dev.Submit(s.one[:], off, after)
+	s.one[0] = nil
+	if err == nil && done > s.pendingDurable {
+		s.pendingDurable = done
+	}
+	return done, err
 }
 
 // NewOID allocates a fresh object identifier.

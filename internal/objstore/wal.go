@@ -27,6 +27,7 @@ import (
 
 	"aurora/internal/clock"
 	"aurora/internal/flight"
+	"aurora/internal/rec"
 	"aurora/internal/trace"
 )
 
@@ -112,41 +113,41 @@ func (s *Store) walNote(op walOp) {
 
 // encodeWALFrame serializes fr, sealed but not sector-padded.
 func encodeWALFrame(fr *walFrame) []byte {
-	var ops enc
+	var ops rec.Encoder
 	for _, op := range fr.ops {
-		ops.u8(op.kind)
-		ops.u64(uint64(op.oid))
+		ops.U8(op.kind)
+		ops.U64(uint64(op.oid))
 		switch op.kind {
 		case walOpPut:
-			ops.u16(op.utype)
-			ops.bytes(op.data)
+			ops.U16(op.utype)
+			ops.Bytes(op.data)
 		case walOpPage:
-			ops.u16(op.utype)
-			ops.i64(op.pg)
-			ops.i64(op.addr)
-			ops.u32(op.sum)
+			ops.U16(op.utype)
+			ops.I64(op.pg)
+			ops.I64(op.addr)
+			ops.U32(op.sum)
 		case walOpSize:
-			ops.i64(op.size)
+			ops.I64(op.size)
 		case walOpDelete:
 		case walOpJournal:
-			ops.u16(op.utype)
-			ops.i64(op.addr)
-			ops.i64(op.size)
-			ops.u64(op.gen)
-			ops.u64(op.fseq)
+			ops.U16(op.utype)
+			ops.I64(op.addr)
+			ops.I64(op.size)
+			ops.U64(op.gen)
+			ops.U64(op.fseq)
 		}
 	}
-	frameLen := walHeaderLen + len(ops.b) + 4
-	var e enc
-	e.u32(magicWAL)
-	e.u32(uint32(frameLen))
-	e.u64(uint64(fr.base))
-	e.u64(fr.seq)
-	e.u64(uint64(fr.nextOID))
-	e.i64(fr.nextBlk)
-	e.u32(uint32(len(fr.ops)))
-	e.b = append(e.b, ops.b...)
-	return e.seal()
+	frameLen := walHeaderLen + ops.Len() + 4
+	var e rec.Encoder
+	e.U32(magicWAL)
+	e.U32(uint32(frameLen))
+	e.U64(uint64(fr.base))
+	e.U64(fr.seq)
+	e.U64(uint64(fr.nextOID))
+	e.I64(fr.nextBlk)
+	e.U32(uint32(len(fr.ops)))
+	e.Append(ops.Raw())
+	return e.Seal()
 }
 
 // decodeWALFrame parses the frame at the start of b. ok is false for
@@ -163,48 +164,48 @@ func decodeWALFrame(b []byte) (fr *walFrame, padded int64, ok bool) {
 	if frameLen < walHeaderLen+4 || frameLen > int64(len(b)) {
 		return nil, 0, false
 	}
-	d, err := newDec(b[:frameLen])
+	d, err := rec.NewDecoder(b[:frameLen])
 	if err != nil {
 		return nil, 0, false
 	}
-	d.u32() // magic
-	d.u32() // frameLen
+	d.U32() // magic
+	d.U32() // frameLen
 	fr = &walFrame{
-		base:    Epoch(d.u64()),
-		seq:     d.u64(),
-		nextOID: OID(d.u64()),
-		nextBlk: d.i64(),
+		base:    Epoch(d.U64()),
+		seq:     d.U64(),
+		nextOID: OID(d.U64()),
+		nextBlk: d.I64(),
 	}
-	nops := int(d.u32())
+	nops := int(d.U32())
 	if nops < 0 || nops > len(b) {
 		return nil, 0, false
 	}
-	for i := 0; i < nops && d.err == nil; i++ {
-		op := walOp{kind: d.u8(), oid: OID(d.u64())}
+	for i := 0; i < nops && d.Err() == nil; i++ {
+		op := walOp{kind: d.U8(), oid: OID(d.U64())}
 		switch op.kind {
 		case walOpPut:
-			op.utype = d.u16()
-			op.data = append([]byte(nil), d.bytes()...)
+			op.utype = d.U16()
+			op.data = d.Bytes()
 		case walOpPage:
-			op.utype = d.u16()
-			op.pg = d.i64()
-			op.addr = d.i64()
-			op.sum = d.u32()
+			op.utype = d.U16()
+			op.pg = d.I64()
+			op.addr = d.I64()
+			op.sum = d.U32()
 		case walOpSize:
-			op.size = d.i64()
+			op.size = d.I64()
 		case walOpDelete:
 		case walOpJournal:
-			op.utype = d.u16()
-			op.addr = d.i64()
-			op.size = d.i64()
-			op.gen = d.u64()
-			op.fseq = d.u64()
+			op.utype = d.U16()
+			op.addr = d.I64()
+			op.size = d.I64()
+			op.gen = d.U64()
+			op.fseq = d.U64()
 		default:
 			return nil, 0, false
 		}
 		fr.ops = append(fr.ops, op)
 	}
-	if d.err != nil {
+	if d.Err() != nil {
 		return nil, 0, false
 	}
 	padded = (frameLen + walSector - 1) / walSector * walSector
@@ -261,7 +262,7 @@ func (s *Store) WALCommit() (WALCommitStats, error) {
 	if pad := total - int64(len(body)); pad > 0 {
 		vec = append(vec, make([]byte, pad))
 	}
-	done, err := s.dev.SubmitWritevAfter(vec, s.walBase+s.walHead, s.pendingDurable)
+	done, err := s.dev.Submit(vec, s.walBase+s.walHead, s.pendingDurable)
 	if err != nil {
 		span.End()
 		return st, err

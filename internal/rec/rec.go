@@ -60,9 +60,13 @@ func (e *Encoder) Str(s string) {
 	e.b = append(e.b, s...)
 }
 
+// Append appends p verbatim, with no length prefix: an already-encoded body
+// whose length the surrounding record states itself.
+func (e *Encoder) Append(p []byte) { e.b = append(e.b, p...) }
+
 // Seal appends the CRC and returns the finished record.
 func (e *Encoder) Seal() []byte {
-	return append(e.b, binary.LittleEndian.AppendUint32(nil, crc32.ChecksumIEEE(e.b))...)
+	return binary.LittleEndian.AppendUint32(e.b, crc32.ChecksumIEEE(e.b))
 }
 
 // Raw returns the unsealed bytes (for embedding in another record).

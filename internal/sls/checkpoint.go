@@ -269,26 +269,7 @@ func (g *Group) Checkpoint(kind CheckpointKind) (CheckpointStats, error) {
 	if kind == CkptWAL {
 		wst, werr := o.Store.WALCommit()
 		if werr == nil {
-			o.Store.Flight().Record(int64(o.Clk.Now()), flight.EvCheckpointEnd,
-				int64(g.oid), int64(wst.Base), res.bytes, g.Name)
-			st.Epoch = wst.Base
-			st.WALSeq = wst.Seq
-			st.DurableAt = wst.DurableAt
-			g.lastEpoch = wst.Base
-			g.lastWALSeq = wst.Seq
-			g.walSinceFold++
-			g.lastCkpt = o.Clk.Now()
-			g.ckpts++
-			if tr := o.Tracer; tr != nil {
-				tr.Range(trace.TrackSLS, "durable.window", o.Clk.Now(), st.DurableAt,
-					trace.I("epoch", int64(st.Epoch)), trace.I("wal_seq", int64(st.WALSeq)))
-				tr.Count("sls.checkpoints", 1)
-				tr.Count("sls.wal_commits", 1)
-				tr.Count("sls.dirty_pages", st.DirtyPages)
-				tr.Count("sls.flush_bytes", st.FlushBytes)
-			}
-			ckptSpan.End(trace.I("epoch", int64(st.Epoch)), trace.I("wal_seq", int64(st.WALSeq)))
-			o.recordCheckpointMetrics(st, true)
+			g.finishCommit(&st, ckptSpan, wst.Base, wst.Seq, wst.DurableAt)
 			return st, nil
 		}
 		if !errors.Is(werr, objstore.ErrWALFull) {
@@ -300,31 +281,48 @@ func (g *Group) Checkpoint(kind CheckpointKind) (CheckpointStats, error) {
 	if err != nil {
 		return st, err
 	}
-	g.lastWALSeq = 0
-	g.walSinceFold = 0
-	o.Store.Flight().Record(int64(o.Clk.Now()), flight.EvCheckpointEnd,
-		int64(g.oid), int64(cst.Epoch), res.bytes, g.Name)
-	st.Epoch = cst.Epoch
-	st.DurableAt = cst.DurableAt
-	g.lastEpoch = cst.Epoch
-	g.lastCkpt = o.Clk.Now()
-	g.ckpts++
-	if tr := o.Tracer; tr != nil {
-		// The drain window: submitted writes settling while the
-		// application already runs — the overlap the paper claims.
-		tr.Range(trace.TrackSLS, "durable.window", o.Clk.Now(), st.DurableAt,
-			trace.I("epoch", int64(st.Epoch)))
-		tr.Count("sls.checkpoints", 1)
-		tr.Count("sls.dirty_pages", st.DirtyPages)
-		tr.Count("sls.flush_bytes", st.FlushBytes)
-	}
-	ckptSpan.End(trace.I("epoch", int64(st.Epoch)))
-	o.recordCheckpointMetrics(st, false)
-
+	g.finishCommit(&st, ckptSpan, cst.Epoch, 0, cst.DurableAt)
 	if g.RetainEpochs > 0 && int(cst.Epoch) > g.RetainEpochs {
 		o.Store.ReleaseCheckpointsBefore(cst.Epoch - objstore.Epoch(g.RetainEpochs) + 1)
 	}
 	return st, nil
+}
+
+// finishCommit is the tail of every committed checkpoint: flight event,
+// stats, group bookkeeping, trace range and counters, telemetry. walSeq is
+// the WAL frame the commit appended, or 0 when it was an epoch (a fold of
+// any outstanding frames).
+func (g *Group) finishCommit(st *CheckpointStats, ckptSpan trace.Span, epoch objstore.Epoch, walSeq uint64, durableAt time.Duration) {
+	o := g.o
+	wal := walSeq != 0
+	o.Store.Flight().Record(int64(o.Clk.Now()), flight.EvCheckpointEnd,
+		int64(g.oid), int64(epoch), st.FlushBytes, g.Name)
+	st.Epoch, st.WALSeq, st.DurableAt = epoch, walSeq, durableAt
+	g.lastEpoch, g.lastWALSeq = epoch, walSeq
+	if wal {
+		g.walSinceFold++
+	} else {
+		g.walSinceFold = 0
+	}
+	g.lastCkpt = o.Clk.Now()
+	g.ckpts++
+	args := []trace.Arg{trace.I("epoch", int64(epoch)), trace.I("wal_seq", int64(walSeq))}
+	if !wal {
+		args = args[:1]
+	}
+	if tr := o.Tracer; tr != nil {
+		// The drain window: submitted writes settling while the
+		// application already runs — the overlap the paper claims.
+		tr.Range(trace.TrackSLS, "durable.window", o.Clk.Now(), durableAt, args...)
+		tr.Count("sls.checkpoints", 1)
+		if wal {
+			tr.Count("sls.wal_commits", 1)
+		}
+		tr.Count("sls.dirty_pages", st.DirtyPages)
+		tr.Count("sls.flush_bytes", st.FlushBytes)
+	}
+	ckptSpan.End(args...)
+	o.recordCheckpointMetrics(*st, wal)
 }
 
 // recordCheckpointMetrics feeds the telemetry plane after one checkpoint:

@@ -10,6 +10,7 @@ package sls
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -196,7 +197,7 @@ func TestDoubleFailoverCleanError(t *testing.T) {
 // failingSource wraps a restore Source and dies after a fixed number of
 // record reads — the standby's own device going away mid-restore.
 type failingSource struct {
-	src   Source
+	Source
 	after int
 	reads int
 }
@@ -208,16 +209,8 @@ func (f *failingSource) GetRecord(oid objstore.OID) ([]byte, error) {
 	if f.reads > f.after {
 		return nil, errSourceDied
 	}
-	return f.src.GetRecord(oid)
+	return f.Source.GetRecord(oid)
 }
-func (f *failingSource) ReadPage(oid objstore.OID, pg int64, buf []byte) (bool, error) {
-	return f.src.ReadPage(oid, pg, buf)
-}
-func (f *failingSource) HasPage(oid objstore.OID, pg int64) (bool, error) {
-	return f.src.HasPage(oid, pg)
-}
-func (f *failingSource) Size(oid objstore.OID) (int64, error) { return f.src.Size(oid) }
-func (f *failingSource) Exists(oid objstore.OID) bool         { return f.src.Exists(oid) }
 
 // TestFailoverStandbyDiesMidRestore: a restore that dies partway must not
 // wedge the group name — the half-built group is torn down, and a retry
@@ -250,7 +243,7 @@ func TestFailoverStandbyDiesMidRestore(t *testing.T) {
 	// Die at every record-read depth the restore has: each index fails a
 	// different stage (manifest walk, group record, proc, file, ...).
 	for after := 1; ; after++ {
-		fs := &failingSource{src: dst.store, after: after}
+		fs := &failingSource{Source: dst.store, after: after}
 		g, _, err := dst.o.RestoreGroup("app", fs, RestoreFull, true)
 		if err == nil {
 			// Deep enough that the whole restore went through: the sweep
@@ -356,5 +349,129 @@ func TestMigrateToDeadMachine(t *testing.T) {
 	}
 	if _, ok := src.o.GroupByName("app"); ok {
 		t.Fatal("completed migrate left the group registered on the source")
+	}
+}
+
+// flakyDev fails the next ordered submit — the superblock write — once
+// armed: a commit whose metadata landed but whose commit point did not.
+type flakyDev struct {
+	objstore.BlockDev
+	armed bool
+}
+
+var errCommitFailed = errors.New("standby commit write failed")
+
+func (f *flakyDev) Submit(bufs [][]byte, off int64, after time.Duration) (time.Duration, error) {
+	if f.armed && after > 0 {
+		f.armed = false
+		return 0, errCommitFailed
+	}
+	return f.BlockDev.Submit(bufs, off, after)
+}
+
+// TestRecvCommitFailureKeepsBase: a standby whose commit fails has applied
+// a stream it did not commit, so it must keep holding the base it held
+// before — advancing it refused every later delta forever ("needs base
+// epoch N, receiver holds N+1"). Once the cause clears, the next Sync (over
+// the wire: Resume, then Sync) must land and the standby must match.
+func TestRecvCommitFailureKeepsBase(t *testing.T) {
+	for _, wired := range []bool{false, true} {
+		t.Run(fmt.Sprintf("wired=%v", wired), func(t *testing.T) {
+			src, err := newWorldE()
+			if err != nil {
+				t.Fatal(err)
+			}
+			flaky := &flakyDev{}
+			dst, err := newWorldOn(func(d objstore.BlockDev) objstore.BlockDev {
+				flaky.BlockDev = d
+				return flaky
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			app, err := startReplApp(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var conn *net.Conn
+			if wired {
+				conn = net.NewConn(net.NewPipe(src.clk, net.DefaultParams(), net.Plan{}, net.Plan{}), src.clk, replConfig(), nil)
+			}
+			for pg := int64(0); pg < workloadPages; pg++ {
+				if err := app.write(pg, byte(1+pg)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rep, err := app.g.ReplicateToVia(dst.o, conn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			base := rep.Base()
+
+			// A region born in the interval whose commit fails and gone by
+			// the retry: the standby must not keep its object.
+			extra, err := app.p.Mmap(4*vm.PageSize, vm.ProtRead|vm.ProtWrite, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := app.p.WriteMem(extra, []byte("short-lived")); err != nil {
+				t.Fatal(err)
+			}
+			if err := app.write(3, 0xA1); err != nil {
+				t.Fatal(err)
+			}
+			if err := app.append([]byte("before the failed commit")); err != nil {
+				t.Fatal(err)
+			}
+			flaky.armed = true
+			if err := rep.Sync(); !errors.Is(err, errCommitFailed) {
+				t.Fatalf("sync over a failing standby commit: err = %v, want the injected failure", err)
+			}
+			if rep.Base() != base {
+				t.Fatalf("replica base moved to %d on a failed sync, want %d", rep.Base(), base)
+			}
+
+			if err := app.p.Munmap(extra); err != nil {
+				t.Fatal(err)
+			}
+			if err := app.write(5, 0xB2); err != nil {
+				t.Fatal(err)
+			}
+			if err := app.append([]byte("after the failed commit")); err != nil {
+				t.Fatal(err)
+			}
+			if err := rep.Resume(); err != nil {
+				t.Fatalf("resume after the failure cleared: %v", err)
+			}
+			if err := rep.Sync(); err != nil {
+				t.Fatalf("sync after the failure cleared: %v", err)
+			}
+			if rep.Base() <= base {
+				t.Fatalf("replica base still %d after a landed sync", rep.Base())
+			}
+
+			want := map[objstore.OID]bool{}
+			for _, oid := range src.store.Objects() {
+				if ut, _ := src.store.UType(oid); ut == UTMemObject {
+					want[oid] = true
+				}
+			}
+			for _, oid := range dst.store.Objects() {
+				if ut, _ := dst.store.UType(oid); ut == UTMemObject && !want[oid] {
+					t.Errorf("standby kept memory object %d the primary no longer has", oid)
+				}
+			}
+			if rep := dst.store.Fsck(); !rep.OK() {
+				t.Fatalf("standby fsck: %v", rep.Problems)
+			}
+			img, err := failoverImage(rep, app.va)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := img.checkModel(app.model, app.jour); err != nil {
+				t.Fatalf("standby image after recovery from a failed commit: %v", err)
+			}
+		})
 	}
 }

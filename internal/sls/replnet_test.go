@@ -28,11 +28,19 @@ import (
 
 // newWorldE is newWorld without the testing.T — shared with fuzz targets,
 // which construct worlds inside the fuzz function.
-func newWorldE() (*world, error) {
+func newWorldE() (*world, error) { return newWorldOn(nil) }
+
+// newWorldOn is newWorldE with the store's device passed through wrap (nil
+// for none), so a test can interpose a failing BlockDev.
+func newWorldOn(wrap func(objstore.BlockDev) objstore.BlockDev) (*world, error) {
 	clk := clock.NewVirtual()
 	costs := clock.DefaultCosts()
 	dev := device.NewStripe(clk, costs, 4, 64<<10, 256<<20)
-	store, err := objstore.Format(dev, clk, costs)
+	var bdev objstore.BlockDev = dev
+	if wrap != nil {
+		bdev = wrap(dev)
+	}
+	store, err := objstore.Format(bdev, clk, costs)
 	if err != nil {
 		return nil, err
 	}

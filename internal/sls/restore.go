@@ -35,23 +35,37 @@ type Source interface {
 	HasPage(oid objstore.OID, pg int64) (bool, error)
 	Size(oid objstore.OID) (int64, error)
 	Exists(oid objstore.OID) bool
+	// EachPageBulk visits every stored page of oid in ascending order, the
+	// reads pipelined at device bandwidth (Table 6's full-restore times).
+	EachPageBulk(oid objstore.OID, fn func(pg int64, data []byte) error) (int64, error)
+	// PageSum is the validation truth: the CRC32 recorded when (oid, pg)
+	// was committed; ok=false when the source keeps no sum for it.
+	PageSum(oid objstore.OID, pg int64) (sum uint32, ok bool, err error)
 }
 
-// RestoreMode selects eager or lazy page loading.
+var (
+	_ Source = (*objstore.Store)(nil)
+	_ Source = (*objstore.View)(nil)
+)
+
+// RestoreMode is a policy over the one verified page loader (installPages):
+// when it runs, and whether the group may execute before it has.
 type RestoreMode uint8
 
 // Restore modes (Table 6's Full and Lazy rows).
 const (
-	// RestoreFull loads every page eagerly.
+	// RestoreFull pre-touches everything now: the loader runs over every
+	// memory object before the restore returns.
 	RestoreFull RestoreMode = iota
-	// RestoreLazy restores the minimal OS state; pages fault in on
-	// demand through the store pager (§6, lazy restores).
+	// RestoreLazy never runs the loader: the restore rebuilds the minimal
+	// OS state and pages fault in on demand through the store pager (§6,
+	// lazy restores).
 	RestoreLazy
 	// RestoreSpeculative restores like RestoreLazy but lets the group
 	// execute before its pages are trusted: each demand fault is checked
-	// against the committed image's page sums as it lands, and a
-	// background validator sweep (FinishSpeculation) confirms the rest,
-	// rolling the group back to a serial restore on any mismatch — the
+	// against the committed image's page sums as it lands, and the loader
+	// runs later (FinishSpeculation), skipping what is already resident
+	// and rolling the group back to a serial restore on any mismatch — the
 	// PhoenixOS validated-speculation trick applied to time-to-first-op.
 	RestoreSpeculative
 )
@@ -110,7 +124,7 @@ func (sp *storePager) speculate(pg int64, p *mem.Page) error {
 	if tr := g.o.Tracer; tr != nil {
 		tr.Count("sls.spec.faults", 1)
 	}
-	sum, ok, err := pageSum(sp.src, sp.oid, pg)
+	sum, ok, err := sp.src.PageSum(sp.oid, pg)
 	if err != nil || !ok {
 		return nil // no ground truth; the sweep revisits the mark
 	}
@@ -121,22 +135,6 @@ func (sp *storePager) speculate(pg int64, p *mem.Page) error {
 	g.specValidated.Add(1)
 	sp.obj.ClearSpeculated(pg)
 	return nil
-}
-
-// pageSummer is the validation-truth interface both *objstore.Store and
-// *objstore.View provide: the CRC32 recorded when a page was committed.
-type pageSummer interface {
-	PageSum(oid objstore.OID, pg int64) (uint32, bool, error)
-}
-
-// pageSum looks up the committed sum of (oid, pg), reporting ok=false when
-// the source keeps no sum for it.
-func pageSum(src Source, oid objstore.OID, pg int64) (uint32, bool, error) {
-	ps, ok := src.(pageSummer)
-	if !ok {
-		return 0, false, nil
-	}
-	return ps.PageSum(oid, pg)
 }
 
 func (sp *storePager) BackingOID() uint64 { return uint64(sp.oid) }
@@ -158,7 +156,6 @@ var _ vm.SparsePager = (*storePager)(nil)
 func (o *Orchestrator) RestoreGroup(name string, src Source, mode RestoreMode, continuing bool) (retG *Group, st RestoreStats, retErr error) {
 	sw := clock.StartStopwatch(o.Clk)
 	st.Mode = mode
-	st.Lazy = mode != RestoreFull
 	restSpan := o.Tracer.Begin(trace.TrackSLS, "restore",
 		trace.S("group", name), trace.I("mode", int64(mode)))
 	if fl := o.Store.Flight(); fl != nil {
@@ -211,9 +208,8 @@ func (o *Orchestrator) RestoreGroup(name string, src Source, mode RestoreMode, c
 		retG = nil
 	}()
 
-	gname := d.Str()
-	_ = gname
-	g.Period = timeDuration(d.U64())
+	_ = d.Str() // group name: the manifest already resolved it
+	g.Period = time.Duration(d.U64())
 
 	type procEnt struct {
 		oid       objstore.OID
@@ -415,9 +411,6 @@ type restorer struct {
 	liveOIDs map[objstore.OID]bool
 }
 
-// timeDuration converts a persisted nanosecond count.
-func timeDuration(ns uint64) time.Duration { return time.Duration(ns) }
-
 func (r *restorer) init() {
 	if r.memObjs == nil {
 		r.memObjs = make(map[objstore.OID]*vm.Object)
@@ -479,82 +472,52 @@ func (r *restorer) memObject(oid objstore.OID) (*vm.Object, error) {
 	r.memObjs[oid] = obj
 	r.liveOIDs[oid] = true
 	r.g.oidOf[obj] = oid
-	r.g.restoredMem = append(r.g.restoredMem, restoredMem{obj: obj, oid: oid, size: meta.size})
+	r.g.restoredMem = append(r.g.restoredMem, restoredMem{obj: obj, oid: oid})
 
 	if r.mode == RestoreFull {
-		if err := r.eagerLoad(oid, obj, meta.size); err != nil {
+		// A rotted read must fail the restore loudly — the rollback path's
+		// serial re-restore relies on this to refuse a persistently damaged
+		// image rather than "succeed" with garbage.
+		n, err := r.o.installPages(r.src, oid, obj, func(pg int64) error {
+			return fmt.Errorf("sls: restore: oid %d page %d content does not match committed sum", oid, pg)
+		})
+		r.st.PagesEager += n
+		if err != nil {
 			return nil, err
 		}
 	}
 	return obj, nil
 }
 
-// bulkSource is the fast eager-read path both Store and View provide.
-type bulkSource interface {
-	EachPageBulk(oid objstore.OID, fn func(pg int64, data []byte) error) (int64, error)
-}
-
-// eagerLoad pulls every stored page of oid into the object. With a bulk
-// source the reads pipeline at device bandwidth (Table 6's full-restore
-// times); otherwise it degrades to per-page reads.
-func (r *restorer) eagerLoad(oid objstore.OID, obj *vm.Object, size int64) error {
-	if bs, ok := r.src.(bulkSource); ok {
-		n, err := bs.EachPageBulk(oid, func(pg int64, data []byte) error {
-			if err := verifyPage(r.src, oid, pg, data); err != nil {
-				return err
-			}
-			frame, err := r.o.K.VM.PM.Alloc()
-			if err != nil {
-				return err
-			}
-			copy(frame.Data, data)
-			frame.Backed = true
-			obj.InsertPage(pg, frame)
+// installPages is the one verified page-install loop: every stored page of
+// oid not already resident in obj is checked against the sum recorded when
+// it was committed, then installed. An eager restore runs it on the freshly
+// created object; the speculation validator runs the same loop later, when
+// demand faults have made some pages resident (and checked them as they
+// landed). mismatch builds the caller's error for a page that fails its sum.
+func (o *Orchestrator) installPages(src Source, oid objstore.OID, obj *vm.Object, mismatch func(pg int64) error) (installed int64, err error) {
+	_, err = src.EachPageBulk(oid, func(pg int64, data []byte) error {
+		if _, resident := obj.ResidentPage(pg); resident {
 			return nil
-		})
-		r.st.PagesEager += n
-		return err
-	}
-	pages := mem.PagesFor(size)
-	for pg := int64(0); pg < pages; pg++ {
-		frame, err := r.o.K.VM.PM.Alloc()
+		}
+		sum, ok, err := src.PageSum(oid, pg)
 		if err != nil {
 			return err
 		}
-		found, err := r.src.ReadPage(oid, pg, frame.Data)
+		if ok && crc32.ChecksumIEEE(data) != sum {
+			return mismatch(pg)
+		}
+		frame, err := o.K.VM.PM.Alloc()
 		if err != nil {
 			return err
 		}
-		if !found {
-			r.o.K.VM.PM.Free(frame)
-			continue
-		}
-		if err := verifyPage(r.src, oid, pg, frame.Data); err != nil {
-			r.o.K.VM.PM.Free(frame)
-			return err
-		}
+		copy(frame.Data, data)
 		frame.Backed = true
 		obj.InsertPage(pg, frame)
-		r.st.PagesEager++
-	}
-	return nil
-}
-
-// verifyPage cross-checks page data read from the device against the sum
-// recorded when the page was committed. Eager restores always verify: a
-// rotted read must fail the restore loudly, not hand the application
-// corrupt memory — and the rollback path's serial re-restore relies on
-// this to refuse a persistently damaged image rather than "succeed" with
-// garbage.
-func verifyPage(src Source, oid objstore.OID, pg int64, data []byte) error {
-	sum, ok, err := pageSum(src, oid, pg)
-	if err != nil {
-		return err
-	}
-	if ok && crc32.ChecksumIEEE(data) != sum {
-		return fmt.Errorf("sls: restore: oid %d page %d content does not match committed sum", oid, pg)
-	}
-	return nil
+		installed++
+		return nil
+	})
+	return installed, err
 }
 
 // proc rebuilds one process.

@@ -383,10 +383,19 @@ func (o *Orchestrator) Recv(r io.Reader) (string, error) {
 			if fl := o.Store.Flight(); fl != nil {
 				fl.Record(int64(o.Clk.Now()), flight.EvRecv, int64(srcEpoch), int64(baseEpoch), int64(len(live)), name)
 			}
-			o.recvState[name] = &recvGroupState{epoch: srcEpoch, live: live}
 			if _, err := o.Store.Checkpoint(); err != nil {
+				// Nothing committed, so the base this receiver holds has not
+				// moved: advancing it here would refuse every later delta.
+				// What the stream wrote joins the held set, so the retry
+				// still deletes whatever its epoch no longer lists.
+				if state != nil {
+					for oid := range live {
+						state.live[oid] = true
+					}
+				}
 				return "", err
 			}
+			o.recvState[name] = &recvGroupState{epoch: srcEpoch, live: live}
 			return name, nil
 		case itemRecord:
 			oid := objstore.OID(d.U64())

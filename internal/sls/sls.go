@@ -116,7 +116,6 @@ type CheckpointStats struct {
 type RestoreStats struct {
 	Epoch      objstore.Epoch
 	Mode       RestoreMode
-	Lazy       bool // any non-eager mode (kept for older callers)
 	Time       time.Duration
 	Procs      int
 	Objects    int
@@ -286,9 +285,8 @@ type Group struct {
 // restoredMem is one memory object rebuilt by RestoreGroup — the unit of
 // work the speculation validator (and a rollback teardown) iterates.
 type restoredMem struct {
-	obj  *vm.Object
-	oid  objstore.OID
-	size int64
+	obj *vm.Object
+	oid objstore.OID
 }
 
 // LazyPageIns reports the faults served and bytes paged in by lazy-restore

@@ -9,7 +9,6 @@ import (
 
 	"aurora/internal/clock"
 	"aurora/internal/flight"
-	"aurora/internal/mem"
 	"aurora/internal/objstore"
 	"aurora/internal/rec"
 	"aurora/internal/trace"
@@ -158,7 +157,7 @@ func (g *Group) ValidateSpeculation() (SpecReport, error) {
 func (o *Orchestrator) validateObject(g *Group, rm restoredMem) (confirmed, installed int64, err error) {
 	src := g.specSrc
 	for _, pg := range rm.obj.SpeculatedPages() {
-		sum, ok, serr := pageSum(src, rm.oid, pg)
+		sum, ok, serr := src.PageSum(rm.oid, pg)
 		if serr != nil {
 			return confirmed, installed, serr
 		}
@@ -183,49 +182,12 @@ func (o *Orchestrator) validateObject(g *Group, rm restoredMem) (confirmed, inst
 		confirmed++
 	}
 
-	pm := o.K.VM.PM
-	touch := func(pg int64, data []byte) error {
-		if _, resident := rm.obj.ResidentPage(pg); resident {
-			return nil // faulted in and already validated
-		}
-		sum, ok, serr := pageSum(src, rm.oid, pg)
-		if serr != nil {
-			return serr
-		}
-		if ok && crc32.ChecksumIEEE(data) != sum {
-			g.recordMismatch(rm.oid, pg)
-			return fmt.Errorf("%w: oid %d page %d (pre-touch)", ErrSpeculation, rm.oid, pg)
-		}
-		frame, aerr := pm.Alloc()
-		if aerr != nil {
-			return aerr
-		}
-		copy(frame.Data, data)
-		frame.Backed = true
-		rm.obj.InsertPage(pg, frame)
-		g.specValidated.Add(1)
-		confirmed++
-		installed++
-		return nil
-	}
-	if bs, ok := src.(bulkSource); ok {
-		_, err = bs.EachPageBulk(rm.oid, touch)
-		return confirmed, installed, err
-	}
-	buf := make([]byte, mem.PageSize)
-	for pg, pages := int64(0), mem.PagesFor(rm.size); pg < pages; pg++ {
-		found, rerr := src.ReadPage(rm.oid, pg, buf)
-		if rerr != nil {
-			return confirmed, installed, rerr
-		}
-		if !found {
-			continue
-		}
-		if err = touch(pg, buf); err != nil {
-			return confirmed, installed, err
-		}
-	}
-	return confirmed, installed, nil
+	installed, err = o.installPages(src, rm.oid, rm.obj, func(pg int64) error {
+		g.recordMismatch(rm.oid, pg)
+		return fmt.Errorf("%w: oid %d page %d (pre-touch)", ErrSpeculation, rm.oid, pg)
+	})
+	g.specValidated.Add(installed)
+	return confirmed + installed, installed, err
 }
 
 // FinishSpeculation completes a speculative restore: the validator sweep
@@ -319,7 +281,6 @@ func (o *Orchestrator) finishSpeculation(groups []*Group) ([]*Group, []RestoreSt
 		pages, validated := g.SpecCounts()
 		st := RestoreStats{
 			Mode:            RestoreSpeculative,
-			Lazy:            true,
 			Epoch:           g.Epoch(),
 			Time:            sw.Elapsed(),
 			PagesSpeculated: pages,

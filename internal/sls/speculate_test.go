@@ -46,8 +46,8 @@ func TestSpeculativeRestoreLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rst.Mode != RestoreSpeculative || !rst.Lazy {
-		t.Fatalf("stats mode=%v lazy=%v", rst.Mode, rst.Lazy)
+	if rst.Mode != RestoreSpeculative {
+		t.Fatalf("stats mode=%v", rst.Mode)
 	}
 	if rst.TimeToFirstOp <= 0 || rst.TimeToFirstOp != rst.Time {
 		t.Fatalf("time-to-first-op %v (restore time %v)", rst.TimeToFirstOp, rst.Time)
@@ -125,10 +125,12 @@ func TestSpeculativeRestoreLifecycle(t *testing.T) {
 	}
 }
 
-// noSumSource hides the store's PageSum (and bulk-read) methods: a restore
-// source with no per-page ground truth, like a remote sync feed. Fault-time
-// checks cannot settle marks against it — only the sweep may.
+// noSumSource answers every PageSum with "none recorded": a restore source
+// with no per-page ground truth, like a remote sync feed. Fault-time checks
+// cannot settle marks against it — only the sweep may.
 type noSumSource struct{ Source }
+
+func (noSumSource) PageSum(objstore.OID, int64) (uint32, bool, error) { return 0, false, nil }
 
 func TestEvictSkipsSpeculatedPages(t *testing.T) {
 	w := newWorld(t)
