@@ -303,7 +303,9 @@ func build(cfg Config, disk *device.Stripe, clk *clock.Virtual, format bool, tr 
 	if format {
 		store, err = objstore.Format(bdev, clk, costs)
 	} else {
-		store, err = objstore.Recover(bdev, clk, costs)
+		// The tracer goes in before the first read, so recovery's own spans
+		// (objstore "recover") share a trace with the sls restore after it.
+		store, err = objstore.RecoverTraced(bdev, clk, costs, tr)
 	}
 	if err != nil {
 		return nil, err

@@ -154,3 +154,55 @@ func TestUnknownGroupErrors(t *testing.T) {
 		t.Fatal("RunPeriodic of unknown group succeeded")
 	}
 }
+
+// TestCrashTraceDecomposesTTFO: on a traced machine, time-to-first-op from
+// a crash decomposes inside one trace — the objstore "recover" span covers
+// the reboot's store recovery exactly, and the sls "restore" span starts no
+// earlier than it ends.
+func TestCrashTraceDecomposesTTFO(t *testing.T) {
+	cfg := Defaults()
+	cfg.Trace = true
+	m, err := NewMachine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := m.Spawn("app")
+	g, err := m.Attach("app", p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Mmap(1<<20, ProtRead|ProtWrite, false); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Checkpoint("app"); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Barrier(); err != nil {
+		t.Fatal(err)
+	}
+	before := len(m.Tracer.Events())
+	t0 := m.Now()
+	m2, err := m.Crash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t1 := m2.Now()
+	if _, _, err := m2.RestoreSpeculatively("app"); err != nil {
+		t.Fatal(err)
+	}
+	var recoverEnd, restoreStart time.Duration = -1, -1
+	for _, e := range m2.Tracer.Events()[before:] {
+		switch {
+		case e.Name == "recover" && e.Start == t0 && e.Start+e.Dur == t1:
+			recoverEnd = e.Start + e.Dur
+		case e.Name == "restore" && restoreStart < 0:
+			restoreStart = e.Start
+		}
+	}
+	if recoverEnd < 0 || t1 == t0 {
+		t.Fatalf("no recover span covering the reboot [%v,%v]", t0, t1)
+	}
+	if restoreStart < recoverEnd {
+		t.Fatalf("restore span starts at %v, recover ends at %v", restoreStart, recoverEnd)
+	}
+}

@@ -77,7 +77,9 @@ func BenchmarkJournalAppend(b *testing.B) {
 	}
 }
 
-func BenchmarkRecoverManyObjects(b *testing.B) {
+// BenchmarkRecover1kObjects measures crash recovery of a 1 000-object image
+// on both clocks: ns/op is the Go, virt-us/op the modelled device time.
+func BenchmarkRecover1kObjects(b *testing.B) {
 	clk := clock.NewVirtual()
 	costs := clock.DefaultCosts()
 	dev := device.NewStripe(clk, costs, 4, 64<<10, 4<<30)
@@ -91,11 +93,16 @@ func BenchmarkRecoverManyObjects(b *testing.B) {
 	if _, err := s.Checkpoint(); err != nil {
 		b.Fatal(err)
 	}
+	if err := s.WaitDurable(s.Epoch()); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
+	t0 := clk.Now()
 	for i := 0; i < b.N; i++ {
 		if _, err := Recover(dev, clk, costs); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(clk.Now()-t0)/float64(b.N)/1e3, "virt-us/op")
 }

@@ -320,10 +320,10 @@ func (s *Store) readSuperblocks() (superblock, int, error) {
 	return best, slot, nil
 }
 
-// loadIndex replaces the store's live state with the index at addr.
-// Requires the caller to hold no references into the old state.
-func (s *Store) loadIndex(addr, length int64) error {
-	idx, err := s.fetchIndex(addr, length)
+// loadIndex replaces the store's live state with the image whose index is at
+// addr. Requires the caller to hold no references into the old state.
+func (s *Store) loadIndex(addr, length int64, sp trace.Span) error {
+	idx, objects, err := s.openImage(addr, length, sp)
 	if err != nil {
 		return err
 	}
@@ -332,23 +332,47 @@ func (s *Store) loadIndex(addr, length int64) error {
 	s.freelist = idx.freelist
 	s.deadlist = idx.deadlist
 	s.retained = append(idx.retained, ckptInfo{epoch: idx.epoch, indexAddr: addr, indexLen: length})
-	s.objects = make(map[OID]*object, len(idx.objects))
-	for _, ent := range idx.objects {
-		o, err := s.fetchRecord(ent.addr, ent.len)
-		if err != nil {
-			return err
-		}
-		o.recordAddr = ent.addr
-		o.recordLen = ent.len
-		s.objects[o.oid] = o
-	}
+	s.objects = objects
 	return nil
+}
+
+// openImage reads the checkpoint image whose index is at addr: the index,
+// then every object record it lists as one batch at device queue depth. A
+// record that fails its seal, magic or bounds fails the whole open — there is
+// no partial table. The two phases are recorded as children of sp.
+func (s *Store) openImage(addr, length int64, sp trace.Span) (*indexState, map[OID]*object, error) {
+	idxSpan := sp.Child("index")
+	idx, err := s.fetchIndex(addr, length)
+	idxSpan.End(trace.I("bytes", length))
+	if err != nil {
+		return nil, nil, err
+	}
+	recSpan := sp.Child("records")
+	exts := make([]extent, len(idx.objects))
+	for i, ent := range idx.objects {
+		exts[i] = extent{ent.addr, ent.len}
+	}
+	objects := make(map[OID]*object, len(exts))
+	err = s.readBatch(exts, func(i int, b []byte) error {
+		o, err := decodeRecord(b)
+		if err != nil {
+			return fmt.Errorf("record of object %d at %#x: %w", idx.objects[i].oid, exts[i].addr, err)
+		}
+		o.recordAddr, o.recordLen = exts[i].addr, exts[i].n
+		objects[o.oid] = o
+		return nil
+	})
+	recSpan.End(trace.I("objects", int64(len(exts))))
+	if err != nil {
+		return nil, nil, err
+	}
+	return idx, objects, nil
 }
 
 // fetchIndex reads and decodes an index.
 func (s *Store) fetchIndex(addr, length int64) (*indexState, error) {
-	buf := make([]byte, length)
-	if _, err := s.dev.ReadAt(buf, addr); err != nil {
+	buf, err := s.readExtent(addr, length)
+	if err != nil {
 		return nil, err
 	}
 	return decodeIndex(buf)
@@ -356,11 +380,22 @@ func (s *Store) fetchIndex(addr, length int64) (*indexState, error) {
 
 // fetchRecord reads and decodes an object record.
 func (s *Store) fetchRecord(addr, length int64) (*object, error) {
-	buf := make([]byte, length)
-	if _, err := s.dev.ReadAt(buf, addr); err != nil {
+	buf, err := s.readExtent(addr, length)
+	if err != nil {
 		return nil, err
 	}
 	return decodeRecord(buf)
+}
+
+// retainedInfo finds a viewable epoch: the current one or any retained.
+// Requires mu.
+func (s *Store) retainedInfo(epoch Epoch) (ckptInfo, error) {
+	for _, c := range s.retained {
+		if c.epoch == epoch {
+			return c, nil
+		}
+	}
+	return ckptInfo{}, fmt.Errorf("%w: %d", ErrNoEpoch, epoch)
 }
 
 // View is a read-only image of one retained checkpoint, used for restoring
@@ -376,29 +411,15 @@ type View struct {
 func (s *Store) RestoreView(epoch Epoch) (*View, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var info *ckptInfo
-	for i := range s.retained {
-		if s.retained[i].epoch == epoch {
-			info = &s.retained[i]
-			break
-		}
-	}
-	if info == nil {
-		return nil, fmt.Errorf("%w: %d", ErrNoEpoch, epoch)
-	}
-	idx, err := s.fetchIndex(info.indexAddr, info.indexLen)
+	info, err := s.retainedInfo(epoch)
 	if err != nil {
 		return nil, err
 	}
-	v := &View{s: s, epoch: epoch, objects: make(map[OID]*object, len(idx.objects))}
-	for _, ent := range idx.objects {
-		o, err := s.fetchRecord(ent.addr, ent.len)
-		if err != nil {
-			return nil, err
-		}
-		v.objects[o.oid] = o
+	_, objects, err := s.openImage(info.indexAddr, info.indexLen, trace.Span{})
+	if err != nil {
+		return nil, err
 	}
-	return v, nil
+	return &View{s: s, epoch: epoch, objects: objects}, nil
 }
 
 // Epoch returns the epoch the view images.
@@ -466,19 +487,32 @@ func (v *View) GetRecord(oid OID) ([]byte, error) {
 // DiffPages reports the page indexes of oid whose stored block differs
 // between retained epoch old and the current committed state — the changed
 // set a pre-copy migration round must resend. An object absent at the old
-// epoch diffs in full.
+// epoch diffs in full. Of the old image it reads the index and the one
+// record it compares; ErrNoEpoch means old is no longer retained.
 func (s *Store) DiffPages(oid OID, old Epoch) ([]int64, error) {
-	v, err := s.RestoreView(old)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	info, err := s.retainedInfo(old)
 	if err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
 	cur, err := s.lookup(oid)
 	if err != nil {
-		s.mu.Unlock()
 		return nil, err
 	}
-	oldObj := v.objects[oid]
+	idx, err := s.fetchIndex(info.indexAddr, info.indexLen)
+	if err != nil {
+		return nil, err
+	}
+	var oldObj *object
+	for _, ent := range idx.objects {
+		if ent.oid == oid {
+			if oldObj, err = s.fetchRecord(ent.addr, ent.len); err != nil {
+				return nil, err
+			}
+			break
+		}
+	}
 	// Collect the union of chunk indexes.
 	cis := make(map[int64]bool)
 	for ci := range cur.chunks {
@@ -500,14 +534,12 @@ func (s *Store) DiffPages(oid OID, old Epoch) ([]int64, error) {
 	for _, ci := range cidxs {
 		curC, err := s.loadChunk(cur, ci*ChunkFanout, false)
 		if err != nil {
-			s.mu.Unlock()
 			return nil, err
 		}
 		var oldC *chunk
 		if oldObj != nil {
 			oldC, err = s.loadChunk(oldObj, ci*ChunkFanout, false)
 			if err != nil {
-				s.mu.Unlock()
 				return nil, err
 			}
 		}
@@ -524,8 +556,6 @@ func (s *Store) DiffPages(oid OID, old Epoch) ([]int64, error) {
 			}
 		}
 	}
-	s.mu.Unlock()
-	sortInt64s(out)
 	return out, nil
 }
 
@@ -536,7 +566,7 @@ func (v *View) EachPageBulk(oid OID, fn func(pg int64, data []byte) error) (int6
 	if !ok {
 		return 0, fmt.Errorf("%w: %d", ErrNoObject, oid)
 	}
-	return v.s.eachPageBulkObj(o, fn)
+	return v.s.eachPage(o, nil, true, fn)
 }
 
 // HasPage reports whether oid stored page pg at the view's epoch.
@@ -572,15 +602,7 @@ func (v *View) ReadPage(oid OID, pg int64, buf []byte) (bool, error) {
 		return false, ErrIsJournal
 	}
 	if o.chunks == nil {
-		for i := range buf {
-			buf[i] = 0
-		}
-		off := pg * BlockSize
-		if off < int64(len(o.inline)) {
-			copy(buf, o.inline[off:])
-			return true, nil
-		}
-		return false, nil
+		return inlinePage(o.inline, pg, buf), nil
 	}
 	v.s.mu.Lock()
 	defer v.s.mu.Unlock()

@@ -7,6 +7,8 @@ package objstore_test
 // its harness, so in-package tests cannot import it back.
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 	"testing/quick"
@@ -173,6 +175,52 @@ func TestReopenAfterCrash(t *testing.T) {
 	}
 	if rep := s2.Fsck(); !rep.OK() {
 		t.Fatalf("fsck after reopen: %v", rep.Problems)
+	}
+}
+
+// Armed bit-rot must land on the batched recovery reads as it did on the
+// serial ones: rot inside any one object record fails the whole open with
+// ErrCorrupt, and clearing it recovers the image.
+func TestRecoverSeesArmedRot(t *testing.T) {
+	s, fd, clk, costs := newFaultStore(t, 128<<20)
+	marker := []byte("rot-target-record-0xC3A55A3C")
+	for i := 0; i < 20; i++ {
+		payload := []byte(fmt.Sprintf("object %d", i))
+		if i == 13 {
+			payload = marker
+		}
+		if err := s.PutRecord(s.NewOID(), 1, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WaitDurable(s.Epoch()); err != nil {
+		t.Fatal(err)
+	}
+	off := int64(-1)
+	blk := make([]byte, objstore.BlockSize)
+	for a := int64(0); a < 64<<20 && off < 0; a += objstore.BlockSize {
+		fd.PeekAt(blk, a)
+		if i := bytes.Index(blk, marker); i >= 0 {
+			off = a + int64(i)
+		}
+	}
+	if off < 0 {
+		t.Fatal("marker record not found on the device")
+	}
+	fd.Arm(faultdev.Plan{CutAtSubmit: -1, RotOffsets: []int64{off + 3}})
+	if s2, err := objstore.Recover(fd, clk, costs); !errors.Is(err, objstore.ErrCorrupt) || s2 != nil {
+		t.Fatalf("Recover over a rotted record = %v, %v; want nil, ErrCorrupt", s2, err)
+	}
+	fd.Arm(faultdev.Plan{CutAtSubmit: -1})
+	s2, err := objstore.Recover(fd, clk, costs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(s2.Objects()); got != 20 {
+		t.Fatalf("recovered %d objects, want 20", got)
 	}
 }
 

@@ -193,10 +193,15 @@ func (j *Journal) Entries() ([]Entry, error) {
 	return j.scanLocked()
 }
 
-// scanLocked walks frames from the extent head. Frames are accepted while
-// the checksum holds, the generation is at least the committed generation
-// and non-decreasing, and sequence numbers ascend; leftovers from older
-// generations terminate the scan. Requires mu.
+// journalReadAhead is the scan's read window: one stripe unit, so a window
+// is a single member command.
+const journalReadAhead = 64 << 10
+
+// scanLocked walks frames from the extent head, reading the extent in
+// journalReadAhead windows (a frame larger than the window is read whole).
+// Frames are accepted while the checksum holds, the generation is at least
+// the committed generation and non-decreasing, and sequence numbers ascend;
+// leftovers from older generations terminate the scan. Requires mu.
 func (j *Journal) scanLocked() ([]Entry, error) {
 	js := j.o.journal
 	capBytes := js.capBlocks * BlockSize
@@ -205,25 +210,33 @@ func (j *Journal) scanLocked() ([]Entry, error) {
 		off     int64
 		maxGen  = js.generation
 		lastSeq uint64
+		win     []byte // extent bytes read ahead from off
 	)
-	hdr := make([]byte, frameHeaderLen)
+	// ahead makes win hold at least n bytes, reading a new window at off
+	// when it does not.
+	ahead := func(n int64) (err error) {
+		if int64(len(win)) < n {
+			win, err = j.s.readExtent(js.extentAddr+off, min(max(n, journalReadAhead), capBytes-off))
+		}
+		return err
+	}
 	for off+frameHeaderLen <= capBytes {
-		if _, err := j.s.dev.ReadAt(hdr, js.extentAddr+off); err != nil {
+		if err := ahead(frameHeaderLen); err != nil {
 			return nil, err
 		}
-		if binary.LittleEndian.Uint32(hdr[0:]) != magicFrame {
+		if binary.LittleEndian.Uint32(win[0:]) != magicFrame {
 			break
 		}
-		gen := binary.LittleEndian.Uint64(hdr[4:])
-		seq := binary.LittleEndian.Uint64(hdr[12:])
-		plen := int64(binary.LittleEndian.Uint32(hdr[20:]))
-		if gen < maxGen || off+frameHeaderLen+plen > capBytes {
+		gen := binary.LittleEndian.Uint64(win[4:])
+		seq := binary.LittleEndian.Uint64(win[12:])
+		size := frameHeaderLen + int64(binary.LittleEndian.Uint32(win[20:]))
+		if gen < maxGen || off+size > capBytes {
 			break
 		}
-		frame := make([]byte, frameHeaderLen+plen)
-		if _, err := j.s.dev.ReadAt(frame, js.extentAddr+off); err != nil {
+		if err := ahead(size); err != nil {
 			return nil, err
 		}
+		frame := win[:size:size]
 		if binary.LittleEndian.Uint32(frame[24:]) != frameCRC(frame) {
 			break
 		}
@@ -235,7 +248,8 @@ func (j *Journal) scanLocked() ([]Entry, error) {
 		if seq > js.flushedSeq {
 			entries = append(entries, Entry{Seq: seq, Payload: frame[frameHeaderLen:]})
 		}
-		off += frameHeaderLen + plen
+		win = win[size:]
+		off += size
 	}
 	js.tail = off
 	if lastSeq > js.lastSeq {

@@ -212,18 +212,21 @@ func (s *Store) ReadPage(oid OID, pg int64, buf []byte) (bool, error) {
 		return false, ErrIsJournal
 	}
 	if o.chunks == nil {
-		// Inline object: synthesize the page view.
-		for i := range buf {
-			buf[i] = 0
-		}
-		off := pg * BlockSize
-		if off < int64(len(o.inline)) {
-			copy(buf, o.inline[off:])
-			return true, nil
-		}
-		return false, nil
+		return inlinePage(o.inline, pg, buf), nil
 	}
 	return s.readPageLocked(o, pg, buf)
+}
+
+// inlinePage synthesizes page pg of an inline object's page view into page,
+// reporting whether the page holds any of its bytes.
+func inlinePage(inline []byte, pg int64, page []byte) bool {
+	clear(page)
+	off := pg * BlockSize
+	if off >= int64(len(inline)) {
+		return false
+	}
+	copy(page, inline[off:])
+	return true
 }
 
 // readPageLocked requires mu.
@@ -395,43 +398,47 @@ func (s *Store) ReadAt(oid OID, off int64, buf []byte) (int, error) {
 	return len(buf), nil
 }
 
-// readRangeLocked reads a byte range with pipelined block reads: the
-// command latency is paid once per range, not once per page (a multi-page
-// file read behaves like a queued sequential read, as on real NVMe).
-// Requires mu.
+// readRangeLocked reads a byte range as one batch: the command latency is
+// paid once per range, not once per page (a multi-page file read behaves
+// like a queued sequential read, as on real NVMe). Requires mu.
 func (s *Store) readRangeLocked(o *object, off int64, buf []byte) error {
-	page := make([]byte, BlockSize)
-	var last time.Duration
-	for len(buf) > 0 {
-		pg := off / BlockSize
-		in := off % BlockSize
-		run := BlockSize - in
-		if run > int64(len(buf)) {
-			run = int64(len(buf))
+	if len(buf) == 0 {
+		return nil
+	}
+	first := off / BlockSize
+	pgs := make([]int64, (off+int64(len(buf))-1)/BlockSize-first+1)
+	for i := range pgs {
+		pgs[i] = first + int64(i)
+	}
+	exts, err := s.pageExtents(o, pgs)
+	if err != nil {
+		return err
+	}
+	return s.readBatch(exts, func(i int, page []byte) error {
+		if i == 0 {
+			copy(buf, page[off%BlockSize:])
+		} else {
+			copy(buf[pgs[i]*BlockSize-off:], page)
 		}
+		return nil
+	})
+}
+
+// pageExtents maps pages of a paged object to their device extents, holes
+// to the zero extent. Requires mu.
+func (s *Store) pageExtents(o *object, pgs []int64) ([]extent, error) {
+	exts := make([]extent, len(pgs))
+	for i, pg := range pgs {
 		c, err := s.loadChunk(o, pg, false)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if c == nil || c.addrs[pg%ChunkFanout] == 0 {
-			for i := range page {
-				page[i] = 0
-			}
-		} else {
-			done, err := s.dev.SubmitRead(page, c.addrs[pg%ChunkFanout])
-			if err != nil {
-				return err
-			}
-			if done > last {
-				last = done
-			}
+		exts[i].n = BlockSize
+		if c != nil {
+			exts[i].addr = c.addrs[pg%ChunkFanout]
 		}
-		copy(buf[:run], page[in:])
-		buf = buf[run:]
-		off += run
 	}
-	s.dev.WaitUntil(last)
-	return nil
+	return exts, nil
 }
 
 // Truncate sets oid's size, retiring blocks past the end.
@@ -584,79 +591,103 @@ func (s *Store) Delete(oid OID) error {
 func (s *Store) EachPageBulk(oid OID, fn func(pg int64, data []byte) error) (int64, error) {
 	s.mu.Lock()
 	o, err := s.lookup(oid)
+	s.mu.Unlock()
 	if err != nil {
-		s.mu.Unlock()
 		return 0, err
 	}
-	s.mu.Unlock()
-	return s.eachPageBulkObj(o, fn)
+	return s.eachPage(o, nil, true, fn)
 }
 
-// eachPageBulkObj implements the bulk walk over a live or view object.
-func (s *Store) eachPageBulkObj(o *object, fn func(pg int64, data []byte) error) (int64, error) {
+// EachPageOf streams the listed pages of oid to fn in the order given, the
+// same way EachPageBulk streams all of them: what a ReadPage loop over pgs
+// would deliver (a hole is a zero page), at one command latency for the
+// lot. This is the delta-ship read path.
+func (s *Store) EachPageOf(oid OID, pgs []int64, fn func(pg int64, data []byte) error) error {
+	s.mu.Lock()
+	o, err := s.lookup(oid)
+	s.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	_, err = s.eachPage(o, pgs, false, fn)
+	return err
+}
+
+// eachPage streams pages of a live or view object to fn — every stored page
+// in ascending order when all is set, else exactly pgs, holes as zero pages
+// — and returns how many it delivered. The lock is held only to map pages to
+// extents, chunk by chunk, so the stream runs concurrently with other store
+// users; the clock waits once, after the last chunk's reads are queued.
+func (s *Store) eachPage(o *object, pgs []int64, all bool, fn func(pg int64, data []byte) error) (n int64, err error) {
 	s.mu.Lock()
 	if o.journal != nil {
 		s.mu.Unlock()
 		return 0, ErrIsJournal
 	}
 	if o.chunks == nil {
+		// Inline object: synthesize the page view from a private copy.
 		inline := append([]byte(nil), o.inline...)
 		s.mu.Unlock()
-		var n int64
-		buf := make([]byte, BlockSize)
-		for off := 0; off < len(inline); off += BlockSize {
-			for i := range buf {
-				buf[i] = 0
+		if all {
+			for pg := int64(0); pg < blocksFor(int64(len(inline))); pg++ {
+				pgs = append(pgs, pg)
 			}
-			copy(buf, inline[off:])
-			if err := fn(int64(off/BlockSize), buf); err != nil {
+		}
+		page := make([]byte, BlockSize)
+		for _, pg := range pgs {
+			inlinePage(inline, pg, page)
+			if err := fn(pg, page); err != nil {
 				return n, err
 			}
 			n++
 		}
 		return n, nil
 	}
-	// Collect chunk indexes; release the lock between page reads so this
-	// can run concurrently with other store users.
-	cis := make([]int64, 0, len(o.chunks))
-	for ci := range o.chunks {
-		cis = append(cis, ci)
+	// stream queues one batch of page reads behind whatever is already queued.
+	var last time.Duration
+	stream := func(pgs []int64, exts []extent) error {
+		done, err := s.submitReads(exts, func(i int, data []byte) error {
+			if err := fn(pgs[i], data); err != nil {
+				return err
+			}
+			n++
+			return nil
+		})
+		last = max(last, done)
+		return err
 	}
-	s.mu.Unlock()
-	sortInt64s(cis)
-
-	var (
-		n    int64
-		last time.Duration
-	)
-	buf := make([]byte, BlockSize)
-	for _, ci := range cis {
-		s.mu.Lock()
-		c, err := s.loadChunk(o, ci*ChunkFanout, false)
+	if !all {
+		exts, err := s.pageExtents(o, pgs)
+		s.mu.Unlock()
+		if err == nil {
+			err = stream(pgs, exts)
+		}
 		if err != nil {
-			s.mu.Unlock()
 			return n, err
 		}
-		var addrs [ChunkFanout]int64
-		if c != nil {
-			addrs = c.addrs
-		}
+	} else {
+		cis := sortedChunkIdxs(o)
 		s.mu.Unlock()
-		for slot := int64(0); slot < ChunkFanout; slot++ {
-			if addrs[slot] == 0 {
-				continue
+		var exts []extent
+		for _, ci := range cis {
+			pgs, exts = pgs[:0], exts[:0]
+			s.mu.Lock()
+			c, err := s.loadChunk(o, ci*ChunkFanout, false)
+			if c != nil {
+				for slot, a := range c.addrs {
+					if a != 0 {
+						pgs = append(pgs, ci*ChunkFanout+int64(slot))
+						exts = append(exts, extent{a, BlockSize})
+					}
+				}
 			}
-			done, err := s.dev.SubmitRead(buf, addrs[slot])
+			s.mu.Unlock()
+			if err == nil {
+				err = stream(pgs, exts)
+			}
 			if err != nil {
 				return n, err
 			}
-			if done > last {
-				last = done
-			}
-			if err := fn(ci*ChunkFanout+slot, buf); err != nil {
-				return n, err
-			}
-			n++
 		}
 	}
 	s.dev.WaitUntil(last)

@@ -278,10 +278,18 @@ func Format(dev BlockDev, clk clock.Clock, costs *clock.Costs) (*Store, error) {
 // Recover opens the store from the last complete checkpoint on dev. All
 // uncommitted state (the paper's crash case) is invisible.
 func Recover(dev BlockDev, clk clock.Clock, costs *clock.Costs) (*Store, error) {
+	return RecoverTraced(dev, clk, costs, nil)
+}
+
+// RecoverTraced is Recover with the tracer attached before the first read,
+// so recovery itself lands on the timeline: one objstore "recover" span whose
+// children super, index, records and wal tile it exactly.
+func RecoverTraced(dev BlockDev, clk clock.Clock, costs *clock.Costs, tr *trace.Tracer) (*Store, error) {
 	s := &Store{
 		dev:        dev,
 		clk:        clk,
 		costs:      costs,
+		tr:         tr,
 		objects:    make(map[OID]*object),
 		deleted:    make(map[OID]bool),
 		durableAt:  make(map[Epoch]time.Duration),
@@ -289,22 +297,29 @@ func Recover(dev BlockDev, clk clock.Clock, costs *clock.Costs) (*Store, error) 
 		birthOf:    make(map[int64]Epoch),
 		settled:    make(map[Epoch]bool),
 	}
+	sp := tr.Begin(trace.TrackObjstore, "recover")
+	superSpan := sp.Child("super")
 	sb, slot, err := s.readSuperblocks()
+	superSpan.End()
 	if err != nil {
 		return nil, err
 	}
 	s.superSlot = 1 - slot // next commit goes to the other slot
 	s.walBase = sb.walBase
 	s.walBlocks = sb.walBlocks
-	if err := s.loadIndex(sb.indexAddr, sb.indexLen); err != nil {
+	if err := s.loadIndex(sb.indexAddr, sb.indexLen, sp); err != nil {
 		return nil, err
 	}
 	s.epoch = sb.epoch
 	// Replay any WAL frames committed on top of the recovered checkpoint:
 	// they are durable state the superblock alone does not describe.
-	if err := s.walRecover(); err != nil {
+	walSpan := sp.Child("wal")
+	err = s.walRecover()
+	walSpan.End(trace.I("frames", int64(s.walReplayed)))
+	if err != nil {
 		return nil, err
 	}
+	sp.End(trace.I("epoch", int64(s.epoch)), trace.I("objects", int64(len(s.objects))))
 	return s, nil
 }
 

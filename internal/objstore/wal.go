@@ -384,8 +384,8 @@ func (s *Store) walRecover() error {
 	if s.walBlocks == 0 {
 		return nil
 	}
-	region := make([]byte, s.walBlocks*BlockSize)
-	if _, err := s.dev.ReadAt(region, s.walBase); err != nil {
+	region, err := s.readExtent(s.walBase, s.walBlocks*BlockSize)
+	if err != nil {
 		return err
 	}
 	s.mu.Lock()

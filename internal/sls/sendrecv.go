@@ -3,6 +3,7 @@ package sls
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -210,28 +211,26 @@ func (g *Group) sendPages(oid objstore.OID, since objstore.Epoch, emit func([]by
 		e.Bytes(data)
 		return emit(e.Seal())
 	}
-	if since == 0 {
-		if _, err := g.o.Store.EachPageBulk(oid, emitPage); err != nil {
+	full := since == 0
+	var changed []int64
+	if !full {
+		// Only a released base epoch falls back to resending the object in
+		// full. Any other failure to read the base (a corrupt retained index
+		// or record, an I/O error) fails the send: a full resend would hide it.
+		changed, err = g.o.Store.DiffPages(oid, since)
+		if errors.Is(err, objstore.ErrNoEpoch) {
+			full = true
+		} else if err != nil {
 			return err
 		}
+	}
+	if full {
+		_, err = g.o.Store.EachPageBulk(oid, emitPage)
 	} else {
-		changed, err := g.o.Store.DiffPages(oid, since)
-		if err != nil {
-			// The object may be new since the base epoch: send in full.
-			if _, err := g.o.Store.EachPageBulk(oid, emitPage); err != nil {
-				return err
-			}
-		} else {
-			buf := make([]byte, objstore.BlockSize)
-			for _, pg := range changed {
-				if _, err := g.o.Store.ReadPage(oid, pg, buf); err != nil {
-					return err
-				}
-				if err := emitPage(pg, buf); err != nil {
-					return err
-				}
-			}
-		}
+		err = g.o.Store.EachPageOf(oid, changed, emitPage)
+	}
+	if err != nil {
+		return err
 	}
 	// Page runs end with a sentinel page index of -1.
 	tail := rec.NewEncoder()
