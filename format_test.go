@@ -13,7 +13,7 @@ import (
 // onDiskFormatSHA is the SHA-256 of the image the workload below leaves on
 // the striped disks. It changes only when the on-disk format (or the submit
 // sequence that lays it out) changes; a refactor must reproduce it exactly.
-const onDiskFormatSHA = "e4d17bd4fe912032e2300c8991381050950bbeb8a971920ca51e03fdc23d3887"
+const onDiskFormatSHA = "7076bd0ae5652a345373e8805a1774bc72d7be09cd4bf86c807a24522dc86046"
 
 // TestOnDiskFormatPinned drives every on-disk structure — inline records,
 // paged objects with block-map chunks, a journal extent, WAL frames, folds,

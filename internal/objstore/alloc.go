@@ -179,6 +179,11 @@ func (s *Store) sweepDeadlist() int {
 func (s *Store) ReleaseCheckpointsBefore(epoch Epoch) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.releaseBeforeLocked(epoch)
+}
+
+// releaseBeforeLocked is the one release body (the call above, commit step 2); requires mu.
+func (s *Store) releaseBeforeLocked(epoch Epoch) int {
 	freed := 0
 	kept := s.retained[:0]
 	for _, c := range s.retained {

@@ -22,9 +22,12 @@ type CheckpointStats struct {
 	CommitCharged time.Duration // virtual time charged synchronously
 }
 
-// Checkpoint commits all modifications since the previous checkpoint as a
-// new epoch. Data blocks were already submitted asynchronously by the write
-// paths; Checkpoint writes block-map chunks, object records for dirty
+// Checkpoint is CheckpointRetaining with no bound: all history stays.
+func (s *Store) Checkpoint() (CheckpointStats, error) { return s.CheckpointRetaining(0) }
+
+// CheckpointRetaining commits all modifications since the previous checkpoint
+// as a new epoch. Data blocks were already submitted asynchronously by the
+// write paths; the commit writes block-map chunks, object records for dirty
 // objects, the index, and finally the superblock. The superblock is ordered
 // after everything else is durable, so a crash at any point leaves the
 // previous checkpoint intact.
@@ -32,7 +35,12 @@ type CheckpointStats struct {
 // The call itself is cheap in virtual time (metadata submission); the
 // returned stats carry the virtual durability time, which callers such as
 // the orchestrator wait on before externalizing effects.
-func (s *Store) Checkpoint() (CheckpointStats, error) {
+//
+// retain bounds history inside the commit: all but the retain newest epochs
+// (this one included) are released before the index is encoded. The epoch
+// before this one always stays — a failed commit falls back to it — so a
+// bound of 1 keeps 2, and 0 keeps everything.
+func (s *Store) CheckpointRetaining(retain int) (CheckpointStats, error) {
 	// When WAL frames are outstanding this checkpoint is their fold: record
 	// it before the flight ring is serialized so the committing snapshot
 	// carries the fold that absorbed the frames.
@@ -101,9 +109,21 @@ func (s *Store) Checkpoint() (CheckpointStats, error) {
 	}
 	s.deleted = make(map[OID]bool)
 	metaSpan.End(trace.I("dirty_objects", int64(st.DirtyObjects)), trace.I("meta_bytes", st.MetaBytes))
+	relSpan := commitSpan.Child("release")
+
+	// 2. Retention: history beyond the bound leaves the retained list and the
+	// deadlist BEFORE the index is encoded, so one commit per boot converges.
+	// The blocks stage until this superblock is durable (step 6).
+	nRet, nData, nMeta := len(s.retained), len(s.releasing), len(s.releasingMeta)
+	if retain > 0 && cur > Epoch(retain) {
+		s.releaseBeforeLocked(cur - Epoch(retain) + 1)
+	}
+	relSpan.End(trace.I("epochs", int64(nRet-len(s.retained))),
+		trace.I("data_blocks", int64(len(s.releasing)-nData)),
+		trace.I("index_runs", int64(len(s.releasingMeta)-nMeta)))
 	idxSpan := commitSpan.Child("index")
 
-	// 2. Build and write the index. The index's own run must be allocated
+	// 3. Build and write the index. The index's own run must be allocated
 	// BEFORE the final encode: allocation can pop the freelist and advance
 	// nextBlk, both of which are serialized inside the index. (Encoding
 	// first and patching afterwards — the old scheme — serialized a stale
@@ -134,7 +154,7 @@ func (s *Store) Checkpoint() (CheckpointStats, error) {
 	idxSpan.End(trace.I("index_bytes", idxLen))
 	superSpan := commitSpan.Child("super")
 
-	// 3. Commit: the superblock is submitted with an ordering constraint —
+	// 4. Commit: the superblock is submitted with an ordering constraint —
 	// its transfer may not begin before every interval write has completed.
 	// This is a real device-level barrier, not an accounting fiction: under
 	// power loss a plain submit could land while a dependency on another
@@ -152,7 +172,7 @@ func (s *Store) Checkpoint() (CheckpointStats, error) {
 	s.superSlot = 1 - s.superSlot
 	superSpan.End(trace.I("epoch", int64(cur)))
 
-	// 4. The committed checkpoint joins retained history. Its index
+	// 5. The committed checkpoint joins retained history. Its index
 	// blocks are deliberately NOT deadlisted: their lifetime is implied
 	// by the retained list itself (freed directly when the checkpoint is
 	// released). Serializing them into the index would make the index
@@ -167,7 +187,7 @@ func (s *Store) Checkpoint() (CheckpointStats, error) {
 	s.stats.Checkpoints++
 	s.stats.MetaBytes += st.MetaBytes
 
-	// 5. Queue staged releases behind this commit's durability horizon.
+	// 6. Queue staged releases behind this commit's durability horizon.
 	// The superblock that no longer references the released history is on
 	// the wire, but a power cut before its transfer completes would recover
 	// the previous index — which still needs these blocks intact. They
@@ -181,7 +201,7 @@ func (s *Store) Checkpoint() (CheckpointStats, error) {
 	}
 	s.promoteReleasedLocked()
 
-	// 6. This commit folds any outstanding WAL frames into base state: the
+	// 7. This commit folds any outstanding WAL frames into base state: the
 	// new index fully describes them, so their generation is dead. The head
 	// reset itself is deferred until virtual time passes sbDone — a crash
 	// before that instant recovers the previous superblock, whose epoch

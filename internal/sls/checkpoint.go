@@ -197,7 +197,7 @@ func (g *Group) Checkpoint(kind CheckpointKind) (CheckpointStats, error) {
 	})
 	for _, pair := range pairs {
 		g.transient[pair.Live] = true
-		st.DirtyPages += int64(pair.Frozen.Pages())
+		st.DirtyPages += int64(pair.Frozen.CountPages(unstored))
 	}
 	st.MemTime = memSW.Elapsed()
 
@@ -277,14 +277,13 @@ func (g *Group) Checkpoint(kind CheckpointKind) (CheckpointStats, error) {
 		}
 	}
 
-	cst, err := o.Store.Checkpoint()
+	// 8b. The epoch commit enforces the group's retention itself: a trim
+	// made durable only by the NEXT commit never lands on a one-commit boot.
+	cst, err := o.Store.CheckpointRetaining(g.RetainEpochs)
 	if err != nil {
 		return st, err
 	}
 	g.finishCommit(&st, ckptSpan, cst.Epoch, 0, cst.DurableAt)
-	if g.RetainEpochs > 0 && int(cst.Epoch) > g.RetainEpochs {
-		o.Store.ReleaseCheckpointsBefore(cst.Epoch - objstore.Epoch(g.RetainEpochs) + 1)
-	}
 	return st, nil
 }
 
@@ -540,6 +539,8 @@ func (s *serializer) group(ephemeral []*kern.Proc) error {
 		e.U64(uint64(s.g.journals[jn]))
 		s.live[s.g.journals[jn]] = true
 	}
+
+	e.U64(uint64(s.g.RetainEpochs)) // appended: a record that ends above still decodes
 
 	if err := s.put(s.g.oid, UTGroup, e); err != nil {
 		return err

@@ -7,7 +7,9 @@ package sls
 // (seeded), so every failure replays from its printed seed + crash index.
 
 import (
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"strconv"
@@ -60,9 +62,24 @@ func newFaultWorld(plan faultdev.Plan) (*faultWorld, error) {
 	return w, nil
 }
 
+// recovered is the machine after a reboot: a fresh kernel over the store
+// recovered from the same device (recovery only reads, so it can repeat).
+func (w *faultWorld) recovered() (*faultWorld, error) {
+	store, err := objstore.Recover(w.fd, w.clk, w.costs)
+	if err != nil {
+		return nil, fmt.Errorf("recovery: %w", err)
+	}
+	fs, err := slsfs.Recover(store, w.clk, w.costs)
+	if err != nil {
+		return nil, fmt.Errorf("slsfs recovery: %w", err)
+	}
+	k := kern.New(w.clk, w.costs, vm.NewSystem(mem.New(0), w.clk, w.costs), fs)
+	return &faultWorld{clk: w.clk, costs: w.costs, fd: w.fd, store: store, fs: fs, k: k, o: New(k, store)}, nil
+}
+
 // slsOp is one deterministic workload operation.
 type slsOp struct {
-	kind    int // 0 write page, 1 inc ckpt, 2 full ckpt, 3 mem-only ckpt, 4 journal append, 5 barrier
+	kind    int // 0 write page, 1 inc ckpt, 2 full ckpt, 3 mem-only ckpt, 4 journal append, 5 barrier, 6 retain, 7 reboot, 8 scratch
 	page    int64
 	val     byte
 	payload []byte
@@ -75,6 +92,9 @@ const (
 	opCkptMem
 	opAppend
 	opBarrier
+	opRetain  // Group.RetainEpochs = page
+	opReboot  // clean reboot + continuing restore in RestoreMode(page)
+	opScratch // store page write outside the group (what a file write does): allocates at once
 )
 
 // jEntry is one appended journal frame the model expects to replay.
@@ -104,6 +124,8 @@ type slsRun struct {
 	model  map[int64]byte
 	jour   []jEntry
 	points []slsPoint
+
+	scratch objstore.OID // opScratch's object, made on first use
 }
 
 func startRun(plan faultdev.Plan) (*slsRun, error) {
@@ -176,7 +198,50 @@ func (r *slsRun) apply(op slsOp) error {
 		if err := r.g.Barrier(); err != nil {
 			return err
 		}
+	case opRetain:
+		r.g.RetainEpochs = int(op.page)
+	case opReboot:
+		return r.reboot(RestoreMode(op.page))
+	case opScratch:
+		if r.scratch == 0 {
+			r.scratch = r.w.store.NewOID()
+			r.w.store.Ensure(r.scratch, 0x7e57)
+		}
+		data := make([]byte, vm.PageSize)
+		data[0] = op.val
+		return r.w.store.WritePage(r.scratch, op.page, data)
 	}
+	return nil
+}
+
+// reboot replaces the machine with a fresh kernel over the same (healthy)
+// device and restores the group from the live store, continuing — what the
+// crash-restore chain does between two commits. The caller put a barrier in
+// front, so the recovered epoch is the last golden. A speculative restore
+// reads part of the image while speculating and then validates, so the
+// checkpoint that follows sees pages that arrived all three ways.
+func (r *slsRun) reboot(mode RestoreMode) error {
+	w, err := r.w.recovered()
+	if err != nil {
+		return err
+	}
+	r.w = w
+	g, _, err := w.o.RestoreGroup("app", w.store, mode, true)
+	if err != nil {
+		return err
+	}
+	if mode != RestoreFull {
+		if err := verifyGolden(g, r.va, &r.points[len(r.points)-1]); err != nil {
+			return err
+		}
+	}
+	if mode == RestoreSpeculative {
+		if g, _, err = w.o.FinishSpeculation(g); err != nil {
+			return err
+		}
+	}
+	g.Options.FlushWorkers = 1 // not part of the image
+	r.g, r.p = g, g.Procs()[0]
 	return nil
 }
 
@@ -210,20 +275,14 @@ func slsCrashCheck(seed int64, ops []slsOp, points []slsPoint, k int64, torn, dr
 
 	// Reboot.
 	r.w.fd.Reopen()
-	store2, err := objstore.Recover(r.w.fd, r.w.clk, r.w.costs)
+	w2, err := r.w.recovered()
 	if err != nil {
-		return fail("recovery: %v", err)
+		return fail("%v", err)
 	}
+	store2, o2 := w2.store, w2.o
 	if rep := store2.Fsck(); !rep.OK() {
 		return fail("fsck found %d problems: %v", len(rep.Problems), rep.Problems)
 	}
-	fs2, err := slsfs.Recover(store2, r.w.clk, r.w.costs)
-	if err != nil {
-		return fail("slsfs recovery: %v", err)
-	}
-	vmsys := vm.NewSystem(mem.New(0), r.w.clk, r.w.costs)
-	k2 := kern.New(r.w.clk, r.w.costs, vmsys, fs2)
-	o2 := New(k2, store2)
 
 	// Which committed epochs may the reboot land on? Same contract as the
 	// faultdev harness: exactly the last commit under the prefix model
@@ -261,6 +320,10 @@ func slsCrashCheck(seed int64, ops []slsOp, points []slsPoint, k int64, torn, dr
 		return fail("recovered epoch %d, want one of %v", store2.Epoch(), want)
 	}
 
+	if err := verifyHistory(store2, points); err != nil {
+		return fail("history behind epoch %d: %v", golden.epoch, err)
+	}
+
 	if golden.mem == nil {
 		// Pre-group epoch: the group record never committed, so the
 		// restore must fail cleanly rather than fabricate a group —
@@ -292,20 +355,14 @@ func slsCrashCheck(seed int64, ops []slsOp, points []slsPoint, k int64, torn, dr
 	// confirm the speculation outright; any rollback on a clean image is
 	// a validator bug.
 	r.w.fd.Reopen()
-	store3, err := objstore.Recover(r.w.fd, r.w.clk, r.w.costs)
+	w3, err := r.w.recovered()
 	if err != nil {
-		return fail("speculative: recovery: %v", err)
+		return fail("speculative: %v", err)
 	}
+	store3, o3 := w3.store, w3.o
 	if store3.Epoch() != store2.Epoch() {
 		return fail("speculative: second recovery landed on epoch %d, first on %d", store3.Epoch(), store2.Epoch())
 	}
-	fs3, err := slsfs.Recover(store3, r.w.clk, r.w.costs)
-	if err != nil {
-		return fail("speculative: slsfs recovery: %v", err)
-	}
-	vm3 := vm.NewSystem(mem.New(0), r.w.clk, r.w.costs)
-	k3 := kern.New(r.w.clk, r.w.costs, vm3, fs3)
-	o3 := New(k3, store3)
 	g3, _, err := o3.RestoreGroup("app", store3, RestoreSpeculative, true)
 	if err != nil {
 		return fail("speculative restore from epoch %d: %v", golden.epoch, err)
@@ -377,6 +434,47 @@ func verifyGolden(g *Group, va uint64, golden *slsPoint) error {
 	return nil
 }
 
+// verifyHistory checks every epoch the recovered store still retains: its
+// image opens, every stored page of every memory object matches the sum it
+// was committed with, and the application arena reads back as the golden
+// taken at that commit. A block released inside a commit and handed out again
+// before that commit's superblock was durable shows up here — the cut
+// recovers the previous index, which still lists the history the block
+// belonged to.
+func verifyHistory(s *objstore.Store, points []slsPoint) error {
+	for _, ep := range s.RetainedCheckpoints() {
+		v, err := s.RestoreView(ep)
+		if err != nil {
+			return fmt.Errorf("retained epoch %d: %v", ep, err)
+		}
+		var golden *slsPoint
+		for i := range points {
+			if points[i].epoch == ep {
+				golden = &points[i]
+			}
+		}
+		for _, oid := range v.Objects() {
+			if ut, _ := v.UType(oid); ut != UTMemObject {
+				continue
+			}
+			size, _ := v.Size(oid)
+			_, err := v.EachPageBulk(oid, func(pg int64, data []byte) error {
+				if sum, ok, err := v.PageSum(oid, pg); err != nil || (ok && sum != crc32.ChecksumIEEE(data)) {
+					return fmt.Errorf("page %d does not match its committed sum (%v)", pg, err)
+				}
+				if golden != nil && golden.mem != nil && size == workloadPages*vm.PageSize && data[0] != golden.mem[pg] {
+					return fmt.Errorf("page %d = %#x, golden %#x", pg, data[0], golden.mem[pg])
+				}
+				return nil
+			})
+			if err != nil && !errors.Is(err, objstore.ErrIsJournal) { // journals share the utype
+				return fmt.Errorf("retained epoch %d, object %d: %v", ep, oid, err)
+			}
+		}
+	}
+	return nil
+}
+
 // refOps is the fixed workload for the exhaustive sweep: memory writes,
 // incremental/full/mem-only checkpoints, and journal appends.
 func refOps() []slsOp {
@@ -432,6 +530,78 @@ func TestCrashRestoreExhaustive(t *testing.T) {
 				t.Logf("swept %d crash points over %d commits", total-setup, len(base.points)-1)
 			}
 		})
+	}
+}
+
+// restoreOps is the crash-restore chain in miniature: four commits under a
+// retention of two, a clean reboot with a continuing restore, then the first
+// post-restore checkpoint — whose commit releases history in front of its
+// index — and one more interval that allocates while that commit's
+// superblock may still sit in a device queue.
+func restoreOps(mode RestoreMode) []slsOp {
+	return []slsOp{
+		{kind: opRetain, page: 2},
+		{kind: opWrite, page: 0, val: 0x11},
+		{kind: opWrite, page: 1, val: 0x22},
+		{kind: opWrite, page: 5, val: 0x33},
+		{kind: opCkptInc},
+		{kind: opWrite, page: 1, val: 0x44},
+		{kind: opWrite, page: 9, val: 0x55},
+		{kind: opCkptInc},
+		{kind: opWrite, page: 2, val: 0x66},
+		{kind: opWrite, page: 5, val: 0x67},
+		{kind: opCkptInc},
+		{kind: opWrite, page: 9, val: 0x68},
+		{kind: opCkptInc},
+		{kind: opBarrier},
+		{kind: opReboot, page: int64(mode)},
+		{kind: opWrite, page: 5, val: 0x77},
+		{kind: opWrite, page: 7, val: 0x78},
+		{kind: opCkptInc},
+		// Allocations while that commit's superblock is still in flight: a
+		// block it released must not be among them.
+		{kind: opScratch, page: 0, val: 0x01},
+		{kind: opScratch, page: 1, val: 0x02},
+		{kind: opScratch, page: 2, val: 0x03},
+		{kind: opWrite, page: 2, val: 0x88},
+		{kind: opWrite, page: 1, val: 0x89},
+		{kind: opCkptInc},
+	}
+}
+
+// TestCrashAfterRestoreExhaustive cuts power at every submit index from the
+// reboot on — the whole first post-restore checkpoint and the interval after
+// it — for each restore mode and both fault models (torn always on). The
+// recovered image must be the golden before or after the cut, with every
+// retained epoch behind it intact (slsCrashCheck's verifyHistory).
+func TestCrashAfterRestoreExhaustive(t *testing.T) {
+	for _, mode := range []RestoreMode{RestoreFull, RestoreLazy, RestoreSpeculative} {
+		for _, drop := range []bool{false, true} {
+			t.Run(fmt.Sprintf("mode=%d/drop=%v", mode, drop), func(t *testing.T) {
+				ops := restoreOps(mode)
+				base, err := startRun(faultdev.Plan{Seed: 42, CutAtSubmit: -1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := base.run(ops); err != nil {
+					t.Fatalf("baseline: %v", err)
+				}
+				if got := base.w.store.RetainedCheckpoints(); len(got) != 2 {
+					t.Fatalf("retained %v after the chain, want 2 epochs (the restored group forgot its retention?)", got)
+				}
+				from := base.points[4].after // the reboot submits nothing
+				total := base.w.fd.Submits()
+				if total-from < 12 {
+					t.Fatalf("only %d crash points after the restore", total-from)
+				}
+				for k := from; k < total; k++ {
+					if err := slsCrashCheck(42, ops, base.points, k, true, drop); err != nil {
+						t.Errorf("%v", err)
+					}
+				}
+				t.Logf("swept %d crash points over the 2 post-restore commits", total-from)
+			})
+		}
 	}
 }
 

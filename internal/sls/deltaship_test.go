@@ -76,7 +76,7 @@ func TestDeltaStreamBytesPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	sum := sha256.Sum256(delta.Bytes())
-	const want = "6de85db52e6393f7a86e8cc3e0756b02a2b82adfc40402778604ef7c182b4f6c"
+	const want = "15fe2b2c5ca5d102115b16cc1a20a12847659ac8689bccb12a96c6b7f469b0d4"
 	if got := hex.EncodeToString(sum[:]); got != want {
 		t.Fatalf("delta stream (%d bytes) hashes to %s, want %s", delta.Len(), got, want)
 	}
@@ -123,16 +123,30 @@ func TestSyncFailsOnCorruptBaseIndex(t *testing.T) {
 	}
 
 	// With the rot gone the same handle syncs again, and a released base
-	// still falls back to a full resend of the pages.
+	// still falls back to a full resend of the pages. The base leaves through
+	// the retention rule: under a bound of one a commit keeps the epoch
+	// before its own, so the second commit after the sync releases it.
 	w.fd.Arm(faultdev.Plan{CutAtSubmit: -1})
 	if err := r.Sync(); err != nil {
 		t.Fatalf("sync after the rot cleared: %v", err)
 	}
-	w.store.ReleaseCheckpointsBefore(w.store.Epoch())
+	base := r.Base()
+	g.RetainEpochs = 1
+	if _, err := g.Checkpoint(CkptIncremental); err != nil {
+		t.Fatal(err)
+	}
 	if err := p.WriteMem(va, []byte("after release")); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.Sync(); err != nil {
 		t.Fatalf("sync against a released base: %v", err)
+	}
+	for _, ep := range w.store.RetainedCheckpoints() {
+		if ep == base {
+			t.Fatalf("base epoch %d survived a commit under retention 1", base)
+		}
+	}
+	if r.LastBytes < 40*vm.PageSize {
+		t.Fatalf("sync against a released base shipped %d bytes, want the full image", r.LastBytes)
 	}
 }

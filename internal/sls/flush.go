@@ -41,7 +41,7 @@ import (
 // the interval that followed it.
 
 // flushSource is one object contributing pages to a job. A nil target
-// stages the object's own resident pages (the dirty set); a non-nil target
+// stages the object's own unstored pages (the dirty set); a non-nil target
 // stages the full image visible from obj down to and including target.
 type flushSource struct {
 	obj    *vm.Object
@@ -208,7 +208,7 @@ func (g *Group) runFlush(pl *flushPlan) (flushResult, error) {
 				jobSpan := tr.Begin(trace.TrackFlush, "flush.job",
 					trace.I("oid", int64(j.toid)))
 				t0 := time.Now()
-				writes := encodeJob(j)
+				writes, frames := encodeJob(j)
 				encNS := int64(time.Since(t0))
 				encodeNS.Add(encNS)
 				if len(writes) == 0 {
@@ -222,6 +222,10 @@ func (g *Group) runFlush(pl *flushPlan) (flushResult, error) {
 				bytes.Add(n)
 				if err != nil {
 					fail(err)
+					frames = nil // they stay unstored, so a retried checkpoint stages them again
+				}
+				for _, p := range frames {
+					p.Dirty, p.Backed = false, true
 				}
 				jobSpan.End(trace.I("pages", int64(len(writes))), trace.I("bytes", n),
 					trace.I("encode_host_ns", encNS), trace.I("write_host_ns", wrNS))
@@ -270,17 +274,17 @@ func (g *Group) runFlush(pl *flushPlan) (flushResult, error) {
 // The batch references the frozen frames' data directly — frozen and
 // trapped shadows are immutable under COW (a racing application fault
 // copies OUT of them, never into them), so the single data copy happens in
-// the Write stage, inside the device. Resolved frames are marked clean and
-// store-backed; a frame whose page index was already staged from a newer
-// source keeps its dirty bit — its content is not what the store holds.
-func encodeJob(j *flushJob) []objstore.PageWrite {
+// the Write stage, inside the device. The resolved frames are returned for the
+// worker to mark clean and store-backed once the write has landed; a frame
+// whose page index a newer source staged keeps its dirty bit (not among them).
+func encodeJob(j *flushJob) ([]objstore.PageWrite, []*mem.Page) {
 	staged := make(map[int64]bool)
 	var writes []objstore.PageWrite
+	var frames []*mem.Page
 	add := func(pg int64, p *mem.Page) {
 		staged[pg] = true
-		p.Dirty = false
-		p.Backed = true
 		writes = append(writes, objstore.PageWrite{Pg: pg, Data: p.Data})
+		frames = append(frames, p)
 	}
 	for _, src := range j.sources {
 		if src.target != nil {
@@ -301,7 +305,7 @@ func encodeJob(j *flushJob) []objstore.PageWrite {
 			}
 		} else {
 			src.obj.EachPage(func(pg int64, p *mem.Page) {
-				if staged[pg] {
+				if staged[pg] || !unstored(p) {
 					return
 				}
 				add(pg, p)
@@ -311,8 +315,13 @@ func encodeJob(j *flushJob) []objstore.PageWrite {
 	// Sorted batches give the store sequential block layout per object,
 	// which restore's prefetch rewards.
 	sort.Slice(writes, func(a, b int) bool { return writes[a].Pg < writes[b].Pg })
-	return writes
+	return writes, frames
 }
+
+// unstored is the staging rule: a page joins an incremental flush iff the
+// store lacks its content — written since it was captured or loaded (Dirty) or
+// never from the store (!Backed). Page state decides, not object shape.
+func unstored(p *mem.Page) bool { return p.Dirty || !p.Backed }
 
 // withinChain reports whether owner lies on the chain top..target inclusive.
 func withinChain(top, target, owner *vm.Object) bool {

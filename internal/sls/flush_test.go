@@ -2,9 +2,13 @@ package sls
 
 import (
 	"bytes"
+	"errors"
+	"math/rand"
 	"runtime"
 	"testing"
+	"time"
 
+	"aurora/internal/objstore"
 	"aurora/internal/vm"
 )
 
@@ -135,6 +139,14 @@ func TestFlushSerialParallelIdentical(t *testing.T) {
 	if serialPages != parallelPages {
 		t.Fatalf("dirty page totals diverge: serial %d parallel %d", serialPages, parallelPages)
 	}
+	// DirtyPages counts the frozen objects' unstored pages. Every frozen
+	// object of this history is a first image or a transient shadow, which
+	// hold nothing else, so the totals are what counting every resident page
+	// gave (600 + 300 + 200, 1300 pages flushed with the trapped transients):
+	// the count may only shrink after a restore.
+	if serialPages != 1100 || serialBytes != 1300*vm.PageSize {
+		t.Fatalf("dirty pages %d, flush bytes %d; want 1100 and %d", serialPages, serialBytes, 1300*vm.PageSize)
+	}
 }
 
 // TestTrappedFlushNewestVersionWins pins the ordering fix: a page dirtied
@@ -218,5 +230,84 @@ func TestCheckpointFlushStats(t *testing.T) {
 	}
 	if st.FlushBytes != 7*vm.PageSize {
 		t.Fatalf("incremental FlushBytes = %d, want %d", st.FlushBytes, 7*vm.PageSize)
+	}
+}
+
+// failOnceDev fails the next submit once armed, as a transient device error
+// would: the machine keeps running and the caller retries.
+type failOnceDev struct {
+	objstore.BlockDev
+	armed bool
+}
+
+var errFlushFailed = errors.New("data write failed")
+
+func (f *failOnceDev) Submit(bufs [][]byte, off int64, after time.Duration) (time.Duration, error) {
+	if f.armed {
+		f.armed = false
+		return 0, errFlushFailed
+	}
+	return f.BlockDev.Submit(bufs, off, after)
+}
+
+// TestCheckpointRetriedAfterFailedFlush: a checkpoint whose flush fails on a
+// machine that keeps running has stored nothing, so its pages must still count
+// as unstored: the retry stages them again (from the failed pass's frozen
+// shadow, by then a trapped transient) and the image it commits is the
+// application's. The crash sweeps cut power; only this covers the retry.
+func TestCheckpointRetriedAfterFailedFlush(t *testing.T) {
+	const pages, dirtied = 64, 40
+	var fd *failOnceDev
+	w, err := newWorldOn(func(d objstore.BlockDev) objstore.BlockDev {
+		fd = &failOnceDev{BlockDev: d}
+		return fd
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := w.k.NewProc("app")
+	g := w.o.CreateGroup("app")
+	g.Attach(p)
+	va, err := p.Mmap(pages*vm.PageSize, vm.ProtRead|vm.ProtWrite, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]byte, pages*vm.PageSize)
+	rand.New(rand.NewSource(16)).Read(want)
+	if err := p.WriteMem(va, want); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.Checkpoint(CkptIncremental); err != nil {
+		t.Fatal(err)
+	}
+	for pg := 0; pg < dirtied; pg++ {
+		want[pg*vm.PageSize] ^= 0xFF
+		if err := p.WriteMem(va+uint64(pg)*vm.PageSize, want[pg*vm.PageSize:pg*vm.PageSize+1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fd.armed = true
+	if _, err := g.Checkpoint(CkptIncremental); !errors.Is(err, errFlushFailed) {
+		t.Fatalf("checkpoint over a failing device = %v, want the device's error", err)
+	}
+	st, err := g.Checkpoint(CkptIncremental)
+	if err != nil {
+		t.Fatalf("retry after the failed flush: %v", err)
+	}
+	if st.FlushBytes != dirtied*vm.PageSize {
+		t.Fatalf("retry flushed %d bytes, the failed pass left %d unstored", st.FlushBytes, dirtied*vm.PageSize)
+	}
+	if err := g.Barrier(); err != nil {
+		t.Fatal(err)
+	}
+
+	w2 := w.crash(t)
+	g2, _, err := w2.o.RestoreGroup("app", w2.store, RestoreFull, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, len(want))
+	if err := g2.Procs()[0].ReadMem(va, got); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("image committed by the retry differs from the application's (err %v)", err)
 	}
 }

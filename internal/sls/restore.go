@@ -171,7 +171,7 @@ func (o *Orchestrator) RestoreGroup(name string, src Source, mode RestoreMode, c
 	if err != nil {
 		return nil, st, err
 	}
-	d, err := rec.NewDecoder(raw)
+	gr, err := decodeGroupRecord(raw)
 	if err != nil {
 		return nil, st, err
 	}
@@ -186,7 +186,8 @@ func (o *Orchestrator) RestoreGroup(name string, src Source, mode RestoreMode, c
 		g.specSrc = src
 		g.specContinuing = continuing
 	}
-	r := &restorer{o: o, g: g, src: src, mode: mode, st: &st}
+	g.Period, g.RetainEpochs, g.journals = gr.period, gr.retain, gr.journals
+	r := &restorer{o: o, g: g, src: src, mode: mode, st: &st, memMetas: gr.memMetas}
 	// A restore that dies partway — corrupt record, or the standby itself
 	// power-cut mid-restore — must not leave the half-built group
 	// registered: GroupByName would keep resolving the wedged husk, and a
@@ -208,53 +209,6 @@ func (o *Orchestrator) RestoreGroup(name string, src Source, mode RestoreMode, c
 		retG = nil
 	}()
 
-	_ = d.Str() // group name: the manifest already resolved it
-	g.Period = time.Duration(d.U64())
-
-	type procEnt struct {
-		oid       objstore.OID
-		localPID  kern.PID
-		parentPID kern.PID
-	}
-	// Every count-prefixed loop below guards on d.Err(): a corrupt count
-	// field decodes as garbage and must not drive a multi-gigabyte append
-	// loop off a record a few hundred bytes long. Once the decoder's
-	// sticky error trips, the loop stops and the check after the loops
-	// reports it.
-	var procEnts []procEnt
-	for i, n := 0, int(d.U32()); i < n && d.Err() == nil; i++ {
-		procEnts = append(procEnts, procEnt{
-			oid:       objstore.OID(d.U64()),
-			localPID:  kern.PID(d.U32()),
-			parentPID: kern.PID(d.U32()),
-		})
-	}
-	type ephEnt struct{ pid, parent kern.PID }
-	var ephs []ephEnt
-	for i, n := 0, int(d.U32()); i < n && d.Err() == nil; i++ {
-		ephs = append(ephs, ephEnt{kern.PID(d.U32()), kern.PID(d.U32())})
-	}
-	for i, n := 0, int(d.U32()); i < n && d.Err() == nil; i++ {
-		m := memMeta{
-			oid:        objstore.OID(d.U64()),
-			size:       d.I64(),
-			backerKind: d.U8(),
-			backerOID:  d.U64(),
-		}
-		r.memMetas = append(r.memMetas, m)
-	}
-	var shmOIDs []objstore.OID
-	for i, n := 0, int(d.U32()); i < n && d.Err() == nil; i++ {
-		shmOIDs = append(shmOIDs, objstore.OID(d.U64()))
-	}
-	for i, n := 0, int(d.U32()); i < n && d.Err() == nil; i++ {
-		jn := d.Str()
-		g.journals[jn] = objstore.OID(d.U64())
-	}
-	if err := d.Err(); err != nil {
-		return nil, st, err
-	}
-
 	// 2. Memory objects (hierarchy bottom-up; metas are ordered
 	// backer-first by the serializer).
 	for _, m := range r.memMetas {
@@ -264,7 +218,7 @@ func (o *Orchestrator) RestoreGroup(name string, src Source, mode RestoreMode, c
 	}
 
 	// 3. Shared-memory segments (namespaces).
-	for _, oid := range shmOIDs {
+	for _, oid := range gr.shmOIDs {
 		if _, err := r.shm(oid); err != nil {
 			return nil, st, err
 		}
@@ -272,7 +226,7 @@ func (o *Orchestrator) RestoreGroup(name string, src Source, mode RestoreMode, c
 
 	// 4. Processes.
 	byPID := make(map[kern.PID]*kern.Proc)
-	for _, pe := range procEnts {
+	for _, pe := range gr.procs {
 		p, err := r.proc(pe.oid)
 		if err != nil {
 			return nil, st, err
@@ -281,7 +235,7 @@ func (o *Orchestrator) RestoreGroup(name string, src Source, mode RestoreMode, c
 		g.oidOf[p] = pe.oid
 		st.Procs++
 	}
-	for _, pe := range procEnts {
+	for _, pe := range gr.procs {
 		if pe.parentPID != 0 {
 			if parent, ok := byPID[pe.parentPID]; ok {
 				parent.AdoptChild(byPID[pe.localPID])
@@ -291,8 +245,8 @@ func (o *Orchestrator) RestoreGroup(name string, src Source, mode RestoreMode, c
 
 	// 5. Ephemeral children did not survive: SIGCHLD to their parents,
 	// exactly as if the child exited unexpectedly (§3).
-	for _, eph := range ephs {
-		if parent, ok := byPID[eph.parent]; ok {
+	for _, parentPID := range gr.ephParents {
+		if parent, ok := byPID[parentPID]; ok {
 			parent.QueueSignal(kern.SIGCHLD)
 		}
 	}
@@ -339,6 +293,63 @@ func (o *Orchestrator) RestoreGroup(name string, src Source, mode RestoreMode, c
 		reg.Observe("sls.restore.ttfo.ns", int64(ttfo))
 	}
 	return g, st, nil
+}
+
+// groupRecord is a decoded group record (serializer.group writes it).
+type groupRecord struct {
+	period     time.Duration
+	procs      []procRef
+	ephParents []kern.PID // one per ephemeral child that did not survive
+	memMetas   []memMeta
+	shmOIDs    []objstore.OID
+	journals   map[string]objstore.OID
+	retain     int
+}
+
+// decodeGroupRecord is the one reader of the group record: a restore rebuilds
+// from it and a receiving standby takes its retention from it.
+func decodeGroupRecord(raw []byte) (groupRecord, error) {
+	gr := groupRecord{journals: make(map[string]objstore.OID), retain: defaultRetainEpochs}
+	d, err := rec.NewDecoder(raw)
+	if err != nil {
+		return gr, err
+	}
+	_ = d.Str() // group name: the manifest already resolved it
+	gr.period = time.Duration(d.U64())
+	// Every count-prefixed loop guards on d.Err(): a corrupt count must not
+	// drive a multi-gigabyte append loop off a record a few hundred bytes
+	// long. The sticky error stops the loop and is returned at the end.
+	for i, n := 0, int(d.U32()); i < n && d.Err() == nil; i++ {
+		gr.procs = append(gr.procs, procRef{
+			oid:       objstore.OID(d.U64()),
+			localPID:  kern.PID(d.U32()),
+			parentPID: kern.PID(d.U32()),
+		})
+	}
+	for i, n := 0, int(d.U32()); i < n && d.Err() == nil; i++ {
+		_ = d.U32() // the child's own pid
+		gr.ephParents = append(gr.ephParents, kern.PID(d.U32()))
+	}
+	for i, n := 0, int(d.U32()); i < n && d.Err() == nil; i++ {
+		gr.memMetas = append(gr.memMetas, memMeta{
+			oid:        objstore.OID(d.U64()),
+			size:       d.I64(),
+			backerKind: d.U8(),
+			backerOID:  d.U64(),
+		})
+	}
+	for i, n := 0, int(d.U32()); i < n && d.Err() == nil; i++ {
+		gr.shmOIDs = append(gr.shmOIDs, objstore.OID(d.U64()))
+	}
+	for i, n := 0, int(d.U32()); i < n && d.Err() == nil; i++ {
+		jn := d.Str()
+		gr.journals[jn] = objstore.OID(d.U64())
+	}
+	// Appended field: a record written before it existed ends here.
+	if d.Err() == nil && d.Remaining() > 0 {
+		gr.retain = int(d.U64())
+	}
+	return gr, d.Err()
 }
 
 func boolInt(b bool) int64 {

@@ -343,8 +343,9 @@ func (o *Orchestrator) Recv(r io.Reader) (string, error) {
 		}
 	}
 
-	// Pending page run state.
+	// Pending page run state, and the retention of the group record seen.
 	var curPages objstore.OID
+	retain := 0
 	for {
 		d, err := next()
 		if err != nil {
@@ -382,7 +383,7 @@ func (o *Orchestrator) Recv(r io.Reader) (string, error) {
 			if fl := o.Store.Flight(); fl != nil {
 				fl.Record(int64(o.Clk.Now()), flight.EvRecv, int64(srcEpoch), int64(baseEpoch), int64(len(live)), name)
 			}
-			if _, err := o.Store.Checkpoint(); err != nil {
+			if _, err := o.Store.CheckpointRetaining(retain); err != nil {
 				// Nothing committed, so the base this receiver holds has not
 				// moved: advancing it here would refuse every later delta.
 				// What the stream wrote joins the held set, so the retry
@@ -402,6 +403,14 @@ func (o *Orchestrator) Recv(r io.Reader) (string, error) {
 			raw := d.Bytes()
 			if err := d.Err(); err != nil {
 				return "", err
+			}
+			if oid == groupOID {
+				// The standby's commit trims by the bound every stream resends.
+				gr, err := decodeGroupRecord(raw)
+				if err != nil {
+					return "", err
+				}
+				retain = gr.retain
 			}
 			if err := o.Store.PutRecord(oid, ut, raw); err != nil {
 				return "", err

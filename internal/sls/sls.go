@@ -254,7 +254,9 @@ type Group struct {
 	// recorder, when set, logs external inputs for record/replay.
 	recorder *Recorder
 
-	// RetainEpochs bounds on-disk history; 0 keeps everything.
+	// RetainEpochs bounds on-disk history, 0 keeps everything; persisted in
+	// the group record, enforced inside every epoch commit (which always
+	// keeps the epoch before its own, so 1 retains 2).
 	RetainEpochs int
 
 	// Lazy-restore and swap page-in traffic served by this group's pagers
@@ -302,18 +304,20 @@ func (g *Group) SwapPageIns() (faults, bytes int64) {
 	return g.swapFaults.Load(), g.swapBytes.Load()
 }
 
+// defaultRetainEpochs bounds on-disk history by default; 0 keeps the full
+// execution history ("only limited by the available storage").
+const defaultRetainEpochs = 64
+
 // CreateGroup makes an empty consistency group.
 func (o *Orchestrator) CreateGroup(name string) *Group {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	g := &Group{
-		o:      o,
-		ID:     o.nextGroup,
-		Name:   name,
-		Period: 10 * time.Millisecond,
-		// Bound on-disk history by default; set to 0 to keep the full
-		// execution history ("only limited by the available storage").
-		RetainEpochs: 64,
+		o:            o,
+		ID:           o.nextGroup,
+		Name:         name,
+		Period:       10 * time.Millisecond,
+		RetainEpochs: defaultRetainEpochs,
 		oid:          o.Store.NewOID(),
 		oidOf:        make(map[any]objstore.OID),
 		prevLive:     make(map[objstore.OID]bool),

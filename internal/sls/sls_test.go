@@ -44,7 +44,7 @@ func newWorld(t *testing.T) *world {
 
 // crash simulates a machine crash + reboot: a fresh kernel over the same
 // device, recovered through the store.
-func (w *world) crash(t *testing.T) *world {
+func (w *world) crash(t testing.TB) *world {
 	t.Helper()
 	store, err := objstore.Recover(w.dev, w.clk, w.costs)
 	if err != nil {

@@ -14,10 +14,7 @@ import (
 
 	"aurora/internal/faultdev"
 	"aurora/internal/flight"
-	"aurora/internal/kern"
-	"aurora/internal/mem"
 	"aurora/internal/objstore"
-	"aurora/internal/slsfs"
 	"aurora/internal/vm"
 )
 
@@ -281,17 +278,11 @@ func setupSpecImage(t *testing.T) (*faultWorld, uint64, []byte) {
 func rebootFault(t *testing.T, w *faultWorld) *faultWorld {
 	t.Helper()
 	w.fd.Reopen()
-	store, err := objstore.Recover(w.fd, w.clk, w.costs)
+	w2, err := w.recovered()
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs, err := slsfs.Recover(store, w.clk, w.costs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vmsys := vm.NewSystem(mem.New(0), w.clk, w.costs)
-	k := kern.New(w.clk, w.costs, vmsys, fs)
-	return &faultWorld{clk: w.clk, costs: w.costs, fd: w.fd, store: store, fs: fs, k: k, o: New(k, store)}
+	return w2
 }
 
 // findOnDevice scans the raw device for a byte pattern (committed pages

@@ -50,7 +50,7 @@ func (g *Group) Evict(maxPages int64) EvictStats {
 				if st.Evicted+int64(len(evict)) >= maxPages {
 					return
 				}
-				if p.Dirty || !p.Backed || p.Wired > 0 {
+				if unstored(p) || p.Wired > 0 {
 					st.SkippedIO++
 					return
 				}

@@ -172,6 +172,21 @@ func (o *Object) Pages() int {
 	return len(o.pages)
 }
 
+// CountPages returns how many of the object's own resident pages satisfy
+// keep. Unlike EachPage it visits in map order and holds the object lock, so
+// keep must only inspect the page.
+func (o *Object) CountPages(keep func(*mem.Page) bool) int {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	n := 0
+	for _, p := range o.pages {
+		if keep(p) {
+			n++
+		}
+	}
+	return n
+}
+
 // Backer returns the object this object shadows, if any.
 func (o *Object) Backer() *Object {
 	o.mu.Lock()
