@@ -13,7 +13,9 @@ import (
 // onDiskFormatSHA is the SHA-256 of the image the workload below leaves on
 // the striped disks. It changes only when the on-disk format (or the submit
 // sequence that lays it out) changes; a refactor must reproduce it exactly.
-const onDiskFormatSHA = "7076bd0ae5652a345373e8805a1774bc72d7be09cd4bf86c807a24522dc86046"
+// Re-pinned when WAL frames began to carry the flight ring's tail instead of
+// the ring (frame op 6) and an identical PutRecord stopped rewriting the record.
+const onDiskFormatSHA = "d86b337404116dc88ea36137418f8e2412c8f3eb61b10fad4ea5371892dc0981"
 
 // TestOnDiskFormatPinned drives every on-disk structure — inline records,
 // paged objects with block-map chunks, a journal extent, WAL frames, folds,

@@ -209,12 +209,29 @@ func (r *Recorder) Tail(n int) []Event {
 
 // Snapshot serializes the resident ring into a sealed record.
 func (r *Recorder) Snapshot() []byte {
-	evs := r.Events()
-	e := rec.NewEncoder()
-	e.U32(snapMagic)
-	e.U64(r.Seq())
-	e.U32(uint32(len(evs)))
-	for _, ev := range evs {
+	b, _ := r.Since(0)
+	return b
+}
+
+// Since serializes, in Snapshot's format, the resident events recorded after
+// sequence number seq — the whole ring when it has wrapped past seq — and
+// returns the recorder's sequence number: the seq to pass next time, so that
+// consecutive tails tile the event stream (see Merge).
+func (r *Recorder) Since(seq uint64) ([]byte, uint64) {
+	if r == nil {
+		r = new(Recorder) // an empty ring
+	}
+	var e rec.Encoder
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n := len(r.ring)
+	if d := r.seq - seq; d < uint64(n) {
+		n = int(d)
+	}
+	e.Grow(16 + n*eventWire + 4) // exact for a ring without details
+	putHeader(&e, r.seq, n)
+	for i := len(r.ring) - n; i < len(r.ring); i++ {
+		ev := &r.ring[(r.head+i)%len(r.ring)]
 		e.I64(ev.At)
 		e.U8(uint8(ev.Kind))
 		e.I64(ev.A)
@@ -222,7 +239,19 @@ func (r *Recorder) Snapshot() []byte {
 		e.I64(ev.C)
 		e.Str(ev.Detail)
 	}
-	return e.Seal()
+	return e.Seal(), r.seq
+}
+
+func getEvent(d *rec.Decoder) Event {
+	return Event{At: d.I64(), Kind: Kind(d.U8()), A: d.I64(), B: d.I64(), C: d.I64(), Detail: d.Str()}
+}
+
+// Cap returns the ring's capacity in events.
+func (r *Recorder) Cap() int {
+	if r == nil {
+		return 0
+	}
+	return r.cap
 }
 
 const snapMagic = 0x464C5431 // "FLT1"
@@ -231,35 +260,44 @@ const snapMagic = 0x464C5431 // "FLT1"
 // kind, three args, and an empty detail's length prefix.
 const eventWire = 8 + 1 + 3*8 + 4
 
-// Decode parses a serialized ring. It returns the events oldest-first
-// and the recorder's total sequence number at snapshot time. Counts and
-// lengths are validated against the record size before any allocation,
-// so corrupt or truncated snapshots fail cleanly rather than OOM.
-func Decode(b []byte) ([]Event, uint64, error) {
-	d, err := rec.NewDecoder(b)
+func putHeader(e *rec.Encoder, seq uint64, n int) {
+	e.U32(snapMagic)
+	e.U64(seq)
+	e.U32(uint32(n))
+}
+
+// open verifies a serialized ring's seal and header and returns a decoder at
+// its first event. The count is validated against the record size, so a
+// corrupt one can neither size an allocation nor drive a loop.
+func open(b []byte) (d *rec.Decoder, seq uint64, n int, err error) {
+	d, err = rec.NewDecoder(b)
 	if err != nil {
-		return nil, 0, fmt.Errorf("flight: %w", err)
+		return nil, 0, 0, fmt.Errorf("flight: %w", err)
 	}
 	if m := d.U32(); m != snapMagic {
-		return nil, 0, fmt.Errorf("flight: %w: bad magic %#x", rec.ErrCorrupt, m)
+		return nil, 0, 0, fmt.Errorf("flight: %w: bad magic %#x", rec.ErrCorrupt, m)
 	}
-	seq := d.U64()
-	n := int(d.U32())
+	seq = d.U64()
+	n = int(d.U32())
 	if d.Err() != nil {
-		return nil, 0, fmt.Errorf("flight: %w", d.Err())
+		return nil, 0, 0, fmt.Errorf("flight: %w", d.Err())
 	}
 	if n < 0 || n > d.Remaining()/eventWire {
-		return nil, 0, fmt.Errorf("flight: %w: event count %d exceeds record", rec.ErrCorrupt, n)
+		return nil, 0, 0, fmt.Errorf("flight: %w: event count %d exceeds record", rec.ErrCorrupt, n)
+	}
+	return d, seq, n, nil
+}
+
+// Decode parses a serialized ring. It returns the events oldest-first
+// and the recorder's total sequence number at snapshot time.
+func Decode(b []byte) ([]Event, uint64, error) {
+	d, seq, n, err := open(b)
+	if err != nil {
+		return nil, 0, err
 	}
 	evs := make([]Event, 0, n)
 	for i := 0; i < n; i++ {
-		var ev Event
-		ev.At = d.I64()
-		ev.Kind = Kind(d.U8())
-		ev.A = d.I64()
-		ev.B = d.I64()
-		ev.C = d.I64()
-		ev.Detail = d.Str()
+		ev := getEvent(d)
 		if d.Err() != nil {
 			return nil, 0, fmt.Errorf("flight: event %d: %w", i, d.Err())
 		}
@@ -269,6 +307,42 @@ func Decode(b []byte) ([]Event, uint64, error) {
 		return nil, 0, fmt.Errorf("flight: %w: %d trailing bytes", rec.ErrCorrupt, d.Remaining())
 	}
 	return evs, seq, nil
+}
+
+// Merge folds tail — Since(s), s being base's sequence number — onto the
+// serialized ring base, giving byte for byte the Snapshot a recorder of that
+// capacity would have taken at the tail's sequence number: base's events, then
+// the tail's, the oldest dropped beyond capacity. No base is an empty ring. A
+// tail that does not start where base ends (the ring wrapped in between, or it
+// is another boot's recorder) holds all that is resident; base's events go.
+func Merge(base, tail []byte, capacity int) ([]byte, error) {
+	td, seq, nt, err := open(tail)
+	if err != nil {
+		return nil, err
+	}
+	var kept []byte
+	nb := 0
+	if len(base) > 0 {
+		bd, bseq, n, err := open(base)
+		if err != nil {
+			return nil, err
+		}
+		if bseq+uint64(nt) == seq {
+			for nb = n; nb > 0 && nb+nt > capacity; nb-- {
+				getEvent(bd)
+			}
+			if bd.Err() != nil {
+				return nil, fmt.Errorf("flight: %w", bd.Err())
+			}
+			kept = bd.Rest()
+		}
+	}
+	var e rec.Encoder
+	e.Grow(len(base) + len(tail))
+	putHeader(&e, seq, nb+nt)
+	e.Append(kept)
+	e.Append(td.Rest())
+	return e.Seal(), nil
 }
 
 // Format renders events as an indented timeline block, one line each.

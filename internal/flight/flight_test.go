@@ -1,11 +1,16 @@
 package flight
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"math/rand"
 	"strings"
 	"testing"
+
+	"aurora/internal/rec"
 )
 
 func TestNilRecorderSafe(t *testing.T) {
@@ -184,5 +189,78 @@ func TestFormat(t *testing.T) {
 	out := Format([]Event{{At: 42, Kind: EvPowerCut, A: 7, Detail: "seed=1"}})
 	if !strings.Contains(out, "power.cut") || !strings.Contains(out, "seed=1") {
 		t.Fatalf("Format = %q", out)
+	}
+}
+
+// TestMergedTailsEqualSnapshot: a full snapshot plus the tails cut since —
+// each from where the last one ended — merge into the ring a full snapshot at
+// the last tail would have serialized, byte for byte, whatever the capacity,
+// the gaps between cuts (none, a few events, several times the ring) and the
+// detail lengths.
+func TestMergedTailsEqualSnapshot(t *testing.T) {
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		capacity := 1 + rng.Intn(40)
+		r := NewRecorder(capacity)
+		record := func(n int) {
+			for i := 0; i < n; i++ {
+				r.Record(rng.Int63(), Kind(1+rng.Intn(20)), rng.Int63(), -rng.Int63(), int64(i),
+					strings.Repeat("d", rng.Intn(MaxDetail+8)))
+			}
+		}
+		gap := func() int {
+			switch rng.Intn(4) {
+			case 0:
+				return 0
+			case 1:
+				return rng.Intn(3 * capacity)
+			default:
+				return rng.Intn(6)
+			}
+		}
+		record(gap())
+		ring, seq := r.Since(0)
+		if !bytes.Equal(ring, r.Snapshot()) {
+			t.Fatalf("seed %d: Since(0) differs from Snapshot", seed)
+		}
+		for k := 0; k < 12; k++ {
+			record(gap())
+			var tail []byte
+			tail, seq = r.Since(seq)
+			var err error
+			if ring, err = Merge(ring, tail, r.Cap()); err != nil {
+				t.Fatalf("seed %d tail %d: %v", seed, k, err)
+			}
+			if want := r.Snapshot(); !bytes.Equal(ring, want) {
+				t.Fatalf("seed %d tail %d (cap %d, seq %d): merged ring differs from the snapshot (%d vs %d bytes)",
+					seed, k, capacity, seq, len(ring), len(want))
+			}
+		}
+		// The first tail of a fresh boot's recorder replaces the old ring.
+		r2 := NewRecorder(capacity)
+		r2.Record(1, EvRestore, 2, 3, 4, "boot")
+		tail, _ := r2.Since(0)
+		got, err := Merge(ring, tail, capacity)
+		if err != nil || !bytes.Equal(got, r2.Snapshot()) {
+			t.Fatalf("seed %d: another recorder's tail did not replace the ring (err %v)", seed, err)
+		}
+		// No base at all is an empty ring.
+		if got, err := Merge(nil, tail, capacity); err != nil || !bytes.Equal(got, r2.Snapshot()) {
+			t.Fatalf("seed %d: merge onto no base: err %v", seed, err)
+		}
+	}
+}
+
+func TestMergeRejectsCorrupt(t *testing.T) {
+	r := NewRecorder(4)
+	r.Record(1, EvRestore, 0, 0, 0, "x")
+	good := r.Snapshot()
+	bad := append([]byte(nil), good...)
+	bad[len(bad)/2] ^= 1
+	if _, err := Merge(good, bad, 4); !errors.Is(err, rec.ErrCorrupt) {
+		t.Fatalf("corrupt tail: %v", err)
+	}
+	if _, err := Merge(bad, good, 4); !errors.Is(err, rec.ErrCorrupt) {
+		t.Fatalf("corrupt base: %v", err)
 	}
 }

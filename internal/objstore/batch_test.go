@@ -2,9 +2,14 @@ package objstore
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
+	"time"
+
+	"aurora/internal/clock"
+	"aurora/internal/device"
 )
 
 func pageOf(oid OID, pg int64) []byte {
@@ -164,5 +169,68 @@ func TestWritePagesValidation(t *testing.T) {
 	}
 	if _, err := s.WritePages(0xdeadbeef, []PageWrite{{Pg: 0, Data: make([]byte, BlockSize)}}); err == nil {
 		t.Fatal("unknown oid accepted")
+	}
+}
+
+// failNextSubmit fails one Submit when armed, like a transient write error.
+type failNextSubmit struct {
+	BlockDev
+	armed bool
+}
+
+func (f *failNextSubmit) Submit(bufs [][]byte, off int64, after time.Duration) (time.Duration, error) {
+	if f.armed {
+		f.armed = false
+		return 0, errors.New("transient write error")
+	}
+	return f.BlockDev.Submit(bufs, off, after)
+}
+
+// TestFailedWritePagesLeavesNoChunkRoot: a batch that fails in its transfer
+// phase has reserved — created — the chunks it would have published into. They
+// hold nothing and were never written, so the object's next record must not
+// name them: a root at address 0 reads the superblock as a chunk and the image
+// fails to open ("chunk checksum mismatch").
+func TestFailedWritePagesLeavesNoChunkRoot(t *testing.T) {
+	clk := clock.NewVirtual()
+	fd := &failNextSubmit{BlockDev: device.New(clk, clock.DefaultCosts(), 64<<20)}
+	s, err := Format(fd, clk, clock.DefaultCosts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	oid := s.NewOID()
+	s.Ensure(oid, 9)
+	page := bytes.Repeat([]byte{0xAB}, BlockSize)
+	// Pages in two chunks; the second chunk is only ever touched by the
+	// failing batch.
+	if _, err := s.WritePages(oid, []PageWrite{{Pg: 1, Data: page}}); err != nil {
+		t.Fatal(err)
+	}
+	fd.armed = true
+	if _, err := s.WritePages(oid, []PageWrite{{Pg: 2, Data: page}, {Pg: ChunkFanout + 5, Data: page}}); err == nil {
+		t.Fatal("WritePages over a failing device succeeded")
+	}
+	if _, err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if rep := s.Fsck(); !rep.OK() {
+		t.Fatalf("fsck: %v", rep.Problems)
+	}
+	s2, err := Recover(fd, clk, clock.DefaultCosts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, BlockSize)
+	for _, pg := range []int64{1, 2, ChunkFanout + 5} {
+		ok, err := s2.ReadPage(oid, pg, buf)
+		if err != nil {
+			t.Fatalf("page %d after recovery: %v", pg, err)
+		}
+		if want := pg == 1; ok != want || (ok && !bytes.Equal(buf, page)) {
+			t.Fatalf("page %d present=%v, want %v", pg, ok, want)
+		}
+	}
+	if rep := s2.Fsck(); !rep.OK() {
+		t.Fatalf("fsck after recovery: %v", rep.Problems)
 	}
 }

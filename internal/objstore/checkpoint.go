@@ -2,7 +2,7 @@ package objstore
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"aurora/internal/clock"
@@ -67,7 +67,7 @@ func (s *Store) CheckpointRetaining(retain int) (CheckpointStats, error) {
 	for oid := range s.objects {
 		oids = append(oids, oid)
 	}
-	sort.Slice(oids, func(i, j int) bool { return oids[i] < oids[j] })
+	slices.Sort(oids)
 	for _, oid := range oids {
 		o := s.objects[oid]
 		if !o.dirty {
@@ -128,12 +128,15 @@ func (s *Store) CheckpointRetaining(retain int) (CheckpointStats, error) {
 	// nextBlk, both of which are serialized inside the index. (Encoding
 	// first and patching afterwards — the old scheme — serialized a stale
 	// freelist that could still list the index's own block, letting a
-	// post-recovery allocation overwrite a retained index.) A trial encode
-	// sizes the run; allocation only ever shrinks the encoded state, so the
-	// real index always fits and any over-allocated tail returns to the
-	// metadata pool.
-	trialLen := int64(encodeIndex(s.indexState(cur)).Len()) + 4 // + CRC
-	idxRun := blocksFor(trialLen)
+	// post-recovery allocation overwrite a retained index.) The run is sized
+	// from the pre-allocation list lengths; allocation only ever shrinks the
+	// encoded state, so the real index always fits and any over-allocated
+	// tail returns to the metadata pool.
+	nFree := len(s.freelist) + len(s.releasing)
+	for _, q := range s.releaseQ {
+		nFree += len(q.data)
+	}
+	idxRun := blocksFor(indexLen(nFree, len(s.deadlist), len(s.retained), len(s.objects)))
 	idxAddr, err := s.allocMetaRun(idxRun)
 	if err != nil {
 		return st, err
@@ -245,10 +248,13 @@ func (s *Store) persistFlight() {
 	if s.fl == nil {
 		return
 	}
-	snap := s.fl.Snapshot()
+	snap, seq := s.fl.Since(0)
 	// The ring is bounded (flight.DefaultCap events, capped details), so
 	// the snapshot stays an inline record — one contiguous write per epoch.
 	_ = s.PutRecord(FlightOID, flight.UType, snap)
+	s.mu.Lock()
+	s.flSeq = seq // WAL frames carry the events after it (see WALCommit)
+	s.mu.Unlock()
 }
 
 // indexState snapshots the allocator and object table for encoding. Staged
@@ -279,7 +285,7 @@ func (s *Store) indexState(cur Epoch) *indexState {
 	for oid := range s.objects {
 		oids = append(oids, oid)
 	}
-	sort.Slice(oids, func(i, j int) bool { return oids[i] < oids[j] })
+	slices.Sort(oids)
 	for _, oid := range oids {
 		o := s.objects[oid]
 		idx.objects = append(idx.objects, indexEntry{oid: oid, addr: o.recordAddr, len: o.recordLen})
@@ -451,11 +457,7 @@ func (v *View) Objects() []OID {
 	for oid := range v.objects {
 		out = append(out, oid)
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j-1] > out[j]; j-- {
-			out[j-1], out[j] = out[j], out[j-1]
-		}
-	}
+	slices.Sort(out)
 	return out
 }
 
@@ -549,7 +551,7 @@ func (s *Store) DiffPages(oid OID, old Epoch) ([]int64, error) {
 	for ci := range cis {
 		cidxs = append(cidxs, ci)
 	}
-	sortInt64s(cidxs)
+	slices.Sort(cidxs)
 	var out []int64
 	for _, ci := range cidxs {
 		curC, err := s.loadChunk(cur, ci*ChunkFanout, false)

@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"slices"
 
 	"aurora/internal/rec"
 )
@@ -71,16 +72,18 @@ func encodeRecord(o *object) []byte {
 	return e.Seal()
 }
 
+// sortedChunkIdxs lists the object's chunks in index order. A chunk with no
+// address that is not dirty was reserved by a batch that failed before
+// publishing into it: it holds nothing, and a record naming it would root a
+// chunk at address 0.
 func sortedChunkIdxs(o *object) []int64 {
 	idxs := make([]int64, 0, len(o.chunks))
-	for ci := range o.chunks {
-		idxs = append(idxs, ci)
-	}
-	for i := 1; i < len(idxs); i++ { // insertion sort; chunk counts are small
-		for j := i; j > 0 && idxs[j-1] > idxs[j]; j-- {
-			idxs[j-1], idxs[j] = idxs[j], idxs[j-1]
+	for ci, c := range o.chunks {
+		if c.addr != 0 || c.dirty {
+			idxs = append(idxs, ci)
 		}
 	}
+	slices.Sort(idxs)
 	return idxs
 }
 
@@ -212,6 +215,12 @@ func encodeIndex(st *indexState) *rec.Encoder {
 		e.I64(o.len)
 	}
 	return &e
+}
+
+// indexLen is the sealed size of an index with the given list lengths: the
+// fixed header, four counted lists and the CRC.
+func indexLen(free, dead, retained, objects int) int64 {
+	return 4 + 3*8 + 4*4 + 8*int64(free) + 24*int64(dead+retained+objects) + 4
 }
 
 // decodeIndex parses a checkpoint index.

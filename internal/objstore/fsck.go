@@ -3,6 +3,7 @@ package objstore
 import (
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sort"
 )
 
@@ -73,7 +74,7 @@ func (s *Store) Fsck() FsckReport {
 			for ci := range o.chunks {
 				cis = append(cis, ci)
 			}
-			sortInt64s(cis)
+			slices.Sort(cis)
 			for _, ci := range cis {
 				c := o.chunks[ci]
 				if !c.loaded && c.addr != 0 {
@@ -217,7 +218,7 @@ func (s *Store) LivePageAddrs() []int64 {
 		for ci := range o.chunks {
 			cis = append(cis, ci)
 		}
-		sortInt64s(cis)
+		slices.Sort(cis)
 		for _, ci := range cis {
 			c := o.chunks[ci]
 			if !c.loaded && c.addr != 0 {
@@ -236,7 +237,7 @@ func (s *Store) LivePageAddrs() []int64 {
 			}
 		}
 	}
-	sortInt64s(out)
+	slices.Sort(out)
 	return out
 }
 

@@ -1,8 +1,10 @@
 package objstore
 
 import (
+	"bytes"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"time"
 )
 
@@ -18,6 +20,12 @@ import (
 func (s *Store) PutRecord(oid OID, utype uint16, data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if o, ok := s.objects[oid]; ok && o.utype == utype && o.chunks == nil && o.journal == nil &&
+		bytes.Equal(o.inline, data) {
+		// An identical put is not a modification: the object keeps its
+		// record where it is, and neither the commit nor the WAL sees it.
+		return nil
+	}
 	o := s.ensure(oid, utype)
 	if o.journal != nil {
 		return ErrIsJournal
@@ -476,7 +484,7 @@ func (s *Store) truncateLocked(o *object, size int64) error {
 	for ci := range o.chunks {
 		cis = append(cis, ci)
 	}
-	sortInt64s(cis) // retire in a fixed order: the freelist feeds the
+	slices.Sort(cis) // retire in a fixed order: the freelist feeds the
 	// deterministic submit stream the crash harness replays
 	for _, ci := range cis {
 		first := ci * ChunkFanout
@@ -538,7 +546,7 @@ func (s *Store) dropChunks(o *object) {
 	for ci := range o.chunks {
 		cis = append(cis, ci)
 	}
-	sortInt64s(cis)
+	slices.Sort(cis)
 	for _, ci := range cis {
 		c := o.chunks[ci]
 		if c.loaded {
@@ -692,14 +700,6 @@ func (s *Store) eachPage(o *object, pgs []int64, all bool, fn func(pg int64, dat
 	}
 	s.dev.WaitUntil(last)
 	return n, nil
-}
-
-func sortInt64s(a []int64) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j-1] > a[j]; j-- {
-			a[j-1], a[j] = a[j], a[j-1]
-		}
-	}
 }
 
 // blocksFor returns the block count spanning n bytes.

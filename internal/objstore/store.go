@@ -229,6 +229,11 @@ type Store struct {
 	walDurable  map[uint64]time.Duration
 	walReplayed int // frames replayed by the last Recover
 
+	// flSeq is the recorder sequence number the ring in FlightOID reaches:
+	// set by every full snapshot and every frame tail, 0 after Recover (a
+	// boot starts a fresh recorder, whose first tail is its whole ring).
+	flSeq uint64
+
 	// pendingWALReset defers the head reset (log-structured GC of the
 	// folded generation) until virtual time passes walResetAt, the folding
 	// superblock's completion: before that instant a crash can still

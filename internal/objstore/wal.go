@@ -23,6 +23,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"aurora/internal/clock"
@@ -77,6 +78,7 @@ const (
 	walOpSize    = 3 // explicit size change (shrink retires tail slots)
 	walOpDelete  = 4 // object removal
 	walOpJournal = 5 // journal create / truncate (extent + generation)
+	walOpFlight  = 6 // flight events since the last persisted ring (flight.Merge)
 )
 
 // walOp is one logical mutation captured for replay.
@@ -135,6 +137,9 @@ func encodeWALFrame(fr *walFrame) []byte {
 			ops.I64(op.size)
 			ops.U64(op.gen)
 			ops.U64(op.fseq)
+		case walOpFlight:
+			ops.I64(op.size) // ring capacity
+			ops.Bytes(op.data)
 		}
 	}
 	frameLen := walHeaderLen + ops.Len() + 4
@@ -200,6 +205,9 @@ func decodeWALFrame(b []byte) (fr *walFrame, padded int64, ok bool) {
 			op.size = d.I64()
 			op.gen = d.U64()
 			op.fseq = d.U64()
+		case walOpFlight:
+			op.size = d.I64()
+			op.data = d.Bytes()
 		default:
 			return nil, 0, false
 		}
@@ -229,14 +237,14 @@ type WALCommitStats struct {
 // (Checkpoint) absorbs it into base objects. Returns ErrWALFull, with the
 // pending deltas intact, when the region cannot take the frame.
 func (s *Store) WALCommit() (WALCommitStats, error) {
-	// The append event is recorded before the flight ring is serialized so
-	// frame N's snapshot carries appends 1..N — the crash-phase evidence
-	// the harness checks after replay.
+	// The append event is recorded before the flight tail is cut so frame
+	// N's ring carries appends 1..N — the crash-phase evidence the harness
+	// checks after replay. The tail is the events FlightOID's ring lacks.
 	s.mu.Lock()
-	peekBase, peekSeq := s.epoch, s.walSeq+1
+	peekBase, peekSeq, flSeq := s.epoch, s.walSeq+1, s.flSeq
 	s.mu.Unlock()
 	s.fl.Record(int64(s.clk.Now()), flight.EvWALAppend, int64(peekBase), int64(peekSeq), 0, "")
-	s.persistFlight()
+	tail, flSeq := s.fl.Since(flSeq)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -249,6 +257,12 @@ func (s *Store) WALCommit() (WALCommitStats, error) {
 		nextOID: s.nextOID,
 		nextBlk: s.nextBlk,
 		ops:     s.walPending,
+	}
+	flightOp := walOp{kind: walOpFlight, oid: FlightOID, size: int64(s.fl.Cap()), data: tail}
+	if s.fl != nil {
+		// Appended to the frame's view only: a failed commit leaves the
+		// pending deltas as they were, and the retry cuts a fresh tail.
+		fr.ops = append(fr.ops, flightOp)
 	}
 	st := WALCommitStats{Base: fr.base, Seq: fr.seq}
 	body := encodeWALFrame(fr)
@@ -266,6 +280,14 @@ func (s *Store) WALCommit() (WALCommitStats, error) {
 	if err != nil {
 		span.End()
 		return st, err
+	}
+	if s.fl != nil {
+		// The live ring advances exactly as replay will advance it.
+		if err := s.applyWALOpLocked(flightOp, nil); err != nil {
+			span.End()
+			return st, err
+		}
+		s.flSeq = flSeq
 	}
 	s.walHead += total
 	s.walSeq = fr.seq
@@ -568,6 +590,18 @@ func (s *Store) applyWALOpLocked(op walOp, claimed map[int64]bool) error {
 			js.scanned = false
 		}
 		o.size = 0
+	case walOpFlight:
+		o := s.ensure(op.oid, flight.UType)
+		if o.journal != nil {
+			return fmt.Errorf("%w: flight tail on journal %d", ErrCorrupt, op.oid)
+		}
+		ring, err := flight.Merge(o.inline, op.data, int(op.size))
+		if err != nil {
+			return corrupt(err)
+		}
+		o.utype = flight.UType
+		s.dropChunks(o)
+		o.inline, o.size = ring, int64(len(ring))
 	default:
 		return fmt.Errorf("%w: unknown wal op %d", ErrCorrupt, op.kind)
 	}
@@ -584,7 +618,7 @@ func (s *Store) shrinkSlotsLocked(o *object, size int64) error {
 	for ci := range o.chunks {
 		cis = append(cis, ci)
 	}
-	sortInt64s(cis)
+	slices.Sort(cis)
 	for _, ci := range cis {
 		first := ci * ChunkFanout
 		if first+ChunkFanout <= lastPg {

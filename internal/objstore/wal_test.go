@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
 	"aurora/internal/clock"
 	"aurora/internal/device"
+	"aurora/internal/flight"
 )
 
 // putPage builds a deterministic page payload.
@@ -311,9 +313,12 @@ func TestWALFullFallsBackToFold(t *testing.T) {
 		t.Fatal(err)
 	}
 	oid := s.NewOID()
-	payload := bytes.Repeat([]byte{7}, 48<<10) // 48 KiB inline op per frame
+	// 48 KiB inline op per frame, distinct each time: an identical put is not
+	// a write and would leave the frame empty.
+	payload := bytes.Repeat([]byte{7}, 48<<10)
 	sawFull := false
 	for i := 0; i < 64; i++ {
+		payload[0] = byte(i)
 		if err := s.PutRecord(oid, 1, payload); err != nil {
 			t.Fatal(err)
 		}
@@ -325,6 +330,7 @@ func TestWALFullFallsBackToFold(t *testing.T) {
 			}
 			// The fold absorbed the pending ops and emptied the ring; a
 			// retry now fits.
+			payload[1]++
 			if err := s.PutRecord(oid, 1, payload); err != nil {
 				t.Fatal(err)
 			}
@@ -572,6 +578,7 @@ func FuzzWALRecord(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	s.SetFlight(flight.NewRecorder(8)) // every frame carries a flight-tail op
 	oid := s.NewOID()
 	pgd := s.NewOID()
 	s.Ensure(pgd, 9)
@@ -601,8 +608,10 @@ func FuzzWALRecord(f *testing.F) {
 		if !ok {
 			f.Fatalf("seed frame at %d undecodable", off)
 		}
+		if last := fr.ops[len(fr.ops)-1]; last.kind != walOpFlight {
+			f.Fatalf("seed frame %d ends on op kind %d, want the flight tail", fr.seq, last.kind)
+		}
 		f.Add(append([]byte(nil), ring[off:off+padded]...))
-		_ = fr
 		off += padded
 	}
 	f.Add([]byte{})
@@ -629,4 +638,209 @@ func FuzzWALRecord(f *testing.F) {
 			t.Fatalf("round-trip mismatch: %+v vs %+v", fr, fr2)
 		}
 	})
+}
+
+// storeWithFlight formats a store on a bare device (which records nothing
+// itself, so the recorder moves only when the store's commits move it) with a
+// flight recorder attached.
+func storeWithFlight(t *testing.T) (*Store, *device.Device, *clock.Virtual, *flight.Recorder) {
+	t.Helper()
+	clk := clock.NewVirtual()
+	dev := device.New(clk, clock.DefaultCosts(), 64<<20)
+	s, err := Format(dev, clk, clock.DefaultCosts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fl := flight.NewRecorder(0)
+	s.SetFlight(fl)
+	return s, dev, clk, fl
+}
+
+// TestWALFrameCarriesFlightTailOnly: a 4-page commit is a ~1 KiB frame whether
+// the flight ring is empty or full — the frame carries the events recorded
+// since the last persisted ring, not the ring — and the ring FlightOID holds,
+// live and after replay, is the full snapshot taken at that frame.
+func TestWALFrameCarriesFlightTailOnly(t *testing.T) {
+	s, dev, clk, fl := storeWithFlight(t)
+	oid := s.NewOID()
+	s.Ensure(oid, 9)
+	commit := func(round int, steady bool) {
+		t.Helper()
+		writes := make([]PageWrite, 4)
+		for i := range writes {
+			writes[i] = PageWrite{Pg: int64(i), Data: walPage(byte(round + i))}
+		}
+		if _, err := s.WritePages(oid, writes); err != nil {
+			t.Fatal(err)
+		}
+		st, err := s.WALCommit()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if steady && st.Bytes > 2<<10 {
+			t.Fatalf("commit %d: a 4-page frame is %d bytes with %d events in the ring, want <= 2 KiB",
+				round, st.Bytes, len(fl.Events()))
+		}
+		live, err := s.GetRecord(FlightOID)
+		if err != nil || !bytes.Equal(live, fl.Snapshot()) {
+			t.Fatalf("commit %d: live FlightOID differs from the full snapshot at the frame (err %v)", round, err)
+		}
+	}
+	commit(0, true) // empty ring: the first tail is the one append event
+	for i := 1; i <= 3*flight.DefaultCap; i++ {
+		fl.Record(int64(clk.Now()), flight.EvFlushJob, int64(i), 0, 0, "noise between commits")
+		if i%100 == 0 || i == 3*flight.DefaultCap-flight.DefaultCap/2 {
+			commit(i, false) // tails shorter than the ring, and one wrapping it
+		}
+	}
+	if n := len(fl.Events()); n != flight.DefaultCap {
+		t.Fatalf("ring holds %d events, want it full", n)
+	}
+	commit(999, false)
+	commit(1000, true) // full ring, one new event
+	want := fl.Snapshot()
+
+	s2, err := Recover(dev, clk, clock.DefaultCosts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := s2.GetRecord(FlightOID)
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("recovered ring differs from the full snapshot at the last frame (err %v)", err)
+	}
+	evs, seq, ok, err := s2.RecoveredFlight()
+	if err != nil || !ok || seq != fl.Seq() || len(evs) != flight.DefaultCap {
+		t.Fatalf("RecoveredFlight: %d events seq %d ok %v err %v", len(evs), seq, ok, err)
+	}
+	// The next boot's recorder starts over: its first frame replaces the ring.
+	fl2 := flight.NewRecorder(0)
+	s2.SetFlight(fl2)
+	if _, err := s2.WritePages(oid, []PageWrite{{Pg: 9, Data: walPage(9)}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s2.WALCommit(); err != nil {
+		t.Fatal(err)
+	}
+	if live, _ := s2.GetRecord(FlightOID); !bytes.Equal(live, fl2.Snapshot()) {
+		t.Fatal("first frame after a reboot did not replace the previous boot's ring")
+	}
+}
+
+// TestWALFailedCommitKeepsFlightTail: a commit that fails leaves neither the
+// ring nor the pending deltas changed, so the retry's tail still starts where
+// the persisted ring ends, and ErrWALFull's fall-through to a fold persists
+// the whole ring.
+func TestWALFailedCommitKeepsFlightTail(t *testing.T) {
+	clk := clock.NewVirtual()
+	fd := &failNextSubmit{BlockDev: device.New(clk, clock.DefaultCosts(), 64<<20)}
+	s, err := Format(fd, clk, clock.DefaultCosts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fl := flight.NewRecorder(0)
+	s.SetFlight(fl)
+	oid := s.NewOID()
+	if err := s.PutRecord(oid, 1, []byte("one")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.WALCommit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutRecord(oid, 1, []byte("two")); err != nil {
+		t.Fatal(err)
+	}
+	fd.armed = true
+	if _, err := s.WALCommit(); err == nil {
+		t.Fatal("WALCommit over a failing device succeeded")
+	}
+	if st, err := s.WALCommit(); err != nil || st.Seq != 2 {
+		t.Fatalf("retry: %+v, %v", st, err)
+	}
+	want := fl.Snapshot()
+	s2, err := Recover(fd, clk, clock.DefaultCosts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s2.GetRecord(FlightOID); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("ring recovered after a failed-then-retried commit differs from the snapshot (err %v)", err)
+	}
+	if got, _ := s2.GetRecord(oid); string(got) != "two" {
+		t.Fatalf("record after replay = %q", got)
+	}
+}
+
+// TestIdenticalPutIsNotAWrite: putting the bytes an object already holds
+// leaves it clean and logs nothing; a changed utype, changed bytes or a paged
+// record still write.
+func TestIdenticalPutIsNotAWrite(t *testing.T) {
+	s, _, _ := newStore(t)
+	oid, big := s.NewOID(), s.NewOID()
+	small := []byte("posix object state")
+	paged := bytes.Repeat([]byte{3}, InlineMax+1)
+	for _, err := range []error{s.PutRecord(oid, 7, small), s.PutRecord(big, 7, paged)} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	state := func() (dirty bool, addr int64, ops int) {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.objects[oid].dirty, s.objects[oid].recordAddr, len(s.walPending)
+	}
+	_, addr0, _ := state()
+
+	if err := s.PutRecord(oid, 7, small); err != nil {
+		t.Fatal(err)
+	}
+	if dirty, _, ops := state(); dirty || ops != 0 {
+		t.Fatalf("identical put: dirty=%v, %d WAL ops pending", dirty, ops)
+	}
+	st, err := s.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, addr, _ := state(); addr != addr0 || st.DirtyObjects != 0 {
+		t.Fatalf("identical put rewrote the record (%#x -> %#x, %d dirty objects)", addr0, addr, st.DirtyObjects)
+	}
+
+	if err := s.PutRecord(oid, 8, small); err != nil { // same bytes, new type
+		t.Fatal(err)
+	}
+	if dirty, _, ops := state(); !dirty || ops != 1 {
+		t.Fatalf("put with a changed utype: dirty=%v, %d WAL ops pending", dirty, ops)
+	}
+	if err := s.PutRecord(oid, 8, append([]byte("x"), small...)); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ops := state(); ops != 2 {
+		t.Fatalf("put with changed bytes logged %d ops in all, want 2", ops)
+	}
+	before := s.Stats().DataBytes
+	if err := s.PutRecord(big, 7, paged); err != nil {
+		t.Fatal(err)
+	}
+	if s.Stats().DataBytes == before {
+		t.Fatal("a paged record was treated as an identical put")
+	}
+}
+
+// TestIndexLenIsArithmetic: the index run is sized from list lengths; the
+// formula must equal the encoder over any allocator state.
+func TestIndexLenIsArithmetic(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for i := 0; i < 200; i++ {
+		st := &indexState{epoch: Epoch(rng.Uint64()), nextOID: OID(rng.Uint64()), nextBlk: rng.Int63()}
+		st.freelist = make([]int64, rng.Intn(500))
+		st.deadlist = make([]deadBlock, rng.Intn(300))
+		st.retained = make([]ckptInfo, rng.Intn(70))
+		st.objects = make([]indexEntry, rng.Intn(2000))
+		got := indexLen(len(st.freelist), len(st.deadlist), len(st.retained), len(st.objects))
+		if want := int64(len(encodeIndex(st).Seal())); got != want {
+			t.Fatalf("indexLen = %d, encoded %d (%d free, %d dead, %d retained, %d objects)",
+				got, want, len(st.freelist), len(st.deadlist), len(st.retained), len(st.objects))
+		}
+	}
 }

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 )
 
 // ErrCorrupt reports a failed decode.
@@ -20,6 +21,10 @@ type Encoder struct{ b []byte }
 
 // NewEncoder returns an empty encoder.
 func NewEncoder() *Encoder { return &Encoder{} }
+
+// Grow makes room for n more bytes, so that a record whose size is known is
+// built in one allocation.
+func (e *Encoder) Grow(n int) { e.b = slices.Grow(e.b, n) }
 
 // Len returns the bytes encoded so far.
 func (e *Encoder) Len() int { return len(e.b) }
@@ -99,6 +104,9 @@ func (d *Decoder) Err() error { return d.err }
 
 // Remaining reports undecoded bytes.
 func (d *Decoder) Remaining() int { return len(d.b) - d.off }
+
+// Rest returns the undecoded remainder, aliasing the record.
+func (d *Decoder) Rest() []byte { return d.b[d.off:] }
 
 func (d *Decoder) fail() {
 	if d.err == nil {

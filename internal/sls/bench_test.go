@@ -1,12 +1,15 @@
 package sls
 
 import (
+	"fmt"
 	"io"
+	"runtime"
 	"testing"
 	"time"
 
 	"aurora/internal/clock"
 	"aurora/internal/device"
+	"aurora/internal/flight"
 	"aurora/internal/kern"
 	"aurora/internal/mem"
 	"aurora/internal/objstore"
@@ -14,7 +17,7 @@ import (
 	"aurora/internal/vm"
 )
 
-func benchWorld(b *testing.B) *world {
+func benchWorld(b testing.TB) *world {
 	b.Helper()
 	clk := clock.NewVirtual()
 	costs := clock.DefaultCosts()
@@ -263,4 +266,104 @@ func BenchmarkDeltaShip1kObjects(b *testing.B) {
 		virt += w.clk.Now() - t0
 	}
 	b.ReportMetric(float64(virt)/float64(b.N)/1e3, "virt-us/op")
+}
+
+// walCommitWorld builds the wal-commit shape: one process with a resident
+// region of the given size, a flight recorder wired as a machine wires it,
+// WAL-first commits folding every 16th. dirty writes round i's 4 pages, commit
+// checkpoints them.
+func walCommitWorld(tb testing.TB, pages uint64) (w *world, dirty func(i int), commit func() CheckpointStats) {
+	w = benchWorld(tb)
+	fl := flight.NewRecorder(0)
+	w.dev.SetFlight(fl)
+	w.store.SetFlight(fl)
+	clk := w.clk
+	p := w.k.NewProc("walapp")
+	va, _ := p.Mmap(int64(pages)*vm.PageSize, vm.ProtRead|vm.ProtWrite, false)
+	buf := make([]byte, 64)
+	for pg := uint64(0); pg < pages; pg++ {
+		p.WriteMem(va+pg*vm.PageSize, buf)
+	}
+	g := w.o.CreateGroup("walapp")
+	g.RetainEpochs = 4
+	g.Options.FoldEvery = 16
+	g.Attach(p)
+	dirty = func(i int) {
+		clk.Advance(250 * time.Microsecond) // think time: the device drains between commits
+		for j := uint64(0); j < 4; j++ {
+			buf[0] = byte(i)
+			p.WriteMem(va+(uint64(i)*977%(pages/4)*4+j)*vm.PageSize, buf)
+		}
+	}
+	commit = func() CheckpointStats {
+		st, err := g.Checkpoint(CkptWAL)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return st
+	}
+	for i := 0; i < 64; i++ { // past the full first image, the ring full, pools warm
+		dirty(i)
+		commit()
+	}
+	return w, dirty, commit
+}
+
+// BenchmarkWALCommit4Pages measures a WAL-first commit of a 4-page delta
+// (every 16th is the fold) against a 16 MiB and a 256 MiB resident region:
+// the commit pays for the delta, so ns/op must not follow the region. Beside
+// ns/op and allocs: WAL frame bytes and all device bytes per commit.
+func BenchmarkWALCommit4Pages(b *testing.B) {
+	for _, pages := range []uint64{4096, 65536} {
+		b.Run(fmt.Sprintf("%dpages", pages), func(b *testing.B) {
+			w, dirty, commit := walCommitWorld(b, pages)
+			dev0 := w.dev.Stats().BytesWritten
+			dev, frames := dev0, int64(0)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				dirty(64 + i)
+				b.StartTimer()
+				st := commit()
+				now := w.dev.Stats().BytesWritten
+				if st.WALSeq != 0 { // a frame commit writes the flushed pages and the frame
+					frames += now - dev - st.FlushBytes
+				}
+				dev = now
+			}
+			b.ReportMetric(float64(frames)/float64(b.N), "frame-bytes/op")
+			b.ReportMetric(float64(dev-dev0)/float64(b.N), "device-bytes/op")
+		})
+	}
+}
+
+// raceDetector is set by race_test.go: under the race detector the runtime
+// allocates on paths the plain build does not and sync.Pool drops entries at
+// random, so a pin on allocated bytes holds for the plain build only.
+var raceDetector bool
+
+// TestWALCommitAllocBytesPinned: steady-state heap bytes per WAL commit of a
+// 4-page delta, folds included, with the flight ring full. The ceiling is 1.25
+// × what this commit path measures (28.1 KB on go1.24; it was 114.9 KB while
+// every frame re-serialized the whole ring), so the snapshot cannot creep back.
+func TestWALCommitAllocBytesPinned(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation pin: plain build only")
+	}
+	const commits, ceiling = 320, 35000
+	_, dirty, commit := walCommitWorld(t, 1024)
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < commits; i++ {
+		dirty(64 + i)
+		commit()
+	}
+	runtime.ReadMemStats(&m1)
+	per := (m1.TotalAlloc - m0.TotalAlloc) / commits
+	t.Logf("%d bytes allocated per WAL commit", per)
+	if per > ceiling {
+		t.Fatalf("%d bytes allocated per WAL commit, ceiling %d", per, ceiling)
+	}
 }

@@ -13,6 +13,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"aurora/internal/clock"
 	"aurora/internal/device"
 	"aurora/internal/kern"
 	"aurora/internal/mem"
@@ -250,18 +251,27 @@ func TestRestoreParentFormatGroupRecord(t *testing.T) {
 // TestStandbyTrimsInsideCommit: a 64 MiB standby takes hundreds of 1 MiB
 // deltas. Its commits apply the retention the received group record carries,
 // so it never fills (it kept every epoch and hit ErrFull at sync 52),
-// and the image it fails over to is the primary's.
+// and the image it fails over to is the primary's. Released blocks become
+// allocatable when the standby's clock passes their superblock's completion:
+// on one timeline for both machines, as in a fleet, the primary's work moves
+// it; a standby on a clock of its own is moved by each stream's arrival (it
+// never advanced, never promoted a release, and filled all the same).
 func TestStandbyTrimsInsideCommit(t *testing.T) {
+	t.Run("fleet-clock", func(t *testing.T) { standbyTrimsInsideCommit(t, false) })
+	t.Run("private-clock", func(t *testing.T) { standbyTrimsInsideCommit(t, true) })
+}
+
+func standbyTrimsInsideCommit(t *testing.T, privateClock bool) {
 	const pages, perSync, retain = 1024, 256, 4
 	syncs := 300
 	if testing.Short() {
 		syncs = 100
 	}
 	primary := newWorld(t)
-	// One timeline for both machines, as in a fleet: released blocks become
-	// allocatable when the clock passes their superblock's completion, and a
-	// standby alone on a clock nothing advances would wait forever.
 	clk, costs := primary.clk, primary.costs
+	if privateClock {
+		clk = clock.NewVirtual()
+	}
 	store, err := objstore.Format(device.NewStripe(clk, costs, 4, 64<<10, 16<<20), clk, costs)
 	if err != nil {
 		t.Fatal(err)
@@ -285,7 +295,12 @@ func TestStandbyTrimsInsideCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	live := func() int64 { st := store.Stats(); return st.BlocksAllocated - st.BlocksFreed }
+	var mid int64
 	for s := 1; s <= syncs; s++ {
+		if s == syncs/2 {
+			mid = live()
+		}
 		for i := 0; i < perSync; i++ {
 			pg := (s*perSync + i) % pages
 			p.WriteMem(va+uint64(pg*vm.PageSize)+8, []byte{byte(s), byte(s >> 8)})
@@ -296,6 +311,9 @@ func TestStandbyTrimsInsideCommit(t *testing.T) {
 		if rep.LastBytes < perSync*vm.PageSize {
 			t.Fatalf("sync %d shipped %d bytes, want a delta of at least %d", s, rep.LastBytes, perSync*vm.PageSize)
 		}
+	}
+	if end := live(); end > mid+mid/10 {
+		t.Fatalf("standby holds %d blocks after %d syncs, %d after %d: releases are not coming back", end, syncs, mid, syncs/2)
 	}
 	if got := store.RetainedCheckpoints(); len(got) > retain {
 		t.Fatalf("standby retains %d epochs (%v), the group's bound is %d", len(got), got, retain)
@@ -317,5 +335,48 @@ func TestStandbyTrimsInsideCommit(t *testing.T) {
 	got := make([]byte, len(want))
 	if err := fg.Procs()[0].ReadMem(va, got); err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("failover image differs from the primary's (err %v)", err)
+	}
+}
+
+// TestFailoverCostIndependentOfSyncCount: a standby on a clock of its own is
+// brought to each stream's arrival time, so its device queue has drained by
+// the time it is promoted and Failover pays for the restore alone. (It paid
+// for every write the standby had ever taken: the clock never moved, so the
+// whole history was still "in flight".)
+func TestFailoverCostIndependentOfSyncCount(t *testing.T) {
+	const pages, perSync = 4096, 64 // 16 MiB image
+	cost := func(syncs int) int64 {
+		primary, standby := newWorld(t), newWorld(t)
+		p := primary.k.NewProc("db")
+		g := primary.o.CreateGroup("db")
+		g.Attach(p)
+		g.RetainEpochs = 4
+		va, _ := p.Mmap(pages*vm.PageSize, vm.ProtRead|vm.ProtWrite, false)
+		for i := 0; i < pages; i++ {
+			p.WriteMem(va+uint64(i*vm.PageSize), []byte{byte(i)})
+		}
+		rep, err := g.ReplicateTo(standby.o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s := 1; s <= syncs; s++ {
+			for i := 0; i < perSync; i++ {
+				p.WriteMem(va+uint64(i*vm.PageSize)+8, []byte{byte(s), byte(s >> 8)})
+			}
+			if err := rep.Sync(); err != nil {
+				t.Fatalf("sync %d: %v", s, err)
+			}
+		}
+		t0 := standby.clk.Now()
+		if _, _, err := rep.Failover(RestoreFull); err != nil {
+			t.Fatal(err)
+		}
+		return int64(standby.clk.Now() - t0)
+	}
+	// Ten syncs in, the 16 MiB seed has left the standby's queue; from there
+	// on the cost is the restore's.
+	few, many := cost(10), cost(200)
+	if many != few {
+		t.Fatalf("failover after 200 syncs costs %d virt-ns, after 10 %d: the standby is paying for its history", many, few)
 	}
 }

@@ -54,6 +54,7 @@ type flushSource struct {
 type flushJob struct {
 	toid    objstore.OID
 	install *vm.Object    // persistent root to pager-install once flushed
+	covers  bool          // stages the object's own image: flushed once it lands
 	sources []flushSource // precedence order: newest version first
 	trapped []*vm.Object  // transients to mark done when the job lands
 }
@@ -88,15 +89,15 @@ func (g *Group) planPairs(pl *flushPlan, pairs []vm.ShadowPair, kind CheckpointK
 		target := g.persistentRoot(pair.Frozen)
 		toid := g.oidFor(target)
 		o.Store.Ensure(toid, UTMemObject)
-		full := kind == CkptFull || !g.flushed[toid]
 		j := pl.job(toid)
+		full := kind == CkptFull || !(g.flushed[toid] || j.covers)
 		j.install = target
 		src := flushSource{obj: pair.Frozen}
 		if full {
 			src.target = target
 		}
 		j.sources = append(j.sources, src)
-		g.flushed[toid] = true
+		j.covers = true
 	}
 	// Trapped transients (fork mid-interval, unflushed mem-only shadows):
 	// collected top-down so a job's source order stays newest-first — the
@@ -130,7 +131,7 @@ func (g *Group) planPairs(pl *flushPlan, pairs []vm.ShadowPair, kind CheckpointK
 func (g *Group) planCold(pl *flushPlan, ser *serializer) {
 	cold := make([]*vm.Object, 0, len(ser.memOIDs))
 	for obj, oid := range ser.memOIDs {
-		if !g.flushed[oid] {
+		if j := pl.index[oid]; !g.flushed[oid] && (j == nil || !j.covers) {
 			cold = append(cold, obj)
 		}
 	}
@@ -140,7 +141,7 @@ func (g *Group) planCold(pl *flushPlan, ser *serializer) {
 		g.o.Store.Ensure(oid, UTMemObject)
 		j := pl.job(oid)
 		j.sources = append(j.sources, flushSource{obj: obj, target: obj})
-		g.flushed[oid] = true
+		j.covers = true
 	}
 }
 
@@ -258,8 +259,13 @@ func (g *Group) runFlush(pl *flushPlan) (flushResult, error) {
 
 	// Commit-side bookkeeping: flushed objects become store-backed (their
 	// clean pages evict through the unified checkpoint/swap path), and
-	// trapped transients are immutable and fully captured from here on.
+	// trapped transients are immutable and fully captured from here on. An
+	// object counts as flushed only now: had the pool failed, the retry must
+	// stage its full image again.
 	for _, j := range pl.jobs {
+		if j.covers {
+			g.flushed[j.toid] = true
+		}
 		if j.install != nil {
 			g.installPager(j.install, j.toid)
 		}

@@ -311,3 +311,59 @@ func TestCheckpointRetriedAfterFailedFlush(t *testing.T) {
 		t.Fatalf("image committed by the retry differs from the application's (err %v)", err)
 	}
 }
+
+// TestFirstFlushFailedThenRetried: the FIRST flush of an object fails. The
+// object was never stored, so the retry must stage its full image again —
+// marking it flushed when the plan was built sent the retry down the
+// incremental branch, which stages only the new (empty) frozen shadow, and the
+// committed image did not restore.
+func TestFirstFlushFailedThenRetried(t *testing.T) {
+	const pages = 64
+	var fd *failOnceDev
+	w, err := newWorldOn(func(d objstore.BlockDev) objstore.BlockDev {
+		fd = &failOnceDev{BlockDev: d}
+		return fd
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := w.k.NewProc("app")
+	g := w.o.CreateGroup("app")
+	g.Attach(p)
+	va, err := p.Mmap(pages*vm.PageSize, vm.ProtRead|vm.ProtWrite, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]byte, pages*vm.PageSize)
+	rand.New(rand.NewSource(17)).Read(want)
+	if err := p.WriteMem(va, want); err != nil {
+		t.Fatal(err)
+	}
+	fd.armed = true
+	if _, err := g.Checkpoint(CkptIncremental); !errors.Is(err, errFlushFailed) {
+		t.Fatalf("first checkpoint over a failing device = %v, want the device's error", err)
+	}
+	st, err := g.Checkpoint(CkptIncremental)
+	if err != nil {
+		t.Fatalf("retry after the failed first flush: %v", err)
+	}
+	if st.FlushBytes != pages*vm.PageSize {
+		t.Fatalf("retry flushed %d bytes, the failed pass left %d unstored", st.FlushBytes, pages*vm.PageSize)
+	}
+	if err := g.Barrier(); err != nil {
+		t.Fatal(err)
+	}
+	if rep := w.store.Fsck(); !rep.OK() {
+		t.Fatalf("fsck after the retry: %v", rep.Problems)
+	}
+
+	w2 := w.crash(t)
+	g2, _, err := w2.o.RestoreGroup("app", w2.store, RestoreFull, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, len(want))
+	if err := g2.Procs()[0].ReadMem(va, got); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("image committed by the retry differs from the application's (err %v)", err)
+	}
+}

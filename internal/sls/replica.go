@@ -174,6 +174,7 @@ func (r *Replica) ship(since objstore.Epoch, cutStart time.Duration) error {
 		if err := r.g.send(cw, since); err != nil {
 			return err
 		}
+		r.arrive()
 		if _, err := r.dst.Recv(&buf); err != nil {
 			return err
 		}
@@ -207,6 +208,7 @@ func (r *Replica) ship(since objstore.Epoch, cutStart time.Duration) error {
 // apply collects a completed transfer from the connection and applies it to
 // the standby store.
 func (r *Replica) apply(epoch uint64, newBase objstore.Epoch, n int64, cutStart time.Duration) error {
+	r.arrive()
 	// Close the cross-machine flow before Take clears the session: the
 	// frame header carried the sender's trace-context, so the standby's
 	// apply instant gets the matching flow id and the merged fleet
@@ -227,6 +229,16 @@ func (r *Replica) apply(epoch uint64, newBase objstore.Epoch, n int64, cutStart 
 	}
 	r.commit(newBase, n, cutStart)
 	return nil
+}
+
+// arrive moves the standby's clock up to the sender's: a stream is not received
+// before it was sent. Nothing else moves a standby on a clock of its own, whose
+// device queue then never drained — no release promoted, Failover waiting out
+// every write it ever took. A no-op on a shared fleet clock.
+func (r *Replica) arrive() {
+	if behind := r.g.o.Clk.Now() - r.dst.Clk.Now(); behind > 0 {
+		r.dst.Clk.Advance(behind)
+	}
 }
 
 // commit records a landed ship in the replica's accounting.

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"fmt"
 	"testing"
 
 	"aurora/internal/clock"
@@ -99,5 +100,34 @@ func BenchmarkFork(b *testing.B) {
 		child := m.Fork()
 		child.Destroy()
 		m.Destroy()
+	}
+}
+
+// BenchmarkSystemShadowSparse measures the shadow pass of a checkpoint that
+// dirtied 4 pages of a large mapping — write, shadow, collapse the previous
+// interval — at two mapping sizes. The pass downgrades the pages written, so
+// ns/op must not follow the size of the mapping.
+func BenchmarkSystemShadowSparse(b *testing.B) {
+	for _, pages := range []uint64{4096, 65536} {
+		b.Run(fmt.Sprintf("%dpages", pages), func(b *testing.B) {
+			buf := []byte{1}
+			sys, m, va := benchSetup(b, int64(pages)*PageSize)
+			for pg := uint64(0); pg < pages; pg++ { // resident: the loop measures no first touch
+				m.Write(va+pg*PageSize, buf) //nolint:errcheck
+			}
+			prev := SystemShadow(sys, []*Map{m}, nil)[0].Frozen
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := uint64(0); j < 4; j++ {
+					m.Write(va+(uint64(i)*4+j)*977%pages*PageSize, buf) //nolint:errcheck
+				}
+				pairs := SystemShadow(sys, []*Map{m}, nil)
+				if prev != nil && prev.Backer() != nil && prev.ShadowCount() == 1 {
+					CollapseAurora(pairs[0].Frozen, prev)
+				}
+				prev = pairs[0].Frozen
+			}
+		})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"time"
 
 	"aurora/internal/mem"
 )
@@ -33,6 +34,13 @@ type Entry struct {
 	// a shadow of the file object, so the vnode object itself only ever
 	// stores the file's true pages.
 	Shared bool
+
+	// writable lists the VAs whose PTE Fault installed writable (the only
+	// place one becomes so) since the last downgrade. Invariant, under
+	// Map.mu: every writable PTE in [Start, End) is listed, so a downgrade
+	// visits the pages written, not the mapping. Emptied by a downgrade and
+	// by InvalidateAll; a listed VA whose PTE has since gone is skipped.
+	writable []uint64
 }
 
 // Pages returns the number of pages the entry spans.
@@ -275,8 +283,10 @@ func (m *Map) Fault(va uint64, write bool) (*mem.Page, error) {
 	}
 	m.vm.Clk.Advance(m.vm.Costs.PageInstall)
 	m.mu.Lock()
-	pte := &PTE{Page: p, Writable: write, Accessed: true, Dirty: write, obj: obj}
-	m.ptes[base] = pte
+	if old := m.ptes[base]; write && (old == nil || !old.Writable) {
+		e.writable = append(e.writable, base)
+	}
+	m.ptes[base] = &PTE{Page: p, Writable: write, Accessed: true, Dirty: write, obj: obj}
 	m.mu.Unlock()
 	p.Referenced = true
 	if write {
@@ -404,17 +414,29 @@ func (m *Map) Fork() *Map {
 
 // replaceEntryObject swaps the object behind an entry and downgrades any
 // writable PTEs in the entry's range (they must fault again to land in the
-// new object).
+// new object), found through the entry's writable list.
 func (m *Map) replaceEntryObject(e *Entry, newObj *Object) {
 	m.mu.Lock()
 	e.Obj = newObj
-	for va := e.Start; va < e.End; va += PageSize {
+	downgraded := 0
+	for _, va := range e.writable {
 		if pte, ok := m.ptes[va]; ok && pte.Writable {
 			delete(m.ptes, va)
-			m.vm.Clk.Advance(m.vm.Costs.PageMarkCOW)
+			downgraded++
 		}
 	}
+	e.writable = e.writable[:0]
+	if downgraded > 3*len(m.ptes) {
+		// Deletes leave a map at its peak size, and ReownPTEs iterates it at
+		// that size: repack what a mass downgrade left.
+		packed := make(map[uint64]*PTE, len(m.ptes))
+		for va, pte := range m.ptes {
+			packed[va] = pte
+		}
+		m.ptes = packed
+	}
 	m.mu.Unlock()
+	m.vm.Clk.Advance(time.Duration(downgraded) * m.vm.Costs.PageMarkCOW)
 }
 
 // ReownPTEs transfers install-owner bookkeeping from one object to
@@ -437,6 +459,9 @@ func (m *Map) ReownPTEs(from, to *Object) {
 func (m *Map) InvalidateAll() {
 	m.mu.Lock()
 	m.ptes = make(map[uint64]*PTE)
+	for _, e := range m.entries {
+		e.writable = e.writable[:0]
+	}
 	m.mu.Unlock()
 	m.vm.Clk.Advance(m.vm.Costs.TLBFlush)
 }
