@@ -65,7 +65,8 @@ type (
 	RestoreStats = sls.RestoreStats
 	// Journal is an sls_journal write-ahead log.
 	Journal = objstore.Journal
-	// Tracer records virtual-time spans, counters, and histograms.
+	// Tracer is a machine's one observer: the metric store (counters,
+	// gauges, histograms) and, under Config.Trace, the span timeline.
 	Tracer = trace.Tracer
 	// Replica is a warm standby of a group on another machine.
 	Replica = sls.Replica
@@ -148,15 +149,20 @@ type Config struct {
 	StripeUnit int64
 	// Costs overrides the calibrated cost model; nil uses DefaultCosts.
 	Costs *clock.Costs
-	// Trace enables the virtual-clock tracer, wired through the devices,
-	// the store, and the SLS orchestrator. Off by default: the disabled
-	// path costs one nil check per hook site.
+	// Trace and Telemetry each give the machine its observer
+	// (Machine.Tracer), wired through the devices, the store, the SLS
+	// orchestrator and the wire: every layer's counters, gauges and
+	// histograms — stop time, durable/WAL windows, restore
+	// time-to-first-op, replication lag — accumulate in its one store,
+	// recorded once at the source. With both off (the default) there is no
+	// observer and each hook site costs one nil check.
+	//
+	// Trace decides whether the observer also retains the event timeline:
+	// spans, instants and counter samples, for Tracer.WriteChrome.
 	Trace bool
-	// Telemetry enables the typed metrics registry (internal/telemetry):
-	// stop time, durable/WAL windows, restore time-to-first-op, and
-	// replication lag recorded at the source, sampled into time series,
-	// and aggregated fleet-wide. Off by default, same cost contract as
-	// Trace.
+	// Telemetry decides whether the store is sampled into time series
+	// (Machine.Metrics, internal/telemetry) for SLO watches, fleet
+	// aggregation and the Prometheus/JSON exports.
 	Telemetry bool
 	// Net, when non-nil, routes ReplicateTo and MigrateTo over a simulated
 	// lossy network instead of the direct in-process copy. Each call builds
@@ -208,8 +214,12 @@ type Machine struct {
 	FS    *slsfs.FS
 	K     *kern.Kernel
 	SLS   *sls.Orchestrator
-	// Tracer is non-nil when the machine was built with Config.Trace; use
-	// Tracer.WriteChrome / Tracer.Rollup to export what it recorded.
+	// Tracer is the machine's observer, non-nil when it was built with
+	// Config.Trace or Config.Telemetry: read a number with
+	// Tracer.CounterValue / Quantile / Metrics, and export what a
+	// Config.Trace machine recorded with Tracer.WriteChrome / Rollup. It
+	// rides across Crash, so restore spans and counts land beside the
+	// checkpoints before the cut.
 	Tracer *trace.Tracer
 	// Net is the replication wire description from Config.Net; nil selects
 	// the direct in-process path.
@@ -224,10 +234,10 @@ type Machine struct {
 	// machines built without one. It persists across Crash — the crash
 	// log and armed bit-rot are media properties, not volatile state.
 	Fault *FaultDev
-	// Metrics is the telemetry registry from Config.Telemetry; nil on
-	// machines built without one. Like the tracer it rides across Crash,
-	// so post-reboot restores land in the same series as the checkpoints
-	// before the cut.
+	// Metrics is the sampler over Tracer's store from Config.Telemetry
+	// (time series, JSON snapshot, Prometheus text); nil on machines built
+	// without it. It holds no numbers of its own. Like the tracer it rides
+	// across Crash, so a series continues through the reboot.
 	Metrics *telemetry.Registry
 
 	cfg     Config
@@ -238,17 +248,17 @@ type Machine struct {
 
 // NewMachine boots a machine with freshly formatted storage.
 func NewMachine(cfg Config) (*Machine, error) {
-	return build(cfg, nil, nil, true, nil, nil, nil)
+	return build(cfg, nil, nil, true, nil, nil)
 }
 
 // build assembles a machine; when disk is non-nil the store is recovered
 // from it instead of formatted, and the timeline continues on clk. A
-// non-nil tr carries an existing tracer across a crash so the recorded
-// timeline spans reboots; otherwise cfg.Trace creates a fresh one. A
-// non-nil fd carries an existing fault device across a crash (its crash
-// log and rot are media state); otherwise cfg.Fault interposes a fresh one.
-// A non-nil reg likewise carries the telemetry registry across a crash.
-func build(cfg Config, disk *device.Stripe, clk *clock.Virtual, format bool, tr *trace.Tracer, fd *FaultDev, reg *telemetry.Registry) (*Machine, error) {
+// non-nil tr carries an existing observer across a crash so the metric
+// store and the recorded timeline span reboots; otherwise cfg.Trace or
+// cfg.Telemetry creates a fresh one. A non-nil fd carries an existing fault
+// device across a crash (its crash log and rot are media state); otherwise
+// cfg.Fault interposes a fresh one.
+func build(cfg Config, disk *device.Stripe, clk *clock.Virtual, format bool, tr *trace.Tracer, fd *FaultDev) (*Machine, error) {
 	if cfg.Devices == 0 {
 		cfg.Devices = 4
 	}
@@ -273,9 +283,8 @@ func build(cfg Config, disk *device.Stripe, clk *clock.Virtual, format bool, tr 
 	}
 	if tr == nil && cfg.Trace {
 		tr = trace.New(clk)
-	}
-	if reg == nil && cfg.Telemetry {
-		reg = telemetry.New(clk)
+	} else if tr == nil && cfg.Telemetry {
+		tr = trace.NewMetricsOnly(clk)
 	}
 	disk.SetTracer(tr)
 	// The flight ring is volatile state: a boot (or reboot) starts a fresh
@@ -324,21 +333,22 @@ func build(cfg Config, disk *device.Stripe, clk *clock.Virtual, format bool, tr 
 	vmsys := vm.NewSystem(mem.New(cfg.MemoryBytes), clk, costs)
 	k := kern.New(clk, costs, vmsys, fs)
 	m := &Machine{
-		Clock:   clk,
-		Costs:   costs,
-		Disk:    disk,
-		Store:   store,
-		FS:      fs,
-		K:       k,
-		SLS:     sls.New(k, store),
-		Tracer:  tr,
-		Flight:  fl,
-		Fault:   fd,
-		Metrics: reg,
-		cfg:     cfg,
+		Clock:  clk,
+		Costs:  costs,
+		Disk:   disk,
+		Store:  store,
+		FS:     fs,
+		K:      k,
+		SLS:    sls.New(k, store),
+		Tracer: tr,
+		Flight: fl,
+		Fault:  fd,
+		cfg:    cfg,
+	}
+	if cfg.Telemetry {
+		m.Metrics = telemetry.New(tr)
 	}
 	m.SLS.Tracer = tr
-	m.SLS.Metrics = reg
 	m.Net = cfg.Net
 	return m, nil
 }
@@ -361,8 +371,7 @@ func (m *Machine) Audit() AuditReport {
 	if m.auditor == nil {
 		m.auditor = &audit.Auditor{
 			Store: m.Store, K: m.K, O: m.SLS,
-			Fl: m.Flight, Tr: m.Tracer, Clk: m.Clock,
-			Reg: m.Metrics, SLO: m.slo,
+			Fl: m.Flight, Tr: m.Tracer, Clk: m.Clock, SLO: m.slo,
 		}
 	}
 	return m.auditor.Run()
@@ -395,7 +404,7 @@ func (m *Machine) NewConn(nc *NetConfig) *NetConn {
 	conn := net.NewConn(pipe, m.Clock, nc.Conn, m.Tracer)
 	conn.SetFlight(m.Flight)
 	if m.cfg.Name != "" {
-		conn.SetSource(telemetry.MachineID(m.cfg.Name))
+		conn.SetSource(trace.MachineID(m.cfg.Name))
 	}
 	return conn
 }
@@ -404,22 +413,22 @@ func (m *Machine) NewConn(nc *NetConfig) *NetConn {
 func (m *Machine) Name() string { return m.cfg.Name }
 
 // AttachSLO points the machine's auditor at an SLO watch: the sls.slo
-// audit family cross-checks the watch's breach log against the registry's
+// audit family cross-checks the watch's breach log against the observer's
 // slo.breaches counter on every audit pass.
 func (m *Machine) AttachSLO(w *telemetry.Watch) {
 	m.slo = w
 	if m.auditor != nil {
 		m.auditor.SLO = w
-		m.auditor.Reg = m.Metrics
 	}
 }
 
 // Crash simulates power loss and reboot: all volatile state (kernel,
 // processes, memory) is gone; the returned machine recovered its store
 // from the last complete checkpoint on the same disks. The virtual
-// timeline continues across the crash. If the machine was tracing, the
-// rebooted machine records into the same tracer — restore spans land on
-// the same timeline as the checkpoints that made them possible.
+// timeline continues across the crash. If the machine had an observer, the
+// rebooted machine records into the same one — restore spans land on the
+// same timeline as the checkpoints that made them possible, and its series
+// carry on.
 func (m *Machine) Crash() (*Machine, error) {
 	if m.Fault != nil && m.Fault.Crashed() {
 		m.Fault.Reopen()
@@ -427,7 +436,12 @@ func (m *Machine) Crash() (*Machine, error) {
 	cfg := m.cfg
 	cfg.Costs = m.Costs
 	cfg.Net = m.Net
-	return build(cfg, m.Disk, m.Clock, false, m.Tracer, m.Fault, m.Metrics)
+	m2, err := build(cfg, m.Disk, m.Clock, false, m.Tracer, m.Fault)
+	if err != nil {
+		return nil, err
+	}
+	m2.Metrics = m.Metrics
+	return m2, nil
 }
 
 // PowerCut forces a power failure through the fault device: the machine's
@@ -493,7 +507,7 @@ func BootImage(r io.Reader, cfg Config) (*Machine, error) {
 		return nil, err
 	}
 	cfg.Costs = costs
-	return build(cfg, disk, clk, false, nil, nil, nil)
+	return build(cfg, disk, clk, false, nil, nil)
 }
 
 // PersistedGroups lists group names recorded on disk (sls ps after boot).

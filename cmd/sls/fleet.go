@@ -23,6 +23,7 @@ import (
 	"aurora/internal/clock"
 	"aurora/internal/placement"
 	"aurora/internal/telemetry"
+	"aurora/internal/trace"
 	"aurora/internal/vm"
 )
 
@@ -56,7 +57,7 @@ type fleetDemo struct {
 	apps     []*demoApp
 	killed   map[string]bool
 	fleet    *telemetry.Fleet
-	coordReg *telemetry.Registry
+	coordReg *telemetry.Registry // samples the coordinator's own observer
 	watch    *telemetry.Watch
 }
 
@@ -83,8 +84,8 @@ func buildFleetDemo(nMachines, nGroups int) (*fleetDemo, error) {
 		SyncEvery:      5 * time.Millisecond,
 		HeartbeatEvery: 2 * time.Millisecond,
 	})
-	d.coordReg = telemetry.New(d.clk)
-	d.coord.Instrument(nil, d.coordReg)
+	d.coordReg = telemetry.New(trace.NewMetricsOnly(d.clk))
+	d.coord.Instrument(d.coordReg.Store())
 	d.watch = telemetry.NewWatch(defaultFleetSLOs())
 	d.coord.WatchSLO(d.watch)
 	for i := 0; i < nMachines; i++ {
@@ -181,9 +182,7 @@ func (d *fleetDemo) run(ticks int, kill string, onEvent func(placement.Event)) e
 			m.Metrics.Sample()
 		}
 		d.coordReg.Sample()
-		if fired := d.watch.Eval(d.coordReg, d.clk.Now()); len(fired) > 0 {
-			d.coordReg.Counter("slo.breaches").Add(int64(len(fired)))
-		}
+		d.watch.Eval(d.coordReg, d.clk.Now())
 	}
 	return nil
 }

@@ -5,7 +5,7 @@ package main
 //
 // `sls metrics` runs a self-contained demo — attach, periodic
 // checkpoints, a power cut, restore, continue — on a fresh
-// telemetry-enabled machine, sampling the registry on a fixed cadence,
+// telemetry-enabled machine, sampling its metric store on a fixed cadence,
 // then exports it as Prometheus text or the deterministic JSON snapshot.
 // No image file is touched; the run is its own world, like `sls trace`.
 //
@@ -119,30 +119,31 @@ func cmdTop(args []string) error {
 
 	fmt.Printf("%-8s %-5s %8s %6s %10s %6s %9s %6s\n",
 		"MACHINE", "UP", "LOAD", "CKPTS", "STOP-P99", "WAL", "RESTORES", "SYNCS")
+	coord := d.coordReg.Store()
 	for i, m := range d.machines {
 		name := d.names[i]
 		up := "yes"
 		if d.killed[name] {
 			up = "DEAD"
 		}
-		reg := m.Metrics
+		obs := m.Tracer
 		fmt.Printf("%-8s %-5s %8d %6d %10s %6d %9d %6d\n",
 			name, up,
-			d.coordReg.Gauge("fleet.load."+name).Value(),
-			reg.Counter("sls.ckpt.total").Value(),
-			nsStr(reg.Quantile("sls.stop.ns", 0.99)),
-			reg.Counter("sls.wal.commits").Value(),
-			reg.Counter("sls.restores").Value(),
-			reg.Counter("sls.replica.syncs").Value())
+			coord.GaugeValue("fleet.load."+name),
+			obs.CounterValue("sls.ckpt.total"),
+			nsStr(obs.Quantile("sls.stop.ns", 0.99)),
+			obs.CounterValue("sls.wal.commits"),
+			obs.CounterValue("sls.restores"),
+			obs.CounterValue("sls.replica.syncs"))
 	}
 	fmt.Printf("\nfleet: alive=%d deaths=%d failovers=%d reseeds=%d orphans=%d sync-errors=%d\n",
-		d.coordReg.Gauge("fleet.alive").Value(),
-		d.coordReg.Counter("fleet.deaths").Value(),
-		d.coordReg.Counter("fleet.failovers").Value(),
-		d.coordReg.Counter("fleet.reseeds").Value(),
-		d.coordReg.Counter("fleet.orphans").Value(),
-		d.coordReg.Counter("fleet.sync_errors").Value())
-	if p99 := d.coordReg.Quantile("fleet.failover.ns", 0.99); p99 > 0 {
+		coord.GaugeValue("fleet.alive"),
+		coord.CounterValue("fleet.deaths"),
+		coord.CounterValue("fleet.failovers"),
+		coord.CounterValue("fleet.reseeds"),
+		coord.CounterValue("fleet.orphans"),
+		coord.CounterValue("fleet.sync_errors"))
+	if p99 := coord.Quantile("fleet.failover.ns", 0.99); p99 > 0 {
 		fmt.Printf("fleet: failover p99 %s, ckpt stop p99 %s fleet-wide\n",
 			nsStr(p99), nsStr(d.fleet.Quantile("sls.stop.ns", 0.99)))
 	}

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"aurora/internal/kern"
+	"aurora/internal/trace"
 )
 
 // Inspection (`sls inspect`): a /proc-like read-only view of the machine —
@@ -76,11 +77,8 @@ type FlightEntry struct {
 	Detail string `json:"detail,omitempty"`
 }
 
-// CounterEntry is one trace counter total.
-type CounterEntry struct {
-	Name  string `json:"name"`
-	Value int64  `json:"value"`
-}
+// CounterEntry is one counter total of the machine's observer.
+type CounterEntry = trace.NamedValue
 
 // Inspect snapshots the machine. tailN bounds the flight sections (0 means
 // 16). The snapshot includes an audit pass, so inspecting a sick machine
@@ -146,11 +144,7 @@ func (m *Machine) Inspect(tailN int) InspectReport {
 			r.Recovered = append(r.Recovered, flightEntry(ev))
 		}
 	}
-	if m.Tracer != nil {
-		for _, c := range m.Tracer.Counters() {
-			r.Counters = append(r.Counters, CounterEntry{Name: c.Name, Value: c.Total})
-		}
-	}
+	r.Counters = m.Tracer.Metrics().Counters
 
 	r.Audit = m.Audit()
 	return r

@@ -67,13 +67,12 @@ type Auditor struct {
 	K     *kern.Kernel
 	O     *sls.Orchestrator
 	Fl    *flight.Recorder // violations become EvAuditViolation events
-	Tr    *trace.Tracer    // audit.runs / audit.violations counters
+	Tr    *trace.Tracer    // audit.runs / audit.violations / slo.breaches counters
 	Clk   clock.Clock
 
-	// Telemetry cross-checks (the sls.slo family): when a machine runs an
-	// SLO watch, its breach log, the registry's slo.breaches counter, and
-	// the breaches themselves must agree. Both optional.
-	Reg *telemetry.Registry
+	// SLO enables the telemetry cross-checks (the sls.slo family): when a
+	// machine runs an SLO watch, its breach log, the observer's
+	// slo.breaches counter, and the breaches themselves must agree.
 	SLO *telemetry.Watch
 
 	// Watchdog memory: epochs must only move forward between passes.
@@ -128,15 +127,15 @@ func (a *Auditor) Run() Report {
 
 // auditSLO cross-checks the SLO engine's bookkeeping (the sls.slo rule
 // family): every recorded breach must actually violate its own bound —
-// a breach that does not means the engine mis-fired — and when a
-// registry is attached, its slo.breaches counter must equal the watch's
+// a breach that does not means the engine mis-fired — and when an
+// observer is attached, its slo.breaches counter must equal the watch's
 // breach log, so a lost or double-counted breach cannot hide.
 func (a *Auditor) auditSLO(r *Report, add func(rule, format string, args ...any)) {
 	r.Rules++
 	breaches := a.SLO.Breaches()
 	r.Objects += len(breaches)
-	if a.Reg != nil {
-		if c := a.Reg.Counter("slo.breaches").Value(); c != int64(len(breaches)) {
+	if a.Tr != nil {
+		if c := a.Tr.CounterValue("slo.breaches"); c != int64(len(breaches)) {
 			add("sls.slo", "slo.breaches counter %d disagrees with breach log length %d", c, len(breaches))
 		}
 	}

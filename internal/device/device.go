@@ -87,12 +87,12 @@ func (d *Device) SetFlight(fl *flight.Recorder) { d.fl = fl }
 func traceSubmit(tr *trace.Tracer, name string, now, start, done, stall time.Duration, n, off int64) {
 	tr.Range(trace.TrackDevice, name, start, done,
 		trace.I("bytes", n), trace.I("off", off))
-	tr.Observe("dev.qwait_ns", int64(start-now))
-	tr.Observe("dev.settle_ns", int64(done-now))
+	tr.Observe("dev.qwait.ns", int64(start-now))
+	tr.Observe("dev.settle.ns", int64(done-now))
 	tr.Count("dev.submits", 1)
 	tr.Count("dev.bytes", n)
 	if stall > 0 {
-		tr.Observe("dev.order_stall_ns", int64(stall))
+		tr.Observe("dev.order_stall.ns", int64(stall))
 		tr.Count("dev.order_stalls", 1)
 	}
 }

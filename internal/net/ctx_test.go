@@ -3,7 +3,6 @@ package net
 import (
 	"testing"
 
-	"aurora/internal/telemetry"
 	"aurora/internal/trace"
 )
 
@@ -32,7 +31,7 @@ func TestFrameCtxRoundTrip(t *testing.T) {
 
 func TestSessionContextCapture(t *testing.T) {
 	c, clk := newTestConn(Plan{}, Plan{}, Config{FrameData: 64})
-	src := telemetry.MachineID("primary")
+	src := trace.MachineID("primary")
 	c.SetSource(src)
 	// Untraced conn: span id is 0, but the source id still rides.
 	if _, err := c.Transfer(1, testPayload(300)); err != nil {
@@ -58,14 +57,14 @@ func TestSessionContextCapture(t *testing.T) {
 	if !ok || span == 0 {
 		t.Fatalf("traced session ctx: span=%d ok=%v", span, ok)
 	}
-	want := int64(telemetry.FlowID(src, span))
+	want := int64(trace.FlowID(src, span))
 	found := false
 	for _, ev := range tr.Events() {
 		if ev.Name != "net.transfer" {
 			continue
 		}
 		for _, a := range ev.Args {
-			if a.Key == telemetry.FlowOut && a.Val == any(want) {
+			if a.Key == trace.FlowOut && a.Int == want {
 				found = true
 			}
 		}

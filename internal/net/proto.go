@@ -24,7 +24,6 @@ import (
 	"aurora/internal/clock"
 	"aurora/internal/flight"
 	"aurora/internal/rec"
-	"aurora/internal/telemetry"
 	"aurora/internal/trace"
 )
 
@@ -419,7 +418,7 @@ func (c *Conn) handleData(f *Frame) {
 // capped backoff. It returns the receiver's next expected frame — the
 // resume point.
 func (c *Conn) connect(epoch, total, spanID uint64, st *TransferStats) (uint64, error) {
-	span := traceChildless(c.tr, "net.connect", trace.I("epoch", int64(epoch)))
+	span := c.tr.Begin(trace.TrackNet, "net.connect", trace.I("epoch", int64(epoch)))
 	rto := c.cfg.RTO
 	for attempt := 0; ; attempt++ {
 		hello := EncodeFrameCtx(FrameHello, epoch, 0, total, c.src, spanID, nil)
@@ -457,14 +456,6 @@ func (c *Conn) backoff(rto *time.Duration, st *TransferStats) {
 	}
 }
 
-// traceChildless opens a root span when tracing, else an inert one.
-func traceChildless(tr *trace.Tracer, name string, args ...trace.Arg) trace.Span {
-	if tr == nil {
-		return trace.Span{}
-	}
-	return tr.Begin(trace.TrackNet, name, args...)
-}
-
 // Transfer ships payload to the receiver side under the given epoch key and
 // returns once every frame is acked. On ErrRetriesExhausted the receiver
 // session keeps its progress: a later Transfer with the same epoch and
@@ -475,7 +466,7 @@ func (c *Conn) Transfer(epoch uint64, payload []byte) (TransferStats, error) {
 	sw := clock.StartStopwatch(c.clk)
 	total := uint64((len(payload) + c.cfg.FrameData - 1) / c.cfg.FrameData)
 	st.Frames = total
-	span := traceChildless(c.tr, "net.transfer",
+	span := c.tr.Begin(trace.TrackNet, "net.transfer",
 		trace.I("epoch", int64(epoch)), trace.I("bytes", int64(len(payload))), trace.I("frames", int64(total)))
 
 	base, err := c.connect(epoch, total, span.ID(), &st)
@@ -564,9 +555,9 @@ func (c *Conn) Transfer(epoch uint64, payload []byte) (TransferStats, error) {
 	if c.src != 0 && span.ID() != 0 {
 		// Hand the causality to the receiver: the merged fleet timeline
 		// draws an arrow from this span to whatever event the far side
-		// stamps with the matching flow id (telemetry.FlowID of the
+		// stamps with the matching flow id (trace.FlowID of the
 		// trace-context every frame of this transfer carried).
-		endArgs = append(endArgs, trace.I(telemetry.FlowOut, int64(telemetry.FlowID(c.src, span.ID()))))
+		endArgs = append(endArgs, trace.I(trace.FlowOut, int64(trace.FlowID(c.src, span.ID()))))
 	}
 	span.End(endArgs...)
 	return st, nil

@@ -193,7 +193,7 @@ func (s *Store) writePageBatch(oid OID, writes []PageWrite) error {
 	if s.tr != nil {
 		phaseSpan.End()
 		batchSpan.End()
-		s.tr.Count("objstore.data_bytes", int64(len(writes))*BlockSize)
+		s.tr.Count("objstore.data.bytes", int64(len(writes))*BlockSize)
 	}
 	return nil
 }

@@ -234,7 +234,7 @@ func (s *Store) CheckpointRetaining(retain int) (CheckpointStats, error) {
 			trace.I("epoch", int64(cur)))
 		s.tr.Gauge("objstore.releaseq", int64(len(s.releasing))+int64(len(s.releaseQ)))
 		s.tr.Count("objstore.commits", 1)
-		s.tr.Count("objstore.meta_bytes", st.MetaBytes)
+		s.tr.Count("objstore.meta.bytes", st.MetaBytes)
 	}
 	commitSpan.End(trace.I("meta_bytes", st.MetaBytes))
 	return st, nil

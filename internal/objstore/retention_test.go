@@ -68,7 +68,7 @@ func TestCommitSpanTiling(t *testing.T) {
 		}
 		args := make(map[string]int64)
 		for _, a := range kids[c.ID][1].Args {
-			args[a.Key] = a.Val.(int64)
+			args[a.Key] = a.Int
 		}
 		if args["index_runs"] != args["epochs"] {
 			t.Fatalf("commit %d dropped %d epochs but staged %d index runs", c.ID, args["epochs"], args["index_runs"])

@@ -300,7 +300,7 @@ func (s *Store) WALCommit() (WALCommitStats, error) {
 	st.CommitCharged = sw.Elapsed()
 	if s.tr != nil {
 		s.tr.Count("objstore.wal_appends", 1)
-		s.tr.Count("objstore.wal_bytes", total)
+		s.tr.Count("objstore.wal.bytes", total)
 		s.tr.Gauge("objstore.wal_head", s.walHead)
 	}
 	span.End(trace.I("seq", int64(fr.seq)), trace.I("bytes", total), trace.I("ops", int64(len(fr.ops))))
@@ -312,7 +312,7 @@ func (s *Store) WALCommit() (WALCommitStats, error) {
 // Requires mu.
 func (s *Store) observeDurableLocked(done time.Duration) {
 	if s.lastDurable > 0 && done > s.lastDurable {
-		s.tr.Observe("durable.window_ns", int64(done-s.lastDurable))
+		s.tr.Observe("objstore.durable.gap.ns", int64(done-s.lastDurable))
 	}
 	s.lastDurable = done
 }
@@ -333,7 +333,7 @@ func (s *Store) maybeResetWALLocked() {
 	s.walHead = 0
 	s.fl.Record(int64(s.clk.Now()), flight.EvWALGC, reclaimed, int64(s.epoch), 0, "")
 	if s.tr != nil {
-		s.tr.Count("objstore.wal_gc_bytes", reclaimed)
+		s.tr.Count("objstore.wal_gc.bytes", reclaimed)
 		s.tr.Instant(trace.TrackObjstore, "wal.gc", trace.I("bytes", reclaimed))
 	}
 }

@@ -200,13 +200,12 @@ type Coordinator struct {
 
 	deaths, failovers, rebalances, syncErrors, orphans int64
 
-	// Observability hooks, all optional. tr records placement decisions on
-	// the fleet/audit lanes, reg accumulates fleet-level counters and
-	// latency histograms, and slo is a watch whose breach log Status
+	// Observability hooks, both optional. tr is the coordinator's observer:
+	// placement decisions on the fleet/audit lanes, fleet-level counters,
+	// gauges and latency histograms. slo is a watch whose breach log Status
 	// renders (the driver that samples metrics evaluates it; the
 	// coordinator only reports).
 	tr  *trace.Tracer
-	reg *telemetry.Registry
 	slo *telemetry.Watch
 	src uint64 // coordinator's trace-context source id for flow stitching
 }
@@ -225,55 +224,32 @@ func New(clk clock.Clock, cfg Config) *Coordinator {
 	}
 }
 
-// Instrument attaches a tracer and a metrics registry to the coordinator.
-// Placement decisions — heartbeat scans, death declarations, failovers,
-// reseeds, rebalance migrations — become spans and instants on the fleet
-// lane (watchdog audits on the audit lane), and the registry accumulates
+// Instrument attaches an observer to the coordinator. Placement decisions
+// — heartbeat scans, death declarations, failovers, reseeds, rebalance
+// migrations — become spans and instants on the fleet lane (watchdog audits
+// on the audit lane) when it keeps a timeline, and its store accumulates
 // fleet counters, per-node load gauges, and failover/migration latency
-// histograms. Either argument may be nil; the coordinator stays nil-safe.
-func (c *Coordinator) Instrument(tr *trace.Tracer, reg *telemetry.Registry) {
+// histograms. A nil observer leaves the coordinator uninstrumented.
+func (c *Coordinator) Instrument(tr *trace.Tracer) {
 	c.tr = tr
-	c.reg = reg
-	c.src = telemetry.MachineID("coordinator")
-	if reg != nil {
-		// Pre-register the full counter family so a clean run still exports
-		// every fleet metric as a zero series — an SLO or assertion on
-		// fleet.orphans must read 0, not "no data".
-		for _, name := range []string{
-			"fleet.deaths", "fleet.failovers", "fleet.reseeds",
-			"fleet.rebalances", "fleet.migrations", "fleet.orphans",
-			"fleet.sync_errors",
-		} {
-			reg.Counter(name)
-		}
-		reg.Gauge("fleet.alive")
+	c.src = trace.MachineID("coordinator")
+	// Declare the full counter family so a clean run still exports every
+	// fleet metric as a zero series — an SLO or assertion on fleet.orphans
+	// must read 0, not "no data".
+	for _, name := range []string{
+		"fleet.deaths", "fleet.failovers", "fleet.reseeds",
+		"fleet.rebalances", "fleet.migrations", "fleet.orphans",
+		"fleet.sync_errors",
+	} {
+		tr.Count(name, 0)
 	}
+	tr.Gauge("fleet.alive", 0)
 }
 
 // WatchSLO gives Status a breach log to render. The coordinator never
 // evaluates the watch itself — the driver sampling the metrics does —
 // so attaching the same watch here cannot double-count breaches.
 func (c *Coordinator) WatchSLO(w *telemetry.Watch) { c.slo = w }
-
-// span opens a placement-decision span; nil-safe on an untraced coordinator.
-func (c *Coordinator) span(track trace.Track, name string, args ...trace.Arg) trace.Span {
-	if c.tr == nil {
-		return trace.Span{}
-	}
-	return c.tr.Begin(track, name, args...)
-}
-
-func (c *Coordinator) count(name string, d int64) {
-	if c.reg != nil {
-		c.reg.Counter(name).Add(d)
-	}
-}
-
-func (c *Coordinator) observe(name string, v int64) {
-	if c.reg != nil {
-		c.reg.Observe(name, v)
-	}
-}
 
 // AddMachine registers a machine under a fleet-unique name.
 func (c *Coordinator) AddMachine(name string, m *aurora.Machine) (*Node, error) {
@@ -410,7 +386,7 @@ func (c *Coordinator) Rebalance() []Event {
 // heartbeat probes every registered machine over its heartbeat wire and
 // acts on death edges.
 func (c *Coordinator) heartbeat(evs *[]Event) {
-	sp := c.span(trace.TrackFleet, "fleet.heartbeat")
+	sp := c.tr.Begin(trace.TrackFleet, "fleet.heartbeat")
 	probed, alive := 0, 0
 	for _, name := range c.order {
 		n := c.nodes[name]
@@ -425,8 +401,8 @@ func (c *Coordinator) heartbeat(evs *[]Event) {
 		}
 	}
 	sp.End(trace.I("probed", int64(probed)), trace.I("alive", int64(alive)))
-	if c.reg != nil {
-		c.reg.Gauge("fleet.alive").Set(int64(alive))
+	if c.tr != nil {
+		c.tr.Gauge("fleet.alive", int64(alive))
 		for _, name := range c.order {
 			var load int64
 			for _, g := range c.gorder {
@@ -435,7 +411,7 @@ func (c *Coordinator) heartbeat(evs *[]Event) {
 					load += a.ops
 				}
 			}
-			c.reg.Gauge("fleet.load." + name).Set(load)
+			c.tr.Gauge("fleet.load."+name, load)
 		}
 	}
 }
@@ -443,7 +419,7 @@ func (c *Coordinator) heartbeat(evs *[]Event) {
 // auditPass runs each live machine's invariant audit; a machine whose
 // kernel/store invariants fail is fail-stopped on the spot.
 func (c *Coordinator) auditPass(evs *[]Event) {
-	sp := c.span(trace.TrackAudit, "fleet.audit")
+	sp := c.tr.Begin(trace.TrackAudit, "fleet.audit")
 	scanned, failed := 0, 0
 	for _, name := range c.order {
 		n := c.nodes[name]
@@ -465,10 +441,8 @@ func (c *Coordinator) auditPass(evs *[]Event) {
 func (c *Coordinator) markDead(n *Node, evs *[]Event) {
 	n.dead = true
 	c.deaths++
-	c.count("fleet.deaths", 1)
-	if c.tr != nil {
-		c.tr.Instant(trace.TrackFleet, "fleet.dead", trace.S("node", n.Name))
-	}
+	c.tr.Count("fleet.deaths", 1)
+	c.tr.Instant(trace.TrackFleet, "fleet.dead", trace.S("node", n.Name))
 	*evs = append(*evs, Event{Kind: EvDead, At: c.clk.Now(), Node: n.Name})
 	for _, name := range c.gorder {
 		a := c.groups[name]
@@ -501,23 +475,21 @@ func (c *Coordinator) failover(a *Assignment, deadPrimary string, evs *[]Event) 
 	if a.rep == nil || standbyDead {
 		a.Orphaned = true
 		c.orphans++
-		c.count("fleet.orphans", 1)
-		if c.tr != nil {
-			c.tr.Instant(trace.TrackFleet, "fleet.orphan",
-				trace.S("group", a.Name), trace.S("node", deadPrimary))
-		}
+		c.tr.Count("fleet.orphans", 1)
+		c.tr.Instant(trace.TrackFleet, "fleet.orphan",
+			trace.S("group", a.Name), trace.S("node", deadPrimary))
 		*evs = append(*evs, Event{Kind: EvOrphan, At: c.clk.Now(), Group: a.Name, Node: deadPrimary})
 		return
 	}
 	start := c.clk.Now()
-	sp := c.span(trace.TrackFleet, "fleet.failover",
+	sp := c.tr.Begin(trace.TrackFleet, "fleet.failover",
 		trace.S("group", a.Name), trace.S("from", deadPrimary), trace.S("to", a.Standby))
 	g, _, err := a.rep.Failover(aurora.RestoreEager)
 	if err != nil {
 		sp.End(trace.S("err", err.Error()))
 		a.Orphaned = true
 		c.orphans++
-		c.count("fleet.orphans", 1)
+		c.tr.Count("fleet.orphans", 1)
 		*evs = append(*evs, Event{Kind: EvOrphan, At: c.clk.Now(), Group: a.Name, Node: deadPrimary, Err: err})
 		return
 	}
@@ -526,7 +498,7 @@ func (c *Coordinator) failover(a *Assignment, deadPrimary string, evs *[]Event) 
 	a.g, a.rep = g, nil
 	a.Failovers++
 	c.failovers++
-	c.count("fleet.failovers", 1)
+	c.tr.Count("fleet.failovers", 1)
 
 	// Latency from the moment the driver cut power (when known; a watchdog
 	// declare has no ground-truth kill time, so fall back to the promotion
@@ -537,15 +509,13 @@ func (c *Coordinator) failover(a *Assignment, deadPrimary string, evs *[]Event) 
 	if dn := c.nodes[deadPrimary]; dn != nil && dn.downAt > 0 && now > dn.downAt {
 		lat = now - dn.downAt
 	}
-	c.observe("fleet.failover.ns", int64(lat))
-	if mtr := c.nodes[newPrimary].M.Tracer; mtr != nil && c.tr != nil {
-		id := int64(telemetry.FlowID(c.src, sp.ID()))
-		mtr.Instant(trace.TrackFleet, "fleet.promote",
+	c.tr.Observe("fleet.failover.ns", int64(lat))
+	if sp.ID() != 0 {
+		id := int64(trace.FlowID(c.src, sp.ID()))
+		c.nodes[newPrimary].M.Tracer.Instant(trace.TrackFleet, "fleet.promote",
 			trace.S("group", a.Name), trace.S("from", deadPrimary),
-			trace.I(telemetry.FlowIn, id))
-		sp.End(trace.I("latency_ns", int64(lat)), trace.I(telemetry.FlowOut, id))
-	} else {
-		sp.End(trace.I("latency_ns", int64(lat)))
+			trace.I(trace.FlowIn, id))
+		sp.End(trace.I("latency_ns", int64(lat)), trace.I(trace.FlowOut, id))
 	}
 	*evs = append(*evs, Event{
 		Kind: EvFailover, At: c.clk.Now(), Group: a.Name,
@@ -595,11 +565,9 @@ func (c *Coordinator) reseed(a *Assignment, evs *[]Event) {
 	a.Standby = target.Name
 	a.rep = rep
 	a.held[target.Name] = true
-	c.count("fleet.reseeds", 1)
-	if c.tr != nil {
-		c.tr.Instant(trace.TrackFleet, "fleet.reseed",
-			trace.S("group", a.Name), trace.S("to", target.Name))
-	}
+	c.tr.Count("fleet.reseeds", 1)
+	c.tr.Instant(trace.TrackFleet, "fleet.reseed",
+		trace.S("group", a.Name), trace.S("to", target.Name))
 	if evs != nil {
 		*evs = append(*evs, Event{
 			Kind: EvReseed, At: c.clk.Now(), Group: a.Name,
@@ -638,7 +606,7 @@ func (c *Coordinator) syncPass(evs *[]Event) {
 		}
 		if err := a.rep.Sync(); err != nil {
 			c.syncErrors++
-			c.count("fleet.sync_errors", 1)
+			c.tr.Count("fleet.sync_errors", 1)
 			*evs = append(*evs, Event{
 				Kind: EvSyncError, At: c.clk.Now(), Group: a.Name,
 				From: a.Primary, To: a.Standby, Err: err,
@@ -779,7 +747,7 @@ func (c *Coordinator) MigrateGroup(group, to string) ([]Event, error) {
 func (c *Coordinator) migrate(a *Assignment, target *Node, evs *[]Event) {
 	src := c.nodes[a.Primary]
 	start := c.clk.Now()
-	sp := c.span(trace.TrackFleet, "fleet.migrate",
+	sp := c.tr.Begin(trace.TrackFleet, "fleet.migrate",
 		trace.S("group", a.Name), trace.S("from", src.Name), trace.S("to", target.Name))
 	g, _, err := src.M.MigrateTo(target.M, a.Name, c.cfg.MigrateRounds, a.work)
 	if err != nil {
@@ -805,16 +773,14 @@ func (c *Coordinator) migrate(a *Assignment, target *Node, evs *[]Event) {
 	a.held[target.Name] = true
 	a.Migrations++
 	c.rebalances++
-	c.count("fleet.migrations", 1)
-	c.observe("fleet.migrate.ns", int64(c.clk.Now()-start))
-	if mtr := target.M.Tracer; mtr != nil && c.tr != nil {
-		id := int64(telemetry.FlowID(c.src, sp.ID()))
-		mtr.Instant(trace.TrackFleet, "fleet.receive",
+	c.tr.Count("fleet.migrations", 1)
+	c.tr.Observe("fleet.migrate.ns", int64(c.clk.Now()-start))
+	if sp.ID() != 0 {
+		id := int64(trace.FlowID(c.src, sp.ID()))
+		target.M.Tracer.Instant(trace.TrackFleet, "fleet.receive",
 			trace.S("group", a.Name), trace.S("from", from),
-			trace.I(telemetry.FlowIn, id))
-		sp.End(trace.I(telemetry.FlowOut, id))
-	} else {
-		sp.End()
+			trace.I(trace.FlowIn, id))
+		sp.End(trace.I(trace.FlowOut, id))
 	}
 	*evs = append(*evs, Event{
 		Kind: EvRebalance, At: c.clk.Now(), Group: a.Name,

@@ -18,7 +18,7 @@ import (
 
 // newTracedFleet is newFleet with tracing and telemetry enabled on every
 // machine and the coordinator instrumented.
-func newTracedFleet(t *testing.T, n int, cfg Config) (*fleet, *trace.Tracer, *telemetry.Registry) {
+func newTracedFleet(t *testing.T, n int, cfg Config) (*fleet, *trace.Tracer) {
 	t.Helper()
 	f := &fleet{clk: clock.NewVirtual(), procs: make(map[string]*aurora.Proc)}
 	f.c = New(f.clk, cfg)
@@ -38,9 +38,8 @@ func newTracedFleet(t *testing.T, n int, cfg Config) (*fleet, *trace.Tracer, *te
 		f.names = append(f.names, name)
 	}
 	tr := trace.New(f.clk)
-	reg := telemetry.New(f.clk)
-	f.c.Instrument(tr, reg)
-	return f, tr, reg
+	f.c.Instrument(tr)
+	return f, tr
 }
 
 func findEvent(evs []trace.Event, name string) (trace.Event, bool) {
@@ -55,16 +54,14 @@ func findEvent(evs []trace.Event, name string) (trace.Event, bool) {
 func flowArg(ev trace.Event, key string) (int64, bool) {
 	for _, a := range ev.Args {
 		if a.Key == key {
-			if v, ok := a.Val.(int64); ok {
-				return v, true
-			}
+			return a.Int, true
 		}
 	}
 	return 0, false
 }
 
 func TestFailoverSpansAndFlowChain(t *testing.T) {
-	f, tr, reg := newTracedFleet(t, 3, Config{
+	f, tr := newTracedFleet(t, 3, Config{
 		SyncEvery:      2 * time.Millisecond,
 		HeartbeatEvery: 1 * time.Millisecond,
 	})
@@ -103,7 +100,7 @@ func TestFailoverSpansAndFlowChain(t *testing.T) {
 
 	// The flow chain: failover span carries flow_out, the promoted
 	// machine's tracer carries the matching flow_in.
-	out, ok := flowArg(fo, telemetry.FlowOut)
+	out, ok := flowArg(fo, trace.FlowOut)
 	if !ok {
 		t.Fatal("fleet.failover span has no flow_out")
 	}
@@ -113,7 +110,7 @@ func TestFailoverSpansAndFlowChain(t *testing.T) {
 	if !ok {
 		t.Fatalf("no fleet.promote instant on promoted machine %s", a.Primary)
 	}
-	in, ok := flowArg(promote, telemetry.FlowIn)
+	in, ok := flowArg(promote, trace.FlowIn)
 	if !ok {
 		t.Fatal("fleet.promote has no flow_in")
 	}
@@ -123,16 +120,16 @@ func TestFailoverSpansAndFlowChain(t *testing.T) {
 
 	// Fleet metrics: death + failover counters, latency histogram anchored
 	// at the ground-truth kill time.
-	if got := reg.Counter("fleet.deaths").Value(); got != 1 {
+	if got := tr.CounterValue("fleet.deaths"); got != 1 {
 		t.Fatalf("fleet.deaths = %d, want 1", got)
 	}
-	if got := reg.Counter("fleet.failovers").Value(); got != 1 {
+	if got := tr.CounterValue("fleet.failovers"); got != 1 {
 		t.Fatalf("fleet.failovers = %d, want 1", got)
 	}
-	if got := reg.Counter("fleet.reseeds").Value(); got < 2 {
+	if got := tr.CounterValue("fleet.reseeds"); got < 2 {
 		t.Fatalf("fleet.reseeds = %d, want >= 2 (initial seed + post-failover)", got)
 	}
-	h := reg.HistogramCopy("fleet.failover.ns")
+	h := tr.HistogramCopy("fleet.failover.ns")
 	if h == nil || h.Samples() != 1 {
 		t.Fatalf("fleet.failover.ns samples = %v, want 1", h)
 	}
@@ -148,7 +145,8 @@ func TestFailoverSpansAndFlowChain(t *testing.T) {
 }
 
 func TestStatusRendersSLOBreaches(t *testing.T) {
-	f, _, reg := newTracedFleet(t, 2, Config{})
+	f, tr := newTracedFleet(t, 2, Config{})
+	reg := telemetry.New(tr)
 	f.start(t, "g0", 0)
 	w := telemetry.NewWatch([]telemetry.SLO{
 		{Name: "ops-max", Metric: "ops", Kind: telemetry.SLOMaxUnder, Bound: 5},
@@ -166,16 +164,16 @@ func TestStatusRendersSLOBreaches(t *testing.T) {
 }
 
 func TestLoadGaugesTrackPrimaries(t *testing.T) {
-	f, _, reg := newTracedFleet(t, 2, Config{HeartbeatEvery: time.Millisecond})
+	f, tr := newTracedFleet(t, 2, Config{HeartbeatEvery: time.Millisecond})
 	f.start(t, "g0", 0)
 	f.run(t, 3, time.Millisecond)
-	if got := reg.Gauge("fleet.alive").Value(); got != 2 {
+	if got := tr.GaugeValue("fleet.alive"); got != 2 {
 		t.Fatalf("fleet.alive = %d, want 2", got)
 	}
-	if got := reg.Gauge("fleet.load.aur0").Value(); got <= 0 {
+	if got := tr.GaugeValue("fleet.load.aur0"); got <= 0 {
 		t.Fatalf("fleet.load.aur0 = %d, want > 0", got)
 	}
-	if got := reg.Gauge("fleet.load.aur1").Value(); got != 0 {
+	if got := tr.GaugeValue("fleet.load.aur1"); got != 0 {
 		t.Fatalf("fleet.load.aur1 = %d, want 0 (standby only)", got)
 	}
 }

@@ -100,9 +100,10 @@ type runner struct {
 }
 
 // teleState is the runner's metrics plane: one registry per machine (hung
-// off aurora.Machine by Config.Telemetry), one SLO watch per registry, a
-// separate registry+tracer for the placement coordinator, and the fleet
-// aggregation the snapshot and metric assertions read.
+// off aurora.Machine by Config.Telemetry), one SLO watch per registry, an
+// observer of its own for the placement coordinator (and the registry
+// sampling it), and the fleet aggregation the snapshot and metric
+// assertions read.
 type teleState struct {
 	decl  *TelemetryDecl
 	rules []telemetry.SLO
@@ -110,8 +111,7 @@ type teleState struct {
 	// watches evaluates rules per machine; the coordinator's registry gets
 	// its own watch so fleet.* metrics are judged where they live.
 	watches    map[string]*telemetry.Watch
-	coordReg   *telemetry.Registry
-	coordTr    *trace.Tracer
+	coord      *telemetry.Registry
 	coordWatch *telemetry.Watch
 	lastSample int64 // virtual ms of the last sampler tick
 }
@@ -312,16 +312,15 @@ func (r *runner) setup() error {
 		}
 		r.coord = placement.New(r.clk, cfg)
 		if r.tele != nil {
-			// The coordinator gets its own registry and tracer: fleet.*
-			// counters and failover/migration latency histograms live here,
-			// and its placement-decision spans join the merged timeline as
-			// the "coordinator" process.
-			r.tele.coordReg = telemetry.New(r.clk)
-			r.tele.coordTr = trace.New(r.clk)
+			// The coordinator gets its own observer: fleet.* counters and
+			// failover/migration latency histograms live in its store, and
+			// its placement-decision spans join the merged timeline as the
+			// "coordinator" process.
+			r.tele.coord = telemetry.New(trace.New(r.clk))
 			r.tele.coordWatch = telemetry.NewWatch(r.tele.rules)
-			r.coord.Instrument(r.tele.coordTr, r.tele.coordReg)
+			r.coord.Instrument(r.tele.coord.Store())
 			r.coord.WatchSLO(r.tele.coordWatch)
-			r.tele.fleet.Add("fleet", r.tele.coordReg)
+			r.tele.fleet.Add("fleet", r.tele.coord)
 		}
 		for _, name := range r.machineOrder {
 			if _, err := r.coord.AddMachine(name, r.machines[name].m); err != nil {
@@ -460,9 +459,9 @@ func (r *runner) drive() {
 // sampleTelemetry is one sampler-cadence tick: every registry snapshots
 // its counters/gauges/histogram-p99s into their time series, then the SLO
 // watch runs. A fired breach lands in three places at once — the hosting
-// machine's flight recorder (slo.breach), its registry's slo.breaches
-// counter (the sls.slo audit family cross-checks counter against breach
-// log), and the run result.
+// machine's flight recorder (slo.breach), its observer's slo.breaches
+// counter (counted by Eval; the sls.slo audit family cross-checks counter
+// against breach log), and the run result.
 func (r *runner) sampleTelemetry() {
 	now := r.clk.Now()
 	for _, name := range r.machineOrder {
@@ -470,16 +469,14 @@ func (r *runner) sampleTelemetry() {
 		reg := ms.m.Metrics
 		reg.Sample()
 		for _, b := range r.tele.watches[name].Eval(reg, now) {
-			reg.Counter("slo.breaches").Add(1)
 			ms.m.Flight.Record(int64(now), flight.EvSLOBreach,
 				b.Value, b.Bound, int64(now/time.Microsecond), b.SLO)
 			r.recordBreach(name, b)
 		}
 	}
-	if cr := r.tele.coordReg; cr != nil {
+	if cr := r.tele.coord; cr != nil {
 		cr.Sample()
 		for _, b := range r.tele.coordWatch.Eval(cr, now) {
-			cr.Counter("slo.breaches").Add(1)
 			r.recordBreach("fleet", b)
 		}
 	}
@@ -884,8 +881,8 @@ func (r *runner) finish() {
 		for _, name := range r.machineOrder {
 			finalEval(name, r.tele.watches[name], r.machines[name].m.Metrics)
 		}
-		if r.tele.coordReg != nil {
-			finalEval("fleet", r.tele.coordWatch, r.tele.coordReg)
+		if r.tele.coord != nil {
+			finalEval("fleet", r.tele.coordWatch, r.tele.coord)
 		}
 		snap := r.tele.fleet.FleetSnapshot()
 		snap.Breaches = make([]telemetry.Breach, 0, len(r.res.SLOBreaches))
@@ -952,20 +949,20 @@ func (r *runner) finish() {
 // kill -> failover -> promote chains) drawn as flow arrows. Empty when no
 // machine declared trace: true.
 func (r *runner) fleetTimeline() string {
-	var ms []telemetry.MachineTimeline
+	var tls []trace.Timeline
 	for _, name := range r.machineOrder {
-		if m := r.machines[name].m; m.Tracer != nil {
-			ms = append(ms, telemetry.MachineTimeline{Name: name, T: m.Tracer})
+		if ms := r.machines[name]; ms.decl.Trace {
+			tls = append(tls, trace.Timeline{Name: name, T: ms.m.Tracer})
 		}
 	}
-	if len(ms) == 0 {
+	if len(tls) == 0 {
 		return ""
 	}
-	if r.tele.coordTr != nil {
-		ms = append(ms, telemetry.MachineTimeline{Name: "coordinator", T: r.tele.coordTr})
+	if r.tele.coord != nil {
+		tls = append(tls, trace.Timeline{Name: "coordinator", T: r.tele.coord.Store()})
 	}
 	var sb strings.Builder
-	if err := telemetry.WriteFleetChrome(&sb, ms); err != nil {
+	if err := trace.WriteChrome(&sb, tls); err != nil {
 		r.recordErr("fleet timeline export: %v", err)
 		return ""
 	}
@@ -1141,8 +1138,8 @@ func (r *runner) metricRegistries(a AssertionDecl) []*telemetry.Registry {
 	for _, name := range r.machineOrder {
 		regs = append(regs, r.machines[name].m.Metrics)
 	}
-	if r.tele.coordReg != nil {
-		regs = append(regs, r.tele.coordReg)
+	if r.tele.coord != nil {
+		regs = append(regs, r.tele.coord)
 	}
 	return regs
 }
@@ -1151,7 +1148,7 @@ func (r *runner) metricRegistries(a AssertionDecl) []*telemetry.Registry {
 func (r *runner) metricHistogram(a AssertionDecl) *trace.Histogram {
 	var out *trace.Histogram
 	for _, reg := range r.metricRegistries(a) {
-		h := reg.HistogramCopy(a.Metric)
+		h := reg.Store().HistogramCopy(a.Metric)
 		if h == nil {
 			continue
 		}

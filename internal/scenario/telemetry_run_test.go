@@ -2,6 +2,11 @@ package scenario
 
 import (
 	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -288,6 +293,120 @@ func TestMetricAssertionMissingMetricFails(t *testing.T) {
 			if a.Pass || !strings.Contains(a.Detail, "no samples") {
 				t.Fatalf("missing metric: pass=%v detail=%q", a.Pass, a.Detail)
 			}
+		}
+	}
+}
+
+// TestTelemetryCorpusOneFingerprint: the three corpus scenarios that export
+// metrics give one fingerprint over five runs. The fingerprint folds in
+// metrics.json and timeline.json, which now carry names first touched from
+// flush workers, so any dependence on first-touch order shows up here.
+func TestTelemetryCorpusOneFingerprint(t *testing.T) {
+	for _, name := range []string{"fleet-observability", "fleet-kill-rebalance", "wal-gc-soak"} {
+		sc, err := Load(filepath.Join("..", "..", "scenarios", name+".yaml"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var first string
+		for i := 0; i < 5; i++ {
+			res, err := Run(sc, RunOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fp := res.Fingerprint(); i == 0 {
+				first = fp
+			} else if fp != first {
+				t.Fatalf("%s: run %d fingerprint %s, run 0 gave %s", name, i, fp, first)
+			}
+		}
+	}
+}
+
+// designNameTable reads the metric name table out of DESIGN.md: one regexp
+// per row, a <placeholder> standing for one name segment.
+func designNameTable(t *testing.T) []*regexp.Regexp {
+	t.Helper()
+	doc, err := os.ReadFile(filepath.Join("..", "..", "DESIGN.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rest, ok := strings.Cut(string(doc), "<!-- metric-names:begin -->")
+	body, _, ok2 := strings.Cut(rest, "<!-- metric-names:end -->")
+	if !ok || !ok2 {
+		t.Fatal("DESIGN.md has no metric-names table markers")
+	}
+	placeholder := regexp.MustCompile(`<[a-z]+>`)
+	var table []*regexp.Regexp
+	for _, line := range strings.Split(body, "\n") {
+		if name, _, ok := strings.Cut(strings.TrimPrefix(line, "| `"), "`"); ok && strings.HasPrefix(line, "| `") {
+			pat := placeholder.ReplaceAllString(regexp.QuoteMeta(name), `[a-z0-9_-]+`)
+			table = append(table, regexp.MustCompile("^"+pat+"$"))
+		}
+	}
+	if len(table) < 40 {
+		t.Fatalf("metric-names table has only %d rows", len(table))
+	}
+	return table
+}
+
+var (
+	metricNameShape = regexp.MustCompile(`^[a-z]+(\.[a-z0-9_-]+)+$`)
+	metricLayers    = []string{"dev", "objstore", "sls", "net", "fleet", "audit", "slo"}
+)
+
+// checkMetricName is the naming rule: the scheme's shape, a known layer as
+// the first segment, and a row in DESIGN.md's table.
+func checkMetricName(name string, table []*regexp.Regexp) error {
+	if !metricNameShape.MatchString(name) {
+		return fmt.Errorf("metric %q does not match %s", name, metricNameShape)
+	}
+	if layer, _, _ := strings.Cut(name, "."); !slices.Contains(metricLayers, layer) {
+		return fmt.Errorf("metric %q: first segment %q is not a layer %v", name, layer, metricLayers)
+	}
+	for _, row := range table {
+		if row.MatchString(name) {
+			return nil
+		}
+	}
+	return fmt.Errorf("metric %q is not in DESIGN.md's name table", name)
+}
+
+// TestMetricNameTable runs the traced + telemetry fleet scenario and holds
+// every name in every machine's store (and the coordinator's) to the rule.
+func TestMetricNameTable(t *testing.T) {
+	sc, err := Load(filepath.Join("..", "..", "scenarios", "fleet-observability.yaml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(sc, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	table := designNameTable(t)
+	seen := 0
+	for _, m := range res.Metrics.Machines {
+		names := []string{}
+		for _, v := range append(m.Counters, m.Gauges...) {
+			names = append(names, v.Name)
+		}
+		for _, h := range m.Histograms {
+			names = append(names, h.Name)
+		}
+		for _, name := range names {
+			seen++
+			if err := checkMetricName(name, table); err != nil {
+				t.Errorf("machine %s: %v", m.Machine, err)
+			}
+		}
+	}
+	if seen < 50 {
+		t.Fatalf("only %d metric names reached the snapshot; the single store should export every layer's", seen)
+	}
+	// The rule has teeth: what a stray tr.Count("oops", 1) would export, a
+	// name outside the layers, and a well-shaped name nobody documented.
+	for _, planted := range []string{"oops", "flush.queue_depth", "sls.Checkpoints", "sls.undocumented.thing"} {
+		if checkMetricName(planted, table) == nil {
+			t.Errorf("planted name %q passed the name-table rule", planted)
 		}
 	}
 }

@@ -213,7 +213,8 @@ func (g *Group) Checkpoint(kind CheckpointKind) (CheckpointStats, error) {
 		g.lastCkpt = o.Clk.Now()
 		g.ckpts++
 		ckptSpan.End()
-		o.recordCheckpointMetrics(st, false)
+		o.Tracer.Count("sls.ckpt.total", 1)
+		o.Tracer.Observe("sls.stop.ns", int64(st.StopTime))
 		return st, nil
 	}
 
@@ -288,9 +289,9 @@ func (g *Group) Checkpoint(kind CheckpointKind) (CheckpointStats, error) {
 }
 
 // finishCommit is the tail of every committed checkpoint: flight event,
-// stats, group bookkeeping, trace range and counters, telemetry. walSeq is
-// the WAL frame the commit appended, or 0 when it was an epoch (a fold of
-// any outstanding frames).
+// stats, group bookkeeping, and the commit's metrics and trace range, each
+// reported once. walSeq is the WAL frame the commit appended, or 0 when it
+// was an epoch (a fold of any outstanding frames).
 func (g *Group) finishCommit(st *CheckpointStats, ckptSpan trace.Span, epoch objstore.Epoch, walSeq uint64, durableAt time.Duration) {
 	o := g.o
 	wal := walSeq != 0
@@ -311,42 +312,23 @@ func (g *Group) finishCommit(st *CheckpointStats, ckptSpan trace.Span, epoch obj
 	}
 	if tr := o.Tracer; tr != nil {
 		// The drain window: submitted writes settling while the
-		// application already runs — the overlap the paper claims.
-		tr.Range(trace.TrackSLS, "durable.window", o.Clk.Now(), durableAt, args...)
-		tr.Count("sls.checkpoints", 1)
+		// application already runs — the overlap the paper claims. It is
+		// drawn as a range and observed as a histogram from the one
+		// subtraction; 0 when the device already caught up.
+		now := o.Clk.Now()
+		window := max(durableAt-now, 0)
+		tr.Range(trace.TrackSLS, "durable.window", now, durableAt, args...)
+		tr.Count("sls.ckpt.total", 1)
+		tr.Observe("sls.stop.ns", int64(st.StopTime))
+		tr.Observe("sls.durable.window.ns", int64(window))
 		if wal {
-			tr.Count("sls.wal_commits", 1)
+			tr.Count("sls.wal.commits", 1)
+			tr.Observe("sls.wal.window.ns", int64(window))
 		}
 		tr.Count("sls.dirty_pages", st.DirtyPages)
-		tr.Count("sls.flush_bytes", st.FlushBytes)
+		tr.Count("sls.flush.bytes", st.FlushBytes)
 	}
 	ckptSpan.End(args...)
-	o.recordCheckpointMetrics(*st, wal)
-}
-
-// recordCheckpointMetrics feeds the telemetry plane after one checkpoint:
-// the paper's continuous-time claims as histograms (the sampler turns
-// their p99 into time series), plus commit counters. The durable window
-// is the span from commit to the moment the write settles — 0 when the
-// device already caught up.
-func (o *Orchestrator) recordCheckpointMetrics(st CheckpointStats, wal bool) {
-	reg := o.Metrics
-	if reg == nil {
-		return
-	}
-	reg.Counter("sls.ckpt.total").Add(1)
-	reg.Observe("sls.stop.ns", int64(st.StopTime))
-	if st.DurableAt > 0 {
-		window := st.DurableAt - o.Clk.Now()
-		if window < 0 {
-			window = 0
-		}
-		reg.Observe("sls.durable.window.ns", int64(window))
-		if wal {
-			reg.Counter("sls.wal.commits").Add(1)
-			reg.Observe("sls.wal.window.ns", int64(window))
-		}
-	}
 }
 
 // Barrier waits until the group's last checkpoint is durable and releases

@@ -242,7 +242,7 @@ func (g *Group) runFlush(pl *flushPlan) (flushResult, error) {
 			}
 		}
 		if tr != nil {
-			tr.Observe("flush.queue_depth", d)
+			tr.Observe("sls.flush.queue_depth", d)
 		}
 		jobs <- j
 	}

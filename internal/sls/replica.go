@@ -8,7 +8,6 @@ import (
 	"aurora/internal/flight"
 	"aurora/internal/net"
 	"aurora/internal/objstore"
-	"aurora/internal/telemetry"
 	"aurora/internal/trace"
 )
 
@@ -123,7 +122,7 @@ func (r *Replica) Resume() error {
 		return nil
 	}
 	p := r.pending
-	span := r.traceSpan("sls.replica.resume", trace.I("epoch", int64(p.epoch)))
+	span := r.g.o.Tracer.Begin(trace.TrackSLS, "sls.replica.resume", trace.I("epoch", int64(p.epoch)))
 	if fl := r.g.o.Store.Flight(); fl != nil {
 		fl.Record(int64(r.g.o.Clk.Now()), flight.EvReplResume, int64(p.epoch), int64(len(p.data)), 0, "")
 	}
@@ -186,7 +185,7 @@ func (r *Replica) ship(since objstore.Epoch, cutStart time.Duration) error {
 		return err
 	}
 	epoch := uint64(r.g.lastEpoch)
-	span := r.traceSpan("sls.replica.ship",
+	span := r.g.o.Tracer.Begin(trace.TrackSLS, "sls.replica.ship",
 		trace.I("epoch", int64(epoch)), trace.I("bytes", int64(buf.Len())), trace.I("since", int64(since)))
 	if fl := r.g.o.Store.Flight(); fl != nil {
 		fl.Record(int64(r.g.o.Clk.Now()), flight.EvReplShip, int64(epoch), int64(buf.Len()), int64(since), "")
@@ -217,7 +216,7 @@ func (r *Replica) apply(epoch uint64, newBase objstore.Epoch, n int64, cutStart 
 		if src, span, ok := r.conn.SessionContext(epoch); ok {
 			dtr.Instant(trace.TrackNet, "net.apply",
 				trace.I("epoch", int64(epoch)),
-				trace.I(telemetry.FlowIn, int64(telemetry.FlowID(src, span))))
+				trace.I(trace.FlowIn, int64(trace.FlowID(src, span))))
 		}
 	}
 	payload, ok := r.conn.Take(epoch)
@@ -253,23 +252,12 @@ func (r *Replica) commit(newBase objstore.Epoch, n int64, cutStart time.Duration
 		tr.Count("sls.replica.bytes", n)
 		tr.Observe("sls.replica.lag.ns", int64(r.LastLag))
 	}
-	if reg := r.g.o.Metrics; reg != nil {
-		reg.Counter("sls.replica.syncs").Add(1)
-		reg.Observe("sls.replica.lag.ns", int64(r.LastLag))
-	}
 }
 
 func (r *Replica) accumulate(st net.TransferStats) {
 	r.WireBytes += st.WireBytes
 	r.Retransmits += st.Retransmits
 	r.Backoffs += st.Backoffs
-}
-
-func (r *Replica) traceSpan(name string, args ...trace.Arg) trace.Span {
-	if r.g.o.Tracer == nil {
-		return trace.Span{}
-	}
-	return r.g.o.Tracer.Begin(trace.TrackSLS, name, args...)
 }
 
 // ErrFailedOver reports an operation on a replica whose standby has already

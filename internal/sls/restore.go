@@ -282,15 +282,15 @@ func (o *Orchestrator) RestoreGroup(name string, src Source, mode RestoreMode, c
 	}
 	restSpan.End(trace.I("procs", int64(st.Procs)), trace.I("objects", int64(st.Objects)),
 		trace.I("pages_eager", st.PagesEager))
-	if reg := o.Metrics; reg != nil {
-		reg.Counter("sls.restores").Add(1)
+	if tr := o.Tracer; tr != nil {
+		tr.Count("sls.restores", 1)
 		ttfo := st.TimeToFirstOp
 		if ttfo == 0 {
 			// Serial and lazy restores run nothing until the rebuild ends:
 			// time-to-first-op is the whole restore.
 			ttfo = st.Time
 		}
-		reg.Observe("sls.restore.ttfo.ns", int64(ttfo))
+		tr.Observe("sls.restore.ttfo.ns", int64(ttfo))
 	}
 	return g, st, nil
 }

@@ -23,7 +23,6 @@ import (
 	"aurora/internal/clock"
 	"aurora/internal/kern"
 	"aurora/internal/objstore"
-	"aurora/internal/telemetry"
 	"aurora/internal/trace"
 	"aurora/internal/vm"
 )
@@ -137,17 +136,15 @@ type Orchestrator struct {
 	Store *objstore.Store
 	Clk   clock.Clock
 	Costs *clock.Costs
-	// Tracer, when non-nil, records checkpoint/restore/flush spans and
-	// page-in counters. Wire it before the first checkpoint (typically
-	// together with Store.SetTracer and the device's SetTracer so all
-	// layers share one timeline).
+	// Tracer, when non-nil, is the machine's one observer. It takes the
+	// checkpoint/restore/flush spans and, recorded once at the source, the
+	// paper's continuous-time claims as histograms (stop time, durable
+	// window, WAL window, time-to-first-op, replication lag) beside the
+	// commit, restore and page-in counters. Wire it before the first
+	// checkpoint (typically together with Store.SetTracer and the device's
+	// SetTracer so all layers share one store and one timeline). Every
+	// hook costs one pointer check when it is nil.
 	Tracer *trace.Tracer
-	// Metrics, when non-nil, is the machine's telemetry registry: the
-	// paper's continuous-time claims (stop time, durable window, WAL
-	// window, time-to-first-op, replication lag) recorded at the source
-	// as histograms, for the sampler to turn into time series. Nil-safe
-	// like the tracer: every hook costs one pointer check when disabled.
-	Metrics *telemetry.Registry
 
 	mu        sync.Mutex
 	groups    map[uint64]*Group

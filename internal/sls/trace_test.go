@@ -128,18 +128,83 @@ func TestTraceCheckpointSpanTree(t *testing.T) {
 		t.Error("durable.window span missing")
 	}
 
+	// Begin-args ride on the recorded span, ahead of the End args.
+	if a := ckpt.Args; len(a) < 2 || a[0].Key != "kind" || a[0].Int != int64(CkptIncremental) || a[1].Key != "epoch" {
+		t.Errorf("checkpoint span args = %+v, want kind then epoch", a)
+	}
+
 	// Counters must agree with the stats the checkpoint reported.
-	if got := tr.CounterValue("sls.checkpoints"); got != 1 {
-		t.Errorf("sls.checkpoints = %d", got)
+	if got := tr.CounterValue("sls.ckpt.total"); got != 1 {
+		t.Errorf("sls.ckpt.total = %d", got)
 	}
 	if got := tr.CounterValue("sls.dirty_pages"); got != st.DirtyPages {
 		t.Errorf("sls.dirty_pages = %d, stats %d", got, st.DirtyPages)
 	}
-	if got := tr.CounterValue("sls.flush_bytes"); got != st.FlushBytes {
-		t.Errorf("sls.flush_bytes = %d, stats %d", got, st.FlushBytes)
+	if got := tr.CounterValue("sls.flush.bytes"); got != st.FlushBytes {
+		t.Errorf("sls.flush.bytes = %d, stats %d", got, st.FlushBytes)
 	}
 	if tr.CounterValue("dev.submits") == 0 || tr.CounterValue("dev.bytes") == 0 {
 		t.Error("device counters empty")
+	}
+}
+
+// TestCheckpointCounterHasOneMeaning: over a full / incremental / WAL /
+// mem-only sequence sls.ckpt.total equals Group.Checkpoints() (mem-only
+// captures included), sls.wal.commits counts the commits that stayed WAL,
+// and every commit observes its stop time once and its durable window once.
+func TestCheckpointCounterHasOneMeaning(t *testing.T) {
+	w, tr := tracedWorld(t)
+	p := w.k.NewProc("app")
+	g := w.o.CreateGroup("app")
+	if err := g.Attach(p); err != nil {
+		t.Fatal(err)
+	}
+	va, err := p.Mmap(1<<20, vm.ProtRead|vm.ProtWrite, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wal, commits int64
+	for i, kind := range []CheckpointKind{CkptFull, CkptIncremental, CkptWAL, CkptMemOnly, CkptWAL, CkptIncremental, CkptMemOnly} {
+		if err := p.WriteMem(va+uint64(i)*vm.PageSize, []byte{byte(i + 1)}); err != nil {
+			t.Fatal(err)
+		}
+		st, err := g.Checkpoint(kind)
+		if err != nil {
+			t.Fatalf("checkpoint %d (kind %d): %v", i, kind, err)
+		}
+		if st.WALSeq != 0 {
+			wal++
+		}
+		if kind != CkptMemOnly {
+			commits++
+		}
+	}
+	if wal != 2 {
+		t.Fatalf("sequence stayed WAL %d times, want 2", wal)
+	}
+	if got := tr.CounterValue("sls.ckpt.total"); got != g.Checkpoints() || got != 7 {
+		t.Errorf("sls.ckpt.total = %d, Group.Checkpoints() = %d, want 7", got, g.Checkpoints())
+	}
+	if got := tr.CounterValue("sls.wal.commits"); got != wal {
+		t.Errorf("sls.wal.commits = %d, want %d", got, wal)
+	}
+	samples := func(name string) int64 {
+		if h := tr.HistogramCopy(name); h != nil {
+			return h.Samples()
+		}
+		return 0
+	}
+	if got := samples("sls.stop.ns"); got != 7 {
+		t.Errorf("sls.stop.ns samples = %d, want one per checkpoint (7)", got)
+	}
+	if got := samples("sls.durable.window.ns"); got != commits {
+		t.Errorf("sls.durable.window.ns samples = %d, want one per commit (%d)", got, commits)
+	}
+	if got := samples("sls.wal.window.ns"); got != wal {
+		t.Errorf("sls.wal.window.ns samples = %d, want %d", got, wal)
+	}
+	if got := int64(len(spansNamed(tr.Events(), "durable.window"))); got != commits {
+		t.Errorf("durable.window ranges = %d, want %d", got, commits)
 	}
 }
 
@@ -263,7 +328,7 @@ func TestNilTracerOverheadGuard(t *testing.T) {
 		t.Fatal(err)
 	}
 	hooks := len(tr.Events())
-	for _, h := range tr.Histograms() {
+	for _, h := range tr.Metrics().Histograms {
 		hooks += int(h.Count)
 	}
 	hooks *= 4

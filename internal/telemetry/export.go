@@ -4,37 +4,24 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 	"strings"
+
+	"aurora/internal/trace"
 )
 
-// Snapshot is the deterministic JSON view of one registry: every metric
-// in registration order, every series with its stored points. Two runs
-// of the same seeded scenario must produce byte-identical encodings —
-// CI diffs them raw.
+// Snapshot is the deterministic JSON view of one machine: every metric of
+// its store and every series with its stored points, each list sorted by
+// name. Two runs of the same seeded scenario must produce byte-identical
+// encodings — CI diffs them raw. It is also what the Prometheus text is
+// rendered from, so both exports come from one walk of the store.
 type Snapshot struct {
-	Machine    string       `json:"machine,omitempty"`
-	Counters   []NamedValue `json:"counters,omitempty"`
-	Gauges     []NamedValue `json:"gauges,omitempty"`
-	Histograms []HistView   `json:"histograms,omitempty"`
-	Series     []SeriesView `json:"series,omitempty"`
-}
-
-// NamedValue is one counter or gauge reading.
-type NamedValue struct {
-	Name  string `json:"name"`
-	Value int64  `json:"value"`
-}
-
-// HistView summarizes one histogram.
-type HistView struct {
-	Name  string `json:"name"`
-	Count int64  `json:"count"`
-	Sum   int64  `json:"sum"`
-	Min   int64  `json:"min"`
-	Max   int64  `json:"max"`
-	P50   int64  `json:"p50"`
-	P95   int64  `json:"p95"`
-	P99   int64  `json:"p99"`
+	Machine    string               `json:"machine,omitempty"`
+	Counters   []trace.NamedValue   `json:"counters,omitempty"`
+	Gauges     []trace.NamedValue   `json:"gauges,omitempty"`
+	Histograms []trace.HistSnapshot `json:"histograms,omitempty"`
+	Series     []SeriesView         `json:"series,omitempty"`
 }
 
 // SeriesView is one series with its surviving points.
@@ -45,28 +32,17 @@ type SeriesView struct {
 	Points []Point `json:"points"`
 }
 
-// Snapshot captures the registry's current state in registration order.
+// Snapshot captures the store's and the series' current state.
 func (r *Registry) Snapshot(machine string) Snapshot {
 	snap := Snapshot{Machine: machine}
 	if r == nil {
 		return snap
 	}
+	m := r.store.Metrics()
+	snap.Counters, snap.Gauges, snap.Histograms = m.Counters, m.Gauges, m.Histograms
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, name := range r.corder {
-		snap.Counters = append(snap.Counters, NamedValue{Name: name, Value: r.counters[name].Value()})
-	}
-	for _, name := range r.gorder {
-		snap.Gauges = append(snap.Gauges, NamedValue{Name: name, Value: r.gauges[name].Value()})
-	}
-	for _, name := range r.horder {
-		s := r.hists[name].Snapshot()
-		snap.Histograms = append(snap.Histograms, HistView{
-			Name: name, Count: s.Count, Sum: s.Sum, Min: s.Min, Max: s.Max,
-			P50: s.P50, P95: s.P95, P99: s.P99,
-		})
-	}
-	for _, name := range r.sorder {
+	for _, name := range slices.Sorted(maps.Keys(r.series)) {
 		s := r.series[name]
 		snap.Series = append(snap.Series, SeriesView{
 			Name: name, Agg: s.agg.String(), Stride: s.stride,
@@ -77,40 +53,27 @@ func (r *Registry) Snapshot(machine string) Snapshot {
 }
 
 // FleetSnapshot is the fleet-wide JSON view: per-machine snapshots in
-// registration order plus fleet-merged histogram summaries.
+// member order plus fleet-merged histogram summaries.
 type FleetSnapshot struct {
-	Machines []Snapshot `json:"machines"`
-	Merged   []HistView `json:"merged,omitempty"`
-	Breaches []Breach   `json:"slo_breaches,omitempty"`
+	Machines []Snapshot           `json:"machines"`
+	Merged   []trace.HistSnapshot `json:"merged,omitempty"`
+	Breaches []Breach             `json:"slo_breaches,omitempty"`
 }
 
 // FleetSnapshot captures every member plus merged views of the
-// histogram names present on any member (first-seen order).
+// histogram names present on any member, sorted by name.
 func (f *Fleet) FleetSnapshot() FleetSnapshot {
 	var out FleetSnapshot
-	if f == nil {
-		return out
-	}
-	var histNames []string
 	seen := make(map[string]bool)
 	f.each(func(name string, r *Registry) {
-		out.Machines = append(out.Machines, r.Snapshot(name))
-		r.mu.Lock()
-		for _, hn := range r.horder {
-			if !seen[hn] {
-				seen[hn] = true
-				histNames = append(histNames, hn)
-			}
+		snap := r.Snapshot(name)
+		out.Machines = append(out.Machines, snap)
+		for _, h := range snap.Histograms {
+			seen[h.Name] = true
 		}
-		r.mu.Unlock()
 	})
-	for _, hn := range histNames {
-		h := f.MergedHistogram(hn)
-		s := h.Snapshot()
-		out.Merged = append(out.Merged, HistView{
-			Name: hn, Count: s.Count, Sum: s.Sum, Min: s.Min, Max: s.Max,
-			P50: s.P50, P95: s.P95, P99: s.P99,
-		})
+	for _, hn := range slices.Sorted(maps.Keys(seen)) {
+		out.Merged = append(out.Merged, f.MergedHistogram(hn).Snapshot())
 	}
 	return out
 }
@@ -139,55 +102,75 @@ func promName(name string) string {
 	return b.String()
 }
 
-// WritePrometheus renders the registry in the Prometheus text exposition
+// WritePrometheus renders snapshots in the Prometheus text exposition
 // format: counters and gauges as scalars, histograms as summaries with
-// quantile labels. Deterministic: registration order, fixed formatting.
-func (r *Registry) WritePrometheus(w io.Writer, machine string) error {
-	if r == nil {
-		return nil
-	}
-	label := ""
-	if machine != "" {
-		label = fmt.Sprintf("{machine=%q}", machine)
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var b strings.Builder
-	for _, name := range r.corder {
+// quantile labels. A metric family gets exactly one # TYPE header, followed
+// by one sample (set) per snapshot that has it, labelled by machine — the
+// format forbids repeating the header per machine. Deterministic: families
+// sorted by name, machines in argument order, fixed formatting.
+func WritePrometheus(w io.Writer, snaps ...Snapshot) error {
+	fams := make(map[string]*strings.Builder)
+	family := func(name, typ string) (string, *strings.Builder) {
 		pn := promName(name)
-		fmt.Fprintf(&b, "# TYPE %s counter\n%s%s %d\n", pn, pn, label, r.counters[name].Value())
-	}
-	for _, name := range r.gorder {
-		pn := promName(name)
-		fmt.Fprintf(&b, "# TYPE %s gauge\n%s%s %d\n", pn, pn, label, r.gauges[name].Value())
-	}
-	for _, name := range r.horder {
-		pn := promName(name)
-		s := r.hists[name].Snapshot()
-		fmt.Fprintf(&b, "# TYPE %s summary\n", pn)
-		for _, qv := range []struct {
-			q string
-			v int64
-		}{{"0.5", s.P50}, {"0.95", s.P95}, {"0.99", s.P99}} {
-			if label == "" {
-				fmt.Fprintf(&b, "%s{quantile=%q} %d\n", pn, qv.q, qv.v)
-			} else {
-				fmt.Fprintf(&b, "%s{machine=%q,quantile=%q} %d\n", pn, machine, qv.q, qv.v)
-			}
+		b := fams[pn]
+		if b == nil {
+			b = new(strings.Builder)
+			fmt.Fprintf(b, "# TYPE %s %s\n", pn, typ)
+			fams[pn] = b
 		}
-		fmt.Fprintf(&b, "%s_sum%s %d\n%s_count%s %d\n", pn, label, s.Sum, pn, label, s.Count)
+		return pn, b
 	}
-	_, err := io.WriteString(w, b.String())
-	return err
+	for _, s := range snaps {
+		for _, c := range s.Counters {
+			pn, b := family(c.Name, "counter")
+			fmt.Fprintf(b, "%s%s %d\n", pn, promLabels(s.Machine, ""), c.Value)
+		}
+		for _, g := range s.Gauges {
+			pn, b := family(g.Name, "gauge")
+			fmt.Fprintf(b, "%s%s %d\n", pn, promLabels(s.Machine, ""), g.Value)
+		}
+		for _, h := range s.Histograms {
+			pn, b := family(h.Name, "summary")
+			fmt.Fprintf(b, "%s%s %d\n", pn, promLabels(s.Machine, "0.5"), h.P50)
+			fmt.Fprintf(b, "%s%s %d\n", pn, promLabels(s.Machine, "0.95"), h.P95)
+			fmt.Fprintf(b, "%s%s %d\n", pn, promLabels(s.Machine, "0.99"), h.P99)
+			label := promLabels(s.Machine, "")
+			fmt.Fprintf(b, "%s_sum%s %d\n%s_count%s %d\n", pn, label, h.Sum, pn, label, h.Count)
+		}
+	}
+	for _, pn := range slices.Sorted(maps.Keys(fams)) {
+		if _, err := io.WriteString(w, fams[pn].String()); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// WritePrometheus renders every member registry in sequence.
+// promLabels renders the label set of one sample; either label may be
+// absent.
+func promLabels(machine, quantile string) string {
+	var parts []string
+	if machine != "" {
+		parts = append(parts, fmt.Sprintf("machine=%q", machine))
+	}
+	if quantile != "" {
+		parts = append(parts, fmt.Sprintf("quantile=%q", quantile))
+	}
+	if parts == nil {
+		return ""
+	}
+	return "{" + strings.Join(parts, ",") + "}"
+}
+
+// WritePrometheus renders the registry's snapshot, labelled by machine
+// when one is given.
+func (r *Registry) WritePrometheus(w io.Writer, machine string) error {
+	return WritePrometheus(w, r.Snapshot(machine))
+}
+
+// WritePrometheus renders every member under shared family headers.
 func (f *Fleet) WritePrometheus(w io.Writer) error {
-	var err error
-	f.each(func(name string, r *Registry) {
-		if err == nil {
-			err = r.WritePrometheus(w, name)
-		}
-	})
-	return err
+	var snaps []Snapshot
+	f.each(func(name string, r *Registry) { snaps = append(snaps, r.Snapshot(name)) })
+	return WritePrometheus(w, snaps...)
 }

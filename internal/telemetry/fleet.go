@@ -5,8 +5,8 @@ import (
 )
 
 // Fleet aggregates per-machine registries into fleet-wide views. Members
-// iterate in registration order — the same determinism contract as the
-// placement coordinator.
+// iterate in the order they were added — the same determinism contract as
+// the placement coordinator.
 type Fleet struct {
 	names []string
 	regs  []*Registry
@@ -26,32 +26,19 @@ func (f *Fleet) Add(name string, r *Registry) {
 	f.regs = append(f.regs, r)
 }
 
-// Members returns the registered machine names in order.
-func (f *Fleet) Members() []string {
-	if f == nil {
-		return nil
-	}
-	return append([]string(nil), f.names...)
-}
-
 // MergedHistogram folds the named histogram from every member into one
 // fleet histogram. Members that never observed the metric contribute
 // nothing; the result is nil only when no member has it.
 func (f *Fleet) MergedHistogram(name string) *trace.Histogram {
-	if f == nil {
-		return nil
-	}
 	var out *trace.Histogram
-	for _, r := range f.regs {
-		h := r.HistogramCopy(name)
-		if h == nil {
-			continue
+	f.each(func(_ string, r *Registry) {
+		if h := r.store.HistogramCopy(name); h != nil {
+			if out == nil {
+				out = trace.NewHistogram(name)
+			}
+			out.Merge(h)
 		}
-		if out == nil {
-			out = trace.NewHistogram(name)
-		}
-		out.Merge(h)
-	}
+	})
 	return out
 }
 
@@ -63,19 +50,8 @@ func (f *Fleet) Quantile(name string, q float64) int64 {
 
 // CounterTotal sums the named counter across members.
 func (f *Fleet) CounterTotal(name string) int64 {
-	if f == nil {
-		return 0
-	}
 	var total int64
-	for _, r := range f.regs {
-		if r == nil {
-			continue
-		}
-		r.mu.Lock()
-		c := r.counters[name]
-		r.mu.Unlock()
-		total += c.Value()
-	}
+	f.each(func(_ string, r *Registry) { total += r.store.CounterValue(name) })
 	return total
 }
 

@@ -1,182 +1,50 @@
-// Package telemetry is the fleet-wide metrics plane of the Aurora
-// reproduction: a typed registry (counters, gauges, histograms) keyed to
-// the simulated virtual clock, sampled on a cadence into bounded
-// time-series rings with pair-merge downsampling, aggregated across
-// machines into fleet percentiles, and watched by a declarative SLO
-// engine. It layers on internal/trace — histograms reuse the tracer's
-// log2 bucketing so per-machine and fleet-merged quantiles share one
-// error bound — and exports as Prometheus text, a deterministic JSON
-// snapshot, and a merged multi-machine Chrome/Perfetto timeline.
+// Package telemetry is the fleet-wide reading side of the Aurora
+// reproduction's instrumentation. The numbers themselves — counters,
+// gauges, histograms — accumulate in each machine's internal/trace
+// observer and nowhere else; this package adds what that store lacks: a
+// Registry samples it on a cadence into bounded time-series rings with
+// pair-merge downsampling, a Watch judges declarative SLOs against it, a
+// Fleet merges machines into fleet percentiles, and the exporters render
+// Prometheus text and a deterministic JSON snapshot.
 //
-// Determinism is the contract: every accessor iterates metrics in
-// registration order (never map order), so two runs of a seeded scenario
-// produce byte-identical snapshots. Like the tracer, every method is
-// safe on a nil receiver — a subsystem holds a plain *Registry and the
-// disabled path costs one pointer check.
+// Determinism is the contract: every accessor iterates metrics sorted by
+// name (never map or first-touch order), so two runs of a seeded scenario
+// produce byte-identical snapshots. Like the tracer, every method is safe
+// on a nil receiver — the disabled path costs one pointer check.
 package telemetry
 
 import (
 	"sync"
 	"time"
 
-	"aurora/internal/clock"
 	"aurora/internal/trace"
 )
 
-// Counter is a monotonic total. Nil-safe.
-type Counter struct {
-	mu sync.Mutex
-	v  int64
-}
-
-// Add increments the counter by d.
-func (c *Counter) Add(d int64) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.v += d
-	c.mu.Unlock()
-}
-
-// Value returns the current total.
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.v
-}
-
-// Gauge is a momentary value (load, queue depth). Nil-safe.
-type Gauge struct {
-	mu sync.Mutex
-	v  int64
-}
-
-// Set overwrites the gauge.
-func (g *Gauge) Set(v int64) {
-	if g == nil {
-		return
-	}
-	g.mu.Lock()
-	g.v = v
-	g.mu.Unlock()
-}
-
-// Value returns the last set value.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.v
-}
-
-// Registry holds one machine's metrics. Construct with New; a nil
-// *Registry is the disabled plane — every method no-ops.
+// Registry is the sampler over one machine's metric store. Construct with
+// New; a nil *Registry is the disabled plane — every method no-ops.
 type Registry struct {
-	clk clock.Clock
+	store *trace.Tracer
 
-	mu       sync.Mutex
-	counters map[string]*Counter
-	corder   []string
-	gauges   map[string]*Gauge
-	gorder   []string
-	hists    map[string]*trace.Histogram
-	horder   []string
-	series   map[string]*Series
-	sorder   []string
+	mu     sync.Mutex
+	series map[string]*Series
 }
 
-// New returns a registry stamping series points from clk.
-func New(clk clock.Clock) *Registry {
-	return &Registry{
-		clk:      clk,
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*trace.Histogram),
-		series:   make(map[string]*Series),
+// New returns a registry sampling store, stamping series points from the
+// store's clock. A nil store yields the nil (disabled) registry.
+func New(store *trace.Tracer) *Registry {
+	if store == nil {
+		return nil
 	}
+	return &Registry{store: store, series: make(map[string]*Series)}
 }
 
-// Counter returns the named counter, creating it on first use. Returns
-// nil from a nil registry; the nil Counter absorbs Add/Value.
-func (r *Registry) Counter(name string) *Counter {
+// Store returns the observer this registry reads; nil from a nil registry,
+// and the nil observer absorbs every call.
+func (r *Registry) Store() *trace.Tracer {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c := r.counters[name]
-	if c == nil {
-		c = &Counter{}
-		r.counters[name] = c
-		r.corder = append(r.corder, name)
-	}
-	return c
-}
-
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g := r.gauges[name]
-	if g == nil {
-		g = &Gauge{}
-		r.gauges[name] = g
-		r.gorder = append(r.gorder, name)
-	}
-	return g
-}
-
-// Observe adds v to the named histogram (latencies in nanoseconds of
-// virtual time, sizes in bytes).
-func (r *Registry) Observe(name string, v int64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	h := r.hists[name]
-	if h == nil {
-		h = trace.NewHistogram(name)
-		r.hists[name] = h
-		r.horder = append(r.horder, name)
-	}
-	h.Add(v)
-	r.mu.Unlock()
-}
-
-// HistogramCopy returns a standalone copy of the named histogram for
-// merging, or nil if never observed.
-func (r *Registry) HistogramCopy(name string) *trace.Histogram {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h := r.hists[name]
-	if h == nil {
-		return nil
-	}
-	cp := trace.NewHistogram(name)
-	cp.Merge(h)
-	return cp
-}
-
-// Quantile returns the named histogram's q-quantile (0 if absent).
-func (r *Registry) Quantile(name string, q float64) int64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.hists[name].Quantile(q)
+	return r.store
 }
 
 // Record appends a raw sample to the named time series, creating it with
@@ -185,16 +53,19 @@ func (r *Registry) Record(name string, agg Agg, v int64) {
 	if r == nil {
 		return
 	}
-	now := r.clk.Now()
+	now := r.store.Now()
 	r.mu.Lock()
+	r.recordLocked(now, name, agg, v)
+	r.mu.Unlock()
+}
+
+func (r *Registry) recordLocked(now time.Duration, name string, agg Agg, v int64) {
 	s := r.series[name]
 	if s == nil {
 		s = newSeries(name, agg, defaultSeriesCap)
 		r.series[name] = s
-		r.sorder = append(r.sorder, name)
 	}
 	s.append(now, v)
-	r.mu.Unlock()
 }
 
 // SeriesPoints returns a copy of the named series' stored points.
@@ -211,34 +82,34 @@ func (r *Registry) SeriesPoints(name string) []Point {
 	return append([]Point(nil), s.pts...)
 }
 
-// Sample snapshots every counter, gauge, and histogram p99 into its
-// backing series — the sampler-cadence tick. Counters and gauges sample
-// with AggLast (the total/level at the sample instant); histogram p99s
-// sample with AggMax so downsampling never hides a latency spike.
+// reduce folds the named series' stored points with fn (0 if absent).
+func (r *Registry) reduce(name string, fn func(*Series) int64) int64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if s := r.series[name]; s != nil {
+		return fn(s)
+	}
+	return 0
+}
+
+// Sample snapshots every counter, gauge, and histogram p99 of the store
+// into its backing series — the sampler-cadence tick. Counters and gauges
+// sample with AggLast (the total/level at the sample instant); histogram
+// p99s sample with AggMax so downsampling never hides a latency spike.
 func (r *Registry) Sample() {
 	if r == nil {
 		return
 	}
-	now := r.clk.Now()
+	now, m := r.store.Now(), r.store.Metrics()
 	r.mu.Lock()
-	for _, name := range r.corder {
-		r.sampleLocked(now, name, AggLast, r.counters[name].Value())
+	defer r.mu.Unlock()
+	for _, c := range m.Counters {
+		r.recordLocked(now, c.Name, AggLast, c.Value)
 	}
-	for _, name := range r.gorder {
-		r.sampleLocked(now, name, AggLast, r.gauges[name].Value())
+	for _, g := range m.Gauges {
+		r.recordLocked(now, g.Name, AggLast, g.Value)
 	}
-	for _, name := range r.horder {
-		r.sampleLocked(now, name+".p99", AggMax, r.hists[name].Quantile(0.99))
+	for _, h := range m.Histograms {
+		r.recordLocked(now, h.Name+".p99", AggMax, h.P99)
 	}
-	r.mu.Unlock()
-}
-
-func (r *Registry) sampleLocked(now time.Duration, name string, agg Agg, v int64) {
-	s := r.series[name]
-	if s == nil {
-		s = newSeries(name, agg, defaultSeriesCap)
-		r.series[name] = s
-		r.sorder = append(r.sorder, name)
-	}
-	s.append(now, v)
 }

@@ -73,15 +73,20 @@ func NewWatch(rules []SLO) *Watch {
 }
 
 // Eval checks every rule against r at virtual time now, returning newly
-// fired breaches (empty most ticks). Nil-safe on both receiver and r.
+// fired breaches (empty most ticks). Each one is logged here and counted
+// once in r's store as slo.breaches — the pair the sls.slo audit family
+// cross-checks. Nil-safe on both receiver and r.
 func (w *Watch) Eval(r *Registry, now time.Duration) []Breach {
 	if w == nil || r == nil {
 		return nil
 	}
 	var fired []Breach
 	for i, rule := range w.rules {
-		value, violated := w.check(rule, r)
-		if !violated {
+		// "At least" objectives only make sense at end of run; during the
+		// run the value is still climbing, so Eval never trips them —
+		// Final is the authoritative check.
+		value, violated := rule.check(r)
+		if !violated || rule.Kind == SLOFinalAtLeast {
 			w.tripped[i] = false
 			continue
 		}
@@ -89,37 +94,35 @@ func (w *Watch) Eval(r *Registry, now time.Duration) []Breach {
 			continue
 		}
 		w.tripped[i] = true
-		b := Breach{
-			SLO: rule.Name, Metric: rule.Metric, Kind: rule.Kind.String(),
-			At: now, Value: value, Bound: rule.Bound,
-		}
+		b := rule.breach(now, value)
 		w.breaches = append(w.breaches, b)
 		fired = append(fired, b)
+		r.store.Count("slo.breaches", 1)
 	}
 	return fired
 }
 
-func (w *Watch) check(rule SLO, r *Registry) (value int64, violated bool) {
+// check reads the rule's metric from r and judges it against the bound.
+func (rule SLO) check(r *Registry) (value int64, violated bool) {
 	switch rule.Kind {
 	case SLOP99Under:
-		v := r.Quantile(rule.Metric, 0.99)
-		return v, v >= rule.Bound
+		value = r.store.Quantile(rule.Metric, 0.99)
+		return value, value >= rule.Bound
 	case SLOMaxUnder:
-		r.mu.Lock()
-		s := r.series[rule.Metric]
-		var v int64
-		if s != nil {
-			v = s.max()
-		}
-		r.mu.Unlock()
-		return v, v >= rule.Bound
+		value = r.reduce(rule.Metric, (*Series).max)
+		return value, value >= rule.Bound
 	case SLOFinalAtLeast:
-		// "At least" objectives only make sense at end of run; during the
-		// run the value is still climbing. Eval reports the live value but
-		// never trips — Final() is the authoritative check.
-		return 0, false
+		value = r.reduce(rule.Metric, (*Series).last)
+		return value, value < rule.Bound
 	}
 	return 0, false
+}
+
+func (rule SLO) breach(now time.Duration, value int64) Breach {
+	return Breach{
+		SLO: rule.Name, Metric: rule.Metric, Kind: rule.Kind.String(),
+		At: now, Value: value, Bound: rule.Bound,
+	}
 }
 
 // Final re-checks every rule at end of run, including final-at-least
@@ -130,32 +133,8 @@ func (w *Watch) Final(r *Registry, now time.Duration) []Breach {
 	}
 	var out []Breach
 	for _, rule := range w.rules {
-		var value int64
-		violated := false
-		switch rule.Kind {
-		case SLOP99Under:
-			value = r.Quantile(rule.Metric, 0.99)
-			violated = value >= rule.Bound
-		case SLOMaxUnder:
-			r.mu.Lock()
-			if s := r.series[rule.Metric]; s != nil {
-				value = s.max()
-			}
-			r.mu.Unlock()
-			violated = value >= rule.Bound
-		case SLOFinalAtLeast:
-			r.mu.Lock()
-			if s := r.series[rule.Metric]; s != nil {
-				value = s.last()
-			}
-			r.mu.Unlock()
-			violated = value < rule.Bound
-		}
-		if violated {
-			out = append(out, Breach{
-				SLO: rule.Name, Metric: rule.Metric, Kind: rule.Kind.String(),
-				At: now, Value: value, Bound: rule.Bound,
-			})
+		if value, violated := rule.check(r); violated {
+			out = append(out, rule.breach(now, value))
 		}
 	}
 	return out

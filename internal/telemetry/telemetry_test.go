@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -12,20 +13,23 @@ import (
 
 func TestNilRegistryIsInert(t *testing.T) {
 	var r *Registry
-	r.Counter("c").Add(1)
-	r.Gauge("g").Set(2)
-	r.Observe("h", 3)
+	r.Store().Count("c", 1)
+	r.Store().Gauge("g", 2)
+	r.Store().Observe("h", 3)
 	r.Record("s", AggLast, 4)
 	r.Sample()
-	if r.Counter("c").Value() != 0 || r.Gauge("g").Value() != 0 {
+	if r.Store().CounterValue("c") != 0 || r.Store().GaugeValue("g") != 0 {
 		t.Fatal("nil registry leaked a value")
 	}
-	if r.Quantile("h", 0.99) != 0 || r.HistogramCopy("h") != nil || r.SeriesPoints("s") != nil {
+	if r.Store().Quantile("h", 0.99) != 0 || r.Store().HistogramCopy("h") != nil || r.SeriesPoints("s") != nil {
 		t.Fatal("nil registry reads not zero")
 	}
 	snap := r.Snapshot("m")
 	if len(snap.Counters) != 0 {
 		t.Fatal("nil snapshot not empty")
+	}
+	if New(nil) != nil {
+		t.Fatal("a registry over no store must be the nil registry")
 	}
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf, "m"); err != nil || buf.Len() != 0 {
@@ -35,29 +39,29 @@ func TestNilRegistryIsInert(t *testing.T) {
 
 func TestCountersGaugesHistograms(t *testing.T) {
 	clk := clock.NewVirtual()
-	r := New(clk)
-	r.Counter("ops").Add(5)
-	r.Counter("ops").Add(7)
-	if got := r.Counter("ops").Value(); got != 12 {
+	r := New(trace.NewMetricsOnly(clk))
+	r.Store().Count("ops", 5)
+	r.Store().Count("ops", 7)
+	if got := r.Store().CounterValue("ops"); got != 12 {
 		t.Fatalf("counter = %d, want 12", got)
 	}
-	r.Gauge("load").Set(3)
-	r.Gauge("load").Set(9)
-	if got := r.Gauge("load").Value(); got != 9 {
+	r.Store().Gauge("load", 3)
+	r.Store().Gauge("load", 9)
+	if got := r.Store().GaugeValue("load"); got != 9 {
 		t.Fatalf("gauge = %d, want 9", got)
 	}
 	for _, v := range []int64{100, 200, 400} {
-		r.Observe("lat", v)
+		r.Store().Observe("lat", v)
 	}
-	if q := r.Quantile("lat", 0.99); q < 200 || q > 400 {
+	if q := r.Store().Quantile("lat", 0.99); q < 200 || q > 400 {
 		t.Fatalf("p99 = %d, want within [200,400]", q)
 	}
-	h := r.HistogramCopy("lat")
+	h := r.Store().HistogramCopy("lat")
 	if h == nil || h.Samples() != 3 {
 		t.Fatalf("histogram copy: %+v", h)
 	}
 	// The copy is detached: observing more does not mutate it.
-	r.Observe("lat", 800)
+	r.Store().Observe("lat", 800)
 	if h.Samples() != 3 {
 		t.Fatal("HistogramCopy aliases live histogram")
 	}
@@ -65,7 +69,7 @@ func TestCountersGaugesHistograms(t *testing.T) {
 
 func TestSeriesDownsampling(t *testing.T) {
 	clk := clock.NewVirtual()
-	r := New(clk)
+	r := New(trace.NewMetricsOnly(clk))
 	// Push 3*cap samples of a ramp through an AggMax series: the ring
 	// must stay bounded, stride must grow, and the max must survive.
 	n := 3 * defaultSeriesCap
@@ -125,14 +129,14 @@ func TestSeriesAggregators(t *testing.T) {
 
 func TestSampleCadence(t *testing.T) {
 	clk := clock.NewVirtual()
-	r := New(clk)
-	r.Counter("ops").Add(10)
-	r.Gauge("load").Set(4)
-	r.Observe("stop", 500)
+	r := New(trace.NewMetricsOnly(clk))
+	r.Store().Count("ops", 10)
+	r.Store().Gauge("load", 4)
+	r.Store().Observe("stop", 500)
 	r.Sample()
 	clk.Advance(time.Millisecond)
-	r.Counter("ops").Add(5)
-	r.Observe("stop", 900)
+	r.Store().Count("ops", 5)
+	r.Store().Observe("stop", 900)
 	r.Sample()
 	ops := r.SeriesPoints("ops")
 	if len(ops) != 2 || ops[0].V != 10 || ops[1].V != 15 {
@@ -149,19 +153,19 @@ func TestSampleCadence(t *testing.T) {
 
 func TestSLOWatchFiresOncePerEpisode(t *testing.T) {
 	clk := clock.NewVirtual()
-	r := New(clk)
+	r := New(trace.NewMetricsOnly(clk))
 	w := NewWatch([]SLO{
 		{Name: "stop-p99", Metric: "stop", Kind: SLOP99Under, Bound: 1000},
 		{Name: "window-max", Metric: "window", Kind: SLOMaxUnder, Bound: 50},
 	})
-	r.Observe("stop", 100)
+	r.Store().Observe("stop", 100)
 	r.Record("window", AggMax, 10)
 	if got := w.Eval(r, clk.Now()); len(got) != 0 {
 		t.Fatalf("healthy eval fired: %+v", got)
 	}
 	// Breach the p99 bound.
 	for i := 0; i < 100; i++ {
-		r.Observe("stop", 5000)
+		r.Store().Observe("stop", 5000)
 	}
 	clk.Advance(time.Millisecond)
 	first := w.Eval(r, clk.Now())
@@ -181,6 +185,10 @@ func TestSLOWatchFiresOncePerEpisode(t *testing.T) {
 	if all := w.Breaches(); len(all) != 2 {
 		t.Fatalf("breach log: %+v", all)
 	}
+	// Eval counts what it logs, once, in the store it judged.
+	if got := r.Store().CounterValue("slo.breaches"); got != 2 {
+		t.Fatalf("slo.breaches = %d, want the breach log's length 2", got)
+	}
 	if s := first[0].String(); !strings.Contains(s, "stop-p99") || !strings.Contains(s, "violated") {
 		t.Fatalf("breach string: %q", s)
 	}
@@ -188,7 +196,7 @@ func TestSLOWatchFiresOncePerEpisode(t *testing.T) {
 
 func TestSLOFinalAtLeast(t *testing.T) {
 	clk := clock.NewVirtual()
-	r := New(clk)
+	r := New(trace.NewMetricsOnly(clk))
 	w := NewWatch([]SLO{{Name: "ops-floor", Metric: "ops", Kind: SLOFinalAtLeast, Bound: 100}})
 	r.Record("ops", AggLast, 40)
 	// final-at-least never trips during the run...
@@ -216,13 +224,13 @@ func TestSLOFinalAtLeast(t *testing.T) {
 func TestFleetMergeAndQuantiles(t *testing.T) {
 	clk := clock.NewVirtual()
 	f := NewFleet()
-	a, b := New(clk), New(clk)
+	a, b := New(trace.NewMetricsOnly(clk)), New(trace.NewMetricsOnly(clk))
 	for i := 0; i < 50; i++ {
-		a.Observe("stop", 100)
-		b.Observe("stop", 10000)
+		a.Store().Observe("stop", 100)
+		b.Store().Observe("stop", 10000)
 	}
-	a.Counter("ops").Add(30)
-	b.Counter("ops").Add(12)
+	a.Store().Count("ops", 30)
+	b.Store().Count("ops", 12)
 	f.Add("a", a)
 	f.Add("b", b)
 	f.Add("dead", nil) // disabled member merges cleanly
@@ -240,13 +248,10 @@ func TestFleetMergeAndQuantiles(t *testing.T) {
 	if f.MergedHistogram("absent") != nil {
 		t.Fatal("absent metric merged to non-nil")
 	}
-	if got := f.Members(); len(got) != 3 || got[0] != "a" {
-		t.Fatalf("members: %v", got)
-	}
 	// Nil fleet is inert.
 	var nf *Fleet
 	nf.Add("x", a)
-	if nf.Members() != nil || nf.CounterTotal("ops") != 0 || nf.MergedHistogram("stop") != nil {
+	if nf.CounterTotal("ops") != 0 || nf.MergedHistogram("stop") != nil {
 		t.Fatal("nil fleet not inert")
 	}
 	if len(nf.FleetSnapshot().Machines) != 0 {
@@ -259,11 +264,11 @@ func TestSnapshotDeterminism(t *testing.T) {
 		clk := clock.NewVirtual()
 		f := NewFleet()
 		for _, name := range []string{"m0", "m1", "m2"} {
-			r := New(clk)
-			r.Counter("ops").Add(int64(len(name)) * 7)
-			r.Gauge("load").Set(3)
+			r := New(trace.NewMetricsOnly(clk))
+			r.Store().Count("ops", int64(len(name))*7)
+			r.Store().Gauge("load", 3)
 			for i := int64(0); i < 40; i++ {
-				r.Observe("stop", 100+i*13)
+				r.Store().Observe("stop", 100+i*13)
 				r.Record("window", AggMax, 5+i)
 			}
 			r.Sample()
@@ -289,10 +294,10 @@ func TestSnapshotDeterminism(t *testing.T) {
 
 func TestPrometheusExposition(t *testing.T) {
 	clk := clock.NewVirtual()
-	r := New(clk)
-	r.Counter("ckpt.total").Add(9)
-	r.Gauge("load").Set(2)
-	r.Observe("stop", 700)
+	r := New(trace.NewMetricsOnly(clk))
+	r.Store().Count("ckpt.total", 9)
+	r.Store().Gauge("load", 2)
+	r.Store().Observe("stop", 700)
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf, "m0"); err != nil {
 		t.Fatal(err)
@@ -318,67 +323,102 @@ func TestPrometheusExposition(t *testing.T) {
 	if !strings.Contains(buf.String(), "aurora_ckpt_total 9") {
 		t.Fatalf("unlabeled exposition:\n%s", buf.String())
 	}
-	// Fleet form concatenates members.
+	if !strings.Contains(buf.String(), `aurora_stop{quantile="0.5"} 700`) {
+		t.Fatalf("unlabeled summary:\n%s", buf.String())
+	}
+}
+
+// TestFleetPrometheusOneHeaderPerFamily parses the fleet exposition the way
+// a strict scraper does: a metric family has exactly one # TYPE line, and
+// every sample belongs to the family whose header came last. The parent
+// wrote the header once per machine.
+func TestFleetPrometheusOneHeaderPerFamily(t *testing.T) {
+	clk := clock.NewVirtual()
 	f := NewFleet()
-	f.Add("m0", r)
-	buf.Reset()
+	for i, name := range []string{"m0", "m1", "m2"} {
+		r := New(trace.NewMetricsOnly(clk))
+		r.Store().Count("sls.ckpt.total", int64(i+1))
+		r.Store().Gauge("fleet.alive", 3)
+		r.Store().Observe("sls.stop.ns", int64(1000*(i+1)))
+		if i == 1 {
+			r.Store().Count("sls.restores", 1) // a family only one machine has
+		}
+		f.Add(name, r)
+	}
+	var buf bytes.Buffer
 	if err := f.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), `{machine="m0"}`) {
-		t.Fatalf("fleet exposition:\n%s", buf.String())
+	seen := make(map[string]bool)
+	family, samples := "", 0
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			family, _, _ = strings.Cut(rest, " ")
+			if seen[family] {
+				t.Fatalf("family %s has a second # TYPE header:\n%s", family, buf.String())
+			}
+			seen[family] = true
+			continue
+		}
+		name := line[:strings.IndexAny(line, "{ ")]
+		if name != family && name != family+"_sum" && name != family+"_count" {
+			t.Fatalf("sample %q sits under family %q:\n%s", line, family, buf.String())
+		}
+		samples++
+	}
+	// 3 counters + 1 restores + 3 gauges + 3 summaries of 5 lines each.
+	if len(seen) != 4 || samples != 3+1+3+15 {
+		t.Fatalf("families=%d samples=%d:\n%s", len(seen), samples, buf.String())
+	}
+	if !strings.Contains(buf.String(), `aurora_sls_ckpt_total{machine="m2"} 3`) {
+		t.Fatalf("fleet exposition lost a labelled sample:\n%s", buf.String())
 	}
 }
 
-func TestFleetChromeFlowStitching(t *testing.T) {
-	clk := clock.NewVirtual()
-	src, dst := trace.New(clk), trace.New(clk)
-	id := FlowID(MachineID("src"), 1)
-	sp := src.Begin(trace.TrackNet, "net.transfer")
-	clk.Advance(5 * time.Millisecond)
-	sp.End(trace.I(FlowOut, int64(id)))
-	dst.Instant(trace.TrackNet, "net.recv", trace.I(FlowIn, int64(id)))
-	var buf bytes.Buffer
-	err := WriteFleetChrome(&buf, []MachineTimeline{{Name: "src", T: src}, {Name: "dst", T: dst}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		`"ph":"s"`, `"ph":"f"`, `"bp":"e"`, // both flow ends, binding enclosing
-		`"process_name"`, `"net.transfer"`, `"net.recv"`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("fleet chrome missing %s:\n%s", want, out)
+// TestExportsIgnoreFirstTouchOrder: two goroutines touching the same names
+// in opposite orders (flush workers reach dev.* whenever the scheduler lets
+// them) yield byte-identical JSON and Prometheus output.
+func TestExportsIgnoreFirstTouchOrder(t *testing.T) {
+	names := []string{"dev.submits", "objstore.data.bytes", "sls.ckpt.total", "net.transfers", "audit.runs"}
+	render := func(flip bool) (string, string) {
+		clk := clock.NewVirtual()
+		r := New(trace.NewMetricsOnly(clk))
+		touch := func(order []string) {
+			for _, n := range order {
+				r.Store().Count(n, 1)
+				r.Store().Gauge(n+".level", 2)
+				r.Store().Observe(n+".ns", 300)
+			}
 		}
-	}
-	if strings.Count(out, `"name":"flow"`) != 2 {
-		t.Fatalf("want exactly 2 flow phases:\n%s", out)
-	}
-	// Empty input still emits a valid JSON array.
-	buf.Reset()
-	if err := WriteFleetChrome(&buf, nil); err != nil || strings.TrimSpace(buf.String()) != "[]" {
-		t.Fatalf("empty timeline: %v %q", err, buf.String())
-	}
-}
-
-func TestFlowIDDeterministic(t *testing.T) {
-	a, b := MachineID("a"), MachineID("b")
-	if a == b || a == 0 {
-		t.Fatal("MachineID degenerate")
-	}
-	if FlowID(a, 1) != FlowID(a, 1) {
-		t.Fatal("FlowID not deterministic")
-	}
-	if FlowID(a, 1) == FlowID(b, 1) || FlowID(a, 1) == FlowID(a, 2) {
-		t.Fatal("FlowID collides on trivial inputs")
-	}
-	if _, ok := argID("nope"); ok {
-		t.Fatal("argID accepted a string")
-	}
-	for _, v := range []any{int64(7), uint64(7), int(7)} {
-		if id, ok := argID(v); !ok || id != 7 {
-			t.Fatalf("argID(%T): %d %v", v, id, ok)
+		rev := slices.Clone(names)
+		slices.Reverse(rev)
+		first, second := names, rev
+		if flip {
+			first, second = rev, names
 		}
+		// The first goroutine finishes before the second starts, so each
+		// render has a definite, opposite first-touch order.
+		for _, order := range [][]string{first, second} {
+			done := make(chan struct{})
+			go func() { touch(order); close(done) }()
+			<-done
+		}
+		r.Sample()
+		var js, prom bytes.Buffer
+		if err := WriteJSON(&js, r.Snapshot("m")); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.WritePrometheus(&prom, "m"); err != nil {
+			t.Fatal(err)
+		}
+		return js.String(), prom.String()
+	}
+	js1, prom1 := render(false)
+	js2, prom2 := render(true)
+	if js1 != js2 {
+		t.Fatalf("snapshot depends on first-touch order:\n%s\nvs\n%s", js1, js2)
+	}
+	if prom1 != prom2 {
+		t.Fatalf("prometheus text depends on first-touch order:\n%s\nvs\n%s", prom1, prom2)
 	}
 }

@@ -31,7 +31,7 @@ func TestHistogramMaxValueBucket(t *testing.T) {
 	tr := New(clock.NewVirtual())
 	tr.Observe("big", math.MaxInt64)
 	tr.Observe("big", math.MaxInt64)
-	h := tr.Histograms()[0]
+	h := tr.Metrics().Histograms[0]
 	if h.Min != math.MaxInt64 || h.Max != math.MaxInt64 {
 		t.Fatalf("min/max: %+v", h)
 	}
@@ -50,7 +50,7 @@ func TestHistogramMaxValueBucket(t *testing.T) {
 func TestHistogramNegativeClampsToZero(t *testing.T) {
 	tr := New(clock.NewVirtual())
 	tr.Observe("neg", -12345)
-	h := tr.Histograms()[0]
+	h := tr.Metrics().Histograms[0]
 	if h.Min != 0 || h.Max != 0 || h.P99 != 0 {
 		t.Fatalf("negative observation not clamped: %+v", h)
 	}
@@ -61,7 +61,7 @@ func TestHistogramP99SingleSample(t *testing.T) {
 	// only occupied bucket and the clamp pins the midpoint to the value.
 	tr := New(clock.NewVirtual())
 	tr.Observe("one", 7777)
-	h := tr.Histograms()[0]
+	h := tr.Metrics().Histograms[0]
 	if h.P50 != 7777 || h.P95 != 7777 || h.P99 != 7777 {
 		t.Fatalf("single-sample quantiles: %+v", h)
 	}
@@ -74,7 +74,7 @@ func TestHistogramZeroValueObservation(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		tr.Observe("z", 0)
 	}
-	h := tr.Histograms()[0]
+	h := tr.Metrics().Histograms[0]
 	if h.Count != 10 || h.P50 != 0 || h.P99 != 0 {
 		t.Fatalf("all-zero summary: %+v", h)
 	}

@@ -1,17 +1,21 @@
-// Package trace is the observability substrate of the Aurora reproduction:
-// a low-overhead tracing and metrics layer keyed to the simulated virtual
-// clock. Subsystems annotate their work with spans (parent/child intervals
-// of virtual time), instant events, monotonic counters, and log-bucketed
-// histograms; the collected timeline exports as Chrome trace-event JSON
-// (chrome://tracing / Perfetto loadable) and as a text rollup with
-// p50/p95/p99 summaries.
+// Package trace is the one instrumentation seam of the Aurora
+// reproduction: a *Tracer is a machine's single observer, keyed to the
+// simulated virtual clock. It owns the metric store — every counter, gauge
+// and log-bucketed histogram a layer reports accumulates here and nowhere
+// else — and, when built with New, the event timeline: spans (parent/child
+// intervals of virtual time), instants and counter samples, exported as
+// Chrome trace-event JSON (chrome://tracing / Perfetto loadable) and as a
+// text rollup. internal/telemetry reads the store (cadence sampling, SLOs,
+// fleet merge, Prometheus/JSON export); it keeps no second copy.
 //
 // Every entry point is safe on a nil *Tracer and returns immediately, so a
 // subsystem holds a plain pointer and the disabled path costs exactly one
-// pointer check. Hot paths that would compute arguments before the call
-// guard with `if tr != nil { ... }` so the disabled cost stays at that one
-// branch. The enabled path serializes on one mutex — tracing is for
-// diagnosis, not for the benchmarked configuration.
+// pointer check and no allocation: Args are plain values, copied only by an
+// enabled tracer, so the variadic slice at a call site stays on the stack.
+// Hot paths that would compute arguments before the call guard with
+// `if tr != nil { ... }` so the disabled cost stays at that one branch. The
+// enabled path serializes on one mutex — observing is for diagnosis, not
+// for the benchmarked configuration.
 //
 // Timestamps are virtual: spans measure simulated time, which is what the
 // paper's tables report. Stages that burn host CPU but no virtual time
@@ -21,8 +25,10 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -79,20 +85,31 @@ func (t Track) String() string {
 	return fmt.Sprintf("track%d", uint8(t))
 }
 
-// Arg is one key/value annotation on an event.
+// Arg is one key/value annotation on an event: an integer (Int) or, from S,
+// a string (Str). It holds no interface, so building one never allocates.
 type Arg struct {
-	Key string
-	Val any
+	Key   string
+	Str   string
+	Int   int64
+	isStr bool
 }
 
 // I is shorthand for an integer Arg.
-func I(key string, v int64) Arg { return Arg{Key: key, Val: v} }
+func I(key string, v int64) Arg { return Arg{Key: key, Int: v} }
 
 // S is shorthand for a string Arg.
-func S(key string, v string) Arg { return Arg{Key: key, Val: v} }
+func S(key string, v string) Arg { return Arg{Key: key, Str: v, isStr: true} }
 
 // D is shorthand for a duration Arg, exported in nanoseconds.
-func D(key string, v time.Duration) Arg { return Arg{Key: key, Val: int64(v)} }
+func D(key string, v time.Duration) Arg { return Arg{Key: key, Int: int64(v)} }
+
+// Value returns the annotation as exported: a string or an int64.
+func (a Arg) Value() any {
+	if a.isStr {
+		return a.Str
+	}
+	return a.Int
+}
 
 // EventKind discriminates collected events.
 type EventKind uint8
@@ -117,57 +134,74 @@ type Event struct {
 	Args   []Arg
 }
 
-// counter is one monotonic counter.
-type counter struct {
-	total int64
-}
-
-// Tracer collects events against a virtual clock. The zero value is not
-// usable; construct with New. A nil *Tracer is the disabled tracer: every
-// method is a no-op after one pointer check.
+// Tracer is one machine's observer: the metric store, and (from New) the
+// event timeline, both against a virtual clock. The zero value is not
+// usable; construct with New or NewMetricsOnly. A nil *Tracer is the
+// disabled observer: every method is a no-op after one pointer check.
 type Tracer struct {
-	clk clock.Clock
+	clk      clock.Clock
+	timeline bool // events are retained; fixed at construction
 
 	spanID atomic.Uint64
 
 	mu       sync.Mutex
 	events   []Event
-	counters map[string]*counter
+	counters map[string]int64
+	gauges   map[string]int64
 	hists    map[string]*Histogram
 }
 
-// New returns a tracer reading timestamps from clk.
+// New returns an observer that keeps both the metric store and the event
+// timeline, reading timestamps from clk.
 func New(clk clock.Clock) *Tracer {
+	t := NewMetricsOnly(clk)
+	t.timeline = true
+	return t
+}
+
+// NewMetricsOnly returns an observer that keeps the metric store but no
+// timeline: spans and instants are inert, counters take no samples.
+func NewMetricsOnly(clk clock.Clock) *Tracer {
 	return &Tracer{
 		clk:      clk,
-		counters: make(map[string]*counter),
+		counters: make(map[string]int64),
+		gauges:   make(map[string]int64),
 		hists:    make(map[string]*Histogram),
 	}
 }
 
-// Span is an open interval on a tracer. The zero Span (from a nil tracer)
-// is inert: Child and End are no-ops.
+// Now returns the observer's virtual time (0 from the nil observer).
+func (t *Tracer) Now() time.Duration {
+	if t == nil {
+		return 0
+	}
+	return t.clk.Now()
+}
+
+// Span is an open interval on a tracer: two words, so it travels in
+// registers and a function holding several costs no stack. The zero Span
+// (from a nil or metrics-only tracer) is inert: Child and End are no-ops.
 type Span struct {
-	t     *Tracer
-	track Track
-	name  string
-	id    uint64
-	paren uint64
-	start time.Duration
+	t  *Tracer
+	ev *Event // the record End completes; the begin-args are already on it
 }
 
 // Begin opens a root span on track at the current virtual time.
 func (t *Tracer) Begin(track Track, name string, args ...Arg) Span {
-	if t == nil {
+	return t.begin(track, name, 0, args)
+}
+
+// begin copies args rather than keeping the caller's slice, so a call site's
+// variadic slice never escapes and the nil path allocates nothing.
+func (t *Tracer) begin(track Track, name string, parent uint64, args []Arg) Span {
+	if t == nil || !t.timeline {
 		return Span{}
 	}
-	return Span{
-		t:     t,
-		track: track,
-		name:  name,
-		id:    t.spanID.Add(1),
-		start: t.clk.Now(),
-	}
+	return Span{t: t, ev: &Event{
+		Kind: KindSpan, Track: track, Name: name,
+		Start: t.clk.Now(), ID: t.spanID.Add(1), Parent: parent,
+		Args: append([]Arg(nil), args...),
+	}}
 }
 
 // Child opens a span nested under s, on s's track.
@@ -175,9 +209,7 @@ func (s Span) Child(name string, args ...Arg) Span {
 	if s.t == nil {
 		return Span{}
 	}
-	c := s.t.Begin(s.track, name)
-	c.paren = s.id
-	return c
+	return s.t.begin(s.ev.Track, name, s.ev.ID, args)
 }
 
 // ChildOn opens a span nested under s on a different track.
@@ -185,35 +217,43 @@ func (s Span) ChildOn(track Track, name string, args ...Arg) Span {
 	if s.t == nil {
 		return Span{}
 	}
-	c := s.t.Begin(track, name)
-	c.paren = s.id
-	return c
+	return s.t.begin(track, name, s.ev.ID, args)
 }
 
-// End closes the span at the current virtual time.
+// End closes the span at the current virtual time. The recorded event
+// carries the begin-args first, then args.
 func (s Span) End(args ...Arg) {
 	if s.t == nil {
 		return
 	}
-	now := s.t.clk.Now()
-	s.t.append(Event{
-		Kind: KindSpan, Track: s.track, Name: s.name,
-		Start: s.start, Dur: now - s.start,
-		ID: s.id, Parent: s.paren, Args: args,
-	})
+	ev := *s.ev
+	ev.Dur = s.t.clk.Now() - ev.Start
+	ev.Args = append(ev.Args, args...)
+	s.t.append(ev)
 }
 
-// ID returns the span's id, for cross-referencing in args.
-func (s Span) ID() uint64 { return s.id }
+// ID returns the span's id, for cross-referencing in args; 0 for the inert
+// span.
+func (s Span) ID() uint64 {
+	if s.t == nil {
+		return 0
+	}
+	return s.ev.ID
+}
 
 // Start returns the span's opening virtual time.
-func (s Span) Start() time.Duration { return s.start }
+func (s Span) Start() time.Duration {
+	if s.t == nil {
+		return 0
+	}
+	return s.ev.Start
+}
 
 // Range records a complete span over a known virtual interval — how async
 // work (a device submit that settles later) lands on the timeline without
 // holding a Span open.
 func (t *Tracer) Range(track Track, name string, start, end time.Duration, args ...Arg) {
-	if t == nil {
+	if t == nil || !t.timeline {
 		return
 	}
 	if end < start {
@@ -222,45 +262,48 @@ func (t *Tracer) Range(track Track, name string, start, end time.Duration, args 
 	t.append(Event{
 		Kind: KindSpan, Track: track, Name: name,
 		Start: start, Dur: end - start,
-		ID: t.spanID.Add(1), Args: args,
+		ID: t.spanID.Add(1), Args: append([]Arg(nil), args...),
 	})
 }
 
 // Instant records a point event at the current virtual time.
 func (t *Tracer) Instant(track Track, name string, args ...Arg) {
-	if t == nil {
+	if t == nil || !t.timeline {
 		return
 	}
-	t.append(Event{Kind: KindInstant, Track: track, Name: name, Start: t.clk.Now(), Args: args})
+	t.append(Event{Kind: KindInstant, Track: track, Name: name, Start: t.clk.Now(), Args: append([]Arg(nil), args...)})
 }
 
-// Count adds delta to the named monotonic counter and records a sample.
+// Count adds delta to the named monotonic counter; a timeline also takes a
+// sample of the new total. A zero delta declares the name, so a clean run
+// still exports it as 0 rather than as "no data".
 func (t *Tracer) Count(name string, delta int64) {
 	if t == nil {
 		return
 	}
-	now := t.clk.Now()
 	t.mu.Lock()
-	c := t.counters[name]
-	if c == nil {
-		c = &counter{}
-		t.counters[name] = c
-	}
-	c.total += delta
-	t.events = append(t.events, Event{Kind: KindCounter, Name: name, Start: now, Value: c.total})
+	total := t.counters[name] + delta
+	t.counters[name] = total
+	t.sampleLocked(name, total)
 	t.mu.Unlock()
 }
 
-// Gauge records a sample of a momentary value (queue depths, backlogs)
-// without accumulating it.
+// Gauge sets the named momentary value (queue depths, backlogs, load); a
+// timeline also takes a sample of it.
 func (t *Tracer) Gauge(name string, v int64) {
 	if t == nil {
 		return
 	}
-	now := t.clk.Now()
 	t.mu.Lock()
-	t.events = append(t.events, Event{Kind: KindCounter, Name: name, Start: now, Value: v})
+	t.gauges[name] = v
+	t.sampleLocked(name, v)
 	t.mu.Unlock()
+}
+
+func (t *Tracer) sampleLocked(name string, v int64) {
+	if t.timeline {
+		t.events = append(t.events, Event{Kind: KindCounter, Name: name, Start: t.clk.Now(), Value: v})
+	}
 }
 
 // Observe adds v to the named histogram (latencies in nanoseconds, depths
@@ -272,7 +315,7 @@ func (t *Tracer) Observe(name string, v int64) {
 	t.mu.Lock()
 	h := t.hists[name]
 	if h == nil {
-		h = &Histogram{name: name, min: int64(^uint64(0) >> 1)}
+		h = NewHistogram(name)
 		t.hists[name] = h
 	}
 	h.observe(v)
@@ -285,7 +328,8 @@ func (t *Tracer) append(ev Event) {
 	t.mu.Unlock()
 }
 
-// Events returns a copy of the collected timeline in collection order.
+// Events returns a copy of the collected timeline in collection order (nil
+// from a metrics-only tracer).
 func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
@@ -302,10 +346,44 @@ func (t *Tracer) CounterValue(name string) int64 {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if c := t.counters[name]; c != nil {
-		return c.total
+	return t.counters[name]
+}
+
+// GaugeValue returns the named gauge's last value (0 if never set).
+func (t *Tracer) GaugeValue(name string) int64 {
+	if t == nil {
+		return 0
 	}
-	return 0
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.gauges[name]
+}
+
+// Quantile returns the named histogram's q-quantile (0 if absent).
+func (t *Tracer) Quantile(name string, q float64) int64 {
+	if t == nil {
+		return 0
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.hists[name].Quantile(q)
+}
+
+// HistogramCopy returns a standalone copy of the named histogram for
+// merging, or nil if never observed.
+func (t *Tracer) HistogramCopy(name string) *Histogram {
+	if t == nil {
+		return nil
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	h := t.hists[name]
+	if h == nil {
+		return nil
+	}
+	cp := NewHistogram(name)
+	cp.Merge(h)
+	return cp
 }
 
 // Histogram is a log2-bucketed distribution: bucket i holds values whose
@@ -321,8 +399,8 @@ type Histogram struct {
 }
 
 // NewHistogram returns an empty standalone histogram — the same log2
-// bucketing the tracer uses, constructible outside a Tracer so telemetry
-// registries and fleet aggregation share one quantile implementation.
+// bucketing the tracer uses, constructible outside a Tracer so fleet
+// aggregation shares one quantile implementation.
 func NewHistogram(name string) *Histogram {
 	return &Histogram{name: name, min: int64(^uint64(0) >> 1)}
 }
@@ -391,13 +469,17 @@ func (h *Histogram) observe(v int64) {
 	h.buckets[bits.Len64(uint64(v))]++
 }
 
-// HistSnapshot is a read-only summary of one histogram.
+// HistSnapshot is a read-only summary of one histogram, tagged as the
+// metrics artifact spells it.
 type HistSnapshot struct {
-	Name          string
-	Count         int64
-	Sum           int64
-	Min, Max      int64
-	P50, P95, P99 int64
+	Name  string `json:"name"`
+	Count int64  `json:"count"`
+	Sum   int64  `json:"sum"`
+	Min   int64  `json:"min"`
+	Max   int64  `json:"max"`
+	P50   int64  `json:"p50"`
+	P95   int64  `json:"p95"`
+	P99   int64  `json:"p99"`
 }
 
 func (h *Histogram) snapshot() HistSnapshot {
@@ -441,48 +523,44 @@ func (h *Histogram) quantile(q float64) int64 {
 	return h.max
 }
 
-// Histograms returns snapshots of every histogram, sorted by name.
-func (t *Tracer) Histograms() []HistSnapshot {
+// NamedValue is one counter total or gauge reading.
+type NamedValue struct {
+	Name  string `json:"name"`
+	Value int64  `json:"value"`
+}
+
+// Metrics is the store at one instant, every list sorted by name: names are
+// first touched from concurrent goroutines (flush workers reach dev.*), so
+// any other order would make the artifacts scheduler-dependent.
+type Metrics struct {
+	Counters   []NamedValue
+	Gauges     []NamedValue
+	Histograms []HistSnapshot
+}
+
+// Metrics walks the store once. The rollup, the JSON snapshot, the
+// Prometheus text and the inspect report all render from this one walk.
+func (t *Tracer) Metrics() Metrics {
+	var m Metrics
 	if t == nil {
-		return nil
+		return m
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]HistSnapshot, 0, len(t.hists))
+	m.Counters = sortedValues(t.counters)
+	m.Gauges = sortedValues(t.gauges)
 	for _, h := range t.hists {
-		out = append(out, h.snapshot())
+		m.Histograms = append(m.Histograms, h.snapshot())
 	}
-	sortBy(out, func(a, b HistSnapshot) bool { return a.Name < b.Name })
+	slices.SortFunc(m.Histograms, func(a, b HistSnapshot) int { return cmp.Compare(a.Name, b.Name) })
+	return m
+}
+
+func sortedValues(vals map[string]int64) []NamedValue {
+	out := make([]NamedValue, 0, len(vals))
+	for name, v := range vals {
+		out = append(out, NamedValue{Name: name, Value: v})
+	}
+	slices.SortFunc(out, func(a, b NamedValue) int { return cmp.Compare(a.Name, b.Name) })
 	return out
-}
-
-// Counters returns name/total pairs sorted by name.
-func (t *Tracer) Counters() []CounterSnapshot {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]CounterSnapshot, 0, len(t.counters))
-	for name, c := range t.counters {
-		out = append(out, CounterSnapshot{Name: name, Total: c.total})
-	}
-	sortBy(out, func(a, b CounterSnapshot) bool { return a.Name < b.Name })
-	return out
-}
-
-// CounterSnapshot is one counter's final total.
-type CounterSnapshot struct {
-	Name  string
-	Total int64
-}
-
-// sortBy is an insertion sort — snapshot lists are small and this keeps
-// the package dependency-free.
-func sortBy[T any](s []T, less func(a, b T) bool) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && less(s[j], s[j-1]); j-- {
-			s[j-1], s[j] = s[j], s[j-1]
-		}
-	}
 }
