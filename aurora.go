@@ -141,12 +141,6 @@ type Config struct {
 	Name string
 	// StorageBytes is the total capacity of the striped store devices.
 	StorageBytes int64
-	// MemoryBytes caps simulated physical memory; 0 is unlimited.
-	MemoryBytes int64
-	// Devices is the stripe width (the paper uses 4).
-	Devices int
-	// StripeUnit is the stripe chunk (the paper uses 64 KiB).
-	StripeUnit int64
 	// Costs overrides the calibrated cost model; nil uses DefaultCosts.
 	Costs *clock.Costs
 	// Trace and Telemetry each give the machine its observer
@@ -198,11 +192,7 @@ type NetConfig struct {
 
 // Defaults returns the paper's testbed configuration scaled for a laptop.
 func Defaults() Config {
-	return Config{
-		StorageBytes: 8 << 30,
-		Devices:      4,
-		StripeUnit:   64 << 10,
-	}
+	return Config{StorageBytes: 8 << 30}
 }
 
 // Machine is one simulated computer.
@@ -259,12 +249,8 @@ func NewMachine(cfg Config) (*Machine, error) {
 // device across a crash (its crash log and rot are media state); otherwise
 // cfg.Fault interposes a fresh one.
 func build(cfg Config, disk *device.Stripe, clk *clock.Virtual, format bool, tr *trace.Tracer, fd *FaultDev) (*Machine, error) {
-	if cfg.Devices == 0 {
-		cfg.Devices = 4
-	}
-	if cfg.StripeUnit == 0 {
-		cfg.StripeUnit = 64 << 10
-	}
+	// The paper's testbed: four devices striped at 64 KiB, memory unlimited.
+	const devices, stripeUnit, memoryBytes = 4, 64 << 10, 0
 	if cfg.StorageBytes == 0 {
 		cfg.StorageBytes = 8 << 30
 	}
@@ -279,7 +265,7 @@ func build(cfg Config, disk *device.Stripe, clk *clock.Virtual, format bool, tr 
 		clk = clock.NewVirtual()
 	}
 	if disk == nil {
-		disk = device.NewStripe(clk, costs, cfg.Devices, cfg.StripeUnit, cfg.StorageBytes/int64(cfg.Devices))
+		disk = device.NewStripe(clk, costs, devices, stripeUnit, cfg.StorageBytes/devices)
 	}
 	if tr == nil && cfg.Trace {
 		tr = trace.New(clk)
@@ -330,7 +316,7 @@ func build(cfg Config, disk *device.Stripe, clk *clock.Virtual, format bool, tr 
 	}
 	store.SetTracer(tr)
 	store.SetFlight(fl)
-	vmsys := vm.NewSystem(mem.New(cfg.MemoryBytes), clk, costs)
+	vmsys := vm.NewSystem(mem.New(memoryBytes), clk, costs)
 	k := kern.New(clk, costs, vmsys, fs)
 	m := &Machine{
 		Clock:  clk,

@@ -260,9 +260,7 @@ func (r *runner) setup() error {
 		if err != nil {
 			return fmt.Errorf("workload %q on %q: %w", wd.App, wd.Machine, err)
 		}
-		if gs.g != nil && wd.FoldEvery > 0 {
-			gs.g.Options.FoldEvery = int(wd.FoldEvery)
-		}
+		gs.applyOptions()
 		key := wd.Group
 		if key == "" {
 			key = fmt.Sprintf("filebench/%d", i)
@@ -560,10 +558,18 @@ func (gs *groupState) record(st aurora.CheckpointStats, start time.Duration) {
 	gs.durableWindows = append(gs.durableWindows, w)
 }
 
-// applyWALOptions re-applies the workload's declared WAL fold cadence to a
-// (possibly fresh) group incarnation after restore/failover/migrate.
-func (gs *groupState) applyWALOptions() {
-	if gs.g != nil && gs.decl.FoldEvery > 0 {
+// applyOptions applies the scenario's group options to a (possibly fresh)
+// group incarnation, at setup and after restore/failover/migrate: the
+// workload's declared WAL fold cadence, and a serial flush pool. With two or
+// more flush workers the order their writes reach the device follows the
+// scheduler (ROADMAP item 2), and artifacts are compared byte for byte; once
+// submit order is decided at plan time the pin can go.
+func (gs *groupState) applyOptions() {
+	if gs.g == nil {
+		return
+	}
+	gs.g.Options.FlushWorkers = 1
+	if gs.decl.FoldEvery > 0 {
 		gs.g.Options.FoldEvery = int(gs.decl.FoldEvery)
 	}
 }
@@ -705,7 +711,7 @@ func (r *runner) applyFleetEvents(evs []placement.Event) {
 		gs.g = e.G
 		gs.host = r.machines[e.To]
 		gs.alive = true
-		gs.applyWALOptions()
+		gs.applyOptions()
 		if err := gs.app.rebind(gs); err != nil {
 			r.recordErr("rebind %s after fleet %s: %v", e.Group, e.Kind, err)
 			gs.alive = false
@@ -736,7 +742,7 @@ func (r *runner) fireRestore(e EventDecl) {
 	gs.g = g
 	gs.host = ms
 	gs.alive = true
-	gs.applyWALOptions()
+	gs.applyOptions()
 	if e.RestoreMode == "speculative" {
 		// The budget that matters speculatively is time-to-first-op —
 		// restores-under-us bounds exactly the span the mode shrinks.
@@ -806,7 +812,7 @@ func (r *runner) fireMigrate(e EventDecl) {
 	}
 	gs.g = g2
 	gs.host = dst
-	gs.applyWALOptions()
+	gs.applyOptions()
 	gs.stopTimes = append(gs.stopTimes, mst.FinalStop)
 	if err := gs.app.rebind(gs); err != nil {
 		r.recordErr("rebind %s after migrate: %v", e.Group, err)
@@ -829,7 +835,7 @@ func (r *runner) fireFailover(e EventDecl) {
 	gs.g = g2
 	gs.host = rs.to
 	gs.alive = true
-	gs.applyWALOptions()
+	gs.applyOptions()
 	gs.restoreTimes = append(gs.restoreTimes, rst.Time)
 	rs.alive = false // the standby is now the primary; the old wire is done
 	if err := gs.app.rebind(gs); err != nil {

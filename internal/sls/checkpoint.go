@@ -3,6 +3,8 @@ package sls
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"time"
 
@@ -516,7 +518,7 @@ func (s *serializer) group(ephemeral []*kern.Proc) error {
 
 	// Journals created through the Aurora API, by name.
 	e.U32(uint32(len(s.g.journals)))
-	for _, jn := range sortedKeys(s.g.journals) {
+	for _, jn := range slices.Sorted(maps.Keys(s.g.journals)) {
 		e.Str(jn)
 		e.U64(uint64(s.g.journals[jn]))
 		s.live[s.g.journals[jn]] = true
@@ -530,41 +532,20 @@ func (s *serializer) group(ephemeral []*kern.Proc) error {
 	return s.o.writeManifest()
 }
 
-func sortedKeys(m map[string]objstore.OID) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j-1] > out[j]; j-- {
-			out[j-1], out[j] = out[j], out[j-1]
-		}
-	}
-	return out
-}
-
 // writeManifest refreshes the orchestrator's group list, preserving
 // entries for groups that are not live in this kernel (suspended
 // applications, groups received but not yet restored).
 func (o *Orchestrator) writeManifest() error {
-	type entry struct {
-		id   uint64
-		name string
-		oid  objstore.OID
+	entries, err := readManifest(o.Store)
+	if err != nil {
+		return err
 	}
-	var entries []entry
-	index := make(map[string]int)
-	if raw, err := o.Store.GetRecord(ManifestOID); err == nil && len(raw) > 0 {
-		if d, derr := rec.NewDecoder(raw); derr == nil {
-			for i, n := 0, int(d.U32()); i < n && d.Err() == nil; i++ {
-				ent := entry{id: d.U64(), name: d.Str(), oid: objstore.OID(d.U64())}
-				index[ent.name] = len(entries)
-				entries = append(entries, ent)
-			}
-		}
+	index := make(map[string]int, len(entries))
+	for i, ent := range entries {
+		index[ent.name] = i
 	}
 	for _, g := range o.Groups() {
-		ent := entry{id: g.ID, name: g.Name, oid: g.oid}
+		ent := manifestEntry{id: g.ID, name: g.Name, oid: g.oid}
 		if i, ok := index[g.Name]; ok {
 			entries[i] = ent
 		} else {
@@ -572,6 +553,43 @@ func (o *Orchestrator) writeManifest() error {
 			entries = append(entries, ent)
 		}
 	}
+	return o.putManifest(entries)
+}
+
+// manifestEntry is one group of the manifest record: a U32 count, then
+// (U64 id, Str name, U64 oid) per group.
+type manifestEntry struct {
+	id   uint64
+	name string
+	oid  objstore.OID
+}
+
+// readManifest decodes src's manifest. An absent object or a zero-byte
+// record is "no groups": New ensures the object, so every store holds an
+// empty one before its first group checkpoint. Any other read or decode
+// failure is returned — taken for empty, the next write would drop every
+// group the record names.
+func readManifest(src Source) ([]manifestEntry, error) {
+	raw, err := src.GetRecord(ManifestOID)
+	if errors.Is(err, objstore.ErrNoObject) || (err == nil && len(raw) == 0) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	d, err := rec.NewDecoder(raw)
+	if err != nil {
+		return nil, err
+	}
+	var entries []manifestEntry
+	for i, n := 0, int(d.U32()); i < n && d.Err() == nil; i++ {
+		entries = append(entries, manifestEntry{id: d.U64(), name: d.Str(), oid: objstore.OID(d.U64())})
+	}
+	return entries, d.Err()
+}
+
+// putManifest is the one writer of the manifest record.
+func (o *Orchestrator) putManifest(entries []manifestEntry) error {
 	e := rec.NewEncoder()
 	e.U32(uint32(len(entries)))
 	for _, ent := range entries {

@@ -154,107 +154,102 @@ type flushResult struct {
 	maxDepth int
 }
 
-// runFlush drains the plan through the worker pool and commits the
-// bookkeeping. Options.FlushWorkers bounds the pool (0 = GOMAXPROCS,
-// 1 = serial). The call returns only when every job has landed or failed;
-// the store epoch is NOT cut here — that is the caller's commit step.
+// drainPool runs job(0..n-1) on a bounded pool — limit workers (0 =
+// GOMAXPROCS, 1 = serial), never more than there are jobs — handed out in
+// index order. It returns once every job has run or been skipped: after the
+// first error, which is the one returned, jobs not yet started are skipped.
+// queued, when set, sees the queue depth at each hand-off; maxDepth is its
+// high-water mark.
+func drainPool(limit, n int, queued func(depth int64), job func(i int) error) (workers, maxDepth int, err error) {
+	workers = limit
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, n)
+	var pool struct { // one struct: the workers share it through one allocation
+		depth  atomic.Int64
+		failed atomic.Bool
+		err    error // written by the worker that sets failed, read after wg.Wait
+		wg     sync.WaitGroup
+	}
+	jobs := make(chan int, n)
+	for w := 0; w < workers; w++ {
+		pool.wg.Add(1)
+		go func() {
+			defer pool.wg.Done()
+			for i := range jobs {
+				pool.depth.Add(-1)
+				if pool.failed.Load() {
+					continue
+				}
+				if e := job(i); e != nil && pool.failed.CompareAndSwap(false, true) {
+					pool.err = e
+				}
+			}
+		}()
+	}
+	for i := 0; i < n; i++ {
+		d := pool.depth.Add(1)
+		maxDepth = max(maxDepth, int(d))
+		if queued != nil {
+			queued(d)
+		}
+		jobs <- i
+	}
+	close(jobs)
+	pool.wg.Wait()
+	return workers, maxDepth, pool.err
+}
+
+// runFlush drains the plan through the worker pool (Options.FlushWorkers
+// bounds it) and commits the bookkeeping. The call returns only when every
+// job has landed or failed; the store epoch is NOT cut here — that is the
+// caller's commit step.
 func (g *Group) runFlush(pl *flushPlan) (flushResult, error) {
 	var res flushResult
 	if len(pl.jobs) == 0 {
 		return res, nil
 	}
-	workers := g.Options.FlushWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(pl.jobs) {
-		workers = len(pl.jobs)
-	}
-	res.workers = workers
 	tr := g.o.Tracer // nil disables; Span methods no-op on the zero Span
-
-	var (
-		bytes, encodeNS, writeNS atomic.Int64
-		depth, maxDepth          atomic.Int64
-		errMu                    sync.Mutex
-		firstErr                 error
-	)
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-	}
-	failed := func() bool {
-		errMu.Lock()
-		defer errMu.Unlock()
-		return firstErr != nil
-	}
-
-	jobs := make(chan *flushJob, len(pl.jobs))
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				depth.Add(-1)
-				if failed() {
-					continue // drain remaining jobs after an error
-				}
-				// Job spans are zero-width in virtual time — encode and
-				// submit burn host CPU only — so the host costs ride as
-				// args while the virtual timeline stays authoritative.
-				jobSpan := tr.Begin(trace.TrackFlush, "flush.job",
-					trace.I("oid", int64(j.toid)))
-				t0 := time.Now()
-				writes, frames := encodeJob(j)
-				encNS := int64(time.Since(t0))
-				encodeNS.Add(encNS)
-				if len(writes) == 0 {
-					jobSpan.End(trace.I("pages", 0))
-					continue
-				}
-				t0 = time.Now()
-				n, err := g.o.Store.WritePages(j.toid, writes)
-				wrNS := int64(time.Since(t0))
-				writeNS.Add(wrNS)
-				bytes.Add(n)
-				if err != nil {
-					fail(err)
-					frames = nil // they stay unstored, so a retried checkpoint stages them again
-				}
-				for _, p := range frames {
-					p.Dirty, p.Backed = false, true
-				}
-				jobSpan.End(trace.I("pages", int64(len(writes))), trace.I("bytes", n),
-					trace.I("encode_host_ns", encNS), trace.I("write_host_ns", wrNS))
+	var err error
+	var sum struct{ bytes, encodeNS, writeNS atomic.Int64 } // over workers
+	res.workers, res.maxDepth, err = drainPool(g.Options.FlushWorkers, len(pl.jobs),
+		func(d int64) { tr.Observe("sls.flush.queue_depth", d) },
+		func(i int) error {
+			j := pl.jobs[i]
+			// Job spans are zero-width in virtual time — encode and
+			// submit burn host CPU only — so the host costs ride as
+			// args while the virtual timeline stays authoritative.
+			jobSpan := tr.Begin(trace.TrackFlush, "flush.job",
+				trace.I("oid", int64(j.toid)))
+			t0 := time.Now()
+			writes, frames := encodeJob(j)
+			encNS := int64(time.Since(t0))
+			sum.encodeNS.Add(encNS)
+			if len(writes) == 0 {
+				jobSpan.End(trace.I("pages", 0))
+				return nil
 			}
-		}()
-	}
-	for _, j := range pl.jobs {
-		d := depth.Add(1)
-		for {
-			m := maxDepth.Load()
-			if d <= m || maxDepth.CompareAndSwap(m, d) {
-				break
+			t0 = time.Now()
+			n, err := g.o.Store.WritePages(j.toid, writes)
+			wrNS := int64(time.Since(t0))
+			sum.writeNS.Add(wrNS)
+			sum.bytes.Add(n)
+			if err != nil {
+				frames = nil // they stay unstored, so a retried checkpoint stages them again
 			}
-		}
-		if tr != nil {
-			tr.Observe("sls.flush.queue_depth", d)
-		}
-		jobs <- j
-	}
-	close(jobs)
-	wg.Wait()
-
-	res.bytes = bytes.Load()
-	res.encode = time.Duration(encodeNS.Load())
-	res.write = time.Duration(writeNS.Load())
-	res.maxDepth = int(maxDepth.Load())
-	if firstErr != nil {
-		return res, firstErr
+			for _, p := range frames {
+				p.Dirty, p.Backed = false, true
+			}
+			jobSpan.End(trace.I("pages", int64(len(writes))), trace.I("bytes", n),
+				trace.I("encode_host_ns", encNS), trace.I("write_host_ns", wrNS))
+			return err
+		})
+	res.bytes = sum.bytes.Load()
+	res.encode = time.Duration(sum.encodeNS.Load())
+	res.write = time.Duration(sum.writeNS.Load())
+	if err != nil {
+		return res, err
 	}
 
 	// Commit-side bookkeeping: flushed objects become store-backed (their

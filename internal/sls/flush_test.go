@@ -367,3 +367,39 @@ func TestFirstFlushFailedThenRetried(t *testing.T) {
 		t.Fatalf("image committed by the retry differs from the application's (err %v)", err)
 	}
 }
+
+// TestDrainPool pins the contract the flush pool and the validator pool
+// share: a serial pool runs the jobs in index order, the pool is never larger
+// than the job count, and after the first error — the one reported — jobs not
+// yet started are skipped.
+func TestDrainPool(t *testing.T) {
+	var order []int
+	var depths []int64
+	workers, maxDepth, err := drainPool(1, 5, func(d int64) { depths = append(depths, d) },
+		func(i int) error { order = append(order, i); return nil })
+	if err != nil || workers != 1 || len(depths) != 5 || maxDepth < 1 || maxDepth > 5 {
+		t.Fatalf("serial pool: workers %d, max depth %d, depths %v, err %v", workers, maxDepth, depths, err)
+	}
+	for i, got := range order {
+		if got != i {
+			t.Fatalf("serial pool ran jobs in order %v", order)
+		}
+	}
+	if workers, _, _ := drainPool(0, 3, nil, func(int) error { return nil }); workers != min(runtime.GOMAXPROCS(0), 3) {
+		t.Fatalf("default pool over 3 jobs has %d workers", workers)
+	}
+	if workers, maxDepth, err := drainPool(4, 0, nil, nil); workers != 0 || maxDepth != 0 || err != nil {
+		t.Fatalf("empty plan: workers %d, max depth %d, err %v", workers, maxDepth, err)
+	}
+	boom, ran := errors.New("boom"), 0
+	_, _, err = drainPool(1, 5, nil, func(i int) error {
+		ran++
+		if i >= 1 {
+			return boom
+		}
+		return nil
+	})
+	if err != boom || ran != 2 {
+		t.Fatalf("failing pool: err %v after %d jobs, want boom after 2", err, ran)
+	}
+}

@@ -8,8 +8,12 @@ package sls
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"testing"
 
+	"aurora/internal/objstore"
+	"aurora/internal/rec"
 	"aurora/internal/vm"
 )
 
@@ -96,6 +100,8 @@ func FuzzRecv(f *testing.F) {
 			f.Add(mut2)
 		}
 	}
+	// Well-formed framing around an item for an object the head never listed.
+	f.Add(forgeStream("evil", 100, []objstore.OID{100}, forgeRecord(ManifestOID, UTManifest, nil)))
 	f.Add([]byte{})
 	f.Add([]byte("AURS"))
 	f.Add(bytes.Repeat([]byte{0xff}, 32))
@@ -115,4 +121,108 @@ func FuzzRecv(f *testing.F) {
 			}
 		}
 	})
+}
+
+// forgeStream frames a full (non-delta) checkpoint stream by hand: a head
+// naming group oid and the live list, the given items, and the end marker —
+// what a corrupt or hostile sender could put on the wire.
+func forgeStream(name string, groupOID objstore.OID, live []objstore.OID, items ...[]byte) []byte {
+	head := rec.NewEncoder()
+	head.U32(streamMagic)
+	head.U8(streamVersion)
+	head.Str(name)
+	head.U64(uint64(groupOID))
+	head.U64(1) // source epoch
+	head.U64(0) // base epoch: a full stream
+	head.U32(uint32(len(live)))
+	for _, oid := range live {
+		head.U64(uint64(oid))
+	}
+	end := rec.NewEncoder()
+	end.U8(itemEnd)
+	var out []byte
+	for _, item := range append(append([][]byte{head.Seal()}, items...), end.Seal()) {
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(item)))
+		out = append(out, item...)
+	}
+	return out
+}
+
+func forgeRecord(oid objstore.OID, ut uint16, raw []byte) []byte {
+	e := rec.NewEncoder()
+	e.U8(itemRecord)
+	e.U64(uint64(oid))
+	e.U16(ut)
+	e.Bytes(raw)
+	return e.Seal()
+}
+
+// TestRecvRefusesUnlistedOIDs: a stream item may touch only an object the
+// stream's head listed, and never the receiver's manifest or flight ring.
+// Each forged stream must be refused as corrupt before the item it carries
+// has changed the object it aims at.
+func TestRecvRefusesUnlistedOIDs(t *testing.T) {
+	pagesHead := func(oid objstore.OID) []byte {
+		e := rec.NewEncoder()
+		e.U8(itemPages)
+		e.U64(uint64(oid))
+		e.I64(vm.PageSize)
+		return e.Seal()
+	}
+	journal := func(oid objstore.OID) []byte {
+		e := rec.NewEncoder()
+		e.U8(itemJournal)
+		e.U64(uint64(oid))
+		e.U16(UTMemObject)
+		e.I64(1 << 16)
+		e.U32(0)
+		return e.Seal()
+	}
+	const evil = objstore.OID(1 << 40) // the forged group's own, listed, record
+	for _, tc := range []struct {
+		name string
+		live []objstore.OID
+		item func(victim objstore.OID) []byte
+		aim  func(w *world, g *Group) objstore.OID
+	}{
+		{"record over the manifest", []objstore.OID{evil},
+			func(v objstore.OID) []byte { return forgeRecord(v, UTManifest, nil) },
+			func(*world, *Group) objstore.OID { return ManifestOID }},
+		{"record over the manifest, listed", []objstore.OID{evil, ManifestOID},
+			func(v objstore.OID) []byte { return forgeRecord(v, UTManifest, nil) },
+			func(*world, *Group) objstore.OID { return ManifestOID }},
+		{"record over the flight ring, listed", []objstore.OID{evil, objstore.FlightOID},
+			func(v objstore.OID) []byte { return forgeRecord(v, 0, []byte("x")) },
+			func(*world, *Group) objstore.OID { return objstore.FlightOID }},
+		{"record over another group's record", []objstore.OID{evil},
+			func(v objstore.OID) []byte { return forgeRecord(v, UTGroup, []byte("x")) },
+			func(_ *world, g *Group) objstore.OID { return g.oid }},
+		{"journal over another group's record", []objstore.OID{evil},
+			journal,
+			func(_ *world, g *Group) objstore.OID { return g.oid }},
+		{"pages into an unlisted object", []objstore.OID{evil},
+			pagesHead,
+			func(w *world, _ *Group) objstore.OID { return w.store.NewOID() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := newWorld(t)
+			g := w.o.CreateGroup("local")
+			g.Attach(w.k.NewProc("local"))
+			if _, err := g.Checkpoint(CkptIncremental); err != nil {
+				t.Fatal(err)
+			}
+			victim := tc.aim(w, g)
+			existed := w.store.Exists(victim)
+			before, _ := w.store.GetRecord(victim)
+			stream := forgeStream("evil", evil, tc.live, tc.item(victim))
+			if _, err := w.o.Recv(bytes.NewReader(stream)); !errors.Is(err, rec.ErrCorrupt) {
+				t.Fatalf("err = %v, want rec.ErrCorrupt", err)
+			}
+			after, _ := w.store.GetRecord(victim)
+			if w.store.Exists(victim) != existed || !bytes.Equal(after, before) {
+				t.Fatalf("object %d changed under a refused stream: existed %v -> %v, %d -> %d bytes",
+					victim, existed, w.store.Exists(victim), len(before), len(after))
+			}
+		})
+	}
 }

@@ -1,8 +1,11 @@
 package sls
 
 import (
+	"errors"
 	"testing"
+	"time"
 
+	"aurora/internal/net"
 	"aurora/internal/vm"
 )
 
@@ -19,7 +22,7 @@ func TestPreCopyLiveMigration(t *testing.T) {
 
 	dst := newWorld(t)
 	round := 0
-	restored, st, err := g.Migrate(dst.o, 2, func() error {
+	restored, st, err := g.MigrateVia(dst.o, 2, func() error {
 		// The app keeps running between rounds, dirtying a few pages.
 		round++
 		for i := 0; i < 4; i++ {
@@ -28,7 +31,7 @@ func TestPreCopyLiveMigration(t *testing.T) {
 			}
 		}
 		return nil
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,5 +122,109 @@ func TestSuspendResume(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("suspended group missing from manifest: %v", names)
+	}
+}
+
+// TestMigrateRoundCutMidTransfer: the wire dies after the first frames of a
+// round are acked, so the receiver holds an open session with buffered
+// frames when the round gives up. The failed migration must drop it — a
+// retry ships under new epoch keys, and nothing would ever collect the old
+// session — leave the source running, and succeed when retried on the same
+// connection. (TestMigrateToDeadMachine partitions from time zero: no Hello
+// gets through, so no session ever opens.)
+func TestMigrateRoundCutMidTransfer(t *testing.T) {
+	src, err := newWorldE()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst, err := newWorldE()
+	if err != nil {
+		t.Fatal(err)
+	}
+	app, err := startReplApp(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pg := int64(0); pg < workloadPages; pg++ {
+		if err := app.write(pg, byte(1+pg)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cfg := replConfig()
+	cfg.MaxRetries = 3
+	// Transmission 0 is the Hello; the cable is pulled on the sixth.
+	conn := net.NewConn(net.NewPipe(src.clk, net.DefaultParams(),
+		net.Plan{PartitionXmit: 6, PartitionDur: time.Hour}, net.Plan{}), src.clk, cfg, nil)
+	work := func() error { return app.write(1, 0x77) }
+
+	if _, _, err := app.g.MigrateVia(dst.o, 1, work, conn); !errors.Is(err, net.ErrRetriesExhausted) {
+		t.Fatalf("migrate over a wire cut mid-round: err = %v, want retries exhausted", err)
+	}
+	cut := uint64(app.g.Epoch())
+	if next, total, ok := conn.SessionProgress(cut); ok {
+		t.Fatalf("failed migration left the receiver's session for epoch %d behind (%d/%d frames buffered)", cut, next, total)
+	}
+	if err := app.write(2, 0x99); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := app.g.Checkpoint(CkptIncremental); err != nil {
+		t.Fatalf("source group not checkpointable after the failed migration: %v", err)
+	}
+
+	src.clk.Advance(2 * time.Hour)
+	g2, st, err := app.g.MigrateVia(dst.o, 1, work, conn)
+	if err != nil {
+		t.Fatalf("retry on the same connection: %v", err)
+	}
+	if st.Rounds != 3 {
+		t.Fatalf("retry rounds = %d, want 3", st.Rounds)
+	}
+	img := make([]byte, workloadPages*vm.PageSize)
+	if err := g2.Procs()[0].ReadMem(app.va, img); err != nil {
+		t.Fatal(err)
+	}
+	if err := (&replImage{mem: img, jour: app.jour}).checkModel(app.model, app.jour); err != nil {
+		t.Fatalf("migrated image: %v", err)
+	}
+}
+
+// TestMigratePrivateClockDestination is the migration twin of the
+// private-clock case of TestStandbyTrimsInsideCommit: a destination on a
+// clock of its own is moved up to each round's arrival, so its device queue
+// has drained when the group is restored there and the switchover pays for
+// the restore alone, however many rounds came before.
+func TestMigratePrivateClockDestination(t *testing.T) {
+	const pages, perRound = 1024, 64
+	switchover := func(rounds int) time.Duration {
+		src, dst := newWorld(t), newWorld(t)
+		p := src.k.NewProc("db")
+		g := src.o.CreateGroup("db")
+		g.Attach(p)
+		va, _ := p.Mmap(pages*vm.PageSize, vm.ProtRead|vm.ProtWrite, false)
+		for i := 0; i < pages; i++ {
+			p.WriteMem(va+uint64(i*vm.PageSize), []byte{byte(i)})
+		}
+		round, seen := 0, dst.clk.Now()
+		_, _, err := g.MigrateVia(dst.o, rounds, func() error {
+			if now := dst.clk.Now(); now <= seen {
+				t.Fatalf("round %d did not move the destination's clock (still %v)", round, now)
+			} else {
+				seen = now
+			}
+			round++
+			for i := 0; i < perRound; i++ {
+				p.WriteMem(va+uint64(i*vm.PageSize)+8, []byte{byte(round), byte(round >> 8)})
+			}
+			return nil
+		}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The source's clock stopped at the last ship; what the destination
+		// ran past it is the last stream's apply plus the restore.
+		return dst.clk.Now() - src.clk.Now()
+	}
+	if few, many := switchover(10), switchover(100); many != few {
+		t.Fatalf("switchover after 100 rounds costs %v, after 10 %v: the destination is paying for its history", many, few)
 	}
 }

@@ -24,6 +24,9 @@ import (
 // retries (partition outlasting the backoff budget) leaves the encoded
 // stream pending; the next Sync — or an explicit Resume — re-ships only
 // the frames the standby has not acked, then applies the stream.
+//
+// Live migration (Group.MigrateVia) is this lifecycle on purpose: seed, a
+// sync per round, the source exits, failover.
 
 // Replica is a warm standby of a group on another orchestrator.
 type Replica struct {
@@ -52,7 +55,8 @@ type Replica struct {
 	Resumes     int64 // ships completed from a pending transfer
 }
 
-// pendingShip is an encoded stream whose transfer did not complete.
+// pendingShip is one encoded stream on its way to the standby; the replica
+// keeps it (pending) when its transfer did not complete.
 type pendingShip struct {
 	epoch    uint64 // transfer key: the shipped checkpoint epoch
 	newBase  objstore.Epoch
@@ -96,20 +100,26 @@ func (g *Group) ReplicateToVia(dst *Orchestrator, conn *net.Conn) (*Replica, err
 // interrupted ship is completed first — its epoch must land before any
 // later delta can apply.
 func (r *Replica) Sync() error {
-	if r.failedOver {
-		return ErrFailedOver
-	}
 	if err := r.Resume(); err != nil {
 		return err
 	}
+	_, err := r.sync()
+	return err
+}
+
+// sync is one replication round: checkpoint, make it durable, ship what the
+// standby lacks (everything, while it holds no base). A migration round is
+// the same thing.
+func (r *Replica) sync() (CheckpointStats, error) {
 	cutStart := r.g.o.Clk.Now()
-	if _, err := r.g.Checkpoint(CkptIncremental); err != nil {
-		return err
+	cst, err := r.g.Checkpoint(CkptIncremental)
+	if err != nil {
+		return cst, err
 	}
 	if err := r.g.Barrier(); err != nil {
-		return err
+		return cst, err
 	}
-	return r.ship(r.base, cutStart)
+	return cst, r.ship(r.base, cutStart)
 }
 
 // Resume completes a ship interrupted by retry exhaustion, re-sending only
@@ -126,16 +136,10 @@ func (r *Replica) Resume() error {
 	if fl := r.g.o.Store.Flight(); fl != nil {
 		fl.Record(int64(r.g.o.Clk.Now()), flight.EvReplResume, int64(p.epoch), int64(len(p.data)), 0, "")
 	}
-	st, err := r.conn.Transfer(p.epoch, p.data)
-	r.accumulate(st)
-	if err != nil {
-		span.End(trace.S("err", err.Error()))
-		return fmt.Errorf("sls: resuming replication of epoch %d: %w", p.epoch, err)
+	err := r.wire(p, span, "resuming replication of")
+	if r.pending == nil {
+		r.Resumes++ // the transfer completed, whatever became of landing it
 	}
-	r.Resumes++
-	err = r.apply(p.epoch, p.newBase, int64(len(p.data)), p.cutStart)
-	r.pending = nil
-	span.End()
 	return err
 }
 
@@ -148,13 +152,18 @@ func (r *Replica) Pending() bool { return r.pending != nil }
 // when the primary moves (live migration) — the handle's source group no
 // longer exists, so shipping through it would replicate a corpse.
 func (r *Replica) Abandon() {
+	r.dropPending()
+	r.failedOver = true
+}
+
+// dropPending forgets an interrupted ship on both ends: the encoded stream
+// here and the receiver's session with its buffered frames. Only a wire
+// transfer is ever left pending.
+func (r *Replica) dropPending() {
 	if r.pending != nil {
-		if r.conn != nil {
-			r.conn.Abort(r.pending.epoch)
-		}
+		r.conn.Abort(r.pending.epoch)
 		r.pending = nil
 	}
-	r.failedOver = true
 }
 
 // FailedOver reports whether the standby has been promoted.
@@ -164,69 +173,77 @@ func (r *Replica) FailedOver() bool { return r.failedOver }
 // up to epoch N" a failover scenario asserts before pulling the plug.
 func (r *Replica) Base() objstore.Epoch { return r.base }
 
-// ship encodes (full when since==0, else delta), moves the stream to the
-// standby, and applies it there.
+// ship encodes the group's last committed state (full when since==0, else
+// the delta), moves the stream to the standby, and lands it there.
 func (r *Replica) ship(since objstore.Epoch, cutStart time.Duration) error {
 	var buf bytes.Buffer
-	if r.conn == nil {
-		cw := &countWriter{w: &buf}
-		if err := r.g.send(cw, since); err != nil {
-			return err
-		}
-		r.arrive()
-		if _, err := r.dst.Recv(&buf); err != nil {
-			return err
-		}
-		r.commit(r.g.lastEpoch, cw.n, cutStart)
-		return nil
-	}
-
 	if _, err := r.g.encodeStream(&buf, since); err != nil {
 		return err
 	}
-	epoch := uint64(r.g.lastEpoch)
-	span := r.g.o.Tracer.Begin(trace.TrackSLS, "sls.replica.ship",
-		trace.I("epoch", int64(epoch)), trace.I("bytes", int64(buf.Len())), trace.I("since", int64(since)))
-	if fl := r.g.o.Store.Flight(); fl != nil {
-		fl.Record(int64(r.g.o.Clk.Now()), flight.EvReplShip, int64(epoch), int64(buf.Len()), int64(since), "")
+	p := &pendingShip{epoch: uint64(r.g.lastEpoch), newBase: r.g.lastEpoch, data: buf.Bytes(), cutStart: cutStart}
+	return r.move(p, since)
+}
+
+// move is the one place the transport is chosen. The direct path (conn == nil)
+// is the in-process byte copy: wire time charged as one lump, the stream
+// landed as encoded — the reference the network sweeps compare against.
+// Otherwise the stream crosses the simulated wire as one resumable transfer.
+func (r *Replica) move(p *pendingShip, since objstore.Epoch) error {
+	o := r.g.o
+	if r.conn == nil {
+		o.chargeDirectWire(int64(len(p.data)))
+		return r.land(p, p.data, 0, 0)
 	}
-	st, err := r.conn.Transfer(epoch, buf.Bytes())
+	span := o.Tracer.Begin(trace.TrackSLS, "sls.replica.ship",
+		trace.I("epoch", int64(p.epoch)), trace.I("bytes", int64(len(p.data))), trace.I("since", int64(since)))
+	if fl := o.Store.Flight(); fl != nil {
+		fl.Record(int64(o.Clk.Now()), flight.EvReplShip, int64(p.epoch), int64(len(p.data)), int64(since), "")
+	}
+	return r.wire(p, span, "replicating")
+}
+
+// wire runs p's transfer, keyed by its epoch, and lands the payload the
+// connection assembled; span covers both. A transfer that runs out of retries
+// leaves p pending: the receiver holds its partial progress under the epoch
+// key, and Resume re-ships only the missing tail.
+func (r *Replica) wire(p *pendingShip, span trace.Span, doing string) error {
+	st, err := r.conn.Transfer(p.epoch, p.data)
 	r.accumulate(st)
 	if err != nil {
-		// Keep the encoded stream: the receiver holds its partial progress
-		// under this epoch key, and Resume re-ships only the missing tail.
-		r.pending = &pendingShip{epoch: epoch, newBase: r.g.lastEpoch, data: buf.Bytes(), cutStart: cutStart}
+		r.pending = p
 		span.End(trace.S("err", err.Error()))
-		return fmt.Errorf("sls: replicating epoch %d: %w", epoch, err)
+		return fmt.Errorf("sls: %s epoch %d: %w", doing, p.epoch, err)
 	}
-	err = r.apply(epoch, r.g.lastEpoch, int64(buf.Len()), cutStart)
+	r.pending = nil
+	// The frame header carried the sender's trace-context, and Take clears
+	// the session that remembers it.
+	src, sender, _ := r.conn.SessionContext(p.epoch)
+	payload, ok := r.conn.Take(p.epoch)
+	if !ok {
+		err = fmt.Errorf("sls: transfer for epoch %d reported done but is not takeable", p.epoch)
+	} else {
+		err = r.land(p, payload, src, sender)
+	}
 	span.End()
 	return err
 }
 
-// apply collects a completed transfer from the connection and applies it to
-// the standby store.
-func (r *Replica) apply(epoch uint64, newBase objstore.Epoch, n int64, cutStart time.Duration) error {
+// land is the one tail of every ship: bring the standby's clock up to the
+// stream's arrival, apply the stream to its store, record the sync. (src,
+// sender) is the trace-context a traced wire transfer carried, zero otherwise:
+// the standby's apply instant gets the matching flow id, and the merged fleet
+// timeline draws ship -> apply as one arrow across machine tracks.
+func (r *Replica) land(p *pendingShip, payload []byte, src, sender uint64) error {
 	r.arrive()
-	// Close the cross-machine flow before Take clears the session: the
-	// frame header carried the sender's trace-context, so the standby's
-	// apply instant gets the matching flow id and the merged fleet
-	// timeline draws ship -> apply as one arrow across machine tracks.
-	if dtr := r.dst.Tracer; dtr != nil {
-		if src, span, ok := r.conn.SessionContext(epoch); ok {
-			dtr.Instant(trace.TrackNet, "net.apply",
-				trace.I("epoch", int64(epoch)),
-				trace.I(trace.FlowIn, int64(trace.FlowID(src, span))))
-		}
-	}
-	payload, ok := r.conn.Take(epoch)
-	if !ok {
-		return fmt.Errorf("sls: transfer for epoch %d reported done but is not takeable", epoch)
+	if dtr := r.dst.Tracer; dtr != nil && (src != 0 || sender != 0) {
+		dtr.Instant(trace.TrackNet, "net.apply",
+			trace.I("epoch", int64(p.epoch)),
+			trace.I(trace.FlowIn, int64(trace.FlowID(src, sender))))
 	}
 	if _, err := r.dst.Recv(bytes.NewReader(payload)); err != nil {
 		return err
 	}
-	r.commit(newBase, n, cutStart)
+	r.commit(p.newBase, int64(len(p.data)), p.cutStart)
 	return nil
 }
 
@@ -283,12 +300,7 @@ func (r *Replica) Failover(mode RestoreMode) (*Group, RestoreStats, error) {
 	if r.Syncs == 0 {
 		return nil, RestoreStats{}, fmt.Errorf("sls: replica never seeded")
 	}
-	if r.pending != nil {
-		if r.conn != nil {
-			r.conn.Abort(r.pending.epoch)
-		}
-		r.pending = nil
-	}
+	r.dropPending()
 	g, st, err := r.dst.RestoreGroup(r.g.Name, r.dst.Store, mode, true)
 	if err != nil {
 		return nil, st, err

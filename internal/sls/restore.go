@@ -362,43 +362,24 @@ func boolInt(b bool) int64 {
 // ManifestGroups lists the group names recorded in a store's manifest —
 // what sls ps shows after a reboot, before anything is restored.
 func ManifestGroups(src Source) ([]string, error) {
-	raw, err := src.GetRecord(ManifestOID)
-	if err != nil {
-		return nil, nil // no manifest: nothing persisted yet
-	}
-	d, err := rec.NewDecoder(raw)
-	if err != nil {
-		return nil, err
-	}
+	entries, err := readManifest(src)
 	var out []string
-	for i, n := 0, int(d.U32()); i < n && d.Err() == nil; i++ {
-		_ = d.U64()
-		out = append(out, d.Str())
-		_ = d.U64()
+	for _, ent := range entries {
+		out = append(out, ent.name)
 	}
-	return out, d.Err()
+	return out, err
 }
 
 // findGroupOID scans the manifest for a named group.
 func (o *Orchestrator) findGroupOID(src Source, name string) (objstore.OID, error) {
-	raw, err := src.GetRecord(ManifestOID)
-	if err != nil {
-		return 0, fmt.Errorf("%w: no manifest: %v", ErrNoGroup, err)
-	}
-	d, err := rec.NewDecoder(raw)
+	entries, err := readManifest(src)
 	if err != nil {
 		return 0, err
 	}
-	for i, n := 0, int(d.U32()); i < n && d.Err() == nil; i++ {
-		_ = d.U64() // group id (historical)
-		gname := d.Str()
-		oid := objstore.OID(d.U64())
-		if gname == name && d.Err() == nil {
-			return oid, nil
+	for _, ent := range entries {
+		if ent.name == name {
+			return ent.oid, nil
 		}
-	}
-	if err := d.Err(); err != nil {
-		return 0, err
 	}
 	return 0, fmt.Errorf("%w: %q", ErrNoGroup, name)
 }

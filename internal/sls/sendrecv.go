@@ -2,7 +2,7 @@ package sls
 
 import (
 	"bufio"
-	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -71,9 +71,14 @@ func (g *Group) send(w io.Writer, since objstore.Epoch) error {
 	if err != nil {
 		return err
 	}
-	// Wire time for the whole image.
-	g.o.Clk.Advance(g.o.Costs.NetRTT + time.Duration(sent)*g.o.Costs.NetPerByte)
+	g.o.chargeDirectWire(sent)
 	return nil
+}
+
+// chargeDirectWire charges the direct path's wire time for an n-byte stream:
+// one round trip and the bytes, as one lump.
+func (o *Orchestrator) chargeDirectWire(n int64) {
+	o.Clk.Advance(o.Costs.NetRTT + time.Duration(n)*o.Costs.NetPerByte)
 }
 
 // encodeStream serializes the group's last committed state (full when
@@ -88,10 +93,7 @@ func (g *Group) encodeStream(w io.Writer, since objstore.Epoch) (int64, error) {
 	sent := int64(0)
 	emit := func(b []byte) error {
 		var hdr [4]byte
-		hdr[0] = byte(len(b))
-		hdr[1] = byte(len(b) >> 8)
-		hdr[2] = byte(len(b) >> 16)
-		hdr[3] = byte(len(b) >> 24)
+		binary.LittleEndian.PutUint32(hdr[:], uint32(len(b)))
 		if _, err := bw.Write(hdr[:]); err != nil {
 			return err
 		}
@@ -283,7 +285,7 @@ func (o *Orchestrator) Recv(r io.Reader) (string, error) {
 		if _, err := io.ReadFull(br, hdr[:]); err != nil {
 			return nil, err
 		}
-		n := int64(hdr[0]) | int64(hdr[1])<<8 | int64(hdr[2])<<16 | int64(hdr[3])<<24
+		n := binary.LittleEndian.Uint32(hdr[:])
 		if n > maxStreamItem {
 			// The length header is untrusted input off the wire: a corrupt
 			// value must produce a decode error, not a giant allocation.
@@ -325,6 +327,15 @@ func (o *Orchestrator) Recv(r io.Reader) (string, error) {
 		return "", err
 	}
 	delta := baseEpoch != 0
+	// The stream is outside input: an item may touch only an object its head
+	// listed, and never the receiver's own manifest or flight ring. Checked
+	// before the item mutates the store.
+	listed := func(oid objstore.OID) error {
+		if !live[oid] || oid == ManifestOID || oid == objstore.FlightOID {
+			return fmt.Errorf("%w: stream item for object %d, which is not the stream's to write", rec.ErrCorrupt, oid)
+		}
+		return nil
+	}
 
 	// Validate a delta against what this receiver holds BEFORE any store
 	// mutation: applying page deltas over the wrong base would silently
@@ -404,6 +415,9 @@ func (o *Orchestrator) Recv(r io.Reader) (string, error) {
 			if err := d.Err(); err != nil {
 				return "", err
 			}
+			if err := listed(oid); err != nil {
+				return "", err
+			}
 			if oid == groupOID {
 				// The standby's commit trims by the bound every stream resends.
 				gr, err := decodeGroupRecord(raw)
@@ -418,6 +432,9 @@ func (o *Orchestrator) Recv(r io.Reader) (string, error) {
 		case itemPages:
 			oid := objstore.OID(d.U64())
 			arg := d.I64()
+			if err := listed(oid); err != nil {
+				return "", err
+			}
 			if curPages != oid {
 				// Run header: arg is the object size.
 				o.Store.Ensure(oid, UTMemObject)
@@ -440,6 +457,9 @@ func (o *Orchestrator) Recv(r io.Reader) (string, error) {
 			ut := d.U16()
 			capacity := d.I64()
 			n := int(d.U32())
+			if err := listed(oid); err != nil {
+				return "", err
+			}
 			if o.Store.Exists(oid) {
 				// Delta rounds replace the journal wholesale.
 				if err := o.Store.Delete(oid); err != nil {
@@ -466,159 +486,68 @@ func (o *Orchestrator) Recv(r io.Reader) (string, error) {
 
 // MigrateStats reports a pre-copy live migration.
 type MigrateStats struct {
-	Rounds     int
-	RoundBytes []int64       // stream size per round (full, then deltas)
+	Rounds int
+	// RoundBytes is each round's stream size (full, then deltas) — the bytes
+	// the receiver applies, the same on the direct path and over a wire.
+	RoundBytes []int64
 	FinalStop  time.Duration // source stop during the final round
 }
 
-// countWriter counts bytes into an io.Writer.
-type countWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// Migrate performs iterative pre-copy live migration (§10) over the direct
-// in-process path: a full checkpoint streams to dst, then `rounds` delta
-// rounds resend only what changed while the application kept running (work
-// is called between rounds to model that execution), then a final short
-// stop-and-copy round after which the destination restores and the source
-// terminates. The returned group is the application running on dst.
-func (g *Group) Migrate(dst *Orchestrator, rounds int, work func() error) (*Group, MigrateStats, error) {
-	return g.MigrateVia(dst, rounds, work, nil)
-}
-
-// MigrateVia is Migrate over a simulated network connection; conn == nil
-// selects the direct path. Each round ships as one resumable transfer keyed
-// by the round's checkpoint epoch: a wire fault mid-round retries inside
-// the transport, and a round that exhausts its retries surfaces the error
-// with the receiver's partial progress retained.
+// MigrateVia performs iterative pre-copy live migration (§10): a replica
+// that fails over on purpose. Round 0 ships the full image, then `rounds`
+// delta rounds resend only what changed while the application kept running
+// (work is called before each to model that execution), then a final short
+// stop-and-copy round after which the source terminates and the destination
+// restores. The returned group is the application running on dst. conn is
+// Replica's: nil selects the direct path. A round that fails drops the
+// receiver's session and leaves the source group running.
 func (g *Group) MigrateVia(dst *Orchestrator, rounds int, work func() error, conn *net.Conn) (*Group, MigrateStats, error) {
 	var st MigrateStats
-	stream := func(since objstore.Epoch) (int64, error) {
-		var buf bytes.Buffer
-		if conn == nil {
-			cw := &countWriter{w: &buf}
-			if err := g.send(cw, since); err != nil {
-				return 0, err
+	r := &Replica{g: g, dst: dst, conn: conn}
+	round := func(run func() error) error {
+		if run != nil {
+			if err := run(); err != nil {
+				return err
 			}
-			if _, err := dst.Recv(&buf); err != nil {
-				return 0, err
-			}
-			return cw.n, nil
 		}
-		if _, err := g.encodeStream(&buf, since); err != nil {
-			return 0, err
-		}
-		tst, err := conn.Transfer(uint64(g.lastEpoch), buf.Bytes())
+		cst, err := r.sync()
 		if err != nil {
-			return 0, err
+			return err
 		}
-		payload, ok := conn.Take(uint64(g.lastEpoch))
-		if !ok {
-			return 0, fmt.Errorf("sls: transfer for epoch %d reported done but is not takeable", g.lastEpoch)
-		}
-		if _, err := dst.Recv(bytes.NewReader(payload)); err != nil {
-			return 0, err
-		}
-		return tst.WireBytes, nil
-	}
-
-	// Round 0: full image.
-	if _, err := g.Checkpoint(CkptIncremental); err != nil {
-		return nil, st, err
-	}
-	if err := g.Barrier(); err != nil {
-		return nil, st, err
-	}
-	base := g.lastEpoch
-	n, err := stream(0)
-	if err != nil {
-		return nil, st, err
-	}
-	st.RoundBytes = append(st.RoundBytes, n)
-	st.Rounds++
-
-	// Pre-copy rounds: the application runs between them.
-	for i := 0; i < rounds; i++ {
-		if work != nil {
-			if err := work(); err != nil {
-				return nil, st, err
-			}
-		}
-		if _, err := g.Checkpoint(CkptIncremental); err != nil {
-			return nil, st, err
-		}
-		if err := g.Barrier(); err != nil {
-			return nil, st, err
-		}
-		n, err := stream(base)
-		if err != nil {
-			return nil, st, err
-		}
-		base = g.lastEpoch
-		st.RoundBytes = append(st.RoundBytes, n)
 		st.Rounds++
+		st.RoundBytes = append(st.RoundBytes, r.LastBytes)
+		st.FinalStop = cst.StopTime
+		return nil
 	}
-
-	// Final round: one last checkpoint (the application's last stop on
-	// the source), the residual delta, and the switchover.
-	cst, err := g.Checkpoint(CkptIncremental)
+	err := round(nil) // the full image: the replica holds no base yet
+	for i := 0; i < rounds && err == nil; i++ {
+		err = round(work) // pre-copy: the application ran since the last round
+	}
+	if err == nil {
+		err = round(nil) // stop-and-copy: the application's last stop on the source
+	}
 	if err != nil {
+		r.Abandon()
 		return nil, st, err
 	}
-	if err := g.Barrier(); err != nil {
-		return nil, st, err
-	}
-	st.FinalStop = cst.StopTime
-	n, err = stream(base)
-	if err != nil {
-		return nil, st, err
-	}
-	st.RoundBytes = append(st.RoundBytes, n)
-	st.Rounds++
-
 	for _, p := range g.Procs() {
 		p.Exit(0)
 	}
 	g.o.Forget(g)
-
-	restored, _, err := dst.RestoreGroup(g.Name, dst.Store, RestoreLazy, true)
+	restored, _, err := r.Failover(RestoreLazy)
 	return restored, st, err
 }
 
 // mergeManifest registers a received group alongside any local ones.
 func (o *Orchestrator) mergeManifest(name string, groupOID objstore.OID) error {
-	type entry struct {
-		id   uint64
-		name string
-		oid  objstore.OID
-	}
-	var entries []entry
-	if raw, err := o.Store.GetRecord(ManifestOID); err == nil && len(raw) > 0 {
-		if d, err := rec.NewDecoder(raw); err == nil {
-			for i, n := 0, int(d.U32()); i < n && d.Err() == nil; i++ {
-				entries = append(entries, entry{id: d.U64(), name: d.Str(), oid: objstore.OID(d.U64())})
-			}
-		}
+	entries, err := readManifest(o.Store)
+	if err != nil {
+		return err
 	}
 	for _, ent := range entries {
 		if ent.name == name {
 			return fmt.Errorf("sls: group %q already exists on this machine", name)
 		}
 	}
-	entries = append(entries, entry{id: uint64(len(entries) + 1), name: name, oid: groupOID})
-	e := rec.NewEncoder()
-	e.U32(uint32(len(entries)))
-	for _, ent := range entries {
-		e.U64(ent.id)
-		e.Str(ent.name)
-		e.U64(uint64(ent.oid))
-	}
-	return o.Store.PutRecord(ManifestOID, UTManifest, e.Seal())
+	return o.putManifest(append(entries, manifestEntry{id: uint64(len(entries) + 1), name: name, oid: groupOID}))
 }

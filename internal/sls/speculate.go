@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"runtime"
-	"sync"
 
 	"aurora/internal/clock"
 	"aurora/internal/flight"
@@ -228,50 +226,22 @@ func (o *Orchestrator) finishSpeculation(groups []*Group) ([]*Group, []RestoreSt
 			jobs = append(jobs, vjob{g, rm})
 		}
 	}
-	workers := groups[0].Options.FlushWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
 	span := o.Tracer.Begin(trace.TrackSLS, "spec.validate",
-		trace.I("groups", int64(len(groups))), trace.I("objects", int64(len(jobs))),
-		trace.I("workers", int64(workers)))
-
-	var (
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-	)
-	jobCh := make(chan vjob)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobCh {
-				jspan := o.Tracer.Begin(trace.TrackFlush, "spec.validate.obj",
-					trace.S("group", j.g.Name), trace.I("oid", int64(j.rm.oid)))
-				confirmed, installed, err := o.validateObject(j.g, j.rm)
-				jspan.End(trace.I("confirmed", confirmed), trace.I("installed", installed))
-				if err != nil && !errors.Is(err, ErrSpeculation) {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					errMu.Unlock()
-				}
-			}
-		}()
-	}
-	for _, j := range jobs {
-		jobCh <- j
-	}
-	close(jobCh)
-	wg.Wait()
-	span.End()
-	if firstErr != nil {
-		return nil, nil, firstErr
+		trace.I("groups", int64(len(groups))), trace.I("objects", int64(len(jobs))))
+	workers, _, err := drainPool(groups[0].Options.FlushWorkers, len(jobs), nil, func(i int) error {
+		j := jobs[i]
+		jspan := o.Tracer.Begin(trace.TrackFlush, "spec.validate.obj",
+			trace.S("group", j.g.Name), trace.I("oid", int64(j.rm.oid)))
+		confirmed, installed, err := o.validateObject(j.g, j.rm)
+		jspan.End(trace.I("confirmed", confirmed), trace.I("installed", installed))
+		if errors.Is(err, ErrSpeculation) {
+			return nil
+		}
+		return err
+	})
+	span.End(trace.I("workers", int64(workers)))
+	if err != nil {
+		return nil, nil, err
 	}
 
 	outG := make([]*Group, len(groups))

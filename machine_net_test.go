@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"aurora/internal/flight"
 	"aurora/internal/net"
 )
 
@@ -45,6 +46,7 @@ func TestFacadeReplicateOverLossyNet(t *testing.T) {
 func TestFacadeMigrateOverNet(t *testing.T) {
 	cfg := Defaults()
 	cfg.Net = &NetConfig{Fwd: NetPlan{Seed: 3, DropProb: 0.05}}
+	cfg.Telemetry = true
 	a, _ := NewMachine(cfg)
 	b, _ := NewMachine(Defaults())
 	p := a.Spawn("svc")
@@ -67,6 +69,17 @@ func TestFacadeMigrateOverNet(t *testing.T) {
 	g.Procs()[0].ReadMem(va, got)
 	if string(got) != "v2" {
 		t.Fatalf("migrated state %q, want v2", got)
+	}
+	// A migration round is a replica sync: it leaves the same forensic mark
+	// and counts in the same metric.
+	ships := 0
+	for _, ev := range a.Flight.Events() {
+		if ev.Kind == flight.EvReplShip {
+			ships++
+		}
+	}
+	if syncs := a.Tracer.CounterValue("sls.replica.syncs"); ships != st.Rounds || syncs != int64(st.Rounds) {
+		t.Fatalf("%d rounds left %d repl.ship flight events and sls.replica.syncs = %d", st.Rounds, ships, syncs)
 	}
 }
 

@@ -2,7 +2,12 @@ package aurora
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
+	"time"
+
+	"aurora/internal/clock"
 )
 
 func TestFacadeSuspendResume(t *testing.T) {
@@ -124,5 +129,75 @@ func TestImageBootRoundTrip(t *testing.T) {
 	g2.Procs()[0].ReadMem(va, got)
 	if string(got) != "imaged" {
 		t.Fatalf("booted state %q", got)
+	}
+}
+
+// TestMigrationPinned pins a direct-path two-round migration between two
+// machines on ONE shared clock: the destination's disk image, the round count,
+// the final stop and the clock's last reading were taken from the code that
+// shipped rounds through a private closure in MigrateVia, before migration was
+// rebuilt on Replica. (On private clocks each stream's arrival legitimately
+// moves the destination's flight timestamps, so the shared clock is the case
+// that must not move.)
+func TestMigrationPinned(t *testing.T) {
+	cfg := Defaults()
+	cfg.StorageBytes = 64 << 20
+	cfg.Clock = clock.NewVirtual()
+	a, err := NewMachine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewMachine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := a.Spawn("svc")
+	g, err := a.Attach("svc", p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Options.FlushWorkers = 1
+	va, _ := p.Mmap(256*PageSize, ProtRead|ProtWrite, false)
+	for i := 0; i < 256; i++ {
+		if err := p.WriteMem(va+uint64(i)*PageSize, []byte{byte(i), 0xA5}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j, err := g.Journal("wal", 1<<16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	round := 0
+	g2, st, err := a.MigrateTo(b, "svc", 2, func() error {
+		round++
+		if _, err := j.Append([]byte{byte(round)}); err != nil {
+			return err
+		}
+		for i := 0; i < 8; i++ {
+			if err := p.WriteMem(va+uint64(i*round)*PageSize, []byte{byte(0x40 + round)}); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, 1)
+	if g2.Procs()[0].ReadMem(va+PageSize, got); got[0] != 0x41 {
+		t.Fatalf("migrated page 1 = %#x, want 0x41", got[0])
+	}
+	h := sha256.New()
+	if err := b.SaveImage(h); err != nil {
+		t.Fatal(err)
+	}
+	const (
+		wantSHA   = "d162ea40a788e9879712e3c83d0f91044708e9c5a544013e33dc7cca7170238c"
+		wantStop  = time.Duration(184369)
+		wantClock = time.Duration(3833991)
+	)
+	if sum := hex.EncodeToString(h.Sum(nil)); sum != wantSHA || st.Rounds != 4 || st.FinalStop != wantStop || cfg.Clock.Now() != wantClock {
+		t.Fatalf("migration moved: image %s rounds %d final stop %d clock %d; want %s 4 %d %d",
+			sum, st.Rounds, st.FinalStop, cfg.Clock.Now(), wantSHA, wantStop, wantClock)
 	}
 }
