@@ -101,8 +101,31 @@ func TestRunNegativeExpectation(t *testing.T) {
 	}
 }
 
+// corpusFingerprints reads testdata/corpus.fingerprints: one "file
+// fingerprint" line per corpus scenario at its declared seed. The runs are
+// byte-stable on any machine (PR 19), so the file is a golden: a behaviour-
+// preserving change to the runner leaves every line alone, and a change that
+// moves one has to say so by editing it.
+func corpusFingerprints(t *testing.T) map[string]string {
+	t.Helper()
+	blob, err := os.ReadFile(filepath.Join("testdata", "corpus.fingerprints"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pins := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(blob)), "\n") {
+		file, fp, ok := strings.Cut(line, " ")
+		if !ok {
+			t.Fatalf("corpus.fingerprints: malformed line %q", line)
+		}
+		pins[file] = fp
+	}
+	return pins
+}
+
 // TestCorpus sweeps the shipped scenarios/ corpus — the same files CI
-// fans out over — and requires every one to pass with its declared seed.
+// fans out over — and requires every one to pass with its declared seed and
+// to land on its pinned fingerprint.
 func TestCorpus(t *testing.T) {
 	dir := filepath.Join("..", "..", "scenarios")
 	if _, err := os.Stat(dir); err != nil {
@@ -112,8 +135,9 @@ func TestCorpus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(files) < 8 {
-		t.Fatalf("corpus has %d scenarios, want >= 8", len(files))
+	pins := corpusFingerprints(t)
+	if len(files) != len(pins) {
+		t.Fatalf("corpus has %d scenarios, corpus.fingerprints pins %d", len(files), len(pins))
 	}
 	for _, path := range files {
 		path := path
@@ -128,6 +152,9 @@ func TestCorpus(t *testing.T) {
 			}
 			if !res.Passed {
 				t.Fatalf("scenario failed:\n%s", res.Summary())
+			}
+			if got, want := res.Fingerprint(), pins[filepath.Base(path)]; got != want {
+				t.Fatalf("fingerprint %s, corpus.fingerprints pins %q", got, want)
 			}
 		})
 	}
