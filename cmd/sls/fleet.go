@@ -1,207 +1,127 @@
 package main
 
-// The `sls fleet` verb: the placement coordinator's inspection surface.
-// Machine images are single-machine artifacts, so the fleet command runs a
-// deterministic in-memory demo fleet — N machines, one counter group each
-// under the coordinator — and prints the coordinator's status and decision
-// log. With -kill, one machine dies mid-run and the output shows the
-// heartbeat detector noticing, the failovers, and the reseeded standbys:
-// the quickest way to see the placement layer work without writing a
-// scenario file.
-//
-// The demo fleet runs fully instrumented: every machine carries a
-// telemetry registry, the coordinator records its decisions into a fleet
-// registry watched by default SLOs, and `sls top` renders the same run as
-// a per-machine metrics table.
+// The demo verbs — `sls fleet status`, `sls top`, `sls metrics`, `sls trace`
+// — need no image file: each declares a scenario in Go from its flags and
+// runs it on the scenario engine (internal/scenario), the same harness
+// `sls scenario run FILE` drives. What they print comes from the run's
+// Result, the coordinator's status page and the machines' observers, so the
+// quickest way to see the placement layer or the telemetry plane work is
+// also a scenario one could write down as a file.
 
 import (
 	"flag"
 	"fmt"
+	"strings"
 	"time"
 
 	"aurora"
-	"aurora/internal/clock"
-	"aurora/internal/placement"
-	"aurora/internal/telemetry"
-	"aurora/internal/trace"
-	"aurora/internal/vm"
+	"aurora/internal/scenario"
 )
 
 func cmdFleet(args []string) error {
-	if len(args) < 1 {
+	if len(args) < 1 || args[0] != "status" {
 		return fmt.Errorf("usage: sls fleet status [-machines N] [-groups G] [-ticks T] [-kill MACHINE]")
 	}
-	switch args[0] {
-	case "status":
-		return cmdFleetStatus(args[1:])
-	default:
-		return fmt.Errorf("unknown fleet subcommand %q (want status)", args[0])
-	}
+	return cmdFleetStatus(args[1:])
 }
 
-// demoApp is one managed counter group and its current live process.
-type demoApp struct {
-	name string
-	p    *aurora.Proc
-}
-
-// fleetDemo is the deterministic in-memory fleet the fleet/top verbs
-// drive: machines under one virtual clock, managed groups, and the
-// telemetry plane (per-machine registries, an instrumented coordinator,
-// default fleet SLOs).
-type fleetDemo struct {
-	clk      *clock.Virtual
-	coord    *placement.Coordinator
-	machines []*aurora.Machine
-	names    []string
-	apps     []*demoApp
-	killed   map[string]bool
-	fleet    *telemetry.Fleet
-	coordReg *telemetry.Registry // samples the coordinator's own observer
-	watch    *telemetry.Watch
-}
-
-// defaultFleetSLOs are the objectives the demo fleet is watched under:
-// failovers must complete under 50ms of virtual time, and no group may
-// ever be left orphaned.
-func defaultFleetSLOs() []telemetry.SLO {
-	return []telemetry.SLO{
-		{Name: "failover-p99", Metric: "fleet.failover.ns", Kind: telemetry.SLOP99Under, Bound: int64(50 * time.Millisecond)},
-		{Name: "no-orphans", Metric: "fleet.orphans", Kind: telemetry.SLOMaxUnder, Bound: 1},
+// runDemoFleet is the fleet the fleet and top verbs share: N machines m0…
+// under the placement coordinator, a counter group g<i> on each of the first
+// G, every machine's store sampled each 1 ms tick, and the coordinator
+// watched under two objectives — failovers complete within 50 ms of virtual
+// time, no group is ever left orphaned. With -kill, that machine dies at the
+// halfway tick and the heartbeat detector has to notice.
+func runDemoFleet(verb string, args []string) (*scenario.Harness, *scenario.Result, error) {
+	fs := flag.NewFlagSet(verb, flag.ExitOnError)
+	nMachines := fs.Int("machines", 4, "fleet size")
+	nGroups := fs.Int("groups", 3, "managed groups (first machines get one each)")
+	ticks := fs.Int64("ticks", 40, "drive rounds (1ms of virtual time each)")
+	kill := fs.String("kill", "", "machine to kill at the halfway tick")
+	fs.Parse(args)
+	if *nMachines < 1 || *nGroups < 1 || *nGroups > *nMachines {
+		return nil, nil, fmt.Errorf("need 1 <= groups (%d) <= machines (%d)", *nGroups, *nMachines)
 	}
-}
 
-func buildFleetDemo(nMachines, nGroups int) (*fleetDemo, error) {
-	if nMachines < 1 || nGroups < 1 || nGroups > nMachines {
-		return nil, fmt.Errorf("need 1 <= groups (%d) <= machines (%d)", nGroups, nMachines)
+	sc := &scenario.Scenario{
+		Name:       "demo-fleet",
+		DurationMS: *ticks,
+		Placement:  &scenario.PlacementDecl{SyncEveryMS: 5, HeartbeatEveryMS: 2},
+		Telemetry: &scenario.TelemetryDecl{SampleEveryMS: 1, SLOs: []scenario.SLODecl{
+			{Name: "failover-p99", Metric: "fleet.failover.ns", Kind: "p99-under", Bound: int64(50 * time.Millisecond)},
+			{Name: "no-orphans", Metric: "fleet.orphans", Kind: "max-under", Bound: 1},
+		}},
+		Assertions: []scenario.AssertionDecl{{Kind: "fleet-health"}},
 	}
-	d := &fleetDemo{
-		clk:    clock.NewVirtual(),
-		killed: map[string]bool{},
-		fleet:  telemetry.NewFleet(),
-	}
-	d.coord = placement.New(d.clk, placement.Config{
-		SyncEvery:      5 * time.Millisecond,
-		HeartbeatEvery: 2 * time.Millisecond,
-	})
-	d.coordReg = telemetry.New(trace.NewMetricsOnly(d.clk))
-	d.coord.Instrument(d.coordReg.Store())
-	d.watch = telemetry.NewWatch(defaultFleetSLOs())
-	d.coord.WatchSLO(d.watch)
-	for i := 0; i < nMachines; i++ {
+	for i := 0; i < *nMachines; i++ {
 		name := fmt.Sprintf("m%d", i)
-		m, err := aurora.NewMachine(aurora.Config{
-			StorageBytes: 64 << 20, Clock: d.clk, Name: name, Telemetry: true,
-		})
-		if err != nil {
-			return nil, err
-		}
-		d.machines = append(d.machines, m)
-		d.names = append(d.names, name)
-		d.fleet.Add(name, m.Metrics)
-		if _, err := d.coord.AddMachine(name, m); err != nil {
-			return nil, err
+		sc.Machines = append(sc.Machines, scenario.MachineDecl{Name: name, StorageMB: 64})
+		if i < *nGroups {
+			sc.Workloads = append(sc.Workloads, scenario.WorkloadDecl{
+				Machine: name, Group: fmt.Sprintf("g%d", i), App: "counter", OpsPerTick: 20,
+			})
 		}
 	}
-	d.fleet.Add("fleet", d.coordReg)
-	// Manage only once every machine is registered — the first group's
-	// standby has to land somewhere.
-	for i := 0; i < nGroups; i++ {
-		m := d.machines[i]
-		group := fmt.Sprintf("g%d", i)
-		p := m.Spawn(group)
-		if _, err := p.Mmap(1<<20, aurora.ProtRead|aurora.ProtWrite, false); err != nil {
-			return nil, err
-		}
-		if _, err := m.Attach(group, p); err != nil {
-			return nil, err
-		}
-		d.apps = append(d.apps, &demoApp{name: group, p: p})
-		if _, err := d.coord.Manage(group, fmt.Sprintf("m%d", i), nil); err != nil {
-			return nil, err
-		}
+	if *kill != "" {
+		sc.Events = []scenario.EventDecl{{AtMS: *ticks / 2, Kind: "machine-dies", Machine: *kill}}
 	}
-	return d, nil
-}
-
-// run drives the fleet for the given number of 1ms ticks, killing the
-// named machine at the halfway point. Each tick the telemetry plane is
-// sampled and the SLO watch evaluated; onEvent (optional) sees every
-// coordinator decision as it fires.
-func (d *fleetDemo) run(ticks int, kill string, onEvent func(placement.Event)) error {
-	step := func(a *demoApp) error {
-		var buf [8]byte
-		for i := 0; i < 20; i++ {
-			if err := a.p.ReadMem(vm.UserBase, buf[:]); err != nil {
-				return err
-			}
-			buf[0]++
-			if err := a.p.WriteMem(vm.UserBase, buf[:]); err != nil {
-				return err
-			}
-		}
-		d.coord.RecordOps(a.name, 20)
-		return nil
+	h, err := scenario.Start(sc, scenario.RunOptions{})
+	if err != nil {
+		return nil, nil, err
 	}
-	for t := 0; t < ticks; t++ {
-		if kill != "" && t == ticks/2 {
-			if err := d.coord.KillMachine(kill); err != nil {
-				return err
-			}
-			d.killed[kill] = true
-			if onEvent != nil {
-				fmt.Printf("[%8.3fms] kill       node=%s\n",
-					float64(d.clk.Now().Microseconds())/1000, kill)
-			}
-		}
-		for _, a := range d.apps {
-			as, ok := d.coord.Assignment(a.name)
-			if !ok || as.Orphaned || d.killed[as.Primary] {
-				continue
-			}
-			if err := step(a); err != nil {
-				return fmt.Errorf("group %s: %w", a.name, err)
-			}
-		}
-		d.clk.Advance(time.Millisecond)
-		for _, e := range d.coord.Tick() {
-			if onEvent != nil {
-				onEvent(e)
-			}
-			if e.G != nil {
-				for _, a := range d.apps {
-					if a.name == e.Group {
-						if procs := e.G.Procs(); len(procs) == 1 {
-							a.p = procs[0]
-						}
-					}
-				}
-			}
-		}
-		for _, m := range d.machines {
-			m.Metrics.Sample()
-		}
-		d.coordReg.Sample()
-		d.watch.Eval(d.coordReg, d.clk.Now())
-	}
-	return nil
+	return h, h.Finish(), nil
 }
 
 func cmdFleetStatus(args []string) error {
-	fs := flag.NewFlagSet("fleet status", flag.ExitOnError)
-	nMachines := fs.Int("machines", 4, "fleet size")
-	nGroups := fs.Int("groups", 3, "managed groups (first machines get one each)")
-	ticks := fs.Int("ticks", 40, "drive rounds (1ms of virtual time each)")
-	kill := fs.String("kill", "", "machine to kill at the halfway tick")
-	fs.Parse(args)
-
-	d, err := buildFleetDemo(*nMachines, *nGroups)
+	h, res, err := runDemoFleet("fleet status", args)
 	if err != nil {
 		return err
 	}
-	if err := d.run(*ticks, *kill, func(e placement.Event) { fmt.Println(e) }); err != nil {
-		return err
+	// The decision log: the kill, then what the coordinator did about it.
+	for _, e := range res.Events {
+		line := fmt.Sprintf("[%8.3fms] %-12s %s", float64(e.FiredNS)/1e6, strings.TrimPrefix(e.Kind, "fleet-"), e.Target)
+		if e.Err != "" {
+			line += " err=" + e.Err
+		}
+		fmt.Println(line)
 	}
-	fmt.Print(d.coord.Status())
+	fmt.Print(h.Coordinator().Status())
 	return nil
+}
+
+// crashDemo is the single-machine script `sls metrics` and `sls trace`
+// share: the counter app checkpointing every 10 ms, one increment per 1 ms
+// tick for steps ticks, then a checkpoint, a power cut and a lazy restore,
+// and steps ticks more. It returns the machine's post-reboot incarnation —
+// the observer and the metric series ride across the cut — and the counter
+// as the restored process holds it.
+func crashDemo(name string, steps int64, md scenario.MachineDecl, td *scenario.TelemetryDecl) (*aurora.Machine, uint64, error) {
+	sc := &scenario.Scenario{
+		Name:       "demo-crash",
+		DurationMS: 2 * steps,
+		Machines:   []scenario.MachineDecl{md},
+		Workloads: []scenario.WorkloadDecl{{
+			Machine: md.Name, Group: name, App: "counter", OpsPerTick: 1, CheckpointEveryMS: 10,
+		}},
+		Telemetry: td,
+		Events: []scenario.EventDecl{
+			{AtMS: steps, Kind: "checkpoint", Group: name},
+			{AtMS: steps, Kind: "power-cut", Machine: md.Name},
+			{AtMS: steps, Kind: "restore", Machine: md.Name, Group: name, RestoreMode: "lazy"},
+		},
+		Assertions: []scenario.AssertionDecl{{Kind: "group-on", Machine: md.Name, Group: name}},
+	}
+	h, err := scenario.Start(sc, scenario.RunOptions{})
+	if err != nil {
+		return nil, 0, err
+	}
+	if res := h.Finish(); !res.Passed {
+		return nil, 0, fmt.Errorf("the demo did not survive its crash:\n%s", res.Summary())
+	}
+	m := h.Machine(md.Name)
+	g, ok := m.Group(name)
+	if !ok {
+		return nil, 0, fmt.Errorf("group %q is not live after the restore", name)
+	}
+	v, err := stepCounter(g.Procs()[0], m, 0, nil)
+	return m, v, err
 }

@@ -29,6 +29,7 @@ import (
 
 	"aurora"
 	"aurora/internal/elfcore"
+	"aurora/internal/scenario"
 	"aurora/internal/vm"
 )
 
@@ -122,20 +123,23 @@ commands:
                                     recorder tail, invariant audit
   audit [-name N]                   run the invariant watchdog once
   flight [-tail K]                  dump the pre-crash flight timeline
-  trace [-steps K] [-o FILE]        run the demo under the tracer and
-                                    export a Chrome trace-event file
-  metrics [-steps K] [-format F]    run the demo under the telemetry
-          [-o FILE]                 registry and export it as Prometheus
-                                    text (prom) or a JSON snapshot (json)
-  top [-machines N] [-groups G]     drive the demo fleet and render a
-      [-ticks T] [-kill M]          per-machine metrics table with fleet
-                                    counters and SLO breaches
   scenario run [-seed S] [-stretch N] [-artifacts DIR] [-v] FILE|DIR...
                                     execute declarative chaos scenarios
   scenario validate FILE|DIR...     check scenario files without running
   scenario list [-json] FILE|DIR... enumerate a scenario corpus
+  scenario                          list every kind a scenario can name
+the demo verbs need no image; each declares a scenario and runs it:
+  trace [-steps K] [-o FILE]        crash demo (counter app, checkpoints,
+                                    power cut, lazy restore) under the
+                                    tracer: a Chrome trace-event file
+  metrics [-steps K] [-format F]    the crash demo with a sampled metric
+          [-o FILE]                 store, exported as Prometheus text
+                                    (prom) or a JSON snapshot (json)
+  top [-machines N] [-groups G]     drive the demo fleet and render a
+      [-ticks T] [-kill M]          per-machine metrics table with fleet
+                                    counters and SLO breaches
   fleet status [-machines N] [-groups G] [-ticks T] [-kill M]
-                                    run a demo fleet under the placement
+                                    run the demo fleet under the placement
                                     coordinator and print its status`)
 }
 
@@ -156,6 +160,35 @@ func save(m *aurora.Machine, img string) error {
 	}
 	defer f.Close()
 	return m.SaveImage(f)
+}
+
+// commit takes an incremental checkpoint of g and waits for it to be durable.
+func commit(g *aurora.Group) (aurora.CheckpointStats, error) {
+	st, err := g.Checkpoint(aurora.CkptIncremental)
+	if err == nil {
+		err = g.Barrier()
+	}
+	return st, err
+}
+
+// printFlush reports what the checkpoint's flush pipeline did.
+func printFlush(st aurora.CheckpointStats) {
+	fmt.Printf("  flush: %d bytes via %d workers (depth %d), encode %v, write %v\n",
+		st.FlushBytes, st.FlushWorkers, st.MaxQueueDepth, st.EncodeTime, st.WriteTime)
+}
+
+// bootApp is the preamble of the verbs whose only flag is -name: boot the
+// image and bring the named application back lazily.
+func bootApp(img, verb string, args []string) (*aurora.Machine, *aurora.Group, string, error) {
+	fs := flag.NewFlagSet(verb, flag.ExitOnError)
+	name := fs.String("name", "demo", "application name")
+	fs.Parse(args)
+	m, err := boot(img)
+	if err != nil {
+		return nil, nil, "", err
+	}
+	g, _, err := m.RestoreLazily(*name)
+	return m, g, *name, err
 }
 
 func cmdInit(img string) error {
@@ -222,42 +255,27 @@ func cmdAttach(img string, args []string) error {
 	if err != nil {
 		return err
 	}
-	st, err := g.Checkpoint(aurora.CkptIncremental)
+	st, err := commit(g)
 	if err != nil {
-		return err
-	}
-	if err := g.Barrier(); err != nil {
 		return err
 	}
 	fmt.Printf("%s attached: counter=%d, %d checkpoints, last stop %v\n",
 		*name, v, g.Checkpoints(), st.StopTime)
-	fmt.Printf("  flush: %d bytes via %d workers (depth %d), encode %v, write %v\n",
-		st.FlushBytes, st.FlushWorkers, st.MaxQueueDepth, st.EncodeTime, st.WriteTime)
+	printFlush(st)
 	return save(m, img)
 }
 
 func cmdCheckpoint(img string, args []string) error {
-	fs := flag.NewFlagSet("checkpoint", flag.ExitOnError)
-	name := fs.String("name", "demo", "application name")
-	fs.Parse(args)
-	m, err := boot(img)
+	m, g, name, err := bootApp(img, "checkpoint", args)
 	if err != nil {
 		return err
 	}
-	g, _, err := m.RestoreLazily(*name)
+	st, err := commit(g)
 	if err != nil {
 		return err
 	}
-	st, err := g.Checkpoint(aurora.CkptIncremental)
-	if err != nil {
-		return err
-	}
-	if err := g.Barrier(); err != nil {
-		return err
-	}
-	fmt.Printf("checkpointed %s: epoch %d, stop %v\n", *name, st.Epoch, st.StopTime)
-	fmt.Printf("  flush: %d bytes via %d workers (depth %d), encode %v, write %v\n",
-		st.FlushBytes, st.FlushWorkers, st.MaxQueueDepth, st.EncodeTime, st.WriteTime)
+	fmt.Printf("checkpointed %s: epoch %d, stop %v\n", name, st.Epoch, st.StopTime)
+	printFlush(st)
 	return save(m, img)
 }
 
@@ -300,10 +318,7 @@ func cmdRestore(img string, args []string) error {
 	if err != nil {
 		return err
 	}
-	if _, err := g.Checkpoint(aurora.CkptIncremental); err != nil {
-		return err
-	}
-	if err := g.Barrier(); err != nil {
+	if _, err := commit(g); err != nil {
 		return err
 	}
 	fmt.Printf("%s restored in %v (%d procs): counter %d -> %d\n",
@@ -316,21 +331,14 @@ func cmdRestore(img string, args []string) error {
 }
 
 func cmdSuspend(img string, args []string) error {
-	fs := flag.NewFlagSet("suspend", flag.ExitOnError)
-	name := fs.String("name", "demo", "application name")
-	fs.Parse(args)
-	m, err := boot(img)
-	if err != nil {
-		return err
-	}
-	g, _, err := m.RestoreLazily(*name)
+	m, g, name, err := bootApp(img, "suspend", args)
 	if err != nil {
 		return err
 	}
 	if err := g.Suspend(); err != nil {
 		return err
 	}
-	fmt.Printf("suspended %s into the store (resume with 'sls restore')\n", *name)
+	fmt.Printf("suspended %s into the store (resume with 'sls restore')\n", name)
 	return save(m, img)
 }
 
@@ -413,21 +421,11 @@ func cmdDump(img string, args []string) error {
 }
 
 func cmdSend(img string, args []string) error {
-	fs := flag.NewFlagSet("send", flag.ExitOnError)
-	name := fs.String("name", "demo", "application name")
-	fs.Parse(args)
-	m, err := boot(img)
+	_, g, _, err := bootApp(img, "send", args)
 	if err != nil {
 		return err
 	}
-	g, _, err := m.RestoreLazily(*name)
-	if err != nil {
-		return err
-	}
-	if _, err := g.Checkpoint(aurora.CkptIncremental); err != nil {
-		return err
-	}
-	if err := g.Barrier(); err != nil {
+	if _, err := commit(g); err != nil {
 		return err
 	}
 	return g.Send(os.Stdout)
@@ -599,61 +597,31 @@ func cmdFlight(img string, args []string) error {
 	return nil
 }
 
-// cmdTrace runs a self-contained demo scenario on a fresh traced machine —
-// attach, periodic checkpoints, power loss, lazy restore, continue — and
-// exports the virtual timeline as a Chrome trace-event file (load it in
-// ui.perfetto.dev or chrome://tracing) plus a text rollup on stdout. The
-// machine image is not touched; the scenario is its own world.
+// cmdTrace runs the crash demo (fleet.go) on a traced machine — attach,
+// cadence checkpoints, power loss, lazy restore, continue — and exports the
+// virtual timeline as a Chrome trace-event file (load it in ui.perfetto.dev
+// or chrome://tracing) plus a text rollup on stdout. The machine image is
+// not touched; the scenario is its own world.
 func cmdTrace(args []string) error {
 	fs := flag.NewFlagSet("trace", flag.ExitOnError)
 	name := fs.String("name", "demo", "application name")
-	steps := fs.Int("steps", 200, "demo app steps per phase")
+	steps := fs.Int64("steps", 200, "demo app steps per phase")
 	out := fs.String("o", "trace.json", "Chrome trace-event output file")
 	fs.Parse(args)
 
-	m, err := aurora.NewMachine(aurora.Config{StorageBytes: 1 << 30, Trace: true})
+	m, v, err := crashDemo(*name, *steps, scenario.MachineDecl{Name: "demo-machine", StorageMB: 1024, Trace: true}, nil)
 	if err != nil {
 		return err
 	}
-	p := m.Spawn(*name)
-	if _, err := p.Mmap(counterRegion, aurora.ProtRead|aurora.ProtWrite, false); err != nil {
-		return err
-	}
-	g, err := m.Attach(*name, p)
-	if err != nil {
-		return err
-	}
-	if _, err := stepCounter(p, m, *steps, g); err != nil {
-		return err
-	}
-	if _, err := g.Checkpoint(aurora.CkptIncremental); err != nil {
-		return err
-	}
-	if err := g.Barrier(); err != nil {
-		return err
-	}
-	m2, err := m.Crash() // the tracer rides across the reboot
-	if err != nil {
-		return err
-	}
-	g2, _, err := m2.RestoreLazily(*name)
-	if err != nil {
-		return err
-	}
-	v, err := stepCounter(g2.Procs()[0], m2, *steps, g2)
-	if err != nil {
-		return err
-	}
-
 	f, err := os.Create(*out)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	if err := m2.Tracer.WriteChrome(f); err != nil {
+	if err := m.Tracer.WriteChrome(f); err != nil {
 		return err
 	}
-	fmt.Print(m2.Tracer.Rollup())
+	fmt.Print(m.Tracer.Rollup())
 	fmt.Printf("counter ended at %d; trace written to %s\n", v, *out)
 	return nil
 }

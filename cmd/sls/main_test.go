@@ -2,9 +2,11 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -169,5 +171,93 @@ func TestCLIBadUsage(t *testing.T) {
 	}
 	if err := exec.Command(bin, "-img", "/nonexistent/x.img", "ps").Run(); err == nil {
 		t.Fatal("missing image succeeded")
+	}
+}
+
+// TestCLIDemoVerbs drives the four image-less verbs — fleet status, top,
+// metrics, trace — which declare a scenario from their flags and run it on
+// the scenario engine. The numbers are the engine's to move; what is pinned
+// is the shape: the headers and line prefixes CI greps and people read.
+func TestCLIDemoVerbs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a binary")
+	}
+	bin := buildCLI(t)
+	hasLine := func(out, prefix string) bool {
+		for _, line := range strings.Split(out, "\n") {
+			if strings.HasPrefix(line, prefix) {
+				return true
+			}
+		}
+		return false
+	}
+
+	out := runCLI(t, bin, nil, "fleet", "status", "-kill", "m1")
+	for _, want := range []string{
+		"fleet: 4 machines (3 alive), 3 groups (0 orphaned)",
+		"  failovers=1 rebalances=0 sync_errors=0",
+		"  node  m1       dead ",
+		"  group g1       primary=m2 ",
+		"  slo: 0 breaches",
+	} {
+		if !hasLine(out, want) {
+			t.Errorf("fleet status: no line starting %q:\n%s", want, out)
+		}
+	}
+	// The decision log: the kill, the detector noticing, the failover.
+	log := regexp.MustCompile(`(?m)^\[ *\d+\.\d{3}ms\] (machine-dies +m1|dead +m1|failover +g1 m1->m2)$`)
+	if got := len(log.FindAllString(out, -1)); got != 3 {
+		t.Errorf("fleet status: %d of the 3 decision-log lines:\n%s", got, out)
+	}
+	if out := runCLI(t, bin, nil, "fleet", "status", "-machines", "3", "-groups", "2", "-ticks", "20"); !hasLine(out, "fleet: 3 machines (3 alive), 2 groups (0 orphaned)") {
+		t.Errorf("fleet status without a kill:\n%s", out)
+	}
+
+	out = runCLI(t, bin, nil, "top", "-kill", "m1")
+	for _, want := range []string{
+		"MACHINE  UP        LOAD  CKPTS   STOP-P99    WAL  RESTORES  SYNCS",
+		"m0       yes ",
+		"m1       DEAD ",
+		"fleet: alive=3 deaths=1 failovers=1 ",
+		"fleet: failover p99 ",
+		"slo: all objectives met",
+	} {
+		if !hasLine(out, want) {
+			t.Errorf("top: no line starting %q:\n%s", want, out)
+		}
+	}
+
+	out = runCLI(t, bin, nil, "metrics", "-steps", "100", "-format", "prom")
+	for _, want := range []string{
+		"# TYPE aurora_sls_ckpt_total counter",
+		`aurora_sls_ckpt_total{machine="demo-machine"} `,
+		`aurora_sls_restores{machine="demo-machine"} 1`,
+	} {
+		if !hasLine(out, want) {
+			t.Errorf("metrics -format prom: no line starting %q:\n%s", want, out)
+		}
+	}
+	snapFile := filepath.Join(t.TempDir(), "metrics.json")
+	runCLI(t, bin, nil, "metrics", "-steps", "100", "-format", "json", "-o", snapFile)
+	var snap struct {
+		Machine  string
+		Counters []struct{ Name string }
+		Series   []struct{ Name string }
+	}
+	if blob, err := os.ReadFile(snapFile); err != nil || json.Unmarshal(blob, &snap) != nil {
+		t.Fatalf("metrics -format json: unreadable snapshot (%v)", err)
+	}
+	if snap.Machine != "demo-machine" || len(snap.Counters) == 0 || len(snap.Series) == 0 {
+		t.Errorf("metrics -format json: snapshot %+v", snap)
+	}
+
+	traceFile := filepath.Join(t.TempDir(), "trace.json")
+	out = runCLI(t, bin, nil, "trace", "-steps", "50", "-o", traceFile)
+	if !hasLine(out, "counter ended at 100; trace written to "+traceFile) {
+		t.Errorf("trace: the counter did not survive the crash at 100:\n%s", out)
+	}
+	var spans []map[string]any
+	if blob, err := os.ReadFile(traceFile); err != nil || json.Unmarshal(blob, &spans) != nil || len(spans) == 0 {
+		t.Errorf("trace: %s is not a Chrome trace-event array (%v)", traceFile, err)
 	}
 }

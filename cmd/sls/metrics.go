@@ -3,16 +3,16 @@ package main
 // The `sls metrics` and `sls top` verbs: the telemetry plane's CLI
 // surface.
 //
-// `sls metrics` runs a self-contained demo — attach, periodic
-// checkpoints, a power cut, restore, continue — on a fresh
-// telemetry-enabled machine, sampling its metric store on a fixed cadence,
-// then exports it as Prometheus text or the deterministic JSON snapshot.
-// No image file is touched; the run is its own world, like `sls trace`.
+// `sls metrics` runs the crash demo (fleet.go: counter app, cadence
+// checkpoints, a power cut, a lazy restore, continue) on a telemetry-enabled
+// machine whose store is sampled on a fixed cadence, then exports it as
+// Prometheus text or the deterministic JSON snapshot. No image file is
+// touched; the run is its own world, like `sls trace`.
 //
-// `sls top` drives the same instrumented demo fleet as `sls fleet
-// status` but renders the end state as a per-machine metrics table —
-// checkpoints, stop-time p99, WAL commits, restores, replica syncs —
-// with the coordinator's fleet counters and any SLO breaches below it.
+// `sls top` drives the same demo fleet as `sls fleet status` but renders
+// the end state as a per-machine metrics table — checkpoints, stop-time
+// p99, WAL commits, restores, replica syncs — with the coordinator's fleet
+// counters and any SLO breaches below it.
 
 import (
 	"flag"
@@ -21,15 +21,16 @@ import (
 	"os"
 	"time"
 
-	"aurora"
+	"aurora/internal/scenario"
 	"aurora/internal/telemetry"
+	"aurora/internal/trace"
 )
 
 func cmdMetrics(args []string) error {
 	fs := flag.NewFlagSet("metrics", flag.ExitOnError)
 	name := fs.String("name", "demo", "application name")
-	steps := fs.Int("steps", 200, "demo app steps per phase")
-	sampleEvery := fs.Int("sample-every", 20, "steps between registry samples")
+	steps := fs.Int64("steps", 200, "demo app steps per phase")
+	sampleEvery := fs.Int64("sample-every", 20, "steps between registry samples")
 	format := fs.String("format", "prom", "output format: prom or json")
 	out := fs.String("o", "", "output file (default stdout)")
 	fs.Parse(args)
@@ -37,54 +38,12 @@ func cmdMetrics(args []string) error {
 		return fmt.Errorf("unknown -format %q (want prom or json)", *format)
 	}
 
-	m, err := aurora.NewMachine(aurora.Config{
-		StorageBytes: 1 << 30, Name: "demo-machine", Telemetry: true,
-	})
+	m, _, err := crashDemo(*name, *steps,
+		scenario.MachineDecl{Name: "demo-machine", StorageMB: 1024},
+		&scenario.TelemetryDecl{SampleEveryMS: *sampleEvery})
 	if err != nil {
 		return err
 	}
-	p := m.Spawn(*name)
-	if _, err := p.Mmap(counterRegion, aurora.ProtRead|aurora.ProtWrite, false); err != nil {
-		return err
-	}
-	g, err := m.Attach(*name, p)
-	if err != nil {
-		return err
-	}
-	sampled := func(m *aurora.Machine, p *aurora.Proc, g *aurora.Group) error {
-		for done := 0; done < *steps; done += *sampleEvery {
-			n := *sampleEvery
-			if rem := *steps - done; rem < n {
-				n = rem
-			}
-			if _, err := stepCounter(p, m, n, g); err != nil {
-				return err
-			}
-			m.Metrics.Sample()
-		}
-		return nil
-	}
-	if err := sampled(m, p, g); err != nil {
-		return err
-	}
-	if _, err := g.Checkpoint(aurora.CkptIncremental); err != nil {
-		return err
-	}
-	if err := g.Barrier(); err != nil {
-		return err
-	}
-	m2, err := m.Crash() // the registry rides across the reboot
-	if err != nil {
-		return err
-	}
-	g2, _, err := m2.RestoreLazily(*name)
-	if err != nil {
-		return err
-	}
-	if err := sampled(m2, g2.Procs()[0], g2); err != nil {
-		return err
-	}
-	m2.Metrics.Sample()
 
 	var w io.Writer = os.Stdout
 	if *out != "" {
@@ -96,66 +55,77 @@ func cmdMetrics(args []string) error {
 		w = f
 	}
 	if *format == "json" {
-		return telemetry.WriteJSON(w, m2.Metrics.Snapshot(m2.Name()))
+		return telemetry.WriteJSON(w, m.Metrics.Snapshot(m.Name()))
 	}
-	return m2.Metrics.WritePrometheus(w, m2.Name())
+	return m.Metrics.WritePrometheus(w, m.Name())
 }
 
 func cmdTop(args []string) error {
-	fs := flag.NewFlagSet("top", flag.ExitOnError)
-	nMachines := fs.Int("machines", 4, "fleet size")
-	nGroups := fs.Int("groups", 3, "managed groups (first machines get one each)")
-	ticks := fs.Int("ticks", 40, "drive rounds (1ms of virtual time each)")
-	kill := fs.String("kill", "", "machine to kill at the halfway tick")
-	fs.Parse(args)
-
-	d, err := buildFleetDemo(*nMachines, *nGroups)
+	h, res, err := runDemoFleet("top", args)
 	if err != nil {
 		return err
 	}
-	if err := d.run(*ticks, *kill, nil); err != nil {
-		return err
-	}
+	// The snapshot lists the machines in declaration order, then the
+	// coordinator's own store as "fleet".
+	members := res.Metrics.Machines
+	coord := members[len(members)-1]
 
 	fmt.Printf("%-8s %-5s %8s %6s %10s %6s %9s %6s\n",
 		"MACHINE", "UP", "LOAD", "CKPTS", "STOP-P99", "WAL", "RESTORES", "SYNCS")
-	coord := d.coordReg.Store()
-	for i, m := range d.machines {
-		name := d.names[i]
+	for _, m := range members[:len(members)-1] {
 		up := "yes"
-		if d.killed[name] {
+		if n, ok := h.Coordinator().Node(m.Machine); ok && !n.Alive() {
 			up = "DEAD"
 		}
-		obs := m.Tracer
 		fmt.Printf("%-8s %-5s %8d %6d %10s %6d %9d %6d\n",
-			name, up,
-			coord.GaugeValue("fleet.load."+name),
-			obs.CounterValue("sls.ckpt.total"),
-			nsStr(obs.Quantile("sls.stop.ns", 0.99)),
-			obs.CounterValue("sls.wal.commits"),
-			obs.CounterValue("sls.restores"),
-			obs.CounterValue("sls.replica.syncs"))
+			m.Machine, up,
+			metric(coord.Gauges, "fleet.load."+m.Machine),
+			metric(m.Counters, "sls.ckpt.total"),
+			nsStr(p99(m.Histograms, "sls.stop.ns")),
+			metric(m.Counters, "sls.wal.commits"),
+			metric(m.Counters, "sls.restores"),
+			metric(m.Counters, "sls.replica.syncs"))
 	}
 	fmt.Printf("\nfleet: alive=%d deaths=%d failovers=%d reseeds=%d orphans=%d sync-errors=%d\n",
-		coord.GaugeValue("fleet.alive"),
-		coord.CounterValue("fleet.deaths"),
-		coord.CounterValue("fleet.failovers"),
-		coord.CounterValue("fleet.reseeds"),
-		coord.CounterValue("fleet.orphans"),
-		coord.CounterValue("fleet.sync_errors"))
-	if p99 := coord.Quantile("fleet.failover.ns", 0.99); p99 > 0 {
+		metric(coord.Gauges, "fleet.alive"),
+		metric(coord.Counters, "fleet.deaths"),
+		metric(coord.Counters, "fleet.failovers"),
+		metric(coord.Counters, "fleet.reseeds"),
+		metric(coord.Counters, "fleet.orphans"),
+		metric(coord.Counters, "fleet.sync_errors"))
+	if failover := p99(coord.Histograms, "fleet.failover.ns"); failover > 0 {
 		fmt.Printf("fleet: failover p99 %s, ckpt stop p99 %s fleet-wide\n",
-			nsStr(p99), nsStr(d.fleet.Quantile("sls.stop.ns", 0.99)))
+			nsStr(failover), nsStr(p99(res.Metrics.Merged, "sls.stop.ns")))
 	}
-	if breaches := d.watch.Breaches(); len(breaches) > 0 {
+	if len(res.SLOBreaches) > 0 {
 		fmt.Println()
-		for _, b := range breaches {
-			fmt.Printf("BREACH %s\n", b)
+		for _, b := range res.SLOBreaches {
+			fmt.Printf("BREACH %s\n", b.Breach)
 		}
 	} else {
 		fmt.Println("slo: all objectives met")
 	}
 	return nil
+}
+
+// metric reads one counter or gauge out of a snapshot list; 0 when absent.
+func metric(list []trace.NamedValue, name string) int64 {
+	for _, v := range list {
+		if v.Name == name {
+			return v.Value
+		}
+	}
+	return 0
+}
+
+// p99 reads one histogram's p99 out of a snapshot list; 0 when absent.
+func p99(list []trace.HistSnapshot, name string) int64 {
+	for _, h := range list {
+		if h.Name == name {
+			return h.P99
+		}
+	}
+	return 0
 }
 
 // nsStr renders a nanosecond quantity compactly for the table.

@@ -20,7 +20,7 @@ import (
 
 func cmdScenario(args []string) error {
 	if len(args) < 1 {
-		return fmt.Errorf("usage: sls scenario run|validate|list ...")
+		return fmt.Errorf("usage: sls scenario run|validate|list ...\n%s", scenario.Help())
 	}
 	switch args[0] {
 	case "run":
@@ -133,7 +133,7 @@ func cmdScenarioValidate(args []string) error {
 		}
 		for i := range sc.Events {
 			e := &sc.Events[i]
-			if e.Kind == scenario.EvMigrate && e.Rounds <= 0 {
+			if e.Kind == "migrate" && e.Rounds <= 0 {
 				fmt.Printf("          event t=%dms migrate %s->%s: rounds=%d (default)\n",
 					e.AtMS, e.Group, e.To, e.EffectiveRounds())
 			}

@@ -9,6 +9,7 @@ package scenario
 // memory, which is exactly the paper's claim.
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"time"
@@ -32,30 +33,11 @@ type appBinding interface {
 	rebind(gs *groupState) error
 }
 
-// newGenerator builds the declared generator. Each workload gets its own
-// seed, derived from the scenario seed by declaration position, so adding
-// a workload never perturbs another's op stream.
+// newGenerator builds the declared generator (ETC when unset). Each workload
+// gets its own seed, derived from the scenario seed by declaration position,
+// so adding a workload never perturbs another's op stream.
 func newGenerator(w WorkloadDecl, seed int64) workload.Generator {
-	items := int(w.Items)
-	if items <= 0 {
-		items = 1024
-	}
-	switch w.Generator {
-	case GenPrefixDist:
-		per := items / 16
-		if per < 1 {
-			per = 1
-		}
-		return workload.NewPrefixDist(seed, 16, per)
-	case GenUniform:
-		vb := int(w.ValueBytes)
-		if vb <= 0 {
-			vb = 256
-		}
-		return workload.NewUniform(seed, items, 0.5, vb)
-	default: // GenETC and unset
-		return workload.NewETC(seed, items)
-	}
+	return pick(generatorKinds, w.Generator).do(seed, int(cmp.Or(w.Items, 1024)), w)
 }
 
 // ---- counter: the sls demo app, one u64 in process memory ----
@@ -72,12 +54,12 @@ type counterApp struct {
 	p *aurora.Proc
 }
 
-func newCounterApp(ms *machineState, group string) (*counterApp, *aurora.Group, error) {
-	p := ms.m.Spawn(group)
+func newCounterApp(ms *machineState, w WorkloadDecl, _ int64, _ time.Duration) (appBinding, *aurora.Group, error) {
+	p := ms.m.Spawn(w.Group)
 	if _, err := p.Mmap(counterRegion, aurora.ProtRead|aurora.ProtWrite, false); err != nil {
 		return nil, nil, err
 	}
-	g, err := ms.m.Attach(group, p)
+	g, err := ms.m.Attach(w.Group, p)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -100,29 +82,29 @@ func (c *counterApp) step(n int64) error {
 }
 
 func (c *counterApp) rebind(gs *groupState) error {
+	p, err := firstProc(gs)
 	c.m = gs.host
-	c.p = firstProc(gs)
-	if c.p == nil {
-		return fmt.Errorf("counter %q: restored group has no processes", gs.decl.Group)
-	}
-	return nil
+	c.p = p
+	return err
 }
 
-// ---- memcached under a key-value generator ----
+// ---- memcached and rocksdb: a key-value server under a generator ----
 
-type memcachedApp struct {
-	srv   *memcached.Server
+// kvApp drives a key-value server with generated ops. Everything the server
+// knows lives in one arena of checkpointed memory, so rebinding after a
+// restore is a rescan of that arena in the group's new root process.
+type kvApp struct {
 	gen   workload.Generator
 	arena uint64
 	cap   int64
+	apply func(workload.Op) error
+	// rescan rebuilds the server over the arena as p maps it and returns
+	// its apply.
+	rescan func(p *kern.Proc) (func(workload.Op) error, error)
 }
 
-func newMemcachedApp(ms *machineState, w WorkloadDecl, seed int64) (*memcachedApp, *aurora.Group, error) {
-	items := int(w.Items)
-	if items <= 0 {
-		items = 1024
-	}
-	srv, err := memcached.New(ms.m.K, items)
+func newMemcachedApp(ms *machineState, w WorkloadDecl, seed int64, _ time.Duration) (appBinding, *aurora.Group, error) {
+	srv, err := memcached.New(ms.m.K, int(cmp.Or(w.Items, 1024)))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -130,43 +112,20 @@ func newMemcachedApp(ms *machineState, w WorkloadDecl, seed int64) (*memcachedAp
 	if err != nil {
 		return nil, nil, err
 	}
-	a := &memcachedApp{srv: srv, gen: newGenerator(w, seed)}
+	a := &kvApp{gen: newGenerator(w, seed), apply: srv.Apply}
 	a.arena, a.cap = srv.Arena()
+	a.rescan = func(p *kern.Proc) (func(workload.Op) error, error) {
+		srv, err := memcached.RebuildIndex(p, a.arena, a.cap)
+		if err != nil {
+			return nil, err
+		}
+		return srv.Apply, nil
+	}
 	return a, g, nil
 }
 
-func (a *memcachedApp) step(n int64) error {
-	for i := int64(0); i < n; i++ {
-		if err := a.srv.Apply(a.gen.Next()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (a *memcachedApp) rebind(gs *groupState) error {
-	p := firstProc(gs)
-	if p == nil {
-		return fmt.Errorf("memcached %q: restored group has no processes", gs.decl.Group)
-	}
-	srv, err := memcached.RebuildIndex(p, a.arena, a.cap)
-	if err != nil {
-		return err
-	}
-	a.srv = srv
-	return nil
-}
-
-// ---- rocksdb (ConfigAurora: the transparently checkpointed build) ----
-
-type rocksdbApp struct {
-	db    *rocksdb.DB
-	gen   workload.Generator
-	arena uint64
-	cap   int64
-}
-
-func newRocksDBApp(ms *machineState, w WorkloadDecl, seed int64) (*rocksdbApp, *aurora.Group, error) {
+// newRocksDBApp opens the transparently checkpointed build (ConfigAurora).
+func newRocksDBApp(ms *machineState, w WorkloadDecl, seed int64, _ time.Duration) (appBinding, *aurora.Group, error) {
 	g, ok := ms.m.SLS.GroupByName(w.Group)
 	if !ok {
 		g = ms.m.SLS.CreateGroup(w.Group)
@@ -181,30 +140,37 @@ func newRocksDBApp(ms *machineState, w WorkloadDecl, seed int64) (*rocksdbApp, *
 	if err != nil {
 		return nil, nil, err
 	}
-	a := &rocksdbApp{db: db, gen: newGenerator(w, seed)}
+	a := &kvApp{gen: newGenerator(w, seed), apply: db.Apply}
 	a.arena, a.cap = db.MemtableArena()
+	a.rescan = func(p *kern.Proc) (func(workload.Op) error, error) {
+		db, err := rocksdb.RebuildMemtable(p, a.arena, a.cap)
+		if err != nil {
+			return nil, err
+		}
+		return db.Apply, nil
+	}
 	return a, g, nil
 }
 
-func (a *rocksdbApp) step(n int64) error {
+func (a *kvApp) step(n int64) error {
 	for i := int64(0); i < n; i++ {
-		if err := a.db.Apply(a.gen.Next()); err != nil {
+		if err := a.apply(a.gen.Next()); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (a *rocksdbApp) rebind(gs *groupState) error {
-	p := firstProc(gs)
-	if p == nil {
-		return fmt.Errorf("rocksdb %q: restored group has no processes", gs.decl.Group)
-	}
-	db, err := rocksdb.RebuildMemtable(p, a.arena, a.cap)
+func (a *kvApp) rebind(gs *groupState) error {
+	p, err := firstProc(gs)
 	if err != nil {
 		return err
 	}
-	a.db = db
+	apply, err := a.rescan(p)
+	if err != nil {
+		return err
+	}
+	a.apply = apply
 	return nil
 }
 
@@ -217,39 +183,23 @@ type filebenchApp struct {
 	tick time.Duration
 }
 
-func newFilebenchApp(ms *machineState, w WorkloadDecl, seed int64, tick time.Duration) *filebenchApp {
-	return &filebenchApp{m: ms, w: w, seed: seed, tick: tick}
+func newFilebenchApp(ms *machineState, w WorkloadDecl, seed int64, tick time.Duration) (appBinding, *aurora.Group, error) {
+	return &filebenchApp{m: ms, w: w, seed: seed, tick: tick}, nil, nil
 }
 
 // step runs one tick-length burst of the personality against the machine's
 // live (possibly post-recovery) file system. n is the op budget for
 // generator workloads; filebench is duration-driven, so it is ignored.
 func (a *filebenchApp) step(n int64) error {
-	nfiles := int(a.w.Items)
-	if nfiles <= 0 {
-		nfiles = 8
-	}
 	cfg := filebench.Config{
 		Clock:    a.m.m.Clock,
 		Duration: a.tick,
 		IOSize:   4096,
 		FileSize: 4 << 20,
-		NFiles:   nfiles,
+		NFiles:   int(cmp.Or(a.w.Items, 8)),
 		Seed:     a.seed,
 	}
-	var err error
-	switch a.w.Personality {
-	case "fileserver":
-		_, err = filebench.FileServer(a.m.m.FS, cfg)
-	case "webserver":
-		_, err = filebench.WebServer(a.m.m.FS, cfg)
-	case "randomwrite":
-		_, err = filebench.RandomWrite(a.m.m.FS, cfg)
-	case "seqwrite":
-		_, err = filebench.SeqWrite(a.m.m.FS, cfg)
-	default: // varmail
-		_, err = filebench.VarMail(a.m.m.FS, cfg)
-	}
+	_, err := pick(personalityKinds, a.w.Personality).do(a.m.m.FS, cfg)
 	return err
 }
 
@@ -261,13 +211,9 @@ func (a *filebenchApp) rebind(gs *groupState) error {
 }
 
 // firstProc returns the restored group's root process.
-func firstProc(gs *groupState) *kern.Proc {
-	if gs.g == nil {
-		return nil
+func firstProc(gs *groupState) (*kern.Proc, error) {
+	if gs.g == nil || len(gs.g.Procs()) == 0 {
+		return nil, fmt.Errorf("%s %q: restored group has no processes", gs.decl.App, gs.decl.Group)
 	}
-	procs := gs.g.Procs()
-	if len(procs) == 0 {
-		return nil
-	}
-	return procs[0]
+	return gs.g.Procs()[0], nil
 }

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -63,39 +64,29 @@ func (r *Result) WriteArtifacts(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	if err := os.WriteFile(filepath.Join(dir, "summary.txt"), []byte(r.Summary()), 0o644); err != nil {
-		return err
+	write := func(name string, data []byte) error {
+		return os.WriteFile(filepath.Join(dir, name), data, 0o644)
 	}
-	blob, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(filepath.Join(dir, "result.json"), append(blob, '\n'), 0o644); err != nil {
-		return err
-	}
-	for _, f := range r.Flights {
-		name := fmt.Sprintf("flight-%s.txt", f.Machine)
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(f.Timeline), 0o644); err != nil {
+	writeJSON := func(name string, v any) error {
+		blob, err := json.MarshalIndent(v, "", "  ")
+		if err != nil {
 			return err
 		}
+		return write(name, append(blob, '\n'))
+	}
+	errs := []error{write("summary.txt", []byte(r.Summary())), writeJSON("result.json", r)}
+	for _, f := range r.Flights {
+		errs = append(errs, write(fmt.Sprintf("flight-%s.txt", f.Machine), []byte(f.Timeline)))
 	}
 	if r.Metrics != nil {
 		// The deterministic fleet metrics snapshot: the telemetry-golden CI
 		// job runs the scenario twice and diffs this file byte-for-byte.
-		blob, err := json.MarshalIndent(r.Metrics, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(filepath.Join(dir, "metrics.json"), append(blob, '\n'), 0o644); err != nil {
-			return err
-		}
+		errs = append(errs, writeJSON("metrics.json", r.Metrics))
 	}
 	if r.TimelineJSON != "" {
 		// The merged fleet Chrome/Perfetto timeline (ui.perfetto.dev): one
 		// process per machine, flow arrows across them.
-		if err := os.WriteFile(filepath.Join(dir, "timeline.json"), []byte(r.TimelineJSON), 0o644); err != nil {
-			return err
-		}
+		errs = append(errs, write("timeline.json", []byte(r.TimelineJSON)))
 	}
-	return nil
+	return errors.Join(errs...)
 }

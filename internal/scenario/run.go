@@ -1,9 +1,10 @@
 package scenario
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -37,14 +38,14 @@ type RunOptions struct {
 type machineState struct {
 	decl MachineDecl
 	m    *aurora.Machine
-	// dead marks a machine-dies event: unlike a power cut there is no
-	// reboot — the machine is gone for the rest of the scenario and the
-	// placement coordinator has to notice on its own.
-	dead bool
+	// watch judges the machine's store against the declared SLOs; nil
+	// without a telemetry block.
+	watch *telemetry.Watch
 }
 
 // groupState is one workload's live binding.
 type groupState struct {
+	key   string // the group name; "filebench/<i>" for a group-less workload
 	decl  WorkloadDecl
 	host  *machineState
 	g     *aurora.Group // nil for filebench (no consistency group)
@@ -75,18 +76,26 @@ type replState struct {
 	lastSyncMS int64
 }
 
-type runner struct {
+// Harness is one started scenario: the fleet booted on one virtual clock,
+// every workload bound, replications seeded and the coordinator managing
+// its groups, with the timeline still to run. Start builds one, Finish
+// drives it to the end and judges it; in between (and after) Machine and
+// Coordinator give read access to what a scenario file cannot name — a
+// machine's observer, the coordinator's status page.
+type Harness struct {
 	sc   *Scenario
 	opts RunOptions
 	seed int64
 	clk  *clock.Virtual
 
-	machines     map[string]*machineState
-	machineOrder []string
-	groups       map[string]*groupState
-	groupOrder   []string
-	repls        map[string]*replState
-	replOrder    []string
+	// Lookup by name, and the declaration order everything iterates in —
+	// never over a map — so a seed replays bit-identically.
+	machines    map[string]*machineState
+	machineList []*machineState
+	groups      map[string]*groupState
+	groupList   []*groupState
+	repls       map[string]*replState
+	replList    []*replState
 
 	// coord is the fleet coordinator, non-nil when the scenario declares a
 	// placement block; it owns every group's standby.
@@ -99,79 +108,87 @@ type runner struct {
 	res *Result
 }
 
-// teleState is the runner's metrics plane: one registry per machine (hung
-// off aurora.Machine by Config.Telemetry), one SLO watch per registry, an
-// observer of its own for the placement coordinator (and the registry
-// sampling it), and the fleet aggregation the snapshot and metric
-// assertions read.
+// teleState is the runner's metrics plane: the SLO rules, the stores they
+// are judged in — one per machine (hung off aurora.Machine by
+// Config.Telemetry) and, in placement mode, the coordinator's own — and the
+// fleet aggregation the snapshot and metric assertions read.
 type teleState struct {
-	decl  *TelemetryDecl
-	rules []telemetry.SLO
-	fleet *telemetry.Fleet
-	// watches evaluates rules per machine; the coordinator's registry gets
-	// its own watch so fleet.* metrics are judged where they live.
-	watches    map[string]*telemetry.Watch
-	coord      *telemetry.Registry
-	coordWatch *telemetry.Watch
+	decl       *TelemetryDecl
+	rules      []telemetry.SLO
+	fleet      *telemetry.Fleet
+	members    []teleMember
 	lastSample int64 // virtual ms of the last sampler tick
 }
 
-// sloRules compiles the declared objectives into engine rules, in
-// declaration order.
-func sloRules(decl *TelemetryDecl) []telemetry.SLO {
-	rules := make([]telemetry.SLO, 0, len(decl.SLOs))
-	for _, sd := range decl.SLOs {
-		var kind telemetry.SLOKind
-		switch sd.Kind {
-		case SLOP99Under:
-			kind = telemetry.SLOP99Under
-		case SLOMaxUnder:
-			kind = telemetry.SLOMaxUnder
-		case SLOFinalAtLeast:
-			kind = telemetry.SLOFinalAtLeast
-		}
-		rules = append(rules, telemetry.SLO{
-			Name: sd.Name, Metric: sd.Metric, Kind: kind, Bound: sd.Bound,
-		})
-	}
-	return rules
+// teleMember is one sampled store with the watch judging it. The
+// coordinator's is the member "fleet" with no machine: fleet.* metrics are
+// judged where they live.
+type teleMember struct {
+	name  string
+	reg   *telemetry.Registry
+	watch *telemetry.Watch
+	ms    *machineState
 }
 
-// Run executes a validated scenario and returns its Result. Setup failures
-// (a machine that cannot boot, a workload that cannot bind) return an
-// error; runtime failures during the timeline are recorded in the Result
-// and judged by the assertions.
-func Run(sc *Scenario, opts RunOptions) (*Result, error) {
+// add enrols a store under the declared rules and returns its watch.
+func (t *teleState) add(name string, reg *telemetry.Registry, ms *machineState) *telemetry.Watch {
+	w := telemetry.NewWatch(t.rules)
+	t.members = append(t.members, teleMember{name, reg, w, ms})
+	t.fleet.Add(name, reg)
+	return w
+}
+
+// Start validates the scenario and assembles its fleet. Setup failures (a
+// machine that cannot boot, a workload that cannot bind) return an error.
+func Start(sc *Scenario, opts RunOptions) (*Harness, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	r := &runner{
+	r := &Harness{
 		sc:       sc,
 		opts:     opts,
 		machines: make(map[string]*machineState),
 		groups:   make(map[string]*groupState),
 		repls:    make(map[string]*replState),
 	}
-	r.seed = opts.Seed
-	if r.seed == 0 {
-		r.seed = sc.Seed
-	}
-	if r.seed == 0 {
-		r.seed = 1
-	}
-	r.res = &Result{Scenario: sc.Name, Seed: r.seed, Expect: sc.Expect}
-	if r.res.Expect == "" {
-		r.res.Expect = ExpectPass
-	}
+	r.seed = cmp.Or(opts.Seed, sc.Seed, 1)
+	r.res = &Result{Scenario: sc.Name, Seed: r.seed, Expect: cmp.Or(sc.Expect, ExpectPass)}
 	if err := r.setup(); err != nil {
 		return nil, err
 	}
-	r.drive()
-	r.finish()
-	return r.res, nil
+	return r, nil
 }
 
-func (r *runner) logf(format string, args ...any) {
+// Finish runs the timeline to its end and evaluates the assertions. Runtime
+// failures along the way are recorded in the Result and judged by them.
+func (r *Harness) Finish() *Result {
+	r.drive()
+	r.finish()
+	return r.res
+}
+
+// Machine returns the named machine at its current incarnation (a power cut
+// replaces it), nil when the scenario declares none of that name.
+func (r *Harness) Machine(name string) *aurora.Machine {
+	if ms := r.machines[name]; ms != nil {
+		return ms.m
+	}
+	return nil
+}
+
+// Coordinator returns the fleet coordinator, nil without a placement block.
+func (r *Harness) Coordinator() *placement.Coordinator { return r.coord }
+
+// Run executes a scenario and returns its Result.
+func Run(sc *Scenario, opts RunOptions) (*Result, error) {
+	r, err := Start(sc, opts)
+	if err != nil {
+		return nil, err
+	}
+	return r.Finish(), nil
+}
+
+func (r *Harness) logf(format string, args ...any) {
 	if r.opts.Logf != nil {
 		r.opts.Logf(format, args...)
 	}
@@ -190,18 +207,14 @@ func subseed(base int64, label string) int64 {
 	return s
 }
 
-func (r *runner) setup() error {
+func (r *Harness) setup() error {
 	// One virtual timeline for the whole fleet: cross-machine event times
 	// ("cut machine b at t=40ms") are well-defined and replayable.
 	r.clk = clock.NewVirtual()
 	for _, md := range r.sc.Machines {
-		storage := md.StorageMB << 20
-		if storage == 0 {
-			storage = 256 << 20
-		}
 		cfg := aurora.Config{
 			Name:         md.Name,
-			StorageBytes: storage,
+			StorageBytes: cmp.Or(md.StorageMB, 256) << 20,
 			Clock:        r.clk,
 			Trace:        md.Trace,
 			Telemetry:    r.sc.Telemetry != nil,
@@ -218,55 +231,37 @@ func (r *runner) setup() error {
 		}
 		ms := &machineState{decl: md, m: m}
 		r.machines[md.Name] = ms
-		r.machineOrder = append(r.machineOrder, md.Name)
+		r.machineList = append(r.machineList, ms)
 	}
 
 	if td := r.sc.Telemetry; td != nil {
-		r.tele = &teleState{
-			decl:    td,
-			rules:   sloRules(td),
-			fleet:   telemetry.NewFleet(),
-			watches: make(map[string]*telemetry.Watch),
+		r.tele = &teleState{decl: td, fleet: telemetry.NewFleet()}
+		for _, sd := range td.SLOs {
+			r.tele.rules = append(r.tele.rules, telemetry.SLO{
+				Name: sd.Name, Metric: sd.Metric, Kind: lookup(sloKinds, sd.Kind).do, Bound: sd.Bound,
+			})
 		}
-		for _, name := range r.machineOrder {
-			ms := r.machines[name]
-			w := telemetry.NewWatch(r.tele.rules)
-			r.tele.watches[name] = w
-			ms.m.AttachSLO(w)
-			r.tele.fleet.Add(name, ms.m.Metrics)
+		for _, ms := range r.machineList {
+			ms.watch = r.tele.add(ms.decl.Name, ms.m.Metrics, ms)
+			ms.m.AttachSLO(ms.watch)
 		}
 	}
 
-	tick := r.tick()
 	for i, wd := range r.sc.Workloads {
 		ms := r.machines[wd.Machine]
-		gs := &groupState{decl: wd, host: ms, alive: true}
+		gs := &groupState{key: wd.Group, decl: wd, host: ms, alive: true}
+		if gs.key == "" {
+			gs.key = fmt.Sprintf("filebench/%d", i)
+		}
 		genSeed := subseed(r.seed, fmt.Sprintf("gen/%d/%s", i, wd.Group))
 		var err error
-		switch wd.App {
-		case AppCounter:
-			gs.app, gs.g, err = newCounterApp(ms, wd.Group)
-		case AppMemcached:
-			var a *memcachedApp
-			a, gs.g, err = newMemcachedApp(ms, wd, genSeed)
-			gs.app = a
-		case AppRocksDB:
-			var a *rocksdbApp
-			a, gs.g, err = newRocksDBApp(ms, wd, genSeed)
-			gs.app = a
-		case AppFilebench:
-			gs.app = newFilebenchApp(ms, wd, genSeed, tick)
-		}
+		gs.app, gs.g, err = lookup(appKinds, wd.App).do(ms, wd, genSeed, r.tick())
 		if err != nil {
 			return fmt.Errorf("workload %q on %q: %w", wd.App, wd.Machine, err)
 		}
 		gs.applyOptions()
-		key := wd.Group
-		if key == "" {
-			key = fmt.Sprintf("filebench/%d", i)
-		}
-		r.groups[key] = gs
-		r.groupOrder = append(r.groupOrder, key)
+		r.groups[gs.key] = gs
+		r.groupList = append(r.groupList, gs)
 	}
 
 	for _, rd := range r.sc.Replications {
@@ -295,8 +290,9 @@ func (r *runner) setup() error {
 			}
 			r.res.Errors = append(r.res.Errors, fmt.Sprintf("seed of %q interrupted: %v", rd.Group, err))
 		}
-		r.repls[rd.Group] = &replState{decl: rd, rep: rep, conn: conn, to: dst, alive: true}
-		r.replOrder = append(r.replOrder, rd.Group)
+		rs := &replState{decl: rd, rep: rep, conn: conn, to: dst, alive: true}
+		r.repls[rd.Group] = rs
+		r.replList = append(r.replList, rs)
 	}
 
 	if p := r.sc.Placement; p != nil {
@@ -314,119 +310,82 @@ func (r *runner) setup() error {
 			// failover/migration latency histograms live in its store, and
 			// its placement-decision spans join the merged timeline as the
 			// "coordinator" process.
-			r.tele.coord = telemetry.New(trace.New(r.clk))
-			r.tele.coordWatch = telemetry.NewWatch(r.tele.rules)
-			r.coord.Instrument(r.tele.coord.Store())
-			r.coord.WatchSLO(r.tele.coordWatch)
-			r.tele.fleet.Add("fleet", r.tele.coord)
+			reg := telemetry.New(trace.New(r.clk))
+			r.coord.Instrument(reg.Store())
+			r.coord.WatchSLO(r.tele.add("fleet", reg, nil))
 		}
-		for _, name := range r.machineOrder {
-			if _, err := r.coord.AddMachine(name, r.machines[name].m); err != nil {
+		for _, ms := range r.machineList {
+			if _, err := r.coord.AddMachine(ms.decl.Name, ms.m); err != nil {
 				return fmt.Errorf("placement: %w", err)
 			}
 		}
 		// Manage every group workload: the coordinator picks and seeds the
 		// standby, and drives the app between migration pre-copy rounds.
-		for _, key := range r.groupOrder {
-			gs := r.groups[key]
+		for _, gs := range r.groupList {
 			if gs.g == nil {
 				continue // filebench: no consistency group to protect
 			}
-			work := func() error {
-				n := gs.decl.EffectiveOpsPerTick()
-				if err := gs.app.step(n); err != nil {
-					return err
-				}
-				gs.ops += n
-				return nil
-			}
-			if _, err := r.coord.Manage(key, gs.decl.Machine, work); err != nil {
-				return fmt.Errorf("placement: managing %q: %w", key, err)
+			if _, err := r.coord.Manage(gs.key, gs.decl.Machine, gs.work); err != nil {
+				return fmt.Errorf("placement: managing %q: %w", gs.key, err)
 			}
 		}
 	}
 	return nil
 }
 
-func (r *runner) tick() time.Duration {
-	t := r.sc.TickMS
-	if t <= 0 {
-		t = 1
-	}
-	return time.Duration(t) * time.Millisecond
+func (r *Harness) tick() time.Duration {
+	return time.Duration(max(r.sc.TickMS, 1)) * time.Millisecond
 }
 
-func (r *runner) stretch() int64 {
-	if r.opts.Stretch > 1 {
-		return r.opts.Stretch
-	}
-	return 1
-}
-
-func (r *runner) duration() time.Duration {
-	return time.Duration(r.sc.DurationMS*r.stretch()) * time.Millisecond
-}
-
-// eventAt is an event's stretched fire time in virtual milliseconds.
-func (r *runner) eventAt(e EventDecl) int64 { return e.AtMS * r.stretch() }
+func (r *Harness) stretch() int64 { return max(r.opts.Stretch, 1) }
 
 // drive is the deterministic main loop: one shared virtual timeline,
 // advanced tick by tick; events fire when their time arrives, workloads
 // step in declaration order, cadences (checkpoints, syncs) trigger on
 // their periods. Everything iterates in declaration order — never over a
 // map — so a seed replays bit-identically.
-func (r *runner) drive() {
+func (r *Harness) drive() {
 	clk := r.clk
-	end := r.duration()
+	end := time.Duration(r.sc.DurationMS*r.stretch()) * time.Millisecond
 	tick := r.tick()
 
 	// Events fire in (time, declaration) order.
-	evOrder := make([]int, len(r.sc.Events))
-	for i := range evOrder {
-		evOrder[i] = i
-	}
-	sort.SliceStable(evOrder, func(a, b int) bool {
-		return r.sc.Events[evOrder[a]].AtMS < r.sc.Events[evOrder[b]].AtMS
-	})
-	nextEv := 0
+	events := slices.Clone(r.sc.Events)
+	slices.SortStableFunc(events, func(a, b EventDecl) int { return cmp.Compare(a.AtMS, b.AtMS) })
 
 	for clk.Now() < end {
 		target := clk.Now() + tick
 		nowMS := int64(clk.Now() / time.Millisecond)
 
-		for nextEv < len(evOrder) && r.eventAt(r.sc.Events[evOrder[nextEv]]) <= nowMS {
-			r.fire(r.sc.Events[evOrder[nextEv]])
-			nextEv++
+		for len(events) > 0 && events[0].AtMS*r.stretch() <= nowMS {
+			r.fire(events[0])
+			events = events[1:]
 		}
 
-		for _, key := range r.groupOrder {
-			gs := r.groups[key]
+		for _, gs := range r.groupList {
 			if !gs.alive {
 				continue
 			}
-			n := gs.decl.EffectiveOpsPerTick()
-			if err := gs.app.step(n); err != nil {
-				r.recordErr("workload %s: %v", key, err)
+			if err := gs.work(); err != nil {
+				r.recordErr("workload %s: %v", gs.key, err)
 				gs.alive = false
 				continue
 			}
-			gs.ops += n
 			if r.coord != nil && gs.g != nil {
-				r.coord.RecordOps(key, n)
+				r.coord.RecordOps(gs.key, gs.decl.EffectiveOpsPerTick())
 			}
 			if gs.decl.CheckpointEveryMS > 0 && nowMS-gs.lastCkptMS >= gs.decl.CheckpointEveryMS {
 				gs.lastCkptMS = nowMS
-				r.checkpointGroup(key, gs)
+				r.checkpointGroup(gs)
 			}
 		}
 
-		for _, name := range r.replOrder {
-			rs := r.repls[name]
+		for _, rs := range r.replList {
 			if !rs.alive || rs.decl.SyncEveryMS <= 0 || nowMS-rs.lastSyncMS < rs.decl.SyncEveryMS {
 				continue
 			}
 			rs.lastSyncMS = nowMS
-			r.syncRepl(name, rs)
+			r.syncRepl(rs)
 		}
 
 		if r.coord != nil {
@@ -443,14 +402,11 @@ func (r *runner) drive() {
 		}
 	}
 
-	// Late events (scheduled at or past the end) still fire once, so a
-	// scenario can end on a final checkpoint or audit trigger.
-	for nextEv < len(evOrder) {
-		ev := r.sc.Events[evOrder[nextEv]]
-		if r.eventAt(ev) <= r.sc.DurationMS*r.stretch() {
-			r.fire(ev)
-		}
-		nextEv++
+	// Late events (scheduled at the end: validation admits none past it)
+	// still fire once, so a scenario can end on a final checkpoint or audit
+	// trigger.
+	for _, ev := range events {
+		r.fire(ev)
 	}
 }
 
@@ -460,56 +416,49 @@ func (r *runner) drive() {
 // machine's flight recorder (slo.breach), its observer's slo.breaches
 // counter (counted by Eval; the sls.slo audit family cross-checks counter
 // against breach log), and the run result.
-func (r *runner) sampleTelemetry() {
+func (r *Harness) sampleTelemetry() {
 	now := r.clk.Now()
-	for _, name := range r.machineOrder {
-		ms := r.machines[name]
-		reg := ms.m.Metrics
-		reg.Sample()
-		for _, b := range r.tele.watches[name].Eval(reg, now) {
-			ms.m.Flight.Record(int64(now), flight.EvSLOBreach,
-				b.Value, b.Bound, int64(now/time.Microsecond), b.SLO)
-			r.recordBreach(name, b)
-		}
-	}
-	if cr := r.tele.coord; cr != nil {
-		cr.Sample()
-		for _, b := range r.tele.coordWatch.Eval(cr, now) {
-			r.recordBreach("fleet", b)
+	for _, mem := range r.tele.members {
+		mem.reg.Sample()
+		for _, b := range mem.watch.Eval(mem.reg, now) {
+			if mem.ms != nil {
+				mem.ms.m.Flight.Record(int64(now), flight.EvSLOBreach,
+					b.Value, b.Bound, int64(now/time.Microsecond), b.SLO)
+			}
+			r.recordBreach(mem.name, b)
 		}
 	}
 }
 
-func (r *runner) recordBreach(machine string, b telemetry.Breach) {
+func (r *Harness) recordBreach(machine string, b telemetry.Breach) {
 	r.res.SLOBreaches = append(r.res.SLOBreaches, SLOBreach{Machine: machine, Breach: b})
 	r.logf("slo breach on %s: %s", machine, b)
 }
 
-func (r *runner) recordErr(format string, args ...any) {
+func (r *Harness) recordErr(format string, args ...any) {
 	msg := fmt.Sprintf(format, args...)
 	r.res.Errors = append(r.res.Errors, msg)
 	r.logf("error: %s", msg)
 }
 
-func (r *runner) recordEvent(e EventDecl, target string, err error) {
+func (r *Harness) recordEvent(e EventDecl, target string, err error) {
 	ev := ExecutedEvent{
 		AtMS:    e.AtMS,
 		FiredNS: int64(r.clk.Now()),
 		Kind:    e.Kind,
 		Target:  target,
 	}
+	line := fmt.Sprintf("t=%dms %s %s", e.AtMS, e.Kind, target)
 	if err != nil {
 		ev.Err = err.Error()
+		line += ": " + ev.Err
 	}
 	r.res.Events = append(r.res.Events, ev)
-	if err != nil {
-		r.logf("t=%dms %s %s: %v", e.AtMS, e.Kind, target, err)
-	} else {
-		r.logf("t=%dms %s %s", e.AtMS, e.Kind, target)
-	}
+	r.logf("%s", line)
 }
 
-func (r *runner) checkpointGroup(key string, gs *groupState) {
+// checkpointGroup is a workload's cadence checkpoint.
+func (r *Harness) checkpointGroup(gs *groupState) {
 	if gs.g == nil {
 		// Filebench workload: persist the whole store instead.
 		if _, err := gs.host.m.Store.Checkpoint(); err != nil {
@@ -519,19 +468,32 @@ func (r *runner) checkpointGroup(key string, gs *groupState) {
 		gs.ckpts++
 		return
 	}
+	if stage, err := r.commit(gs); err != nil {
+		r.recordErr("%s %s: %v", stage, gs.key, err)
+		gs.alive = false
+	}
+}
+
+// commit takes one checkpoint of the group in its declared kind, waits for
+// it to be durable and books it: its stop time, and the durable window from
+// checkpoint start to the commit persisting on media. A failure names the
+// stage ("checkpoint" or "barrier") it happened in.
+func (r *Harness) commit(gs *groupState) (stage string, err error) {
 	start := r.clk.Now()
 	st, err := gs.g.Checkpoint(gs.ckptKind())
 	if err != nil {
-		r.recordErr("checkpoint %s: %v", key, err)
-		gs.alive = false
-		return
+		return "checkpoint", err
 	}
 	if err := gs.g.Barrier(); err != nil {
-		r.recordErr("barrier %s: %v", key, err)
-		gs.alive = false
-		return
+		return "barrier", err
 	}
-	gs.record(st, start)
+	gs.ckpts++
+	if st.WALSeq != 0 {
+		gs.walCommits++
+	}
+	gs.stopTimes = append(gs.stopTimes, st.StopTime)
+	gs.durableWindows = append(gs.durableWindows, max(st.DurableAt-start, 0))
+	return "", nil
 }
 
 // ckptKind is the checkpoint kind this workload declared: WAL-first when
@@ -541,21 +503,6 @@ func (gs *groupState) ckptKind() aurora.CheckpointKind {
 		return aurora.CkptWAL
 	}
 	return aurora.CkptIncremental
-}
-
-// record books one committed checkpoint: its stop time and the durable
-// window from checkpoint start to the commit persisting on media.
-func (gs *groupState) record(st aurora.CheckpointStats, start time.Duration) {
-	gs.ckpts++
-	if st.WALSeq != 0 {
-		gs.walCommits++
-	}
-	gs.stopTimes = append(gs.stopTimes, st.StopTime)
-	w := st.DurableAt - start
-	if w < 0 {
-		w = 0
-	}
-	gs.durableWindows = append(gs.durableWindows, w)
 }
 
 // applyOptions applies the scenario's group options to a (possibly fresh)
@@ -574,51 +521,74 @@ func (gs *groupState) applyOptions() {
 	}
 }
 
-func (r *runner) syncRepl(name string, rs *replState) {
+// work is one tick of the workload: the declared op rate applied and
+// counted. The drive loop calls it every tick; a migration calls it between
+// pre-copy rounds, where the pages it dirties become the next round's delta.
+func (gs *groupState) work() error {
+	n := gs.decl.EffectiveOpsPerTick()
+	if err := gs.app.step(n); err != nil {
+		return err
+	}
+	gs.ops += n
+	return nil
+}
+
+// moved is the one step after a restore, failover or migration (the
+// runner's own or the coordinator's) produced a new incarnation g of the
+// group on host: the binding follows it, the scenario's options are applied
+// to it and the app is rebound to its processes. A declared replication of
+// the group still holds the incarnation that is gone — shipping through it
+// would replicate a corpse — so it is retired; a later sync event records
+// "replication is down". after names the move in the rebind error.
+func (r *Harness) moved(gs *groupState, g *aurora.Group, host *machineState, after string) {
+	gs.g = g
+	gs.host = host
+	gs.alive = true
+	gs.applyOptions()
+	if rs := r.repls[gs.key]; rs != nil && rs.alive {
+		rs.rep.Abandon()
+		rs.alive = false
+	}
+	if err := gs.app.rebind(gs); err != nil {
+		r.recordErr("rebind %s%s: %v", gs.key, after, err)
+		gs.alive = false
+	}
+}
+
+func (r *Harness) syncRepl(rs *replState) {
 	if err := rs.rep.Sync(); err != nil {
 		// Expected under partitions: the ship stays pending and the next
 		// sync resumes from the standby's high-water mark.
-		r.res.Errors = append(r.res.Errors, fmt.Sprintf("sync %s: %v", name, err))
-		r.logf("sync %s: %v", name, err)
+		msg := fmt.Sprintf("sync %s: %v", rs.decl.Group, err)
+		r.res.Errors = append(r.res.Errors, msg)
+		r.logf("%s", msg)
 	}
 }
 
-// fire dispatches one timed event.
-func (r *runner) fire(e EventDecl) {
-	switch e.Kind {
-	case EvPowerCut:
-		r.firePowerCut(e)
-	case EvRestore:
-		r.fireRestore(e)
-	case EvPartition:
-		rs := r.repls[e.Group]
-		rs.conn.Pipe().Cut(time.Duration(e.ForMS*r.stretch()) * time.Millisecond)
-		r.recordEvent(e, e.Group, nil)
-	case EvBitRot:
-		r.fireBitRot(e)
-	case EvMigrate:
-		r.fireMigrate(e)
-	case EvFailover:
-		r.fireFailover(e)
-	case EvCheckpoint:
-		r.fireCheckpoint(e)
-	case EvMachineDies:
-		r.fireMachineDies(e)
-	case EvRebalance:
-		r.recordEvent(e, "fleet", nil)
-		r.applyFleetEvents(r.coord.Rebalance())
-	case EvSync:
-		rs := r.repls[e.Group]
-		if !rs.alive {
-			r.recordEvent(e, e.Group, fmt.Errorf("replication is down"))
-			return
-		}
-		err := rs.rep.Sync()
-		r.recordEvent(e, e.Group, err)
-	}
+// fire dispatches one timed event to its kind's body.
+func (r *Harness) fire(e EventDecl) { lookup(eventKinds, e.Kind).do(r, e) }
+
+func (r *Harness) firePartition(e EventDecl) {
+	rs := r.repls[e.Group]
+	rs.conn.Pipe().Cut(time.Duration(e.ForMS*r.stretch()) * time.Millisecond)
+	r.recordEvent(e, e.Group, nil)
 }
 
-func (r *runner) firePowerCut(e EventDecl) {
+func (r *Harness) fireRebalance(e EventDecl) {
+	r.recordEvent(e, "fleet", nil)
+	r.applyFleetEvents(r.coord.Rebalance())
+}
+
+func (r *Harness) fireSync(e EventDecl) {
+	rs := r.repls[e.Group]
+	if !rs.alive {
+		r.recordEvent(e, e.Group, fmt.Errorf("replication is down"))
+		return
+	}
+	r.recordEvent(e, e.Group, rs.rep.Sync())
+}
+
+func (r *Harness) firePowerCut(e EventDecl) {
 	ms := r.machines[e.Machine]
 	m2, err := ms.m.PowerCut(subseed(r.seed, fmt.Sprintf("cut/%s/%d", e.Machine, e.AtMS)), e.Torn, e.DropInFlight)
 	r.recordEvent(e, e.Machine, err)
@@ -626,30 +596,24 @@ func (r *runner) firePowerCut(e EventDecl) {
 		return
 	}
 	ms.m = m2
-	if r.tele != nil {
+	if ms.watch != nil {
 		// The registry rode across the reboot but the watch attachment is
 		// volatile machine state — re-point the fresh incarnation's auditor
 		// at the same watch so the sls.slo cross-check keeps running.
-		m2.AttachSLO(r.tele.watches[e.Machine])
+		m2.AttachSLO(ms.watch)
 	}
 	// Volatile state is gone: every group hosted here is down until an
 	// explicit restore (or failover on its standby) brings it back, and
-	// every replication touching this machine loses its live handles.
-	for _, key := range r.groupOrder {
-		gs := r.groups[key]
-		if gs.host != ms {
-			continue
+	// every replication touching this machine loses its live handles. A
+	// group-less workload (filebench) keeps its state in the file system,
+	// which the reboot just recovered — it resumes against the fresh FS.
+	for _, gs := range r.groupList {
+		if gs.host == ms && gs.decl.Group != "" {
+			gs.alive = false
+			gs.g = nil
 		}
-		if gs.decl.App == AppFilebench {
-			// Filebench state is the file system, which the reboot just
-			// recovered — the workload resumes against the fresh FS.
-			continue
-		}
-		gs.alive = false
-		gs.g = nil
 	}
-	for _, name := range r.replOrder {
-		rs := r.repls[name]
+	for _, rs := range r.replList {
 		if rs.decl.From == e.Machine || rs.decl.To == e.Machine {
 			rs.alive = false
 		}
@@ -659,21 +623,15 @@ func (r *runner) firePowerCut(e EventDecl) {
 // fireMachineDies kills a machine for good: its groups stop producing
 // work immediately, but nobody tells the coordinator — the heartbeat
 // detector has to notice the silence and fail the groups over.
-func (r *runner) fireMachineDies(e EventDecl) {
-	ms := r.machines[e.Machine]
-	ms.dead = true
+func (r *Harness) fireMachineDies(e EventDecl) {
 	err := r.coord.KillMachine(e.Machine)
 	r.recordEvent(e, e.Machine, err)
 	if err != nil {
 		return
 	}
-	for _, key := range r.groupOrder {
-		gs := r.groups[key]
-		if gs.host != ms {
-			continue
-		}
-		gs.alive = false
-		if gs.decl.App != AppFilebench {
+	for _, gs := range r.groupList {
+		if gs.host == r.machines[e.Machine] {
+			gs.alive = false
 			gs.g = nil
 		}
 	}
@@ -681,7 +639,7 @@ func (r *runner) fireMachineDies(e EventDecl) {
 
 // applyFleetEvents records coordinator decisions in the result and
 // rebinds applications whose group moved (failover or rebalance).
-func (r *runner) applyFleetEvents(evs []placement.Event) {
+func (r *Harness) applyFleetEvents(evs []placement.Event) {
 	for _, e := range evs {
 		target := e.Group
 		if target == "" {
@@ -708,56 +666,25 @@ func (r *runner) applyFleetEvents(evs []placement.Event) {
 		if !ok {
 			continue
 		}
-		gs.g = e.G
-		gs.host = r.machines[e.To]
-		gs.alive = true
-		gs.applyOptions()
-		if err := gs.app.rebind(gs); err != nil {
-			r.recordErr("rebind %s after fleet %s: %v", e.Group, e.Kind, err)
-			gs.alive = false
-		}
+		r.moved(gs, e.G, r.machines[e.To], " after fleet "+e.Kind.String())
 	}
 }
 
-func (r *runner) fireRestore(e EventDecl) {
+func (r *Harness) fireRestore(e EventDecl) {
 	ms := r.machines[e.Machine]
 	gs := r.groups[e.Group]
-	var (
-		g   *aurora.Group
-		rst aurora.RestoreStats
-		err error
-	)
-	switch e.RestoreMode {
-	case "lazy":
-		g, rst, err = ms.m.RestoreLazily(e.Group)
-	case "speculative":
-		g, rst, err = ms.m.RestoreSpeculatively(e.Group)
-	default: // "" and "serial": the eager path
-		g, rst, err = ms.m.Restore(e.Group)
-	}
+	mode := pick(restoreModes, e.RestoreMode).do
+	g, rst, err := mode.restore(ms.m, e.Group)
 	r.recordEvent(e, e.Machine+"/"+e.Group, err)
 	if err != nil {
 		return
 	}
-	gs.g = g
-	gs.host = ms
-	gs.alive = true
-	gs.applyOptions()
-	if e.RestoreMode == "speculative" {
-		// The budget that matters speculatively is time-to-first-op —
-		// restores-under-us bounds exactly the span the mode shrinks.
-		gs.restoreTimes = append(gs.restoreTimes, rst.TimeToFirstOp)
-		gs.rollbacks += int64(rst.Rollbacks)
-	} else {
-		gs.restoreTimes = append(gs.restoreTimes, rst.Time)
-	}
-	if err := gs.app.rebind(gs); err != nil {
-		r.recordErr("rebind %s: %v", e.Group, err)
-		gs.alive = false
-	}
+	gs.restoreTimes = append(gs.restoreTimes, mode.cost(rst))
+	gs.rollbacks += int64(rst.Rollbacks)
+	r.moved(gs, g, ms, "")
 }
 
-func (r *runner) fireBitRot(e EventDecl) {
+func (r *Harness) fireBitRot(e EventDecl) {
 	ms := r.machines[e.Machine]
 	addrs := ms.m.Store.LivePageAddrs()
 	if len(addrs) == 0 {
@@ -770,11 +697,10 @@ func (r *runner) fireBitRot(e EventDecl) {
 		// say "rot pages 0, 7, 13" without knowing the store layout.
 		offsets = append(offsets, addrs[pg%int64(len(addrs))])
 	}
-	err := ms.m.BitRot(offsets...)
-	r.recordEvent(e, e.Machine, err)
+	r.recordEvent(e, e.Machine, ms.m.BitRot(offsets...))
 }
 
-func (r *runner) fireMigrate(e EventDecl) {
+func (r *Harness) fireMigrate(e EventDecl) {
 	gs := r.groups[e.Group]
 	if !gs.alive || gs.g == nil {
 		r.recordEvent(e, e.Group, fmt.Errorf("group is down"))
@@ -789,20 +715,8 @@ func (r *runner) fireMigrate(e EventDecl) {
 		r.applyFleetEvents(evs)
 		return
 	}
-	src := gs.host
 	dst := r.machines[e.To]
-	rounds := int(e.EffectiveRounds())
-	work := func() error {
-		// The application keeps running between pre-copy rounds; its dirty
-		// pages become the next round's delta.
-		n := gs.decl.EffectiveOpsPerTick()
-		if err := gs.app.step(n); err != nil {
-			return err
-		}
-		gs.ops += n
-		return nil
-	}
-	g2, mst, err := src.m.MigrateTo(dst.m, e.Group, rounds, work)
+	g2, mst, err := gs.host.m.MigrateTo(dst.m, e.Group, int(e.EffectiveRounds()), gs.work)
 	r.recordEvent(e, e.Group+"->"+e.To, err)
 	if err != nil {
 		// A failed migration leaves the source intact: the stream never
@@ -810,65 +724,40 @@ func (r *runner) fireMigrate(e EventDecl) {
 		// It keeps running where it is.
 		return
 	}
-	gs.g = g2
-	gs.host = dst
-	gs.applyOptions()
 	gs.stopTimes = append(gs.stopTimes, mst.FinalStop)
-	if err := gs.app.rebind(gs); err != nil {
-		r.recordErr("rebind %s after migrate: %v", e.Group, err)
-		gs.alive = false
-	}
+	r.moved(gs, g2, dst, " after migrate")
 }
 
-func (r *runner) fireFailover(e EventDecl) {
+func (r *Harness) fireFailover(e EventDecl) {
 	rs := r.repls[e.Group]
 	gs := r.groups[e.Group]
-	if rs.rep == nil {
-		r.recordEvent(e, e.Group, fmt.Errorf("replication never established"))
-		return
-	}
 	g2, rst, err := rs.rep.Failover(aurora.RestoreEager)
 	r.recordEvent(e, e.Group+"@"+rs.decl.To, err)
 	if err != nil {
 		return
 	}
-	gs.g = g2
-	gs.host = rs.to
-	gs.alive = true
-	gs.applyOptions()
 	gs.restoreTimes = append(gs.restoreTimes, rst.Time)
-	rs.alive = false // the standby is now the primary; the old wire is done
-	if err := gs.app.rebind(gs); err != nil {
-		r.recordErr("rebind %s after failover: %v", e.Group, err)
-		gs.alive = false
-	}
+	// The standby is now the primary; moved retires the old wire.
+	r.moved(gs, g2, rs.to, " after failover")
 }
 
-func (r *runner) fireCheckpoint(e EventDecl) {
+func (r *Harness) fireCheckpoint(e EventDecl) {
 	if e.Group != "" {
 		gs := r.groups[e.Group]
 		if !gs.alive || gs.g == nil {
 			r.recordEvent(e, e.Group, fmt.Errorf("group is down"))
 			return
 		}
-		start := r.clk.Now()
-		st, err := gs.g.Checkpoint(gs.ckptKind())
-		if err == nil {
-			err = gs.g.Barrier()
-		}
+		_, err := r.commit(gs)
 		r.recordEvent(e, e.Group, err)
-		if err == nil {
-			gs.record(st, start)
-		}
 		return
 	}
-	ms := r.machines[e.Machine]
-	_, err := ms.m.Store.Checkpoint()
+	_, err := r.machines[e.Machine].m.Store.Checkpoint()
 	r.recordEvent(e, e.Machine, err)
 }
 
 // finish evaluates assertions and assembles the result.
-func (r *runner) finish() {
+func (r *Harness) finish() {
 	r.res.ElapsedNS = int64(r.clk.Now())
 
 	if r.tele != nil {
@@ -876,19 +765,12 @@ func (r *runner) finish() {
 		// series, then the end-of-run SLO pass: final-at-least objectives
 		// only have a verdict now that the run is over.
 		r.sampleTelemetry()
-		now := r.clk.Now()
-		finalEval := func(machine string, w *telemetry.Watch, reg *telemetry.Registry) {
-			for _, b := range w.Final(reg, now) {
+		for _, mem := range r.tele.members {
+			for _, b := range mem.watch.Final(mem.reg, r.clk.Now()) {
 				if b.Kind == telemetry.SLOFinalAtLeast.String() {
-					r.recordBreach(machine, b)
+					r.recordBreach(mem.name, b)
 				}
 			}
-		}
-		for _, name := range r.machineOrder {
-			finalEval(name, r.tele.watches[name], r.machines[name].m.Metrics)
-		}
-		if r.tele.coord != nil {
-			finalEval("fleet", r.tele.coordWatch, r.tele.coord)
 		}
 		snap := r.tele.fleet.FleetSnapshot()
 		snap.Breaches = make([]telemetry.Breach, 0, len(r.res.SLOBreaches))
@@ -899,17 +781,12 @@ func (r *runner) finish() {
 		r.res.TimelineJSON = r.fleetTimeline()
 	}
 
-	for _, name := range r.machineOrder {
-		ms := r.machines[name]
-		r.res.Flights = append(r.res.Flights, MachineFlight{
-			Machine:  name,
-			Timeline: r.combinedFlight(ms),
-		})
+	for _, ms := range r.machineList {
+		r.res.Flights = append(r.res.Flights, MachineFlight{Machine: ms.decl.Name, Timeline: combinedFlight(ms.m)})
 	}
-	for _, key := range r.groupOrder {
-		gs := r.groups[key]
+	for _, gs := range r.groupList {
 		st := GroupStat{
-			Group:        key,
+			Group:        gs.key,
 			Machine:      gs.host.decl.Name,
 			Alive:        gs.alive,
 			Ops:          gs.ops,
@@ -920,12 +797,12 @@ func (r *runner) finish() {
 			P99StopUS:    p99us(gs.stopTimes),
 			P99DurableUS: p99us(gs.durableWindows),
 		}
-		if rs, ok := r.repls[key]; ok && rs.rep != nil {
+		if rs, ok := r.repls[gs.key]; ok {
 			st.StandbyEpoch = int64(rs.rep.Base())
 			st.Syncs = int64(rs.rep.Syncs)
 		}
 		if r.coord != nil {
-			if a, ok := r.coord.Assignment(key); ok {
+			if a, ok := r.coord.Assignment(gs.key); ok {
 				st.StandbyEpoch = a.StandbyEpoch()
 				st.Syncs = a.Syncs
 			}
@@ -935,17 +812,17 @@ func (r *runner) finish() {
 
 	allOK := true
 	for _, a := range r.sc.Assertions {
-		ar := r.evaluate(a)
+		ar := AssertionResult{Decl: a}
+		ar.Pass, ar.Detail = lookup(assertionKinds, a.Kind).do(r, a)
 		r.res.Assertions = append(r.res.Assertions, ar)
 		if !ar.Pass {
 			allOK = false
 		}
 	}
 	r.res.AssertionsOK = allOK
+	r.res.Passed = allOK
 	if r.res.Expect == ExpectFail {
 		r.res.Passed = !allOK
-	} else {
-		r.res.Passed = allOK
 	}
 }
 
@@ -954,18 +831,18 @@ func (r *runner) finish() {
 // process per machine, cross-machine causality (replication ships,
 // kill -> failover -> promote chains) drawn as flow arrows. Empty when no
 // machine declared trace: true.
-func (r *runner) fleetTimeline() string {
+func (r *Harness) fleetTimeline() string {
 	var tls []trace.Timeline
-	for _, name := range r.machineOrder {
-		if ms := r.machines[name]; ms.decl.Trace {
-			tls = append(tls, trace.Timeline{Name: name, T: ms.m.Tracer})
+	for _, ms := range r.machineList {
+		if ms.decl.Trace {
+			tls = append(tls, trace.Timeline{Name: ms.decl.Name, T: ms.m.Tracer})
 		}
 	}
 	if len(tls) == 0 {
 		return ""
 	}
-	if r.tele.coord != nil {
-		tls = append(tls, trace.Timeline{Name: "coordinator", T: r.tele.coord.Store()})
+	if coord := r.tele.members[len(r.tele.members)-1]; coord.ms == nil {
+		tls = append(tls, trace.Timeline{Name: "coordinator", T: coord.reg.Store()})
 	}
 	var sb strings.Builder
 	if err := trace.WriteChrome(&sb, tls); err != nil {
@@ -979,199 +856,21 @@ func (r *runner) fleetTimeline() string {
 // store persisted before the last crash, the fault device's crash log (cut
 // and torn events can never be inside the checkpoint they interrupt), and
 // the live post-boot ring, merged by virtual time.
-func (r *runner) combinedFlight(ms *machineState) string {
+func combinedFlight(m *aurora.Machine) string {
 	var evs []aurora.FlightEvent
-	if rec, _, ok, err := ms.m.RecoveredFlight(); err == nil && ok {
+	if rec, _, ok, err := m.RecoveredFlight(); err == nil && ok {
 		evs = append(evs, rec...)
 	}
-	if ms.m.Fault != nil {
-		evs = append(evs, ms.m.Fault.CrashLog()...)
+	if m.Fault != nil {
+		evs = append(evs, m.Fault.CrashLog()...)
 	}
-	evs = append(evs, ms.m.Flight.Events()...)
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].At < evs[j].At })
-	var sb []byte
+	evs = append(evs, m.Flight.Events()...)
+	slices.SortStableFunc(evs, func(a, b aurora.FlightEvent) int { return cmp.Compare(a.At, b.At) })
+	var sb strings.Builder
 	for _, ev := range evs {
-		sb = append(sb, ev.String()...)
-		sb = append(sb, '\n')
+		sb.WriteString(ev.String() + "\n")
 	}
-	return string(sb)
-}
-
-func (r *runner) evaluate(a AssertionDecl) AssertionResult {
-	ar := AssertionResult{Decl: a}
-	min := a.Min
-	if min <= 0 {
-		min = 1
-	}
-	pass := func(ok bool, format string, args ...any) AssertionResult {
-		ar.Pass = ok
-		ar.Detail = fmt.Sprintf(format, args...)
-		return ar
-	}
-	switch a.Kind {
-	case AssertAuditClean:
-		rep := r.machines[a.Machine].m.Audit()
-		if !rep.OK() {
-			return pass(false, "%d violations, first: %s", len(rep.Violations), rep.Violations[0])
-		}
-		return pass(true, "0 violations")
-	case AssertFsckClean:
-		rep := r.machines[a.Machine].m.Store.Fsck()
-		if len(rep.Problems) > 0 {
-			return pass(false, "%d problems, first: %s", len(rep.Problems), rep.Problems[0])
-		}
-		return pass(true, "%d objects, %d pages scrubbed", rep.Objects, rep.ScrubbedPages)
-	case AssertFsckProblems:
-		rep := r.machines[a.Machine].m.Store.Fsck()
-		return pass(int64(len(rep.Problems)) >= min, "%d problems (want >= %d)", len(rep.Problems), min)
-	case AssertFlightContains:
-		timeline := ""
-		for _, mf := range r.res.Flights {
-			if mf.Machine == a.Machine {
-				timeline = mf.Timeline
-			}
-		}
-		n := countFlightKind(timeline, a.Event)
-		return pass(n >= min, "%d %q events (want >= %d)", n, a.Event, min)
-	case AssertStandbyMinEpoch:
-		rs := r.repls[a.Group]
-		got := int64(rs.rep.Base())
-		return pass(got >= min, "standby epoch %d (want >= %d)", got, min)
-	case AssertSyncsAtLeast:
-		rs := r.repls[a.Group]
-		return pass(int64(rs.rep.Syncs) >= min, "%d syncs (want >= %d)", rs.rep.Syncs, min)
-	case AssertOpsAtLeast:
-		gs := r.groups[a.Group]
-		return pass(gs.ops >= min, "%d ops (want >= %d)", gs.ops, min)
-	case AssertCkptsAtLeast:
-		gs := r.groups[a.Group]
-		return pass(gs.ckpts >= min, "%d checkpoints (want >= %d)", gs.ckpts, min)
-	case AssertGroupOn:
-		gs := r.groups[a.Group]
-		ok := gs.alive && gs.host.decl.Name == a.Machine
-		return pass(ok, "group on %q alive=%v (want on %q)", gs.host.decl.Name, gs.alive, a.Machine)
-	case AssertP99StopUnderUS:
-		gs := r.groups[a.Group]
-		if len(gs.stopTimes) == 0 {
-			return pass(false, "no checkpoints measured")
-		}
-		p99 := p99us(gs.stopTimes)
-		return pass(p99 <= a.MaxUS, "p99 stop %dus over %d checkpoints (want <= %dus)", p99, len(gs.stopTimes), a.MaxUS)
-	case AssertDurableWindowUnderUS:
-		gs := r.groups[a.Group]
-		if len(gs.durableWindows) == 0 {
-			return pass(false, "no checkpoints measured")
-		}
-		p99 := p99us(gs.durableWindows)
-		return pass(p99 <= a.MaxUS, "p99 durable window %dus over %d commits (%d via WAL, want <= %dus)",
-			p99, len(gs.durableWindows), gs.walCommits, a.MaxUS)
-	case AssertFleetHealth:
-		if r.coord == nil {
-			return pass(false, "no placement coordinator")
-		}
-		ok := r.coord.Protected() && r.coord.Orphans() == 0
-		return pass(ok, "protected=%v orphans=%d failovers=%d rebalances=%d",
-			r.coord.Protected(), r.coord.Orphans(), r.coord.Failovers(), r.coord.Rebalances())
-	case AssertFailoversAtLeast:
-		if r.coord == nil {
-			return pass(false, "no placement coordinator")
-		}
-		return pass(r.coord.Failovers() >= min, "%d failovers (want >= %d)", r.coord.Failovers(), min)
-	case AssertRestoreUnderUS:
-		gs := r.groups[a.Group]
-		if len(gs.restoreTimes) == 0 {
-			return pass(false, "no restores measured")
-		}
-		worst := int64(0)
-		for _, t := range gs.restoreTimes {
-			if us := int64(t / time.Microsecond); us > worst {
-				worst = us
-			}
-		}
-		return pass(worst <= a.MaxUS, "worst restore %dus over %d restores (want <= %dus)", worst, len(gs.restoreTimes), a.MaxUS)
-	case AssertRollbacksAtMost:
-		gs := r.groups[a.Group]
-		return pass(gs.rollbacks <= a.Max, "%d speculation rollback(s) (want <= %d)", gs.rollbacks, a.Max)
-	case AssertMetricP99Under:
-		h := r.metricHistogram(a)
-		if h == nil || h.Samples() == 0 {
-			return pass(false, "no samples for metric %q", a.Metric)
-		}
-		p99 := h.Quantile(0.99)
-		return pass(p99 < a.Max, "%s p99 %dns over %d samples (want < %dns)%s",
-			a.Metric, p99, h.Samples(), a.Max, r.metricScope(a))
-	case AssertMetricMaxUnder:
-		max, found := int64(0), false
-		for _, reg := range r.metricRegistries(a) {
-			for _, p := range reg.SeriesPoints(a.Metric) {
-				found = true
-				if p.V > max {
-					max = p.V
-				}
-			}
-		}
-		if !found {
-			return pass(false, "no series for metric %q", a.Metric)
-		}
-		return pass(max < a.Max, "%s max %d (want < %d)%s", a.Metric, max, a.Max, r.metricScope(a))
-	case AssertMetricFinalAtLeast:
-		total, found := int64(0), false
-		for _, reg := range r.metricRegistries(a) {
-			if pts := reg.SeriesPoints(a.Metric); len(pts) > 0 {
-				found = true
-				total += pts[len(pts)-1].V
-			}
-		}
-		if !found {
-			return pass(false, "no series for metric %q", a.Metric)
-		}
-		return pass(total >= min, "%s final %d (want >= %d)%s", a.Metric, total, min, r.metricScope(a))
-	}
-	return pass(false, "unknown assertion kind %q", a.Kind)
-}
-
-// metricRegistries resolves the registries a metric assertion reads: one
-// machine's when `machine` is set, otherwise every fleet member plus the
-// coordinator's, in registration order.
-func (r *runner) metricRegistries(a AssertionDecl) []*telemetry.Registry {
-	if r.tele == nil {
-		return nil
-	}
-	if a.Machine != "" {
-		return []*telemetry.Registry{r.machines[a.Machine].m.Metrics}
-	}
-	regs := make([]*telemetry.Registry, 0, len(r.machineOrder)+1)
-	for _, name := range r.machineOrder {
-		regs = append(regs, r.machines[name].m.Metrics)
-	}
-	if r.tele.coord != nil {
-		regs = append(regs, r.tele.coord)
-	}
-	return regs
-}
-
-// metricHistogram merges the named histogram across the assertion's scope.
-func (r *runner) metricHistogram(a AssertionDecl) *trace.Histogram {
-	var out *trace.Histogram
-	for _, reg := range r.metricRegistries(a) {
-		h := reg.Store().HistogramCopy(a.Metric)
-		if h == nil {
-			continue
-		}
-		if out == nil {
-			out = trace.NewHistogram(a.Metric)
-		}
-		out.Merge(h)
-	}
-	return out
-}
-
-// metricScope labels the assertion detail with where the metric was read.
-func (r *runner) metricScope(a AssertionDecl) string {
-	if a.Machine != "" {
-		return " on " + a.Machine
-	}
-	return " fleet-wide"
+	return sb.String()
 }
 
 // p99us returns the 99th-percentile of the samples in microseconds.
@@ -1179,11 +878,6 @@ func p99us(samples []time.Duration) int64 {
 	if len(samples) == 0 {
 		return 0
 	}
-	s := append([]time.Duration(nil), samples...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	idx := len(s) * 99 / 100
-	if idx >= len(s) {
-		idx = len(s) - 1
-	}
-	return int64(s[idx] / time.Microsecond)
+	s := slices.Sorted(slices.Values(samples))
+	return int64(s[len(s)*99/100] / time.Microsecond)
 }

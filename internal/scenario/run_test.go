@@ -186,3 +186,66 @@ func TestWriteArtifacts(t *testing.T) {
 		t.Fatalf("flight artifact missing the cut:\n%s", fl)
 	}
 }
+
+// migrateReplSrc: a replicated counter leaves its machine by live migration.
+// Outside placement mode nothing retired the replication, so the cadence sync
+// kept checkpointing and shipping the exited, forgotten source group — ten
+// syncs, six of them after the move, and no error anywhere.
+const migrateReplSrc = `
+name: unit-migrate-retires-replication
+duration_ms: 100
+machines:
+  - name: a
+  - name: b
+  - name: c
+workloads:
+  - machine: a
+    group: demo
+    app: counter
+replications:
+  - group: demo
+    from: a
+    to: b
+    sync_every_ms: 10
+events:
+  - at_ms: 40
+    kind: migrate
+    group: demo
+    to: c
+  - at_ms: 60
+    kind: sync
+    group: demo
+assertions:
+  - kind: group-on
+    machine: c
+    group: demo
+  - kind: audit-clean
+    machine: a
+`
+
+func TestMigrateRetiresReplication(t *testing.T) {
+	sc, err := Parse([]byte(migrateReplSrc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(sc, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Passed {
+		t.Fatalf("scenario failed:\n%s", res.Summary())
+	}
+	// The seed and the syncs at t=0..30 land; t=40 is the move itself.
+	if g := res.Groups[0]; g.Syncs > 5 {
+		t.Fatalf("%d syncs: the replication went on shipping the migrated-away group\n%s", g.Syncs, res.Summary())
+	}
+	var late *ExecutedEvent
+	for i := range res.Events {
+		if res.Events[i].Kind == "sync" {
+			late = &res.Events[i]
+		}
+	}
+	if late == nil || late.Err != "replication is down" {
+		t.Fatalf("sync after the move: %+v, want it refused with \"replication is down\"", late)
+	}
+}

@@ -21,7 +21,9 @@
 package scenario
 
 import (
+	"cmp"
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 	"time"
@@ -49,11 +51,13 @@ type Scenario struct {
 	// prove assertions can trip.
 	Expect string `json:"expect,omitempty"`
 
+	// The sections, in the order the decoder reads them (and reports the
+	// first mistake in).
 	Machines     []MachineDecl   `json:"machines"`
 	Workloads    []WorkloadDecl  `json:"workloads,omitempty"`
 	Replications []ReplDecl      `json:"replications,omitempty"`
-	Placement    *PlacementDecl  `json:"placement,omitempty"`
 	Telemetry    *TelemetryDecl  `json:"telemetry,omitempty"`
+	Placement    *PlacementDecl  `json:"placement,omitempty"`
 	Events       []EventDecl     `json:"events,omitempty"`
 	Assertions   []AssertionDecl `json:"assertions"`
 }
@@ -72,21 +76,7 @@ type TelemetryDecl struct {
 }
 
 // EffectiveSampleEvery resolves the sampler cadence or its default.
-func (t *TelemetryDecl) EffectiveSampleEvery() int64 {
-	if t.SampleEveryMS > 0 {
-		return t.SampleEveryMS
-	}
-	return 5
-}
-
-// SLO rule kinds, mirroring telemetry.SLOKind.
-const (
-	SLOP99Under     = "p99-under"      // histogram p99 must stay under bound
-	SLOMaxUnder     = "max-under"      // series max must stay under bound
-	SLOFinalAtLeast = "final-at-least" // series last value must reach bound
-)
-
-var sloKinds = []string{SLOP99Under, SLOMaxUnder, SLOFinalAtLeast}
+func (t *TelemetryDecl) EffectiveSampleEvery() int64 { return cmp.Or(t.SampleEveryMS, 5) }
 
 // SLODecl is one declarative objective over a registry metric, evaluated
 // per machine on the sampler cadence (final-at-least only at end of run).
@@ -95,7 +85,7 @@ var sloKinds = []string{SLOP99Under, SLOMaxUnder, SLOFinalAtLeast}
 type SLODecl struct {
 	Name   string `json:"name"`
 	Metric string `json:"metric"`
-	Kind   string `json:"kind"`
+	Kind   string `json:"kind"` // one of sloKinds
 	Bound  int64  `json:"bound"`
 }
 
@@ -127,18 +117,13 @@ type PlacementDecl struct {
 // the run seed) on top; validate prints from this so the reported
 // effective values cannot drift from what a run uses.
 func (p *PlacementDecl) EffectiveConfig() placement.Config {
-	ms := func(v, def int64) time.Duration {
-		if v <= 0 {
-			v = def
-		}
-		return time.Duration(v) * time.Millisecond
-	}
+	ms := func(v int64) time.Duration { return time.Duration(v) * time.Millisecond }
 	return placement.Config{
-		SyncEvery:       ms(p.SyncEveryMS, 10),
-		HeartbeatEvery:  ms(p.HeartbeatEveryMS, 5),
+		SyncEvery:       ms(cmp.Or(p.SyncEveryMS, 10)),
+		HeartbeatEvery:  ms(cmp.Or(p.HeartbeatEveryMS, 5)),
 		DeadAfterMisses: int(p.DeadAfterMisses),
-		AuditEvery:      time.Duration(p.AuditEveryMS) * time.Millisecond,
-		RebalanceEvery:  time.Duration(p.RebalanceEveryMS) * time.Millisecond,
+		AuditEvery:      ms(p.AuditEveryMS),
+		RebalanceEvery:  ms(p.RebalanceEveryMS),
 		HotFactor:       p.HotFactor,
 		MigrateRounds:   int(p.MigrateRounds),
 	}.Filled()
@@ -152,37 +137,21 @@ type MachineDecl struct {
 	Trace     bool   `json:"trace,omitempty"`
 }
 
-// Workload app kinds.
-const (
-	AppCounter   = "counter"   // the sls demo app: one u64 in process memory
-	AppMemcached = "memcached" // internal/apps/memcached under a workload generator
-	AppRocksDB   = "rocksdb"   // internal/apps/rocksdb (ConfigAurora) under a generator
-	AppFilebench = "filebench" // internal/filebench personalities over the machine's FS
-)
-
-// Workload generator kinds (for memcached / rocksdb).
-const (
-	GenETC        = "etc"         // Facebook ETC (Mutilate), the paper's memcached driver
-	GenPrefixDist = "prefix_dist" // Facebook Prefix_dist, the paper's RocksDB driver
-	GenUniform    = "uniform"
-)
-
-// Filebench personalities accepted in WorkloadDecl.Personality.
-var filebenchPersonalities = []string{"varmail", "fileserver", "webserver", "randomwrite", "seqwrite"}
-
 // WorkloadDecl binds an application to a machine and drives it every tick.
 type WorkloadDecl struct {
 	Machine string `json:"machine"`
 	// Group is the consistency group name; empty only for filebench,
 	// whose state lives in the file system rather than process memory.
 	Group string `json:"group,omitempty"`
-	App   string `json:"app"`
-	// Generator/Items/ValueBytes shape the key-value op stream.
+	App   string `json:"app"` // one of appKinds
+	// Generator (one of generatorKinds), Items and ValueBytes shape the
+	// key-value op stream.
 	Generator  string `json:"generator,omitempty"`
 	Items      int64  `json:"items,omitempty"`       // key space / slot count (default 1024)
 	ValueBytes int64  `json:"value_bytes,omitempty"` // uniform generator value size
 	OpsPerTick int64  `json:"ops_per_tick,omitempty"`
-	// Personality selects the filebench workload (default varmail).
+	// Personality selects the filebench workload, one of personalityKinds
+	// (default varmail).
 	Personality string `json:"personality,omitempty"`
 	// CheckpointEveryMS is the periodic checkpoint cadence; 0 means only
 	// explicit checkpoint events persist this workload.
@@ -209,47 +178,15 @@ type ReplDecl struct {
 	Corrupt     float64 `json:"corrupt,omitempty"`
 }
 
-// Event kinds.
-const (
-	EvPowerCut   = "power-cut"  // machine: kill + reboot through faultdev
-	EvRestore    = "restore"    // machine+group: restore and rebind the app
-	EvPartition  = "partition"  // group: cut the replication wire for for_ms
-	EvBitRot     = "bit-rot"    // machine: rot the Nth live data pages
-	EvMigrate    = "migrate"    // group→to: live pre-copy migration
-	EvFailover   = "failover"   // group: restore on the standby
-	EvCheckpoint = "checkpoint" // group (or whole machine store)
-	EvSync       = "sync"       // group: one replication sync now
-	// Placement-mode kinds.
-	EvMachineDies = "machine-dies" // machine: permanent death the coordinator must discover
-	EvRebalance   = "rebalance"    // fleet: force a hot-group rebalance scan now
-)
-
-var eventKinds = []string{EvPowerCut, EvRestore, EvPartition, EvBitRot, EvMigrate, EvFailover, EvCheckpoint, EvSync, EvMachineDies, EvRebalance}
+// EffectiveOpsPerTick resolves the declared per-tick op rate or its default.
+// The Effective* methods are the one place a runner default lives, so
+// `scenario validate` reports exactly the values a run uses.
+func (w *WorkloadDecl) EffectiveOpsPerTick() int64 { return cmp.Or(w.OpsPerTick, 20) }
 
 // EventDecl is one timed event on the shared virtual clock.
-// Runner fallback defaults, hoisted to the schema layer so `scenario
-// validate` reports the effective values and the runner has one source of
-// truth instead of inline magic numbers.
-const (
-	// DefaultOpsPerTick drives workloads that leave ops_per_tick unset.
-	DefaultOpsPerTick int64 = 20
-	// DefaultMigrateRounds is the pre-copy round count when a migrate
-	// event (or placement rebalance) leaves rounds unset.
-	DefaultMigrateRounds int64 = 2
-)
-
-// EffectiveOpsPerTick resolves the declared per-tick op rate or the schema
-// default.
-func (w *WorkloadDecl) EffectiveOpsPerTick() int64 {
-	if w.OpsPerTick > 0 {
-		return w.OpsPerTick
-	}
-	return DefaultOpsPerTick
-}
-
 type EventDecl struct {
 	AtMS int64  `json:"at_ms"`
-	Kind string `json:"kind"`
+	Kind string `json:"kind"` // one of eventKinds
 
 	Machine string `json:"machine,omitempty"`
 	Group   string `json:"group,omitempty"`
@@ -269,66 +206,20 @@ type EventDecl struct {
 	To     string `json:"to,omitempty"`
 	Rounds int64  `json:"rounds,omitempty"`
 
-	// restore mode: "serial" (eager, the default), "lazy", or
-	// "speculative" — the validated-speculation path, where the group
-	// executes immediately and a background validator confirms every
+	// restore mode, one of restoreModes: "serial" (eager, the default),
+	// "lazy", or "speculative" — the validated-speculation path, where the
+	// group executes immediately and a background validator confirms every
 	// page, rolling back to a serial restore on mismatch.
 	RestoreMode string `json:"restore_mode,omitempty"`
 }
 
-// EffectiveRounds resolves a migrate event's declared pre-copy rounds or
-// the schema default.
-func (e *EventDecl) EffectiveRounds() int64 {
-	if e.Rounds > 0 {
-		return e.Rounds
-	}
-	return DefaultMigrateRounds
-}
-
-// Assertion kinds.
-const (
-	AssertAuditClean      = "audit-clean"          // machine: invariant watchdog finds nothing
-	AssertFsckClean       = "fsck-clean"           // machine: store verifies
-	AssertFsckProblems    = "fsck-problems"        // machine: fsck finds >= min problems (bit-rot proof)
-	AssertFlightContains  = "flight-contains"      // machine: recovered timeline has >= min events of kind
-	AssertStandbyMinEpoch = "standby-min-epoch"    // group: standby holds epoch >= min
-	AssertSyncsAtLeast    = "syncs-at-least"       // group: replication landed >= min ships
-	AssertOpsAtLeast      = "ops-at-least"         // group: workload completed >= min ops
-	AssertCkptsAtLeast    = "checkpoints-at-least" // group: >= min checkpoints committed
-	AssertGroupOn         = "group-on"             // machine+group: group is live there
-	AssertP99StopUnderUS  = "p99-stop-under-us"    // group: p99 checkpoint stop time <= max µs
-	AssertRestoreUnderUS  = "restores-under-us"    // group: every restore time <= max µs
-	// group: p99 durable window (checkpoint start to frame durable) <= max
-	// µs — the proof WAL-first commit keeps the loss window tiny.
-	AssertDurableWindowUnderUS = "durable-window-under-us"
-	// fleet (placement mode): no group orphaned and every surviving group
-	// has a live standby — the invariant a machine kill must not break.
-	AssertFleetHealth = "fleet-health"
-	// fleet (placement mode): the coordinator performed >= min failovers.
-	AssertFailoversAtLeast = "failovers-at-least"
-	// group: speculation rollbacks across the run <= max (default 0 — a
-	// clean image must validate without ever falling back to serial).
-	AssertRollbacksAtMost = "rollbacks-at-most"
-	// Metric assertions (need a telemetry block). Each reads a named
-	// registry metric — from one machine when `machine` is set, else
-	// fleet-wide (histograms merge exactly; series reduce across members).
-	AssertMetricMaxUnder     = "metric-max-under"      // series max < max
-	AssertMetricP99Under     = "metric-p99-under"      // histogram p99 < max
-	AssertMetricFinalAtLeast = "metric-final-at-least" // series last >= min
-)
-
-var assertionKinds = []string{
-	AssertAuditClean, AssertFsckClean, AssertFsckProblems, AssertFlightContains,
-	AssertStandbyMinEpoch, AssertSyncsAtLeast, AssertOpsAtLeast, AssertCkptsAtLeast,
-	AssertGroupOn, AssertP99StopUnderUS, AssertRestoreUnderUS,
-	AssertDurableWindowUnderUS, AssertFleetHealth, AssertFailoversAtLeast,
-	AssertRollbacksAtMost, AssertMetricMaxUnder, AssertMetricP99Under,
-	AssertMetricFinalAtLeast,
-}
+// EffectiveRounds resolves a migrate event's declared pre-copy rounds or the
+// default (the same two rounds a placement rebalance defaults to).
+func (e *EventDecl) EffectiveRounds() int64 { return cmp.Or(e.Rounds, 2) }
 
 // AssertionDecl is one end-of-run check.
 type AssertionDecl struct {
-	Kind    string `json:"kind"`
+	Kind    string `json:"kind"` // one of assertionKinds
 	Machine string `json:"machine,omitempty"`
 	Group   string `json:"group,omitempty"`
 	Event   string `json:"event,omitempty"` // flight-contains: flight kind name, e.g. "power.cut"
@@ -357,7 +248,8 @@ func Parse(src []byte) (*Scenario, error) {
 // fields and wrong types with positioned paths, then validates it.
 func Decode(raw map[string]any) (*Scenario, error) {
 	d := &decoder{}
-	sc := d.scenario(raw)
+	sc := &Scenario{}
+	d.object(raw, "scenario", reflect.ValueOf(sc).Elem())
 	if d.err != nil {
 		return nil, d.err
 	}
@@ -367,13 +259,72 @@ func Decode(raw map[string]any) (*Scenario, error) {
 	return sc, nil
 }
 
+// checker collects a validation pass's complaints, and what the
+// declarations seen so far make available to the ones after them.
+type checker struct {
+	sc       *Scenario
+	machines map[string]bool
+	groups   map[string]string // group -> machine
+	repls    map[string]bool
+	errs     []string
+}
+
+func (c *checker) bad(format string, args ...any) {
+	c.errs = append(c.errs, fmt.Sprintf(format, args...))
+}
+
+// hasMachine complains when the field at path names no declared machine.
+func (c *checker) hasMachine(path, name string) {
+	if !c.machines[name] {
+		c.bad("%s: no machine %q", path, name)
+	}
+}
+
+// hasGroup complains when the field at path names no workload's group.
+func (c *checker) hasGroup(path, name string) {
+	if _, ok := c.groups[name]; !ok {
+		c.bad("%s: no workload declares group %q", path, name)
+	}
+}
+
+// checkKind validates one declaration against its table entry: the kind
+// must exist, its needs must be met by the machine and group the declaration
+// names, and its own field checks must pass. what is "event" or "assertion".
+func checkKind[D, F any](c *checker, at, what string, table []kind[D, F], name string, d *D, machine, group string) {
+	if name == "" {
+		c.bad("%s.kind: required", at)
+		return
+	}
+	k := lookup(table, name)
+	if k == nil {
+		c.bad("%s.kind: unknown %s kind %q (want one of %s)", at, what, name, strings.Join(names(table), ", "))
+		return
+	}
+	if k.needs&needMachine != 0 {
+		c.hasMachine(at+".machine", machine)
+	}
+	if k.needs&needGroup != 0 {
+		c.hasGroup(at+".group", group)
+	}
+	if k.needs&needRepl != 0 && !c.repls[group] {
+		c.bad("%s.group: no replication declared for group %q", at, group)
+	}
+	if k.needs&needPlacement != 0 && c.sc.Placement == nil || k.needs&noPlacement != 0 && c.sc.Placement != nil {
+		c.bad("%s: %s", at, cmp.Or(k.why, name+" needs a placement block"))
+	}
+	if k.needs&needTelemetry != 0 && c.sc.Telemetry == nil {
+		c.bad("%s: %s needs a telemetry block", at, name)
+	}
+	if k.check != nil {
+		k.check(c, at, d)
+	}
+}
+
 // Validate checks cross-references and ranges. Parse/Decode call it; the
 // CLI's `scenario validate` is this over a whole corpus.
 func (s *Scenario) Validate() error {
-	var errs []string
-	bad := func(format string, args ...any) {
-		errs = append(errs, fmt.Sprintf(format, args...))
-	}
+	c := &checker{sc: s, machines: map[string]bool{}, groups: map[string]string{}, repls: map[string]bool{}}
+	bad := c.bad
 
 	if s.Name == "" {
 		bad("name: required")
@@ -390,52 +341,37 @@ func (s *Scenario) Validate() error {
 	if len(s.Machines) == 0 {
 		bad("machines: at least one machine is required")
 	}
-	machines := map[string]bool{}
 	for i, m := range s.Machines {
 		if m.Name == "" {
 			bad("machines[%d].name: required", i)
 		}
-		if machines[m.Name] {
+		if c.machines[m.Name] {
 			bad("machines[%d]: duplicate machine %q", i, m.Name)
 		}
-		machines[m.Name] = true
+		c.machines[m.Name] = true
 		if m.StorageMB < 0 {
 			bad("machines[%d].storage_mb: must not be negative", i)
 		}
 	}
 
-	groups := map[string]string{} // group -> machine
-	for i, w := range s.Workloads {
+	for i := range s.Workloads {
+		w := &s.Workloads[i]
 		at := fmt.Sprintf("workloads[%d]", i)
-		if !machines[w.Machine] {
-			bad("%s.machine: no machine %q", at, w.Machine)
-		}
-		switch w.App {
-		case AppCounter, AppMemcached, AppRocksDB:
-			if w.Group == "" {
-				bad("%s.group: required for app %q", at, w.App)
-			}
-		case AppFilebench:
-			if w.Group != "" {
-				bad("%s.group: filebench state lives in the file system; omit group", at)
-			}
-			if w.Personality != "" && !contains(filebenchPersonalities, w.Personality) {
-				bad("%s.personality: unknown %q (want one of %s)", at, w.Personality, strings.Join(filebenchPersonalities, ", "))
-			}
-		case "":
+		c.hasMachine(at+".machine", w.Machine)
+		if app := lookup(appKinds, w.App); app != nil {
+			app.check(c, at, w)
+		} else if w.App == "" {
 			bad("%s.app: required", at)
-		default:
+		} else {
 			bad("%s.app: unknown app %q", at, w.App)
 		}
 		if w.Group != "" {
-			if _, dup := groups[w.Group]; dup {
+			if _, dup := c.groups[w.Group]; dup {
 				bad("%s.group: duplicate group %q", at, w.Group)
 			}
-			groups[w.Group] = w.Machine
+			c.groups[w.Group] = w.Machine
 		}
-		switch w.Generator {
-		case "", GenETC, GenPrefixDist, GenUniform:
-		default:
+		if w.Generator != "" && lookup(generatorKinds, w.Generator) == nil {
 			bad("%s.generator: unknown generator %q", at, w.Generator)
 		}
 		if w.Items < 0 || w.OpsPerTick < 0 || w.ValueBytes < 0 || w.CheckpointEveryMS < 0 {
@@ -488,8 +424,8 @@ func (s *Scenario) Validate() error {
 			if r.Metric == "" {
 				bad("%s.metric: required", at)
 			}
-			if !contains(sloKinds, r.Kind) {
-				bad("%s.kind: unknown slo kind %q (want one of %s)", at, r.Kind, strings.Join(sloKinds, ", "))
+			if lookup(sloKinds, r.Kind) == nil {
+				bad("%s.kind: unknown slo kind %q (want one of %s)", at, r.Kind, strings.Join(names(sloKinds), ", "))
 			}
 			if r.Bound <= 0 {
 				bad("%s.bound: needs a positive bound", at)
@@ -497,28 +433,21 @@ func (s *Scenario) Validate() error {
 		}
 	}
 
-	repls := map[string]bool{}
 	for i, r := range s.Replications {
 		at := fmt.Sprintf("replications[%d]", i)
-		if _, ok := groups[r.Group]; !ok {
-			bad("%s.group: no workload declares group %q", at, r.Group)
-		}
-		if !machines[r.From] {
-			bad("%s.from: no machine %q", at, r.From)
-		}
-		if !machines[r.To] {
-			bad("%s.to: no machine %q", at, r.To)
-		}
+		c.hasGroup(at+".group", r.Group)
+		c.hasMachine(at+".from", r.From)
+		c.hasMachine(at+".to", r.To)
 		if r.From != "" && r.From == r.To {
 			bad("%s: from and to are both %q", at, r.From)
 		}
-		if gm, ok := groups[r.Group]; ok && gm != r.From {
+		if gm, ok := c.groups[r.Group]; ok && gm != r.From {
 			bad("%s: group %q runs on %q, not on from=%q", at, r.Group, gm, r.From)
 		}
-		if repls[r.Group] {
+		if c.repls[r.Group] {
 			bad("%s: duplicate replication of group %q", at, r.Group)
 		}
-		repls[r.Group] = true
+		c.repls[r.Group] = true
 		for _, p := range []struct {
 			name string
 			v    float64
@@ -532,7 +461,8 @@ func (s *Scenario) Validate() error {
 		}
 	}
 
-	for i, e := range s.Events {
+	for i := range s.Events {
+		e := &s.Events[i]
 		at := fmt.Sprintf("events[%d]", i)
 		if e.AtMS < 0 {
 			bad("%s.at_ms: must not be negative, got %d", at, e.AtMS)
@@ -540,497 +470,122 @@ func (s *Scenario) Validate() error {
 		if e.AtMS > s.DurationMS {
 			bad("%s.at_ms: %d is after the scenario ends (%d)", at, e.AtMS, s.DurationMS)
 		}
-		if e.RestoreMode != "" && e.Kind != EvRestore {
-			bad("%s.restore_mode: only %q events take a restore mode", at, EvRestore)
+		if e.RestoreMode != "" && e.Kind != "restore" {
+			bad("%s.restore_mode: only %q events take a restore mode", at, "restore")
 		}
-		switch e.Kind {
-		case EvPowerCut:
-			if !machines[e.Machine] {
-				bad("%s.machine: no machine %q", at, e.Machine)
-			}
-			if s.Placement != nil {
-				bad("%s: power-cut bypasses the coordinator; placement scenarios kill machines with %q", at, EvMachineDies)
-			}
-		case EvRestore:
-			if !machines[e.Machine] {
-				bad("%s.machine: no machine %q", at, e.Machine)
-			}
-			if _, ok := groups[e.Group]; !ok {
-				bad("%s.group: no workload declares group %q", at, e.Group)
-			}
-			if s.Placement != nil {
-				bad("%s: placement scenarios recover through coordinator failover, not explicit restore", at)
-			}
-			switch e.RestoreMode {
-			case "", "serial", "lazy", "speculative":
-			default:
-				bad("%s.restore_mode: unknown mode %q (want serial, lazy, or speculative)", at, e.RestoreMode)
-			}
-		case EvPartition:
-			if !repls[e.Group] {
-				bad("%s.group: no replication declared for group %q", at, e.Group)
-			}
-			if e.ForMS <= 0 {
-				bad("%s.for_ms: partition needs a positive duration", at)
-			}
-		case EvBitRot:
-			if !machines[e.Machine] {
-				bad("%s.machine: no machine %q", at, e.Machine)
-			}
-			if len(e.Pages) == 0 {
-				bad("%s.pages: bit-rot needs at least one live-page index", at)
-			}
-			for _, pg := range e.Pages {
-				if pg < 0 {
-					bad("%s.pages: negative page index %d", at, pg)
-				}
-			}
-		case EvMigrate:
-			if _, ok := groups[e.Group]; !ok {
-				bad("%s.group: no workload declares group %q", at, e.Group)
-			}
-			if !machines[e.To] {
-				bad("%s.to: no machine %q", at, e.To)
-			}
-			if e.Rounds < 0 {
-				bad("%s.rounds: must not be negative", at)
-			}
-		case EvFailover:
-			if !repls[e.Group] {
-				bad("%s.group: no replication declared for group %q", at, e.Group)
-			}
-		case EvCheckpoint:
-			if e.Group == "" && !machines[e.Machine] {
-				bad("%s: checkpoint needs a group or a machine", at)
-			}
-			if e.Group != "" {
-				if _, ok := groups[e.Group]; !ok {
-					bad("%s.group: no workload declares group %q", at, e.Group)
-				}
-			}
-		case EvSync:
-			if !repls[e.Group] {
-				bad("%s.group: no replication declared for group %q", at, e.Group)
-			}
-		case EvMachineDies:
-			if s.Placement == nil {
-				bad("%s: machine-dies needs a placement block (the coordinator discovers the death)", at)
-			}
-			if !machines[e.Machine] {
-				bad("%s.machine: no machine %q", at, e.Machine)
-			}
-		case EvRebalance:
-			if s.Placement == nil {
-				bad("%s: rebalance needs a placement block", at)
-			}
-		case "":
-			bad("%s.kind: required", at)
-		default:
-			bad("%s.kind: unknown event kind %q (want one of %s)", at, e.Kind, strings.Join(eventKinds, ", "))
-		}
+		checkKind(c, at, "event", eventKinds, e.Kind, e, e.Machine, e.Group)
 	}
 
 	if len(s.Assertions) == 0 {
 		bad("assertions: at least one assertion is required")
 	}
-	for i, a := range s.Assertions {
+	for i := range s.Assertions {
+		a := &s.Assertions[i]
 		at := fmt.Sprintf("assertions[%d]", i)
-		needMachine := func() {
-			if !machines[a.Machine] {
-				bad("%s.machine: no machine %q", at, a.Machine)
-			}
-		}
-		needGroup := func() {
-			if _, ok := groups[a.Group]; !ok {
-				bad("%s.group: no workload declares group %q", at, a.Group)
-			}
-		}
-		switch a.Kind {
-		case AssertAuditClean, AssertFsckClean:
-			needMachine()
-		case AssertFsckProblems:
-			needMachine()
-		case AssertFlightContains:
-			needMachine()
-			if a.Event == "" {
-				bad("%s.event: flight-contains needs a flight event kind (e.g. \"power.cut\")", at)
-			}
-		case AssertStandbyMinEpoch, AssertSyncsAtLeast:
-			if !repls[a.Group] {
-				bad("%s.group: no replication declared for group %q", at, a.Group)
-			}
-		case AssertOpsAtLeast, AssertCkptsAtLeast:
-			needGroup()
-		case AssertGroupOn:
-			needMachine()
-			needGroup()
-		case AssertP99StopUnderUS, AssertRestoreUnderUS, AssertDurableWindowUnderUS:
-			needGroup()
-			if a.MaxUS <= 0 {
-				bad("%s.max_us: needs a positive bound", at)
-			}
-		case AssertRollbacksAtMost:
-			needGroup()
-			if a.Max < 0 {
-				bad("%s.max: must not be negative", at)
-			}
-		case AssertFleetHealth, AssertFailoversAtLeast:
-			if s.Placement == nil {
-				bad("%s: %s needs a placement block", at, a.Kind)
-			}
-		case AssertMetricMaxUnder, AssertMetricP99Under, AssertMetricFinalAtLeast:
-			if s.Telemetry == nil {
-				bad("%s: %s needs a telemetry block", at, a.Kind)
-			}
-			if a.Metric == "" {
-				bad("%s.metric: required", at)
-			}
-			if a.Machine != "" && !machines[a.Machine] {
-				bad("%s.machine: no machine %q", at, a.Machine)
-			}
-			if a.Kind != AssertMetricFinalAtLeast && a.Max <= 0 {
-				bad("%s.max: needs a positive bound", at)
-			}
-		case "":
-			bad("%s.kind: required", at)
-		default:
-			bad("%s.kind: unknown assertion kind %q (want one of %s)", at, a.Kind, strings.Join(assertionKinds, ", "))
-		}
+		checkKind(c, at, "assertion", assertionKinds, a.Kind, a, a.Machine, a.Group)
 		if a.Min < 0 {
 			bad("%s.min: must not be negative", at)
 		}
 	}
 
-	if len(errs) == 0 {
+	if len(c.errs) == 0 {
 		return nil
 	}
-	sort.Strings(errs)
-	return fmt.Errorf("scenario %q invalid:\n  %s", s.Name, strings.Join(errs, "\n  "))
+	sort.Strings(c.errs)
+	return fmt.Errorf("scenario %q invalid:\n  %s", s.Name, strings.Join(c.errs, "\n  "))
 }
 
-func contains(list []string, s string) bool {
-	for _, v := range list {
-		if v == s {
-			return true
-		}
-	}
-	return false
-}
+// ---- the field checks single kinds have, named by the tables in kinds.go ----
 
-// ---- strict generic-value decoding ----
-
-type decoder struct{ err error }
-
-func (d *decoder) fail(path, format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf("%s: %s", path, fmt.Sprintf(format, args...))
+func checkHasGroup(c *checker, at string, w *WorkloadDecl) {
+	if w.Group == "" {
+		c.bad("%s.group: required for app %q", at, w.App)
 	}
 }
 
-// field extractors: each consumes its key so unknown-key detection is a
-// final "anything left?" check per object.
-
-func (d *decoder) str(m map[string]any, path, key string) string {
-	v, ok := m[key]
-	if !ok {
-		return ""
+func checkFilebench(c *checker, at string, w *WorkloadDecl) {
+	if w.Group != "" {
+		c.bad("%s.group: filebench state lives in the file system; omit group", at)
 	}
-	delete(m, key)
-	s, ok := v.(string)
-	if !ok {
-		d.fail(path+"."+key, "want string, got %s", typeName(v))
-		return ""
+	if w.Personality != "" && lookup(personalityKinds, w.Personality) == nil {
+		c.bad("%s.personality: unknown %q (want one of %s)", at, w.Personality, strings.Join(names(personalityKinds), ", "))
 	}
-	return s
 }
 
-func (d *decoder) i64(m map[string]any, path, key string) int64 {
-	v, ok := m[key]
-	if !ok {
-		return 0
+func checkRestoreMode(c *checker, at string, e *EventDecl) {
+	if e.RestoreMode != "" && lookup(restoreModes, e.RestoreMode) == nil {
+		modes := names(restoreModes)
+		c.bad("%s.restore_mode: unknown mode %q (want %s, or %s)", at, e.RestoreMode,
+			strings.Join(modes[:len(modes)-1], ", "), modes[len(modes)-1])
 	}
-	delete(m, key)
-	switch n := v.(type) {
-	case int64:
-		return n
-	case float64:
-		if n == float64(int64(n)) {
-			return int64(n)
-		}
-	}
-	d.fail(path+"."+key, "want integer, got %s", typeName(v))
-	return 0
 }
 
-func (d *decoder) f64(m map[string]any, path, key string) float64 {
-	v, ok := m[key]
-	if !ok {
-		return 0
+func checkPartition(c *checker, at string, e *EventDecl) {
+	if e.ForMS <= 0 {
+		c.bad("%s.for_ms: partition needs a positive duration", at)
 	}
-	delete(m, key)
-	switch n := v.(type) {
-	case int64:
-		return float64(n)
-	case float64:
-		return n
-	}
-	d.fail(path+"."+key, "want number, got %s", typeName(v))
-	return 0
 }
 
-func (d *decoder) boolean(m map[string]any, path, key string) bool {
-	v, ok := m[key]
-	if !ok {
-		return false
+func checkBitRot(c *checker, at string, e *EventDecl) {
+	if len(e.Pages) == 0 {
+		c.bad("%s.pages: bit-rot needs at least one live-page index", at)
 	}
-	delete(m, key)
-	b, ok := v.(bool)
-	if !ok {
-		d.fail(path+"."+key, "want bool, got %s", typeName(v))
-		return false
+	for _, pg := range e.Pages {
+		if pg < 0 {
+			c.bad("%s.pages: negative page index %d", at, pg)
+		}
 	}
-	return b
 }
 
-func (d *decoder) i64list(m map[string]any, path, key string) []int64 {
-	v, ok := m[key]
-	if !ok {
-		return nil
+func checkMigrate(c *checker, at string, e *EventDecl) {
+	c.hasMachine(at+".to", e.To)
+	if e.Rounds < 0 {
+		c.bad("%s.rounds: must not be negative", at)
 	}
-	delete(m, key)
-	list, ok := v.([]any)
-	if !ok {
-		d.fail(path+"."+key, "want list of integers, got %s", typeName(v))
-		return nil
-	}
-	out := make([]int64, 0, len(list))
-	for i, e := range list {
-		switch n := e.(type) {
-		case int64:
-			out = append(out, n)
-		case float64:
-			if n == float64(int64(n)) {
-				out = append(out, int64(n))
-				continue
-			}
-			d.fail(fmt.Sprintf("%s.%s[%d]", path, key, i), "want integer, got %g", n)
-		default:
-			d.fail(fmt.Sprintf("%s.%s[%d]", path, key, i), "want integer, got %s", typeName(e))
-		}
-	}
-	return out
 }
 
-// objects pulls a list of maps.
-func (d *decoder) objects(m map[string]any, path, key string) []map[string]any {
-	v, ok := m[key]
-	if !ok {
-		return nil
+// checkCheckpoint: a checkpoint event names a group, or else a machine whose
+// whole store it commits.
+func checkCheckpoint(c *checker, at string, e *EventDecl) {
+	if e.Group != "" {
+		c.hasGroup(at+".group", e.Group)
+	} else if !c.machines[e.Machine] {
+		c.bad("%s: checkpoint needs a group or a machine", at)
 	}
-	delete(m, key)
-	list, ok := v.([]any)
-	if !ok {
-		d.fail(path+"."+key, "want a list, got %s", typeName(v))
-		return nil
-	}
-	out := make([]map[string]any, 0, len(list))
-	for i, e := range list {
-		obj, ok := e.(map[string]any)
-		if !ok {
-			d.fail(fmt.Sprintf("%s.%s[%d]", path, key, i), "want an object, got %s", typeName(e))
-			return out
-		}
-		out = append(out, obj)
-	}
-	return out
 }
 
-func (d *decoder) noExtra(m map[string]any, path string) {
-	if len(m) == 0 {
-		return
+func checkFlightEvent(c *checker, at string, a *AssertionDecl) {
+	if a.Event == "" {
+		c.bad("%s.event: flight-contains needs a flight event kind (e.g. \"power.cut\")", at)
 	}
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	d.fail(path, "unknown field %q", keys[0])
 }
 
-func (d *decoder) scenario(raw map[string]any) *Scenario {
-	m := cloneMap(raw)
-	sc := &Scenario{
-		Name:        d.str(m, "scenario", "name"),
-		Description: d.str(m, "scenario", "description"),
-		Seed:        d.i64(m, "scenario", "seed"),
-		DurationMS:  d.i64(m, "scenario", "duration_ms"),
-		TickMS:      d.i64(m, "scenario", "tick_ms"),
-		Expect:      d.str(m, "scenario", "expect"),
+func checkMaxUS(c *checker, at string, a *AssertionDecl) {
+	if a.MaxUS <= 0 {
+		c.bad("%s.max_us: needs a positive bound", at)
 	}
-	for i, o := range d.objects(m, "scenario", "machines") {
-		path := fmt.Sprintf("machines[%d]", i)
-		md := MachineDecl{
-			Name:      d.str(o, path, "name"),
-			StorageMB: d.i64(o, path, "storage_mb"),
-			Trace:     d.boolean(o, path, "trace"),
-		}
-		d.noExtra(o, path)
-		sc.Machines = append(sc.Machines, md)
-	}
-	for i, o := range d.objects(m, "scenario", "workloads") {
-		path := fmt.Sprintf("workloads[%d]", i)
-		wd := WorkloadDecl{
-			Machine:           d.str(o, path, "machine"),
-			Group:             d.str(o, path, "group"),
-			App:               d.str(o, path, "app"),
-			Generator:         d.str(o, path, "generator"),
-			Items:             d.i64(o, path, "items"),
-			ValueBytes:        d.i64(o, path, "value_bytes"),
-			OpsPerTick:        d.i64(o, path, "ops_per_tick"),
-			Personality:       d.str(o, path, "personality"),
-			CheckpointEveryMS: d.i64(o, path, "checkpoint_every_ms"),
-			WALCommit:         d.boolean(o, path, "wal_commit"),
-			FoldEvery:         d.i64(o, path, "fold_every"),
-		}
-		d.noExtra(o, path)
-		sc.Workloads = append(sc.Workloads, wd)
-	}
-	for i, o := range d.objects(m, "scenario", "replications") {
-		path := fmt.Sprintf("replications[%d]", i)
-		rd := ReplDecl{
-			Group:       d.str(o, path, "group"),
-			From:        d.str(o, path, "from"),
-			To:          d.str(o, path, "to"),
-			SyncEveryMS: d.i64(o, path, "sync_every_ms"),
-			Drop:        d.f64(o, path, "drop"),
-			Dup:         d.f64(o, path, "dup"),
-			Reorder:     d.f64(o, path, "reorder"),
-			Corrupt:     d.f64(o, path, "corrupt"),
-		}
-		d.noExtra(o, path)
-		sc.Replications = append(sc.Replications, rd)
-	}
-	if v, ok := m["telemetry"]; ok {
-		delete(m, "telemetry")
-		obj, isObj := v.(map[string]any)
-		if !isObj {
-			d.fail("scenario.telemetry", "want an object, got %s", typeName(v))
-		} else {
-			td := &TelemetryDecl{
-				SampleEveryMS: d.i64(obj, "telemetry", "sample_every_ms"),
-			}
-			for i, o := range d.objects(obj, "telemetry", "slos") {
-				path := fmt.Sprintf("telemetry.slos[%d]", i)
-				sd := SLODecl{
-					Name:   d.str(o, path, "name"),
-					Metric: d.str(o, path, "metric"),
-					Kind:   d.str(o, path, "kind"),
-					Bound:  d.i64(o, path, "bound"),
-				}
-				d.noExtra(o, path)
-				td.SLOs = append(td.SLOs, sd)
-			}
-			d.noExtra(obj, "telemetry")
-			sc.Telemetry = td
-		}
-	}
-	if v, ok := m["placement"]; ok {
-		delete(m, "placement")
-		obj, isObj := v.(map[string]any)
-		if !isObj {
-			d.fail("scenario.placement", "want an object, got %s", typeName(v))
-		} else {
-			pd := &PlacementDecl{
-				SyncEveryMS:      d.i64(obj, "placement", "sync_every_ms"),
-				HeartbeatEveryMS: d.i64(obj, "placement", "heartbeat_every_ms"),
-				DeadAfterMisses:  d.i64(obj, "placement", "dead_after_misses"),
-				AuditEveryMS:     d.i64(obj, "placement", "audit_every_ms"),
-				RebalanceEveryMS: d.i64(obj, "placement", "rebalance_every_ms"),
-				HotFactor:        d.f64(obj, "placement", "hot_factor"),
-				MigrateRounds:    d.i64(obj, "placement", "migrate_rounds"),
-				HeartbeatDrop:    d.f64(obj, "placement", "heartbeat_drop"),
-			}
-			d.noExtra(obj, "placement")
-			sc.Placement = pd
-		}
-	}
-	for i, o := range d.objects(m, "scenario", "events") {
-		path := fmt.Sprintf("events[%d]", i)
-		ed := EventDecl{
-			AtMS:         d.i64(o, path, "at_ms"),
-			Kind:         d.str(o, path, "kind"),
-			Machine:      d.str(o, path, "machine"),
-			Group:        d.str(o, path, "group"),
-			Torn:         d.boolean(o, path, "torn"),
-			DropInFlight: d.boolean(o, path, "drop_in_flight"),
-			ForMS:        d.i64(o, path, "for_ms"),
-			Pages:        d.i64list(o, path, "pages"),
-			To:           d.str(o, path, "to"),
-			Rounds:       d.i64(o, path, "rounds"),
-			RestoreMode:  d.str(o, path, "restore_mode"),
-		}
-		d.noExtra(o, path)
-		sc.Events = append(sc.Events, ed)
-	}
-	for i, o := range d.objects(m, "scenario", "assertions") {
-		path := fmt.Sprintf("assertions[%d]", i)
-		ad := AssertionDecl{
-			Kind:    d.str(o, path, "kind"),
-			Machine: d.str(o, path, "machine"),
-			Group:   d.str(o, path, "group"),
-			Event:   d.str(o, path, "event"),
-			Min:     d.i64(o, path, "min"),
-			MaxUS:   d.i64(o, path, "max_us"),
-			Max:     d.i64(o, path, "max"),
-			Metric:  d.str(o, path, "metric"),
-		}
-		d.noExtra(o, path)
-		sc.Assertions = append(sc.Assertions, ad)
-	}
-	d.noExtra(m, "scenario")
-	return sc
 }
 
-// cloneMap shallow-copies so decoding can consume keys without mutating
-// the caller's parse tree.
-func cloneMap(m map[string]any) map[string]any {
-	out := make(map[string]any, len(m))
-	for k, v := range m {
-		if sub, ok := v.(map[string]any); ok {
-			v = cloneMap(sub)
-		}
-		if list, ok := v.([]any); ok {
-			cp := make([]any, len(list))
-			for i, e := range list {
-				if sub, ok := e.(map[string]any); ok {
-					cp[i] = cloneMap(sub)
-				} else {
-					cp[i] = e
-				}
-			}
-			v = cp
-		}
-		out[k] = v
+func checkRollbackMax(c *checker, at string, a *AssertionDecl) {
+	if a.Max < 0 {
+		c.bad("%s.max: must not be negative", at)
 	}
-	return out
 }
 
-func typeName(v any) string {
-	switch v.(type) {
-	case nil:
-		return "null"
-	case string:
-		return "string"
-	case int64:
-		return "integer"
-	case float64:
-		return "number"
-	case bool:
-		return "bool"
-	case []any:
-		return "list"
-	case map[string]any:
-		return "object"
+// checkMetric: a metric assertion names its metric, and a machine only to
+// narrow the read from fleet-wide to that machine's store.
+func checkMetric(c *checker, at string, a *AssertionDecl) {
+	if a.Metric == "" {
+		c.bad("%s.metric: required", at)
 	}
-	return fmt.Sprintf("%T", v)
+	if a.Machine != "" {
+		c.hasMachine(at+".machine", a.Machine)
+	}
+}
+
+func checkMetricMax(c *checker, at string, a *AssertionDecl) {
+	checkMetric(c, at, a)
+	if a.Max <= 0 {
+		c.bad("%s.max: needs a positive bound", at)
+	}
 }

@@ -54,7 +54,7 @@ events:
 		t.Fatalf("restore mode = %q", sc.Events[0].RestoreMode)
 	}
 	a := sc.Assertions[1]
-	if a.Kind != AssertRollbacksAtMost || a.Max != 0 {
+	if a.Kind != "rollbacks-at-most" || a.Max != 0 {
 		t.Fatalf("assertion = %+v", a)
 	}
 }

@@ -275,7 +275,7 @@ func TestMetricAssertionNegative(t *testing.T) {
 	}
 	// Exactly the metric assertion must have tripped.
 	for _, a := range res.Assertions {
-		wantPass := a.Decl.Kind != AssertMetricP99Under
+		wantPass := a.Decl.Kind != "metric-p99-under"
 		if a.Pass != wantPass {
 			t.Fatalf("assertion %s pass=%v, want %v (%s)", a.Decl.Kind, a.Pass, wantPass, a.Detail)
 		}
@@ -289,7 +289,7 @@ func TestMetricAssertionMissingMetricFails(t *testing.T) {
 		t.Fatalf("expect:fail scenario did not pass:\n%s", res.Summary())
 	}
 	for _, a := range res.Assertions {
-		if a.Decl.Kind == AssertMetricP99Under {
+		if a.Decl.Kind == "metric-p99-under" {
 			if a.Pass || !strings.Contains(a.Detail, "no samples") {
 				t.Fatalf("missing metric: pass=%v detail=%q", a.Pass, a.Detail)
 			}

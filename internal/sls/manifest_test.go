@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/hex"
 	"errors"
+	"slices"
 	"testing"
 
 	"aurora/internal/rec"
+	"aurora/internal/vm"
 )
 
 // localAndReceived builds a machine holding one group of its own ("local")
@@ -92,5 +94,65 @@ func TestZeroByteManifestIsNoGroups(t *testing.T) {
 	}
 	if _, _, err := w.o.RestoreGroup("nobody", w.store, RestoreFull, true); !errors.Is(err, ErrNoGroup) {
 		t.Fatalf("restore from an empty manifest: err = %v, want ErrNoGroup", err)
+	}
+}
+
+// TestRefusedSeedWritesNothing: a full stream the receiver must refuse — its
+// group is already in the manifest, or the manifest cannot be read — is
+// refused at its head. None of the objects it carries reaches the store
+// (they used to be written, uncommitted, before the end-of-stream merge
+// noticed), and the live structures stay consistent.
+func TestRefusedSeedWritesNothing(t *testing.T) {
+	// A source whose "guest" sits at OIDs the receiver does not hold: a pad
+	// group takes the ones a fresh machine hands out first.
+	other := newWorld(t)
+	pad := other.o.CreateGroup("pad")
+	pad.Attach(other.k.NewProc("pad"))
+	if _, err := pad.Checkpoint(CkptIncremental); err != nil {
+		t.Fatal(err)
+	}
+	gg := other.o.CreateGroup("guest")
+	p := other.k.NewProc("guest")
+	va, err := p.Mmap(4*vm.PageSize, vm.ProtRead|vm.ProtWrite, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.WriteMem(va, bytes.Repeat([]byte{7}, 4*vm.PageSize)); err != nil {
+		t.Fatal(err)
+	}
+	gg.Attach(p)
+	if _, err := gg.Checkpoint(CkptIncremental); err != nil {
+		t.Fatal(err)
+	}
+	var stream bytes.Buffer
+	if err := gg.Send(&stream); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name    string
+		prepare func(w *world)
+	}{
+		{"group already listed", func(*world) {}},
+		{"unreadable manifest", func(w *world) {
+			if err := w.store.PutRecord(ManifestOID, UTManifest, []byte("not a sealed record")); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := localAndReceived(t) // already holds a "guest"
+			tc.prepare(w)
+			before := w.store.Objects()
+			if _, err := w.o.Recv(bytes.NewReader(stream.Bytes())); err == nil {
+				t.Fatal("the stream was accepted")
+			}
+			if after := w.store.Objects(); !slices.Equal(before, after) {
+				t.Fatalf("a refused stream left objects behind: store held %v, holds %v", before, after)
+			}
+			if probs := w.store.AuditLive(); len(probs) > 0 {
+				t.Fatalf("AuditLive after the refusal: %v", probs)
+			}
+		})
 	}
 }

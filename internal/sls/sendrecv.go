@@ -354,6 +354,22 @@ func (o *Orchestrator) Recv(r io.Reader) (string, error) {
 		}
 	}
 
+	// A full stream registers a new group. Refuse it here, before the first
+	// item writes an object, if the manifest cannot be read or already lists
+	// the name; the entries ride to the end of the stream, where the group's
+	// own joins them and the record is written.
+	var manifest []manifestEntry
+	if !delta {
+		if manifest, err = readManifest(o.Store); err != nil {
+			return "", err
+		}
+		for _, ent := range manifest {
+			if ent.name == name {
+				return "", fmt.Errorf("sls: group %q already exists on this machine", name)
+			}
+		}
+	}
+
 	// Pending page run state, and the retention of the group record seen.
 	var curPages objstore.OID
 	retain := 0
@@ -365,7 +381,8 @@ func (o *Orchestrator) Recv(r io.Reader) (string, error) {
 		switch kind := d.U8(); kind {
 		case itemEnd:
 			if !delta {
-				if err := o.mergeManifest(name, groupOID); err != nil {
+				manifest = append(manifest, manifestEntry{id: uint64(len(manifest) + 1), name: name, oid: groupOID})
+				if err := o.putManifest(manifest); err != nil {
 					return "", err
 				}
 			} else {
@@ -536,18 +553,4 @@ func (g *Group) MigrateVia(dst *Orchestrator, rounds int, work func() error, con
 	g.o.Forget(g)
 	restored, _, err := r.Failover(RestoreLazy)
 	return restored, st, err
-}
-
-// mergeManifest registers a received group alongside any local ones.
-func (o *Orchestrator) mergeManifest(name string, groupOID objstore.OID) error {
-	entries, err := readManifest(o.Store)
-	if err != nil {
-		return err
-	}
-	for _, ent := range entries {
-		if ent.name == name {
-			return fmt.Errorf("sls: group %q already exists on this machine", name)
-		}
-	}
-	return o.putManifest(append(entries, manifestEntry{id: uint64(len(entries) + 1), name: name, oid: groupOID}))
 }
