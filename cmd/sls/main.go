@@ -171,8 +171,9 @@ func commit(g *aurora.Group) (aurora.CheckpointStats, error) {
 	return st, err
 }
 
-// printFlush reports what the checkpoint's flush pipeline did.
+// printFlush reports what the checkpoint's serializer and flush pipeline did.
 func printFlush(st aurora.CheckpointStats) {
+	fmt.Printf("  serialize: %d objects, %d captured, %v\n", st.Objects, st.Captured, st.OSTime)
 	fmt.Printf("  flush: %d bytes via %d workers (depth %d), encode %v, write %v\n",
 		st.FlushBytes, st.FlushWorkers, st.MaxQueueDepth, st.EncodeTime, st.WriteTime)
 }

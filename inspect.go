@@ -180,7 +180,7 @@ func fdKind(f *kern.File) string {
 		}
 		return "pty-s"
 	}
-	if _, ok := kern.DeviceNameOf(f); ok {
+	if _, ok := kern.DeviceOf(f); ok {
 		return "device"
 	}
 	return "other"

@@ -241,6 +241,14 @@ func (a *Auditor) auditGroup(r *Report, g *sls.Group, add func(rule, format stri
 		add("sls.spec", "group %q negative speculation counters (%d speculated, %d validated)", g.Name, spec, validated)
 	}
 
+	// Capture rule: an object the checkpoint's generation gate would skip
+	// must already be in the store exactly as a fresh serialization has it —
+	// the oracle for "every mutation bumps its object's generation".
+	r.Rules++
+	r.Objects += g.AuditCapture(func(oid objstore.OID, detail string) {
+		add("sls.capture", "group %q object %d: %s", g.Name, oid, detail)
+	})
+
 	// VM rules: every mapped object must be alive and referenced; shadow
 	// chains must terminate; dirty PTEs must be writable and point at live
 	// objects.

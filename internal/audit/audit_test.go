@@ -313,3 +313,45 @@ func TestReportString(t *testing.T) {
 		t.Fatalf("violation not rendered: %q", s)
 	}
 }
+
+// TestCaptureRuleCatchesUnbumpedMutation: the sls.capture family re-encodes
+// every object the checkpoint's generation gate would skip and compares it
+// with the store. A clean system passes; a field written around its setter —
+// a mutation with no bump — is reported, and the pass itself moves neither
+// the clock nor the OID allocator.
+func TestCaptureRuleCatchesUnbumpedMutation(t *testing.T) {
+	w, p := busyWorld(t)
+	fd, err := p.Open("/f", kern.ORead|kern.OWrite, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, _ := w.o.GroupByName("app")
+	if _, err := g.Checkpoint(sls.CkptIncremental); err != nil {
+		t.Fatal(err)
+	}
+	a := &Auditor{Store: w.store, K: w.k, O: w.o, Clk: w.clk}
+	if rep := a.Run(); !rep.OK() {
+		t.Fatalf("clean system: %s", rep)
+	}
+
+	f, _ := p.FDs.Get(fd)
+	f.Offset = 42 // not Lseek: the generation stays where the commit saw it
+	now, next := w.clk.Now(), w.store.NewOID()
+	rep := a.Run()
+	if len(rep.Violations) != 1 || rep.Violations[0].Rule != "sls.capture" ||
+		!strings.Contains(rep.Violations[0].Detail, "*kern.File") {
+		t.Fatalf("want one sls.capture violation naming the description, got:\n%s", rep)
+	}
+	if w.clk.Now() != now || w.store.NewOID() != next+1 {
+		t.Fatalf("the audit pass advanced the clock (%v -> %v) or allocated an OID", now, w.clk.Now())
+	}
+
+	// The real syscall bumps, so the object is no longer one the gate would
+	// skip and the rule has nothing to say about it.
+	if _, err := p.Lseek(fd, 42); err != nil {
+		t.Fatal(err)
+	}
+	if rep := a.Run(); !rep.OK() {
+		t.Fatalf("after a bumping lseek: %s", rep)
+	}
+}

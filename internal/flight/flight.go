@@ -58,6 +58,7 @@ const (
 	EvSpecValidated                   // A=group OID, B=pages validated, C=pages speculated
 	EvSpecRollback                    // A=group OID, B=object OID of the mismatch, C=page index
 	EvSLOBreach                       // A=observed value, B=bound, C=virtual µs; detail names the rule
+	EvCheckpointFail                  // A=group OID, B=the ordinal EvCheckpointBegin announced, C=kind; detail has the error
 )
 
 // String names the kind for timelines.
@@ -103,6 +104,8 @@ func (k Kind) String() string {
 		return "restore.rollback"
 	case EvSLOBreach:
 		return "slo.breach"
+	case EvCheckpointFail:
+		return "ckpt.fail"
 	default:
 		return fmt.Sprintf("kind(%d)", uint8(k))
 	}

@@ -54,20 +54,22 @@ func (dp *devicePager) BackingOID() uint64 { return 0 }
 // DeviceName identifies the device behind the pager (checkpoint path).
 func (dp *devicePager) DeviceName() string { return dp.name }
 
-// deviceFile is the descriptor wrapper for device nodes.
-type deviceFile struct {
+// Device is an open device node. Its record is its name, so its generation
+// never moves.
+type Device struct {
+	gen
 	k    *Kernel
 	name string
 }
 
-var _ FileImpl = (*deviceFile)(nil)
+var _ FileImpl = (*Device)(nil)
 
-func (d *deviceFile) Kind() ObjKind { return KindDevice }
+func (d *Device) Kind() ObjKind { return KindDevice }
 
 // Name returns the device name (checkpoint path).
-func (d *deviceFile) Name() string { return d.name }
+func (d *Device) Name() string { return d.name }
 
-func (d *deviceFile) Read(f *File, p []byte) (int, error) {
+func (d *Device) Read(f *File, p []byte) (int, error) {
 	switch d.name {
 	case DevNull:
 		return 0, nil
@@ -81,14 +83,14 @@ func (d *deviceFile) Read(f *File, p []byte) (int, error) {
 	return 0, ErrInvalid
 }
 
-func (d *deviceFile) Write(f *File, p []byte) (int, error) {
+func (d *Device) Write(f *File, p []byte) (int, error) {
 	if d.name == DevNull {
 		return len(p), nil
 	}
 	return 0, ErrInvalid
 }
 
-func (d *deviceFile) CloseLast() {}
+func (d *Device) CloseLast() {}
 
 // OpenDevice opens a whitelisted device node.
 func (p *Proc) OpenDevice(name string) (int, error) {
@@ -97,7 +99,7 @@ func (p *Proc) OpenDevice(name string) (int, error) {
 	}
 	var fd int
 	err := p.k.syscall(func() error {
-		fd = p.FDs.Install(NewFile(&deviceFile{k: p.k, name: name}, ORead|OWrite))
+		fd = p.FDs.Install(NewFile(&Device{k: p.k, name: name}, ORead|OWrite))
 		return nil
 	})
 	return fd, err

@@ -66,15 +66,43 @@ type FileImpl interface {
 	CloseLast()
 }
 
+// gen is the generation of a kernel object that becomes a store record
+// (File, Pipe, Socket, Kqueue, PTY, Device): a counter bumped, under the BKL,
+// by every mutation of a field the record holds. A checkpoint captures the
+// object only when its generation differs from the one the group last
+// committed (internal/sls, serializer.unchanged), so a spurious bump costs one
+// re-capture and a missing one loses an update — which is what the sls.capture
+// rule of internal/audit exists to catch. Restore constructors build objects
+// at generation 0; the restored group has committed nothing, so that is not a
+// claim of "unchanged".
+type gen struct{ n uint64 }
+
+func (g *gen) bump() { g.n++ }
+
+// Generation returns the object's mutation count. Callers hold the BKL or a
+// quiesce.
+func (g *gen) Generation() uint64 { return g.n }
+
 // File is an open-file description: the object fork and dup share, carrying
 // the offset and flags. Two processes with the same File see each other's
 // offset changes; two Files over the same vnode do not (§5.1's example).
+//
+// Offset and Flags are exported for the checkpoint and restore paths to read;
+// inside a running kernel they change only through setOffset and SetFlags,
+// which bump the generation.
 type File struct {
+	gen
 	mu     sync.Mutex
 	refs   int32
 	Offset int64
 	Flags  int
 	Impl   FileImpl
+}
+
+// setOffset moves the shared offset. Requires the BKL.
+func (f *File) setOffset(off int64) {
+	f.Offset = off
+	f.bump()
 }
 
 // NewFile wraps an implementation in a description with one reference.
@@ -284,9 +312,22 @@ func (p *Proc) Lseek(fd int, off int64) (int64, error) {
 		if err != nil {
 			return err
 		}
-		f.Offset = off
+		f.setOffset(off)
 		out = off
 		return nil
 	})
 	return out, err
+}
+
+// SetFlags replaces the description's status flags — fcntl(F_SETFL).
+func (p *Proc) SetFlags(fd int, flags int) error {
+	return p.k.syscall(func() error {
+		f, err := p.FDs.Get(fd)
+		if err != nil {
+			return err
+		}
+		f.Flags = flags
+		f.bump()
+		return nil
+	})
 }

@@ -49,13 +49,10 @@ func PTYInfo(f *File) (p *PTY, master bool, ok bool) {
 	return e.pty, e.master, true
 }
 
-// DeviceNameOf returns the device name behind a description.
-func DeviceNameOf(f *File) (string, bool) {
-	d, ok := f.Impl.(*deviceFile)
-	if !ok {
-		return "", false
-	}
-	return d.name, true
+// DeviceOf returns the device node behind a description.
+func DeviceOf(f *File) (*Device, bool) {
+	d, ok := f.Impl.(*Device)
+	return d, ok
 }
 
 // VnodeOf returns the vnode file behind a description.

@@ -159,8 +159,9 @@ func TestPipeNonblock(t *testing.T) {
 	k := newKernel(t)
 	p := k.NewProc("p")
 	rfd, _, _ := p.Pipe()
-	f, _ := p.FDs.Get(rfd)
-	f.Flags |= ONonblock
+	if err := p.SetFlags(rfd, ORead|ONonblock); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := p.Read(rfd, make([]byte, 4)); !errors.Is(err, ErrWouldBlock) {
 		t.Fatalf("nonblocking empty read: %v", err)
 	}

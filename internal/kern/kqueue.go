@@ -29,6 +29,7 @@ type Kevent struct {
 
 // Kqueue is the event queue object.
 type Kqueue struct {
+	gen
 	k      *Kernel
 	events []*Kevent
 }
@@ -43,7 +44,10 @@ func (kf *kqueueFile) Read(f *File, p []byte) (int, error) { return 0, ErrInvali
 func (kf *kqueueFile) Write(f *File, p []byte) (int, error) {
 	return 0, ErrInvalid
 }
-func (kf *kqueueFile) CloseLast() { kf.kq.events = nil }
+func (kf *kqueueFile) CloseLast() {
+	kf.kq.events = nil
+	kf.kq.bump()
+}
 
 // Kqueue creates an event queue descriptor.
 func (p *Proc) Kqueue() (int, error) {
@@ -77,6 +81,7 @@ func (p *Proc) KeventAdd(fd int, ev Kevent) error {
 		}
 		e := ev
 		kq.events = append(kq.events, &e)
+		kq.bump()
 		return nil
 	})
 }

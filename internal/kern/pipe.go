@@ -9,6 +9,7 @@ const PipeCapacity = 64 << 10
 
 // Pipe is the shared pipe object; the two descriptor ends reference it.
 type Pipe struct {
+	gen
 	k          *Kernel
 	buf        []byte
 	readersRef int32
@@ -47,6 +48,7 @@ func (e *pipeEnd) Read(f *File, buf []byte) (int, error) {
 	}
 	n := copy(buf, p.buf)
 	p.buf = p.buf[n:]
+	p.bump()
 	p.k.Gate.Broadcast() // wake writers waiting for space
 	return n, nil
 }
@@ -89,6 +91,7 @@ func (e *pipeEnd) Write(f *File, buf []byte) (int, error) {
 			n = space
 		}
 		p.buf = append(p.buf, buf[:n]...)
+		p.bump()
 		buf = buf[n:]
 		total += n
 		p.k.Gate.Broadcast() // wake readers
@@ -102,6 +105,7 @@ func (e *pipeEnd) CloseLast() {
 	} else {
 		e.p.readersRef--
 	}
+	e.p.bump()
 	e.p.k.Gate.Broadcast()
 }
 

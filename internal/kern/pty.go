@@ -7,13 +7,15 @@ package kern
 
 // PTY is the shared terminal object.
 type PTY struct {
+	gen
 	k *Kernel
 	// Index is the devfs unit number (pts/N).
 	Index int
 	// toSlave buffers master->slave bytes; toMaster the reverse.
 	toSlave  []byte
 	toMaster []byte
-	// Termios is an opaque blob standing in for termios state.
+	// Termios is an opaque blob standing in for termios state; it changes
+	// through SetTermios.
 	Termios [64]byte
 	closed  bool
 }
@@ -47,6 +49,7 @@ func (e *ptyEnd) Read(f *File, p []byte) (int, error) {
 	}
 	n := copy(p, *buf)
 	*buf = (*buf)[n:]
+	e.pty.bump()
 	return n, nil
 }
 
@@ -59,6 +62,7 @@ func (e *ptyEnd) Write(f *File, p []byte) (int, error) {
 	} else {
 		e.pty.toMaster = append(e.pty.toMaster, p...)
 	}
+	e.pty.bump()
 	e.pty.k.Gate.Broadcast()
 	return len(p), nil
 }
@@ -83,4 +87,21 @@ func (p *Proc) OpenPTY() (int, int, error) {
 		return nil
 	})
 	return mfd, sfd, err
+}
+
+// SetTermios replaces the terminal attributes — tcsetattr.
+func (p *Proc) SetTermios(fd int, termios [64]byte) error {
+	return p.k.syscall(func() error {
+		f, err := p.FDs.Get(fd)
+		if err != nil {
+			return err
+		}
+		e, ok := f.Impl.(*ptyEnd)
+		if !ok {
+			return ErrInvalid
+		}
+		e.pty.Termios = termios
+		e.pty.bump()
+		return nil
+	})
 }

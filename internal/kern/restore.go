@@ -113,12 +113,15 @@ func (k *Kernel) RestoreSocket(ps RestoreSocketParams) *Socket {
 // EnqueueRestored appends a message to a restored socket's receive queue.
 func (s *Socket) EnqueueRestored(data []byte, from string, files []*File) {
 	s.recvQ = append(s.recvQ, sockMsg{data: data, from: from, files: files})
+	s.bump() // Replay injects into sockets a checkpoint may already have captured
 }
 
 // LinkPeers connects two restored stream sockets.
 func LinkPeers(a, b *Socket) {
 	a.peer = b
 	b.peer = a
+	a.bump()
+	b.bump()
 }
 
 // MarkDisconnected severs a restored socket whose peer was outside the
@@ -190,7 +193,7 @@ func PTYFile(pty *PTY, master bool, flags int) *File {
 
 // DeviceFile wraps a whitelisted device in a description.
 func (k *Kernel) DeviceFile(name string, flags int) *File {
-	return &File{Flags: flags, Impl: &deviceFile{k: k, name: name}}
+	return &File{Flags: flags, Impl: &Device{k: k, name: name}}
 }
 
 // MapDeviceAt maps a whitelisted device read-only at a fixed address

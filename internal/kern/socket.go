@@ -33,8 +33,12 @@ type ESHook interface {
 	Hold(group uint64, deliver func()) bool
 }
 
-// Socket is the kernel socket object.
+// Socket is the kernel socket object. Its exported fields are for the
+// checkpoint and restore paths to read; inside a running kernel they change
+// only under a syscall that bumps the generation (Bind, Connect, send, SetES,
+// SetSockOpt).
 type Socket struct {
+	gen
 	k    *Kernel
 	kind ObjKind
 
@@ -46,7 +50,7 @@ type Socket struct {
 	Bound bool
 
 	OwnerGroup uint64 // consistency group of the creating process
-	ESDisabled bool   // sls_fdctl: opt this connection out of ES
+	ESDisabled bool   // sls_fdctl (SetES): opt this connection out of ES
 
 	recvQ     []sockMsg
 	peer      *Socket
@@ -144,6 +148,7 @@ func (p *Proc) Bind(fd int, addr string) error {
 		}
 		s.Local = addr
 		s.Bound = true
+		s.bump()
 		return nil
 	})
 }
@@ -159,6 +164,7 @@ func (p *Proc) Listen(fd int) error {
 			return ErrInvalid
 		}
 		s.listening = true
+		s.bump()
 		return nil
 	})
 }
@@ -173,6 +179,7 @@ func (p *Proc) Connect(fd int, addr string) error {
 		}
 		if s.kind == KindSocketUDP {
 			s.Remote = addr // connected UDP: just a default destination
+			s.bump()
 			return nil
 		}
 		l, ok := p.k.bounds[addr]
@@ -190,6 +197,7 @@ func (p *Proc) Connect(fd int, addr string) error {
 		}
 		s.peer = srv
 		s.Remote = addr
+		s.bump()
 		l.acceptQ = append(l.acceptQ, srv)
 		p.k.Clk.Advance(p.k.Costs.NetSetupRTT)
 		p.k.Gate.Broadcast()
@@ -258,9 +266,15 @@ func (s *Socket) send(f *File, data []byte, files []*File) (int, error) {
 		return 0, ErrPipeClosed
 	}
 	s.Seq += uint64(len(data))
+	s.bump()
 	k := s.k
+	// deliver runs now or, held by external synchrony, under the BKL after a
+	// later checkpoint of the sender's group is durable — possibly after a
+	// checkpoint of the receiver's. The receiver's generation therefore moves
+	// here, where its queue does, and not at the entry of the syscall.
 	deliver := func() {
 		dst.recvQ = append(dst.recvQ, msg)
+		dst.bump()
 		// Record/replay tap: external input entering a persistent group
 		// through a bound socket is logged for bounded replay.
 		if k.RecordInput != nil && dst.OwnerGroup != 0 && dst.OwnerGroup != s.OwnerGroup && dst.Bound {
@@ -300,6 +314,7 @@ func (s *Socket) recv(f *File, buf []byte, outFiles *[]*File) (int, error) {
 		}
 	}
 	msg := s.recvQ[0]
+	s.bump()
 	n := copy(buf, msg.data)
 	if n < len(msg.data) && s.kind == KindSocketTCP {
 		// Stream semantics: leave the remainder queued.
@@ -329,6 +344,33 @@ func (p *Proc) SendTo(fd int, addr string, data []byte) (int, error) {
 		return err
 	})
 	return n, err
+}
+
+// SetES enables or disables external synchrony on a socket — the kernel half
+// of sls_fdctl. It runs under the BKL like the sends that read the flag.
+func (p *Proc) SetES(fd int, disabled bool) error {
+	return p.k.syscall(func() error {
+		s, err := p.Sock(fd)
+		if err != nil {
+			return err
+		}
+		s.ESDisabled = disabled
+		s.bump()
+		return nil
+	})
+}
+
+// SetSockOpt replaces the socket's options blob — setsockopt.
+func (p *Proc) SetSockOpt(fd int, options uint32) error {
+	return p.k.syscall(func() error {
+		s, err := p.Sock(fd)
+		if err != nil {
+			return err
+		}
+		s.Options = options
+		s.bump()
+		return nil
+	})
 }
 
 // SendFDs sends data plus descriptors over a UNIX socket (SCM_RIGHTS).

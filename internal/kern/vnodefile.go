@@ -28,7 +28,7 @@ func (v *VnodeFile) Kind() ObjKind { return KindVnode }
 // Read implements FileImpl: reads at the shared offset and advances it.
 func (v *VnodeFile) Read(f *File, p []byte) (int, error) {
 	n, err := v.h.ReadAt(p, f.Offset)
-	f.Offset += int64(n)
+	f.setOffset(f.Offset + int64(n))
 	return n, err
 }
 
@@ -37,11 +37,11 @@ func (v *VnodeFile) Read(f *File, p []byte) (int, error) {
 func (v *VnodeFile) Write(f *File, p []byte) (int, error) {
 	if f.Flags&OAppend != 0 {
 		n, err := v.h.Append(p)
-		f.Offset = v.h.Size()
+		f.setOffset(v.h.Size())
 		return n, err
 	}
 	n, err := v.h.WriteAt(p, f.Offset)
-	f.Offset += int64(n)
+	f.setOffset(f.Offset + int64(n))
 	return n, err
 }
 

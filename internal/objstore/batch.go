@@ -64,7 +64,7 @@ func (s *Store) WritePages(oid OID, writes []PageWrite) (int64, error) {
 }
 
 // writePageBatch runs the three-phase write for one bounded batch.
-func (s *Store) writePageBatch(oid OID, writes []PageWrite) error {
+func (s *Store) writePageBatch(oid OID, writes []PageWrite) (err error) {
 	for _, w := range writes {
 		if len(w.Data) != BlockSize {
 			return fmt.Errorf("objstore: WritePages wants %d bytes, got %d", BlockSize, len(w.Data))
@@ -76,6 +76,14 @@ func (s *Store) writePageBatch(oid OID, writes []PageWrite) error {
 		batchSpan = s.tr.Begin(trace.TrackObjstore, "writepages",
 			trace.I("oid", int64(oid)), trace.I("pages", int64(len(writes))))
 		phaseSpan = batchSpan.Child("reserve")
+		// A failed batch stays on the timeline: the phase it died in and the
+		// batch itself end with the error.
+		defer func() {
+			if err != nil {
+				phaseSpan.End(trace.S("err", err.Error()))
+				batchSpan.End(trace.S("err", err.Error()))
+			}
+		}()
 	}
 
 	// Phase 1: reserve blocks and chunks under the lock.

@@ -40,7 +40,7 @@ func (s *Store) Checkpoint() (CheckpointStats, error) { return s.CheckpointRetai
 // (this one included) are released before the index is encoded. The epoch
 // before this one always stays — a failed commit falls back to it — so a
 // bound of 1 keeps 2, and 0 keeps everything.
-func (s *Store) CheckpointRetaining(retain int) (CheckpointStats, error) {
+func (s *Store) CheckpointRetaining(retain int) (st CheckpointStats, err error) {
 	// When WAL frames are outstanding this checkpoint is their fold: record
 	// it before the flight ring is serialized so the committing snapshot
 	// carries the fold that absorbed the frames.
@@ -55,9 +55,17 @@ func (s *Store) CheckpointRetaining(retain int) (CheckpointStats, error) {
 	defer s.mu.Unlock()
 	sw := clock.StartStopwatch(s.clk)
 	cur := s.curEpoch()
-	st := CheckpointStats{Epoch: cur}
+	st = CheckpointStats{Epoch: cur}
 	commitSpan := s.tr.Begin(trace.TrackObjstore, "commit")
-	metaSpan := commitSpan.Child("meta")
+	phase := commitSpan.Child("meta")
+	// A failed commit stays on the timeline: the phase it died in and the
+	// commit itself end with the error.
+	defer func() {
+		if err != nil {
+			phase.End(trace.S("err", err.Error()))
+			commitSpan.End(trace.S("err", err.Error()))
+		}
+	}()
 
 	// 1. Flush dirty chunks and records of dirty objects, in OID (and
 	// chunk-index) order: a given logical state must always produce the
@@ -108,8 +116,8 @@ func (s *Store) CheckpointRetaining(retain int) (CheckpointStats, error) {
 		st.MetaBytes += int64(len(rec))
 	}
 	s.deleted = make(map[OID]bool)
-	metaSpan.End(trace.I("dirty_objects", int64(st.DirtyObjects)), trace.I("meta_bytes", st.MetaBytes))
-	relSpan := commitSpan.Child("release")
+	phase.End(trace.I("dirty_objects", int64(st.DirtyObjects)), trace.I("meta_bytes", st.MetaBytes))
+	phase = commitSpan.Child("release")
 
 	// 2. Retention: history beyond the bound leaves the retained list and the
 	// deadlist BEFORE the index is encoded, so one commit per boot converges.
@@ -118,10 +126,10 @@ func (s *Store) CheckpointRetaining(retain int) (CheckpointStats, error) {
 	if retain > 0 && cur > Epoch(retain) {
 		s.releaseBeforeLocked(cur - Epoch(retain) + 1)
 	}
-	relSpan.End(trace.I("epochs", int64(nRet-len(s.retained))),
+	phase.End(trace.I("epochs", int64(nRet-len(s.retained))),
 		trace.I("data_blocks", int64(len(s.releasing)-nData)),
 		trace.I("index_runs", int64(len(s.releasingMeta)-nMeta)))
-	idxSpan := commitSpan.Child("index")
+	phase = commitSpan.Child("index")
 
 	// 3. Build and write the index. The index's own run must be allocated
 	// BEFORE the final encode: allocation can pop the freelist and advance
@@ -154,8 +162,8 @@ func (s *Store) CheckpointRetaining(retain int) (CheckpointStats, error) {
 		return st, err
 	}
 	st.MetaBytes += idxLen
-	idxSpan.End(trace.I("index_bytes", idxLen))
-	superSpan := commitSpan.Child("super")
+	phase.End(trace.I("index_bytes", idxLen))
+	phase = commitSpan.Child("super")
 
 	// 4. Commit: the superblock is submitted with an ordering constraint —
 	// its transfer may not begin before every interval write has completed.
@@ -173,7 +181,7 @@ func (s *Store) CheckpointRetaining(retain int) (CheckpointStats, error) {
 		return st, err
 	}
 	s.superSlot = 1 - s.superSlot
-	superSpan.End(trace.I("epoch", int64(cur)))
+	phase.End(trace.I("epoch", int64(cur)))
 
 	// 5. The committed checkpoint joins retained history. Its index
 	// blocks are deliberately NOT deadlisted: their lifetime is implied

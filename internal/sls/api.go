@@ -127,14 +127,5 @@ func (g *Group) MCtl(p *kern.Proc, va uint64, exclude bool) error {
 // sls_fdctl. Read-only connections can safely disable it and shed the
 // checkpoint-wait latency.
 func (g *Group) FdCtl(p *kern.Proc, fd int, disableES bool) error {
-	f, err := p.FDs.Get(fd)
-	if err != nil {
-		return err
-	}
-	s, ok := kern.SocketOf(f)
-	if !ok {
-		return kern.ErrNotSocket
-	}
-	s.ESDisabled = disableES
-	return nil
+	return p.SetES(fd, disableES)
 }

@@ -61,6 +61,45 @@ func BenchmarkCheckpointIdle(b *testing.B) {
 	}
 }
 
+// BenchmarkCheckpointIdle1kObjects is the memcached-ckpt shape without the
+// memory: a server holding 1 000 idle descriptors (a listener and 999
+// established connections, so 1 000 sockets behind them), checkpointed with
+// nothing touched in between. The generation gate leaves every one of them as
+// the store holds it: captured/op is the process and the group record, and
+// virt-stop-us is what the walk costs at one cache miss per object.
+func BenchmarkCheckpointIdle1kObjects(b *testing.B) {
+	w := benchWorld(b)
+	srv, cli := w.k.NewProc("server"), w.k.NewProc("clients")
+	lfd, _ := srv.Socket(kern.KindSocketTCP)
+	srv.Bind(lfd, "10.0.0.1:11211")
+	srv.Listen(lfd)
+	for i := 0; i < 999; i++ {
+		cfd, _ := cli.Socket(kern.KindSocketTCP)
+		cli.Connect(cfd, "10.0.0.1:11211")
+		if _, err := srv.Accept(lfd); err != nil {
+			b.Fatal(err)
+		}
+	}
+	g := w.o.CreateGroup("server")
+	g.RetainEpochs = 4
+	g.Attach(srv)
+	g.Checkpoint(CkptIncremental)
+	var stop time.Duration
+	var captured int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st, err := g.Checkpoint(CkptIncremental)
+		if err != nil {
+			b.Fatal(err)
+		}
+		stop += st.StopTime
+		captured += st.Captured
+	}
+	b.ReportMetric(float64(stop)/float64(b.N)/1e3, "virt-stop-us")
+	b.ReportMetric(float64(captured)/float64(b.N), "captured/op")
+}
+
 // BenchmarkCheckpointDirty1k measures a checkpoint with 1024 dirty pages.
 func BenchmarkCheckpointDirty1k(b *testing.B) {
 	w := benchWorld(b)

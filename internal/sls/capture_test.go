@@ -1,0 +1,554 @@
+package sls
+
+// The generation gate: a checkpoint captures a kernel object only when its
+// generation moved since the group's last commit. These tests pin what the
+// gate skips, what it never skips, when it learns (finishCommit only), and
+// that its oracle — Group.AuditCapture, the sls.capture rule — catches a
+// mutation that forgot to bump, once per object family.
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"strings"
+	"sync"
+	"testing"
+
+	"aurora/internal/faultdev"
+	"aurora/internal/flight"
+	"aurora/internal/kern"
+	"aurora/internal/mem"
+	"aurora/internal/objstore"
+	"aurora/internal/trace"
+	"aurora/internal/vm"
+)
+
+// captureViolations runs the oracle and returns what it reported.
+func captureViolations(g *Group) []string {
+	var out []string
+	g.AuditCapture(func(oid objstore.OID, detail string) {
+		out = append(out, fmt.Sprintf("object %d: %s", oid, detail))
+	})
+	return out
+}
+
+func requireCaptureClean(t *testing.T, g *Group) {
+	t.Helper()
+	if v := captureViolations(g); len(v) > 0 {
+		t.Fatalf("sls.capture: %d violation(s), first: %s", len(v), v[0])
+	}
+}
+
+// gateApp is one process holding one of each gated family.
+type gateApp struct {
+	w                              *world
+	p                              *kern.Proc
+	g                              *Group
+	file, pipeR, pipeW, udp, kq    int
+	ptyM, ptyS, dev, gated, always int
+}
+
+func newGateApp(t *testing.T, w *world) *gateApp {
+	t.Helper()
+	a := &gateApp{w: w, p: w.k.NewProc("app"), g: w.o.CreateGroup("app")}
+	if err := a.g.Attach(a.p); err != nil {
+		t.Fatal(err)
+	}
+	p := a.p
+	var err error
+	fail := func() {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	a.file, err = p.Open("/f", kern.ORead|kern.OWrite, true)
+	fail()
+	_, err = p.Write(a.file, []byte("0123456789"))
+	fail()
+	a.pipeR, a.pipeW, err = p.Pipe()
+	fail()
+	a.udp, err = p.Socket(kern.KindSocketUDP)
+	fail()
+	err = p.Bind(a.udp, "10.0.0.1:53")
+	fail()
+	a.kq, err = p.Kqueue()
+	fail()
+	a.ptyM, a.ptyS, err = p.OpenPTY()
+	fail()
+	a.dev, err = p.OpenDevice(kern.DevNull)
+	fail()
+	_, err = p.ShmOpen("/seg", vm.PageSize)
+	fail()
+	// 9 descriptions over 5 gated objects (vnodes and shm segments are not
+	// gated); proc, shm segment and group record are always captured.
+	a.gated, a.always = 9+5, 3
+	return a
+}
+
+func (a *gateApp) checkpoint(t *testing.T, kind CheckpointKind) CheckpointStats {
+	t.Helper()
+	st, err := a.g.Checkpoint(kind)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+func TestCaptureFollowsWhatChanged(t *testing.T) {
+	w := newWorld(t)
+	a := newGateApp(t, w)
+	first := a.checkpoint(t, CkptIncremental)
+	if first.Captured != a.gated+a.always {
+		t.Fatalf("first checkpoint captured %d records, want all %d", first.Captured, a.gated+a.always)
+	}
+	requireCaptureClean(t, a.g)
+
+	// Nothing touched: only the always-captured families are serialized, the
+	// cut is as large as before, and each skip costs one cache miss where a
+	// capture cost at least SerializeBase.
+	idle := a.checkpoint(t, CkptIncremental)
+	if idle.Captured != a.always || idle.Objects != first.Objects {
+		t.Fatalf("idle checkpoint: captured %d of %d (first cut had %d), want %d captured and the same cut",
+			idle.Captured, idle.Objects, first.Objects, a.always)
+	}
+	saved := first.OSTime - idle.OSTime
+	if min := a.gated * int(w.costs.SerializeBase-w.costs.CacheMiss); int(saved) < min {
+		t.Fatalf("idle serialize %v against %v: saved %v, want at least %d skips x (SerializeBase - CacheMiss)",
+			idle.OSTime, first.OSTime, saved, a.gated)
+	}
+
+	// One write down the pipe: the pipe is captured again, its two
+	// descriptions are not.
+	if _, err := a.p.Write(a.pipeW, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if st := a.checkpoint(t, CkptWAL); st.Captured != a.always+1 {
+		t.Fatalf("after one pipe write: captured %d, want %d", st.Captured, a.always+1)
+	}
+
+	// A mem-only checkpoint commits nothing, so it teaches the gate nothing:
+	// the object it captured is captured again by the next committing one.
+	if _, err := a.p.Lseek(a.file, 3); err != nil {
+		t.Fatal(err)
+	}
+	if st := a.checkpoint(t, CkptMemOnly); st.Captured != a.always+1 {
+		t.Fatalf("mem-only after lseek: captured %d, want %d", st.Captured, a.always+1)
+	}
+	if st := a.checkpoint(t, CkptIncremental); st.Captured != a.always+1 {
+		t.Fatalf("commit after mem-only: captured %d, want %d (mem-only must promote nothing)", st.Captured, a.always+1)
+	}
+
+	// CkptFull opens the gate.
+	if st := a.checkpoint(t, CkptFull); st.Captured != a.gated+a.always {
+		t.Fatalf("full checkpoint captured %d, want all %d", st.Captured, a.gated+a.always)
+	}
+
+	// A vanished object drops out of the gate's memory with its OID.
+	before := len(a.g.committed)
+	if err := a.p.Close(a.kq); err != nil {
+		t.Fatal(err)
+	}
+	a.checkpoint(t, CkptIncremental)
+	if got := len(a.g.committed); got != before-2 {
+		t.Fatalf("after closing the kqueue the gate remembers %d objects, want %d", got, before-2)
+	}
+	requireCaptureClean(t, a.g)
+	if err := a.g.Barrier(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The first checkpoint of a restored group captures everything again.
+	w2 := w.crash(t)
+	g2, _, err := w2.o.RestoreGroup("app", w2.store, RestoreFull, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(g2.committed) != 0 {
+		t.Fatalf("restored group already trusts %d records", len(g2.committed))
+	}
+	st, err := g2.Checkpoint(CkptIncremental)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Captured != st.Objects-memObjectsIn(g2) {
+		t.Fatalf("first checkpoint after restore captured %d of %d objects", st.Captured, st.Objects)
+	}
+	requireCaptureClean(t, g2)
+}
+
+// memObjectsIn counts the memory objects of g's cut: they are in Objects,
+// their metadata rides in the group record, and they have no record to capture.
+func memObjectsIn(g *Group) int {
+	n := 0
+	for key := range g.oidOf {
+		if _, ok := key.(*vm.Object); ok {
+			n++
+		}
+	}
+	return n
+}
+
+// plantMissedBump performs a real mutation of obj and then leaves the gate in
+// the state a mutation site that forgot to bump would: the generation the
+// group trusts is the object's current one, while the store holds the record
+// from before. It also requires the real site to have bumped, which is what
+// keeps the state from arising on its own.
+func plantMissedBump(t *testing.T, g *Group, obj generational, mutate func()) objstore.OID {
+	t.Helper()
+	oid, ok := g.oidOf[obj]
+	if !ok {
+		t.Fatalf("%T never checkpointed", obj)
+	}
+	before := obj.Generation()
+	if c := g.committed[oid]; c.gen != before {
+		t.Fatalf("%T: gate holds generation %d, object is at %d before the mutation", obj, c.gen, before)
+	}
+	mutate()
+	if obj.Generation() == before {
+		t.Fatalf("%T: the mutation did not move the generation", obj)
+	}
+	g.committed[oid] = captured{oid: oid, obj: obj, gen: obj.Generation()}
+	return oid
+}
+
+// TestPlantedMissingBumpIsCaught plants one missing bump per object family
+// and requires the oracle to name exactly that object.
+func TestPlantedMissingBumpIsCaught(t *testing.T) {
+	fileOf := func(a *gateApp, fd int) *kern.File { f, _ := a.p.FDs.Get(fd); return f }
+	cases := []struct {
+		name  string
+		plant func(t *testing.T, a *gateApp) objstore.OID
+	}{
+		{"file offset", func(t *testing.T, a *gateApp) objstore.OID {
+			return plantMissedBump(t, a.g, fileOf(a, a.file), func() { a.p.Lseek(a.file, 7) })
+		}},
+		{"pipe buffer", func(t *testing.T, a *gateApp) objstore.OID {
+			pipe, _, _ := kern.PipeInfo(fileOf(a, a.pipeW))
+			return plantMissedBump(t, a.g, pipe, func() { a.p.Write(a.pipeW, []byte("lost")) })
+		}},
+		{"socket recvQ through an ES-deferred delivery", func(t *testing.T, a *gateApp) objstore.OID {
+			// The sender is in another group, so its send is held until that
+			// group's next checkpoint is durable: the receiver's queue moves
+			// then, under releaseES, long after the sending syscall returned
+			// and after the receiver's group committed.
+			q := a.w.k.NewProc("peer")
+			peer := a.w.o.CreateGroup("peer")
+			if err := peer.Attach(q); err != nil {
+				t.Fatal(err)
+			}
+			qfd, _ := q.Socket(kern.KindSocketUDP)
+			if _, err := q.SendTo(qfd, "10.0.0.1:53", []byte("deferred")); err != nil {
+				t.Fatal(err)
+			}
+			a.checkpoint(t, CkptIncremental) // commits the receiver with an empty queue
+			sk, _ := a.p.Sock(a.udp)
+			return plantMissedBump(t, a.g, sk, func() {
+				if _, err := peer.Checkpoint(CkptIncremental); err != nil {
+					t.Fatal(err)
+				}
+				if err := peer.Barrier(); err != nil { // durable: the held send is delivered
+					t.Fatal(err)
+				}
+				if len(sk.Messages()) != 1 {
+					t.Fatalf("receiver holds %d messages after the release, want 1", len(sk.Messages()))
+				}
+			})
+		}},
+		{"kqueue add", func(t *testing.T, a *gateApp) objstore.OID {
+			kq, _ := kern.KqueueOf(fileOf(a, a.kq))
+			return plantMissedBump(t, a.g, kq, func() {
+				a.p.KeventAdd(a.kq, kern.Kevent{Ident: 9, Filter: kern.FilterUser})
+			})
+		}},
+		{"pty termios", func(t *testing.T, a *gateApp) objstore.OID {
+			pty, _, _ := kern.PTYInfo(fileOf(a, a.ptyM))
+			return plantMissedBump(t, a.g, pty, func() { a.p.SetTermios(a.ptyS, [64]byte{0x1b}) })
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			a := newGateApp(t, newWorld(t))
+			a.checkpoint(t, CkptIncremental)
+			requireCaptureClean(t, a.g)
+			oid := tc.plant(t, a)
+			got := captureViolations(a.g)
+			if len(got) != 1 || !strings.HasPrefix(got[0], fmt.Sprintf("object %d:", oid)) {
+				t.Fatalf("oracle reported %q, want exactly one violation, on object %d", got, oid)
+			}
+			// What the miss would have cost: the next checkpoint skips the
+			// object, so the image keeps the stale record.
+			stale, _ := a.w.store.GetRecord(oid)
+			a.checkpoint(t, CkptIncremental)
+			if now, _ := a.w.store.GetRecord(oid); !bytes.Equal(now, stale) {
+				t.Fatal("the checkpoint captured the object anyway: the plant did not reach the gate")
+			}
+		})
+	}
+}
+
+// TestDeferredDeliveryIsCaptured is the same ES-deferred sequence with
+// nothing planted: the delivery bumps the receiver where its queue moves, the
+// next checkpoint captures it, and the message is in the restored image.
+func TestDeferredDeliveryIsCaptured(t *testing.T) {
+	w := newWorld(t)
+	a := newGateApp(t, w)
+	q := w.k.NewProc("peer")
+	peer := w.o.CreateGroup("peer")
+	if err := peer.Attach(q); err != nil {
+		t.Fatal(err)
+	}
+	qfd, _ := q.Socket(kern.KindSocketUDP)
+	if _, err := q.SendTo(qfd, "10.0.0.1:53", []byte("deferred")); err != nil {
+		t.Fatal(err)
+	}
+	a.checkpoint(t, CkptIncremental)
+	if _, err := peer.Checkpoint(CkptIncremental); err != nil {
+		t.Fatal(err)
+	}
+	if err := peer.Barrier(); err != nil {
+		t.Fatal(err)
+	}
+	requireCaptureClean(t, a.g)
+	if st := a.checkpoint(t, CkptIncremental); st.Captured != a.always+1 {
+		t.Fatalf("checkpoint after the release captured %d records, want %d", st.Captured, a.always+1)
+	}
+	if err := a.g.Barrier(); err != nil {
+		t.Fatal(err)
+	}
+	w2 := w.crash(t)
+	g2, _, err := w2.o.RestoreGroup("app", w2.store, RestoreFull, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sk, err := g2.Procs()[0].Sock(a.udp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if msgs := sk.Messages(); len(msgs) != 1 || string(msgs[0].Data) != "deferred" {
+		t.Fatalf("restored socket holds %v, want the deferred message", msgs)
+	}
+}
+
+// TestFailedCommitPromotesNothing: the checkpoint that failed had already
+// serialized the changed object and staged its generation; because only
+// finishCommit promotes, the retry captures it again and the image it commits
+// holds the change.
+func TestFailedCommitPromotesNothing(t *testing.T) {
+	var fd *failOnceDev
+	w, err := newWorldOn(func(d objstore.BlockDev) objstore.BlockDev {
+		fd = &failOnceDev{BlockDev: d}
+		return fd
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := newGateApp(t, w)
+	va, err := a.p.Mmap(4*vm.PageSize, vm.ProtRead|vm.ProtWrite, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.checkpoint(t, CkptIncremental)
+
+	if _, err := a.p.Write(a.pipeW, []byte("survives the failed commit")); err != nil {
+		t.Fatal(err)
+	}
+	a.p.WriteMem(va, []byte{1}) // a dirty page, so the flush has something to fail on
+	pipe, _, _ := kern.PipeInfo(func() *kern.File { f, _ := a.p.FDs.Get(a.pipeW); return f }())
+	trusted := a.g.committed[a.g.oidOf[pipe]].gen
+
+	fd.armed = true
+	failed, err := a.g.Checkpoint(CkptIncremental)
+	if !errors.Is(err, errFlushFailed) {
+		t.Fatalf("checkpoint over a failing device = %v, want the device's error", err)
+	}
+	if failed.Captured != a.always+1 {
+		t.Fatalf("failed checkpoint captured %d records, want %d", failed.Captured, a.always+1)
+	}
+	if got := a.g.committed[a.g.oidOf[pipe]].gen; got != trusted || got == pipe.Generation() {
+		t.Fatalf("failed commit moved the gate: pipe trusted at %d (was %d), object at %d", got, trusted, pipe.Generation())
+	}
+	requireCaptureClean(t, a.g)
+
+	if st := a.checkpoint(t, CkptIncremental); st.Captured != a.always+1 {
+		t.Fatalf("retry captured %d records, want %d: it must re-capture what the failed one staged", st.Captured, a.always+1)
+	}
+	requireCaptureClean(t, a.g)
+	if err := a.g.Barrier(); err != nil {
+		t.Fatal(err)
+	}
+	w2 := w.crash(t)
+	g2, _, err := w2.o.RestoreGroup("app", w2.store, RestoreFull, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 64)
+	n, err := g2.Procs()[0].Read(a.pipeR, buf)
+	if err != nil || string(buf[:n]) != "survives the failed commit" {
+		t.Fatalf("restored pipe holds %q (err %v)", buf[:n], err)
+	}
+}
+
+// TestFailedCheckpointStaysOnTimeline: a checkpoint that fails — here on a
+// faultdev power cut at its first flush write — still ends every span it
+// opened, with the error, so the timeline shows it and no recorded span names
+// a parent that is missing; the flight ring closes the begin with ckpt.fail.
+// A failure inside the barrier also reopens the kernel.
+func TestFailedCheckpointStaysOnTimeline(t *testing.T) {
+	w, err := newFaultWorld(faultdev.Plan{CutAtSubmit: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := trace.New(w.clk)
+	fl := flight.NewRecorder(0)
+	w.store.SetTracer(tr)
+	w.store.SetFlight(fl)
+	w.o.Tracer = tr
+	p := w.k.NewProc("app")
+	g := w.o.CreateGroup("app")
+	g.Attach(p)
+	va, err := p.Mmap(8*vm.PageSize, vm.ProtRead|vm.ProtWrite, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.WriteMem(va, []byte{1})
+	if _, err := g.Checkpoint(CkptIncremental); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Barrier(); err != nil {
+		t.Fatal(err)
+	}
+
+	check := func(wantOpen string, ckpts int) {
+		t.Helper()
+		evs := tr.Events()
+		ids := map[uint64]bool{}
+		for _, e := range evs {
+			if e.Kind == trace.KindSpan {
+				ids[e.ID] = true
+			}
+		}
+		for _, e := range evs {
+			if e.Kind == trace.KindSpan && e.Parent != 0 && !ids[e.Parent] {
+				t.Errorf("span %q (id %d) names parent %d, which never ended", e.Name, e.ID, e.Parent)
+			}
+		}
+		errOf := func(e trace.Event) string {
+			for _, a := range e.Args {
+				if a.Key == "err" {
+					return fmt.Sprint(a.Value())
+				}
+			}
+			return ""
+		}
+		all := spansNamed(evs, "checkpoint")
+		if len(all) != ckpts {
+			t.Fatalf("%d checkpoint spans on the timeline, want %d", len(all), ckpts)
+		}
+		last := all[len(all)-1]
+		if errOf(last) == "" {
+			t.Errorf("failed checkpoint span carries no err arg: %+v", last.Args)
+		}
+		inner := spansNamed(evs, wantOpen)
+		if got := inner[len(inner)-1]; errOf(got) == "" || (got.Parent != last.ID && wantOpen == "flush") {
+			t.Errorf("%s span of the failed checkpoint: parent %d (checkpoint %d), args %+v", wantOpen, got.Parent, last.ID, got.Args)
+		}
+		var begins, ends, fails int
+		for _, e := range fl.Events() {
+			switch e.Kind {
+			case flight.EvCheckpointBegin:
+				begins++
+			case flight.EvCheckpointEnd:
+				ends++
+			case flight.EvCheckpointFail:
+				fails++
+				if !strings.Contains(e.Detail, "app") {
+					t.Errorf("ckpt.fail detail %q does not name the group", e.Detail)
+				}
+			}
+		}
+		if begins != ends+fails || fails != ckpts-1 {
+			t.Errorf("flight ring: %d begins, %d ends, %d fails (want %d fails)", begins, ends, fails, ckpts-1)
+		}
+	}
+
+	// Outside the barrier: the flush's first write is the cut.
+	p.WriteMem(va+vm.PageSize, []byte{2})
+	w.fd.Arm(faultdev.Plan{CutAtSubmit: w.fd.Submits()})
+	if _, err := g.Checkpoint(CkptIncremental); err == nil || !w.fd.Crashed() {
+		t.Fatalf("checkpoint over a cut device: err %v, crashed %v", err, w.fd.Crashed())
+	}
+	check("flush", 2)
+	stops := spansNamed(tr.Events(), "stop")
+	if len(stops) != 2 {
+		t.Fatalf("%d stop spans, want 2: the failed checkpoint's barrier completed", len(stops))
+	}
+
+	// Inside the barrier: a mapping the serializer refuses.
+	obj := w.k.VM.NewPagedObject(vm.Device, vm.PageSize, anonymousDevice{})
+	if _, err := p.Mem.Map(obj, 0, vm.PageSize, vm.ProtRead, true); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.Checkpoint(CkptIncremental); err == nil {
+		t.Fatal("checkpoint of an unnamed device mapping succeeded")
+	}
+	check("serialize", 3)
+	if w.k.Gate.Stopped() {
+		t.Fatal("kernel still quiesced after a checkpoint that failed inside the barrier")
+	}
+}
+
+// anonymousDevice is a device pager with no name: the serializer cannot
+// persist a mapping of it.
+type anonymousDevice struct{}
+
+func (anonymousDevice) PageIn(int64, *mem.Page) error { return nil }
+func (anonymousDevice) BackingOID() uint64            { return 0 }
+
+// TestFdCtlRacesNoSender: sls_fdctl flips the flag a concurrent sender's
+// syscall reads and the serializer records. Before it went through the kernel
+// lock this was a data race (run with -race); now every interleaving is a
+// sequence of syscalls, and whatever the flag ends as is what the image holds.
+func TestFdCtlRacesNoSender(t *testing.T) {
+	w := newWorld(t)
+	a := newGateApp(t, w)
+	ext := w.k.NewProc("ext")
+	efd, _ := ext.Socket(kern.KindSocketUDP)
+	if err := ext.Bind(efd, "10.0.0.9:9"); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			if _, err := a.p.SendTo(a.udp, "10.0.0.9:9", []byte("x")); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for i := 0; i < 50; i++ {
+		if err := a.g.FdCtl(a.p, a.udp, i%2 == 0); err != nil {
+			t.Fatal(err)
+		}
+		a.checkpoint(t, CkptIncremental)
+	}
+	wg.Wait()
+	if err := a.g.FdCtl(a.p, a.udp, true); err != nil {
+		t.Fatal(err)
+	}
+	a.checkpoint(t, CkptIncremental)
+	requireCaptureClean(t, a.g)
+	if err := a.g.Barrier(); err != nil {
+		t.Fatal(err)
+	}
+	w2 := w.crash(t)
+	g2, _, err := w2.o.RestoreGroup("app", w2.store, RestoreFull, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sk, _ := g2.Procs()[0].Sock(a.udp); !sk.ESDisabled || sk.Seq != 200 {
+		t.Fatalf("restored socket: ESDisabled=%v Seq=%d, want true and 200", sk.ESDisabled, sk.Seq)
+	}
+}

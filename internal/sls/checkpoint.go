@@ -1,6 +1,7 @@
 package sls
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"maps"
@@ -25,8 +26,10 @@ import (
 //  2. Quiesce the system at the kernel boundary.
 //  3. Collapse the previous interval's fully-flushed system shadows
 //     (Aurora's reversed collapse, bounding chains at length two).
-//  4. Serialize every POSIX object reachable from the group — each into
-//     its own on-disk object, sharing preserved by construction.
+//  4. Walk every POSIX object reachable from the group — each has its own
+//     on-disk object, sharing preserved by construction — and serialize the
+//     ones that changed since the group's last commit (the generation gate,
+//     serializer.unchanged).
 //  5. System-shadow all writable memory.
 //  6. Resume the applications. Everything after this overlaps execution.
 //  7. Flush the frozen shadows' pages into their objects' on-disk pages.
@@ -48,7 +51,7 @@ const (
 )
 
 // Checkpoint takes a checkpoint of the whole consistency group.
-func (g *Group) Checkpoint(kind CheckpointKind) (CheckpointStats, error) {
+func (g *Group) Checkpoint(kind CheckpointKind) (st CheckpointStats, err error) {
 	o := g.o
 
 	// A speculating group's memory is unvalidated: committing it would
@@ -63,7 +66,7 @@ func (g *Group) Checkpoint(kind CheckpointKind) (CheckpointStats, error) {
 	if kind == CkptWAL && g.Options.FoldEvery > 0 && g.walSinceFold >= g.Options.FoldEvery {
 		kind = CkptIncremental
 	}
-	st := CheckpointStats{Kind: kind}
+	st = CheckpointStats{Kind: kind}
 
 	// 1. Previous flush must be durable; its covered messages release. A
 	// WAL commit's durability point is its frame, not an epoch.
@@ -83,15 +86,35 @@ func (g *Group) Checkpoint(kind CheckpointKind) (CheckpointStats, error) {
 	// serialize, writeback, shadow) open and close back-to-back with no
 	// virtual time between them, so their durations tile the stop window
 	// exactly — summing them reproduces StopTime, which is what the trace
-	// acceptance test asserts.
+	// acceptance test asserts. phase is the innermost span open right now; a
+	// span that has ended is reset to the inert zero Span.
 	ckptSpan := o.Tracer.Begin(trace.TrackSLS, "checkpoint", trace.I("kind", int64(kind)))
 	o.Store.Flight().Record(int64(o.Clk.Now()), flight.EvCheckpointBegin,
 		int64(g.oid), g.ckpts+1, int64(kind), g.Name)
 	stopSpan := ckptSpan.Child("stop")
-	quiesceSpan := stopSpan.Child("quiesce")
+	phase := stopSpan.Child("quiesce")
 
 	stop := clock.StartStopwatch(o.Clk)
 	o.K.Quiesce()
+	quiesced := true
+	// A failed checkpoint stays on the timeline: Span.End is what appends the
+	// event, so every span still open is ended with the error (its children
+	// that did end keep a parent), the flight ring gets the end its begin
+	// lacks, and the kernel reopens if the failure came inside the barrier.
+	defer func() {
+		if err == nil {
+			return
+		}
+		if quiesced {
+			o.K.Resume()
+		}
+		failed := trace.S("err", err.Error())
+		phase.End(failed)
+		stopSpan.End(failed)
+		ckptSpan.End(failed)
+		o.Store.Flight().Record(int64(o.Clk.Now()), flight.EvCheckpointFail,
+			int64(g.oid), g.ckpts+1, int64(kind), g.Name+": "+err.Error())
+	}()
 	o.Clk.Advance(o.Costs.CheckpointFloor)
 
 	// 2. Collapse previous shadows (their flush completed above). A
@@ -140,10 +163,10 @@ func (g *Group) Checkpoint(kind CheckpointKind) (CheckpointStats, error) {
 	}
 
 	// 3. Serialize POSIX objects.
-	quiesceSpan.End()
-	serSpan := stopSpan.Child("serialize")
+	phase.End()
+	phase = stopSpan.Child("serialize")
 	osSW := clock.StartStopwatch(o.Clk)
-	ser := newSerializer(g)
+	ser := newSerializer(g, kind == CkptFull)
 	procs := g.Procs()
 	var ephemeral []*kern.Proc
 	for _, p := range procs {
@@ -155,7 +178,6 @@ func (g *Group) Checkpoint(kind CheckpointKind) (CheckpointStats, error) {
 			continue
 		}
 		if err := ser.proc(p); err != nil {
-			o.K.Resume()
 			return st, err
 		}
 	}
@@ -163,18 +185,16 @@ func (g *Group) Checkpoint(kind CheckpointKind) (CheckpointStats, error) {
 	// especially); serialize the namespaces too.
 	for _, seg := range o.K.ShmSegments() {
 		if _, err := ser.shm(seg); err != nil {
-			o.K.Resume()
 			return st, err
 		}
 	}
 	if err := ser.group(ephemeral); err != nil {
-		o.K.Resume()
 		return st, err
 	}
 	st.OSTime = osSW.Elapsed()
-	st.Objects = ser.count
-	serSpan.End(trace.I("objects", int64(st.Objects)))
-	wbSpan := stopSpan.Child("writeback")
+	st.Objects, st.Captured = ser.count, ser.captured
+	phase.End(trace.I("objects", int64(st.Objects)), trace.I("captured", int64(st.Captured)))
+	phase = stopSpan.Child("writeback")
 
 	// 3b. Shared file mappings: the Aurora file system provides COW for
 	// file pages (§6), so vnode objects are never shadowed — instead
@@ -182,13 +202,12 @@ func (g *Group) Checkpoint(kind CheckpointKind) (CheckpointStats, error) {
 	// inside the quiesce window, for a consistent cut. The store copies
 	// the data synchronously and flushes it asynchronously.
 	if err := g.writebackMappedFiles(); err != nil {
-		o.K.Resume()
 		return st, err
 	}
 
 	// 4. System shadowing.
-	wbSpan.End()
-	shadowSpan := stopSpan.Child("shadow")
+	phase.End()
+	phase = stopSpan.Child("shadow")
 	memSW := clock.StartStopwatch(o.Clk)
 	var backrefs []vm.BackRef
 	for _, seg := range o.K.ShmSegments() {
@@ -204,8 +223,10 @@ func (g *Group) Checkpoint(kind CheckpointKind) (CheckpointStats, error) {
 	st.MemTime = memSW.Elapsed()
 
 	o.K.Resume()
-	shadowSpan.End(trace.I("dirty_pages", st.DirtyPages))
+	quiesced = false
+	phase.End(trace.I("dirty_pages", st.DirtyPages))
 	stopSpan.End()
+	phase, stopSpan = trace.Span{}, trace.Span{}
 	st.StopTime = stop.Elapsed()
 
 	if kind == CkptMemOnly {
@@ -235,13 +256,14 @@ func (g *Group) Checkpoint(kind CheckpointKind) (CheckpointStats, error) {
 			fl.Record(now, flight.EvFlushJob, int64(g.oid), int64(j.toid), int64(len(j.sources)), "")
 		}
 	}
-	flushSpan := ckptSpan.Child("flush")
+	phase = ckptSpan.Child("flush")
 	res, err := g.runFlush(plan)
 	if err != nil {
 		return st, err
 	}
-	flushSpan.End(trace.I("bytes", res.bytes), trace.I("workers", int64(res.workers)),
+	phase.End(trace.I("bytes", res.bytes), trace.I("workers", int64(res.workers)),
 		trace.I("max_depth", int64(res.maxDepth)))
+	phase = trace.Span{}
 	st.FlushBytes = res.bytes
 	st.EncodeTime = res.encode
 	st.WriteTime = res.write
@@ -261,6 +283,9 @@ func (g *Group) Checkpoint(kind CheckpointKind) (CheckpointStats, error) {
 	sort.Slice(gone, func(i, j int) bool { return gone[i] < gone[j] })
 	for _, oid := range gone {
 		o.Store.Delete(oid) //nolint:errcheck // absent is fine
+		// Forgetting is always safe, so it does not wait for the commit: should
+		// this one fail and the object come back, it is captured again.
+		delete(g.committed, oid)
 	}
 	g.prevLive = ser.live
 
@@ -272,7 +297,7 @@ func (g *Group) Checkpoint(kind CheckpointKind) (CheckpointStats, error) {
 	if kind == CkptWAL {
 		wst, werr := o.Store.WALCommit()
 		if werr == nil {
-			g.finishCommit(&st, ckptSpan, wst.Base, wst.Seq, wst.DurableAt)
+			g.finishCommit(&st, ckptSpan, ser, wst.Base, wst.Seq, wst.DurableAt)
 			return st, nil
 		}
 		if !errors.Is(werr, objstore.ErrWALFull) {
@@ -286,17 +311,23 @@ func (g *Group) Checkpoint(kind CheckpointKind) (CheckpointStats, error) {
 	if err != nil {
 		return st, err
 	}
-	g.finishCommit(&st, ckptSpan, cst.Epoch, 0, cst.DurableAt)
+	g.finishCommit(&st, ckptSpan, ser, cst.Epoch, 0, cst.DurableAt)
 	return st, nil
 }
 
 // finishCommit is the tail of every committed checkpoint: flight event,
 // stats, group bookkeeping, and the commit's metrics and trace range, each
 // reported once. walSeq is the WAL frame the commit appended, or 0 when it
-// was an epoch (a fold of any outstanding frames).
-func (g *Group) finishCommit(st *CheckpointStats, ckptSpan trace.Span, epoch objstore.Epoch, walSeq uint64, durableAt time.Duration) {
+// was an epoch (a fold of any outstanding frames). It is also the only place
+// the capture gate learns anything: the generations ser staged become the
+// committed ones here and nowhere else, so a checkpoint that failed, or that
+// never meant to commit, leaves the gate describing the last durable cut.
+func (g *Group) finishCommit(st *CheckpointStats, ckptSpan trace.Span, ser *serializer, epoch objstore.Epoch, walSeq uint64, durableAt time.Duration) {
 	o := g.o
 	wal := walSeq != 0
+	for _, c := range ser.staged {
+		g.committed[c.oid] = c
+	}
 	o.Store.Flight().Record(int64(o.Clk.Now()), flight.EvCheckpointEnd,
 		int64(g.oid), int64(epoch), st.FlushBytes, g.Name)
 	st.Epoch, st.WALSeq, st.DurableAt = epoch, walSeq, durableAt
@@ -328,6 +359,7 @@ func (g *Group) finishCommit(st *CheckpointStats, ckptSpan trace.Span, epoch obj
 			tr.Observe("sls.wal.window.ns", int64(window))
 		}
 		tr.Count("sls.dirty_pages", st.DirtyPages)
+		tr.Count("sls.captured_objects", int64(st.Captured))
 		tr.Count("sls.flush.bytes", st.FlushBytes)
 	}
 	ckptSpan.End(args...)
@@ -433,12 +465,31 @@ type memMeta struct {
 	backerOID  uint64
 }
 
-// serializer walks kernel objects, emitting one store record per object.
+// generational is a kernel object the capture gate covers: kern.File, Pipe,
+// Socket, Kqueue, PTY and Device, each of which counts its own mutations.
+type generational interface{ Generation() uint64 }
+
+// captured is what the gate remembers of one committed record: the kernel
+// object behind the OID and its generation at that cut.
+type captured struct {
+	oid objstore.OID
+	obj generational
+	gen uint64
+}
+
+// serializer walks kernel objects, emitting one store record per object that
+// changed.
 type serializer struct {
-	g     *Group
-	o     *Orchestrator
-	live  map[objstore.OID]bool
-	count int
+	g    *Group
+	o    *Orchestrator
+	live map[objstore.OID]bool
+	// count is the number of objects in the cut; captured, how many of them
+	// were encoded and put rather than left as the store holds them.
+	count, captured int
+	// full is a CkptFull: the gate is open, everything is captured.
+	full bool
+	// staged are this cut's captures of gated objects, for finishCommit.
+	staged []captured
 
 	// Deduplication: each kernel object serializes exactly once per
 	// checkpoint regardless of how many references reach it.
@@ -456,24 +507,75 @@ type procRef struct {
 	parentPID kern.PID
 }
 
-func newSerializer(g *Group) *serializer {
+func newSerializer(g *Group, full bool) *serializer {
+	// The cut is about as large as the last one: sized up front, the walk's
+	// maps do not rehash their way up from empty at every checkpoint.
+	n := len(g.prevLive)
 	return &serializer{
 		g:         g,
 		o:         g.o,
-		live:      make(map[objstore.OID]bool),
-		doneFiles: make(map[*kern.File]objstore.OID),
-		doneImpls: make(map[any]objstore.OID),
+		full:      full,
+		live:      make(map[objstore.OID]bool, n),
+		doneFiles: make(map[*kern.File]objstore.OID, n/2),
+		doneImpls: make(map[any]objstore.OID, n/2),
 		memOIDs:   make(map[*vm.Object]objstore.OID),
 	}
 }
 
-// put stores a sealed record, charging serialization costs.
+// put stores a sealed record, charging serialization costs. Called directly
+// it is the always-captured path: processes (thread CPU state and the address
+// space change without a syscall), shared-memory segments and the group
+// record (both embed memory-object OIDs that follow the shadow chain, which
+// moves outside any generation).
 func (s *serializer) put(oid objstore.OID, utype uint16, e *rec.Encoder) error {
 	body := e.Seal()
 	s.o.Clk.Advance(s.o.Costs.SerializeBase + time.Duration(len(body)/8)*s.o.Costs.SerializePerWord)
 	s.live[oid] = true
 	s.count++
+	s.captured++
 	return s.o.Store.PutRecord(oid, utype, body)
+}
+
+// unchanged is the generation gate. obj is unchanged when the group's last
+// committed checkpoint captured it at the generation it has now; the store
+// then already holds the record this cut would put (PutRecord would compare
+// the bytes and drop them), so the object is accounted into the cut for the
+// price of the pointer chase that read its generation. A CkptFull, and a
+// group that has committed nothing yet — a new one, or one just restored or
+// failed over — find no object unchanged.
+func (s *serializer) unchanged(oid objstore.OID, obj generational) bool {
+	c, ok := s.g.committed[oid]
+	if s.full || !ok || c.gen != obj.Generation() {
+		return false
+	}
+	s.o.Clk.Advance(s.o.Costs.CacheMiss)
+	s.live[oid] = true
+	s.count++
+	return true
+}
+
+// object accounts one gated kernel object into the cut: skipped when
+// unchanged, otherwise encoded, charged and put exactly as before the gate
+// existed, with its generation staged for finishCommit. The objects its
+// record references must have been walked already (encodeObject looks their
+// OIDs up). A record too large to stay inline is never staged, because the
+// oracle could not read it back without device reads.
+func (s *serializer) object(oid objstore.OID, obj generational) error {
+	if s.unchanged(oid, obj) {
+		return nil
+	}
+	if kq, ok := obj.(*kern.Kqueue); ok {
+		// Each event structure is locked and copied (Table 4).
+		s.o.Clk.Advance(time.Duration(len(kq.Events())) * s.o.Costs.KqueueEvent)
+	}
+	utype, e := s.g.encodeObject(obj)
+	if err := s.put(oid, utype, e); err != nil {
+		return err
+	}
+	if e.Len() <= objstore.InlineMax {
+		s.staged = append(s.staged, captured{oid, obj, obj.Generation()})
+	}
+	return nil
 }
 
 // group emits the group record — processes, ephemeral children, shm
@@ -799,140 +901,122 @@ func (s *serializer) file(f *kern.File) (objstore.OID, error) {
 	if oid, ok := s.doneFiles[f]; ok {
 		return oid, nil
 	}
-	implOID, implAux, err := s.impl(f)
-	if err != nil {
+	if err := s.impl(f); err != nil {
 		return 0, err
 	}
 	oid := s.g.oidFor(f)
 	s.doneFiles[f] = oid
-	e := rec.NewEncoder()
-	e.U16(uint16(f.Impl.Kind()))
-	e.I64(f.Offset)
-	e.U32(uint32(f.Flags))
-	e.U64(uint64(implOID))
-	e.U32(implAux)
-	return oid, s.put(oid, UTFileDesc, e)
+	return oid, s.object(oid, f)
 }
 
-// impl serializes the object behind a description, returning its OID and
-// an auxiliary word (pipe end, pty side).
-func (s *serializer) impl(f *kern.File) (objstore.OID, uint32, error) {
+// implOf names the object behind a description — the key of its OID — and
+// the auxiliary word of the description's record (a pipe's write end, a pty's
+// master side).
+func implOf(f *kern.File) (impl any, aux uint32, err error) {
 	if v, ok := kern.VnodeOf(f); ok {
-		// The vnode IS a store object already (the slsfs file). Keep a
-		// hidden reference so unlinking cannot reap it (§5.2). The
-		// reference is per group lifetime, not per checkpoint.
-		if !s.g.vnodeRef[v.OID] {
-			s.g.vnodeRef[v.OID] = true
-			s.o.K.FS.AddHiddenRef(v.OID)
-		}
-		s.live[v.OID] = true
-		s.o.Clk.Advance(s.o.Costs.SerializeBase) // inode ref, no namei
-		return v.OID, 0, nil
+		return v, 0, nil
 	}
 	if pipe, writeEnd, ok := kern.PipeInfo(f); ok {
-		oid, err := s.pipe(pipe)
-		aux := uint32(0)
 		if writeEnd {
 			aux = 1
 		}
-		return oid, aux, err
+		return pipe, aux, nil
 	}
 	if sock, ok := kern.SocketOf(f); ok {
-		oid, err := s.socket(sock)
-		return oid, 0, err
+		return sock, 0, nil
 	}
 	if seg, ok := kern.ShmOf(f); ok {
-		oid, err := s.shm(seg)
-		return oid, 0, err
+		return seg, 0, nil
 	}
 	if kq, ok := kern.KqueueOf(f); ok {
-		oid, err := s.kqueue(kq)
-		return oid, 0, err
+		return kq, 0, nil
 	}
 	if pty, master, ok := kern.PTYInfo(f); ok {
-		oid, err := s.pty(pty)
-		aux := uint32(0)
 		if master {
 			aux = 1
 		}
-		return oid, aux, err
+		return pty, aux, nil
 	}
-	if name, ok := kern.DeviceNameOf(f); ok {
-		oid := s.g.oidFor(f.Impl)
-		e := rec.NewEncoder()
-		e.Str(name)
-		return oid, 0, s.put(oid, UTDeviceFile, e)
+	if dev, ok := kern.DeviceOf(f); ok {
+		return dev, 0, nil
 	}
-	return 0, 0, fmt.Errorf("sls: unsupported file kind %v", f.Impl.Kind())
+	return nil, 0, fmt.Errorf("sls: unsupported file kind %v", f.Impl.Kind())
 }
 
-func (s *serializer) pipe(p *kern.Pipe) (objstore.OID, error) {
-	if oid, ok := s.doneImpls[p]; ok {
-		return oid, nil
+// knownOID looks up the OID of an object a record references. The walk
+// reached it first, so it has one; nothing is allocated here.
+func (g *Group) knownOID(key any) objstore.OID {
+	if v, ok := key.(*kern.VnodeFile); ok {
+		return v.OID // the vnode IS a store object already (the slsfs file)
 	}
-	oid := s.g.oidFor(p)
-	s.doneImpls[p] = oid
-	readers, writers := p.PipeRefs()
-	e := rec.NewEncoder()
-	e.Bytes(p.Buffered())
-	e.U32(uint32(readers))
-	e.U32(uint32(writers))
-	return oid, s.put(oid, UTPipe, e)
+	return g.oidOf[key]
+}
+
+// impl serializes the object behind a description.
+func (s *serializer) impl(f *kern.File) error {
+	impl, _, err := implOf(f)
+	if err != nil {
+		return err
+	}
+	switch o := impl.(type) {
+	case *kern.VnodeFile:
+		// Keep a hidden reference so unlinking cannot reap it (§5.2). The
+		// reference is per group lifetime, not per checkpoint.
+		if !s.g.vnodeRef[o.OID] {
+			s.g.vnodeRef[o.OID] = true
+			s.o.K.FS.AddHiddenRef(o.OID)
+		}
+		s.live[o.OID] = true
+		s.o.Clk.Advance(s.o.Costs.SerializeBase) // inode ref, no namei
+	case *kern.Socket:
+		_, err = s.socket(o)
+	case *kern.ShmSegment:
+		_, err = s.shm(o)
+	case generational: // pipe, kqueue, pty, device: nothing behind them to walk
+		if oid, first := s.implOID(o); first {
+			err = s.object(oid, o)
+		}
+	}
+	return err
+}
+
+// implOID returns the OID of an implementation object and whether this is
+// the walk's first visit to it.
+func (s *serializer) implOID(impl any) (objstore.OID, bool) {
+	if oid, ok := s.doneImpls[impl]; ok {
+		return oid, false
+	}
+	oid := s.g.oidFor(impl)
+	s.doneImpls[impl] = oid
+	return oid, true
 }
 
 func (s *serializer) socket(sk *kern.Socket) (objstore.OID, error) {
-	if oid, ok := s.doneImpls[sk]; ok {
+	oid, first := s.implOID(sk)
+	if !first {
 		return oid, nil
 	}
-	oid := s.g.oidFor(sk)
-	s.doneImpls[sk] = oid
-	e := rec.NewEncoder()
-	e.U16(uint16(sk.Kind()))
-	e.Str(sk.Local)
-	e.Str(sk.Remote)
-	e.Bool(sk.Bound)
-	e.Bool(sk.Listening()) // accept queue deliberately omitted (§5.3)
-	e.U64(sk.Seq)
-	e.U32(sk.Options)
-	e.Bool(sk.ESDisabled)
-
-	// Peer: recorded only when it lives in the same group.
-	peer := sk.Peer()
-	if peer != nil && peer.OwnerGroup == s.g.ID {
-		poid, err := s.socket(peer)
-		if err != nil {
+	// What the record references is walked whether or not the record is
+	// captured: a peer in the same group, and the descriptors in flight in
+	// the buffered control messages (§5.3).
+	if peer := sk.Peer(); peer != nil && peer.OwnerGroup == s.g.ID {
+		if _, err := s.socket(peer); err != nil {
 			return 0, err
 		}
-		e.U64(uint64(poid))
-	} else {
-		e.U64(0)
 	}
-
-	// Buffered messages, parsing control messages for in-flight
-	// descriptors (§5.3).
-	msgs := sk.Messages()
-	e.U32(uint32(len(msgs)))
-	for _, m := range msgs {
-		e.Bytes(m.Data)
-		e.Str(m.From)
-		e.U32(uint32(len(m.Files)))
-		for _, inflight := range m.Files {
-			foid, err := s.file(inflight)
-			if err != nil {
-				return 0, err
-			}
-			e.U64(uint64(foid))
+	for _, inflight := range sk.InFlightFiles() {
+		if _, err := s.file(inflight); err != nil {
+			return 0, err
 		}
 	}
-	return oid, s.put(oid, UTSocket, e)
+	return oid, s.object(oid, sk)
 }
 
 func (s *serializer) shm(seg *kern.ShmSegment) (objstore.OID, error) {
-	if oid, ok := s.doneImpls[seg]; ok {
+	oid, first := s.implOID(seg)
+	if !first {
 		return oid, nil
 	}
-	oid := s.g.oidFor(seg)
-	s.doneImpls[seg] = oid
 	memOID, err := s.memObject(s.g.persistentRoot(seg.Object()))
 	if err != nil {
 		return 0, err
@@ -948,39 +1032,110 @@ func (s *serializer) shm(seg *kern.ShmSegment) (objstore.OID, error) {
 	return oid, s.put(oid, UTShm, e)
 }
 
-func (s *serializer) kqueue(kq *kern.Kqueue) (objstore.OID, error) {
-	if oid, ok := s.doneImpls[kq]; ok {
-		return oid, nil
+// encodeObject builds the store record of a gated kernel object. It is the
+// one encoder the serializer (charged, behind the gate) and the capture
+// oracle (AuditCapture, uncharged) share: it reads the object and looks OIDs
+// up, and allocates none.
+func (g *Group) encodeObject(obj generational) (utype uint16, e *rec.Encoder) {
+	e = rec.NewEncoder()
+	switch o := obj.(type) {
+	case *kern.File:
+		impl, aux, _ := implOf(o)
+		e.U16(uint16(o.Impl.Kind()))
+		e.I64(o.Offset)
+		e.U32(uint32(o.Flags))
+		e.U64(uint64(g.knownOID(impl)))
+		e.U32(aux)
+		return UTFileDesc, e
+	case *kern.Pipe:
+		readers, writers := o.PipeRefs()
+		e.Bytes(o.Buffered())
+		e.U32(uint32(readers))
+		e.U32(uint32(writers))
+		return UTPipe, e
+	case *kern.Socket:
+		e.U16(uint16(o.Kind()))
+		e.Str(o.Local)
+		e.Str(o.Remote)
+		e.Bool(o.Bound)
+		e.Bool(o.Listening()) // accept queue deliberately omitted (§5.3)
+		e.U64(o.Seq)
+		e.U32(o.Options)
+		e.Bool(o.ESDisabled)
+		// Peer: recorded only when it lives in the same group.
+		if peer := o.Peer(); peer != nil && peer.OwnerGroup == g.ID {
+			e.U64(uint64(g.knownOID(peer)))
+		} else {
+			e.U64(0)
+		}
+		// Buffered messages, with the descriptors their control messages
+		// carry.
+		msgs := o.Messages()
+		e.U32(uint32(len(msgs)))
+		for _, m := range msgs {
+			e.Bytes(m.Data)
+			e.Str(m.From)
+			e.U32(uint32(len(m.Files)))
+			for _, inflight := range m.Files {
+				e.U64(uint64(g.knownOID(inflight)))
+			}
+		}
+		return UTSocket, e
+	case *kern.Kqueue:
+		events := o.Events()
+		e.U32(uint32(len(events)))
+		for _, ev := range events {
+			e.U64(ev.Ident)
+			e.U16(uint16(ev.Filter))
+			e.U32(ev.Flags)
+			e.U32(ev.FFlags)
+			e.I64(ev.Data)
+			e.U64(ev.UData)
+		}
+		return UTKqueue, e
+	case *kern.PTY:
+		toSlave, toMaster := o.Buffers()
+		e.U32(uint32(o.Index))
+		e.Bytes(toSlave)
+		e.Bytes(toMaster)
+		e.Bytes(o.Termios[:])
+		return UTPTY, e
+	case *kern.Device:
+		e.Str(o.Name())
+		return UTDeviceFile, e
 	}
-	oid := s.g.oidFor(kq)
-	s.doneImpls[kq] = oid
-	events := kq.Events()
-	e := rec.NewEncoder()
-	e.U32(uint32(len(events)))
-	for _, ev := range events {
-		// Each event structure is locked and copied (Table 4).
-		s.o.Clk.Advance(s.o.Costs.KqueueEvent)
-		e.U64(ev.Ident)
-		e.U16(uint16(ev.Filter))
-		e.U32(ev.Flags)
-		e.U32(ev.FFlags)
-		e.I64(ev.Data)
-		e.U64(ev.UData)
-	}
-	return oid, s.put(oid, UTKqueue, e)
+	panic(fmt.Sprintf("sls: no record encoder for %T", obj))
 }
 
-func (s *serializer) pty(pty *kern.PTY) (objstore.OID, error) {
-	if oid, ok := s.doneImpls[pty]; ok {
-		return oid, nil
+// AuditCapture is the capture gate's oracle, the sls.capture rule of
+// internal/audit. Every object the gate would skip right now — its generation
+// is the one the group last committed — is re-encoded, uncharged, and must
+// byte-equal the record the store holds; a difference means some mutation of
+// that object did not bump its generation, and the next checkpoint would have
+// lost it. report receives each mismatch in ascending OID order. The pass
+// holds the kernel lock, allocates no OID, takes no hidden reference and
+// advances no clock; it returns how many objects it compared.
+func (g *Group) AuditCapture(report func(oid objstore.OID, detail string)) int {
+	g.o.K.Gate.Enter()
+	defer g.o.K.Gate.Exit()
+	checked := 0
+	for _, oid := range slices.Sorted(maps.Keys(g.committed)) {
+		c := g.committed[oid]
+		if c.obj.Generation() != c.gen {
+			continue // changed since the commit: the next checkpoint captures it
+		}
+		checked++
+		utype, e := g.encodeObject(c.obj)
+		want := e.Seal()
+		got, err := g.o.Store.GetRecord(oid)
+		if err != nil {
+			report(oid, fmt.Sprintf("%T at committed generation %d has no readable record: %v", c.obj, c.gen, err))
+			continue
+		}
+		if ut, _ := g.o.Store.UType(oid); ut != utype || !bytes.Equal(got, want) {
+			report(oid, fmt.Sprintf("%T unchanged at generation %d, yet its record (%d bytes, type %#x) differs from a fresh encoding (%d bytes, type %#x)",
+				c.obj, c.gen, len(got), ut, len(want), utype))
+		}
 	}
-	oid := s.g.oidFor(pty)
-	s.doneImpls[pty] = oid
-	toSlave, toMaster := pty.Buffers()
-	e := rec.NewEncoder()
-	e.U32(uint32(pty.Index))
-	e.Bytes(toSlave)
-	e.Bytes(toMaster)
-	e.Bytes(pty.Termios[:])
-	return oid, s.put(oid, UTPTY, e)
+	return checked
 }

@@ -7,6 +7,7 @@ package sls
 // (seeded), so every failure replays from its printed seed + crash index.
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -111,9 +112,15 @@ type slsPoint struct {
 	after int64 // device submit count right after the commit returned
 	mem   map[int64]byte
 	jour  []jEntry
+	pipe  []byte // what the application's pipe buffered at the commit
 }
 
 const workloadPages = 32
+
+// The workload's one kernel object behind the generation gate: a pipe that
+// takes a byte with every memory write, so some checkpoints find it changed
+// and some find it idle, and every restored image must hold its bytes.
+const pipeRFD, pipeWFD = 0, 1
 
 // slsRun drives one op list against one world, recording goldens.
 type slsRun struct {
@@ -123,6 +130,7 @@ type slsRun struct {
 	va     uint64
 	model  map[int64]byte
 	jour   []jEntry
+	pipe   []byte
 	points []slsPoint
 
 	scratch objstore.OID // opScratch's object, made on first use
@@ -144,6 +152,9 @@ func startRun(plan faultdev.Plan) (*slsRun, error) {
 	if err != nil {
 		return nil, err
 	}
+	if rfd, wfd, err := p.Pipe(); err != nil || rfd != pipeRFD || wfd != pipeWFD {
+		return nil, fmt.Errorf("pipe: fds %d,%d, err %v", rfd, wfd, err)
+	}
 	r := &slsRun{w: w, p: p, g: g, va: va, model: make(map[int64]byte)}
 	// Point zero: the durable pre-group world. Restores must fail here.
 	r.points = append(r.points, slsPoint{epoch: w.store.Epoch(), after: w.fd.Submits()})
@@ -161,7 +172,20 @@ func (r *slsRun) record() {
 		after: r.w.fd.Submits(),
 		mem:   memCopy,
 		jour:  jourCopy,
+		pipe:  append([]byte(nil), r.pipe...),
 	})
+}
+
+// checkpoint takes one checkpoint and runs the capture gate's oracle over
+// what it left: nothing the gate would now skip may differ from the store.
+func (r *slsRun) checkpoint(kind CheckpointKind) error {
+	if _, err := r.g.Checkpoint(kind); err != nil {
+		return err
+	}
+	if v := captureViolations(r.g); len(v) > 0 {
+		return fmt.Errorf("sls.capture after a kind-%d checkpoint: %d violation(s), first: %s", kind, len(v), v[0])
+	}
+	return nil
 }
 
 func (r *slsRun) apply(op slsOp) error {
@@ -171,17 +195,21 @@ func (r *slsRun) apply(op slsOp) error {
 			return err
 		}
 		r.model[op.page] = op.val
+		if _, err := r.p.Write(pipeWFD, []byte{op.val}); err != nil {
+			return err
+		}
+		r.pipe = append(r.pipe, op.val)
 	case opCkptInc, opCkptFull:
 		kind := CkptIncremental
 		if op.kind == opCkptFull {
 			kind = CkptFull
 		}
-		if _, err := r.g.Checkpoint(kind); err != nil {
+		if err := r.checkpoint(kind); err != nil {
 			return err
 		}
 		r.record()
 	case opCkptMem:
-		if _, err := r.g.Checkpoint(CkptMemOnly); err != nil {
+		if err := r.checkpoint(CkptMemOnly); err != nil {
 			return err
 		}
 	case opAppend:
@@ -410,6 +438,15 @@ func verifyGolden(g *Group, va uint64, golden *slsPoint) error {
 		if buf[0] != want {
 			return fmt.Errorf("page %d = %#x, want %#x", pg, buf[0], want)
 		}
+	}
+	f, err := rp.FDs.Get(pipeRFD)
+	if err != nil {
+		return fmt.Errorf("pipe: %v", err)
+	}
+	if pipe, _, ok := kern.PipeInfo(f); !ok {
+		return fmt.Errorf("descriptor %d restored as %v, want the pipe", pipeRFD, f.Impl.Kind())
+	} else if got := pipe.Buffered(); !bytes.Equal(got, golden.pipe) {
+		return fmt.Errorf("pipe holds % x, want % x", got, golden.pipe)
 	}
 	if len(golden.jour) > 0 {
 		j, err := g.OpenJournal("wal")

@@ -200,8 +200,9 @@ func TestRestoredDeviceAndFlags(t *testing.T) {
 	g := w.o.CreateGroup("app")
 	g.Attach(p)
 	dfd, _ := p.OpenDevice(kern.DevNull)
-	f, _ := p.FDs.Get(dfd)
-	f.Flags |= kern.ONonblock
+	if err := p.SetFlags(dfd, kern.ORead|kern.OWrite|kern.ONonblock); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := p.MapDevice(kern.DevHPET); err != nil {
 		t.Fatal(err)
 	}

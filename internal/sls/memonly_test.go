@@ -105,8 +105,9 @@ func TestMemOnlyDoesNotReleaseES(t *testing.T) {
 	if err := g.Barrier(); err != nil {
 		t.Fatal(err)
 	}
-	f, _ := ext.FDs.Get(efd)
-	f.Flags |= kern.ONonblock
+	if err := ext.SetFlags(efd, kern.ORead|kern.OWrite|kern.ONonblock); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := ext.Read(efd, make([]byte, 8)); err == nil {
 		t.Fatal("mem-only checkpoint released an externally-synchronized message")
 	}

@@ -81,8 +81,9 @@ func TestCrossGroupExternalSynchrony(t *testing.T) {
 	if _, err := pa.SendTo(afd, "10.0.0.2:1", []byte("held")); err != nil {
 		t.Fatal(err)
 	}
-	f, _ := pb.FDs.Get(bfd)
-	f.Flags |= kern.ONonblock
+	if err := pb.SetFlags(bfd, kern.ORead|kern.OWrite|kern.ONonblock); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := pb.Read(bfd, make([]byte, 8)); err == nil {
 		t.Fatal("cross-group message leaked before sender's checkpoint")
 	}

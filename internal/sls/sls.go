@@ -101,7 +101,8 @@ type CheckpointStats struct {
 	MemTime    time.Duration // portion spent shadowing / marking COW
 	FlushBytes int64         // data submitted to storage, summed over workers
 	DurableAt  time.Duration // virtual time the checkpoint persists
-	Objects    int           // POSIX objects serialized
+	Objects    int           // POSIX objects in the cut
+	Captured   int           // of those, serialized: the rest were unchanged since the last commit
 	DirtyPages int64         // pages captured in the frozen shadows
 
 	// Flush pipeline observability (see internal/sls/flush.go).
@@ -214,6 +215,13 @@ type Group struct {
 	// prevLive holds the OIDs serialized by the previous checkpoint so
 	// vanished objects can be deleted from the store.
 	prevLive map[objstore.OID]bool
+	// committed is the capture gate's memory (serializer.unchanged): for each
+	// gated kernel object in the last committed checkpoint, the generation
+	// its stored record was encoded at. Only finishCommit adds to it;
+	// forgetting an entry is always safe and happens as soon as its OID
+	// leaves the cut. Empty on a new or restored group, whose first
+	// checkpoint therefore captures everything.
+	committed map[objstore.OID]captured
 
 	// Memory bookkeeping. transient marks system shadows that will be
 	// merged down; persistent objects own a store OID and a flushed flag.
@@ -318,6 +326,7 @@ func (o *Orchestrator) CreateGroup(name string) *Group {
 		oid:          o.Store.NewOID(),
 		oidOf:        make(map[any]objstore.OID),
 		prevLive:     make(map[objstore.OID]bool),
+		committed:    make(map[objstore.OID]captured),
 		transient:    make(map[*vm.Object]bool),
 		flushed:      make(map[objstore.OID]bool),
 		trappedDone:  make(map[*vm.Object]bool),

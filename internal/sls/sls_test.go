@@ -567,8 +567,9 @@ func TestExternalSynchrony(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Nothing delivered yet.
-	f, _ := ext.FDs.Get(efd)
-	f.Flags |= kern.ONonblock
+	if err := ext.SetFlags(efd, kern.ORead|kern.OWrite|kern.ONonblock); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := ext.Read(efd, make([]byte, 8)); err == nil {
 		t.Fatal("message leaked before checkpoint (external synchrony broken)")
 	}

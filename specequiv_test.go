@@ -41,6 +41,18 @@ func buildCrashedTwin(seed int64) (*aurora.Machine, uint64, error) {
 		return nil, 0, err
 	}
 
+	// A few descriptors, so the checkpoints' generation gate has objects to
+	// skip and to re-capture: every third memory write also goes down a pipe
+	// and moves a file offset. (They draw nothing from rng.)
+	_, wfd, err := p.Pipe()
+	if err != nil {
+		return nil, 0, err
+	}
+	ffd, err := p.Open("/equiv", aurora.ORead|aurora.OWrite, true)
+	if err != nil {
+		return nil, 0, err
+	}
+
 	rng := rand.New(rand.NewSource(seed))
 	n := 30 + rng.Intn(40)
 	for i := 0; i < n; i++ {
@@ -49,6 +61,14 @@ func buildCrashedTwin(seed int64) (*aurora.Machine, uint64, error) {
 			pg := uint64(rng.Intn(equivPages))
 			if err := p.WriteMem(va+pg*vm.PageSize, []byte{byte(1 + rng.Intn(255))}); err != nil {
 				return nil, 0, err
+			}
+			if i%3 == 0 {
+				if _, err := p.Write(wfd, []byte{byte(i)}); err != nil {
+					return nil, 0, err
+				}
+				if _, err := p.Write(ffd, []byte{byte(i)}); err != nil {
+					return nil, 0, err
+				}
 			}
 		case 6, 7:
 			if _, err := g.Checkpoint(aurora.CkptIncremental); err != nil {
@@ -70,9 +90,14 @@ func buildCrashedTwin(seed int64) (*aurora.Machine, uint64, error) {
 			}
 		}
 	}
-	// Land on a committed image, then lose a tail of writes to the cut.
+	// Land on a committed image, then lose a tail of writes to the cut. The
+	// live machine is audited first: the sls.capture rule needs a group that
+	// has committed, which the restored ones below have not yet.
 	if _, err := g.Checkpoint(aurora.CkptIncremental); err != nil {
 		return nil, 0, err
+	}
+	if rep := m.Audit(); !rep.OK() {
+		return nil, 0, fmt.Errorf("live machine audit: %s", rep)
 	}
 	for i := 0; i < 4; i++ {
 		pg := uint64(rng.Intn(equivPages))
