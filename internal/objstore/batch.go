@@ -80,8 +80,9 @@ func (s *Store) writePageBatch(oid OID, writes []PageWrite) (err error) {
 		// batch itself end with the error.
 		defer func() {
 			if err != nil {
-				phaseSpan.End(trace.S("err", err.Error()))
-				batchSpan.End(trace.S("err", err.Error()))
+				failed := trace.S("err", err.Error())
+				phaseSpan.End(failed)
+				batchSpan.End(failed)
 			}
 		}()
 	}

@@ -62,8 +62,9 @@ func (s *Store) CheckpointRetaining(retain int) (st CheckpointStats, err error) 
 	// commit itself end with the error.
 	defer func() {
 		if err != nil {
-			phase.End(trace.S("err", err.Error()))
-			commitSpan.End(trace.S("err", err.Error()))
+			failed := trace.S("err", err.Error())
+			phase.End(failed)
+			commitSpan.End(failed)
 		}
 	}()
 

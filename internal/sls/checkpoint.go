@@ -184,7 +184,7 @@ func (g *Group) Checkpoint(kind CheckpointKind) (st CheckpointStats, err error) 
 	// Shared-memory segments exist outside descriptor tables (SysV
 	// especially); serialize the namespaces too.
 	for _, seg := range o.K.ShmSegments() {
-		if _, err := ser.shm(seg); err != nil {
+		if err := ser.shm(seg); err != nil {
 			return st, err
 		}
 	}
@@ -969,9 +969,9 @@ func (s *serializer) impl(f *kern.File) error {
 		s.live[o.OID] = true
 		s.o.Clk.Advance(s.o.Costs.SerializeBase) // inode ref, no namei
 	case *kern.Socket:
-		_, err = s.socket(o)
+		err = s.socket(o)
 	case *kern.ShmSegment:
-		_, err = s.shm(o)
+		err = s.shm(o)
 	case generational: // pipe, kqueue, pty, device: nothing behind them to walk
 		if oid, first := s.implOID(o); first {
 			err = s.object(oid, o)
@@ -991,35 +991,35 @@ func (s *serializer) implOID(impl any) (objstore.OID, bool) {
 	return oid, true
 }
 
-func (s *serializer) socket(sk *kern.Socket) (objstore.OID, error) {
+func (s *serializer) socket(sk *kern.Socket) error {
 	oid, first := s.implOID(sk)
 	if !first {
-		return oid, nil
+		return nil
 	}
 	// What the record references is walked whether or not the record is
 	// captured: a peer in the same group, and the descriptors in flight in
 	// the buffered control messages (§5.3).
 	if peer := sk.Peer(); peer != nil && peer.OwnerGroup == s.g.ID {
-		if _, err := s.socket(peer); err != nil {
-			return 0, err
+		if err := s.socket(peer); err != nil {
+			return err
 		}
 	}
 	for _, inflight := range sk.InFlightFiles() {
 		if _, err := s.file(inflight); err != nil {
-			return 0, err
+			return err
 		}
 	}
-	return oid, s.object(oid, sk)
+	return s.object(oid, sk)
 }
 
-func (s *serializer) shm(seg *kern.ShmSegment) (objstore.OID, error) {
+func (s *serializer) shm(seg *kern.ShmSegment) error {
 	oid, first := s.implOID(seg)
 	if !first {
-		return oid, nil
+		return nil
 	}
 	memOID, err := s.memObject(s.g.persistentRoot(seg.Object()))
 	if err != nil {
-		return 0, err
+		return err
 	}
 	e := rec.NewEncoder()
 	e.I64(seg.ID)
@@ -1029,7 +1029,7 @@ func (s *serializer) shm(seg *kern.ShmSegment) (objstore.OID, error) {
 	e.Bool(seg.SysV)
 	e.U64(uint64(memOID))
 	s.shmOIDs = append(s.shmOIDs, oid)
-	return oid, s.put(oid, UTShm, e)
+	return s.put(oid, UTShm, e)
 }
 
 // encodeObject builds the store record of a gated kernel object. It is the
