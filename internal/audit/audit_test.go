@@ -11,6 +11,7 @@ import (
 	"aurora/internal/kern"
 	"aurora/internal/mem"
 	"aurora/internal/objstore"
+	"aurora/internal/rec"
 	"aurora/internal/sls"
 	"aurora/internal/slsfs"
 	"aurora/internal/vm"
@@ -314,18 +315,25 @@ func TestReportString(t *testing.T) {
 	}
 }
 
-// TestCaptureRuleCatchesUnbumpedMutation: the sls.capture family re-encodes
+// TestCaptureRuleComparesStoreWithKernel: the sls.capture family re-encodes
 // every object the checkpoint's generation gate would skip and compares it
-// with the store. A clean system passes; a field written around its setter —
-// a mutation with no bump — is reported, and the pass itself moves neither
-// the clock nor the OID allocator.
-func TestCaptureRuleCatchesUnbumpedMutation(t *testing.T) {
-	w, p := busyWorld(t)
-	fd, err := p.Open("/f", kern.ORead|kern.OWrite, true)
+// with the store. A clean system passes. The fields a record is built from
+// are writable only through kern calls that bump (the planted missing bumps
+// live in internal/sls, which can reach the gate's table), so here it is the
+// store's copy that is made to differ: an unchanged pipe whose record says
+// otherwise is reported, and the pass itself moves neither the clock nor the
+// OID allocator.
+func TestCaptureRuleComparesStoreWithKernel(t *testing.T) {
+	w := newWorld(t)
+	p := w.k.NewProc("app")
+	g := w.o.CreateGroup("app")
+	if err := g.Attach(p); err != nil {
+		t.Fatal(err)
+	}
+	_, wfd, err := p.Pipe()
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, _ := w.o.GroupByName("app")
 	if _, err := g.Checkpoint(sls.CkptIncremental); err != nil {
 		t.Fatal(err)
 	}
@@ -334,24 +342,42 @@ func TestCaptureRuleCatchesUnbumpedMutation(t *testing.T) {
 		t.Fatalf("clean system: %s", rep)
 	}
 
-	f, _ := p.FDs.Get(fd)
-	f.Offset = 42 // not Lseek: the generation stays where the commit saw it
+	var pipeOID objstore.OID
+	for _, oid := range w.store.Objects() {
+		if ut, _ := w.store.UType(oid); ut == sls.UTPipe {
+			pipeOID = oid
+		}
+	}
+	stale := rec.NewEncoder()
+	stale.Bytes([]byte("never written"))
+	stale.U32(1)
+	stale.U32(1)
+	if err := w.store.PutRecord(pipeOID, sls.UTPipe, stale.Seal()); err != nil {
+		t.Fatal(err)
+	}
 	now, next := w.clk.Now(), w.store.NewOID()
 	rep := a.Run()
 	if len(rep.Violations) != 1 || rep.Violations[0].Rule != "sls.capture" ||
-		!strings.Contains(rep.Violations[0].Detail, "*kern.File") {
-		t.Fatalf("want one sls.capture violation naming the description, got:\n%s", rep)
+		!strings.Contains(rep.Violations[0].Detail, "*kern.Pipe") {
+		t.Fatalf("want one sls.capture violation naming the pipe, got:\n%s", rep)
 	}
 	if w.clk.Now() != now || w.store.NewOID() != next+1 {
 		t.Fatalf("the audit pass advanced the clock (%v -> %v) or allocated an OID", now, w.clk.Now())
 	}
 
-	// The real syscall bumps, so the object is no longer one the gate would
-	// skip and the rule has nothing to say about it.
-	if _, err := p.Lseek(fd, 42); err != nil {
+	// A write moves the pipe's generation, so it is no longer an object the
+	// gate would skip: the rule has nothing to say about it, and the next
+	// checkpoint captures it over the stale record.
+	if _, err := p.Write(wfd, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	if rep := a.Run(); !rep.OK() {
-		t.Fatalf("after a bumping lseek: %s", rep)
+		t.Fatalf("after a bumping write: %s", rep)
+	}
+	if _, err := g.Checkpoint(sls.CkptIncremental); err != nil {
+		t.Fatal(err)
+	}
+	if rep := a.Run(); !rep.OK() {
+		t.Fatalf("after the re-capture: %s", rep)
 	}
 }

@@ -105,7 +105,7 @@ func (c *Checkpointer) Checkpoint(procs []*kern.Proc) (Stats, error) {
 			c.Clk.Advance(time.Duration(len(refs)) * c.Costs.CRIUPerObject / 2)
 		}
 		img.U16(uint16(f.Impl.Kind()))
-		img.I64(f.Offset)
+		img.I64(f.Offset())
 	}
 	st.OSStateTime = osSW.Elapsed()
 

@@ -217,18 +217,9 @@ func TestFig5Shape(t *testing.T) {
 	if !(p10.AvgLatency > p100.AvgLatency && p100.AvgLatency > base.AvgLatency) {
 		t.Errorf("avg ordering: 10ms=%v 100ms=%v base=%v", p10.AvgLatency, p100.AvgLatency, base.AvgLatency)
 	}
-	// The tail pays more than the mean, most at the shortest period (the
-	// paper's 95th lines). The paper's Aurora serialises every object at every
-	// checkpoint and its 10 ms p95 is several times the baseline; here the
-	// 576 connections are idle, the generation gate skips them, the stop
-	// window is about a twentieth of the period, and the 95th sits at its
-	// edge — so the factor is no longer asserted, the shape is.
-	if !(p10.P95Latency > p100.P95Latency && p100.P95Latency > base.P95Latency) {
-		t.Errorf("p95 ordering: 10ms=%v 100ms=%v base=%v", p10.P95Latency, p100.P95Latency, base.P95Latency)
-	}
-	if !(p10.P95Latency-base.P95Latency > 2*(p10.AvgLatency-base.AvgLatency)) {
-		t.Errorf("10 ms tail penalty %v not >> mean penalty %v",
-			p10.P95Latency-base.P95Latency, p10.AvgLatency-base.AvgLatency)
+	// Tails blow up under checkpointing (the paper's 95th lines).
+	if !(p10.P95Latency > 2*base.P95Latency) {
+		t.Errorf("10 ms p95 %v not >> baseline %v", p10.P95Latency, base.P95Latency)
 	}
 	t.Log("\n" + r.Render())
 }

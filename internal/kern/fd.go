@@ -58,7 +58,7 @@ const (
 // FileImpl is the object behind an open-file description.
 type FileImpl interface {
 	Kind() ObjKind
-	// Read/Write operate at f.Offset where meaningful (vnodes); stream
+	// Read/Write operate at f.Offset() where meaningful (vnodes); stream
 	// objects ignore it.
 	Read(f *File, p []byte) (int, error)
 	Write(f *File, p []byte) (int, error)
@@ -87,27 +87,33 @@ func (g *gen) Generation() uint64 { return g.n }
 // the offset and flags. Two processes with the same File see each other's
 // offset changes; two Files over the same vnode do not (§5.1's example).
 //
-// Offset and Flags are exported for the checkpoint and restore paths to read;
-// inside a running kernel they change only through setOffset and SetFlags,
+// The offset and the flags go into the description's record, so they are
+// readable (Offset, Flags) and change only through setOffset and SetFlags,
 // which bump the generation.
 type File struct {
 	gen
 	mu     sync.Mutex
 	refs   int32
-	Offset int64
-	Flags  int
+	offset int64
+	flags  int
 	Impl   FileImpl
 }
 
+// Offset returns the shared file offset.
+func (f *File) Offset() int64 { return f.offset }
+
+// Flags returns the description's status flags.
+func (f *File) Flags() int { return f.flags }
+
 // setOffset moves the shared offset. Requires the BKL.
 func (f *File) setOffset(off int64) {
-	f.Offset = off
+	f.offset = off
 	f.bump()
 }
 
 // NewFile wraps an implementation in a description with one reference.
 func NewFile(impl FileImpl, flags int) *File {
-	return &File{refs: 1, Flags: flags, Impl: impl}
+	return &File{refs: 1, flags: flags, Impl: impl}
 }
 
 // Ref takes a descriptor reference.
@@ -326,7 +332,7 @@ func (p *Proc) SetFlags(fd int, flags int) error {
 		if err != nil {
 			return err
 		}
-		f.Flags = flags
+		f.flags = flags
 		f.bump()
 		return nil
 	})

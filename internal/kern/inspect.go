@@ -86,5 +86,8 @@ func (p *PTY) Buffers() ([]byte, []byte) {
 	return append([]byte(nil), p.toSlave...), append([]byte(nil), p.toMaster...)
 }
 
+// Termios returns the terminal attributes blob (SetTermios).
+func (p *PTY) Termios() [64]byte { return p.termios }
+
 // PipeRefs reports the reader/writer end reference counts.
 func (p *Pipe) PipeRefs() (readers, writers int32) { return p.readersRef, p.writersRef }

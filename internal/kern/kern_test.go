@@ -78,8 +78,8 @@ func TestIndependentOpensShareVnodeNotOffset(t *testing.T) {
 	}
 	// Writer's offset (10) is untouched by reader's read.
 	f, _ := p.FDs.Get(fd)
-	if f.Offset != 10 {
-		t.Fatalf("writer offset = %d, want 10", f.Offset)
+	if f.Offset() != 10 {
+		t.Fatalf("writer offset = %d, want 10", f.Offset())
 	}
 }
 
@@ -381,8 +381,8 @@ func TestTCPConnectSendRecv(t *testing.T) {
 	}
 	// Sequence numbers advanced.
 	cs, _ := cli.Sock(cfd)
-	if cs.Seq != 5 {
-		t.Fatalf("client seq = %d, want 5", cs.Seq)
+	if cs.Seq() != 5 {
+		t.Fatalf("client seq = %d, want 5", cs.Seq())
 	}
 }
 

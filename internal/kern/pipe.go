@@ -35,7 +35,7 @@ func (e *pipeEnd) Read(f *File, buf []byte) (int, error) {
 		if p.writersRef == 0 {
 			return 0, nil // EOF
 		}
-		if f.Flags&ONonblock != 0 {
+		if f.flags&ONonblock != 0 {
 			return 0, ErrWouldBlock
 		}
 		ok := p.k.Gate.Sleep(func() bool { return len(p.buf) > 0 || p.writersRef == 0 })
@@ -65,7 +65,7 @@ func (e *pipeEnd) Write(f *File, buf []byte) (int, error) {
 	for len(buf) > 0 {
 		space := PipeCapacity - len(p.buf)
 		if space == 0 {
-			if f.Flags&ONonblock != 0 {
+			if f.flags&ONonblock != 0 {
 				if total > 0 {
 					return total, nil
 				}

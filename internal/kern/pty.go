@@ -14,9 +14,9 @@ type PTY struct {
 	// toSlave buffers master->slave bytes; toMaster the reverse.
 	toSlave  []byte
 	toMaster []byte
-	// Termios is an opaque blob standing in for termios state; it changes
+	// termios is an opaque blob standing in for termios state; it changes
 	// through SetTermios.
-	Termios [64]byte
+	termios [64]byte
 	closed  bool
 }
 
@@ -39,7 +39,7 @@ func (e *ptyEnd) Read(f *File, p []byte) (int, error) {
 		if e.pty.closed {
 			return 0, nil
 		}
-		if f.Flags&ONonblock != 0 {
+		if f.flags&ONonblock != 0 {
 			return 0, ErrWouldBlock
 		}
 		ok := e.pty.k.Gate.Sleep(func() bool { return len(*buf) > 0 || e.pty.closed })
@@ -100,7 +100,7 @@ func (p *Proc) SetTermios(fd int, termios [64]byte) error {
 		if !ok {
 			return ErrInvalid
 		}
-		e.pty.Termios = termios
+		e.pty.termios = termios
 		e.pty.bump()
 		return nil
 	})

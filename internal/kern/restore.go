@@ -69,7 +69,7 @@ func (k *Kernel) RestorePipe(buffered []byte, readers, writers int32) *Pipe {
 // PipeFile wraps one end of a restored pipe in a description. The returned
 // description has zero descriptor references; InstallFile adds them.
 func PipeFile(p *Pipe, writeEnd bool, offset int64, flags int) *File {
-	return &File{Offset: offset, Flags: flags, Impl: &pipeEnd{p: p, write: writeEnd}}
+	return &File{offset: offset, flags: flags, Impl: &pipeEnd{p: p, write: writeEnd}}
 }
 
 // RestoreSocketParams carries a socket record's fields.
@@ -95,9 +95,9 @@ func (k *Kernel) RestoreSocket(ps RestoreSocketParams) *Socket {
 		Remote:     ps.Remote,
 		Bound:      ps.Bound,
 		listening:  ps.Listening,
-		Seq:        ps.Seq,
-		Options:    ps.Options,
-		ESDisabled: ps.ESDisabled,
+		seq:        ps.Seq,
+		options:    ps.Options,
+		esDisabled: ps.ESDisabled,
 		OwnerGroup: ps.OwnerGroup,
 	}
 	if s.Bound {
@@ -130,7 +130,7 @@ func (s *Socket) MarkDisconnected() { s.closed = true }
 
 // SocketFile wraps a restored socket in a description.
 func SocketFile(s *Socket, offset int64, flags int) *File {
-	return &File{Offset: offset, Flags: flags, Impl: &socketFile{s: s}}
+	return &File{offset: offset, flags: flags, Impl: &socketFile{s: s}}
 }
 
 // RestoreShm rebuilds a shared-memory segment over a restored VM object
@@ -153,7 +153,7 @@ func (k *Kernel) RestoreShm(id, key int64, name string, size int64, sysv bool, o
 
 // ShmFile wraps a restored segment in a description.
 func ShmFile(seg *ShmSegment, flags int) *File {
-	return &File{Flags: flags, Impl: &shmFile{seg: seg}}
+	return &File{flags: flags, Impl: &shmFile{seg: seg}}
 }
 
 // RestoreKqueue rebuilds a kqueue with its registered events. The restore
@@ -170,14 +170,14 @@ func (k *Kernel) RestoreKqueue(events []Kevent) *Kqueue {
 
 // KqueueFile wraps a restored kqueue in a description.
 func KqueueFile(kq *Kqueue, flags int) *File {
-	return &File{Flags: flags, Impl: &kqueueFile{kq: kq}}
+	return &File{flags: flags, Impl: &kqueueFile{kq: kq}}
 }
 
 // RestorePTY rebuilds a pseudoterminal, charging the devfs locking the
 // paper measures (Table 4: pty restore is the slow row).
 func (k *Kernel) RestorePTY(index int, toSlave, toMaster []byte, termios [64]byte) *PTY {
 	k.Clk.Advance(k.Costs.PtyDevfsLock)
-	pty := &PTY{k: k, Index: index, toSlave: toSlave, toMaster: toMaster, Termios: termios}
+	pty := &PTY{k: k, Index: index, toSlave: toSlave, toMaster: toMaster, termios: termios}
 	k.mu.Lock()
 	if index >= k.nextPTY {
 		k.nextPTY = index + 1
@@ -188,12 +188,12 @@ func (k *Kernel) RestorePTY(index int, toSlave, toMaster []byte, termios [64]byt
 
 // PTYFile wraps one side of a restored pty in a description.
 func PTYFile(pty *PTY, master bool, flags int) *File {
-	return &File{Flags: flags, Impl: &ptyEnd{pty: pty, master: master}}
+	return &File{flags: flags, Impl: &ptyEnd{pty: pty, master: master}}
 }
 
 // DeviceFile wraps a whitelisted device in a description.
 func (k *Kernel) DeviceFile(name string, flags int) *File {
-	return &File{Flags: flags, Impl: &Device{k: k, name: name}}
+	return &File{flags: flags, Impl: &Device{k: k, name: name}}
 }
 
 // MapDeviceAt maps a whitelisted device read-only at a fixed address
@@ -209,7 +209,7 @@ func (p *Proc) MapVDSOLockedRestore() error { return p.mapVDSOLocked() }
 // RestoreFile builds a description around any implementation with explicit
 // offset/flags (used for vnode files reopened by OID).
 func RestoreFile(impl FileImpl, offset int64, flags int) *File {
-	return &File{Offset: offset, Flags: flags, Impl: impl}
+	return &File{offset: offset, flags: flags, Impl: impl}
 }
 
 // RestoreVnodeFile reopens a file by object identifier — no path lookup,

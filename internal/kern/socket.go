@@ -35,8 +35,8 @@ type ESHook interface {
 
 // Socket is the kernel socket object. Its exported fields are for the
 // checkpoint and restore paths to read; inside a running kernel they change
-// only under a syscall that bumps the generation (Bind, Connect, send, SetES,
-// SetSockOpt).
+// only under a syscall that bumps the generation (Bind, Connect). What send,
+// SetES and SetSockOpt change is behind read accessors.
 type Socket struct {
 	gen
 	k    *Kernel
@@ -50,7 +50,7 @@ type Socket struct {
 	Bound bool
 
 	OwnerGroup uint64 // consistency group of the creating process
-	ESDisabled bool   // sls_fdctl (SetES): opt this connection out of ES
+	esDisabled bool   // sls_fdctl (SetES): opt this connection out of ES
 
 	recvQ     []sockMsg
 	peer      *Socket
@@ -58,9 +58,19 @@ type Socket struct {
 	acceptQ   []*Socket
 	closed    bool
 
-	Seq     uint64 // TCP sequence proxy (bytes sent)
-	Options uint32 // opaque socket options blob
+	seq     uint64 // TCP sequence proxy (bytes sent)
+	options uint32 // opaque socket options blob
 }
+
+// Seq returns the TCP sequence proxy: the bytes this socket has sent.
+func (s *Socket) Seq() uint64 { return s.seq }
+
+// Options returns the opaque socket options blob (SetSockOpt).
+func (s *Socket) Options() uint32 { return s.options }
+
+// ESDisabled reports whether sls_fdctl opted the socket out of external
+// synchrony (SetES).
+func (s *Socket) ESDisabled() bool { return s.esDisabled }
 
 // socketFile is the descriptor-facing wrapper.
 type socketFile struct{ s *Socket }
@@ -218,7 +228,7 @@ func (p *Proc) Accept(fd int) (int, error) {
 		}
 		f, _ := p.FDs.Get(fd)
 		if len(l.acceptQ) == 0 {
-			if f.Flags&ONonblock != 0 {
+			if f.flags&ONonblock != 0 {
 				return ErrWouldBlock
 			}
 			if !p.k.Gate.Sleep(func() bool { return len(l.acceptQ) > 0 }) {
@@ -265,7 +275,7 @@ func (s *Socket) send(f *File, data []byte, files []*File) (int, error) {
 	if dst.closed {
 		return 0, ErrPipeClosed
 	}
-	s.Seq += uint64(len(data))
+	s.seq += uint64(len(data))
 	s.bump()
 	k := s.k
 	// deliver runs now or, held by external synchrony, under the BKL after a
@@ -283,7 +293,7 @@ func (s *Socket) send(f *File, data []byte, files []*File) (int, error) {
 		k.Gate.Broadcast()
 	}
 	// External synchrony: cross-group sends wait for the checkpoint.
-	if s.OwnerGroup != 0 && dst.OwnerGroup != s.OwnerGroup && !s.ESDisabled && k.ES != nil {
+	if s.OwnerGroup != 0 && dst.OwnerGroup != s.OwnerGroup && !s.esDisabled && k.ES != nil {
 		if k.ES.Hold(s.OwnerGroup, deliver) {
 			return len(data), nil // queued, not yet on the wire
 		}
@@ -300,7 +310,7 @@ func (s *Socket) recv(f *File, buf []byte, outFiles *[]*File) (int, error) {
 		if s.closed || (s.peer != nil && s.peer.closed) {
 			return 0, nil // EOF
 		}
-		if f.Flags&ONonblock != 0 {
+		if f.flags&ONonblock != 0 {
 			return 0, ErrWouldBlock
 		}
 		ok := s.k.Gate.Sleep(func() bool {
@@ -354,7 +364,7 @@ func (p *Proc) SetES(fd int, disabled bool) error {
 		if err != nil {
 			return err
 		}
-		s.ESDisabled = disabled
+		s.esDisabled = disabled
 		s.bump()
 		return nil
 	})
@@ -367,7 +377,7 @@ func (p *Proc) SetSockOpt(fd int, options uint32) error {
 		if err != nil {
 			return err
 		}
-		s.Options = options
+		s.options = options
 		s.bump()
 		return nil
 	})

@@ -27,21 +27,21 @@ func (v *VnodeFile) Kind() ObjKind { return KindVnode }
 
 // Read implements FileImpl: reads at the shared offset and advances it.
 func (v *VnodeFile) Read(f *File, p []byte) (int, error) {
-	n, err := v.h.ReadAt(p, f.Offset)
-	f.setOffset(f.Offset + int64(n))
+	n, err := v.h.ReadAt(p, f.offset)
+	f.setOffset(f.offset + int64(n))
 	return n, err
 }
 
 // Write implements FileImpl: appends with O_APPEND, else writes at the
 // shared offset and advances it.
 func (v *VnodeFile) Write(f *File, p []byte) (int, error) {
-	if f.Flags&OAppend != 0 {
+	if f.flags&OAppend != 0 {
 		n, err := v.h.Append(p)
 		f.setOffset(v.h.Size())
 		return n, err
 	}
-	n, err := v.h.WriteAt(p, f.Offset)
-	f.setOffset(f.Offset + int64(n))
+	n, err := v.h.WriteAt(p, f.offset)
+	f.setOffset(f.offset + int64(n))
 	return n, err
 }
 

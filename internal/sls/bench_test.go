@@ -68,6 +68,28 @@ func BenchmarkCheckpointIdle(b *testing.B) {
 // the store holds it: captured/op is the process and the group record, and
 // virt-stop-us is what the walk costs at one cache miss per object.
 func BenchmarkCheckpointIdle1kObjects(b *testing.B) {
+	benchCheckpoint1kObjects(b, func(*kern.Proc, int) {})
+}
+
+// BenchmarkCheckpointChanged1kObjects is the gate's worst case on the same
+// server: between checkpoints (off the timer) every description's flags and
+// every socket's options change, so all 2 000 objects are looked up in the
+// gate, captured as before it existed, staged and promoted. Against the
+// parent it prices the gate's bookkeeping; virt-stop-us is the parent's.
+func BenchmarkCheckpointChanged1kObjects(b *testing.B) {
+	benchCheckpoint1kObjects(b, func(srv *kern.Proc, i int) {
+		for fd := 0; fd < 1000; fd++ {
+			if err := srv.SetFlags(fd, kern.ORead|kern.OWrite|(i&1)*kern.ONonblock); err != nil {
+				b.Fatal(err)
+			}
+			if err := srv.SetSockOpt(fd, uint32(i)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+func benchCheckpoint1kObjects(b *testing.B, between func(srv *kern.Proc, i int)) {
 	w := benchWorld(b)
 	srv, cli := w.k.NewProc("server"), w.k.NewProc("clients")
 	lfd, _ := srv.Socket(kern.KindSocketTCP)
@@ -89,6 +111,9 @@ func BenchmarkCheckpointIdle1kObjects(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		between(srv, i+1)
+		b.StartTimer()
 		st, err := g.Checkpoint(CkptIncremental)
 		if err != nil {
 			b.Fatal(err)

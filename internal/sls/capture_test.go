@@ -330,6 +330,50 @@ func TestDeferredDeliveryIsCaptured(t *testing.T) {
 	}
 }
 
+// TestPagedRecordIsNeverStaged: the store keeps a record inline when its
+// sealed body — the encoding plus four bytes of CRC — is at most InlineMax, and
+// spills it to data blocks beyond that. The gate must learn only inline
+// records, because the oracle reads a record back and may touch no device. A
+// pipe record is 12 bytes around the buffer, so 16 under InlineMax is the last
+// buffer that stays inline; the two beyond it encode to at most InlineMax
+// unsealed, which a guard on the unsealed length would have let through.
+func TestPagedRecordIsNeverStaged(t *testing.T) {
+	for _, tc := range []struct {
+		buffered int
+		staged   bool
+	}{
+		{objstore.InlineMax - 16, true},
+		{objstore.InlineMax - 15, false},
+		{objstore.InlineMax - 12, false},
+	} {
+		t.Run(fmt.Sprint(tc.buffered), func(t *testing.T) {
+			a := newGateApp(t, newWorld(t))
+			if n, err := a.p.Write(a.pipeW, make([]byte, tc.buffered)); err != nil || n != tc.buffered {
+				t.Fatalf("pipe write: %d, %v", n, err)
+			}
+			a.checkpoint(t, CkptIncremental)
+			f, _ := a.p.FDs.Get(a.pipeW)
+			pipe, _, _ := kern.PipeInfo(f)
+			if _, staged := a.g.committed[a.g.oidOf[pipe]]; staged != tc.staged {
+				t.Fatalf("pipe holding %d bytes: in the gate = %v, want %v", tc.buffered, staged, tc.staged)
+			}
+			now := a.w.clk.Now()
+			requireCaptureClean(t, a.g)
+			if a.w.clk.Now() != now {
+				t.Fatalf("the oracle advanced the clock by %v: it read a paged record from the device", a.w.clk.Now()-now)
+			}
+			// Never staged means always captured: idle, it is serialized again.
+			want := a.always
+			if !tc.staged {
+				want++
+			}
+			if st := a.checkpoint(t, CkptIncremental); st.Captured != want {
+				t.Fatalf("idle checkpoint captured %d records, want %d", st.Captured, want)
+			}
+		})
+	}
+}
+
 // TestFailedCommitPromotesNothing: the checkpoint that failed had already
 // serialized the changed object and staged its generation; because only
 // finishCommit promotes, the retry captures it again and the image it commits
@@ -548,7 +592,7 @@ func TestFdCtlRacesNoSender(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sk, _ := g2.Procs()[0].Sock(a.udp); !sk.ESDisabled || sk.Seq != 200 {
-		t.Fatalf("restored socket: ESDisabled=%v Seq=%d, want true and 200", sk.ESDisabled, sk.Seq)
+	if sk, _ := g2.Procs()[0].Sock(a.udp); !sk.ESDisabled() || sk.Seq() != 200 {
+		t.Fatalf("restored socket: ESDisabled=%v Seq=%d, want true and 200", sk.ESDisabled(), sk.Seq())
 	}
 }

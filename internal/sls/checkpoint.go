@@ -508,16 +508,13 @@ type procRef struct {
 }
 
 func newSerializer(g *Group, full bool) *serializer {
-	// The cut is about as large as the last one: sized up front, the walk's
-	// maps do not rehash their way up from empty at every checkpoint.
-	n := len(g.prevLive)
 	return &serializer{
 		g:         g,
 		o:         g.o,
 		full:      full,
-		live:      make(map[objstore.OID]bool, n),
-		doneFiles: make(map[*kern.File]objstore.OID, n/2),
-		doneImpls: make(map[any]objstore.OID, n/2),
+		live:      make(map[objstore.OID]bool),
+		doneFiles: make(map[*kern.File]objstore.OID),
+		doneImpls: make(map[any]objstore.OID),
 		memOIDs:   make(map[*vm.Object]objstore.OID),
 	}
 }
@@ -528,7 +525,10 @@ func newSerializer(g *Group, full bool) *serializer {
 // record (both embed memory-object OIDs that follow the shadow chain, which
 // moves outside any generation).
 func (s *serializer) put(oid objstore.OID, utype uint16, e *rec.Encoder) error {
-	body := e.Seal()
+	return s.putSealed(oid, utype, e.Seal())
+}
+
+func (s *serializer) putSealed(oid objstore.OID, utype uint16, body []byte) error {
 	s.o.Clk.Advance(s.o.Costs.SerializeBase + time.Duration(len(body)/8)*s.o.Costs.SerializePerWord)
 	s.live[oid] = true
 	s.count++
@@ -558,8 +558,8 @@ func (s *serializer) unchanged(oid objstore.OID, obj generational) bool {
 // unchanged, otherwise encoded, charged and put exactly as before the gate
 // existed, with its generation staged for finishCommit. The objects its
 // record references must have been walked already (encodeObject looks their
-// OIDs up). A record too large to stay inline is never staged, because the
-// oracle could not read it back without device reads.
+// OIDs up). A record whose sealed body the store does not keep inline is never
+// staged, because the oracle could not read it back without device reads.
 func (s *serializer) object(oid objstore.OID, obj generational) error {
 	if s.unchanged(oid, obj) {
 		return nil
@@ -568,11 +568,13 @@ func (s *serializer) object(oid objstore.OID, obj generational) error {
 		// Each event structure is locked and copied (Table 4).
 		s.o.Clk.Advance(time.Duration(len(kq.Events())) * s.o.Costs.KqueueEvent)
 	}
-	utype, e := s.g.encodeObject(obj)
-	if err := s.put(oid, utype, e); err != nil {
+	e := rec.NewEncoder()
+	utype := s.g.encodeObject(e, obj)
+	body := e.Seal()
+	if err := s.putSealed(oid, utype, body); err != nil {
 		return err
 	}
-	if e.Len() <= objstore.InlineMax {
+	if len(body) <= objstore.InlineMax {
 		s.staged = append(s.staged, captured{oid, obj, obj.Generation()})
 	}
 	return nil
@@ -1032,36 +1034,36 @@ func (s *serializer) shm(seg *kern.ShmSegment) error {
 	return s.put(oid, UTShm, e)
 }
 
-// encodeObject builds the store record of a gated kernel object. It is the
+// encodeObject builds the store record of a gated kernel object into e (the
+// caller's, so that it need not outlive the call). It is the
 // one encoder the serializer (charged, behind the gate) and the capture
 // oracle (AuditCapture, uncharged) share: it reads the object and looks OIDs
 // up, and allocates none.
-func (g *Group) encodeObject(obj generational) (utype uint16, e *rec.Encoder) {
-	e = rec.NewEncoder()
+func (g *Group) encodeObject(e *rec.Encoder, obj generational) (utype uint16) {
 	switch o := obj.(type) {
 	case *kern.File:
 		impl, aux, _ := implOf(o)
 		e.U16(uint16(o.Impl.Kind()))
-		e.I64(o.Offset)
-		e.U32(uint32(o.Flags))
+		e.I64(o.Offset())
+		e.U32(uint32(o.Flags()))
 		e.U64(uint64(g.knownOID(impl)))
 		e.U32(aux)
-		return UTFileDesc, e
+		return UTFileDesc
 	case *kern.Pipe:
 		readers, writers := o.PipeRefs()
 		e.Bytes(o.Buffered())
 		e.U32(uint32(readers))
 		e.U32(uint32(writers))
-		return UTPipe, e
+		return UTPipe
 	case *kern.Socket:
 		e.U16(uint16(o.Kind()))
 		e.Str(o.Local)
 		e.Str(o.Remote)
 		e.Bool(o.Bound)
 		e.Bool(o.Listening()) // accept queue deliberately omitted (§5.3)
-		e.U64(o.Seq)
-		e.U32(o.Options)
-		e.Bool(o.ESDisabled)
+		e.U64(o.Seq())
+		e.U32(o.Options())
+		e.Bool(o.ESDisabled())
 		// Peer: recorded only when it lives in the same group.
 		if peer := o.Peer(); peer != nil && peer.OwnerGroup == g.ID {
 			e.U64(uint64(g.knownOID(peer)))
@@ -1080,7 +1082,7 @@ func (g *Group) encodeObject(obj generational) (utype uint16, e *rec.Encoder) {
 				e.U64(uint64(g.knownOID(inflight)))
 			}
 		}
-		return UTSocket, e
+		return UTSocket
 	case *kern.Kqueue:
 		events := o.Events()
 		e.U32(uint32(len(events)))
@@ -1092,17 +1094,18 @@ func (g *Group) encodeObject(obj generational) (utype uint16, e *rec.Encoder) {
 			e.I64(ev.Data)
 			e.U64(ev.UData)
 		}
-		return UTKqueue, e
+		return UTKqueue
 	case *kern.PTY:
 		toSlave, toMaster := o.Buffers()
 		e.U32(uint32(o.Index))
 		e.Bytes(toSlave)
 		e.Bytes(toMaster)
-		e.Bytes(o.Termios[:])
-		return UTPTY, e
+		termios := o.Termios()
+		e.Bytes(termios[:])
+		return UTPTY
 	case *kern.Device:
 		e.Str(o.Name())
-		return UTDeviceFile, e
+		return UTDeviceFile
 	}
 	panic(fmt.Sprintf("sls: no record encoder for %T", obj))
 }
@@ -1125,7 +1128,8 @@ func (g *Group) AuditCapture(report func(oid objstore.OID, detail string)) int {
 			continue // changed since the commit: the next checkpoint captures it
 		}
 		checked++
-		utype, e := g.encodeObject(c.obj)
+		e := rec.NewEncoder()
+		utype := g.encodeObject(e, c.obj)
 		want := e.Seal()
 		got, err := g.o.Store.GetRecord(oid)
 		if err != nil {

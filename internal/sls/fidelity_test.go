@@ -218,7 +218,7 @@ func TestRestoredDeviceAndFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rf.Flags&kern.ONonblock == 0 {
+	if rf.Flags()&kern.ONonblock == 0 {
 		t.Fatal("descriptor flags lost")
 	}
 	if _, err := rp.Write(dfd, []byte("x")); err != nil {
