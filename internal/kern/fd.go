@@ -73,8 +73,10 @@ type FileImpl interface {
 // committed (internal/sls, serializer.unchanged), so a spurious bump costs one
 // re-capture and a missing one loses an update — which is what the sls.capture
 // rule of internal/audit exists to catch. Restore constructors build objects
-// at generation 0; the restored group has committed nothing, so that is not a
-// claim of "unchanged".
+// at generation 0 and bump like any other mutation while they link them up;
+// wherever that leaves an object is the generation a restored group trusts
+// its record at, once it has checked the record against the object
+// (internal/sls, Group.primeGate).
 type gen struct{ n uint64 }
 
 func (g *gen) bump() { g.n++ }

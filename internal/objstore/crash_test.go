@@ -224,6 +224,49 @@ func TestRecoverSeesArmedRot(t *testing.T) {
 	}
 }
 
+// TestWALRecoverSeesArmedRot: the WAL scan reads the chain window by window,
+// and armed rot lands on those reads as it did on the one whole-region read —
+// a rotted frame ends the chain before it, in whichever window it lies, while
+// rot past the chain, in bytes the scan reads but never trusts, changes
+// nothing.
+func TestWALRecoverSeesArmedRot(t *testing.T) {
+	s, fd, clk, costs := newFaultStore(t, 128<<20)
+	oid := s.NewOID()
+	var ends []int64
+	for i := 1; i <= 4; i++ { // 40 KB frames: the second straddles the first window's edge
+		if err := s.PutRecord(oid, 7, bytes.Repeat([]byte{byte(i)}, 40_000)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.WALCommit(); err != nil {
+			t.Fatal(err)
+		}
+		ends = append(ends, s.WALHead())
+	}
+	if err := s.WaitWALDurable(4); err != nil {
+		t.Fatal(err)
+	}
+	base, _ := s.WALRegion()
+	for _, tc := range []struct {
+		rot     int64 // region offset of the flipped bit
+		wantSeq uint64
+	}{
+		{100, 0},
+		{ends[0] + 30_000, 1}, // past the first window's edge, inside frame 2
+		{ends[2] + 8, 3},      // frame 4's length field
+		{ends[3] + 8, 4},      // the zeroes behind the chain
+	} {
+		fd.Arm(faultdev.Plan{CutAtSubmit: -1, RotOffsets: []int64{base + tc.rot}})
+		s2, err := objstore.Recover(fd, clk, costs)
+		if err != nil {
+			t.Fatalf("rot at %d: %v", tc.rot, err)
+		}
+		if got := s2.WALSeq(); got != tc.wantSeq {
+			t.Fatalf("rot at %d: recovered %d frames, want %d", tc.rot, got, tc.wantSeq)
+		}
+	}
+	fd.Arm(faultdev.Plan{CutAtSubmit: -1})
+}
+
 func TestViewImmutabilityProperty(t *testing.T) {
 	clk := clock.NewVirtual()
 	costs := clock.DefaultCosts()

@@ -193,35 +193,23 @@ func (j *Journal) Entries() ([]Entry, error) {
 	return j.scanLocked()
 }
 
-// journalReadAhead is the scan's read window: one stripe unit, so a window
-// is a single member command.
-const journalReadAhead = 64 << 10
-
-// scanLocked walks frames from the extent head, reading the extent in
-// journalReadAhead windows (a frame larger than the window is read whole).
-// Frames are accepted while the checksum holds, the generation is at least
-// the committed generation and non-decreasing, and sequence numbers ascend;
-// leftovers from older generations terminate the scan. Requires mu.
+// scanLocked walks frames from the extent head through a frameScan (a frame
+// larger than the read-ahead window is read whole). Frames are accepted while
+// the checksum holds, the generation is at least the committed generation and
+// non-decreasing, and sequence numbers ascend; leftovers from older
+// generations terminate the scan. Requires mu.
 func (j *Journal) scanLocked() ([]Entry, error) {
 	js := j.o.journal
 	capBytes := js.capBlocks * BlockSize
 	var (
 		entries []Entry
-		off     int64
+		sc      = frameScan{s: j.s, addr: js.extentAddr, size: capBytes}
 		maxGen  = js.generation
 		lastSeq uint64
-		win     []byte // extent bytes read ahead from off
 	)
-	// ahead makes win hold at least n bytes, reading a new window at off
-	// when it does not.
-	ahead := func(n int64) (err error) {
-		if int64(len(win)) < n {
-			win, err = j.s.readExtent(js.extentAddr+off, min(max(n, journalReadAhead), capBytes-off))
-		}
-		return err
-	}
-	for off+frameHeaderLen <= capBytes {
-		if err := ahead(frameHeaderLen); err != nil {
+	for sc.off+frameHeaderLen <= capBytes {
+		win, err := sc.ahead(frameHeaderLen)
+		if err != nil {
 			return nil, err
 		}
 		if binary.LittleEndian.Uint32(win[0:]) != magicFrame {
@@ -230,10 +218,10 @@ func (j *Journal) scanLocked() ([]Entry, error) {
 		gen := binary.LittleEndian.Uint64(win[4:])
 		seq := binary.LittleEndian.Uint64(win[12:])
 		size := frameHeaderLen + int64(binary.LittleEndian.Uint32(win[20:]))
-		if gen < maxGen || off+size > capBytes {
+		if gen < maxGen || sc.off+size > capBytes {
 			break
 		}
-		if err := ahead(size); err != nil {
+		if win, err = sc.ahead(size); err != nil {
 			return nil, err
 		}
 		frame := win[:size:size]
@@ -248,15 +236,14 @@ func (j *Journal) scanLocked() ([]Entry, error) {
 		if seq > js.flushedSeq {
 			entries = append(entries, Entry{Seq: seq, Payload: frame[frameHeaderLen:]})
 		}
-		win = win[size:]
-		off += size
+		sc.skip(size)
 	}
-	js.tail = off
+	js.tail = sc.off
 	if lastSeq > js.lastSeq {
 		js.lastSeq = lastSeq
 	}
 	js.generation = maxGen
 	js.scanned = true
-	j.o.size = off
+	j.o.size = sc.off
 	return entries, nil
 }

@@ -20,8 +20,7 @@ import (
 func (s *Store) PutRecord(oid OID, utype uint16, data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if o, ok := s.objects[oid]; ok && o.utype == utype && o.chunks == nil && o.journal == nil &&
-		bytes.Equal(o.inline, data) {
+	if s.holdsLocked(oid, utype, data) {
 		// An identical put is not a modification: the object keeps its
 		// record where it is, and neither the commit nor the WAL sees it.
 		return nil
@@ -47,6 +46,20 @@ func (s *Store) PutRecord(oid OID, utype uint16, data []byte) error {
 	}
 	s.walNote(walOp{kind: walOpSize, oid: oid, size: o.size})
 	return nil
+}
+
+// HoldsRecord reports whether PutRecord(oid, utype, data) would be the
+// identical put that is not a write. It answers from memory: a record kept
+// in data blocks (larger than InlineMax) is never held.
+func (s *Store) HoldsRecord(oid OID, utype uint16, data []byte) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.holdsLocked(oid, utype, data)
+}
+
+func (s *Store) holdsLocked(oid OID, utype uint16, data []byte) bool {
+	o, ok := s.objects[oid]
+	return ok && o.utype == utype && o.chunks == nil && o.journal == nil && bytes.Equal(o.inline, data)
 }
 
 // GetRecord returns the full content of oid.

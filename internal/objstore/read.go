@@ -6,7 +6,7 @@ import (
 )
 
 // The read path. Everything the store reads that spans more than one block
-// — an index, the object records of an image, the WAL region, a journal
+// — an index, the object records of an image, the WAL chain, a journal
 // extent, the pages of an object — goes through readBatch. What is left on
 // the synchronous dev.ReadAt is single blocks on a path whose next step
 // depends on them (a superblock slot, one block-map chunk, one demand-paged
@@ -91,4 +91,41 @@ func (s *Store) readExtent(addr, n int64) (out []byte, err error) {
 		return nil
 	})
 	return out, err
+}
+
+// journalReadAhead is a frame scan's read window: one stripe unit, so a window
+// is a single member command.
+const journalReadAhead = 64 << 10
+
+// frameScan reads a device range front to back, one journalReadAhead window
+// at a time, for a scan that decodes frame after frame (a journal extent, the
+// WAL region): the scan pays for the frames it walks, not for the range.
+type frameScan struct {
+	s          *Store
+	addr, size int64  // the range on the device
+	off        int64  // scan position within it
+	win        []byte // bytes read ahead from off
+	read       int64  // bytes asked of the device so far
+}
+
+// ahead returns the bytes at the scan position: at least n, or all that is
+// left of the range. A short window is replaced by one read at the position,
+// so a frame longer than a window is read whole and nothing past the range.
+func (f *frameScan) ahead(n int64) ([]byte, error) {
+	left := f.size - f.off
+	if n = min(n, left); int64(len(f.win)) < n {
+		want := min(max(n, journalReadAhead), left)
+		win, err := f.s.readExtent(f.addr+f.off, want)
+		if err != nil {
+			return nil, err
+		}
+		f.win, f.read = win, f.read+want
+	}
+	return f.win, nil
+}
+
+// skip moves the scan position n bytes on.
+func (f *frameScan) skip(n int64) {
+	f.off += n
+	f.win = f.win[min(n, int64(len(f.win))):]
 }

@@ -72,7 +72,8 @@ func recoverSerial(dev BlockDev, clk clock.Clock, costs *clock.Costs) (*Store, e
 	s.retained = append(idx.retained, ckptInfo{epoch: idx.epoch, indexAddr: sb.indexAddr, indexLen: sb.indexLen})
 	s.objects = objects
 	s.epoch = sb.epoch
-	return s, s.walRecover()
+	_, err = s.walRecover()
+	return s, err
 }
 
 // tableDump renders an object table: every record re-encoded, with where it

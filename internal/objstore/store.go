@@ -319,8 +319,9 @@ func RecoverTraced(dev BlockDev, clk clock.Clock, costs *clock.Costs, tr *trace.
 	// Replay any WAL frames committed on top of the recovered checkpoint:
 	// they are durable state the superblock alone does not describe.
 	walSpan := sp.Child("wal")
-	err = s.walRecover()
-	walSpan.End(trace.I("frames", int64(s.walReplayed)))
+	scanned, err := s.walRecover()
+	walSpan.End(trace.I("frames", int64(s.walReplayed)), trace.I("bytes", scanned))
+	tr.Count("objstore.wal_recover.bytes", scanned)
 	if err != nil {
 		return nil, err
 	}

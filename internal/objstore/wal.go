@@ -399,26 +399,38 @@ func (s *Store) WaitWALDurable(seq uint64) error {
 	return nil
 }
 
-// walRecover scans the reserved region and replays the committed frames of
-// the recovered epoch's generation on top of the loaded index. Called by
-// Recover after loadIndex with s.epoch set.
-func (s *Store) walRecover() error {
-	if s.walBlocks == 0 {
-		return nil
-	}
-	region, err := s.readExtent(s.walBase, s.walBlocks*BlockSize)
-	if err != nil {
-		return err
-	}
+// walRecover replays the WAL chain the crash left on top of the loaded index.
+// Called by Recover after loadIndex with s.epoch set; scanned is the bytes it
+// read from the region.
+func (s *Store) walRecover() (scanned int64, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var (
-		frames []*walFrame
-		off    int64
-		end    int64
-	)
-	for off < int64(len(region)) {
-		fr, padded, ok := decodeWALFrame(region[off:])
+	frames, end, scanned, err := s.walScan()
+	if err == nil {
+		err = s.walReplayLocked(frames, end)
+	}
+	return scanned, err
+}
+
+// walScan reads the reserved region from its start, window by window, up to
+// the first frame outside the recovered epoch's chain; it returns the chain
+// and the region offset past its last frame. What it reads follows the chain,
+// not the region's size: a zeroed region costs one window.
+func (s *Store) walScan() (frames []*walFrame, end, scanned int64, err error) {
+	sc := frameScan{s: s, addr: s.walBase, size: s.walBlocks * BlockSize}
+	for sc.off < sc.size {
+		b, err := sc.ahead(walHeaderLen + 4)
+		if err != nil {
+			return nil, 0, sc.read, err
+		}
+		// A frame states its length up front; one that overstates it gets
+		// the rest of the region and fails to decode.
+		if len(b) >= walHeaderLen+4 && binary.LittleEndian.Uint32(b) == magicWAL {
+			if b, err = sc.ahead(int64(binary.LittleEndian.Uint32(b[4:]))); err != nil {
+				return nil, 0, sc.read, err
+			}
+		}
+		fr, padded, ok := decodeWALFrame(b)
 		if !ok || fr.base > s.epoch {
 			break // torn tail, stale bytes, or an orphan (fsck's problem)
 		}
@@ -427,12 +439,18 @@ func (s *Store) walRecover() error {
 				break
 			}
 			frames = append(frames, fr)
-			end = off + padded
+			end = sc.off + padded
 		} else if len(frames) > 0 {
 			break // older-generation leftovers past the current chain
 		}
-		off += padded
+		sc.skip(padded)
 	}
+	return frames, end, sc.read, nil
+}
+
+// walReplayLocked applies the scanned chain, whose last frame ends at region
+// offset end. Requires mu.
+func (s *Store) walReplayLocked(frames []*walFrame, end int64) error {
 	if len(frames) == 0 {
 		// No current-generation frames: the ring restarts. Recovery always
 		// picks the newest superblock, so older generations are dead.

@@ -7,10 +7,12 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"aurora/internal/clock"
 	"aurora/internal/device"
 	"aurora/internal/flight"
+	"aurora/internal/trace"
 )
 
 // putPage builds a deterministic page payload.
@@ -843,4 +845,268 @@ func TestIndexLenIsArithmetic(t *testing.T) {
 				got, want, len(st.freelist), len(st.deadlist), len(st.retained), len(st.objects))
 		}
 	}
+}
+
+// recoverWholeRegion is Recover with the WAL scan it had before the window
+// reader: the region read as one buffer, the same stop rules, the same
+// replay. The windowed scan must recover exactly what this one does.
+func recoverWholeRegion(t *testing.T, dev BlockDev, clk clock.Clock) *Store {
+	t.Helper()
+	s := &Store{
+		dev: dev, clk: clk, costs: clock.DefaultCosts(),
+		objects:    make(map[OID]*object),
+		deleted:    make(map[OID]bool),
+		durableAt:  make(map[Epoch]time.Duration),
+		walDurable: make(map[uint64]time.Duration),
+		birthOf:    make(map[int64]Epoch),
+		settled:    make(map[Epoch]bool),
+	}
+	sb, slot, err := s.readSuperblocks()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.superSlot = 1 - slot
+	s.walBase, s.walBlocks = sb.walBase, sb.walBlocks
+	if err := s.loadIndex(sb.indexAddr, sb.indexLen, trace.Span{}); err != nil {
+		t.Fatal(err)
+	}
+	s.epoch = sb.epoch
+	region := make([]byte, s.walBlocks*BlockSize)
+	if _, err := dev.ReadAt(region, s.walBase); err != nil {
+		t.Fatal(err)
+	}
+	var (
+		frames   []*walFrame
+		off, end int64
+	)
+	for off < int64(len(region)) {
+		fr, padded, ok := decodeWALFrame(region[off:])
+		if !ok || fr.base > s.epoch {
+			break
+		}
+		if fr.base == s.epoch {
+			if fr.seq != uint64(len(frames))+1 {
+				break
+			}
+			frames = append(frames, fr)
+			end = off + padded
+		} else if len(frames) > 0 {
+			break
+		}
+		off += padded
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.walReplayLocked(frames, end); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// readSpy notes every queued read.
+type readSpy struct {
+	BlockDev
+	reads []extent
+}
+
+func (d *readSpy) SubmitRead(p []byte, off int64) (time.Duration, error) {
+	d.reads = append(d.reads, extent{off, int64(len(p))})
+	return d.BlockDev.SubmitRead(p, off)
+}
+
+// TestWALRecoverScansInWindows: recovery reads the WAL region in read-ahead
+// windows and stops where the chain does. Whatever the chain's shape against
+// the window grid, it recovers the (epoch, walSeq), head and object table of
+// the whole-region reference scan, for a fraction of the region's bytes.
+func TestWALRecoverScansInWindows(t *testing.T) {
+	const win = journalReadAhead
+	// commit appends one frame of about n bytes: a single inline put.
+	commit := func(t *testing.T, s *Store, oid OID, n int, tag byte) WALCommitStats {
+		t.Helper()
+		data := bytes.Repeat([]byte{tag}, n)
+		if err := s.PutRecord(oid, 7, data); err != nil {
+			t.Fatal(err)
+		}
+		st, err := s.WALCommit()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	// check recovers dev both ways and returns the windowed store and the
+	// bytes its scan read.
+	check := func(t *testing.T, dev *device.Stripe, clk *clock.Virtual, wantSeq uint64, wantHead int64) (*Store, int64) {
+		t.Helper()
+		ref := recoverWholeRegion(t, dev, clk)
+		tr := trace.New(clk)
+		r0 := dev.Stats().BytesRead
+		got, err := RecoverTraced(dev, clk, clock.DefaultCosts(), tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		read := dev.Stats().BytesRead - r0
+		if got.WALSeq() != wantSeq || got.WALHead() != wantHead {
+			t.Fatalf("recovered (seq %d, head %d), want (%d, %d)", got.WALSeq(), got.WALHead(), wantSeq, wantHead)
+		}
+		if a, b := stateDump(got), stateDump(ref); a != b {
+			t.Fatalf("windowed recovery differs from the whole-region reference:\n%s\n--- reference ---\n%s", a, b)
+		}
+		scanned := tr.CounterValue("objstore.wal_recover.bytes")
+		var spanBytes int64 = -1
+		for _, e := range tr.Events() {
+			if e.Kind == trace.KindSpan && e.Name == "wal" {
+				for _, a := range e.Args {
+					if a.Key == "bytes" {
+						spanBytes = a.Value().(int64)
+					}
+				}
+			}
+		}
+		if scanned != spanBytes || scanned <= 0 || scanned > read {
+			t.Fatalf("objstore.wal_recover.bytes %d, wal span bytes %d, device read %d bytes in all", scanned, spanBytes, read)
+		}
+		return got, scanned
+	}
+
+	t.Run("empty region costs one window", func(t *testing.T) {
+		s, dev, clk := newStore(t)
+		if err := s.PutRecord(s.NewOID(), 7, []byte("in the index, not the log")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		got, scanned := check(t, dev, clk, 0, 0)
+		if scanned != win {
+			t.Fatalf("scan of an empty region read %d bytes, want one %d-byte window", scanned, win)
+		}
+		// The device agrees: scanning again (an empty chain replays nothing)
+		// moves exactly one window off the media.
+		r0 := dev.Stats().BytesRead
+		if n, err := got.walRecover(); err != nil || n != win || dev.Stats().BytesRead-r0 != win {
+			t.Fatalf("second scan: %d bytes by its own count, %d by the device's, err %v", n, dev.Stats().BytesRead-r0, err)
+		}
+	})
+
+	t.Run("chain across a window boundary", func(t *testing.T) {
+		s, dev, clk := newStore(t)
+		oid := s.NewOID()
+		for i := 1; i <= 5; i++ {
+			commit(t, s, oid, 30_000, byte(i))
+		}
+		if s.WALHead() <= 2*win {
+			t.Fatalf("setup: head %d does not cross two windows", s.WALHead())
+		}
+		if _, scanned := check(t, dev, clk, 5, s.WALHead()); scanned > s.WALHead()+2*win {
+			t.Fatalf("scan read %d bytes for a %d-byte chain", scanned, s.WALHead())
+		}
+	})
+
+	t.Run("frame larger than a window", func(t *testing.T) {
+		s, dev, clk := newStore(t)
+		a, b, c := s.NewOID(), s.NewOID(), s.NewOID()
+		commit(t, s, a, 100, 1)
+		for _, oid := range []OID{a, b, c} {
+			if err := s.PutRecord(oid, 7, bytes.Repeat([]byte{9}, 40_000)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st, err := s.WALCommit()
+		if err != nil || st.Bytes <= win {
+			t.Fatalf("setup: frame of %d bytes (err %v), want more than a window", st.Bytes, err)
+		}
+		commit(t, s, a, 100, 2)
+		check(t, dev, clk, 3, s.WALHead())
+	})
+
+	t.Run("older generation longer than a window, then the live chain", func(t *testing.T) {
+		s, dev, clk := newStore(t)
+		oid := s.NewOID()
+		for i := 1; i <= 3; i++ {
+			commit(t, s, oid, 30_000, byte(i))
+		}
+		old := s.WALHead()
+		// A fold whose superblock has not settled defers the head reset: the
+		// new generation's frames land behind the old one's.
+		if _, err := s.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		commit(t, s, oid, 200, 0xA)
+		commit(t, s, oid, 200, 0xB)
+		if old <= win || s.WALHead() <= old {
+			t.Fatalf("setup: old generation %d bytes, head %d", old, s.WALHead())
+		}
+		check(t, dev, clk, 2, s.WALHead())
+	})
+
+	t.Run("torn at a window edge", func(t *testing.T) {
+		s, dev, clk := newStore(t)
+		oid := s.NewOID()
+		// A put of win/2-63 bytes makes a frame of exactly half a window, so
+		// the second frame ends, and the third begins, on the window's edge.
+		var ends []int64
+		for i := 1; i <= 4; i++ {
+			commit(t, s, oid, win/2-63, byte(i))
+			ends = append(ends, s.WALHead())
+		}
+		if ends[1] != win {
+			t.Fatalf("setup: frames end at %v, want the second to end at %d", ends, win)
+		}
+		walBase, walSize := s.WALRegion()
+		pristine := make([]byte, walSize)
+		if _, err := dev.ReadAt(pristine, walBase); err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			cut     int64 // everything from here on never landed
+			wantSeq uint64
+		}{
+			{win - walSector, 1}, // the frame before the edge lost its last sector
+			{win, 2},             // the frame at the edge never landed
+			{win + walSector, 2}, // it landed one sector of itself
+			{2*win - walSector, 3},
+		} {
+			region := append([]byte(nil), pristine...)
+			clear(region[tc.cut:])
+			if _, err := dev.WriteAt(region, walBase); err != nil {
+				t.Fatal(err)
+			}
+			check(t, dev, clk, tc.wantSeq, ends[tc.wantSeq-1])
+		}
+	})
+
+	t.Run("chain flush with the region end", func(t *testing.T) {
+		s, dev, clk := newStore(t)
+		oid := s.NewOID()
+		_, size := s.WALRegion()
+		n := uint64(0)
+		for size-s.WALHead() > InlineMax {
+			commit(t, s, oid, 60_000, byte(n))
+			n++
+		}
+		// One put of k bytes makes a frame of k+63: fill to the last byte.
+		st := commit(t, s, oid, int(size-s.WALHead())-63, 0xFF)
+		n++
+		if s.WALHead() != size {
+			t.Fatalf("setup: head %d after a closing frame of %d bytes, region %d", s.WALHead(), st.Bytes, size)
+		}
+		check(t, dev, clk, n, size)
+		// No window reaches past the region into the data blocks behind it.
+		spy := &readSpy{BlockDev: dev}
+		if _, err := Recover(spy, clk, clock.DefaultCosts()); err != nil {
+			t.Fatal(err)
+		}
+		base, inRegion := s.walBase, 0
+		for _, r := range spy.reads {
+			if r.addr >= base && r.addr < base+size {
+				inRegion++
+				if r.addr+r.n > base+size {
+					t.Fatalf("read of [%#x,+%d) runs past the region end %#x", r.addr, r.n, base+size)
+				}
+			}
+		}
+		if inRegion == 0 {
+			t.Fatal("the spy saw no read inside the region")
+		}
+	})
 }

@@ -199,29 +199,53 @@ func BenchmarkCheckpointFlushParallel(b *testing.B) {
 	b.Run("parallel", func(b *testing.B) { run(b, 0) })
 }
 
-// BenchmarkRestore16MiB measures a full restore's wall time.
-func BenchmarkRestore16MiB(b *testing.B) {
-	w := benchWorld(b)
+// restoreBenchApp is the application of the two restore benchmarks: 16 MiB of
+// written memory and fds open descriptions of one file — fds gated kernel
+// objects, which is what a restore primes the capture gate with.
+func restoreBenchApp(b *testing.B, w *world, fds int) (*Group, uint64) {
+	b.Helper()
 	p := w.k.NewProc("app")
+	for i := 0; i < fds; i++ {
+		if _, err := p.Open("/f", kern.ORead|kern.OWrite, i == 0); err != nil {
+			b.Fatal(err)
+		}
+	}
 	va, _ := p.Mmap(16<<20, vm.ProtRead|vm.ProtWrite, false)
 	buf := make([]byte, vm.PageSize)
 	for pg := uint64(0); pg < 4096; pg++ {
 		p.WriteMem(va+pg*vm.PageSize, buf)
 	}
 	g := w.o.CreateGroup("app")
+	g.RetainEpochs = 4
 	g.Attach(p)
-	if _, err := g.Checkpoint(CkptIncremental); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		w2 := w.crash(b)
-		b.StartTimer()
-		if _, _, err := w2.o.RestoreGroup("app", w2.store, RestoreFull, true); err != nil {
-			b.Fatal(err)
-		}
+	return g, va
+}
+
+// benchFDs are the descriptor counts both restore benchmarks run at: none
+// (the series ROADMAP quotes) and a thousand (what priming works on).
+var benchFDs = []int{0, 1000}
+
+// BenchmarkRestore16MiB measures a full restore's wall time. Against the
+// parent, fds=1000 prices the prime: one re-encoding per descriptor.
+func BenchmarkRestore16MiB(b *testing.B) {
+	for _, fds := range benchFDs {
+		b.Run(fmt.Sprintf("fds=%d", fds), func(b *testing.B) {
+			w := benchWorld(b)
+			g, _ := restoreBenchApp(b, w, fds)
+			if _, err := g.Checkpoint(CkptIncremental); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				w2 := w.crash(b)
+				b.StartTimer()
+				if _, _, err := w2.o.RestoreGroup("app", w2.store, RestoreFull, true); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -229,22 +253,23 @@ func BenchmarkRestore16MiB(b *testing.B) {
 // eager restore of a 16 MiB image of which the application then dirtied a
 // tenth — the crash-restore chain's steady state, one commit per boot. Beside
 // ns/op: pages the checkpoint flushed, store metadata it wrote (records,
-// chunks and the index, which is where unbounded history shows) and the
-// modelled time from its start to its durability.
+// chunks and the index, which is where unbounded history shows), the
+// modelled time from its start to its durability, and what the restore's
+// priming is for: the object records it captured and its stop time.
 func BenchmarkCheckpointAfterRestore(b *testing.B) {
+	for _, fds := range benchFDs {
+		b.Run(fmt.Sprintf("fds=%d", fds), func(b *testing.B) { benchCheckpointAfterRestore(b, fds) })
+	}
+}
+
+func benchCheckpointAfterRestore(b *testing.B, fds int) {
 	const pages, dirtied = 4096, 410
 	w := benchWorld(b)
-	p := w.k.NewProc("app")
-	va, _ := p.Mmap(pages*vm.PageSize, vm.ProtRead|vm.ProtWrite, false)
+	g, va := restoreBenchApp(b, w, fds)
 	buf := make([]byte, vm.PageSize)
-	for pg := uint64(0); pg < pages; pg++ {
-		p.WriteMem(va+pg*vm.PageSize, buf)
-	}
-	g := w.o.CreateGroup("app")
-	g.RetainEpochs = 4
-	g.Attach(p)
-	var virt time.Duration
+	var virt, stop time.Duration
 	var flushed, meta int64
+	var captured int
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -260,7 +285,7 @@ func BenchmarkCheckpointAfterRestore(b *testing.B) {
 		if g, _, err = w.o.RestoreGroup("app", w.store, RestoreFull, true); err != nil {
 			b.Fatal(err)
 		}
-		p = g.Procs()[0]
+		p := g.Procs()[0]
 		for j := uint64(0); j < dirtied; j++ {
 			buf[0] = byte(i)
 			p.WriteMem(va+(j*9+uint64(i))%pages*vm.PageSize, buf)
@@ -273,6 +298,8 @@ func BenchmarkCheckpointAfterRestore(b *testing.B) {
 		}
 		b.StopTimer()
 		virt += st.DurableAt - t0
+		stop += st.StopTime
+		captured += st.Captured
 		flushed += st.FlushBytes / vm.PageSize
 		meta += w.store.Stats().MetaBytes - m0
 		b.StartTimer()
@@ -280,6 +307,8 @@ func BenchmarkCheckpointAfterRestore(b *testing.B) {
 	b.ReportMetric(float64(flushed)/float64(b.N), "pages/op")
 	b.ReportMetric(float64(meta)/float64(b.N), "meta-bytes/op")
 	b.ReportMetric(float64(virt)/float64(b.N)/1e3, "virt-us/op")
+	b.ReportMetric(float64(stop)/float64(b.N)/1e3, "virt-stop-us/op")
+	b.ReportMetric(float64(captured)/float64(b.N), "captured/op")
 }
 
 // BenchmarkDeltaShip1kObjects measures encoding one delta stream of a group

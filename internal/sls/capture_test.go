@@ -19,6 +19,7 @@ import (
 	"aurora/internal/kern"
 	"aurora/internal/mem"
 	"aurora/internal/objstore"
+	"aurora/internal/rec"
 	"aurora/internal/trace"
 	"aurora/internal/vm"
 )
@@ -158,23 +159,306 @@ func TestCaptureFollowsWhatChanged(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The first checkpoint of a restored group captures everything again.
+	// A restored group trusts what restore just rebuilt from the store's own
+	// records. Restore rebuilds a device without its OID (the first checkpoint
+	// gives it a new one), so the device and its description re-encode
+	// differently: those two are left out and captured, once.
 	w2 := w.crash(t)
 	g2, _, err := w2.o.RestoreGroup("app", w2.store, RestoreFull, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(g2.committed) != 0 {
-		t.Fatalf("restored group already trusts %d records", len(g2.committed))
+	if got, want := len(g2.committed), before-2-2; got != want {
+		t.Fatalf("restored group trusts %d records, want %d (every gated object but the device and its description)", got, want)
 	}
+	requireCaptureClean(t, g2)
 	st, err := g2.Checkpoint(CkptIncremental)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Captured != st.Objects-memObjectsIn(g2) {
-		t.Fatalf("first checkpoint after restore captured %d of %d objects", st.Captured, st.Objects)
+	if st.Captured != a.always+2 {
+		t.Fatalf("first checkpoint after restore captured %d of %d objects, want %d", st.Captured, st.Objects, a.always+2)
 	}
 	requireCaptureClean(t, g2)
+	if st, err = g2.Checkpoint(CkptIncremental); err != nil || st.Captured != a.always {
+		t.Fatalf("second checkpoint after restore captured %d (err %v), want %d", st.Captured, err, a.always)
+	}
+}
+
+// connect gives the gate app what only a restore with every object already
+// built can re-encode: a stream connection inside the group with a descriptor
+// in flight in its buffer (peer and in-flight OIDs), and a connection to a
+// listener outside the group, which restore severs (MarkDisconnected). The
+// device goes: restore rebuilds it under a new OID, which the tail of
+// TestCaptureFollowsWhatChanged covers. gated is counted by the first
+// checkpoint.
+func (a *gateApp) connect(t *testing.T) {
+	t.Helper()
+	p := a.p
+	ext := a.w.k.NewProc("ext")
+	efd, _ := ext.Socket(kern.KindSocketTCP)
+	if err := errors.Join(ext.Bind(efd, "10.0.0.9:80"), ext.Listen(efd)); err != nil {
+		t.Fatal(err)
+	}
+	tcp, _ := p.Socket(kern.KindSocketTCP)
+	if err := errors.Join(p.Bind(tcp, "10.0.0.1:999"), p.Connect(tcp, "10.0.0.9:80")); err != nil {
+		t.Fatal(err)
+	}
+	lfd, _ := p.Socket(kern.KindSocketUnix)
+	if err := errors.Join(p.Bind(lfd, "/sock"), p.Listen(lfd)); err != nil {
+		t.Fatal(err)
+	}
+	cfd, _ := p.Socket(kern.KindSocketUnix)
+	if err := p.Connect(cfd, "/sock"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Accept(lfd); err != nil {
+		t.Fatal(err)
+	}
+	passed, err := p.Open("/passed", kern.ORead|kern.OWrite, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := errors.Join(p.SendFDs(cfd, []byte("ctl"), []int{passed}), p.Close(passed), p.Close(a.dev)); err != nil {
+		t.Fatal(err)
+	}
+	// Group checkpoints do not write the file system's namespace record; with
+	// the names lost in the crash, tearing down a rolled-back speculation
+	// would drop the files' last reference and reap them before the serial
+	// re-restore opens them.
+	if err := a.w.fs.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	a.gated = a.checkpoint(t, CkptIncremental).Captured - a.always
+	if err := a.g.Barrier(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// requirePrimed: g trusts exactly want records, the oracle agrees with every
+// one of them before and after the first checkpoint, and that checkpoint
+// captures only the always-captured objects and extra.
+func requirePrimed(t *testing.T, g *Group, want, always, extra int) {
+	t.Helper()
+	if got := len(g.committed); got != want {
+		t.Fatalf("restored group trusts %d records, want %d", got, want)
+	}
+	requireCaptureClean(t, g)
+	st, err := g.Checkpoint(CkptIncremental)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Captured != always+extra {
+		t.Fatalf("first checkpoint after restore captured %d of %d objects, want %d", st.Captured, st.Objects, always+extra)
+	}
+	requireCaptureClean(t, g)
+}
+
+// TestRestorePrimesTheGate: however a group comes back into the store it
+// keeps checkpointing into — crash restore in each mode, a rolled-back
+// speculation's serial re-restore, a failover — the gate starts with every
+// gated record, and a historical restore starts with none.
+func TestRestorePrimesTheGate(t *testing.T) {
+	restore := func(mode RestoreMode) func(*testing.T, *gateApp) *Group {
+		return func(t *testing.T, a *gateApp) *Group {
+			w2 := a.w.crash(t)
+			tr := trace.New(w2.clk)
+			w2.o.Tracer = tr
+			g, _, err := w2.o.RestoreGroup("app", w2.store, mode, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := tr.CounterValue("sls.capture.primed"); got != int64(a.gated) {
+				t.Fatalf("sls.capture.primed = %d, want %d", got, a.gated)
+			}
+			return g
+		}
+	}
+	finish := func(rollback bool) func(*testing.T, *gateApp) *Group {
+		return func(t *testing.T, a *gateApp) *Group {
+			g := restore(RestoreSpeculative)(t, a)
+			if _, err := g.Checkpoint(CkptIncremental); !errors.Is(err, ErrSpeculating) {
+				t.Fatalf("checkpoint while speculating = %v", err)
+			}
+			if rollback {
+				g.recordMismatch(g.restoredMem[0].oid, 0)
+			}
+			g2, st, err := g.o.FinishSpeculation(g)
+			if err != nil || (st.Rollbacks == 1) != rollback || (g2 != g) != rollback {
+				t.Fatalf("finish: rollbacks %d, replaced %v, err %v", st.Rollbacks, g2 != g, err)
+			}
+			return g2
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		back func(*testing.T, *gateApp) *Group
+	}{
+		{"full", restore(RestoreFull)},
+		{"lazy", restore(RestoreLazy)},
+		{"speculative", finish(false)},
+		{"speculative rolled back", finish(true)},
+		{"failover", func(t *testing.T, a *gateApp) *Group {
+			dst, err := newWorldE()
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := a.g.ReplicateTo(dst.o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := a.p.Lseek(a.file, 5); err != nil {
+				t.Fatal(err)
+			}
+			if err := rep.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			g, _, err := rep.Failover(RestoreLazy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return g
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a := newGateApp(t, newWorld(t))
+			a.connect(t)
+			requirePrimed(t, tc.back(t, a), a.gated, a.always, 0)
+		})
+	}
+
+	t.Run("historical view", func(t *testing.T) {
+		a := newGateApp(t, newWorld(t))
+		a.connect(t)
+		w2 := a.w.crash(t)
+		view, err := w2.store.RestoreView(w2.store.Epoch())
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, _, err := w2.o.RestoreGroup("app", view, RestoreFull, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requirePrimed(t, g, 0, a.always, a.gated)
+	})
+}
+
+// doctored is the store with one record swapped: what restore reads of oid
+// is not what the store holds.
+type doctored struct {
+	*objstore.Store
+	oid objstore.OID
+	raw []byte
+}
+
+func (d doctored) GetRecord(oid objstore.OID) ([]byte, error) {
+	if oid == d.oid {
+		return d.raw, nil
+	}
+	return d.Store.GetRecord(oid)
+}
+
+// TestPrimeRefusesWhatDiffers: priming validates its speculation. A record
+// whose bytes or type are not what the rebuilt object encodes to, and a record
+// the store keeps in data blocks, are not trusted; the next checkpoint
+// captures them and the store then agrees with the kernel.
+func TestPrimeRefusesWhatDiffers(t *testing.T) {
+	pipeOf := func(a *gateApp) objstore.OID {
+		f, _ := a.p.FDs.Get(a.pipeW)
+		pipe, _, _ := kern.PipeInfo(f)
+		return a.g.oidOf[pipe]
+	}
+	for _, tc := range []struct {
+		name string
+		prep func(*gateApp)
+		src  func(a *gateApp, w2 *world) Source
+	}{
+		{"bytes another writer left", nil, func(a *gateApp, w2 *world) Source {
+			e := rec.NewEncoder()
+			e.Bytes([]byte("clobbered"))
+			e.U32(1)
+			e.U32(1)
+			return doctored{w2.store, pipeOf(a), e.Seal()}
+		}},
+		{"type tag", nil, func(a *gateApp, w2 *world) Source {
+			raw, err := w2.store.GetRecord(pipeOf(a))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w2.store.PutRecord(pipeOf(a), UTKqueue, raw); err != nil {
+				t.Fatal(err)
+			}
+			return w2.store
+		}},
+		{"paged record", func(a *gateApp) {
+			a.p.Write(a.pipeW, make([]byte, objstore.InlineMax-12))
+		}, func(_ *gateApp, w2 *world) Source { return w2.store }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a := newGateApp(t, newWorld(t))
+			if tc.prep != nil {
+				tc.prep(a)
+			}
+			a.connect(t)
+			oid := pipeOf(a)
+			w2 := a.w.crash(t)
+			g, _, err := w2.o.RestoreGroup("app", tc.src(a, w2), RestoreFull, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, trusted := g.committed[oid]; trusted {
+				t.Fatal("the diverging pipe record was primed")
+			}
+			requirePrimed(t, g, a.gated-1, a.always, 1)
+			e := rec.NewEncoder()
+			var pipe generational
+			for key, o := range g.oidOf {
+				if o == oid {
+					pipe = key.(generational)
+				}
+			}
+			utype := g.encodeObject(e, pipe)
+			got, _ := w2.store.GetRecord(oid)
+			if ut, _ := w2.store.UType(oid); ut != utype || !bytes.Equal(got, e.Seal()) {
+				t.Fatal("after the re-capture the store still disagrees with the kernel's pipe")
+			}
+		})
+	}
+}
+
+// TestMutationAfterRestoreIsCaptured: a primed object is trusted at the
+// generation restore left it at, so the first mutation of each family moves
+// it off that and the next checkpoint captures it.
+func TestMutationAfterRestoreIsCaptured(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(a *gateApp, p *kern.Proc) error
+	}{
+		{"file offset", func(a *gateApp, p *kern.Proc) error { _, err := p.Lseek(a.file, 7); return err }},
+		{"pipe buffer", func(a *gateApp, p *kern.Proc) error { _, err := p.Write(a.pipeW, []byte("x")); return err }},
+		{"socket sequence", func(a *gateApp, p *kern.Proc) error {
+			_, err := p.SendTo(a.udp, "10.0.0.1:53", []byte("x")) // to itself: seq and queue
+			return err
+		}},
+		{"kqueue add", func(a *gateApp, p *kern.Proc) error {
+			return p.KeventAdd(a.kq, kern.Kevent{Ident: 9, Filter: kern.FilterUser})
+		}},
+		{"pty termios", func(a *gateApp, p *kern.Proc) error { return p.SetTermios(a.ptyS, [64]byte{0x1b}) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a := newGateApp(t, newWorld(t))
+			a.connect(t)
+			w2 := a.w.crash(t)
+			g, _, err := w2.o.RestoreGroup("app", w2.store, RestoreFull, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.mutate(a, g.Procs()[0]); err != nil {
+				t.Fatal(err)
+			}
+			requirePrimed(t, g, a.gated, a.always, 1)
+		})
+	}
 }
 
 // memObjectsIn counts the memory objects of g's cut: they are in Objects,

@@ -319,9 +319,10 @@ func (g *Group) Checkpoint(kind CheckpointKind) (st CheckpointStats, err error) 
 // stats, group bookkeeping, and the commit's metrics and trace range, each
 // reported once. walSeq is the WAL frame the commit appended, or 0 when it
 // was an epoch (a fold of any outstanding frames). It is also the only place
-// the capture gate learns anything: the generations ser staged become the
-// committed ones here and nowhere else, so a checkpoint that failed, or that
-// never meant to commit, leaves the gate describing the last durable cut.
+// a checkpoint teaches the capture gate anything: the generations ser staged
+// become the committed ones here and nowhere else, so a checkpoint that failed,
+// or that never meant to commit, leaves the gate describing the last durable
+// cut.
 func (g *Group) finishCommit(st *CheckpointStats, ckptSpan trace.Span, ser *serializer, epoch objstore.Epoch, walSeq uint64, durableAt time.Duration) {
 	o := g.o
 	wal := walSeq != 0
@@ -537,12 +538,13 @@ func (s *serializer) putSealed(oid objstore.OID, utype uint16, body []byte) erro
 }
 
 // unchanged is the generation gate. obj is unchanged when the group's last
-// committed checkpoint captured it at the generation it has now; the store
-// then already holds the record this cut would put (PutRecord would compare
-// the bytes and drop them), so the object is accounted into the cut for the
-// price of the pointer chase that read its generation. A CkptFull, and a
-// group that has committed nothing yet — a new one, or one just restored or
-// failed over — find no object unchanged.
+// committed checkpoint captured it — or the restore that brought the group
+// back found it as stored (primeGate) — at the generation it has now; the
+// store then already holds the record this cut would put (PutRecord would
+// compare the bytes and drop them), so the object is accounted into the cut
+// for the price of the pointer chase that read its generation. A CkptFull,
+// and a group whose gate is empty — a new one, or one restored from a
+// historical view — find no object unchanged.
 func (s *serializer) unchanged(oid objstore.OID, obj generational) bool {
 	c, ok := s.g.committed[oid]
 	if s.full || !ok || c.gen != obj.Generation() {

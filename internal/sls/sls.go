@@ -217,10 +217,12 @@ type Group struct {
 	prevLive map[objstore.OID]bool
 	// committed is the capture gate's memory (serializer.unchanged): for each
 	// gated kernel object in the last committed checkpoint, the generation
-	// its stored record was encoded at. Only finishCommit adds to it;
-	// forgetting an entry is always safe and happens as soon as its OID
-	// leaves the cut. Empty on a new or restored group, whose first
-	// checkpoint therefore captures everything.
+	// its stored record was encoded at. finishCommit adds to it, and so does
+	// primeGate, for the records a continuing restore just rebuilt its
+	// objects from; forgetting an entry is always safe and happens as soon
+	// as its OID leaves the cut. Empty on a new group and after a
+	// historical-view restore, whose first checkpoint therefore captures
+	// everything.
 	committed map[objstore.OID]captured
 
 	// Memory bookkeeping. transient marks system shadows that will be
