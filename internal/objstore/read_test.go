@@ -46,8 +46,9 @@ func openImageSerial(s *Store, addr, length int64) (*indexState, map[OID]*object
 	return idx, objects, nil
 }
 
-// recoverSerial is Recover over openImageSerial.
-func recoverSerial(dev BlockDev, clk clock.Clock, costs *clock.Costs) (*Store, error) {
+// unopenedStore is a store over dev with its superblock read and nothing
+// loaded: where a reference recovery in these tests starts.
+func unopenedStore(dev BlockDev, clk clock.Clock, costs *clock.Costs) (*Store, superblock, error) {
 	s := &Store{
 		dev: dev, clk: clk, costs: costs,
 		objects:    make(map[OID]*object),
@@ -59,10 +60,19 @@ func recoverSerial(dev BlockDev, clk clock.Clock, costs *clock.Costs) (*Store, e
 	}
 	sb, slot, err := s.readSuperblocks()
 	if err != nil {
-		return nil, err
+		return nil, sb, err
 	}
 	s.superSlot = 1 - slot
 	s.walBase, s.walBlocks = sb.walBase, sb.walBlocks
+	return s, sb, nil
+}
+
+// recoverSerial is Recover over openImageSerial.
+func recoverSerial(dev BlockDev, clk clock.Clock, costs *clock.Costs) (*Store, error) {
+	s, sb, err := unopenedStore(dev, clk, costs)
+	if err != nil {
+		return nil, err
+	}
 	idx, objects, err := openImageSerial(s, sb.indexAddr, sb.indexLen)
 	if err != nil {
 		return nil, err

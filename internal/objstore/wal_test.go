@@ -852,21 +852,10 @@ func TestIndexLenIsArithmetic(t *testing.T) {
 // replay. The windowed scan must recover exactly what this one does.
 func recoverWholeRegion(t *testing.T, dev BlockDev, clk clock.Clock) *Store {
 	t.Helper()
-	s := &Store{
-		dev: dev, clk: clk, costs: clock.DefaultCosts(),
-		objects:    make(map[OID]*object),
-		deleted:    make(map[OID]bool),
-		durableAt:  make(map[Epoch]time.Duration),
-		walDurable: make(map[uint64]time.Duration),
-		birthOf:    make(map[int64]Epoch),
-		settled:    make(map[Epoch]bool),
-	}
-	sb, slot, err := s.readSuperblocks()
+	s, sb, err := unopenedStore(dev, clk, clock.DefaultCosts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.superSlot = 1 - slot
-	s.walBase, s.walBlocks = sb.walBase, sb.walBlocks
 	if err := s.loadIndex(sb.indexAddr, sb.indexLen, trace.Span{}); err != nil {
 		t.Fatal(err)
 	}

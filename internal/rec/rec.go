@@ -26,6 +26,9 @@ func NewEncoder() *Encoder { return &Encoder{} }
 // built in one allocation.
 func (e *Encoder) Grow(n int) { e.b = slices.Grow(e.b, n) }
 
+// Reset empties the encoder and keeps its buffer for the next record.
+func (e *Encoder) Reset() { e.b = e.b[:0] }
+
 // Len returns the bytes encoded so far.
 func (e *Encoder) Len() int { return len(e.b) }
 

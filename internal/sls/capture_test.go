@@ -410,13 +410,9 @@ func TestPrimeRefusesWhatDiffers(t *testing.T) {
 				t.Fatal("the diverging pipe record was primed")
 			}
 			requirePrimed(t, g, a.gated-1, a.always, 1)
+			f, _ := g.Procs()[0].FDs.Get(a.pipeW)
+			pipe, _, _ := kern.PipeInfo(f)
 			e := rec.NewEncoder()
-			var pipe generational
-			for key, o := range g.oidOf {
-				if o == oid {
-					pipe = key.(generational)
-				}
-			}
 			utype := g.encodeObject(e, pipe)
 			got, _ := w2.store.GetRecord(oid)
 			if ut, _ := w2.store.UType(oid); ut != utype || !bytes.Equal(got, e.Seal()) {

@@ -284,8 +284,8 @@ func (o *Orchestrator) RestoreGroup(name string, src Source, mode RestoreMode, c
 	end := []trace.Arg{trace.I("procs", int64(st.Procs)), trace.I("objects", int64(st.Objects)),
 		trace.I("pages_eager", st.PagesEager)}
 	if primed := int64(len(g.committed)); primed > 0 {
-		// Said only when there is something to say, so that the timeline
-		// and metrics of a group without descriptors read as they did.
+		// Said only when there is something to say: a group without
+		// descriptors adds no span argument and no metric row.
 		end = append(end, trace.I("primed", primed))
 		o.Tracer.Count("sls.capture.primed", primed)
 	}
@@ -313,13 +313,14 @@ func (o *Orchestrator) RestoreGroup(name string, src Source, mode RestoreMode, c
 // by. Whatever differs is left for the next checkpoint to capture. Uncharged,
 // like AuditCapture: a kernel notes "as stored" while it builds the object.
 func (g *Group) primeGate() {
+	var e rec.Encoder // one buffer for every record: HoldsRecord keeps none of it
 	for key, oid := range g.oidOf {
 		obj, ok := key.(generational)
 		if !ok {
 			continue
 		}
-		e := rec.NewEncoder()
-		if utype := g.encodeObject(e, obj); g.o.Store.HoldsRecord(oid, utype, e.Seal()) {
+		e.Reset()
+		if utype := g.encodeObject(&e, obj); g.o.Store.HoldsRecord(oid, utype, e.Seal()) {
 			g.committed[oid] = captured{oid, obj, obj.Generation()}
 		}
 	}
