@@ -204,7 +204,7 @@ func BenchmarkAblationCollapseReverse(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m, pairs := buildShadowed(b, 4096)
 		before := m.Clock.Now()
-		moved := vm.CollapseFlushed(pairs[0].Live, pairs[0].Frozen, vm.CollapseReverse)
+		moved := vm.CollapseAurora(pairs[0].Live, pairs[0].Frozen)
 		b.ReportMetric(float64(moved), "pages-moved")
 		b.ReportMetric(float64((m.Clock.Now() - before).Nanoseconds()), "virtual-ns")
 	}
@@ -216,7 +216,7 @@ func BenchmarkAblationCollapseLegacy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m, pairs := buildShadowed(b, 4096)
 		before := m.Clock.Now()
-		moved := vm.CollapseFlushed(pairs[0].Live, pairs[0].Frozen, vm.CollapseForwardLegacy)
+		moved := vm.CollapseLegacy(pairs[0].Live, pairs[0].Frozen)
 		b.ReportMetric(float64(moved), "pages-moved")
 		b.ReportMetric(float64((m.Clock.Now() - before).Nanoseconds()), "virtual-ns")
 	}

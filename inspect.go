@@ -156,31 +156,21 @@ func flightEntry(ev FlightEvent) FlightEntry {
 
 // fdKind names the implementation behind an open-file description.
 func fdKind(f *kern.File) string {
-	if _, ok := kern.VnodeOf(f); ok {
+	obj, aux := f.Behind()
+	switch obj.(type) {
+	case *kern.VnodeFile:
 		return "vnode"
-	}
-	if _, write, ok := kern.PipeInfo(f); ok {
-		if write {
-			return "pipe-w"
-		}
-		return "pipe-r"
-	}
-	if _, ok := kern.SocketOf(f); ok {
+	case *kern.Pipe:
+		return [...]string{"pipe-r", "pipe-w"}[aux]
+	case *kern.Socket:
 		return "socket"
-	}
-	if _, ok := kern.ShmOf(f); ok {
+	case *kern.ShmSegment:
 		return "shm"
-	}
-	if _, ok := kern.KqueueOf(f); ok {
+	case *kern.Kqueue:
 		return "kqueue"
-	}
-	if _, master, ok := kern.PTYInfo(f); ok {
-		if master {
-			return "pty-m"
-		}
-		return "pty-s"
-	}
-	if _, ok := kern.DeviceOf(f); ok {
+	case *kern.PTY:
+		return [...]string{"pty-s", "pty-m"}[aux]
+	case *kern.Device:
 		return "device"
 	}
 	return "other"

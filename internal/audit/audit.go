@@ -199,17 +199,18 @@ func (a *Auditor) auditGroup(r *Report, g *sls.Group, add func(rule, format stri
 		if refs := int(f.Refs()); refs < slots {
 			add("kern.fd", "file with %d refs held by %d descriptor slots", refs, slots)
 		}
-		if pipe, writeEnd, ok := kern.PipeInfo(f); ok {
-			readers, writers := pipe.PipeRefs()
-			if writeEnd && writers < 1 {
+		obj, aux := f.Behind()
+		switch o := obj.(type) {
+		case *kern.Pipe:
+			readers, writers := o.PipeRefs()
+			if aux == 1 && writers < 1 {
 				add("kern.pipe", "write end open but writersRef=%d", writers)
 			}
-			if !writeEnd && readers < 1 {
+			if aux == 0 && readers < 1 {
 				add("kern.pipe", "read end open but readersRef=%d", readers)
 			}
-		}
-		if s, ok := kern.SocketOf(f); ok {
-			if peer := s.Peer(); peer != nil && peer.Peer() != s {
+		case *kern.Socket:
+			if peer := o.Peer(); peer != nil && peer.Peer() != o {
 				add("kern.socket", "socket peer link not reciprocal")
 			}
 		}

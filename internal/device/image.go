@@ -54,15 +54,30 @@ func Load(clk clock.Clock, costs *clock.Costs, r io.Reader) (*Device, error) {
 	if binary.LittleEndian.Uint32(hdr[0:]) != imageMagic {
 		return nil, fmt.Errorf("device: not a device image")
 	}
+	// The header is outside input: Save wrote a size New had accepted, at most
+	// one chunk per ChunkSize of it, and the chunks in ascending index order.
 	size := int64(binary.LittleEndian.Uint64(hdr[4:]))
-	n := int(binary.LittleEndian.Uint64(hdr[12:]))
+	n := binary.LittleEndian.Uint64(hdr[12:])
+	if size <= 0 {
+		return nil, fmt.Errorf("device: image header: size %d", size)
+	}
+	limit := (size-1)/ChunkSize + 1
+	if n > uint64(limit) {
+		return nil, fmt.Errorf("device: image header: %d chunks, a device of %d bytes has %d", n, size, limit)
+	}
 	d := New(clk, costs, size)
 	var ib [8]byte
-	for i := 0; i < n; i++ {
+	prev := int64(-1)
+	for i := uint64(0); i < n; i++ {
 		if _, err := io.ReadFull(r, ib[:]); err != nil {
 			return nil, err
 		}
 		ci := int64(binary.LittleEndian.Uint64(ib[:]))
+		if ci <= prev || ci >= limit {
+			return nil, fmt.Errorf("device: image chunk %d of %d (byte %d): index %d, want one above %d and below %d",
+				i, n, uint64(len(hdr))+i*(uint64(len(ib))+ChunkSize), ci, prev, limit)
+		}
+		prev = ci
 		chunk := make([]byte, ChunkSize)
 		if _, err := io.ReadFull(r, chunk); err != nil {
 			return nil, err
@@ -107,7 +122,7 @@ func LoadStripe(clk clock.Clock, costs *clock.Costs, r io.Reader) (*Stripe, erro
 	for i := 0; i < n; i++ {
 		d, err := Load(clock.Discard{}, costs, r)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("device: stripe member %d of %d: %w", i, n, err)
 		}
 		st.devs = append(st.devs, d)
 	}

@@ -30,13 +30,9 @@ type AIORequest struct {
 func (p *Proc) AioSubmit(kind AIOKind, fd int, off int64, buf []byte) (uint64, error) {
 	var id uint64
 	err := p.k.syscall(func() error {
-		f, err := p.FDs.Get(fd)
+		v, err := behindFD[*VnodeFile](p, fd, ErrInvalid)
 		if err != nil {
 			return err
-		}
-		v, ok := f.Impl.(*VnodeFile)
-		if !ok {
-			return ErrInvalid
 		}
 		p.k.mu.Lock()
 		p.k.nextAIO++

@@ -23,6 +23,7 @@ func TestEveryRecordedMutationBumps(t *testing.T) {
 	k.ES = es
 
 	file := func(fd int) *File { f, _ := p.FDs.Get(fd); return f }
+	behind := func(fd int) any { obj, _ := file(fd).Behind(); return obj }
 	sock := func(pr *Proc, fd int) *Socket { s, _ := pr.Sock(fd); return s }
 	ok := func(err error) {
 		t.Helper()
@@ -35,13 +36,13 @@ func TestEveryRecordedMutationBumps(t *testing.T) {
 	ok(err)
 	rfd, wfd, err := p.Pipe()
 	ok(err)
-	pipe, _, _ := PipeInfo(file(rfd))
+	pipe := behind(rfd).(*Pipe)
 	kfd, err := p.Kqueue()
 	ok(err)
-	kq, _ := KqueueOf(file(kfd))
+	kq := behind(kfd).(*Kqueue)
 	mfd, sfd, err := p.OpenPTY()
 	ok(err)
-	pty, _, _ := PTYInfo(file(mfd))
+	pty := behind(mfd).(*PTY)
 
 	lfd, _ := p.Socket(KindSocketTCP)
 	cfd, _ := p.Socket(KindSocketTCP)

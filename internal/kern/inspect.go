@@ -4,61 +4,50 @@ package kern
 // directly inspecting kernel objects (§5.1), so the checkpoint path needs
 // typed access to the implementation behind each open-file description.
 
-// PipeInfo returns the pipe and end direction behind a description.
-func PipeInfo(f *File) (p *Pipe, writeEnd bool, ok bool) {
-	e, ok := f.Impl.(*pipeEnd)
-	if !ok {
-		return nil, false, false
+// Behind returns what is behind a description: the object — a *VnodeFile,
+// *Pipe, *Socket, *ShmSegment, *Kqueue, *PTY or *Device, nil for an
+// implementation kern does not define — and the auxiliary word that with the
+// object makes the description, 1 for a pipe's write end and a pty's master
+// side. RestoreFile is its inverse.
+func (f *File) Behind() (obj any, aux uint32) {
+	switch e := f.Impl.(type) {
+	case *VnodeFile:
+		return e, 0
+	case *pipeEnd:
+		if e.write {
+			aux = 1
+		}
+		return e.p, aux
+	case *socketFile:
+		return e.s, 0
+	case *shmFile:
+		return e.seg, 0
+	case *kqueueFile:
+		return e.kq, 0
+	case *ptyEnd:
+		if e.master {
+			aux = 1
+		}
+		return e.pty, aux
+	case *Device:
+		return e, 0
 	}
-	return e.p, e.write, true
+	return nil, 0
 }
 
-// SocketOf returns the socket behind a description.
-func SocketOf(f *File) (*Socket, bool) {
-	sf, ok := f.Impl.(*socketFile)
-	if !ok {
-		return nil, false
+// behindFD resolves a descriptor to the object of type T behind its
+// description, failing with mismatch when something else is.
+func behindFD[T any](p *Proc, fd int, mismatch error) (T, error) {
+	var zero T
+	f, err := p.FDs.Get(fd)
+	if err != nil {
+		return zero, err
 	}
-	return sf.s, true
-}
-
-// ShmOf returns the shared-memory segment behind a description.
-func ShmOf(f *File) (*ShmSegment, bool) {
-	sf, ok := f.Impl.(*shmFile)
-	if !ok {
-		return nil, false
+	obj, _ := f.Behind()
+	if t, ok := obj.(T); ok {
+		return t, nil
 	}
-	return sf.seg, true
-}
-
-// KqueueOf returns the kqueue behind a description.
-func KqueueOf(f *File) (*Kqueue, bool) {
-	kf, ok := f.Impl.(*kqueueFile)
-	if !ok {
-		return nil, false
-	}
-	return kf.kq, true
-}
-
-// PTYInfo returns the pty and side behind a description.
-func PTYInfo(f *File) (p *PTY, master bool, ok bool) {
-	e, ok := f.Impl.(*ptyEnd)
-	if !ok {
-		return nil, false, false
-	}
-	return e.pty, e.master, true
-}
-
-// DeviceOf returns the device node behind a description.
-func DeviceOf(f *File) (*Device, bool) {
-	d, ok := f.Impl.(*Device)
-	return d, ok
-}
-
-// VnodeOf returns the vnode file behind a description.
-func VnodeOf(f *File) (*VnodeFile, bool) {
-	v, ok := f.Impl.(*VnodeFile)
-	return v, ok
+	return zero, mismatch
 }
 
 // Message is one buffered socket message exposed for checkpointing.

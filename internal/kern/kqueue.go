@@ -61,15 +61,7 @@ func (p *Proc) Kqueue() (int, error) {
 
 // kqOf resolves a kqueue descriptor.
 func (p *Proc) kqOf(fd int) (*Kqueue, error) {
-	f, err := p.FDs.Get(fd)
-	if err != nil {
-		return nil, err
-	}
-	kf, ok := f.Impl.(*kqueueFile)
-	if !ok {
-		return nil, ErrInvalid
-	}
-	return kf.kq, nil
+	return behindFD[*Kqueue](p, fd, ErrInvalid)
 }
 
 // KeventAdd registers an event.

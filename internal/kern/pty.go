@@ -92,16 +92,12 @@ func (p *Proc) OpenPTY() (int, int, error) {
 // SetTermios replaces the terminal attributes — tcsetattr.
 func (p *Proc) SetTermios(fd int, termios [64]byte) error {
 	return p.k.syscall(func() error {
-		f, err := p.FDs.Get(fd)
+		pty, err := behindFD[*PTY](p, fd, ErrInvalid)
 		if err != nil {
 			return err
 		}
-		e, ok := f.Impl.(*ptyEnd)
-		if !ok {
-			return ErrInvalid
-		}
-		e.pty.termios = termios
-		e.pty.bump()
+		pty.termios = termios
+		pty.bump()
 		return nil
 	})
 }

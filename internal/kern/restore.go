@@ -1,12 +1,11 @@
 package kern
 
 import (
+	"fmt"
+
 	"aurora/internal/objstore"
 	"aurora/internal/vm"
 )
-
-// objstoreOID converts a raw identifier to a store OID.
-func objstoreOID(v uint64) objstore.OID { return objstore.OID(v) }
 
 // Restore constructors: the orchestrator rebuilds kernel objects from their
 // on-disk records and links them back up to recreate sharing (§5.2). These
@@ -66,12 +65,6 @@ func (k *Kernel) RestorePipe(buffered []byte, readers, writers int32) *Pipe {
 	return &Pipe{k: k, buf: append([]byte(nil), buffered...), readersRef: readers, writersRef: writers}
 }
 
-// PipeFile wraps one end of a restored pipe in a description. The returned
-// description has zero descriptor references; InstallFile adds them.
-func PipeFile(p *Pipe, writeEnd bool, offset int64, flags int) *File {
-	return &File{offset: offset, flags: flags, Impl: &pipeEnd{p: p, write: writeEnd}}
-}
-
 // RestoreSocketParams carries a socket record's fields.
 type RestoreSocketParams struct {
 	Kind       ObjKind
@@ -128,11 +121,6 @@ func LinkPeers(a, b *Socket) {
 // consistency group (the connection does not survive the restore).
 func (s *Socket) MarkDisconnected() { s.closed = true }
 
-// SocketFile wraps a restored socket in a description.
-func SocketFile(s *Socket, offset int64, flags int) *File {
-	return &File{offset: offset, flags: flags, Impl: &socketFile{s: s}}
-}
-
 // RestoreShm rebuilds a shared-memory segment over a restored VM object
 // and reinserts it into the proper namespace. The object reference is
 // consumed by the segment.
@@ -151,11 +139,6 @@ func (k *Kernel) RestoreShm(id, key int64, name string, size int64, sysv bool, o
 	return seg
 }
 
-// ShmFile wraps a restored segment in a description.
-func ShmFile(seg *ShmSegment, flags int) *File {
-	return &File{flags: flags, Impl: &shmFile{seg: seg}}
-}
-
 // RestoreKqueue rebuilds a kqueue with its registered events. The restore
 // cost is tiny (one object) compared to the checkpoint's per-event scan —
 // Table 4's kqueue asymmetry.
@@ -166,11 +149,6 @@ func (k *Kernel) RestoreKqueue(events []Kevent) *Kqueue {
 		kq.events = append(kq.events, &e)
 	}
 	return kq
-}
-
-// KqueueFile wraps a restored kqueue in a description.
-func KqueueFile(kq *Kqueue, flags int) *File {
-	return &File{flags: flags, Impl: &kqueueFile{kq: kq}}
 }
 
 // RestorePTY rebuilds a pseudoterminal, charging the devfs locking the
@@ -186,15 +164,8 @@ func (k *Kernel) RestorePTY(index int, toSlave, toMaster []byte, termios [64]byt
 	return pty
 }
 
-// PTYFile wraps one side of a restored pty in a description.
-func PTYFile(pty *PTY, master bool, flags int) *File {
-	return &File{flags: flags, Impl: &ptyEnd{pty: pty, master: master}}
-}
-
-// DeviceFile wraps a whitelisted device in a description.
-func (k *Kernel) DeviceFile(name string, flags int) *File {
-	return &File{flags: flags, Impl: &Device{k: k, name: name}}
-}
+// RestoreDevice rebuilds an open node of a whitelisted device.
+func (k *Kernel) RestoreDevice(name string) *Device { return &Device{k: k, name: name} }
 
 // MapDeviceAt maps a whitelisted device read-only at a fixed address
 // (restore path).
@@ -206,28 +177,48 @@ func (p *Proc) MapDeviceAt(name string, va uint64) error {
 // MapVDSOLockedRestore injects the current vDSO during restore.
 func (p *Proc) MapVDSOLockedRestore() error { return p.mapVDSOLocked() }
 
-// RestoreFile builds a description around any implementation with explicit
-// offset/flags (used for vnode files reopened by OID).
-func RestoreFile(impl FileImpl, offset int64, flags int) *File {
-	return &File{offset: offset, flags: flags, Impl: impl}
+// RestoreFile is Behind's inverse: a description of obj — with aux, the pipe's
+// write end or the pty's master side — at the recorded offset and flags. It
+// holds no descriptor reference yet; InstallFile adds them.
+func RestoreFile(obj any, aux uint32, offset int64, flags int) (*File, error) {
+	var impl FileImpl
+	switch o := obj.(type) {
+	case *VnodeFile:
+		impl = o
+	case *Pipe:
+		impl = &pipeEnd{p: o, write: aux == 1}
+	case *Socket:
+		impl = &socketFile{s: o}
+	case *ShmSegment:
+		impl = &shmFile{seg: o}
+	case *Kqueue:
+		impl = &kqueueFile{kq: o}
+	case *PTY:
+		impl = &ptyEnd{pty: o, master: aux == 1}
+	case *Device:
+		impl = o
+	default:
+		return nil, fmt.Errorf("%w: no description over a %T", ErrInvalid, obj)
+	}
+	return &File{offset: offset, flags: flags, Impl: impl}, nil
 }
 
 // RestoreVnodeFile reopens a file by object identifier — no path lookup,
 // exactly how Aurora checkpoints vnodes by inode number (§5.2).
 func (k *Kernel) RestoreVnodeFile(oid uint64, path string) (*VnodeFile, error) {
-	h, err := k.FS.OpenByOID(objstoreOID(oid))
+	h, err := k.FS.OpenByOID(objstore.OID(oid))
 	if err != nil {
 		return nil, err
 	}
-	return &VnodeFile{k: k, h: h, OID: objstoreOID(oid), Path: path}, nil
+	return &VnodeFile{k: k, h: h, OID: objstore.OID(oid), Path: path}, nil
 }
 
 // VnodeVMObject builds a vnode-backed VM object for a file identified by
 // OID, paging from the file system (restore of mapped files).
 func (k *Kernel) VnodeVMObject(oid uint64) (*vm.Object, error) {
-	h, err := k.FS.OpenByOID(objstoreOID(oid))
+	h, err := k.FS.OpenByOID(objstore.OID(oid))
 	if err != nil {
 		return nil, err
 	}
-	return k.VM.NewPagedObject(vm.Vnode, h.Size(), &vnodePager{h: h, oid: objstoreOID(oid)}), nil
+	return k.VM.NewPagedObject(vm.Vnode, h.Size(), &vnodePager{h: h, oid: objstore.OID(oid)}), nil
 }

@@ -67,15 +67,7 @@ func (s *ShmSegment) deref() {
 
 // Segment returns the underlying segment of a shm descriptor.
 func (p *Proc) ShmSegmentOf(fd int) (*ShmSegment, error) {
-	f, err := p.FDs.Get(fd)
-	if err != nil {
-		return nil, err
-	}
-	sf, ok := f.Impl.(*shmFile)
-	if !ok {
-		return nil, ErrInvalid
-	}
-	return sf.seg, nil
+	return behindFD[*ShmSegment](p, fd, ErrInvalid)
 }
 
 // ShmOpen opens (creating if needed) a POSIX shared-memory object and

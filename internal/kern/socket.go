@@ -100,15 +100,7 @@ func (sf *socketFile) CloseLast() {
 
 // Sock returns the socket behind a descriptor.
 func (p *Proc) Sock(fd int) (*Socket, error) {
-	f, err := p.FDs.Get(fd)
-	if err != nil {
-		return nil, err
-	}
-	sf, ok := f.Impl.(*socketFile)
-	if !ok {
-		return nil, ErrNotSocket
-	}
-	return sf.s, nil
+	return behindFD[*Socket](p, fd, ErrNotSocket)
 }
 
 // bind registers a socket address. Guarded by the BKL (all socket calls are

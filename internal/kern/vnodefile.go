@@ -88,14 +88,11 @@ func (p *Proc) Unlink(path string) error {
 // for non-vnodes.
 func (p *Proc) Fsync(fd int) error {
 	return p.k.syscall(func() error {
-		f, err := p.FDs.Get(fd)
+		v, err := behindFD[*VnodeFile](p, fd, ErrInvalid)
 		if err != nil {
 			return err
 		}
-		if v, ok := f.Impl.(*VnodeFile); ok {
-			return v.Fsync()
-		}
-		return ErrInvalid
+		return v.Fsync()
 	})
 }
 
@@ -118,13 +115,9 @@ func (vp *vnodePager) BackingOID() uint64 { return uint64(vp.oid) }
 func (p *Proc) MmapFile(fd int, off, length int64, prot vm.Prot, shared bool) (uint64, error) {
 	var va uint64
 	err := p.k.syscall(func() error {
-		f, err := p.FDs.Get(fd)
+		v, err := behindFD[*VnodeFile](p, fd, ErrInvalid)
 		if err != nil {
 			return err
-		}
-		v, ok := f.Impl.(*VnodeFile)
-		if !ok {
-			return ErrInvalid
 		}
 		// Keep the vnode alive for the mapping's lifetime.
 		p.k.FS.AddHiddenRef(v.OID)

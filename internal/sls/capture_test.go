@@ -33,6 +33,17 @@ func captureViolations(g *Group) []string {
 	return out
 }
 
+// behind is the object behind a description, without the auxiliary word.
+func behind(f *kern.File) any {
+	obj, _ := f.Behind()
+	return obj
+}
+
+func fileOf(a *gateApp, fd int) *kern.File {
+	f, _ := a.p.FDs.Get(fd)
+	return f
+}
+
 func requireCaptureClean(t *testing.T, g *Group) {
 	t.Helper()
 	if v := captureViolations(g); len(v) > 0 {
@@ -222,13 +233,10 @@ func (a *gateApp) connect(t *testing.T) {
 	if err := errors.Join(p.SendFDs(cfd, []byte("ctl"), []int{passed}), p.Close(passed), p.Close(a.dev)); err != nil {
 		t.Fatal(err)
 	}
-	// Group checkpoints do not write the file system's namespace record; with
-	// the names lost in the crash, tearing down a rolled-back speculation
-	// would drop the files' last reference and reap them before the serial
-	// re-restore opens them.
-	if err := a.w.fs.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
+	// No fs.Checkpoint: group checkpoints do not write the file system's
+	// namespace record, so the crash loses both files' names and each lives
+	// on the reference of its restored description alone — which a rolled-back
+	// speculation has to keep alive until its serial re-restore has opened them.
 	a.gated = a.checkpoint(t, CkptIncremental).Captured - a.always
 	if err := a.g.Barrier(); err != nil {
 		t.Fatal(err)
@@ -365,7 +373,7 @@ func (d doctored) GetRecord(oid objstore.OID) ([]byte, error) {
 func TestPrimeRefusesWhatDiffers(t *testing.T) {
 	pipeOf := func(a *gateApp) objstore.OID {
 		f, _ := a.p.FDs.Get(a.pipeW)
-		pipe, _, _ := kern.PipeInfo(f)
+		pipe := behind(f).(*kern.Pipe)
 		return a.g.oidOf[pipe]
 	}
 	for _, tc := range []struct {
@@ -411,7 +419,7 @@ func TestPrimeRefusesWhatDiffers(t *testing.T) {
 			}
 			requirePrimed(t, g, a.gated-1, a.always, 1)
 			f, _ := g.Procs()[0].FDs.Get(a.pipeW)
-			pipe, _, _ := kern.PipeInfo(f)
+			pipe := behind(f).(*kern.Pipe)
 			e := rec.NewEncoder()
 			utype := g.encodeObject(e, pipe)
 			got, _ := w2.store.GetRecord(oid)
@@ -495,7 +503,6 @@ func plantMissedBump(t *testing.T, g *Group, obj generational, mutate func()) ob
 // TestPlantedMissingBumpIsCaught plants one missing bump per object family
 // and requires the oracle to name exactly that object.
 func TestPlantedMissingBumpIsCaught(t *testing.T) {
-	fileOf := func(a *gateApp, fd int) *kern.File { f, _ := a.p.FDs.Get(fd); return f }
 	cases := []struct {
 		name  string
 		plant func(t *testing.T, a *gateApp) objstore.OID
@@ -504,7 +511,7 @@ func TestPlantedMissingBumpIsCaught(t *testing.T) {
 			return plantMissedBump(t, a.g, fileOf(a, a.file), func() { a.p.Lseek(a.file, 7) })
 		}},
 		{"pipe buffer", func(t *testing.T, a *gateApp) objstore.OID {
-			pipe, _, _ := kern.PipeInfo(fileOf(a, a.pipeW))
+			pipe := behind(fileOf(a, a.pipeW)).(*kern.Pipe)
 			return plantMissedBump(t, a.g, pipe, func() { a.p.Write(a.pipeW, []byte("lost")) })
 		}},
 		{"socket recvQ through an ES-deferred delivery", func(t *testing.T, a *gateApp) objstore.OID {
@@ -536,13 +543,13 @@ func TestPlantedMissingBumpIsCaught(t *testing.T) {
 			})
 		}},
 		{"kqueue add", func(t *testing.T, a *gateApp) objstore.OID {
-			kq, _ := kern.KqueueOf(fileOf(a, a.kq))
+			kq := behind(fileOf(a, a.kq)).(*kern.Kqueue)
 			return plantMissedBump(t, a.g, kq, func() {
 				a.p.KeventAdd(a.kq, kern.Kevent{Ident: 9, Filter: kern.FilterUser})
 			})
 		}},
 		{"pty termios", func(t *testing.T, a *gateApp) objstore.OID {
-			pty, _, _ := kern.PTYInfo(fileOf(a, a.ptyM))
+			pty := behind(fileOf(a, a.ptyM)).(*kern.PTY)
 			return plantMissedBump(t, a.g, pty, func() { a.p.SetTermios(a.ptyS, [64]byte{0x1b}) })
 		}},
 	}
@@ -633,7 +640,7 @@ func TestPagedRecordIsNeverStaged(t *testing.T) {
 			}
 			a.checkpoint(t, CkptIncremental)
 			f, _ := a.p.FDs.Get(a.pipeW)
-			pipe, _, _ := kern.PipeInfo(f)
+			pipe := behind(f).(*kern.Pipe)
 			if _, staged := a.g.committed[a.g.oidOf[pipe]]; staged != tc.staged {
 				t.Fatalf("pipe holding %d bytes: in the gate = %v, want %v", tc.buffered, staged, tc.staged)
 			}
@@ -678,7 +685,7 @@ func TestFailedCommitPromotesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.p.WriteMem(va, []byte{1}) // a dirty page, so the flush has something to fail on
-	pipe, _, _ := kern.PipeInfo(func() *kern.File { f, _ := a.p.FDs.Get(a.pipeW); return f }())
+	pipe := behind(fileOf(a, a.pipeW)).(*kern.Pipe)
 	trusted := a.g.committed[a.g.oidOf[pipe]].gen
 
 	fd.armed = true

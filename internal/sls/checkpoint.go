@@ -35,21 +35,6 @@ import (
 //  7. Flush the frozen shadows' pages into their objects' on-disk pages.
 //  8. Commit the store checkpoint (the superblock is the atomic cut).
 
-// Entry kinds in serialized address-space records.
-const (
-	entAnon uint8 = iota
-	entVnodeShared
-	entDevice
-	entVDSO
-)
-
-// Memory-object backer kinds.
-const (
-	backNone uint8 = iota
-	backAnon
-	backVnode
-)
-
 // Checkpoint takes a checkpoint of the whole consistency group.
 func (g *Group) Checkpoint(kind CheckpointKind) (st CheckpointStats, err error) {
 	o := g.o
@@ -69,18 +54,9 @@ func (g *Group) Checkpoint(kind CheckpointKind) (st CheckpointStats, err error) 
 	st = CheckpointStats{Kind: kind}
 
 	// 1. Previous flush must be durable; its covered messages release. A
-	// WAL commit's durability point is its frame, not an epoch.
-	if g.lastEpoch != 0 || g.lastWALSeq != 0 {
-		var werr error
-		if g.lastWALSeq != 0 {
-			werr = o.Store.WaitWALDurable(g.lastWALSeq)
-		} else {
-			werr = o.Store.WaitDurable(g.lastEpoch)
-		}
-		if werr == nil {
-			g.releaseES()
-		}
-	}
+	// failed wait releases nothing; its error is the device's, which this
+	// checkpoint's own writes meet again and return.
+	_ = g.settle()
 
 	// The span tree mirrors the stats: the four stop children (quiesce,
 	// serialize, writeback, shadow) open and close back-to-back with no
@@ -367,24 +343,26 @@ func (g *Group) finishCommit(st *CheckpointStats, ckptSpan trace.Span, ser *seri
 }
 
 // Barrier waits until the group's last checkpoint is durable and releases
-// externally-synchronized messages — sls_barrier. After a WAL commit the
-// durability point is the frame append, not an epoch.
-func (g *Group) Barrier() error {
-	if g.lastWALSeq != 0 {
-		if err := g.o.Store.WaitWALDurable(g.lastWALSeq); err != nil {
-			return err
-		}
+// externally-synchronized messages — sls_barrier.
+func (g *Group) Barrier() error { return g.settle() }
+
+// settle waits for the group's last commit — after a WAL commit the
+// durability point is the frame append, not an epoch — and on success
+// releases the externally-synchronized messages that commit covered.
+func (g *Group) settle() error {
+	var err error
+	switch {
+	case g.lastWALSeq != 0:
+		err = g.o.Store.WaitWALDurable(g.lastWALSeq)
+	case g.lastEpoch != 0:
+		err = g.o.Store.WaitDurable(g.lastEpoch)
+	default:
+		return nil
+	}
+	if err == nil {
 		g.releaseES()
-		return nil
 	}
-	if g.lastEpoch == 0 {
-		return nil
-	}
-	if err := g.o.Store.WaitDurable(g.lastEpoch); err != nil {
-		return err
-	}
-	g.releaseES()
-	return nil
+	return err
 }
 
 // persistentRoot walks down from obj past transient system shadows to the
@@ -458,14 +436,6 @@ func (g *Group) entryExcluded(m *vm.Map, e *vm.Entry) bool {
 	return false
 }
 
-// memMeta is the serialized form of one persistent memory object.
-type memMeta struct {
-	oid        objstore.OID
-	size       int64
-	backerKind uint8
-	backerOID  uint64
-}
-
 // generational is a kernel object the capture gate covers: kern.File, Pipe,
 // Socket, Kqueue, PTY and Device, each of which counts its own mutations.
 type generational interface{ Generation() uint64 }
@@ -492,31 +462,24 @@ type serializer struct {
 	// staged are this cut's captures of gated objects, for finishCommit.
 	staged []captured
 
-	// Deduplication: each kernel object serializes exactly once per
-	// checkpoint regardless of how many references reach it.
-	doneFiles map[*kern.File]objstore.OID
-	doneImpls map[any]objstore.OID
-	memOIDs   map[*vm.Object]objstore.OID
-	memMetas  []memMeta
-	procOIDs  []procRef
-	shmOIDs   []objstore.OID
-}
-
-type procRef struct {
-	oid       objstore.OID
-	localPID  kern.PID
-	parentPID kern.PID
+	// Deduplication: each kernel object — description or what is behind
+	// one — serializes exactly once per checkpoint regardless of how many
+	// references reach it.
+	done     map[any]objstore.OID
+	memOIDs  map[*vm.Object]objstore.OID
+	memMetas []memMeta
+	procOIDs []procRef
+	shmOIDs  []objstore.OID
 }
 
 func newSerializer(g *Group, full bool) *serializer {
 	return &serializer{
-		g:         g,
-		o:         g.o,
-		full:      full,
-		live:      make(map[objstore.OID]bool),
-		doneFiles: make(map[*kern.File]objstore.OID),
-		doneImpls: make(map[any]objstore.OID),
-		memOIDs:   make(map[*vm.Object]objstore.OID),
+		g:       g,
+		o:       g.o,
+		full:    full,
+		live:    make(map[objstore.OID]bool),
+		done:    make(map[any]objstore.OID),
+		memOIDs: make(map[*vm.Object]objstore.OID),
 	}
 }
 
@@ -582,62 +545,6 @@ func (s *serializer) object(oid objstore.OID, obj generational) error {
 	return nil
 }
 
-// group emits the group record — processes, ephemeral children, shm
-// segments, memory-object metadata, journals — and refreshes the manifest.
-func (s *serializer) group(ephemeral []*kern.Proc) error {
-	e := rec.NewEncoder()
-	e.Str(s.g.Name)
-	e.U64(uint64(s.g.Period))
-
-	e.U32(uint32(len(s.procOIDs)))
-	for _, pr := range s.procOIDs {
-		e.U64(uint64(pr.oid))
-		e.U32(uint32(pr.localPID))
-		e.U32(uint32(pr.parentPID))
-	}
-
-	// Ephemeral children: recorded so restore can deliver SIGCHLD.
-	e.U32(uint32(len(ephemeral)))
-	for _, p := range ephemeral {
-		parent := kern.PID(0)
-		if p.Parent() != nil {
-			parent = p.Parent().LocalPID
-		}
-		e.U32(uint32(p.LocalPID))
-		e.U32(uint32(parent))
-	}
-
-	// Memory-object hierarchy metadata.
-	e.U32(uint32(len(s.memMetas)))
-	for _, m := range s.memMetas {
-		e.U64(uint64(m.oid))
-		e.I64(m.size)
-		e.U8(m.backerKind)
-		e.U64(m.backerOID)
-	}
-
-	// Shared-memory segments.
-	e.U32(uint32(len(s.shmOIDs)))
-	for _, oid := range s.shmOIDs {
-		e.U64(uint64(oid))
-	}
-
-	// Journals created through the Aurora API, by name.
-	e.U32(uint32(len(s.g.journals)))
-	for _, jn := range slices.Sorted(maps.Keys(s.g.journals)) {
-		e.Str(jn)
-		e.U64(uint64(s.g.journals[jn]))
-		s.live[s.g.journals[jn]] = true
-	}
-
-	e.U64(uint64(s.g.RetainEpochs)) // appended: a record that ends above still decodes
-
-	if err := s.put(s.g.oid, UTGroup, e); err != nil {
-		return err
-	}
-	return s.o.writeManifest()
-}
-
 // writeManifest refreshes the orchestrator's group list, preserving
 // entries for groups that are not live in this kernel (suspended
 // applications, groups received but not yet restored).
@@ -660,208 +567,6 @@ func (o *Orchestrator) writeManifest() error {
 		}
 	}
 	return o.putManifest(entries)
-}
-
-// manifestEntry is one group of the manifest record: a U32 count, then
-// (U64 id, Str name, U64 oid) per group.
-type manifestEntry struct {
-	id   uint64
-	name string
-	oid  objstore.OID
-}
-
-// readManifest decodes src's manifest. An absent object or a zero-byte
-// record is "no groups": New ensures the object, so every store holds an
-// empty one before its first group checkpoint. Any other read or decode
-// failure is returned — taken for empty, the next write would drop every
-// group the record names.
-func readManifest(src Source) ([]manifestEntry, error) {
-	raw, err := src.GetRecord(ManifestOID)
-	if errors.Is(err, objstore.ErrNoObject) || (err == nil && len(raw) == 0) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	d, err := rec.NewDecoder(raw)
-	if err != nil {
-		return nil, err
-	}
-	var entries []manifestEntry
-	for i, n := 0, int(d.U32()); i < n && d.Err() == nil; i++ {
-		entries = append(entries, manifestEntry{id: d.U64(), name: d.Str(), oid: objstore.OID(d.U64())})
-	}
-	return entries, d.Err()
-}
-
-// putManifest is the one writer of the manifest record.
-func (o *Orchestrator) putManifest(entries []manifestEntry) error {
-	e := rec.NewEncoder()
-	e.U32(uint32(len(entries)))
-	for _, ent := range entries {
-		e.U64(ent.id)
-		e.Str(ent.name)
-		e.U64(uint64(ent.oid))
-	}
-	return o.Store.PutRecord(ManifestOID, UTManifest, e.Seal())
-}
-
-// proc serializes one process: identity, tree links, threads with CPU
-// state, pending signals, descriptor table, and address space.
-func (s *serializer) proc(p *kern.Proc) error {
-	e := rec.NewEncoder()
-	e.Str(p.Name)
-	e.U32(uint32(p.LocalPID))
-	e.U32(uint32(p.PGID))
-	e.U32(uint32(p.SID))
-
-	// Threads. Copying the register file off the kernel stack is cheap;
-	// lazily-saved FPU/vector state needs an IPI to flush it into the
-	// process structure (§5.1).
-	e.U32(uint32(len(p.Threads)))
-	for _, t := range p.Threads {
-		s.o.Clk.Advance(s.o.Costs.IPIRound)
-		e.Str(t.Name)
-		e.U32(uint32(t.LocalTID))
-		e.U64(t.SigMask)
-		e.U32(uint32(t.Priority))
-		cpuRecord(e, &t.CPU)
-	}
-
-	// Pending signals.
-	sigs := p.PendingSignals()
-	e.U32(uint32(len(sigs)))
-	for _, sig := range sigs {
-		e.U32(uint32(sig))
-	}
-
-	// Descriptor table.
-	type slot struct {
-		fd  int
-		oid objstore.OID
-	}
-	var slots []slot
-	var ferr error
-	p.FDs.Each(func(fd int, f *kern.File) {
-		if ferr != nil {
-			return
-		}
-		oid, err := s.file(f)
-		if err != nil {
-			ferr = err
-			return
-		}
-		slots = append(slots, slot{fd, oid})
-	})
-	if ferr != nil {
-		return ferr
-	}
-	e.U32(uint32(len(slots)))
-	for _, sl := range slots {
-		e.U32(uint32(sl.fd))
-		e.U64(uint64(sl.oid))
-	}
-
-	// Address space.
-	entries := p.Mem.Entries()
-	var encoded [][]byte
-	for _, ent := range entries {
-		b, err := s.entry(ent, s.g.entryExcluded(p.Mem, ent))
-		if err != nil {
-			return err
-		}
-		if b != nil {
-			encoded = append(encoded, b)
-		}
-	}
-	e.U32(uint32(len(encoded)))
-	for _, b := range encoded {
-		e.Bytes(b)
-	}
-
-	oid := s.g.oidFor(p)
-	parent := kern.PID(0)
-	if p.Parent() != nil && !p.Parent().Ephemeral {
-		parent = p.Parent().LocalPID
-	}
-	s.procOIDs = append(s.procOIDs, procRef{oid: oid, localPID: p.LocalPID, parentPID: parent})
-	return s.put(oid, UTProc, e)
-}
-
-// cpuRecord serializes the register file.
-func cpuRecord(e *rec.Encoder, c *kern.CPUState) {
-	e.U64(c.RIP)
-	e.U64(c.RSP)
-	e.U64(c.RBP)
-	e.U64(c.RFLAGS)
-	for _, r := range c.GPR {
-		e.U64(r)
-	}
-	e.Bytes(c.FPU[:])
-}
-
-func cpuDecode(d *rec.Decoder) kern.CPUState {
-	var c kern.CPUState
-	c.RIP = d.U64()
-	c.RSP = d.U64()
-	c.RBP = d.U64()
-	c.RFLAGS = d.U64()
-	for i := range c.GPR {
-		c.GPR[i] = d.U64()
-	}
-	copy(c.FPU[:], d.Bytes())
-	return c
-}
-
-// entry serializes one vm_map_entry, classifying its backing. Excluded
-// regions (sls_mctl) record their geometry only: the restore maps fresh
-// zero-filled memory there, and no page of the region ever reaches the
-// store.
-func (s *serializer) entry(ent *vm.Entry, excluded bool) ([]byte, error) {
-	e := rec.NewEncoder()
-	e.U64(ent.Start)
-	e.U64(ent.End)
-	e.U8(uint8(ent.Prot))
-	e.I64(ent.Off)
-	e.Bool(ent.Shared)
-
-	switch {
-	case ent.Start == kern.VDSOBase:
-		// The vDSO is not content-checkpointed: restore injects the
-		// current kernel's (§5.3).
-		e.U8(entVDSO)
-	case ent.Obj.Type == vm.Device:
-		name, ok := deviceNameOfObject(ent.Obj)
-		if !ok || !kern.DeviceWhitelisted(name) {
-			return nil, fmt.Errorf("sls: cannot persist mapping of device %q", name)
-		}
-		e.U8(entDevice)
-		e.Str(name)
-	case ent.Obj.Type == vm.Vnode:
-		// Shared file mapping: pages live in the file's own object.
-		e.U8(entVnodeShared)
-		e.U64(ent.Obj.Pager().BackingOID())
-	case excluded:
-		e.U8(entAnon)
-		e.U64(0) // no backing object: restore maps fresh memory
-	default:
-		oid, err := s.memObject(s.g.persistentRoot(ent.Obj))
-		if err != nil {
-			return nil, err
-		}
-		e.U8(entAnon)
-		e.U64(uint64(oid))
-	}
-	return e.Raw(), nil
-}
-
-// deviceNameOfObject recovers the device name behind a device VM object.
-func deviceNameOfObject(o *vm.Object) (string, bool) {
-	type named interface{ DeviceName() string }
-	if p, ok := o.Pager().(named); ok {
-		return p.DeviceName(), true
-	}
-	return "", false
 }
 
 // memObject registers the persistent memory-object hierarchy from root
@@ -902,49 +607,15 @@ func (s *serializer) memObject(root *vm.Object) (objstore.OID, error) {
 
 // file serializes an open-file description and its implementation object.
 func (s *serializer) file(f *kern.File) (objstore.OID, error) {
-	if oid, ok := s.doneFiles[f]; ok {
+	if oid, ok := s.done[f]; ok {
 		return oid, nil
 	}
 	if err := s.impl(f); err != nil {
 		return 0, err
 	}
 	oid := s.g.oidFor(f)
-	s.doneFiles[f] = oid
+	s.done[f] = oid
 	return oid, s.object(oid, f)
-}
-
-// implOf names the object behind a description — the key of its OID — and
-// the auxiliary word of the description's record (a pipe's write end, a pty's
-// master side).
-func implOf(f *kern.File) (impl any, aux uint32, err error) {
-	if v, ok := kern.VnodeOf(f); ok {
-		return v, 0, nil
-	}
-	if pipe, writeEnd, ok := kern.PipeInfo(f); ok {
-		if writeEnd {
-			aux = 1
-		}
-		return pipe, aux, nil
-	}
-	if sock, ok := kern.SocketOf(f); ok {
-		return sock, 0, nil
-	}
-	if seg, ok := kern.ShmOf(f); ok {
-		return seg, 0, nil
-	}
-	if kq, ok := kern.KqueueOf(f); ok {
-		return kq, 0, nil
-	}
-	if pty, master, ok := kern.PTYInfo(f); ok {
-		if master {
-			aux = 1
-		}
-		return pty, aux, nil
-	}
-	if dev, ok := kern.DeviceOf(f); ok {
-		return dev, 0, nil
-	}
-	return nil, 0, fmt.Errorf("sls: unsupported file kind %v", f.Impl.Kind())
 }
 
 // knownOID looks up the OID of an object a record references. The walk
@@ -958,11 +629,10 @@ func (g *Group) knownOID(key any) objstore.OID {
 
 // impl serializes the object behind a description.
 func (s *serializer) impl(f *kern.File) error {
-	impl, _, err := implOf(f)
-	if err != nil {
-		return err
-	}
-	switch o := impl.(type) {
+	obj, _ := f.Behind()
+	switch o := obj.(type) {
+	case nil:
+		return fmt.Errorf("sls: unsupported file kind %v", f.Impl.Kind())
 	case *kern.VnodeFile:
 		// Keep a hidden reference so unlinking cannot reap it (§5.2). The
 		// reference is per group lifetime, not per checkpoint.
@@ -973,25 +643,25 @@ func (s *serializer) impl(f *kern.File) error {
 		s.live[o.OID] = true
 		s.o.Clk.Advance(s.o.Costs.SerializeBase) // inode ref, no namei
 	case *kern.Socket:
-		err = s.socket(o)
+		return s.socket(o)
 	case *kern.ShmSegment:
-		err = s.shm(o)
+		return s.shm(o)
 	case generational: // pipe, kqueue, pty, device: nothing behind them to walk
 		if oid, first := s.implOID(o); first {
-			err = s.object(oid, o)
+			return s.object(oid, o)
 		}
 	}
-	return err
+	return nil
 }
 
 // implOID returns the OID of an implementation object and whether this is
 // the walk's first visit to it.
 func (s *serializer) implOID(impl any) (objstore.OID, bool) {
-	if oid, ok := s.doneImpls[impl]; ok {
+	if oid, ok := s.done[impl]; ok {
 		return oid, false
 	}
 	oid := s.g.oidFor(impl)
-	s.doneImpls[impl] = oid
+	s.done[impl] = oid
 	return oid, true
 }
 
@@ -1014,102 +684,6 @@ func (s *serializer) socket(sk *kern.Socket) error {
 		}
 	}
 	return s.object(oid, sk)
-}
-
-func (s *serializer) shm(seg *kern.ShmSegment) error {
-	oid, first := s.implOID(seg)
-	if !first {
-		return nil
-	}
-	memOID, err := s.memObject(s.g.persistentRoot(seg.Object()))
-	if err != nil {
-		return err
-	}
-	e := rec.NewEncoder()
-	e.I64(seg.ID)
-	e.I64(seg.Key)
-	e.Str(seg.Name)
-	e.I64(seg.Size)
-	e.Bool(seg.SysV)
-	e.U64(uint64(memOID))
-	s.shmOIDs = append(s.shmOIDs, oid)
-	return s.put(oid, UTShm, e)
-}
-
-// encodeObject builds the store record of a gated kernel object into e (the
-// caller's, so that it need not outlive the call). It is the
-// one encoder the serializer (charged, behind the gate) and the capture
-// oracle (AuditCapture, uncharged) share: it reads the object and looks OIDs
-// up, and allocates none.
-func (g *Group) encodeObject(e *rec.Encoder, obj generational) (utype uint16) {
-	switch o := obj.(type) {
-	case *kern.File:
-		impl, aux, _ := implOf(o)
-		e.U16(uint16(o.Impl.Kind()))
-		e.I64(o.Offset())
-		e.U32(uint32(o.Flags()))
-		e.U64(uint64(g.knownOID(impl)))
-		e.U32(aux)
-		return UTFileDesc
-	case *kern.Pipe:
-		readers, writers := o.PipeRefs()
-		e.Bytes(o.Buffered())
-		e.U32(uint32(readers))
-		e.U32(uint32(writers))
-		return UTPipe
-	case *kern.Socket:
-		e.U16(uint16(o.Kind()))
-		e.Str(o.Local)
-		e.Str(o.Remote)
-		e.Bool(o.Bound)
-		e.Bool(o.Listening()) // accept queue deliberately omitted (§5.3)
-		e.U64(o.Seq())
-		e.U32(o.Options())
-		e.Bool(o.ESDisabled())
-		// Peer: recorded only when it lives in the same group.
-		if peer := o.Peer(); peer != nil && peer.OwnerGroup == g.ID {
-			e.U64(uint64(g.knownOID(peer)))
-		} else {
-			e.U64(0)
-		}
-		// Buffered messages, with the descriptors their control messages
-		// carry.
-		msgs := o.Messages()
-		e.U32(uint32(len(msgs)))
-		for _, m := range msgs {
-			e.Bytes(m.Data)
-			e.Str(m.From)
-			e.U32(uint32(len(m.Files)))
-			for _, inflight := range m.Files {
-				e.U64(uint64(g.knownOID(inflight)))
-			}
-		}
-		return UTSocket
-	case *kern.Kqueue:
-		events := o.Events()
-		e.U32(uint32(len(events)))
-		for _, ev := range events {
-			e.U64(ev.Ident)
-			e.U16(uint16(ev.Filter))
-			e.U32(ev.Flags)
-			e.U32(ev.FFlags)
-			e.I64(ev.Data)
-			e.U64(ev.UData)
-		}
-		return UTKqueue
-	case *kern.PTY:
-		toSlave, toMaster := o.Buffers()
-		e.U32(uint32(o.Index))
-		e.Bytes(toSlave)
-		e.Bytes(toMaster)
-		termios := o.Termios()
-		e.Bytes(termios[:])
-		return UTPTY
-	case *kern.Device:
-		e.Str(o.Name())
-		return UTDeviceFile
-	}
-	panic(fmt.Sprintf("sls: no record encoder for %T", obj))
 }
 
 // AuditCapture is the capture gate's oracle, the sls.capture rule of

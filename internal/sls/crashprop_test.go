@@ -443,7 +443,7 @@ func verifyGolden(g *Group, va uint64, golden *slsPoint) error {
 	if err != nil {
 		return fmt.Errorf("pipe: %v", err)
 	}
-	if pipe, _, ok := kern.PipeInfo(f); !ok {
+	if pipe, ok := behind(f).(*kern.Pipe); !ok {
 		return fmt.Errorf("descriptor %d restored as %v, want the pipe", pipeRFD, f.Impl.Kind())
 	} else if got := pipe.Buffered(); !bytes.Equal(got, golden.pipe) {
 		return fmt.Errorf("pipe holds % x, want % x", got, golden.pipe)

@@ -3,8 +3,8 @@ package sls
 import (
 	"fmt"
 	"hash/crc32"
-	"sort"
-	"time"
+	"maps"
+	"slices"
 
 	"aurora/internal/clock"
 	"aurora/internal/flight"
@@ -187,7 +187,8 @@ func (o *Orchestrator) RestoreGroup(name string, src Source, mode RestoreMode, c
 		g.specContinuing = continuing
 	}
 	g.Period, g.RetainEpochs, g.journals = gr.period, gr.retain, gr.journals
-	r := &restorer{o: o, g: g, src: src, mode: mode, st: &st, memMetas: gr.memMetas}
+	r := &restorer{o: o, g: g, src: src, mode: mode, st: &st, memMetas: gr.memMetas,
+		memUsed: make(map[objstore.OID]bool), objs: make(map[objstore.OID]any)}
 	// A restore that dies partway — corrupt record, or the standby itself
 	// power-cut mid-restore — must not leave the half-built group
 	// registered: GroupByName would keep resolving the wedged husk, and a
@@ -201,7 +202,7 @@ func (o *Orchestrator) RestoreGroup(name string, src Source, mode RestoreMode, c
 			p.Exit(0)
 		}
 		for _, m := range r.memMetas {
-			if obj, ok := r.memObjs[m.oid]; ok && !r.memUsed[m.oid] {
+			if obj, ok := r.objs[m.oid].(*vm.Object); ok && !r.memUsed[m.oid] {
 				obj.Deref() // creator reference nobody consumed
 			}
 		}
@@ -219,7 +220,7 @@ func (o *Orchestrator) RestoreGroup(name string, src Source, mode RestoreMode, c
 
 	// 3. Shared-memory segments (namespaces).
 	for _, oid := range gr.shmOIDs {
-		if _, err := r.shm(oid); err != nil {
+		if _, err := r.object(oid, UTShm); err != nil {
 			return nil, st, err
 		}
 	}
@@ -227,12 +228,11 @@ func (o *Orchestrator) RestoreGroup(name string, src Source, mode RestoreMode, c
 	// 4. Processes.
 	byPID := make(map[kern.PID]*kern.Proc)
 	for _, pe := range gr.procs {
-		p, err := r.proc(pe.oid)
+		p, err := restored[*kern.Proc](r, pe.oid, UTProc)
 		if err != nil {
 			return nil, st, err
 		}
 		byPID[pe.localPID] = p
-		g.oidOf[p] = pe.oid
 		st.Procs++
 	}
 	for _, pe := range gr.procs {
@@ -253,17 +253,12 @@ func (o *Orchestrator) RestoreGroup(name string, src Source, mode RestoreMode, c
 	// Restore-notification signal: applications fix up runtime state in
 	// an Aurora-specific handler (§3). Delivered in PID order — map
 	// iteration order would make replayed restores diverge.
-	pids := make([]kern.PID, 0, len(byPID))
-	for pid := range byPID {
-		pids = append(pids, pid)
-	}
-	sort.Slice(pids, func(i, j int) bool { return pids[i] < pids[j] })
-	for _, pid := range pids {
+	for _, pid := range slices.Sorted(maps.Keys(byPID)) {
 		byPID[pid].QueueSignal(kern.SIGRESTORE)
 	}
 
 	// 6. Bookkeeping so the group continues checkpointing.
-	for oid := range r.liveOIDs {
+	for oid := range r.objs {
 		g.prevLive[oid] = true
 	}
 	if continuing {
@@ -272,7 +267,7 @@ func (o *Orchestrator) RestoreGroup(name string, src Source, mode RestoreMode, c
 		}
 		g.primeGate()
 	}
-	st.Objects = len(r.liveOIDs)
+	st.Objects = len(r.objs)
 	st.Epoch = o.Store.Epoch()
 	st.Time = sw.Elapsed()
 	if mode == RestoreSpeculative {
@@ -326,63 +321,6 @@ func (g *Group) primeGate() {
 	}
 }
 
-// groupRecord is a decoded group record (serializer.group writes it).
-type groupRecord struct {
-	period     time.Duration
-	procs      []procRef
-	ephParents []kern.PID // one per ephemeral child that did not survive
-	memMetas   []memMeta
-	shmOIDs    []objstore.OID
-	journals   map[string]objstore.OID
-	retain     int
-}
-
-// decodeGroupRecord is the one reader of the group record: a restore rebuilds
-// from it and a receiving standby takes its retention from it.
-func decodeGroupRecord(raw []byte) (groupRecord, error) {
-	gr := groupRecord{journals: make(map[string]objstore.OID), retain: defaultRetainEpochs}
-	d, err := rec.NewDecoder(raw)
-	if err != nil {
-		return gr, err
-	}
-	_ = d.Str() // group name: the manifest already resolved it
-	gr.period = time.Duration(d.U64())
-	// Every count-prefixed loop guards on d.Err(): a corrupt count must not
-	// drive a multi-gigabyte append loop off a record a few hundred bytes
-	// long. The sticky error stops the loop and is returned at the end.
-	for i, n := 0, int(d.U32()); i < n && d.Err() == nil; i++ {
-		gr.procs = append(gr.procs, procRef{
-			oid:       objstore.OID(d.U64()),
-			localPID:  kern.PID(d.U32()),
-			parentPID: kern.PID(d.U32()),
-		})
-	}
-	for i, n := 0, int(d.U32()); i < n && d.Err() == nil; i++ {
-		_ = d.U32() // the child's own pid
-		gr.ephParents = append(gr.ephParents, kern.PID(d.U32()))
-	}
-	for i, n := 0, int(d.U32()); i < n && d.Err() == nil; i++ {
-		gr.memMetas = append(gr.memMetas, memMeta{
-			oid:        objstore.OID(d.U64()),
-			size:       d.I64(),
-			backerKind: d.U8(),
-			backerOID:  d.U64(),
-		})
-	}
-	for i, n := 0, int(d.U32()); i < n && d.Err() == nil; i++ {
-		gr.shmOIDs = append(gr.shmOIDs, objstore.OID(d.U64()))
-	}
-	for i, n := 0, int(d.U32()); i < n && d.Err() == nil; i++ {
-		jn := d.Str()
-		gr.journals[jn] = objstore.OID(d.U64())
-	}
-	// Appended field: a record written before it existed ends here.
-	if d.Err() == nil && d.Remaining() > 0 {
-		gr.retain = int(d.U64())
-	}
-	return gr, d.Err()
-}
-
 func boolInt(b bool) int64 {
 	if b {
 		return 1
@@ -415,7 +353,11 @@ func (o *Orchestrator) findGroupOID(src Source, name string) (objstore.OID, erro
 	return 0, fmt.Errorf("%w: %q", ErrNoGroup, name)
 }
 
-// restorer carries the per-restore memo tables.
+// restorer carries one restore's state. objs is the one memo: every object
+// the restore has rebuilt — process, description, the object behind it, shm
+// segment, memory object — under the OID of its record, so that each is built
+// once however many records reference it; its keys are the restored group's
+// live set.
 type restorer struct {
 	o    *Orchestrator
 	g    *Group
@@ -424,24 +366,53 @@ type restorer struct {
 	st   *RestoreStats
 
 	memMetas []memMeta
-	memObjs  map[objstore.OID]*vm.Object
 	memUsed  map[objstore.OID]bool // creator reference consumed
-	files    map[objstore.OID]*kern.File
-	sockets  map[objstore.OID]*kern.Socket
-	shms     map[objstore.OID]*kern.ShmSegment
-	pipes    map[objstore.OID]*kern.Pipe
-	ptys     map[objstore.OID]*kern.PTY
-	liveOIDs map[objstore.OID]bool
+	objs     map[objstore.OID]any
 }
 
-func (r *restorer) init() {
-	if r.memObjs == nil {
-		r.memObjs = make(map[objstore.OID]*vm.Object)
-		r.memUsed = make(map[objstore.OID]bool)
-		r.files = make(map[objstore.OID]*kern.File)
-		r.sockets = make(map[objstore.OID]*kern.Socket)
-		r.shms = make(map[objstore.OID]*kern.ShmSegment)
-		r.liveOIDs = make(map[objstore.OID]bool)
+// object rebuilds the kernel object of the record oid, of type utype, or
+// returns the one an earlier reference to oid built. The layouts are
+// decodeObject's (records.go).
+func (r *restorer) object(oid objstore.OID, utype uint16) (any, error) {
+	if obj, ok := r.objs[oid]; ok {
+		return obj, nil
+	}
+	raw, err := r.src.GetRecord(oid)
+	if err != nil {
+		return nil, err
+	}
+	d, err := rec.NewDecoder(raw)
+	if err != nil {
+		return nil, err
+	}
+	obj, err := r.decodeObject(oid, utype, d)
+	if err != nil {
+		return nil, err
+	}
+	r.keep(oid, obj)
+	return obj, nil
+}
+
+// restored is object for a reference whose record fixes the type: an OID
+// that an earlier reference rebuilt as something else is a damaged image,
+// not a panic.
+func restored[T any](r *restorer, oid objstore.OID, utype uint16) (T, error) {
+	obj, err := r.object(oid, utype)
+	t, ok := obj.(T)
+	if err == nil && !ok {
+		err = fmt.Errorf("sls: restore: object %d is a %T, referenced as a %T", oid, obj, t)
+	}
+	return t, err
+}
+
+// keep enters a rebuilt object into the memo and gives the group its OID,
+// which is what lets the next checkpoint write the object back where it came
+// from. A device is the exception: it comes back without its OID, and the
+// next checkpoint files it under a new one.
+func (r *restorer) keep(oid objstore.OID, obj any) {
+	r.objs[oid] = obj
+	if _, dev := obj.(*kern.Device); !dev {
+		r.g.oidOf[obj] = oid
 	}
 }
 
@@ -458,8 +429,7 @@ func (r *restorer) takeRef(oid objstore.OID, obj *vm.Object) *vm.Object {
 
 // memObject rebuilds one memory object (and, recursively, its backers).
 func (r *restorer) memObject(oid objstore.OID) (*vm.Object, error) {
-	r.init()
-	if obj, ok := r.memObjs[oid]; ok {
+	if obj, ok := r.objs[oid].(*vm.Object); ok {
 		return obj, nil
 	}
 	var meta *memMeta
@@ -492,9 +462,7 @@ func (r *restorer) memObject(oid objstore.OID) (*vm.Object, error) {
 	sp := &storePager{src: r.src, oid: oid, g: r.g}
 	obj := r.o.K.VM.RestoreObject(vm.Anonymous, meta.size, sp, backer)
 	sp.obj = obj
-	r.memObjs[oid] = obj
-	r.liveOIDs[oid] = true
-	r.g.oidOf[obj] = oid
+	r.keep(oid, obj)
 	r.g.restoredMem = append(r.g.restoredMem, restoredMem{obj: obj, oid: oid})
 
 	if r.mode == RestoreFull {
@@ -541,385 +509,4 @@ func (o *Orchestrator) installPages(src Source, oid objstore.OID, obj *vm.Object
 		return nil
 	})
 	return installed, err
-}
-
-// proc rebuilds one process.
-func (r *restorer) proc(oid objstore.OID) (*kern.Proc, error) {
-	r.init()
-	raw, err := r.src.GetRecord(oid)
-	if err != nil {
-		return nil, err
-	}
-	d, err := rec.NewDecoder(raw)
-	if err != nil {
-		return nil, err
-	}
-	name := d.Str()
-	localPID := kern.PID(d.U32())
-	pgid := kern.PID(d.U32())
-	sid := kern.PID(d.U32())
-	p := r.o.K.RestoreProc(name, localPID, pgid, sid, r.g.ID)
-	r.liveOIDs[oid] = true
-
-	for i, n := 0, int(d.U32()); i < n && d.Err() == nil; i++ {
-		tname := d.Str()
-		ltid := kern.PID(d.U32())
-		sigmask := d.U64()
-		prio := int(d.U32())
-		cpu := cpuDecode(d)
-		p.RestoreThread(tname, ltid, cpu, sigmask, prio)
-	}
-	for i, n := 0, int(d.U32()); i < n && d.Err() == nil; i++ {
-		p.QueueSignal(kern.Signal(d.U32()))
-	}
-
-	// Descriptor table.
-	for i, n := 0, int(d.U32()); i < n && d.Err() == nil; i++ {
-		fd := int(d.U32())
-		foid := objstore.OID(d.U64())
-		f, err := r.file(foid)
-		if err != nil {
-			return nil, err
-		}
-		p.InstallFile(fd, f)
-	}
-
-	// Address space.
-	for i, n := 0, int(d.U32()); i < n && d.Err() == nil; i++ {
-		if err := r.entry(p, d.Bytes()); err != nil {
-			return nil, err
-		}
-	}
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	r.o.Clk.Advance(r.o.Costs.RestoreBase)
-	return p, nil
-}
-
-// entry rebuilds one address-space mapping.
-func (r *restorer) entry(p *kern.Proc, raw []byte) error {
-	d := rec.NewRawDecoder(raw)
-	start := d.U64()
-	end := d.U64()
-	prot := vm.Prot(d.U8())
-	off := d.I64()
-	shared := d.Bool()
-	kind := d.U8()
-	length := int64(end - start)
-	// The raw decoder has no CRC; a truncated entry blob must fail here,
-	// not dispatch on a garbage kind byte.
-	if err := d.Err(); err != nil {
-		return err
-	}
-
-	switch kind {
-	case entVDSO:
-		return p.MapVDSOLockedRestore()
-	case entDevice:
-		return p.MapDeviceAt(d.Str(), start)
-	case entVnodeShared:
-		obj, err := r.o.K.VnodeVMObject(d.U64())
-		if err != nil {
-			return err
-		}
-		return p.Mem.MapAt(start, obj, off, length, prot, shared)
-	case entAnon:
-		oid := objstore.OID(d.U64())
-		if oid == 0 {
-			// An excluded (sls_mctl) region: geometry only, content is
-			// the application's to rebuild.
-			fresh := r.o.K.VM.NewObject(vm.Anonymous, length)
-			return p.Mem.MapAt(start, fresh, off, length, prot, shared)
-		}
-		obj, err := r.memObject(oid)
-		if err != nil {
-			return err
-		}
-		return p.Mem.MapAt(start, r.takeRef(oid, obj), off, length, prot, shared)
-	default:
-		return fmt.Errorf("sls: restore: unknown entry kind %d", kind)
-	}
-}
-
-// file rebuilds an open-file description.
-func (r *restorer) file(oid objstore.OID) (*kern.File, error) {
-	r.init()
-	if f, ok := r.files[oid]; ok {
-		return f, nil
-	}
-	raw, err := r.src.GetRecord(oid)
-	if err != nil {
-		return nil, err
-	}
-	d, err := rec.NewDecoder(raw)
-	if err != nil {
-		return nil, err
-	}
-	kind := kern.ObjKind(d.U16())
-	offset := d.I64()
-	flags := int(d.U32())
-	implOID := objstore.OID(d.U64())
-	implAux := d.U32()
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-
-	var f *kern.File
-	switch kind {
-	case kern.KindVnode:
-		v, err := r.o.K.RestoreVnodeFile(uint64(implOID), "")
-		if err != nil {
-			return nil, err
-		}
-		f = kern.RestoreFile(v, offset, flags)
-	case kern.KindPipe:
-		pipe, err := r.pipe(implOID)
-		if err != nil {
-			return nil, err
-		}
-		f = kern.PipeFile(pipe, implAux == 1, offset, flags)
-	case kern.KindSocketUnix, kern.KindSocketUDP, kern.KindSocketTCP:
-		s, err := r.socket(implOID)
-		if err != nil {
-			return nil, err
-		}
-		f = kern.SocketFile(s, offset, flags)
-	case kern.KindShm:
-		seg, err := r.shm(implOID)
-		if err != nil {
-			return nil, err
-		}
-		f = kern.ShmFile(seg, flags)
-	case kern.KindKqueue:
-		kq, err := r.kqueue(implOID)
-		if err != nil {
-			return nil, err
-		}
-		f = kern.KqueueFile(kq, flags)
-	case kern.KindPTY:
-		pty, err := r.pty(implOID)
-		if err != nil {
-			return nil, err
-		}
-		f = kern.PTYFile(pty, implAux == 1, flags)
-	case kern.KindDevice:
-		dn, err := r.deviceName(implOID)
-		if err != nil {
-			return nil, err
-		}
-		f = r.o.K.DeviceFile(dn, flags)
-	default:
-		return nil, fmt.Errorf("sls: restore: unknown file kind %v", kind)
-	}
-	r.files[oid] = f
-	r.liveOIDs[oid] = true
-	r.g.oidOf[f] = oid
-	r.o.Clk.Advance(r.o.Costs.RestoreBase)
-	return f, nil
-}
-
-// pipeMemo avoids rebuilding a pipe once per end.
-func (r *restorer) pipe(oid objstore.OID) (*kern.Pipe, error) {
-	if p, ok := r.pipes[oid]; ok {
-		return p, nil
-	}
-	raw, err := r.src.GetRecord(oid)
-	if err != nil {
-		return nil, err
-	}
-	d, err := rec.NewDecoder(raw)
-	if err != nil {
-		return nil, err
-	}
-	buffered := d.Bytes()
-	readers := int32(d.U32())
-	writers := int32(d.U32())
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	pipe := r.o.K.RestorePipe(buffered, readers, writers)
-	if r.pipes == nil {
-		r.pipes = make(map[objstore.OID]*kern.Pipe)
-	}
-	r.pipes[oid] = pipe
-	r.liveOIDs[oid] = true
-	r.g.oidOf[pipe] = oid
-	return pipe, nil
-}
-
-// socket rebuilds a socket, linking in-group peers and severing external
-// connections.
-func (r *restorer) socket(oid objstore.OID) (*kern.Socket, error) {
-	r.init()
-	if s, ok := r.sockets[oid]; ok {
-		return s, nil
-	}
-	raw, err := r.src.GetRecord(oid)
-	if err != nil {
-		return nil, err
-	}
-	d, err := rec.NewDecoder(raw)
-	if err != nil {
-		return nil, err
-	}
-	ps := kern.RestoreSocketParams{
-		Kind:      kern.ObjKind(d.U16()),
-		Local:     d.Str(),
-		Remote:    d.Str(),
-		Bound:     d.Bool(),
-		Listening: d.Bool(),
-		Seq:       d.U64(),
-		Options:   d.U32(),
-	}
-	ps.ESDisabled = d.Bool()
-	ps.OwnerGroup = r.g.ID
-	peerOID := objstore.OID(d.U64())
-
-	s := r.o.K.RestoreSocket(ps)
-	r.sockets[oid] = s
-	r.liveOIDs[oid] = true
-	r.g.oidOf[s] = oid
-
-	// Buffered messages with in-flight descriptors.
-	for i, n := 0, int(d.U32()); i < n && d.Err() == nil; i++ {
-		data := d.Bytes()
-		from := d.Str()
-		var files []*kern.File
-		for j, fn := 0, int(d.U32()); j < fn && d.Err() == nil; j++ {
-			foid := objstore.OID(d.U64())
-			f, err := r.file(foid)
-			if err != nil {
-				return nil, err
-			}
-			f.Ref() // the queued message holds a reference
-			files = append(files, f)
-		}
-		s.EnqueueRestored(data, from, files)
-	}
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-
-	switch {
-	case peerOID != 0:
-		peer, err := r.socket(peerOID)
-		if err != nil {
-			return nil, err
-		}
-		kern.LinkPeers(s, peer)
-	case ps.Remote != "" && !ps.Listening && ps.Kind != kern.KindSocketUDP:
-		// Established connection whose peer was outside the group: it
-		// does not survive; the application reconnects.
-		s.MarkDisconnected()
-	}
-	return s, nil
-}
-
-// shm rebuilds a shared-memory segment.
-func (r *restorer) shm(oid objstore.OID) (*kern.ShmSegment, error) {
-	r.init()
-	if seg, ok := r.shms[oid]; ok {
-		return seg, nil
-	}
-	raw, err := r.src.GetRecord(oid)
-	if err != nil {
-		return nil, err
-	}
-	d, err := rec.NewDecoder(raw)
-	if err != nil {
-		return nil, err
-	}
-	id := d.I64()
-	key := d.I64()
-	name := d.Str()
-	size := d.I64()
-	sysv := d.Bool()
-	memOID := objstore.OID(d.U64())
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	obj, err := r.memObject(memOID)
-	if err != nil {
-		return nil, err
-	}
-	seg := r.o.K.RestoreShm(id, key, name, size, sysv, r.takeRef(memOID, obj), 1)
-	r.o.Clk.Advance(r.o.Costs.RestoreBase)
-	r.shms[oid] = seg
-	r.liveOIDs[oid] = true
-	r.g.oidOf[seg] = oid
-	return seg, nil
-}
-
-func (r *restorer) kqueue(oid objstore.OID) (*kern.Kqueue, error) {
-	raw, err := r.src.GetRecord(oid)
-	if err != nil {
-		return nil, err
-	}
-	d, err := rec.NewDecoder(raw)
-	if err != nil {
-		return nil, err
-	}
-	var events []kern.Kevent
-	for i, n := 0, int(d.U32()); i < n && d.Err() == nil; i++ {
-		events = append(events, kern.Kevent{
-			Ident:  d.U64(),
-			Filter: kern.Filter(int16(d.U16())),
-			Flags:  d.U32(),
-			FFlags: d.U32(),
-			Data:   d.I64(),
-			UData:  d.U64(),
-		})
-	}
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	kq := r.o.K.RestoreKqueue(events)
-	r.liveOIDs[oid] = true
-	r.g.oidOf[kq] = oid
-	return kq, nil
-}
-
-func (r *restorer) pty(oid objstore.OID) (*kern.PTY, error) {
-	if p, ok := r.ptys[oid]; ok {
-		return p, nil
-	}
-	raw, err := r.src.GetRecord(oid)
-	if err != nil {
-		return nil, err
-	}
-	d, err := rec.NewDecoder(raw)
-	if err != nil {
-		return nil, err
-	}
-	index := int(d.U32())
-	toSlave := d.Bytes()
-	toMaster := d.Bytes()
-	var termios [64]byte
-	copy(termios[:], d.Bytes())
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	pty := r.o.K.RestorePTY(index, toSlave, toMaster, termios)
-	if r.ptys == nil {
-		r.ptys = make(map[objstore.OID]*kern.PTY)
-	}
-	r.ptys[oid] = pty
-	r.liveOIDs[oid] = true
-	r.g.oidOf[pty] = oid
-	return pty, nil
-}
-
-func (r *restorer) deviceName(oid objstore.OID) (string, error) {
-	raw, err := r.src.GetRecord(oid)
-	if err != nil {
-		return "", err
-	}
-	d, err := rec.NewDecoder(raw)
-	if err != nil {
-		return "", err
-	}
-	name := d.Str()
-	r.liveOIDs[oid] = true
-	return name, d.Err()
 }

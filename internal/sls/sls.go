@@ -44,7 +44,7 @@ const (
 	UTDeviceFile
 	UTMemObject
 	// UTSpecRecord is the forensic breadcrumb a speculation rollback
-	// persists (see speculate.go); appended last so older images decode.
+	// persists (see records.go); appended last so older images decode.
 	UTSpecRecord
 )
 

@@ -4,11 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 
 	"aurora/internal/clock"
 	"aurora/internal/flight"
+	"aurora/internal/kern"
 	"aurora/internal/objstore"
-	"aurora/internal/rec"
 	"aurora/internal/trace"
 	"aurora/internal/vm"
 )
@@ -317,12 +318,31 @@ func (o *Orchestrator) rollbackSpeculation(g *Group) (*Group, RestoreStats, erro
 	g.specMu.Lock()
 	g.specState = SpecRolledBack
 	g.specMu.Unlock()
+	// A file the application created and never synced has no name after the
+	// crash: it lives on the reference of the husk's description, and closing
+	// that would reap what the serial restore is about to open by OID. Every
+	// description of the image is in the husk's oidOf; pin their files until
+	// RestoreGroup has taken references of its own.
+	var pinned []objstore.OID
+	for key := range g.oidOf {
+		if f, ok := key.(*kern.File); ok {
+			obj, _ := f.Behind()
+			if v, ok := obj.(*kern.VnodeFile); ok {
+				o.K.FS.AddHiddenRef(v.OID)
+				pinned = append(pinned, v.OID)
+			}
+		}
+	}
 	for _, p := range g.Procs() {
 		p.Exit(0)
 	}
 	o.Forget(g)
 
 	g2, rst, err := o.RestoreGroup(name, src, RestoreFull, cont)
+	slices.Sort(pinned) // if the restore failed these drops reap, and the order must not be a map's
+	for _, oid := range pinned {
+		o.K.FS.DropHiddenRef(oid)
+	}
 	rst.Rollbacks = 1
 	span.End(trace.I("ok", boolInt(err == nil)))
 	return g2, rst, err
@@ -361,59 +381,6 @@ func (o *Orchestrator) RestoreGroups(names []string, src Source, mode RestoreMod
 		outSt[i].Time += sts[i].Time
 	}
 	return outG, outSt, nil
-}
-
-// SpecRecord is the persistent breadcrumb of one speculation rollback —
-// enough for post-mortem forensics (`sls inspect`, the audit battery) to
-// reconstruct what was speculated and where trust broke.
-type SpecRecord struct {
-	Group     string         `json:"group"`
-	Epoch     objstore.Epoch `json:"epoch"`
-	Pages     int64          `json:"pages_speculated"`
-	Validated int64          `json:"pages_validated"`
-	BadOID    objstore.OID   `json:"bad_oid"`
-	BadPage   int64          `json:"bad_page"`
-}
-
-// specRecordVersion guards the breadcrumb's wire format.
-const specRecordVersion = 1
-
-// encodeSpecRecord serializes the breadcrumb (sealed with a CRC like
-// every other record).
-func encodeSpecRecord(r SpecRecord) []byte {
-	e := rec.NewEncoder()
-	e.U8(specRecordVersion)
-	e.Str(r.Group)
-	e.U64(uint64(r.Epoch))
-	e.I64(r.Pages)
-	e.I64(r.Validated)
-	e.U64(uint64(r.BadOID))
-	e.I64(r.BadPage)
-	return e.Seal()
-}
-
-// DecodeSpecRecord parses a rollback breadcrumb. It must survive
-// arbitrary bytes (the store only guarantees the seal, not the shape) —
-// FuzzSpecRecord holds it to that.
-func DecodeSpecRecord(raw []byte) (SpecRecord, error) {
-	var r SpecRecord
-	d, err := rec.NewDecoder(raw)
-	if err != nil {
-		return r, err
-	}
-	if v := d.U8(); d.Err() == nil && v != specRecordVersion {
-		return r, fmt.Errorf("sls: spec record version %d (want %d)", v, specRecordVersion)
-	}
-	r.Group = d.Str()
-	r.Epoch = objstore.Epoch(d.U64())
-	r.Pages = d.I64()
-	r.Validated = d.I64()
-	r.BadOID = objstore.OID(d.U64())
-	r.BadPage = d.I64()
-	if err := d.Err(); err != nil {
-		return SpecRecord{}, err
-	}
-	return r, nil
 }
 
 // SpecRollbackRecords lists every persisted rollback breadcrumb in the

@@ -121,26 +121,3 @@ func SystemShadowFiltered(vmsys *System, maps []*Map, backrefs []BackRef, skip f
 	}
 	return pairs
 }
-
-// CollapsePolicy selects the collapse direction (the §6 ablation).
-type CollapsePolicy uint8
-
-// Collapse directions.
-const (
-	// CollapseReverse is Aurora's optimization: move the short-lived
-	// shadow's few pages down into the parent.
-	CollapseReverse CollapsePolicy = iota
-	// CollapseForwardLegacy is the original Mach direction: move the
-	// parent's pages up into the shadow.
-	CollapseForwardLegacy
-)
-
-// CollapseFlushed collapses the frozen object of a pair into its backer
-// once its flush completed, bounding the chain at length two. top must be
-// the current live shadow above frozen. It returns pages moved.
-func CollapseFlushed(top, frozen *Object, policy CollapsePolicy) int {
-	if policy == CollapseForwardLegacy {
-		return CollapseLegacy(top, frozen)
-	}
-	return CollapseAurora(top, frozen)
-}
