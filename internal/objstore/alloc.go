@@ -104,7 +104,7 @@ func (s *Store) retireBlock(addr int64) {
 	}
 	cur := s.curEpoch()
 	if birth == cur {
-		if s.walSeq > 0 || s.replaying {
+		if s.walSeq > 0 || s.claimed != nil {
 			// A committed WAL frame of this interval may reference the
 			// block: until the fold's superblock is durable, replaying that
 			// frame needs it intact. Stage it like a release — serialized

@@ -41,12 +41,7 @@ func (s *Store) AuditLive() []string {
 		}
 	}
 
-	oids := make([]OID, 0, len(s.objects))
-	for oid := range s.objects {
-		oids = append(oids, oid)
-	}
-	sort.Slice(oids, func(i, j int) bool { return oids[i] < oids[j] })
-	for _, oid := range oids {
+	for _, oid := range sortedOIDKeys(s.objects) {
 		o := s.objects[oid]
 		if o.recordAddr != 0 {
 			claim(o.recordAddr, blocksFor(o.recordLen), fmt.Sprintf("record of oid %d", oid))

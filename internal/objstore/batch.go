@@ -20,8 +20,9 @@ import (
 //  2. Transfer (outside mu): submit every payload to the device. Member
 //     devices of a stripe carry their own locks, so concurrent batches
 //     overlap their copies the way NVMe queue depth allows.
-//  3. Publish (under mu): swing the chunk slots to the new blocks, retire
-//     the superseded ones, and advance the write-behind horizon.
+//  3. Publish (under mu): one page op per write, through mutate, swings the
+//     chunk slot to the new block and retires the superseded one — the op
+//     replay will apply; then the write-behind horizon advances.
 //
 // Readers that race a batch see the object's previous committed content
 // until Publish — the same snapshot semantics a serial WritePage sequence
@@ -102,11 +103,9 @@ func (s *Store) writePageBatch(oid OID, writes []PageWrite) (err error) {
 		s.mu.Unlock()
 		return err
 	}
-	chunks := make([]*chunk, len(writes))
 	addrs := make([]int64, len(writes))
 	for i, w := range writes {
-		c, err := s.loadChunk(o, w.Pg, true)
-		if err != nil {
+		if _, err := s.loadChunk(o, w.Pg, true); err != nil {
 			s.unreserve(addrs[:i])
 			s.mu.Unlock()
 			return err
@@ -117,7 +116,6 @@ func (s *Store) writePageBatch(oid OID, writes []PageWrite) (err error) {
 			s.mu.Unlock()
 			return err
 		}
-		chunks[i] = c
 		addrs[i] = a
 	}
 	s.mu.Unlock()
@@ -180,20 +178,17 @@ func (s *Store) writePageBatch(oid OID, writes []PageWrite) (err error) {
 
 	// Phase 3: publish.
 	s.mu.Lock()
+	var end int64
 	for i, w := range writes {
-		slot := w.Pg % ChunkFanout
-		c := chunks[i]
-		s.retireBlock(c.addrs[slot])
-		c.addrs[slot] = addrs[i]
-		c.sums[slot] = sums[i]
-		c.dirty = true
-		if end := (w.Pg + 1) * BlockSize; end > o.size {
-			o.size = end
+		op := walOp{kind: walOpPage, oid: oid, utype: o.utype, pg: w.Pg, addr: addrs[i], sum: sums[i]}
+		if err := s.mutate(&op); err != nil {
+			s.unreserve(addrs[i:])
+			s.mu.Unlock()
+			return err
 		}
-		s.walNote(walOp{kind: walOpPage, oid: oid, utype: o.utype, pg: w.Pg, addr: addrs[i], sum: sums[i]})
+		end = max(end, (w.Pg+1)*BlockSize)
 	}
-	s.walNote(walOp{kind: walOpSize, oid: oid, size: o.size})
-	o.dirty = true
+	s.extend(o, end)
 	if done > s.pendingDurable {
 		s.pendingDurable = done
 	}

@@ -72,12 +72,7 @@ func (s *Store) CheckpointRetaining(retain int) (st CheckpointStats, err error) 
 	// chunk-index) order: a given logical state must always produce the
 	// identical submit sequence, because the crash-exploration harness
 	// replays checkpoints by submit index.
-	oids := make([]OID, 0, len(s.objects))
-	for oid := range s.objects {
-		oids = append(oids, oid)
-	}
-	slices.Sort(oids)
-	for _, oid := range oids {
+	for _, oid := range sortedOIDKeys(s.objects) {
 		o := s.objects[oid]
 		if !o.dirty {
 			continue
@@ -290,12 +285,7 @@ func (s *Store) indexState(cur Epoch) *indexState {
 		}
 		idx.freelist = append(fl, s.releasing...)
 	}
-	oids := make([]OID, 0, len(s.objects))
-	for oid := range s.objects {
-		oids = append(oids, oid)
-	}
-	slices.Sort(oids)
-	for _, oid := range oids {
+	for _, oid := range sortedOIDKeys(s.objects) {
 		o := s.objects[oid]
 		idx.objects = append(idx.objects, indexEntry{oid: oid, addr: o.recordAddr, len: o.recordLen})
 	}
@@ -434,11 +424,12 @@ func (s *Store) retainedInfo(epoch Epoch) (ckptInfo, error) {
 }
 
 // View is a read-only image of one retained checkpoint, used for restoring
-// history ("sls restore" of a named checkpoint, time-travel debugging).
+// history ("sls restore" of a named checkpoint, time-travel debugging). Its
+// read methods are the embedded image's — the ones the Store has, over the
+// epoch's object table instead of the live one (read.go).
 type View struct {
-	s       *Store
-	epoch   Epoch
-	objects map[OID]*object
+	image
+	epoch Epoch
 }
 
 // RestoreView opens a read-only view of epoch. The current epoch and any
@@ -454,66 +445,11 @@ func (s *Store) RestoreView(epoch Epoch) (*View, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &View{s: s, epoch: epoch, objects: objects}, nil
+	return &View{image: image{s: s, objects: objects}, epoch: epoch}, nil
 }
 
 // Epoch returns the epoch the view images.
 func (v *View) Epoch() Epoch { return v.epoch }
-
-// Objects lists OIDs present in the view.
-func (v *View) Objects() []OID {
-	out := make([]OID, 0, len(v.objects))
-	for oid := range v.objects {
-		out = append(out, oid)
-	}
-	slices.Sort(out)
-	return out
-}
-
-// Exists reports whether oid existed at the view's epoch.
-func (v *View) Exists(oid OID) bool {
-	_, ok := v.objects[oid]
-	return ok
-}
-
-// UType returns oid's type tag at the view's epoch.
-func (v *View) UType(oid OID) (uint16, error) {
-	o, ok := v.objects[oid]
-	if !ok {
-		return 0, fmt.Errorf("%w: %d", ErrNoObject, oid)
-	}
-	return o.utype, nil
-}
-
-// Size returns oid's size at the view's epoch.
-func (v *View) Size(oid OID) (int64, error) {
-	o, ok := v.objects[oid]
-	if !ok {
-		return 0, fmt.Errorf("%w: %d", ErrNoObject, oid)
-	}
-	return o.size, nil
-}
-
-// GetRecord returns oid's full content at the view's epoch.
-func (v *View) GetRecord(oid OID) ([]byte, error) {
-	o, ok := v.objects[oid]
-	if !ok {
-		return nil, fmt.Errorf("%w: %d", ErrNoObject, oid)
-	}
-	if o.journal != nil {
-		return nil, ErrIsJournal
-	}
-	if o.chunks == nil {
-		return append([]byte(nil), o.inline...), nil
-	}
-	out := make([]byte, o.size)
-	v.s.mu.Lock()
-	defer v.s.mu.Unlock()
-	if err := v.s.readRangeLocked(o, 0, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
 
 // DiffPages reports the page indexes of oid whose stored block differs
 // between retained epoch old and the current committed state — the changed
@@ -588,54 +524,4 @@ func (s *Store) DiffPages(oid OID, old Epoch) ([]int64, error) {
 		}
 	}
 	return out, nil
-}
-
-// EachPageBulk streams every present page of oid at the view's epoch,
-// charging pipelined bandwidth (the eager history-restore path).
-func (v *View) EachPageBulk(oid OID, fn func(pg int64, data []byte) error) (int64, error) {
-	o, ok := v.objects[oid]
-	if !ok {
-		return 0, fmt.Errorf("%w: %d", ErrNoObject, oid)
-	}
-	return v.s.eachPage(o, nil, true, fn)
-}
-
-// HasPage reports whether oid stored page pg at the view's epoch.
-func (v *View) HasPage(oid OID, pg int64) (bool, error) {
-	o, ok := v.objects[oid]
-	if !ok {
-		return false, fmt.Errorf("%w: %d", ErrNoObject, oid)
-	}
-	v.s.mu.Lock()
-	defer v.s.mu.Unlock()
-	return v.s.hasPageLocked(o, pg)
-}
-
-// PageSum returns the committed CRC32 of oid's page pg at the view's
-// epoch (see Store.PageSum). ok is false for holes and inline objects.
-func (v *View) PageSum(oid OID, pg int64) (uint32, bool, error) {
-	o, ok := v.objects[oid]
-	if !ok {
-		return 0, false, fmt.Errorf("%w: %d", ErrNoObject, oid)
-	}
-	v.s.mu.Lock()
-	defer v.s.mu.Unlock()
-	return v.s.pageSumLocked(o, pg)
-}
-
-// ReadPage reads one page of oid at the view's epoch.
-func (v *View) ReadPage(oid OID, pg int64, buf []byte) (bool, error) {
-	o, ok := v.objects[oid]
-	if !ok {
-		return false, fmt.Errorf("%w: %d", ErrNoObject, oid)
-	}
-	if o.journal != nil {
-		return false, ErrIsJournal
-	}
-	if o.chunks == nil {
-		return inlinePage(o.inline, pg, buf), nil
-	}
-	v.s.mu.Lock()
-	defer v.s.mu.Unlock()
-	return v.s.readPageLocked(o, pg, buf)
 }

@@ -151,10 +151,10 @@ func TestCrashBeforeCommitKeepsPreviousCheckpoint(t *testing.T) {
 	}
 }
 
-// A store dies mid-checkpoint, and ReopenAfterCrash brings up a fresh
-// store over the same device without the caller juggling dev/clk/costs.
+// A store dies mid-checkpoint, and Recover brings up a fresh store over the
+// same device.
 func TestReopenAfterCrash(t *testing.T) {
-	s, fd, _, _ := newFaultStore(t, 128<<20)
+	s, fd, clk, costs := newFaultStore(t, 128<<20)
 	oid := s.NewOID()
 	s.PutRecord(oid, 1, []byte("stable"))
 	if _, err := s.Checkpoint(); err != nil {
@@ -166,7 +166,7 @@ func TestReopenAfterCrash(t *testing.T) {
 		t.Fatal("power cut did not surface")
 	}
 	fd.Reopen()
-	s2, err := s.ReopenAfterCrash()
+	s2, err := objstore.Recover(fd, clk, costs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -87,6 +87,18 @@ func sortedChunkIdxs(o *object) []int64 {
 	return idxs
 }
 
+// chunkIdxs lists every chunk of the object in index order: the order a walk
+// that retires blocks or faults chunks must keep, because the first feeds the
+// freelist and the second hits the device and the trace.
+func chunkIdxs(o *object) []int64 {
+	idxs := make([]int64, 0, len(o.chunks))
+	for ci := range o.chunks {
+		idxs = append(idxs, ci)
+	}
+	slices.Sort(idxs)
+	return idxs
+}
+
 // decodeRecord parses an object record. Chunk contents load lazily.
 func decodeRecord(b []byte) (*object, error) {
 	d, err := openSealed(b)

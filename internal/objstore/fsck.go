@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"slices"
-	"sort"
 )
 
 // Fsck: offline consistency verification of the store's committed state —
@@ -70,23 +69,11 @@ func (s *Store) Fsck() FsckReport {
 				claim(oid, js.extentAddr+i*BlockSize, "journal extent")
 			}
 		case o.chunks != nil:
-			cis := make([]int64, 0, len(o.chunks))
-			for ci := range o.chunks {
-				cis = append(cis, ci)
-			}
-			slices.Sort(cis)
-			for _, ci := range cis {
+			for _, ci := range chunkIdxs(o) {
 				c := o.chunks[ci]
-				if !c.loaded && c.addr != 0 {
-					buf := make([]byte, BlockSize)
-					if _, err := s.dev.ReadAt(buf, c.addr); err != nil {
-						rep.problemf("object %d: chunk %d unreadable: %v", oid, ci, err)
-						continue
-					}
-					if err := decodeChunk(c, buf); err != nil {
-						rep.problemf("object %d: chunk %d at %#x: %v", oid, ci, c.addr, err)
-						continue
-					}
+				if err := s.faultChunk(ci, c); err != nil {
+					rep.problemf("object %d: %v", oid, err)
+					continue
 				}
 				claim(oid, c.addr, "chunk")
 				for slot, a := range c.addrs {
@@ -202,9 +189,9 @@ func (s *Store) fsckWAL(rep *FsckReport, walBase, walBlocks, walHead int64, walS
 // page referenced by a live object, ascending. This is the scrub surface:
 // fault scenarios use it to aim bit-rot at data the fsck checksum pass is
 // obligated to catch, deterministically ("rot the Nth live page") instead
-// of guessing raw offsets. Unloaded block-map chunks are decoded from the
-// device the same way Fsck decodes them; undecodable chunks contribute no
-// pages (Fsck reports them separately).
+// of guessing raw offsets. Unloaded block-map chunks are faulted in the way
+// Fsck faults them; undecodable chunks contribute no pages (Fsck reports them
+// separately).
 func (s *Store) LivePageAddrs() []int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -214,21 +201,10 @@ func (s *Store) LivePageAddrs() []int64 {
 		if o.chunks == nil {
 			continue
 		}
-		cis := make([]int64, 0, len(o.chunks))
-		for ci := range o.chunks {
-			cis = append(cis, ci)
-		}
-		slices.Sort(cis)
-		for _, ci := range cis {
+		for _, ci := range chunkIdxs(o) {
 			c := o.chunks[ci]
-			if !c.loaded && c.addr != 0 {
-				buf := make([]byte, BlockSize)
-				if _, err := s.dev.ReadAt(buf, c.addr); err != nil {
-					continue
-				}
-				if err := decodeChunk(c, buf); err != nil {
-					continue
-				}
+			if s.faultChunk(ci, c) != nil {
+				continue // Fsck reports it
 			}
 			for _, a := range c.addrs {
 				if a != 0 {
@@ -241,12 +217,12 @@ func (s *Store) LivePageAddrs() []int64 {
 	return out
 }
 
-// sortedOIDKeys returns the map's keys ascending, for stable reports.
+// sortedOIDKeys returns the table's OIDs ascending.
 func sortedOIDKeys(m map[OID]*object) []OID {
 	out := make([]OID, 0, len(m))
 	for oid := range m {
 		out = append(out, oid)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }

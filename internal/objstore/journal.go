@@ -68,16 +68,12 @@ func (s *Store) CreateJournal(oid OID, utype uint16, capacity int64) (*Journal, 
 	if err != nil {
 		return nil, err
 	}
-	o := s.ensure(oid, utype)
-	o.journal = &journalState{
-		extentAddr: addr,
-		capBlocks:  blocks,
-		generation: 1,
-		scanned:    true,
+	op := &walOp{kind: walOpJournal, oid: oid, utype: utype, addr: addr, size: blocks, gen: 1}
+	if err := s.mutate(op); err != nil {
+		return nil, err
 	}
-	o.size = 0
-	s.walNote(walOp{kind: walOpJournal, oid: oid, utype: utype,
-		addr: addr, size: blocks, gen: 1, fseq: 0})
+	o := s.objects[oid]
+	o.journal.scanned = true // the extent is new: there is no tail to find
 	return &Journal{s: s, o: o}, nil
 }
 
@@ -175,13 +171,9 @@ func (j *Journal) Truncate() {
 	j.s.mu.Lock()
 	defer j.s.mu.Unlock()
 	js := j.o.journal
-	js.generation++
-	js.flushedSeq = js.lastSeq
-	js.tail = 0
-	j.o.size = 0
-	j.o.dirty = true
-	j.s.walNote(walOp{kind: walOpJournal, oid: j.o.oid, utype: j.o.utype,
-		addr: js.extentAddr, size: js.capBlocks, gen: js.generation, fseq: js.flushedSeq})
+	// The truncate branch of apply cannot fail.
+	_ = j.s.mutate(&walOp{kind: walOpJournal, oid: j.o.oid, utype: j.o.utype,
+		addr: js.extentAddr, size: js.capBlocks, gen: js.generation + 1, fseq: js.lastSeq})
 }
 
 // Entries scans the extent and returns the records that post-date the

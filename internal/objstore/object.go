@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"hash/crc32"
-	"slices"
 	"time"
 )
 
@@ -29,23 +28,15 @@ func (s *Store) PutRecord(oid OID, utype uint16, data []byte) error {
 	if o.journal != nil {
 		return ErrIsJournal
 	}
-	o.utype = utype
 	if len(data) <= InlineMax {
-		s.dropChunks(o)
-		o.inline = append(o.inline[:0], data...)
-		o.size = int64(len(data))
-		s.walNote(walOp{kind: walOpPut, oid: oid, utype: utype, data: append([]byte(nil), data...)})
-		return nil
+		return s.mutate(&walOp{kind: walOpPut, oid: oid, utype: utype, data: append([]byte(nil), data...)})
 	}
-	o.inline = nil
+	o.utype = utype
+	makePaged(o)
 	if err := s.writeRangeLocked(o, 0, data); err != nil {
 		return err
 	}
-	if err := s.truncateLocked(o, int64(len(data))); err != nil {
-		return err
-	}
-	s.walNote(walOp{kind: walOpSize, oid: oid, size: o.size})
-	return nil
+	return s.truncateLocked(o, int64(len(data)))
 }
 
 // HoldsRecord reports whether PutRecord(oid, utype, data) would be the
@@ -62,66 +53,16 @@ func (s *Store) holdsLocked(oid OID, utype uint16, data []byte) bool {
 	return ok && o.utype == utype && o.chunks == nil && o.journal == nil && bytes.Equal(o.inline, data)
 }
 
-// GetRecord returns the full content of oid.
-func (s *Store) GetRecord(oid OID) ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	o, err := s.lookup(oid)
-	if err != nil {
-		return nil, err
-	}
-	if o.journal != nil {
-		return nil, ErrIsJournal
-	}
-	if o.chunks == nil {
-		return append([]byte(nil), o.inline...), nil
-	}
-	out := make([]byte, o.size)
-	if err := s.readRangeLocked(o, 0, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// Ensure creates oid as an empty paged object if it does not exist.
+// Ensure creates oid as an empty inline object if it does not exist (the
+// first page write converts it to a paged one) and marks it dirty if it does.
 func (s *Store) Ensure(oid OID, utype uint16) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, existed := s.objects[oid]
-	s.ensure(oid, utype)
-	if !existed {
-		s.walNote(walOp{kind: walOpPut, oid: oid, utype: utype})
+	if o, ok := s.objects[oid]; ok {
+		o.dirty = true
+		return
 	}
-}
-
-// Exists reports whether oid is live.
-func (s *Store) Exists(oid OID) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.objects[oid]
-	return ok
-}
-
-// UType returns the user type tag of oid.
-func (s *Store) UType(oid OID) (uint16, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	o, err := s.lookup(oid)
-	if err != nil {
-		return 0, err
-	}
-	return o.utype, nil
-}
-
-// Size returns the byte size of oid.
-func (s *Store) Size(oid OID) (int64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	o, err := s.lookup(oid)
-	if err != nil {
-		return 0, err
-	}
-	return o.size, nil
+	_ = s.mutate(&walOp{kind: walOpPut, oid: oid, utype: utype}) // a new object has no chunks to fail on
 }
 
 // toPaged converts an inline object to paged form. Requires mu.
@@ -130,37 +71,8 @@ func (s *Store) toPaged(o *object) error {
 		return nil
 	}
 	inline := o.inline
-	o.inline = nil
-	o.chunks = make(map[int64]*chunk)
-	if len(inline) > 0 {
-		return s.writeRangeLocked(o, 0, inline)
-	}
-	return nil
-}
-
-// loadChunk returns the chunk covering page index pg, faulting it from the
-// device if needed; creates it when create is set. Requires mu.
-func (s *Store) loadChunk(o *object, pg int64, create bool) (*chunk, error) {
-	ci := pg / ChunkFanout
-	c, ok := o.chunks[ci]
-	if !ok {
-		if !create {
-			return nil, nil
-		}
-		c = &chunk{loaded: true}
-		o.chunks[ci] = c
-		return c, nil
-	}
-	if !c.loaded {
-		buf := make([]byte, BlockSize)
-		if _, err := s.dev.ReadAt(buf, c.addr); err != nil {
-			return nil, err
-		}
-		if err := decodeChunk(c, buf); err != nil {
-			return nil, fmt.Errorf("oid %d chunk %d at %#x: %w", o.oid, ci, c.addr, err)
-		}
-	}
-	return c, nil
+	makePaged(o)
+	return s.writeRangeLocked(o, 0, inline)
 }
 
 // WritePage writes one whole page (BlockSize bytes) at page index pg. The
@@ -182,24 +94,19 @@ func (s *Store) WritePage(oid OID, pg int64, data []byte) error {
 	if err := s.toPaged(o); err != nil {
 		return err
 	}
-	o.dirty = true
-	if end := (pg + 1) * BlockSize; end > o.size {
-		o.size = end
-	}
 	if err := s.writePageLocked(o, pg, data); err != nil {
 		return err
 	}
-	s.walNote(walOp{kind: walOpSize, oid: oid, size: o.size})
+	s.extend(o, (pg+1)*BlockSize)
 	return nil
 }
 
-// writePageLocked is the COW page write. Requires mu.
+// writePageLocked is the COW page write: the chunk is faulted in before the
+// block is allocated and submitted, then the slot is published. Requires mu.
 func (s *Store) writePageLocked(o *object, pg int64, data []byte) error {
-	c, err := s.loadChunk(o, pg, true)
-	if err != nil {
+	if _, err := s.loadChunk(o, pg, true); err != nil {
 		return err
 	}
-	slot := pg % ChunkFanout
 	addr, err := s.allocBlock()
 	if err != nil {
 		return err
@@ -207,125 +114,8 @@ func (s *Store) writePageLocked(o *object, pg int64, data []byte) error {
 	if _, err := s.submitLocked(data, addr, 0); err != nil {
 		return err
 	}
-	s.retireBlock(c.addrs[slot])
-	c.addrs[slot] = addr
-	c.sums[slot] = crc32.ChecksumIEEE(data)
-	c.dirty = true
-	o.dirty = true
 	s.stats.DataBytes += BlockSize
-	s.walNote(walOp{kind: walOpPage, oid: o.oid, utype: o.utype, pg: pg, addr: addr, sum: c.sums[slot]})
-	return nil
-}
-
-// ReadPage reads page pg of oid into buf (BlockSize bytes). It returns false
-// with no error when the page is a hole.
-func (s *Store) ReadPage(oid OID, pg int64, buf []byte) (bool, error) {
-	if len(buf) != BlockSize {
-		return false, fmt.Errorf("objstore: ReadPage wants %d bytes, got %d", BlockSize, len(buf))
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	o, err := s.lookup(oid)
-	if err != nil {
-		return false, err
-	}
-	if o.journal != nil {
-		return false, ErrIsJournal
-	}
-	if o.chunks == nil {
-		return inlinePage(o.inline, pg, buf), nil
-	}
-	return s.readPageLocked(o, pg, buf)
-}
-
-// inlinePage synthesizes page pg of an inline object's page view into page,
-// reporting whether the page holds any of its bytes.
-func inlinePage(inline []byte, pg int64, page []byte) bool {
-	clear(page)
-	off := pg * BlockSize
-	if off >= int64(len(inline)) {
-		return false
-	}
-	copy(page, inline[off:])
-	return true
-}
-
-// readPageLocked requires mu.
-func (s *Store) readPageLocked(o *object, pg int64, buf []byte) (bool, error) {
-	c, err := s.loadChunk(o, pg, false)
-	if err != nil {
-		return false, err
-	}
-	if c == nil || c.addrs[pg%ChunkFanout] == 0 {
-		for i := range buf {
-			buf[i] = 0
-		}
-		return false, nil
-	}
-	if _, err := s.dev.ReadAt(buf, c.addrs[pg%ChunkFanout]); err != nil {
-		return false, err
-	}
-	return true, nil
-}
-
-// HasPage reports whether oid stores page pg (without reading the data).
-func (s *Store) HasPage(oid OID, pg int64) (bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	o, err := s.lookup(oid)
-	if err != nil {
-		return false, err
-	}
-	return s.hasPageLocked(o, pg)
-}
-
-// hasPageLocked requires mu.
-func (s *Store) hasPageLocked(o *object, pg int64) (bool, error) {
-	if o.journal != nil {
-		return false, ErrIsJournal
-	}
-	if o.chunks == nil {
-		return pg*BlockSize < int64(len(o.inline)), nil
-	}
-	c, err := s.loadChunk(o, pg, false)
-	if err != nil {
-		return false, err
-	}
-	return c != nil && c.addrs[pg%ChunkFanout] != 0, nil
-}
-
-// PageSum returns the CRC32 recorded when oid's page pg was committed —
-// the validator's ground truth for speculative restore: a speculated page
-// is confirmed by hashing what the group faulted in and comparing against
-// this sum, without trusting (or re-reading) the data path that produced
-// it. ok is false for holes and for inline objects, which carry no
-// per-page sums; those pages are validated by content instead.
-func (s *Store) PageSum(oid OID, pg int64) (sum uint32, ok bool, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	o, err := s.lookup(oid)
-	if err != nil {
-		return 0, false, err
-	}
-	return s.pageSumLocked(o, pg)
-}
-
-// pageSumLocked requires mu.
-func (s *Store) pageSumLocked(o *object, pg int64) (uint32, bool, error) {
-	if o.journal != nil {
-		return 0, false, ErrIsJournal
-	}
-	if o.chunks == nil {
-		return 0, false, nil
-	}
-	c, err := s.loadChunk(o, pg, false)
-	if err != nil {
-		return 0, false, err
-	}
-	if c == nil || c.addrs[pg%ChunkFanout] == 0 {
-		return 0, false, nil
-	}
-	return c.sums[pg%ChunkFanout], true, nil
+	return s.mutate(&walOp{kind: walOpPage, oid: o.oid, utype: o.utype, pg: pg, addr: addr, sum: crc32.ChecksumIEEE(data)})
 }
 
 // WriteAt writes a byte range, performing read-modify-write at page edges.
@@ -345,19 +135,12 @@ func (s *Store) WriteAt(oid OID, off int64, data []byte) error {
 	if err := s.writeRangeLocked(o, off, data); err != nil {
 		return err
 	}
-	if end := off + int64(len(data)); end > o.size {
-		o.size = end
-	}
-	o.dirty = true
-	s.walNote(walOp{kind: walOpSize, oid: oid, size: o.size})
+	s.extend(o, off+int64(len(data)))
 	return nil
 }
 
 // writeRangeLocked requires mu and a paged (or being-paged) object.
 func (s *Store) writeRangeLocked(o *object, off int64, data []byte) error {
-	if o.chunks == nil {
-		o.chunks = make(map[int64]*chunk)
-	}
 	page := make([]byte, BlockSize)
 	for len(data) > 0 {
 		pg := off / BlockSize
@@ -473,65 +256,21 @@ func (s *Store) Truncate(oid OID, size int64) error {
 	if o.journal != nil {
 		return ErrIsJournal
 	}
-	o.dirty = true
-	if err := s.truncateLocked(o, size); err != nil {
-		return err
-	}
-	s.walNote(walOp{kind: walOpSize, oid: oid, size: size})
-	return nil
+	return s.truncateLocked(o, size)
 }
 
-// truncateLocked requires mu.
+// truncateLocked resizes o and notes the size op. Live, the tail slots are
+// retired before the zeroed partial page is rewritten (its block may be one
+// of them); the log carries that page's op ahead of the size op, so replay
+// publishes the page and then retires the tail. Both orders stay — each one's
+// freelist is on the media — and share apply's walk. Requires mu.
 func (s *Store) truncateLocked(o *object, size int64) error {
-	if o.chunks == nil {
-		if size <= int64(len(o.inline)) {
-			o.inline = o.inline[:size]
-		} else {
-			o.inline = append(o.inline, make([]byte, size-int64(len(o.inline)))...)
-		}
-		o.size = size
-		return nil
-	}
-	lastPg := (size + BlockSize - 1) / BlockSize // first page index to drop
-	cis := make([]int64, 0, len(o.chunks))
-	for ci := range o.chunks {
-		cis = append(cis, ci)
-	}
-	slices.Sort(cis) // retire in a fixed order: the freelist feeds the
-	// deterministic submit stream the crash harness replays
-	for _, ci := range cis {
-		first := ci * ChunkFanout
-		if first+ChunkFanout <= lastPg {
-			continue
-		}
-		c, err := s.loadChunk(o, first, false)
-		if err != nil {
-			return err
-		}
-		if c == nil {
-			continue
-		}
-		empty := true
-		for slot := int64(0); slot < ChunkFanout; slot++ {
-			pg := first + slot
-			if pg >= lastPg {
-				if c.addrs[slot] != 0 {
-					s.retireBlock(c.addrs[slot])
-					c.addrs[slot] = 0
-					c.sums[slot] = 0
-					c.dirty = true
-				}
-			} else if c.addrs[slot] != 0 {
-				empty = false
-			}
-		}
-		if empty && first >= lastPg {
-			s.retireBlock(c.addr)
-			delete(o.chunks, ci)
-		}
+	op := &walOp{kind: walOpSize, oid: o.oid, size: size}
+	if err := s.apply(op); err != nil {
+		return err
 	}
 	// Zero the partial tail page so stale bytes never reappear on regrow.
-	if in := size % BlockSize; in != 0 {
+	if in := size % BlockSize; o.chunks != nil && in != 0 {
 		pg := size / BlockSize
 		page := make([]byte, BlockSize)
 		found, err := s.readPageLocked(o, pg, page)
@@ -539,48 +278,14 @@ func (s *Store) truncateLocked(o *object, size int64) error {
 			return err
 		}
 		if found {
-			for i := in; i < BlockSize; i++ {
-				page[i] = 0
-			}
+			clear(page[in:])
 			if err := s.writePageLocked(o, pg, page); err != nil {
 				return err
 			}
 		}
 	}
-	o.size = size
-	o.dirty = true
+	s.walNote(op)
 	return nil
-}
-
-// dropChunks retires all of an object's data and chunk blocks, in chunk
-// order so the freelist stays deterministic. Requires mu.
-func (s *Store) dropChunks(o *object) {
-	cis := make([]int64, 0, len(o.chunks))
-	for ci := range o.chunks {
-		cis = append(cis, ci)
-	}
-	slices.Sort(cis)
-	for _, ci := range cis {
-		c := o.chunks[ci]
-		if c.loaded {
-			for _, a := range c.addrs {
-				s.retireBlock(a)
-			}
-		} else if c.addr != 0 {
-			// Chunk never faulted in: load addresses to retire them.
-			buf := make([]byte, BlockSize)
-			if _, err := s.dev.ReadAt(buf, c.addr); err == nil {
-				if err := decodeChunk(c, buf); err == nil {
-					for _, a := range c.addrs {
-						s.retireBlock(a)
-					}
-				}
-			}
-		}
-		s.retireBlock(c.addr)
-		delete(o.chunks, ci)
-	}
-	o.chunks = nil
 }
 
 // Delete removes oid, retiring its blocks into the deadlist (they remain
@@ -588,35 +293,10 @@ func (s *Store) dropChunks(o *object) {
 func (s *Store) Delete(oid OID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	o, err := s.lookup(oid)
-	if err != nil {
+	if _, err := s.lookup(oid); err != nil {
 		return err
 	}
-	if o.journal != nil {
-		s.retireRun(o.journal.extentAddr, o.journal.capBlocks)
-	}
-	s.dropChunks(o)
-	if o.recordAddr != 0 {
-		s.retireRun(o.recordAddr, blocksFor(o.recordLen))
-	}
-	delete(s.objects, oid)
-	s.deleted[oid] = true
-	s.walNote(walOp{kind: walOpDelete, oid: oid})
-	return nil
-}
-
-// EachPageBulk streams every present page of oid to fn in ascending page
-// order, charging pipelined read bandwidth (one queue drain at the end)
-// instead of a full command latency per page. This is the eager-restore
-// read path: a 200 MiB image loads at device bandwidth.
-func (s *Store) EachPageBulk(oid OID, fn func(pg int64, data []byte) error) (int64, error) {
-	s.mu.Lock()
-	o, err := s.lookup(oid)
-	s.mu.Unlock()
-	if err != nil {
-		return 0, err
-	}
-	return s.eachPage(o, nil, true, fn)
+	return s.mutate(&walOp{kind: walOpDelete, oid: oid})
 }
 
 // EachPageOf streams the listed pages of oid to fn in the order given, the

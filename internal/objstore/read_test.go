@@ -49,15 +49,7 @@ func openImageSerial(s *Store, addr, length int64) (*indexState, map[OID]*object
 // unopenedStore is a store over dev with its superblock read and nothing
 // loaded: where a reference recovery in these tests starts.
 func unopenedStore(dev BlockDev, clk clock.Clock, costs *clock.Costs) (*Store, superblock, error) {
-	s := &Store{
-		dev: dev, clk: clk, costs: costs,
-		objects:    make(map[OID]*object),
-		deleted:    make(map[OID]bool),
-		durableAt:  make(map[Epoch]time.Duration),
-		walDurable: make(map[uint64]time.Duration),
-		birthOf:    make(map[int64]Epoch),
-		settled:    make(map[Epoch]bool),
-	}
+	s := blankStore(dev, clk, costs, nil)
 	sb, slot, err := s.readSuperblocks()
 	if err != nil {
 		return nil, sb, err

@@ -29,8 +29,6 @@ package objstore
 
 import (
 	"errors"
-	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -155,8 +153,17 @@ type Stats struct {
 	DataBytes       int64
 }
 
+// image is an object table read through a store's device: the live table of
+// the Store that embeds it, or a retained epoch's in a View. The read methods
+// both offer are declared on it, once (see read.go).
+type image struct {
+	s       *Store // whose device the table's blocks are on, and whose lock guards it
+	objects map[OID]*object
+}
+
 // Store is the Aurora object store.
 type Store struct {
+	image // the live object table
 	mu    sync.Mutex
 	dev   BlockDev
 	clk   clock.Clock
@@ -204,7 +211,6 @@ type Store struct {
 	// pools (freelist/metaFree) is gated on that instant, not on submit.
 	releaseQ []stagedRelease
 
-	objects map[OID]*object
 	deleted map[OID]bool // deleted since last checkpoint (must leave index)
 
 	// pendingDurable is the completion time of the latest submitted write
@@ -241,9 +247,10 @@ type Store struct {
 	pendingWALReset bool
 	walResetAt      time.Duration
 
-	// replaying suppresses walNote while walRecover drives the regular
-	// locked mutators, so replay does not re-log itself.
-	replaying bool
+	// claimed is non-nil while walRecover replays the chain: the blocks its
+	// frames reference (see claimWALBlock). Replay runs the apply the live
+	// mutators run; while it does, walNote records nothing.
+	claimed map[int64]bool
 
 	// lastDurable is the previous durability point (WAL frame or
 	// superblock), feeding the durable-window histogram.
@@ -252,22 +259,29 @@ type Store struct {
 	stats Stats
 }
 
-// Format initializes an empty store on dev, committing epoch 0.
-func Format(dev BlockDev, clk clock.Clock, costs *clock.Costs) (*Store, error) {
+// blankStore is a store over dev with nothing formatted or loaded.
+func blankStore(dev BlockDev, clk clock.Clock, costs *clock.Costs, tr *trace.Tracer) *Store {
 	s := &Store{
 		dev:        dev,
 		clk:        clk,
 		costs:      costs,
-		nextOID:    1,
-		walBase:    2 * BlockSize, // blocks 0,1 are superblocks
-		walBlocks:  walBlocksFor(dev.Size()),
-		objects:    make(map[OID]*object),
+		tr:         tr,
 		deleted:    make(map[OID]bool),
 		durableAt:  make(map[Epoch]time.Duration),
 		walDurable: make(map[uint64]time.Duration),
 		birthOf:    make(map[int64]Epoch),
 		settled:    make(map[Epoch]bool),
 	}
+	s.image = image{s: s, objects: make(map[OID]*object)}
+	return s
+}
+
+// Format initializes an empty store on dev, committing epoch 0.
+func Format(dev BlockDev, clk clock.Clock, costs *clock.Costs) (*Store, error) {
+	s := blankStore(dev, clk, costs, nil)
+	s.nextOID = 1
+	s.walBase = 2 * BlockSize // blocks 0,1 are superblocks
+	s.walBlocks = walBlocksFor(dev.Size())
 	s.nextBlk = s.dataStart() / BlockSize
 	if _, err := s.Checkpoint(); err != nil {
 		return nil, err
@@ -290,18 +304,7 @@ func Recover(dev BlockDev, clk clock.Clock, costs *clock.Costs) (*Store, error) 
 // so recovery itself lands on the timeline: one objstore "recover" span whose
 // children super, index, records and wal tile it exactly.
 func RecoverTraced(dev BlockDev, clk clock.Clock, costs *clock.Costs, tr *trace.Tracer) (*Store, error) {
-	s := &Store{
-		dev:        dev,
-		clk:        clk,
-		costs:      costs,
-		tr:         tr,
-		objects:    make(map[OID]*object),
-		deleted:    make(map[OID]bool),
-		durableAt:  make(map[Epoch]time.Duration),
-		walDurable: make(map[uint64]time.Duration),
-		birthOf:    make(map[int64]Epoch),
-		settled:    make(map[Epoch]bool),
-	}
+	s := blankStore(dev, clk, costs, tr)
 	sp := tr.Begin(trace.TrackObjstore, "recover")
 	superSpan := sp.Child("super")
 	sb, slot, err := s.readSuperblocks()
@@ -361,14 +364,6 @@ func (s *Store) RecoveredFlight() (evs []flight.Event, seq uint64, ok bool, err 
 	return evs, seq, true, err
 }
 
-// ReopenAfterCrash abandons this store's in-memory state and re-runs crash
-// recovery against the same device — what a reboot does. The receiver must
-// not be used afterwards. Fault-injection harnesses call this after the
-// device comes back from a simulated power cut.
-func (s *Store) ReopenAfterCrash() (*Store, error) {
-	return Recover(s.dev, s.clk, s.costs)
-}
-
 // Epoch returns the last committed checkpoint epoch.
 func (s *Store) Epoch() Epoch {
 	s.mu.Lock()
@@ -417,27 +412,6 @@ func (s *Store) Stats() Stats {
 	st := s.stats
 	st.ObjectsLive = int64(len(s.objects))
 	return st
-}
-
-// Objects lists live OIDs in ascending order.
-func (s *Store) Objects() []OID {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]OID, 0, len(s.objects))
-	for oid := range s.objects {
-		out = append(out, oid)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// lookup requires mu.
-func (s *Store) lookup(oid OID) (*object, error) {
-	o, ok := s.objects[oid]
-	if !ok {
-		return nil, fmt.Errorf("%w: %d", ErrNoObject, oid)
-	}
-	return o, nil
 }
 
 // ensure returns the object, creating it if absent. Requires mu.

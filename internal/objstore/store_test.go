@@ -553,3 +553,74 @@ func TestCommittedStateProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A chunk block that cannot be read must fail whatever drops the object's
+// chunks — Delete, an inline PutRecord over it, replay of a logged delete —
+// with nothing retired: retiring around the chunk (what the store did before)
+// left every block it addressed neither free nor referenced.
+func TestDropOverRottedChunkRetiresNothing(t *testing.T) {
+	s, dev, clk := newStore(t)
+	oid := s.NewOID()
+	s.Ensure(oid, 2)
+	for _, pg := range []int64{0, 1, ChunkFanout, ChunkFanout + 1} {
+		if err := s.WritePage(oid, pg, pinBytes(byte(pg), BlockSize)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WaitDurable(s.Epoch()); err != nil {
+		t.Fatal(err)
+	}
+	chunkAddr := s.objects[oid].chunks[1].addr
+	saved := make([]byte, BlockSize)
+	if _, err := dev.ReadAt(saved, chunkAddr); err != nil {
+		t.Fatal(err)
+	}
+	rot := func() { dev.PokeAt(bytes.Repeat([]byte{0xDB}, BlockSize), chunkAddr) }
+
+	s = reopen(t, dev, clk) // chunks unloaded
+	rot()
+	pools := func() string {
+		st := s.Stats()
+		return fmt.Sprintf("live=%d dead=%d free=%d", st.BlocksAllocated-st.BlocksFreed, s.DeadBlocks(), s.FreeBlocks())
+	}
+	before := pools()
+	for name, drop := range map[string]func() error{
+		"Delete":    func() error { return s.Delete(oid) },
+		"PutRecord": func() error { return s.PutRecord(oid, 2, []byte("inline now")) },
+	} {
+		if err := drop(); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s over a rotted chunk: err = %v, want ErrCorrupt", name, err)
+		}
+		if got := pools(); got != before {
+			t.Fatalf("%s over a rotted chunk moved the pools: %s, was %s", name, got, before)
+		}
+		if has, err := s.HasPage(oid, 0); err != nil || !has {
+			t.Fatalf("%s over a rotted chunk damaged the object: page 0 has=%v err=%v", name, has, err)
+		}
+	}
+
+	// Replay: the delete is logged while the chunk is good, the chunk rots
+	// before the reboot.
+	dev.PokeAt(saved, chunkAddr)
+	s = reopen(t, dev, clk)
+	if err := s.Delete(oid); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.WALCommit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WaitWALDurable(s.WALSeq()); err != nil {
+		t.Fatal(err)
+	}
+	rot()
+	if _, err := Recover(dev, clk, clock.DefaultCosts()); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("replay of a delete over a rotted chunk: err = %v, want ErrCorrupt", err)
+	}
+	dev.PokeAt(saved, chunkAddr)
+	if rep := reopen(t, dev, clk).Fsck(); !rep.OK() {
+		t.Fatalf("fsck with the chunk restored: %v", rep.Problems)
+	}
+}

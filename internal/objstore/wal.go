@@ -13,17 +13,15 @@ package objstore
 //
 // Recovery first loads the newest superblock's index, then scans the WAL
 // region: frames whose base epoch matches the recovered epoch replay in
-// sequence order, torn or stale tails terminate the scan. Replay reuses the
-// locked mutator paths with recording suppressed, then reconciles the
-// allocator: blocks a frame references are claimed out of the free pools,
-// and bump-range blocks no committed frame ever referenced return to the
-// freelist.
+// sequence order, torn or stale tails terminate the scan. Replay runs the
+// apply the live mutators run (apply.go) and reconciles the allocator: blocks
+// a frame references are claimed out of the free pools, and bump-range blocks
+// no committed frame ever referenced return to the freelist.
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"slices"
 	"time"
 
 	"aurora/internal/clock"
@@ -104,13 +102,13 @@ type walFrame struct {
 	ops     []walOp
 }
 
-// walNote captures op into the pending delta set. Replay suppresses
-// recording so the replayed mutators do not re-log themselves. Requires mu.
-func (s *Store) walNote(op walOp) {
-	if s.replaying || s.walBlocks == 0 {
+// walNote captures op into the pending delta set. Replay records nothing:
+// what it applies is in the log already. Requires mu.
+func (s *Store) walNote(op *walOp) {
+	if s.claimed != nil || s.walBlocks == 0 {
 		return
 	}
-	s.walPending = append(s.walPending, op)
+	s.walPending = append(s.walPending, *op)
 }
 
 // encodeWALFrame serializes fr, sealed but not sector-padded.
@@ -283,7 +281,7 @@ func (s *Store) WALCommit() (WALCommitStats, error) {
 	}
 	if s.fl != nil {
 		// The live ring advances exactly as replay will advance it.
-		if err := s.applyWALOpLocked(flightOp, nil); err != nil {
+		if err := s.apply(&flightOp); err != nil {
 			span.End()
 			return st, err
 		}
@@ -458,10 +456,9 @@ func (s *Store) walReplayLocked(frames []*walFrame, end int64) error {
 		return nil
 	}
 
-	s.replaying = true
-	defer func() { s.replaying = false }()
+	s.claimed = make(map[int64]bool)
+	defer func() { s.claimed = nil }()
 	idxNextBlk := s.nextBlk
-	claimed := make(map[int64]bool)
 	for _, fr := range frames {
 		s.walSeq = fr.seq
 		if fr.nextOID > s.nextOID {
@@ -470,8 +467,8 @@ func (s *Store) walReplayLocked(frames []*walFrame, end int64) error {
 		if fr.nextBlk > s.nextBlk {
 			s.nextBlk = fr.nextBlk
 		}
-		for _, op := range fr.ops {
-			if err := s.applyWALOpLocked(op, claimed); err != nil {
+		for i := range fr.ops {
+			if err := s.apply(&fr.ops[i]); err != nil {
 				return fmt.Errorf("wal frame %d: %w", fr.seq, err)
 			}
 		}
@@ -480,7 +477,7 @@ func (s *Store) walReplayLocked(frames []*walFrame, end int64) error {
 	// the last frame (or reserved and never published): nothing on a
 	// recoverable path references them, so they return to the free pool.
 	for blk := idxNextBlk; blk < s.nextBlk; blk++ {
-		if addr := blk * BlockSize; !claimed[addr] {
+		if addr := blk * BlockSize; !s.claimed[addr] {
 			s.freelist = append(s.freelist, addr)
 		}
 	}
@@ -496,10 +493,14 @@ func (s *Store) WALReplayed() int {
 	return s.walReplayed
 }
 
-// claimWALBlock reconciles the allocator with a block a replayed frame
-// references: it leaves the free pools and is born in the current interval.
-// Requires mu.
-func (s *Store) claimWALBlock(addr int64, claimed map[int64]bool) {
+// claimWALBlock is what replay adds to apply: it reconciles the allocator
+// with a block a replayed frame references, which leaves the free pools and is
+// born in the current interval. Live, the mutator allocated the block itself
+// and there is nothing to reconcile. Requires mu.
+func (s *Store) claimWALBlock(addr int64) {
+	if s.claimed == nil {
+		return
+	}
 	for i, a := range s.freelist {
 		if a == addr {
 			s.freelist = append(s.freelist[:i], s.freelist[i+1:]...)
@@ -513,160 +514,5 @@ func (s *Store) claimWALBlock(addr int64, claimed map[int64]bool) {
 		}
 	}
 	s.birthOf[addr] = s.curEpoch()
-	claimed[addr] = true
-}
-
-// applyWALOpLocked replays one delta through the same locked mutator logic
-// the live paths use (recording suppressed via s.replaying). Requires mu.
-func (s *Store) applyWALOpLocked(op walOp, claimed map[int64]bool) error {
-	switch op.kind {
-	case walOpPut:
-		o := s.ensure(op.oid, op.utype)
-		if o.journal != nil {
-			return fmt.Errorf("%w: put on journal %d", ErrCorrupt, op.oid)
-		}
-		o.utype = op.utype
-		s.dropChunks(o)
-		o.inline = append(o.inline[:0], op.data...)
-		o.size = int64(len(op.data))
-	case walOpPage:
-		o := s.ensure(op.oid, op.utype)
-		if o.journal != nil {
-			return fmt.Errorf("%w: page on journal %d", ErrCorrupt, op.oid)
-		}
-		if o.chunks == nil {
-			// The live path converted inline -> paged and re-logged the
-			// former inline content as page ops; the conversion itself is
-			// pure bookkeeping here.
-			o.inline = nil
-			o.chunks = make(map[int64]*chunk)
-		}
-		c, err := s.loadChunk(o, op.pg, true)
-		if err != nil {
-			return err
-		}
-		s.claimWALBlock(op.addr, claimed)
-		slot := op.pg % ChunkFanout
-		if old := c.addrs[slot]; old != 0 && old != op.addr {
-			s.retireBlock(old)
-		}
-		c.addrs[slot] = op.addr
-		c.sums[slot] = op.sum
-		c.dirty = true
-	case walOpSize:
-		o, err := s.lookup(op.oid)
-		if err != nil {
-			return fmt.Errorf("%w: size for unknown object %d", ErrCorrupt, op.oid)
-		}
-		if o.journal != nil {
-			return fmt.Errorf("%w: size on journal %d", ErrCorrupt, op.oid)
-		}
-		if o.chunks == nil {
-			if op.size <= int64(len(o.inline)) {
-				o.inline = o.inline[:op.size]
-			} else {
-				o.inline = append(o.inline, make([]byte, op.size-int64(len(o.inline)))...)
-			}
-		} else if err := s.shrinkSlotsLocked(o, op.size); err != nil {
-			return err
-		}
-		o.size = op.size
-		o.dirty = true
-	case walOpDelete:
-		o, err := s.lookup(op.oid)
-		if err != nil {
-			return fmt.Errorf("%w: delete of unknown object %d", ErrCorrupt, op.oid)
-		}
-		if o.journal != nil {
-			s.retireRun(o.journal.extentAddr, o.journal.capBlocks)
-		}
-		s.dropChunks(o)
-		if o.recordAddr != 0 {
-			s.retireRun(o.recordAddr, blocksFor(o.recordLen))
-		}
-		delete(s.objects, op.oid)
-		s.deleted[op.oid] = true
-	case walOpJournal:
-		o := s.ensure(op.oid, op.utype)
-		if o.journal == nil {
-			s.dropChunks(o)
-			o.inline = nil
-			for i := int64(0); i < op.size; i++ {
-				s.claimWALBlock(op.addr+i*BlockSize, claimed)
-			}
-			o.journal = &journalState{
-				extentAddr: op.addr,
-				capBlocks:  op.size,
-				generation: op.gen,
-				flushedSeq: op.fseq,
-			}
-		} else {
-			js := o.journal
-			js.generation = op.gen
-			js.flushedSeq = op.fseq
-			js.tail = 0
-			js.scanned = false
-		}
-		o.size = 0
-	case walOpFlight:
-		o := s.ensure(op.oid, flight.UType)
-		if o.journal != nil {
-			return fmt.Errorf("%w: flight tail on journal %d", ErrCorrupt, op.oid)
-		}
-		ring, err := flight.Merge(o.inline, op.data, int(op.size))
-		if err != nil {
-			return corrupt(err)
-		}
-		o.utype = flight.UType
-		s.dropChunks(o)
-		o.inline, o.size = ring, int64(len(ring))
-	default:
-		return fmt.Errorf("%w: unknown wal op %d", ErrCorrupt, op.kind)
-	}
-	return nil
-}
-
-// shrinkSlotsLocked retires page slots at and past the new size's last
-// page, the metadata half of truncateLocked. The partial tail page needs no
-// zeroing here: the live truncation already published the zeroed page as a
-// preceding page op. Requires mu.
-func (s *Store) shrinkSlotsLocked(o *object, size int64) error {
-	lastPg := (size + BlockSize - 1) / BlockSize
-	cis := make([]int64, 0, len(o.chunks))
-	for ci := range o.chunks {
-		cis = append(cis, ci)
-	}
-	slices.Sort(cis)
-	for _, ci := range cis {
-		first := ci * ChunkFanout
-		if first+ChunkFanout <= lastPg {
-			continue
-		}
-		c, err := s.loadChunk(o, first, false)
-		if err != nil {
-			return err
-		}
-		if c == nil {
-			continue
-		}
-		empty := true
-		for slot := int64(0); slot < ChunkFanout; slot++ {
-			pg := first + slot
-			if pg >= lastPg {
-				if c.addrs[slot] != 0 {
-					s.retireBlock(c.addrs[slot])
-					c.addrs[slot] = 0
-					c.sums[slot] = 0
-					c.dirty = true
-				}
-			} else if c.addrs[slot] != 0 {
-				empty = false
-			}
-		}
-		if empty && first >= lastPg {
-			s.retireBlock(c.addr)
-			delete(o.chunks, ci)
-		}
-	}
-	return nil
+	s.claimed[addr] = true
 }

@@ -1099,3 +1099,48 @@ func TestWALRecoverScansInWindows(t *testing.T) {
 		}
 	})
 }
+
+// The refusals of apply are replay's: the live mutators check their arguments
+// before they build an op, so an op that reaches apply and names an impossible
+// mutation came from a frame. Each is ErrCorrupt with the text below and
+// changes nothing.
+func TestApplyRefusesImpossibleOps(t *testing.T) {
+	s, _, _ := newStore(t)
+	jrn, inl := s.NewOID(), s.NewOID()
+	if _, err := s.CreateJournal(jrn, 3, BlockSize); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutRecord(inl, 1, []byte("abc")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Truncate(inl, 6); err != nil { // an inline object grows by zeros
+		t.Fatal(err)
+	}
+	if got, _ := s.GetRecord(inl); !bytes.Equal(got, []byte("abc\x00\x00\x00")) {
+		t.Fatalf("inline record after growing: %q", got)
+	}
+	before := stateDump(s)
+	for _, c := range []struct {
+		op   walOp
+		want string
+	}{
+		{walOp{kind: walOpPut, oid: jrn, utype: 3}, "objstore: corrupt metadata: put on journal 1"},
+		{walOp{kind: walOpPage, oid: jrn, utype: 3, addr: 1 << 30}, "objstore: corrupt metadata: page on journal 1"},
+		{walOp{kind: walOpSize, oid: jrn}, "objstore: corrupt metadata: size on journal 1"},
+		{walOp{kind: walOpSize, oid: 77}, "objstore: corrupt metadata: size for unknown object 77"},
+		{walOp{kind: walOpDelete, oid: 77}, "objstore: corrupt metadata: delete of unknown object 77"},
+		{walOp{kind: walOpFlight, oid: jrn}, "objstore: corrupt metadata: flight tail on journal 1"},
+		{walOp{kind: walOpFlight, oid: inl, data: []byte("not a ring")}, "objstore: corrupt metadata: flight: rec: corrupt record: bad checksum"},
+		{walOp{kind: 9, oid: inl}, "objstore: corrupt metadata: unknown wal op 9"},
+	} {
+		s.mu.Lock()
+		err := s.apply(&c.op)
+		s.mu.Unlock()
+		if err == nil || err.Error() != c.want || !errors.Is(err, ErrCorrupt) {
+			t.Errorf("op %d on %d: err = %v, want %q", c.op.kind, c.op.oid, err, c.want)
+		}
+	}
+	if after := stateDump(s); after != before {
+		t.Errorf("refused ops changed the store\n--- before\n%s--- after\n%s", before, after)
+	}
+}

@@ -799,7 +799,6 @@ func (c *Coordinator) Assignment(group string) (*Assignment, bool) {
 func (c *Coordinator) Deaths() int64     { return c.deaths }
 func (c *Coordinator) Failovers() int64  { return c.failovers }
 func (c *Coordinator) Rebalances() int64 { return c.rebalances }
-func (c *Coordinator) SyncErrors() int64 { return c.syncErrors }
 func (c *Coordinator) Orphans() int64    { return c.orphans }
 
 // Protected reports whether every non-orphaned group currently has a live

@@ -290,8 +290,11 @@ func (fs *FS) Sync() error {
 	return fs.store.WaitDurable(fs.store.Epoch())
 }
 
-// Checkpoint flushes the namespace and commits a store checkpoint. The SLS
-// orchestrator calls this as part of every application checkpoint.
+// Checkpoint flushes the namespace and commits a store checkpoint. Format,
+// Sync and the periodic checkpoint of opEnter call it; the SLS orchestrator
+// does not — a group checkpoint commits the store without writing the
+// namespace record, so a file created and never synced is unnamed after a
+// crash and lives on its descriptor's hidden reference.
 func (fs *FS) Checkpoint() error {
 	fs.mu.Lock()
 	if fs.dirtyNS {
