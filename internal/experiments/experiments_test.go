@@ -10,10 +10,7 @@ import (
 // who wins and by roughly what factor — rather than absolute numbers.
 
 func TestTable1Shape(t *testing.T) {
-	r, err := Table1(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := quickRun(t, "table1", Table1)
 	c := r.CRIU
 	// Memory copy dominates OS state; total stop covers both; IO write
 	// is substantial. (Paper: 49 / 413 / 462 / 350 ms at 500 MB.)
@@ -32,10 +29,7 @@ func TestTable1Shape(t *testing.T) {
 }
 
 func TestTable7Shape(t *testing.T) {
-	r, err := Table7(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := quickRun(t, "table7", Table7)
 	// Aurora stop is orders of magnitude below CRIU's.
 	if !(r.AuroraStop*20 < r.CRIU.TotalStopTime) {
 		t.Errorf("Aurora stop %v not >>20x below CRIU %v", r.AuroraStop, r.CRIU.TotalStopTime)
@@ -58,10 +52,7 @@ func TestTable7Shape(t *testing.T) {
 }
 
 func TestTable4Shape(t *testing.T) {
-	r, err := Table4()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := quickRun(t, "table4", func(Scale) (Table4Result, error) { return Table4() })
 	byName := map[string]Table4Row{}
 	for _, row := range r.Rows {
 		byName[row.Object] = row
@@ -92,10 +83,7 @@ func TestTable4Shape(t *testing.T) {
 }
 
 func TestTable5Shape(t *testing.T) {
-	r, err := Table5(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := quickRun(t, "table5", Table5)
 	rows := r.Rows
 	// Journaled is the fastest strategy up to 64 KiB; asynchronous
 	// approaches win for large sizes.
@@ -134,18 +122,11 @@ func TestTable5Shape(t *testing.T) {
 }
 
 func TestTable6Shape(t *testing.T) {
-	prof := map[string]AppProfile{}
-	for _, p := range Table6Profiles {
-		prof[p.Name] = p
+	byApp := map[string]Table6Row{}
+	for _, row := range quickRun(t, "table6", Table6).Rows {
+		byApp[row.App] = row
 	}
-	vim, err := Table6App(prof["vim"], Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tomcat, err := Table6App(prof["tomcat"], Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	vim, tomcat := byApp["vim"], byApp["tomcat"]
 	// OS complexity drives stop time: tomcat (520 entries, 85 threads)
 	// stops longer than vim.
 	if !(tomcat.CkptIncr > vim.CkptIncr) {
@@ -167,10 +148,7 @@ func TestTable6Shape(t *testing.T) {
 }
 
 func TestFig4Shape(t *testing.T) {
-	r, err := Fig4(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := quickRun(t, "fig4", Fig4)
 	byPeriod := map[int]Fig4Point{}
 	for _, p := range r.Points {
 		byPeriod[p.PeriodMS] = p
@@ -200,10 +178,7 @@ func TestFig4Shape(t *testing.T) {
 }
 
 func TestFig5Shape(t *testing.T) {
-	r, err := Fig5(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := quickRun(t, "fig5", Fig5)
 	byPeriod := map[int]Fig5Point{}
 	for _, p := range r.Points {
 		byPeriod[p.PeriodMS] = p
@@ -225,10 +200,7 @@ func TestFig5Shape(t *testing.T) {
 }
 
 func TestFig6Shape(t *testing.T) {
-	r, err := Fig6(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := quickRun(t, "fig6", Fig6)
 	by := map[string]Fig6Row{}
 	for _, row := range r.Rows {
 		by[row.Config.String()] = row
@@ -265,11 +237,8 @@ func TestFig6Shape(t *testing.T) {
 func TestFig3Panels(t *testing.T) {
 	// The detailed ordering assertions live in internal/filebench; here
 	// the harness end-to-end path and rendering are exercised.
-	for _, fn := range []func(Scale) (Fig3Result, error){Fig3a, Fig3b, Fig3c, Fig3d} {
-		r, err := fn(Quick)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for i, fn := range []func(Scale) (Fig3Result, error){Fig3a, Fig3b, Fig3c, Fig3d} {
+		r := quickRun(t, "fig3"+string(rune('a'+i)), fn)
 		if len(r.Results) == 0 {
 			t.Fatal("no results")
 		}
@@ -283,10 +252,7 @@ func TestFig3Panels(t *testing.T) {
 }
 
 func TestReplicationShape(t *testing.T) {
-	r, err := Replication(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := quickRun(t, "repl", Replication)
 	byName := map[string]ReplRow{}
 	for _, row := range r.Rows {
 		byName[row.Config] = row
