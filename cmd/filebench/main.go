@@ -11,85 +11,48 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"aurora/internal/clock"
-	"aurora/internal/device"
 	"aurora/internal/filebench"
-	"aurora/internal/fsbase"
-	"aurora/internal/objstore"
-	"aurora/internal/slsfs"
 	"aurora/internal/vfs"
 )
 
-var workloads = map[string]func(vfs.FileSystem, filebench.Config) (filebench.Result, error){
-	"randomwrite": filebench.RandomWrite,
-	"seqwrite":    filebench.SeqWrite,
-	"createfiles": filebench.CreateFiles,
-	"writefsync":  filebench.WriteFsync,
-	"fileserver":  filebench.FileServer,
-	"varmail":     filebench.VarMail,
-	"webserver":   filebench.WebServer,
-}
-
-var fsNames = []string{"aurora", "ffs", "zfs", "zfs+csum"}
-
 func main() {
-	fsName := flag.String("fs", "aurora", "file system: aurora, ffs, zfs, zfs+csum")
+	fsName := flag.String("fs", "aurora", "file system: "+strings.Join(filebench.FSNames, ", "))
 	wlName := flag.String("workload", "randomwrite", "workload name")
 	iosize := flag.Int("iosize", 4096, "IO size in bytes")
 	dur := flag.Duration("duration", 400*time.Millisecond, "virtual run duration")
 	all := flag.Bool("all", false, "run every workload on every file system")
 	flag.Parse()
 
-	if *all {
-		for name := range workloads {
-			for _, fs := range fsNames {
-				if err := run(fs, name, *iosize, *dur); err != nil {
-					fmt.Fprintln(os.Stderr, "filebench:", err)
-					os.Exit(1)
-				}
+	ran := false
+	for _, wl := range filebench.Workloads {
+		for _, fs := range filebench.FSNames {
+			if !*all && (wl.Name != *wlName || fs != *fsName) {
+				continue
+			}
+			ran = true
+			if err := run(fs, wl.Run, *iosize, *dur); err != nil {
+				fmt.Fprintln(os.Stderr, "filebench:", err)
+				os.Exit(1)
 			}
 		}
-		return
 	}
-	if _, ok := workloads[*wlName]; !ok {
-		fmt.Fprintf(os.Stderr, "filebench: unknown workload %q\n", *wlName)
+	if !ran {
+		fmt.Fprintf(os.Stderr, "filebench: unknown file system %q or workload %q\n", *fsName, *wlName)
 		os.Exit(2)
-	}
-	if err := run(*fsName, *wlName, *iosize, *dur); err != nil {
-		fmt.Fprintln(os.Stderr, "filebench:", err)
-		os.Exit(1)
 	}
 }
 
-func run(fsName, wlName string, iosize int, dur time.Duration) error {
+func run(fsName string, wl func(vfs.FileSystem, filebench.Config) (filebench.Result, error), iosize int, dur time.Duration) error {
 	clk := clock.NewVirtual()
-	costs := clock.DefaultCosts()
-	var fs vfs.FileSystem
-	switch fsName {
-	case "aurora":
-		dev := device.NewStripe(clk, costs, 4, 64<<10, 4<<30)
-		store, err := objstore.Format(dev, clk, costs)
-		if err != nil {
-			return err
-		}
-		afs, err := slsfs.Format(store, clk, costs)
-		if err != nil {
-			return err
-		}
-		afs.SetCheckpointPeriod(10 * time.Millisecond)
-		fs = afs
-	case "ffs":
-		fs = fsbase.New(clk, device.NewStripe(clk, costs, 4, 64<<10, 4<<30), fsbase.FFS())
-	case "zfs":
-		fs = fsbase.New(clk, device.NewStripe(clk, costs, 4, 64<<10, 4<<30), fsbase.ZFS(false))
-	case "zfs+csum":
-		fs = fsbase.New(clk, device.NewStripe(clk, costs, 4, 64<<10, 4<<30), fsbase.ZFS(true))
-	default:
-		return fmt.Errorf("unknown file system %q", fsName)
+	fs, err := filebench.Mount(fsName, clk, clock.DefaultCosts(), 16<<30)
+	if err != nil {
+		return err
 	}
-	res, err := workloads[wlName](fs, filebench.Config{
+	res, err := wl(fs, filebench.Config{
 		Clock:    clk,
 		Duration: dur,
 		IOSize:   iosize,

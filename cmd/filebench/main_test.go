@@ -28,4 +28,20 @@ func TestFilebenchCLI(t *testing.T) {
 	if err := exec.Command(bin, "-workload", "compile-kernel").Run(); err == nil {
 		t.Fatal("unknown workload accepted")
 	}
+	// -all walks one ordered table: two runs print the same lines in the
+	// same order (it ranged over a map once).
+	var all [2]string
+	for i := range all {
+		out, err := exec.Command(bin, "-all", "-duration", "5ms").CombinedOutput()
+		if err != nil {
+			t.Fatalf("-all: %v\n%s", err, out)
+		}
+		all[i] = string(out)
+	}
+	if all[0] != all[1] {
+		t.Fatalf("-all output differs between two runs:\n%s\n---\n%s", all[0], all[1])
+	}
+	if n := strings.Count(all[0], "ops/s"); n != 28 {
+		t.Fatalf("-all printed %d results, want 7 workloads x 4 file systems:\n%s", n, all[0])
+	}
 }

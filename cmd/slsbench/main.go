@@ -9,20 +9,9 @@
 // fig4, fig5, fig6, table7, repl (replication lag under lossy wires),
 // walwindow, fleet, restore (serial vs speculative time to first request).
 //
-// With -trace FILE, a checkpoint+crash+lazy-restore scenario runs under the
-// virtual-clock tracer and its timeline is written to FILE as Chrome
-// trace-event JSON (loadable in ui.perfetto.dev), with a text rollup on
-// stdout. -trace works standalone, with no experiment arguments.
-//
-// With -inspect, the same scenario additionally prints the machine's
-// introspection page after the restore — store/group tables, the recovered
-// pre-crash flight timeline, and the invariant-audit report — and fails if
-// the audit finds violations.
-//
-// With -scenario PATH (a scenario file or a corpus directory), the
-// declarative chaos engine runs each scenario as a benchmark: the summary
-// plus wall time per scenario, failing if any scenario fails. -stretch
-// multiplies the scenario timelines, turning the corpus into a soak run.
+// The crash-demo trace, the post-restore inspect page and the scenario
+// corpus have their own surfaces: sls trace, sls -img F inspect and
+// sls scenario run.
 //
 // With -results DIR, every experiment additionally writes a
 // BENCH_<experiment>.json artifact under DIR — the typed result rows the
@@ -38,10 +27,7 @@ import (
 	"path/filepath"
 	"time"
 
-	"aurora"
 	"aurora/internal/experiments"
-	"aurora/internal/scenario"
-	"aurora/internal/vm"
 )
 
 type runner struct {
@@ -58,36 +44,12 @@ func wrap[T renderer](fn func(experiments.Scale) (T, error)) func(experiments.Sc
 
 func main() {
 	quick := flag.Bool("quick", false, "CI-sized working sets")
-	traceOut := flag.String("trace", "", "write a Chrome trace of a checkpoint+restore run to FILE")
-	inspect := flag.Bool("inspect", false, "print the post-restore introspection page and audit report")
-	scenarioPath := flag.String("scenario", "", "run a chaos scenario file or corpus directory as a benchmark")
-	stretch := flag.Int64("stretch", 0, "multiply scenario timelines (soak runs; with -scenario)")
 	results := flag.String("results", "", "write BENCH_<experiment>.json artifacts under DIR")
 	flag.Parse()
 
 	scale := experiments.Full
 	if *quick {
 		scale = experiments.Quick
-	}
-
-	if *scenarioPath != "" {
-		if err := runScenarios(*scenarioPath, *stretch); err != nil {
-			fmt.Fprintf(os.Stderr, "slsbench: scenario: %v\n", err)
-			os.Exit(1)
-		}
-		if flag.NArg() == 0 && *traceOut == "" && !*inspect {
-			return
-		}
-	}
-
-	if *traceOut != "" || *inspect {
-		if err := runTrace(*traceOut, scale, *inspect); err != nil {
-			fmt.Fprintf(os.Stderr, "slsbench: trace: %v\n", err)
-			os.Exit(1)
-		}
-		if flag.NArg() == 0 {
-			return
-		}
 	}
 
 	all := []runner{
@@ -115,7 +77,7 @@ func main() {
 
 	args := flag.Args()
 	if len(args) == 0 {
-		fmt.Fprintln(os.Stderr, "usage: slsbench [-quick] [-trace FILE] all | EXPERIMENT...")
+		fmt.Fprintln(os.Stderr, "usage: slsbench [-quick] [-results DIR] all | EXPERIMENT...")
 		os.Exit(2)
 	}
 	var todo []runner
@@ -183,118 +145,4 @@ func writeBenchArtifact(dir, name string, quick bool, res any, wall time.Duratio
 	}
 	path := filepath.Join(dir, "BENCH_"+name+".json")
 	return os.WriteFile(path, append(blob, '\n'), 0o644)
-}
-
-// runScenarios treats a chaos corpus as a benchmark suite: every scenario
-// under path (a file or a directory) runs with its declared seed, printing
-// the assertion summary plus the wall time the simulation took. Scenario
-// time is virtual, so wall time here measures the engine itself — it is
-// the number that regresses when checkpointing or the flusher gets slower.
-func runScenarios(path string, stretch int64) error {
-	info, err := os.Stat(path)
-	if err != nil {
-		return err
-	}
-	files := []string{path}
-	if info.IsDir() {
-		if files, err = scenario.Discover(path); err != nil {
-			return err
-		}
-	}
-	failed := 0
-	for _, f := range files {
-		sc, err := scenario.Load(f)
-		if err != nil {
-			return err
-		}
-		start := time.Now()
-		res, err := scenario.Run(sc, scenario.RunOptions{Stretch: stretch})
-		if err != nil {
-			return fmt.Errorf("%s: %w", f, err)
-		}
-		fmt.Print(res.Summary())
-		fmt.Printf("[%s completed in %v wall time]\n\n", sc.Name, time.Since(start).Round(time.Millisecond))
-		if !res.Passed {
-			failed++
-		}
-	}
-	if failed > 0 {
-		return fmt.Errorf("%d of %d scenarios failed", failed, len(files))
-	}
-	return nil
-}
-
-// runTrace drives a traced machine through four dirty-and-checkpoint
-// rounds, a power loss, and a lazy restore that pages the working set back
-// in — enough activity that the exported timeline has spans on every track
-// (sls, flush, objstore, device) — then writes the Chrome trace to path and
-// prints the rollup.
-func runTrace(path string, scale experiments.Scale, inspect bool) error {
-	pages := int64(256)
-	if scale == experiments.Quick {
-		pages = 64
-	}
-	m, err := aurora.NewMachine(aurora.Config{StorageBytes: 1 << 30, Trace: true})
-	if err != nil {
-		return err
-	}
-	p := m.Spawn("traced")
-	if _, err := p.Mmap(pages*aurora.PageSize, aurora.ProtRead|aurora.ProtWrite, false); err != nil {
-		return err
-	}
-	g, err := m.Attach("traced", p)
-	if err != nil {
-		return err
-	}
-	buf := make([]byte, aurora.PageSize)
-	for round := 0; round < 4; round++ {
-		buf[0] = byte(round + 1)
-		for pg := int64(0); pg < pages; pg++ {
-			if err := p.WriteMem(vm.UserBase+uint64(pg*aurora.PageSize), buf); err != nil {
-				return err
-			}
-		}
-		m.Clock.Advance(10 * time.Millisecond)
-		if _, err := g.Checkpoint(aurora.CkptIncremental); err != nil {
-			return err
-		}
-	}
-	if err := g.Barrier(); err != nil {
-		return err
-	}
-	m2, err := m.Crash() // the tracer rides across the reboot
-	if err != nil {
-		return err
-	}
-	g2, _, err := m2.RestoreLazily("traced")
-	if err != nil {
-		return err
-	}
-	p2 := g2.Procs()[0]
-	for pg := int64(0); pg < pages; pg++ {
-		if err := p2.ReadMem(vm.UserBase+uint64(pg*aurora.PageSize), buf); err != nil {
-			return err
-		}
-	}
-
-	if path != "" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := m2.Tracer.WriteChrome(f); err != nil {
-			return err
-		}
-		fmt.Print(m2.Tracer.Rollup())
-		fmt.Printf("[trace written to %s]\n\n", path)
-	}
-	if inspect {
-		r := m2.Inspect(16)
-		fmt.Print(r.Text())
-		if !r.Audit.OK() {
-			return fmt.Errorf("invariant audit failed: %s", r.Audit)
-		}
-	}
-	return nil
 }

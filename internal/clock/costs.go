@@ -68,12 +68,11 @@ type Costs struct {
 	CRIUWriteBps  int64         // serial image-write bandwidth
 
 	// Fork-based save (Redis RDB, Table 7).
-	ForkPerPage     time.Duration // duplicate one PTE/COW-mark during fork
-	RDBSerializeKV  time.Duration // serialize one key/value pair
-	RDBWriteBps     int64         // RDB stream bandwidth to storage
-	ProcSpawnFloor  time.Duration // fixed fork/exec cost
-	SchedQuantum    time.Duration // scheduler quantum for simulated threads
-	VnodePathLookup time.Duration // namei/name-cache path lookup (ablation)
+	ForkPerPage    time.Duration // duplicate one PTE/COW-mark during fork
+	RDBSerializeKV time.Duration // serialize one key/value pair
+	RDBWriteBps    int64         // RDB stream bandwidth to storage
+	ProcSpawnFloor time.Duration // fixed fork/exec cost
+	SchedQuantum   time.Duration // scheduler quantum for simulated threads
 }
 
 // DefaultCosts returns the model calibrated to the paper's testbed.
@@ -121,12 +120,11 @@ func DefaultCosts() *Costs {
 		CRIUPageCopy:  3200 * time.Nanosecond, // Table 1: 413 ms / 128 Ki pages
 		CRIUWriteBps:  1430 << 20,             // Table 1: 500 MB in 350 ms
 
-		ForkPerPage:     60 * time.Nanosecond, // Table 7: RDB stop 8 ms
-		RDBSerializeKV:  1100 * time.Nanosecond,
-		RDBWriteBps:     1700 << 20, // Table 7: 3x slower than Aurora's write
-		ProcSpawnFloor:  120 * time.Microsecond,
-		SchedQuantum:    1 * time.Millisecond,
-		VnodePathLookup: 2500 * time.Nanosecond,
+		ForkPerPage:    60 * time.Nanosecond, // Table 7: RDB stop 8 ms
+		RDBSerializeKV: 1100 * time.Nanosecond,
+		RDBWriteBps:    1700 << 20, // Table 7: 3x slower than Aurora's write
+		ProcSpawnFloor: 120 * time.Microsecond,
+		SchedQuantum:   1 * time.Millisecond,
 	}
 }
 

@@ -1,7 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (§9) on the simulated substrate. Each experiment builds a
-// fresh simulated machine, runs the workload, and returns a structured
-// result whose Render method prints rows/series matching the paper's.
+// evaluation (§9) on the simulated substrate. Each experiment boots fresh
+// machines with aurora.NewMachine — the machine users boot, flight recorder
+// included — runs the workload, and returns a structured result whose
+// Render method prints rows/series matching the paper's.
 //
 // Absolute numbers come from the calibrated cost model (internal/clock) and
 // are expected to land in the paper's ballpark; the claims each experiment
@@ -11,17 +12,9 @@ package experiments
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"time"
-
-	"aurora/internal/clock"
-	"aurora/internal/device"
-	"aurora/internal/kern"
-	"aurora/internal/mem"
-	"aurora/internal/objstore"
-	"aurora/internal/sls"
-	"aurora/internal/slsfs"
-	"aurora/internal/vm"
 )
 
 // Scale selects experiment sizing: Full matches the paper's parameters;
@@ -34,64 +27,15 @@ const (
 	Full
 )
 
-// World is one simulated machine: clock, devices, store, file system,
-// kernel, and orchestrator.
-type World struct {
-	Clk   *clock.Virtual
-	Costs *clock.Costs
-	Dev   *device.Stripe
-	Store *objstore.Store
-	FS    *slsfs.FS
-	K     *kern.Kernel
-	O     *sls.Orchestrator
-}
-
-// NewWorld builds a machine with devSize bytes of striped storage (the
-// paper's four Optane 900Ps at 64 KiB).
-func NewWorld(devSize int64) (*World, error) {
-	clk := clock.NewVirtual()
-	costs := clock.DefaultCosts()
-	dev := device.NewStripe(clk, costs, 4, 64<<10, devSize/4)
-	store, err := objstore.Format(dev, clk, costs)
-	if err != nil {
-		return nil, err
+// percentile returns the element at rank len(s)*perMille/1000 of s sorted
+// ascending (the last one when the rank runs off the end), or 0 for an empty
+// s. It sorts s in place.
+func percentile(s []time.Duration, perMille int) time.Duration {
+	if len(s) == 0 {
+		return 0
 	}
-	fs, err := slsfs.Format(store, clk, costs)
-	if err != nil {
-		return nil, err
-	}
-	k := kern.New(clk, costs, vm.NewSystem(mem.New(0), clk, costs), fs)
-	return &World{
-		Clk:   clk,
-		Costs: costs,
-		Dev:   dev,
-		Store: store,
-		FS:    fs,
-		K:     k,
-		O:     sls.New(k, store),
-	}, nil
-}
-
-// Crash reboots the machine: fresh kernel, store recovered from the device.
-func (w *World) Crash() (*World, error) {
-	store, err := objstore.Recover(w.Dev, w.Clk, w.Costs)
-	if err != nil {
-		return nil, err
-	}
-	fs, err := slsfs.Recover(store, w.Clk, w.Costs)
-	if err != nil {
-		return nil, err
-	}
-	k := kern.New(w.Clk, w.Costs, vm.NewSystem(mem.New(0), w.Clk, w.Costs), fs)
-	return &World{
-		Clk:   w.Clk,
-		Costs: w.Costs,
-		Dev:   w.Dev,
-		Store: store,
-		FS:    fs,
-		K:     k,
-		O:     sls.New(k, store),
-	}, nil
+	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	return s[min(len(s)*perMille/1000, len(s)-1)]
 }
 
 // fmtDur prints a duration the way the paper's tables do.

@@ -5,11 +5,7 @@ import (
 	"time"
 
 	"aurora/internal/clock"
-	"aurora/internal/device"
 	"aurora/internal/filebench"
-	"aurora/internal/fsbase"
-	"aurora/internal/objstore"
-	"aurora/internal/slsfs"
 	"aurora/internal/vfs"
 )
 
@@ -18,7 +14,7 @@ import (
 // checksums) and FFS (SU+J).
 
 // FSNames is the comparison order used in all Figure 3 panels.
-var FSNames = []string{"zfs", "zfs+csum", "ffs", "aurora"}
+var FSNames = filebench.FSNames
 
 // Fig3Result holds one panel: workload -> fs -> result.
 type Fig3Result struct {
@@ -63,27 +59,6 @@ func panelTitle(p string) string {
 	}
 }
 
-// mountAll builds one instance of every file system, each on its own
-// four-device stripe, sharing one virtual clock.
-func mountAll(clk *clock.Virtual, costs *clock.Costs, devSize int64) (map[string]vfs.FileSystem, error) {
-	out := make(map[string]vfs.FileSystem)
-	dev := device.NewStripe(clk, costs, 4, 64<<10, devSize/4)
-	store, err := objstore.Format(dev, clk, costs)
-	if err != nil {
-		return nil, err
-	}
-	afs, err := slsfs.Format(store, clk, costs)
-	if err != nil {
-		return nil, err
-	}
-	afs.SetCheckpointPeriod(10 * time.Millisecond)
-	out["aurora"] = afs
-	out["ffs"] = fsbase.New(clk, device.NewStripe(clk, costs, 4, 64<<10, devSize/4), fsbase.FFS())
-	out["zfs"] = fsbase.New(clk, device.NewStripe(clk, costs, 4, 64<<10, devSize/4), fsbase.ZFS(false))
-	out["zfs+csum"] = fsbase.New(clk, device.NewStripe(clk, costs, 4, 64<<10, devSize/4), fsbase.ZFS(true))
-	return out, nil
-}
-
 // fig3Config sizes the workloads.
 func fig3Config(clk *clock.Virtual, scale Scale, iosize int) filebench.Config {
 	cfg := filebench.Config{
@@ -109,19 +84,18 @@ func runPanel(panel string, scale Scale, wls []panelWorkload) (Fig3Result, error
 		out.order = append(out.order, wl.name)
 		out.Results[wl.name] = make(map[string]filebench.Result)
 		for _, fsName := range FSNames {
-			// Fresh mounts per cell: panels measure steady-state
+			// A fresh mount per cell: panels measure steady-state
 			// behaviour of one workload, not cross-contamination.
 			clk := clock.NewVirtual()
-			costs := clock.DefaultCosts()
 			size := int64(16 << 30)
 			if scale == Quick {
 				size = 4 << 30
 			}
-			mounts, err := mountAll(clk, costs, size)
+			fs, err := filebench.Mount(fsName, clk, clock.DefaultCosts(), size)
 			if err != nil {
 				return out, err
 			}
-			res, err := wl.fn(mounts[fsName], fig3Config(clk, scale, wl.iosize))
+			res, err := wl.fn(fs, fig3Config(clk, scale, wl.iosize))
 			if err != nil {
 				return out, err
 			}

@@ -2,13 +2,12 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
+	"aurora"
 	"aurora/internal/apps/memcached"
 	"aurora/internal/apps/rocksdb"
-	"aurora/internal/device"
-	"aurora/internal/fsbase"
+	"aurora/internal/filebench"
 	"aurora/internal/kern"
 	"aurora/internal/sls"
 	"aurora/internal/workload"
@@ -99,27 +98,27 @@ func (l *memcachedLoad) do() error {
 // External synchrony is off on the connections (sls_fdctl): a held reply would
 // wait out the period, and the paper's sub-millisecond latencies at 100 ms
 // show its runs did not hold them.
-func (l *memcachedLoad) attach(w *World, period time.Duration) (*sls.Group, error) {
-	g := w.O.CreateGroup("memcached")
-	g.Period = period
-	g.RetainEpochs = 4
-	if err := g.Attach(l.s.Proc); err != nil {
+func (l *memcachedLoad) attach(m *aurora.Machine, period time.Duration) (*sls.Group, error) {
+	g, err := m.Attach("memcached", l.s.Proc)
+	if err != nil {
 		return nil, err
 	}
+	g.Period = period
+	g.RetainEpochs = 4
 	for _, fd := range l.sfds {
 		if err := g.FdCtl(l.s.Proc, fd, true); err != nil {
 			return nil, err
 		}
 	}
-	_, err := g.Checkpoint(sls.CkptIncremental)
+	_, err = g.Checkpoint(sls.CkptIncremental)
 	return g, err
 }
 
-// memcachedWorld builds the server with its ETC working set and the full
+// memcachedMachine builds the server with its ETC working set and the full
 // complement of client connections: 576 established TCP sockets live in the
 // server's descriptor table, and serializing the ones that carried traffic is
 // a real component of every checkpoint's stop time.
-func memcachedWorld(scale Scale) (*World, *memcachedLoad, error) {
+func memcachedMachine(scale Scale) (*aurora.Machine, *memcachedLoad, error) {
 	// ~8 items per 512 B slot page: the hot item space spans ~7.5 k pages
 	// at full scale, matching the paper's saturation behaviour (the whole
 	// LRU-touched set re-faults within one short checkpoint interval).
@@ -127,11 +126,11 @@ func memcachedWorld(scale Scale) (*World, *memcachedLoad, error) {
 	if scale == Quick {
 		items = 16000
 	}
-	w, err := NewWorld(16 << 30)
+	m, err := aurora.NewMachine(aurora.Config{StorageBytes: 16 << 30})
 	if err != nil {
 		return nil, nil, err
 	}
-	s, err := memcached.New(w.K, items)
+	s, err := memcached.New(m.K, items)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -146,7 +145,7 @@ func memcachedWorld(scale Scale) (*World, *memcachedLoad, error) {
 	if err := s.Proc.Listen(lfd); err != nil {
 		return nil, nil, err
 	}
-	l := &memcachedLoad{s: s, client: w.K.NewProc("mutilate"), gen: workload.NewETC(1, items)}
+	l := &memcachedLoad{s: s, client: m.Spawn("mutilate"), gen: workload.NewETC(1, items)}
 	for i := 0; i < MemcachedConns; i++ {
 		cfd, err := l.client.Socket(kern.KindSocketTCP)
 		if err != nil {
@@ -175,8 +174,8 @@ func memcachedWorld(scale Scale) (*World, *memcachedLoad, error) {
 	// wire is baseNetLatency (Figure 5) or outside the server bound (Figure
 	// 4). On the kernel's one clock each would otherwise serialise with the
 	// server.
-	w.Costs.SyscallGate, w.Costs.NetRTT, w.Costs.NetPerByte = 0, 0, 0
-	return w, l, nil
+	m.Costs.SyscallGate, m.Costs.NetRTT, m.Costs.NetPerByte = 0, 0, 0
+	return m, l, nil
 }
 
 // Fig4Periods lists the sweep (0 = baseline).
@@ -201,21 +200,21 @@ func Fig4(scale Scale) (Fig4Result, error) {
 
 func fig4Point(scale Scale, periodMS int, dur time.Duration) (Fig4Point, error) {
 	pt := Fig4Point{PeriodMS: periodMS}
-	w, l, err := memcachedWorld(scale)
+	m, l, err := memcachedMachine(scale)
 	if err != nil {
 		return pt, err
 	}
 	var g *sls.Group
 	if periodMS > 0 {
-		if g, err = l.attach(w, time.Duration(periodMS)*time.Millisecond); err != nil {
+		if g, err = l.attach(m, time.Duration(periodMS)*time.Millisecond); err != nil {
 			return pt, err
 		}
 	}
-	start := w.Clk.Now()
+	start := m.Clock.Now()
 	var ops int64
 	// Closed-loop saturation: back-to-back operations; the periodic
 	// checkpoint triggers on the virtual clock.
-	for w.Clk.Now()-start < dur {
+	for m.Clock.Now()-start < dur {
 		for i := 0; i < 64; i++ {
 			if err := l.do(); err != nil {
 				return pt, err
@@ -228,7 +227,7 @@ func fig4Point(scale Scale, periodMS int, dur time.Duration) (Fig4Point, error) 
 			}
 		}
 	}
-	elapsed := w.Clk.Now() - start
+	elapsed := m.Clock.Now() - start
 	pt.Throughput = float64(ops) / elapsed.Seconds()
 	// Little's law at saturation over the closed-loop population; tails
 	// widen with checkpoint stops (an op caught behind a stop waits out
@@ -290,24 +289,24 @@ const baseNetLatency = 150 * time.Microsecond
 
 func fig5Point(scale Scale, periodMS int, rate float64, dur time.Duration) (Fig5Point, error) {
 	pt := Fig5Point{PeriodMS: periodMS}
-	w, l, err := memcachedWorld(scale)
+	m, l, err := memcachedMachine(scale)
 	if err != nil {
 		return pt, err
 	}
 	var g *sls.Group
 	if periodMS > 0 {
-		if g, err = l.attach(w, time.Duration(periodMS)*time.Millisecond); err != nil {
+		if g, err = l.attach(m, time.Duration(periodMS)*time.Millisecond); err != nil {
 			return pt, err
 		}
 	}
 	interarrival := time.Duration(float64(time.Second) / rate)
-	start := w.Clk.Now()
+	start := m.Clock.Now()
 	next := start
 	var lats []time.Duration
 	for next-start < dur {
 		// Idle until the op's arrival when the server is ahead.
-		if now := w.Clk.Now(); now < next {
-			w.Clk.Advance(next - now)
+		if now := m.Clock.Now(); now < next {
+			m.Clock.Advance(next - now)
 		}
 		arrival := next
 		if err := l.do(); err != nil {
@@ -319,16 +318,15 @@ func fig5Point(scale Scale, periodMS int, rate float64, dur time.Duration) (Fig5
 			}
 		}
 		// Completion is after any checkpoint pause the op absorbed.
-		lats = append(lats, w.Clk.Now()-arrival+baseNetLatency)
+		lats = append(lats, m.Clock.Now()-arrival+baseNetLatency)
 		next = next + interarrival
 	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
 	var sum time.Duration
 	for _, l := range lats {
 		sum += l
 	}
 	pt.AvgLatency = sum / time.Duration(len(lats))
-	pt.P95Latency = lats[len(lats)*95/100]
+	pt.P95Latency = percentile(lats, 950)
 	return pt, nil
 }
 
@@ -391,7 +389,7 @@ func fig6Row(scale Scale, cfg rocksdb.Config) (Fig6Row, error) {
 		memtableCap = 64 << 20
 		walCap = 4 << 20
 	}
-	w, err := NewWorld(32 << 30)
+	m, err := aurora.NewMachine(aurora.Config{StorageBytes: 32 << 30})
 	if err != nil {
 		return row, err
 	}
@@ -409,14 +407,16 @@ func fig6Row(scale Scale, cfg rocksdb.Config) (Fig6Row, error) {
 		// rotations are rare. The small WAL capacity above is the
 		// *Aurora* build's checkpoint cadence, not the stock WAL's.
 		opts.WALCapacity = memtableCap
-		opts.FS = fsbase.New(w.Clk, device.NewStripe(w.Clk, w.Costs, 4, 64<<10, 8<<30), fsbase.FFS())
+		if opts.FS, err = filebench.Mount("ffs", m.Clock, m.Costs, 32<<30); err != nil {
+			return row, err
+		}
 	default:
-		g = w.O.CreateGroup("rocksdb")
+		g = m.SLS.CreateGroup("rocksdb")
 		g.RetainEpochs = 4
 		g.Period = 10 * time.Millisecond
 		opts.Group = g
 	}
-	db, err := rocksdb.Open(w.K, opts)
+	db, err := rocksdb.Open(m.K, opts)
 	if err != nil {
 		return row, err
 	}
@@ -450,7 +450,7 @@ func fig6Row(scale Scale, cfg rocksdb.Config) (Fig6Row, error) {
 	}
 
 	// Phase 1: closed-loop saturation throughput.
-	start := w.Clk.Now()
+	start := m.Clock.Now()
 	for i := int64(0); i < ops; i++ {
 		if err := step(gen.Next()); err != nil {
 			return row, err
@@ -459,7 +459,7 @@ func fig6Row(scale Scale, cfg rocksdb.Config) (Fig6Row, error) {
 	if err := db.Flush(); err != nil {
 		return row, err
 	}
-	row.Throughput = float64(ops) / (w.Clk.Now() - start).Seconds()
+	row.Throughput = float64(ops) / (m.Clock.Now() - start).Seconds()
 
 	// Phase 2: write latency percentiles under open-loop arrivals near
 	// saturation (75% of measured throughput). Queueing after stalls —
@@ -467,12 +467,12 @@ func fig6Row(scale Scale, cfg rocksdb.Config) (Fig6Row, error) {
 	// lands in the tails the way the paper's clients observe it.
 	rate := 0.75 * row.Throughput
 	interarrival := time.Duration(float64(time.Second) / rate)
-	next := w.Clk.Now()
+	next := m.Clock.Now()
 	var writeLats []time.Duration
 	latOps := ops / 2
 	for i := int64(0); i < latOps; i++ {
-		if now := w.Clk.Now(); now < next {
-			w.Clk.Advance(next - now)
+		if now := m.Clock.Now(); now < next {
+			m.Clock.Advance(next - now)
 		}
 		arrival := next
 		op := gen.Next()
@@ -480,18 +480,11 @@ func fig6Row(scale Scale, cfg rocksdb.Config) (Fig6Row, error) {
 			return row, err
 		}
 		if op.Kind == workload.OpSet {
-			writeLats = append(writeLats, w.Clk.Now()-arrival+30*time.Microsecond)
+			writeLats = append(writeLats, m.Clock.Now()-arrival+30*time.Microsecond)
 		}
 		next += interarrival
 	}
-	sort.Slice(writeLats, func(i, j int) bool { return writeLats[i] < writeLats[j] })
-	if n := len(writeLats); n > 0 {
-		row.P99 = writeLats[n*99/100]
-		idx := n * 999 / 1000
-		if idx >= n {
-			idx = n - 1
-		}
-		row.P999 = writeLats[idx]
-	}
+	row.P99 = percentile(writeLats, 990)
+	row.P999 = percentile(writeLats, 999)
 	return row, nil
 }

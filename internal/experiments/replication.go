@@ -11,9 +11,9 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
+	"aurora"
 	"aurora/internal/net"
 	"aurora/internal/vm"
 )
@@ -75,17 +75,27 @@ func Replication(scale Scale) (*ReplicationResult, error) {
 
 // replicationRun drives one primary/standby pair through the sync loop.
 func replicationRun(c replConfigCase, pages int64, syncs int) (ReplRow, error) {
-	src, err := NewWorld(1 << 30)
+	cfg := aurora.Config{StorageBytes: 1 << 30}
+	if c.name != "direct" {
+		fwd := c.fwd
+		if c.partitionXmit > 0 {
+			fwd.PartitionXmit = c.partitionXmit
+			fwd.PartitionDur = c.partitionDur
+		}
+		// 8 KiB frames keep the per-sync transmission count high enough
+		// that low loss rates are visible even at Quick scale.
+		cfg.Net = &aurora.NetConfig{Fwd: fwd, Rev: c.rev, Conn: net.Config{FrameData: 8 << 10}}
+	}
+	src, err := aurora.NewMachine(cfg)
 	if err != nil {
 		return ReplRow{}, err
 	}
-	dst, err := NewWorld(1 << 30)
+	dst, err := aurora.NewMachine(aurora.Config{StorageBytes: 1 << 30})
 	if err != nil {
 		return ReplRow{}, err
 	}
-	p := src.K.NewProc("primary")
-	g := src.O.CreateGroup("primary")
-	if err := g.Attach(p); err != nil {
+	p := src.Spawn("primary")
+	if _, err := src.Attach("primary", p); err != nil {
 		return ReplRow{}, err
 	}
 	va, err := p.Mmap(pages*vm.PageSize, vm.ProtRead|vm.ProtWrite, false)
@@ -101,25 +111,13 @@ func replicationRun(c replConfigCase, pages int64, syncs int) (ReplRow, error) {
 				return err
 			}
 		}
-		src.Clk.Advance(2 * time.Millisecond) // app work between syncs
+		src.Clock.Advance(2 * time.Millisecond) // app work between syncs
 		return nil
 	}
 	if err := dirty(0); err != nil {
 		return ReplRow{}, err
 	}
-
-	var conn *net.Conn
-	if c.name != "direct" {
-		fwd := c.fwd
-		if c.partitionXmit > 0 {
-			fwd.PartitionXmit = c.partitionXmit
-			fwd.PartitionDur = c.partitionDur
-		}
-		// 8 KiB frames keep the per-sync transmission count high enough
-		// that low loss rates are visible even at Quick scale.
-		conn = net.NewConn(net.NewPipe(src.Clk, net.DefaultParams(), fwd, c.rev), src.Clk, net.Config{FrameData: 8 << 10}, nil)
-	}
-	rep, err := g.ReplicateToVia(dst.O, conn)
+	rep, err := src.ReplicateTo(dst, "primary")
 	if err != nil {
 		return ReplRow{}, err
 	}
@@ -135,15 +133,13 @@ func replicationRun(c replConfigCase, pages int64, syncs int) (ReplRow, error) {
 			// Partition outlasted the retry budget: wait out the outage on
 			// the virtual clock, then complete the ship from the standby's
 			// high-water mark.
-			src.Clk.Advance(c.partitionDur)
+			src.Clock.Advance(c.partitionDur)
 			if err := rep.Resume(); err != nil {
 				return ReplRow{}, err
 			}
 		}
 		lags = append(lags, rep.LastLag)
 	}
-	sort.Slice(lags, func(i, j int) bool { return lags[i] < lags[j] })
-	pct := func(p float64) time.Duration { return lags[int(p*float64(len(lags)-1))] }
 	return ReplRow{
 		Config:      c.name,
 		Syncs:       rep.Syncs,
@@ -152,9 +148,9 @@ func replicationRun(c replConfigCase, pages int64, syncs int) (ReplRow, error) {
 		Retransmits: rep.Retransmits,
 		Backoffs:    rep.Backoffs,
 		Resumes:     rep.Resumes,
-		LagP50:      pct(0.50),
-		LagP95:      pct(0.95),
-		LagMax:      lags[len(lags)-1],
+		LagP50:      percentile(lags, 500),
+		LagP95:      percentile(lags, 950),
+		LagMax:      percentile(lags, 1000),
 	}, nil
 }
 

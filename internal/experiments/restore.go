@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"aurora"
 	"aurora/internal/apps/memcached"
 	"aurora/internal/sls"
 	"aurora/internal/workload"
@@ -79,7 +80,7 @@ func restorePoint(scale Scale, groups int) (RestorePoint, error) {
 		itemsPer = 2000
 	}
 
-	w, err := NewWorld(16 << 30)
+	m, err := aurora.NewMachine(aurora.Config{StorageBytes: 16 << 30})
 	if err != nil {
 		return pt, err
 	}
@@ -87,13 +88,13 @@ func restorePoint(scale Scale, groups int) (RestorePoint, error) {
 	arenas := make([]uint64, groups)
 	for i := 0; i < groups; i++ {
 		names[i] = fmt.Sprintf("mc%d", i)
-		s, err := memcached.New(w.K, itemsPer)
+		s, err := memcached.New(m.K, itemsPer)
 		if err != nil {
 			return pt, err
 		}
 		arenas[i], _ = s.Arena()
-		g := w.O.CreateGroup(names[i])
-		if err := g.Attach(s.Proc); err != nil {
+		g, err := m.Attach(names[i], s.Proc)
+		if err != nil {
 			return pt, err
 		}
 		for _, op := range workload.Fill(itemsPer, names[i], 300) {
@@ -111,7 +112,7 @@ func restorePoint(scale Scale, groups int) (RestorePoint, error) {
 
 	// firstItem reads one slot out of every group — the stand-in for the
 	// first client request each tenant serves after the reboot.
-	firstItem := func(w *World, gs []*sls.Group) ([][]byte, error) {
+	firstItem := func(gs []*sls.Group) ([][]byte, error) {
 		reads := make([][]byte, len(gs))
 		for i, g := range gs {
 			buf := make([]byte, memcached.SlotSize)
@@ -124,33 +125,33 @@ func restorePoint(scale Scale, groups int) (RestorePoint, error) {
 	}
 
 	// Serial: eager pages, then the read.
-	wSer, err := w.Crash()
+	mSer, err := m.Crash()
 	if err != nil {
 		return pt, err
 	}
-	t0 := wSer.Clk.Now()
-	gsSer, _, err := wSer.O.RestoreGroups(names, wSer.Store, sls.RestoreFull, true)
+	t0 := mSer.Clock.Now()
+	gsSer, _, err := mSer.SLS.RestoreGroups(names, mSer.Store, sls.RestoreFull, true)
 	if err != nil {
 		return pt, err
 	}
-	serReads, err := firstItem(wSer, gsSer)
+	serReads, err := firstItem(gsSer)
 	if err != nil {
 		return pt, err
 	}
-	pt.SerialFirstReq = wSer.Clk.Now() - t0
+	pt.SerialFirstReq = mSer.Clock.Now() - t0
 
 	// Speculative: RestoreGroups rebuilds metadata serially, then fans the
 	// validation out; TimeToFirstOp is the span the mode exists to shrink.
-	wSpec, err := w.Crash()
+	mSpec, err := m.Crash()
 	if err != nil {
 		return pt, err
 	}
-	t0 = wSpec.Clk.Now()
-	gsSpec, sts, err := wSpec.O.RestoreGroups(names, wSpec.Store, sls.RestoreSpeculative, true)
+	t0 = mSpec.Clock.Now()
+	gsSpec, sts, err := mSpec.SLS.RestoreGroups(names, mSpec.Store, sls.RestoreSpeculative, true)
 	if err != nil {
 		return pt, err
 	}
-	pt.SpecSettle = wSpec.Clk.Now() - t0
+	pt.SpecSettle = mSpec.Clock.Now() - t0
 	var ttfo time.Duration
 	for _, st := range sts {
 		// Metadata rebuilds run back-to-back, so the last group's first
@@ -159,12 +160,12 @@ func restorePoint(scale Scale, groups int) (RestorePoint, error) {
 		pt.PagesValidated += st.PagesValidated
 		pt.Rollbacks += st.Rollbacks
 	}
-	before := wSpec.Clk.Now()
-	specReads, err := firstItem(wSpec, gsSpec)
+	before := mSpec.Clock.Now()
+	specReads, err := firstItem(gsSpec)
 	if err != nil {
 		return pt, err
 	}
-	pt.SpecFirstReq = ttfo + (wSpec.Clk.Now() - before)
+	pt.SpecFirstReq = ttfo + (mSpec.Clock.Now() - before)
 
 	for i := range serReads {
 		if !bytes.Equal(serReads[i], specReads[i]) {

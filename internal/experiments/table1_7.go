@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"aurora"
 	"aurora/internal/apps/redis"
 	"aurora/internal/criu"
 	"aurora/internal/device"
@@ -33,46 +34,53 @@ func (r Table1Result) Render() string {
 		)
 }
 
-// buildRedis creates a Redis instance with roughly wsBytes of resident data.
-func buildRedis(w *World, wsBytes int64) (*redis.Redis, error) {
-	r, err := redis.New(w.K, wsBytes+wsBytes/4)
+// buildRedis boots a machine holding a Redis instance with roughly wsBytes
+// of resident data.
+func buildRedis(wsBytes int64) (*aurora.Machine, *redis.Redis, error) {
+	m, err := aurora.NewMachine(aurora.Config{StorageBytes: 8 << 30})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
+	}
+	r, err := redis.New(m.K, wsBytes+wsBytes/4)
+	if err != nil {
+		return nil, nil, err
 	}
 	const valSize = 4096 - 64
 	val := make([]byte, valSize)
 	n := wsBytes / valSize
 	for i := int64(0); i < n; i++ {
 		if err := r.Set(fmt.Sprintf("key:%012d", i), val); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	return r, nil
+	return m, r, nil
 }
 
-// Table1 runs the CRIU breakdown. The Quick working set stays large enough
-// that memory copy dominates CRIU's fixed OS-state cost, preserving the
-// table's structure.
-func Table1(scale Scale) (Table1Result, error) {
-	ws := int64(500 << 20)
+// criuRun dumps a fresh Redis of ws bytes with CRIU to an image device of
+// its own.
+func criuRun(ws int64) (criu.Stats, error) {
+	m, r, err := buildRedis(ws)
+	if err != nil {
+		return criu.Stats{}, err
+	}
+	return criu.New(m.K, device.New(m.Clock, m.Costs, 4<<30)).Checkpoint([]*kern.Proc{r.Proc})
+}
+
+// redisBytes is the working set of Tables 1 and 7. The Quick one stays large
+// enough that memory copy dominates CRIU's fixed OS-state cost, preserving
+// the tables' structure.
+func redisBytes(scale Scale) int64 {
 	if scale == Quick {
-		ws = 96 << 20
+		return 96 << 20
 	}
-	w, err := NewWorld(8 << 30)
-	if err != nil {
-		return Table1Result{}, err
-	}
-	r, err := buildRedis(w, ws)
-	if err != nil {
-		return Table1Result{}, err
-	}
-	img := device.New(w.Clk, w.Costs, 4<<30)
-	ck := criu.New(w.K, img)
-	st, err := ck.Checkpoint([]*kern.Proc{r.Proc})
-	if err != nil {
-		return Table1Result{}, err
-	}
-	return Table1Result{WorkingSet: ws, CRIU: st}, nil
+	return 500 << 20
+}
+
+// Table1 runs the CRIU breakdown.
+func Table1(scale Scale) (Table1Result, error) {
+	ws := redisBytes(scale)
+	st, err := criuRun(ws)
+	return Table1Result{WorkingSet: ws, CRIU: st}, err
 }
 
 // Table7Result compares Aurora, CRIU, and Redis's RDB (paper Table 7).
@@ -107,83 +115,46 @@ func (r Table7Result) Render() string {
 
 // Table7 runs all three checkpointers over identical Redis instances.
 func Table7(scale Scale) (Table7Result, error) {
-	ws := int64(500 << 20)
-	if scale == Quick {
-		ws = 96 << 20
-	}
+	ws := redisBytes(scale)
 	out := Table7Result{WorkingSet: ws}
 
 	// Aurora full checkpoint.
-	{
-		w, err := NewWorld(8 << 30)
-		if err != nil {
-			return out, err
-		}
-		r, err := buildRedis(w, ws)
-		if err != nil {
-			return out, err
-		}
-		g := w.O.CreateGroup("redis")
-		if err := g.Attach(r.Proc); err != nil {
-			return out, err
-		}
-		st, err := g.Checkpoint(sls.CkptFull)
-		if err != nil {
-			return out, err
-		}
-		out.AuroraOS = st.OSTime
-		out.AuroraMem = st.MemTime
-		out.AuroraStop = st.StopTime
-		before := w.Clk.Now()
-		if err := w.Store.WaitDurable(st.Epoch); err != nil {
-			return out, err
-		}
-		out.AuroraWrite = st.DurableAt - before + (w.Clk.Now() - st.DurableAt)
-		if out.AuroraWrite < 0 {
-			out.AuroraWrite = 0
-		}
-		// DurableAt measures from submission; report flush duration.
-		out.AuroraWrite = st.DurableAt - before
-		if out.AuroraWrite < 0 {
-			out.AuroraWrite = 0
-		}
+	m, r, err := buildRedis(ws)
+	if err != nil {
+		return out, err
 	}
+	g, err := m.Attach("redis", r.Proc)
+	if err != nil {
+		return out, err
+	}
+	st, err := g.Checkpoint(sls.CkptFull)
+	if err != nil {
+		return out, err
+	}
+	out.AuroraOS = st.OSTime
+	out.AuroraMem = st.MemTime
+	out.AuroraStop = st.StopTime
+	before := m.Clock.Now()
+	if err := m.Store.WaitDurable(st.Epoch); err != nil {
+		return out, err
+	}
+	// DurableAt measures from submission; report flush duration.
+	out.AuroraWrite = max(st.DurableAt-before, 0)
 
-	// CRIU.
-	{
-		w, err := NewWorld(8 << 30)
-		if err != nil {
-			return out, err
-		}
-		r, err := buildRedis(w, ws)
-		if err != nil {
-			return out, err
-		}
-		img := device.New(w.Clk, w.Costs, 4<<30)
-		st, err := criu.New(w.K, img).Checkpoint([]*kern.Proc{r.Proc})
-		if err != nil {
-			return out, err
-		}
-		out.CRIU = st
+	if out.CRIU, err = criuRun(ws); err != nil {
+		return out, err
 	}
 
 	// Redis RDB (fork-based BGSAVE).
-	{
-		w, err := NewWorld(8 << 30)
-		if err != nil {
-			return out, err
-		}
-		r, err := buildRedis(w, ws)
-		if err != nil {
-			return out, err
-		}
-		img := device.New(w.Clk, w.Costs, 4<<30)
-		st, err := r.BGSave(img)
-		if err != nil {
-			return out, err
-		}
-		out.RDBStop = st.StopTime
-		out.RDBWrite = st.SaveTime
+	m, r, err = buildRedis(ws)
+	if err != nil {
+		return out, err
 	}
+	rdb, err := r.BGSave(device.New(m.Clock, m.Costs, 4<<30))
+	if err != nil {
+		return out, err
+	}
+	out.RDBStop = rdb.StopTime
+	out.RDBWrite = rdb.SaveTime
 	return out, nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"aurora"
 	"aurora/internal/kern"
 	"aurora/internal/sls"
 	"aurora/internal/vm"
@@ -34,7 +35,7 @@ func (r Table4Result) Render() string {
 // measureObject checkpoints a process holding exactly the object under test
 // (on top of a bare process baseline) and restores it, isolating the
 // object's marginal cost.
-func measureObject(name string, setup func(w *World, p *kern.Proc) error) (Table4Row, error) {
+func measureObject(name string, setup func(p *kern.Proc) error) (Table4Row, error) {
 	// Baseline: a process with no extra objects.
 	base, err := objectCosts(nil)
 	if err != nil {
@@ -56,19 +57,19 @@ func measureObject(name string, setup func(w *World, p *kern.Proc) error) (Table
 
 type objCost struct{ ckpt, restore time.Duration }
 
-func objectCosts(setup func(w *World, p *kern.Proc) error) (objCost, error) {
-	w, err := NewWorld(4 << 30)
+func objectCosts(setup func(p *kern.Proc) error) (objCost, error) {
+	m, err := aurora.NewMachine(aurora.Config{StorageBytes: 4 << 30})
 	if err != nil {
 		return objCost{}, err
 	}
-	p := w.K.NewProc("bench")
+	p := m.Spawn("bench")
 	if setup != nil {
-		if err := setup(w, p); err != nil {
+		if err := setup(p); err != nil {
 			return objCost{}, err
 		}
 	}
-	g := w.O.CreateGroup("bench")
-	if err := g.Attach(p); err != nil {
+	g, err := m.Attach("bench", p)
+	if err != nil {
 		return objCost{}, err
 	}
 	// Warm checkpoint (full image), then measure the steady state. The table
@@ -83,11 +84,11 @@ func objectCosts(setup func(w *World, p *kern.Proc) error) (objCost, error) {
 	if err != nil {
 		return objCost{}, err
 	}
-	w2, err := w.Crash()
+	m2, err := m.Crash()
 	if err != nil {
 		return objCost{}, err
 	}
-	_, rst, err := w2.O.RestoreGroup("bench", w2.Store, sls.RestoreLazy, true)
+	_, rst, err := m2.RestoreLazily("bench")
 	if err != nil {
 		return objCost{}, err
 	}
@@ -98,9 +99,9 @@ func objectCosts(setup func(w *World, p *kern.Proc) error) (objCost, error) {
 func Table4() (Table4Result, error) {
 	specs := []struct {
 		name  string
-		setup func(w *World, p *kern.Proc) error
+		setup func(p *kern.Proc) error
 	}{
-		{"Kqueue w/1024 events", func(w *World, p *kern.Proc) error {
+		{"Kqueue w/1024 events", func(p *kern.Proc) error {
 			kq, err := p.Kqueue()
 			if err != nil {
 				return err
@@ -112,23 +113,23 @@ func Table4() (Table4Result, error) {
 			}
 			return nil
 		}},
-		{"Pipes", func(w *World, p *kern.Proc) error {
+		{"Pipes", func(p *kern.Proc) error {
 			_, _, err := p.Pipe()
 			return err
 		}},
-		{"Pseudoterminals", func(w *World, p *kern.Proc) error {
+		{"Pseudoterminals", func(p *kern.Proc) error {
 			_, _, err := p.OpenPTY()
 			return err
 		}},
-		{"Shared Memory (POSIX)", func(w *World, p *kern.Proc) error {
+		{"Shared Memory (POSIX)", func(p *kern.Proc) error {
 			_, err := p.ShmOpen("/bench", 1<<20)
 			return err
 		}},
-		{"Shared Memory (SysV)", func(w *World, p *kern.Proc) error {
+		{"Shared Memory (SysV)", func(p *kern.Proc) error {
 			_, err := p.ShmGet(0x42, 1<<20)
 			return err
 		}},
-		{"Sockets", func(w *World, p *kern.Proc) error {
+		{"Sockets", func(p *kern.Proc) error {
 			fd, err := p.Socket(kern.KindSocketTCP)
 			if err != nil {
 				return err
@@ -138,7 +139,7 @@ func Table4() (Table4Result, error) {
 			}
 			return p.Listen(fd)
 		}},
-		{"Vnodes", func(w *World, p *kern.Proc) error {
+		{"Vnodes", func(p *kern.Proc) error {
 			_, err := p.Open("/bench-file", kern.ORead|kern.OWrite, true)
 			return err
 		}},
@@ -211,13 +212,13 @@ func Table5(scale Scale) (Table5Result, error) {
 
 func table5Row(size int64) (Table5Row, error) {
 	row := Table5Row{Size: size}
-	w, err := NewWorld(max64(8<<30, size*6))
+	m, err := aurora.NewMachine(aurora.Config{StorageBytes: max(8<<30, size*6)})
 	if err != nil {
 		return row, err
 	}
-	p := w.K.NewProc("bench")
-	g := w.O.CreateGroup("bench")
-	if err := g.Attach(p); err != nil {
+	p := m.Spawn("bench")
+	g, err := m.Attach("bench", p)
+	if err != nil {
 		return row, err
 	}
 	region := size
@@ -278,19 +279,12 @@ func table5Row(size int64) (Table5Row, error) {
 		return row, err
 	}
 	payload := make([]byte, size)
-	before := w.Clk.Now()
+	before := m.Clock.Now()
 	if _, err := j.Append(payload); err != nil {
 		return row, err
 	}
-	row.Journaled = w.Clk.Now() - before
+	row.Journaled = m.Clock.Now() - before
 	return row, nil
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Table 6: checkpoint stop times and restore times for popular
@@ -352,8 +346,8 @@ func (r Table6Result) Render() string {
 }
 
 // buildApp constructs a synthetic process tree matching a profile.
-func buildApp(w *World, prof AppProfile) (*kern.Proc, error) {
-	p := w.K.NewProc(prof.Name)
+func buildApp(m *aurora.Machine, prof AppProfile) (*kern.Proc, error) {
+	p := m.Spawn(prof.Name)
 	perEntry := prof.RSS / int64(prof.Entries)
 	perEntry -= perEntry % vm.PageSize
 	if perEntry < vm.PageSize {
@@ -427,16 +421,16 @@ func Table6App(prof AppProfile, scale Scale) (Table6Row, error) {
 		prof.RSS /= 8
 	}
 	row := Table6Row{App: prof.Name, Size: prof.RSS}
-	w, err := NewWorld(max64(8<<30, prof.RSS*8))
+	m, err := aurora.NewMachine(aurora.Config{StorageBytes: max(8<<30, prof.RSS*8)})
 	if err != nil {
 		return row, err
 	}
-	p, err := buildApp(w, prof)
+	p, err := buildApp(m, prof)
 	if err != nil {
 		return row, err
 	}
-	g := w.O.CreateGroup(prof.Name)
-	if err := g.Attach(p); err != nil {
+	g, err := m.Attach(prof.Name, p)
+	if err != nil {
 		return row, err
 	}
 
@@ -471,28 +465,28 @@ func Table6App(prof AppProfile, scale Scale) (Table6Row, error) {
 	// Restore from memory: rebuild OS state against the live store's
 	// cache (lazy, no page loads — the dominant cost is object
 	// recreation).
-	_, rmem, err := w.O.RestoreGroup(prof.Name, w.Store, sls.RestoreLazy, true)
+	_, rmem, err := m.SLS.RestoreGroup(prof.Name, m.Store, sls.RestoreLazy, true)
 	if err != nil {
 		return row, err
 	}
 	row.RestoreMem = rmem.Time
 
 	// Restores from disk after a reboot: full (eager pages) and lazy.
-	w2, err := w.Crash()
+	m2, err := m.Crash()
 	if err != nil {
 		return row, err
 	}
-	_, rfull, err := w2.O.RestoreGroup(prof.Name, w2.Store, sls.RestoreFull, true)
+	_, rfull, err := m2.Restore(prof.Name)
 	if err != nil {
 		return row, err
 	}
 	row.RestoreFull = rfull.Time
 
-	w3, err := w.Crash()
+	m3, err := m.Crash()
 	if err != nil {
 		return row, err
 	}
-	_, rlazy, err := w3.O.RestoreGroup(prof.Name, w3.Store, sls.RestoreLazy, true)
+	_, rlazy, err := m3.RestoreLazily(prof.Name)
 	if err != nil {
 		return row, err
 	}

@@ -15,9 +15,9 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
+	"aurora"
 	"aurora/internal/sls"
 	"aurora/internal/vm"
 )
@@ -64,26 +64,27 @@ func WALWindow(scale Scale) (*WALWindowResult, error) {
 		{"wal, fold every 16", sls.CkptWAL, 16},
 	}
 	res := &WALWindowResult{}
-	for _, m := range modes {
-		row, err := walWindowRun(m.name, m.kind, m.foldEvery, rounds)
+	for _, mode := range modes {
+		m, err := aurora.NewMachine(aurora.Config{StorageBytes: 1 << 30})
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", m.name, err)
+			return nil, err
+		}
+		row, err := walWindowRun(m, mode.name, mode.kind, mode.foldEvery, rounds)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", mode.name, err)
 		}
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
 }
 
-// walWindowRun drives one cadence mode: dirty a few pages, commit, repeat,
-// with a barrier per round so every window is measured to real durability.
-func walWindowRun(name string, kind sls.CheckpointKind, foldEvery, rounds int) (WALWindowRow, error) {
-	w, err := NewWorld(1 << 30)
+// walWindowRun drives one cadence mode on a fresh machine: dirty a few pages,
+// commit, repeat, with a barrier per round so every window is measured to
+// real durability.
+func walWindowRun(m *aurora.Machine, name string, kind sls.CheckpointKind, foldEvery, rounds int) (WALWindowRow, error) {
+	p := m.Spawn("app")
+	g, err := m.Attach("app", p)
 	if err != nil {
-		return WALWindowRow{}, err
-	}
-	p := w.K.NewProc("app")
-	g := w.O.CreateGroup("app")
-	if err := g.Attach(p); err != nil {
 		return WALWindowRow{}, err
 	}
 	g.Options.FoldEvery = foldEvery
@@ -114,7 +115,7 @@ func walWindowRun(name string, kind sls.CheckpointKind, foldEvery, rounds int) (
 		return WALWindowRow{}, err
 	}
 	inUse := func() int64 {
-		st := w.Store.Stats()
+		st := m.Store.Stats()
 		return st.BlocksAllocated - st.BlocksFreed
 	}
 	row := WALWindowRow{Mode: name, Commits: rounds, UsedStart: inUse()}
@@ -125,7 +126,7 @@ func walWindowRun(name string, kind sls.CheckpointKind, foldEvery, rounds int) (
 		if err := dirty(i); err != nil {
 			return WALWindowRow{}, err
 		}
-		start := w.Clk.Now()
+		start := m.Clock.Now()
 		st, err := g.Checkpoint(kind)
 		if err != nil {
 			return WALWindowRow{}, err
@@ -157,19 +158,10 @@ func walWindowRun(name string, kind sls.CheckpointKind, foldEvery, rounds int) (
 		return WALWindowRow{}, err
 	}
 	row.UsedEnd = inUse()
-	row.WALHeadEnd = w.Store.WALHead()
-
-	pct := func(s []time.Duration, p float64) time.Duration {
-		if len(s) == 0 {
-			return 0
-		}
-		c := append([]time.Duration(nil), s...)
-		sort.Slice(c, func(i, j int) bool { return c[i] < c[j] })
-		return c[int(p*float64(len(c)-1))]
-	}
-	row.WindowP50 = pct(windows, 0.50)
-	row.WindowP99 = pct(windows, 0.99)
-	row.IntervalP50 = pct(intervals, 0.50)
+	row.WALHeadEnd = m.Store.WALHead()
+	row.WindowP50 = percentile(windows, 500)
+	row.WindowP99 = percentile(windows, 990)
+	row.IntervalP50 = percentile(intervals, 500)
 	return row, nil
 }
 

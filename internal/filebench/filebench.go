@@ -14,8 +14,58 @@ import (
 	"time"
 
 	"aurora/internal/clock"
+	"aurora/internal/device"
+	"aurora/internal/fsbase"
+	"aurora/internal/objstore"
+	"aurora/internal/slsfs"
 	"aurora/internal/vfs"
 )
+
+// FSNames lists the file systems Mount builds, in Figure 3's comparison
+// order.
+var FSNames = []string{"zfs", "zfs+csum", "ffs", "aurora"}
+
+// Mount builds the named file system on a four-device stripe of its own
+// (64 KiB units, bytes in total) on clk. The Aurora file system checkpoints
+// every 10 ms, as in Figure 3.
+func Mount(name string, clk *clock.Virtual, costs *clock.Costs, bytes int64) (vfs.FileSystem, error) {
+	dev := device.NewStripe(clk, costs, 4, 64<<10, bytes/4)
+	switch name {
+	case "aurora":
+		store, err := objstore.Format(dev, clk, costs)
+		if err != nil {
+			return nil, err
+		}
+		fs, err := slsfs.Format(store, clk, costs)
+		if err != nil {
+			return nil, err
+		}
+		fs.SetCheckpointPeriod(10 * time.Millisecond)
+		return fs, nil
+	case "ffs":
+		return fsbase.New(clk, dev, fsbase.FFS()), nil
+	case "zfs":
+		return fsbase.New(clk, dev, fsbase.ZFS(false)), nil
+	case "zfs+csum":
+		return fsbase.New(clk, dev, fsbase.ZFS(true)), nil
+	}
+	return nil, fmt.Errorf("unknown file system %q", name)
+}
+
+// Workloads is every workload under the name the filebench command takes,
+// in the order it runs them.
+var Workloads = []struct {
+	Name string
+	Run  func(vfs.FileSystem, Config) (Result, error)
+}{
+	{"randomwrite", RandomWrite},
+	{"seqwrite", SeqWrite},
+	{"createfiles", CreateFiles},
+	{"writefsync", WriteFsync},
+	{"fileserver", FileServer},
+	{"varmail", VarMail},
+	{"webserver", WebServer},
+}
 
 // Result is one workload measurement.
 type Result struct {

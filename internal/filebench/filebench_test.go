@@ -5,10 +5,6 @@ import (
 	"time"
 
 	"aurora/internal/clock"
-	"aurora/internal/device"
-	"aurora/internal/fsbase"
-	"aurora/internal/objstore"
-	"aurora/internal/slsfs"
 	"aurora/internal/vfs"
 )
 
@@ -18,22 +14,13 @@ func mounts(t *testing.T) (map[string]vfs.FileSystem, *clock.Virtual) {
 	clk := clock.NewVirtual()
 	costs := clock.DefaultCosts()
 	out := make(map[string]vfs.FileSystem)
-
-	dev := device.NewStripe(clk, costs, 4, 64<<10, 1<<30)
-	store, err := objstore.Format(dev, clk, costs)
-	if err != nil {
-		t.Fatal(err)
+	for _, name := range FSNames {
+		fs, err := Mount(name, clk, costs, 4<<30)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[name] = fs
 	}
-	afs, err := slsfs.Format(store, clk, costs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	afs.SetCheckpointPeriod(10 * time.Millisecond)
-	out["aurora"] = afs
-
-	out["ffs"] = fsbase.New(clk, device.NewStripe(clk, costs, 4, 64<<10, 1<<30), fsbase.FFS())
-	out["zfs"] = fsbase.New(clk, device.NewStripe(clk, costs, 4, 64<<10, 1<<30), fsbase.ZFS(false))
-	out["zfs+csum"] = fsbase.New(clk, device.NewStripe(clk, costs, 4, 64<<10, 1<<30), fsbase.ZFS(true))
 	return out, clk
 }
 
@@ -49,32 +36,19 @@ func cfg(clk clock.Clock, iosize int) Config {
 }
 
 func TestAllWorkloadsRunOnAllFilesystems(t *testing.T) {
-	type wl struct {
-		name string
-		fn   func(vfs.FileSystem, Config) (Result, error)
-	}
-	wls := []wl{
-		{"randomwrite", RandomWrite},
-		{"seqwrite", SeqWrite},
-		{"createfiles", CreateFiles},
-		{"writefsync", WriteFsync},
-		{"fileserver", FileServer},
-		{"varmail", VarMail},
-		{"webserver", WebServer},
-	}
-	for _, w := range wls {
-		t.Run(w.name, func(t *testing.T) {
+	for _, w := range Workloads {
+		t.Run(w.Name, func(t *testing.T) {
 			fss, clk := mounts(t)
 			for name, fs := range fss {
-				res, err := w.fn(fs, cfg(clk, 4096))
+				res, err := w.Run(fs, cfg(clk, 4096))
 				if err != nil {
-					t.Fatalf("%s on %s: %v", w.name, name, err)
+					t.Fatalf("%s on %s: %v", w.Name, name, err)
 				}
 				if res.Ops <= 0 {
-					t.Fatalf("%s on %s: zero ops", w.name, name)
+					t.Fatalf("%s on %s: zero ops", w.Name, name)
 				}
 				if res.Elapsed <= 0 {
-					t.Fatalf("%s on %s: zero elapsed", w.name, name)
+					t.Fatalf("%s on %s: zero elapsed", w.Name, name)
 				}
 			}
 		})
