@@ -543,33 +543,18 @@ func (m *Machine) RestoreLazily(group string) (*Group, RestoreStats, error) {
 	return m.restore(group, RestoreLazy)
 }
 
-// RestoreSpeculatively restores the named group with validated
-// speculation: metadata rebuilds first (the stats' TimeToFirstOp is the
-// span until the group could execute), then the validator sweep confirms
-// the whole image, rolling back to a serial restore on any mismatch. The
-// returned group is the live one — the speculative group when validation
-// succeeded, its serial replacement after a rollback (Rollbacks=1 in the
-// stats).
+// RestoreSpeculatively rebuilds every object of the named group first — the
+// stats' TimeToFirstOp is the span until the group could execute — and then
+// installs its pages, PagesValidated of them, before it returns.
 func (m *Machine) RestoreSpeculatively(group string) (*Group, RestoreStats, error) {
 	return m.restore(group, RestoreSpeculative)
 }
 
-// restore is the one restore path: rebuild in the given mode, settle the
-// speculation state machine when the mode started one, then audit.
+// restore is the one restore path: rebuild in the given mode, then audit.
 func (m *Machine) restore(group string, mode sls.RestoreMode) (*Group, RestoreStats, error) {
 	g, st, err := m.SLS.RestoreGroup(group, m.Store, mode, true)
 	if err != nil {
 		return g, st, err
-	}
-	if mode == RestoreSpeculative {
-		var fin RestoreStats
-		if g, fin, err = m.SLS.FinishSpeculation(g); err != nil {
-			return g, st, err
-		}
-		st.PagesSpeculated = fin.PagesSpeculated
-		st.PagesValidated = fin.PagesValidated
-		st.Rollbacks = fin.Rollbacks
-		st.Time += fin.Time
 	}
 	if rep := m.Audit(); !rep.OK() {
 		return g, st, fmt.Errorf("aurora: post-restore self-check failed: %s", rep)

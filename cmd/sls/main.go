@@ -106,8 +106,8 @@ commands:
   attach -name N [-steps K]         run the demo app under persistence
   checkpoint -name N                take a named checkpoint
   restore -name N [-steps K]        restore the app and continue it
-          [-speculative]            run before validation; pages are
-                                    confirmed against the image behind it
+          [-speculative]            rebuild every object first, then
+                                    load the pages
   suspend -name N                   suspend the app into the store
   ps                                list persisted applications
   history                           list restorable checkpoint epochs
@@ -284,7 +284,7 @@ func cmdRestore(img string, args []string) error {
 	fs := flag.NewFlagSet("restore", flag.ExitOnError)
 	name := fs.String("name", "demo", "application name")
 	steps := fs.Int("steps", 200, "demo app steps to continue")
-	speculative := fs.Bool("speculative", false, "speculative restore: run immediately, validate pages in the background")
+	speculative := fs.Bool("speculative", false, "speculative restore: rebuild every object first, then load the pages")
 	fs.Parse(args)
 
 	m, err := boot(img)
@@ -325,8 +325,8 @@ func cmdRestore(img string, args []string) error {
 	fmt.Printf("%s restored in %v (%d procs): counter %d -> %d\n",
 		*name, rst.Time, rst.Procs, before, after)
 	if *speculative {
-		fmt.Printf("  speculative: first op after %v, %d page(s) speculated, %d validated, %d rollback(s)\n",
-			rst.TimeToFirstOp, rst.PagesSpeculated, rst.PagesValidated, rst.Rollbacks)
+		fmt.Printf("  speculative: first op after %v, %d page(s) loaded\n",
+			rst.TimeToFirstOp, rst.PagesValidated)
 	}
 	return save(m, img)
 }

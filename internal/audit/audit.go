@@ -216,32 +216,6 @@ func (a *Auditor) auditGroup(r *Report, g *sls.Group, add func(rule, format stri
 		}
 	}
 
-	// Speculation invariants (the post-restore battery): once a group has
-	// left the speculating state, no restored object may still carry a
-	// speculation mark — a leftover mark means the validator skipped a
-	// page the application may already have consumed. A validated group
-	// must not hide a recorded mismatch, and a rolled-back husk must not
-	// remain registered (rollback replaces it with the serial group).
-	r.Rules++
-	specState := g.SpecState()
-	if specState != sls.SpecSpeculating {
-		g.EachRestoredObject(func(oid objstore.OID, obj *vm.Object) {
-			if n := obj.SpeculatedCount(); n > 0 {
-				add("sls.spec", "group %q (%s) object %d still carries %d speculation mark(s) after validation",
-					g.Name, specState, oid, n)
-			}
-		})
-	}
-	if _, _, bad := g.SpecMismatch(); bad && specState == sls.SpecValidated {
-		add("sls.spec", "group %q reports validated despite a recorded mismatch", g.Name)
-	}
-	if specState == sls.SpecRolledBack {
-		add("sls.spec", "group %q is a rolled-back speculation husk still registered", g.Name)
-	}
-	if spec, validated := g.SpecCounts(); spec < 0 || validated < 0 {
-		add("sls.spec", "group %q negative speculation counters (%d speculated, %d validated)", g.Name, spec, validated)
-	}
-
 	// Capture rule: an object the checkpoint's generation gate would skip
 	// must already be in the store exactly as a fresh serialization has it —
 	// the oracle for "every mutation bumps its object's generation".

@@ -148,95 +148,6 @@ func TestViolationsFeedFlightRing(t *testing.T) {
 	}
 }
 
-// TestSpecLeftoverMarkDetected drives a group through the full speculative
-// lifecycle and checks both sides of the sls.spec rule: while the group is
-// still speculating, marks are expected and the audit stays clean; once
-// validation has settled, a lingering mark means the validator lied about
-// finishing and must be flagged.
-func TestSpecLeftoverMarkDetected(t *testing.T) {
-	w, _ := busyWorld(t)
-	g, _ := w.o.GroupByName("app")
-	if _, err := g.Checkpoint(sls.CkptFull); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Barrier(); err != nil {
-		t.Fatal(err)
-	}
-	// Retire the live group before restoring its image, the way a real
-	// restart would — otherwise two groups answer to "app" and the epoch
-	// rule (rightly) cries foul.
-	for _, p := range g.Procs() {
-		p.Exit(0)
-	}
-	w.o.Forget(g)
-	g2, _, err := w.o.RestoreGroup("app", w.store, sls.RestoreSpeculative, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Plant a mark by hand: during speculation this is the normal state.
-	var obj *vm.Object
-	g2.EachRestoredObject(func(_ objstore.OID, o *vm.Object) {
-		if obj == nil {
-			obj = o
-		}
-	})
-	if obj == nil {
-		t.Fatal("restored group exposes no objects")
-	}
-	obj.MarkSpeculated(0)
-	// Fresh auditors per phase: the epoch watchdog's memory is orthogonal
-	// to the spec rule, and a restored group legitimately restarts its
-	// epoch counter.
-	audit := func() Report {
-		a := &Auditor{Store: w.store, K: w.k, O: w.o, Clk: w.clk}
-		return a.Run()
-	}
-	if rep := audit(); !rep.OK() {
-		t.Fatalf("marks during speculation flagged:\n%s", rep)
-	}
-
-	g3, fin, err := w.o.FinishSpeculation(g2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fin.Rollbacks != 0 {
-		t.Fatalf("clean image rolled back: %+v", fin)
-	}
-	if rep := audit(); !rep.OK() {
-		t.Fatalf("validated group flagged:\n%s", rep)
-	}
-	// Now re-plant the mark on the settled group: the validator claims it
-	// finished, so the mark is a contradiction the audit must catch.
-	obj = nil
-	g3.EachRestoredObject(func(_ objstore.OID, o *vm.Object) {
-		if obj == nil {
-			obj = o
-		}
-	})
-	if obj == nil {
-		t.Fatal("validated group exposes no objects")
-	}
-	obj.MarkSpeculated(0)
-	rep := audit()
-	if rep.OK() {
-		t.Fatal("leftover speculation mark not detected")
-	}
-	found := false
-	for _, v := range rep.Violations {
-		if v.Rule == "sls.spec" && strings.Contains(v.Detail, "speculation mark") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("no sls.spec violation in:\n%s", rep)
-	}
-	obj.ClearSpeculated(0)
-	if rep := audit(); !rep.OK() {
-		t.Fatalf("audit dirty after clearing the mark:\n%s", rep)
-	}
-}
-
 func TestStoreOnlyAuditor(t *testing.T) {
 	// The crash harness runs with only a store: every other layer must be
 	// skippable without nil panics.

@@ -37,11 +37,10 @@ func quickRun[T any](t *testing.T, name string, fn func(Scale) (T, error)) T {
 // simulated machine or the experiment changed: say which, and why, beside the
 // edit to the golden.
 //
-// Two things are left out because two runs of the same binary disagree on
-// them: Fig 6's Aurora rows and restore's "Spec settle" column (zeroed before
-// rendering). Both depend on which of two racing flush workers reaches the
-// store first (ROADMAP item 2); when this pin was taken they read 4.5 then
-// 4.4 ms (Aurora-100Hz p99) and 470.8 then 494.9 us (Spec settle, 1 group).
+// Fig 6's Aurora rows are left out because two runs of the same binary
+// disagree on them: they depend on which of two racing flush workers reaches
+// the store first (ROADMAP item 2); when this pin was taken they read 4.5
+// then 4.4 ms (Aurora-100Hz p99).
 //
 // The golden is "## <section>" lines, each followed by that experiment's
 // rendered table and one blank line.
@@ -52,11 +51,6 @@ func TestQuickRowsPinned(t *testing.T) {
 		if row.Config == rocksdb.ConfigNoSync || row.Config == rocksdb.ConfigWAL {
 			fig6Stock.Rows = append(fig6Stock.Rows, row)
 		}
-	}
-	rst := quickRun(t, "restore", RestoreBench)
-	rstPinned := RestoreResult{Points: append([]RestorePoint(nil), rst.Points...)}
-	for i := range rstPinned.Points {
-		rstPinned.Points[i].SpecSettle = 0
 	}
 	sections := []struct {
 		name string
@@ -77,7 +71,7 @@ func TestQuickRowsPinned(t *testing.T) {
 		{"repl", quickRun(t, "repl", Replication)},
 		{"walwindow", quickRun(t, "walwindow", WALWindow)},
 		{"fleet", quickRun(t, "fleet", Fleet)},
-		{"restore (Spec settle zeroed)", rstPinned},
+		{"restore", quickRun(t, "restore", RestoreBench)},
 	}
 	blob, err := os.ReadFile(filepath.Join("testdata", "quick.golden"))
 	if err != nil {

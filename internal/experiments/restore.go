@@ -11,24 +11,25 @@ import (
 	"aurora/internal/workload"
 )
 
-// RestoreGroupCounts is the fan-out sweep: one memcached group, then the
-// multi-tenant shapes where the speculative validator's worker pool earns
-// its keep.
+// RestoreGroupCounts is the tenant sweep: one memcached group, then
+// several restored back to back.
 var RestoreGroupCounts = []int{1, 4, 8}
 
 // RestorePoint is one row of the serial-vs-speculative comparison. "First
 // request" is the virtual span from the reboot to a single-item read
 // completing: under RestoreFull that is the whole eager page load plus the
 // (resident) read; under RestoreSpeculative it is the metadata rebuild —
-// the group executes while the validator still owns the background — plus
-// the same read once validation has settled the page.
+// when the group could first execute — plus the same read of the page the
+// prefetch installed. Either way the read is of one slot, not a request
+// through the server: the application's own post-restore index scan is
+// skipped (EXPERIMENTS.md lists this as a deviation).
 type RestorePoint struct {
 	Groups         int
 	SerialFirstReq time.Duration
 	SpecFirstReq   time.Duration
-	SpecSettle     time.Duration // full speculative restore incl. validation
+	SpecSettle     time.Duration // the whole speculative restore, prefetch included
 	PagesValidated int64
-	Rollbacks      int
+	Rollbacks      int // always 0: a restore that meets rot fails
 }
 
 // RestoreResult is the sweep.
@@ -140,8 +141,8 @@ func restorePoint(scale Scale, groups int) (RestorePoint, error) {
 	}
 	pt.SerialFirstReq = mSer.Clock.Now() - t0
 
-	// Speculative: RestoreGroups rebuilds metadata serially, then fans the
-	// validation out; TimeToFirstOp is the span the mode exists to shrink.
+	// Speculative: each group's metadata, then its pages, one group after
+	// another; TimeToFirstOp is the span the mode exists to shrink.
 	mSpec, err := m.Crash()
 	if err != nil {
 		return pt, err
@@ -154,8 +155,8 @@ func restorePoint(scale Scale, groups int) (RestorePoint, error) {
 	pt.SpecSettle = mSpec.Clock.Now() - t0
 	var ttfo time.Duration
 	for _, st := range sts {
-		// Metadata rebuilds run back-to-back, so the last group's first
-		// instruction waits out every predecessor's rebuild.
+		// The metadata rebuilds summed: when the last group could run had
+		// every group's objects been rebuilt before any page loaded.
 		ttfo += st.TimeToFirstOp
 		pt.PagesValidated += st.PagesValidated
 		pt.Rollbacks += st.Rollbacks
@@ -171,9 +172,6 @@ func restorePoint(scale Scale, groups int) (RestorePoint, error) {
 		if !bytes.Equal(serReads[i], specReads[i]) {
 			return pt, fmt.Errorf("group %s: serial and speculative restores disagree on the first item", names[i])
 		}
-	}
-	if pt.Rollbacks != 0 {
-		return pt, fmt.Errorf("clean image rolled back %d time(s)", pt.Rollbacks)
 	}
 	return pt, nil
 }

@@ -55,8 +55,8 @@ const (
 	EvWALAppend                       // A=base epoch, B=frame seq (recorded pre-encode, C unused)
 	EvWALFold                         // A=epoch the fold commits, B=frames folded
 	EvWALGC                           // A=bytes reclaimed, B=generation retired
-	EvSpecValidated                   // A=group OID, B=pages validated, C=pages speculated
-	EvSpecRollback                    // A=group OID, B=object OID of the mismatch, C=page index
+	_                                 // reserved, so the kinds below keep their numbers
+	_                                 // reserved, so the kinds below keep their numbers
 	EvSLOBreach                       // A=observed value, B=bound, C=virtual µs; detail names the rule
 	EvCheckpointFail                  // A=group OID, B=the ordinal EvCheckpointBegin announced, C=kind; detail has the error
 )
@@ -98,10 +98,6 @@ func (k Kind) String() string {
 		return "wal.fold"
 	case EvWALGC:
 		return "wal.gc"
-	case EvSpecValidated:
-		return "restore.validated"
-	case EvSpecRollback:
-		return "restore.rollback"
 	case EvSLOBreach:
 		return "slo.breach"
 	case EvCheckpointFail:

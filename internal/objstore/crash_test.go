@@ -267,6 +267,69 @@ func TestWALRecoverSeesArmedRot(t *testing.T) {
 	fd.Arm(faultdev.Plan{CutAtSubmit: -1})
 }
 
+// TestEveryPageReadChecksItsSum: a rotted data block fails every read that
+// meets it — one page, a byte range, the bulk stream, a page list, a view's
+// page — with ErrPageSum naming the object and the page, while the pages
+// around it still read.
+func TestEveryPageReadChecksItsSum(t *testing.T) {
+	s, fd, _, _ := newFaultStore(t, 128<<20)
+	oid := s.NewOID()
+	s.Ensure(oid, 2)
+	marker := []byte("rot-target-page-0x5AC3A53C")
+	for pg := int64(0); pg < 3; pg++ {
+		page := bytes.Repeat([]byte{byte(pg + 1)}, objstore.BlockSize)
+		if pg == 1 {
+			copy(page, marker)
+		}
+		if err := s.WritePage(oid, pg, page); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WaitDurable(s.Epoch()); err != nil {
+		t.Fatal(err)
+	}
+	off := int64(-1)
+	blk := make([]byte, objstore.BlockSize)
+	for a := int64(0); a < 64<<20 && off < 0; a += objstore.BlockSize {
+		fd.PeekAt(blk, a)
+		if i := bytes.Index(blk, marker); i >= 0 {
+			off = a + int64(i)
+		}
+	}
+	if off < 0 {
+		t.Fatal("marker page not found on the device")
+	}
+	v, err := s.RestoreView(s.Epoch())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fd.Arm(faultdev.Plan{CutAtSubmit: -1, RotOffsets: []int64{off + 9}})
+	defer fd.Arm(faultdev.Plan{CutAtSubmit: -1})
+
+	page := make([]byte, objstore.BlockSize)
+	none := func(int64, []byte) error { return nil }
+	want := fmt.Sprintf("oid %d page 1", oid)
+	for name, read := range map[string]func() error{
+		"ReadPage":      func() error { _, err := s.ReadPage(oid, 1, page); return err },
+		"ReadAt":        func() error { _, err := s.ReadAt(oid, objstore.BlockSize-4, make([]byte, 8)); return err },
+		"EachPageBulk":  func() error { _, err := s.EachPageBulk(oid, none); return err },
+		"EachPageOf":    func() error { return s.EachPageOf(oid, []int64{0, 1}, none) },
+		"View.ReadPage": func() error { _, err := v.ReadPage(oid, 1, page); return err },
+	} {
+		if err := read(); !errors.Is(err, objstore.ErrPageSum) || err.Error() != objstore.ErrPageSum.Error()+": "+want {
+			t.Errorf("%s over a rotted page = %v, want %v: %s", name, err, objstore.ErrPageSum, want)
+		}
+	}
+	for _, pg := range []int64{0, 2} {
+		if found, err := s.ReadPage(oid, pg, page); err != nil || !found || page[0] != byte(pg+1) {
+			t.Fatalf("clean page %d beside the rot: found=%v err=%v", pg, found, err)
+		}
+	}
+}
+
 func TestViewImmutabilityProperty(t *testing.T) {
 	clk := clock.NewVirtual()
 	costs := clock.DefaultCosts()

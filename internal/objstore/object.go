@@ -214,11 +214,16 @@ func (s *Store) readRangeLocked(o *object, off int64, buf []byte) error {
 	for i := range pgs {
 		pgs[i] = first + int64(i)
 	}
-	exts, err := s.pageExtents(o, pgs)
+	exts, sums, err := s.pageExtents(o, pgs)
 	if err != nil {
 		return err
 	}
 	return s.readBatch(exts, func(i int, page []byte) error {
+		if exts[i].addr != 0 {
+			if err := checkPage(o.oid, pgs[i], sums[i], page); err != nil {
+				return err
+			}
+		}
 		if i == 0 {
 			copy(buf, page[off%BlockSize:])
 		} else {
@@ -229,20 +234,22 @@ func (s *Store) readRangeLocked(o *object, off int64, buf []byte) error {
 }
 
 // pageExtents maps pages of a paged object to their device extents, holes
-// to the zero extent. Requires mu.
-func (s *Store) pageExtents(o *object, pgs []int64) ([]extent, error) {
+// to the zero extent, beside the sum each stored page was committed with.
+// Requires mu.
+func (s *Store) pageExtents(o *object, pgs []int64) ([]extent, []uint32, error) {
 	exts := make([]extent, len(pgs))
+	sums := make([]uint32, len(pgs))
 	for i, pg := range pgs {
 		c, err := s.loadChunk(o, pg, false)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		exts[i].n = BlockSize
 		if c != nil {
-			exts[i].addr = c.addrs[pg%ChunkFanout]
+			exts[i].addr, sums[i] = c.addrs[pg%ChunkFanout], c.sums[pg%ChunkFanout]
 		}
 	}
-	return exts, nil
+	return exts, sums, nil
 }
 
 // Truncate sets oid's size, retiring blocks past the end.
@@ -315,8 +322,9 @@ func (s *Store) EachPageOf(oid OID, pgs []int64, fn func(pg int64, data []byte) 
 }
 
 // eachPage streams pages of a live or view object to fn — every stored page
-// in ascending order when all is set, else exactly pgs, holes as zero pages
-// — and returns how many it delivered. The lock is held only to map pages to
+// in ascending order when all is set, else exactly pgs, holes as zero pages,
+// each stored page checked against its committed sum before fn sees it —
+// and returns how many it delivered. The lock is held only to map pages to
 // extents, chunk by chunk, so the stream runs concurrently with other store
 // users; the clock waits once, after the last chunk's reads are queued.
 func (s *Store) eachPage(o *object, pgs []int64, all bool, fn func(pg int64, data []byte) error) (n int64, err error) {
@@ -346,8 +354,13 @@ func (s *Store) eachPage(o *object, pgs []int64, all bool, fn func(pg int64, dat
 	}
 	// stream queues one batch of page reads behind whatever is already queued.
 	var last time.Duration
-	stream := func(pgs []int64, exts []extent) error {
+	stream := func(pgs []int64, exts []extent, sums []uint32) error {
 		done, err := s.submitReads(exts, func(i int, data []byte) error {
+			if exts[i].addr != 0 {
+				if err := checkPage(o.oid, pgs[i], sums[i], data); err != nil {
+					return err
+				}
+			}
 			if err := fn(pgs[i], data); err != nil {
 				return err
 			}
@@ -358,10 +371,10 @@ func (s *Store) eachPage(o *object, pgs []int64, all bool, fn func(pg int64, dat
 		return err
 	}
 	if !all {
-		exts, err := s.pageExtents(o, pgs)
+		exts, sums, err := s.pageExtents(o, pgs)
 		s.mu.Unlock()
 		if err == nil {
-			err = stream(pgs, exts)
+			err = stream(pgs, exts, sums)
 		}
 		if err != nil {
 			return n, err
@@ -370,8 +383,9 @@ func (s *Store) eachPage(o *object, pgs []int64, all bool, fn func(pg int64, dat
 		cis := sortedChunkIdxs(o)
 		s.mu.Unlock()
 		var exts []extent
+		var sums []uint32
 		for _, ci := range cis {
-			pgs, exts = pgs[:0], exts[:0]
+			pgs, exts, sums = pgs[:0], exts[:0], sums[:0]
 			s.mu.Lock()
 			c, err := s.loadChunk(o, ci*ChunkFanout, false)
 			if c != nil {
@@ -379,12 +393,13 @@ func (s *Store) eachPage(o *object, pgs []int64, all bool, fn func(pg int64, dat
 					if a != 0 {
 						pgs = append(pgs, ci*ChunkFanout+int64(slot))
 						exts = append(exts, extent{a, BlockSize})
+						sums = append(sums, c.sums[slot])
 					}
 				}
 			}
 			s.mu.Unlock()
 			if err == nil {
-				err = stream(pgs, exts)
+				err = stream(pgs, exts, sums)
 			}
 			if err != nil {
 				return n, err

@@ -151,7 +151,7 @@ func TestStoreImagePinned(t *testing.T) {
 	}
 }
 
-// imageReader is the nine read methods a Store and a View share.
+// imageReader is the eight read methods a Store and a View share.
 type imageReader interface {
 	Objects() []OID
 	Exists(OID) bool
@@ -160,7 +160,6 @@ type imageReader interface {
 	GetRecord(OID) ([]byte, error)
 	ReadPage(OID, int64, []byte) (bool, error)
 	HasPage(OID, int64) (bool, error)
-	PageSum(OID, int64) (uint32, bool, error)
 	EachPageBulk(OID, func(int64, []byte) error) (int64, error)
 }
 
@@ -179,9 +178,8 @@ func readTranscript(r imageReader, oids []OID, pgs []int64) string {
 		for _, pg := range pgs {
 			found, rerr := r.ReadPage(oid, pg, page)
 			has, herr := r.HasPage(oid, pg)
-			sum, ok, perr := r.PageSum(oid, pg)
-			fmt.Fprintf(&b, "  page %d read=%v crc=%08x (%v) has=%v (%v) sum=%08x/%v (%v)\n",
-				pg, found, crc32.ChecksumIEEE(page), rerr, has, herr, sum, ok, perr)
+			fmt.Fprintf(&b, "  page %d read=%v crc=%08x (%v) has=%v (%v)\n",
+				pg, found, crc32.ChecksumIEEE(page), rerr, has, herr)
 		}
 		n, err := r.EachPageBulk(oid, func(pg int64, data []byte) error {
 			fmt.Fprintf(&b, "  bulk %d crc=%08x\n", pg, crc32.ChecksumIEEE(data))
@@ -192,7 +190,7 @@ func readTranscript(r imageReader, oids []OID, pgs []int64) string {
 	return b.String()
 }
 
-// TestViewMatchesStore: a View of the current epoch answers all nine read
+// TestViewMatchesStore: a View of the current epoch answers all eight read
 // methods exactly as the Store does — inline, paged (with holes, across two
 // chunks, chunks not yet faulted in), spilled, journal and absent objects,
 // value for value and error text for error text.
@@ -236,7 +234,7 @@ func TestViewMatchesStore(t *testing.T) {
 		"oid 99 exists=false utype=0 (objstore: no such object: 99) size=0 (objstore: no such object: 99)\n",
 		"  record len=0 crc=00000000 (objstore: no such object: 99)\n",
 		"  record len=0 crc=00000000 (objstore: object is a journal)\n",
-		"has=false (objstore: object is a journal) sum=00000000/false (objstore: object is a journal)\n",
+		"has=false (objstore: object is a journal)\n",
 		"  bulk n=0 (objstore: object is a journal)\n",
 		"  bulk n=0 (objstore: no such object: 99)\n",
 		"  bulk n=4 (<nil>)\n",  // pgd: four stored pages

@@ -2,6 +2,7 @@ package objstore
 
 import (
 	"fmt"
+	"hash/crc32"
 	"time"
 )
 
@@ -11,6 +12,13 @@ import (
 // the synchronous dev.ReadAt is single blocks on a path whose next step
 // depends on them (a superblock slot, one block-map chunk, one demand-paged
 // page) and fsck.
+//
+// Every stored page a read hands out has been checked against the sum it was
+// committed with (checkPage): the chunk that maps the page is in memory when
+// the page is, so the check costs one CRC of host time and no virtual time,
+// and a rotted block fails the read that meets it — a demand fault, a restore's
+// prefetch, a file read or a page shipped to a replica — naming the object and
+// the page.
 
 // lookup requires mu.
 func (im *image) lookup(oid OID) (*object, error) {
@@ -21,7 +29,7 @@ func (im *image) lookup(oid OID) (*object, error) {
 	return o, nil
 }
 
-// The nine read methods of an image. A Store answers them from its live
+// The eight read methods of an image. A Store answers them from its live
 // table, a View from a retained epoch's; both have them from here, through
 // the image they embed, and neither declares one of its own.
 
@@ -125,35 +133,6 @@ func (im *image) HasPage(oid OID, pg int64) (bool, error) {
 	return c != nil && c.addrs[pg%ChunkFanout] != 0, nil
 }
 
-// PageSum returns the CRC32 recorded when oid's page pg was committed —
-// the validator's ground truth for speculative restore: a speculated page
-// is confirmed by hashing what the group faulted in and comparing against
-// this sum, without trusting (or re-reading) the data path that produced
-// it. ok is false for holes and for inline objects, which carry no
-// per-page sums; those pages are validated by content instead.
-func (im *image) PageSum(oid OID, pg int64) (sum uint32, ok bool, err error) {
-	im.s.mu.Lock()
-	defer im.s.mu.Unlock()
-	o, err := im.lookup(oid)
-	if err != nil {
-		return 0, false, err
-	}
-	if o.journal != nil {
-		return 0, false, ErrIsJournal
-	}
-	if o.chunks == nil {
-		return 0, false, nil
-	}
-	c, err := im.s.loadChunk(o, pg, false)
-	if err != nil {
-		return 0, false, err
-	}
-	if c == nil || c.addrs[pg%ChunkFanout] == 0 {
-		return 0, false, nil
-	}
-	return c.sums[pg%ChunkFanout], true, nil
-}
-
 // EachPageBulk streams every present page of oid to fn in ascending page
 // order, charging pipelined read bandwidth (one queue drain at the end)
 // instead of a full command latency per page. This is the eager-restore
@@ -180,22 +159,31 @@ func inlinePage(inline []byte, pg int64, page []byte) bool {
 	return true
 }
 
-// readPageLocked requires mu.
+// readPageLocked reads page pg of a paged object into buf, zeroing it for a
+// hole. Requires mu.
 func (s *Store) readPageLocked(o *object, pg int64, buf []byte) (bool, error) {
 	c, err := s.loadChunk(o, pg, false)
 	if err != nil {
 		return false, err
 	}
-	if c == nil || c.addrs[pg%ChunkFanout] == 0 {
-		for i := range buf {
-			buf[i] = 0
-		}
+	slot := pg % ChunkFanout
+	if c == nil || c.addrs[slot] == 0 {
+		clear(buf)
 		return false, nil
 	}
-	if _, err := s.dev.ReadAt(buf, c.addrs[pg%ChunkFanout]); err != nil {
+	if _, err := s.dev.ReadAt(buf, c.addrs[slot]); err != nil {
 		return false, err
 	}
-	return true, nil
+	return true, checkPage(o.oid, pg, c.sums[slot], buf)
+}
+
+// checkPage refuses a stored page whose bytes are not the ones it was
+// committed with.
+func checkPage(oid OID, pg int64, sum uint32, data []byte) error {
+	if crc32.ChecksumIEEE(data) != sum {
+		return fmt.Errorf("%w: oid %d page %d", ErrPageSum, oid, pg)
+	}
+	return nil
 }
 
 // loadChunk returns the chunk covering page index pg of a paged object,

@@ -73,6 +73,7 @@ var (
 	ErrNotJournal = errors.New("objstore: object is not a journal")
 	ErrIsJournal  = errors.New("objstore: object is a journal")
 	ErrFull       = errors.New("objstore: device full")
+	ErrPageSum    = errors.New("objstore: page does not match its committed sum")
 )
 
 // BlockDev is the storage a store runs on; *device.Stripe and *device.Device

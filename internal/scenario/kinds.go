@@ -147,7 +147,7 @@ var assertionKinds = []kind[AssertionDecl, func(*Harness, AssertionDecl) (bool, 
 		needs: needPlacement, do: atLeast("%d failovers (want >= %d)", func(r *Harness, _ AssertionDecl) int64 {
 			return r.coord.Failovers()
 		})},
-	{name: "rollbacks-at-most", doc: "group: speculation rollbacks <= max (default 0)",
+	{name: "rollbacks-at-most", doc: "group: restore rollbacks <= max (default 0; a restore that meets rot fails instead)",
 		needs: needGroup, check: checkRollbackMax, do: (*Harness).rollbacksAtMost},
 	// The metric kinds read a named metric of the telemetry block's stores:
 	// one machine's when `machine` is set, else fleet-wide (histograms merge
@@ -225,7 +225,7 @@ var restoreModes = []kind[EventDecl, restoreMode]{
 		do: restoreMode{(*aurora.Machine).RestoreLazily, totalTime}},
 	// The budget that matters speculatively is time-to-first-op —
 	// restores-under-us bounds exactly the span the mode shrinks.
-	{name: "speculative", doc: "run at once; a background validator confirms every page and rolls back to serial on a mismatch",
+	{name: "speculative", doc: "every object first, then every page, each checked against its committed sum; rot fails the restore",
 		do: restoreMode{(*aurora.Machine).RestoreSpeculatively, func(st aurora.RestoreStats) time.Duration { return st.TimeToFirstOp }}},
 }
 

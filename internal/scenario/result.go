@@ -83,8 +83,9 @@ type GroupStat struct {
 	// rather than full epochs (wal_commit workloads).
 	WALCommits int64 `json:"wal_commits,omitempty"`
 	Restores   int64 `json:"restores"`
-	// Rollbacks counts speculative restores that failed validation and
-	// fell back to serial.
+	// Rollbacks counts restores that fell back to another restore: always 0,
+	// since a restore that meets rot fails. Kept so the fingerprint format
+	// holds.
 	Rollbacks int64 `json:"rollbacks,omitempty"`
 	P99StopUS int64 `json:"p99_stop_us"`
 	// P99DurableUS is the p99 of per-checkpoint durable windows — the

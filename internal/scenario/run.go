@@ -56,7 +56,7 @@ type groupState struct {
 	ckpts        int64
 	walCommits   int64
 	lastCkptMS   int64
-	rollbacks    int64 // speculative restores that fell back to serial
+	rollbacks    int64 // RestoreStats.Rollbacks, summed: always 0
 	stopTimes    []time.Duration
 	restoreTimes []time.Duration
 	// durableWindows is, per checkpoint, the span from checkpoint start to

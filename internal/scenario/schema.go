@@ -207,9 +207,8 @@ type EventDecl struct {
 	Rounds int64  `json:"rounds,omitempty"`
 
 	// restore mode, one of restoreModes: "serial" (eager, the default),
-	// "lazy", or "speculative" — the validated-speculation path, where the
-	// group executes immediately and a background validator confirms every
-	// page, rolling back to a serial restore on mismatch.
+	// "lazy", or "speculative" — every object rebuilt before any page
+	// loads, so its restores-under-us budget is the time to first op.
 	RestoreMode string `json:"restore_mode,omitempty"`
 }
 

@@ -31,11 +31,6 @@ type MemCkptStats struct {
 func (g *Group) MemCkpt(p *kern.Proc, va uint64) (MemCkptStats, error) {
 	o := g.o
 	var st MemCkptStats
-	// Same rule as Group.Checkpoint: unvalidated speculative memory must
-	// not be flushed into the committed image.
-	if g.SpecState() == SpecSpeculating {
-		return st, fmt.Errorf("%w (group %q)", ErrSpeculating, g.Name)
-	}
 	sw := clock.StartStopwatch(o.Clk)
 
 	ent, ok := p.Mem.EntryAt(va)

@@ -39,13 +39,6 @@ import (
 func (g *Group) Checkpoint(kind CheckpointKind) (st CheckpointStats, err error) {
 	o := g.o
 
-	// A speculating group's memory is unvalidated: committing it would
-	// make a possibly-corrupt image durable and overwrite the very epoch
-	// a rollback needs to re-restore from.
-	if g.SpecState() == SpecSpeculating {
-		return CheckpointStats{}, fmt.Errorf("%w (group %q)", ErrSpeculating, g.Name)
-	}
-
 	// Periodic folding: every Nth WAL commit is promoted to a full
 	// checkpoint so frame chains stay short and the ring reclaims.
 	if kind == CkptWAL && g.Options.FoldEvery > 0 && g.walSinceFold >= g.Options.FoldEvery {

@@ -9,7 +9,6 @@ package sls
 import (
 	"bytes"
 	"errors"
-	"hash/crc32"
 	"math/rand"
 	"testing"
 
@@ -25,22 +24,12 @@ import (
 
 var restoreModeNames = map[RestoreMode]string{RestoreFull: "eager", RestoreLazy: "lazy", RestoreSpeculative: "speculative"}
 
-// restoreContinuing restores "app" from w's live store in the given mode and,
-// for a speculative restore, validates it (a speculating group cannot
-// checkpoint). warm, when set, runs while the group still speculates.
-func restoreContinuing(t *testing.T, w *world, mode RestoreMode, warm func(*Group)) *Group {
+// restoreContinuing restores "app" from w's live store in the given mode.
+func restoreContinuing(t *testing.T, w *world, mode RestoreMode) *Group {
 	t.Helper()
 	g, _, err := w.o.RestoreGroup("app", w.store, mode, true)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if warm != nil {
-		warm(g)
-	}
-	if mode == RestoreSpeculative {
-		if g, _, err = w.o.FinishSpeculation(g); err != nil {
-			t.Fatal(err)
-		}
 	}
 	return g
 }
@@ -77,15 +66,14 @@ func TestCheckpointAfterRestoreFlushesDirtyOnly(t *testing.T) {
 			}
 
 			w2 := w.crash(t)
-			g2 := restoreContinuing(t, w2, mode, func(g *Group) {
-				// Half the image arrives by demand fault (a no-op re-read
-				// after an eager restore) and must join as clean.
-				got := make([]byte, len(want)/2)
-				if err := g.Procs()[0].ReadMem(va, got); err != nil || !bytes.Equal(got, want[:len(got)]) {
-					t.Fatalf("restored arena differs before any write (err %v)", err)
-				}
-			})
+			g2 := restoreContinuing(t, w2, mode)
 			rp := g2.Procs()[0]
+			// Half the image arrives by demand fault (a no-op re-read after
+			// a restore that loaded the pages) and must join as clean.
+			got := make([]byte, len(want)/2)
+			if err := rp.ReadMem(va, got); err != nil || !bytes.Equal(got, want[:len(got)]) {
+				t.Fatalf("restored arena differs before any write (err %v)", err)
+			}
 			write := func(pg int, data []byte) {
 				t.Helper()
 				off := pg*vm.PageSize + 17
@@ -117,21 +105,23 @@ func TestCheckpointAfterRestoreFlushesDirtyOnly(t *testing.T) {
 			}
 
 			w3 := w2.crash(t)
-			g3 := restoreContinuing(t, w3, RestoreFull, nil)
-			got := make([]byte, len(want))
+			g3 := restoreContinuing(t, w3, RestoreFull)
+			got = make([]byte, len(want))
 			if err := g3.Procs()[0].ReadMem(va, got); err != nil || !bytes.Equal(got, want) {
 				t.Fatalf("arena after crash differs from the reference (err %v)", err)
 			}
 			var arena objstore.OID
-			for _, rm := range g3.restoredMem {
-				if rm.obj.Size() == int64(len(want)) {
-					arena = rm.oid
+			for key, oid := range g3.oidOf {
+				if obj, ok := key.(*vm.Object); ok && obj.Size() == int64(len(want)) {
+					arena = oid
 				}
 			}
+			// The store hands out a page only under its committed sum.
+			page := make([]byte, vm.PageSize)
 			for pg := 0; pg < pages; pg++ {
-				sum, ok, err := w3.store.PageSum(arena, int64(pg))
-				if err != nil || !ok || sum != crc32.ChecksumIEEE(want[pg*vm.PageSize:(pg+1)*vm.PageSize]) {
-					t.Fatalf("page %d of object %d: committed sum %#x (ok=%v, err %v) is not the reference page's", pg, arena, sum, ok, err)
+				found, err := w3.store.ReadPage(arena, int64(pg), page)
+				if err != nil || !found || !bytes.Equal(page, want[pg*vm.PageSize:(pg+1)*vm.PageSize]) {
+					t.Fatalf("page %d of object %d: stored=%v, err %v, or not the reference page", pg, arena, found, err)
 				}
 			}
 		})
@@ -182,7 +172,7 @@ func TestRestoreChainStaysBounded(t *testing.T) {
 	var dead, meta []int64
 	for cycle := 1; cycle <= 12; cycle++ {
 		w = w.crash(t)
-		g = restoreContinuing(t, w, RestoreMode(cycle%3), nil)
+		g = restoreContinuing(t, w, RestoreMode(cycle%3))
 		if g.RetainEpochs != retain {
 			t.Fatalf("cycle %d: restored group retains %d epochs, the group record said %d", cycle, g.RetainEpochs, retain)
 		}
@@ -238,7 +228,7 @@ func TestRestoreParentFormatGroupRecord(t *testing.T) {
 	}
 
 	w2 := w.crash(t)
-	g2 := restoreContinuing(t, w2, RestoreFull, nil)
+	g2 := restoreContinuing(t, w2, RestoreFull)
 	if g2.RetainEpochs != defaultRetainEpochs {
 		t.Fatalf("parent-format record restored with retention %d, want the default %d", g2.RetainEpochs, defaultRetainEpochs)
 	}

@@ -10,7 +10,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math/rand"
 	"os"
 	"strconv"
@@ -245,9 +244,9 @@ func (r *slsRun) apply(op slsOp) error {
 // reboot replaces the machine with a fresh kernel over the same (healthy)
 // device and restores the group from the live store, continuing — what the
 // crash-restore chain does between two commits. The caller put a barrier in
-// front, so the recovered epoch is the last golden. A speculative restore
-// reads part of the image while speculating and then validates, so the
-// checkpoint that follows sees pages that arrived all three ways.
+// front, so the recovered epoch is the last golden. A lazy restore's pages
+// arrive by fault as the golden is checked, the other two modes' from the
+// loader, so the checkpoint that follows sees pages that arrived both ways.
 func (r *slsRun) reboot(mode RestoreMode) error {
 	w, err := r.w.recovered()
 	if err != nil {
@@ -260,11 +259,6 @@ func (r *slsRun) reboot(mode RestoreMode) error {
 	}
 	if mode != RestoreFull {
 		if err := verifyGolden(g, r.va, &r.points[len(r.points)-1]); err != nil {
-			return err
-		}
-	}
-	if mode == RestoreSpeculative {
-		if g, _, err = w.o.FinishSpeculation(g); err != nil {
 			return err
 		}
 	}
@@ -378,10 +372,8 @@ func slsCrashCheck(seed int64, ops []slsOp, points []slsPoint, k int64, torn, dr
 
 	// The same crash point replays through speculative restore: a second
 	// recovery over the same device (Recover is read-only, so it lands on
-	// the same committed epoch), the group executing immediately with
-	// fault-time content checks, then the validator sweep — which must
-	// confirm the speculation outright; any rollback on a clean image is
-	// a validator bug.
+	// the same committed epoch), every object rebuilt before any page, then
+	// the loader.
 	r.w.fd.Reopen()
 	w3, err := r.w.recovered()
 	if err != nil {
@@ -395,26 +387,8 @@ func slsCrashCheck(seed int64, ops []slsOp, points []slsPoint, k int64, torn, dr
 	if err != nil {
 		return fail("speculative restore from epoch %d: %v", golden.epoch, err)
 	}
-	if g3.SpecState() != SpecSpeculating {
-		return fail("speculative: state %s right after restore, want speculating", g3.SpecState())
-	}
-	// Touch the golden image while still speculating, so a share of the
-	// pages goes through the fault-time check rather than the sweep.
 	if err := verifyGolden(g3, r.va, golden); err != nil {
-		return fail("speculative (pre-validation): epoch %d: %v", golden.epoch, err)
-	}
-	g3, fin, err := o3.FinishSpeculation(g3)
-	if err != nil {
-		return fail("speculative: validation: %v", err)
-	}
-	if fin.Rollbacks != 0 {
-		return fail("speculative: clean image triggered %d rollback(s)", fin.Rollbacks)
-	}
-	if g3.SpecState() != SpecValidated {
-		return fail("speculative: state %s after validation, want validated", g3.SpecState())
-	}
-	if err := verifyGolden(g3, r.va, golden); err != nil {
-		return fail("speculative (post-validation): epoch %d: %v", golden.epoch, err)
+		return fail("speculative: epoch %d: %v", golden.epoch, err)
 	}
 	if probs := store3.AuditLive(); len(probs) > 0 {
 		return fail("speculative: AuditLive after replay: %v", probs)
@@ -472,9 +446,9 @@ func verifyGolden(g *Group, va uint64, golden *slsPoint) error {
 }
 
 // verifyHistory checks every epoch the recovered store still retains: its
-// image opens, every stored page of every memory object matches the sum it
-// was committed with, and the application arena reads back as the golden
-// taken at that commit. A block released inside a commit and handed out again
+// image opens, every stored page of every memory object reads back (the
+// store refuses one that does not match the sum it was committed with), and
+// the application arena reads back as the golden taken at that commit. A block released inside a commit and handed out again
 // before that commit's superblock was durable shows up here — the cut
 // recovers the previous index, which still lists the history the block
 // belonged to.
@@ -496,9 +470,6 @@ func verifyHistory(s *objstore.Store, points []slsPoint) error {
 			}
 			size, _ := v.Size(oid)
 			_, err := v.EachPageBulk(oid, func(pg int64, data []byte) error {
-				if sum, ok, err := v.PageSum(oid, pg); err != nil || (ok && sum != crc32.ChecksumIEEE(data)) {
-					return fmt.Errorf("page %d does not match its committed sum (%v)", pg, err)
-				}
 				if golden != nil && golden.mem != nil && size == workloadPages*vm.PageSize && data[0] != golden.mem[pg] {
 					return fmt.Errorf("page %d = %#x, golden %#x", pg, data[0], golden.mem[pg])
 				}

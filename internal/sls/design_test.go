@@ -72,7 +72,7 @@ func TestDesignObjectModelTable(t *testing.T) {
 		}
 	}
 	for _, tag := range codeTags {
-		if tag != "UTSpecRecord" && tag != "UTMemObject" && held[tag] == 0 {
+		if tag != "UTMemObject" && held[tag] == 0 {
 			t.Errorf("the checkpoint wrote no %s record", tag)
 		}
 		if docGated[tag] != (held[tag] > 0 && gated[tag] == held[tag]) {

@@ -368,8 +368,7 @@ func TestFirstFlushFailedThenRetried(t *testing.T) {
 	}
 }
 
-// TestDrainPool pins the contract the flush pool and the validator pool
-// share: a serial pool runs the jobs in index order, the pool is never larger
+// TestDrainPool pins the flush pool's contract: a serial pool runs the jobs in index order, the pool is never larger
 // than the job count, and after the first error — the one reported — jobs not
 // yet started are skipped.
 func TestDrainPool(t *testing.T) {

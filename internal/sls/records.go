@@ -713,58 +713,3 @@ func (r *restorer) decodeObject(oid objstore.OID, utype uint16, d *rec.Decoder) 
 	}
 	panic(fmt.Sprintf("sls: no record decoder for type %#x", utype))
 }
-
-// Speculation breadcrumb.
-
-// SpecRecord is the persistent breadcrumb of one speculation rollback —
-// enough for post-mortem forensics (`sls inspect`, the audit battery) to
-// reconstruct what was speculated and where trust broke.
-type SpecRecord struct {
-	Group     string         `json:"group"`
-	Epoch     objstore.Epoch `json:"epoch"`
-	Pages     int64          `json:"pages_speculated"`
-	Validated int64          `json:"pages_validated"`
-	BadOID    objstore.OID   `json:"bad_oid"`
-	BadPage   int64          `json:"bad_page"`
-}
-
-// specRecordVersion guards the breadcrumb's wire format.
-const specRecordVersion = 1
-
-// encodeSpecRecord serializes the breadcrumb (sealed with a CRC like
-// every other record).
-func encodeSpecRecord(r SpecRecord) []byte {
-	e := rec.NewEncoder()
-	e.U8(specRecordVersion)
-	e.Str(r.Group)
-	e.U64(uint64(r.Epoch))
-	e.I64(r.Pages)
-	e.I64(r.Validated)
-	e.U64(uint64(r.BadOID))
-	e.I64(r.BadPage)
-	return e.Seal()
-}
-
-// DecodeSpecRecord parses a rollback breadcrumb. It must survive
-// arbitrary bytes (the store only guarantees the seal, not the shape) —
-// FuzzSpecRecord holds it to that.
-func DecodeSpecRecord(raw []byte) (SpecRecord, error) {
-	var r SpecRecord
-	d, err := rec.NewDecoder(raw)
-	if err != nil {
-		return r, err
-	}
-	if v := d.U8(); d.Err() == nil && v != specRecordVersion {
-		return r, fmt.Errorf("sls: spec record version %d (want %d)", v, specRecordVersion)
-	}
-	r.Group = d.Str()
-	r.Epoch = objstore.Epoch(d.U64())
-	r.Pages = d.I64()
-	r.Validated = d.I64()
-	r.BadOID = objstore.OID(d.U64())
-	r.BadPage = d.I64()
-	if err := d.Err(); err != nil {
-		return SpecRecord{}, err
-	}
-	return r, nil
-}

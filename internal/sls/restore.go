@@ -2,7 +2,6 @@ package sls
 
 import (
 	"fmt"
-	"hash/crc32"
 	"maps"
 	"slices"
 
@@ -28,7 +27,10 @@ import (
 // file state and application state commit in the same checkpoint.
 
 // Source is where restore reads records and pages from; both *objstore.Store
-// and *objstore.View satisfy it.
+// and *objstore.View satisfy it. Every stored page either hands out has been
+// checked against the sum it was committed with, so a rotted block fails the
+// read that meets it — the restore's loader or the faulting access — with an
+// error naming the object and the page.
 type Source interface {
 	GetRecord(oid objstore.OID) ([]byte, error)
 	ReadPage(oid objstore.OID, pg int64, buf []byte) (bool, error)
@@ -38,9 +40,6 @@ type Source interface {
 	// EachPageBulk visits every stored page of oid in ascending order, the
 	// reads pipelined at device bandwidth (Table 6's full-restore times).
 	EachPageBulk(oid objstore.OID, fn func(pg int64, data []byte) error) (int64, error)
-	// PageSum is the validation truth: the CRC32 recorded when (oid, pg)
-	// was committed; ok=false when the source keeps no sum for it.
-	PageSum(oid objstore.OID, pg int64) (sum uint32, ok bool, err error)
 }
 
 var (
@@ -48,25 +47,24 @@ var (
 	_ Source = (*objstore.View)(nil)
 )
 
-// RestoreMode is a policy over the one verified page loader (installPages):
-// when it runs, and whether the group may execute before it has.
+// RestoreMode is a prefetch policy over the one page loader (installPages):
+// when it runs. Whatever the policy, a page the loader does not install
+// faults in through the store pager, and both read through the same checked
+// path.
 type RestoreMode uint8
 
 // Restore modes (Table 6's Full and Lazy rows).
 const (
-	// RestoreFull pre-touches everything now: the loader runs over every
-	// memory object before the restore returns.
+	// RestoreFull runs the loader on each memory object as it is built.
 	RestoreFull RestoreMode = iota
 	// RestoreLazy never runs the loader: the restore rebuilds the minimal
 	// OS state and pages fault in on demand through the store pager (§6,
 	// lazy restores).
 	RestoreLazy
-	// RestoreSpeculative restores like RestoreLazy but lets the group
-	// execute before its pages are trusted: each demand fault is checked
-	// against the committed image's page sums as it lands, and the loader
-	// runs later (FinishSpeculation), skipping what is already resident
-	// and rolling the group back to a serial restore on any mismatch — the
-	// PhoenixOS validated-speculation trick applied to time-to-first-op.
+	// RestoreSpeculative rebuilds every object first — the group could run
+	// from there, and RestoreStats.TimeToFirstOp says when — and then runs
+	// the loader over the memory objects in the order they were built,
+	// before the restore returns.
 	RestoreSpeculative
 )
 
@@ -78,9 +76,8 @@ const (
 type storePager struct {
 	src  Source
 	oid  objstore.OID
-	g    *Group     // page-in accounting; nil disables
-	swap bool       // counts as swap-in rather than lazy-restore traffic
-	obj  *vm.Object // owning object, for speculation marks (set post-create)
+	g    *Group // page-in accounting; nil disables
+	swap bool   // counts as swap-in rather than lazy-restore traffic
 }
 
 func (sp *storePager) PageIn(pg int64, p *mem.Page) error {
@@ -96,9 +93,6 @@ func (sp *storePager) PageIn(pg int64, p *mem.Page) error {
 			} else {
 				g.lazyFaults.Add(1)
 				g.lazyBytes.Add(int64(len(p.Data)))
-				if err := sp.speculate(pg, p); err != nil {
-					return err
-				}
 			}
 			if tr := g.o.Tracer; tr != nil {
 				tr.Count(name+".faults", 1)
@@ -107,34 +101,6 @@ func (sp *storePager) PageIn(pg int64, p *mem.Page) error {
 		}
 	}
 	return err
-}
-
-// speculate handles a demand fault that landed while the group executes
-// ahead of validation: the page is marked speculated and, when the source
-// records a committed sum for it, checked in-line — a torn or rotted read
-// must not reach the application even transiently. Pages without a sum
-// (inline objects, holes) stay marked for the validator sweep.
-func (sp *storePager) speculate(pg int64, p *mem.Page) error {
-	g := sp.g
-	if g.SpecState() != SpecSpeculating || sp.obj == nil {
-		return nil
-	}
-	g.specPages.Add(1)
-	sp.obj.MarkSpeculated(pg)
-	if tr := g.o.Tracer; tr != nil {
-		tr.Count("sls.spec.faults", 1)
-	}
-	sum, ok, err := sp.src.PageSum(sp.oid, pg)
-	if err != nil || !ok {
-		return nil // no ground truth; the sweep revisits the mark
-	}
-	if crc32.ChecksumIEEE(p.Data) != sum {
-		g.recordMismatch(sp.oid, pg)
-		return fmt.Errorf("%w: oid %d page %d failed fault-time check", ErrSpeculation, sp.oid, pg)
-	}
-	g.specValidated.Add(1)
-	sp.obj.ClearSpeculated(pg)
-	return nil
 }
 
 func (sp *storePager) BackingOID() uint64 { return uint64(sp.oid) }
@@ -178,14 +144,6 @@ func (o *Orchestrator) RestoreGroup(name string, src Source, mode RestoreMode, c
 
 	g := o.CreateGroup(name)
 	g.oid = groupOID
-	if mode == RestoreSpeculative {
-		// The group executes ahead of validation from the moment this
-		// function returns; remember the image so FinishSpeculation can
-		// validate against it and a rollback can re-restore from it.
-		g.specState = SpecSpeculating
-		g.specSrc = src
-		g.specContinuing = continuing
-	}
 	g.Period, g.RetainEpochs, g.journals = gr.period, gr.retain, gr.journals
 	r := &restorer{o: o, g: g, src: src, mode: mode, st: &st, memMetas: gr.memMetas,
 		memUsed: make(map[objstore.OID]bool), objs: make(map[objstore.OID]any)}
@@ -198,8 +156,25 @@ func (o *Orchestrator) RestoreGroup(name string, src Source, mode RestoreMode, c
 		if retErr == nil {
 			return
 		}
+		// A file the application never synced has no name after the crash:
+		// it lives on the reference of the description being torn down.
+		// Hold each across the teardown, so that closing the description
+		// leaves the file in the store for the retry to open by OID.
+		var held []objstore.OID
+		for key := range g.oidOf {
+			if f, ok := key.(*kern.File); ok {
+				obj, _ := f.Behind()
+				if v, ok := obj.(*kern.VnodeFile); ok {
+					o.K.FS.AddHiddenRef(v.OID)
+					held = append(held, v.OID)
+				}
+			}
+		}
 		for _, p := range g.Procs() {
 			p.Exit(0)
+		}
+		for _, oid := range held {
+			o.K.FS.ReleaseHiddenRef(oid)
 		}
 		for _, m := range r.memMetas {
 			if obj, ok := r.objs[m.oid].(*vm.Object); ok && !r.memUsed[m.oid] {
@@ -269,13 +244,20 @@ func (o *Orchestrator) RestoreGroup(name string, src Source, mode RestoreMode, c
 	}
 	st.Objects = len(r.objs)
 	st.Epoch = o.Store.Epoch()
-	st.Time = sw.Elapsed()
 	if mode == RestoreSpeculative {
-		// Metadata is rebuilt and every page faults in on demand: the
-		// group can execute its first instruction now, before a single
-		// data page has moved.
-		st.TimeToFirstOp = st.Time
+		// Metadata is rebuilt and every page would fault in on demand: the
+		// group could execute its first instruction now, before a single
+		// data page has moved. The loader then installs the image.
+		st.TimeToFirstOp = sw.Elapsed()
+		for _, rm := range r.mems {
+			n, err := o.installPages(src, rm.oid, rm.obj)
+			st.PagesValidated += n
+			if err != nil {
+				return nil, st, err
+			}
+		}
 	}
+	st.Time = sw.Elapsed()
 	end := []trace.Arg{trace.I("procs", int64(st.Procs)), trace.I("objects", int64(st.Objects)),
 		trace.I("pages_eager", st.PagesEager)}
 	if primed := int64(len(g.committed)); primed > 0 {
@@ -296,6 +278,21 @@ func (o *Orchestrator) RestoreGroup(name string, src Source, mode RestoreMode, c
 		tr.Observe("sls.restore.ttfo.ns", int64(ttfo))
 	}
 	return g, st, nil
+}
+
+// RestoreGroups restores several groups from one image, one after another,
+// returning the groups and their stats index-aligned with names.
+func (o *Orchestrator) RestoreGroups(names []string, src Source, mode RestoreMode, continuing bool) ([]*Group, []RestoreStats, error) {
+	gs := make([]*Group, len(names))
+	sts := make([]RestoreStats, len(names))
+	for i, name := range names {
+		g, st, err := o.RestoreGroup(name, src, mode, continuing)
+		if err != nil {
+			return nil, nil, fmt.Errorf("sls: restore group %q: %w", name, err)
+		}
+		gs[i], sts[i] = g, st
+	}
+	return gs, sts, nil
 }
 
 // primeGate starts a restored group's capture gate with what the store it
@@ -368,6 +365,13 @@ type restorer struct {
 	memMetas []memMeta
 	memUsed  map[objstore.OID]bool // creator reference consumed
 	objs     map[objstore.OID]any
+	mems     []restoredMem // memory objects in the order they were built
+}
+
+// restoredMem is one memory object RestoreGroup rebuilt.
+type restoredMem struct {
+	obj *vm.Object
+	oid objstore.OID
 }
 
 // object rebuilds the kernel object of the record oid, of type utype, or
@@ -459,19 +463,12 @@ func (r *restorer) memObject(oid objstore.OID) (*vm.Object, error) {
 		backer = b
 	}
 
-	sp := &storePager{src: r.src, oid: oid, g: r.g}
-	obj := r.o.K.VM.RestoreObject(vm.Anonymous, meta.size, sp, backer)
-	sp.obj = obj
+	obj := r.o.K.VM.RestoreObject(vm.Anonymous, meta.size, &storePager{src: r.src, oid: oid, g: r.g}, backer)
 	r.keep(oid, obj)
-	r.g.restoredMem = append(r.g.restoredMem, restoredMem{obj: obj, oid: oid})
+	r.mems = append(r.mems, restoredMem{obj: obj, oid: oid})
 
 	if r.mode == RestoreFull {
-		// A rotted read must fail the restore loudly — the rollback path's
-		// serial re-restore relies on this to refuse a persistently damaged
-		// image rather than "succeed" with garbage.
-		n, err := r.o.installPages(r.src, oid, obj, func(pg int64) error {
-			return fmt.Errorf("sls: restore: oid %d page %d content does not match committed sum", oid, pg)
-		})
+		n, err := r.o.installPages(r.src, oid, obj)
 		r.st.PagesEager += n
 		if err != nil {
 			return nil, err
@@ -480,23 +477,13 @@ func (r *restorer) memObject(oid objstore.OID) (*vm.Object, error) {
 	return obj, nil
 }
 
-// installPages is the one verified page-install loop: every stored page of
-// oid not already resident in obj is checked against the sum recorded when
-// it was committed, then installed. An eager restore runs it on the freshly
-// created object; the speculation validator runs the same loop later, when
-// demand faults have made some pages resident (and checked them as they
-// landed). mismatch builds the caller's error for a page that fails its sum.
-func (o *Orchestrator) installPages(src Source, oid objstore.OID, obj *vm.Object, mismatch func(pg int64) error) (installed int64, err error) {
+// installPages is the one page loader: every stored page of oid not already
+// resident in obj is read — checked against its committed sum by the store
+// on the way — and installed. It returns how many pages it installed.
+func (o *Orchestrator) installPages(src Source, oid objstore.OID, obj *vm.Object) (installed int64, err error) {
 	_, err = src.EachPageBulk(oid, func(pg int64, data []byte) error {
 		if _, resident := obj.ResidentPage(pg); resident {
 			return nil
-		}
-		sum, ok, err := src.PageSum(oid, pg)
-		if err != nil {
-			return err
-		}
-		if ok && crc32.ChecksumIEEE(data) != sum {
-			return mismatch(pg)
 		}
 		frame, err := o.K.VM.PM.Alloc()
 		if err != nil {

@@ -59,8 +59,7 @@ func (c corruptSource) GetRecord(oid objstore.OID) ([]byte, error) {
 
 // restoredRecords lists every record kind a restore reads back, by the tag
 // the store files it under. The address-space entry (embedded in the process
-// record) and the rollback breadcrumb (read by DecodeSpecRecord, not by a
-// restore) have cases of their own below.
+// record) has cases of its own below.
 var restoredRecords = []struct {
 	name  string
 	utype uint16
@@ -224,23 +223,5 @@ func TestRestoreCorruptRecords(t *testing.T) {
 			binary.LittleEndian.PutUint16(body, uint16(kern.KindDevice)+1)
 			return reseal(body)
 		}, "sls: restore: unknown file kind ObjKind(0x19)")
-	})
-
-	crumb := encodeSpecRecord(SpecRecord{Group: "app", Epoch: 3, Pages: 8, Validated: 7, BadOID: 9, BadPage: 2})
-	for _, mode := range damageModes {
-		t.Run("breadcrumb/"+mode, func(t *testing.T) {
-			want := damagedRecordError("breadcrumb", mode)
-			if _, err := DecodeSpecRecord(damage(crumb, mode)); err == nil || err.Error() != want {
-				t.Fatalf("DecodeSpecRecord = %v, want %q", err, want)
-			}
-		})
-	}
-	t.Run("breadcrumb/version", func(t *testing.T) {
-		body := bytes.Clone(crumb[:len(crumb)-4])
-		body[0] = 9
-		want := "sls: spec record version 9 (want 1)"
-		if _, err := DecodeSpecRecord(reseal(body)); err == nil || err.Error() != want {
-			t.Fatalf("DecodeSpecRecord = %v, want %q", err, want)
-		}
 	})
 }

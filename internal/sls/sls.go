@@ -43,9 +43,6 @@ const (
 	UTPTY
 	UTDeviceFile
 	UTMemObject
-	// UTSpecRecord is the forensic breadcrumb a speculation rollback
-	// persists (see records.go); appended last so older images decode.
-	UTSpecRecord
 )
 
 // Errors.
@@ -53,14 +50,6 @@ var (
 	ErrNoGroup  = errors.New("sls: no such consistency group")
 	ErrAttached = errors.New("sls: process already attached")
 	ErrNoEntry  = errors.New("sls: no mapping at address")
-	// ErrSpeculation reports a speculated page whose content does not
-	// match the committed image; the group must roll back to a serial
-	// restore (Orchestrator.FinishSpeculation does this automatically).
-	ErrSpeculation = errors.New("sls: speculative restore mismatch")
-	// ErrSpeculating rejects operations that would persist or launder a
-	// group's state while it still executes ahead of validation; finish
-	// the speculation (FinishSpeculation) first.
-	ErrSpeculating = errors.New("sls: group is executing speculatively; validation has not completed")
 )
 
 // CheckpointKind selects how much a checkpoint captures.
@@ -121,14 +110,17 @@ type RestoreStats struct {
 	Objects    int
 	PagesEager int64
 
-	// Speculative-restore breakdown (zero outside RestoreSpeculative).
+	// RestoreSpeculative's breakdown (zero in the other modes).
 	// TimeToFirstOp is the span until the group could execute its first
 	// instruction: metadata (kernel objects, VM maps, PTE skeleton)
-	// rebuilt, no page data moved — the metric the mode exists to shrink.
-	TimeToFirstOp   time.Duration
-	PagesSpeculated int64 // pages faulted in while unvalidated
-	PagesValidated  int64 // pages the validator confirmed against the image
-	Rollbacks       int   // serial re-restores after a mismatch
+	// rebuilt, no page data moved. PagesValidated is what the loader then
+	// installed, every page checked against its committed sum.
+	TimeToFirstOp  time.Duration
+	PagesValidated int64
+	// Rollbacks is always 0: a restore that meets a rotted page fails. It
+	// stays for the callers that still read it (bench/, the scenario
+	// runner's rollbacks-at-most).
+	Rollbacks int
 }
 
 // Orchestrator is the SLS core: it owns the store side of a kernel.
@@ -275,27 +267,6 @@ type Group struct {
 	lazyBytes  atomic.Int64
 	swapFaults atomic.Int64
 	swapBytes  atomic.Int64
-
-	// Speculative-restore state machine (see speculate.go). specMu guards
-	// the state and the first-mismatch record; the counters are atomics
-	// because faults arrive from whatever goroutine runs the process.
-	specMu         sync.Mutex
-	specState      SpecState
-	specSrc        Source // image to validate against / re-restore from
-	specContinuing bool
-	restoredMem    []restoredMem // validation work list, serializer order
-	specBad        bool          // a mismatch was detected
-	specBadOID     objstore.OID
-	specBadPage    int64
-	specPages      atomic.Int64 // pages faulted while speculating
-	specValidated  atomic.Int64 // pages confirmed against the image
-}
-
-// restoredMem is one memory object rebuilt by RestoreGroup — the unit of
-// work the speculation validator (and a rollback teardown) iterates.
-type restoredMem struct {
-	obj *vm.Object
-	oid objstore.OID
 }
 
 // LazyPageIns reports the faults served and bytes paged in by lazy-restore

@@ -54,13 +54,6 @@ func (g *Group) Evict(maxPages int64) EvictStats {
 					st.SkippedIO++
 					return
 				}
-				// Pages still marked speculated are awaiting validation;
-				// evicting one silently drains the validator's work list
-				// mid-sweep, so the page daemon leaves them resident.
-				if term.IsSpeculated(pg) {
-					st.SkippedIO++
-					return
-				}
 				evict = append(evict, pg)
 			})
 			for _, pg := range evict {

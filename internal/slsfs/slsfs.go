@@ -201,6 +201,19 @@ func (fs *FS) DropHiddenRef(oid objstore.OID) {
 	fs.dropHiddenLocked(oid)
 }
 
+// ReleaseHiddenRef drops a hidden reference like DropHiddenRef but never
+// reaps: the object stays for whoever opens it by OID next. A restore that
+// fails hands its references back this way, so the image it could not
+// restore keeps the unnamed files it holds.
+func (fs *FS) ReleaseHiddenRef(oid objstore.OID) {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	if fs.hidden[oid]--; fs.hidden[oid] <= 0 {
+		delete(fs.hidden, oid)
+	}
+	fs.dirtyNS = true
+}
+
 func (fs *FS) dropHiddenLocked(oid objstore.OID) {
 	fs.hidden[oid]--
 	fs.dirtyNS = true

