@@ -353,12 +353,66 @@ func BenchmarkDeltaShip1kObjects(b *testing.B) {
 		commit()
 		b.StartTimer()
 		t0 := w.clk.Now()
-		if _, err := g.encodeStream(io.Discard, base); err != nil {
+		if _, _, err := g.encodeStream(io.Discard, base, nil); err != nil {
 			b.Fatal(err)
 		}
 		virt += w.clk.Now() - t0
 	}
 	b.ReportMetric(float64(virt)/float64(b.N)/1e3, "virt-us/op")
+}
+
+// BenchmarkDeltaShipJournal measures one sync to a standby of a group whose
+// journal holds N KiB, with one new append per sync, over the direct path:
+// ns/op and B/op are the Go, virt-us/op the modelled sync (checkpoint, ship,
+// the standby's receive). The standby keeps the frames it was sent, so none
+// of the three may grow with N.
+func BenchmarkDeltaShipJournal(b *testing.B) {
+	for _, kib := range []int64{64, 4096} {
+		b.Run(fmt.Sprintf("journal=%dKiB", kib), func(b *testing.B) {
+			src, dst := benchWorld(b), benchWorld(b)
+			p := src.k.NewProc("app")
+			g := src.o.CreateGroup("app")
+			g.Options.FlushWorkers = 1
+			g.Period = 0
+			g.RetainEpochs = 4
+			if err := g.Attach(p); err != nil {
+				b.Fatal(err)
+			}
+			va, _ := p.Mmap(16*vm.PageSize, vm.ProtRead|vm.ProtWrite, false)
+			// Room for the held entries and a few hundred thousand appends.
+			j, err := g.Journal("wal", kib<<10+64<<20)
+			if err != nil {
+				b.Fatal(err)
+			}
+			entry := make([]byte, 1000)
+			for j.Used() < kib<<10 {
+				if _, err := j.Append(entry); err != nil {
+					b.Fatal(err)
+				}
+			}
+			rep, err := g.ReplicateTo(dst.o)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var virt time.Duration
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				p.WriteMem(va, []byte{byte(i)})
+				if _, err := j.Append(entry[:64]); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				t0 := src.clk.Now()
+				if err := rep.Sync(); err != nil {
+					b.Fatal(err)
+				}
+				virt += src.clk.Now() - t0
+			}
+			b.ReportMetric(float64(virt)/float64(b.N)/1e3, "virt-us/op")
+		})
+	}
 }
 
 // walCommitWorld builds the wal-commit shape: one process with a resident

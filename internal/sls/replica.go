@@ -34,6 +34,9 @@ type Replica struct {
 	dst  *Orchestrator
 	conn *net.Conn
 	base objstore.Epoch // last epoch the standby holds
+	// marks is, per journal, the position in its frames the standby holds:
+	// the next ship sends only the frames past it.
+	marks journalMarks
 
 	// pending is a ship that ran out of retries mid-transfer; Resume (or
 	// the next Sync) completes it from the receiver's high-water mark.
@@ -60,6 +63,7 @@ type Replica struct {
 type pendingShip struct {
 	epoch    uint64 // transfer key: the shipped checkpoint epoch
 	newBase  objstore.Epoch
+	marks    journalMarks // the journal positions the standby holds once it lands
 	data     []byte
 	cutStart time.Duration
 }
@@ -177,10 +181,11 @@ func (r *Replica) Base() objstore.Epoch { return r.base }
 // the delta), moves the stream to the standby, and lands it there.
 func (r *Replica) ship(since objstore.Epoch, cutStart time.Duration) error {
 	var buf bytes.Buffer
-	if _, err := r.g.encodeStream(&buf, since); err != nil {
+	_, marks, err := r.g.encodeStream(&buf, since, r.marks)
+	if err != nil {
 		return err
 	}
-	p := &pendingShip{epoch: uint64(r.g.lastEpoch), newBase: r.g.lastEpoch, data: buf.Bytes(), cutStart: cutStart}
+	p := &pendingShip{epoch: uint64(r.g.lastEpoch), newBase: r.g.lastEpoch, marks: marks, data: buf.Bytes(), cutStart: cutStart}
 	return r.move(p, since)
 }
 
@@ -243,7 +248,7 @@ func (r *Replica) land(p *pendingShip, payload []byte, src, sender uint64) error
 	if _, err := r.dst.Recv(bytes.NewReader(payload)); err != nil {
 		return err
 	}
-	r.commit(p.newBase, int64(len(p.data)), p.cutStart)
+	r.commit(p)
 	return nil
 }
 
@@ -257,13 +262,15 @@ func (r *Replica) arrive() {
 	}
 }
 
-// commit records a landed ship in the replica's accounting.
-func (r *Replica) commit(newBase objstore.Epoch, n int64, cutStart time.Duration) {
-	r.base = newBase
+// commit records a landed ship: what the standby now holds, and the
+// replica's accounting.
+func (r *Replica) commit(p *pendingShip) {
+	n := int64(len(p.data))
+	r.base, r.marks = p.newBase, p.marks
 	r.Syncs++
 	r.BytesTotal += n
 	r.LastBytes = n
-	r.LastLag = r.g.o.Clk.Now() - cutStart
+	r.LastLag = r.g.o.Clk.Now() - p.cutStart
 	if tr := r.g.o.Tracer; tr != nil {
 		tr.Count("sls.replica.syncs", 1)
 		tr.Count("sls.replica.bytes", n)

@@ -33,9 +33,14 @@ func newWorldE() (*world, error) { return newWorldOn(nil) }
 // newWorldOn is newWorldE with the store's device passed through wrap (nil
 // for none), so a test can interpose a failing BlockDev.
 func newWorldOn(wrap func(objstore.BlockDev) objstore.BlockDev) (*world, error) {
+	return newWorldSized(1<<30, wrap)
+}
+
+// newWorldSized is newWorldOn over a four-way stripe of size bytes in all.
+func newWorldSized(size int64, wrap func(objstore.BlockDev) objstore.BlockDev) (*world, error) {
 	clk := clock.NewVirtual()
 	costs := clock.DefaultCosts()
-	dev := device.NewStripe(clk, costs, 4, 64<<10, 256<<20)
+	dev := device.NewStripe(clk, costs, 4, 64<<10, size/4)
 	var bdev objstore.BlockDev = dev
 	if wrap != nil {
 		bdev = wrap(dev)
