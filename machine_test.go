@@ -138,7 +138,9 @@ func TestImageBootRoundTrip(t *testing.T) {
 // shipped rounds through a private closure in MigrateVia, before migration was
 // rebuilt on Replica. (On private clocks each stream's arrival legitimately
 // moves the destination's flight timestamps, so the shared clock is the case
-// that must not move.)
+// that must not move.) The group carries a journal, so the image and the
+// clock were re-pinned when rounds began shipping only its new frames, written
+// once at their offsets; the round count and the final stop did not move.
 func TestMigrationPinned(t *testing.T) {
 	cfg := Defaults()
 	cfg.StorageBytes = 64 << 20
@@ -192,9 +194,9 @@ func TestMigrationPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	const (
-		wantSHA   = "d162ea40a788e9879712e3c83d0f91044708e9c5a544013e33dc7cca7170238c"
+		wantSHA   = "8b7aa8d0bd7ebe86287bc4ed1b62a589b0136a994b89d123c7eee79a59f5b7ff"
 		wantStop  = time.Duration(184369)
-		wantClock = time.Duration(3833991)
+		wantClock = time.Duration(3615344)
 	)
 	if sum := hex.EncodeToString(h.Sum(nil)); sum != wantSHA || st.Rounds != 4 || st.FinalStop != wantStop || cfg.Clock.Now() != wantClock {
 		t.Fatalf("migration moved: image %s rounds %d final stop %d clock %d; want %s 4 %d %d",
