@@ -2,7 +2,9 @@ package aurora_test
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
+	"hash/crc32"
 	"testing"
 	"time"
 
@@ -62,6 +64,75 @@ func runDeterministic(t *testing.T) (image, stream []byte, events []string) {
 		events = append(events, fmt.Sprintf("%d %v %s %d %d", e.Kind, e.Track, e.Name, e.Start, e.Dur))
 	}
 	return img.Bytes(), sendBuf.Bytes(), events
+}
+
+// TestTwoJobFlushPinned holds the flush of a checkpoint with two jobs — two
+// large memory objects dirty in every interval, rocksdb-journal's shape — to
+// the device image, the virtual clock, the device's write count and the
+// restored memory, through a full image, three incremental checkpoints, a
+// crash and a full restore. Block layout follows the order the two jobs reach
+// the store, so this is the pin that says the order is the plan's.
+func TestTwoJobFlushPinned(t *testing.T) {
+	const pages = 1024 // per object: 4 MiB each
+	m, err := aurora.NewMachine(aurora.Config{StorageBytes: 256 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := m.Spawn("two")
+	var vas [2]uint64
+	for i := range vas {
+		if vas[i], err = p.Mmap(pages*vm.PageSize, aurora.ProtRead|aurora.ProtWrite, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g, err := m.Attach("two", p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Options.FlushWorkers = 1
+	buf := make([]byte, 64)
+	for round := 0; round < 4; round++ {
+		stride := 1 + round // round 0 dirties every page; later rounds a subset
+		for i, va := range vas {
+			for pg := 0; pg < pages; pg += stride {
+				buf[0], buf[1], buf[2] = byte(round), byte(i), byte(pg)
+				if err := p.WriteMem(va+uint64(pg)*vm.PageSize, buf); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		m.Clock.Advance(time.Millisecond)
+		if _, err := g.Checkpoint(aurora.CkptIncremental); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := g.Barrier(); err != nil {
+		t.Fatal(err)
+	}
+	m2, err := m.Crash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g2, _, err := m2.Restore("two")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := make([]byte, 2*pages*vm.PageSize)
+	for i, va := range vas {
+		if err := g2.Procs()[0].ReadMem(va, mem[i*pages*vm.PageSize:(i+1)*pages*vm.PageSize]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h := sha256.New()
+	if err := m2.SaveImage(h); err != nil {
+		t.Fatal(err)
+	}
+	got := fmt.Sprintf("image=%x clock=%d writes=%d mem=%08x",
+		h.Sum(nil), m2.Clock.Now(), m2.Disk.Stats().Writes, crc32.ChecksumIEEE(mem))
+	const want = "image=7b710226a07b4c3e19fbca2ee7abb077c47924dc26cf16002a86c441372db11b clock=23349534 writes=343 mem=53380b4d"
+	if got != want {
+		t.Errorf("two-job flush moved:\n got %s\nwant %s", got, want)
+	}
 }
 
 // TestRunToRunDeterminism pins the map-iteration sweep: two runs of the
