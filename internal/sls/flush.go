@@ -213,8 +213,7 @@ func (g *Group) runFlush(pl *flushPlan) (flushResult, error) {
 	tr := g.o.Tracer // nil disables; Span methods no-op on the zero Span
 	var err error
 	var sum struct{ bytes, encodeNS, writeNS atomic.Int64 } // over workers
-	res.workers, res.maxDepth, err = drainPool(g.Options.FlushWorkers, len(pl.jobs),
-		func(d int64) { tr.Observe("sls.flush.queue_depth", d) },
+	res.workers, res.maxDepth, err = drainPool(g.Options.FlushWorkers, len(pl.jobs), nil,
 		func(i int) error {
 			j := pl.jobs[i]
 			// Job spans are zero-width in virtual time — encode and
