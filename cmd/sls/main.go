@@ -174,8 +174,8 @@ func commit(g *aurora.Group) (aurora.CheckpointStats, error) {
 // printFlush reports what the checkpoint's serializer and flush pipeline did.
 func printFlush(st aurora.CheckpointStats) {
 	fmt.Printf("  serialize: %d objects, %d captured, %v\n", st.Objects, st.Captured, st.OSTime)
-	fmt.Printf("  flush: %d bytes via %d workers (depth %d), encode %v, write %v\n",
-		st.FlushBytes, st.FlushWorkers, st.MaxQueueDepth, st.EncodeTime, st.WriteTime)
+	fmt.Printf("  flush: %d bytes in %d jobs, encode %v, write %v\n",
+		st.FlushBytes, st.MaxQueueDepth, st.EncodeTime, st.WriteTime)
 }
 
 // bootApp is the preamble of the verbs whose only flag is -name: boot the

@@ -13,12 +13,8 @@ import (
 )
 
 // runDeterministic drives one fixed workload — dirty pages, incremental
-// checkpoints, a send stream — on a traced machine with a serial flush
-// pool, and returns the emitted disk image, the send stream, and the trace
-// event sequence. FlushWorkers is pinned to 1 because a parallel pool
-// appends job events in whatever order workers finish; the submit stream
-// and on-disk image are deterministic either way, but the event LOG is
-// only reproducible serially.
+// checkpoints, a send stream — on a traced machine, and returns the emitted
+// disk image, the send stream, and the trace event sequence.
 func runDeterministic(t *testing.T) (image, stream []byte, events []string) {
 	t.Helper()
 	m, err := aurora.NewMachine(aurora.Config{StorageBytes: 1 << 30, Trace: true})
@@ -34,7 +30,6 @@ func runDeterministic(t *testing.T) (image, stream []byte, events []string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.Options.FlushWorkers = 1
 	buf := make([]byte, 32)
 	for round := 0; round < 3; round++ {
 		for i := 0; i < 40; i++ {
@@ -71,7 +66,8 @@ func runDeterministic(t *testing.T) (image, stream []byte, events []string) {
 // the device image, the virtual clock, the device's write count and the
 // restored memory, through a full image, three incremental checkpoints, a
 // crash and a full restore. Block layout follows the order the two jobs reach
-// the store, so this is the pin that says the order is the plan's.
+// the store, so this is the pin that says the order is the plan's: it holds
+// at any GOMAXPROCS.
 func TestTwoJobFlushPinned(t *testing.T) {
 	const pages = 1024 // per object: 4 MiB each
 	m, err := aurora.NewMachine(aurora.Config{StorageBytes: 256 << 20})
@@ -89,7 +85,6 @@ func TestTwoJobFlushPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.Options.FlushWorkers = 1
 	buf := make([]byte, 64)
 	for round := 0; round < 4; round++ {
 		stride := 1 + round // round 0 dirties every page; later rounds a subset

@@ -35,8 +35,7 @@ func TestOnDiskFormatPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.Options.FlushWorkers = 1 // deterministic submit stream
-	const pages = 400          // spans two block-map chunks
+	const pages = 400 // spans two block-map chunks
 	va, err := p.Mmap(pages*vm.PageSize, aurora.ProtRead|aurora.ProtWrite, false)
 	if err != nil {
 		t.Fatal(err)
@@ -232,7 +231,6 @@ func newPosixWorld(t *testing.T, m *aurora.Machine) *posixWorld {
 	}
 	w.p, w.q, w.ext = m.Spawn("app"), m.Spawn("peer"), m.Spawn("ext")
 	w.g, w.peer = gr(m.Attach("app", w.p)), gr(m.Attach("peer", w.q))
-	w.g.Options.FlushWorkers, w.peer.Options.FlushWorkers = 1, 1
 	p := w.p
 
 	w.file = fd(p.Open("/data", aurora.ORead|aurora.OWrite, true))
@@ -397,7 +395,6 @@ func TestLogicalImagePinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g2.Options.FlushWorkers = 1
 	w2 := *w
 	w2.m, w2.g, w2.p = m2, g2, g2.Procs()[0]
 	w2.q, w2.ext = m2.Spawn("peer"), m2.Spawn("ext")

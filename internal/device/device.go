@@ -75,8 +75,7 @@ func (d *Device) SetTracer(tr *trace.Tracer) { d.tr = tr }
 // submissions (Submit with a real barrier) are recorded: those
 // are the commit points — superblock writes — and they arrive from the
 // single-threaded commit path, keeping the ring deterministic. Recording
-// every data submit would flood the ring and, under a parallel flush,
-// interleave nondeterministically.
+// every data submit would flood the ring.
 func (d *Device) SetFlight(fl *flight.Recorder) { d.fl = fl }
 
 // traceSubmit records one queued command on the device track. now is the

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"aurora"
-	"aurora/internal/apps/rocksdb"
 	"aurora/internal/sls"
 )
 
@@ -37,21 +36,9 @@ func quickRun[T any](t *testing.T, name string, fn func(Scale) (T, error)) T {
 // simulated machine or the experiment changed: say which, and why, beside the
 // edit to the golden.
 //
-// Fig 6's Aurora rows are left out because two runs of the same binary
-// disagree on them: they depend on which of two racing flush workers reaches
-// the store first (ROADMAP item 2); when this pin was taken they read 4.5
-// then 4.4 ms (Aurora-100Hz p99).
-//
 // The golden is "## <section>" lines, each followed by that experiment's
 // rendered table and one blank line.
 func TestQuickRowsPinned(t *testing.T) {
-	fig6 := quickRun(t, "fig6", Fig6)
-	var fig6Stock Fig6Result
-	for _, row := range fig6.Rows {
-		if row.Config == rocksdb.ConfigNoSync || row.Config == rocksdb.ConfigWAL {
-			fig6Stock.Rows = append(fig6Stock.Rows, row)
-		}
-	}
 	sections := []struct {
 		name string
 		r    interface{ Render() string }
@@ -66,7 +53,7 @@ func TestQuickRowsPinned(t *testing.T) {
 		{"table6", quickRun(t, "table6", Table6)},
 		{"fig4", quickRun(t, "fig4", Fig4)},
 		{"fig5", quickRun(t, "fig5", Fig5)},
-		{"fig6 (stock RocksDB rows)", fig6Stock},
+		{"fig6", quickRun(t, "fig6", Fig6)},
 		{"table7", quickRun(t, "table7", Table7)},
 		{"repl", quickRun(t, "repl", Replication)},
 		{"walwindow", quickRun(t, "walwindow", WALWindow)},

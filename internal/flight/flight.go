@@ -11,7 +11,7 @@
 // integer arguments, and a short detail string. Everything recorded must
 // be deterministic — timestamps are virtual, and hook sites sit on
 // single-threaded coordinator paths (checkpoint planning, commit,
-// replication) rather than inside worker pools — so a run records the
+// replication) rather than on application threads — so a run records the
 // same ring byte-for-byte every time, keeping the store images of
 // repeated runs identical.
 package flight

@@ -31,8 +31,8 @@ func (s *Store) mutate(op *walOp) error {
 // below are replay's: a frame that passed its CRC and still names an
 // impossible mutation is corrupt. An op that fails leaves its object as it
 // was. Ops travel by pointer and every body is a function of its own so that
-// a page publish — which runs on the flush workers, fresh goroutines each
-// checkpoint — carries a small frame, not the union of all six. Requires mu.
+// a page publish, once per flushed page, carries a small frame, not the union
+// of all six. Requires mu.
 func (s *Store) apply(op *walOp) error {
 	switch op.kind {
 	case walOpPut:

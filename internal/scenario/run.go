@@ -507,15 +507,11 @@ func (gs *groupState) ckptKind() aurora.CheckpointKind {
 
 // applyOptions applies the scenario's group options to a (possibly fresh)
 // group incarnation, at setup and after restore/failover/migrate: the
-// workload's declared WAL fold cadence, and a serial flush pool. With two or
-// more flush workers the order their writes reach the device follows the
-// scheduler (ROADMAP item 2), and artifacts are compared byte for byte; once
-// submit order is decided at plan time the pin can go.
+// workload's declared WAL fold cadence.
 func (gs *groupState) applyOptions() {
 	if gs.g == nil {
 		return
 	}
-	gs.g.Options.FlushWorkers = 1
 	if gs.decl.FoldEvery > 0 {
 		gs.g.Options.FoldEvery = int(gs.decl.FoldEvery)
 	}

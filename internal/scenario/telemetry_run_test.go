@@ -299,8 +299,8 @@ func TestMetricAssertionMissingMetricFails(t *testing.T) {
 
 // TestTelemetryCorpusOneFingerprint: the three corpus scenarios that export
 // metrics give one fingerprint over five runs. The fingerprint folds in
-// metrics.json and timeline.json, which now carry names first touched from
-// flush workers, so any dependence on first-touch order shows up here.
+// metrics.json and timeline.json, which carry names first touched from
+// concurrent goroutines, so any dependence on first-touch order shows up here.
 func TestTelemetryCorpusOneFingerprint(t *testing.T) {
 	for _, name := range []string{"fleet-observability", "fleet-kill-rebalance", "wal-gc-soak"} {
 		sc, err := Load(filepath.Join("..", "..", "scenarios", name+".yaml"))

@@ -152,51 +152,45 @@ func BenchmarkCheckpointDirty1k(b *testing.B) {
 	}
 }
 
-// BenchmarkCheckpointFlushParallel compares the flush pipeline drained
-// serially (FlushWorkers=1) against the full worker pool on a group with
-// several multi-hundred-page objects dirty per interval — the shape where
-// one object's encode should overlap another's store write.
-func BenchmarkCheckpointFlushParallel(b *testing.B) {
+// BenchmarkCheckpointFlush8Objects checkpoints a group with eight
+// multi-hundred-page objects dirty per interval: eight flush jobs, drained in
+// plan order.
+func BenchmarkCheckpointFlush8Objects(b *testing.B) {
 	const procs = 8
 	const dirtyPages = 512 // per process, per interval
-	run := func(b *testing.B, workers int) {
-		w := benchWorld(b)
-		g := w.o.CreateGroup("flush")
-		g.RetainEpochs = 4
-		g.Options.FlushWorkers = workers
-		var ps []*kern.Proc
-		var vas []uint64
-		buf := make([]byte, vm.PageSize)
-		for i := 0; i < procs; i++ {
-			p := w.k.NewProc("busy")
-			va, _ := p.Mmap(16<<20, vm.ProtRead|vm.ProtWrite, false)
-			g.Attach(p)
-			for pg := uint64(0); pg < dirtyPages; pg++ {
-				p.WriteMem(va+pg*vm.PageSize, buf)
-			}
-			ps = append(ps, p)
-			vas = append(vas, va)
+	w := benchWorld(b)
+	g := w.o.CreateGroup("flush")
+	g.RetainEpochs = 4
+	var ps []*kern.Proc
+	var vas []uint64
+	buf := make([]byte, vm.PageSize)
+	for i := 0; i < procs; i++ {
+		p := w.k.NewProc("busy")
+		va, _ := p.Mmap(16<<20, vm.ProtRead|vm.ProtWrite, false)
+		g.Attach(p)
+		for pg := uint64(0); pg < dirtyPages; pg++ {
+			p.WriteMem(va+pg*vm.PageSize, buf)
 		}
+		ps = append(ps, p)
+		vas = append(vas, va)
+	}
+	if _, err := g.Checkpoint(CkptIncremental); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for j, p := range ps {
+			for pg := uint64(0); pg < dirtyPages; pg++ {
+				p.WriteMem(vas[j]+pg*vm.PageSize, buf)
+			}
+		}
+		b.StartTimer()
 		if _, err := g.Checkpoint(CkptIncremental); err != nil {
 			b.Fatal(err)
 		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			for j, p := range ps {
-				for pg := uint64(0); pg < dirtyPages; pg++ {
-					p.WriteMem(vas[j]+pg*vm.PageSize, buf)
-				}
-			}
-			b.StartTimer()
-			if _, err := g.Checkpoint(CkptIncremental); err != nil {
-				b.Fatal(err)
-			}
-		}
 	}
-	b.Run("serial", func(b *testing.B) { run(b, 1) })
-	b.Run("parallel", func(b *testing.B) { run(b, 0) })
 }
 
 // restoreBenchApp is the application of the two restore benchmarks: 16 MiB of
@@ -372,7 +366,6 @@ func BenchmarkDeltaShipJournal(b *testing.B) {
 			src, dst := benchWorld(b), benchWorld(b)
 			p := src.k.NewProc("app")
 			g := src.o.CreateGroup("app")
-			g.Options.FlushWorkers = 1
 			g.Period = 0
 			g.RetainEpochs = 4
 			if err := g.Attach(p); err != nil {

@@ -212,13 +212,10 @@ func (g *Group) Checkpoint(kind CheckpointKind) (st CheckpointStats, err error) 
 
 	// 5–7. Flush memory through the pipeline (flush.go) and commit. Cold
 	// objects — persistent objects serialized but never flushed (read-only
-	// regions no shadow covers) — join the same pool.
+	// regions no shadow covers) — join the same plan.
 	plan := newFlushPlan()
 	g.planPairs(plan, pairs, kind)
 	g.planCold(plan, ser)
-	// Flush jobs are recorded at plan time, on the coordinator: the worker
-	// pool drains them in nondeterministic order, and the flight ring (like
-	// the store images it persists into) must be identical run to run.
 	if fl := o.Store.Flight(); fl != nil {
 		now := int64(o.Clk.Now())
 		for _, j := range plan.jobs {
@@ -230,14 +227,14 @@ func (g *Group) Checkpoint(kind CheckpointKind) (st CheckpointStats, err error) 
 	if err != nil {
 		return st, err
 	}
-	phase.End(trace.I("bytes", res.bytes), trace.I("workers", int64(res.workers)),
-		trace.I("max_depth", int64(res.maxDepth)))
+	st.FlushWorkers = min(len(plan.jobs), 1)
+	st.MaxQueueDepth = len(plan.jobs)
+	phase.End(trace.I("bytes", res.bytes), trace.I("workers", int64(st.FlushWorkers)),
+		trace.I("max_depth", int64(st.MaxQueueDepth)))
 	phase = trace.Span{}
 	st.FlushBytes = res.bytes
 	st.EncodeTime = res.encode
 	st.WriteTime = res.write
-	st.FlushWorkers = res.workers
-	st.MaxQueueDepth = res.maxDepth
 	g.pending = pairs
 
 	// Delete store objects that vanished since the last checkpoint, in

@@ -142,7 +142,6 @@ func startRun(plan faultdev.Plan) (*slsRun, error) {
 	}
 	p := w.k.NewProc("app")
 	g := w.o.CreateGroup("app")
-	g.Options.FlushWorkers = 1 // deterministic submit stream
 	g.Period = 0
 	if err := g.Attach(p); err != nil {
 		return nil, err
@@ -262,7 +261,6 @@ func (r *slsRun) reboot(mode RestoreMode) error {
 			return err
 		}
 	}
-	g.Options.FlushWorkers = 1 // not part of the image
 	r.g, r.p = g, g.Procs()[0]
 	return nil
 }

@@ -25,7 +25,6 @@ import (
 func twoEpochGroup(t *testing.T, p *kern.Proc, o *Orchestrator) (*Group, objstore.Epoch, uint64) {
 	t.Helper()
 	g := o.CreateGroup("app")
-	g.Options.FlushWorkers = 1
 	g.Period = 0
 	if err := g.Attach(p); err != nil {
 		t.Fatal(err)

@@ -1,10 +1,7 @@
 package sls
 
 import (
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"aurora/internal/mem"
@@ -17,28 +14,25 @@ import (
 // applications resume against fresh shadows, the frozen memory drains to the
 // store through four stages —
 //
-//	Enumerate  (coordinator)  walk shadow pairs, trapped transients, and
-//	                          cold objects into one job per destination
-//	                          store object
-//	Encode     (worker)       resolve each job's newest page versions
-//	                          into one sorted batch
-//	Write      (worker)       submit the batch through the store's
-//	                          three-phase WritePages path
-//	Commit     (coordinator)  install pagers, mark trapped transients
-//	                          done, and (in Checkpoint) cut the epoch
+//	Enumerate  walk shadow pairs, trapped transients, and cold objects
+//	           into one job per destination store object
+//	Encode     resolve each job's newest page versions into one sorted batch
+//	Write      submit the batch through the store's three-phase WritePages
+//	           path
+//	Commit     install pagers, mark trapped transients done, and (in
+//	           Checkpoint) cut the epoch
 //
-// Jobs fan out to a bounded worker pool, so one object's encode overlaps
-// another's device transfer. The epoch commit happens only after the pool
-// drains, preserving external synchrony: nothing is released until the
+// All four run on the checkpointing goroutine, and the jobs run in plan
+// order, so block layout, and with it virtual time, follows the plan alone.
+// The overlap the paper models is the device queue's and the durable
+// window's, not host threads'. The epoch commit happens only after the last
+// job lands, preserving external synchrony: nothing is released until the
 // superblock that covers every flushed page is durable.
 //
-// Keying jobs by destination OID gives two properties the serial path
-// lacked. First, no two workers ever write the same store object within an
-// epoch, so the pipeline needs no cross-worker ordering. Second, each page
-// index is written exactly once with its NEWEST version: the serial path
-// flushed trapped (older, deeper) shadows after the frozen pair, letting a
-// stale version overwrite a page dirtied in both a mem-only interval and
-// the interval that followed it.
+// Keying jobs by destination OID writes each page index exactly once with its
+// NEWEST version: were a trapped (older, deeper) shadow flushed after the
+// frozen pair, a stale version would overwrite a page dirtied in both a
+// mem-only interval and the interval that followed it.
 
 // flushSource is one object contributing pages to a job. A nil target
 // stages the object's own unstored pages (the dirty set); a non-nil target
@@ -145,116 +139,52 @@ func (g *Group) planCold(pl *flushPlan, ser *serializer) {
 	}
 }
 
-// flushResult aggregates what the pool did.
+// flushResult aggregates what the flush did.
 type flushResult struct {
-	bytes    int64
-	encode   time.Duration // host time staging, summed over workers
-	write    time.Duration // host time submitting, summed over workers
-	workers  int
-	maxDepth int
+	bytes  int64
+	encode time.Duration // host time staging
+	write  time.Duration // host time submitting
 }
 
-// drainPool runs job(0..n-1) on a bounded pool — limit workers (0 =
-// GOMAXPROCS, 1 = serial), never more than there are jobs — handed out in
-// index order. It returns once every job has run or been skipped: after the
-// first error, which is the one returned, jobs not yet started are skipped.
-// queued, when set, sees the queue depth at each hand-off; maxDepth is its
-// high-water mark.
-func drainPool(limit, n int, queued func(depth int64), job func(i int) error) (workers, maxDepth int, err error) {
-	workers = limit
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	workers = min(workers, n)
-	var pool struct { // one struct: the workers share it through one allocation
-		depth  atomic.Int64
-		failed atomic.Bool
-		err    error // written by the worker that sets failed, read after wg.Wait
-		wg     sync.WaitGroup
-	}
-	jobs := make(chan int, n)
-	for w := 0; w < workers; w++ {
-		pool.wg.Add(1)
-		go func() {
-			defer pool.wg.Done()
-			for i := range jobs {
-				pool.depth.Add(-1)
-				if pool.failed.Load() {
-					continue
-				}
-				if e := job(i); e != nil && pool.failed.CompareAndSwap(false, true) {
-					pool.err = e
-				}
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		d := pool.depth.Add(1)
-		maxDepth = max(maxDepth, int(d))
-		if queued != nil {
-			queued(d)
-		}
-		jobs <- i
-	}
-	close(jobs)
-	pool.wg.Wait()
-	return workers, maxDepth, pool.err
-}
-
-// runFlush drains the plan through the worker pool (Options.FlushWorkers
-// bounds it) and commits the bookkeeping. The call returns only when every
-// job has landed or failed; the store epoch is NOT cut here — that is the
-// caller's commit step.
+// runFlush drains the plan in plan order — encode, write, then mark the
+// frames stored, job by job — stopping at the first error, and commits the
+// bookkeeping. The store epoch is NOT cut here — that is the caller's commit
+// step.
 func (g *Group) runFlush(pl *flushPlan) (flushResult, error) {
 	var res flushResult
-	if len(pl.jobs) == 0 {
-		return res, nil
-	}
 	tr := g.o.Tracer // nil disables; Span methods no-op on the zero Span
-	var err error
-	var sum struct{ bytes, encodeNS, writeNS atomic.Int64 } // over workers
-	res.workers, res.maxDepth, err = drainPool(g.Options.FlushWorkers, len(pl.jobs), nil,
-		func(i int) error {
-			j := pl.jobs[i]
-			// Job spans are zero-width in virtual time — encode and
-			// submit burn host CPU only — so the host costs ride as
-			// args while the virtual timeline stays authoritative.
-			jobSpan := tr.Begin(trace.TrackFlush, "flush.job",
-				trace.I("oid", int64(j.toid)))
-			t0 := time.Now()
-			writes, frames := encodeJob(j)
-			encNS := int64(time.Since(t0))
-			sum.encodeNS.Add(encNS)
-			if len(writes) == 0 {
-				jobSpan.End(trace.I("pages", 0))
-				return nil
-			}
-			t0 = time.Now()
-			n, err := g.o.Store.WritePages(j.toid, writes)
-			wrNS := int64(time.Since(t0))
-			sum.writeNS.Add(wrNS)
-			sum.bytes.Add(n)
-			if err != nil {
-				frames = nil // they stay unstored, so a retried checkpoint stages them again
-			}
-			for _, p := range frames {
-				p.Dirty, p.Backed = false, true
-			}
-			jobSpan.End(trace.I("pages", int64(len(writes))), trace.I("bytes", n),
-				trace.I("encode_host_ns", encNS), trace.I("write_host_ns", wrNS))
-			return err
-		})
-	res.bytes = sum.bytes.Load()
-	res.encode = time.Duration(sum.encodeNS.Load())
-	res.write = time.Duration(sum.writeNS.Load())
-	if err != nil {
-		return res, err
+	for _, j := range pl.jobs {
+		// Job spans are zero-width in virtual time — encode and submit
+		// burn host CPU only — so the host costs ride as args while the
+		// virtual timeline stays authoritative.
+		jobSpan := tr.Begin(trace.TrackFlush, "flush.job", trace.I("oid", int64(j.toid)))
+		t0 := time.Now()
+		writes, frames := encodeJob(j)
+		encNS := time.Since(t0)
+		res.encode += encNS
+		if len(writes) == 0 {
+			jobSpan.End(trace.I("pages", 0))
+			continue
+		}
+		t0 = time.Now()
+		n, err := g.o.Store.WritePages(j.toid, writes)
+		wrNS := time.Since(t0)
+		res.write += wrNS
+		res.bytes += n
+		jobSpan.End(trace.I("pages", int64(len(writes))), trace.I("bytes", n),
+			trace.I("encode_host_ns", int64(encNS)), trace.I("write_host_ns", int64(wrNS)))
+		if err != nil {
+			return res, err // the frames stay unstored, so a retried checkpoint stages them again
+		}
+		for _, p := range frames {
+			p.Dirty, p.Backed = false, true
+		}
 	}
 
 	// Commit-side bookkeeping: flushed objects become store-backed (their
 	// clean pages evict through the unified checkpoint/swap path), and
 	// trapped transients are immutable and fully captured from here on. An
-	// object counts as flushed only now: had the pool failed, the retry must
+	// object counts as flushed only now: had a job failed, the retry must
 	// stage its full image again.
 	for _, j := range pl.jobs {
 		if j.covers {
@@ -274,8 +204,8 @@ func (g *Group) runFlush(pl *flushPlan) (flushResult, error) {
 // The batch references the frozen frames' data directly — frozen and
 // trapped shadows are immutable under COW (a racing application fault
 // copies OUT of them, never into them), so the single data copy happens in
-// the Write stage, inside the device. The resolved frames are returned for the
-// worker to mark clean and store-backed once the write has landed; a frame
+// the Write stage, inside the device. The resolved frames are returned for
+// runFlush to mark clean and store-backed once the write has landed; a frame
 // whose page index a newer source staged keeps its dirty bit (not among them).
 func encodeJob(j *flushJob) ([]objstore.PageWrite, []*mem.Page) {
 	staged := make(map[int64]bool)

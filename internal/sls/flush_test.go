@@ -4,26 +4,23 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
-	"runtime"
 	"testing"
 	"time"
 
+	"aurora/internal/kern"
 	"aurora/internal/objstore"
 	"aurora/internal/vm"
 )
 
-// runFlushWorkload drives one deterministic history — full image,
-// incremental deltas, a mem-only interval (trapped transients), a fork
-// mid-interval, and a final crash — against a fresh world with the given
-// flush-worker count. It returns the restored memory images of every
-// process concatenated, plus the total bytes and dirty pages the
-// checkpoints reported.
-func runFlushWorkload(t *testing.T, workers int) ([]byte, int64, int64) {
-	t.Helper()
+// TestFlushHistoryRestoresExactly is the pipeline's core regression: one
+// deterministic history — full image, incremental deltas, a mem-only interval
+// (trapped transients), a fork mid-interval, and a final crash — must restore
+// every process's memory byte for byte as the application left it, and report
+// the page and byte totals the history dirtied and flushed.
+func TestFlushHistoryRestoresExactly(t *testing.T) {
 	w := newWorld(t)
 	p := w.k.NewProc("app")
 	g := w.o.CreateGroup("app")
-	g.Options.FlushWorkers = workers
 	if err := g.Attach(p); err != nil {
 		t.Fatal(err)
 	}
@@ -71,9 +68,6 @@ func runFlushWorkload(t *testing.T, workers int) ([]byte, int64, int64) {
 	}
 	flushed += st.FlushBytes
 	dirty += st.DirtyPages
-	if workers > 1 && st.MaxQueueDepth < 1 {
-		t.Fatalf("parallel flush reported MaxQueueDepth %d", st.MaxQueueDepth)
-	}
 
 	// Round 4: fork mid-interval (the trapped-transient path again, via
 	// the fork's interposed shadows), then diverge parent and child.
@@ -88,64 +82,52 @@ func runFlushWorkload(t *testing.T, workers int) ([]byte, int64, int64) {
 	flushed += st.FlushBytes
 	dirty += st.DirtyPages
 
-	// Crash and restore; collect every process's image.
+	// Crash and restore; every process's image must come back as it was.
+	procs := []*kern.Proc{p, child}
+	want := make([][]byte, len(procs))
+	for i, proc := range procs {
+		want[i] = make([]byte, pages*vm.PageSize)
+		if err := proc.ReadMem(va, want[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
 	w2 := w.crash(t)
 	g2, _, err := w2.o.RestoreGroup("app", w2.store, RestoreFull, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var img []byte
-	page := make([]byte, vm.PageSize)
-	for _, pid := range []uint64{uint64(p.LocalPID), uint64(child.LocalPID)} {
+	got := make([]byte, pages*vm.PageSize)
+	for i, proc := range procs {
 		found := false
 		for _, rp := range g2.Procs() {
-			if uint64(rp.LocalPID) != pid {
+			if rp.LocalPID != proc.LocalPID {
 				continue
 			}
 			found = true
-			for i := 0; i < pages; i++ {
-				if err := rp.ReadMem(va+uint64(i)*vm.PageSize, page); err != nil {
-					t.Fatal(err)
+			if err := rp.ReadMem(va, got); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want[i]) {
+				for b := range got {
+					if got[b] != want[i][b] {
+						t.Fatalf("pid %d restored image diverges at byte %d (page %d): got %#x want %#x",
+							proc.LocalPID, b, b/int(vm.PageSize), got[b], want[i][b])
+					}
 				}
-				img = append(img, page...)
 			}
 		}
 		if !found {
-			t.Fatalf("restored group lacks pid %d", pid)
+			t.Fatalf("restored group lacks pid %d", proc.LocalPID)
 		}
 	}
-	return img, flushed, dirty
-}
 
-// TestFlushSerialParallelIdentical is the pipeline's core regression: the
-// serial path (FlushWorkers=1) and the parallel pool must produce
-// byte-identical restored memory images and report identical page and byte
-// totals — the aggregation is all atomics, and this (run under -race in
-// CI) is the proof that no update is lost when workers race.
-func TestFlushSerialParallelIdentical(t *testing.T) {
-	serial, serialBytes, serialPages := runFlushWorkload(t, 1)
-	parallel, parallelBytes, parallelPages := runFlushWorkload(t, 8)
-	if !bytes.Equal(serial, parallel) {
-		for i := range serial {
-			if serial[i] != parallel[i] {
-				t.Fatalf("restored images diverge at byte %d (page %d): serial %#x parallel %#x",
-					i, i/int(vm.PageSize), serial[i], parallel[i])
-			}
-		}
-	}
-	if serialBytes != parallelBytes {
-		t.Fatalf("flush bytes diverge: serial %d parallel %d", serialBytes, parallelBytes)
-	}
-	if serialPages != parallelPages {
-		t.Fatalf("dirty page totals diverge: serial %d parallel %d", serialPages, parallelPages)
-	}
 	// DirtyPages counts the frozen objects' unstored pages. Every frozen
 	// object of this history is a first image or a transient shadow, which
 	// hold nothing else, so the totals are what counting every resident page
 	// gave (600 + 300 + 200, 1300 pages flushed with the trapped transients):
 	// the count may only shrink after a restore.
-	if serialPages != 1100 || serialBytes != 1300*vm.PageSize {
-		t.Fatalf("dirty pages %d, flush bytes %d; want 1100 and %d", serialPages, serialBytes, 1300*vm.PageSize)
+	if dirty != 1100 || flushed != 1300*vm.PageSize {
+		t.Fatalf("dirty pages %d, flush bytes %d; want 1100 and %d", dirty, flushed, 1300*vm.PageSize)
 	}
 }
 
@@ -202,12 +184,16 @@ func TestCheckpointFlushStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.FlushWorkers < 1 || st.FlushWorkers > runtime.GOMAXPROCS(0) {
-		t.Fatalf("FlushWorkers = %d", st.FlushWorkers)
+	// The flush runs on the checkpointing goroutine and drains the plan's
+	// jobs, one per destination object.
+	jobs := func(st CheckpointStats, want int) {
+		t.Helper()
+		if st.FlushWorkers != min(want, 1) || st.MaxQueueDepth != want {
+			t.Fatalf("FlushWorkers = %d, MaxQueueDepth = %d; want %d and the plan's %d jobs",
+				st.FlushWorkers, st.MaxQueueDepth, min(want, 1), want)
+		}
 	}
-	if st.MaxQueueDepth < 1 {
-		t.Fatalf("MaxQueueDepth = %d", st.MaxQueueDepth)
-	}
+	jobs(st, 1)
 	if st.EncodeTime <= 0 || st.WriteTime <= 0 {
 		t.Fatalf("stage times: encode %v write %v", st.EncodeTime, st.WriteTime)
 	}
@@ -215,9 +201,7 @@ func TestCheckpointFlushStats(t *testing.T) {
 		t.Fatalf("FlushBytes = %d, want >= %d", st.FlushBytes, 512*vm.PageSize)
 	}
 
-	// Serial stays selectable, and an incremental flush counts exactly the
-	// bytes the workers submitted.
-	g.Options.FlushWorkers = 1
+	// An incremental flush counts exactly the bytes it submitted.
 	for i := 0; i < 7; i++ {
 		p.WriteMem(va+uint64(i*50)*vm.PageSize, buf)
 	}
@@ -225,12 +209,20 @@ func TestCheckpointFlushStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.FlushWorkers != 1 {
-		t.Fatalf("FlushWorkers = %d, want 1", st.FlushWorkers)
-	}
+	jobs(st, 1)
 	if st.FlushBytes != 7*vm.PageSize {
 		t.Fatalf("incremental FlushBytes = %d, want %d", st.FlushBytes, 7*vm.PageSize)
 	}
+
+	// A second object dirty beside the first: two jobs.
+	va2, _ := p.Mmap(1<<20, vm.ProtRead|vm.ProtWrite, false)
+	p.WriteMem(va, buf)
+	p.WriteMem(va2, buf)
+	st, err = g.Checkpoint(CkptIncremental)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs(st, 2)
 }
 
 // failOnceDev fails the next submit once armed, as a transient device error
@@ -365,40 +357,5 @@ func TestFirstFlushFailedThenRetried(t *testing.T) {
 	got := make([]byte, len(want))
 	if err := g2.Procs()[0].ReadMem(va, got); err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("image committed by the retry differs from the application's (err %v)", err)
-	}
-}
-
-// TestDrainPool pins the flush pool's contract: a serial pool runs the jobs in index order, the pool is never larger
-// than the job count, and after the first error — the one reported — jobs not
-// yet started are skipped.
-func TestDrainPool(t *testing.T) {
-	var order []int
-	var depths []int64
-	workers, maxDepth, err := drainPool(1, 5, func(d int64) { depths = append(depths, d) },
-		func(i int) error { order = append(order, i); return nil })
-	if err != nil || workers != 1 || len(depths) != 5 || maxDepth < 1 || maxDepth > 5 {
-		t.Fatalf("serial pool: workers %d, max depth %d, depths %v, err %v", workers, maxDepth, depths, err)
-	}
-	for i, got := range order {
-		if got != i {
-			t.Fatalf("serial pool ran jobs in order %v", order)
-		}
-	}
-	if workers, _, _ := drainPool(0, 3, nil, func(int) error { return nil }); workers != min(runtime.GOMAXPROCS(0), 3) {
-		t.Fatalf("default pool over 3 jobs has %d workers", workers)
-	}
-	if workers, maxDepth, err := drainPool(4, 0, nil, nil); workers != 0 || maxDepth != 0 || err != nil {
-		t.Fatalf("empty plan: workers %d, max depth %d, err %v", workers, maxDepth, err)
-	}
-	boom, ran := errors.New("boom"), 0
-	_, _, err = drainPool(1, 5, nil, func(i int) error {
-		ran++
-		if i >= 1 {
-			return boom
-		}
-		return nil
-	})
-	if err != boom || ran != 2 {
-		t.Fatalf("failing pool: err %v after %d jobs, want boom after 2", err, ran)
 	}
 }

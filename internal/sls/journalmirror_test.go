@@ -144,7 +144,6 @@ func TestStandbyJournalMirrorsSource(t *testing.T) {
 				}
 				p := src.k.NewProc("app")
 				g := src.o.CreateGroup("app")
-				g.Options.FlushWorkers = 1
 				g.Period = 0
 				if err := g.Attach(p); err != nil {
 					t.Fatal(err)
@@ -219,7 +218,6 @@ func TestJournaledStandbyKeepsItsExtent(t *testing.T) {
 	}
 	p := src.k.NewProc("app")
 	g := src.o.CreateGroup("app")
-	g.Options.FlushWorkers = 1
 	g.Period = 0
 	if err := g.Attach(p); err != nil {
 		t.Fatal(err)
@@ -286,7 +284,6 @@ func TestRecvRefusesHostileFrames(t *testing.T) {
 	src, dst := newWorld(t), newWorld(t)
 	p := src.k.NewProc("app")
 	g := src.o.CreateGroup("app")
-	g.Options.FlushWorkers = 1
 	g.Period = 0
 	if err := g.Attach(p); err != nil {
 		t.Fatal(err)

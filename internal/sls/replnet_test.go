@@ -73,7 +73,6 @@ type replApp struct {
 func startReplApp(w *world) (*replApp, error) {
 	p := w.k.NewProc("app")
 	g := w.o.CreateGroup("app")
-	g.Options.FlushWorkers = 1 // deterministic wire stream
 	g.Period = 0
 	if err := g.Attach(p); err != nil {
 		return nil, err

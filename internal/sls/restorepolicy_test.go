@@ -149,7 +149,6 @@ func setupSpecImage(t *testing.T) rotImage {
 	}
 	p := w.k.NewProc("app")
 	g := w.o.CreateGroup("app")
-	g.Options.FlushWorkers = 1
 	g.Period = 0
 	if err := g.Attach(p); err != nil {
 		t.Fatal(err)

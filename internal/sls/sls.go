@@ -78,9 +78,7 @@ const (
 //
 // StopTime, OSTime, MemTime, and DurableAt are virtual durations — the
 // simulated machine's costs. EncodeTime and WriteTime are host wall-clock
-// durations summed across the flush pool's workers: they measure the
-// reproduction's own pipeline, and their sum exceeding the flush's wall
-// time is the direct signature of stage overlap.
+// durations: they measure the reproduction's own pipeline.
 type CheckpointStats struct {
 	Epoch      objstore.Epoch
 	WALSeq     uint64 // nonzero when the commit was a WAL frame append
@@ -88,17 +86,17 @@ type CheckpointStats struct {
 	StopTime   time.Duration // application pause (quiesce..resume)
 	OSTime     time.Duration // portion spent serializing POSIX objects
 	MemTime    time.Duration // portion spent shadowing / marking COW
-	FlushBytes int64         // data submitted to storage, summed over workers
+	FlushBytes int64         // data submitted to storage
 	DurableAt  time.Duration // virtual time the checkpoint persists
 	Objects    int           // POSIX objects in the cut
 	Captured   int           // of those, serialized: the rest were unchanged since the last commit
 	DirtyPages int64         // pages captured in the frozen shadows
 
 	// Flush pipeline observability (see internal/sls/flush.go).
-	EncodeTime    time.Duration // host time staging pages, summed over workers
-	WriteTime     time.Duration // host time submitting store writes, summed over workers
-	FlushWorkers  int           // workers the flush pool actually ran
-	MaxQueueDepth int           // high-water mark of jobs awaiting a worker
+	EncodeTime    time.Duration // host time staging pages
+	WriteTime     time.Duration // host time submitting store writes
+	FlushWorkers  int           // 1, the checkpointing goroutine; 0 for an empty plan
+	MaxQueueDepth int           // the plan's job count, drained in plan order
 }
 
 // RestoreStats reports one restore's costs.
@@ -175,12 +173,6 @@ func New(k *kern.Kernel, store *objstore.Store) *Orchestrator {
 
 // Options tunes a group's checkpoint machinery.
 type Options struct {
-	// FlushWorkers bounds the checkpoint flush pipeline's worker pool.
-	// 0 selects the default (GOMAXPROCS); 1 selects the serial path —
-	// the same pipeline drained by a single worker, so serial and
-	// parallel flushes produce identical store content.
-	FlushWorkers int
-
 	// FoldEvery, when positive, promotes every Nth CkptWAL commit to a
 	// full checkpoint, bounding both replay length after a crash and the
 	// ring space dead generations occupy. 0 folds only when the ring
@@ -196,7 +188,7 @@ type Group struct {
 	// Period is the checkpoint interval for periodic persistence
 	// (default 10 ms — 100x per second).
 	Period time.Duration
-	// Options tunes the checkpoint flush pipeline.
+	// Options tunes the checkpoint machinery.
 	Options Options
 
 	oid objstore.OID // the group record in the store

@@ -177,17 +177,15 @@ func TestConcurrentWorkersUnderCheckpointing(t *testing.T) {
 	checkCut(g2.Procs()[0], "final")
 }
 
-// Stress the parallel flush pool specifically: worker goroutines dirty
-// pages continuously while checkpoints run with an explicit multi-worker
-// flush pipeline, exercising encode/write racing application faults (the
-// shadow pairs are frozen, but the live side COW-copies from the same
-// chains the workers walk). Meant to run under -race; consistency is
-// checked by restoring the final crash image.
+// Stress the flush pipeline specifically: worker goroutines dirty pages
+// continuously while checkpoints flush, exercising encode/write racing
+// application faults (the shadow pairs are frozen, but the live side
+// COW-copies from the same chains the flush walks). Meant to run under
+// -race; consistency is checked by restoring the final crash image.
 func TestParallelFlushUnderConcurrentDirtying(t *testing.T) {
 	w := newWorld(t)
 	p := w.k.NewProc("stress")
 	g := w.o.CreateGroup("stress")
-	g.Options.FlushWorkers = 8
 	if err := g.Attach(p); err != nil {
 		t.Fatal(err)
 	}
@@ -220,12 +218,8 @@ func TestParallelFlushUnderConcurrentDirtying(t *testing.T) {
 	}
 
 	for i := 0; i < 40; i++ {
-		st, err := g.Checkpoint(CkptIncremental)
-		if err != nil {
+		if _, err := g.Checkpoint(CkptIncremental); err != nil {
 			t.Fatal(err)
-		}
-		if st.FlushWorkers > 8 {
-			t.Fatalf("FlushWorkers = %d, want <= 8", st.FlushWorkers)
 		}
 	}
 	stop.Store(true)

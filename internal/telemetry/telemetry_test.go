@@ -376,8 +376,8 @@ func TestFleetPrometheusOneHeaderPerFamily(t *testing.T) {
 }
 
 // TestExportsIgnoreFirstTouchOrder: two goroutines touching the same names
-// in opposite orders (flush workers reach dev.* whenever the scheduler lets
-// them) yield byte-identical JSON and Prometheus output.
+// in opposite orders (simulated threads reach a name whenever the scheduler
+// lets them) yield byte-identical JSON and Prometheus output.
 func TestExportsIgnoreFirstTouchOrder(t *testing.T) {
 	names := []string{"dev.submits", "objstore.data.bytes", "sls.ckpt.total", "net.transfers", "audit.runs"}
 	render := func(flip bool) (string, string) {

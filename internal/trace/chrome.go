@@ -88,8 +88,8 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 // A named timeline gets a process_name row and is a member of a
 // determinism-checked artifact, so it leaves out what varies run to run:
 // host-clock diagnostics (the _host_ns arg convention) and span ids, which
-// concurrent flush workers draw in arrival order. The unnamed export keeps
-// both.
+// every goroutine that traces draws from one counter. The unnamed export
+// keeps both.
 func WriteChrome(w io.Writer, timelines []Timeline) error {
 	out := []chromeEvent{}
 	for i, tl := range timelines {

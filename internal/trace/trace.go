@@ -529,9 +529,10 @@ type NamedValue struct {
 	Value int64  `json:"value"`
 }
 
-// Metrics is the store at one instant, every list sorted by name: names are
-// first touched from concurrent goroutines (flush workers reach dev.*), so
-// any other order would make the artifacts scheduler-dependent.
+// Metrics is the store at one instant, every list sorted by name: names can
+// be first touched from concurrent goroutines (simulated threads are
+// goroutines), so any other order would make the artifacts
+// scheduler-dependent.
 type Metrics struct {
 	Counters   []NamedValue
 	Gauges     []NamedValue

@@ -158,7 +158,6 @@ func TestMigrationPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.Options.FlushWorkers = 1
 	va, _ := p.Mmap(256*PageSize, ProtRead|ProtWrite, false)
 	for i := 0; i < 256; i++ {
 		if err := p.WriteMem(va+uint64(i)*PageSize, []byte{byte(i), 0xA5}); err != nil {

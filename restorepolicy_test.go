@@ -40,7 +40,6 @@ func policyImage(t *testing.T) (*aurora.Machine, uint64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.Options.FlushWorkers = 1 // deterministic submit stream
 	fd := must[int](t)
 	ok := func(err error) {
 		t.Helper()

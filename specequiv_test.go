@@ -37,7 +37,6 @@ func buildCrashedTwin(seed int64) (*aurora.Machine, uint64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	g.Options.FlushWorkers = 1 // deterministic submit stream
 	va, err := p.Mmap(equivPages*vm.PageSize, aurora.ProtRead|aurora.ProtWrite, false)
 	if err != nil {
 		return nil, 0, err
