@@ -9,7 +9,7 @@ import (
 	"aurora/internal/clock"
 )
 
-func newDev(size int64) (*Device, *clock.Virtual) {
+func newDev(size int64) (*Stripe, *clock.Virtual) {
 	clk := clock.NewVirtual()
 	return New(clk, clock.DefaultCosts(), size), clk
 }

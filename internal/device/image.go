@@ -12,12 +12,13 @@ import (
 // Image persistence: a simulated device's contents can be saved to and
 // loaded from a real file, so the sls command-line tool can keep a machine
 // image across invocations — each run is a "boot" that recovers the store
-// from the image, exactly like powering the simulated machine back on.
+// from the image, exactly like powering the simulated machine back on. A
+// stripe image is its geometry followed by one image per member.
 
 const imageMagic = 0x41444556 // "ADEV"
 
-// Save writes the device's sparse contents.
-func (d *Device) Save(w io.Writer) error {
+// save writes the member's sparse contents.
+func (d *member) save(w io.Writer) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	var hdr [20]byte
@@ -45,8 +46,8 @@ func (d *Device) Save(w io.Writer) error {
 	return nil
 }
 
-// Load reads a device image saved with Save.
-func Load(clk clock.Clock, costs *clock.Costs, r io.Reader) (*Device, error) {
+// load reads a member image written by save.
+func load(costs *clock.Costs, r io.Reader) (*member, error) {
 	var hdr [20]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
@@ -54,8 +55,9 @@ func Load(clk clock.Clock, costs *clock.Costs, r io.Reader) (*Device, error) {
 	if binary.LittleEndian.Uint32(hdr[0:]) != imageMagic {
 		return nil, fmt.Errorf("device: not a device image")
 	}
-	// The header is outside input: Save wrote a size New had accepted, at most
-	// one chunk per ChunkSize of it, and the chunks in ascending index order.
+	// The header is outside input: save wrote a size newMember had accepted,
+	// at most one chunk per ChunkSize of it, and the chunks in ascending index
+	// order.
 	size := int64(binary.LittleEndian.Uint64(hdr[4:]))
 	n := binary.LittleEndian.Uint64(hdr[12:])
 	if size <= 0 {
@@ -65,7 +67,7 @@ func Load(clk clock.Clock, costs *clock.Costs, r io.Reader) (*Device, error) {
 	if n > uint64(limit) {
 		return nil, fmt.Errorf("device: image header: %d chunks, a device of %d bytes has %d", n, size, limit)
 	}
-	d := New(clk, costs, size)
+	d := newMember(costs, size)
 	var ib [8]byte
 	prev := int64(-1)
 	for i := uint64(0); i < n; i++ {
@@ -87,7 +89,7 @@ func Load(clk clock.Clock, costs *clock.Costs, r io.Reader) (*Device, error) {
 	return d, nil
 }
 
-// Save writes all stripe members.
+// Save writes the stripe's geometry and then each member's image.
 func (s *Stripe) Save(w io.Writer) error {
 	var hdr [16]byte
 	binary.LittleEndian.PutUint32(hdr[0:], imageMagic+1)
@@ -97,7 +99,7 @@ func (s *Stripe) Save(w io.Writer) error {
 		return err
 	}
 	for _, d := range s.devs {
-		if err := d.Save(w); err != nil {
+		if err := d.save(w); err != nil {
 			return err
 		}
 	}
@@ -120,7 +122,7 @@ func LoadStripe(clk clock.Clock, costs *clock.Costs, r io.Reader) (*Stripe, erro
 	}
 	st := &Stripe{clk: clk, costs: costs, unit: unit}
 	for i := 0; i < n; i++ {
-		d, err := Load(clock.Discard{}, costs, r)
+		d, err := load(costs, r)
 		if err != nil {
 			return nil, fmt.Errorf("device: stripe member %d of %d: %w", i, n, err)
 		}

@@ -20,7 +20,7 @@ func TestDeviceImageRoundTrip(t *testing.T) {
 	if err := d.Save(&img); err != nil {
 		t.Fatal(err)
 	}
-	d2, err := Load(clk, costs, &img)
+	d2, err := LoadStripe(clk, costs, &img)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestDeviceImageRoundTrip(t *testing.T) {
 // TestLoadRejectsCorruptHeader: the image is outside input. A size New would
 // panic on, more chunks than the size spans, and a chunk index that is out of
 // range, out of order or repeated each come back as an error that says where,
-// for a bare device and through a stripe; the valid image still loads.
+// for a member image alone and through a stripe; the valid image still loads.
 func TestLoadRejectsCorruptHeader(t *testing.T) {
 	clk := clock.NewVirtual()
 	costs := clock.DefaultCosts()
@@ -54,7 +54,7 @@ func TestLoadRejectsCorruptHeader(t *testing.T) {
 	d.WriteAt([]byte("alpha"), 0)
 	d.WriteAt([]byte("omega"), 3<<20)
 	var img bytes.Buffer
-	if err := d.Save(&img); err != nil {
+	if err := d.devs[0].save(&img); err != nil {
 		t.Fatal(err)
 	}
 	const second = 20 + 8 + ChunkSize // where the second chunk's index is
@@ -85,7 +85,7 @@ func TestLoadRejectsCorruptHeader(t *testing.T) {
 					t.Fatalf("load = %v, want %q", err, want)
 				}
 			}
-			_, err := Load(clk, costs, bytes.NewReader(raw))
+			_, err := load(costs, bytes.NewReader(raw))
 			check(err, tc.want)
 
 			// The same member, second of a two-device stripe.
@@ -127,7 +127,7 @@ func TestStripeImageRoundTrip(t *testing.T) {
 func TestLoadRejectsGarbage(t *testing.T) {
 	clk := clock.NewVirtual()
 	costs := clock.DefaultCosts()
-	if _, err := Load(clk, costs, bytes.NewReader([]byte("not an image file...."))); err == nil {
+	if _, err := load(costs, bytes.NewReader([]byte("not an image file...."))); err == nil {
 		t.Fatal("garbage device image accepted")
 	}
 	if _, err := LoadStripe(clk, costs, bytes.NewReader([]byte("not a stripe image..."))); err == nil {

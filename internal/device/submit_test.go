@@ -12,29 +12,13 @@ import (
 	"aurora/internal/trace"
 )
 
-// submitter is the write surface Device and Stripe share, plus what the
-// property test needs to look inside.
-type submitter interface {
-	Submit(bufs [][]byte, off int64, after time.Duration) (time.Duration, error)
-	SubmitWrite(p []byte, off int64) (time.Duration, error)
-	PeekAt(p []byte, off int64)
-	Stats() Stats
-	Size() int64
-}
-
 // queues snapshots every member's queue horizon.
-func queues(s submitter) []time.Duration {
-	switch d := s.(type) {
-	case *Device:
-		return []time.Duration{d.nextFree}
-	case *Stripe:
-		var out []time.Duration
-		for _, m := range d.devs {
-			out = append(out, m.nextFree)
-		}
-		return out
+func queues(s *Stripe) []time.Duration {
+	var out []time.Duration
+	for _, m := range s.devs {
+		out = append(out, m.nextFree)
 	}
-	panic("unknown submitter")
+	return out
 }
 
 // TestSubmitProperty drives seeded random (sizes, offset, after) sequences
@@ -43,18 +27,18 @@ func queues(s submitter) []time.Duration {
 // unordered SubmitWrite form whenever after is 0). They must agree on
 // completion time, bytes counted and media; a zero-byte vector must issue no
 // command, and an out-of-range vector must move neither queue, counters nor
-// media — on a bare device and on a stripe whose vectors straddle unit and
+// media — on a lone device and on a stripe whose vectors straddle unit and
 // member boundaries.
 func TestSubmitProperty(t *testing.T) {
 	const size = 1 << 20
 	kinds := []struct {
 		name string
-		mk   func(clk clock.Clock) submitter
+		mk   func(clk clock.Clock) *Stripe
 		cmds func(off, n int64) int64 // commands one n-byte vector at off costs
 	}{
-		{"device", func(clk clock.Clock) submitter { return New(clk, clock.DefaultCosts(), size) },
+		{"device", func(clk clock.Clock) *Stripe { return New(clk, clock.DefaultCosts(), size) },
 			func(off, n int64) int64 { return 1 }},
-		{"stripe", func(clk clock.Clock) submitter {
+		{"stripe", func(clk clock.Clock) *Stripe {
 			return NewStripe(clk, clock.DefaultCosts(), 4, 64<<10, size/4)
 		}, func(off, n int64) int64 { return (off+n-1)/(64<<10) - off/(64<<10) + 1 }},
 	}
@@ -178,10 +162,7 @@ func TestWriteTraceName(t *testing.T) {
 		clk := clock.NewVirtual()
 		d := New(clk, clock.DefaultCosts(), 1<<20)
 		s := NewStripe(clk, clock.DefaultCosts(), 4, 64<<10, 1<<20)
-		for name, dev := range map[string]interface {
-			submitter
-			SetTracer(*trace.Tracer)
-		}{"device": d, "stripe": s} {
+		for name, dev := range map[string]*Stripe{"device": d, "stripe": s} {
 			tr := trace.New(clk)
 			dev.SetTracer(tr)
 			if _, err := dev.Submit(bufs, 60<<10, tc.after); err != nil { // straddles a stripe unit

@@ -2,9 +2,9 @@
 // injection, so crash-consistency claims can be checked systematically
 // instead of at a single hand-picked point.
 //
-// The wrapper implements the same block-device surface the object store
-// consumes (objstore.BlockDev) and composes over either a bare
-// device.Device or a device.Stripe. It injects four fault classes:
+// The wrapper implements the block-device surface the object store consumes
+// (objstore.BlockDev) — ordered submits, reads, waits — and composes over a
+// device.Stripe, a lone device included. It injects four fault classes:
 //
 //	(a) power cut after the Nth submit — every counted write carries a
 //	    monotonically increasing submit index; when the armed index (or an
@@ -44,16 +44,14 @@ import (
 // prints everything needed to replay the exact failure.
 var ErrPowerCut = errors.New("faultdev: power cut")
 
-// Inner is what faultdev composes over: the block-device operations plus
-// the uncharged raw-media port used for pre-image capture and tearing.
-// Both device.Device and device.Stripe satisfy it.
+// Inner is what faultdev composes over: the block-device operations the
+// store calls plus the uncharged raw-media port used for pre-image capture
+// and tearing. *device.Stripe satisfies it.
 type Inner interface {
 	ReadAt(p []byte, off int64) (int, error)
-	WriteAt(p []byte, off int64) (int, error)
 	Submit(bufs [][]byte, off int64, after time.Duration) (time.Duration, error)
 	SubmitRead(p []byte, off int64) (time.Duration, error)
 	WaitUntil(t time.Duration)
-	Flush()
 	Size() int64
 	PeekAt(p []byte, off int64)
 	PokeAt(p []byte, off int64)
@@ -106,7 +104,6 @@ func (p Plan) String() string {
 type pendingWrite struct {
 	off  int64
 	pre  []byte
-	data []byte
 	done time.Duration
 }
 
@@ -341,11 +338,16 @@ func (d *Dev) crashLocked(idx int64, vec [][]byte, off, total int64, after time.
 		ErrPowerCut, d.plan.Seed, idx, off, total)
 }
 
-// submitLocked is the shared write path: count the submit, maybe crash,
-// otherwise capture the pre-image, forward to the inner device, and track
-// the write as pending until its completion time passes. after is the
-// inner device's ordering constraint (0 for none).
-func (d *Dev) submitLocked(vec [][]byte, off int64, sync bool, after time.Duration) (time.Duration, error) {
+// Submit queues a counted asynchronous write — one submit index for the
+// whole vector, mirroring the one-command semantics of the inner device,
+// and carrying its ordering constraint through. Commit-point writes
+// (superblocks, WAL frames) are submit indexes like any other, so the sweep
+// crashes on (and tears) them too. Unless it is the cut, the write's
+// pre-image is captured and it stays pending until its completion time
+// passes.
+func (d *Dev) Submit(vec [][]byte, off int64, after time.Duration) (time.Duration, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	if d.crashed {
 		return 0, d.deadErr()
 	}
@@ -365,45 +367,15 @@ func (d *Dev) submitLocked(vec [][]byte, off int64, sync bool, after time.Durati
 	}
 	pre := make([]byte, total)
 	d.inner.PeekAt(pre, off)
-	var done time.Duration
-	var err error
-	if sync {
-		_, err = d.inner.WriteAt(flatten(vec, total), off)
-		done = d.clk.Now() // durable on return; never pending
-	} else {
-		done, err = d.inner.Submit(vec, off, after)
-	}
+	done, err := d.inner.Submit(vec, off, after)
 	if err != nil {
 		return 0, err
 	}
-	if !sync && done > d.clk.Now() {
-		d.pending = append(d.pending, pendingWrite{off: off, pre: pre, data: flatten(vec, total), done: done})
+	if done > d.clk.Now() {
+		d.pending = append(d.pending, pendingWrite{off: off, pre: pre, done: done})
 	}
 	d.settleLocked(d.clk.Now())
 	return done, nil
-}
-
-// WriteAt is a synchronous, counted write: durable on return, so it is
-// never part of the droppable window, but it can still be the cut (and be
-// torn).
-func (d *Dev) WriteAt(p []byte, off int64) (int, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if _, err := d.submitLocked([][]byte{p}, off, true, 0); err != nil {
-		return 0, err
-	}
-	return len(p), nil
-}
-
-// Submit queues a counted asynchronous write — one submit index for the
-// whole vector, mirroring the one-command semantics of the inner device,
-// and carrying its ordering constraint through. Commit-point writes
-// (superblocks, WAL frames) are submit indexes like any other, so the sweep
-// crashes on (and tears) them too.
-func (d *Dev) Submit(bufs [][]byte, off int64, after time.Duration) (time.Duration, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.submitLocked(bufs, off, false, after)
 }
 
 // rotApply flips one bit in every armed rot offset that falls inside the
@@ -455,17 +427,6 @@ func (d *Dev) WaitUntil(t time.Duration) {
 	}
 	d.inner.WaitUntil(t)
 	d.settleLocked(d.clk.Now())
-}
-
-// Flush drains the inner queues; everything pending becomes durable.
-func (d *Dev) Flush() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.crashed {
-		return
-	}
-	d.inner.Flush()
-	d.pending = nil
 }
 
 // PeekAt passes through to the raw media — it sees the true bits, rot and

@@ -206,7 +206,7 @@ func TestPrefixModelKeepsAllPreCutWrites(t *testing.T) {
 func TestBitRotFlipsReadsNotMedia(t *testing.T) {
 	d, _ := newDev(t, Plan{CutAtSubmit: -1, RotOffsets: []int64{4100}})
 	data := bytes.Repeat([]byte{0x0F}, 4096)
-	if _, err := d.WriteAt(data, 4096); err != nil {
+	if _, err := d.SubmitWrite(data, 4096); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, 4096)
@@ -250,7 +250,7 @@ func TestOutOfRangeWriteNotCounted(t *testing.T) {
 }
 
 func TestStripeComposition(t *testing.T) {
-	// The wrapper composes over a stripe the same as over a bare device,
+	// The wrapper composes over a four-member stripe the same as over a lone device,
 	// including tearing across the stripe unit boundary.
 	clk := clock.NewVirtual()
 	stripe := device.NewStripe(clk, clock.DefaultCosts(), 4, 64<<10, 1<<20)

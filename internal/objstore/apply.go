@@ -84,7 +84,8 @@ func (s *Store) applyPage(op *walOp) error {
 }
 
 // applySize is the resize: an inline payload is cut or zero-extended, a paged
-// object loses the slots past the new size.
+// object loses the slots past the new size. One that does not shrink has no
+// slot to lose, so it walks no chunk.
 func (s *Store) applySize(op *walOp) error {
 	o, err := s.lookup(op.oid)
 	if err != nil {
@@ -99,8 +100,10 @@ func (s *Store) applySize(op *walOp) error {
 		} else {
 			o.inline = append(o.inline, make([]byte, op.size-int64(len(o.inline)))...)
 		}
-	} else if err := s.shrinkSlots(o, op.size); err != nil {
-		return err
+	} else if op.size < o.size {
+		if err := s.shrinkSlots(o, op.size); err != nil {
+			return err
+		}
 	}
 	o.size, o.dirty = op.size, true
 	return nil
@@ -165,13 +168,10 @@ func (s *Store) applyFlight(op *walOp) error {
 	return s.setInline(o, flight.UType, ring)
 }
 
-// extend grows o to cover end and notes the size it has now. It is what
-// apply's walOpSize case comes to for a size that did not shrink — no page
-// lies past it, so there is no tail slot to retire — without that case's walk
-// over the tail chunks: the page writers call it once per write. Requires mu.
-func (s *Store) extend(o *object, end int64) {
-	o.size, o.dirty = max(o.size, end), true
-	s.walNote(&walOp{kind: walOpSize, oid: o.oid, size: o.size})
+// extend grows a paged o to cover end: the size op the page writers note
+// once per write. Requires mu.
+func (s *Store) extend(o *object, end int64) error {
+	return s.mutate(&walOp{kind: walOpSize, oid: o.oid, size: max(o.size, end)})
 }
 
 // setInline makes o an inline object of the given type holding data, which

@@ -19,10 +19,12 @@ func (s *Store) AuditLive() []string {
 		problems = append(problems, "store: "+fmt.Sprintf(format, args...))
 	}
 
-	// Claim map: every block that live metadata says it owns, claimed at
-	// most once, inside the device, and off the superblocks. Data blocks
-	// referenced from uncached block-map chunks are Fsck's job (reading
-	// them here would cost IO); everything resident is cross-checked.
+	// Claim map: every record run, journal extent, block-map chunk block,
+	// retained index and free-pool entry, claimed at most once, inside the
+	// device, and off the superblocks. Data pages are not claimed: they are
+	// Fsck's job. Machine.Restore runs this audit inside the restore that
+	// the benchmark times, so one map insert per resident page would land
+	// on host_restore_us_p50.
 	limit := s.dev.Size()
 	dataStart := s.dataStart()
 	claimed := make(map[int64]string)

@@ -1,38 +1,34 @@
 package objstore
 
 import (
+	"cmp"
 	"fmt"
 	"hash/crc32"
-	"sort"
+	"slices"
 	"time"
 
 	"aurora/internal/trace"
 )
 
-// Batched page writes: the checkpoint flush pipeline's entry point into the
-// store. A batch amortizes the store lock over many pages and splits the
-// write into three phases so the expensive part — copying page payloads into
-// the device — runs outside the store lock:
+// The COW page write. Every page writer — WritePages, WritePage, a byte-range
+// WriteAt, a spilled PutRecord, the inline → paged conversion and the zeroed
+// tail page of a truncate — runs writePagesLocked, in one hold of the store
+// lock, in three phases:
 //
-//  1. Reserve (under mu): look up the object, fault in or create the
-//     block-map chunks the batch touches, and allocate one fresh COW block
-//     per page.
-//  2. Transfer (outside mu): submit every payload to the device. Member
-//     devices of a stripe carry their own locks, so concurrent batches
-//     overlap their copies the way NVMe queue depth allows.
-//  3. Publish (under mu): one page op per write, through mutate, swings the
-//     chunk slot to the new block and retires the superseded one — the op
-//     replay will apply; then the write-behind horizon advances.
+//  1. Reserve: fault in or create the block-map chunks the pages fall in,
+//     and allocate one fresh block per page.
+//  2. Transfer: submit every payload to the device. The blocks are fresh, so
+//     nothing reads them until Publish — which also means transfer order is
+//     free: the pages are walked in device-address order and each contiguous
+//     block run becomes one vectored submit, so per-page device commands
+//     collapse into per-run ones without staging a contiguous copy. (The
+//     allocator hands sequential batches contiguous runs: ascending from the
+//     bump region, descending off the freelist.)
+//  3. Publish: one page op per write, through mutate, swings the chunk slot
+//     to the new block and retires the superseded one — the op replay will
+//     apply.
 //
-// Readers that race a batch see the object's previous committed content
-// until Publish — the same snapshot semantics a serial WritePage sequence
-// gives, since a block is never reachable before its slot is swung.
-//
-// Concurrency: WritePages is safe for any number of concurrent callers.
-// Callers writing the SAME page of the same object race (last publisher
-// wins), exactly as racing WritePage calls do; the flush pipeline avoids
-// this by construction, handing each destination object to one worker per
-// epoch.
+// A write that fails returns the blocks it reserved and did not publish.
 
 // PageWrite names one whole-page update in a batch.
 type PageWrite struct {
@@ -40,8 +36,16 @@ type PageWrite struct {
 	Data []byte // exactly BlockSize bytes, stable until WritePages returns
 }
 
-// batchPages bounds how many pages one reserve/publish phase covers, so a
-// huge flush cannot hold the store lock for its full duration.
+// pageScratch is writePagesLocked's working memory, kept on the store and
+// reused under mu, so a page write allocates nothing.
+type pageScratch struct {
+	addrs []int64  // the block reserved for each write, in write order
+	order []int    // write indexes in device-address order
+	bufs  [][]byte // the payloads of one contiguous block run
+}
+
+// batchPages bounds how many pages one hold of the store lock covers, so a
+// huge flush lets readers in between batches.
 const batchPages = 256
 
 // WritePages applies a batch of COW page writes to oid. Every page is
@@ -49,12 +53,14 @@ const batchPages = 256
 // transfers are submitted asynchronously: durability is the interval
 // commit's job, as with WritePage. It returns the number of bytes submitted.
 func (s *Store) WritePages(oid OID, writes []PageWrite) (int64, error) {
+	for _, w := range writes {
+		if len(w.Data) != BlockSize {
+			return 0, fmt.Errorf("objstore: WritePages wants %d bytes, got %d", BlockSize, len(w.Data))
+		}
+	}
 	var bytes int64
 	for len(writes) > 0 {
-		n := len(writes)
-		if n > batchPages {
-			n = batchPages
-		}
+		n := min(len(writes), batchPages)
 		if err := s.writePageBatch(oid, writes[:n]); err != nil {
 			return bytes, err
 		}
@@ -64,151 +70,114 @@ func (s *Store) WritePages(oid OID, writes []PageWrite) (int64, error) {
 	return bytes, nil
 }
 
-// writePageBatch runs the three-phase write for one bounded batch.
-func (s *Store) writePageBatch(oid OID, writes []PageWrite) (err error) {
-	for _, w := range writes {
-		if len(w.Data) != BlockSize {
-			return fmt.Errorf("objstore: WritePages wants %d bytes, got %d", BlockSize, len(w.Data))
-		}
-	}
-
-	var batchSpan, phaseSpan trace.Span
-	if s.tr != nil {
-		batchSpan = s.tr.Begin(trace.TrackObjstore, "writepages",
-			trace.I("oid", int64(oid)), trace.I("pages", int64(len(writes))))
-		phaseSpan = batchSpan.Child("reserve")
-		// A failed batch stays on the timeline: the phase it died in and the
-		// batch itself end with the error.
-		defer func() {
-			if err != nil {
-				failed := trace.S("err", err.Error())
-				phaseSpan.End(failed)
-				batchSpan.End(failed)
-			}
-		}()
-	}
-
-	// Phase 1: reserve blocks and chunks under the lock.
+// writePageBatch writes one bounded batch in one hold of the store lock,
+// traced as a writepages span, and grows oid to cover it.
+func (s *Store) writePageBatch(oid OID, writes []PageWrite) error {
+	sp := s.tr.Begin(trace.TrackObjstore, "writepages",
+		trace.I("oid", int64(oid)), trace.I("pages", int64(len(writes))))
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	o, err := s.lookup(oid)
+	if err == nil && o.journal != nil {
+		err = ErrIsJournal
+	}
+	if err == nil {
+		err = s.writePagesLocked(o, sp, writes...)
+	}
+	if err == nil {
+		var end int64
+		for _, w := range writes {
+			end = max(end, (w.Pg+1)*BlockSize)
+		}
+		err = s.extend(o, end)
+	}
 	if err != nil {
-		s.mu.Unlock()
+		sp.End(trace.S("err", err.Error()))
 		return err
 	}
-	if o.journal != nil {
-		s.mu.Unlock()
-		return ErrIsJournal
-	}
+	sp.End()
+	s.tr.Count("objstore.data.bytes", int64(len(writes))*BlockSize)
+	return nil
+}
+
+// writePagesLocked is the COW page write (see the top of this file). It
+// converts an inline object to paged form first. sp, when traced, is the span
+// the three phases are children of. Requires mu.
+func (s *Store) writePagesLocked(o *object, sp trace.Span, writes ...PageWrite) (err error) {
+	phase := sp.Child("reserve")
+	defer func() {
+		if err != nil {
+			phase.End(trace.S("err", err.Error()))
+		}
+	}()
 	if err := s.toPaged(o); err != nil {
-		s.mu.Unlock()
 		return err
 	}
-	addrs := make([]int64, len(writes))
-	for i, w := range writes {
-		if _, err := s.loadChunk(o, w.Pg, true); err != nil {
-			s.unreserve(addrs[:i])
-			s.mu.Unlock()
+	w := &s.pages
+	addrs := w.addrs[:0]
+	for _, pw := range writes {
+		if _, err := s.loadChunk(o, pw.Pg, true); err != nil {
+			s.unreserve(addrs)
 			return err
 		}
 		a, err := s.allocBlock()
 		if err != nil {
-			s.unreserve(addrs[:i])
-			s.mu.Unlock()
+			s.unreserve(addrs)
 			return err
 		}
-		addrs[i] = a
+		addrs = append(addrs, a)
 	}
-	s.mu.Unlock()
-	if s.tr != nil {
-		phaseSpan.End()
-		phaseSpan = batchSpan.Child("transfer")
-	}
+	w.addrs = addrs
+	phase.End()
+	phase = sp.Child("transfer")
 
-	// Phase 2: device transfers, outside the store lock. The blocks are
-	// fresh, so nothing can read them until phase 3 publishes — which also
-	// means transfer order is free: the batch is walked in device-address
-	// order and each contiguous block run becomes one vectored submit, so
-	// per-page device commands collapse into per-run ones without staging a
-	// contiguous copy. (The allocator hands sequential batches contiguous
-	// runs: ascending from the bump region, descending off the freelist.)
-	sums := make([]uint32, len(writes))
-	for i, w := range writes {
-		sums[i] = crc32.ChecksumIEEE(w.Data)
+	order := w.order[:0]
+	for i := range writes {
+		order = append(order, i)
 	}
-	order := make([]int, len(writes))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return addrs[order[a]] < addrs[order[b]] })
+	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(addrs[a], addrs[b]) })
+	w.order = order
 	var done time.Duration
-	bufs := make([][]byte, 0, len(writes))
-	submit := func(lo, hi int) error { // order[lo:hi] is one contiguous run
-		bufs = bufs[:0]
+	for lo := 0; lo < len(order); {
+		hi := lo + 1
+		for hi < len(order) && addrs[order[hi]] == addrs[order[hi-1]]+BlockSize {
+			hi++
+		}
+		bufs := w.bufs[:0]
 		for _, i := range order[lo:hi] {
 			bufs = append(bufs, writes[i].Data)
 		}
 		t, err := s.dev.Submit(bufs, addrs[order[lo]], 0)
+		clear(bufs)
+		w.bufs = bufs
 		if err != nil {
-			s.mu.Lock()
 			s.unreserve(addrs)
-			s.mu.Unlock()
 			return err
 		}
-		if t > done {
-			done = t
-		}
-		return nil
+		done = max(done, t)
+		lo = hi
 	}
-	run := 0
-	for i := 1; i < len(order); i++ {
-		if addrs[order[i]] != addrs[order[i-1]]+BlockSize {
-			if err := submit(run, i); err != nil {
-				return err
-			}
-			run = i
-		}
-	}
-	if err := submit(run, len(order)); err != nil {
-		return err
-	}
-	if s.tr != nil {
-		phaseSpan.End()
-		phaseSpan = batchSpan.Child("publish")
-	}
+	s.pendingDurable = max(s.pendingDurable, done)
+	phase.End()
+	phase = sp.Child("publish")
 
-	// Phase 3: publish.
-	s.mu.Lock()
-	var end int64
-	for i, w := range writes {
-		op := walOp{kind: walOpPage, oid: oid, utype: o.utype, pg: w.Pg, addr: addrs[i], sum: sums[i]}
+	for i, pw := range writes {
+		op := walOp{kind: walOpPage, oid: o.oid, utype: o.utype, pg: pw.Pg, addr: addrs[i], sum: crc32.ChecksumIEEE(pw.Data)}
 		if err := s.mutate(&op); err != nil {
 			s.unreserve(addrs[i:])
-			s.mu.Unlock()
 			return err
 		}
-		end = max(end, (w.Pg+1)*BlockSize)
-	}
-	s.extend(o, end)
-	if done > s.pendingDurable {
-		s.pendingDurable = done
 	}
 	s.stats.DataBytes += int64(len(writes)) * BlockSize
-	s.mu.Unlock()
-	if s.tr != nil {
-		phaseSpan.End()
-		batchSpan.End()
-		s.tr.Count("objstore.data.bytes", int64(len(writes))*BlockSize)
-	}
+	phase.End()
 	return nil
 }
 
-// unreserve returns blocks reserved by a failed batch to the allocator.
+// unreserve returns blocks reserved by a failed write to the allocator.
 // They were born this interval and never published, so they recycle
 // immediately. Requires mu.
 func (s *Store) unreserve(addrs []int64) {
 	for _, a := range addrs {
-		if a != 0 {
-			s.retireBlock(a)
-		}
+		s.retireBlock(a)
 	}
 }

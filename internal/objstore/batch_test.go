@@ -71,9 +71,10 @@ func TestWritePagesMatchesWritePage(t *testing.T) {
 	}
 }
 
-// TestWritePagesConcurrent hammers the batch path from many goroutines —
-// one per destination object, as the flush pipeline does — racing readers
-// of already-committed objects. Run under -race.
+// TestWritePagesConcurrent hammers the batch path from many goroutines, one
+// per destination object, racing readers of already-committed objects:
+// WritePages holds the store lock for each batch, so concurrent callers are
+// safe. Run under -race.
 func TestWritePagesConcurrent(t *testing.T) {
 	s, dev, clk := newStore(t)
 	const objs = 8
@@ -232,5 +233,59 @@ func TestFailedWritePagesLeavesNoChunkRoot(t *testing.T) {
 	}
 	if rep := s2.Fsck(); !rep.OK() {
 		t.Fatalf("fsck after recovery: %v", rep.Problems)
+	}
+}
+
+// TestFailedPageWriteLeaksNothing: a page write whose transfer fails returns
+// the block it reserved — through WritePage, a byte-range WriteAt and a
+// spilled PutRecord alike — so the freelist is what it was and the store
+// still checks clean.
+func TestFailedPageWriteLeaksNothing(t *testing.T) {
+	clk := clock.NewVirtual()
+	fd := &failNextSubmit{BlockDev: device.New(clk, clock.DefaultCosts(), 64<<20)}
+	s, err := Format(fd, clk, clock.DefaultCosts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := bytes.Repeat([]byte{0xCD}, BlockSize)
+	// Blocks born and retired in one interval go straight back to the
+	// freelist: a deleted scratch object leaves some for the writes to take.
+	scratch := s.NewOID()
+	s.Ensure(scratch, 9)
+	for pg := int64(0); pg < 8; pg++ {
+		if err := s.WritePage(scratch, pg, page); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Delete(scratch); err != nil {
+		t.Fatal(err)
+	}
+	oid := s.NewOID()
+	s.Ensure(oid, 9)
+	for _, tc := range []struct {
+		name  string
+		write func() error
+	}{
+		{"WritePage", func() error { return s.WritePage(oid, 3, page) }},
+		{"WriteAt", func() error { return s.WriteAt(oid, 100, []byte("a partial page")) }},
+		{"spilled PutRecord", func() error { return s.PutRecord(s.NewOID(), 9, make([]byte, InlineMax+1)) }},
+	} {
+		free := s.FreeBlocks()
+		if free == 0 {
+			t.Fatalf("%s: no free block to take", tc.name)
+		}
+		fd.armed = true
+		if err := tc.write(); err == nil {
+			t.Fatalf("%s over a failing device succeeded", tc.name)
+		}
+		if got := s.FreeBlocks(); got != free {
+			t.Errorf("failed %s: free blocks %d -> %d", tc.name, free, got)
+		}
+	}
+	if rep := s.Fsck(); !rep.OK() {
+		t.Fatalf("fsck: %v", rep.Problems)
+	}
+	if probs := s.AuditLive(); len(probs) > 0 {
+		t.Fatalf("audit: %v", probs)
 	}
 }

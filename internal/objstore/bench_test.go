@@ -36,6 +36,36 @@ func BenchmarkWritePage(b *testing.B) {
 	}
 }
 
+// TestPageWriteAllocatesNothing guards the COW page write's scratch: a
+// WritePage and a 16-page WritePages reuse what the store holds and allocate
+// nothing.
+func TestPageWriteAllocatesNothing(t *testing.T) {
+	s, _, _ := newStore(t)
+	oid := s.NewOID()
+	s.Ensure(oid, 2)
+	page := make([]byte, BlockSize)
+	writes := make([]PageWrite, 16)
+	for i := range writes {
+		writes[i] = PageWrite{Pg: int64(i), Data: page}
+	}
+	var pg int64
+	if n := testing.AllocsPerRun(100, func() {
+		if err := s.WritePage(oid, pg%64, page); err != nil {
+			t.Fatal(err)
+		}
+		pg++
+	}); n != 0 {
+		t.Errorf("WritePage allocated %.0f times per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := s.WritePages(oid, writes); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("a 16-page WritePages allocated %.0f times per call, want 0", n)
+	}
+}
+
 func BenchmarkCheckpoint64Dirty(b *testing.B) {
 	s := benchStore(b)
 	oid := s.NewOID()

@@ -480,23 +480,15 @@ func (s *Store) DiffPages(oid OID, old Epoch) ([]int64, error) {
 			break
 		}
 	}
-	// Collect the union of chunk indexes.
-	cis := make(map[int64]bool)
-	for ci := range cur.chunks {
-		cis[ci] = true
-	}
+	// Walk the union of both objects' chunks in sorted order: the per-chunk
+	// loadChunk reads must hit the device (and the trace) in a deterministic
+	// sequence.
+	cidxs := chunkIdxs(cur)
 	if oldObj != nil {
-		for ci := range oldObj.chunks {
-			cis[ci] = true
-		}
-	}
-	// Walk chunks in sorted order: the per-chunk loadChunk reads must hit
-	// the device (and the trace) in a deterministic sequence.
-	cidxs := make([]int64, 0, len(cis))
-	for ci := range cis {
-		cidxs = append(cidxs, ci)
+		cidxs = append(cidxs, chunkIdxs(oldObj)...)
 	}
 	slices.Sort(cidxs)
+	cidxs = slices.Compact(cidxs)
 	var out []int64
 	for _, ci := range cidxs {
 		curC, err := s.loadChunk(cur, ci*ChunkFanout, false)

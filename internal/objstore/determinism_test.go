@@ -16,7 +16,7 @@ import (
 // device — enough distinct problems that report ordering is observable.
 func buildDamagedStore(t *testing.T) *Store {
 	t.Helper()
-	s, _, _ := newStore(t)
+	s, dev, _ := newStore(t)
 	var oids []OID
 	for i := 0; i < 12; i++ {
 		oid := s.NewOID()
@@ -53,13 +53,13 @@ func buildDamagedStore(t *testing.T) *Store {
 		s.mu.Lock()
 		addr := s.objects[oids[i]].recordAddr
 		s.mu.Unlock()
-		if _, err := s.dev.WriteAt(garbage, addr); err != nil {
+		if _, err := dev.WriteAt(garbage, addr); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, i := range []int{9, 2} {
 		addr := pageAddr(t, s, oids[i], 1)
-		if _, err := s.dev.WriteAt(garbage, addr); err != nil {
+		if _, err := dev.WriteAt(garbage, addr); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -75,7 +75,7 @@ func TestFsckAfterHeavyChurn(t *testing.T) {
 }
 
 func TestFsckDetectsCorruptRecord(t *testing.T) {
-	s, _, _ := newStore(t)
+	s, dev, _ := newStore(t)
 	oid := s.NewOID()
 	s.PutRecord(oid, 1, []byte("to be corrupted"))
 	if _, err := s.Checkpoint(); err != nil {
@@ -89,7 +89,7 @@ func TestFsckDetectsCorruptRecord(t *testing.T) {
 	for i := range garbage {
 		garbage[i] = 0x5A
 	}
-	if _, err := s.dev.WriteAt(garbage, addr); err != nil {
+	if _, err := dev.WriteAt(garbage, addr); err != nil {
 		t.Fatal(err)
 	}
 	rep := s.Fsck()

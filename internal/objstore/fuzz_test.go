@@ -12,7 +12,7 @@ import (
 
 // fuzzSeedStore commits one object of every shape and returns the store and
 // its device, so the fuzzers start from metadata a real commit laid down.
-func fuzzSeedStore(f *testing.F) (*Store, *device.Device) {
+func fuzzSeedStore(f *testing.F) (*Store, *device.Stripe) {
 	clk := clock.NewVirtual()
 	dev := device.New(clk, clock.DefaultCosts(), 64<<20)
 	s, err := Format(dev, clk, clock.DefaultCosts())

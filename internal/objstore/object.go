@@ -3,8 +3,9 @@ package objstore
 import (
 	"bytes"
 	"fmt"
-	"hash/crc32"
 	"time"
+
+	"aurora/internal/trace"
 )
 
 // Object data paths. Small POSIX-object state lives inline in records;
@@ -75,9 +76,9 @@ func (s *Store) toPaged(o *object) error {
 	return s.writeRangeLocked(o, 0, inline)
 }
 
-// WritePage writes one whole page (BlockSize bytes) at page index pg. The
-// write is COW: a fresh block is allocated and the old block, if any, is
-// retired. The device transfer is asynchronous.
+// WritePage writes one whole page (BlockSize bytes) at page index pg: a
+// batch of one, untraced. The write is COW: a fresh block is allocated and
+// the old block, if any, is retired. The device transfer is asynchronous.
 func (s *Store) WritePage(oid OID, pg int64, data []byte) error {
 	if len(data) != BlockSize {
 		return fmt.Errorf("objstore: WritePage wants %d bytes, got %d", BlockSize, len(data))
@@ -91,31 +92,10 @@ func (s *Store) WritePage(oid OID, pg int64, data []byte) error {
 	if o.journal != nil {
 		return ErrIsJournal
 	}
-	if err := s.toPaged(o); err != nil {
+	if err := s.writePagesLocked(o, trace.Span{}, PageWrite{pg, data}); err != nil {
 		return err
 	}
-	if err := s.writePageLocked(o, pg, data); err != nil {
-		return err
-	}
-	s.extend(o, (pg+1)*BlockSize)
-	return nil
-}
-
-// writePageLocked is the COW page write: the chunk is faulted in before the
-// block is allocated and submitted, then the slot is published. Requires mu.
-func (s *Store) writePageLocked(o *object, pg int64, data []byte) error {
-	if _, err := s.loadChunk(o, pg, true); err != nil {
-		return err
-	}
-	addr, err := s.allocBlock()
-	if err != nil {
-		return err
-	}
-	if _, err := s.submitLocked(data, addr, 0); err != nil {
-		return err
-	}
-	s.stats.DataBytes += BlockSize
-	return s.mutate(&walOp{kind: walOpPage, oid: o.oid, utype: o.utype, pg: pg, addr: addr, sum: crc32.ChecksumIEEE(data)})
+	return s.extend(o, (pg+1)*BlockSize)
 }
 
 // WriteAt writes a byte range, performing read-modify-write at page edges.
@@ -135,8 +115,7 @@ func (s *Store) WriteAt(oid OID, off int64, data []byte) error {
 	if err := s.writeRangeLocked(o, off, data); err != nil {
 		return err
 	}
-	s.extend(o, off+int64(len(data)))
-	return nil
+	return s.extend(o, off+int64(len(data)))
 }
 
 // writeRangeLocked requires mu and a paged (or being-paged) object.
@@ -159,7 +138,7 @@ func (s *Store) writeRangeLocked(o *object, off int64, data []byte) error {
 			}
 		}
 		copy(page[in:], data[:run])
-		if err := s.writePageLocked(o, pg, page); err != nil {
+		if err := s.writePagesLocked(o, trace.Span{}, PageWrite{pg, page}); err != nil {
 			return err
 		}
 		data = data[run:]
@@ -286,7 +265,7 @@ func (s *Store) truncateLocked(o *object, size int64) error {
 		}
 		if found {
 			clear(page[in:])
-			if err := s.writePageLocked(o, pg, page); err != nil {
+			if err := s.writePagesLocked(o, trace.Span{}, PageWrite{pg, page}); err != nil {
 				return err
 			}
 		}

@@ -76,15 +76,15 @@ var (
 	ErrPageSum    = errors.New("objstore: page does not match its committed sum")
 )
 
-// BlockDev is the storage a store runs on; *device.Stripe and *device.Device
-// both satisfy it.
+// BlockDev is the storage a store runs on, exactly what the store calls:
+// every write is a Submit, ordered behind its dependencies through after, and
+// durability is a WaitUntil on a completion time. *device.Stripe and
+// *faultdev.Dev satisfy it.
 type BlockDev interface {
 	ReadAt(p []byte, off int64) (int, error)
-	WriteAt(p []byte, off int64) (int, error)
 	Submit(bufs [][]byte, off int64, after time.Duration) (time.Duration, error)
 	SubmitRead(p []byte, off int64) (time.Duration, error)
 	WaitUntil(t time.Duration)
-	Flush()
 	Size() int64
 }
 
@@ -217,7 +217,8 @@ type Store struct {
 	// pendingDurable is the completion time of the latest submitted write
 	// belonging to the in-progress interval; the next commit waits for it.
 	pendingDurable time.Duration
-	one            [1][]byte // submitLocked's vector, so single-buffer writes allocate none
+	one            [1][]byte   // submitLocked's vector, so single-buffer writes allocate none
+	pages          pageScratch // writePagesLocked's, for the same reason
 	// durableAt maps committed epochs to their durability times.
 	durableAt map[Epoch]time.Duration
 

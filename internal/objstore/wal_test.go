@@ -642,10 +642,10 @@ func FuzzWALRecord(f *testing.F) {
 	})
 }
 
-// storeWithFlight formats a store on a bare device (which records nothing
+// storeWithFlight formats a store on a lone device (which records nothing
 // itself, so the recorder moves only when the store's commits move it) with a
 // flight recorder attached.
-func storeWithFlight(t *testing.T) (*Store, *device.Device, *clock.Virtual, *flight.Recorder) {
+func storeWithFlight(t *testing.T) (*Store, *device.Stripe, *clock.Virtual, *flight.Recorder) {
 	t.Helper()
 	clk := clock.NewVirtual()
 	dev := device.New(clk, clock.DefaultCosts(), 64<<20)

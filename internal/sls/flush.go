@@ -17,8 +17,8 @@ import (
 //	Enumerate  walk shadow pairs, trapped transients, and cold objects
 //	           into one job per destination store object
 //	Encode     resolve each job's newest page versions into one sorted batch
-//	Write      submit the batch through the store's three-phase WritePages
-//	           path
+//	Write      submit the batch through the store's WritePages, the COW
+//	           page write every store page writer runs
 //	Commit     install pagers, mark trapped transients done, and (in
 //	           Checkpoint) cut the epoch
 //
