@@ -145,6 +145,7 @@ type Link struct {
 	inflight []delivery
 	parts    []Partition // triggered (index- or Cut-armed) windows
 	stats    LinkStats
+	tap      func(frame []byte) // when set, sees every frame handed to Send
 }
 
 // NewLink builds one wire direction over clk.
@@ -223,6 +224,9 @@ func (l *Link) Send(frame []byte) {
 	idx := l.xmits
 	l.xmits++
 	l.stats.Xmits++
+	if l.tap != nil {
+		l.tap(frame)
+	}
 	if l.params.PerByte > 0 {
 		l.clk.Advance(time.Duration(len(frame)) * l.params.PerByte)
 	}

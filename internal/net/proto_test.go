@@ -2,6 +2,8 @@ package net
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -103,6 +105,39 @@ func TestTransferCleanPipe(t *testing.T) {
 	}
 	if _, ok := c.Take(1); ok {
 		t.Fatal("second Take succeeded")
+	}
+}
+
+// TestCleanWireTransferPinned pins what a clean wire carries: the final
+// clock, both directions' transmission counts, the forward wire bytes and a
+// SHA-256 over every reverse-link frame. An ack from a receiver that holds
+// nothing out of order must stay byte-identical, so loss recovery may
+// change how a lossy wire is repaired but never what a clean one sees.
+func TestCleanWireTransferPinned(t *testing.T) {
+	cases := []struct {
+		name string
+		cfg  Config
+		size int
+		want string
+	}{
+		{"1MiB-default", Config{}, 1 << 20,
+			"clock=1.140484ms fwd=33 rev=33 wire=1050325 rev-sha=cbf69de5cf22e09e681be83da33f92d73ef146be5ee845db729a022a49c5c21a"},
+		{"96KiB-window4-8KiB", Config{Window: 4, FrameData: 8 << 10}, 96 << 10,
+			"clock=219.205µs fwd=13 rev=13 wire=98993 rev-sha=edb96709eb2d45ef18b0e10f21b512e78b3c8cbc1f3c2db39f287f61e04c10a1"},
+	}
+	for _, tc := range cases {
+		c, clk := newTestConn(Plan{}, Plan{}, tc.cfg)
+		rev := sha256.New()
+		c.Pipe().Rev.tap = func(frame []byte) {
+			binary.Write(rev, binary.LittleEndian, uint32(len(frame)))
+			rev.Write(frame)
+		}
+		st := mustTransfer(t, c, 1, testPayload(tc.size))
+		got := fmt.Sprintf("clock=%v fwd=%d rev=%d wire=%d rev-sha=%x",
+			clk.Now(), c.Pipe().Fwd.Xmits(), c.Pipe().Rev.Xmits(), st.WireBytes, rev.Sum(nil))
+		if got != tc.want {
+			t.Errorf("%s:\n got %s\nwant %s", tc.name, got, tc.want)
+		}
 	}
 }
 
