@@ -2,6 +2,7 @@ package net
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 )
 
@@ -31,6 +32,8 @@ func FuzzNetFrame(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
+	// An ack from a receiver holding frames 5, 6 and 9 past a gap at 4.
+	f.Add(EncodeFrame(FrameAck, 2, 4, 10, binary.LittleEndian.AppendUint64(nil, 0b10011)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, err := DecodeFrame(data)
@@ -48,6 +51,9 @@ func FuzzNetFrame(f *testing.F) {
 		}
 		if fr.Type < FrameHello || fr.Type > FrameAck {
 			t.Fatalf("accepted unknown type %d", fr.Type)
+		}
+		if n := len(fr.Payload); fr.Type != FrameData && n != 0 && (fr.Type != FrameAck || n != sackBytes) {
+			t.Fatalf("accepted a type %d frame with a %d-byte payload", fr.Type, n)
 		}
 		re := EncodeFrameCtx(fr.Type, fr.Epoch, fr.Seq, fr.Total, fr.SrcID, fr.SpanID, fr.Payload)
 		if !bytes.Equal(re, data) {

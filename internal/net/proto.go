@@ -2,23 +2,37 @@ package net
 
 // The replication wire protocol: a payload (one serialized checkpoint
 // stream) is cut into CRC-checked frames and shipped over a Pipe under a
-// go-back-N ack window. Every transfer is keyed by an epoch; the receiver
-// keeps per-epoch sessions with a cumulative next-expected sequence, so
-// frame application is idempotent (duplicates and stale retransmissions
-// re-ack without re-applying) and a transfer killed mid-stream resumes from
-// the first unacked frame instead of restarting — the handshake returns the
-// receiver's high-water mark and the sender ships only what is missing.
+// selective-repeat ack window. Every transfer is keyed by an epoch; the
+// receiver keeps per-epoch sessions with a cumulative next-expected
+// sequence, so frame application is idempotent (duplicates and stale
+// retransmissions re-ack without re-applying) and a transfer killed
+// mid-stream resumes from the first unacked frame instead of restarting —
+// the handshake returns the receiver's high-water mark and the sender ships
+// only what is missing.
 //
-// Loss is handled by capped exponential backoff: when an ack round makes no
-// progress the sender waits (in virtual time), doubles the timeout up to a
-// cap, and resends the window; after MaxRetries consecutive silent rounds
-// the transfer returns ErrRetriesExhausted with the session state intact
-// for a later resume.
+// Selective acknowledgement (RFC 2018): a session holds up to sackSpan (64)
+// frames past a gap, discards any further ahead, and drains the held ones
+// the moment the gap fills. While it holds any, its Ack carries an 8-byte
+// little-endian bitmap after the cumulative next, bit i meaning frame
+// next+1+i is held; an Ack from a session holding nothing has no payload,
+// so a clean wire carries the bytes it always did. The pump delivers
+// everything in flight before the sender looks, so a hole below the highest
+// SACKed frame on the sender's scoreboard is lost, not late, and is resent
+// at once. A transfer completes on the cumulative ack alone.
+//
+// Loss no SACK reveals (at the tail, or of a resend or an ack) waits out a
+// capped exponential backoff in virtual time; the sender then forgets every
+// SACK (RFC 2018 §8: the receiver may have reneged) and resends the first
+// unacked frame, whose ack rebuilds the scoreboard. After MaxRetries timeouts
+// with no cumulative progress the transfer returns ErrRetriesExhausted with
+// the session state intact for a later resume.
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"time"
 
 	"aurora/internal/clock"
@@ -38,7 +52,14 @@ const (
 	FrameHello    FrameType = iota + 1 // sender -> receiver: open/resume a transfer
 	FrameHelloAck                      // receiver -> sender: next expected seq
 	FrameData                          // sender -> receiver: one payload chunk
-	FrameAck                           // receiver -> sender: cumulative next expected seq
+	FrameAck                           // receiver -> sender: cumulative next expected seq [+ SACK bitmap]
+)
+
+// sackSpan is how many frames past a gap a session holds: one bit each in
+// an Ack's sackBytes-byte bitmap.
+const (
+	sackSpan  = 64
+	sackBytes = sackSpan / 8
 )
 
 // MaxFramePayload bounds one data frame's payload. Decode rejects anything
@@ -65,7 +86,7 @@ type Frame struct {
 	Total   uint64 // frames in the transfer
 	SrcID   uint64 // trace-context: sending machine id (0 = untraced)
 	SpanID  uint64 // trace-context: sender's transfer span id (0 = untraced)
-	Payload []byte // Data only
+	Payload []byte // Data: the chunk; Ack: empty, or the sackBytes SACK bitmap
 }
 
 // EncodeFrame seals one frame with an empty trace-context: magic, header,
@@ -125,6 +146,9 @@ func DecodeFrame(b []byte) (*Frame, error) {
 	if f.Total > MaxTransferFrames {
 		return nil, fmt.Errorf("%w: total %d exceeds cap %d", ErrFrame, f.Total, MaxTransferFrames)
 	}
+	if f.Type != FrameData && len(f.Payload) != 0 && (f.Type != FrameAck || len(f.Payload) != sackBytes) {
+		return nil, fmt.Errorf("%w: type %d carries %d payload bytes", ErrFrame, f.Type, len(f.Payload))
+	}
 	if f.Type == FrameData && f.Seq >= f.Total {
 		return nil, fmt.Errorf("%w: data seq %d outside total %d", ErrFrame, f.Seq, f.Total)
 	}
@@ -143,8 +167,9 @@ type Config struct {
 	RTO time.Duration
 	// RTOCap bounds the exponential backoff (default 5 ms).
 	RTOCap time.Duration
-	// MaxRetries is how many consecutive no-progress ack rounds a transfer
-	// (or handshake) tolerates before giving up (default 10).
+	// MaxRetries is how many timeouts in a row, with no cumulative ack
+	// progress between them, a transfer (or handshake) tolerates before
+	// giving up (default 10).
 	MaxRetries int
 }
 
@@ -173,7 +198,9 @@ func (c Config) withDefaults(p Params) Config {
 // session is the receiver side of one epoch's transfer.
 type session struct {
 	total    uint64
-	next     uint64 // cumulative: frames [0, next) are applied
+	next     uint64            // cumulative: frames [0, next) are applied
+	sack     uint64            // bit i: frame next+1+i is held
+	held     map[uint64][]byte // the frames sack names, by seq
 	buf      bytes.Buffer
 	complete bool
 	srcID    uint64 // trace-context of the last frame that touched the session
@@ -189,7 +216,8 @@ type ConnStats struct {
 	Retransmits  int64 // data frames re-sent within a transfer
 	AcksSeen     int64 // ack frames processed by the sender
 	DupDiscards  int64 // already-applied data frames discarded (re-acked)
-	OOODiscards  int64 // ahead-of-window data frames discarded (go-back-N)
+	OOODiscards  int64 // data frames more than sackSpan past a gap, discarded
+	Held         int64 // data frames held past a gap until it filled
 	CorruptDrops int64 // frames rejected by CRC/structure checks
 	Strays       int64 // well-formed frames for no live session
 	Backoffs     int64 // timeout rounds slept
@@ -297,6 +325,7 @@ func (c *Conn) Abort(epoch uint64) bool {
 // pumpResult is what one drain of both wire directions told the sender.
 type pumpResult struct {
 	ackNext   uint64
+	sack      uint64 // every ack's SACK bits, realigned to ackNext
 	haveHello bool
 	helloNext uint64
 }
@@ -347,7 +376,11 @@ func (c *Conn) pump(epoch uint64) pumpResult {
 		case FrameAck:
 			c.stats.AcksSeen++
 			if f.Seq > res.ackNext {
+				res.sack >>= f.Seq - res.ackNext
 				res.ackNext = f.Seq
+			}
+			if len(f.Payload) == sackBytes {
+				res.sack |= binary.LittleEndian.Uint64(f.Payload) >> (res.ackNext - f.Seq)
 			}
 		case FrameHelloAck:
 			res.haveHello = true
@@ -381,8 +414,10 @@ func (c *Conn) handleHello(f *Frame) {
 	c.pipe.Rev.Send(EncodeFrame(FrameHelloAck, f.Epoch, s.next, s.total, nil))
 }
 
-// handleData applies one data frame idempotently: exactly the next expected
-// frame extends the session; anything else is discarded and re-acked.
+// handleData applies one data frame idempotently: the next expected frame
+// extends the session and drains every held frame the gap was hiding; a
+// frame at most sackSpan past the gap is held; anything else is discarded.
+// Every data frame is acked, with the SACK bitmap while frames are held.
 func (c *Conn) handleData(f *Frame) {
 	s := c.sess[f.Epoch]
 	if s == nil {
@@ -397,21 +432,41 @@ func (c *Conn) handleData(f *Frame) {
 		s.srcID, s.spanID = f.SrcID, f.SpanID
 	}
 	switch {
-	case s.complete || f.Seq < s.next:
+	case s.complete || f.Seq < s.next || f.Seq > s.next && s.sack>>(f.Seq-s.next-1)&1 != 0:
 		c.stats.DupDiscards++
 		if c.tr != nil {
 			c.tr.Count("net.frames.dup-discard", 1)
 		}
-	case f.Seq > s.next:
+	case f.Seq > s.next+sackSpan:
 		c.stats.OOODiscards++
+	case f.Seq > s.next:
+		if s.held == nil {
+			s.held = make(map[uint64][]byte)
+		}
+		s.held[f.Seq] = f.Payload
+		s.sack |= 1 << (f.Seq - s.next - 1)
+		c.stats.Held++
 	default:
-		s.buf.Write(f.Payload)
-		s.next++
+		for p := f.Payload; ; {
+			s.buf.Write(p)
+			more := s.sack&1 != 0
+			s.sack >>= 1
+			s.next++
+			if !more {
+				break
+			}
+			p = s.held[s.next]
+			delete(s.held, s.next)
+		}
 		if s.next == s.total {
 			s.complete = true
 		}
 	}
-	c.pipe.Rev.Send(EncodeFrame(FrameAck, f.Epoch, s.next, s.total, nil))
+	var sack []byte
+	if s.sack != 0 {
+		sack = binary.LittleEndian.AppendUint64(nil, s.sack)
+	}
+	c.pipe.Rev.Send(EncodeFrame(FrameAck, f.Epoch, s.next, s.total, sack))
 }
 
 // connect performs the handshake: Hello until a HelloAck arrives, with
@@ -456,6 +511,17 @@ func (c *Conn) backoff(rto *time.Duration, st *TransferStats) {
 	}
 }
 
+// sentMask is the scoreboard bits of frames base+1 .. high-1.
+func sentMask(base, high uint64) uint64 {
+	if high <= base+1 {
+		return 0
+	}
+	if n := high - base - 1; n < sackSpan {
+		return 1<<n - 1
+	}
+	return ^uint64(0)
+}
+
 // Transfer ships payload to the receiver side under the given epoch key and
 // returns once every frame is acked. On ErrRetriesExhausted the receiver
 // session keeps its progress: a later Transfer with the same epoch and
@@ -492,27 +558,31 @@ func (c *Conn) Transfer(epoch uint64, payload []byte) (TransferStats, error) {
 		c.fl.Record(int64(c.clk.Now()), flight.EvNetResume, int64(epoch), int64(base), int64(total), "")
 	}
 
+	// The scoreboard: bit i of sacked means frame base+1+i is held by the
+	// receiver; frames [base, resendTo) that are not are resent next round.
 	rto := c.cfg.RTO
 	misses := 0
-	sent := base
 	high := base // frames [0, high) have been sent at least once this call
+	resendTo := base
+	var sacked uint64
 	for base < total {
-		for sent < total && sent-base < uint64(c.cfg.Window) {
-			lo := int(sent) * c.cfg.FrameData
-			hi := lo + c.cfg.FrameData
-			if hi > len(payload) {
-				hi = len(payload)
+		for seq := base; seq < total && seq-base < uint64(c.cfg.Window); seq++ {
+			retx := seq < high
+			if retx && (seq >= resendTo || seq > base && sacked>>(seq-base-1)&1 != 0) {
+				continue
 			}
-			frame := EncodeFrameCtx(FrameData, epoch, sent, total, c.src, span.ID(), payload[lo:hi])
-			if sent < high {
+			lo := int(seq) * c.cfg.FrameData
+			hi := min(lo+c.cfg.FrameData, len(payload))
+			frame := EncodeFrameCtx(FrameData, epoch, seq, total, c.src, span.ID(), payload[lo:hi])
+			if retx {
 				st.Retransmits++
 				c.stats.Retransmits++
 				if c.tr != nil {
-					c.tr.Instant(trace.TrackNet, "net.retx", trace.I("seq", int64(sent)))
+					c.tr.Instant(trace.TrackNet, "net.retx", trace.I("seq", int64(seq)))
 					c.tr.Count("net.frames.retx", 1)
 				}
 			} else {
-				high = sent + 1
+				high = seq + 1
 			}
 			st.FramesSent++
 			c.stats.FramesSent++
@@ -521,16 +591,24 @@ func (c *Conn) Transfer(epoch uint64, payload []byte) (TransferStats, error) {
 				c.tr.Count("net.frames.sent", 1)
 			}
 			c.pipe.Fwd.Send(frame)
-			sent++
 		}
 		res := c.pump(epoch)
-		if res.ackNext > base {
+		advanced := res.ackNext > base
+		if advanced {
+			sacked >>= res.ackNext - base
 			base = res.ackNext
-			if sent < base {
-				sent = base
-			}
+			high = max(high, base)
 			rto = c.cfg.RTO
 			misses = 0
+		}
+		// Only a frame this call has sent, past base and short of high (so
+		// never one at or past total), may be SACKed.
+		fresh := res.sack >> (base - res.ackNext) & sentMask(base, high) &^ sacked
+		sacked |= fresh
+		if advanced || fresh != 0 {
+			// Fast retransmit: the pump drained the wire, so every hole
+			// below the highest SACKed frame is lost.
+			resendTo = base + uint64(bits.Len64(sacked))
 			continue
 		}
 		misses++
@@ -540,7 +618,11 @@ func (c *Conn) Transfer(epoch uint64, payload []byte) (TransferStats, error) {
 				ErrRetriesExhausted, epoch, base, total, misses)
 		}
 		c.backoff(&rto, &st)
-		sent = base // go-back-N: resend the window
+		// Reneging: the receiver may have dropped what it held, so forget
+		// every SACK and resend the first unacked frame; its ack rebuilds
+		// the scoreboard.
+		sacked = 0
+		resendTo = base + 1
 	}
 
 	st.Elapsed = sw.Elapsed()

@@ -91,6 +91,20 @@ func TestFrameDecodeRejects(t *testing.T) {
 	if _, err := DecodeFrame(big); !errors.Is(err, ErrFrame) {
 		t.Errorf("oversized payload: err = %v", err)
 	}
+	// Only a data frame carries a chunk; an ack carries nothing or exactly
+	// the 8-byte SACK bitmap.
+	for _, tc := range []struct {
+		t FrameType
+		n int
+	}{{FrameHello, 1}, {FrameHello, sackBytes}, {FrameHelloAck, 1}, {FrameHelloAck, sackBytes},
+		{FrameAck, 1}, {FrameAck, sackBytes - 1}, {FrameAck, sackBytes + 1}, {FrameAck, 64}} {
+		if _, err := DecodeFrame(EncodeFrame(tc.t, 1, 0, 1, make([]byte, tc.n))); !errors.Is(err, ErrFrame) {
+			t.Errorf("type %d with a %d-byte payload: err = %v", tc.t, tc.n, err)
+		}
+	}
+	if _, err := DecodeFrame(EncodeFrame(FrameAck, 1, 0, 1, make([]byte, sackBytes))); err != nil {
+		t.Errorf("ack with a SACK bitmap: %v", err)
+	}
 }
 
 func TestTransferCleanPipe(t *testing.T) {

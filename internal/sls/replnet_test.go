@@ -483,6 +483,10 @@ func TestReplicaResumeShipsOnlyTail(t *testing.T) {
 		t.Fatal("cut seed did not return a pending replica handle")
 	}
 	sentBefore := conn.Stats().FramesSent
+	next, total, ok := conn.SessionProgress(rep.pending.epoch)
+	if !ok || next == 0 || next >= total {
+		t.Fatalf("session after the cut: next=%d total=%d ok=%v", next, total, ok)
+	}
 
 	src.clk.Advance(2 * time.Hour)
 	if err := rep.Resume(); err != nil {
@@ -494,9 +498,10 @@ func TestReplicaResumeShipsOnlyTail(t *testing.T) {
 	}
 	resumedSent := st.FramesSent - sentBefore
 	// The resumed leg must ship strictly fewer data frames than a from-zero
-	// retry would (some frames were acked before the cut).
-	if resumedSent >= sentBefore {
-		t.Fatalf("resume shipped %d frames, first leg shipped %d — no tail skipping", resumedSent, sentBefore)
+	// retry would (some frames were acked before the cut); on the healed
+	// wire it ships exactly the unacked tail.
+	if resumedSent != int64(total-next) {
+		t.Fatalf("resume shipped %d frames, want the %d-frame tail of %d — no tail skipping", resumedSent, total-next, total)
 	}
 	img, err := failoverImage(rep, app.va)
 	if err != nil {
