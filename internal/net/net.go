@@ -6,7 +6,7 @@
 //     serialization bandwidth, jitter, and a deterministic seeded fault plan
 //     injecting frame drop, duplication, reorder, corruption, and timed
 //     partitions — faultdev's design applied to the network.
-//   - Conn (proto.go): a framed, CRC-checked, ack-windowed replication
+//   - Conn (proto.go): a framed, CRC-checked, selective-repeat replication
 //     protocol with capped exponential backoff and epoch-granular resumable
 //     transfers on top of a Pipe.
 //

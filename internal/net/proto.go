@@ -597,7 +597,6 @@ func (c *Conn) Transfer(epoch uint64, payload []byte) (TransferStats, error) {
 		if advanced {
 			sacked >>= res.ackNext - base
 			base = res.ackNext
-			high = max(high, base)
 			rto = c.cfg.RTO
 			misses = 0
 		}
