@@ -81,11 +81,7 @@ func (p *Page) Copy(src *Page) {
 }
 
 // Zero clears the frame contents.
-func (p *Page) Zero() {
-	for i := range p.Data {
-		p.Data[i] = 0
-	}
-}
+func (p *Page) Zero() { clear(p.Data) }
 
 // Stats summarizes a PhysMem's occupancy.
 type Stats struct {
@@ -104,6 +100,7 @@ type PhysMem struct {
 	capacity int64 // max frames; 0 means unlimited
 	used     int64
 	free     []*Page // recycled frames
+	slab     []Page  // fresh frames not yet handed out
 
 	queues map[Queue]map[*Page]struct{}
 	wired  int64
@@ -123,26 +120,50 @@ func New(totalBytes int64) *PhysMem {
 	return pm
 }
 
+// slabFrames is how many fresh frames PhysMem carves from one allocation.
+const slabFrames = 64
+
 // Alloc returns a zeroed frame, or ErrNoMemory when at capacity.
 func (pm *PhysMem) Alloc() (*Page, error) {
+	p, recycled, err := pm.take()
+	if recycled {
+		p.Zero()
+	}
+	return p, err
+}
+
+// AllocUnzeroed is Alloc for a caller that overwrites the whole frame before
+// anything reads it — a copy-on-write copy, a page read from the store: a
+// recycled frame keeps its old bytes instead of being zeroed first.
+func (pm *PhysMem) AllocUnzeroed() (*Page, error) {
+	p, _, err := pm.take()
+	return p, err
+}
+
+// take hands out a recycled frame, its flags reset and its bytes as they
+// were, or a fresh one, zeroed, from the current slab.
+func (pm *PhysMem) take() (p *Page, recycled bool, err error) {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
 	if pm.capacity > 0 && pm.used >= pm.capacity {
-		return nil, ErrNoMemory
+		return nil, false, ErrNoMemory
 	}
 	pm.used++
 	if n := len(pm.free); n > 0 {
-		p := pm.free[n-1]
+		p = pm.free[n-1]
 		pm.free = pm.free[:n-1]
-		p.Zero()
-		p.Dirty = false
-		p.Referenced = false
-		p.Wired = 0
-		p.Backed = false
-		p.queue = QueueNone
-		return p, nil
+		p.Dirty, p.Referenced, p.Backed = false, false, false // Free reset the wiring and the queue
+		return p, true, nil
 	}
-	return &Page{Data: make([]byte, PageSize)}, nil
+	if len(pm.slab) == 0 {
+		data := make([]byte, slabFrames*PageSize)
+		pm.slab = make([]Page, slabFrames)
+		for i := range pm.slab {
+			pm.slab[i].Data = data[i*PageSize : (i+1)*PageSize : (i+1)*PageSize]
+		}
+	}
+	p, pm.slab = &pm.slab[0], pm.slab[1:]
+	return p, false, nil
 }
 
 // MustAlloc is Alloc for callers that treat exhaustion as a program error.

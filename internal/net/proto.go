@@ -28,7 +28,6 @@ package net
 // the session state intact for a later resume.
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -69,6 +68,10 @@ const MaxFramePayload = 256 << 10
 // MaxTransferFrames bounds a transfer's frame count at decode time.
 const MaxTransferFrames = 1 << 30
 
+// maxPresize bounds the payload buffer a session reserves on a Hello's frame
+// count alone.
+const maxPresize = 16 << 20
+
 // ErrRetriesExhausted reports a transfer that gave up after MaxRetries
 // consecutive ack rounds without progress. The receiver session survives;
 // a later Transfer with the same epoch resumes from the first unacked frame.
@@ -86,8 +89,12 @@ type Frame struct {
 	Total   uint64 // frames in the transfer
 	SrcID   uint64 // trace-context: sending machine id (0 = untraced)
 	SpanID  uint64 // trace-context: sender's transfer span id (0 = untraced)
-	Payload []byte // Data: the chunk; Ack: empty, or the sackBytes SACK bitmap
+	Payload []byte // Data: the chunk; Ack: empty, or the sackBytes SACK bitmap. Aliases the decoded frame.
 }
+
+// frameHead is what a frame spends besides its payload: magic, type, five
+// header words, the payload's length and the CRC.
+const frameHead = 4 + 1 + 5*8 + 4 + 4
 
 // EncodeFrame seals one frame with an empty trace-context: magic, header,
 // payload, CRC.
@@ -100,6 +107,7 @@ func EncodeFrame(t FrameType, epoch, seq, total uint64, payload []byte) []byte {
 // ship into a cross-machine flow on the merged fleet timeline.
 func EncodeFrameCtx(t FrameType, epoch, seq, total, src, span uint64, payload []byte) []byte {
 	e := rec.NewEncoder()
+	e.Grow(frameHead + len(payload))
 	e.U32(frameMagic)
 	e.U8(uint8(t))
 	e.U64(epoch)
@@ -113,7 +121,8 @@ func EncodeFrameCtx(t FrameType, epoch, seq, total, src, span uint64, payload []
 
 // DecodeFrame verifies the CRC and structure of one wire frame. A corrupted
 // frame decodes to an error, never to a plausible-but-wrong Frame: the CRC
-// covers every header field and the payload.
+// covers every header field and the payload. The payload is not copied: it
+// aliases b, which a frame off the wire never changes after.
 func DecodeFrame(b []byte) (*Frame, error) {
 	d, err := rec.NewDecoder(b)
 	if err != nil {
@@ -130,7 +139,7 @@ func DecodeFrame(b []byte) (*Frame, error) {
 		SrcID:  d.U64(),
 		SpanID: d.U64(),
 	}
-	f.Payload = d.Bytes()
+	f.Payload = d.View()
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
@@ -201,7 +210,7 @@ type session struct {
 	next     uint64            // cumulative: frames [0, next) are applied
 	sack     uint64            // bit i: frame next+1+i is held
 	held     map[uint64][]byte // the frames sack names, by seq
-	buf      bytes.Buffer
+	buf      []byte            // the payload assembled so far, sized once at the Hello
 	complete bool
 	srcID    uint64 // trace-context of the last frame that touched the session
 	spanID   uint64
@@ -307,7 +316,7 @@ func (c *Conn) Take(epoch uint64) ([]byte, bool) {
 		return nil, false
 	}
 	delete(c.sess, epoch)
-	return s.buf.Bytes(), true
+	return s.buf, true
 }
 
 // Abort discards the receiver's session for an epoch, complete or not, and
@@ -398,11 +407,13 @@ func (c *Conn) pump(epoch uint64) pumpResult {
 // acks its high-water mark. A replayed or reordered Hello for a live
 // session is idempotent; a Hello whose total disagrees resets the session —
 // same epoch, different payload is a caller contract break, and a fresh
-// start corrupts nothing.
+// start corrupts nothing. A new session sizes its payload buffer once, for
+// total full frames but never past maxPresize: a Hello is untrusted, and a
+// payload larger than the cap grows as its frames arrive.
 func (c *Conn) handleHello(f *Frame) {
 	s := c.sess[f.Epoch]
 	if s == nil || s.total != f.Total {
-		s = &session{total: f.Total}
+		s = &session{total: f.Total, buf: make([]byte, 0, min(f.Total*uint64(c.cfg.FrameData), maxPresize))}
 		if f.Total == 0 {
 			s.complete = true
 		}
@@ -448,7 +459,7 @@ func (c *Conn) handleData(f *Frame) {
 		c.stats.Held++
 	default:
 		for p := f.Payload; ; {
-			s.buf.Write(p)
+			s.buf = append(s.buf, p...)
 			more := s.sack&1 != 0
 			s.sack >>= 1
 			s.next++

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -441,6 +442,41 @@ func TestHelloLossRecovered(t *testing.T) {
 func TestHelloAckLossRecovered(t *testing.T) {
 	c, _ := newTestConn(Plan{}, Plan{Faults: []Fault{{Xmit: 0, Kind: FaultDrop}}}, Config{})
 	mustTransfer(t, c, 1, testPayload(8<<10))
+}
+
+// TestForgedHelloAllocatesAtMostThePresize: a session sizes its payload buffer
+// from the Hello's frame count, which is untrusted. A Hello claiming
+// MaxTransferFrames-1 frames must cost the receiver no more than maxPresize
+// (and the session and the ack it sends, well under 16 KiB), and a real
+// transfer's buffer must be sized once.
+func TestForgedHelloAllocatesAtMostThePresize(t *testing.T) {
+	c, _ := newTestConn(Plan{}, Plan{}, Config{})
+	hello, err := DecodeFrame(EncodeFrame(FrameHello, 9, 0, MaxTransferFrames-1, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	c.handleHello(hello)
+	runtime.ReadMemStats(&m1)
+	if got := m1.TotalAlloc - m0.TotalAlloc; got > maxPresize+16<<10 {
+		t.Fatalf("a forged Hello allocated %d bytes, cap %d", got, maxPresize)
+	}
+	if got := cap(c.sess[9].buf); got != maxPresize {
+		t.Fatalf("the forged session reserved %d bytes, want the cap %d", got, maxPresize)
+	}
+
+	payload := testPayload(6*32<<10 + 1) // 7 frames at 32 KiB, the last one byte
+	if _, err := c.Transfer(1, payload); err != nil {
+		t.Fatal(err)
+	}
+	if s := c.sess[1]; len(s.buf) != len(payload) || cap(s.buf) != 7*32<<10 {
+		t.Fatalf("a 7-frame payload of %d bytes assembled into %d bytes of a %d-byte buffer", len(payload), len(s.buf), cap(s.buf))
+	}
+	if got, ok := c.Take(1); !ok || !bytes.Equal(got, payload) {
+		t.Fatal("the assembled payload differs from the one sent")
+	}
 }
 
 func benchTransfer(b *testing.B, fwd Plan) {

@@ -214,7 +214,8 @@ func (s *Store) CheckpointRetaining(retain int) (st CheckpointStats, err error) 
 	// before that instant recovers the previous superblock, whose epoch
 	// still matches the old frames (see maybeResetWALLocked).
 	if s.walBlocks > 0 {
-		s.walPending = nil
+		clear(s.walPending) // no frame holds these ops: the next interval reuses the array
+		s.walPending = s.walPending[:0]
 		if s.walSeq > 0 || s.walHead > 0 {
 			s.pendingWALReset = true
 			s.walResetAt = sbDone

@@ -200,6 +200,7 @@ type indexEntry struct {
 // allocated before the final encode), so no field patching is needed.
 func encodeIndex(st *indexState) *rec.Encoder {
 	var e rec.Encoder
+	e.Grow(int(indexLen(len(st.freelist), len(st.deadlist), len(st.retained), len(st.objects))))
 	e.U32(magicIndex)
 	e.U64(uint64(st.epoch))
 	e.U64(uint64(st.nextOID))

@@ -296,17 +296,19 @@ func (s *Store) EachPageOf(oid OID, pgs []int64, fn func(pg int64, data []byte) 
 	if err != nil {
 		return err
 	}
-	_, err = s.eachPage(o, pgs, false, fn)
+	_, err = s.eachPage(o, pgs, false, nil, fn)
 	return err
 }
 
 // eachPage streams pages of a live or view object to fn — every stored page
 // in ascending order when all is set, else exactly pgs, holes as zero pages,
 // each stored page checked against its committed sum before fn sees it —
-// and returns how many it delivered. The lock is held only to map pages to
-// extents, chunk by chunk, so the stream runs concurrently with other store
-// users; the clock waits once, after the last chunk's reads are queued.
-func (s *Store) eachPage(o *object, pgs []int64, all bool, fn func(pg int64, data []byte) error) (n int64, err error) {
+// and returns how many it delivered. Each page is read into the buffer into
+// gives for it, or the read window (EachPageInto). The lock is held only to
+// map pages to extents, chunk by chunk, so the stream runs concurrently with
+// other store users; the clock waits once, after the last chunk's reads are
+// queued.
+func (s *Store) eachPage(o *object, pgs []int64, all bool, into func(pg int64) ([]byte, error), fn func(pg int64, data []byte) error) (n int64, err error) {
 	s.mu.Lock()
 	if o.journal != nil {
 		s.mu.Unlock()
@@ -321,8 +323,16 @@ func (s *Store) eachPage(o *object, pgs []int64, all bool, fn func(pg int64, dat
 				pgs = append(pgs, pg)
 			}
 		}
-		page := make([]byte, BlockSize)
+		window := make([]byte, BlockSize)
 		for _, pg := range pgs {
+			page := window
+			if into != nil {
+				if page, err = into(pg); err != nil {
+					return n, err
+				} else if page == nil {
+					page = window
+				}
+			}
 			inlinePage(inline, pg, page)
 			if err := fn(pg, page); err != nil {
 				return n, err
@@ -334,7 +344,11 @@ func (s *Store) eachPage(o *object, pgs []int64, all bool, fn func(pg int64, dat
 	// stream queues one batch of page reads behind whatever is already queued.
 	var last time.Duration
 	stream := func(pgs []int64, exts []extent, sums []uint32) error {
-		done, err := s.submitReads(exts, func(i int, data []byte) error {
+		var dst func(i int) ([]byte, error)
+		if into != nil {
+			dst = func(i int) ([]byte, error) { return into(pgs[i]) }
+		}
+		done, err := s.submitReads(exts, dst, func(i int, data []byte) error {
 			if exts[i].addr != 0 {
 				if err := checkPage(o.oid, pgs[i], sums[i], data); err != nil {
 					return err

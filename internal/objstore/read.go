@@ -29,7 +29,7 @@ func (im *image) lookup(oid OID) (*object, error) {
 	return o, nil
 }
 
-// The eight read methods of an image. A Store answers them from its live
+// The read methods of an image. A Store answers them from its live
 // table, a View from a retained epoch's; both have them from here, through
 // the image they embed, and neither declares one of its own.
 
@@ -136,15 +136,25 @@ func (im *image) HasPage(oid OID, pg int64) (bool, error) {
 // EachPageBulk streams every present page of oid to fn in ascending page
 // order, charging pipelined read bandwidth (one queue drain at the end)
 // instead of a full command latency per page. This is the eager-restore
-// read path: a 200 MiB image loads at device bandwidth.
+// read path: a 200 MiB image loads at device bandwidth. fn sees each page in
+// the store's read window.
 func (im *image) EachPageBulk(oid OID, fn func(pg int64, data []byte) error) (int64, error) {
+	return im.EachPageInto(oid, nil, fn)
+}
+
+// EachPageInto is EachPageBulk reading each page into the buffer into
+// returns for it (BlockSize bytes, which the read overwrites whole) instead
+// of the read window, which stays the destination when into is nil or
+// returns nil. Pages are asked for and handed to fn in the same order; a
+// page fn has not yet been handed when the stream fails is never handed.
+func (im *image) EachPageInto(oid OID, into func(pg int64) ([]byte, error), fn func(pg int64, data []byte) error) (int64, error) {
 	im.s.mu.Lock()
 	o, err := im.lookup(oid)
 	im.s.mu.Unlock()
 	if err != nil {
 		return 0, err
 	}
-	return im.s.eachPage(o, nil, true, fn)
+	return im.s.eachPage(o, nil, true, into, fn)
 }
 
 // inlinePage synthesizes page pg of an inline object's page view into page,
@@ -248,7 +258,7 @@ const readWindow = 64 << 10
 // no volatile cache), and everything read here is copy-on-write state that no
 // in-flight write targets.
 func (s *Store) readBatch(exts []extent, fn func(i int, data []byte) error) error {
-	last, err := s.submitReads(exts, fn)
+	last, err := s.submitReads(exts, nil, fn)
 	if err == nil {
 		s.dev.WaitUntil(last)
 	}
@@ -257,8 +267,10 @@ func (s *Store) readBatch(exts []extent, fn func(i int, data []byte) error) erro
 
 // submitReads is readBatch without the wait: it returns the latest completion
 // time, for a caller (eachPage) that has further extents to queue behind
-// these before its clock should stop.
-func (s *Store) submitReads(exts []extent, fn func(i int, data []byte) error) (last time.Duration, err error) {
+// these before its clock should stop. An extent into gives a buffer for (of
+// its length) is read there rather than into the slab, which is made only
+// for the extents that need it; the windows are the same either way.
+func (s *Store) submitReads(exts []extent, into func(i int) ([]byte, error), fn func(i int, data []byte) error) (last time.Duration, err error) {
 	var total, largest int64
 	size := s.dev.Size()
 	for _, e := range exts {
@@ -267,12 +279,27 @@ func (s *Store) submitReads(exts []extent, fn func(i int, data []byte) error) (l
 		}
 		total, largest = total+e.n, max(largest, e.n)
 	}
-	slab := make([]byte, max(min(total, readWindow), largest))
+	window := max(min(total, readWindow), largest)
+	var slab []byte
+	var scratch [readWindow / BlockSize][]byte // a window of pages needs no heap for its buffers
+	bufs := scratch[:0]
 	for i := 0; i < len(exts); {
 		used, j := int64(0), i
-		for ; j < len(exts) && used+exts[j].n <= int64(len(slab)); j++ {
-			buf := slab[used : used+exts[j].n]
+		for bufs = bufs[:0]; j < len(exts) && used+exts[j].n <= window; j++ {
+			var buf []byte
+			if into != nil {
+				if buf, err = into(j); err != nil {
+					return 0, err
+				}
+			}
+			if buf == nil {
+				if slab == nil {
+					slab = make([]byte, window)
+				}
+				buf = slab[used : used+exts[j].n : used+exts[j].n]
+			}
 			used += exts[j].n
+			bufs = append(bufs, buf)
 			if exts[j].addr == 0 {
 				clear(buf)
 				continue
@@ -283,12 +310,11 @@ func (s *Store) submitReads(exts []extent, fn func(i int, data []byte) error) (l
 			}
 			last = max(last, done)
 		}
-		for used = 0; i < j; i++ {
-			end := used + exts[i].n
-			if err := fn(i, slab[used:end:end]); err != nil {
+		for _, buf := range bufs {
+			if err := fn(i, buf); err != nil {
 				return 0, err
 			}
-			used = end
+			i++
 		}
 	}
 	return last, nil

@@ -77,6 +77,23 @@ func (e *Encoder) Seal() []byte {
 	return binary.LittleEndian.AppendUint32(e.b, crc32.ChecksumIEEE(e.b))
 }
 
+// Begin starts a length-framed record inside the encoder's buffer, after what
+// it holds: a 4-byte length, then the body the caller appends. It returns the
+// mark End takes.
+func (e *Encoder) Begin() int {
+	mark := len(e.b)
+	e.U32(0)
+	return mark
+}
+
+// End seals the framed record begun at mark: the CRC of its body is appended
+// and the length before it is filled in, so the frame is a 4-byte length and
+// the record Seal would have returned.
+func (e *Encoder) End(mark int) {
+	e.b = binary.LittleEndian.AppendUint32(e.b, crc32.ChecksumIEEE(e.b[mark+4:]))
+	binary.LittleEndian.PutUint32(e.b[mark:], uint32(len(e.b)-mark-4))
+}
+
 // Raw returns the unsealed bytes (for embedding in another record).
 func (e *Encoder) Raw() []byte { return e.b }
 
@@ -168,15 +185,20 @@ func (d *Decoder) U64() uint64 {
 func (d *Decoder) I64() int64 { return int64(d.U64()) }
 
 // Bytes reads a length-prefixed byte slice (copied).
-func (d *Decoder) Bytes() []byte {
+func (d *Decoder) Bytes() []byte { return append([]byte(nil), d.View()...) }
+
+// View reads a length-prefixed byte slice without copying it: the result
+// aliases the record, for a caller that is done with it before the record's
+// buffer changes. A failed read returns nil.
+func (d *Decoder) View() []byte {
 	n := int(d.U32())
 	if d.err != nil || d.off+n > len(d.b) {
 		d.fail()
 		return nil
 	}
-	out := append([]byte(nil), d.b[d.off:d.off+n]...)
+	v := d.b[d.off : d.off+n : d.off+n]
 	d.off += n
-	return out
+	return v
 }
 
 // Str reads a length-prefixed string.

@@ -2,7 +2,6 @@ package sls
 
 import (
 	"fmt"
-	"io"
 	"runtime"
 	"testing"
 	"time"
@@ -13,6 +12,7 @@ import (
 	"aurora/internal/kern"
 	"aurora/internal/mem"
 	"aurora/internal/objstore"
+	"aurora/internal/rec"
 	"aurora/internal/slsfs"
 	"aurora/internal/vm"
 )
@@ -196,7 +196,7 @@ func BenchmarkCheckpointFlush8Objects(b *testing.B) {
 // restoreBenchApp is the application of the two restore benchmarks: 16 MiB of
 // written memory and fds open descriptions of one file — fds gated kernel
 // objects, which is what a restore primes the capture gate with.
-func restoreBenchApp(b *testing.B, w *world, fds int) (*Group, uint64) {
+func restoreBenchApp(b testing.TB, w *world, fds int) (*Group, uint64) {
 	b.Helper()
 	p := w.k.NewProc("app")
 	for i := 0; i < fds; i++ {
@@ -335,6 +335,7 @@ func BenchmarkDeltaShip1kObjects(b *testing.B) {
 		b.Fatalf("image has %d store objects, want at least 1000", n)
 	}
 	var virt time.Duration
+	var e rec.Encoder
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -347,7 +348,8 @@ func BenchmarkDeltaShip1kObjects(b *testing.B) {
 		commit()
 		b.StartTimer()
 		t0 := w.clk.Now()
-		if _, _, err := g.encodeStream(io.Discard, base, nil); err != nil {
+		e.Reset()
+		if _, err := g.encodeStream(&e, base, nil); err != nil {
 			b.Fatal(err)
 		}
 		virt += w.clk.Now() - t0

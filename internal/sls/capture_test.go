@@ -348,7 +348,7 @@ func TestRestorePrimesTheGate(t *testing.T) {
 // rotted device do.
 type rotted struct{ *objstore.Store }
 
-func (rotted) EachPageBulk(oid objstore.OID, _ func(int64, []byte) error) (int64, error) {
+func (rotted) EachPageInto(oid objstore.OID, _ func(int64) ([]byte, error), _ func(int64, []byte) error) (int64, error) {
 	return 0, fmt.Errorf("%w: oid %d page 0", objstore.ErrPageSum, oid)
 }
 

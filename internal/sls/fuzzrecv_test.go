@@ -1,15 +1,19 @@
 package sls
 
-// FuzzRecv throws arbitrary byte streams at the checkpoint stream decoder.
-// The invariant: Recv on a fresh machine either succeeds or returns an
-// error — it never panics and never allocates unboundedly from a corrupt
-// length header. Seeds are real Send/SendDelta output plus truncations and
-// header mutations so the fuzzer starts at the interesting surface.
+// FuzzRecv throws arbitrary byte streams at the checkpoint stream decoder,
+// through both of its entry points: Recv over a reader and the in-memory
+// payload a replica lands. The invariants: on a fresh machine each either
+// succeeds or returns an error — it never panics, never allocates unboundedly
+// from a corrupt length header and never reads past the payload — and both
+// reach the same verdict. Seeds are real Send/SendDelta output plus
+// truncations and header mutations so the fuzzer starts at the interesting
+// surface.
 
 import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"testing"
 
 	"aurora/internal/objstore"
@@ -76,8 +80,8 @@ func fuzzSeedStreams() ([][]byte, error) {
 	if err := g.Barrier(); err != nil {
 		return nil, err
 	}
-	var delta bytes.Buffer
-	_, marks, err := g.encodeStream(&delta, base, nil)
+	var delta rec.Encoder
+	marks, err := g.encodeStream(&delta, base, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -94,11 +98,11 @@ func fuzzSeedStreams() ([][]byte, error) {
 	if err := g.Barrier(); err != nil {
 		return nil, err
 	}
-	var tail bytes.Buffer
-	if _, _, err := g.encodeStream(&tail, base, marks); err != nil {
+	var tail rec.Encoder
+	if _, err := g.encodeStream(&tail, base, marks); err != nil {
 		return nil, err
 	}
-	return [][]byte{full.Bytes(), delta.Bytes(), tail.Bytes()}, nil
+	return [][]byte{full.Bytes(), delta.Raw(), tail.Raw()}, nil
 }
 
 func FuzzRecv(f *testing.F) {
@@ -121,23 +125,38 @@ func FuzzRecv(f *testing.F) {
 	}
 	// Well-formed framing around an item for an object the head never listed.
 	f.Add(forgeStream("evil", 100, []objstore.OID{100}, forgeRecord(ManifestOID, UTManifest, nil)))
+	// A stream cut right after a page whose data ends the payload: the decoder
+	// must not read past it, and finds no next item.
+	page := bytes.Repeat([]byte{0x5a}, objstore.BlockSize)
+	f.Add(framed(forgeHead("cut", 100, 1, 0, []objstore.OID{100, 101}),
+		forgePages(101, vm.PageSize, nil), forgePages(101, 0, page)))
 	f.Add([]byte{})
 	f.Add([]byte("AURS"))
 	f.Add(bytes.Repeat([]byte{0xff}, 32))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		w, err := newWorldE()
-		if err != nil {
-			t.Skip()
-		}
-		// Must not panic; success or error are both acceptable outcomes.
-		name, err := w.o.Recv(bytes.NewReader(data))
-		if err == nil {
-			// An accepted stream must have registered a restorable group
-			// or at least left the store healthy.
-			if rep := w.store.Fsck(); !rep.OK() {
-				t.Fatalf("accepted stream %q left an unhealthy store: %v", name, rep.Problems)
+		var verdicts [2]string
+		for i, recv := range []func(*Orchestrator) (string, error){
+			func(o *Orchestrator) (string, error) { return o.Recv(bytes.NewReader(data)) },
+			func(o *Orchestrator) (string, error) { return o.recvPayload(data) },
+		} {
+			w, err := newWorldE()
+			if err != nil {
+				t.Skip()
 			}
+			// Must not panic; success or error are both acceptable outcomes.
+			name, err := recv(w.o)
+			if err == nil {
+				// An accepted stream must have registered a restorable group
+				// or at least left the store healthy.
+				if rep := w.store.Fsck(); !rep.OK() {
+					t.Fatalf("accepted stream %q left an unhealthy store: %v", name, rep.Problems)
+				}
+			}
+			verdicts[i] = fmt.Sprintf("name %q, err %v", name, err)
+		}
+		if verdicts[0] != verdicts[1] {
+			t.Fatalf("the reader's verdict: %s; the payload's: %s", verdicts[0], verdicts[1])
 		}
 	})
 }
@@ -152,6 +171,13 @@ func forgeStream(name string, groupOID objstore.OID, live []objstore.OID, items 
 // forgeDelta is forgeStream for a stream of epoch src over base (0: a full
 // stream).
 func forgeDelta(name string, groupOID objstore.OID, src, base objstore.Epoch, live []objstore.OID, items ...[]byte) []byte {
+	end := rec.NewEncoder()
+	end.U8(itemEnd)
+	return framed(append(append([][]byte{forgeHead(name, groupOID, src, base, live)}, items...), end.Seal())...)
+}
+
+// forgeHead seals a stream's head item.
+func forgeHead(name string, groupOID objstore.OID, src, base objstore.Epoch, live []objstore.OID) []byte {
 	head := rec.NewEncoder()
 	head.U32(streamMagic)
 	head.U8(streamVersion)
@@ -163,14 +189,31 @@ func forgeDelta(name string, groupOID objstore.OID, src, base objstore.Epoch, li
 	for _, oid := range live {
 		head.U64(uint64(oid))
 	}
-	end := rec.NewEncoder()
-	end.U8(itemEnd)
+	return head.Seal()
+}
+
+// framed lays sealed items out as a stream: each behind its 4-byte length.
+func framed(items ...[]byte) []byte {
 	var out []byte
-	for _, item := range append(append([][]byte{head.Seal()}, items...), end.Seal()) {
+	for _, item := range items {
 		out = binary.LittleEndian.AppendUint32(out, uint32(len(item)))
 		out = append(out, item...)
 	}
 	return out
+}
+
+// forgePages and forgeJournal are pagesItem and journalItem as forgeStream
+// takes them: the sealed record, without the length in front of it.
+func forgePages(oid objstore.OID, arg int64, data []byte) []byte {
+	var e rec.Encoder
+	pagesItem(&e, oid, arg, data)
+	return e.Raw()[4:]
+}
+
+func forgeJournal(oid objstore.OID, ut uint16, capacity int64, run objstore.FrameRun) []byte {
+	var e rec.Encoder
+	journalItem(&e, oid, ut, capacity, run)
+	return e.Raw()[4:]
 }
 
 func forgeRecord(oid objstore.OID, ut uint16, raw []byte) []byte {
@@ -187,15 +230,9 @@ func forgeRecord(oid objstore.OID, ut uint16, raw []byte) []byte {
 // Each forged stream must be refused as corrupt before the item it carries
 // has changed the object it aims at.
 func TestRecvRefusesUnlistedOIDs(t *testing.T) {
-	pagesHead := func(oid objstore.OID) []byte {
-		e := rec.NewEncoder()
-		e.U8(itemPages)
-		e.U64(uint64(oid))
-		e.I64(vm.PageSize)
-		return e.Seal()
-	}
+	pagesHead := func(oid objstore.OID) []byte { return forgePages(oid, vm.PageSize, nil) }
 	journal := func(oid objstore.OID) []byte {
-		return journalItem(oid, UTMemObject, 1<<16, objstore.FrameRun{Gen: 1})
+		return forgeJournal(oid, UTMemObject, 1<<16, objstore.FrameRun{Gen: 1})
 	}
 	const evil = objstore.OID(1 << 40) // the forged group's own, listed, record
 	for _, tc := range []struct {

@@ -348,7 +348,7 @@ func TestRecvRefusesHostileFrames(t *testing.T) {
 		live = append(live, oid)
 	}
 	item := func(oid objstore.OID, capacity int64, off int64, frames []byte) []byte {
-		return journalItem(oid, UTMemObject, capacity, objstore.FrameRun{Off: off, Gen: at.Gen, Frames: frames})
+		return forgeJournal(oid, UTMemObject, capacity, objstore.FrameRun{Off: off, Gen: at.Gen, Frames: frames})
 	}
 	for _, tc := range []struct {
 		name string

@@ -1,13 +1,13 @@
 package sls
 
 import (
-	"bytes"
 	"fmt"
 	"time"
 
 	"aurora/internal/flight"
 	"aurora/internal/net"
 	"aurora/internal/objstore"
+	"aurora/internal/rec"
 	"aurora/internal/trace"
 )
 
@@ -41,6 +41,10 @@ type Replica struct {
 	// pending is a ship that ran out of retries mid-transfer; Resume (or
 	// the next Sync) completes it from the receiver's high-water mark.
 	pending *pendingShip
+	// spare is the stream buffer the next ship encodes into: the last landed
+	// delta's, unless it is more than twice the size of its stream. A ship
+	// owns its buffer until it lands, so a pending one is never reused.
+	spare *rec.Encoder
 
 	// failedOver retires the replica once its standby has been promoted;
 	// every later Sync/Resume/Failover returns ErrFailedOver.
@@ -64,7 +68,8 @@ type pendingShip struct {
 	epoch    uint64 // transfer key: the shipped checkpoint epoch
 	newBase  objstore.Epoch
 	marks    journalMarks // the journal positions the standby holds once it lands
-	data     []byte
+	enc      *rec.Encoder // the stream buffer, owned by the ship until it lands
+	data     []byte       // the stream: enc's bytes
 	cutStart time.Duration
 }
 
@@ -180,12 +185,16 @@ func (r *Replica) Base() objstore.Epoch { return r.base }
 // ship encodes the group's last committed state (full when since==0, else
 // the delta), moves the stream to the standby, and lands it there.
 func (r *Replica) ship(since objstore.Epoch, cutStart time.Duration) error {
-	var buf bytes.Buffer
-	_, marks, err := r.g.encodeStream(&buf, since, r.marks)
+	e := r.spare
+	if r.spare = nil; e == nil {
+		e = rec.NewEncoder()
+	}
+	e.Reset()
+	marks, err := r.g.encodeStream(e, since, r.marks)
 	if err != nil {
 		return err
 	}
-	p := &pendingShip{epoch: uint64(r.g.lastEpoch), newBase: r.g.lastEpoch, marks: marks, data: buf.Bytes(), cutStart: cutStart}
+	p := &pendingShip{epoch: uint64(r.g.lastEpoch), newBase: r.g.lastEpoch, marks: marks, enc: e, data: e.Raw(), cutStart: cutStart}
 	return r.move(p, since)
 }
 
@@ -245,7 +254,7 @@ func (r *Replica) land(p *pendingShip, payload []byte, src, sender uint64) error
 			trace.I("epoch", int64(p.epoch)),
 			trace.I(trace.FlowIn, int64(trace.FlowID(src, sender))))
 	}
-	if _, err := r.dst.Recv(bytes.NewReader(payload)); err != nil {
+	if _, err := r.dst.recvPayload(payload); err != nil {
 		return err
 	}
 	r.commit(p)
@@ -266,6 +275,9 @@ func (r *Replica) arrive() {
 // replica's accounting.
 func (r *Replica) commit(p *pendingShip) {
 	n := int64(len(p.data))
+	if r.base != 0 && cap(p.data) <= 2*len(p.data) {
+		r.spare = p.enc // not the seed's, which the deltas after it would not fill
+	}
 	r.base, r.marks = p.newBase, p.marks
 	r.Syncs++
 	r.BytesTotal += n

@@ -37,9 +37,11 @@ type Source interface {
 	HasPage(oid objstore.OID, pg int64) (bool, error)
 	Size(oid objstore.OID) (int64, error)
 	Exists(oid objstore.OID) bool
-	// EachPageBulk visits every stored page of oid in ascending order, the
-	// reads pipelined at device bandwidth (Table 6's full-restore times).
-	EachPageBulk(oid objstore.OID, fn func(pg int64, data []byte) error) (int64, error)
+	// EachPageInto visits every stored page of oid in ascending order, the
+	// reads pipelined at device bandwidth (Table 6's full-restore times),
+	// each read into the buffer into gives for it (the store's read window
+	// when that is nil) and then handed to fn.
+	EachPageInto(oid objstore.OID, into func(pg int64) ([]byte, error), fn func(pg int64, data []byte) error) (int64, error)
 }
 
 var (
@@ -478,18 +480,38 @@ func (r *restorer) memObject(oid objstore.OID) (*vm.Object, error) {
 }
 
 // installPages is the one page loader: every stored page of oid not already
-// resident in obj is read — checked against its committed sum by the store
-// on the way — and installed. It returns how many pages it installed.
+// resident in obj is read straight into a fresh frame — checked against its
+// committed sum by the store on the way — and installed. It returns how many
+// pages it installed. A frame read into but not installed when the load fails
+// goes back to the allocator.
 func (o *Orchestrator) installPages(src Source, oid objstore.OID, obj *vm.Object) (installed int64, err error) {
-	_, err = src.EachPageBulk(oid, func(pg int64, data []byte) error {
+	pm := o.K.VM.PM
+	type read struct {
+		pg    int64
+		frame *mem.Page
+	}
+	var reading []read // frames handed to the store, in page order, not yet installed
+	defer func() {
+		for _, r := range reading {
+			pm.Free(r.frame)
+		}
+	}()
+	_, err = src.EachPageInto(oid, func(pg int64) ([]byte, error) {
 		if _, resident := obj.ResidentPage(pg); resident {
-			return nil
+			return nil, nil // read and checked all the same, into the store's window
 		}
-		frame, err := o.K.VM.PM.Alloc()
+		frame, err := pm.AllocUnzeroed()
 		if err != nil {
-			return err
+			return nil, err
 		}
-		copy(frame.Data, data)
+		reading = append(reading, read{pg, frame})
+		return frame.Data, nil
+	}, func(pg int64, _ []byte) error {
+		if len(reading) == 0 || reading[0].pg != pg {
+			return nil // resident
+		}
+		frame := reading[0].frame
+		reading = reading[:copy(reading, reading[1:])]
 		frame.Backed = true
 		obj.InsertPage(pg, frame)
 		installed++

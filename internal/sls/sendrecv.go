@@ -1,7 +1,6 @@
 package sls
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -74,11 +73,14 @@ func (g *Group) SendDelta(w io.Writer, since objstore.Epoch) error {
 // send serializes the stream and charges direct-path wire time — the
 // in-process byte-copy transport, kept as the nil-link case.
 func (g *Group) send(w io.Writer, since objstore.Epoch) error {
-	sent, _, err := g.encodeStream(w, since, nil)
-	if err != nil {
+	var e rec.Encoder
+	if _, err := g.encodeStream(&e, since, nil); err != nil {
 		return err
 	}
-	g.o.chargeDirectWire(sent)
+	if _, err := w.Write(e.Raw()); err != nil {
+		return err
+	}
+	g.o.chargeDirectWire(int64(e.Len()))
 	return nil
 }
 
@@ -91,32 +93,21 @@ func (o *Orchestrator) chargeDirectWire(n int64) {
 // journalMarks holds, per journal, the position in its frames a standby has.
 type journalMarks map[objstore.OID]objstore.JournalMark
 
-// encodeStream serializes the group's last committed state (full when
-// since==0, delta otherwise) to w and returns the bytes written and, per
+// encodeStream appends the stream of the group's last committed state (full
+// when since==0, delta otherwise) to e, item by item in place — each a 4-byte
+// length and a sealed record (rec.Encoder.Begin/End) — and returns, per
 // journal, the mark at the frames it shipped. A delta ships a journal's frames
 // past its mark in marks; a full stream, or a journal marks lacks, ships them
 // all. No wire time is charged: callers either charge the direct-path cost
 // (send) or let a simulated transport charge per frame (internal/net).
-func (g *Group) encodeStream(w io.Writer, since objstore.Epoch, marks journalMarks) (int64, journalMarks, error) {
+func (g *Group) encodeStream(e *rec.Encoder, since objstore.Epoch, marks journalMarks) (journalMarks, error) {
 	if g.lastEpoch == 0 {
-		return 0, nil, fmt.Errorf("sls: group %q has no committed checkpoint to send", g.Name)
+		return nil, fmt.Errorf("sls: group %q has no committed checkpoint to send", g.Name)
 	}
 	if since == 0 {
 		marks = nil
 	}
 	shipped := make(journalMarks, len(g.journals))
-	bw := bufio.NewWriter(w)
-	sent := int64(0)
-	emit := func(b []byte) error {
-		var hdr [4]byte
-		binary.LittleEndian.PutUint32(hdr[:], uint32(len(b)))
-		if _, err := bw.Write(hdr[:]); err != nil {
-			return err
-		}
-		_, err := bw.Write(b)
-		sent += int64(len(b)) + 4
-		return err
-	}
 
 	// Group record itself plus every object it referenced last epoch, in
 	// ascending-OID order: the stream must be byte-identical across runs
@@ -142,60 +133,51 @@ func (g *Group) encodeStream(w io.Writer, since objstore.Epoch, marks journalMar
 		}
 	}
 
-	head := rec.NewEncoder()
-	head.U32(streamMagic)
-	head.U8(streamVersion)
-	head.Str(g.Name)
-	head.U64(uint64(g.oid))
-	head.U64(uint64(g.lastEpoch)) // epoch this stream carries
-	head.U64(uint64(since))       // base epoch a delta applies over (0 = full)
-	head.U32(uint32(len(live)))
+	m := e.Begin()
+	e.U32(streamMagic)
+	e.U8(streamVersion)
+	e.Str(g.Name)
+	e.U64(uint64(g.oid))
+	e.U64(uint64(g.lastEpoch)) // epoch this stream carries
+	e.U64(uint64(since))       // base epoch a delta applies over (0 = full)
+	e.U32(uint32(len(live)))
 	for _, oid := range live {
-		head.U64(uint64(oid))
+		e.U64(uint64(oid))
 	}
-	if err := emit(head.Seal()); err != nil {
-		return 0, nil, err
-	}
+	e.End(m)
 
 	for _, oid := range live {
 		ut, err := g.o.Store.UType(oid)
 		if err != nil {
-			return 0, nil, err
+			return nil, err
 		}
 		if isJournalOID(g, oid) {
-			if shipped[oid], err = g.sendJournal(oid, ut, marks[oid], emit); err != nil {
-				return 0, nil, err
+			if shipped[oid], err = g.sendJournal(e, oid, ut, marks[oid]); err != nil {
+				return nil, err
 			}
 			continue
 		}
 		if ut == UTMemObject {
-			if err := g.sendPages(oid, since, emit); err != nil {
-				return 0, nil, err
+			if err := g.sendPages(e, oid, since); err != nil {
+				return nil, err
 			}
 			continue
 		}
 		raw, err := g.o.Store.GetRecord(oid)
 		if err != nil {
-			return 0, nil, err
+			return nil, err
 		}
-		e := rec.NewEncoder()
+		m := e.Begin()
 		e.U8(itemRecord)
 		e.U64(uint64(oid))
 		e.U16(ut)
 		e.Bytes(raw)
-		if err := emit(e.Seal()); err != nil {
-			return 0, nil, err
-		}
+		e.End(m)
 	}
-	e := rec.NewEncoder()
+	m = e.Begin()
 	e.U8(itemEnd)
-	if err := emit(e.Seal()); err != nil {
-		return 0, nil, err
-	}
-	if err := bw.Flush(); err != nil {
-		return 0, nil, err
-	}
-	return sent, shipped, nil
+	e.End(m)
+	return shipped, nil
 }
 
 func isJournalOID(g *Group, oid objstore.OID) bool {
@@ -208,27 +190,14 @@ func isJournalOID(g *Group, oid objstore.OID) bool {
 }
 
 // sendPages streams a memory object's pages — all of them for a full send,
-// only the changed set for a delta.
-func (g *Group) sendPages(oid objstore.OID, since objstore.Epoch, emit func([]byte) error) error {
+// only the changed set for a delta — each copied once, from the store's read
+// window into its item.
+func (g *Group) sendPages(e *rec.Encoder, oid objstore.OID, since objstore.Epoch) error {
 	size, err := g.o.Store.Size(oid)
 	if err != nil {
 		return err
 	}
-	head := rec.NewEncoder()
-	head.U8(itemPages)
-	head.U64(uint64(oid))
-	head.I64(size)
-	if err := emit(head.Seal()); err != nil {
-		return err
-	}
-	emitPage := func(pg int64, data []byte) error {
-		e := rec.NewEncoder()
-		e.U8(itemPages)
-		e.U64(uint64(oid))
-		e.I64(pg)
-		e.Bytes(data)
-		return emit(e.Seal())
-	}
+	pagesItem(e, oid, size, nil) // the run header: the object's size
 	full := since == 0
 	var changed []int64
 	if !full {
@@ -242,28 +211,46 @@ func (g *Group) sendPages(oid objstore.OID, since objstore.Epoch, emit func([]by
 			return err
 		}
 	}
+	emitPage := func(pg int64, data []byte) error {
+		pagesItem(e, oid, pg, data)
+		return nil
+	}
 	if full {
 		_, err = g.o.Store.EachPageBulk(oid, emitPage)
 	} else {
+		e.Grow(len(changed) * (pageItemHead + objstore.BlockSize))
 		err = g.o.Store.EachPageOf(oid, changed, emitPage)
 	}
 	if err != nil {
 		return err
 	}
 	// Page runs end with a sentinel page index of -1.
-	tail := rec.NewEncoder()
-	tail.U8(itemPages)
-	tail.U64(uint64(oid))
-	tail.I64(-1)
-	tail.Bytes(nil)
-	return emit(tail.Seal())
+	pagesItem(e, oid, -1, []byte{})
+	return nil
+}
+
+// pageItemHead is what a page item spends besides its data: the length, kind,
+// oid, page index, the data's length and the CRC.
+const pageItemHead = 4 + 1 + 8 + 8 + 4 + 4
+
+// pagesItem appends one item of a page run: the run's header (data nil, arg
+// the object's size), a page (arg its index) or the sentinel (arg -1, no data).
+func pagesItem(e *rec.Encoder, oid objstore.OID, arg int64, data []byte) {
+	m := e.Begin()
+	e.U8(itemPages)
+	e.U64(uint64(oid))
+	e.I64(arg)
+	if data != nil {
+		e.Bytes(data)
+	}
+	e.End(m)
 }
 
 // sendJournal streams a journal's frames past from as they lie in its extent,
 // in items of whole frames that fit maxStreamItem — all of the current
 // generation's when from is not a position in it — and returns the mark at
 // the tail.
-func (g *Group) sendJournal(oid objstore.OID, ut uint16, from objstore.JournalMark, emit func([]byte) error) (objstore.JournalMark, error) {
+func (g *Group) sendJournal(e *rec.Encoder, oid objstore.OID, ut uint16, from objstore.JournalMark) (objstore.JournalMark, error) {
 	j, err := g.o.Store.OpenJournal(oid)
 	if err != nil {
 		return from, err
@@ -273,17 +260,14 @@ func (g *Group) sendJournal(oid objstore.OID, ut uint16, from objstore.JournalMa
 		return from, err
 	}
 	for _, run := range runs {
-		if err := emit(journalItem(oid, ut, j.Capacity(), run)); err != nil {
-			return from, err
-		}
+		journalItem(e, oid, ut, j.Capacity(), run)
 	}
 	return to, nil
 }
 
-// journalItem encodes one run of a journal's frames as a stream item.
-func journalItem(oid objstore.OID, ut uint16, capacity int64, run objstore.FrameRun) []byte {
-	e := rec.NewEncoder()
-	e.Grow(journalItemHead + len(run.Frames))
+// journalItem appends one run of a journal's frames as a stream item.
+func journalItem(e *rec.Encoder, oid objstore.OID, ut uint16, capacity int64, run objstore.FrameRun) {
+	m := e.Begin()
 	e.U8(itemJournal)
 	e.U64(uint64(oid))
 	e.U16(ut)
@@ -292,7 +276,7 @@ func journalItem(oid objstore.OID, ut uint16, capacity int64, run objstore.Frame
 	e.U64(run.FlushedSeq)
 	e.I64(run.Off)
 	e.Bytes(run.Frames)
-	return e.Seal()
+	e.End(m)
 }
 
 // recvGroupState tracks what a receiver holds for one replicated group:
@@ -307,24 +291,35 @@ type recvGroupState struct {
 
 // Recv reads a checkpoint stream into the local store and registers the
 // group in the manifest, committing when done. It returns the group name;
-// RestoreGroup then resumes the application.
+// RestoreGroup then resumes the application. The stream is read whole and
+// applied as recvPayload applies a replica's.
 func (o *Orchestrator) Recv(r io.Reader) (string, error) {
-	br := bufio.NewReader(r)
+	payload, err := io.ReadAll(r)
+	if err != nil {
+		return "", err
+	}
+	return o.recvPayload(payload)
+}
+
+// recvPayload applies a stream in memory, decoding it where it lies: each
+// item is a sub-slice of payload, and a page's data reaches the store's write
+// from there, uncopied.
+func (o *Orchestrator) recvPayload(payload []byte) (string, error) {
 	next := func() (*rec.Decoder, error) {
-		var hdr [4]byte
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			return nil, err
+		if len(payload) < 4 {
+			return nil, io.ErrUnexpectedEOF
 		}
-		n := binary.LittleEndian.Uint32(hdr[:])
+		n := binary.LittleEndian.Uint32(payload)
 		if n > maxStreamItem {
 			// The length header is untrusted input off the wire: a corrupt
 			// value must produce a decode error, not a giant allocation.
 			return nil, fmt.Errorf("%w: stream item of %d bytes exceeds cap %d", rec.ErrCorrupt, n, maxStreamItem)
 		}
-		body := make([]byte, n)
-		if _, err := io.ReadFull(br, body); err != nil {
-			return nil, err
+		if len(payload)-4 < int(n) {
+			return nil, io.ErrUnexpectedEOF
 		}
+		body := payload[4 : 4+n : 4+n]
+		payload = payload[4+n:]
 		return rec.NewDecoder(body)
 	}
 
@@ -492,7 +487,7 @@ func (o *Orchestrator) Recv(r io.Reader) (string, error) {
 				curPages = 0 // run sentinel
 				continue
 			}
-			data := d.Bytes()
+			data := d.View()
 			if err := d.Err(); err != nil {
 				return "", err
 			}
@@ -503,7 +498,7 @@ func (o *Orchestrator) Recv(r io.Reader) (string, error) {
 			oid := objstore.OID(d.U64())
 			ut := d.U16()
 			capacity := d.I64()
-			run := objstore.FrameRun{Gen: d.U64(), FlushedSeq: d.U64(), Off: d.I64(), Frames: d.Bytes()}
+			run := objstore.FrameRun{Gen: d.U64(), FlushedSeq: d.U64(), Off: d.I64(), Frames: d.View()}
 			if err := d.Err(); err != nil {
 				return "", err
 			}

@@ -422,13 +422,15 @@ func (o *Object) GetPage(pg int64, forWrite bool) (*mem.Page, error) {
 	}
 
 	// Need a private page in o: copy from below or zero fill.
-	p, err := o.vm.PM.Alloc()
-	if err != nil {
-		return nil, err
-	}
-	if src != nil {
+	var p *mem.Page
+	if src == nil {
+		p, err = o.vm.PM.Alloc()
+	} else if p, err = o.vm.PM.AllocUnzeroed(); err == nil { // the copy overwrites every byte
 		o.vm.Clk.Advance(o.vm.Costs.MemCopyPerPage)
 		p.Copy(src)
+	}
+	if err != nil {
+		return nil, err
 	}
 	o.mu.Lock()
 	if exist, ok := o.pages[pg]; ok {

@@ -198,8 +198,15 @@ func TestRotFailsEveryRestorePolicy(t *testing.T) {
 			}
 			m2.Fault.Arm(aurora.FaultPlan{CutAtSubmit: -1, RotOffsets: []int64{off + 9}})
 
+			used := m2.K.VM.PM.Used()
 			g2, _, err := tc.restore(m2, "app")
-			if err == nil {
+			if err != nil {
+				// A refused restore leaves no frame behind: not the pages it
+				// installed, nor those it read and never installed.
+				if now := m2.K.VM.PM.Used(); now != used {
+					t.Fatalf("%s: a refused restore left %d frames allocated, %d before it", tc.name, now, used)
+				}
+			} else {
 				err = g2.Procs()[0].ReadMem(va, make([]byte, len(marker)))
 			}
 			want := fmt.Sprintf("oid %d page 0", arena)
