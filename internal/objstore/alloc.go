@@ -1,5 +1,7 @@
 package objstore
 
+import "slices"
+
 // Block allocation. The store uses a bump pointer plus a freelist refilled
 // by the deadlist scan. COW means a block is never rewritten once it holds
 // committed data; blocks become reusable only when no retained checkpoint
@@ -31,7 +33,7 @@ func (s *Store) allocBlock() (int64, error) {
 		a := s.freelist[n-1]
 		s.freelist = s.freelist[:n-1]
 		s.stats.BlocksAllocated++
-		s.birthOf[a] = s.curEpoch()
+		s.bear(a, 1)
 		return a, nil
 	}
 	a := s.nextBlk * BlockSize
@@ -40,7 +42,7 @@ func (s *Store) allocBlock() (int64, error) {
 	}
 	s.nextBlk++
 	s.stats.BlocksAllocated++
-	s.birthOf[a] = s.curEpoch()
+	s.bear(a, 1)
 	return a, nil
 }
 
@@ -61,9 +63,7 @@ func (s *Store) allocRun(n int64) (int64, error) {
 	}
 	s.nextBlk += n
 	s.stats.BlocksAllocated += n
-	for i := int64(0); i < n; i++ {
-		s.birthOf[a+i*BlockSize] = s.curEpoch()
-	}
+	s.bear(a, n)
 	return a, nil
 }
 
@@ -80,13 +80,23 @@ func (s *Store) allocMetaRun(n int64) (int64, error) {
 				s.metaFree[i] = blockRun{addr: r.addr + n*BlockSize, n: r.n - n}
 			}
 			s.stats.BlocksAllocated += n
-			for j := int64(0); j < n; j++ {
-				s.birthOf[addr+j*BlockSize] = s.curEpoch()
-			}
+			s.bear(addr, n)
 			return addr, nil
 		}
 	}
 	return s.allocRun(n)
+}
+
+// bear records the n blocks from addr as born in the current interval,
+// growing the birth table to cover them. Requires mu.
+func (s *Store) bear(addr, n int64) {
+	first := addr / BlockSize
+	if end := int(first + n); end > len(s.birthOf) {
+		s.birthOf = slices.Grow(s.birthOf, end-len(s.birthOf))[:end]
+	}
+	for i := first; i < first+n; i++ {
+		s.birthOf[i] = s.curEpoch()
+	}
 }
 
 // retireBlock marks a block superseded during the current interval. Blocks
@@ -98,9 +108,9 @@ func (s *Store) retireBlock(addr int64) {
 	if addr == 0 {
 		return
 	}
-	birth, ok := s.birthOf[addr]
-	if ok {
-		delete(s.birthOf, addr)
+	var birth Epoch
+	if blk := addr / BlockSize; blk < int64(len(s.birthOf)) {
+		birth, s.birthOf[blk] = s.birthOf[blk], 0
 	}
 	cur := s.curEpoch()
 	if birth == cur {

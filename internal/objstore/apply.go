@@ -126,6 +126,7 @@ func (s *Store) applyDelete(op *walOp) error {
 		s.retireRun(o.recordAddr, blocksFor(o.recordLen))
 	}
 	delete(s.objects, op.oid)
+	s.sorted = nil
 	s.deleted[op.oid] = true
 	return nil
 }

@@ -43,7 +43,7 @@ func (s *Store) AuditLive() []string {
 		}
 	}
 
-	for _, oid := range sortedOIDKeys(s.objects) {
+	for _, oid := range s.oids() {
 		o := s.objects[oid]
 		if o.recordAddr != 0 {
 			claim(o.recordAddr, blocksFor(o.recordLen), fmt.Sprintf("record of oid %d", oid))

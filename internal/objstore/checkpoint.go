@@ -72,7 +72,7 @@ func (s *Store) CheckpointRetaining(retain int) (st CheckpointStats, err error) 
 	// chunk-index) order: a given logical state must always produce the
 	// identical submit sequence, because the crash-exploration harness
 	// replays checkpoints by submit index.
-	for _, oid := range sortedOIDKeys(s.objects) {
+	for _, oid := range s.oids() {
 		o := s.objects[oid]
 		if !o.dirty {
 			continue
@@ -149,9 +149,7 @@ func (s *Store) CheckpointRetaining(retain int) (st CheckpointStats, err error) 
 	idxLen := int64(e.Len()) + 4
 	if extra := idxRun - blocksFor(idxLen); extra > 0 {
 		s.metaFree = append(s.metaFree, blockRun{addr: idxAddr + blocksFor(idxLen)*BlockSize, n: extra})
-		for i := blocksFor(idxLen); i < idxRun; i++ {
-			delete(s.birthOf, idxAddr+i*BlockSize)
-		}
+		clear(s.birthOf[idxAddr/BlockSize+blocksFor(idxLen) : idxAddr/BlockSize+idxRun])
 	}
 	idxBytes := e.Seal()
 	if _, err := s.submitLocked(idxBytes, idxAddr, 0); err != nil {
@@ -186,9 +184,7 @@ func (s *Store) CheckpointRetaining(retain int) (st CheckpointStats, err error) 
 	// describe its own storage — self-referential metadata whose size
 	// compounds every epoch.
 	s.retained = append(s.retained, ckptInfo{epoch: cur, indexAddr: idxAddr, indexLen: idxLen})
-	for i := int64(0); i < blocksFor(idxLen); i++ {
-		delete(s.birthOf, idxAddr+i*BlockSize)
-	}
+	clear(s.birthOf[idxAddr/BlockSize : idxAddr/BlockSize+blocksFor(idxLen)])
 	s.epoch = cur
 	s.durableAt[cur] = sbDone
 	s.stats.Checkpoints++
@@ -286,7 +282,7 @@ func (s *Store) indexState(cur Epoch) *indexState {
 		}
 		idx.freelist = append(fl, s.releasing...)
 	}
-	for _, oid := range sortedOIDKeys(s.objects) {
+	for _, oid := range s.oids() {
 		o := s.objects[oid]
 		idx.objects = append(idx.objects, indexEntry{oid: oid, addr: o.recordAddr, len: o.recordLen})
 	}
@@ -358,7 +354,7 @@ func (s *Store) loadIndex(addr, length int64, sp trace.Span) error {
 	s.freelist = idx.freelist
 	s.deadlist = idx.deadlist
 	s.retained = append(idx.retained, ckptInfo{epoch: idx.epoch, indexAddr: addr, indexLen: length})
-	s.objects = objects
+	s.image = image{s: s, objects: objects}
 	return nil
 }
 

@@ -55,7 +55,7 @@ func (s *Store) Fsck() FsckReport {
 	}
 
 	page := make([]byte, BlockSize)
-	for _, oid := range sortedOIDKeys(s.objects) {
+	for _, oid := range s.oids() {
 		o := s.objects[oid]
 		rep.Objects++
 		switch {
@@ -196,7 +196,7 @@ func (s *Store) LivePageAddrs() []int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var out []int64
-	for _, oid := range sortedOIDKeys(s.objects) {
+	for _, oid := range s.oids() {
 		o := s.objects[oid]
 		if o.chunks == nil {
 			continue
@@ -212,16 +212,6 @@ func (s *Store) LivePageAddrs() []int64 {
 				}
 			}
 		}
-	}
-	slices.Sort(out)
-	return out
-}
-
-// sortedOIDKeys returns the table's OIDs ascending.
-func sortedOIDKeys(m map[OID]*object) []OID {
-	out := make([]OID, 0, len(m))
-	for oid := range m {
-		out = append(out, oid)
 	}
 	slices.Sort(out)
 	return out

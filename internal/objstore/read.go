@@ -3,6 +3,8 @@ package objstore
 import (
 	"fmt"
 	"hash/crc32"
+	"maps"
+	"slices"
 	"time"
 )
 
@@ -19,6 +21,17 @@ import (
 // and a rotted block fails the read that meets it — a demand fault, a restore's
 // prefetch, a file read or a page shipped to a replica — naming the object and
 // the page.
+
+// oids returns the image's OIDs ascending. The slice is cached until an
+// object is created or deleted, which drops it rather than changing it, so a
+// caller may range over it while the table changes; it must not modify it.
+// Requires mu.
+func (im *image) oids() []OID {
+	if im.sorted == nil {
+		im.sorted = slices.Sorted(maps.Keys(im.objects))
+	}
+	return im.sorted
+}
 
 // lookup requires mu.
 func (im *image) lookup(oid OID) (*object, error) {
@@ -37,7 +50,7 @@ func (im *image) lookup(oid OID) (*object, error) {
 func (im *image) Objects() []OID {
 	im.s.mu.Lock()
 	defer im.s.mu.Unlock()
-	return sortedOIDKeys(im.objects)
+	return slices.Clone(im.oids())
 }
 
 // Exists reports whether oid is in the image.

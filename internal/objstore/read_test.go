@@ -9,7 +9,9 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -72,7 +74,7 @@ func recoverSerial(dev BlockDev, clk clock.Clock, costs *clock.Costs) (*Store, e
 	s.nextOID, s.nextBlk = idx.nextOID, idx.nextBlk
 	s.freelist, s.deadlist = idx.freelist, idx.deadlist
 	s.retained = append(idx.retained, ckptInfo{epoch: idx.epoch, indexAddr: sb.indexAddr, indexLen: sb.indexLen})
-	s.objects = objects
+	s.image = image{s: s, objects: objects}
 	s.epoch = sb.epoch
 	_, err = s.walRecover()
 	return s, err
@@ -82,7 +84,7 @@ func recoverSerial(dev BlockDev, clk clock.Clock, costs *clock.Costs) (*Store, e
 // was read from.
 func tableDump(objects map[OID]*object) string {
 	var b strings.Builder
-	for _, oid := range sortedOIDKeys(objects) {
+	for _, oid := range slices.Sorted(maps.Keys(objects)) {
 		o := objects[oid]
 		fmt.Fprintf(&b, "%d @%#x+%d dirty=%v birth=%d %x\n", oid, o.recordAddr, o.recordLen, o.dirty, o.birth, encodeRecord(o))
 	}

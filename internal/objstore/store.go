@@ -160,6 +160,7 @@ type Stats struct {
 type image struct {
 	s       *Store // whose device the table's blocks are on, and whose lock guards it
 	objects map[OID]*object
+	sorted  []OID // objects' keys ascending; nil until oids builds it, and after a create or delete
 }
 
 // Store is the Aurora object store.
@@ -183,10 +184,10 @@ type Store struct {
 	deadlist []deadBlock
 	retained []ckptInfo
 
-	// birthOf tracks the epoch in which blocks allocated during this
-	// session were born; blocks loaded from committed metadata default to
-	// birth 0 (conservatively "as old as any retained checkpoint").
-	birthOf map[int64]Epoch
+	// birthOf is the epoch in which each block allocated during this session
+	// was born, by block number; 0 — a block loaded from committed metadata,
+	// or one past the slice — is "as old as any retained checkpoint".
+	birthOf []Epoch
 
 	// metaFree recycles released checkpoints' index runs. It is kept in
 	// memory only, NEVER serialized: an index must not describe its own
@@ -271,7 +272,6 @@ func blankStore(dev BlockDev, clk clock.Clock, costs *clock.Costs, tr *trace.Tra
 		deleted:    make(map[OID]bool),
 		durableAt:  make(map[Epoch]time.Duration),
 		walDurable: make(map[uint64]time.Duration),
-		birthOf:    make(map[int64]Epoch),
 		settled:    make(map[Epoch]bool),
 	}
 	s.image = image{s: s, objects: make(map[OID]*object)}
@@ -422,6 +422,7 @@ func (s *Store) ensure(oid OID, utype uint16) *object {
 	if !ok {
 		o = &object{oid: oid, utype: utype, birth: s.curEpoch()}
 		s.objects[oid] = o
+		s.sorted = nil
 		// Reserved OIDs at the very top of the space (FlightOID) must not
 		// bump the allocator: oid+1 would wrap to 0 and restart allocation
 		// over live objects.

@@ -513,6 +513,6 @@ func (s *Store) claimWALBlock(addr int64) {
 			break
 		}
 	}
-	s.birthOf[addr] = s.curEpoch()
+	s.bear(addr, 1)
 	s.claimed[addr] = true
 }

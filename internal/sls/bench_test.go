@@ -127,7 +127,23 @@ func benchCheckpoint1kObjects(b *testing.B, between func(srv *kern.Proc, i int))
 
 // BenchmarkCheckpointDirty1k measures a checkpoint with 1024 dirty pages.
 func BenchmarkCheckpointDirty1k(b *testing.B) {
-	w := benchWorld(b)
+	g, dirty := dirty1k(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		dirty()
+		b.StartTimer()
+		if _, err := g.Checkpoint(CkptIncremental); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// dirty1k is BenchmarkCheckpointDirty1k's group, checkpointed once over 16 MiB
+// of written memory, and what dirties 1024 of its pages between checkpoints.
+func dirty1k(tb testing.TB) (*Group, func()) {
+	w := benchWorld(tb)
 	p := w.k.NewProc("busy")
 	va, _ := p.Mmap(16<<20, vm.ProtRead|vm.ProtWrite, false)
 	buf := make([]byte, vm.PageSize)
@@ -137,18 +153,35 @@ func BenchmarkCheckpointDirty1k(b *testing.B) {
 	for pg := uint64(0); pg < 4096; pg++ {
 		p.WriteMem(va+pg*vm.PageSize, buf)
 	}
-	g.Checkpoint(CkptIncremental)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
+	if _, err := g.Checkpoint(CkptIncremental); err != nil {
+		tb.Fatal(err)
+	}
+	return g, func() {
 		for pg := uint64(0); pg < 1024; pg++ {
 			p.WriteMem(va+pg*vm.PageSize, buf)
 		}
-		b.StartTimer()
+	}
+}
+
+// TestCheckpointDirtyAllocsBounded: a checkpoint of BenchmarkCheckpointDirty1k's
+// shape — 1024 dirty pages of a 16 MiB mapping — allocates at most 140 times
+// (160 when pages, PTEs and block births were hash maps and the flush sorted
+// what it staged).
+func TestCheckpointDirtyAllocsBounded(t *testing.T) {
+	g, dirty := dirty1k(t)
+	ckpt := func() {
 		if _, err := g.Checkpoint(CkptIncremental); err != nil {
-			b.Fatal(err)
+			t.Fatal(err)
 		}
+	}
+	for i := 0; i < 8; i++ { // into the steady state: collapses, retention, recycled blocks
+		dirty()
+		ckpt()
+	}
+	allocs, _ := allocsPer(10, dirty, ckpt)
+	t.Logf("a checkpoint of 1024 dirty pages: %d allocations", allocs)
+	if allocs > 140 {
+		t.Fatalf("a checkpoint of 1024 dirty pages made %d allocations, gate 140", allocs)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"sort"
 	"time"
 
 	"aurora/internal/clock"
@@ -96,21 +95,10 @@ func (g *Group) Checkpoint(kind CheckpointKind) (st CheckpointStats, err error) 
 		if !g.transient[frozen] {
 			continue
 		}
-		clean := true
-		frozen.EachPage(func(pg int64, p *mem.Page) {
-			if p.Dirty {
-				clean = false
-			}
-		})
-		if clean && frozen.ShadowCount() == 1 && pair.Live.Backer() == frozen && frozen.Backer() != nil {
-			backer := frozen.Backer()
-			vm.CollapseAurora(pair.Live, frozen)
-			// Pages moved into the backer with their identity intact;
-			// PTEs installed from the dying shadow (read faults served
-			// mid-chain last interval) follow them.
-			for _, m := range g.Maps() {
-				m.ReownPTEs(frozen, backer)
-			}
+		if frozen.CountPages(dirty) == 0 && frozen.ShadowCount() == 1 && pair.Live.Backer() == frozen && frozen.Backer() != nil {
+			// Pages move into the backer with their identity intact; the
+			// group's PTEs that translate them as the dying shadow's follow.
+			vm.CollapseAurora(pair.Live, frozen, g.Maps()...)
 			delete(g.transient, frozen)
 		}
 		// Multi-shadow (fork mid-interval), baseless, or unflushed
@@ -246,7 +234,7 @@ func (g *Group) Checkpoint(kind CheckpointKind) (st CheckpointStats, err error) 
 			gone = append(gone, oid)
 		}
 	}
-	sort.Slice(gone, func(i, j int) bool { return gone[i] < gone[j] })
+	slices.Sort(gone)
 	for _, oid := range gone {
 		o.Store.Delete(oid) //nolint:errcheck // absent is fine
 		// Forgetting is always safe, so it does not wait for the commit: should

@@ -1,7 +1,8 @@
 package sls
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
 	"aurora/internal/mem"
@@ -129,7 +130,7 @@ func (g *Group) planCold(pl *flushPlan, ser *serializer) {
 			cold = append(cold, obj)
 		}
 	}
-	sort.Slice(cold, func(i, j int) bool { return ser.memOIDs[cold[i]] < ser.memOIDs[cold[j]] })
+	slices.SortFunc(cold, func(a, b *vm.Object) int { return cmp.Compare(ser.memOIDs[a], ser.memOIDs[b]) })
 	for _, obj := range cold {
 		oid := ser.memOIDs[obj]
 		g.o.Store.Ensure(oid, UTMemObject)
@@ -207,12 +208,25 @@ func (g *Group) runFlush(pl *flushPlan) (flushResult, error) {
 // the Write stage, inside the device. The resolved frames are returned for
 // runFlush to mark clean and store-backed once the write has landed; a frame
 // whose page index a newer source staged keeps its dirty bit (not among them).
+//
+// A source stages in page order and never twice at one index, so a job of
+// one source — every frozen pair's — is sorted as staged. Only a job that
+// merges sources dedups and sorts.
 func encodeJob(j *flushJob) ([]objstore.PageWrite, []*mem.Page) {
-	staged := make(map[int64]bool)
-	var writes []objstore.PageWrite
-	var frames []*mem.Page
+	var staged map[int64]bool
+	if len(j.sources) > 1 {
+		staged = make(map[int64]bool)
+	}
+	n := 0 // the sources' own pages: a dirty-set job stages at most these
+	for _, src := range j.sources {
+		n += src.obj.Pages()
+	}
+	writes := make([]objstore.PageWrite, 0, n)
+	frames := make([]*mem.Page, 0, n)
 	add := func(pg int64, p *mem.Page) {
-		staged[pg] = true
+		if staged != nil {
+			staged[pg] = true
+		}
 		writes = append(writes, objstore.PageWrite{Pg: pg, Data: p.Data})
 		frames = append(frames, p)
 	}
@@ -244,9 +258,14 @@ func encodeJob(j *flushJob) ([]objstore.PageWrite, []*mem.Page) {
 	}
 	// Sorted batches give the store sequential block layout per object,
 	// which restore's prefetch rewards.
-	sort.Slice(writes, func(a, b int) bool { return writes[a].Pg < writes[b].Pg })
+	if staged != nil {
+		slices.SortFunc(writes, func(a, b objstore.PageWrite) int { return cmp.Compare(a.Pg, b.Pg) })
+	}
 	return writes, frames
 }
+
+// dirty reports a frame written since it was captured or loaded.
+func dirty(p *mem.Page) bool { return p.Dirty }
 
 // unstored is the staging rule: a page joins an incremental flush iff the
 // store lacks its content — written since it was captured or loaded (Dirty) or

@@ -11,7 +11,7 @@ import (
 // Real-performance benchmarks of the VM hot paths (wall time of the
 // simulator itself, not virtual time).
 
-func benchSetup(b *testing.B, size int64) (*System, *Map, uint64) {
+func benchSetup(b testing.TB, size int64) (*System, *Map, uint64) {
 	b.Helper()
 	sys := NewSystem(mem.New(0), clock.Discard{}, clock.DefaultCosts())
 	m := sys.NewMap()
@@ -38,15 +38,32 @@ func BenchmarkWritePTEHit(b *testing.B) {
 // BenchmarkWriteFaultCold measures 1024 first-touch write faults (ns/op
 // includes the address-space build).
 func BenchmarkWriteFaultCold(b *testing.B) {
-	buf := []byte{1}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_, m, va := benchSetup(b, 256<<20)
-		for pg := uint64(0); pg < 1024; pg++ {
-			if err := m.Write(va+pg*PageSize, buf); err != nil {
-				b.Fatal(err)
-			}
+		writeFaultCold(b)
+	}
+}
+
+// writeFaultCold is one op of BenchmarkWriteFaultCold.
+func writeFaultCold(tb testing.TB) {
+	buf := []byte{1}
+	_, m, va := benchSetup(tb, 256<<20)
+	for pg := uint64(0); pg < 1024; pg++ {
+		if err := m.Write(va+pg*PageSize, buf); err != nil {
+			tb.Fatal(err)
 		}
+	}
+}
+
+// TestFaultAllocsBounded: 1024 cold write faults, address-space build
+// included, allocate at most 150 times (1 124 when every fault allocated its
+// PTE and both page indexes were hash maps): a fault installs its page and
+// its PTE in place, and allocates only a leaf per 64 pages.
+func TestFaultAllocsBounded(t *testing.T) {
+	allocs := testing.AllocsPerRun(5, func() { writeFaultCold(t) })
+	t.Logf("1024 cold write faults: %.0f allocations", allocs)
+	if allocs > 150 {
+		t.Fatalf("1024 cold write faults made %.0f allocations, gate 150", allocs)
 	}
 }
 

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -35,22 +36,26 @@ type Entry struct {
 	// stores the file's true pages.
 	Shared bool
 
-	// writable lists the VAs whose PTE Fault installed writable (the only
+	// ptes is the entry's page table: the PTE of each translated page, by
+	// page number within the entry. Guarded by Map.mu.
+	ptes table[PTE]
+	// gen counts the objects the entry has mapped: a PTE installed under an
+	// earlier one is stale (the mapping was downgraded since).
+	gen uint32
+	// writable lists the pages whose PTE Fault installed writable (the only
 	// place one becomes so) since the last downgrade. Invariant, under
-	// Map.mu: every writable PTE in [Start, End) is listed, so a downgrade
+	// Map.mu: every writable PTE of the entry is listed, so a downgrade
 	// visits the pages written, not the mapping. Emptied by a downgrade and
-	// by InvalidateAll; a listed VA whose PTE has since gone is skipped.
-	writable []uint64
+	// by InvalidateAll; a listed page whose PTE has since gone is skipped.
+	writable []int64
 }
 
 // Pages returns the number of pages the entry spans.
 func (e *Entry) Pages() int64 { return int64(e.End-e.Start) / PageSize }
 
-// pageIndex converts a virtual address within the entry to the backing
-// object's page index.
-func (e *Entry) pageIndex(va uint64) int64 {
-	return int64(va-e.Start)/PageSize + e.Off/PageSize
-}
+// slot converts a virtual address within the entry to its page number
+// within the entry: the index of its PTE.
+func (e *Entry) slot(va uint64) int64 { return int64(va-e.Start) / PageSize }
 
 // PTE is a software page-table entry.
 type PTE struct {
@@ -58,7 +63,8 @@ type PTE struct {
 	Writable bool
 	Dirty    bool
 	Accessed bool
-	obj      *Object // the object owning Page when it was installed
+	gen      uint32  // the entry's gen when it was installed
+	owner    *Object // the object Page was resident in when it was installed
 }
 
 // Map is an address space: the entry list plus the physical map (page
@@ -69,8 +75,7 @@ type Map struct {
 	vm *System
 
 	mu       sync.Mutex
-	entries  []*Entry // sorted by Start
-	ptes     map[uint64]*PTE
+	entries  []*Entry // sorted by Start; each holds its own page table
 	nextAddr uint64
 }
 
@@ -81,7 +86,6 @@ const UserBase = 0x0000_7000_0000_0000
 func (vm *System) NewMap() *Map {
 	return &Map{
 		vm:       vm,
-		ptes:     make(map[uint64]*PTE),
 		nextAddr: UserBase,
 	}
 }
@@ -103,7 +107,11 @@ func (m *Map) Entries() []*Entry {
 func (m *Map) ResidentBytes() int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return int64(len(m.ptes)) * PageSize
+	n := 0
+	for _, e := range m.entries {
+		n += e.ptes.len()
+	}
+	return int64(n) * PageSize
 }
 
 // AuditPTEs calls fn for every installed page-table entry, in ascending
@@ -111,25 +119,20 @@ func (m *Map) ResidentBytes() int64 {
 // For the invariant auditor: it needs the PTE->object association (private
 // elsewhere) to cross-check dirty bits and residency against the objects.
 func (m *Map) AuditPTEs(fn func(va uint64, pte PTE, obj *Object)) {
-	m.mu.Lock()
-	vas := make([]uint64, 0, len(m.ptes))
-	for va := range m.ptes {
-		vas = append(vas, va)
-	}
-	sort.Slice(vas, func(i, j int) bool { return vas[i] < vas[j] })
 	type ent struct {
 		va  uint64
 		pte PTE
-		obj *Object
 	}
-	ents := make([]ent, 0, len(vas))
-	for _, va := range vas {
-		p := m.ptes[va]
-		ents = append(ents, ent{va, *p, p.obj})
+	var ents []ent
+	m.mu.Lock()
+	for _, e := range m.entries {
+		e.ptes.each(func(i int64, pte PTE) {
+			ents = append(ents, ent{e.Start + uint64(i)*PageSize, pte})
+		})
 	}
 	m.mu.Unlock()
 	for _, e := range ents {
-		fn(e.va, e.pte, e.obj)
+		fn(e.va, e.pte, e.pte.owner)
 	}
 }
 
@@ -208,9 +211,7 @@ func (m *Map) Unmap(start uint64) error {
 		return fmt.Errorf("vm: no entry at %#x", start)
 	}
 	m.entries = append(m.entries[:idx], m.entries[idx+1:]...)
-	for va := e.Start; va < e.End; va += PageSize {
-		delete(m.ptes, va)
-	}
+	e.ptes, e.writable = table[PTE]{}, nil
 	m.mu.Unlock()
 	m.vm.Clk.Advance(m.vm.Costs.TLBFlush)
 	e.Obj.Deref()
@@ -249,8 +250,8 @@ func (m *Map) Fault(va uint64, write bool) (*mem.Page, error) {
 		m.mu.Unlock()
 		return nil, fmt.Errorf("vm: write protection fault at %#x", va)
 	}
-	obj := e.Obj
-	pg := e.pageIndex(base)
+	obj, gen, slot := e.Obj, e.gen, e.slot(base)
+	pg := slot + e.Off/PageSize
 	m.mu.Unlock()
 
 	m.vm.Clk.Advance(m.vm.Costs.PageFault)
@@ -265,28 +266,26 @@ func (m *Map) Fault(va uint64, write bool) (*mem.Page, error) {
 		}
 	}
 	var (
-		p   *mem.Page
-		err error
+		p     *mem.Page
+		owner *Object
+		err   error
 	)
-	if write {
-		p, err = obj.GetPage(pg, true)
-	} else {
+	if !write {
 		// Read: any page in the chain will do; fill the base on miss.
-		if found, _ := obj.Lookup(pg); found != nil {
-			p = found
-		} else {
-			p, err = obj.GetPage(pg, false)
-		}
+		p, owner = obj.Lookup(pg)
+	}
+	if p == nil {
+		p, owner, err = obj.getPage(pg, write)
 	}
 	if err != nil {
 		return nil, err
 	}
 	m.vm.Clk.Advance(m.vm.Costs.PageInstall)
 	m.mu.Lock()
-	if old := m.ptes[base]; write && (old == nil || !old.Writable) {
-		e.writable = append(e.writable, base)
+	old, _ := e.ptes.set(slot, PTE{Page: p, Writable: write, Accessed: true, Dirty: write, gen: gen, owner: owner})
+	if write && !old.Writable {
+		e.writable = append(e.writable, slot)
 	}
-	m.ptes[base] = &PTE{Page: p, Writable: write, Accessed: true, Dirty: write, obj: obj}
 	m.mu.Unlock()
 	p.Referenced = true
 	if write {
@@ -296,22 +295,30 @@ func (m *Map) Fault(va uint64, write bool) (*mem.Page, error) {
 	return p, nil
 }
 
-// pteFor returns a usable PTE for the access, or nil to take the slow path.
-func (m *Map) pteFor(base uint64, write bool) *PTE {
+// pteFor returns the page a usable PTE translates the access to, with the
+// PTE's accessed bit (and for a write its dirty bit) set, or nil to take the
+// slow path.
+func (m *Map) pteFor(base uint64, write bool) *mem.Page {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	pte, ok := m.ptes[base]
-	if !ok || (write && !pte.Writable) {
+	e := m.findEntry(base)
+	if e == nil {
+		return nil
+	}
+	slot := e.slot(base)
+	pte := e.ptes.ptr(slot)
+	if pte == nil || (write && !pte.Writable) {
 		return nil
 	}
 	// The TLB-hit path must still honour object replacement: a stale PTE
 	// into a replaced object means the mapping was downgraded.
-	e := m.findEntry(base)
-	if e == nil || pte.obj != e.Obj {
-		delete(m.ptes, base)
+	if pte.gen != e.gen {
+		e.ptes.del(slot)
 		return nil
 	}
-	return pte
+	pte.Accessed = true
+	pte.Dirty = pte.Dirty || write
+	return pte.Page
 }
 
 // Write copies buf into the address space at va through the simulated MMU,
@@ -324,11 +331,8 @@ func (m *Map) Write(va uint64, buf []byte) error {
 		if run > len(buf) {
 			run = len(buf)
 		}
-		var p *mem.Page
-		if pte := m.pteFor(base, true); pte != nil {
-			p = pte.Page
-			pte.Dirty = true
-			pte.Accessed = true
+		p := m.pteFor(base, true)
+		if p != nil {
 			p.Dirty = true
 			p.Backed = false
 		} else {
@@ -355,11 +359,8 @@ func (m *Map) Read(va uint64, buf []byte) error {
 		if run > len(buf) {
 			run = len(buf)
 		}
-		var p *mem.Page
-		if pte := m.pteFor(base, false); pte != nil {
-			p = pte.Page
-			pte.Accessed = true
-		} else {
+		p := m.pteFor(base, false)
+		if p == nil {
 			var err error
 			p, err = m.Fault(base, false)
 			if err != nil {
@@ -414,52 +415,54 @@ func (m *Map) Fork() *Map {
 
 // replaceEntryObject swaps the object behind an entry and downgrades any
 // writable PTEs in the entry's range (they must fault again to land in the
-// new object), found through the entry's writable list.
+// new object), found through the entry's writable list. The PTEs it keeps
+// are stale from here on: the next access through one drops it.
 func (m *Map) replaceEntryObject(e *Entry, newObj *Object) {
 	m.mu.Lock()
 	e.Obj = newObj
+	e.gen++
 	downgraded := 0
-	for _, va := range e.writable {
-		if pte, ok := m.ptes[va]; ok && pte.Writable {
-			delete(m.ptes, va)
+	for _, slot := range e.writable {
+		if pte := e.ptes.ptr(slot); pte != nil && pte.Writable {
+			e.ptes.del(slot)
 			downgraded++
 		}
 	}
 	e.writable = e.writable[:0]
-	if downgraded > 3*len(m.ptes) {
-		// Deletes leave a map at its peak size, and ReownPTEs iterates it at
-		// that size: repack what a mass downgrade left.
-		packed := make(map[uint64]*PTE, len(m.ptes))
-		for va, pte := range m.ptes {
-			packed[va] = pte
-		}
-		m.ptes = packed
-	}
 	m.mu.Unlock()
 	m.vm.Clk.Advance(time.Duration(downgraded) * m.vm.Costs.PageMarkCOW)
 }
 
-// ReownPTEs transfers install-owner bookkeeping from one object to
-// another. The reversed collapse moves a frozen shadow's pages down into
-// its backer without touching the pmap — page identity is stable, so the
-// installed translations stay valid, but the owner recorded at install
-// time would otherwise dangle on the dying shadow.
-func (m *Map) ReownPTEs(from, to *Object) {
+// reownPTEs transfers install-owner bookkeeping from one object to another
+// for the pages a reversed collapse moved (moved, ascending). The collapse
+// moves a frozen shadow's pages down into its backer without touching the
+// pmap — page identity is stable, so the installed translations stay valid,
+// but the owner recorded at install time would otherwise dangle on the dying
+// shadow. Only a moved page can have been resident in it, so the pass visits
+// those pages of each entry, not every installed translation.
+func (m *Map) reownPTEs(from, to *Object, moved []int64) {
 	m.mu.Lock()
-	for _, pte := range m.ptes {
-		if pte.obj == from {
-			pte.obj = to
+	defer m.mu.Unlock()
+	for _, e := range m.entries {
+		first := e.Off / PageSize
+		i, _ := slices.BinarySearch(moved, first)
+		for _, pg := range moved[i:] {
+			if pg >= first+e.Pages() {
+				break
+			}
+			if pte := e.ptes.ptr(pg - first); pte != nil && pte.owner == from {
+				pte.owner = to
+			}
 		}
 	}
-	m.mu.Unlock()
 }
 
 // InvalidateAll drops every PTE — a full page-table invalidation plus TLB
 // shootdown, used after page eviction and lazy restores.
 func (m *Map) InvalidateAll() {
 	m.mu.Lock()
-	m.ptes = make(map[uint64]*PTE)
 	for _, e := range m.entries {
+		e.ptes = table[PTE]{}
 		e.writable = e.writable[:0]
 	}
 	m.mu.Unlock()
@@ -471,10 +474,12 @@ func (m *Map) DirtyPages() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	n := 0
-	for _, pte := range m.ptes {
-		if pte.Dirty {
-			n++
-		}
+	for _, e := range m.entries {
+		e.ptes.each(func(_ int64, pte PTE) {
+			if pte.Dirty {
+				n++
+			}
+		})
 	}
 	return n
 }
@@ -484,7 +489,9 @@ func (m *Map) Destroy() {
 	m.mu.Lock()
 	entries := m.entries
 	m.entries = nil
-	m.ptes = make(map[uint64]*PTE)
+	for _, e := range entries {
+		e.ptes, e.writable = table[PTE]{}, nil
+	}
 	m.mu.Unlock()
 	for _, e := range entries {
 		e.Obj.Deref()

@@ -13,11 +13,17 @@
 //     registered back-references (shared memory descriptors), so memory
 //     flushes proceed concurrently with execution while shared-memory
 //     semantics are preserved — the capability fork's COW lacks.
+//
+// Pages are indexed by number, never hashed. An object's resident pages sit
+// in its page index (Object.pages) and each map entry's PTEs in the entry's
+// page table (Entry.ptes), both a table (table.go): 64-slot bitmap leaves
+// under a sparse, ordered top level, so every walk visits pages in ascending
+// order without a sort.
 package vm
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -105,8 +111,8 @@ type Object struct {
 	Type ObjectType
 
 	mu     sync.Mutex
-	pages  map[int64]*mem.Page
-	size   int64 // bytes
+	pages  table[*mem.Page] // resident pages by page number
+	size   int64            // bytes
 	backer *Object
 	pager  Pager
 
@@ -118,12 +124,11 @@ type Object struct {
 // NewObject creates an unmapped object of size bytes.
 func (vm *System) NewObject(t ObjectType, size int64) *Object {
 	return &Object{
-		vm:    vm,
-		ID:    vm.nextObjID.Add(1),
-		Type:  t,
-		pages: make(map[int64]*mem.Page),
-		size:  size,
-		ref:   1,
+		vm:   vm,
+		ID:   vm.nextObjID.Add(1),
+		Type: t,
+		size: size,
+		ref:  1,
 	}
 }
 
@@ -161,21 +166,21 @@ func (o *Object) Size() int64 {
 func (o *Object) Pages() int {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	return len(o.pages)
+	return o.pages.len()
 }
 
 // CountPages returns how many of the object's own resident pages satisfy
-// keep. Unlike EachPage it visits in map order and holds the object lock, so
-// keep must only inspect the page.
+// keep. Unlike EachPage it holds the object lock throughout, so keep must
+// only inspect the page.
 func (o *Object) CountPages(keep func(*mem.Page) bool) int {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	n := 0
-	for _, p := range o.pages {
+	o.pages.each(func(_ int64, p *mem.Page) {
 		if keep(p) {
 			n++
 		}
-	}
+	})
 	return n
 }
 
@@ -258,10 +263,8 @@ func (o *Object) Deref() {
 	o.dead = true
 	backer := o.backer
 	o.backer = nil
-	for pg, p := range o.pages {
-		o.vm.PM.Free(p)
-		delete(o.pages, pg)
-	}
+	o.pages.each(func(_ int64, p *mem.Page) { o.vm.PM.Free(p) })
+	o.pages = table[*mem.Page]{}
 	o.mu.Unlock()
 	if backer != nil {
 		backer.mu.Lock()
@@ -287,18 +290,12 @@ func (vm *System) Shadow(o *Object) *Object {
 	return s
 }
 
-// lookupLocked finds page pg in this object only. Requires mu.
-func (o *Object) lookupLocked(pg int64) (*mem.Page, bool) {
-	p, ok := o.pages[pg]
-	return p, ok
-}
-
 // Lookup walks the shadow chain for page pg, returning the page and the
 // object that owns it.
 func (o *Object) Lookup(pg int64) (*mem.Page, *Object) {
 	for c := o; c != nil; {
 		c.mu.Lock()
-		if p, ok := c.pages[pg]; ok {
+		if p, ok := c.pages.get(pg); ok {
 			c.mu.Unlock()
 			return p, c
 		}
@@ -325,7 +322,7 @@ func (o *Object) terminal() *Object {
 // resident page (existing or freshly filled).
 func (o *Object) pageInLocal(pg int64) (*mem.Page, error) {
 	o.mu.Lock()
-	if p, ok := o.pages[pg]; ok {
+	if p, ok := o.pages.get(pg); ok {
 		o.mu.Unlock()
 		return p, nil
 	}
@@ -342,12 +339,12 @@ func (o *Object) pageInLocal(pg int64) (*mem.Page, error) {
 		}
 	}
 	o.mu.Lock()
-	if exist, ok := o.pages[pg]; ok {
+	if exist, ok := o.pages.get(pg); ok {
 		o.mu.Unlock()
 		o.vm.PM.Free(p)
 		return exist, nil
 	}
-	o.pages[pg] = p
+	o.pages.set(pg, p)
 	o.mu.Unlock()
 	return p, nil
 }
@@ -360,7 +357,7 @@ func (o *Object) pageInLocal(pg int64) (*mem.Page, error) {
 func (o *Object) chainPage(pg int64) (*mem.Page, *Object, error) {
 	for c := o; c != nil; c = c.Backer() {
 		c.mu.Lock()
-		if p, ok := c.pages[pg]; ok {
+		if p, ok := c.pages.get(pg); ok {
 			c.mu.Unlock()
 			return p, c, nil
 		}
@@ -401,24 +398,27 @@ func (o *Object) FindPage(pg int64) (*mem.Page, error) {
 // reads the chain's page is shared; for writes a private copy lands in o
 // itself — the COW resolution.
 func (o *Object) GetPage(pg int64, forWrite bool) (*mem.Page, error) {
+	p, _, err := o.getPage(pg, forWrite)
+	return p, err
+}
+
+// getPage is GetPage that also returns the object the page is resident in.
+func (o *Object) getPage(pg int64, forWrite bool) (*mem.Page, *Object, error) {
 	o.mu.Lock()
-	if p, ok := o.pages[pg]; ok {
+	if p, ok := o.pages.get(pg); ok {
 		o.mu.Unlock()
-		return p, nil
+		return p, o, nil
 	}
 	o.mu.Unlock()
 
 	src, owner, err := o.chainPage(pg)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if owner == o {
-		// The object's own pager filled it (resident now).
-		return src, nil
-	}
-	if src != nil && !forWrite {
-		// Read access shares the lower page.
-		return src, nil
+	if owner == o || src != nil && !forWrite {
+		// The object's own pager filled it (resident now), or read access
+		// shares the lower page.
+		return src, owner, nil
 	}
 
 	// Need a private page in o: copy from below or zero fill.
@@ -430,28 +430,27 @@ func (o *Object) GetPage(pg int64, forWrite bool) (*mem.Page, error) {
 		p.Copy(src)
 	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	o.mu.Lock()
-	if exist, ok := o.pages[pg]; ok {
+	if exist, ok := o.pages.get(pg); ok {
 		// Lost a race; keep the existing page.
 		o.mu.Unlock()
 		o.vm.PM.Free(p)
-		return exist, nil
+		return exist, o, nil
 	}
-	o.pages[pg] = p
+	o.pages.set(pg, p)
 	o.mu.Unlock()
-	return p, nil
+	return p, o, nil
 }
 
 // InsertPage places a frame at page index pg, replacing and freeing any
 // existing frame. Used by restore and swap-in paths.
 func (o *Object) InsertPage(pg int64, p *mem.Page) {
 	o.mu.Lock()
-	if old, ok := o.pages[pg]; ok {
+	if old, had := o.pages.set(pg, p); had {
 		o.vm.PM.Free(old)
 	}
-	o.pages[pg] = p
 	o.mu.Unlock()
 }
 
@@ -460,11 +459,7 @@ func (o *Object) InsertPage(pg int64, p *mem.Page) {
 func (o *Object) RemovePage(pg int64) (*mem.Page, bool) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	p, ok := o.pages[pg]
-	if ok {
-		delete(o.pages, pg)
-	}
-	return p, ok
+	return o.pages.del(pg)
 }
 
 // ResidentPage returns the object's own resident page pg without walking
@@ -472,40 +467,46 @@ func (o *Object) RemovePage(pg int64) (*mem.Page, bool) {
 func (o *Object) ResidentPage(pg int64) (*mem.Page, bool) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	p, ok := o.pages[pg]
-	return p, ok
+	return o.pages.get(pg)
 }
 
 // EachPage calls fn for every resident page in ascending page order — the
 // flush path depends on the order being deterministic so that two runs of
 // the same workload submit the identical write stream (crash-replay
 // harnesses count on it). fn must not re-enter the object.
+//
+// The walk holds the object lock for one leaf of the page index (64 page
+// numbers) at a time and calls fn without it. A page removed concurrently is
+// still visited if its leaf was read before the removal; a page inserted
+// concurrently is visited only if its leaf was read after the insertion.
 func (o *Object) EachPage(fn func(pg int64, p *mem.Page)) {
-	o.mu.Lock()
-	idxs := make([]int64, 0, len(o.pages))
-	for pg := range o.pages {
-		idxs = append(idxs, pg)
-	}
-	o.mu.Unlock()
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-	for _, pg := range idxs {
+	for from := int64(0); ; { // page numbers are never negative
 		o.mu.Lock()
-		p, ok := o.pages[pg]
-		o.mu.Unlock()
-		if ok {
-			fn(pg, p)
+		base, l := o.pages.leafFrom(from)
+		if l == nil {
+			o.mu.Unlock()
+			return
 		}
+		used, slots := l.used, l.slots
+		o.mu.Unlock()
+		for s := used; s != 0; s &= s - 1 {
+			i := bits.TrailingZeros64(s)
+			fn(base+int64(i), slots[i])
+		}
+		from = base + leafSize
 	}
 }
 
 // CollapseAurora merges a fully-flushed shadow o into its backer by moving
-// o's pages down: the backer's stale versions are freed and replaced. This
-// is Aurora's reversed collapse — linear in the (few) pages of the
-// short-lived shadow rather than the (many) pages of the parent. Callers
-// must ensure o has exactly one shadow above it holding the live mapping;
-// that shadow's backer pointer is rewired to o's backer. It returns the
-// number of pages moved.
-func CollapseAurora(top, o *Object) int {
+// o's pages down, in page order under one hold of the backer's lock: the
+// backer's stale versions are freed and replaced. This is Aurora's reversed
+// collapse — linear in the (few) pages of the short-lived shadow rather than
+// the (many) pages of the parent. Callers must ensure o has exactly one
+// shadow above it holding the live mapping; that shadow's backer pointer is
+// rewired to o's backer. The PTEs of maps that translate a moved page as o's
+// follow it to the backer (Map.reownPTEs), so none is left owned by the dead
+// shadow. It returns the number of pages moved.
+func CollapseAurora(top, o *Object, maps ...*Map) int {
 	if top.Backer() != o {
 		panic("vm: CollapseAurora: top does not shadow o")
 	}
@@ -513,18 +514,31 @@ func CollapseAurora(top, o *Object) int {
 	if backer == nil {
 		panic("vm: CollapseAurora: o has no backer")
 	}
-	moved := 0
 	o.mu.Lock()
 	pages := o.pages
-	o.pages = make(map[int64]*mem.Page)
+	o.pages = table[*mem.Page]{}
 	o.mu.Unlock()
-	for pg, p := range pages {
-		backer.InsertPage(pg, p)
-		o.vm.Clk.Advance(o.vm.Costs.CollapsePerPage)
-		moved++
+	var moved []int64
+	if len(maps) > 0 {
+		moved = make([]int64, 0, pages.len())
+	}
+	backer.mu.Lock()
+	pages.each(func(pg int64, p *mem.Page) {
+		if old, had := backer.pages.set(pg, p); had {
+			o.vm.PM.Free(old)
+		}
+		if len(maps) > 0 {
+			moved = append(moved, pg)
+		}
+	})
+	backer.mu.Unlock()
+	n := pages.len()
+	o.vm.Clk.Advance(time.Duration(n) * o.vm.Costs.CollapsePerPage)
+	for _, m := range maps {
+		m.reownPTEs(o, backer, moved)
 	}
 	unlink(top, o, backer)
-	return moved
+	return n
 }
 
 // CollapseLegacy merges the backer of o upward into o by copying the
@@ -539,33 +553,26 @@ func CollapseLegacy(top, o *Object) int {
 	if backer == nil {
 		panic("vm: CollapseLegacy: o has no backer")
 	}
-	moved := 0
 	backer.mu.Lock()
-	pages := make(map[int64]*mem.Page, len(backer.pages))
-	for pg, p := range backer.pages {
-		pages[pg] = p
-	}
-	backer.pages = make(map[int64]*mem.Page)
+	pages := backer.pages
+	backer.pages = table[*mem.Page]{}
 	grandpa := backer.backer
 	backer.mu.Unlock()
-	for pg, p := range pages {
-		o.mu.Lock()
-		if _, ok := o.pages[pg]; ok {
+	o.mu.Lock()
+	pages.each(func(pg int64, p *mem.Page) {
+		if _, ok := o.pages.get(pg); ok {
 			// The shadow's version wins; the backer's page dies.
-			o.mu.Unlock()
 			o.vm.PM.Free(p)
 		} else {
-			o.pages[pg] = p
-			o.mu.Unlock()
+			o.pages.set(pg, p)
 		}
-		o.vm.Clk.Advance(o.vm.Costs.CollapsePerPage)
-		moved++
-	}
+	})
 	// o now absorbs the backer: it inherits the backer's backer.
-	o.mu.Lock()
 	old := o.backer
 	o.backer = grandpa
 	o.mu.Unlock()
+	n := pages.len()
+	o.vm.Clk.Advance(time.Duration(n) * o.vm.Costs.CollapsePerPage)
 	if old != nil {
 		old.mu.Lock()
 		old.shadows--
@@ -573,7 +580,7 @@ func CollapseLegacy(top, o *Object) int {
 		old.mu.Unlock()
 		old.Deref()
 	}
-	return moved
+	return n
 }
 
 // unlink removes o from the chain top -> o -> backer, transferring the

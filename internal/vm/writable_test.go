@@ -10,12 +10,13 @@ import (
 // These tests hold it to the full walk it replaced: the same PTEs go, the same
 // virtual time is charged, and the list stays as small as the mapping.
 
-// fullWalk is the replaced algorithm, as an oracle: every VA of the entry is
-// looked up and the writable translations are the ones a downgrade removes.
-func fullWalk(m *Map, e *Entry) (writable []uint64) {
-	for va := e.Start; va < e.End; va += PageSize {
-		if pte, ok := m.ptes[va]; ok && pte.Writable {
-			writable = append(writable, va)
+// fullWalk is the replaced algorithm, as an oracle: every page of the entry
+// is looked up in its page table and the writable translations are the ones
+// a downgrade removes.
+func fullWalk(e *Entry) (writable []int64) {
+	for slot := int64(0); slot < e.Pages(); slot++ {
+		if pte, ok := e.ptes.get(slot); ok && pte.Writable {
+			writable = append(writable, slot)
 		}
 	}
 	return writable
@@ -31,25 +32,40 @@ func checkWritableInvariant(t *testing.T, step int, maps []*Map) {
 				t.Fatalf("step %d map %d: entry [%#x,%#x) lists %d writable VAs over %d pages",
 					step, mi, e.Start, e.End, len(e.writable), e.Pages())
 			}
-			listed := make(map[uint64]bool, len(e.writable))
-			for _, va := range e.writable {
-				listed[va] = true
+			listed := make(map[int64]bool, len(e.writable))
+			for _, slot := range e.writable {
+				listed[slot] = true
 			}
-			for _, va := range fullWalk(m, e) {
-				if !listed[va] {
-					t.Fatalf("step %d map %d: writable PTE at %#x is not on its entry's list", step, mi, va)
+			for _, slot := range fullWalk(e) {
+				if !listed[slot] {
+					t.Fatalf("step %d map %d: writable PTE at %#x is not on its entry's list", step, mi, e.Start+uint64(slot)*PageSize)
 				}
 			}
 		}
 	}
 }
 
+// pteSet is the VA of every PTE of m, read from each entry's table one page
+// at a time.
 func pteSet(m *Map) map[uint64]bool {
-	out := make(map[uint64]bool, len(m.ptes))
-	for va := range m.ptes {
-		out[va] = true
+	out := make(map[uint64]bool)
+	for _, e := range m.entries {
+		for slot := int64(0); slot < e.Pages(); slot++ {
+			if _, ok := e.ptes.get(slot); ok {
+				out[e.Start+uint64(slot)*PageSize] = true
+			}
+		}
 	}
 	return out
+}
+
+// fullWalkVAs is fullWalk's pages as virtual addresses.
+func fullWalkVAs(e *Entry) []uint64 {
+	var vas []uint64
+	for _, slot := range fullWalk(e) {
+		vas = append(vas, e.Start+uint64(slot)*PageSize)
+	}
+	return vas
 }
 
 func TestWritableSetDowngradeMatchesFullWalk(t *testing.T) {
@@ -114,7 +130,7 @@ func TestWritableSetDowngradeMatchesFullWalk(t *testing.T) {
 				}
 				want, n := pteSet(m), 0
 				for _, e := range replaced {
-					for _, va := range fullWalk(m, e) {
+					for _, va := range fullWalkVAs(e) {
 						delete(want, va)
 						n++
 					}
@@ -150,7 +166,7 @@ func TestWritableSetDowngradeMatchesFullWalk(t *testing.T) {
 							continue
 						}
 						hit = true
-						for _, va := range fullWalk(mm, e) {
+						for _, va := range fullWalkVAs(e) {
 							delete(want[i], va)
 							n++
 						}
