@@ -79,17 +79,15 @@ func TestQuickRowsPinned(t *testing.T) {
 	}
 }
 
-// TestWALWindowFootprint says where walwindow's full-epoch "Used end" goes
-// as the run doubles. On the machine users boot, every commit also writes the
-// flight ring: a multi-block inline record, which allocRun can only bump,
-// and whose retired predecessors land block by block on the freelist that
-// every index serializes. So retention (64 epochs) and the deadlist stay
-// flat and the store audits clean, but the freelist grows by the ring's
-// blocks per commit and every index with it — the unbounded part ROADMAP
-// item 12 removes.
+// TestWALWindowFootprint holds walwindow's full-epoch footprint flat as the
+// run doubles. On the machine users boot every commit also rewrites the
+// flight ring, a multi-block inline record, and every index serializes the
+// store's free map. "Used end" (blocks allocated minus freed) must be the
+// same at 128 and 256 rounds, and so must retention and the deadlist; the
+// free map's run count stays bounded, so the index does not grow either.
 func TestWALWindowFootprint(t *testing.T) {
 	type footprint struct {
-		used, free, dead int64
+		used, runs, dead int64
 		retained         int
 	}
 	run := func(rounds int) footprint {
@@ -107,12 +105,18 @@ func TestWALWindowFootprint(t *testing.T) {
 		if rep := m.Audit(); !rep.OK() {
 			t.Fatalf("%d rounds: %s", rounds, rep)
 		}
-		return footprint{row.UsedEnd, int64(m.Store.FreeBlocks()), int64(m.Store.DeadBlocks()), len(m.History())}
+		return footprint{row.UsedEnd, int64(m.Store.FreeRuns()), int64(m.Store.DeadBlocks()), len(m.History())}
 	}
 	a, b := run(128), run(256)
+	t.Logf("128 -> 256 rounds: used %d -> %d blocks, free map %d -> %d runs", a.used, b.used, a.runs, b.runs)
 	if a.retained != b.retained || a.dead != b.dead {
 		t.Errorf("retention moved with the run: %d epochs / %d dead blocks at 128 rounds, %d / %d at 256",
 			a.retained, a.dead, b.retained, b.dead)
 	}
-	t.Logf("128 -> 256 rounds: used %d -> %d blocks, freelist %d -> %d", a.used, b.used, a.free, b.free)
+	if a.used != b.used {
+		t.Errorf("used end grew with the run: %d blocks at 128 rounds, %d at 256", a.used, b.used)
+	}
+	if b.runs > 64 {
+		t.Errorf("free map fragmented: %d runs after 256 rounds", b.runs)
+	}
 }

@@ -1,90 +1,135 @@
 package objstore
 
-import "slices"
+import (
+	"cmp"
+	"slices"
+)
 
-// Block allocation. The store uses a bump pointer plus a freelist refilled
-// by the deadlist scan. COW means a block is never rewritten once it holds
-// committed data; blocks become reusable only when no retained checkpoint
-// can still see them.
+// Block allocation. Every allocatable block is in one run-length free map,
+// s.free: disjoint runs in descending address order, adjacent runs merged.
+// Format seeds it with every block past the WAL region. Allocation is first
+// fit from the end of the slice — the lowest address that holds the request —
+// so a batch of single-block allocations walks up one run and transfers as
+// one vectored submit, and taking a block reslices nothing. COW means a block
+// is never rewritten once it holds committed data; blocks return to the map
+// only when no retained checkpoint can still see them.
 
-// promoteReleasedLocked moves queued releases whose omitting superblock
-// has completed (virtual time passed its transfer) into the allocatable
-// pools. Before that instant a power cut could still recover the index
-// that references them, so the allocator must not hand them out. Queue
-// entries carry monotonically increasing stamps, so a prefix scan
+// promoteReleasedLocked merges queued releases whose omitting superblock
+// has completed (virtual time passed its transfer) into the free map, one
+// pass per batch. Before that instant a power cut could still recover the
+// index that references them, so the allocator must not hand them out.
+// Queue entries carry monotonically increasing stamps, so a prefix scan
 // suffices. Requires mu.
 func (s *Store) promoteReleasedLocked() {
 	now := s.clk.Now()
 	i := 0
 	for ; i < len(s.releaseQ) && s.releaseQ[i].at <= now; i++ {
-		s.freelist = append(s.freelist, s.releaseQ[i].data...)
-		s.metaFree = append(s.metaFree, s.releaseQ[i].meta...)
+		s.spare = mergeRuns(s.spare[:0], s.free, s.releaseQ[i].runs)
+		s.free, s.spare = s.spare, s.free
 	}
 	if i > 0 {
 		s.releaseQ = append(s.releaseQ[:0], s.releaseQ[i:]...)
 	}
 }
 
-// allocBlock returns one free block address born in the current interval.
-// Requires mu.
-func (s *Store) allocBlock() (int64, error) {
-	s.promoteReleasedLocked()
-	if n := len(s.freelist); n > 0 {
-		a := s.freelist[n-1]
-		s.freelist = s.freelist[:n-1]
-		s.stats.BlocksAllocated++
-		s.bear(a, 1)
-		return a, nil
-	}
-	a := s.nextBlk * BlockSize
-	if a+BlockSize > s.dev.Size() {
-		return 0, ErrFull
-	}
-	s.nextBlk++
-	s.stats.BlocksAllocated++
-	s.bear(a, 1)
-	return a, nil
-}
-
-// allocRun returns n contiguous blocks (needed for multi-block records and
-// journal extents). Contiguity comes from the bump region, but single-block
-// runs recycle through the freelist like any block — otherwise a
-// long-running store's per-checkpoint metadata (records, indexes) would
-// only ever bump while their freed predecessors pile up in the freelist,
-// which is itself serialized into every index: the store would grow
-// quadratically while idle. Requires mu.
+// allocRun returns n contiguous free blocks, born in the current interval:
+// the low end of the lowest run that holds them. Requires mu.
 func (s *Store) allocRun(n int64) (int64, error) {
-	if n == 1 {
-		return s.allocBlock()
+	s.promoteReleasedLocked()
+	for i := len(s.free) - 1; i >= 0; i-- {
+		r := &s.free[i]
+		if r.n < n {
+			continue
+		}
+		addr := r.addr
+		r.addr, r.n = r.addr+n*BlockSize, r.n-n
+		if r.n == 0 {
+			s.free = slices.Delete(s.free, i, i+1)
+		}
+		s.stats.BlocksAllocated += n
+		s.bear(addr, n)
+		return addr, nil
 	}
-	a := s.nextBlk * BlockSize
-	if a+n*BlockSize > s.dev.Size() {
-		return 0, ErrFull
-	}
-	s.nextBlk += n
-	s.stats.BlocksAllocated += n
-	s.bear(a, n)
-	return a, nil
+	return 0, ErrFull
 }
 
-// allocMetaRun returns n contiguous blocks for checkpoint indexes,
-// preferring the recycled metadata pool over the bump region. Requires mu.
-func (s *Store) allocMetaRun(n int64) (int64, error) {
-	s.promoteReleasedLocked()
-	for i, r := range s.metaFree {
-		if r.n >= n {
-			addr := r.addr
-			if r.n == n {
-				s.metaFree = append(s.metaFree[:i], s.metaFree[i+1:]...)
-			} else {
-				s.metaFree[i] = blockRun{addr: r.addr + n*BlockSize, n: r.n - n}
-			}
-			s.stats.BlocksAllocated += n
-			s.bear(addr, n)
-			return addr, nil
+// findRun is the index of the first run of the free map at or below addr.
+// Requires mu.
+func (s *Store) findRun(addr int64) int {
+	i, _ := slices.BinarySearchFunc(s.free, addr, func(r blockRun, a int64) int { return cmp.Compare(a, r.addr) })
+	return i
+}
+
+// freeRun returns the n blocks from addr to the free map at once, merged with
+// the runs either side of them. Requires mu.
+func (s *Store) freeRun(addr, n int64) {
+	i := s.findRun(addr)
+	below := i < len(s.free) && s.free[i].end() == addr
+	above := i > 0 && addr+n*BlockSize == s.free[i-1].addr
+	switch {
+	case above && below:
+		s.free[i-1] = blockRun{s.free[i].addr, s.free[i].n + n + s.free[i-1].n}
+		s.free = slices.Delete(s.free, i, i+1)
+	case above:
+		s.free[i-1] = blockRun{addr, n + s.free[i-1].n}
+	case below:
+		s.free[i].n += n
+	default:
+		s.free = slices.Insert(s.free, i, blockRun{addr, n})
+	}
+}
+
+// claimRun takes the n blocks from addr out of the free map. It reports
+// false, with the map unchanged, unless one free run holds them all.
+// Requires mu.
+func (s *Store) claimRun(addr, n int64) bool {
+	i := s.findRun(addr)
+	if n <= 0 || addr%BlockSize != 0 || i == len(s.free) || addr+n*BlockSize > s.free[i].end() {
+		return false
+	}
+	r := s.free[i]
+	lo := blockRun{r.addr, (addr - r.addr) / BlockSize}
+	s.free[i] = blockRun{addr + n*BlockSize, r.n - n - lo.n} // what is left above
+	if lo.n > 0 {
+		s.free = slices.Insert(s.free, i+1, lo)
+	}
+	if s.free[i].n == 0 {
+		s.free = slices.Delete(s.free, i, i+1)
+	}
+	return true
+}
+
+// mergeRuns appends the union of the descending run lists a and b to dst,
+// descending, with adjacent runs merged. dst may be a[:0] when b is empty.
+func mergeRuns(dst, a, b []blockRun) []blockRun {
+	for len(a) > 0 || len(b) > 0 {
+		var r blockRun
+		if len(b) == 0 || len(a) > 0 && a[0].addr > b[0].addr {
+			r, a = a[0], a[1:]
+		} else {
+			r, b = b[0], b[1:]
+		}
+		if n := len(dst); n > 0 && r.end() == dst[n-1].addr {
+			dst[n-1] = blockRun{r.addr, dst[n-1].n + r.n}
+		} else {
+			dst = append(dst, r)
 		}
 	}
-	return s.allocRun(n)
+	return dst
+}
+
+// union is mergeRuns into a fresh slice, or a itself when b is empty.
+func union(a, b []blockRun) []blockRun {
+	if len(b) == 0 {
+		return a
+	}
+	return mergeRuns(make([]blockRun, 0, len(a)+len(b)), a, b)
+}
+
+// coalesce sorts runs descending and merges adjacent ones, in place.
+func coalesce(runs []blockRun) []blockRun {
+	slices.SortFunc(runs, func(x, y blockRun) int { return cmp.Compare(y.addr, x.addr) })
+	return mergeRuns(runs[:0], runs, nil)
 }
 
 // bear records the n blocks from addr as born in the current interval,
@@ -114,16 +159,16 @@ func (s *Store) retireBlock(addr int64) {
 	}
 	cur := s.curEpoch()
 	if birth == cur {
-		if s.walSeq > 0 || s.claimed != nil {
+		if s.walSeq > 0 {
 			// A committed WAL frame of this interval may reference the
 			// block: until the fold's superblock is durable, replaying that
 			// frame needs it intact. Stage it like a release — serialized
 			// as free in the folding index, allocatable only once the fold
 			// can no longer be rolled back by a crash.
-			s.releasing = append(s.releasing, addr)
+			s.releasing = append(s.releasing, blockRun{addr, 1})
 		} else {
 			// Never visible to any checkpoint: reuse at once.
-			s.freelist = append(s.freelist, addr)
+			s.freeRun(addr, 1)
 		}
 		s.stats.BlocksFreed++
 		return
@@ -142,23 +187,16 @@ func (s *Store) retireRun(addr, n int64) {
 // the release stage; they become allocatable once the next commit is
 // durable. Requires mu.
 func (s *Store) sweepDeadlist() int {
-	if len(s.deadlist) == 0 {
-		return 0
-	}
 	// A block with lifetime [birth, freedAt) is still needed iff some
 	// retained checkpoint epoch R satisfies birth <= R < freedAt. The live
 	// table never references deadlist blocks, so the current epoch is not
 	// a holder.
-	retained := make([]Epoch, 0, len(s.retained))
-	for _, c := range s.retained {
-		retained = append(retained, c.epoch)
-	}
 	freed := 0
 	kept := s.deadlist[:0]
 	for _, db := range s.deadlist {
 		held := false
-		for _, r := range retained {
-			if r >= db.birth && r < db.freedAt {
+		for _, c := range s.retained {
+			if r := c.epoch; r >= db.birth && r < db.freedAt {
 				held = true
 				break
 			}
@@ -166,7 +204,7 @@ func (s *Store) sweepDeadlist() int {
 		if held {
 			kept = append(kept, db)
 		} else {
-			s.releasing = append(s.releasing, db.addr)
+			s.releasing = append(s.releasing, blockRun{db.addr, 1})
 			s.stats.BlocksFreed++
 			freed++
 		}
@@ -182,10 +220,10 @@ func (s *Store) sweepDeadlist() int {
 //
 // The reclaimed blocks are NOT allocatable immediately: until the next
 // superblock is durable, a crash still recovers an index that references
-// the released history. Frees therefore stage in releasing/releasingMeta,
-// move to releaseQ at the next commit, and are promoted once virtual time
-// passes that commit's superblock completion. The most recent checkpoint
-// can never be released.
+// the released history. Frees therefore stage in releasing, move to releaseQ
+// at the next commit, and are promoted once virtual time passes that
+// commit's superblock completion. The most recent checkpoint can never be
+// released.
 func (s *Store) ReleaseCheckpointsBefore(epoch Epoch) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -201,9 +239,7 @@ func (s *Store) releaseBeforeLocked(epoch Epoch) int {
 			kept = append(kept, c)
 			continue
 		}
-		// Index runs recycle through the in-memory metadata pool, never
-		// the serialized freelist (see metaFree).
-		s.releasingMeta = append(s.releasingMeta, blockRun{addr: c.indexAddr, n: blocksFor(c.indexLen)})
+		s.releasing = append(s.releasing, blockRun{c.indexAddr, blocksFor(c.indexLen)})
 		s.stats.BlocksFreed += blocksFor(c.indexLen)
 		freed += int(blocksFor(c.indexLen))
 		delete(s.durableAt, c.epoch)
@@ -223,12 +259,25 @@ func (s *Store) RetainedCheckpoints() []Epoch {
 	return out
 }
 
-// FreeBlocks reports the current freelist length (for tests and tooling).
+// FreeBlocks reports how many blocks the free map holds, never-used space
+// included (for tests and tooling).
 func (s *Store) FreeBlocks() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.promoteReleasedLocked()
-	return len(s.freelist)
+	n := int64(0)
+	for _, r := range s.free {
+		n += r.n
+	}
+	return int(n)
+}
+
+// FreeRuns reports how many runs the free map holds (for tests and tooling).
+func (s *Store) FreeRuns() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.promoteReleasedLocked()
+	return len(s.free)
 }
 
 // DeadBlocks reports the deadlist length (for tests and tooling).

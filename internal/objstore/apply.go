@@ -6,7 +6,7 @@ package objstore
 // next WAL frame. Recovery decodes the same ops from the frames and hands
 // them to the same apply: the replayed mutation and the live one are one
 // body, and the only thing replay adds is claimWALBlock, reconciling the
-// allocator with blocks the live mutator had allocated itself. DESIGN.md
+// free map with blocks the live mutator had allocated itself. DESIGN.md
 // ("The store's mutation table") lists, per op kind, who notes it and what
 // apply does.
 
@@ -74,7 +74,9 @@ func (s *Store) applyPage(op *walOp) error {
 	if err != nil {
 		return err
 	}
-	s.claimWALBlock(op.addr)
+	if err := s.claimWALBlock(op.addr, 1); err != nil {
+		return err
+	}
 	slot := op.pg % ChunkFanout
 	if old := c.addrs[slot]; old != op.addr {
 		s.retireBlock(old)
@@ -141,10 +143,10 @@ func (s *Store) applyJournal(op *walOp) error {
 		if err := s.dropChunks(o); err != nil {
 			return err
 		}
-		o.inline = nil
-		for i := int64(0); i < op.size; i++ {
-			s.claimWALBlock(op.addr + i*BlockSize)
+		if err := s.claimWALBlock(op.addr, op.size); err != nil {
+			return err
 		}
+		o.inline = nil
 		o.journal = &journalState{
 			extentAddr: op.addr,
 			capBlocks:  op.size,
@@ -194,7 +196,7 @@ func makePaged(o *object) {
 
 // shrinkSlots retires the page slots at and past the last page of size, and
 // the chunks that leaves empty. It walks in chunk order: what it retires
-// feeds the freelist, and the freelist feeds the deterministic submit stream
+// feeds the free map, and the free map feeds the deterministic submit stream
 // the crash harness replays. Requires mu.
 func (s *Store) shrinkSlots(o *object, size int64) error {
 	lastPg := blocksFor(size) // first page index to drop

@@ -1,8 +1,9 @@
 package objstore
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // AuditLive checks the store's in-memory structures against each other —
@@ -19,28 +20,25 @@ func (s *Store) AuditLive() []string {
 		problems = append(problems, "store: "+fmt.Sprintf(format, args...))
 	}
 
-	// Claim map: every record run, journal extent, block-map chunk block,
-	// retained index and free-pool entry, claimed at most once, inside the
-	// device, and off the superblocks. Data pages are not claimed: they are
-	// Fsck's job. Machine.Restore runs this audit inside the restore that
-	// the benchmark times, so one map insert per resident page would land
-	// on host_restore_us_p50.
+	// Claims: every record run, journal extent, block-map chunk block,
+	// retained index, free run, staged or queued release and deadlist block,
+	// inside the data region and overlapping no other. Data pages are not
+	// claimed: they are Fsck's job. Machine.Restore runs this audit inside
+	// the restore that the benchmark times, and the free map spans the whole
+	// unused device, so claims stay runs: sorted once, swept once.
 	limit := s.dev.Size()
 	dataStart := s.dataStart()
-	claimed := make(map[int64]string)
+	type claimed struct {
+		blockRun
+		what string
+	}
+	var claims []claimed
 	claim := func(addr, n int64, what string) {
-		if addr < dataStart || addr%BlockSize != 0 || addr+n*BlockSize > limit {
+		if addr < dataStart || addr%BlockSize != 0 || n <= 0 || n > (limit-addr)/BlockSize {
 			prob("%s claims out-of-range run [%d,+%d blocks)", what, addr, n)
 			return
 		}
-		for i := int64(0); i < n; i++ {
-			blk := addr + i*BlockSize
-			if prev, ok := claimed[blk]; ok {
-				prob("block %d claimed by both %s and %s", blk, prev, what)
-				return
-			}
-			claimed[blk] = what
-		}
+		claims = append(claims, claimed{blockRun{addr, n}, what})
 	}
 
 	for _, oid := range s.oids() {
@@ -71,22 +69,18 @@ func (s *Store) AuditLive() []string {
 		prob("newest retained epoch %d != committed epoch %d", s.retained[n-1].epoch, s.epoch)
 	}
 
-	// The free map must not alias anything live metadata owns.
-	for _, a := range s.freelist {
-		claim(a, 1, "freelist")
+	for i, r := range s.free {
+		claim(r.addr, r.n, "free map")
+		if i > 0 && r.addr >= s.free[i-1].addr {
+			prob("free map out of order at run %d", i)
+		}
 	}
-	for _, r := range s.metaFree {
-		claim(r.addr, r.n, "metadata pool")
-	}
-	for _, a := range s.releasing {
-		claim(a, 1, "staged release")
+	for _, r := range s.releasing {
+		claim(r.addr, r.n, "staged release")
 	}
 	for qi, q := range s.releaseQ {
-		for _, a := range q.data {
-			claim(a, 1, "release queue")
-		}
-		for _, r := range q.meta {
-			claim(r.addr, r.n, "release queue (meta)")
+		for _, r := range q.runs {
+			claim(r.addr, r.n, "release queue")
 		}
 		if qi > 0 && q.at < s.releaseQ[qi-1].at {
 			prob("release queue stamps out of order at entry %d", qi)
@@ -101,6 +95,16 @@ func (s *Store) AuditLive() []string {
 			prob("deadlist block %d has lifetime [%d,%d)", db.addr, db.birth, db.freedAt)
 		}
 	}
+	slices.SortFunc(claims, func(x, y claimed) int { return cmp.Compare(x.addr, y.addr) })
+	var reach claimed // the claim reaching furthest so far
+	for _, c := range claims {
+		if c.addr < reach.end() {
+			prob("block %d claimed by both %s and %s", c.addr, reach.what, c.what)
+		}
+		if c.end() > reach.end() {
+			reach = c
+		}
+	}
 
 	// Durability times must be monotone in epoch: a later checkpoint can
 	// never become durable before an earlier one (an ordered Submit puts
@@ -109,7 +113,7 @@ func (s *Store) AuditLive() []string {
 	for e := range s.durableAt {
 		epochs = append(epochs, e)
 	}
-	sort.Slice(epochs, func(i, j int) bool { return epochs[i] < epochs[j] })
+	slices.Sort(epochs)
 	for i := 1; i < len(epochs); i++ {
 		if s.durableAt[epochs[i]] < s.durableAt[epochs[i-1]] {
 			prob("epoch %d durable at %v before epoch %d at %v",
@@ -118,14 +122,6 @@ func (s *Store) AuditLive() []string {
 	}
 	if len(epochs) > 0 && epochs[len(epochs)-1] > s.epoch {
 		prob("durability recorded for uncommitted epoch %d (committed %d)", epochs[len(epochs)-1], s.epoch)
-	}
-
-	if s.nextBlk*BlockSize > limit {
-		prob("bump pointer %d beyond device (%d blocks)", s.nextBlk, limit/BlockSize)
-	}
-	if s.nextBlk*BlockSize < dataStart {
-		prob("bump pointer %d inside reserved region (data starts at block %d)",
-			s.nextBlk, dataStart/BlockSize)
 	}
 
 	// WAL ring geometry: the head stays inside the reserved region on a

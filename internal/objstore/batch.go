@@ -22,8 +22,7 @@ import (
 //     free: the pages are walked in device-address order and each contiguous
 //     block run becomes one vectored submit, so per-page device commands
 //     collapse into per-run ones without staging a contiguous copy. (The
-//     allocator hands sequential batches contiguous runs: ascending from the
-//     bump region, descending off the freelist.)
+//     allocator hands sequential batches ascending runs of the free map.)
 //  3. Publish: one page op per write, through mutate, swings the chunk slot
 //     to the new block and retires the superseded one — the op replay will
 //     apply.
@@ -120,7 +119,7 @@ func (s *Store) writePagesLocked(o *object, sp trace.Span, writes ...PageWrite) 
 			s.unreserve(addrs)
 			return err
 		}
-		a, err := s.allocBlock()
+		a, err := s.allocRun(1)
 		if err != nil {
 			s.unreserve(addrs)
 			return err

@@ -83,7 +83,7 @@ func (s *Store) CheckpointRetaining(retain int) (st CheckpointStats, err error) 
 			if !c.dirty {
 				continue
 			}
-			addr, err := s.allocBlock()
+			addr, err := s.allocRun(1)
 			if err != nil {
 				return st, err
 			}
@@ -118,41 +118,25 @@ func (s *Store) CheckpointRetaining(retain int) (st CheckpointStats, err error) 
 	// 2. Retention: history beyond the bound leaves the retained list and the
 	// deadlist BEFORE the index is encoded, so one commit per boot converges.
 	// The blocks stage until this superblock is durable (step 6).
-	nRet, nData, nMeta := len(s.retained), len(s.releasing), len(s.releasingMeta)
+	nRet, released := len(s.retained), 0
 	if retain > 0 && cur > Epoch(retain) {
-		s.releaseBeforeLocked(cur - Epoch(retain) + 1)
+		released = s.releaseBeforeLocked(cur - Epoch(retain) + 1)
 	}
-	phase.End(trace.I("epochs", int64(nRet-len(s.retained))),
-		trace.I("data_blocks", int64(len(s.releasing)-nData)),
-		trace.I("index_runs", int64(len(s.releasingMeta)-nMeta)))
+	phase.End(trace.I("epochs", int64(nRet-len(s.retained))), trace.I("blocks", int64(released)))
 	phase = commitSpan.Child("index")
 
-	// 3. Build and write the index. The index's own run must be allocated
-	// BEFORE the final encode: allocation can pop the freelist and advance
-	// nextBlk, both of which are serialized inside the index. (Encoding
-	// first and patching afterwards — the old scheme — serialized a stale
-	// freelist that could still list the index's own block, letting a
-	// post-recovery allocation overwrite a retained index.) The run is sized
-	// from the pre-allocation list lengths; allocation only ever shrinks the
-	// encoded state, so the real index always fits and any over-allocated
-	// tail returns to the metadata pool.
-	nFree := len(s.freelist) + len(s.releasing)
-	for _, q := range s.releaseQ {
-		nFree += len(q.data)
-	}
-	idxRun := blocksFor(indexLen(nFree, len(s.deadlist), len(s.retained), len(s.objects)))
-	idxAddr, err := s.allocMetaRun(idxRun)
+	// 3. Build and write the index. Its map is encoded BEFORE the index's
+	// own run is carved out of it, so the index never describes its own
+	// storage and its size is known before it is placed: the superblock
+	// names the run, and loadIndex takes it back out of the map it loads.
+	s.releasing = coalesce(s.releasing)
+	e := encodeIndex(s.indexState(cur))
+	idxLen := int64(e.Len()) + 4
+	idxAddr, err := s.allocRun(blocksFor(idxLen))
 	if err != nil {
 		return st, err
 	}
-	e := encodeIndex(s.indexState(cur))
-	idxLen := int64(e.Len()) + 4
-	if extra := idxRun - blocksFor(idxLen); extra > 0 {
-		s.metaFree = append(s.metaFree, blockRun{addr: idxAddr + blocksFor(idxLen)*BlockSize, n: extra})
-		clear(s.birthOf[idxAddr/BlockSize+blocksFor(idxLen) : idxAddr/BlockSize+idxRun])
-	}
-	idxBytes := e.Seal()
-	if _, err := s.submitLocked(idxBytes, idxAddr, 0); err != nil {
+	if _, err := s.submitLocked(e.Seal(), idxAddr, 0); err != nil {
 		return st, err
 	}
 	st.MetaBytes += idxLen
@@ -179,10 +163,7 @@ func (s *Store) CheckpointRetaining(retain int) (st CheckpointStats, err error) 
 
 	// 5. The committed checkpoint joins retained history. Its index
 	// blocks are deliberately NOT deadlisted: their lifetime is implied
-	// by the retained list itself (freed directly when the checkpoint is
-	// released). Serializing them into the index would make the index
-	// describe its own storage — self-referential metadata whose size
-	// compounds every epoch.
+	// by the retained list itself (released with the checkpoint).
 	s.retained = append(s.retained, ckptInfo{epoch: cur, indexAddr: idxAddr, indexLen: idxLen})
 	clear(s.birthOf[idxAddr/BlockSize : idxAddr/BlockSize+blocksFor(idxLen)])
 	s.epoch = cur
@@ -195,12 +176,10 @@ func (s *Store) CheckpointRetaining(retain int) (st CheckpointStats, err error) 
 	// the wire, but a power cut before its transfer completes would recover
 	// the previous index — which still needs these blocks intact. They
 	// become allocatable only once virtual time passes sbDone (see
-	// promoteReleasedLocked). Data blocks were already serialized into this
-	// index's freelist (see indexState); index runs recycle through the
-	// in-memory metadata pool as ever.
-	if len(s.releasing) > 0 || len(s.releasingMeta) > 0 {
-		s.releaseQ = append(s.releaseQ, stagedRelease{at: sbDone, data: s.releasing, meta: s.releasingMeta})
-		s.releasing, s.releasingMeta = nil, nil
+	// promoteReleasedLocked), though this index's map already lists them.
+	if len(s.releasing) > 0 {
+		s.releaseQ = append(s.releaseQ, stagedRelease{at: sbDone, runs: s.releasing})
+		s.releasing = nil
 	}
 	s.promoteReleasedLocked()
 
@@ -258,30 +237,23 @@ func (s *Store) persistFlight() {
 	s.mu.Unlock()
 }
 
-// indexState snapshots the allocator and object table for encoding. Staged
-// released blocks are serialized as free — if this commit's superblock
-// lands they are genuinely unreferenced, and if it doesn't, recovery reads
-// an older index that never listed them. Requires mu.
+// indexState snapshots the free map and object table for encoding. Queued
+// and staged (coalesced) releases are free in this epoch's map — if this
+// commit's superblock lands they are genuinely unreferenced, and if it
+// doesn't, recovery reads an older index that never listed them — even
+// though the allocator cannot touch them yet. Requires mu.
 func (s *Store) indexState(cur Epoch) *indexState {
 	idx := &indexState{
 		epoch:    cur,
 		nextOID:  s.nextOID,
-		nextBlk:  s.nextBlk,
-		freelist: s.freelist,
+		free:     s.free,
 		deadlist: s.deadlist,
 		retained: s.retained,
 	}
-	if len(s.releasing) > 0 || len(s.releaseQ) > 0 {
-		// Queued and currently-staged released data blocks are free in this
-		// epoch's view (its retained list omits the history that held them),
-		// even though the in-memory allocator cannot touch them yet.
-		fl := make([]int64, 0, len(s.freelist)+len(s.releasing))
-		fl = append(fl, s.freelist...)
-		for _, q := range s.releaseQ {
-			fl = append(fl, q.data...)
-		}
-		idx.freelist = append(fl, s.releasing...)
+	for _, q := range s.releaseQ {
+		idx.free = union(idx.free, q.runs)
 	}
+	idx.free = union(idx.free, s.releasing)
 	for _, oid := range s.oids() {
 		o := s.objects[oid]
 		idx.objects = append(idx.objects, indexEntry{oid: oid, addr: o.recordAddr, len: o.recordLen})
@@ -350,8 +322,10 @@ func (s *Store) loadIndex(addr, length int64, sp trace.Span) error {
 		return err
 	}
 	s.nextOID = idx.nextOID
-	s.nextBlk = idx.nextBlk
-	s.freelist = idx.freelist
+	s.free = idx.free
+	if !s.claimRun(addr, blocksFor(length)) {
+		return fmt.Errorf("%w: index at %#x is not free in its own map", ErrCorrupt, addr)
+	}
 	s.deadlist = idx.deadlist
 	s.retained = append(idx.retained, ckptInfo{epoch: idx.epoch, indexAddr: addr, indexLen: length})
 	s.image = image{s: s, objects: objects}
@@ -397,7 +371,7 @@ func (s *Store) fetchIndex(addr, length int64) (*indexState, error) {
 	if err != nil {
 		return nil, err
 	}
-	return decodeIndex(buf)
+	return decodeIndex(buf, s.dataStart(), s.dev.Size())
 }
 
 // fetchRecord reads and decodes an object record.

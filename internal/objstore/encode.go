@@ -14,10 +14,11 @@ import (
 	"aurora/internal/rec"
 )
 
-// Magic numbers for the on-device structures.
+// Magic numbers for the on-device structures. IndexMagic, the first word of
+// every checkpoint index, is the one tools (and tests) look for on raw media.
 const (
 	magicSuper  = 0x41525342 // "ARSB"
-	magicIndex  = 0x41524958 // "ARIX"
+	IndexMagic  = 0x4152494D // "ARIM": an index whose free map is runs
 	magicRecord = 0x41524F42 // "AROB"
 	magicFrame  = 0x4152464D // "ARFM"
 	magicWAL    = 0x4152574C // "ARWL"
@@ -89,7 +90,7 @@ func sortedChunkIdxs(o *object) []int64 {
 
 // chunkIdxs lists every chunk of the object in index order: the order a walk
 // that retires blocks or faults chunks must keep, because the first feeds the
-// freelist and the second hits the device and the trace.
+// free map and the second hits the device and the trace.
 func chunkIdxs(o *object) []int64 {
 	idxs := make([]int64, 0, len(o.chunks))
 	for ci := range o.chunks {
@@ -182,8 +183,7 @@ func decodeChunk(c *chunk, b []byte) error {
 type indexState struct {
 	epoch    Epoch
 	nextOID  OID
-	nextBlk  int64
-	freelist []int64
+	free     []blockRun // the free map, its own run included (see loadIndex)
 	deadlist []deadBlock
 	retained []ckptInfo
 	objects  []indexEntry
@@ -196,18 +196,16 @@ type indexEntry struct {
 }
 
 // encodeIndex serializes a checkpoint index, returning the unsealed body.
-// The caller encodes from post-allocation state (the index's own blocks are
-// allocated before the final encode), so no field patching is needed.
 func encodeIndex(st *indexState) *rec.Encoder {
 	var e rec.Encoder
-	e.Grow(int(indexLen(len(st.freelist), len(st.deadlist), len(st.retained), len(st.objects))))
-	e.U32(magicIndex)
+	e.Grow(int(indexLen(len(st.free), len(st.deadlist), len(st.retained), len(st.objects))))
+	e.U32(IndexMagic)
 	e.U64(uint64(st.epoch))
 	e.U64(uint64(st.nextOID))
-	e.I64(st.nextBlk)
-	e.U32(uint32(len(st.freelist)))
-	for _, a := range st.freelist {
-		e.I64(a)
+	e.U32(uint32(len(st.free)))
+	for _, r := range st.free {
+		e.I64(r.addr)
+		e.I64(r.n)
 	}
 	e.U32(uint32(len(st.deadlist)))
 	for _, db := range st.deadlist {
@@ -232,26 +230,33 @@ func encodeIndex(st *indexState) *rec.Encoder {
 
 // indexLen is the sealed size of an index with the given list lengths: the
 // fixed header, four counted lists and the CRC.
-func indexLen(free, dead, retained, objects int) int64 {
-	return 4 + 3*8 + 4*4 + 8*int64(free) + 24*int64(dead+retained+objects) + 4
+func indexLen(runs, dead, retained, objects int) int64 {
+	return 4 + 2*8 + 4*4 + 16*int64(runs) + 24*int64(dead+retained+objects) + 4
 }
 
-// decodeIndex parses a checkpoint index.
-func decodeIndex(b []byte) (*indexState, error) {
+// decodeIndex parses a checkpoint index of a store whose data region is
+// [lo, hi). Its free map must be aligned, non-empty runs inside the region,
+// in descending order without overlap.
+func decodeIndex(b []byte, lo, hi int64) (*indexState, error) {
 	d, err := openSealed(b)
 	if err != nil {
 		return nil, err
 	}
-	if d.U32() != magicIndex {
+	if d.U32() != IndexMagic {
 		return nil, fmt.Errorf("%w: bad index magic", ErrCorrupt)
 	}
 	st := &indexState{
 		epoch:   Epoch(d.U64()),
 		nextOID: OID(d.U64()),
-		nextBlk: d.I64(),
 	}
 	for i, n := 0, int(d.U32()); i < n && d.Err() == nil; i++ {
-		st.freelist = append(st.freelist, d.I64())
+		r := blockRun{addr: d.I64(), n: d.I64()}
+		if d.Err() == nil && (r.addr%BlockSize != 0 || r.n <= 0 || r.addr < lo || r.n > (hi-r.addr)/BlockSize) {
+			return nil, fmt.Errorf("%w: free run %d [%#x,+%d blocks) is unaligned, empty, out of order or outside [%#x,%#x)",
+				ErrCorrupt, i, r.addr, r.n, lo, hi)
+		}
+		hi = r.addr // the next run ends at or below this one
+		st.free = append(st.free, r)
 	}
 	for i, n := 0, int(d.U32()); i < n && d.Err() == nil; i++ {
 		st.deadlist = append(st.deadlist, deadBlock{

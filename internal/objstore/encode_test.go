@@ -2,6 +2,8 @@ package objstore
 
 import (
 	"errors"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -131,25 +133,55 @@ func TestIndexCodecRoundTrip(t *testing.T) {
 	st := &indexState{
 		epoch:    5,
 		nextOID:  100,
-		nextBlk:  777,
-		freelist: []int64{4096, 8192},
+		free:     []blockRun{{40960, 3}, {8192, 1}},
 		deadlist: []deadBlock{{addr: 12288, birth: 2, freedAt: 4}},
 		retained: []ckptInfo{{epoch: 3, indexAddr: 16384, indexLen: 100}},
 		objects:  []indexEntry{{oid: 9, addr: 20480, len: 50}},
 	}
 	e := encodeIndex(st)
-	got, err := decodeIndex(e.Seal())
+	got, err := decodeIndex(e.Seal(), 8192, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.epoch != 5 || got.nextOID != 100 || got.nextBlk != 777 {
+	if got.epoch != 5 || got.nextOID != 100 {
 		t.Fatalf("header %+v", got)
 	}
-	if len(got.freelist) != 2 || len(got.deadlist) != 1 || len(got.retained) != 1 || len(got.objects) != 1 {
+	if !slices.Equal(got.free, st.free) || len(got.deadlist) != 1 || len(got.retained) != 1 || len(got.objects) != 1 {
 		t.Fatalf("lists %+v", got)
 	}
 	if got.deadlist[0] != st.deadlist[0] || got.objects[0] != st.objects[0] {
 		t.Fatal("entries mismatch")
+	}
+}
+
+// TestDecodeIndexRefusesBadRuns: an index's free map is outside input. A run
+// that is unaligned, empty, overlapping or out of order, or outside the data
+// region, fails the decode as ErrCorrupt; so does an index written before the
+// map was runs, on its magic.
+func TestDecodeIndexRefusesBadRuns(t *testing.T) {
+	const lo, hi = 8192, 1 << 20
+	for _, tc := range []struct {
+		name string
+		free []blockRun
+	}{
+		{"unaligned", []blockRun{{40961, 1}}},
+		{"empty", []blockRun{{40960, 0}}},
+		{"negative", []blockRun{{40960, -1}}},
+		{"overlapping", []blockRun{{40960, 3}, {36864, 2}}},
+		{"out of order", []blockRun{{8192, 1}, {40960, 1}}},
+		{"below the region", []blockRun{{4096, 1}}},
+		{"past the end", []blockRun{{hi - BlockSize, 2}}},
+		{"overflowing", []blockRun{{40960, 1 << 62}}},
+	} {
+		if _, err := decodeIndex(encodeIndex(&indexState{free: tc.free}).Seal(), lo, hi); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: decode = %v, want ErrCorrupt", tc.name, err)
+		}
+	}
+	var old rec.Encoder
+	old.U32(0x41524958) // "ARIX", the per-block freelist's index
+	old.U64(5)
+	if _, err := decodeIndex(old.Seal(), lo, hi); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "magic") {
+		t.Fatalf("old-format index: decode = %v, want ErrCorrupt on its magic", err)
 	}
 }
 

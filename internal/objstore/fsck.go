@@ -3,6 +3,7 @@ package objstore
 import (
 	"fmt"
 	"hash/crc32"
+	"maps"
 	"slices"
 )
 
@@ -104,10 +105,11 @@ func (s *Store) Fsck() FsckReport {
 		}
 	}
 
-	// Free and dead blocks must not alias live references.
-	for _, a := range s.freelist {
-		if holder, ok := seen[a]; ok {
-			rep.problemf("free block %#x also referenced by object %d", a, holder)
+	// Free and dead blocks must not alias live references: each live block
+	// is looked up in the free map, in address order.
+	for _, a := range slices.Sorted(maps.Keys(seen)) {
+		if i := s.findRun(a); i < len(s.free) && a < s.free[i].end() {
+			rep.problemf("free block %#x also referenced by object %d", a, seen[a])
 		}
 	}
 	for _, db := range s.deadlist {

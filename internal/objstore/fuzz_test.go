@@ -85,7 +85,7 @@ func FuzzDecodeIndex(f *testing.F) {
 		if _, err := dev.ReadAt(b, c.indexAddr); err != nil {
 			f.Fatal(err)
 		}
-		if _, err := decodeIndex(b); err != nil {
+		if _, err := decodeIndex(b, s.dataStart(), dev.Size()); err != nil {
 			f.Fatalf("seed index of epoch %d undecodable: %v", c.epoch, err)
 		}
 		f.Add(b)
@@ -93,14 +93,14 @@ func FuzzDecodeIndex(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		st, err := decodeIndex(data)
+		st, err := decodeIndex(data, s.dataStart(), dev.Size())
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("decode error %v is not ErrCorrupt", err)
 			}
 			return
 		}
-		again, err := decodeIndex(encodeIndex(st).Seal())
+		again, err := decodeIndex(encodeIndex(st).Seal(), s.dataStart(), dev.Size())
 		if err != nil {
 			t.Fatalf("re-encoded index undecodable: %v", err)
 		}

@@ -245,14 +245,11 @@ func (s *Store) Truncate(oid OID, size int64) error {
 	return s.truncateLocked(o, size)
 }
 
-// truncateLocked resizes o and notes the size op. Live, the tail slots are
-// retired before the zeroed partial page is rewritten (its block may be one
-// of them); the log carries that page's op ahead of the size op, so replay
-// publishes the page and then retires the tail. Both orders stay — each one's
-// freelist is on the media — and share apply's walk. Requires mu.
+// truncateLocked resizes o: the tail slots are retired, then the zeroed
+// partial page is rewritten (into a block the shrink may just have freed),
+// and the log carries the two ops in that order. Requires mu.
 func (s *Store) truncateLocked(o *object, size int64) error {
-	op := &walOp{kind: walOpSize, oid: o.oid, size: size}
-	if err := s.apply(op); err != nil {
+	if err := s.mutate(&walOp{kind: walOpSize, oid: o.oid, size: size}); err != nil {
 		return err
 	}
 	// Zero the partial tail page so stale bytes never reappear on regrow.
@@ -265,12 +262,9 @@ func (s *Store) truncateLocked(o *object, size int64) error {
 		}
 		if found {
 			clear(page[in:])
-			if err := s.writePagesLocked(o, trace.Span{}, PageWrite{pg, page}); err != nil {
-				return err
-			}
+			return s.writePagesLocked(o, trace.Span{}, PageWrite{pg, page})
 		}
 	}
-	s.walNote(op)
 	return nil
 }
 

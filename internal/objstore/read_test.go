@@ -28,7 +28,7 @@ func openImageSerial(s *Store, addr, length int64) (*indexState, map[OID]*object
 	if _, err := s.dev.ReadAt(buf, addr); err != nil {
 		return nil, nil, err
 	}
-	idx, err := decodeIndex(buf)
+	idx, err := decodeIndex(buf, s.dataStart(), s.dev.Size())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -71,8 +71,10 @@ func recoverSerial(dev BlockDev, clk clock.Clock, costs *clock.Costs) (*Store, e
 	if err != nil {
 		return nil, err
 	}
-	s.nextOID, s.nextBlk = idx.nextOID, idx.nextBlk
-	s.freelist, s.deadlist = idx.freelist, idx.deadlist
+	s.nextOID, s.free, s.deadlist = idx.nextOID, idx.free, idx.deadlist
+	if !s.claimRun(sb.indexAddr, blocksFor(sb.indexLen)) {
+		return nil, ErrCorrupt
+	}
 	s.retained = append(idx.retained, ckptInfo{epoch: idx.epoch, indexAddr: sb.indexAddr, indexLen: sb.indexLen})
 	s.image = image{s: s, objects: objects}
 	s.epoch = sb.epoch
@@ -96,9 +98,9 @@ func tableDump(objects map[OID]*object) string {
 func stateDump(s *Store) string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return fmt.Sprintf("epoch=%d nextOID=%d nextBlk=%d slot=%d wal=%d/%d/%d\nfree=%v\ndead=%v\nretained=%v\nreleasing=%v\n%s",
-		s.epoch, s.nextOID, s.nextBlk, s.superSlot, s.walHead, s.walSeq, s.walReplayed,
-		s.freelist, s.deadlist, s.retained, s.releasing, tableDump(s.objects))
+	return fmt.Sprintf("epoch=%d nextOID=%d slot=%d wal=%d/%d/%d\nfree=%v\ndead=%v\nretained=%v\nreleasing=%v\n%s",
+		s.epoch, s.nextOID, s.superSlot, s.walHead, s.walSeq, s.walReplayed,
+		s.free, s.deadlist, s.retained, s.releasing, tableDump(s.objects))
 }
 
 // cloneStripe copies a stripe's media onto a fresh clock.

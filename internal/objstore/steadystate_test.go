@@ -8,7 +8,7 @@ import (
 )
 
 // Regression: an idle store checkpointing forever must reach a steady
-// state — the freelist (serialized into every index) must not snowball.
+// state — the free map (serialized into every index) must not fragment.
 func TestIdleCheckpointSteadyState(t *testing.T) {
 	clk := clock.NewVirtual()
 	costs := clock.DefaultCosts()
@@ -27,8 +27,8 @@ func TestIdleCheckpointSteadyState(t *testing.T) {
 		}
 		s.ReleaseCheckpointsBefore(s.Epoch())
 	}
-	if got := s.FreeBlocks(); got > 64 {
-		t.Fatalf("freelist = %d after 200 idle epochs; metadata not recycling", got)
+	if got := s.FreeRuns(); got > 16 {
+		t.Fatalf("free map = %d runs after 200 idle epochs; metadata not recycling", got)
 	}
 	rep := s.Fsck()
 	if !rep.OK() {

@@ -22,7 +22,7 @@
 // Each checkpoint writes: new data blocks (already submitted asynchronously
 // during the interval), block-map chunks for modified objects, one record
 // per modified object, and one index enumerating every object record and
-// the allocator state. The superblock points at the index. Between
+// the free map. The superblock points at the index. Between
 // checkpoints, WALCommit makes the interval durable early by appending one
 // delta frame to the WAL region; a later checkpoint folds the frames away.
 package objstore
@@ -97,18 +97,21 @@ type deadBlock struct {
 	freedAt Epoch
 }
 
-// blockRun is a contiguous run of blocks in the metadata pool.
+// blockRun is the n contiguous blocks from byte address addr.
 type blockRun struct {
 	addr int64
 	n    int64
 }
 
-// stagedRelease is one commit's worth of released blocks, allocatable once
-// virtual time reaches at (the releasing superblock's completion).
+// end is the byte address just past the run.
+func (r blockRun) end() int64 { return r.addr + r.n*BlockSize }
+
+// stagedRelease is one commit's worth of released runs, coalesced,
+// allocatable once virtual time reaches at (the releasing superblock's
+// completion).
 type stagedRelease struct {
 	at   time.Duration
-	data []int64
-	meta []blockRun
+	runs []blockRun
 }
 
 // ckptInfo describes one retained checkpoint.
@@ -179,38 +182,34 @@ type Store struct {
 
 	epoch    Epoch // last committed epoch
 	nextOID  OID
-	nextBlk  int64
-	freelist []int64
 	deadlist []deadBlock
 	retained []ckptInfo
+
+	// free is the free map: every allocatable block, as disjoint runs in
+	// descending address order with no two adjacent (see alloc.go). spare
+	// is the buffer a promotion merges into, swapped with free after.
+	free, spare []blockRun
 
 	// birthOf is the epoch in which each block allocated during this session
 	// was born, by block number; 0 — a block loaded from committed metadata,
 	// or one past the slice — is "as old as any retained checkpoint".
 	birthOf []Epoch
 
-	// metaFree recycles released checkpoints' index runs. It is kept in
-	// memory only, NEVER serialized: an index must not describe its own
-	// storage, or the metadata describing the free space grows with the
-	// free space and compounds exponentially. After a crash the pool is
-	// simply empty (a bounded, documented leak of a few dozen blocks).
-	metaFree []blockRun
-
-	// releasing/releasingMeta stage blocks freed by ReleaseCheckpointsBefore
-	// until the next superblock lands. Handing them straight to the
-	// allocator would let this interval overwrite blocks that a crash —
-	// recovering to the still-on-device previous superblock, whose retained
-	// list references the released history — needs intact. The next commit
-	// serializes `releasing` into its freelist and moves both lists onto
-	// releaseQ, stamped with the committing superblock's durability time.
-	releasing     []int64
-	releasingMeta []blockRun
+	// releasing stages runs freed by a release (and same-interval blocks a
+	// WAL frame may reference) until the next superblock lands, appended
+	// unsorted. Handing them straight to the allocator would let this
+	// interval overwrite blocks that a crash — recovering to the
+	// still-on-device previous superblock, whose retained list references
+	// the released history — needs intact. The next commit coalesces them,
+	// serializes them as free in its map and moves them onto releaseQ,
+	// stamped with the committing superblock's durability time.
+	releasing []blockRun
 
 	// releaseQ holds releases whose omitting superblock has been submitted
 	// but may still sit in a device queue. Only once virtual time passes the
 	// superblock's completion can a power cut no longer resurrect the old
-	// index that references these blocks — promotion to the allocatable
-	// pools (freelist/metaFree) is gated on that instant, not on submit.
+	// index that references these blocks — promotion into the free map is
+	// gated on that instant, not on submit.
 	releaseQ []stagedRelease
 
 	deleted map[OID]bool // deleted since last checkpoint (must leave index)
@@ -250,10 +249,10 @@ type Store struct {
 	pendingWALReset bool
 	walResetAt      time.Duration
 
-	// claimed is non-nil while walRecover replays the chain: the blocks its
-	// frames reference (see claimWALBlock). Replay runs the apply the live
-	// mutators run; while it does, walNote records nothing.
-	claimed map[int64]bool
+	// replaying is set while walRecover replays the chain. Replay runs the
+	// apply the live mutators run; while it does, walNote records nothing
+	// and claimWALBlock takes the blocks frames name out of the free map.
+	replaying bool
 
 	// lastDurable is the previous durability point (WAL frame or
 	// superblock), feeding the durable-window histogram.
@@ -284,7 +283,9 @@ func Format(dev BlockDev, clk clock.Clock, costs *clock.Costs) (*Store, error) {
 	s.nextOID = 1
 	s.walBase = 2 * BlockSize // blocks 0,1 are superblocks
 	s.walBlocks = walBlocksFor(dev.Size())
-	s.nextBlk = s.dataStart() / BlockSize
+	if n := (dev.Size() - s.dataStart()) / BlockSize; n > 0 {
+		s.free = []blockRun{{s.dataStart(), n}}
+	}
 	if _, err := s.Checkpoint(); err != nil {
 		return nil, err
 	}

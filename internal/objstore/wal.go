@@ -14,9 +14,9 @@ package objstore
 // Recovery first loads the newest superblock's index, then scans the WAL
 // region: frames whose base epoch matches the recovered epoch replay in
 // sequence order, torn or stale tails terminate the scan. Replay runs the
-// apply the live mutators run (apply.go) and reconciles the allocator: blocks
-// a frame references are claimed out of the free pools, and bump-range blocks
-// no committed frame ever referenced return to the freelist.
+// apply the live mutators run (apply.go), and each block a frame names is
+// claimed straight out of the free map the index loaded: a block allocated
+// after the last frame, or never published, was never out of it.
 
 import (
 	"encoding/binary"
@@ -43,8 +43,8 @@ const walSector = 512
 const DefaultWALBlocks = 1024
 
 // walHeaderLen is magic(4) + frameLen(4) + base(8) + seq(8) + nextOID(8) +
-// nextBlk(8) + nops(4).
-const walHeaderLen = 44
+// nops(4).
+const walHeaderLen = 36
 
 // walBlocksFor sizes the reserved region: an eighth of the device, clamped
 // to [4, DefaultWALBlocks] blocks.
@@ -98,14 +98,13 @@ type walFrame struct {
 	base    Epoch // epoch the deltas apply on top of
 	seq     uint64
 	nextOID OID
-	nextBlk int64
 	ops     []walOp
 }
 
 // walNote captures op into the pending delta set. Replay records nothing:
 // what it applies is in the log already. Requires mu.
 func (s *Store) walNote(op *walOp) {
-	if s.claimed != nil || s.walBlocks == 0 {
+	if s.replaying || s.walBlocks == 0 {
 		return
 	}
 	s.walPending = append(s.walPending, *op)
@@ -147,7 +146,6 @@ func encodeWALFrame(fr *walFrame) []byte {
 	e.U64(uint64(fr.base))
 	e.U64(fr.seq)
 	e.U64(uint64(fr.nextOID))
-	e.I64(fr.nextBlk)
 	e.U32(uint32(len(fr.ops)))
 	e.Append(ops.Raw())
 	return e.Seal()
@@ -177,7 +175,6 @@ func decodeWALFrame(b []byte) (fr *walFrame, padded int64, ok bool) {
 		base:    Epoch(d.U64()),
 		seq:     d.U64(),
 		nextOID: OID(d.U64()),
-		nextBlk: d.I64(),
 	}
 	nops := int(d.U32())
 	if nops < 0 || nops > len(b) {
@@ -253,7 +250,6 @@ func (s *Store) WALCommit() (WALCommitStats, error) {
 		base:    s.epoch,
 		seq:     s.walSeq + 1,
 		nextOID: s.nextOID,
-		nextBlk: s.nextBlk,
 		ops:     s.walPending,
 	}
 	flightOp := walOp{kind: walOpFlight, oid: FlightOID, size: int64(s.fl.Cap()), data: tail}
@@ -456,30 +452,21 @@ func (s *Store) walReplayLocked(frames []*walFrame, end int64) error {
 		return nil
 	}
 
-	s.claimed = make(map[int64]bool)
-	defer func() { s.claimed = nil }()
-	idxNextBlk := s.nextBlk
+	s.replaying = true
+	defer func() { s.replaying = false }()
 	for _, fr := range frames {
-		s.walSeq = fr.seq
+		// A frame's ops ran live before it committed: retires judge reuse
+		// against the frames committed before it, as they did then.
+		s.walSeq = fr.seq - 1
 		if fr.nextOID > s.nextOID {
 			s.nextOID = fr.nextOID
-		}
-		if fr.nextBlk > s.nextBlk {
-			s.nextBlk = fr.nextBlk
 		}
 		for i := range fr.ops {
 			if err := s.apply(&fr.ops[i]); err != nil {
 				return fmt.Errorf("wal frame %d: %w", fr.seq, err)
 			}
 		}
-	}
-	// Bump-range blocks no committed frame referenced were allocated after
-	// the last frame (or reserved and never published): nothing on a
-	// recoverable path references them, so they return to the free pool.
-	for blk := idxNextBlk; blk < s.nextBlk; blk++ {
-		if addr := blk * BlockSize; !s.claimed[addr] {
-			s.freelist = append(s.freelist, addr)
-		}
+		s.walSeq = fr.seq
 	}
 	s.walHead = end
 	s.walReplayed = len(frames)
@@ -493,26 +480,17 @@ func (s *Store) WALReplayed() int {
 	return s.walReplayed
 }
 
-// claimWALBlock is what replay adds to apply: it reconciles the allocator
-// with a block a replayed frame references, which leaves the free pools and is
-// born in the current interval. Live, the mutator allocated the block itself
-// and there is nothing to reconcile. Requires mu.
-func (s *Store) claimWALBlock(addr int64) {
-	if s.claimed == nil {
-		return
+// claimWALBlock is what replay adds to apply: the n blocks from addr that a
+// replayed frame names leave the free map and are born in the current
+// interval. Live, the mutator allocated them itself and there is nothing to
+// claim. Requires mu.
+func (s *Store) claimWALBlock(addr, n int64) error {
+	if !s.replaying {
+		return nil
 	}
-	for i, a := range s.freelist {
-		if a == addr {
-			s.freelist = append(s.freelist[:i], s.freelist[i+1:]...)
-			break
-		}
+	if !s.claimRun(addr, n) {
+		return fmt.Errorf("%w: frame names blocks [%#x,+%d) that are not free", ErrCorrupt, addr, n)
 	}
-	for i, a := range s.releasing {
-		if a == addr {
-			s.releasing = append(s.releasing[:i], s.releasing[i+1:]...)
-			break
-		}
-	}
-	s.bear(addr, 1)
-	s.claimed[addr] = true
+	s.bear(addr, n)
+	return nil
 }

@@ -535,7 +535,7 @@ func TestFsckWALScrub(t *testing.T) {
 }
 
 // TestWALIntraIntervalRetireQuarantine: once a WAL frame has committed,
-// blocks born in the interval cannot recycle into the freelist — a crash
+// blocks born in the interval cannot recycle into the free map — a crash
 // would replay the frame, which may reference them.
 func TestWALIntraIntervalRetireQuarantine(t *testing.T) {
 	s, dev, clk := newStore(t)
@@ -829,20 +829,20 @@ func TestIdenticalPutIsNotAWrite(t *testing.T) {
 	}
 }
 
-// TestIndexLenIsArithmetic: the index run is sized from list lengths; the
-// formula must equal the encoder over any allocator state.
+// TestIndexLenIsArithmetic: the index's encoder is sized from list lengths;
+// the formula must equal the encoder over any free map and table.
 func TestIndexLenIsArithmetic(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for i := 0; i < 200; i++ {
-		st := &indexState{epoch: Epoch(rng.Uint64()), nextOID: OID(rng.Uint64()), nextBlk: rng.Int63()}
-		st.freelist = make([]int64, rng.Intn(500))
+		st := &indexState{epoch: Epoch(rng.Uint64()), nextOID: OID(rng.Uint64())}
+		st.free = make([]blockRun, rng.Intn(500))
 		st.deadlist = make([]deadBlock, rng.Intn(300))
 		st.retained = make([]ckptInfo, rng.Intn(70))
 		st.objects = make([]indexEntry, rng.Intn(2000))
-		got := indexLen(len(st.freelist), len(st.deadlist), len(st.retained), len(st.objects))
+		got := indexLen(len(st.free), len(st.deadlist), len(st.retained), len(st.objects))
 		if want := int64(len(encodeIndex(st).Seal())); got != want {
 			t.Fatalf("indexLen = %d, encoded %d (%d free, %d dead, %d retained, %d objects)",
-				got, want, len(st.freelist), len(st.deadlist), len(st.retained), len(st.objects))
+				got, want, len(st.free), len(st.deadlist), len(st.retained), len(st.objects))
 		}
 	}
 }

@@ -109,7 +109,7 @@ func TestSyncFailsOnCorruptBaseIndex(t *testing.T) {
 
 	// The base the next delta diffs against is the epoch just shipped; its
 	// index starts with the index magic and that epoch number.
-	hdr := binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint32(nil, 0x41524958), uint64(r.Base()))
+	hdr := binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint32(nil, objstore.IndexMagic), uint64(r.Base()))
 	off, found := findOnDevice(w.fd, hdr)
 	if !found {
 		t.Fatalf("index of epoch %d not found on the device", r.Base())
