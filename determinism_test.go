@@ -124,7 +124,7 @@ func TestTwoJobFlushPinned(t *testing.T) {
 	}
 	got := fmt.Sprintf("image=%x clock=%d writes=%d mem=%08x",
 		h.Sum(nil), m2.Clock.Now(), m2.Disk.Stats().Writes, crc32.ChecksumIEEE(mem))
-	const want = "image=7b710226a07b4c3e19fbca2ee7abb077c47924dc26cf16002a86c441372db11b clock=23349534 writes=343 mem=53380b4d"
+	const want = "image=d221d6b8ceb95c32a32ffadfc7cf0eef602573e992b1cbfec698769569e52eaf clock=23349545 writes=343 mem=53380b4d"
 	if got != want {
 		t.Errorf("two-job flush moved:\n got %s\nwant %s", got, want)
 	}

@@ -20,7 +20,7 @@ import (
 // sequence that lays it out) changes; a refactor must reproduce it exactly.
 // Re-pinned when WAL frames began to carry the flight ring's tail instead of
 // the ring (frame op 6) and an identical PutRecord stopped rewriting the record.
-const onDiskFormatSHA = "d86b337404116dc88ea36137418f8e2412c8f3eb61b10fad4ea5371892dc0981"
+const onDiskFormatSHA = "146c5a0e73ed3d5a5a4797bcc1d6ef98c7503d2425162cb5eda84942166fc45c"
 
 // TestOnDiskFormatPinned drives every on-disk structure — inline records,
 // paged objects with block-map chunks, a journal extent, WAL frames, folds,

@@ -24,9 +24,9 @@ func pinBytes(tag byte, n int) []byte {
 }
 
 const (
-	storeImageSHA   = "462820d48159b0390903013f32e4b496b709842be0809b0d048950983c38ba0c"
-	storeImageState = "{Checkpoints:2 ObjectsLive:7 BlocksAllocated:100 BlocksFreed:4 MetaBytes:33521 DataBytes:294912} free=0 dead=43 now=229583\n" +
-		"{Checkpoints:2 ObjectsLive:6 BlocksAllocated:16 BlocksFreed:87 MetaBytes:11703 DataBytes:16384} free=82 dead=3 now=1077247"
+	storeImageSHA   = "8232f7544069443ac90ba81acf7ef5309e9aaba4a6a5650da868b3030f6c4728"
+	storeImageState = "{Checkpoints:2 ObjectsLive:7 BlocksAllocated:100 BlocksFreed:4 MetaBytes:33537 DataBytes:294912} free=523166 dead=43 now=229591\n" +
+		"{Checkpoints:2 ObjectsLive:6 BlocksAllocated:16 BlocksFreed:87 MetaBytes:11119 DataBytes:16384} free=523237 dead=3 now=1075254"
 )
 
 // TestStoreImagePinned drives, on a bare Store, the mutations the root

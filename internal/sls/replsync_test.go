@@ -96,8 +96,8 @@ func TestReplicaStandbyImagePinned(t *testing.T) {
 	}
 	got := fmt.Sprintf("standby=%x src-clock=%d dst-clock=%d disk=%+v wire=%d retx=%d",
 		h.Sum(nil)[:12], s.src.clk.Now(), s.dst.clk.Now(), s.dst.dev.Stats(), s.rep.WireBytes, s.rep.Retransmits)
-	const want = "standby=7675f3800eaaf5cbaa4d4e5f src-clock=278074663 dst-clock=278633769 " +
-		"disk={Reads:1024 Writes:27309 BytesRead:4194304 BytesWritten:112939816 Flushes:0} wire=112324474 retx=68"
+	const want = "standby=6d0001d3523ea9f339191a57 src-clock=277984346 dst-clock=278547564 " +
+		"disk={Reads:1024 Writes:27293 BytesRead:4194304 BytesWritten:112937752 Flushes:0} wire=112324474 retx=68"
 	if got != want {
 		t.Fatalf("standby after 100 syncs and a failover\n got %s\nwant %s", got, want)
 	}

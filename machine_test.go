@@ -193,9 +193,9 @@ func TestMigrationPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	const (
-		wantSHA   = "8b7aa8d0bd7ebe86287bc4ed1b62a589b0136a994b89d123c7eee79a59f5b7ff"
+		wantSHA   = "38b2737a339d08b50e001c10aa94b7a48610f27c4c75deb029ea8eeae9210a04"
 		wantStop  = time.Duration(184369)
-		wantClock = time.Duration(3615344)
+		wantClock = time.Duration(3615373)
 	)
 	if sum := hex.EncodeToString(h.Sum(nil)); sum != wantSHA || st.Rounds != 4 || st.FinalStop != wantStop || cfg.Clock.Now() != wantClock {
 		t.Fatalf("migration moved: image %s rounds %d final stop %d clock %d; want %s 4 %d %d",
