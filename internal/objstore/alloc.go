@@ -84,7 +84,7 @@ func (s *Store) freeRun(addr, n int64) {
 // Requires mu.
 func (s *Store) claimRun(addr, n int64) bool {
 	i := s.findRun(addr)
-	if n <= 0 || addr%BlockSize != 0 || i == len(s.free) || addr+n*BlockSize > s.free[i].end() {
+	if n <= 0 || addr%BlockSize != 0 || i == len(s.free) || n > (s.free[i].end()-addr)/BlockSize {
 		return false
 	}
 	r := s.free[i]

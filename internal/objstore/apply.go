@@ -63,6 +63,9 @@ func (s *Store) applyPut(op *walOp) error {
 // applyPage is the slot publish: page op.pg of oid is the block at op.addr,
 // already written; the block it replaces is retired.
 func (s *Store) applyPage(op *walOp) error {
+	if err := s.claimWALBlock(op.addr, 1); err != nil {
+		return err
+	}
 	o := s.ensure(op.oid, op.utype)
 	if o.journal != nil {
 		return fmt.Errorf("%w: page on journal %d", ErrCorrupt, op.oid)
@@ -72,9 +75,6 @@ func (s *Store) applyPage(op *walOp) error {
 	makePaged(o)
 	c, err := s.loadChunk(o, op.pg, true)
 	if err != nil {
-		return err
-	}
-	if err := s.claimWALBlock(op.addr, 1); err != nil {
 		return err
 	}
 	slot := op.pg % ChunkFanout

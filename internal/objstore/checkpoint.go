@@ -165,7 +165,6 @@ func (s *Store) CheckpointRetaining(retain int) (st CheckpointStats, err error) 
 	// blocks are deliberately NOT deadlisted: their lifetime is implied
 	// by the retained list itself (released with the checkpoint).
 	s.retained = append(s.retained, ckptInfo{epoch: cur, indexAddr: idxAddr, indexLen: idxLen})
-	clear(s.birthOf[idxAddr/BlockSize : idxAddr/BlockSize+blocksFor(idxLen)])
 	s.epoch = cur
 	s.durableAt[cur] = sbDone
 	s.stats.Checkpoints++

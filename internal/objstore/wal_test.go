@@ -1140,7 +1140,67 @@ func TestApplyRefusesImpossibleOps(t *testing.T) {
 			t.Errorf("op %d on %d: err = %v, want %q", c.op.kind, c.op.oid, err, c.want)
 		}
 	}
+	// Replay also refuses a frame that names blocks the free map does not
+	// hold: one the journal owns, or a run no device has, and changes nothing.
+	s.mu.Lock()
+	ext := s.objects[jrn].journal.extentAddr
+	s.replaying = true
+	for _, c := range []struct {
+		op   walOp
+		want string
+	}{
+		{walOp{kind: walOpPage, oid: 77, utype: 2, addr: ext}, fmt.Sprintf("objstore: corrupt metadata: frame names blocks [%#x,+1) that are not free", ext)},
+		{walOp{kind: walOpJournal, oid: inl, utype: 1, addr: s.dataStart(), size: 1 << 60}, fmt.Sprintf("objstore: corrupt metadata: frame names blocks [%#x,+%d) that are not free", s.dataStart(), int64(1<<60))},
+	} {
+		if err := s.apply(&c.op); err == nil || err.Error() != c.want || !errors.Is(err, ErrCorrupt) {
+			t.Errorf("replayed op %d on %d: err = %v, want %q", c.op.kind, c.op.oid, err, c.want)
+		}
+	}
+	s.replaying = false
+	s.mu.Unlock()
 	if after := stateDump(s); after != before {
 		t.Errorf("refused ops changed the store\n--- before\n%s--- after\n%s", before, after)
+	}
+}
+
+// TestWALReplayOfTruncateKeepsTailPage: an unaligned truncate in an interval
+// with no frame yet frees the tail pages at once, and the zeroed partial page
+// is rewritten into one of them. Replay must free before it claims, as the
+// live store did: when the log carried the page's op ahead of the size op,
+// replay published the page onto a block a tail slot still held and then
+// released it under the page, and the commit after recovery handed it out.
+func TestWALReplayOfTruncateKeepsTailPage(t *testing.T) {
+	s, dev, clk := newStore(t)
+	oid := s.NewOID()
+	s.Ensure(oid, 9)
+	for pg := int64(0); pg < 4; pg++ {
+		if err := s.WritePage(oid, pg, walPage(byte(pg+1))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Truncate(oid, BlockSize+BlockSize/2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.WALCommit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WaitWALDurable(s.WALSeq()); err != nil {
+		t.Fatal(err)
+	}
+	s2 := reopen(t, dev, clk)
+	if _, err := s2.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s2.WaitDurable(s2.Epoch()); err != nil {
+		t.Fatal(err)
+	}
+	s2.FreeBlocks() // promotes what the commit released
+	if rep := s2.Fsck(); !rep.OK() {
+		t.Fatalf("fsck after replaying a truncate: %v", rep.Problems)
+	}
+	want := append(walPage(2)[:BlockSize/2:BlockSize/2], make([]byte, BlockSize/2)...)
+	got := make([]byte, BlockSize)
+	if _, err := s2.ReadPage(oid, 1, got); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("tail page after replay: err %v, content equal %v", err, bytes.Equal(got, want))
 	}
 }
