@@ -118,14 +118,6 @@ func mergeRuns(dst, a, b []blockRun) []blockRun {
 	return dst
 }
 
-// union is mergeRuns into a fresh slice, or a itself when b is empty.
-func union(a, b []blockRun) []blockRun {
-	if len(b) == 0 {
-		return a
-	}
-	return mergeRuns(make([]blockRun, 0, len(a)+len(b)), a, b)
-}
-
 // coalesce sorts runs descending and merges adjacent ones, in place.
 func coalesce(runs []blockRun) []blockRun {
 	slices.SortFunc(runs, func(x, y blockRun) int { return cmp.Compare(y.addr, x.addr) })

@@ -71,8 +71,8 @@ func (s *Store) AuditLive() []string {
 
 	for i, r := range s.free {
 		claim(r.addr, r.n, "free map")
-		if i > 0 && r.addr >= s.free[i-1].addr {
-			prob("free map out of order at run %d", i)
+		if i > 0 && r.end() >= s.free[i-1].addr {
+			prob("free map out of order or unmerged at run %d", i)
 		}
 	}
 	for _, r := range s.releasing {

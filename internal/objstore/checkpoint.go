@@ -249,10 +249,15 @@ func (s *Store) indexState(cur Epoch) *indexState {
 		deadlist: s.deadlist,
 		retained: s.retained,
 	}
-	for _, q := range s.releaseQ {
-		idx.free = union(idx.free, q.runs)
+	if len(s.releaseQ) > 0 || len(s.releasing) > 0 {
+		q := append(s.scratch[:0], s.releasing...)
+		for _, r := range s.releaseQ {
+			q = append(q, r.runs...)
+		}
+		s.scratch = coalesce(q)
+		s.spare = mergeRuns(s.spare[:0], s.free, s.scratch)
+		idx.free = s.spare
 	}
-	idx.free = union(idx.free, s.releasing)
 	for _, oid := range s.oids() {
 		o := s.objects[oid]
 		idx.objects = append(idx.objects, indexEntry{oid: oid, addr: o.recordAddr, len: o.recordLen})

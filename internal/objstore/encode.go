@@ -236,7 +236,7 @@ func indexLen(runs, dead, retained, objects int) int64 {
 
 // decodeIndex parses a checkpoint index of a store whose data region is
 // [lo, hi). Its free map must be aligned, non-empty runs inside the region,
-// in descending order without overlap.
+// in descending order with a gap between each two.
 func decodeIndex(b []byte, lo, hi int64) (*indexState, error) {
 	d, err := openSealed(b)
 	if err != nil {
@@ -252,10 +252,10 @@ func decodeIndex(b []byte, lo, hi int64) (*indexState, error) {
 	for i, n := 0, int(d.U32()); i < n && d.Err() == nil; i++ {
 		r := blockRun{addr: d.I64(), n: d.I64()}
 		if d.Err() == nil && (r.addr%BlockSize != 0 || r.n <= 0 || r.addr < lo || r.n > (hi-r.addr)/BlockSize) {
-			return nil, fmt.Errorf("%w: free run %d [%#x,+%d blocks) is unaligned, empty, out of order or outside [%#x,%#x)",
+			return nil, fmt.Errorf("%w: free run %d [%#x,+%d blocks) is unaligned, empty, out of order, adjacent or outside [%#x,%#x)",
 				ErrCorrupt, i, r.addr, r.n, lo, hi)
 		}
-		hi = r.addr // the next run ends at or below this one
+		hi = r.addr - BlockSize // the next run ends below this one: adjacent runs are merged
 		st.free = append(st.free, r)
 	}
 	for i, n := 0, int(d.U32()); i < n && d.Err() == nil; i++ {

@@ -169,6 +169,7 @@ func TestDecodeIndexRefusesBadRuns(t *testing.T) {
 		{"negative", []blockRun{{40960, -1}}},
 		{"overlapping", []blockRun{{40960, 3}, {36864, 2}}},
 		{"out of order", []blockRun{{8192, 1}, {40960, 1}}},
+		{"adjacent", []blockRun{{40960, 1}, {36864, 1}}},
 		{"below the region", []blockRun{{4096, 1}}},
 		{"past the end", []blockRun{{hi - BlockSize, 2}}},
 		{"overflowing", []blockRun{{40960, 1 << 62}}},

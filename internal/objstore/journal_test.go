@@ -206,7 +206,7 @@ func TestJournalUsedAndCapacity(t *testing.T) {
 
 func TestJournalDeleteReclaimsExtent(t *testing.T) {
 	s, j, _, _ := newJournal(t, 4*BlockSize)
-	oid := j.OID()
+	oid, extent := j.OID(), j.o.journal.extentAddr
 	if _, err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -227,8 +227,10 @@ func TestJournalDeleteReclaimsExtent(t *testing.T) {
 	if err := s.WaitDurable(s.Epoch()); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.FreeBlocks(); got < 4 {
-		t.Fatalf("free blocks = %d after promoting commit, want >= 4 (the extent)", got)
+	for b := int64(0); b < 4; b++ {
+		if a := extent + b*BlockSize; !allocatable(s, a) {
+			t.Fatalf("extent block %#x is not free after the promoting commit", a)
+		}
 	}
 }
 

@@ -167,8 +167,10 @@ func testRetentionInsideCommit(t *testing.T, retain, keep int) {
 		if err := s.WaitDurable(st.Epoch); err != nil {
 			t.Fatal(err)
 		}
-		if len(staged) > 0 && s.FreeBlocks() < len(staged) {
-			t.Fatalf("epoch %d: %d blocks released, only %d free once durable", st.Epoch, len(staged), s.FreeBlocks())
+		for _, a := range staged {
+			if !allocatable(s, a) {
+				t.Fatalf("epoch %d: released block %#x is not free once durable", st.Epoch, a)
+			}
 		}
 	}
 	if _, err := s.Checkpoint(); err != nil {
@@ -255,6 +257,16 @@ func TestRecoveryChainAccountsEveryBlock(t *testing.T) {
 			t.Fatalf("cycle %d: %d blocks held by nothing, %d held twice", cycle, gaps, twice)
 		}
 	}
+}
+
+// allocatable reports whether the block at addr is in s's free map once every
+// release whose superblock is durable has been promoted.
+func allocatable(s *Store, addr int64) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.promoteReleasedLocked()
+	i := s.findRun(addr)
+	return i < len(s.free) && addr < s.free[i].end()
 }
 
 // accountBlocks sweeps every run s holds, in address order, over the data

@@ -187,8 +187,9 @@ type Store struct {
 
 	// free is the free map: every allocatable block, as disjoint runs in
 	// descending address order with no two adjacent (see alloc.go). spare
-	// is the buffer a promotion merges into, swapped with free after.
-	free, spare []blockRun
+	// is the buffer a promotion merges into, swapped with free after, and
+	// the commit's index map is built in; scratch gathers its releases.
+	free, spare, scratch []blockRun
 
 	// birthOf is the epoch in which each block allocated during this session
 	// was born, by block number; 0 — a block loaded from committed metadata,
