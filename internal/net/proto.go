@@ -11,8 +11,9 @@ package net
 // only what is missing.
 //
 // Selective acknowledgement (RFC 2018): a session holds up to sackSpan (64)
-// frames past a gap, discards any further ahead, and drains the held ones
-// the moment the gap fills. While it holds any, its Ack carries an 8-byte
+// frames past a gap, each copied to its offset in the session's payload
+// buffer, discards any further ahead, and counts the held ones applied the
+// moment the gap fills. While it holds any, its Ack carries an 8-byte
 // little-endian bitmap after the cumulative next, bit i meaning frame
 // next+1+i is held; an Ack from a session holding nothing has no payload,
 // so a clean wire carries the bytes it always did. The pump delivers
@@ -26,12 +27,19 @@ package net
 // unacked frame, whose ack rebuilds the scoreboard. After MaxRetries timeouts
 // with no cumulative progress the transfer returns ErrRetriesExhausted with
 // the session state intact for a later resume.
+//
+// In steady state a ship allocates no buffer: the sender encodes each data
+// frame into one of Window slots the Conn reuses (the pump drains the wire
+// before the next round rewrites them), and a new session assembles into the
+// payload buffer the last Take handed out, if it is no larger than
+// maxPresize.
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"time"
 
 	"aurora/internal/clock"
@@ -106,7 +114,12 @@ func EncodeFrame(t FrameType, epoch, seq, total uint64, payload []byte) []byte {
 // machine's id and the transfer span id — so the receiver can stitch the
 // ship into a cross-machine flow on the merged fleet timeline.
 func EncodeFrameCtx(t FrameType, epoch, seq, total, src, span uint64, payload []byte) []byte {
-	e := rec.NewEncoder()
+	return encodeFrame(rec.NewEncoder(), t, epoch, seq, total, src, span, payload)
+}
+
+// encodeFrame is EncodeFrameCtx into e, after what it holds: a reset slot
+// reuses its buffer.
+func encodeFrame(e *rec.Encoder, t FrameType, epoch, seq, total, src, span uint64, payload []byte) []byte {
 	e.Grow(frameHead + len(payload))
 	e.U32(frameMagic)
 	e.U8(uint8(t))
@@ -122,7 +135,8 @@ func EncodeFrameCtx(t FrameType, epoch, seq, total, src, span uint64, payload []
 // DecodeFrame verifies the CRC and structure of one wire frame. A corrupted
 // frame decodes to an error, never to a plausible-but-wrong Frame: the CRC
 // covers every header field and the payload. The payload is not copied: it
-// aliases b, which a frame off the wire never changes after.
+// aliases b, and a data frame's b is a sender slot that the next round of
+// its transfer rewrites, so a receiver copies what it keeps.
 func DecodeFrame(b []byte) (*Frame, error) {
 	d, err := rec.NewDecoder(b)
 	if err != nil {
@@ -207,10 +221,9 @@ func (c Config) withDefaults(p Params) Config {
 // session is the receiver side of one epoch's transfer.
 type session struct {
 	total    uint64
-	next     uint64            // cumulative: frames [0, next) are applied
-	sack     uint64            // bit i: frame next+1+i is held
-	held     map[uint64][]byte // the frames sack names, by seq
-	buf      []byte            // the payload assembled so far, sized once at the Hello
+	next     uint64 // cumulative: frames [0, next) are applied
+	sack     uint64 // bit i: frame next+1+i is held, at its offset in buf
+	buf      []byte // frame i at offset i*FrameData, up to the furthest frame placed
 	complete bool
 	srcID    uint64 // trace-context of the last frame that touched the session
 	spanID   uint64
@@ -256,6 +269,8 @@ type Conn struct {
 	src   uint64 // trace-context source id stamped on outgoing frames
 	sess  map[uint64]*session
 	stats ConnStats
+	slots []rec.Encoder // Window data-frame buffers, slot seq%Window
+	spare []byte        // the last Take's payload buffer, for the next session
 }
 
 // SetSource sets the trace-context machine id stamped on every outgoing
@@ -272,12 +287,14 @@ func (c *Conn) SetFlight(fl *flight.Recorder) { c.fl = fl }
 // tr may be nil.
 func NewConn(pipe *Pipe, clk clock.Clock, cfg Config, tr *trace.Tracer) *Conn {
 	pipe.SetTracer(tr)
+	cfg = cfg.withDefaults(pipe.Fwd.params)
 	return &Conn{
-		pipe: pipe,
-		clk:  clk,
-		cfg:  cfg.withDefaults(pipe.Fwd.params),
-		tr:   tr,
-		sess: make(map[uint64]*session),
+		pipe:  pipe,
+		clk:   clk,
+		cfg:   cfg,
+		tr:    tr,
+		sess:  make(map[uint64]*session),
+		slots: make([]rec.Encoder, cfg.Window),
 	}
 }
 
@@ -310,12 +327,17 @@ func (c *Conn) SessionContext(epoch uint64) (src, span uint64, ok bool) {
 }
 
 // Take removes and returns the assembled payload of a completed transfer.
+// The payload is valid only until the next Transfer on this Conn: a buffer no
+// larger than maxPresize is kept, and the next session assembles into it.
 func (c *Conn) Take(epoch uint64) ([]byte, bool) {
 	s := c.sess[epoch]
 	if s == nil || !s.complete {
 		return nil, false
 	}
 	delete(c.sess, epoch)
+	if cap(s.buf) <= maxPresize {
+		c.spare = s.buf
+	}
 	return s.buf, true
 }
 
@@ -409,11 +431,17 @@ func (c *Conn) pump(epoch uint64) pumpResult {
 // same epoch, different payload is a caller contract break, and a fresh
 // start corrupts nothing. A new session sizes its payload buffer once, for
 // total full frames but never past maxPresize: a Hello is untrusted, and a
-// payload larger than the cap grows as its frames arrive.
+// payload larger than the cap grows as its frames arrive. The buffer the last
+// Take handed out is reused when it is large enough.
 func (c *Conn) handleHello(f *Frame) {
 	s := c.sess[f.Epoch]
 	if s == nil || s.total != f.Total {
-		s = &session{total: f.Total, buf: make([]byte, 0, min(f.Total*uint64(c.cfg.FrameData), maxPresize))}
+		want := min(f.Total*uint64(c.cfg.FrameData), maxPresize)
+		buf := c.spare[:0]
+		if c.spare = nil; uint64(cap(buf)) < want {
+			buf = make([]byte, 0, want)
+		}
+		s = &session{total: f.Total, buf: buf}
 		if f.Total == 0 {
 			s.complete = true
 		}
@@ -428,7 +456,9 @@ func (c *Conn) handleHello(f *Frame) {
 // handleData applies one data frame idempotently: the next expected frame
 // extends the session and drains every held frame the gap was hiding; a
 // frame at most sackSpan past the gap is held; anything else is discarded.
-// Every data frame is acked, with the SACK bitmap while frames are held.
+// Every data frame is acked, with the SACK bitmap while frames are held. A
+// frame lands at its offset, so one whose length its seq does not allow (a
+// full frame, or 1 to FrameData bytes for the last) is dropped as corrupt.
 func (c *Conn) handleData(f *Frame) {
 	s := c.sess[f.Epoch]
 	if s == nil {
@@ -437,6 +467,10 @@ func (c *Conn) handleData(f *Frame) {
 	}
 	if f.Total != s.total {
 		c.stats.Strays++
+		return
+	}
+	if n := len(f.Payload); n > c.cfg.FrameData || n == 0 || n < c.cfg.FrameData && f.Seq != s.total-1 {
+		c.stats.CorruptDrops++
 		return
 	}
 	if f.SrcID != 0 || f.SpanID != 0 {
@@ -451,23 +485,15 @@ func (c *Conn) handleData(f *Frame) {
 	case f.Seq > s.next+sackSpan:
 		c.stats.OOODiscards++
 	case f.Seq > s.next:
-		if s.held == nil {
-			s.held = make(map[uint64][]byte)
-		}
-		s.held[f.Seq] = f.Payload
+		s.place(f.Seq*uint64(c.cfg.FrameData), f.Payload)
 		s.sack |= 1 << (f.Seq - s.next - 1)
 		c.stats.Held++
 	default:
-		for p := f.Payload; ; {
-			s.buf = append(s.buf, p...)
-			more := s.sack&1 != 0
+		s.place(f.Seq*uint64(c.cfg.FrameData), f.Payload)
+		for more := true; more; {
+			more = s.sack&1 != 0
 			s.sack >>= 1
 			s.next++
-			if !more {
-				break
-			}
-			p = s.held[s.next]
-			delete(s.held, s.next)
 		}
 		if s.next == s.total {
 			s.complete = true
@@ -478,6 +504,15 @@ func (c *Conn) handleData(f *Frame) {
 		sack = binary.LittleEndian.AppendUint64(nil, s.sack)
 	}
 	c.pipe.Rev.Send(EncodeFrame(FrameAck, f.Epoch, s.next, s.total, sack))
+}
+
+// place copies a frame's payload to offset off of the session's buffer,
+// growing the buffer to cover it.
+func (s *session) place(off uint64, p []byte) {
+	if end := int(off) + len(p); end > len(s.buf) {
+		s.buf = slices.Grow(s.buf, end-len(s.buf))[:end]
+	}
+	copy(s.buf[off:], p)
 }
 
 // connect performs the handshake: Hello until a HelloAck arrives, with
@@ -584,7 +619,9 @@ func (c *Conn) Transfer(epoch uint64, payload []byte) (TransferStats, error) {
 			}
 			lo := int(seq) * c.cfg.FrameData
 			hi := min(lo+c.cfg.FrameData, len(payload))
-			frame := EncodeFrameCtx(FrameData, epoch, seq, total, c.src, span.ID(), payload[lo:hi])
+			slot := &c.slots[seq%uint64(len(c.slots))]
+			slot.Reset()
+			frame := encodeFrame(slot, FrameData, epoch, seq, total, c.src, span.ID(), payload[lo:hi])
 			if retx {
 				st.Retransmits++
 				c.stats.Retransmits++

@@ -479,6 +479,84 @@ func TestForgedHelloAllocatesAtMostThePresize(t *testing.T) {
 	}
 }
 
+// TestConnReusesBuffersUnderFaults: 200 transfers of different sizes and
+// contents through one Conn, under every fault kind on the forward link and
+// loss on the acks. Every frame is encoded into a reused slot and every
+// session assembles into the buffer the last Take handed out, so a stale
+// byte of an earlier payload, or a slot rewritten while its frame was still
+// in flight, would show in the payload taken.
+func TestConnReusesBuffersUnderFaults(t *testing.T) {
+	c, _ := newTestConn(
+		Plan{Seed: 21, DropProb: 0.05, DupProb: 0.05, ReorderProb: 0.05, CorruptProb: 0.05},
+		Plan{Seed: 22, DropProb: 0.05},
+		Config{Window: 8, FrameData: 4 << 10})
+	rng := rand.New(rand.NewSource(23))
+	reused := 0
+	var last []byte
+	for epoch := uint64(1); epoch <= 200; epoch++ {
+		payload := make([]byte, 1+rng.Intn(96<<10))
+		rng.Read(payload)
+		if _, err := c.Transfer(epoch, payload); err != nil {
+			t.Fatalf("transfer %d: %v", epoch, err)
+		}
+		got, ok := c.Take(epoch)
+		if !ok || !bytes.Equal(got, payload) {
+			t.Fatalf("transfer %d of %d bytes: took %d bytes that differ from those sent (ok=%v)", epoch, len(payload), len(got), ok)
+		}
+		if last != nil && &got[:1][0] == &last[:1][0] {
+			reused++
+		}
+		last = got
+	}
+	if st := c.Stats(); st.Retransmits == 0 || st.CorruptDrops == 0 || st.Held == 0 || st.DupDiscards == 0 {
+		t.Fatalf("the faults never bit: %+v", st)
+	}
+	if len(c.slots) != 8 || cap(c.spare) > maxPresize {
+		t.Fatalf("the Conn holds %d frame slots and a %d-byte buffer", len(c.slots), cap(c.spare))
+	}
+	if reused < 150 {
+		t.Fatalf("only %d of 200 transfers assembled into the buffer the one before took", reused)
+	}
+}
+
+// TestDataFrameOfWrongLengthDropped: a frame lands at seq × FrameData, so
+// every frame but the last must be exactly FrameData bytes, and the last 1
+// to FrameData. Any other is dropped as corrupt and applies nothing.
+func TestDataFrameOfWrongLengthDropped(t *testing.T) {
+	c, _ := newTestConn(Plan{}, Plan{}, Config{FrameData: 4})
+	c.handleHello(&Frame{Type: FrameHello, Epoch: 1, Total: 3})
+	data := func(seq uint64, p string) {
+		c.handleData(&Frame{Type: FrameData, Epoch: 1, Seq: seq, Total: 3, Payload: []byte(p)})
+	}
+	data(0, "abc")   // short, not the last
+	data(1, "efghi") // long
+	data(2, "")      // the last, empty
+	if s, st := c.sess[1], c.Stats(); st.CorruptDrops != 3 || s.next != 0 || s.sack != 0 || len(s.buf) != 0 {
+		t.Fatalf("after three mis-sized frames: %d dropped, next %d, bitmap %#x, %d bytes placed",
+			st.CorruptDrops, s.next, s.sack, len(s.buf))
+	}
+	data(2, "ij")
+	data(1, "efgh")
+	data(0, "abcd")
+	if got, ok := c.Take(1); !ok || string(got) != "abcdefghij" {
+		t.Fatalf("Take = %q, %v", got, ok)
+	}
+}
+
+// TestConnKeepsNoSeedSizedBuffer: after a 64 MiB transfer the Conn keeps no
+// buffer for the next one, and after a 1 MiB transfer it keeps that one's.
+func TestConnKeepsNoSeedSizedBuffer(t *testing.T) {
+	c, _ := newTestConn(Plan{}, Plan{}, Config{})
+	mustTransfer(t, c, 1, testPayload(64<<20))
+	if c.spare != nil {
+		t.Fatalf("after a 64 MiB transfer the Conn keeps a %d-byte buffer", cap(c.spare))
+	}
+	mustTransfer(t, c, 2, testPayload(1<<20))
+	if n := cap(c.spare); n == 0 || n > maxPresize {
+		t.Fatalf("after a 1 MiB transfer the Conn keeps a %d-byte buffer", n)
+	}
+}
+
 func benchTransfer(b *testing.B, fwd Plan) {
 	payload := testPayload(1 << 20)
 	b.SetBytes(int64(len(payload)))
@@ -498,6 +576,31 @@ func benchTransfer(b *testing.B, fwd Plan) {
 func BenchmarkTransferClean(b *testing.B) { benchTransfer(b, Plan{}) }
 func BenchmarkTransferLossy(b *testing.B) {
 	benchTransfer(b, Plan{DropProb: 0.02, DupProb: 0.01, ReorderProb: 0.01, CorruptProb: 0.01})
+}
+
+// benchTransferSteady ships back-to-back 1 MiB transfers through one Conn, as
+// a replica's syncs do: the frame slots and the receive buffer are reused
+// from one op to the next, which benchTransfer's fresh Conn per op cannot see.
+func benchTransferSteady(b *testing.B, fwd Plan) {
+	payload := testPayload(1 << 20)
+	c, _ := newTestConn(fwd, Plan{}, Config{})
+	b.SetBytes(int64(len(payload)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		epoch := uint64(i + 1)
+		if _, err := c.Transfer(epoch, payload); err != nil {
+			b.Fatal(err)
+		}
+		if _, ok := c.Take(epoch); !ok {
+			b.Fatal("incomplete")
+		}
+	}
+}
+
+func BenchmarkTransferSteadyClean(b *testing.B) { benchTransferSteady(b, Plan{}) }
+func BenchmarkTransferSteadyLossy(b *testing.B) {
+	benchTransferSteady(b, Plan{Seed: 1, DropProb: 0.02, DupProb: 0.01, ReorderProb: 0.01, CorruptProb: 0.01})
 }
 
 func ExamplePlan() {

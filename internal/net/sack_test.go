@@ -151,7 +151,7 @@ func TestRenegingReceiverConverges(t *testing.T) {
 		reneged := 0
 		st, c, err := hookedTransfer(fwd, payload, func(c *Conn) {
 			if s := c.sess[1]; s != nil && s.sack != 0 && c.stats.AcksSeen%3 == 2 {
-				s.held, s.sack = nil, 0
+				s.sack = 0
 				reneged++
 			}
 		})
@@ -169,15 +169,17 @@ func TestRenegingReceiverConverges(t *testing.T) {
 
 // TestSessionHoldsAtMostSackSpan: a receiver holds at most sackSpan frames
 // past a gap, acks them in its bitmap, drains them when the gap fills, and
-// frees them on Abort, on completion and on a resetting Hello.
+// forgets them on Abort, on completion and on a resetting Hello. Frames are
+// one byte, so the Conn's FrameData is too.
 func TestSessionHoldsAtMostSackSpan(t *testing.T) {
-	c, _ := newTestConn(Plan{}, Plan{}, Config{})
+	c, _ := newTestConn(Plan{}, Plan{}, Config{FrameData: 1})
 	const total = 200
 	hello := func(total uint64) { c.handleHello(&Frame{Type: FrameHello, Epoch: 1, Total: total}) }
 	data := func(seq uint64) {
 		c.handleData(&Frame{Type: FrameData, Epoch: 1, Seq: seq, Total: total, Payload: []byte{byte(seq)}})
-		if s := c.sess[1]; len(s.held) > sackSpan || bits.OnesCount64(s.sack) != len(s.held) {
-			t.Fatalf("after seq %d: %d frames held, bitmap %#x", seq, len(s.held), s.sack)
+		s := c.sess[1]
+		if placed := uint64(len(s.buf)); placed > s.next+1+sackSpan || s.sack != 0 && s.next+uint64(bits.Len64(s.sack)) >= placed {
+			t.Fatalf("after seq %d: %d bytes placed past frame %d, bitmap %#x", seq, placed, s.next, s.sack)
 		}
 	}
 	lastAck := func() *Frame {
@@ -203,8 +205,8 @@ func TestSessionHoldsAtMostSackSpan(t *testing.T) {
 		t.Fatalf("ack while holding 64 frames: next %d, payload %x", f.Seq, f.Payload)
 	}
 	data(0) // fills the gap: frames 0..64 drain at once
-	if s := c.sess[1]; s.next != sackSpan+1 || len(s.held) != 0 || s.sack != 0 {
-		t.Fatalf("after the gap filled: next %d, %d held, bitmap %#x", s.next, len(s.held), s.sack)
+	if s := c.sess[1]; s.next != sackSpan+1 || s.sack != 0 {
+		t.Fatalf("after the gap filled: next %d, bitmap %#x", s.next, s.sack)
 	}
 	if f := lastAck(); f.Seq != sackSpan+1 || len(f.Payload) != 0 {
 		t.Fatalf("ack after the drain: next %d, payload %x (want no SACK bytes)", f.Seq, f.Payload)
@@ -218,8 +220,8 @@ func TestSessionHoldsAtMostSackSpan(t *testing.T) {
 	hello(total)
 	data(7)
 	hello(total + 1) // a different payload under the same key resets the session
-	if s := c.sess[1]; s.next != 0 || len(s.held) != 0 || s.sack != 0 {
-		t.Fatalf("after a resetting Hello: next %d, %d held, bitmap %#x", s.next, len(s.held), s.sack)
+	if s := c.sess[1]; s.next != 0 || s.sack != 0 || len(s.buf) != 0 {
+		t.Fatalf("after a resetting Hello: next %d, bitmap %#x, %d bytes placed", s.next, s.sack, len(s.buf))
 	}
 
 	hello(total)

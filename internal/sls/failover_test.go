@@ -9,13 +9,16 @@ package sls
 // into a dead machine leaves the source group fully alive.
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"testing"
 	"time"
 
 	"aurora/internal/net"
 	"aurora/internal/objstore"
+	"aurora/internal/rec"
 	"aurora/internal/vm"
 )
 
@@ -471,6 +474,69 @@ func TestRecvCommitFailureKeepsBase(t *testing.T) {
 			}
 			if err := img.checkModel(app.model, app.jour); err != nil {
 				t.Fatalf("standby image after recovery from a failed commit: %v", err)
+			}
+		})
+	}
+}
+
+// TestRefusedDeltaLeavesStandbyAtBase: a delta that rewrites every page and
+// fails its check three quarters of the way in is refused whole, through
+// either entry point. Nothing of it reaches the standby's store, so failover
+// restores the base the standby held, not a cut that mixes the two epochs.
+func TestRefusedDeltaLeavesStandbyAtBase(t *testing.T) {
+	for _, entry := range []struct {
+		name string
+		recv func(*Orchestrator, []byte) (string, error)
+	}{
+		{"payload", func(o *Orchestrator, b []byte) (string, error) { return o.recvPayload(b) }},
+		{"reader", func(o *Orchestrator, b []byte) (string, error) { return o.Recv(bytes.NewReader(b)) }},
+	} {
+		t.Run(entry.name, func(t *testing.T) {
+			src, dst := newWorld(t), newWorld(t)
+			app, err := startReplApp(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for pg := int64(0); pg < workloadPages; pg++ {
+				if err := app.write(pg, byte(1+pg)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rep, err := app.g.ReplicateTo(dst.o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			base := maps.Clone(app.model)
+
+			for pg := int64(0); pg < workloadPages; pg++ {
+				if err := app.write(pg, byte(0x80+pg)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := app.g.Checkpoint(CkptIncremental); err != nil {
+				t.Fatal(err)
+			}
+			if err := app.g.Barrier(); err != nil {
+				t.Fatal(err)
+			}
+			var e rec.Encoder
+			if _, err := app.g.encodeStream(&e, rep.Base(), rep.marks); err != nil {
+				t.Fatal(err)
+			}
+			delta := e.Raw()
+			delta[len(delta)*3/4] ^= 0x20
+			if _, err := entry.recv(dst.o, delta); !errors.Is(err, rec.ErrCorrupt) {
+				t.Fatalf("a delta with a flipped byte: err = %v, want rec.ErrCorrupt", err)
+			}
+			if got := dst.o.recvState["app"].epoch; got != rep.Base() {
+				t.Fatalf("the standby holds epoch %d after the refusal, want its base %d", got, rep.Base())
+			}
+			img, err := failoverImage(rep, app.va)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := img.checkModel(base, app.jour); err != nil {
+				t.Fatalf("failover after a refused delta: %v", err)
 			}
 		})
 	}

@@ -301,29 +301,38 @@ func (o *Orchestrator) Recv(r io.Reader) (string, error) {
 	return o.recvPayload(payload)
 }
 
+// recvBatch bounds the pages of a run one WritePages call lands: the store's
+// own batch, one hold of its lock.
+const recvBatch = 256
+
+// nextItem splits a stream's next item off: its sealed record, and the rest.
+func nextItem(stream []byte) (item, rest []byte, err error) {
+	if len(stream) < 4 {
+		return nil, nil, io.ErrUnexpectedEOF
+	}
+	n := binary.LittleEndian.Uint32(stream)
+	if n > maxStreamItem {
+		// The length header is untrusted input off the wire: a corrupt
+		// value must produce a decode error, not a giant allocation.
+		return nil, nil, fmt.Errorf("%w: stream item of %d bytes exceeds cap %d", rec.ErrCorrupt, n, maxStreamItem)
+	}
+	if len(stream)-4 < int(n) {
+		return nil, nil, io.ErrUnexpectedEOF
+	}
+	return stream[4 : 4+n : 4+n], stream[4+n:], nil
+}
+
 // recvPayload applies a stream in memory, decoding it where it lies: each
 // item is a sub-slice of payload, and a page's data reaches the store's write
-// from there, uncopied.
+// from there, uncopied. The items are checked whole first (checkItems), so a
+// stream refused as corrupt changes nothing; the apply pass then reads them
+// unsummed, and lands each page run through WritePages in batches.
 func (o *Orchestrator) recvPayload(payload []byte) (string, error) {
-	next := func() (*rec.Decoder, error) {
-		if len(payload) < 4 {
-			return nil, io.ErrUnexpectedEOF
-		}
-		n := binary.LittleEndian.Uint32(payload)
-		if n > maxStreamItem {
-			// The length header is untrusted input off the wire: a corrupt
-			// value must produce a decode error, not a giant allocation.
-			return nil, fmt.Errorf("%w: stream item of %d bytes exceeds cap %d", rec.ErrCorrupt, n, maxStreamItem)
-		}
-		if len(payload)-4 < int(n) {
-			return nil, io.ErrUnexpectedEOF
-		}
-		body := payload[4 : 4+n : 4+n]
-		payload = payload[4+n:]
-		return rec.NewDecoder(body)
+	item, items, err := nextItem(payload)
+	if err != nil {
+		return "", err
 	}
-
-	head, err := next()
+	head, err := rec.NewDecoder(item)
 	if err != nil {
 		return "", err
 	}
@@ -395,15 +404,36 @@ func (o *Orchestrator) recvPayload(payload []byte) (string, error) {
 		}
 	}
 
-	// Pending page run state, and the retention of the group record seen.
-	var curPages objstore.OID
-	retain := 0
-	for {
-		d, err := next()
-		if err != nil {
-			return "", err
+	retain, err := checkItems(items, groupOID, listed)
+	if err != nil {
+		return "", err
+	}
+
+	// The open page run's object, and its pages not yet landed.
+	var cur objstore.OID
+	if o.recvPages == nil {
+		o.recvPages = make([]objstore.PageWrite, 0, recvBatch)
+	}
+	pages := o.recvPages[:0]
+	land := func() error {
+		if len(pages) == 0 {
+			return nil
 		}
-		switch kind := d.U8(); kind {
+		_, err := o.Store.WritePages(cur, pages)
+		clear(pages) // the data is the payload's, which this call does not keep
+		pages = pages[:0]
+		return err
+	}
+	for {
+		item, items, _ = nextItem(items)
+		d := rec.NewRawDecoder(item[:len(item)-4])
+		kind := d.U8()
+		if kind != itemPages {
+			if err := land(); err != nil {
+				return "", err
+			}
+		}
+		switch kind {
 		case itemEnd:
 			if !delta {
 				manifest = append(manifest, manifestEntry{id: uint64(len(manifest) + 1), name: name, oid: groupOID})
@@ -453,58 +483,34 @@ func (o *Orchestrator) recvPayload(payload []byte) (string, error) {
 		case itemRecord:
 			oid := objstore.OID(d.U64())
 			ut := d.U16()
-			raw := d.Bytes()
-			if err := d.Err(); err != nil {
-				return "", err
-			}
-			if err := listed(oid); err != nil {
-				return "", err
-			}
-			if oid == groupOID {
-				// The standby's commit trims by the bound every stream resends.
-				gr, err := decodeGroupRecord(raw)
-				if err != nil {
-					return "", err
-				}
-				retain = gr.retain
-			}
-			if err := o.Store.PutRecord(oid, ut, raw); err != nil {
+			if err := o.Store.PutRecord(oid, ut, d.View()); err != nil {
 				return "", err
 			}
 		case itemPages:
 			oid := objstore.OID(d.U64())
 			arg := d.I64()
-			if err := listed(oid); err != nil {
+			if oid == cur && arg >= 0 {
+				pages = append(pages, objstore.PageWrite{Pg: arg, Data: d.View()})
+				if len(pages) < recvBatch {
+					continue
+				}
+			}
+			if err := land(); err != nil {
 				return "", err
 			}
-			if curPages != oid {
+			switch {
+			case oid != cur:
 				// Run header: arg is the object size.
 				o.Store.Ensure(oid, UTMemObject)
-				curPages = oid
-				continue
-			}
-			if arg < 0 {
-				curPages = 0 // run sentinel
-				continue
-			}
-			data := d.View()
-			if err := d.Err(); err != nil {
-				return "", err
-			}
-			if err := o.Store.WritePage(oid, arg, data); err != nil {
-				return "", err
+				cur = oid
+			case arg < 0:
+				cur = 0 // run sentinel
 			}
 		case itemJournal:
 			oid := objstore.OID(d.U64())
 			ut := d.U16()
 			capacity := d.I64()
 			run := objstore.FrameRun{Gen: d.U64(), FlushedSeq: d.U64(), Off: d.I64(), Frames: d.View()}
-			if err := d.Err(); err != nil {
-				return "", err
-			}
-			if err := listed(oid); err != nil {
-				return "", err
-			}
 			// The standby keeps the frames it was sent: a run of the
 			// generation it holds lands at its offset, any other starts a
 			// fresh extent. Frames the store refuses are a corrupt stream.
@@ -514,8 +520,70 @@ func (o *Orchestrator) recvPayload(payload []byte) (string, error) {
 				}
 				return "", err
 			}
+		}
+	}
+}
+
+// checkItems walks a stream's items up to its end marker and refuses the
+// stream at the first item that fails its sum, names an unknown kind or an
+// object the stream may not write (listed), or carries a page that is not
+// one block. It returns the retention the group's record carries. Past it,
+// only the store can refuse an item.
+func checkItems(items []byte, groupOID objstore.OID, listed func(objstore.OID) error) (retain int, err error) {
+	var cur objstore.OID // the open page run's object, as the apply pass tracks it
+	for {
+		var item []byte
+		if item, items, err = nextItem(items); err != nil {
+			return 0, err
+		}
+		d, err := rec.NewDecoder(item)
+		if err != nil {
+			return 0, err
+		}
+		kind := d.U8()
+		if kind == itemEnd {
+			return retain, nil
+		}
+		oid := objstore.OID(d.U64())
+		var raw []byte
+		switch kind {
+		case itemRecord:
+			d.U16()
+			raw = d.View()
+		case itemPages:
+			switch arg := d.I64(); {
+			case oid != cur:
+				cur = oid // run header
+			case arg < 0:
+				cur = 0 // run sentinel
+			default:
+				if data := d.View(); d.Err() == nil && len(data) != objstore.BlockSize {
+					return 0, fmt.Errorf("%w: page %d of object %d carries %d bytes", rec.ErrCorrupt, arg, oid, len(data))
+				}
+			}
+		case itemJournal:
+			d.U16()  // utype
+			d.I64()  // capacity
+			d.U64()  // generation
+			d.U64()  // flushed seq
+			d.I64()  // offset
+			d.View() // frames
 		default:
-			return "", fmt.Errorf("sls: unknown stream item %d", kind)
+			return 0, fmt.Errorf("sls: unknown stream item %d", kind)
+		}
+		if err := d.Err(); err != nil {
+			return 0, err
+		}
+		if err := listed(oid); err != nil {
+			return 0, err
+		}
+		if kind == itemRecord && oid == groupOID {
+			// The standby's commit trims by the bound every stream resends.
+			gr, err := decodeGroupRecord(raw)
+			if err != nil {
+				return 0, err
+			}
+			retain = gr.retain
 		}
 	}
 }

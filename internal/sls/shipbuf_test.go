@@ -199,10 +199,12 @@ func allocsPer(n int, between, op func()) (allocs, bytes uint64) {
 
 // TestSyncAllocsBounded: one sync of BenchmarkReplicaSyncPages's shape — 256
 // changed pages, a megabyte of page data, over a lossy wire — allocates at
-// most 1 500 times and 5 MB (15.0 MB and 3 177 allocations when the stream
-// and the standby's session regrew their buffers and the standby copied each
-// item out of the payload). Under the race detector, whose runtime allocates
-// where the plain build does not (raceDetector), only the count is gated.
+// most 1 500 times and 1 MB, the first syncs' warm-up included (15.0 MB and
+// 3 177 allocations when the stream and the standby's session regrew their
+// buffers and the standby copied each item out of the payload; 3.3 MB while
+// every wire frame and every received payload was a fresh buffer). Under the
+// race detector, whose runtime allocates where the plain build does not
+// (raceDetector), only the count is gated.
 func TestSyncAllocsBounded(t *testing.T) {
 	s := newSyncShape(t)
 	i := 0
@@ -212,8 +214,8 @@ func TestSyncAllocsBounded(t *testing.T) {
 		}
 	})
 	t.Logf("a sync of 256 changed pages: %d allocations, %d bytes", allocs, bytes)
-	if allocs > 1500 || bytes > 5e6 && !raceDetector {
-		t.Fatalf("a sync of 256 changed pages made %d allocations of %d bytes, gate 1 500 and 5 MB", allocs, bytes)
+	if allocs > 1500 || bytes > 1e6 && !raceDetector {
+		t.Fatalf("a sync of 256 changed pages made %d allocations of %d bytes, gate 1 500 and 1 MB", allocs, bytes)
 	}
 }
 
