@@ -78,7 +78,9 @@ func (s *syncShape) rewrite(tb testing.TB, i int) {
 // then pins the standby's device image, both clocks and the standby's device
 // counters. The pin was taken before the receive path decoded the stream in
 // place: the standby must write the same blocks, in the same order, at the
-// same virtual times, however the stream reaches it.
+// same virtual times, however the stream reaches it. Only its device command
+// count follows how it batches them: 27 293 when it wrote page by page, 13 517
+// since each page run lands through WritePages.
 func TestReplicaStandbyImagePinned(t *testing.T) {
 	s := newSyncShape(t)
 	for i := 1; i <= 100; i++ {
@@ -97,7 +99,7 @@ func TestReplicaStandbyImagePinned(t *testing.T) {
 	got := fmt.Sprintf("standby=%x src-clock=%d dst-clock=%d disk=%+v wire=%d retx=%d",
 		h.Sum(nil)[:12], s.src.clk.Now(), s.dst.clk.Now(), s.dst.dev.Stats(), s.rep.WireBytes, s.rep.Retransmits)
 	const want = "standby=6d0001d3523ea9f339191a57 src-clock=277984346 dst-clock=278547564 " +
-		"disk={Reads:1024 Writes:27293 BytesRead:4194304 BytesWritten:112937752 Flushes:0} wire=112324474 retx=68"
+		"disk={Reads:1024 Writes:13517 BytesRead:4194304 BytesWritten:112937752 Flushes:0} wire=112324474 retx=68"
 	if got != want {
 		t.Fatalf("standby after 100 syncs and a failover\n got %s\nwant %s", got, want)
 	}
