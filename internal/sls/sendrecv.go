@@ -411,16 +411,13 @@ func (o *Orchestrator) recvPayload(payload []byte) (string, error) {
 
 	// The open page run's object, and its pages not yet landed.
 	var cur objstore.OID
-	if o.recvPages == nil {
-		o.recvPages = make([]objstore.PageWrite, 0, recvBatch)
-	}
-	pages := o.recvPages[:0]
+	var batch [recvBatch]objstore.PageWrite
+	pages := batch[:0]
 	land := func() error {
 		if len(pages) == 0 {
 			return nil
 		}
 		_, err := o.Store.WritePages(cur, pages)
-		clear(pages) // the data is the payload's, which this call does not keep
 		pages = pages[:0]
 		return err
 	}

@@ -145,9 +145,6 @@ type Orchestrator struct {
 	// the last checkpoint stream applied here — the receive-side contract
 	// that validates delta streams (see sendrecv.go).
 	recvState map[string]*recvGroupState
-	// recvPages is the page batch a received stream lands through
-	// WritePages, reused from stream to stream.
-	recvPages []objstore.PageWrite
 }
 
 // New creates an orchestrator over a kernel and its store, installing the
