@@ -36,9 +36,9 @@ func BenchmarkWritePage(b *testing.B) {
 	}
 }
 
-// TestPageWriteAllocatesNothing guards the COW page write's scratch: a
-// WritePage and a 16-page WritePages reuse what the store holds and allocate
-// nothing.
+// TestPageWriteAllocatesNothing guards the store's write scratch: a
+// WritePage, a 16-page WritePages and a journal append reuse what the store
+// holds and allocate nothing.
 func TestPageWriteAllocatesNothing(t *testing.T) {
 	s, _, _ := newStore(t)
 	oid := s.NewOID()
@@ -63,6 +63,17 @@ func TestPageWriteAllocatesNothing(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("a 16-page WritePages allocated %.0f times per call, want 0", n)
+	}
+	j, err := s.CreateJournal(s.NewOID(), 9, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := j.Append(page[:100]); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Journal.Append allocated %.0f times per call, want 0", n)
 	}
 }
 
@@ -94,7 +105,7 @@ func BenchmarkJournalAppend(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	payload := make([]byte, 4096-frameHeaderLen)
+	payload := make([]byte, 4096-frameOverhead)
 	b.SetBytes(int64(len(payload)))
 	b.ReportAllocs()
 	b.ResetTimer()

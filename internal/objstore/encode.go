@@ -18,7 +18,7 @@ import (
 // every checkpoint index, is the one tools (and tests) look for on raw media.
 const (
 	magicSuper  = 0x41525342 // "ARSB"
-	IndexMagic  = 0x4152494D // "ARIM": an index whose free map is runs
+	IndexMagic  = 0x4152494E // "ARIN": an index of a store whose journal frames are log frames
 	magicRecord = 0x41524F42 // "AROB"
 	magicFrame  = 0x4152464D // "ARFM"
 	magicWAL    = 0x4152574C // "ARWL"

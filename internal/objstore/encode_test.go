@@ -156,8 +156,8 @@ func TestIndexCodecRoundTrip(t *testing.T) {
 
 // TestDecodeIndexRefusesBadRuns: an index's free map is outside input. A run
 // that is unaligned, empty, overlapping or out of order, or outside the data
-// region, fails the decode as ErrCorrupt; so does an index written before the
-// map was runs, on its magic.
+// region, fails the decode as ErrCorrupt; so does an index of an older
+// format, on its magic.
 func TestDecodeIndexRefusesBadRuns(t *testing.T) {
 	const lo, hi = 8192, 1 << 20
 	for _, tc := range []struct {
@@ -178,11 +178,16 @@ func TestDecodeIndexRefusesBadRuns(t *testing.T) {
 			t.Errorf("%s: decode = %v, want ErrCorrupt", tc.name, err)
 		}
 	}
-	var old rec.Encoder
-	old.U32(0x41524958) // "ARIX", the per-block freelist's index
-	old.U64(5)
-	if _, err := decodeIndex(old.Seal(), lo, hi); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "magic") {
-		t.Fatalf("old-format index: decode = %v, want ErrCorrupt on its magic", err)
+	for _, magic := range []uint32{
+		0x41524958, // "ARIX", the per-block freelist's index
+		0x4152494D, // "ARIM", the free map's, beside journal frames of their own layout
+	} {
+		var old rec.Encoder
+		old.U32(magic)
+		old.U64(5)
+		if _, err := decodeIndex(old.Seal(), lo, hi); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "magic") {
+			t.Fatalf("old-format index %#x: decode = %v, want ErrCorrupt on its magic", magic, err)
+		}
 	}
 }
 

@@ -149,41 +149,41 @@ func (s *Store) fsckWAL(rep *FsckReport, walBase, walBlocks, walHead int64, walS
 		rep.problemf("wal: region unreadable: %v", err)
 		return
 	}
-	var off int64
+	sc := frameScan{size: int64(len(region)), win: region} // in memory: ahead never reads
 	var maxSeq uint64
 	seenCur := false
-	for off < walHead {
-		fr, padded, ok := decodeWALFrame(region[off:])
-		if !ok {
-			rep.problemf("wal: undecodable frame at %#x inside committed head %#x", walBase+off, walHead)
+	for sc.off < walHead {
+		fr, padded, _ := decodeWALFrame(&sc)
+		if fr == nil {
+			rep.problemf("wal: undecodable frame at %#x inside committed head %#x", walBase+sc.off, walHead)
 			return
 		}
 		if fr.base > epoch {
-			rep.problemf("wal: orphaned frame at %#x for future epoch %d (store at %d)", walBase+off, fr.base, epoch)
+			rep.problemf("wal: orphaned frame at %#x for future epoch %d (store at %d)", walBase+sc.off, fr.base, epoch)
 		} else if fr.base == epoch {
 			if fr.seq != maxSeq+1 {
-				rep.problemf("wal: frame at %#x has seq %d, expected %d", walBase+off, fr.seq, maxSeq+1)
+				rep.problemf("wal: frame at %#x has seq %d, expected %d", walBase+sc.off, fr.seq, maxSeq+1)
 			}
 			maxSeq = fr.seq
 			seenCur = true
 		} else if seenCur {
-			rep.problemf("wal: stale generation frame at %#x inside committed head", walBase+off)
+			rep.problemf("wal: stale generation frame at %#x inside committed head", walBase+sc.off)
 		}
-		off += padded
+		sc.skip(padded)
 	}
 	if maxSeq != walSeq {
 		rep.problemf("wal: committed chain reaches seq %d, store says %d", maxSeq, walSeq)
 	}
 	// Past the head: stale generations are fine, future epochs are orphans.
-	for off < int64(len(region)) {
-		fr, padded, ok := decodeWALFrame(region[off:])
-		if !ok {
+	for sc.off < sc.size {
+		fr, padded, _ := decodeWALFrame(&sc)
+		if fr == nil {
 			break // torn tail or erased space: clean
 		}
 		if fr.base > epoch {
-			rep.problemf("wal: orphaned frame at %#x past head for future epoch %d (store at %d)", walBase+off, fr.base, epoch)
+			rep.problemf("wal: orphaned frame at %#x past head for future epoch %d (store at %d)", walBase+sc.off, fr.base, epoch)
 		}
-		off += padded
+		sc.skip(padded)
 	}
 }
 

@@ -1,12 +1,11 @@
 package objstore
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 
 	"aurora/internal/clock"
+	"aurora/internal/rec"
 )
 
 // Journal objects are the store's one non-COW path, backing the sls_journal
@@ -24,8 +23,8 @@ import (
 // ErrJournalFull is returned when an append exceeds the extent.
 var ErrJournalFull = errors.New("objstore: journal full")
 
-// frameHeaderLen is magic(4) + gen(8) + seq(8) + len(4) + crc(4).
-const frameHeaderLen = 28
+// frameOverhead is what a frame adds to its payload, and its least length.
+const frameOverhead = rec.FrameOverhead + 16
 
 // journalState is the journal-shaped part of an object.
 type journalState struct {
@@ -124,27 +123,21 @@ func (j *Journal) Used() int64 {
 func (j *Journal) Append(payload []byte) (uint64, error) {
 	j.s.mu.Lock()
 	js := j.o.journal
-	frame := make([]byte, frameHeaderLen+len(payload))
-	need := int64(len(frame))
+	need := int64(frameOverhead + len(payload))
 	if js.tail+need > j.Capacity() {
 		j.s.mu.Unlock()
 		return 0, fmt.Errorf("%w: need %d bytes, %d free", ErrJournalFull, need, j.Capacity()-js.tail)
 	}
 	js.lastSeq++
 	seq := js.lastSeq
-	binary.LittleEndian.PutUint32(frame[0:], magicFrame)
-	binary.LittleEndian.PutUint64(frame[4:], js.generation)
-	binary.LittleEndian.PutUint64(frame[12:], seq)
-	binary.LittleEndian.PutUint32(frame[20:], uint32(len(payload)))
-	copy(frame[frameHeaderLen:], payload)
-	binary.LittleEndian.PutUint32(frame[24:], frameCRC(frame))
+	encodeFrame(&j.s.frame, js.generation, seq, payload)
 	off := js.extentAddr + js.tail
 	js.tail += need
 	j.o.size = js.tail
 	// The frame joins the interval's durability horizon: the next
 	// superblock must not be able to land on media that lost this append,
 	// or recovery to that epoch would find a gap in the extent.
-	done, err := j.s.submitLocked(frame, off, 0)
+	done, err := j.s.submitLocked(j.s.frame.Raw(), off, 0)
 	if err != nil {
 		j.s.mu.Unlock()
 		return 0, err
@@ -160,13 +153,16 @@ func (j *Journal) Append(payload []byte) (uint64, error) {
 	return seq, nil
 }
 
-// frameCRC computes the checksum over a frame with its CRC field zeroed.
-func frameCRC(frame []byte) uint32 {
-	h := crc32.NewIEEE()
-	h.Write(frame[:24])
-	h.Write([]byte{0, 0, 0, 0})
-	h.Write(frame[frameHeaderLen:])
-	return h.Sum32()
+// encodeFrame encodes the frame of payload at generation gen and seq into e,
+// in place of what e held: a log frame of internal/rec ("ARFM") whose body is
+// gen u64 | seq u64 | payload.
+func encodeFrame(e *rec.Encoder, gen, seq uint64, payload []byte) {
+	e.Reset()
+	mark := e.BeginFrame(magicFrame)
+	e.U64(gen)
+	e.U64(seq)
+	e.Append(payload)
+	e.EndFrame(mark)
 }
 
 // Truncate logically empties the journal: it bumps the generation and
@@ -205,16 +201,15 @@ func (j *Journal) scanLocked() ([]Entry, error) {
 		lastSeq uint64
 	)
 	for {
-		frame, err := nextFrame(&sc, gen, lastSeq)
+		frame, fgen, fseq, err := nextFrame(&sc, gen, lastSeq)
 		if err != nil {
 			return nil, err
 		}
 		if frame == nil {
 			break
 		}
-		gen, lastSeq = frameGen(frame), frameSeq(frame)
-		if lastSeq > js.flushedSeq {
-			entries = append(entries, Entry{Seq: lastSeq, Payload: frame[frameHeaderLen:]})
+		if gen, lastSeq = fgen, fseq; lastSeq > js.flushedSeq {
+			entries = append(entries, Entry{Seq: lastSeq, Payload: rec.FrameBody(frame)[16:]})
 		}
 	}
 	js.tail = sc.off
@@ -228,39 +223,23 @@ func (j *Journal) scanLocked() ([]Entry, error) {
 }
 
 // nextFrame is the journal's one frame rule: the recovery scan, a replica's
-// read and a standby's write all walk frames by it. The bytes at the scan
-// position are a frame when they open with the frame magic, the whole frame
-// lies inside the scanned range, its checksum holds, its generation is at
-// least gen and its seq follows seq (any seq follows 0). It returns the frame
-// and moves the scan past it, or nil, not moving, where the rule ends the walk.
-func nextFrame(sc *frameScan, gen, seq uint64) ([]byte, error) {
-	if sc.off+frameHeaderLen > sc.size {
-		return nil, nil
+// read and a standby's write all walk frames by it. On top of the scan step
+// (frameScan.frame) it asks, of the header before the frame is read, that the
+// generation be at least gen and the seq follow seq (any seq follows 0). It
+// returns the frame, its generation and seq, and moves the scan past it, or
+// nil, not moving, where the rule ends the walk.
+func nextFrame(sc *frameScan, gen, seq uint64) (frame []byte, fgen, fseq uint64, err error) {
+	frame, err = sc.frame(magicFrame, frameOverhead, func(head []byte) bool {
+		d := rec.NewRawDecoder(rec.FrameBody(head[:frameOverhead]))
+		fgen, fseq = d.U64(), d.U64()
+		return fgen >= gen && (fseq > seq || seq == 0)
+	})
+	if frame == nil || err != nil {
+		return nil, 0, 0, err
 	}
-	win, err := sc.ahead(frameHeaderLen)
-	if err != nil {
-		return nil, err
-	}
-	if binary.LittleEndian.Uint32(win[0:]) != magicFrame {
-		return nil, nil
-	}
-	size := frameHeaderLen + int64(binary.LittleEndian.Uint32(win[20:]))
-	if frameGen(win) < gen || sc.off+size > sc.size {
-		return nil, nil
-	}
-	if win, err = sc.ahead(size); err != nil {
-		return nil, err
-	}
-	frame := win[:size:size]
-	if binary.LittleEndian.Uint32(frame[24:]) != frameCRC(frame) || (frameSeq(frame) <= seq && seq != 0) {
-		return nil, nil
-	}
-	sc.skip(size)
-	return frame, nil
+	sc.skip(int64(len(frame)))
+	return frame, fgen, fseq, nil
 }
-
-func frameGen(frame []byte) uint64 { return binary.LittleEndian.Uint64(frame[4:]) }
-func frameSeq(frame []byte) uint64 { return binary.LittleEndian.Uint64(frame[12:]) }
 
 // Journal replication. A standby holds exactly the frames its source shipped,
 // at the source's offsets, so a sync need only name a position in them and
@@ -312,11 +291,11 @@ func (j *Journal) ReadFrames(from JournalMark, limit int64) ([]FrameRun, Journal
 	runs := []FrameRun{newRun()}
 	sc := frameScan{s: j.s, addr: js.extentAddr, size: js.tail, off: at.Off}
 	for sc.off < sc.size {
-		frame, err := nextFrame(&sc, at.Gen, at.Seq)
+		frame, gen, seq, err := nextFrame(&sc, at.Gen, at.Seq)
 		if err != nil {
 			return nil, from, err
 		}
-		if frame == nil || frameGen(frame) != at.Gen {
+		if frame == nil || gen != at.Gen {
 			return nil, from, fmt.Errorf("%w: journal %d: no frame of generation %d at byte %d, below the tail %d",
 				ErrCorrupt, j.o.oid, at.Gen, at.Off, js.tail)
 		}
@@ -325,7 +304,7 @@ func (j *Journal) ReadFrames(from JournalMark, limit int64) ([]FrameRun, Journal
 		}
 		run := &runs[len(runs)-1]
 		run.Frames = append(run.Frames, frame...)
-		at.Off, at.Seq = sc.off, frameSeq(frame)
+		at.Off, at.Seq = sc.off, seq
 	}
 	return runs, at, nil
 }
@@ -378,16 +357,16 @@ func (s *Store) WriteFrames(oid OID, utype uint16, capacity int64, run FrameRun)
 	last := after
 	for sc.off < sc.size {
 		at := run.Off + sc.off
-		frame, err := nextFrame(&sc, run.Gen, last)
+		frame, gen, seq, err := nextFrame(&sc, run.Gen, last)
 		switch {
 		case err != nil:
 			return err
 		case frame == nil:
 			return refuse("bytes from %d are not a frame following seq %d", at, last)
-		case frameGen(frame) != run.Gen:
-			return refuse("frame at byte %d is of generation %d, the run's is %d", at, frameGen(frame), run.Gen)
+		case gen != run.Gen:
+			return refuse("frame at byte %d is of generation %d, the run's is %d", at, gen, run.Gen)
 		}
-		last = frameSeq(frame)
+		last = seq
 	}
 
 	o := s.objects[oid]

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"testing"
 	"time"
 
@@ -51,10 +52,53 @@ func TestJournalAppendEntries(t *testing.T) {
 	}
 }
 
+// TestRecoverRefusesOlderFormat: a journal frame of the layout before frames
+// were log frames (magic | gen | seq | len | crc | payload, the CRC taken with
+// its own field zeroed) is no frame to the scan — its generation's low word
+// reads as a length shorter than a frame — so an image of that format would
+// come back with journals silently empty. Its index magic refuses it instead:
+// Recover fails as ErrCorrupt.
+func TestRecoverRefusesOlderFormat(t *testing.T) {
+	s, j, dev, clk := newJournal(t, 4*BlockSize)
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	old := binary.LittleEndian.AppendUint32(nil, magicFrame)
+	old = binary.LittleEndian.AppendUint64(old, 1) // gen
+	old = binary.LittleEndian.AppendUint64(old, 1) // seq
+	old = binary.LittleEndian.AppendUint32(old, 5)
+	old = binary.LittleEndian.AppendUint32(old, 0)
+	old = append(old, "hello"...)
+	binary.LittleEndian.PutUint32(old[24:], crc32.ChecksumIEEE(old))
+	_, err := dev.WriteAt(old, j.o.journal.extentAddr)
+	must(err)
+	if got, err := j.Entries(); err != nil || len(got) != 0 {
+		t.Fatalf("an older-format frame scans to %d entries (%v), want none", len(got), err)
+	}
+	_, err = s.Checkpoint()
+	must(err)
+	must(s.WaitDurable(s.Epoch()))
+	_, sb, err := unopenedStore(dev, clk, clock.DefaultCosts())
+	must(err)
+	idx := make([]byte, sb.indexLen)
+	_, err = dev.ReadAt(idx, sb.indexAddr)
+	must(err)
+	binary.LittleEndian.PutUint32(idx, 0x4152494D) // "ARIM", the index magic of that format
+	binary.LittleEndian.PutUint32(idx[len(idx)-4:], crc32.ChecksumIEEE(idx[:len(idx)-4]))
+	_, err = dev.WriteAt(idx, sb.indexAddr)
+	must(err)
+	if _, err := Recover(dev, clk, clock.DefaultCosts()); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Recover of an older-format image = %v, want ErrCorrupt", err)
+	}
+}
+
 func TestJournalAppendLatencyMatchesTable5(t *testing.T) {
 	_, j, _, clk := newJournal(t, 16<<20)
 	before := clk.Now()
-	if _, err := j.Append(make([]byte, 4096-frameHeaderLen)); err != nil {
+	if _, err := j.Append(make([]byte, 4096-frameOverhead)); err != nil {
 		t.Fatal(err)
 	}
 	got := clk.Now() - before
@@ -199,8 +243,8 @@ func TestJournalUsedAndCapacity(t *testing.T) {
 		t.Fatalf("fresh used = %d", j.Used())
 	}
 	j.Append(make([]byte, 100))
-	if got := j.Used(); got != 100+frameHeaderLen {
-		t.Fatalf("used = %d, want %d", got, 100+frameHeaderLen)
+	if got := j.Used(); got != 100+frameOverhead {
+		t.Fatalf("used = %d, want %d", got, 100+frameOverhead)
 	}
 }
 
@@ -252,7 +296,7 @@ func TestWriteFramesMirrorsAppend(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, run := range runs {
-			if n := len(run.Frames); n > limit && n != frameHeaderLen+int(binary.LittleEndian.Uint32(run.Frames[20:])) {
+			if n := len(run.Frames); n > limit && n != int(binary.LittleEndian.Uint32(run.Frames[4:])) {
 				t.Fatalf("a run of %d bytes over a limit of %d holds more than one frame", n, limit)
 			}
 			if err := dst.WriteFrames(oid, 9, j.Capacity(), run); err != nil {

@@ -6,6 +6,8 @@ import (
 	"maps"
 	"slices"
 	"time"
+
+	"aurora/internal/rec"
 )
 
 // The read path. Everything the store reads that spans more than one block
@@ -371,6 +373,29 @@ func (f *frameScan) ahead(n int64) ([]byte, error) {
 		f.win, f.read = win, f.read+want
 	}
 	return f.win, nil
+}
+
+// frame is the scan step both logs take: the frame of the given magic at the
+// scan position, or nil. Its first least bytes (the log's shortest frame) must
+// state a length of at least least inside the range and pass head, if given;
+// then it is read whole, and rec.Frame must accept it. It does not move the scan.
+func (f *frameScan) frame(magic uint32, least int64, head func(win []byte) bool) ([]byte, error) {
+	if f.off+least > f.size {
+		return nil, nil
+	}
+	win, err := f.ahead(least)
+	if err != nil {
+		return nil, err
+	}
+	_, n := rec.Frame(win, magic)
+	if int64(n) < least || f.off+int64(n) > f.size || (head != nil && !head(win)) {
+		return nil, nil
+	}
+	if win, err = f.ahead(int64(n)); err != nil {
+		return nil, err
+	}
+	frame, _ := rec.Frame(win, magic)
+	return frame, nil
 }
 
 // skip moves the scan position n bytes on.

@@ -35,6 +35,7 @@ import (
 	"aurora/internal/clock"
 	"aurora/internal/flight"
 	"aurora/internal/mem"
+	"aurora/internal/rec"
 	"aurora/internal/trace"
 )
 
@@ -220,6 +221,7 @@ type Store struct {
 	pendingDurable time.Duration
 	one            [1][]byte   // submitLocked's vector, so single-buffer writes allocate none
 	pages          pageScratch // writePagesLocked's, for the same reason
+	frame          rec.Encoder // Journal.Append's, for the same reason
 	// durableAt maps committed epochs to their durability times.
 	durableAt map[Epoch]time.Duration
 

@@ -19,7 +19,6 @@ package objstore
 // after the last frame, or never published, was never out of it.
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"time"
@@ -42,9 +41,9 @@ const walSector = 512
 // DefaultWALBlocks caps the reserved region at 4 MiB.
 const DefaultWALBlocks = 1024
 
-// walHeaderLen is magic(4) + frameLen(4) + base(8) + seq(8) + nextOID(8) +
-// nops(4).
-const walHeaderLen = 36
+// walLeast is the shortest frame: a log frame of internal/rec whose body is
+// base(8) + seq(8) + nextOID(8) + nops(4) and no op.
+const walLeast = rec.FrameOverhead + 28
 
 // walBlocksFor sizes the reserved region: an eighth of the device, clamped
 // to [4, DefaultWALBlocks] blocks.
@@ -110,77 +109,60 @@ func (s *Store) walNote(op *walOp) {
 	s.walPending = append(s.walPending, *op)
 }
 
-// encodeWALFrame serializes fr, sealed but not sector-padded.
+// encodeWALFrame serializes fr as a log frame, not sector-padded.
 func encodeWALFrame(fr *walFrame) []byte {
-	var ops rec.Encoder
-	for _, op := range fr.ops {
-		ops.U8(op.kind)
-		ops.U64(uint64(op.oid))
-		switch op.kind {
-		case walOpPut:
-			ops.U16(op.utype)
-			ops.Bytes(op.data)
-		case walOpPage:
-			ops.U16(op.utype)
-			ops.I64(op.pg)
-			ops.I64(op.addr)
-			ops.U32(op.sum)
-		case walOpSize:
-			ops.I64(op.size)
-		case walOpDelete:
-		case walOpJournal:
-			ops.U16(op.utype)
-			ops.I64(op.addr)
-			ops.I64(op.size)
-			ops.U64(op.gen)
-			ops.U64(op.fseq)
-		case walOpFlight:
-			ops.I64(op.size) // ring capacity
-			ops.Bytes(op.data)
-		}
-	}
-	frameLen := walHeaderLen + ops.Len() + 4
 	var e rec.Encoder
-	e.U32(magicWAL)
-	e.U32(uint32(frameLen))
+	mark := e.BeginFrame(magicWAL)
 	e.U64(uint64(fr.base))
 	e.U64(fr.seq)
 	e.U64(uint64(fr.nextOID))
 	e.U32(uint32(len(fr.ops)))
-	e.Append(ops.Raw())
-	return e.Seal()
+	for _, op := range fr.ops {
+		e.U8(op.kind)
+		e.U64(uint64(op.oid))
+		switch op.kind {
+		case walOpPut:
+			e.U16(op.utype)
+			e.Bytes(op.data)
+		case walOpPage:
+			e.U16(op.utype)
+			e.I64(op.pg)
+			e.I64(op.addr)
+			e.U32(op.sum)
+		case walOpSize:
+			e.I64(op.size)
+		case walOpDelete:
+		case walOpJournal:
+			e.U16(op.utype)
+			e.I64(op.addr)
+			e.I64(op.size)
+			e.U64(op.gen)
+			e.U64(op.fseq)
+		case walOpFlight:
+			e.I64(op.size) // ring capacity
+			e.Bytes(op.data)
+		}
+	}
+	e.EndFrame(mark)
+	return e.Raw()
 }
 
-// decodeWALFrame parses the frame at the start of b. ok is false for
-// anything that is not a complete, checksummed frame (torn tail, stale
-// bytes, garbage). padded is the frame's footprint in the ring.
-func decodeWALFrame(b []byte) (fr *walFrame, padded int64, ok bool) {
-	if len(b) < walHeaderLen+4 {
-		return nil, 0, false
+// decodeWALFrame is the WAL's scan step: the frame at the scan position,
+// decoded, and its footprint in the ring, or nil for anything that is not a
+// whole frame of exactly the header and the ops it counts (torn tail, stale
+// bytes, garbage). It does not move the scan.
+func decodeWALFrame(sc *frameScan) (fr *walFrame, padded int64, err error) {
+	frame, err := sc.frame(magicWAL, walLeast, nil)
+	if frame == nil || err != nil {
+		return nil, 0, err
 	}
-	if binary.LittleEndian.Uint32(b) != magicWAL {
-		return nil, 0, false
-	}
-	frameLen := int64(binary.LittleEndian.Uint32(b[4:]))
-	if frameLen < walHeaderLen+4 || frameLen > int64(len(b)) {
-		return nil, 0, false
-	}
-	d, err := rec.NewDecoder(b[:frameLen])
-	if err != nil {
-		return nil, 0, false
-	}
-	d.U32() // magic
-	d.U32() // frameLen
+	d := rec.NewRawDecoder(rec.FrameBody(frame))
 	fr = &walFrame{
 		base:    Epoch(d.U64()),
 		seq:     d.U64(),
 		nextOID: OID(d.U64()),
 	}
-	nops := int(d.U32())
-	if nops < 0 || nops > len(b) {
-		return nil, 0, false
-	}
-	for i := 0; i < nops && d.Err() == nil; i++ {
+	for i, nops := 0, int(d.U32()); i < nops && d.Err() == nil; i++ {
 		op := walOp{kind: d.U8(), oid: OID(d.U64())}
 		switch op.kind {
 		case walOpPut:
@@ -204,15 +186,14 @@ func decodeWALFrame(b []byte) (fr *walFrame, padded int64, ok bool) {
 			op.size = d.I64()
 			op.data = d.Bytes()
 		default:
-			return nil, 0, false
+			return nil, 0, nil
 		}
 		fr.ops = append(fr.ops, op)
 	}
-	if d.Err() != nil {
-		return nil, 0, false
+	if d.Err() != nil || d.Remaining() != 0 {
+		return nil, 0, nil
 	}
-	padded = (frameLen + walSector - 1) / walSector * walSector
-	return fr, padded, true
+	return fr, (int64(len(frame)) + walSector - 1) / walSector * walSector, nil
 }
 
 // WALCommitStats describes one WAL commit.
@@ -413,19 +394,11 @@ func (s *Store) walRecover() (scanned int64, err error) {
 func (s *Store) walScan() (frames []*walFrame, end, scanned int64, err error) {
 	sc := frameScan{s: s, addr: s.walBase, size: s.walBlocks * BlockSize}
 	for sc.off < sc.size {
-		b, err := sc.ahead(walHeaderLen + 4)
+		fr, padded, err := decodeWALFrame(&sc)
 		if err != nil {
 			return nil, 0, sc.read, err
 		}
-		// A frame states its length up front; one that overstates it gets
-		// the rest of the region and fails to decode.
-		if len(b) >= walHeaderLen+4 && binary.LittleEndian.Uint32(b) == magicWAL {
-			if b, err = sc.ahead(int64(binary.LittleEndian.Uint32(b[4:]))); err != nil {
-				return nil, 0, sc.read, err
-			}
-		}
-		fr, padded, ok := decodeWALFrame(b)
-		if !ok || fr.base > s.epoch {
+		if fr == nil || fr.base > s.epoch {
 			break // torn tail, stale bytes, or an orphan (fsck's problem)
 		}
 		if fr.base == s.epoch {

@@ -12,6 +12,7 @@ import (
 	"aurora/internal/clock"
 	"aurora/internal/device"
 	"aurora/internal/flight"
+	"aurora/internal/rec"
 	"aurora/internal/trace"
 )
 
@@ -569,9 +570,11 @@ func TestWALIntraIntervalRetireQuarantine(t *testing.T) {
 	}
 }
 
-// FuzzWALRecord fuzzes the frame decoder with seeds drawn from real append
-// streams; the decoder must never panic and must reject any mutation that
-// breaks the seal.
+// FuzzWALRecord fuzzes the log-frame rule both of the store's logs walk by,
+// each log's scan step over bytes held in memory, with seeds drawn from a real
+// WAL ring and a real journal extent. The steps must never panic; whatever
+// one accepts must encode again byte for byte from what it decoded, and
+// flipping any one bit of an accepted frame must make the step refuse it.
 func FuzzWALRecord(f *testing.F) {
 	// Seed from a real store's WAL ring.
 	clk := clock.NewVirtual()
@@ -591,9 +594,9 @@ func FuzzWALRecord(f *testing.F) {
 			f.Fatal(err)
 		}
 	}
-	jrn := s.NewOID()
-	if j, err := s.CreateJournal(jrn, 3, 4*BlockSize); err == nil {
-		_ = j
+	j, err := s.CreateJournal(s.NewOID(), 3, 4*BlockSize)
+	if err != nil {
+		f.Fatal(err)
 	}
 	_ = s.Delete(oid)
 	if _, err := s.WALCommit(); err != nil {
@@ -604,10 +607,9 @@ func FuzzWALRecord(f *testing.F) {
 	if _, err := dev.ReadAt(ring, base); err != nil {
 		f.Fatal(err)
 	}
-	off := int64(0)
-	for off < s.WALHead() {
-		fr, padded, ok := decodeWALFrame(ring[off:])
-		if !ok {
+	for off := int64(0); off < s.WALHead(); {
+		fr, padded := walFrameAt(ring[off:])
+		if fr == nil {
 			f.Fatalf("seed frame at %d undecodable", off)
 		}
 		if last := fr.ops[len(fr.ops)-1]; last.kind != walOpFlight {
@@ -616,30 +618,84 @@ func FuzzWALRecord(f *testing.F) {
 		f.Add(append([]byte(nil), ring[off:off+padded]...))
 		off += padded
 	}
+	// And from the journal's extent: an empty payload, a short one, one
+	// longer than a sector, each frame with the bytes after it.
+	for _, n := range []int{0, 100, 5000} {
+		if _, err := j.Append(bytes.Repeat([]byte{byte(n)}, n)); err != nil {
+			f.Fatal(err)
+		}
+	}
+	extent := make([]byte, j.Capacity())
+	if _, err := dev.ReadAt(extent, j.o.journal.extentAddr); err != nil {
+		f.Fatal(err)
+	}
+	for sc := (frameScan{size: j.Used(), win: extent}); sc.off < sc.size; {
+		at := sc.off
+		if frame, _, _, _ := nextFrame(&sc, 0, 0); frame == nil {
+			f.Fatalf("seed journal frame at %d refused", at)
+		}
+		f.Add(append([]byte(nil), extent[at:sc.off+BlockSize/8]...))
+	}
 	f.Add([]byte{})
-	f.Add(make([]byte, walHeaderLen+4))
+	f.Add(make([]byte, walLeast))
 
+	// Each log's rule over b: the frame it accepts at b's start and that
+	// frame encoded again from what it decodes to, or nil.
+	rules := []struct {
+		log  string
+		rule func(b []byte) (frame, again []byte)
+	}{
+		{"wal", func(b []byte) ([]byte, []byte) {
+			fr, _ := walFrameAt(b)
+			if fr == nil {
+				return nil, nil
+			}
+			frame, _ := rec.Frame(b, magicWAL)
+			return frame, encodeWALFrame(fr)
+		}},
+		{"journal", func(b []byte) ([]byte, []byte) {
+			frame, gen, seq, _ := nextFrame(&frameScan{size: int64(len(b)), win: b}, 0, 0)
+			if frame == nil {
+				return nil, nil
+			}
+			var e rec.Encoder
+			encodeFrame(&e, gen, seq, rec.FrameBody(frame)[16:])
+			return frame, e.Raw()
+		}},
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fr, padded, ok := decodeWALFrame(data)
-		if !ok {
-			return
-		}
-		if padded > int64(len(data))+walSector {
-			t.Fatalf("padded %d beyond input %d", padded, len(data))
-		}
-		// A decodable frame must round-trip bit-identically.
-		re := encodeWALFrame(fr)
-		if int64(len(re)) > padded {
-			t.Fatalf("re-encode grew: %d > %d", len(re), padded)
-		}
-		fr2, _, ok2 := decodeWALFrame(re)
-		if !ok2 {
-			t.Fatal("re-encoded frame undecodable")
-		}
-		if fr2.base != fr.base || fr2.seq != fr.seq || len(fr2.ops) != len(fr.ops) {
-			t.Fatalf("round-trip mismatch: %+v vs %+v", fr, fr2)
+		for _, r := range rules {
+			frame, again := r.rule(data)
+			if frame == nil {
+				continue
+			}
+			if !bytes.Equal(again, frame) {
+				t.Fatalf("%s: an accepted %d-byte frame encodes again as %d different bytes", r.log, len(frame), len(again))
+			}
+			// Every bit of a short frame; of a long one, its first 64 bytes,
+			// its CRC and every stride-th byte between.
+			flipped := append([]byte(nil), frame...)
+			stride := max(1, len(frame)/512)
+			for i := range flipped {
+				if i >= 64 && i < len(flipped)-4 && i%stride != 0 {
+					continue
+				}
+				for bit := 0; bit < 8; bit++ {
+					flipped[i] ^= 1 << bit
+					if got, _ := r.rule(flipped); got != nil {
+						t.Fatalf("%s: flipping bit %d of byte %d leaves a frame the rule accepts", r.log, bit, i)
+					}
+					flipped[i] ^= 1 << bit
+				}
+			}
 		}
 	})
+}
+
+// walFrameAt runs the WAL's scan step over b held in memory.
+func walFrameAt(b []byte) (fr *walFrame, padded int64) {
+	fr, padded, _ = decodeWALFrame(&frameScan{size: int64(len(b)), win: b})
+	return fr, padded
 }
 
 // storeWithFlight formats a store on a lone device (which records nothing
@@ -869,8 +925,8 @@ func recoverWholeRegion(t *testing.T, dev BlockDev, clk clock.Clock) *Store {
 		off, end int64
 	)
 	for off < int64(len(region)) {
-		fr, padded, ok := decodeWALFrame(region[off:])
-		if !ok || fr.base > s.epoch {
+		fr, padded := walFrameAt(region[off:])
+		if fr == nil || fr.base > s.epoch {
 			break
 		}
 		if fr.base == s.epoch {

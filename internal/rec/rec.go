@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"slices"
 )
 
@@ -93,6 +94,70 @@ func (e *Encoder) End(mark int) {
 	e.b = binary.LittleEndian.AppendUint32(e.b, crc32.ChecksumIEEE(e.b[mark+4:]))
 	binary.LittleEndian.PutUint32(e.b[mark:], uint32(len(e.b)-mark-4))
 }
+
+// NextRecord splits the record End sealed off the front of b. Its length is
+// untrusted input: over limit it is ErrCorrupt, not a giant allocation; past
+// the end of b, io.ErrUnexpectedEOF.
+func NextRecord(b []byte, limit uint32) (record, rest []byte, err error) {
+	if len(b) < 4 {
+		return nil, nil, io.ErrUnexpectedEOF
+	}
+	n := binary.LittleEndian.Uint32(b)
+	if n > limit {
+		return nil, nil, fmt.Errorf("%w: stream item of %d bytes exceeds cap %d", ErrCorrupt, n, limit)
+	}
+	if len(b)-4 < int(n) {
+		return nil, nil, io.ErrUnexpectedEOF
+	}
+	return b[4 : 4+n : 4+n], b[4+n:], nil
+}
+
+// A log frame is what the store's logs append, the WAL's and every journal's:
+//
+//	magic u32 | length u32 | body | CRC32 u32
+//
+// where length counts the whole frame and the CRC covers every byte before
+// it. FrameHeader is the two words; FrameOverhead adds the CRC.
+const (
+	FrameHeader   = 8
+	FrameOverhead = FrameHeader + 4
+)
+
+// BeginFrame starts a log frame of the given magic after what the encoder
+// holds; the caller appends the body. It returns the mark EndFrame takes.
+func (e *Encoder) BeginFrame(magic uint32) int {
+	mark := len(e.b)
+	e.U32(magic)
+	e.U32(0)
+	return mark
+}
+
+// EndFrame finishes the log frame begun at mark: its length is filled in and
+// the CRC of every byte before it appended.
+func (e *Encoder) EndFrame(mark int) {
+	binary.LittleEndian.PutUint32(e.b[mark+4:], uint32(len(e.b)+4-mark))
+	e.b = binary.LittleEndian.AppendUint32(e.b, crc32.ChecksumIEEE(e.b[mark:]))
+}
+
+// Frame is the log-frame rule: the frame of the given magic at the start of b
+// if b holds all of it and its CRC holds, else nil; and the length its header
+// states, so a reader holding only the header learns how much to read. n is 0
+// for a b too short for a header, another magic, or less than FrameOverhead.
+func Frame(b []byte, magic uint32) (frame []byte, n int) {
+	if len(b) < FrameHeader || binary.LittleEndian.Uint32(b) != magic {
+		return nil, 0
+	}
+	if n = int(binary.LittleEndian.Uint32(b[4:])); n < FrameOverhead {
+		return nil, 0
+	}
+	if n > len(b) || crc32.ChecksumIEEE(b[:n-4]) != binary.LittleEndian.Uint32(b[n-4:]) {
+		return nil, n
+	}
+	return b[:n:n], n
+}
+
+// FrameBody returns a log frame's body, capped so an append cannot reach the CRC.
+func FrameBody(frame []byte) []byte { return frame[FrameHeader : len(frame)-4 : len(frame)-4] }
 
 // Raw returns the unsealed bytes (for embedding in another record).
 func (e *Encoder) Raw() []byte { return e.b }

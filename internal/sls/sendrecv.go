@@ -1,7 +1,6 @@
 package sls
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -305,30 +304,13 @@ func (o *Orchestrator) Recv(r io.Reader) (string, error) {
 // own batch, one hold of its lock.
 const recvBatch = 256
 
-// nextItem splits a stream's next item off: its sealed record, and the rest.
-func nextItem(stream []byte) (item, rest []byte, err error) {
-	if len(stream) < 4 {
-		return nil, nil, io.ErrUnexpectedEOF
-	}
-	n := binary.LittleEndian.Uint32(stream)
-	if n > maxStreamItem {
-		// The length header is untrusted input off the wire: a corrupt
-		// value must produce a decode error, not a giant allocation.
-		return nil, nil, fmt.Errorf("%w: stream item of %d bytes exceeds cap %d", rec.ErrCorrupt, n, maxStreamItem)
-	}
-	if len(stream)-4 < int(n) {
-		return nil, nil, io.ErrUnexpectedEOF
-	}
-	return stream[4 : 4+n : 4+n], stream[4+n:], nil
-}
-
 // recvPayload applies a stream in memory, decoding it where it lies: each
 // item is a sub-slice of payload, and a page's data reaches the store's write
 // from there, uncopied. The items are checked whole first (checkItems), so a
 // stream refused as corrupt changes nothing; the apply pass then reads them
 // unsummed, and lands each page run through WritePages in batches.
 func (o *Orchestrator) recvPayload(payload []byte) (string, error) {
-	item, items, err := nextItem(payload)
+	item, items, err := rec.NextRecord(payload, maxStreamItem)
 	if err != nil {
 		return "", err
 	}
@@ -422,7 +404,7 @@ func (o *Orchestrator) recvPayload(payload []byte) (string, error) {
 		return err
 	}
 	for {
-		item, items, _ = nextItem(items)
+		item, items, _ = rec.NextRecord(items, maxStreamItem)
 		d := rec.NewRawDecoder(item[:len(item)-4])
 		kind := d.U8()
 		if kind != itemPages {
@@ -530,7 +512,7 @@ func checkItems(items []byte, groupOID objstore.OID, listed func(objstore.OID) e
 	var cur objstore.OID // the open page run's object, as the apply pass tracks it
 	for {
 		var item []byte
-		if item, items, err = nextItem(items); err != nil {
+		if item, items, err = rec.NextRecord(items, maxStreamItem); err != nil {
 			return 0, err
 		}
 		d, err := rec.NewDecoder(item)
