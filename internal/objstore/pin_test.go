@@ -24,7 +24,7 @@ func pinBytes(tag byte, n int) []byte {
 }
 
 const (
-	storeImageSHA   = "8232f7544069443ac90ba81acf7ef5309e9aaba4a6a5650da868b3030f6c4728"
+	storeImageSHA   = "2495e7eb9766b695dc582aa024dd031a8c4be8d6c21adae9db1b351a1d92e32b"
 	storeImageState = "{Checkpoints:2 ObjectsLive:7 BlocksAllocated:100 BlocksFreed:4 MetaBytes:33537 DataBytes:294912} free=523166 dead=43 now=229591\n" +
 		"{Checkpoints:2 ObjectsLive:6 BlocksAllocated:16 BlocksFreed:87 MetaBytes:11119 DataBytes:16384} free=523237 dead=3 now=1075254"
 )

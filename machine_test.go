@@ -193,7 +193,7 @@ func TestMigrationPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	const (
-		wantSHA   = "38b2737a339d08b50e001c10aa94b7a48610f27c4c75deb029ea8eeae9210a04"
+		wantSHA   = "28afaec54a4c85b7f67a0ec6c18d84b46d2002a2023b45c3fed7c6190cad851f"
 		wantStop  = time.Duration(184369)
 		wantClock = time.Duration(3615373)
 	)
