@@ -2,6 +2,8 @@ package rec
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"testing"
 	"testing/quick"
 )
@@ -137,5 +139,77 @@ func TestLen(t *testing.T) {
 	e.U64(1)
 	if e.Len() != 8 {
 		t.Fatalf("len = %d", e.Len())
+	}
+}
+
+// TestFrameRule: a log frame written after other bytes is read back whole
+// from its own start; a header alone states how much to read; short input,
+// another magic, a length shorter than an empty frame and a flipped bit are
+// each no frame.
+func TestFrameRule(t *testing.T) {
+	const magic = 0x41424344
+	e := NewEncoder()
+	e.U32(7) // bytes before the frame
+	mark := e.BeginFrame(magic)
+	e.U64(42)
+	e.EndFrame(mark)
+	b := append(e.Raw()[mark:], 0xEE) // and a byte after it
+	frame, n := Frame(b, magic)
+	if n != FrameOverhead+8 || !bytes.Equal(frame, b[:n]) || cap(frame) != n {
+		t.Fatalf("Frame = %x (cap %d), %d; want the %d bytes written", frame, cap(frame), n, FrameOverhead+8)
+	}
+	if d := NewRawDecoder(FrameBody(frame)); d.U64() != 42 || d.Remaining() != 0 {
+		t.Fatal("body is not what was written")
+	}
+	if frame, n := Frame(b[:FrameHeader], magic); frame != nil || n != FrameOverhead+8 {
+		t.Fatalf("header alone: %x, %d; want nil and the stated length", frame, n)
+	}
+	short := append([]byte(nil), b...)
+	short[4] = FrameOverhead - 1
+	for name, in := range map[string][]byte{
+		"empty": nil, "short": b[:FrameHeader-1], "other magic": b[4:], "length below an empty frame": short,
+	} {
+		if frame, n := Frame(in, magic); frame != nil || n != 0 {
+			t.Errorf("%s: Frame = %x, %d; want nil, 0", name, frame, n)
+		}
+	}
+	for i := range FrameOverhead + 8 {
+		flipped := append([]byte(nil), b...)
+		flipped[i] ^= 0x10
+		if frame, _ := Frame(flipped, magic); frame != nil {
+			t.Errorf("byte %d flipped: still a frame", i)
+		}
+	}
+}
+
+// TestNextRecord: items End sealed split off in order; a length over the cap
+// is ErrCorrupt and a cut stream io.ErrUnexpectedEOF.
+func TestNextRecord(t *testing.T) {
+	e := NewEncoder()
+	for _, s := range []string{"one", "two"} {
+		m := e.Begin()
+		e.Str(s)
+		e.End(m)
+	}
+	stream := e.Raw()
+	for _, want := range []string{"one", "two"} {
+		item, rest, err := NextRecord(stream, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := NewDecoder(item)
+		if err != nil || d.Str() != want {
+			t.Fatalf("item %q: %v", want, err)
+		}
+		stream = rest
+	}
+	if len(stream) != 0 {
+		t.Fatalf("%d bytes left over", len(stream))
+	}
+	if _, _, err := NextRecord(e.Raw(), 8); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("over the cap: %v, want ErrCorrupt", err)
+	}
+	if _, _, err := NextRecord(e.Raw()[:6], 64); err != io.ErrUnexpectedEOF {
+		t.Fatalf("cut: %v, want io.ErrUnexpectedEOF", err)
 	}
 }
