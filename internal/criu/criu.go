@@ -20,9 +20,11 @@ import (
 	"aurora/internal/vm"
 )
 
-// ImageDev is where the checkpoint image is written (a plain device).
+// ImageDev is where the checkpoint image is written (a plain device): a
+// write is submitted and then waited for.
 type ImageDev interface {
-	WriteAt(p []byte, off int64) (int, error)
+	SubmitWrite(p []byte, off int64) (time.Duration, error)
+	WaitUntil(t time.Duration)
 	ReadAt(p []byte, off int64) (int, error)
 	Size() int64
 }
@@ -146,9 +148,11 @@ func (c *Checkpointer) Checkpoint(procs []*kern.Proc) (Stats, error) {
 		if end > st.ImageBytes {
 			end = st.ImageBytes
 		}
-		if _, err := c.Dev.WriteAt(body[off:end], off); err != nil {
+		done, err := c.Dev.SubmitWrite(body[off:end], off)
+		if err != nil {
 			return st, err
 		}
+		c.Dev.WaitUntil(done)
 	}
 	// The serial single-stream write path runs at CRIU's image-write
 	// bandwidth, not the device's striped aggregate.

@@ -3,12 +3,12 @@
 //
 // A Stripe is the device. Its members store bytes for real (reads return what
 // was written, across simulated crashes) and charge transfer time to a
-// virtual clock using the calibrated latency + size/bandwidth model. Writes
-// may be issued synchronously (WriteAt: the caller's clock advances by the
-// transfer time) or asynchronously (Submit: the device pipelines the transfer
-// and reports a virtual completion time), which is how checkpoint flushing
-// overlaps execution. New builds a lone device: a stripe of one member whose
-// unit is the whole device, so every IO is one member command.
+// virtual clock using the calibrated latency + size/bandwidth model. Submit is
+// the one write command: the device pipelines the transfer and reports a
+// virtual completion time, and a caller that needs durability waits for it
+// (WaitUntil), which is how checkpoint flushing overlaps execution. ReadAt is
+// the one synchronous command. New builds a lone device: a stripe of one
+// member whose unit is the whole device, so every IO is one member command.
 package device
 
 import (
@@ -36,7 +36,6 @@ type Stats struct {
 	Writes       int64
 	BytesRead    int64
 	BytesWritten int64
-	Flushes      int64
 }
 
 // member is one simulated NVMe namespace of a stripe: the bytes, the queue
@@ -156,21 +155,13 @@ func (d *member) enqueue(clk clock.Clock, tr *trace.Tracer, name string, off, n 
 	return done
 }
 
-// readAt and writeAt move p at off as one synchronous command, counted; the
-// stripe charges the time.
+// readAt moves p at off as one synchronous command, counted; the stripe
+// charges the time.
 func (d *member) readAt(p []byte, off int64) {
 	d.mu.Lock()
 	d.copyOut(p, off)
 	d.stats.Reads++
 	d.stats.BytesRead += int64(len(p))
-	d.mu.Unlock()
-}
-
-func (d *member) writeAt(p []byte, off int64) {
-	d.mu.Lock()
-	d.copyIn(p, off)
-	d.stats.Writes++
-	d.stats.BytesWritten += int64(len(p))
 	d.mu.Unlock()
 }
 
@@ -284,7 +275,6 @@ func (s *Stripe) Stats() Stats {
 		out.Writes += st.Writes
 		out.BytesRead += st.BytesRead
 		out.BytesWritten += st.BytesWritten
-		out.Flushes += st.Flushes
 	}
 	return out
 }
@@ -309,38 +299,29 @@ func (s *Stripe) check(n int, off int64) error {
 	return nil
 }
 
-// ReadAt reads across the stripe, charging the parallel (max-member) time.
+// ReadAt is the device's one synchronous command: every member moves its
+// runs, and the caller's clock advances by one command latency plus the
+// busiest member's bandwidth time. It does not queue behind write-behind:
+// the members' queues neither delay it nor see it, so a reader that must
+// wait for queued writes waits for their completion first.
 func (s *Stripe) ReadAt(p []byte, off int64) (int, error) {
-	return s.syncIO(p, off, s.costs.DevReadLatency, s.costs.DevReadBps, (*member).readAt)
-}
-
-// WriteAt writes across the stripe synchronously, charging the parallel
-// time: the data is durable on return.
-func (s *Stripe) WriteAt(p []byte, off int64) (int, error) {
-	return s.syncIO(p, off, s.costs.DevWriteLatency, s.costs.DevWriteBps, (*member).writeAt)
-}
-
-// syncIO is one synchronous IO: every member moves its runs, and the caller's
-// clock advances by one command latency plus the busiest member's bandwidth
-// time.
-func (s *Stripe) syncIO(p []byte, off int64, lat time.Duration, bps int64, move func(*member, []byte, int64)) (int, error) {
 	if err := s.check(len(p), off); err != nil {
 		return 0, err
 	}
 	perDev := make([]int64, len(s.devs))
 	s.each(p, off, func(m int, p []byte, off int64) {
-		move(s.devs[m], p, off)
+		s.devs[m].readAt(p, off)
 		perDev[m] += int64(len(p))
 	})
 	if worst := slices.Max(perDev); worst > 0 {
-		s.clk.Advance(clock.XferTime(lat, bps, worst))
+		s.clk.Advance(clock.XferTime(s.costs.DevReadLatency, s.costs.DevReadBps, worst))
 	}
 	return len(p), nil
 }
 
 // Submit queues the concatenation of bufs at off as one asynchronous write
 // whose transfer may not begin before virtual time after (0 for none). It
-// is the device's single write primitive: one command per member, one queue
+// is the device's one write command: one command per member, one queue
 // occupancy for its total size, the fixed latency added once. The data is
 // immediately visible to reads (the simulation has no volatile write cache
 // to lose) but the returned virtual time is when the transfer is durable;
@@ -461,21 +442,4 @@ func (s *Stripe) WaitUntil(t time.Duration) {
 	if now := s.clk.Now(); t > now {
 		s.clk.Advance(t - now)
 	}
-}
-
-// Flush waits for every member queue to drain and become durable.
-func (s *Stripe) Flush() {
-	var max time.Duration
-	for _, d := range s.devs {
-		d.mu.Lock()
-		if d.nextFree > max {
-			max = d.nextFree
-		}
-		d.stats.Flushes++
-		d.mu.Unlock()
-	}
-	if max > 0 {
-		max += s.costs.DevWriteLatency
-	}
-	s.WaitUntil(max)
 }

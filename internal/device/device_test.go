@@ -14,10 +14,19 @@ func newDev(size int64) (*Stripe, *clock.Virtual) {
 	return New(clk, clock.DefaultCosts(), size), clk
 }
 
+// write submits p at off and waits for its completion.
+func write(d *Stripe, p []byte, off int64) error {
+	done, err := d.SubmitWrite(p, off)
+	if err == nil {
+		d.WaitUntil(done)
+	}
+	return err
+}
+
 func TestReadBackWritten(t *testing.T) {
 	d, _ := newDev(1 << 20)
 	want := []byte("aurora single level store")
-	if _, err := d.WriteAt(want, 4096); err != nil {
+	if err := write(d, want, 4096); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, len(want))
@@ -50,7 +59,7 @@ func TestWriteSpanningChunks(t *testing.T) {
 		buf[i] = byte(i)
 	}
 	off := int64(ChunkSize - 100)
-	if _, err := d.WriteAt(buf, off); err != nil {
+	if err := write(d, buf, off); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, len(buf))
@@ -64,7 +73,7 @@ func TestWriteSpanningChunks(t *testing.T) {
 
 func TestOutOfRange(t *testing.T) {
 	d, _ := newDev(4096)
-	if _, err := d.WriteAt(make([]byte, 10), 4090); err == nil {
+	if err := write(d, make([]byte, 10), 4090); err == nil {
 		t.Fatal("write past end succeeded")
 	}
 	if _, err := d.ReadAt(make([]byte, 10), -1); err == nil {
@@ -72,17 +81,20 @@ func TestOutOfRange(t *testing.T) {
 	}
 }
 
+// TestSyncWriteChargesTime: a write waited for on an idle device charges
+// its bandwidth time plus one command latency.
 func TestSyncWriteChargesTime(t *testing.T) {
 	d, clk := newDev(1 << 30)
 	costs := clock.DefaultCosts()
+	clk.Advance(time.Millisecond)
 	before := clk.Now()
-	if _, err := d.WriteAt(make([]byte, 1<<20), 0); err != nil {
+	if err := write(d, make([]byte, 1<<20), 0); err != nil {
 		t.Fatal(err)
 	}
 	got := clk.Now() - before
 	want := clock.XferTime(costs.DevWriteLatency, costs.DevWriteBps, 1<<20)
 	if got != want {
-		t.Fatalf("1 MiB sync write charged %v, want %v", got, want)
+		t.Fatalf("1 MiB waited write charged %v, want %v", got, want)
 	}
 }
 
@@ -106,9 +118,9 @@ func TestSubmitWritePipelines(t *testing.T) {
 	if t1 != occ+lat || t2 != 2*occ+lat {
 		t.Fatalf("completions %v, %v; want %v, %v", t1, t2, occ+lat, 2*occ+lat)
 	}
-	d.Flush()
+	d.WaitUntil(t2)
 	if clk.Now() != 2*occ+lat {
-		t.Fatalf("flush advanced to %v, want %v", clk.Now(), 2*occ+lat)
+		t.Fatalf("wait advanced to %v, want %v", clk.Now(), 2*occ+lat)
 	}
 	// Data visible after submit.
 	got := make([]byte, 1)
@@ -128,7 +140,7 @@ func TestWaitUntilPastIsNoop(t *testing.T) {
 
 func TestStats(t *testing.T) {
 	d, _ := newDev(1 << 20)
-	d.WriteAt(make([]byte, 100), 0)
+	write(d, make([]byte, 100), 0)
 	d.ReadAt(make([]byte, 50), 0)
 	st := d.Stats()
 	if st.Writes != 1 || st.BytesWritten != 100 || st.Reads != 1 || st.BytesRead != 50 {
@@ -147,7 +159,7 @@ func TestStripeRoundTrip(t *testing.T) {
 	for i := range buf {
 		buf[i] = byte(i * 7)
 	}
-	if _, err := s.WriteAt(buf, 17); err != nil {
+	if err := write(s, buf, 17); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, len(buf))
@@ -160,11 +172,11 @@ func TestStripeRoundTrip(t *testing.T) {
 }
 
 func TestStripeParallelism(t *testing.T) {
-	// A 256 KiB write lands 64 KiB on each of 4 devices; charged time must
-	// be one 64 KiB transfer, not four.
+	// A 256 KiB write lands 64 KiB on each of 4 devices; waiting for it
+	// must charge one 64 KiB transfer, not four.
 	s, clk := newStripe()
 	costs := clock.DefaultCosts()
-	if _, err := s.WriteAt(make([]byte, 256<<10), 0); err != nil {
+	if err := write(s, make([]byte, 256<<10), 0); err != nil {
 		t.Fatal(err)
 	}
 	want := clock.XferTime(costs.DevWriteLatency, costs.DevWriteBps, 64<<10)
@@ -177,7 +189,7 @@ func TestStripeUnbalancedChargesWorstMember(t *testing.T) {
 	s, clk := newStripe()
 	costs := clock.DefaultCosts()
 	// 128 KiB starting at 0: units 0 and 1 -> devices 0 and 1 only.
-	if _, err := s.WriteAt(make([]byte, 128<<10), 0); err != nil {
+	if err := write(s, make([]byte, 128<<10), 0); err != nil {
 		t.Fatal(err)
 	}
 	want := clock.XferTime(costs.DevWriteLatency, costs.DevWriteBps, 64<<10)
@@ -186,7 +198,7 @@ func TestStripeUnbalancedChargesWorstMember(t *testing.T) {
 	}
 }
 
-func TestStripeSubmitAndFlush(t *testing.T) {
+func TestStripeSubmitAndWait(t *testing.T) {
 	s, clk := newStripe()
 	done, err := s.SubmitWrite(make([]byte, 1<<20), 0)
 	if err != nil {
@@ -198,9 +210,9 @@ func TestStripeSubmitAndFlush(t *testing.T) {
 	if clk.Now() != 0 {
 		t.Fatal("submit advanced clock")
 	}
-	s.Flush()
-	if clk.Now() < done {
-		t.Fatalf("flush left clock at %v before completion %v", clk.Now(), done)
+	s.WaitUntil(done)
+	if clk.Now() != done {
+		t.Fatalf("wait left clock at %v, want completion %v", clk.Now(), done)
 	}
 	got := make([]byte, 1<<20)
 	if _, err := s.ReadAt(got, 0); err != nil {
@@ -210,7 +222,7 @@ func TestStripeSubmitAndFlush(t *testing.T) {
 
 func TestStripeOutOfRange(t *testing.T) {
 	s, _ := newStripe()
-	if _, err := s.WriteAt(make([]byte, 10), s.Size()-5); err == nil {
+	if _, err := s.SubmitWrite(make([]byte, 10), s.Size()-5); err == nil {
 		t.Fatal("write past stripe end succeeded")
 	}
 	if _, err := s.SubmitWrite(make([]byte, 10), -2); err == nil {
@@ -237,7 +249,7 @@ func TestDeviceMatchesShadowProperty(t *testing.T) {
 			if n <= 0 {
 				continue
 			}
-			if _, err := d.WriteAt(o.Data[:n], off); err != nil {
+			if err := write(d, o.Data[:n], off); err != nil {
 				return false
 			}
 			copy(shadow[off:], o.Data[:n])
@@ -267,10 +279,10 @@ func TestStripeMatchesFlatProperty(t *testing.T) {
 			if len(o.Data) == 0 {
 				continue
 			}
-			if _, err := s.WriteAt(o.Data, off); err != nil {
+			if err := write(s, o.Data, off); err != nil {
 				return false
 			}
-			if _, err := flat.WriteAt(o.Data, off); err != nil {
+			if err := write(flat, o.Data, off); err != nil {
 				return false
 			}
 		}

@@ -13,8 +13,8 @@ func TestDeviceImageRoundTrip(t *testing.T) {
 	clk := clock.NewVirtual()
 	costs := clock.DefaultCosts()
 	d := New(clk, costs, 4<<20)
-	d.WriteAt([]byte("alpha"), 0)
-	d.WriteAt([]byte("omega"), 3<<20) // sparse: far chunk
+	write(d, []byte("alpha"), 0)
+	write(d, []byte("omega"), 3<<20) // sparse: far chunk
 
 	var img bytes.Buffer
 	if err := d.Save(&img); err != nil {
@@ -51,8 +51,8 @@ func TestLoadRejectsCorruptHeader(t *testing.T) {
 	clk := clock.NewVirtual()
 	costs := clock.DefaultCosts()
 	d := New(clk, costs, 4<<20) // 64 chunks
-	d.WriteAt([]byte("alpha"), 0)
-	d.WriteAt([]byte("omega"), 3<<20)
+	write(d, []byte("alpha"), 0)
+	write(d, []byte("omega"), 3<<20)
 	var img bytes.Buffer
 	if err := d.devs[0].save(&img); err != nil {
 		t.Fatal(err)
@@ -104,7 +104,7 @@ func TestStripeImageRoundTrip(t *testing.T) {
 	costs := clock.DefaultCosts()
 	s := NewStripe(clk, costs, 4, 64<<10, 1<<20)
 	payload := bytes.Repeat([]byte{0xCD}, 300<<10)
-	s.WriteAt(payload, 12345)
+	write(s, payload, 12345)
 
 	var img bytes.Buffer
 	if err := s.Save(&img); err != nil {

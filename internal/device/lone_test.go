@@ -13,12 +13,13 @@ import (
 )
 
 // TestLoneDevicePinned drives a seeded mix through device.New — what the
-// criu and RDB baselines and most tests run on: criu-shaped synchronous
-// WriteAt/ReadAt, vectored Submit with and without an ordering constraint,
-// SubmitRead, WaitUntil and Flush — and pins the final virtual clock, a hash
-// of every completion time returned, the traffic counters and the SHA-256 of
-// the media. Zero-length synchronous IO is left out: it has no caller, and
-// the charge for it is a documented rule of its own.
+// criu and RDB baselines and most tests run on: criu-shaped writes that are
+// submitted and then waited for, synchronous ReadAt, vectored Submit with and
+// without an ordering constraint, SubmitRead and WaitUntil — and pins the
+// final virtual clock, a hash of every completion time returned, the traffic
+// counters and the SHA-256 of the media. Zero-length synchronous IO is left
+// out: it has no caller, and the charge for it is a documented rule of its
+// own.
 func TestLoneDevicePinned(t *testing.T) {
 	const size = 8 << 20
 	clk := clock.NewVirtual()
@@ -40,19 +41,24 @@ func TestLoneDevicePinned(t *testing.T) {
 		return n, rng.Int63n(size - int64(n) + 1)
 	}
 	var last time.Duration
+	waited := func(op int, p []byte, off int64) {
+		t1, err := d.SubmitWrite(p, off)
+		if err != nil {
+			t.Fatalf("op %d: %v", op, err)
+		}
+		d.WaitUntil(t1)
+		note(t1)
+		last = max(last, t1)
+	}
 	for op := 0; op < 300; op++ {
 		clk.Advance(time.Duration(rng.Intn(150)) * time.Microsecond)
 		switch rng.Intn(8) {
 		case 0: // criu's image write: whole MiB chunks
 			off := rng.Int63n(size/(1<<20)) << 20
-			if _, err := d.WriteAt(payload(1<<20), off); err != nil {
-				t.Fatalf("op %d: %v", op, err)
-			}
+			waited(op, payload(1<<20), off)
 		case 1:
 			n, off := span(256 << 10)
-			if _, err := d.WriteAt(payload(n), off); err != nil {
-				t.Fatalf("op %d: %v", op, err)
-			}
+			waited(op, payload(n), off)
 		case 2:
 			n, off := span(256 << 10)
 			if _, err := d.ReadAt(make([]byte, n), off); err != nil {
@@ -86,15 +92,13 @@ func TestLoneDevicePinned(t *testing.T) {
 			}
 			note(t1)
 			last = max(last, t1)
-		case 6:
+		case 6, 7:
 			d.WaitUntil(last)
-		case 7:
-			d.Flush()
 		}
 		note(clk.Now())
 		if op%50 == 49 { // an IO past the end is refused whole
-			if _, err := d.WriteAt(make([]byte, 4096), size-100); !errors.Is(err, ErrOutOfRange) {
-				t.Fatalf("op %d: overrunning write: %v", op, err)
+			if _, err := d.ReadAt(make([]byte, 4096), size-100); !errors.Is(err, ErrOutOfRange) {
+				t.Fatalf("op %d: overrunning read: %v", op, err)
 			}
 			if _, err := d.Submit([][]byte{make([]byte, 4096)}, size-100, 0); !errors.Is(err, ErrOutOfRange) {
 				t.Fatalf("op %d: overrunning submit: %v", op, err)

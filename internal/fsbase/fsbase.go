@@ -87,6 +87,7 @@ type FS struct {
 	files    map[string]*inode
 	nextOff  int64
 	freeExts []int64
+	horizon  time.Duration // durability horizon of every write so far
 
 	ioWindow time.Duration
 }
@@ -202,9 +203,13 @@ func (fs *FS) List(prefix string) []string {
 	return out
 }
 
-// Sync implements vfs.FileSystem.
+// Sync implements vfs.FileSystem: it waits for every write issued so far
+// to complete.
 func (fs *FS) Sync() error {
-	fs.dev.Flush()
+	fs.mu.Lock()
+	horizon := fs.horizon
+	fs.mu.Unlock()
+	fs.dev.WaitUntil(horizon)
 	return nil
 }
 
@@ -272,9 +277,8 @@ func (f *bfile) WriteAt(p []byte, off int64) (int, error) {
 			fs.mu.Unlock()
 			return int(written), err
 		}
-		if done > latest {
-			latest = done
-		}
+		latest = max(latest, done)
+		fs.horizon = max(fs.horizon, done)
 		p = p[run:]
 		written += run
 	}
@@ -284,9 +288,8 @@ func (f *bfile) WriteAt(p []byte, off int64) (int, error) {
 		if err == nil {
 			if done, err := fs.dev.SubmitWrite(make([]byte, min64(amp, extentSize)), ext); err == nil {
 				fs.freeExts = append(fs.freeExts, ext)
-				if done > latest {
-					latest = done
-				}
+				latest = max(latest, done)
+				fs.horizon = max(fs.horizon, done)
 			}
 		}
 	}

@@ -53,15 +53,11 @@ func buildDamagedStore(t *testing.T) *Store {
 		s.mu.Lock()
 		addr := s.objects[oids[i]].recordAddr
 		s.mu.Unlock()
-		if _, err := dev.WriteAt(garbage, addr); err != nil {
-			t.Fatal(err)
-		}
+		dev.PokeAt(garbage, addr)
 	}
 	for _, i := range []int{9, 2} {
 		addr := pageAddr(t, s, oids[i], 1)
-		if _, err := dev.WriteAt(garbage, addr); err != nil {
-			t.Fatal(err)
-		}
+		dev.PokeAt(garbage, addr)
 	}
 	return s
 }

@@ -89,9 +89,7 @@ func TestFsckDetectsCorruptRecord(t *testing.T) {
 	for i := range garbage {
 		garbage[i] = 0x5A
 	}
-	if _, err := dev.WriteAt(garbage, addr); err != nil {
-		t.Fatal(err)
-	}
+	dev.PokeAt(garbage, addr)
 	rep := s.Fsck()
 	if rep.OK() {
 		t.Fatal("fsck missed a corrupted record")

@@ -73,12 +73,11 @@ func TestRecoverRefusesOlderFormat(t *testing.T) {
 	old = binary.LittleEndian.AppendUint32(old, 0)
 	old = append(old, "hello"...)
 	binary.LittleEndian.PutUint32(old[24:], crc32.ChecksumIEEE(old))
-	_, err := dev.WriteAt(old, j.o.journal.extentAddr)
-	must(err)
+	dev.PokeAt(old, j.o.journal.extentAddr)
 	if got, err := j.Entries(); err != nil || len(got) != 0 {
 		t.Fatalf("an older-format frame scans to %d entries (%v), want none", len(got), err)
 	}
-	_, err = s.Checkpoint()
+	_, err := s.Checkpoint()
 	must(err)
 	must(s.WaitDurable(s.Epoch()))
 	_, sb, err := unopenedStore(dev, clk, clock.DefaultCosts())
@@ -88,8 +87,7 @@ func TestRecoverRefusesOlderFormat(t *testing.T) {
 	must(err)
 	binary.LittleEndian.PutUint32(idx, 0x4152494D) // "ARIM", the index magic of that format
 	binary.LittleEndian.PutUint32(idx[len(idx)-4:], crc32.ChecksumIEEE(idx[:len(idx)-4]))
-	_, err = dev.WriteAt(idx, sb.indexAddr)
-	must(err)
+	dev.PokeAt(idx, sb.indexAddr)
 	if _, err := Recover(dev, clk, clock.DefaultCosts()); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("Recover of an older-format image = %v, want ErrCorrupt", err)
 	}

@@ -388,9 +388,7 @@ func TestWALTornTailProperty(t *testing.T) {
 		for i := cut; i < int64(len(region)); i++ {
 			region[i] = 0
 		}
-		if _, err := dev.WriteAt(region, walBase); err != nil {
-			t.Fatal(err)
-		}
+		dev.PokeAt(region, walBase)
 		s2 := reopen(t, dev, clk)
 		wantSeq := uint64(0)
 		for fi, end := range ends {
@@ -427,9 +425,7 @@ func TestWALTornTailProperty(t *testing.T) {
 		}
 	}
 	// Restore the pristine ring so the shared device is sane if reused.
-	if _, err := dev.WriteAt(pristine, walBase); err != nil {
-		t.Fatal(err)
-	}
+	dev.PokeAt(pristine, walBase)
 }
 
 // TestFsckWALScrub is the table-driven WAL scrub battery: injected bit-rot
@@ -470,9 +466,7 @@ func TestFsckWALScrub(t *testing.T) {
 					t.Fatal(err)
 				}
 				b[0] ^= 0x40
-				if _, err := dev.WriteAt(b, walBase+20); err != nil {
-					t.Fatal(err)
-				}
+				dev.PokeAt(b, walBase+20)
 			},
 			want: "wal: undecodable frame",
 		},
@@ -481,9 +475,7 @@ func TestFsckWALScrub(t *testing.T) {
 			corrupt: func(t *testing.T, s *Store, dev *device.Stripe) {
 				walBase, _ := s.WALRegion()
 				junk := bytes.Repeat([]byte{0xDE, 0xAD}, 512)
-				if _, err := dev.WriteAt(junk, walBase+s.WALHead()); err != nil {
-					t.Fatal(err)
-				}
+				dev.PokeAt(junk, walBase+s.WALHead())
 			},
 			want: "",
 		},
@@ -492,9 +484,7 @@ func TestFsckWALScrub(t *testing.T) {
 			corrupt: func(t *testing.T, s *Store, dev *device.Stripe) {
 				walBase, _ := s.WALRegion()
 				orphan := encodeWALFrame(&walFrame{base: s.Epoch() + 5, seq: 1})
-				if _, err := dev.WriteAt(orphan, walBase+s.WALHead()); err != nil {
-					t.Fatal(err)
-				}
+				dev.PokeAt(orphan, walBase+s.WALHead())
 			},
 			want: "orphaned frame",
 		},
@@ -504,9 +494,7 @@ func TestFsckWALScrub(t *testing.T) {
 				// A prefix of a valid frame past the head: torn, not corrupt.
 				walBase, _ := s.WALRegion()
 				frame := encodeWALFrame(&walFrame{base: s.Epoch(), seq: 99})
-				if _, err := dev.WriteAt(frame[:len(frame)-6], walBase+s.WALHead()); err != nil {
-					t.Fatal(err)
-				}
+				dev.PokeAt(frame[:len(frame)-6], walBase+s.WALHead())
 			},
 			want: "",
 		},
@@ -1113,9 +1101,7 @@ func TestWALRecoverScansInWindows(t *testing.T) {
 		} {
 			region := append([]byte(nil), pristine...)
 			clear(region[tc.cut:])
-			if _, err := dev.WriteAt(region, walBase); err != nil {
-				t.Fatal(err)
-			}
+			dev.PokeAt(region, walBase)
 			check(t, dev, clk, tc.wantSeq, ends[tc.wantSeq-1])
 		}
 	})
