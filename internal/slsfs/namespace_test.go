@@ -2,9 +2,12 @@ package slsfs
 
 import (
 	"encoding/hex"
+	"errors"
 	"maps"
 	"strings"
 	"testing"
+
+	"aurora/internal/rec"
 )
 
 // buildNamespace leaves fs with several names, a hard link (two names on
@@ -71,18 +74,19 @@ func TestNamespaceRecordPinned(t *testing.T) {
 }
 
 // TestTruncatedNamespaceFailsRecover: a namespace record cut anywhere short
-// of its end makes Recover fail with an error that names the namespace.
+// of its end makes Recover fail as rec.ErrCorrupt with an error that names
+// the namespace.
 func TestTruncatedNamespaceFailsRecover(t *testing.T) {
 	fs, _, clk := mountFS(t)
-	rec := buildNamespace(t, fs)
+	ns := buildNamespace(t, fs)
 	store := fs.Store()
-	for _, cut := range []int{0, 3, 4, 11, len(rec) / 2, len(rec) - 1} {
-		if err := store.PutRecord(NamespaceOID, UTypeNamespace, rec[:cut]); err != nil {
+	for _, cut := range []int{0, 3, 4, 11, len(ns) / 2, len(ns) - 1} {
+		if err := store.PutRecord(NamespaceOID, UTypeNamespace, ns[:cut]); err != nil {
 			t.Fatal(err)
 		}
 		_, err := Recover(store, clk, fs.costs)
-		if err == nil || !strings.Contains(err.Error(), "namespace") {
-			t.Fatalf("cut at %d of %d: Recover error %v, want one naming the namespace", cut, len(rec), err)
+		if !errors.Is(err, rec.ErrCorrupt) || !strings.Contains(err.Error(), "namespace") {
+			t.Fatalf("cut at %d of %d: Recover error %v, want one naming the namespace", cut, len(ns), err)
 		}
 	}
 }

@@ -29,6 +29,7 @@ import (
 	"aurora/internal/clock"
 	"aurora/internal/mem"
 	"aurora/internal/objstore"
+	"aurora/internal/rec"
 	"aurora/internal/vfs"
 )
 
@@ -322,21 +323,21 @@ func (fs *FS) Checkpoint() error {
 	return err
 }
 
-// encodeNamespace serializes names, link counts, and hidden references.
-// Requires mu.
+// encodeNamespace serializes names, link counts, and hidden references. The
+// record is unsealed: it carries no checksum of its own. Requires mu.
 func (fs *FS) encodeNamespace() []byte {
 	paths := make([]string, 0, len(fs.names))
 	for p := range fs.names {
 		paths = append(paths, p)
 	}
 	sort.Strings(paths)
-	var e nsEnc
-	e.u32(uint32(len(paths)))
+	e := rec.NewEncoder()
+	e.U32(uint32(len(paths)))
 	for _, p := range paths {
 		oid := fs.names[p]
-		e.str(p)
-		e.u64(uint64(oid))
-		e.u32(uint32(fs.nlink[oid]))
+		e.Str(p)
+		e.U64(uint64(oid))
+		e.U32(uint32(fs.nlink[oid]))
 	}
 	// Hidden references from checkpointed state (open handles owned by
 	// live processes are re-established at restore by the orchestrator).
@@ -345,30 +346,33 @@ func (fs *FS) encodeNamespace() []byte {
 		hid = append(hid, oid)
 	}
 	sort.Slice(hid, func(i, j int) bool { return hid[i] < hid[j] })
-	e.u32(uint32(len(hid)))
+	e.U32(uint32(len(hid)))
 	for _, oid := range hid {
-		e.u64(uint64(oid))
-		e.u32(uint32(fs.hidden[oid]))
+		e.U64(uint64(oid))
+		e.U32(uint32(fs.hidden[oid]))
 	}
-	return e.b
+	return e.Raw()
 }
 
 func (fs *FS) decodeNamespace(b []byte) error {
-	d := nsDec{b: b}
-	n := d.u32()
-	for i := uint32(0); i < n && d.err == nil; i++ {
-		p := d.str()
-		oid := objstore.OID(d.u64())
-		links := int(d.u32())
+	d := rec.NewRawDecoder(b)
+	n := d.U32()
+	for i := uint32(0); i < n && d.Err() == nil; i++ {
+		p := d.Str()
+		oid := objstore.OID(d.U64())
+		links := int(d.U32())
 		fs.names[p] = oid
 		fs.nlink[oid] = links
 	}
-	hn := d.u32()
-	for i := uint32(0); i < hn && d.err == nil; i++ {
-		oid := objstore.OID(d.u64())
-		fs.hidden[oid] = int(d.u32())
+	hn := d.U32()
+	for i := uint32(0); i < hn && d.Err() == nil; i++ {
+		oid := objstore.OID(d.U64())
+		fs.hidden[oid] = int(d.U32())
 	}
-	return d.err
+	if err := d.Err(); err != nil {
+		return fmt.Errorf("slsfs: namespace record: %w", err)
+	}
+	return nil
 }
 
 // file is an open handle.
@@ -444,54 +448,4 @@ func (fs *FS) backpressure() {
 	if now := fs.clk.Now(); pending > now+fs.ioWindow {
 		fs.clk.Advance(pending - now - fs.ioWindow)
 	}
-}
-
-// nsEnc/nsDec are tiny local encoders for the namespace record.
-type nsEnc struct{ b []byte }
-
-func (e *nsEnc) u32(v uint32) {
-	e.b = append(e.b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-
-func (e *nsEnc) u64(v uint64) {
-	e.u32(uint32(v))
-	e.u32(uint32(v >> 32))
-}
-
-func (e *nsEnc) str(s string) {
-	e.u32(uint32(len(s)))
-	e.b = append(e.b, s...)
-}
-
-type nsDec struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (d *nsDec) u32() uint32 {
-	if d.off+4 > len(d.b) {
-		d.err = fmt.Errorf("slsfs: corrupt namespace record")
-		return 0
-	}
-	v := uint32(d.b[d.off]) | uint32(d.b[d.off+1])<<8 | uint32(d.b[d.off+2])<<16 | uint32(d.b[d.off+3])<<24
-	d.off += 4
-	return v
-}
-
-func (d *nsDec) u64() uint64 {
-	lo := uint64(d.u32())
-	hi := uint64(d.u32())
-	return lo | hi<<32
-}
-
-func (d *nsDec) str() string {
-	n := int(d.u32())
-	if d.err != nil || d.off+n > len(d.b) {
-		d.err = fmt.Errorf("slsfs: corrupt namespace record")
-		return ""
-	}
-	s := string(d.b[d.off : d.off+n])
-	d.off += n
-	return s
 }
