@@ -145,9 +145,6 @@ func (r *Redis) Del(key string) error {
 // Len returns the number of live keys.
 func (r *Redis) Len() int { return len(r.index) }
 
-// UsedBytes reports arena occupancy.
-func (r *Redis) UsedBytes() int64 { return r.tail }
-
 // compact rewrites live records to the front of the arena.
 func (r *Redis) compact() error {
 	keys := make([]string, 0, len(r.index))

@@ -66,30 +66,6 @@ func StartStopwatch(c Clock) Stopwatch {
 // Elapsed reports the virtual time accumulated since the stopwatch started.
 func (s Stopwatch) Elapsed() time.Duration { return s.c.Now() - s.start }
 
-// Scoped is a clock that accumulates its own elapsed time while also
-// forwarding advances to a parent clock. It is used when a subsystem needs
-// to report the cost of a single operation (e.g. a checkpoint's stop time)
-// while the global timeline also moves.
-type Scoped struct {
-	parent Clock
-	local  Virtual
-}
-
-// NewScoped returns a scoped clock layered over parent. A nil parent is
-// allowed; the scoped clock then accumulates locally only.
-func NewScoped(parent Clock) *Scoped { return &Scoped{parent: parent} }
-
-// Now returns the locally accumulated time of the scope.
-func (s *Scoped) Now() time.Duration { return s.local.Now() }
-
-// Advance charges d to both the scope and, if present, the parent clock.
-func (s *Scoped) Advance(d time.Duration) {
-	s.local.Advance(d)
-	if s.parent != nil {
-		s.parent.Advance(d)
-	}
-}
-
 // Discard is a Clock that accepts advances and discards them. It is useful
 // for running a mechanism purely for its structural side effects.
 type Discard struct{}

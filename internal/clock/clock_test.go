@@ -57,28 +57,6 @@ func TestStopwatch(t *testing.T) {
 	}
 }
 
-func TestScopedForwardsToParent(t *testing.T) {
-	parent := NewVirtual()
-	parent.Advance(time.Hour)
-	s := NewScoped(parent)
-	s.Advance(10 * time.Microsecond)
-	s.Advance(5 * time.Microsecond)
-	if got := s.Now(); got != 15*time.Microsecond {
-		t.Fatalf("scoped Now() = %v, want 15us", got)
-	}
-	if got := parent.Now(); got != time.Hour+15*time.Microsecond {
-		t.Fatalf("parent Now() = %v, want 1h15us", got)
-	}
-}
-
-func TestScopedNilParent(t *testing.T) {
-	s := NewScoped(nil)
-	s.Advance(time.Millisecond)
-	if got := s.Now(); got != time.Millisecond {
-		t.Fatalf("scoped Now() = %v, want 1ms", got)
-	}
-}
-
 func TestDiscard(t *testing.T) {
 	var d Discard
 	d.Advance(time.Hour)

@@ -42,7 +42,7 @@ func (p *Proc) AioSubmit(kind AIOKind, fd int, off int64, buf []byte) (uint64, e
 		p.aios = append(p.aios, req)
 		// The simulated kernel completes AIOs inline (the device is
 		// asynchronous underneath); what matters for checkpointing is
-		// the tracked in-flight window, which DrainAIO exercises.
+		// the tracked in-flight window, which InFlightAIOs reports.
 		switch kind {
 		case AIORead:
 			_, req.Err = v.h.ReadAt(buf, off)
@@ -79,10 +79,4 @@ func (p *Proc) InFlightAIOs() []*AIORequest {
 	out := make([]*AIORequest, len(p.aios))
 	copy(out, p.aios)
 	return out
-}
-
-// DrainAIO completes all in-flight AIOs; the orchestrator calls it before
-// marking a checkpoint complete.
-func (p *Proc) DrainAIO() {
-	p.aios = nil
 }

@@ -224,14 +224,6 @@ func (k *Kernel) unregister(p *Proc) {
 	k.mu.Unlock()
 }
 
-// ProcByGlobal finds a process by its global (kernel-allocated) PID.
-func (k *Kernel) ProcByGlobal(pid PID) (*Proc, bool) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	p, ok := k.byGlobal[pid]
-	return p, ok
-}
-
 // ProcByLocal finds a process by its local (application-visible) PID within
 // a group. Local PIDs are virtualized: the same local PID can exist in
 // different groups simultaneously (§5.3, System Wide Identifiers).

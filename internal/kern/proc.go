@@ -170,9 +170,6 @@ func (p *Proc) Exit(status int) {
 // Exited reports whether the process has terminated.
 func (p *Proc) Exited() bool { return p.exited }
 
-// ExitStatus returns the exit status (valid once Exited).
-func (p *Proc) ExitStatus() int { return p.exitStatus }
-
 // Wait blocks until some child exits, reaping it and returning its local
 // PID and exit status.
 func (p *Proc) Wait() (PID, int, error) {
@@ -327,17 +324,6 @@ func (p *Proc) ReadMem(va uint64, buf []byte) error {
 	p.k.Gate.Enter()
 	defer p.k.Gate.Exit()
 	return p.Mem.Read(va, buf)
-}
-
-// Compute charges CPU time to the virtual clock as userspace execution;
-// like memory access it respects quiesce.
-func (p *Proc) Compute(d func() error) error {
-	p.k.Gate.Enter()
-	defer p.k.Gate.Exit()
-	if d == nil {
-		return nil
-	}
-	return d()
 }
 
 // Umtx is a minimal futex: it demonstrates why TIDs must be restored (the

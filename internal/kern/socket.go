@@ -433,15 +433,6 @@ func (s *Socket) InFlightFiles() []*File {
 	return out
 }
 
-// BufferedBytes returns queued payload bytes (checkpoint path).
-func (s *Socket) BufferedBytes() []byte {
-	var out []byte
-	for _, m := range s.recvQ {
-		out = append(out, m.data...)
-	}
-	return out
-}
-
 // SocketByAddr resolves a bound socket by address (the replay path).
 // Callers must hold the kernel via the gate or a quiesce.
 func (k *Kernel) SocketByAddr(addr string) (*Socket, bool) {

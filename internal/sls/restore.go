@@ -89,8 +89,6 @@ func (sp *storePager) PageIn(pg int64, p *mem.Page) error {
 		if g := sp.g; g != nil {
 			name := "sls.pagein"
 			if sp.swap {
-				g.swapFaults.Add(1)
-				g.swapBytes.Add(int64(len(p.Data)))
 				name = "sls.swapin"
 			} else {
 				g.lazyFaults.Add(1)

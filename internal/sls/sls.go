@@ -250,15 +250,13 @@ type Group struct {
 	// keeps the epoch before its own, so 1 retains 2).
 	RetainEpochs int
 
-	// Lazy-restore and swap page-in traffic served by this group's pagers
-	// after RestoreGroup (or a swap-out) returned. RestoreStats is a
-	// point-in-time report and cannot see these; they accumulate here
-	// (atomics — faults arrive from whatever goroutine runs the process)
-	// and are mirrored into the tracer's counters when one is wired.
+	// Lazy-restore page-in traffic served by this group's pagers after
+	// RestoreGroup returned. RestoreStats is a point-in-time report and
+	// cannot see it; it accumulates here (atomics — faults arrive from
+	// whatever goroutine runs the process) and is mirrored into the
+	// tracer's counters when one is wired, as swap-in traffic is.
 	lazyFaults atomic.Int64
 	lazyBytes  atomic.Int64
-	swapFaults atomic.Int64
-	swapBytes  atomic.Int64
 }
 
 // LazyPageIns reports the faults served and bytes paged in by lazy-restore
@@ -266,12 +264,6 @@ type Group struct {
 // RestoreGroup returns and is invisible to RestoreStats.
 func (g *Group) LazyPageIns() (faults, bytes int64) {
 	return g.lazyFaults.Load(), g.lazyBytes.Load()
-}
-
-// SwapPageIns reports faults served and bytes paged in from swapped-out
-// objects (sls_mctl swap path).
-func (g *Group) SwapPageIns() (faults, bytes int64) {
-	return g.swapFaults.Load(), g.swapBytes.Load()
 }
 
 // defaultRetainEpochs bounds on-disk history by default; 0 keeps the full

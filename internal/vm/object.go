@@ -393,16 +393,10 @@ func (o *Object) FindPage(pg int64) (*mem.Page, error) {
 	return p, err
 }
 
-// GetPage returns page pg of o: a resident page is returned as-is; on a
-// miss the shadow chain (including each level's pager) is searched. For
-// reads the chain's page is shared; for writes a private copy lands in o
-// itself — the COW resolution.
-func (o *Object) GetPage(pg int64, forWrite bool) (*mem.Page, error) {
-	p, _, err := o.getPage(pg, forWrite)
-	return p, err
-}
-
-// getPage is GetPage that also returns the object the page is resident in.
+// getPage returns page pg of o and the object it is resident in: a resident
+// page is returned as-is; on a miss the shadow chain (including each level's
+// pager) is searched. For reads the chain's page is shared; for writes a
+// private copy lands in o itself — the COW resolution.
 func (o *Object) getPage(pg int64, forWrite bool) (*mem.Page, *Object, error) {
 	o.mu.Lock()
 	if p, ok := o.pages.get(pg); ok {
