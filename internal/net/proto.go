@@ -185,18 +185,13 @@ type Config struct {
 	// FrameData is the payload bytes per frame (default 32 KiB, capped at
 	// MaxFramePayload).
 	FrameData int
-	// RTO is the initial retransmit timeout; 0 derives it from the pipe's
-	// latency and frame serialization time.
-	RTO time.Duration
-	// RTOCap bounds the exponential backoff (default 5 ms).
-	RTOCap time.Duration
 	// MaxRetries is how many timeouts in a row, with no cumulative ack
 	// progress between them, a transfer (or handshake) tolerates before
 	// giving up (default 10).
 	MaxRetries int
 }
 
-func (c Config) withDefaults(p Params) Config {
+func (c Config) withDefaults() Config {
 	if c.Window <= 0 {
 		c.Window = 16
 	}
@@ -205,12 +200,6 @@ func (c Config) withDefaults(p Params) Config {
 	}
 	if c.FrameData > MaxFramePayload {
 		c.FrameData = MaxFramePayload
-	}
-	if c.RTO <= 0 {
-		c.RTO = 2*(p.Latency+time.Duration(c.FrameData)*p.PerByte) + 100*time.Microsecond
-	}
-	if c.RTOCap <= 0 {
-		c.RTOCap = 5 * time.Millisecond
 	}
 	if c.MaxRetries <= 0 {
 		c.MaxRetries = 10
@@ -271,7 +260,11 @@ type Conn struct {
 	stats ConnStats
 	slots []rec.Encoder // Window data-frame buffers, slot seq%Window
 	spare []byte        // the last Take's payload buffer, for the next session
+	rto   time.Duration // initial retransmit timeout; backoff doubles it up to rtoCap
 }
+
+// rtoCap bounds the exponential retransmit backoff.
+const rtoCap = 5 * time.Millisecond
 
 // SetSource sets the trace-context machine id stamped on every outgoing
 // Hello and Data frame. Zero (the default) ships an empty context.
@@ -287,7 +280,8 @@ func (c *Conn) SetFlight(fl *flight.Recorder) { c.fl = fl }
 // tr may be nil.
 func NewConn(pipe *Pipe, clk clock.Clock, cfg Config, tr *trace.Tracer) *Conn {
 	pipe.SetTracer(tr)
-	cfg = cfg.withDefaults(pipe.Fwd.params)
+	cfg = cfg.withDefaults()
+	p := pipe.Fwd.params
 	return &Conn{
 		pipe:  pipe,
 		clk:   clk,
@@ -295,6 +289,8 @@ func NewConn(pipe *Pipe, clk clock.Clock, cfg Config, tr *trace.Tracer) *Conn {
 		tr:    tr,
 		sess:  make(map[uint64]*session),
 		slots: make([]rec.Encoder, cfg.Window),
+		// Two one-way trips of a full frame, plus slack.
+		rto: 2*(p.Latency+time.Duration(cfg.FrameData)*p.PerByte) + 100*time.Microsecond,
 	}
 }
 
@@ -520,7 +516,7 @@ func (s *session) place(off uint64, p []byte) {
 // resume point.
 func (c *Conn) connect(epoch, total, spanID uint64, st *TransferStats) (uint64, error) {
 	span := c.tr.Begin(trace.TrackNet, "net.connect", trace.I("epoch", int64(epoch)))
-	rto := c.cfg.RTO
+	rto := c.rto
 	for attempt := 0; ; attempt++ {
 		hello := EncodeFrameCtx(FrameHello, epoch, 0, total, c.src, spanID, nil)
 		st.WireBytes += int64(len(hello))
@@ -550,11 +546,7 @@ func (c *Conn) backoff(rto *time.Duration, st *TransferStats) {
 		c.tr.Count("net.backoffs", 1)
 	}
 	c.clk.Advance(*rto)
-	if next := *rto * 2; next < c.cfg.RTOCap {
-		*rto = next
-	} else {
-		*rto = c.cfg.RTOCap
-	}
+	*rto = min(*rto*2, rtoCap)
 }
 
 // sentMask is the scoreboard bits of frames base+1 .. high-1.
@@ -606,7 +598,7 @@ func (c *Conn) Transfer(epoch uint64, payload []byte) (TransferStats, error) {
 
 	// The scoreboard: bit i of sacked means frame base+1+i is held by the
 	// receiver; frames [base, resendTo) that are not are resent next round.
-	rto := c.cfg.RTO
+	rto := c.rto
 	misses := 0
 	high := base // frames [0, high) have been sent at least once this call
 	resendTo := base
@@ -645,7 +637,7 @@ func (c *Conn) Transfer(epoch uint64, payload []byte) (TransferStats, error) {
 		if advanced {
 			sacked >>= res.ackNext - base
 			base = res.ackNext
-			rto = c.cfg.RTO
+			rto = c.rto
 			misses = 0
 		}
 		// Only a frame this call has sent, past base and short of high (so

@@ -381,14 +381,17 @@ func TestTransferStatsAccounting(t *testing.T) {
 }
 
 func TestConfigDefaults(t *testing.T) {
-	cfg := Config{}.withDefaults(DefaultParams())
+	cfg := Config{}.withDefaults()
 	if cfg.Window != 16 || cfg.FrameData != 32<<10 || cfg.MaxRetries != 10 {
 		t.Fatalf("defaults = %+v", cfg)
 	}
-	if cfg.RTO <= 0 || cfg.RTOCap < cfg.RTO {
-		t.Fatalf("rto defaults = %+v", cfg)
+	// The initial timeout is two one-way trips of a full frame plus 100 µs:
+	// 2×(15 µs + 32 KiB × 1 ns) + 100 µs on newTestConn's pipe.
+	c, _ := newTestConn(Plan{}, Plan{}, Config{})
+	if want := 2*(15*time.Microsecond+(32<<10)*time.Nanosecond) + 100*time.Microsecond; c.rto != want || c.rto > rtoCap {
+		t.Fatalf("initial rto = %v, want %v (cap %v)", c.rto, want, rtoCap)
 	}
-	over := Config{FrameData: MaxFramePayload * 2}.withDefaults(DefaultParams())
+	over := Config{FrameData: MaxFramePayload * 2}.withDefaults()
 	if over.FrameData != MaxFramePayload {
 		t.Fatalf("FrameData not capped: %d", over.FrameData)
 	}
