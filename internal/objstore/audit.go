@@ -24,35 +24,35 @@ func (s *Store) AuditLive() []string {
 	// retained index, free run, staged or queued release and deadlist block,
 	// inside the data region and overlapping no other. Data pages are not
 	// claimed: they are Fsck's job. Machine.Restore runs this audit inside
-	// the restore that the benchmark times, and the free map spans the whole
-	// unused device, so claims stay runs: sorted once, swept once.
-	limit := s.dev.Size()
-	dataStart := s.dataStart()
-	type claimed struct {
-		blockRun
-		what string
-	}
-	var claims []claimed
-	claim := func(addr, n int64, what string) {
-		if addr < dataStart || addr%BlockSize != 0 || n <= 0 || n > (limit-addr)/BlockSize {
-			prob("%s claims out-of-range run [%d,+%d blocks)", what, addr, n)
-			return
+	// the restore that the benchmark times, so each claim is marked in a
+	// bitmap of the data region a word at a time, and only a claim that lands
+	// on a marked block costs a search (see auditScratch).
+	a := &s.audit
+	a.reset(s)
+	claimRun := func(c claim) {
+		if !a.mark(c) {
+			prob("%s claims out-of-range run [%d,+%d blocks)", c, c.addr, c.n)
 		}
-		claims = append(claims, claimed{blockRun{addr, n}, what})
 	}
 
 	for _, oid := range s.oids() {
 		o := s.objects[oid]
 		if o.recordAddr != 0 {
-			claim(o.recordAddr, blocksFor(o.recordLen), fmt.Sprintf("record of oid %d", oid))
+			claimRun(claim{blockRun{o.recordAddr, blocksFor(o.recordLen)}, claimRecord, int64(oid), 0})
 		}
 		if o.journal != nil {
-			claim(o.journal.extentAddr, o.journal.capBlocks, fmt.Sprintf("journal extent of oid %d", oid))
+			claimRun(claim{blockRun{o.journal.extentAddr, o.journal.capBlocks}, claimJournal, int64(oid), 0})
 		}
-		for _, ci := range sortedChunkIdxs(o) {
-			if c := o.chunks[ci]; c.addr != 0 {
-				claim(c.addr, 1, fmt.Sprintf("chunk %d of oid %d", ci, oid))
+		// In index order, as the record lists them, so reports are too.
+		a.idxs = a.idxs[:0]
+		for ci, c := range o.chunks {
+			if c.addr != 0 {
+				a.idxs = append(a.idxs, ci)
 			}
+		}
+		slices.Sort(a.idxs)
+		for _, ci := range a.idxs {
+			claimRun(claim{blockRun{o.chunks[ci].addr, 1}, claimChunk, int64(oid), ci})
 		}
 		if o.size < 0 {
 			prob("oid %d has negative size %d", oid, o.size)
@@ -60,7 +60,7 @@ func (s *Store) AuditLive() []string {
 	}
 
 	for i, ck := range s.retained {
-		claim(ck.indexAddr, blocksFor(ck.indexLen), fmt.Sprintf("index of epoch %d", ck.epoch))
+		claimRun(claim{blockRun{ck.indexAddr, blocksFor(ck.indexLen)}, claimIndex, int64(ck.epoch), 0})
 		if i > 0 && ck.epoch <= s.retained[i-1].epoch {
 			prob("retained epochs out of order: %d then %d", s.retained[i-1].epoch, ck.epoch)
 		}
@@ -70,17 +70,17 @@ func (s *Store) AuditLive() []string {
 	}
 
 	for i, r := range s.free {
-		claim(r.addr, r.n, "free map")
+		claimRun(claim{blockRun: r, kind: claimFree})
 		if i > 0 && r.end() >= s.free[i-1].addr {
 			prob("free map out of order or unmerged at run %d", i)
 		}
 	}
 	for _, r := range s.releasing {
-		claim(r.addr, r.n, "staged release")
+		claimRun(claim{blockRun: r, kind: claimStaged})
 	}
 	for qi, q := range s.releaseQ {
 		for _, r := range q.runs {
-			claim(r.addr, r.n, "release queue")
+			claimRun(claim{blockRun: r, kind: claimQueued})
 		}
 		if qi > 0 && q.at < s.releaseQ[qi-1].at {
 			prob("release queue stamps out of order at entry %d", qi)
@@ -90,30 +90,24 @@ func (s *Store) AuditLive() []string {
 	// Deadlist entries are history-only: superseded blocks some retained
 	// checkpoint may still see, never referenced by the live table above.
 	for _, db := range s.deadlist {
-		claim(db.addr, 1, "deadlist")
+		claimRun(claim{blockRun: blockRun{db.addr, 1}, kind: claimDead})
 		if db.birth >= db.freedAt {
 			prob("deadlist block %d has lifetime [%d,%d)", db.addr, db.birth, db.freedAt)
 		}
 	}
-	slices.SortFunc(claims, func(x, y claimed) int { return cmp.Compare(x.addr, y.addr) })
-	var reach claimed // the claim reaching furthest so far
-	for _, c := range claims {
-		if c.addr < reach.end() {
-			prob("block %d claimed by both %s and %s", c.addr, reach.what, c.what)
-		}
-		if c.end() > reach.end() {
-			reach = c
-		}
-	}
+	a.doubleClaims(func(block int64, x, y claim) {
+		prob("block %d claimed by both %s and %s", block, x, y)
+	})
 
 	// Durability times must be monotone in epoch: a later checkpoint can
 	// never become durable before an earlier one (an ordered Submit puts
 	// every superblock behind its interval).
-	epochs := make([]Epoch, 0, len(s.durableAt))
+	epochs := a.epochs[:0]
 	for e := range s.durableAt {
 		epochs = append(epochs, e)
 	}
 	slices.Sort(epochs)
+	a.epochs = epochs
 	for i := 1; i < len(epochs); i++ {
 		if s.durableAt[epochs[i]] < s.durableAt[epochs[i-1]] {
 			prob("epoch %d durable at %v before epoch %d at %v",
@@ -138,4 +132,169 @@ func (s *Store) AuditLive() []string {
 		}
 	}
 	return problems
+}
+
+// claimKind says what holds a claimed run.
+type claimKind uint8
+
+const (
+	claimRecord claimKind = iota
+	claimJournal
+	claimChunk
+	claimIndex
+	claimFree
+	claimStaged
+	claimQueued
+	claimDead
+)
+
+// claim is one run AuditLive accounts for and what holds it: id is the OID
+// of a record, journal extent or chunk (ci its chunk index) and the epoch of
+// an index. It is named only when a report needs it.
+type claim struct {
+	blockRun
+	kind   claimKind
+	id, ci int64
+}
+
+func (c claim) String() string {
+	switch c.kind {
+	case claimRecord:
+		return fmt.Sprintf("record of oid %d", c.id)
+	case claimJournal:
+		return fmt.Sprintf("journal extent of oid %d", c.id)
+	case claimChunk:
+		return fmt.Sprintf("chunk %d of oid %d", c.ci, c.id)
+	case claimIndex:
+		return fmt.Sprintf("index of epoch %d", c.id)
+	case claimFree:
+		return "free map"
+	case claimStaged:
+		return "staged release"
+	case claimQueued:
+		return "release queue"
+	}
+	return "deadlist"
+}
+
+// auditScratch is AuditLive's working memory, kept on the store and reused
+// under mu, so an audit of a clean store allocates nothing.
+//
+// marks holds one bit per block of [lo, hi). hi is the data region's end,
+// unless the free map's highest run reaches the device end — as it does on a
+// store that has not filled its device — in which case hi is that run's start
+// and the run itself is never marked: any other claim reaching past hi
+// overlaps it. The bitmap thus spans the blocks in use, not the device.
+type auditScratch struct {
+	lo, hi, limit int64
+	top           int  // the claim index of the unmarked top run, or -1
+	topHit        bool // a claim reaching past hi was marked before the top run
+	claims        []claim
+	marks         []uint64
+	clashes       []int   // claims sharing a block with another, by claim index
+	idxs          []int64 // one object's chunk indexes
+	epochs        []Epoch // durableAt's keys
+}
+
+// reset readies a for an audit of s, sized for every claim s can make.
+func (a *auditScratch) reset(s *Store) {
+	a.lo, a.limit = s.dataStart(), s.dev.Size()
+	a.hi, a.top, a.topHit = a.limit, -1, false
+	if len(s.free) > 0 {
+		if r := s.free[0]; r.end() == a.limit && a.inRange(r) {
+			a.hi = r.addr
+		}
+	}
+	n := len(s.retained) + len(s.free) + len(s.releasing) + len(s.deadlist)
+	for _, q := range s.releaseQ {
+		n += len(q.runs)
+	}
+	for _, o := range s.objects {
+		n += 2 + len(o.chunks)
+	}
+	a.claims = slices.Grow(a.claims[:0], n)
+	a.clashes = a.clashes[:0]
+	words := int(max(a.hi-a.lo, 0)/BlockSize+63) / 64
+	a.marks = slices.Grow(a.marks[:0], words)[:words]
+	clear(a.marks)
+}
+
+// inRange reports whether r is a nonempty run of whole blocks inside the
+// data region.
+func (a *auditScratch) inRange(r blockRun) bool {
+	return r.addr >= a.lo && r.addr%BlockSize == 0 && r.n > 0 && r.n <= (a.limit-r.addr)/BlockSize
+}
+
+// mark records claim c and sets its blocks' bits. A bit already set, or a
+// run reaching into the top run, notes c and every earlier claim it overlaps
+// as clashing. mark reports false, and records nothing, for a run outside
+// the data region.
+func (a *auditScratch) mark(c claim) bool {
+	if !a.inRange(c.blockRun) {
+		return false
+	}
+	i := len(a.claims)
+	a.claims = append(a.claims, c)
+	if a.top < 0 && c.kind == claimFree && c.addr == a.hi {
+		a.top = i
+		if a.topHit {
+			a.clashes = append(a.clashes, i)
+		}
+		return true
+	}
+	from, to := (c.addr-a.lo)/BlockSize, (min(c.end(), a.hi)-a.lo)/BlockSize
+	if markRun(a.marks, from, to) {
+		for j, p := range a.claims[:i] {
+			if p.addr < c.end() && c.addr < p.end() {
+				a.clashes = append(a.clashes, j, i)
+			}
+		}
+	}
+	if c.end() > a.hi {
+		a.clashes = append(a.clashes, i)
+		if a.top >= 0 {
+			a.clashes = append(a.clashes, a.top)
+		}
+		a.topHit = true
+	}
+	return true
+}
+
+// markRun sets bits [from, to) of m, a word at a time, and reports whether
+// any of them was set already.
+func markRun(m []uint64, from, to int64) bool {
+	var seen uint64
+	for from < to {
+		w, b := from/64, from%64
+		mask := ^uint64(0) >> (64 - min(64-b, to-from)) << b
+		seen |= m[w] & mask
+		m[w] |= mask
+		from += 64 - b
+	}
+	return seen != 0
+}
+
+// doubleClaims reports each clashing claim that starts inside one before it
+// in address order (ties in claim order), against the one of those reaching
+// furthest, at the claim's first block: a sweep of every claim sorted by
+// address reports exactly these, since a claim overlapping none can be
+// neither reported nor the furthest-reaching partner of one that is.
+func (a *auditScratch) doubleClaims(report func(block int64, x, y claim)) {
+	if len(a.clashes) == 0 {
+		return
+	}
+	slices.SortFunc(a.clashes, func(i, j int) int {
+		return cmp.Or(cmp.Compare(a.claims[i].addr, a.claims[j].addr), cmp.Compare(i, j))
+	})
+	a.clashes = slices.Compact(a.clashes)
+	var reach claim // the claim reaching furthest so far
+	for _, i := range a.clashes {
+		c := a.claims[i]
+		if c.addr < reach.end() {
+			report(c.addr, reach, c)
+		}
+		if c.end() > reach.end() {
+			reach = c
+		}
+	}
 }

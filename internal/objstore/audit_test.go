@@ -1,6 +1,10 @@
 package objstore
 
 import (
+	"cmp"
+	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -147,5 +151,60 @@ func TestAuditLiveReportsPinned(t *testing.T) {
 				t.Errorf("report:\n%s\nwant:\n%s", g, w)
 			}
 		})
+	}
+}
+
+// TestAuditDoubleClaimsMatchSweep plants random runs on auditBase's store —
+// deadlist blocks and staged and queued releases, in use, in the free run,
+// across its start and at the device's end — and checks AuditLive's double
+// claims against a sweep of every claim sorted by address (ties in claim
+// order), the report the bitmap's search stands in for.
+func TestAuditDoubleClaimsMatchSweep(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for round := 0; round < 300; round++ {
+		s := auditBase(t)
+		lo, top, end := s.dataStart()/BlockSize, s.free[0].addr/BlockSize, s.dev.Size()/BlockSize
+		block := func() int64 {
+			switch rng.Intn(4) {
+			case 0:
+				return end - 1 - rng.Int63n(8)
+			case 1:
+				return top - 4 + rng.Int63n(8)
+			}
+			return lo + rng.Int63n(top-lo+200)
+		}
+		for n := rng.Intn(6); n > 0; n-- {
+			switch rng.Intn(3) {
+			case 0:
+				s.deadlist = append(s.deadlist, deadBlock{addr: block() * BlockSize, birth: 2, freedAt: 3})
+			case 1:
+				b := block()
+				s.releasing = append(s.releasing, blockRun{b * BlockSize, min(1+rng.Int63n(140), end-b)})
+			default:
+				b := block()
+				s.releaseQ = append(s.releaseQ, stagedRelease{runs: []blockRun{{b * BlockSize, min(1+rng.Int63n(140), end-b)}}})
+			}
+		}
+		var got []string
+		for _, p := range s.AuditLive() {
+			if strings.Contains(p, "claimed by both") {
+				got = append(got, p)
+			}
+		}
+		claims := slices.Clone(s.audit.claims)
+		slices.SortStableFunc(claims, func(x, y claim) int { return cmp.Compare(x.addr, y.addr) })
+		var want []string
+		var reach claim
+		for _, c := range claims {
+			if c.addr < reach.end() {
+				want = append(want, fmt.Sprintf("store: block %d claimed by both %s and %s", c.addr, reach, c))
+			}
+			if c.end() > reach.end() {
+				reach = c
+			}
+		}
+		if g, w := strings.Join(got, "\n"), strings.Join(want, "\n"); g != w {
+			t.Fatalf("round %d: double claims:\n%s\nsweep:\n%s", round, g, w)
+		}
 	}
 }

@@ -219,9 +219,10 @@ type Store struct {
 	// pendingDurable is the completion time of the latest submitted write
 	// belonging to the in-progress interval; the next commit waits for it.
 	pendingDurable time.Duration
-	one            [1][]byte   // submitLocked's vector, so single-buffer writes allocate none
-	pages          pageScratch // writePagesLocked's, for the same reason
-	frame          rec.Encoder // Journal.Append's, for the same reason
+	one            [1][]byte    // submitLocked's vector, so single-buffer writes allocate none
+	pages          pageScratch  // writePagesLocked's, for the same reason
+	audit          auditScratch // AuditLive's, for the same reason
+	frame          rec.Encoder  // Journal.Append's, for the same reason
 	// durableAt maps committed epochs to their durability times.
 	durableAt map[Epoch]time.Duration
 
