@@ -96,7 +96,7 @@ func TestAuditLiveReportsPinned(t *testing.T) {
 		}, []string{"store: block 4251648 claimed by both index of epoch 2 and release queue"}},
 		{"staged release reaching into the free run", func(s *Store) {
 			s.releasing = []blockRun{{s.free[0].addr - BlockSize, 3}}
-		}, []string{"store: block 4276224 claimed by both staged release and index of epoch 3", "store: block 4280320 claimed by both staged release and free map"}},
+		}, []string{"store: block 4276224 claimed by both index of epoch 3 and staged release", "store: block 4280320 claimed by both staged release and free map"}},
 		{"deadlist block listed twice", func(s *Store) { s.deadlist = append(s.deadlist, s.deadlist[2]) },
 			[]string{"store: block 4231168 claimed by both deadlist and deadlist"}},
 		{"one free run over two claims", func(s *Store) { s.free = append(s.free, blockRun{chunk0(s) - BlockSize, 3}) },
