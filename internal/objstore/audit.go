@@ -148,6 +148,11 @@ const (
 	claimDead
 )
 
+// claimNames names each kind of claim; the first four format the claim's
+// ids, picking theirs by index.
+var claimNames = [...]string{"record of oid %[1]d", "journal extent of oid %[1]d", "chunk %[2]d of oid %[1]d",
+	"index of epoch %[1]d", "free map", "staged release", "release queue", "deadlist"}
+
 // claim is one run AuditLive accounts for and what holds it: id is the OID
 // of a record, journal extent or chunk (ci its chunk index) and the epoch of
 // an index. It is named only when a report needs it.
@@ -158,23 +163,10 @@ type claim struct {
 }
 
 func (c claim) String() string {
-	switch c.kind {
-	case claimRecord:
-		return fmt.Sprintf("record of oid %d", c.id)
-	case claimJournal:
-		return fmt.Sprintf("journal extent of oid %d", c.id)
-	case claimChunk:
-		return fmt.Sprintf("chunk %d of oid %d", c.ci, c.id)
-	case claimIndex:
-		return fmt.Sprintf("index of epoch %d", c.id)
-	case claimFree:
-		return "free map"
-	case claimStaged:
-		return "staged release"
-	case claimQueued:
-		return "release queue"
+	if c.kind < claimFree {
+		return fmt.Sprintf(claimNames[c.kind], c.id, c.ci)
 	}
-	return "deadlist"
+	return claimNames[c.kind]
 }
 
 // auditScratch is AuditLive's working memory, kept on the store and reused
@@ -183,15 +175,15 @@ func (c claim) String() string {
 // marks holds one bit per block of [lo, hi). hi is the data region's end,
 // unless the free map's highest run reaches the device end — as it does on a
 // store that has not filled its device — in which case hi is that run's start
-// and the run itself is never marked: any other claim reaching past hi
-// overlaps it. The bitmap thus spans the blocks in use, not the device.
+// and the run, the top claim, is never marked: any other claim reaching past
+// hi overlaps it. The bitmap thus spans the blocks in use, not the device.
 type auditScratch struct {
 	lo, hi, limit int64
-	top           int  // the claim index of the unmarked top run, or -1
-	topHit        bool // a claim reaching past hi was marked before the top run
+	top           int  // the top claim's index, or -1
+	pastTop       bool // some other claim reaches past hi
 	claims        []claim
 	marks         []uint64
-	clashes       []int   // claims sharing a block with another, by claim index
+	clashes       []int   // claims sharing a block with another, by index
 	idxs          []int64 // one object's chunk indexes
 	epochs        []Epoch // durableAt's keys
 }
@@ -199,11 +191,9 @@ type auditScratch struct {
 // reset readies a for an audit of s, sized for every claim s can make.
 func (a *auditScratch) reset(s *Store) {
 	a.lo, a.limit = s.dataStart(), s.dev.Size()
-	a.hi, a.top, a.topHit = a.limit, -1, false
-	if len(s.free) > 0 {
-		if r := s.free[0]; r.end() == a.limit && a.inRange(r) {
-			a.hi = r.addr
-		}
+	a.hi, a.top, a.pastTop = a.limit, -1, false
+	if len(s.free) > 0 && s.free[0].end() == a.limit && a.inRange(s.free[0]) {
+		a.hi = s.free[0].addr
 	}
 	n := len(s.retained) + len(s.free) + len(s.releasing) + len(s.deadlist)
 	for _, q := range s.releaseQ {
@@ -225,37 +215,30 @@ func (a *auditScratch) inRange(r blockRun) bool {
 	return r.addr >= a.lo && r.addr%BlockSize == 0 && r.n > 0 && r.n <= (a.limit-r.addr)/BlockSize
 }
 
-// mark records claim c and sets its blocks' bits. A bit already set, or a
-// run reaching into the top run, notes c and every earlier claim it overlaps
-// as clashing. mark reports false, and records nothing, for a run outside
-// the data region.
+// mark records claim c and sets its blocks' bits. A bit already set notes c
+// and every earlier claim it overlaps as clashing; so does reaching past hi,
+// with the top claim. mark reports false, and records nothing, for a run
+// outside the data region.
 func (a *auditScratch) mark(c claim) bool {
 	if !a.inRange(c.blockRun) {
 		return false
 	}
-	i := len(a.claims)
+	i, end := len(a.claims), c.end()
 	a.claims = append(a.claims, c)
-	if a.top < 0 && c.kind == claimFree && c.addr == a.hi {
-		a.top = i
-		if a.topHit {
-			a.clashes = append(a.clashes, i)
+	if end > a.hi {
+		if a.top < 0 && c.kind == claimFree && c.addr == a.hi {
+			a.top = i
+			return true
 		}
-		return true
+		a.clashes = append(a.clashes, i)
+		a.pastTop = true
 	}
-	from, to := (c.addr-a.lo)/BlockSize, (min(c.end(), a.hi)-a.lo)/BlockSize
-	if markRun(a.marks, from, to) {
+	if markRun(a.marks, (c.addr-a.lo)/BlockSize, (min(end, a.hi)-a.lo)/BlockSize) {
 		for j, p := range a.claims[:i] {
-			if p.addr < c.end() && c.addr < p.end() {
+			if p.addr < end && c.addr < p.end() {
 				a.clashes = append(a.clashes, j, i)
 			}
 		}
-	}
-	if c.end() > a.hi {
-		a.clashes = append(a.clashes, i)
-		if a.top >= 0 {
-			a.clashes = append(a.clashes, a.top)
-		}
-		a.topHit = true
 	}
 	return true
 }
@@ -280,8 +263,8 @@ func markRun(m []uint64, from, to int64) bool {
 // address reports exactly these, since a claim overlapping none can be
 // neither reported nor the furthest-reaching partner of one that is.
 func (a *auditScratch) doubleClaims(report func(block int64, x, y claim)) {
-	if len(a.clashes) == 0 {
-		return
+	if a.pastTop {
+		a.clashes = append(a.clashes, a.top)
 	}
 	slices.SortFunc(a.clashes, func(i, j int) int {
 		return cmp.Or(cmp.Compare(a.claims[i].addr, a.claims[j].addr), cmp.Compare(i, j))

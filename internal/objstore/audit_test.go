@@ -208,3 +208,70 @@ func TestAuditDoubleClaimsMatchSweep(t *testing.T) {
 		}
 	}
 }
+
+// auditLoad builds a store the size of a long restore chain's: 1 000
+// records rewritten over ten retained checkpoints (10 000 deadlist blocks)
+// and, in the open interval, 1 100 single-block free runs, left by deleting
+// an object whose pages alternate with another's.
+func auditLoad(tb testing.TB) *Store {
+	tb.Helper()
+	s := auditBase(tb)
+	oids := make([]OID, 1000)
+	for i := range oids {
+		oids[i] = s.NewOID()
+	}
+	for round := 0; round <= 10; round++ {
+		for _, oid := range oids {
+			if err := s.PutRecord(oid, 1, []byte(fmt.Sprintf("record %d of oid %d", round, oid))); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		if _, err := s.Checkpoint(); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	holes, kept := s.NewOID(), s.NewOID()
+	s.Ensure(holes, 2)
+	s.Ensure(kept, 2)
+	page := make([]byte, BlockSize)
+	for pg := int64(0); pg < 1100; pg++ {
+		for _, oid := range []OID{holes, kept} {
+			if err := s.WritePage(oid, pg, page); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	if err := s.Delete(holes); err != nil {
+		tb.Fatal(err)
+	}
+	if p := s.AuditLive(); len(p) > 0 {
+		tb.Fatalf("loaded store audits dirty: %q", p)
+	}
+	return s
+}
+
+// TestAuditAllocsBounded: an audit of a clean store allocates nothing,
+// however many claims it checks — its working memory is kept on the store.
+func TestAuditAllocsBounded(t *testing.T) {
+	s := auditLoad(t)
+	if len(s.objects) < 1000 || len(s.deadlist) < 10000 || len(s.free) < 1000 {
+		t.Fatalf("store holds %d objects, %d deadlist blocks and %d free runs, want at least 1 000, 10 000 and 1 000",
+			len(s.objects), len(s.deadlist), len(s.free))
+	}
+	if n := testing.AllocsPerRun(20, func() { s.AuditLive() }); n != 0 {
+		t.Fatalf("AuditLive allocated %.1f times per call over %d claims, want 0", n, len(s.audit.claims))
+	}
+}
+
+// BenchmarkAuditLive audits auditLoad's store once per iteration.
+func BenchmarkAuditLive(b *testing.B) {
+	s := auditLoad(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if p := s.AuditLive(); len(p) > 0 {
+			b.Fatal(p)
+		}
+	}
+	b.ReportMetric(float64(len(s.audit.claims)), "claims/op")
+}
