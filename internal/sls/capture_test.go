@@ -553,6 +553,25 @@ func TestPlantedMissingBumpIsCaught(t *testing.T) {
 			pty := behind(fileOf(a, a.ptyM)).(*kern.PTY)
 			return plantMissedBump(t, a.g, pty, func() { a.p.SetTermios(a.ptyS, [64]byte{0x1b}) })
 		}},
+		{"pipe buffer in a record kept in data blocks", func(t *testing.T, a *gateApp) objstore.OID {
+			// The gate never learns a record past InlineMax (see
+			// TestPagedRecordIsNeverStaged), so one is planted in it: the
+			// oracle must read the record back, find it equal while the
+			// pipe is unchanged, and different once a write is missed.
+			if _, err := a.p.Write(a.pipeW, make([]byte, objstore.InlineMax-12)); err != nil {
+				t.Fatal(err)
+			}
+			a.checkpoint(t, CkptIncremental)
+			pipe := behind(fileOf(a, a.pipeW)).(*kern.Pipe)
+			oid := a.g.oidOf[pipe]
+			stored, _ := a.w.store.GetRecord(oid)
+			if ut, _ := a.w.store.UType(oid); len(stored) <= objstore.InlineMax || a.w.store.HoldsRecord(oid, ut, stored) {
+				t.Fatalf("the pipe's %d-byte record is inline", len(stored))
+			}
+			a.g.committed[oid] = captured{oid: oid, obj: pipe, gen: pipe.Generation()}
+			requireCaptureClean(t, a.g)
+			return plantMissedBump(t, a.g, pipe, func() { a.p.Write(a.pipeW, []byte("lost")) })
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

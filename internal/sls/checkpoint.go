@@ -669,22 +669,28 @@ func (s *serializer) socket(sk *kern.Socket) error {
 // is the one the group last committed — is re-encoded, uncharged, and must
 // byte-equal the record the store holds; a difference means some mutation of
 // that object did not bump its generation, and the next checkpoint would have
-// lost it. report receives each mismatch in ascending OID order. The pass
+// lost it. An inline record is compared in place (Store.HoldsRecord); only a
+// record kept in data blocks, or one that differs, is read back to name the
+// difference. report receives each mismatch in ascending OID order. The pass
 // holds the kernel lock, allocates no OID, takes no hidden reference and
 // advances no clock; it returns how many objects it compared.
 func (g *Group) AuditCapture(report func(oid objstore.OID, detail string)) int {
 	g.o.K.Gate.Enter()
 	defer g.o.K.Gate.Exit()
 	checked := 0
+	var e rec.Encoder // one buffer for every record: HoldsRecord keeps none of it
 	for _, oid := range slices.Sorted(maps.Keys(g.committed)) {
 		c := g.committed[oid]
 		if c.obj.Generation() != c.gen {
 			continue // changed since the commit: the next checkpoint captures it
 		}
 		checked++
-		e := rec.NewEncoder()
-		utype := g.encodeObject(e, c.obj)
+		e.Reset()
+		utype := g.encodeObject(&e, c.obj)
 		want := e.Seal()
+		if g.o.Store.HoldsRecord(oid, utype, want) {
+			continue
+		}
 		got, err := g.o.Store.GetRecord(oid)
 		if err != nil {
 			report(oid, fmt.Sprintf("%T at committed generation %d has no readable record: %v", c.obj, c.gen, err))
