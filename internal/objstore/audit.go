@@ -43,16 +43,11 @@ func (s *Store) AuditLive() []string {
 		if o.journal != nil {
 			claimRun(claim{blockRun{o.journal.extentAddr, o.journal.capBlocks}, claimJournal, int64(oid), 0})
 		}
-		// In index order, as the record lists them, so reports are too.
-		a.idxs = a.idxs[:0]
-		for ci, c := range o.chunks {
-			if c.addr != 0 {
-				a.idxs = append(a.idxs, ci)
-			}
-		}
-		slices.Sort(a.idxs)
+		a.idxs = sortedChunkIdxs(a.idxs, o)
 		for _, ci := range a.idxs {
-			claimRun(claim{blockRun{o.chunks[ci].addr, 1}, claimChunk, int64(oid), ci})
+			if c := o.chunks[ci]; c.addr != 0 {
+				claimRun(claim{blockRun{c.addr, 1}, claimChunk, int64(oid), ci})
+			}
 		}
 		if o.size < 0 {
 			prob("oid %d has negative size %d", oid, o.size)
@@ -148,8 +143,9 @@ const (
 	claimDead
 )
 
-// claimNames names each kind of claim; the first four format the claim's
-// ids, picking theirs by index.
+// claimNames names each kind of claim. The first four format the claim's
+// (id, ci) by explicit index, so each names only the ids it needs: fmt
+// reports no unused argument once a format indexes them.
 var claimNames = [...]string{"record of oid %[1]d", "journal extent of oid %[1]d", "chunk %[2]d of oid %[1]d",
 	"index of epoch %[1]d", "free map", "staged release", "release queue", "deadlist"}
 

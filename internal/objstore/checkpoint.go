@@ -78,7 +78,7 @@ func (s *Store) CheckpointRetaining(retain int) (st CheckpointStats, err error) 
 			continue
 		}
 		st.DirtyObjects++
-		for _, ci := range sortedChunkIdxs(o) {
+		for _, ci := range sortedChunkIdxs(nil, o) {
 			c := o.chunks[ci]
 			if !c.dirty {
 				continue

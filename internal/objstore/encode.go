@@ -60,7 +60,7 @@ func encodeRecord(o *object) []byte {
 	case o.chunks != nil:
 		e.U8(shapeChunks)
 		// Chunk roots, sorted for determinism.
-		idxs := sortedChunkIdxs(o)
+		idxs := sortedChunkIdxs(nil, o)
 		e.U32(uint32(len(idxs)))
 		for _, ci := range idxs {
 			e.I64(ci)
@@ -73,12 +73,12 @@ func encodeRecord(o *object) []byte {
 	return e.Seal()
 }
 
-// sortedChunkIdxs lists the object's chunks in index order. A chunk with no
-// address that is not dirty was reserved by a batch that failed before
-// publishing into it: it holds nothing, and a record naming it would root a
-// chunk at address 0.
-func sortedChunkIdxs(o *object) []int64 {
-	idxs := make([]int64, 0, len(o.chunks))
+// sortedChunkIdxs lists the object's chunks in index order, in dst's
+// storage. A chunk with no address that is not dirty was reserved by a batch
+// that failed before publishing into it: it holds nothing, and a record
+// naming it would root a chunk at address 0.
+func sortedChunkIdxs(dst []int64, o *object) []int64 {
+	idxs := slices.Grow(dst[:0], len(o.chunks))
 	for ci, c := range o.chunks {
 		if c.addr != 0 || c.dirty {
 			idxs = append(idxs, ci)

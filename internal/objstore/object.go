@@ -367,7 +367,7 @@ func (s *Store) eachPage(o *object, pgs []int64, all bool, into func(pg int64) (
 			return n, err
 		}
 	} else {
-		cis := sortedChunkIdxs(o)
+		cis := sortedChunkIdxs(nil, o)
 		s.mu.Unlock()
 		var exts []extent
 		var sums []uint32
