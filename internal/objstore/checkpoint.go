@@ -87,7 +87,7 @@ func (s *Store) CheckpointRetaining(retain int) (st CheckpointStats, err error) 
 			if err != nil {
 				return st, err
 			}
-			if _, err := s.submitLocked(encodeChunk(c), addr, 0); err != nil {
+			if err := s.submitNew(encodeChunk(c), addr); err != nil {
 				return st, err
 			}
 			s.retireBlock(c.addr)
@@ -95,16 +95,18 @@ func (s *Store) CheckpointRetaining(retain int) (st CheckpointStats, err error) 
 			c.dirty = false
 			st.MetaBytes += BlockSize
 		}
+		// The old record retires only once its replacement is written, as a
+		// chunk does, so a retried commit retires it once.
 		rec := encodeRecord(o)
-		if o.recordAddr != 0 {
-			s.retireRun(o.recordAddr, blocksFor(o.recordLen))
-		}
 		addr, err := s.allocRun(blocksFor(int64(len(rec))))
 		if err != nil {
 			return st, err
 		}
-		if _, err := s.submitLocked(rec, addr, 0); err != nil {
+		if err := s.submitNew(rec, addr); err != nil {
 			return st, err
+		}
+		if o.recordAddr != 0 {
+			s.retireRun(o.recordAddr, blocksFor(o.recordLen))
 		}
 		o.recordAddr = addr
 		o.recordLen = int64(len(rec))
@@ -136,7 +138,7 @@ func (s *Store) CheckpointRetaining(retain int) (st CheckpointStats, err error) 
 	if err != nil {
 		return st, err
 	}
-	if _, err := s.submitLocked(e.Seal(), idxAddr, 0); err != nil {
+	if err := s.submitNew(e.Seal(), idxAddr); err != nil {
 		return st, err
 	}
 	st.MetaBytes += idxLen
@@ -156,6 +158,7 @@ func (s *Store) CheckpointRetaining(retain int) (st CheckpointStats, err error) 
 	slotOff := int64(s.superSlot) * BlockSize
 	sbDone, err := s.submitLocked(sb, slotOff, s.pendingDurable)
 	if err != nil {
+		s.releasing = append(s.releasing, blockRun{idxAddr, blocksFor(idxLen)})
 		return st, err
 	}
 	s.superSlot = 1 - s.superSlot
@@ -217,6 +220,19 @@ func (s *Store) CheckpointRetaining(retain int) (st CheckpointStats, err error) 
 	}
 	commitSpan.End(trace.I("meta_bytes", st.MetaBytes))
 	return st, nil
+}
+
+// submitNew writes p to the run at addr that the commit just allocated. A
+// failed submit stages the run for release, as a failed superblock submit
+// stages the index run: nothing the store keeps references it, but a write
+// that reported failure may still have landed, so the run is reusable only
+// behind the next commit's superblock. Requires mu.
+func (s *Store) submitNew(p []byte, addr int64) error {
+	_, err := s.submitLocked(p, addr, 0)
+	if err != nil {
+		s.releasing = append(s.releasing, blockRun{addr, blocksFor(int64(len(p)))})
+	}
+	return err
 }
 
 // persistFlight serializes the flight ring into the reserved FlightOID so
