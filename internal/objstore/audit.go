@@ -3,38 +3,50 @@ package objstore
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 )
 
 // AuditLive checks the store's in-memory structures against each other —
 // the free map versus allocated extents, retained-checkpoint ordering,
-// durability monotonicity — and returns one message per violation. Unlike
-// Fsck, which reads the committed on-device state, AuditLive inspects the
-// running store without IO, so the invariant watchdog can call it on a
-// cadence. An empty result means every rule held.
+// durability monotonicity — and returns one message per violation. It is
+// Fsck's claim walk without the data pages: it reads nothing from the device,
+// so the invariant watchdog can call it on a cadence. An empty result means
+// every rule held.
 func (s *Store) AuditLive() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.auditLocked(&s.audit, nil)
+}
+
+// auditLocked is the one claim walk, run in a. Every record run, journal
+// extent, block-map chunk block, retained index, free run, staged or queued
+// release and deadlist block must lie inside the data region and overlap no
+// other. Machine.Restore runs AuditLive inside the restore that the benchmark
+// times, so each claim is marked in a bitmap of the data region a word at a
+// time, and only a claim that lands on a marked block costs a search (see
+// auditScratch).
+//
+// With page nil the walk claims no data page and faults in no chunk. With
+// page set it faults in each chunk, claims each live data page and hands it
+// to page, and then every block of the bitmap must be held: conservation,
+// checked only when every chunk loaded, since an unreadable chunk's pages are
+// unknown. Requires mu.
+func (s *Store) auditLocked(a *auditScratch, page func(oid OID, pg, addr int64, sum uint32)) []string {
 	var problems []string
 	prob := func(format string, args ...any) {
 		problems = append(problems, "store: "+fmt.Sprintf(format, args...))
 	}
-
-	// Claims: every record run, journal extent, block-map chunk block,
-	// retained index, free run, staged or queued release and deadlist block,
-	// inside the data region and overlapping no other. Data pages are not
-	// claimed: they are Fsck's job. Machine.Restore runs this audit inside
-	// the restore that the benchmark times, so each claim is marked in a
-	// bitmap of the data region a word at a time, and only a claim that lands
-	// on a marked block costs a search (see auditScratch).
-	a := &s.audit
 	a.reset(s)
-	claimRun := func(c claim) {
+	claimRun := func(c claim) bool {
 		if !a.mark(c) {
 			prob("%s claims out-of-range run [%d,+%d blocks)", c, c.addr, c.n)
+			return false
 		}
+		return true
 	}
 
+	loaded := true
 	for _, oid := range s.oids() {
 		o := s.objects[oid]
 		if o.recordAddr != 0 {
@@ -45,8 +57,23 @@ func (s *Store) AuditLive() []string {
 		}
 		a.idxs = sortedChunkIdxs(a.idxs, o)
 		for _, ci := range a.idxs {
-			if c := o.chunks[ci]; c.addr != 0 {
+			c := o.chunks[ci]
+			if c.addr != 0 {
 				claimRun(claim{blockRun{c.addr, 1}, claimChunk, int64(oid), ci})
+			}
+			if page == nil {
+				continue
+			}
+			if err := s.faultChunk(ci, c); err != nil {
+				prob("oid %d: %v", oid, err)
+				loaded = false
+				continue
+			}
+			for slot, addr := range c.addrs {
+				pg := ci*ChunkFanout + int64(slot)
+				if addr != 0 && claimRun(claim{blockRun{addr, 1}, claimPage, int64(oid), pg}) {
+					page(oid, pg, addr, c.sums[slot])
+				}
 			}
 		}
 		if o.size < 0 {
@@ -93,6 +120,11 @@ func (s *Store) AuditLive() []string {
 	a.doubleClaims(func(block int64, x, y claim) {
 		prob("block %d claimed by both %s and %s", block, x, y)
 	})
+	if page != nil && loaded {
+		if n, first := a.unheld(); n > 0 {
+			prob("%d blocks held by nothing, the first at %d", n, first)
+		}
+	}
 
 	// Durability times must be monotone in epoch: a later checkpoint can
 	// never become durable before an earlier one (an ordered Submit puts
@@ -136,6 +168,7 @@ const (
 	claimRecord claimKind = iota
 	claimJournal
 	claimChunk
+	claimPage
 	claimIndex
 	claimFree
 	claimStaged
@@ -143,15 +176,15 @@ const (
 	claimDead
 )
 
-// claimNames names each kind of claim. The first four format the claim's
+// claimNames names each kind of claim. The first five format the claim's
 // (id, ci) by explicit index, so each names only the ids it needs: fmt
 // reports no unused argument once a format indexes them.
 var claimNames = [...]string{"record of oid %[1]d", "journal extent of oid %[1]d", "chunk %[2]d of oid %[1]d",
-	"index of epoch %[1]d", "free map", "staged release", "release queue", "deadlist"}
+	"page %[2]d of oid %[1]d", "index of epoch %[1]d", "free map", "staged release", "release queue", "deadlist"}
 
-// claim is one run AuditLive accounts for and what holds it: id is the OID
-// of a record, journal extent or chunk (ci its chunk index) and the epoch of
-// an index. It is named only when a report needs it.
+// claim is one run the walk accounts for and what holds it: id is the OID of
+// a record, journal extent, chunk or page (ci the chunk or page index) and
+// the epoch of an index. It is named only when a report needs it.
 type claim struct {
 	blockRun
 	kind   claimKind
@@ -165,8 +198,9 @@ func (c claim) String() string {
 	return claimNames[c.kind]
 }
 
-// auditScratch is AuditLive's working memory, kept on the store and reused
-// under mu, so an audit of a clean store allocates nothing.
+// auditScratch is the claim walk's working memory. AuditLive's is kept on
+// the store and reused under mu, so an audit of a clean store allocates
+// nothing.
 //
 // marks holds one bit per block of [lo, hi). hi is the data region's end,
 // unless the free map's highest run reaches the device end — as it does on a
@@ -251,6 +285,22 @@ func markRun(m []uint64, from, to int64) bool {
 		from += 64 - b
 	}
 	return seen != 0
+}
+
+// unheld counts the blocks of [lo, hi) no claim marked and finds the first.
+func (a *auditScratch) unheld() (n, first int64) {
+	nbits := max(a.hi-a.lo, 0) / BlockSize
+	for w, m := range a.marks {
+		free := ^m
+		if tail := nbits - int64(w)*64; tail < 64 {
+			free &= 1<<tail - 1
+		}
+		if free != 0 && n == 0 {
+			first = a.lo + (int64(w)*64+int64(bits.TrailingZeros64(free)))*BlockSize
+		}
+		n += int64(bits.OnesCount64(free))
+	}
+	return n, first
 }
 
 // doubleClaims reports each clashing claim that starts inside one before it

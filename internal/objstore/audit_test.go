@@ -52,18 +52,20 @@ func auditBase(t testing.TB) *Store {
 	return s
 }
 
-// TestAuditLiveReportsPinned plants one violation (or, in the last cases,
-// two) per case in auditBase's store and pins AuditLive's exact report:
-// every rule, each claim kind out of range, each pairing of claim kinds, and
-// the order reports come in.
+// TestAuditLiveReportsPinned plants one violation (or, in some cases, two)
+// per case in auditBase's store and pins AuditLive's exact report: every
+// rule, each claim kind out of range, each pairing of claim kinds, and the
+// order reports come in. The fsck rows pin Fsck's report of a plant only its
+// page walk sees.
 func TestAuditLiveReportsPinned(t *testing.T) {
 	chunk0 := func(s *Store) int64 { return s.objects[2].chunks[0].addr }
 	extent := func(s *Store) int64 { return s.objects[3].journal.extentAddr }
-	cases := []struct {
+	type pinned struct {
 		name  string
 		plant func(s *Store)
 		want  []string
-	}{
+	}
+	cases := []pinned{
 		// A claim outside the data region, misaligned or empty.
 		{"record out of range", func(s *Store) { s.objects[1].recordAddr = BlockSize },
 			[]string{"store: record of oid 1 claims out-of-range run [4096,+1 blocks)"}},
@@ -142,11 +144,37 @@ func TestAuditLiveReportsPinned(t *testing.T) {
 			s.objects[2].size = -1
 		}, []string{"store: oid 2 has negative size -1", "store: block 4243456 claimed by both deadlist and deadlist"}},
 	}
-	for _, tc := range cases {
+	// Fsck runs the same walk over every data page as well: these rows pin
+	// its whole report, the page claims, conservation and the scrub included.
+	page := func(s *Store, pg int64) *int64 { return &s.objects[2].chunks[0].addrs[pg] }
+	fsckCases := []pinned{
+		{"fsck: a leaked block", func(s *Store) { s.deadlist = s.deadlist[1:] },
+			[]string{"store: 1 blocks held by nothing, the first at 4222976"}},
+		{"fsck: a page inside a free run", func(s *Store) { *page(s, 0) = s.free[0].addr + 2*BlockSize },
+			[]string{"object 2: page 0 at 0x417000 checksum 0xc71c0011, chunk says 0xc542cf1f (torn or rotted)",
+				"store: block 4288512 claimed by both free map and page 0 of oid 2",
+				"store: 1 blocks held by nothing, the first at 4255744"}},
+		{"fsck: a page on the deadlist", func(s *Store) { *page(s, 0) = s.deadlist[0].addr },
+			[]string{"object 2: page 0 at 0x407000 checksum 0x67a332ae, chunk says 0xc542cf1f (torn or rotted)",
+				"store: block 4222976 claimed by both page 0 of oid 2 and deadlist",
+				"store: 1 blocks held by nothing, the first at 4255744"}},
+		{"fsck: a page claimed by two objects", func(s *Store) {
+			c := &chunk{loaded: true, dirty: true}
+			c.addrs[1], c.sums[1] = *page(s, 1), s.objects[2].chunks[0].sums[1]
+			s.objects[1].chunks = map[int64]*chunk{0: c}
+		}, []string{"store: block 4259840 claimed by both page 1 of oid 1 and page 1 of oid 2"}},
+		{"fsck: a page out of range", func(s *Store) { *page(s, 2) = s.dev.Size() },
+			[]string{"store: page 2 of oid 2 claims out-of-range run [2147483648,+1 blocks)",
+				"store: 1 blocks held by nothing, the first at 4263936"}},
+	}
+	for i, tc := range append(cases, fsckCases...) {
 		t.Run(tc.name, func(t *testing.T) {
 			s := auditBase(t)
 			tc.plant(s)
 			got := s.AuditLive()
+			if i >= len(cases) {
+				got = s.Fsck().Problems
+			}
 			if g, w := strings.Join(got, "\n"), strings.Join(tc.want, "\n"); g != w {
 				t.Errorf("report:\n%s\nwant:\n%s", g, w)
 			}

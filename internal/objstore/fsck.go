@@ -3,7 +3,6 @@ package objstore
 import (
 	"fmt"
 	"hash/crc32"
-	"maps"
 	"slices"
 )
 
@@ -14,7 +13,7 @@ import (
 type FsckReport struct {
 	Objects        int
 	Journals       int
-	Blocks         int64 // data + chunk blocks referenced by live objects
+	Blocks         int64 // data page, chunk and journal extent blocks of live objects
 	ScrubbedPages  int64 // data pages whose content checksum was verified
 	RetainedEpochs int
 	Problems       []string
@@ -27,95 +26,45 @@ func (r *FsckReport) problemf(format string, args ...any) {
 	r.Problems = append(r.Problems, fmt.Sprintf(format, args...))
 }
 
-// Fsck verifies the committed state: every object record decodes, every
-// referenced block lies inside the device and is referenced exactly once
-// across live objects, journal extents do not overlap data, every data
-// page's content matches the per-slot checksum in its block-map chunk
-// (catching torn pages and media bit-rot), and every retained checkpoint's
-// index loads. It reads only committed structures.
+// Fsck verifies the store. It runs AuditLive's claim walk over every data
+// page too, so it reports every AuditLive rule and proves each block of the
+// data region held exactly once; it scrubs every page the walk claims against
+// the checksum its chunk stores beside its address (catching torn pages and
+// media bit-rot); and it decodes every object record, loads every retained
+// checkpoint's index and checks the WAL region. The walk covers the live
+// table, so writes of the open interval are checked with the committed state.
 func (s *Store) Fsck() FsckReport {
 	var rep FsckReport
+	var a auditScratch
+	buf := make([]byte, BlockSize)
 	s.mu.Lock()
-	devSize := s.dev.Size()
-	dataStart := s.dataStart()
-	seen := make(map[int64]OID)
-	claim := func(oid OID, addr int64, what string) {
-		if addr == 0 {
+	problems := s.auditLocked(&a, func(oid OID, pg, addr int64, sum uint32) {
+		if _, err := s.dev.ReadAt(buf, addr); err != nil {
+			rep.problemf("object %d: page %d at %#x unreadable: %v", oid, pg, addr, err)
 			return
 		}
-		if addr < dataStart || addr+BlockSize > devSize {
-			rep.problemf("object %d: %s block %#x out of device bounds", oid, what, addr)
-			return
+		rep.ScrubbedPages++
+		if got := crc32.ChecksumIEEE(buf); got != sum {
+			rep.problemf("object %d: page %d at %#x checksum %#x, chunk says %#x (torn or rotted)",
+				oid, pg, addr, got, sum)
 		}
-		if prev, ok := seen[addr]; ok {
-			rep.problemf("block %#x referenced by both object %d and %d", addr, prev, oid)
-			return
+	})
+	rep.Problems = append(rep.Problems, problems...)
+	for _, c := range a.claims {
+		if c.kind == claimJournal || c.kind == claimChunk || c.kind == claimPage {
+			rep.Blocks += c.n
 		}
-		seen[addr] = oid
-		rep.Blocks++
 	}
-
-	page := make([]byte, BlockSize)
 	for _, oid := range s.oids() {
 		o := s.objects[oid]
 		rep.Objects++
-		switch {
-		case o.journal != nil:
+		if o.journal != nil {
 			rep.Journals++
-			js := o.journal
-			if js.extentAddr < dataStart || js.extentAddr+js.capBlocks*BlockSize > devSize {
-				rep.problemf("journal %d: extent [%#x,+%d blocks) out of bounds", oid, js.extentAddr, js.capBlocks)
-			}
-			for i := int64(0); i < js.capBlocks; i++ {
-				claim(oid, js.extentAddr+i*BlockSize, "journal extent")
-			}
-		case o.chunks != nil:
-			for _, ci := range chunkIdxs(o) {
-				c := o.chunks[ci]
-				if err := s.faultChunk(ci, c); err != nil {
-					rep.problemf("object %d: %v", oid, err)
-					continue
-				}
-				claim(oid, c.addr, "chunk")
-				for slot, a := range c.addrs {
-					claim(oid, a, fmt.Sprintf("page %d", ci*ChunkFanout+int64(slot)))
-					// Scrub: the page's bytes must hash to the checksum
-					// stored beside its address.
-					if a == 0 || a < dataStart || a+BlockSize > devSize {
-						continue
-					}
-					if _, err := s.dev.ReadAt(page, a); err != nil {
-						rep.problemf("object %d: page %d at %#x unreadable: %v",
-							oid, ci*ChunkFanout+int64(slot), a, err)
-						continue
-					}
-					rep.ScrubbedPages++
-					if got := crc32.ChecksumIEEE(page); got != c.sums[slot] {
-						rep.problemf("object %d: page %d at %#x checksum %#x, chunk says %#x (torn or rotted)",
-							oid, ci*ChunkFanout+int64(slot), a, got, c.sums[slot])
-					}
-				}
-			}
 		}
-		// The committed record must decode.
 		if o.recordAddr != 0 {
 			if _, err := s.fetchRecord(o.recordAddr, o.recordLen); err != nil {
 				rep.problemf("object %d: record unreadable: %v", oid, err)
 			}
-		}
-	}
-
-	// Free and dead blocks must not alias live references: each live block
-	// is looked up in the free map, in address order.
-	for _, a := range slices.Sorted(maps.Keys(seen)) {
-		if i := s.findRun(a); i < len(s.free) && a < s.free[i].end() {
-			rep.problemf("free block %#x also referenced by object %d", a, seen[a])
-		}
-	}
-	for _, db := range s.deadlist {
-		if holder, ok := seen[db.addr]; ok {
-			rep.problemf("dead block %#x (epochs %d..%d) also live in object %d",
-				db.addr, db.birth, db.freedAt, holder)
 		}
 	}
 
@@ -187,34 +136,17 @@ func (s *Store) fsckWAL(rep *FsckReport, walBase, walBlocks, walHead int64, walS
 	}
 }
 
-// LivePageAddrs returns the device byte address of every committed data
-// page referenced by a live object, ascending. This is the scrub surface:
-// fault scenarios use it to aim bit-rot at data the fsck checksum pass is
-// obligated to catch, deterministically ("rot the Nth live page") instead
-// of guessing raw offsets. Unloaded block-map chunks are faulted in the way
-// Fsck faults them; undecodable chunks contribute no pages (Fsck reports them
-// separately).
+// LivePageAddrs returns the device byte address of every data page a live
+// object references, ascending: the pages Fsck's walk claims and scrubs.
+// Fault scenarios use it to aim bit-rot at data the scrub is obligated to
+// catch, deterministically ("rot the Nth live page") instead of guessing raw
+// offsets. Undecodable chunks contribute no pages (Fsck reports them).
 func (s *Store) LivePageAddrs() []int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	var a auditScratch
 	var out []int64
-	for _, oid := range s.oids() {
-		o := s.objects[oid]
-		if o.chunks == nil {
-			continue
-		}
-		for _, ci := range chunkIdxs(o) {
-			c := o.chunks[ci]
-			if s.faultChunk(ci, c) != nil {
-				continue // Fsck reports it
-			}
-			for _, a := range c.addrs {
-				if a != 0 {
-					out = append(out, a)
-				}
-			}
-		}
-	}
+	s.mu.Lock()
+	s.auditLocked(&a, func(_ OID, _, addr int64, _ uint32) { out = append(out, addr) })
+	s.mu.Unlock()
 	slices.Sort(out)
 	return out
 }

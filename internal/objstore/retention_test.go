@@ -1,9 +1,7 @@
 package objstore
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"testing"
 
 	"aurora/internal/trace"
@@ -228,7 +226,8 @@ func TestOneCommitPerBootConverges(t *testing.T) {
 // committing three times under a bound of two and then recovering, every
 // block of the data region is held exactly once after each recovery — by the
 // free map, a live record, chunk, page or journal extent, the deadlist or a
-// retained index. A block that nothing holds has leaked across the crash.
+// retained index (Fsck's conservation rule). A block that nothing holds has
+// leaked across the crash.
 func TestRecoveryChainAccountsEveryBlock(t *testing.T) {
 	s, dev, clk := newStore(t)
 	paged, rec := s.NewOID(), s.NewOID()
@@ -253,8 +252,8 @@ func TestRecoveryChainAccountsEveryBlock(t *testing.T) {
 			t.Fatal(err)
 		}
 		s = reopen(t, dev, clk)
-		if gaps, twice := accountBlocks(t, s); gaps != 0 || twice != 0 {
-			t.Fatalf("cycle %d: %d blocks held by nothing, %d held twice", cycle, gaps, twice)
+		if rep := s.Fsck(); !rep.OK() {
+			t.Fatalf("cycle %d: %v", cycle, rep.Problems)
 		}
 	}
 }
@@ -267,54 +266,4 @@ func allocatable(s *Store, addr int64) bool {
 	s.promoteReleasedLocked()
 	i := s.findRun(addr)
 	return i < len(s.free) && addr < s.free[i].end()
-}
-
-// accountBlocks sweeps every run s holds, in address order, over the data
-// region: gaps counts the blocks no run covers, twice the blocks two cover.
-func accountBlocks(t *testing.T, s *Store) (gaps, twice int64) {
-	t.Helper()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	runs := slices.Concat(s.free, s.releasing)
-	for _, q := range s.releaseQ {
-		runs = append(runs, q.runs...)
-	}
-	for _, db := range s.deadlist {
-		runs = append(runs, blockRun{db.addr, 1})
-	}
-	for _, c := range s.retained {
-		runs = append(runs, blockRun{c.indexAddr, blocksFor(c.indexLen)})
-	}
-	for _, oid := range s.oids() {
-		o := s.objects[oid]
-		if o.recordAddr != 0 {
-			runs = append(runs, blockRun{o.recordAddr, blocksFor(o.recordLen)})
-		}
-		if o.journal != nil {
-			runs = append(runs, blockRun{o.journal.extentAddr, o.journal.capBlocks})
-		}
-		for _, ci := range chunkIdxs(o) {
-			c := o.chunks[ci]
-			if err := s.faultChunk(ci, c); err != nil {
-				t.Fatal(err)
-			}
-			runs = append(runs, blockRun{c.addr, 1})
-			for _, a := range c.addrs {
-				if a != 0 {
-					runs = append(runs, blockRun{a, 1})
-				}
-			}
-		}
-	}
-	slices.SortFunc(runs, func(x, y blockRun) int { return cmp.Compare(x.addr, y.addr) })
-	next := s.dataStart()
-	for _, r := range runs {
-		if r.addr > next {
-			gaps += (r.addr - next) / BlockSize
-		} else {
-			twice += (min(r.end(), next) - r.addr) / BlockSize
-		}
-		next = max(next, r.end())
-	}
-	return gaps + (s.dev.Size()-next)/BlockSize, twice
 }
