@@ -6,7 +6,7 @@ import (
 	"slices"
 )
 
-// Fsck: offline consistency verification of the store's committed state —
+// Fsck: consistency verification of the live store and its device image —
 // the kind of tool an adopter of a new storage system wants on day one.
 
 // FsckReport summarizes a verification pass.
