@@ -26,13 +26,17 @@ type AIORequest struct {
 	buf    []byte
 }
 
-// AioSubmit queues an asynchronous read or write on a vnode descriptor.
+// AioSubmit queues an asynchronous read or write on a vnode descriptor. A
+// negative offset is ErrInvalid (EINVAL).
 func (p *Proc) AioSubmit(kind AIOKind, fd int, off int64, buf []byte) (uint64, error) {
 	var id uint64
 	err := p.k.syscall(func() error {
 		v, err := behindFD[*VnodeFile](p, fd, ErrInvalid)
 		if err != nil {
 			return err
+		}
+		if off < 0 {
+			return ErrInvalid
 		}
 		p.k.mu.Lock()
 		p.k.nextAIO++

@@ -312,13 +312,16 @@ func (p *Proc) Write(fd int, buf []byte) (int, error) {
 	return n, err
 }
 
-// Lseek sets the descriptor offset.
+// Lseek sets the descriptor offset. A negative offset is ErrInvalid (EINVAL).
 func (p *Proc) Lseek(fd int, off int64) (int64, error) {
 	var out int64
 	err := p.k.syscall(func() error {
 		f, err := p.FDs.Get(fd)
 		if err != nil {
 			return err
+		}
+		if off < 0 {
+			return ErrInvalid
 		}
 		f.setOffset(off)
 		out = off

@@ -2,6 +2,7 @@ package kern
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -590,6 +591,67 @@ func TestAIO(t *testing.T) {
 	p.AioWait(rid)
 	if string(buf) != "async write" {
 		t.Fatalf("aio read %q", buf)
+	}
+}
+
+// TestNegativeOffsetsAreRefused: a negative page or byte offset is an error
+// at every store entry point and at the descriptor calls that hand one down
+// (lseek and aio, EINVAL), never a panic. The store calls run against an
+// inline object and a paged one.
+func TestNegativeOffsetsAreRefused(t *testing.T) {
+	clk := clock.NewVirtual()
+	store, err := objstore.Format(device.New(clk, clock.DefaultCosts(), 64<<20), clk, clock.DefaultCosts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const inline, paged = objstore.OID(1), objstore.OID(2)
+	page := make([]byte, objstore.BlockSize)
+	if err := store.PutRecord(inline, 1, []byte("inline")); err != nil {
+		t.Fatal(err)
+	}
+	store.Ensure(paged, 1)
+	if err := store.WritePage(paged, 0, page); err != nil {
+		t.Fatal(err)
+	}
+	k := newKernel(t)
+	p := k.NewProc("p")
+	fd, err := p.Open("/f", ORead|OWrite, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type row struct {
+		name string
+		call func() error
+	}
+	var rows []row
+	for _, oid := range []objstore.OID{inline, paged} {
+		rows = append(rows,
+			row{fmt.Sprintf("ReadPage oid %d", oid), func() error { _, err := store.ReadPage(oid, -1, page); return err }},
+			row{fmt.Sprintf("HasPage oid %d", oid), func() error { _, err := store.HasPage(oid, -1); return err }},
+			row{fmt.Sprintf("WritePages oid %d", oid), func() error {
+				_, err := store.WritePages(oid, []objstore.PageWrite{{Pg: -1, Data: page}})
+				return err
+			}},
+			row{fmt.Sprintf("ReadAt oid %d", oid), func() error { _, err := store.ReadAt(oid, -10, page); return err }},
+			row{fmt.Sprintf("WriteAt oid %d", oid), func() error { return store.WriteAt(oid, -10, page[:1]) }},
+		)
+	}
+	rows = append(rows,
+		row{"Lseek", func() error { _, err := p.Lseek(fd, -10); return err }},
+		row{"AioSubmit", func() error { _, err := p.AioSubmit(AIORead, fd, -10, page); return err }},
+	)
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			if err := r.call(); err == nil {
+				t.Fatal("a negative offset was accepted")
+			}
+		})
+	}
+	if problems := store.AuditLive(); len(problems) > 0 {
+		t.Fatalf("the refused calls left the store inconsistent: %v", problems)
+	}
+	if _, err := p.Lseek(fd, 0); err != nil || len(p.InFlightAIOs()) != 0 {
+		t.Fatalf("after the refusals: lseek 0 = %v, %d AIOs in flight", err, len(p.InFlightAIOs()))
 	}
 }
 

@@ -100,6 +100,9 @@ func (s *Store) WritePage(oid OID, pg int64, data []byte) error {
 
 // WriteAt writes a byte range, performing read-modify-write at page edges.
 func (s *Store) WriteAt(oid OID, off int64, data []byte) error {
+	if off < 0 {
+		return fmt.Errorf("objstore: WriteAt at negative offset %d", off)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	o, err := s.lookup(oid)
@@ -150,6 +153,9 @@ func (s *Store) writeRangeLocked(o *object, off int64, data []byte) error {
 // ReadAt reads a byte range of oid into buf, zero-filling holes. Reads past
 // the object size are truncated; n reports bytes read.
 func (s *Store) ReadAt(oid OID, off int64, buf []byte) (int, error) {
+	if off < 0 {
+		return 0, fmt.Errorf("objstore: ReadAt at negative offset %d", off)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	o, err := s.lookup(oid)

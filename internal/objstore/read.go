@@ -121,7 +121,7 @@ func (im *image) ReadPage(oid OID, pg int64, buf []byte) (bool, error) {
 	if o.journal != nil {
 		return false, ErrIsJournal
 	}
-	if o.chunks == nil {
+	if o.chunks == nil && pg >= 0 { // loadChunk refuses a negative page
 		return inlinePage(o.inline, pg, buf), nil
 	}
 	return im.s.readPageLocked(o, pg, buf)
@@ -138,7 +138,7 @@ func (im *image) HasPage(oid OID, pg int64) (bool, error) {
 	if o.journal != nil {
 		return false, ErrIsJournal
 	}
-	if o.chunks == nil {
+	if o.chunks == nil && pg >= 0 { // loadChunk refuses a negative page
 		return pg*BlockSize < int64(len(o.inline)), nil
 	}
 	c, err := im.s.loadChunk(o, pg, false)
@@ -213,8 +213,11 @@ func checkPage(oid OID, pg int64, sum uint32, data []byte) error {
 
 // loadChunk returns the chunk covering page index pg of a paged object,
 // faulted in; a chunk the object lacks is nil, or created when create is set.
-// Requires mu.
+// A negative page is refused. Requires mu.
 func (s *Store) loadChunk(o *object, pg int64, create bool) (*chunk, error) {
+	if pg < 0 {
+		return nil, fmt.Errorf("objstore: oid %d has no page %d", o.oid, pg)
+	}
 	ci := pg / ChunkFanout
 	c, ok := o.chunks[ci]
 	if !ok {
