@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -336,6 +337,67 @@ func TestViewOfPagedHistory(t *testing.T) {
 	s.ReadPage(oid, 0, got)
 	if got[0] != 2 {
 		t.Fatalf("live page byte = %d, want 2", got[0])
+	}
+}
+
+// TestDiffPagesPinned pins the page lists DiffPages reports against a
+// retained epoch, on the live store and again after a recovery (every chunk
+// of both images faulted from the device): pages rewritten since the epoch
+// in three chunks, one a new chunk; an object inline at the epoch and paged
+// now; an object absent at the epoch; and pages truncated away since, which
+// are not reported.
+func TestDiffPagesPinned(t *testing.T) {
+	s, dev, clk := newStore(t)
+	page := func(tag byte) []byte { return bytes.Repeat([]byte{tag}, BlockSize) }
+	rewritten, inline, truncated, absent := s.NewOID(), s.NewOID(), s.NewOID(), s.NewOID()
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Ensure(rewritten, 2)
+	for _, pg := range []int64{0, 1, 2, ChunkFanout, ChunkFanout + 1} {
+		must(s.WritePage(rewritten, pg, page(1)))
+	}
+	must(s.PutRecord(inline, 2, []byte("inline at the epoch")))
+	s.Ensure(truncated, 2)
+	for _, pg := range []int64{0, 1, 2, 3, ChunkFanout + 3} {
+		must(s.WritePage(truncated, pg, page(1)))
+	}
+	old, err := s.Checkpoint()
+	must(err)
+
+	for _, pg := range []int64{1, ChunkFanout + 1, 2 * ChunkFanout} {
+		must(s.WritePage(rewritten, pg, page(2)))
+	}
+	must(s.WritePage(inline, 3, page(2))) // converts: the inline bytes become page 0
+	s.Ensure(absent, 2)
+	for _, pg := range []int64{5, 0, ChunkFanout} {
+		must(s.WritePage(absent, pg, page(2)))
+	}
+	must(s.Truncate(truncated, 2*BlockSize))
+	must(s.WritePage(truncated, 1, page(2)))
+	_, err = s.Checkpoint()
+	must(err)
+
+	want := map[OID][]int64{
+		rewritten: {1, 342, 682},
+		inline:    {0, 3},
+		absent:    {0, 5, 341},
+		truncated: {1},
+	}
+	for _, pass := range []string{"live", "recovered"} {
+		if pass == "recovered" {
+			s = reopen(t, dev, clk)
+		}
+		for _, oid := range []OID{rewritten, inline, absent, truncated} {
+			got, err := s.DiffPages(oid, old.Epoch)
+			must(err)
+			if !slices.Equal(got, want[oid]) {
+				t.Errorf("%s: DiffPages(oid %d) = %v, want %v", pass, oid, got, want[oid])
+			}
+		}
 	}
 }
 
