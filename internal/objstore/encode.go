@@ -129,10 +129,13 @@ func decodeRecord(b []byte) (*object, error) {
 			return nil, fmt.Errorf("%w: %d chunk roots in %d bytes", ErrCorrupt, n, d.Remaining())
 		}
 		o.chunks = make(map[int64]*chunk, n)
-		for i := 0; i < n && d.Err() == nil; i++ {
-			ci := d.I64()
-			addr := d.I64()
-			o.chunks[ci] = &chunk{addr: addr, loaded: false}
+		// Roots are strictly ascending: a duplicate would drop a chunk's block.
+		for i, prev := 0, int64(-1); i < n && d.Err() == nil; i++ {
+			ci, addr := d.I64(), d.I64()
+			if ci <= prev {
+				return nil, fmt.Errorf("%w: chunk root %d after %d", ErrCorrupt, ci, prev)
+			}
+			o.chunks[ci], prev = &chunk{addr: addr, loaded: false}, ci
 		}
 	case shapeInline:
 		o.inline = d.Bytes()

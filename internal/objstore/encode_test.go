@@ -84,6 +84,21 @@ func TestRecordCodecRejectsCorruption(t *testing.T) {
 	huge.I64(4096)
 	// Resealed one root short of the count it states.
 	chunked := encodeRecord(&object{oid: 7, utype: 2, chunks: map[int64]*chunk{0: {addr: 4096}, 3: {addr: 8192}}})
+	// Validly sealed, with the chunk roots in the order given.
+	roots := func(cis ...int64) []byte {
+		var e rec.Encoder
+		e.U32(magicRecord)
+		e.U64(7)
+		e.U16(2)
+		e.I64(1 << 30)
+		e.U8(shapeChunks)
+		e.U32(uint32(len(cis)))
+		for i, ci := range cis {
+			e.I64(ci)
+			e.I64(int64(i+1) * 4096)
+		}
+		return e.Seal()
+	}
 
 	for _, tc := range []struct {
 		name string
@@ -94,6 +109,9 @@ func TestRecordCodecRejectsCorruption(t *testing.T) {
 		{"short buffer", []byte{1, 2, 3}},
 		{"huge chunk count", huge.Seal()},
 		{"chunk count past the record", resealed(chunked[:len(chunked)-4-16])},
+		{"duplicate chunk root", roots(0, 3, 3)},
+		{"descending chunk roots", roots(3, 0)},
+		{"negative chunk root", roots(-1, 0)},
 	} {
 		if _, err := decodeRecord(tc.b); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: err = %v, want ErrCorrupt", tc.name, err)
