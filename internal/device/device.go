@@ -20,6 +20,7 @@ import (
 
 	"aurora/internal/clock"
 	"aurora/internal/flight"
+	"aurora/internal/radix"
 	"aurora/internal/trace"
 )
 
@@ -46,8 +47,8 @@ type member struct {
 
 	mu       sync.Mutex
 	size     int64
-	chunks   map[int64][]byte // chunk index -> ChunkSize bytes
-	nextFree time.Duration    // virtual time at which the queue drains
+	chunks   radix.Table[[]byte] // chunk index -> ChunkSize bytes
+	nextFree time.Duration       // virtual time at which the queue drains
 	stats    Stats
 }
 
@@ -55,7 +56,7 @@ func newMember(costs *clock.Costs, size int64) *member {
 	if size <= 0 {
 		panic("device: non-positive size")
 	}
-	return &member{costs: costs, size: size, chunks: make(map[int64][]byte)}
+	return &member{costs: costs, size: size}
 }
 
 // traceSubmit records one queued command on the device track. now is the
@@ -184,10 +185,10 @@ func (d *member) copyIn(p []byte, off int64) {
 	for len(p) > 0 {
 		ci := off / ChunkSize
 		co := off % ChunkSize
-		chunk, ok := d.chunks[ci]
+		chunk, ok := d.chunks.Get(ci)
 		if !ok {
 			chunk = make([]byte, ChunkSize)
-			d.chunks[ci] = chunk
+			d.chunks.Set(ci, chunk)
 		}
 		n := copy(chunk[co:], p)
 		p = p[n:]
@@ -201,7 +202,7 @@ func (d *member) copyOut(p []byte, off int64) {
 		ci := off / ChunkSize
 		co := off % ChunkSize
 		var n int
-		if chunk, ok := d.chunks[ci]; ok {
+		if chunk, ok := d.chunks.Get(ci); ok {
 			n = copy(p, chunk[co:])
 		} else {
 			n = int(min(ChunkSize-co, int64(len(p))))

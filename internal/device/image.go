@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
 
 	"aurora/internal/clock"
 )
@@ -24,22 +23,17 @@ func (d *member) save(w io.Writer) error {
 	var hdr [20]byte
 	binary.LittleEndian.PutUint32(hdr[0:], imageMagic)
 	binary.LittleEndian.PutUint64(hdr[4:], uint64(d.size))
-	binary.LittleEndian.PutUint64(hdr[12:], uint64(len(d.chunks)))
+	binary.LittleEndian.PutUint64(hdr[12:], uint64(d.chunks.Len()))
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
-	idxs := make([]int64, 0, len(d.chunks))
-	for ci := range d.chunks {
-		idxs = append(idxs, ci)
-	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
 	var ib [8]byte
-	for _, ci := range idxs {
+	for ci, chunk := range d.chunks.All() {
 		binary.LittleEndian.PutUint64(ib[:], uint64(ci))
 		if _, err := w.Write(ib[:]); err != nil {
 			return err
 		}
-		if _, err := w.Write(d.chunks[ci]); err != nil {
+		if _, err := w.Write(chunk); err != nil {
 			return err
 		}
 	}
@@ -84,7 +78,7 @@ func load(costs *clock.Costs, r io.Reader) (*member, error) {
 		if _, err := io.ReadFull(r, chunk); err != nil {
 			return nil, err
 		}
-		d.chunks[ci] = chunk
+		d.chunks.Set(ci, chunk)
 	}
 	return d, nil
 }

@@ -26,8 +26,7 @@ type AIORequest struct {
 	buf    []byte
 }
 
-// AioSubmit queues an asynchronous read or write on a vnode descriptor. A
-// negative offset is ErrInvalid (EINVAL).
+// AioSubmit queues an asynchronous vnode read or write; off < 0 is ErrInvalid.
 func (p *Proc) AioSubmit(kind AIOKind, fd int, off int64, buf []byte) (uint64, error) {
 	var id uint64
 	err := p.k.syscall(func() error {

@@ -14,6 +14,7 @@ import (
 	"fmt"
 
 	"aurora/internal/flight"
+	"aurora/internal/radix"
 )
 
 // mutate is the state-changing half of a live mutator: apply op, then note it
@@ -190,7 +191,7 @@ func (s *Store) setInline(o *object, utype uint16, data []byte) error {
 // makePaged gives an inline object the paged shape, dropping its payload.
 func makePaged(o *object) {
 	if o.chunks == nil {
-		o.inline, o.chunks = nil, make(map[int64]*chunk)
+		o.inline, o.chunks = nil, new(radix.Table[*chunk])
 	}
 }
 
@@ -200,14 +201,13 @@ func makePaged(o *object) {
 // the crash harness replays. Requires mu.
 func (s *Store) shrinkSlots(o *object, size int64) error {
 	lastPg := blocksFor(size) // first page index to drop
-	for _, ci := range chunkIdxs(o) {
+	for ci, c := range o.chunks.All() {
 		first := ci * ChunkFanout
 		if first+ChunkFanout <= lastPg {
 			continue
 		}
-		c, err := s.loadChunk(o, first, false)
-		if err != nil {
-			return err
+		if err := s.faultChunk(ci, c); err != nil {
+			return fmt.Errorf("oid %d %w", o.oid, err)
 		}
 		empty := true
 		for slot := int64(0); slot < ChunkFanout; slot++ {
@@ -223,7 +223,7 @@ func (s *Store) shrinkSlots(o *object, size int64) error {
 		}
 		if empty && first >= lastPg {
 			s.retireBlock(c.addr)
-			delete(o.chunks, ci)
+			o.chunks.Del(ci)
 		}
 	}
 	return nil
@@ -238,14 +238,12 @@ func (s *Store) dropChunks(o *object) error {
 	if o.chunks == nil {
 		return nil // inline or journal: the common case, an inline put over an inline object
 	}
-	cis := chunkIdxs(o)
-	for _, ci := range cis {
-		if err := s.faultChunk(ci, o.chunks[ci]); err != nil {
+	for ci, c := range o.chunks.All() {
+		if err := s.faultChunk(ci, c); err != nil {
 			return fmt.Errorf("oid %d %w", o.oid, err)
 		}
 	}
-	for _, ci := range cis {
-		c := o.chunks[ci]
+	for _, c := range o.chunks.All() {
 		for _, a := range c.addrs {
 			s.retireBlock(a)
 		}

@@ -55,9 +55,7 @@ func (s *Store) auditLocked(a *auditScratch, page func(oid OID, pg, addr int64, 
 		if o.journal != nil {
 			claimRun(claim{blockRun{o.journal.extentAddr, o.journal.capBlocks}, claimJournal, int64(oid), 0})
 		}
-		a.idxs = sortedChunkIdxs(a.idxs, o)
-		for _, ci := range a.idxs {
-			c := o.chunks[ci]
+		for ci, c := range o.chunks.All() {
 			if c.addr != 0 {
 				claimRun(claim{blockRun{c.addr, 1}, claimChunk, int64(oid), ci})
 			}
@@ -214,7 +212,6 @@ type auditScratch struct {
 	claims        []claim
 	marks         []uint64
 	clashes       []int   // claims sharing a block with another, by index
-	idxs          []int64 // one object's chunk indexes
 	epochs        []Epoch // durableAt's keys
 }
 
@@ -230,7 +227,7 @@ func (a *auditScratch) reset(s *Store) {
 		n += len(q.runs)
 	}
 	for _, o := range s.objects {
-		n += 2 + len(o.chunks)
+		n += 2 + o.chunks.Len()
 	}
 	a.claims = slices.Grow(a.claims[:0], n)
 	a.clashes = a.clashes[:0]

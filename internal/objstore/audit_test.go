@@ -58,7 +58,7 @@ func auditBase(t testing.TB) *Store {
 // order reports come in. The fsck rows pin Fsck's report of a plant only its
 // page walk sees.
 func TestAuditLiveReportsPinned(t *testing.T) {
-	chunk0 := func(s *Store) int64 { return s.objects[2].chunks[0].addr }
+	chunk0 := func(s *Store) int64 { return chunkOf(s.objects[2], 0).addr }
 	extent := func(s *Store) int64 { return s.objects[3].journal.extentAddr }
 	type pinned struct {
 		name  string
@@ -71,7 +71,7 @@ func TestAuditLiveReportsPinned(t *testing.T) {
 			[]string{"store: record of oid 1 claims out-of-range run [4096,+1 blocks)"}},
 		{"journal extent out of range", func(s *Store) { s.objects[3].journal.extentAddr = s.dev.Size() - 2*BlockSize },
 			[]string{"store: journal extent of oid 3 claims out-of-range run [2147475456,+4 blocks)"}},
-		{"chunk out of range", func(s *Store) { s.objects[2].chunks[0].addr = s.dataStart() + 1 },
+		{"chunk out of range", func(s *Store) { chunkOf(s.objects[2], 0).addr = s.dataStart() + 1 },
 			[]string{"store: chunk 0 of oid 2 claims out-of-range run [4202497,+1 blocks)"}},
 		{"retained index out of range", func(s *Store) { s.retained[0].indexAddr = 0 },
 			[]string{"store: index of epoch 1 claims out-of-range run [0,+1 blocks)"}},
@@ -146,7 +146,7 @@ func TestAuditLiveReportsPinned(t *testing.T) {
 	}
 	// Fsck runs the same walk over every data page as well: these rows pin
 	// its whole report, the page claims, conservation and the scrub included.
-	page := func(s *Store, pg int64) *int64 { return &s.objects[2].chunks[0].addrs[pg] }
+	page := func(s *Store, pg int64) *int64 { return &chunkOf(s.objects[2], 0).addrs[pg] }
 	fsckCases := []pinned{
 		{"fsck: a leaked block", func(s *Store) { s.deadlist = s.deadlist[1:] },
 			[]string{"store: 1 blocks held by nothing, the first at 4222976"}},
@@ -160,8 +160,8 @@ func TestAuditLiveReportsPinned(t *testing.T) {
 				"store: 1 blocks held by nothing, the first at 4255744"}},
 		{"fsck: a page claimed by two objects", func(s *Store) {
 			c := &chunk{loaded: true, dirty: true}
-			c.addrs[1], c.sums[1] = *page(s, 1), s.objects[2].chunks[0].sums[1]
-			s.objects[1].chunks = map[int64]*chunk{0: c}
+			c.addrs[1], c.sums[1] = *page(s, 1), chunkOf(s.objects[2], 0).sums[1]
+			s.objects[1].chunks = chunkTable(map[int64]*chunk{0: c})
 		}, []string{"store: block 4259840 claimed by both page 1 of oid 1 and page 1 of oid 2"}},
 		{"fsck: a page out of range", func(s *Store) { *page(s, 2) = s.dev.Size() },
 			[]string{"store: page 2 of oid 2 claims out-of-range run [2147483648,+1 blocks)",

@@ -15,8 +15,9 @@ import (
 // tail page of a truncate — runs writePagesLocked, in one hold of the store
 // lock, in three phases:
 //
-//  1. Reserve: fault in or create the block-map chunks the pages fall in,
-//     and allocate one fresh block per page.
+//  1. Reserve: fault in the block-map chunks the pages fall in, and
+//     allocate one fresh block per page. A chunk the object lacks is created
+//     at publish, so a write that fails here leaves no chunk behind.
 //  2. Transfer: submit every payload to the device. The blocks are fresh, so
 //     nothing reads them until Publish — which also means transfer order is
 //     free: the pages are walked in device-address order and each contiguous
@@ -115,7 +116,7 @@ func (s *Store) writePagesLocked(o *object, sp trace.Span, writes ...PageWrite) 
 	w := &s.pages
 	addrs := w.addrs[:0]
 	for _, pw := range writes {
-		if _, err := s.loadChunk(o, pw.Pg, true); err != nil {
+		if _, err := s.loadChunk(o, pw.Pg, false); err != nil {
 			s.unreserve(addrs)
 			return err
 		}

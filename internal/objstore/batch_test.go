@@ -195,10 +195,11 @@ func (f *failNextSubmit) Submit(bufs [][]byte, off int64, after time.Duration) (
 }
 
 // TestFailedWritePagesLeavesNoChunkRoot: a batch that fails in its transfer
-// phase has reserved — created — the chunks it would have published into. They
-// hold nothing and were never written, so the object's next record must not
-// name them: a root at address 0 reads the superblock as a chunk and the image
-// fails to open ("chunk checksum mismatch").
+// phase has only faulted in the chunks it would have published into; the ones
+// the object lacked are created at publish, which it never reached. So the
+// object's next record names no chunk the batch touched: a root at address 0
+// would read the superblock as a chunk and the image would fail to open
+// ("chunk checksum mismatch").
 func TestFailedWritePagesLeavesNoChunkRoot(t *testing.T) {
 	clk := clock.NewVirtual()
 	fd := &failNextSubmit{BlockDev: device.New(clk, clock.DefaultCosts(), 64<<20)}

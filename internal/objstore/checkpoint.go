@@ -2,11 +2,11 @@ package objstore
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"aurora/internal/clock"
 	"aurora/internal/flight"
+	"aurora/internal/radix"
 	"aurora/internal/trace"
 )
 
@@ -78,8 +78,7 @@ func (s *Store) CheckpointRetaining(retain int) (st CheckpointStats, err error) 
 			continue
 		}
 		st.DirtyObjects++
-		for _, ci := range sortedChunkIdxs(nil, o) {
-			c := o.chunks[ci]
+		for _, c := range o.chunks.All() {
 			if !c.dirty {
 				continue
 			}
@@ -462,7 +461,7 @@ func (s *Store) DiffPages(oid OID, old Epoch) ([]int64, error) {
 	if err != nil {
 		return nil, err
 	}
-	var oldObj *object
+	oldObj := &object{} // absent at old: no chunks, so every stored page diffs
 	for _, ent := range idx.objects {
 		if ent.oid == oid {
 			if oldObj, err = s.fetchRecord(ent.addr, ent.len); err != nil {
@@ -471,38 +470,31 @@ func (s *Store) DiffPages(oid OID, old Epoch) ([]int64, error) {
 			break
 		}
 	}
-	// Walk the union of both objects' chunks in sorted order: the per-chunk
+	// Walk the union of both objects' chunks in index order: the per-chunk
 	// loadChunk reads must hit the device (and the trace) in a deterministic
 	// sequence.
-	cidxs := chunkIdxs(cur)
-	if oldObj != nil {
-		cidxs = append(cidxs, chunkIdxs(oldObj)...)
+	var union radix.Table[struct{}]
+	for _, chunks := range []*radix.Table[*chunk]{cur.chunks, oldObj.chunks} {
+		for ci := range chunks.All() {
+			union.Set(ci, struct{}{})
+		}
 	}
-	slices.Sort(cidxs)
-	cidxs = slices.Compact(cidxs)
 	var out []int64
-	for _, ci := range cidxs {
+	for ci := range union.All() {
 		curC, err := s.loadChunk(cur, ci*ChunkFanout, false)
 		if err != nil {
 			return nil, err
 		}
-		var oldC *chunk
-		if oldObj != nil {
-			oldC, err = s.loadChunk(oldObj, ci*ChunkFanout, false)
-			if err != nil {
-				return nil, err
-			}
+		oldC, err := s.loadChunk(oldObj, ci*ChunkFanout, false)
+		if err != nil {
+			return nil, err
 		}
-		for slot := int64(0); slot < ChunkFanout; slot++ {
-			var ca, oa int64
-			if curC != nil {
-				ca = curC.addrs[slot]
-			}
-			if oldC != nil {
-				oa = oldC.addrs[slot]
-			}
-			if ca != oa && ca != 0 {
-				out = append(out, ci*ChunkFanout+slot)
+		if curC == nil {
+			continue // nothing stored in it now, nothing to resend
+		}
+		for slot, a := range curC.addrs {
+			if a != 0 && (oldC == nil || oldC.addrs[slot] != a) {
+				out = append(out, ci*ChunkFanout+int64(slot))
 			}
 		}
 	}

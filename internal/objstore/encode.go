@@ -9,8 +9,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"slices"
 
+	"aurora/internal/radix"
 	"aurora/internal/rec"
 )
 
@@ -59,45 +59,16 @@ func encodeRecord(o *object) []byte {
 		e.U64(o.journal.flushedSeq)
 	case o.chunks != nil:
 		e.U8(shapeChunks)
-		// Chunk roots, sorted for determinism.
-		idxs := sortedChunkIdxs(nil, o)
-		e.U32(uint32(len(idxs)))
-		for _, ci := range idxs {
+		e.U32(uint32(o.chunks.Len()))
+		for ci, c := range o.chunks.All() {
 			e.I64(ci)
-			e.I64(o.chunks[ci].addr)
+			e.I64(c.addr)
 		}
 	default:
 		e.U8(shapeInline)
 		e.Bytes(o.inline)
 	}
 	return e.Seal()
-}
-
-// sortedChunkIdxs lists the object's chunks in index order, in dst's
-// storage. A chunk with no address that is not dirty was reserved by a batch
-// that failed before publishing into it: it holds nothing, and a record
-// naming it would root a chunk at address 0.
-func sortedChunkIdxs(dst []int64, o *object) []int64 {
-	idxs := slices.Grow(dst[:0], len(o.chunks))
-	for ci, c := range o.chunks {
-		if c.addr != 0 || c.dirty {
-			idxs = append(idxs, ci)
-		}
-	}
-	slices.Sort(idxs)
-	return idxs
-}
-
-// chunkIdxs lists every chunk of the object in index order: the order a walk
-// that retires blocks or faults chunks must keep, because the first feeds the
-// free map and the second hits the device and the trace.
-func chunkIdxs(o *object) []int64 {
-	idxs := make([]int64, 0, len(o.chunks))
-	for ci := range o.chunks {
-		idxs = append(idxs, ci)
-	}
-	slices.Sort(idxs)
-	return idxs
 }
 
 // decodeRecord parses an object record. Chunk contents load lazily.
@@ -125,17 +96,18 @@ func decodeRecord(b []byte) (*object, error) {
 	case shapeChunks:
 		n := int(d.U32())
 		if n > d.Remaining()/16 {
-			// A corrupt count must not size the map or drive the loop.
+			// A corrupt count must not drive the loop.
 			return nil, fmt.Errorf("%w: %d chunk roots in %d bytes", ErrCorrupt, n, d.Remaining())
 		}
-		o.chunks = make(map[int64]*chunk, n)
+		o.chunks = new(radix.Table[*chunk])
 		// Roots are strictly ascending: a duplicate would drop a chunk's block.
 		for i, prev := 0, int64(-1); i < n && d.Err() == nil; i++ {
 			ci, addr := d.I64(), d.I64()
 			if ci <= prev {
 				return nil, fmt.Errorf("%w: chunk root %d after %d", ErrCorrupt, ci, prev)
 			}
-			o.chunks[ci], prev = &chunk{addr: addr, loaded: false}, ci
+			o.chunks.Set(ci, &chunk{addr: addr, loaded: false})
+			prev = ci
 		}
 	case shapeInline:
 		o.inline = d.Bytes()

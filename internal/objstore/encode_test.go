@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"aurora/internal/radix"
 	"aurora/internal/rec"
 )
 
@@ -27,21 +28,21 @@ func TestRecordCodecChunks(t *testing.T) {
 		oid:   7,
 		utype: 2,
 		size:  1 << 30,
-		chunks: map[int64]*chunk{
+		chunks: chunkTable(map[int64]*chunk{
 			0:  {addr: 4096},
 			3:  {addr: 8192},
 			10: {addr: 12288},
-		},
+		}),
 	}
 	b := encodeRecord(o)
 	got, err := decodeRecord(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.chunks) != 3 || got.chunks[3].addr != 8192 {
-		t.Fatalf("chunks %+v", got.chunks)
+	if got.chunks.Len() != 3 || chunkOf(got, 3).addr != 8192 {
+		t.Fatalf("chunk roots %v", chunkRoots(got))
 	}
-	if got.chunks[3].loaded {
+	if chunkOf(got, 3).loaded {
 		t.Fatal("decoded chunk claims to be loaded")
 	}
 }
@@ -83,7 +84,7 @@ func TestRecordCodecRejectsCorruption(t *testing.T) {
 	huge.I64(0)
 	huge.I64(4096)
 	// Resealed one root short of the count it states.
-	chunked := encodeRecord(&object{oid: 7, utype: 2, chunks: map[int64]*chunk{0: {addr: 4096}, 3: {addr: 8192}}})
+	chunked := encodeRecord(&object{oid: 7, utype: 2, chunks: chunkTable(map[int64]*chunk{0: {addr: 4096}, 3: {addr: 8192}})})
 	// Validly sealed, with the chunk roots in the order given.
 	roots := func(cis ...int64) []byte {
 		var e rec.Encoder
@@ -117,6 +118,21 @@ func TestRecordCodecRejectsCorruption(t *testing.T) {
 			t.Errorf("%s: err = %v, want ErrCorrupt", tc.name, err)
 		}
 	}
+}
+
+// chunkTable builds a block map holding chunks.
+func chunkTable(chunks map[int64]*chunk) *radix.Table[*chunk] {
+	t := new(radix.Table[*chunk])
+	for ci, c := range chunks {
+		t.Set(ci, c)
+	}
+	return t
+}
+
+// chunkOf returns o's chunk ci, nil if it has none.
+func chunkOf(o *object, ci int64) *chunk {
+	c, _ := o.chunks.Get(ci)
+	return c
 }
 
 // resealed puts a valid CRC on body, so only the decoder's structural checks

@@ -216,7 +216,7 @@ func TestFsckDetectsCorruptChunkBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.mu.Lock()
-	chunkAddr := s.objects[oid].chunks[0].addr
+	chunkAddr := chunkOf(s.objects[oid], 0).addr
 	s.mu.Unlock()
 
 	s2 := reopen(t, dev, clk) // drop the in-memory chunk cache

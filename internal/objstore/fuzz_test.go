@@ -3,7 +3,6 @@ package objstore
 import (
 	"bytes"
 	"errors"
-	"maps"
 	"reflect"
 	"slices"
 	"testing"
@@ -82,8 +81,8 @@ func FuzzDecodeRecord(f *testing.F) {
 // chunkRoots lists o's chunk roots, index then address, in index order.
 func chunkRoots(o *object) []int64 {
 	var roots []int64
-	for _, ci := range slices.Sorted(maps.Keys(o.chunks)) {
-		roots = append(roots, ci, o.chunks[ci].addr)
+	for ci, c := range o.chunks.All() {
+		roots = append(roots, ci, c.addr)
 	}
 	return roots
 }

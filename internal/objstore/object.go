@@ -3,8 +3,10 @@ package objstore
 import (
 	"bytes"
 	"fmt"
+	"math/bits"
 	"time"
 
+	"aurora/internal/radix"
 	"aurora/internal/trace"
 )
 
@@ -304,10 +306,10 @@ func (s *Store) EachPageOf(oid OID, pgs []int64, fn func(pg int64, data []byte) 
 // in ascending order when all is set, else exactly pgs, holes as zero pages,
 // each stored page checked against its committed sum before fn sees it —
 // and returns how many it delivered. Each page is read into the buffer into
-// gives for it, or the read window (EachPageInto). The lock is held only to
-// map pages to extents, chunk by chunk, so the stream runs concurrently with
-// other store users; the clock waits once, after the last chunk's reads are
-// queued.
+// gives for it, or the read window (EachPageInto). The lock is let go while
+// each chunk's pages stream, so the stream runs concurrently with other store
+// users (a chunk is walked if its leaf of the block map held it when the walk
+// got there); the clock waits once, after the last chunk's reads are queued.
 func (s *Store) eachPage(o *object, pgs []int64, all bool, into func(pg int64) ([]byte, error), fn func(pg int64, data []byte) error) (n int64, err error) {
 	s.mu.Lock()
 	if o.journal != nil {
@@ -373,31 +375,33 @@ func (s *Store) eachPage(o *object, pgs []int64, all bool, into func(pg int64) (
 			return n, err
 		}
 	} else {
-		cis := sortedChunkIdxs(nil, o)
-		s.mu.Unlock()
 		var exts []extent
 		var sums []uint32
-		for _, ci := range cis {
-			pgs, exts, sums = pgs[:0], exts[:0], sums[:0]
-			s.mu.Lock()
-			c, err := s.loadChunk(o, ci*ChunkFanout, false)
-			if c != nil {
-				for slot, a := range c.addrs {
-					if a != 0 {
-						pgs = append(pgs, ci*ChunkFanout+int64(slot))
-						exts = append(exts, extent{a, BlockSize})
-						sums = append(sums, c.sums[slot])
+		for base, l := o.chunks.LeafFrom(0); l != nil; base, l = o.chunks.LeafFrom(base + radix.LeafSize) {
+			for cis := l.Used; cis != 0; cis &= cis - 1 {
+				ci := base + int64(bits.TrailingZeros64(cis))
+				pgs, exts, sums = pgs[:0], exts[:0], sums[:0]
+				c, err := s.loadChunk(o, ci*ChunkFanout, false)
+				if c != nil {
+					for slot, a := range c.addrs {
+						if a != 0 {
+							pgs = append(pgs, ci*ChunkFanout+int64(slot))
+							exts = append(exts, extent{a, BlockSize})
+							sums = append(sums, c.sums[slot])
+						}
 					}
 				}
-			}
-			s.mu.Unlock()
-			if err == nil {
-				err = stream(pgs, exts, sums)
-			}
-			if err != nil {
-				return n, err
+				s.mu.Unlock()
+				if err == nil {
+					err = stream(pgs, exts, sums)
+				}
+				if err != nil {
+					return n, err
+				}
+				s.mu.Lock()
 			}
 		}
+		s.mu.Unlock()
 	}
 	s.dev.WaitUntil(last)
 	return n, nil

@@ -219,11 +219,11 @@ func (s *Store) loadChunk(o *object, pg int64, create bool) (*chunk, error) {
 		return nil, fmt.Errorf("objstore: oid %d has no page %d", o.oid, pg)
 	}
 	ci := pg / ChunkFanout
-	c, ok := o.chunks[ci]
+	c, ok := o.chunks.Get(ci)
 	if !ok {
 		if create {
 			c = &chunk{loaded: true}
-			o.chunks[ci] = c
+			o.chunks.Set(ci, c)
 		}
 		return c, nil
 	}

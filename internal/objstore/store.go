@@ -35,6 +35,7 @@ import (
 	"aurora/internal/clock"
 	"aurora/internal/flight"
 	"aurora/internal/mem"
+	"aurora/internal/radix"
 	"aurora/internal/rec"
 	"aurora/internal/trace"
 )
@@ -129,9 +130,9 @@ type object struct {
 	size  int64
 
 	// Exactly one of these shapes applies:
-	inline  []byte           // small record payload
-	chunks  map[int64]*chunk // block-map chunks by chunk index
-	journal *journalState    // non-COW journal extent
+	inline  []byte               // small record payload
+	chunks  *radix.Table[*chunk] // block-map chunks by chunk index; nil unless paged
+	journal *journalState        // non-COW journal extent
 
 	dirty      bool  // modified since last checkpoint
 	birth      Epoch // epoch the object was created in

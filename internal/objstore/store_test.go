@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -188,6 +189,60 @@ func TestPagesAcrossChunkBoundary(t *testing.T) {
 		if page[0] != byte(pg%251) {
 			t.Fatalf("page %d content = %d", pg, page[0])
 		}
+	}
+}
+
+// TestHugeSparseObjectStaysSmall is the store's twin of vm's: an object of
+// 1 TiB with pages written only at its first and last index allocates what
+// two chunks need, not what its size would — the block map is sparse at
+// every level — and its record names exactly those two chunks through a
+// commit and a recovery.
+func TestHugeSparseObjectStaysSmall(t *testing.T) {
+	const size = int64(1) << 40
+	last := size/BlockSize - 1
+	s, dev, clk := newStore(t)
+	oid := s.NewOID()
+	s.Ensure(oid, 2)
+	first, tail := bytes.Repeat([]byte{1}, BlockSize), bytes.Repeat([]byte{2}, BlockSize)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	if _, err := s.WritePages(oid, []PageWrite{{Pg: 0, Data: first}, {Pg: last, Data: tail}}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&m1)
+	if n := m1.TotalAlloc - m0.TotalAlloc; n >= 64<<10 {
+		t.Fatalf("a 1 TiB object with 2 stored pages allocated %d bytes, want under 64 KiB", n)
+	}
+	if _, err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	s = reopen(t, dev, clk)
+	s.mu.Lock()
+	roots := chunkRoots(s.objects[oid])
+	s.mu.Unlock()
+	if len(roots) != 4 || roots[0] != 0 || roots[2] != last/ChunkFanout {
+		t.Fatalf("the recovered record roots chunks %v, want chunks 0 and %d", roots, last/ChunkFanout)
+	}
+	if got, err := s.Size(oid); err != nil || got != size {
+		t.Fatalf("recovered size %d (%v), want %d", got, err, size)
+	}
+	var pgs []int64
+	buf := make([]byte, BlockSize)
+	if _, err := s.EachPageBulk(oid, func(pg int64, data []byte) error {
+		pgs = append(pgs, pg)
+		want := first
+		if pg == last {
+			want = tail
+		}
+		if !bytes.Equal(data, want) {
+			return fmt.Errorf("page %d holds the wrong bytes", pg)
+		}
+		return nil
+	}); err != nil || !slices.Equal(pgs, []int64{0, last}) {
+		t.Fatalf("EachPageBulk visited %v (%v), want [0 %d]", pgs, err, last)
+	}
+	if ok, err := s.ReadPage(oid, last-1, buf); ok || err != nil {
+		t.Fatalf("the page before the last reads as stored (%v, %v)", ok, err)
 	}
 }
 
@@ -636,7 +691,7 @@ func TestDropOverRottedChunkRetiresNothing(t *testing.T) {
 	if err := s.WaitDurable(s.Epoch()); err != nil {
 		t.Fatal(err)
 	}
-	chunkAddr := s.objects[oid].chunks[1].addr
+	chunkAddr := chunkOf(s.objects[oid], 1).addr
 	saved := make([]byte, BlockSize)
 	if _, err := dev.ReadAt(saved, chunkAddr); err != nil {
 		t.Fatal(err)

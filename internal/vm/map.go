@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"aurora/internal/mem"
+	"aurora/internal/radix"
 )
 
 // Prot is a permission bitmask for a mapping.
@@ -38,7 +39,7 @@ type Entry struct {
 
 	// ptes is the entry's page table: the PTE of each translated page, by
 	// page number within the entry. Guarded by Map.mu.
-	ptes table[PTE]
+	ptes radix.Table[PTE]
 	// gen counts the objects the entry has mapped: a PTE installed under an
 	// earlier one is stale (the mapping was downgraded since).
 	gen uint32
@@ -109,7 +110,7 @@ func (m *Map) ResidentBytes() int64 {
 	defer m.mu.Unlock()
 	n := 0
 	for _, e := range m.entries {
-		n += e.ptes.len()
+		n += e.ptes.Len()
 	}
 	return int64(n) * PageSize
 }
@@ -126,9 +127,9 @@ func (m *Map) AuditPTEs(fn func(va uint64, pte PTE, obj *Object)) {
 	var ents []ent
 	m.mu.Lock()
 	for _, e := range m.entries {
-		e.ptes.each(func(i int64, pte PTE) {
+		for i, pte := range e.ptes.All() {
 			ents = append(ents, ent{e.Start + uint64(i)*PageSize, pte})
-		})
+		}
 	}
 	m.mu.Unlock()
 	for _, e := range ents {
@@ -211,7 +212,7 @@ func (m *Map) Unmap(start uint64) error {
 		return fmt.Errorf("vm: no entry at %#x", start)
 	}
 	m.entries = append(m.entries[:idx], m.entries[idx+1:]...)
-	e.ptes, e.writable = table[PTE]{}, nil
+	e.ptes, e.writable = radix.Table[PTE]{}, nil
 	m.mu.Unlock()
 	m.vm.Clk.Advance(m.vm.Costs.TLBFlush)
 	e.Obj.Deref()
@@ -282,7 +283,7 @@ func (m *Map) Fault(va uint64, write bool) (*mem.Page, error) {
 	}
 	m.vm.Clk.Advance(m.vm.Costs.PageInstall)
 	m.mu.Lock()
-	old, _ := e.ptes.set(slot, PTE{Page: p, Writable: write, Accessed: true, Dirty: write, gen: gen, owner: owner})
+	old, _ := e.ptes.Set(slot, PTE{Page: p, Writable: write, Accessed: true, Dirty: write, gen: gen, owner: owner})
 	if write && !old.Writable {
 		e.writable = append(e.writable, slot)
 	}
@@ -306,14 +307,14 @@ func (m *Map) pteFor(base uint64, write bool) *mem.Page {
 		return nil
 	}
 	slot := e.slot(base)
-	pte := e.ptes.ptr(slot)
+	pte := e.ptes.Ptr(slot)
 	if pte == nil || (write && !pte.Writable) {
 		return nil
 	}
 	// The TLB-hit path must still honour object replacement: a stale PTE
 	// into a replaced object means the mapping was downgraded.
 	if pte.gen != e.gen {
-		e.ptes.del(slot)
+		e.ptes.Del(slot)
 		return nil
 	}
 	pte.Accessed = true
@@ -423,8 +424,8 @@ func (m *Map) replaceEntryObject(e *Entry, newObj *Object) {
 	e.gen++
 	downgraded := 0
 	for _, slot := range e.writable {
-		if pte := e.ptes.ptr(slot); pte != nil && pte.Writable {
-			e.ptes.del(slot)
+		if pte := e.ptes.Ptr(slot); pte != nil && pte.Writable {
+			e.ptes.Del(slot)
 			downgraded++
 		}
 	}
@@ -450,7 +451,7 @@ func (m *Map) reownPTEs(from, to *Object, moved []int64) {
 			if pg >= first+e.Pages() {
 				break
 			}
-			if pte := e.ptes.ptr(pg - first); pte != nil && pte.owner == from {
+			if pte := e.ptes.Ptr(pg - first); pte != nil && pte.owner == from {
 				pte.owner = to
 			}
 		}
@@ -462,7 +463,7 @@ func (m *Map) reownPTEs(from, to *Object, moved []int64) {
 func (m *Map) InvalidateAll() {
 	m.mu.Lock()
 	for _, e := range m.entries {
-		e.ptes = table[PTE]{}
+		e.ptes = radix.Table[PTE]{}
 		e.writable = e.writable[:0]
 	}
 	m.mu.Unlock()
@@ -475,11 +476,11 @@ func (m *Map) DirtyPages() int {
 	defer m.mu.Unlock()
 	n := 0
 	for _, e := range m.entries {
-		e.ptes.each(func(_ int64, pte PTE) {
+		for _, pte := range e.ptes.All() {
 			if pte.Dirty {
 				n++
 			}
-		})
+		}
 	}
 	return n
 }
@@ -490,7 +491,7 @@ func (m *Map) Destroy() {
 	entries := m.entries
 	m.entries = nil
 	for _, e := range entries {
-		e.ptes, e.writable = table[PTE]{}, nil
+		e.ptes, e.writable = radix.Table[PTE]{}, nil
 	}
 	m.mu.Unlock()
 	for _, e := range entries {

@@ -14,11 +14,9 @@
 //     flushes proceed concurrently with execution while shared-memory
 //     semantics are preserved — the capability fork's COW lacks.
 //
-// Pages are indexed by number, never hashed. An object's resident pages sit
-// in its page index (Object.pages) and each map entry's PTEs in the entry's
-// page table (Entry.ptes), both a table (table.go): 64-slot bitmap leaves
-// under a sparse, ordered top level, so every walk visits pages in ascending
-// order without a sort.
+// Pages are indexed by number, never hashed: an object's resident pages
+// (Object.pages) and each map entry's PTEs (Entry.ptes) are a radix.Table, so
+// every walk visits pages in ascending order without a sort.
 package vm
 
 import (
@@ -30,6 +28,7 @@ import (
 
 	"aurora/internal/clock"
 	"aurora/internal/mem"
+	"aurora/internal/radix"
 )
 
 // PageSize aliases the frame size.
@@ -111,8 +110,8 @@ type Object struct {
 	Type ObjectType
 
 	mu     sync.Mutex
-	pages  table[*mem.Page] // resident pages by page number
-	size   int64            // bytes
+	pages  radix.Table[*mem.Page] // resident pages by page number
+	size   int64                  // bytes
 	backer *Object
 	pager  Pager
 
@@ -166,7 +165,7 @@ func (o *Object) Size() int64 {
 func (o *Object) Pages() int {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	return o.pages.len()
+	return o.pages.Len()
 }
 
 // CountPages returns how many of the object's own resident pages satisfy
@@ -176,11 +175,11 @@ func (o *Object) CountPages(keep func(*mem.Page) bool) int {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	n := 0
-	o.pages.each(func(_ int64, p *mem.Page) {
+	for _, p := range o.pages.All() {
 		if keep(p) {
 			n++
 		}
-	})
+	}
 	return n
 }
 
@@ -263,8 +262,10 @@ func (o *Object) Deref() {
 	o.dead = true
 	backer := o.backer
 	o.backer = nil
-	o.pages.each(func(_ int64, p *mem.Page) { o.vm.PM.Free(p) })
-	o.pages = table[*mem.Page]{}
+	for _, p := range o.pages.All() {
+		o.vm.PM.Free(p)
+	}
+	o.pages = radix.Table[*mem.Page]{}
 	o.mu.Unlock()
 	if backer != nil {
 		backer.mu.Lock()
@@ -295,7 +296,7 @@ func (vm *System) Shadow(o *Object) *Object {
 func (o *Object) Lookup(pg int64) (*mem.Page, *Object) {
 	for c := o; c != nil; {
 		c.mu.Lock()
-		if p, ok := c.pages.get(pg); ok {
+		if p, ok := c.pages.Get(pg); ok {
 			c.mu.Unlock()
 			return p, c
 		}
@@ -322,7 +323,7 @@ func (o *Object) terminal() *Object {
 // resident page (existing or freshly filled).
 func (o *Object) pageInLocal(pg int64) (*mem.Page, error) {
 	o.mu.Lock()
-	if p, ok := o.pages.get(pg); ok {
+	if p, ok := o.pages.Get(pg); ok {
 		o.mu.Unlock()
 		return p, nil
 	}
@@ -339,12 +340,12 @@ func (o *Object) pageInLocal(pg int64) (*mem.Page, error) {
 		}
 	}
 	o.mu.Lock()
-	if exist, ok := o.pages.get(pg); ok {
+	if exist, ok := o.pages.Get(pg); ok {
 		o.mu.Unlock()
 		o.vm.PM.Free(p)
 		return exist, nil
 	}
-	o.pages.set(pg, p)
+	o.pages.Set(pg, p)
 	o.mu.Unlock()
 	return p, nil
 }
@@ -357,7 +358,7 @@ func (o *Object) pageInLocal(pg int64) (*mem.Page, error) {
 func (o *Object) chainPage(pg int64) (*mem.Page, *Object, error) {
 	for c := o; c != nil; c = c.Backer() {
 		c.mu.Lock()
-		if p, ok := c.pages.get(pg); ok {
+		if p, ok := c.pages.Get(pg); ok {
 			c.mu.Unlock()
 			return p, c, nil
 		}
@@ -399,7 +400,7 @@ func (o *Object) FindPage(pg int64) (*mem.Page, error) {
 // private copy lands in o itself — the COW resolution.
 func (o *Object) getPage(pg int64, forWrite bool) (*mem.Page, *Object, error) {
 	o.mu.Lock()
-	if p, ok := o.pages.get(pg); ok {
+	if p, ok := o.pages.Get(pg); ok {
 		o.mu.Unlock()
 		return p, o, nil
 	}
@@ -427,13 +428,13 @@ func (o *Object) getPage(pg int64, forWrite bool) (*mem.Page, *Object, error) {
 		return nil, nil, err
 	}
 	o.mu.Lock()
-	if exist, ok := o.pages.get(pg); ok {
+	if exist, ok := o.pages.Get(pg); ok {
 		// Lost a race; keep the existing page.
 		o.mu.Unlock()
 		o.vm.PM.Free(p)
 		return exist, o, nil
 	}
-	o.pages.set(pg, p)
+	o.pages.Set(pg, p)
 	o.mu.Unlock()
 	return p, o, nil
 }
@@ -442,7 +443,7 @@ func (o *Object) getPage(pg int64, forWrite bool) (*mem.Page, *Object, error) {
 // existing frame. Used by restore and swap-in paths.
 func (o *Object) InsertPage(pg int64, p *mem.Page) {
 	o.mu.Lock()
-	if old, had := o.pages.set(pg, p); had {
+	if old, had := o.pages.Set(pg, p); had {
 		o.vm.PM.Free(old)
 	}
 	o.mu.Unlock()
@@ -453,7 +454,7 @@ func (o *Object) InsertPage(pg int64, p *mem.Page) {
 func (o *Object) RemovePage(pg int64) (*mem.Page, bool) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	return o.pages.del(pg)
+	return o.pages.Del(pg)
 }
 
 // ResidentPage returns the object's own resident page pg without walking
@@ -461,7 +462,7 @@ func (o *Object) RemovePage(pg int64) (*mem.Page, bool) {
 func (o *Object) ResidentPage(pg int64) (*mem.Page, bool) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	return o.pages.get(pg)
+	return o.pages.Get(pg)
 }
 
 // EachPage calls fn for every resident page in ascending page order — the
@@ -476,18 +477,18 @@ func (o *Object) ResidentPage(pg int64) (*mem.Page, bool) {
 func (o *Object) EachPage(fn func(pg int64, p *mem.Page)) {
 	for from := int64(0); ; { // page numbers are never negative
 		o.mu.Lock()
-		base, l := o.pages.leafFrom(from)
+		base, l := o.pages.LeafFrom(from)
 		if l == nil {
 			o.mu.Unlock()
 			return
 		}
-		used, slots := l.used, l.slots
+		used, slots := l.Used, l.Slots
 		o.mu.Unlock()
 		for s := used; s != 0; s &= s - 1 {
 			i := bits.TrailingZeros64(s)
 			fn(base+int64(i), slots[i])
 		}
-		from = base + leafSize
+		from = base + radix.LeafSize
 	}
 }
 
@@ -510,23 +511,23 @@ func CollapseAurora(top, o *Object, maps ...*Map) int {
 	}
 	o.mu.Lock()
 	pages := o.pages
-	o.pages = table[*mem.Page]{}
+	o.pages = radix.Table[*mem.Page]{}
 	o.mu.Unlock()
 	var moved []int64
 	if len(maps) > 0 {
-		moved = make([]int64, 0, pages.len())
+		moved = make([]int64, 0, pages.Len())
 	}
 	backer.mu.Lock()
-	pages.each(func(pg int64, p *mem.Page) {
-		if old, had := backer.pages.set(pg, p); had {
+	for pg, p := range pages.All() {
+		if old, had := backer.pages.Set(pg, p); had {
 			o.vm.PM.Free(old)
 		}
 		if len(maps) > 0 {
 			moved = append(moved, pg)
 		}
-	})
+	}
 	backer.mu.Unlock()
-	n := pages.len()
+	n := pages.Len()
 	o.vm.Clk.Advance(time.Duration(n) * o.vm.Costs.CollapsePerPage)
 	for _, m := range maps {
 		m.reownPTEs(o, backer, moved)
@@ -549,23 +550,23 @@ func CollapseLegacy(top, o *Object) int {
 	}
 	backer.mu.Lock()
 	pages := backer.pages
-	backer.pages = table[*mem.Page]{}
+	backer.pages = radix.Table[*mem.Page]{}
 	grandpa := backer.backer
 	backer.mu.Unlock()
 	o.mu.Lock()
-	pages.each(func(pg int64, p *mem.Page) {
-		if _, ok := o.pages.get(pg); ok {
+	for pg, p := range pages.All() {
+		if _, ok := o.pages.Get(pg); ok {
 			// The shadow's version wins; the backer's page dies.
 			o.vm.PM.Free(p)
 		} else {
-			o.pages.set(pg, p)
+			o.pages.Set(pg, p)
 		}
-	})
+	}
 	// o now absorbs the backer: it inherits the backer's backer.
 	old := o.backer
 	o.backer = grandpa
 	o.mu.Unlock()
-	n := pages.len()
+	n := pages.Len()
 	o.vm.Clk.Advance(time.Duration(n) * o.vm.Costs.CollapsePerPage)
 	if old != nil {
 		old.mu.Lock()

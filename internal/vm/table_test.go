@@ -1,115 +1,12 @@
 package vm
 
 import (
-	"maps"
-	"math/rand"
 	"runtime"
 	"slices"
 	"testing"
 
 	"aurora/internal/mem"
 )
-
-// TestTableMatchesMapOracle drives the page table with random set, get, del
-// and walks, checking every answer against a map. Keys cluster around
-// leaf (64) and directory (4 096) boundaries, spread over a sparse range and
-// go negative, so leaves and directories are created, emptied and dropped all
-// the time.
-func TestTableMatchesMapOracle(t *testing.T) {
-	for seed := int64(1); seed <= 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		var tb table[int]
-		oracle := make(map[int64]int)
-		key := func() int64 {
-			switch rng.Intn(4) {
-			case 0:
-				return rng.Int63n(200) - 100 // around zero, both signs
-			case 1:
-				return int64(rng.Intn(40))*leafSize + rng.Int63n(3) - 1 // leaf edges
-			case 2:
-				return int64(rng.Intn(8))<<dirBits + rng.Int63n(3) - 1 // directory edges
-			default:
-				return rng.Int63n(1 << 40) // sparse
-			}
-		}
-		for step := 0; step < 4000; step++ {
-			k := key()
-			switch op := rng.Intn(1000); {
-			case op < 500:
-				v := rng.Int()
-				old, had := tb.set(k, v)
-				want, wantHad := oracle[k]
-				if had != wantHad || old != want {
-					t.Fatalf("seed %d step %d: set(%d) replaced (%d, %v), oracle (%d, %v)", seed, step, k, old, had, want, wantHad)
-				}
-				oracle[k] = v
-			case op < 800:
-				v, ok := tb.del(k)
-				want, wantOK := oracle[k]
-				if ok != wantOK || v != want {
-					t.Fatalf("seed %d step %d: del(%d) = (%d, %v), oracle (%d, %v)", seed, step, k, v, ok, want, wantOK)
-				}
-				delete(oracle, k)
-			default:
-				v, ok := tb.get(k)
-				want, wantOK := oracle[k]
-				if ok != wantOK || v != want {
-					t.Fatalf("seed %d step %d: get(%d) = (%d, %v), oracle (%d, %v)", seed, step, k, v, ok, want, wantOK)
-				}
-				if p := tb.ptr(k); (p != nil) != wantOK || p != nil && *p != want {
-					t.Fatalf("seed %d step %d: ptr(%d) disagrees with the oracle", seed, step, k)
-				}
-			}
-			if tb.len() != len(oracle) {
-				t.Fatalf("seed %d step %d: len %d, oracle %d", seed, step, tb.len(), len(oracle))
-			}
-			if step%200 == 0 {
-				checkWalks(t, &tb, oracle)
-			}
-		}
-		checkWalks(t, &tb, oracle)
-	}
-}
-
-// checkWalks: each visits exactly the oracle's keys, strictly ascending, with
-// their values, and a walk by leafFrom sees the same.
-func checkWalks(t *testing.T, tb *table[int], oracle map[int64]int) {
-	t.Helper()
-	want := slices.Sorted(maps.Keys(oracle))
-	var got []int64
-	tb.each(func(k int64, v int) {
-		if n := len(got); n > 0 && k <= got[n-1] {
-			t.Fatalf("each visited %d after %d", k, got[n-1])
-		}
-		if v != oracle[k] {
-			t.Fatalf("each gave %d at %d, oracle %d", v, k, oracle[k])
-		}
-		got = append(got, k)
-	})
-	if !slices.Equal(got, want) {
-		t.Fatalf("each visited %d keys, oracle holds %d", len(got), len(want))
-	}
-	var walked []int64
-	from := int64(-1 << 62)
-	for {
-		base, l := tb.leafFrom(from)
-		if l == nil {
-			break
-		}
-		if l.used == 0 {
-			t.Fatalf("leafFrom(%d) returned an empty leaf", from)
-		}
-		for i := int64(0); i < leafSize; i++ {
-			if l.used&(1<<i) != 0 {
-				walked = append(walked, base+i)
-			}
-		}
-		from = base + leafSize
-	}
-	if !slices.Equal(walked, want) {
-		t.Fatalf("a leafFrom walk visited %d keys, oracle holds %d", len(walked), len(want))
-	}
-}
 
 // TestHugeSparseObjectStaysSmall: an object of 1 TiB with pages only at its
 // first and last index allocates what two pages need, not what its size

@@ -15,7 +15,7 @@ import (
 // a downgrade removes.
 func fullWalk(e *Entry) (writable []int64) {
 	for slot := int64(0); slot < e.Pages(); slot++ {
-		if pte, ok := e.ptes.get(slot); ok && pte.Writable {
+		if pte, ok := e.ptes.Get(slot); ok && pte.Writable {
 			writable = append(writable, slot)
 		}
 	}
@@ -51,7 +51,7 @@ func pteSet(m *Map) map[uint64]bool {
 	out := make(map[uint64]bool)
 	for _, e := range m.entries {
 		for slot := int64(0); slot < e.Pages(); slot++ {
-			if _, ok := e.ptes.get(slot); ok {
+			if _, ok := e.ptes.Get(slot); ok {
 				out[e.Start+uint64(slot)*PageSize] = true
 			}
 		}
