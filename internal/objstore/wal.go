@@ -264,6 +264,10 @@ func (s *Store) WALCommit() (WALCommitStats, error) {
 		}
 		s.flSeq = flSeq
 	}
+	// A frame behind a fold that is not yet durable keeps the folded
+	// generation as the prefix the scan walks through: the ring may not
+	// restart under it until the next fold.
+	s.pendingWALReset = false
 	s.walHead += total
 	s.walSeq = fr.seq
 	s.walPending = nil

@@ -184,6 +184,50 @@ func TestWALDeferredResetKeepsOldFramesUntilFoldDurable(t *testing.T) {
 	}
 }
 
+// A frame appended while the fold before it is still in flight lands behind
+// the folded generation. Once the fold is durable the head may not restart:
+// the ring's start would take the next frame, and the scan, which stops at
+// the first frame out of sequence, would lose both.
+func TestWALFrameBehindUnsettledFoldSurvives(t *testing.T) {
+	s, dev, clk := newStore(t)
+	oid := s.NewOID()
+	put := func(v string) {
+		t.Helper()
+		if err := s.PutRecord(oid, 1, []byte(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	put("a")
+	if _, err := s.WALCommit(); err != nil {
+		t.Fatal(err)
+	}
+	put("b")
+	cst, err := s.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	put("c")
+	st, err := s.WALCommit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if clk.Now() >= cst.DurableAt || st.Seq != 1 || s.WALHead() != 2*walSector {
+		t.Fatalf("setup: now %v, fold durable at %v, seq %d, head %d", clk.Now(), cst.DurableAt, st.Seq, s.WALHead())
+	}
+	clk.Advance(time.Millisecond)
+	put("d")
+	if st, err = s.WALCommit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WaitWALDurable(st.Seq); err != nil {
+		t.Fatal(err)
+	}
+	r := reopen(t, dev, clk)
+	if got, err := r.GetRecord(oid); err != nil || string(got) != "d" || r.WALReplayed() != 2 {
+		t.Fatalf("recovered %q (err %v) from %d frames, want \"d\" from 2", got, err, r.WALReplayed())
+	}
+}
+
 func TestWALMutationMixReplay(t *testing.T) {
 	s, dev, clk := newStore(t)
 	rec := s.NewOID()
