@@ -151,7 +151,7 @@ func (s *Store) retireBlock(addr int64) {
 	}
 	cur := s.curEpoch()
 	if birth == cur {
-		if s.walSeq > 0 {
+		if len(s.walDurable) > 0 {
 			// A committed WAL frame of this interval may reference the
 			// block: until the fold's superblock is durable, replaying that
 			// frame needs it intact. Stage it like a release — serialized
@@ -234,7 +234,6 @@ func (s *Store) releaseBeforeLocked(epoch Epoch) int {
 		s.releasing = append(s.releasing, blockRun{c.indexAddr, blocksFor(c.indexLen)})
 		s.stats.BlocksFreed += blocksFor(c.indexLen)
 		freed += int(blocksFor(c.indexLen))
-		delete(s.durableAt, c.epoch)
 	}
 	s.retained = kept
 	return freed + s.sweepDeadlist()

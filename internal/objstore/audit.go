@@ -79,10 +79,18 @@ func (s *Store) auditLocked(a *auditScratch, page func(oid OID, pg, addr int64, 
 		}
 	}
 
+	// Durability times must be monotone in epoch too: a later checkpoint can
+	// never become durable before an earlier one (an ordered Submit puts
+	// every superblock behind its interval).
 	for i, ck := range s.retained {
 		claimRun(claim{blockRun{ck.indexAddr, blocksFor(ck.indexLen)}, claimIndex, int64(ck.epoch), 0})
-		if i > 0 && ck.epoch <= s.retained[i-1].epoch {
-			prob("retained epochs out of order: %d then %d", s.retained[i-1].epoch, ck.epoch)
+		if i == 0 {
+			continue
+		}
+		if prev := s.retained[i-1]; ck.epoch <= prev.epoch {
+			prob("retained epochs out of order: %d then %d", prev.epoch, ck.epoch)
+		} else if ck.durable < prev.durable {
+			prob("epoch %d durable at %v before epoch %d at %v", ck.epoch, ck.durable, prev.epoch, prev.durable)
 		}
 	}
 	if n := len(s.retained); n > 0 && s.retained[n-1].epoch != s.epoch {
@@ -124,25 +132,6 @@ func (s *Store) auditLocked(a *auditScratch, page func(oid OID, pg, addr int64, 
 		}
 	}
 
-	// Durability times must be monotone in epoch: a later checkpoint can
-	// never become durable before an earlier one (an ordered Submit puts
-	// every superblock behind its interval).
-	epochs := a.epochs[:0]
-	for e := range s.durableAt {
-		epochs = append(epochs, e)
-	}
-	slices.Sort(epochs)
-	a.epochs = epochs
-	for i := 1; i < len(epochs); i++ {
-		if s.durableAt[epochs[i]] < s.durableAt[epochs[i-1]] {
-			prob("epoch %d durable at %v before epoch %d at %v",
-				epochs[i], s.durableAt[epochs[i]], epochs[i-1], s.durableAt[epochs[i-1]])
-		}
-	}
-	if len(epochs) > 0 && epochs[len(epochs)-1] > s.epoch {
-		prob("durability recorded for uncommitted epoch %d (committed %d)", epochs[len(epochs)-1], s.epoch)
-	}
-
 	// WAL ring geometry: the head stays inside the reserved region on a
 	// sector boundary, and committed frames imply a nonzero head.
 	if s.walBlocks > 0 {
@@ -152,8 +141,8 @@ func (s *Store) auditLocked(a *auditScratch, page func(oid OID, pg, addr int64, 
 		if s.walHead%walSector != 0 {
 			prob("wal head %d not sector aligned", s.walHead)
 		}
-		if s.walSeq > 0 && s.walHead == 0 {
-			prob("wal seq %d with empty ring", s.walSeq)
+		if len(s.walDurable) > 0 && s.walHead == 0 {
+			prob("wal seq %d with empty ring", len(s.walDurable))
 		}
 	}
 	return problems
@@ -211,8 +200,7 @@ type auditScratch struct {
 	pastTop       bool // some other claim reaches past hi
 	claims        []claim
 	marks         []uint64
-	clashes       []int   // claims sharing a block with another, by index
-	epochs        []Epoch // durableAt's keys
+	clashes       []int // claims sharing a block with another, by index
 }
 
 // reset readies a for an audit of s, sized for every claim s can make.

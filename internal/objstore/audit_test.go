@@ -123,15 +123,13 @@ func TestAuditLiveReportsPinned(t *testing.T) {
 
 		// Durability and the WAL ring.
 		{"durability not monotone", func(s *Store) {
-			s.durableAt[2], s.durableAt[3] = 2*time.Millisecond, time.Millisecond
+			s.retained[1].durable, s.retained[2].durable = 2*time.Millisecond, time.Millisecond
 		}, []string{"store: epoch 3 durable at 1ms before epoch 2 at 2ms"}},
-		{"durability of an uncommitted epoch", func(s *Store) { s.durableAt[4] = time.Second },
-			[]string{"store: durability recorded for uncommitted epoch 4 (committed 3)"}},
 		{"wal head outside the ring", func(s *Store) { s.walHead = s.walBlocks*BlockSize + walSector },
 			[]string{"store: wal head 4194816 outside region of 1024 blocks"}},
 		{"wal head off a sector", func(s *Store) { s.walHead = 1 },
 			[]string{"store: wal head 1 not sector aligned"}},
-		{"wal frames in an empty ring", func(s *Store) { s.walSeq = 1 },
+		{"wal frames in an empty ring", func(s *Store) { s.walDurable = []time.Duration{0} },
 			[]string{"store: wal seq 1 with empty ring"}},
 
 		// Order: double claims by block, after the walk's other rules.

@@ -1,7 +1,9 @@
 package objstore
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"aurora/internal/clock"
@@ -45,7 +47,7 @@ func (s *Store) CheckpointRetaining(retain int) (st CheckpointStats, err error) 
 	// it before the flight ring is serialized so the committing snapshot
 	// carries the fold that absorbed the frames.
 	s.mu.Lock()
-	foldBase, foldFrames := s.curEpoch(), s.walSeq
+	foldBase, foldFrames := s.curEpoch(), len(s.walDurable)
 	s.mu.Unlock()
 	if foldFrames > 0 {
 		s.fl.Record(int64(s.clk.Now()), flight.EvWALFold, int64(foldBase), int64(foldFrames), 0, "")
@@ -166,9 +168,8 @@ func (s *Store) CheckpointRetaining(retain int) (st CheckpointStats, err error) 
 	// 5. The committed checkpoint joins retained history. Its index
 	// blocks are deliberately NOT deadlisted: their lifetime is implied
 	// by the retained list itself (released with the checkpoint).
-	s.retained = append(s.retained, ckptInfo{epoch: cur, indexAddr: idxAddr, indexLen: idxLen})
+	s.retained = append(s.retained, ckptInfo{epoch: cur, indexAddr: idxAddr, indexLen: idxLen, durable: sbDone})
 	s.epoch = cur
-	s.durableAt[cur] = sbDone
 	s.stats.Checkpoints++
 	s.stats.MetaBytes += st.MetaBytes
 
@@ -186,19 +187,14 @@ func (s *Store) CheckpointRetaining(retain int) (st CheckpointStats, err error) 
 
 	// 7. This commit folds any outstanding WAL frames into base state: the
 	// new index fully describes them, so their generation is dead. The head
-	// reset itself is deferred until virtual time passes sbDone — a crash
-	// before that instant recovers the previous superblock, whose epoch
-	// still matches the old frames (see maybeResetWALLocked).
+	// reset itself waits until virtual time passes sbDone — a crash before
+	// that instant recovers the previous superblock, whose epoch still
+	// matches the old frames (see maybeResetWALLocked).
 	if s.walBlocks > 0 {
 		clear(s.walPending) // no frame holds these ops: the next interval reuses the array
 		s.walPending = s.walPending[:0]
-		if s.walSeq > 0 || s.walHead > 0 {
-			s.pendingWALReset = true
-			s.walResetAt = sbDone
-		}
-		if s.walSeq > 0 {
-			s.walSeq = 0
-			s.walDurable = make(map[uint64]time.Duration)
+		if len(s.walDurable) > 0 {
+			s.walDurable = s.walDurable[:0]
 			if s.tr != nil {
 				s.tr.Count("objstore.wal_folds", 1)
 			}
@@ -280,19 +276,18 @@ func (s *Store) indexState(cur Epoch) *indexState {
 	return idx
 }
 
-// WaitDurable blocks (in virtual time) until epoch's commit is durable.
+// WaitDurable blocks (in virtual time) until epoch's commit is durable. Any
+// retained epoch can be waited on; one loaded from media is durable already.
 func (s *Store) WaitDurable(epoch Epoch) error {
 	s.mu.Lock()
-	t, ok := s.durableAt[epoch]
-	first := false
-	if ok && !s.settled[epoch] {
-		s.settled[epoch] = true
-		first = true
+	c, err := s.retainedInfo(epoch)
+	if err != nil {
+		s.mu.Unlock()
+		return err
 	}
+	t, first := c.durable, !c.settled
+	c.settled = true
 	s.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrNoEpoch, epoch)
-	}
 	s.dev.WaitUntil(t)
 	if first {
 		s.fl.Record(int64(s.clk.Now()), flight.EvDevSettle, int64(epoch), int64(t), 0, "")
@@ -305,12 +300,16 @@ func (s *Store) WaitDurable(epoch Epoch) error {
 	return nil
 }
 
-// DurableAt returns the virtual time epoch became durable.
+// DurableAt returns the virtual time a retained epoch became durable: 0 for
+// one loaded from media.
 func (s *Store) DurableAt(epoch Epoch) (time.Duration, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	t, ok := s.durableAt[epoch]
-	return t, ok
+	c, err := s.retainedInfo(epoch)
+	if err != nil {
+		return 0, false
+	}
+	return c.durable, true
 }
 
 // readSuperblocks picks the valid superblock with the highest epoch,
@@ -402,15 +401,14 @@ func (s *Store) fetchRecord(addr, length int64) (*object, error) {
 	return decodeRecord(buf)
 }
 
-// retainedInfo finds a viewable epoch: the current one or any retained.
-// Requires mu.
-func (s *Store) retainedInfo(epoch Epoch) (ckptInfo, error) {
-	for _, c := range s.retained {
-		if c.epoch == epoch {
-			return c, nil
-		}
+// retainedInfo finds a retained epoch's entry, the current epoch's included,
+// by binary search: retained is sorted by epoch. Requires mu.
+func (s *Store) retainedInfo(epoch Epoch) (*ckptInfo, error) {
+	i, ok := slices.BinarySearchFunc(s.retained, epoch, func(c ckptInfo, e Epoch) int { return cmp.Compare(c.epoch, e) })
+	if !ok {
+		return nil, fmt.Errorf("%w: %d", ErrNoEpoch, epoch)
 	}
-	return ckptInfo{}, fmt.Errorf("%w: %d", ErrNoEpoch, epoch)
+	return &s.retained[i], nil
 }
 
 // View is a read-only image of one retained checkpoint, used for restoring

@@ -239,9 +239,12 @@ func decodeIndex(b []byte, lo, hi int64) (*indexState, error) {
 		})
 	}
 	for i, n := 0, int(d.U32()); i < n && d.Err() == nil; i++ {
-		st.retained = append(st.retained, ckptInfo{
-			epoch: Epoch(d.U64()), indexAddr: d.I64(), indexLen: d.I64(),
-		})
+		c := ckptInfo{epoch: Epoch(d.U64()), indexAddr: d.I64(), indexLen: d.I64()}
+		if d.Err() == nil && (c.epoch >= st.epoch || i > 0 && c.epoch <= st.retained[i-1].epoch) {
+			// The store finds retained epochs by binary search.
+			return nil, fmt.Errorf("%w: retained epoch %d out of order", ErrCorrupt, c.epoch)
+		}
+		st.retained = append(st.retained, c)
 	}
 	for i, n := 0, int(d.U32()); i < n && d.Err() == nil; i++ {
 		st.objects = append(st.objects, indexEntry{

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"aurora/internal/radix"
 	"aurora/internal/rec"
@@ -169,7 +170,7 @@ func TestIndexCodecRoundTrip(t *testing.T) {
 		nextOID:  100,
 		free:     []blockRun{{40960, 3}, {8192, 1}},
 		deadlist: []deadBlock{{addr: 12288, birth: 2, freedAt: 4}},
-		retained: []ckptInfo{{epoch: 3, indexAddr: 16384, indexLen: 100}},
+		retained: []ckptInfo{{epoch: 3, indexAddr: 16384, indexLen: 100, durable: time.Second, settled: true}},
 		objects:  []indexEntry{{oid: 9, addr: 20480, len: 50}},
 	}
 	e := encodeIndex(st)
@@ -186,11 +187,17 @@ func TestIndexCodecRoundTrip(t *testing.T) {
 	if got.deadlist[0] != st.deadlist[0] || got.objects[0] != st.objects[0] {
 		t.Fatal("entries mismatch")
 	}
+	// A retained entry's landing time lives in memory only: the index holds
+	// epoch, address and length, and an entry read back is durable already.
+	if want := (ckptInfo{epoch: 3, indexAddr: 16384, indexLen: 100}); got.retained[0] != want {
+		t.Fatalf("retained entry %+v, want %+v", got.retained[0], want)
+	}
 }
 
 // TestDecodeIndexRefusesBadRuns: an index's free map is outside input. A run
 // that is unaligned, empty, overlapping or out of order, or outside the data
-// region, fails the decode as ErrCorrupt; so does an index of an older
+// region, fails the decode as ErrCorrupt; so does a retained list that is not
+// strictly ascending below the index's own epoch, and an index of an older
 // format, on its magic.
 func TestDecodeIndexRefusesBadRuns(t *testing.T) {
 	const lo, hi = 8192, 1 << 20
@@ -210,6 +217,12 @@ func TestDecodeIndexRefusesBadRuns(t *testing.T) {
 	} {
 		if _, err := decodeIndex(encodeIndex(&indexState{free: tc.free}).Seal(), lo, hi); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: decode = %v, want ErrCorrupt", tc.name, err)
+		}
+	}
+	for _, retained := range [][]ckptInfo{{{epoch: 3}, {epoch: 2}}, {{epoch: 3}, {epoch: 3}}, {{epoch: 5}}} {
+		idx := &indexState{epoch: 5, retained: retained}
+		if _, err := decodeIndex(encodeIndex(idx).Seal(), lo, hi); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("retained %v under epoch 5: decode = %v, want ErrCorrupt", retained, err)
 		}
 	}
 	for _, magic := range []uint32{

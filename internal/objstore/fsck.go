@@ -71,7 +71,7 @@ func (s *Store) Fsck() FsckReport {
 	// Retained history must load.
 	retained := append([]ckptInfo(nil), s.retained...)
 	walBase, walBlocks := s.walBase, s.walBlocks
-	walHead, walSeq, epoch := s.walHead, s.walSeq, s.epoch
+	walHead, walSeq, epoch := s.walHead, uint64(len(s.walDurable)), s.epoch
 	s.mu.Unlock()
 	for _, c := range retained {
 		rep.RetainedEpochs++

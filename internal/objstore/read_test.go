@@ -99,7 +99,7 @@ func stateDump(s *Store) string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return fmt.Sprintf("epoch=%d nextOID=%d slot=%d wal=%d/%d/%d\nfree=%v\ndead=%v\nretained=%v\nreleasing=%v\n%s",
-		s.epoch, s.nextOID, s.superSlot, s.walHead, s.walSeq, s.walReplayed,
+		s.epoch, s.nextOID, s.superSlot, s.walHead, len(s.walDurable), s.walReplayed,
 		s.free, s.deadlist, s.retained, s.releasing, tableDump(s.objects))
 }
 

@@ -116,11 +116,17 @@ type stagedRelease struct {
 	runs []blockRun
 }
 
-// ckptInfo describes one retained checkpoint.
+// ckptInfo describes one retained checkpoint. The index stores its first
+// three fields; durable is when the commit's superblock lands, 0 for an entry
+// loaded from media, which is durable already, and settled notes that a wait
+// on the epoch recorded its settle event in the flight ring, which happens
+// once per epoch.
 type ckptInfo struct {
 	epoch     Epoch
 	indexAddr int64
 	indexLen  int64
+	durable   time.Duration
+	settled   bool
 }
 
 // object is the live, in-memory state of one store object.
@@ -178,10 +184,6 @@ type Store struct {
 	tr    *trace.Tracer
 	fl    *flight.Recorder
 
-	// settled notes epochs whose durability has been waited on, so the
-	// flight ring records one settle event per epoch, not one per wait.
-	settled map[Epoch]bool
-
 	epoch    Epoch // last committed epoch
 	nextOID  OID
 	deadlist []deadBlock
@@ -224,35 +226,26 @@ type Store struct {
 	pages          pageScratch  // writePagesLocked's, for the same reason
 	audit          auditScratch // AuditLive's, for the same reason
 	frame          rec.Encoder  // Journal.Append's, for the same reason
-	// durableAt maps committed epochs to their durability times.
-	durableAt map[Epoch]time.Duration
 
 	superSlot int // which superblock slot the next commit uses
 
 	// WAL-first commit state (see wal.go). walBase/walBlocks fix the
 	// reserved region's geometry at Format time; walHead is the append
-	// offset within it; walSeq numbers this generation's committed frames
-	// (reset to 0 by every fold); walPending accumulates the interval's
-	// delta ops; walDurable maps frame seqs to durability times.
+	// offset within it; walDurable holds this generation's committed frames
+	// (emptied by every fold), element i being when frame i+1 lands — 0 for
+	// a replayed frame — so its length is the last frame's seq; walPending
+	// accumulates the interval's delta ops.
 	walBase     int64
 	walBlocks   int64
 	walHead     int64
-	walSeq      uint64
+	walDurable  []time.Duration
 	walPending  []walOp
-	walDurable  map[uint64]time.Duration
 	walReplayed int // frames replayed by the last Recover
 
 	// flSeq is the recorder sequence number the ring in FlightOID reaches:
 	// set by every full snapshot and every frame tail, 0 after Recover (a
 	// boot starts a fresh recorder, whose first tail is its whole ring).
 	flSeq uint64
-
-	// pendingWALReset defers the head reset (log-structured GC of the
-	// folded generation) until virtual time passes walResetAt, the folding
-	// superblock's completion: before that instant a crash can still
-	// recover to the previous superblock, which needs the old frames.
-	pendingWALReset bool
-	walResetAt      time.Duration
 
 	// replaying is set while walRecover replays the chain. Replay runs the
 	// apply the live mutators run; while it does, walNote records nothing
@@ -269,14 +262,11 @@ type Store struct {
 // blankStore is a store over dev with nothing formatted or loaded.
 func blankStore(dev BlockDev, clk clock.Clock, costs *clock.Costs, tr *trace.Tracer) *Store {
 	s := &Store{
-		dev:        dev,
-		clk:        clk,
-		costs:      costs,
-		tr:         tr,
-		deleted:    make(map[OID]bool),
-		durableAt:  make(map[Epoch]time.Duration),
-		walDurable: make(map[uint64]time.Duration),
-		settled:    make(map[Epoch]bool),
+		dev:     dev,
+		clk:     clk,
+		costs:   costs,
+		tr:      tr,
+		deleted: make(map[OID]bool),
 	}
 	s.image = image{s: s, objects: make(map[OID]*object)}
 	return s

@@ -11,6 +11,7 @@ import (
 
 	"aurora/internal/clock"
 	"aurora/internal/device"
+	"aurora/internal/flight"
 )
 
 func newStore(t *testing.T) (*Store, *device.Stripe, *clock.Virtual) {
@@ -552,6 +553,96 @@ func TestCheckpointDurability(t *testing.T) {
 	}
 	if err := s.WaitDurable(999); !errors.Is(err, ErrNoEpoch) {
 		t.Fatalf("WaitDurable(999) = %v", err)
+	}
+}
+
+// A recovered store can wait on what it recovered: the current epoch, an
+// older retained one and each replayed frame are on the media already, so
+// every wait returns at once and DurableAt reports 0.
+func TestRecoveredStoreWaitsOnWhatItRecovered(t *testing.T) {
+	s, dev, clk := newStore(t)
+	oid := s.NewOID()
+	if err := s.PutRecord(oid, 1, []byte("a")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutRecord(oid, 1, []byte("b")); err != nil {
+		t.Fatal(err)
+	}
+	st, err := s.WALCommit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WaitWALDurable(st.Seq); err != nil {
+		t.Fatal(err)
+	}
+	r := reopen(t, dev, clk)
+	if r.Epoch() != 2 || r.WALSeq() != 1 || !slices.Equal(r.RetainedCheckpoints(), []Epoch{1, 2}) {
+		t.Fatalf("setup: recovered epoch %d, wal seq %d, retained %v", r.Epoch(), r.WALSeq(), r.RetainedCheckpoints())
+	}
+	now := clk.Now()
+	for _, e := range []Epoch{2, 1} {
+		if err := r.WaitDurable(e); err != nil {
+			t.Errorf("WaitDurable(%d): %v", e, err)
+		}
+		if at, ok := r.DurableAt(e); at != 0 || !ok {
+			t.Errorf("DurableAt(%d) = %v, %v; want 0, true", e, at, ok)
+		}
+	}
+	if err := r.WaitWALDurable(1); err != nil {
+		t.Errorf("WaitWALDurable(1): %v", err)
+	}
+	if clk.Now() != now {
+		t.Errorf("waits on recovered state moved the clock %v -> %v", now, clk.Now())
+	}
+}
+
+// The flight ring gets one settle event per epoch, however often the epoch
+// is waited on; an epoch retention trimmed cannot be waited on; a recovered
+// epoch's first wait records its event.
+func TestSettleRecordedOncePerEpoch(t *testing.T) {
+	s, dev, clk, fl := storeWithFlight(t)
+	settles := func(fl *flight.Recorder, e Epoch) (n int) {
+		for _, ev := range fl.Events() {
+			if ev.Kind == flight.EvDevSettle && ev.A == int64(e) {
+				n++
+			}
+		}
+		return n
+	}
+	cst, err := s.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 3 {
+		if err := s.WaitDurable(cst.Epoch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := settles(fl, cst.Epoch); n != 1 {
+		t.Fatalf("three waits on epoch %d recorded %d settle events, want 1", cst.Epoch, n)
+	}
+	for range 2 {
+		if _, err := s.CheckpointRetaining(1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.WaitDurable(cst.Epoch); !errors.Is(err, ErrNoEpoch) {
+		t.Fatalf("wait on trimmed epoch %d = %v, want ErrNoEpoch", cst.Epoch, err)
+	}
+
+	r := reopen(t, dev, clk)
+	fl2 := flight.NewRecorder(0)
+	r.SetFlight(fl2)
+	for range 3 {
+		if err := r.WaitDurable(r.Epoch()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := settles(fl2, r.Epoch()); n != 1 {
+		t.Fatalf("three waits on recovered epoch %d recorded %d settle events, want 1", r.Epoch(), n)
 	}
 }
 

@@ -217,7 +217,7 @@ func (s *Store) WALCommit() (WALCommitStats, error) {
 	// N's ring carries appends 1..N — the crash-phase evidence the harness
 	// checks after replay. The tail is the events FlightOID's ring lacks.
 	s.mu.Lock()
-	peekBase, peekSeq, flSeq := s.epoch, s.walSeq+1, s.flSeq
+	peekBase, peekSeq, flSeq := s.epoch, uint64(len(s.walDurable))+1, s.flSeq
 	s.mu.Unlock()
 	s.fl.Record(int64(s.clk.Now()), flight.EvWALAppend, int64(peekBase), int64(peekSeq), 0, "")
 	tail, flSeq := s.fl.Since(flSeq)
@@ -229,7 +229,7 @@ func (s *Store) WALCommit() (WALCommitStats, error) {
 	s.maybeResetWALLocked()
 	fr := &walFrame{
 		base:    s.epoch,
-		seq:     s.walSeq + 1,
+		seq:     uint64(len(s.walDurable)) + 1,
 		nextOID: s.nextOID,
 		ops:     s.walPending,
 	}
@@ -264,15 +264,10 @@ func (s *Store) WALCommit() (WALCommitStats, error) {
 		}
 		s.flSeq = flSeq
 	}
-	// A frame behind a fold that is not yet durable keeps the folded
-	// generation as the prefix the scan walks through: the ring may not
-	// restart under it until the next fold.
-	s.pendingWALReset = false
 	s.walHead += total
-	s.walSeq = fr.seq
+	s.walDurable = append(s.walDurable, done)
 	s.walPending = nil
 	s.pendingDurable = done
-	s.walDurable[fr.seq] = done
 	s.observeDurableLocked(done)
 	st.Bytes = total
 	st.DurableAt = done
@@ -296,16 +291,15 @@ func (s *Store) observeDurableLocked(done time.Duration) {
 	s.lastDurable = done
 }
 
-// maybeResetWALLocked performs the deferred head reset: once virtual time
-// passes the fold's superblock completion, no recoverable superblock can
-// need the folded generation's frames, and the ring restarts from zero.
-// Requires mu.
+// maybeResetWALLocked performs the deferred head reset, the log-structured
+// GC of a folded generation. The ring restarts from zero when it holds
+// frames, none of them the current generation's, and virtual time has passed
+// the newest commit's superblock completion: no recoverable superblock can
+// need the folded frames then. A frame appended behind a fold that is not
+// yet durable lands past the folded generation, which therefore stays the
+// prefix the recovery scan walks through until the next fold. Requires mu.
 func (s *Store) maybeResetWALLocked() {
-	if !s.pendingWALReset || s.clk.Now() < s.walResetAt {
-		return
-	}
-	s.pendingWALReset = false
-	if s.walHead == 0 {
+	if s.walHead == 0 || len(s.walDurable) > 0 || s.clk.Now() < s.retained[len(s.retained)-1].durable {
 		return
 	}
 	reclaimed := s.walHead
@@ -339,7 +333,7 @@ func (s *Store) Fold() (CheckpointStats, error) {
 func (s *Store) WALSeq() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.walSeq
+	return uint64(len(s.walDurable))
 }
 
 // WALHead returns the byte offset past the last appended frame in the
@@ -363,12 +357,15 @@ func (s *Store) WALRegion() (base, size int64) {
 // them by construction.
 func (s *Store) WaitWALDurable(seq uint64) error {
 	s.mu.Lock()
-	t, ok := s.walDurable[seq]
-	if !ok {
-		t, ok = s.durableAt[s.epoch]
+	var t time.Duration
+	c, err := s.retainedInfo(s.epoch)
+	if seq > 0 && seq <= uint64(len(s.walDurable)) {
+		t, err = s.walDurable[seq-1], nil
+	} else if err == nil {
+		t = c.durable
 	}
 	s.mu.Unlock()
-	if !ok {
+	if err != nil {
 		return fmt.Errorf("%w: wal seq %d", ErrNoEpoch, seq)
 	}
 	s.dev.WaitUntil(t)
@@ -433,8 +430,8 @@ func (s *Store) walReplayLocked(frames []*walFrame, end int64) error {
 	defer func() { s.replaying = false }()
 	for _, fr := range frames {
 		// A frame's ops ran live before it committed: retires judge reuse
-		// against the frames committed before it, as they did then.
-		s.walSeq = fr.seq - 1
+		// against the frames committed before it, as they did then. The
+		// frame joins the generation once applied, landed already.
 		if fr.nextOID > s.nextOID {
 			s.nextOID = fr.nextOID
 		}
@@ -443,7 +440,7 @@ func (s *Store) walReplayLocked(frames []*walFrame, end int64) error {
 				return fmt.Errorf("wal frame %d: %w", fr.seq, err)
 			}
 		}
-		s.walSeq = fr.seq
+		s.walDurable = append(s.walDurable, 0)
 	}
 	s.walHead = end
 	s.walReplayed = len(frames)
