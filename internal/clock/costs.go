@@ -72,7 +72,6 @@ type Costs struct {
 	RDBSerializeKV time.Duration // serialize one key/value pair
 	RDBWriteBps    int64         // RDB stream bandwidth to storage
 	ProcSpawnFloor time.Duration // fixed fork/exec cost
-	SchedQuantum   time.Duration // scheduler quantum for simulated threads
 }
 
 // DefaultCosts returns the model calibrated to the paper's testbed.
@@ -124,7 +123,6 @@ func DefaultCosts() *Costs {
 		RDBSerializeKV: 1100 * time.Nanosecond,
 		RDBWriteBps:    1700 << 20, // Table 7: 3x slower than Aurora's write
 		ProcSpawnFloor: 120 * time.Microsecond,
-		SchedQuantum:   1 * time.Millisecond,
 	}
 }
 
