@@ -2,6 +2,7 @@ package aurora
 
 import (
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -184,7 +185,8 @@ func TestRecoveredFlightAfterCrash(t *testing.T) {
 	}
 
 	// The rebooted machine restores and passes its self-check.
-	if _, _, err := m2.Restore("app"); err != nil {
+	g2, _, err := m2.Restore("app")
+	if err != nil {
 		t.Fatal(err)
 	}
 	r := m2.Inspect(32)
@@ -193,6 +195,38 @@ func TestRecoveredFlightAfterCrash(t *testing.T) {
 	}
 	if !r.Audit.OK() {
 		t.Fatalf("post-restore audit: %s", r.Audit)
+	}
+
+	// The recovered timeline is what recovery read: a commit of the new boot
+	// neither replaces it nor echoes the new boot's own ring into it.
+	if _, err := m2.Checkpoint("app"); err != nil {
+		t.Fatal(err)
+	}
+	if err := g2.Barrier(); err != nil {
+		t.Fatal(err)
+	}
+	after, afterSeq, ok, err := m2.RecoveredFlight()
+	if err != nil || !ok {
+		t.Fatalf("recovered flight after a post-boot commit: ok=%v err=%v", ok, err)
+	}
+	if afterSeq != seq || !slices.Equal(after, evs) {
+		t.Fatalf("a post-boot commit changed the recovered timeline: %d events seq %d, was %d events seq %d",
+			len(after), afterSeq, len(evs), seq)
+	}
+	for _, ev := range m2.Flight.Events() {
+		if slices.Contains(after, ev) {
+			t.Fatalf("recovered timeline holds the new boot's event %s", ev)
+		}
+	}
+
+	// A machine that never crashed recovered nothing, however often it has
+	// committed.
+	fresh, _ := inspectWorld(t)
+	if _, err := fresh.Checkpoint("app"); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok, err := fresh.RecoveredFlight(); ok || err != nil {
+		t.Fatalf("never-crashed machine reports a recovered flight (ok=%v err=%v)", ok, err)
 	}
 }
 

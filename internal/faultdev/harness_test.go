@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"aurora/internal/flight"
 	"aurora/internal/objstore"
 )
 
@@ -104,9 +105,13 @@ func commitWALChecked(ctl *Ctl) error {
 	if err := ctl.CommitWAL(); err != nil {
 		return err
 	}
-	evs, seq, ok, err := ctl.Store.RecoveredFlight()
-	if err != nil || !ok {
-		return fmt.Errorf("flight ring after a WAL commit: ok=%v err=%v", ok, err)
+	ring, err := ctl.Store.GetRecord(objstore.FlightOID)
+	if err != nil {
+		return fmt.Errorf("flight ring after a WAL commit: %v", err)
+	}
+	evs, seq, err := flight.Decode(ring)
+	if err != nil {
+		return fmt.Errorf("flight ring after a WAL commit: %v", err)
 	}
 	cur, curSeq := ctl.Fl.Events(), ctl.Fl.Seq()
 	want := seq

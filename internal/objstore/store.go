@@ -247,6 +247,11 @@ type Store struct {
 	// boot starts a fresh recorder, whose first tail is its whole ring).
 	flSeq uint64
 
+	// recovered is the ring FlightOID held when Recover finished, WAL
+	// replay included: what RecoveredFlight reports for the life of the
+	// store. nil on a formatted store, or one whose image had no ring.
+	recovered []byte
+
 	// replaying is set while walRecover replays the chain. Replay runs the
 	// apply the live mutators run; while it does, walNote records nothing
 	// and claimWALBlock takes the blocks frames name out of the free map.
@@ -326,6 +331,11 @@ func RecoverTraced(dev BlockDev, clk clock.Clock, costs *clock.Costs, tr *trace.
 	if err != nil {
 		return nil, err
 	}
+	if _, ok := s.objects[FlightOID]; ok {
+		if s.recovered, err = s.GetRecord(FlightOID); err != nil {
+			return nil, err
+		}
+	}
 	sp.End(trace.I("epoch", int64(s.epoch)), trace.I("objects", int64(len(s.objects))))
 	return s, nil
 }
@@ -343,22 +353,16 @@ func (s *Store) SetFlight(fl *flight.Recorder) { s.fl = fl }
 // Flight returns the attached flight recorder (nil if none).
 func (s *Store) Flight() *flight.Recorder { return s.fl }
 
-// RecoveredFlight decodes the flight ring persisted by the last committed
-// checkpoint: the pre-crash forensic timeline after a recovery. It returns
-// the events oldest-first plus the recorder's sequence number at snapshot
-// time; ok is false if no flight object was ever committed.
+// RecoveredFlight decodes the flight ring Recover read: the pre-crash
+// forensic timeline, as of the commit recovery landed on. Later commits of
+// this boot do not change it. It returns the events oldest-first plus the
+// recorder's sequence number at that commit; ok is false on a store Format
+// created, or one whose image carried no ring.
 func (s *Store) RecoveredFlight() (evs []flight.Event, seq uint64, ok bool, err error) {
-	s.mu.Lock()
-	_, exists := s.objects[FlightOID]
-	s.mu.Unlock()
-	if !exists {
+	if s.recovered == nil {
 		return nil, 0, false, nil
 	}
-	buf, err := s.GetRecord(FlightOID)
-	if err != nil {
-		return nil, 0, true, err
-	}
-	evs, seq, err = flight.Decode(buf)
+	evs, seq, err = flight.Decode(s.recovered)
 	return evs, seq, true, err
 }
 
