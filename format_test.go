@@ -117,8 +117,8 @@ func TestOnDiskFormatPinned(t *testing.T) {
 // The logical image is what a store holds, not where or when it put it: every
 // live object in ascending OID order (OID, user type, then the record bytes, a
 // memory object's size and present pages, or a journal's capacity and
-// entries), with the flight ring (objstore.FlightOID) left out because its
-// events carry virtual timestamps. A change to the virtual-time model moves
+// entries). The flight ring is commit metadata, not an object, so virtual
+// timestamps do not reach these digests. A change to the virtual-time model moves
 // onDiskFormatSHA and every scenario fingerprint and must leave these digests
 // alone; a change to what a checkpoint captures moves these.
 const (
@@ -142,9 +142,6 @@ func logicalImageDigest(t *testing.T, m *aurora.Machine) string {
 	}
 	bytesOf := func(b []byte) { u64(uint64(len(b))); h.Write(b) }
 	for _, oid := range m.Store.Objects() {
-		if oid == objstore.FlightOID {
-			continue
-		}
 		ut, err := m.Store.UType(oid)
 		if err != nil {
 			t.Fatal(err)

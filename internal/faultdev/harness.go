@@ -12,6 +12,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 
 	"aurora/internal/clock"
 	"aurora/internal/device"
@@ -47,6 +48,12 @@ type commitPoint struct {
 	walSeq uint64
 	after  int64 // Dev.Submits() immediately after the commit returned
 	snap   snapshot
+
+	// ring and ringSeq are the flight ring the commit carries: the
+	// recorder's as it cut it. The formatted point carries none (hasRing).
+	ring    []flight.Event
+	ringSeq uint64
+	hasRing bool
 }
 
 // Ctl hands the workload its store and device and records commit goldens.
@@ -56,14 +63,17 @@ type Ctl struct {
 	Clk   *clock.Virtual
 	Costs *clock.Costs
 	Tr    *trace.Tracer    // non-nil only on traced failure replays
-	Fl    *flight.Recorder // live flight ring, persisted by every Commit
+	Fl    *flight.Recorder // live flight ring, carried by every commit
 
-	points []commitPoint
+	points  []commitPoint
+	history []flight.Event // every event Fl recorded, event n at n-1 (see note)
+	began   uint64         // Fl.Seq() when the commit in progress began
 }
 
 // Commit checkpoints the store and records the committed image as a
 // golden. Workloads must use it instead of calling Checkpoint directly.
 func (c *Ctl) Commit() error {
+	c.began = c.note()
 	if _, err := c.Store.Checkpoint(); err != nil {
 		return err
 	}
@@ -76,6 +86,7 @@ func (c *Ctl) Commit() error {
 // which folds and retries — deterministically, so every replay hits the
 // same fallback at the same submit index.
 func (c *Ctl) CommitWAL() error {
+	c.began = c.note()
 	if _, err := c.Store.WALCommit(); err != nil {
 		return err
 	}
@@ -87,6 +98,7 @@ func (c *Ctl) CommitWAL() error {
 // dead WAL generation — the log-structured GC step — then records the
 // golden.
 func (c *Ctl) Fold() error {
+	c.began = c.note()
 	if _, err := c.Store.Fold(); err != nil {
 		return err
 	}
@@ -100,6 +112,17 @@ func (c *Ctl) Barrier() error {
 	return c.Store.WaitDurable(c.Store.Epoch())
 }
 
+// note brings history up to the recorder and returns its seq. The recorder
+// is a bounded ring, so history has no gap as long as the workload records
+// fewer than its capacity between two commits.
+func (c *Ctl) note() uint64 {
+	evs, seq := c.Fl.Events(), c.Fl.Seq()
+	if n := int(seq) - len(c.history); n > 0 && n <= len(evs) {
+		c.history = append(c.history, evs[len(evs)-n:]...)
+	}
+	return seq
+}
+
 func (c *Ctl) record() {
 	snap, err := snapshotStore(c.Store)
 	if err != nil {
@@ -107,11 +130,25 @@ func (c *Ctl) record() {
 		// run is already broken and the sweep's verification will say so.
 		return
 	}
+	c.note()
+	// A commit cuts the ring right after the wal.append or wal.fold event it
+	// records first, if it records one; the events after that are its own
+	// writes, settles and GC.
+	seq := c.began
+	if int(seq) < len(c.history) {
+		if k := c.history[seq].Kind; k == flight.EvWALAppend || k == flight.EvWALFold {
+			seq++
+		}
+	}
+	ring := c.history[max(0, int(seq)-c.Fl.Cap()):seq]
 	c.points = append(c.points, commitPoint{
-		epoch:  c.Store.Epoch(),
-		walSeq: c.Store.WALSeq(),
-		after:  c.Dev.Submits(),
-		snap:   snap,
+		epoch:   c.Store.Epoch(),
+		walSeq:  c.Store.WALSeq(),
+		after:   c.Dev.Submits(),
+		snap:    snap,
+		ring:    ring,
+		ringSeq: seq,
+		hasRing: len(c.points) > 0,
 	})
 }
 
@@ -189,9 +226,9 @@ func (h *Harness) newRun(plan Plan, traced bool) (*Ctl, error) {
 	}
 	s.SetTracer(tr)
 	// Every run carries a flight recorder: the stripe logs barrier writes,
-	// the fault device logs cuts/tears/rollbacks, and the store persists
-	// the ring into FlightOID on each commit — so every recovered image
-	// carries its own pre-crash timeline.
+	// the fault device logs cuts/tears/rollbacks, and every commit carries
+	// the ring — so every recovered image carries its own pre-crash
+	// timeline.
 	fl := flight.NewRecorder(0)
 	stripe.SetFlight(fl)
 	fd.SetFlight(fl)
@@ -308,8 +345,8 @@ func (h *Harness) replayAttempt(points []commitPoint, k int64, traced bool) erro
 	if rep := s2.Fsck(); !rep.OK() {
 		return fail("fsck found %d problems after recovery: %v", len(rep.Problems), rep.Problems)
 	}
-	if err := verifyFlightTimeline(s2, ctl.Dev, k, h.Torn, h.DropInFlight); err != nil {
-		return fail("flight timeline: %v", err)
+	if err := verifyCrashLog(ctl.Dev, k, h.Torn, h.DropInFlight); err != nil {
+		return fail("crash log: %v", err)
 	}
 
 	// Atomicity: under the prefix model the recovered (epoch, walSeq) must
@@ -355,15 +392,21 @@ func (h *Harness) replayAttempt(points []commitPoint, k int64, traced bool) erro
 	if err := compareSnapshot(s2, golden.snap); err != nil {
 		return fail("recovered image differs from epoch %d wal-seq %d golden: %v", golden.epoch, golden.walSeq, err)
 	}
+	// The forensic timeline: the recovered ring is exactly the one the
+	// recorder held when the golden commit cut it — no event after the cut,
+	// none lost to a failed commit, the replayed WAL phase included.
+	evs, seq, ok, err := s2.RecoveredFlight()
+	if err != nil || ok != golden.hasRing || seq != golden.ringSeq || !slices.Equal(evs, golden.ring) {
+		return fail("recovered flight ring (ok=%v err=%v) at seq %d, %d events, but epoch %d wal-seq %d carried seq %d, %d events:\n%s",
+			ok, err, seq, len(evs), golden.epoch, golden.walSeq, golden.ringSeq, len(golden.ring), flight.Format(evs))
+	}
 	return nil
 }
 
-// verifyFlightTimeline checks the forensics claim on a recovered store:
-// the persisted flight ring (if any epoch carrying one committed) must
-// decode cleanly and contain only events from before the cut, and the
-// device crash log must name the power cut at exactly the swept submit
-// index — the recovered timeline explains which write killed the machine.
-func verifyFlightTimeline(s *objstore.Store, dev *Dev, k int64, torn, dropInFlight bool) error {
+// verifyCrashLog checks the other half of the forensic timeline: the device
+// crash log must name the power cut at exactly the swept submit index — the
+// recovered timeline explains which write killed the machine.
+func verifyCrashLog(dev *Dev, k int64, torn, dropInFlight bool) error {
 	log := dev.CrashLog()
 	var cut *flight.Event
 	for i := range log {
@@ -393,42 +436,6 @@ func verifyFlightTimeline(s *objstore.Store, dev *Dev, k int64, torn, dropInFlig
 		if !found {
 			return fmt.Errorf("torn plan produced no torn-write event:\n%s", flight.Format(log))
 		}
-	}
-	evs, _, ok, err := s.RecoveredFlight()
-	if err != nil {
-		return fmt.Errorf("persisted ring corrupt: %v", err)
-	}
-	if !ok {
-		// Recovery landed on the formatted image, which predates the
-		// recorder's first persisted snapshot — nothing more to check.
-		return nil
-	}
-	for _, ev := range evs {
-		if ev.At > cut.At {
-			return fmt.Errorf("persisted event postdates the cut (%d > %d): %v", ev.At, cut.At, ev)
-		}
-		if ev.Kind == flight.EvPowerCut {
-			return fmt.Errorf("persisted ring contains the power cut that interrupted it: %v", ev)
-		}
-	}
-	// Phase evidence: the recovered ring's append events for the recovered
-	// epoch must reach exactly the replayed frame sequence. Each WALCommit
-	// records its append event before persisting the ring into its own
-	// frame, so frame N's snapshot carries appends 1..N — a replay to seq N
-	// that cannot show append N (or shows a later one) recovered the wrong
-	// phase of the timeline. The comparison is on the maximum sequence, not
-	// the count: a commit that failed with ErrWALFull and retried records
-	// its sequence twice, legitimately.
-	epoch, walSeq := int64(s.Epoch()), int64(s.WALSeq())
-	var maxSeq int64
-	for _, ev := range evs {
-		if ev.Kind == flight.EvWALAppend && ev.A == epoch && ev.B > maxSeq {
-			maxSeq = ev.B
-		}
-	}
-	if maxSeq != walSeq {
-		return fmt.Errorf("recovered wal seq %d but persisted ring's appends for epoch %d reach seq %d:\n%s",
-			walSeq, epoch, maxSeq, flight.Format(evs))
 	}
 	return nil
 }

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"aurora/internal/flight"
 	"aurora/internal/objstore"
 )
 
@@ -94,43 +93,6 @@ func TestExhaustiveCrashSweepDropInFlight(t *testing.T) {
 	}
 }
 
-// commitWALChecked appends a WAL frame and then holds the ring FlightOID now
-// holds — the golden every replay landing on this frame is compared with — to
-// the recorder: it must be the full ring as of the sequence number it carries,
-// not a tail and not a stale snapshot. The frame's own device write is
-// recorded after the tail was cut, so the recorder has moved on by an event or
-// two; events it has since evicted cannot be compared, everything else must
-// match exactly.
-func commitWALChecked(ctl *Ctl) error {
-	if err := ctl.CommitWAL(); err != nil {
-		return err
-	}
-	ring, err := ctl.Store.GetRecord(objstore.FlightOID)
-	if err != nil {
-		return fmt.Errorf("flight ring after a WAL commit: %v", err)
-	}
-	evs, seq, err := flight.Decode(ring)
-	if err != nil {
-		return fmt.Errorf("flight ring after a WAL commit: %v", err)
-	}
-	cur, curSeq := ctl.Fl.Events(), ctl.Fl.Seq()
-	want := seq
-	if c := uint64(ctl.Fl.Cap()); want > c {
-		want = c
-	}
-	if uint64(len(evs)) != want || seq > curSeq {
-		return fmt.Errorf("flight ring at seq %d holds %d events, a full snapshot holds %d (recorder at %d)", seq, len(evs), want, curSeq)
-	}
-	for i, ev := range evs {
-		// ev is event number seq-len(evs)+1+i; cur[0] is number curSeq-len(cur)+1.
-		idx := int64(seq) - int64(len(evs)) + int64(i) - (int64(curSeq) - int64(len(cur)))
-		if idx >= 0 && cur[idx] != ev {
-			return fmt.Errorf("flight ring event %d differs from the recorder's: %v vs %v", i, ev, cur[idx])
-		}
-	}
-	return nil
-}
-
 // walWorkload drives the WAL-first commit path through every phase the
 // sweep must cover: delta appends (inline puts, page publishes, journal
 // ops, deletes), a fold whose generation stays on disk until its
@@ -145,7 +107,7 @@ func walWorkload(ctl *Ctl) error {
 	if err := s.PutRecord(rec, 1, []byte("wal-rec-v1")); err != nil {
 		return err
 	}
-	if err := commitWALChecked(ctl); err != nil {
+	if err := ctl.CommitWAL(); err != nil {
 		return err
 	}
 	paged := s.NewOID()
@@ -157,7 +119,7 @@ func walWorkload(ctl *Ctl) error {
 			return err
 		}
 	}
-	if err := commitWALChecked(ctl); err != nil {
+	if err := ctl.CommitWAL(); err != nil {
 		return err
 	}
 	joid := s.NewOID()
@@ -172,7 +134,7 @@ func walWorkload(ctl *Ctl) error {
 	if err := s.PutRecord(doomed, 3, []byte("doomed")); err != nil {
 		return err
 	}
-	if err := commitWALChecked(ctl); err != nil {
+	if err := ctl.CommitWAL(); err != nil {
 		return err
 	}
 
@@ -189,7 +151,7 @@ func walWorkload(ctl *Ctl) error {
 	if err := s.WritePage(paged, 1, page); err != nil {
 		return err
 	}
-	if err := commitWALChecked(ctl); err != nil {
+	if err := ctl.CommitWAL(); err != nil {
 		return err
 	}
 
@@ -204,7 +166,7 @@ func walWorkload(ctl *Ctl) error {
 	if _, err := j.Append([]byte("second-generation")); err != nil {
 		return err
 	}
-	if err := commitWALChecked(ctl); err != nil {
+	if err := ctl.CommitWAL(); err != nil {
 		return err
 	}
 	return ctl.Commit()
@@ -362,12 +324,12 @@ func walRandomWorkload(seed int64) Workload {
 		var oids []objstore.OID
 		page := make([]byte, objstore.BlockSize)
 		commitWAL := func() error {
-			err := commitWALChecked(ctl)
+			err := ctl.CommitWAL()
 			if errors.Is(err, objstore.ErrWALFull) {
 				if err := ctl.Fold(); err != nil {
 					return err
 				}
-				return commitWALChecked(ctl)
+				return ctl.CommitWAL()
 			}
 			return err
 		}

@@ -1,10 +1,12 @@
 // Package flight is the machine's black box: a bounded ring of typed
-// events fed from the same hook sites as the tracer, serialized into the
-// object store on every checkpoint so the recent past survives a power
-// cut and replicates like any other object. After a crash the restored
-// image still holds the ring as of the last durable checkpoint; the
-// fault device separately preserves the cut/torn events themselves
-// (which by definition can never make it into the checkpoint they
+// events fed from the same hook sites as the tracer. The object store
+// persists it in the commit records it already writes — the whole ring in
+// every checkpoint index, the events since the last accepted commit in every
+// WAL frame — so the recent past survives a power cut. It is commit
+// metadata, not an object: it neither replicates nor takes an OID. After a
+// crash the recovered store holds the ring as of the commit it landed on;
+// the fault device separately preserves the cut/torn events themselves
+// (which by definition can never make it into the commit they
 // interrupted), and the two together form the forensic timeline.
 //
 // Events carry the virtual-clock timestamp, a kind, three kind-specific
@@ -23,14 +25,6 @@ import (
 
 	"aurora/internal/rec"
 )
-
-// StoreOID is the reserved object-store OID the ring serializes into.
-// It sits at the very top of the OID space, far above anything the
-// allocator (which counts up from 1) will ever hand out.
-const StoreOID = ^uint64(0)
-
-// UType tags the serialized ring record in the store ("FL").
-const UType = 0x464C
 
 // Kind identifies an event type.
 type Kind uint8
@@ -206,16 +200,10 @@ func (r *Recorder) Tail(n int) []Event {
 	return evs
 }
 
-// Snapshot serializes the resident ring into a sealed record.
-func (r *Recorder) Snapshot() []byte {
-	b, _ := r.Since(0)
-	return b
-}
-
-// Since serializes, in Snapshot's format, the resident events recorded after
-// sequence number seq — the whole ring when it has wrapped past seq — and
-// returns the recorder's sequence number: the seq to pass next time, so that
-// consecutive tails tile the event stream (see Merge).
+// Since serializes into a sealed record the resident events recorded after
+// sequence number seq — the whole ring when it has wrapped past seq, or for
+// seq 0 — and returns the recorder's sequence number: the seq to pass next
+// time, so that consecutive tails tile the event stream. Decode reads it.
 func (r *Recorder) Since(seq uint64) ([]byte, uint64) {
 	if r == nil {
 		r = new(Recorder) // an empty ring
@@ -228,7 +216,9 @@ func (r *Recorder) Since(seq uint64) ([]byte, uint64) {
 		n = int(d)
 	}
 	e.Grow(16 + n*eventWire + 4) // exact for a ring without details
-	putHeader(&e, r.seq, n)
+	e.U32(snapMagic)
+	e.U64(r.seq)
+	e.U32(uint32(n))
 	for i := len(r.ring) - n; i < len(r.ring); i++ {
 		ev := &r.ring[(r.head+i)%len(r.ring)]
 		e.I64(ev.At)
@@ -239,10 +229,6 @@ func (r *Recorder) Since(seq uint64) ([]byte, uint64) {
 		e.Str(ev.Detail)
 	}
 	return e.Seal(), r.seq
-}
-
-func getEvent(d *rec.Decoder) Event {
-	return Event{At: d.I64(), Kind: Kind(d.U8()), A: d.I64(), B: d.I64(), C: d.I64(), Detail: d.Str()}
 }
 
 // Cap returns the ring's capacity in events.
@@ -259,44 +245,28 @@ const snapMagic = 0x464C5431 // "FLT1"
 // kind, three args, and an empty detail's length prefix.
 const eventWire = 8 + 1 + 3*8 + 4
 
-func putHeader(e *rec.Encoder, seq uint64, n int) {
-	e.U32(snapMagic)
-	e.U64(seq)
-	e.U32(uint32(n))
-}
-
-// open verifies a serialized ring's seal and header and returns a decoder at
-// its first event. The count is validated against the record size, so a
-// corrupt one can neither size an allocation nor drive a loop.
-func open(b []byte) (d *rec.Decoder, seq uint64, n int, err error) {
-	d, err = rec.NewDecoder(b)
+// Decode parses a serialized ring. It returns the events oldest-first
+// and the recorder's total sequence number at snapshot time. The count is
+// validated against the record size, so a corrupt one can neither size an
+// allocation nor drive a loop.
+func Decode(b []byte) ([]Event, uint64, error) {
+	d, err := rec.NewDecoder(b)
 	if err != nil {
-		return nil, 0, 0, fmt.Errorf("flight: %w", err)
+		return nil, 0, fmt.Errorf("flight: %w", err)
 	}
 	if m := d.U32(); m != snapMagic {
-		return nil, 0, 0, fmt.Errorf("flight: %w: bad magic %#x", rec.ErrCorrupt, m)
+		return nil, 0, fmt.Errorf("flight: %w: bad magic %#x", rec.ErrCorrupt, m)
 	}
-	seq = d.U64()
-	n = int(d.U32())
+	seq, n := d.U64(), int(d.U32())
 	if d.Err() != nil {
-		return nil, 0, 0, fmt.Errorf("flight: %w", d.Err())
+		return nil, 0, fmt.Errorf("flight: %w", d.Err())
 	}
 	if n < 0 || n > d.Remaining()/eventWire {
-		return nil, 0, 0, fmt.Errorf("flight: %w: event count %d exceeds record", rec.ErrCorrupt, n)
-	}
-	return d, seq, n, nil
-}
-
-// Decode parses a serialized ring. It returns the events oldest-first
-// and the recorder's total sequence number at snapshot time.
-func Decode(b []byte) ([]Event, uint64, error) {
-	d, seq, n, err := open(b)
-	if err != nil {
-		return nil, 0, err
+		return nil, 0, fmt.Errorf("flight: %w: event count %d exceeds record", rec.ErrCorrupt, n)
 	}
 	evs := make([]Event, 0, n)
 	for i := 0; i < n; i++ {
-		ev := getEvent(d)
+		ev := Event{At: d.I64(), Kind: Kind(d.U8()), A: d.I64(), B: d.I64(), C: d.I64(), Detail: d.Str()}
 		if d.Err() != nil {
 			return nil, 0, fmt.Errorf("flight: event %d: %w", i, d.Err())
 		}
@@ -306,42 +276,6 @@ func Decode(b []byte) ([]Event, uint64, error) {
 		return nil, 0, fmt.Errorf("flight: %w: %d trailing bytes", rec.ErrCorrupt, d.Remaining())
 	}
 	return evs, seq, nil
-}
-
-// Merge folds tail — Since(s), s being base's sequence number — onto the
-// serialized ring base, giving byte for byte the Snapshot a recorder of that
-// capacity would have taken at the tail's sequence number: base's events, then
-// the tail's, the oldest dropped beyond capacity. No base is an empty ring. A
-// tail that does not start where base ends (the ring wrapped in between, or it
-// is another boot's recorder) holds all that is resident; base's events go.
-func Merge(base, tail []byte, capacity int) ([]byte, error) {
-	td, seq, nt, err := open(tail)
-	if err != nil {
-		return nil, err
-	}
-	var kept []byte
-	nb := 0
-	if len(base) > 0 {
-		bd, bseq, n, err := open(base)
-		if err != nil {
-			return nil, err
-		}
-		if bseq+uint64(nt) == seq {
-			for nb = n; nb > 0 && nb+nt > capacity; nb-- {
-				getEvent(bd)
-			}
-			if bd.Err() != nil {
-				return nil, fmt.Errorf("flight: %w", bd.Err())
-			}
-			kept = bd.Rest()
-		}
-	}
-	var e rec.Encoder
-	e.Grow(len(base) + len(tail))
-	putHeader(&e, seq, nb+nt)
-	e.Append(kept)
-	e.Append(td.Rest())
-	return e.Seal(), nil
 }
 
 // Format renders events as an indented timeline block, one line each.

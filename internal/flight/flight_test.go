@@ -1,16 +1,12 @@
 package flight
 
 import (
-	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
-	"math/rand"
+	"slices"
 	"strings"
 	"testing"
-
-	"aurora/internal/rec"
 )
 
 func TestNilRecorderSafe(t *testing.T) {
@@ -25,9 +21,15 @@ func TestNilRecorderSafe(t *testing.T) {
 	if r.Seq() != 0 {
 		t.Fatalf("nil recorder Seq = %d, want 0", r.Seq())
 	}
-	if b := r.Snapshot(); b == nil {
-		t.Fatalf("nil recorder Snapshot should still seal an empty ring")
+	if b, seq := r.Since(0); b == nil || seq != 0 {
+		t.Fatalf("nil recorder Since should still seal an empty ring")
 	}
+}
+
+// snapshot is the whole resident ring, serialized.
+func snapshot(r *Recorder) []byte {
+	b, _ := r.Since(0)
+	return b
 }
 
 func TestRingEvictsOldest(t *testing.T) {
@@ -74,7 +76,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	for _, ev := range want {
 		r.Record(ev.At, ev.Kind, ev.A, ev.B, ev.C, ev.Detail)
 	}
-	evs, seq, err := Decode(r.Snapshot())
+	evs, seq, err := Decode(snapshot(r))
 	if err != nil {
 		t.Fatalf("Decode: %v", err)
 	}
@@ -96,7 +98,7 @@ func TestSnapshotRoundTripAfterWrap(t *testing.T) {
 	for i := int64(0); i < 7; i++ {
 		r.Record(i, EvDevWrite, i*100, 0, 0, "")
 	}
-	evs, seq, err := Decode(r.Snapshot())
+	evs, seq, err := Decode(snapshot(r))
 	if err != nil {
 		t.Fatalf("Decode: %v", err)
 	}
@@ -119,7 +121,7 @@ func TestDecodeCorrupt(t *testing.T) {
 	r := NewRecorder(4)
 	r.Record(5, EvCheckpointBegin, 1, 2, 3, "hello")
 	r.Record(6, EvCheckpointEnd, 1, 2, 4096, "")
-	good := r.Snapshot()
+	good := snapshot(r)
 	body := good[:len(good)-4]
 
 	cases := []struct {
@@ -192,75 +194,24 @@ func TestFormat(t *testing.T) {
 	}
 }
 
-// TestMergedTailsEqualSnapshot: a full snapshot plus the tails cut since —
-// each from where the last one ended — merge into the ring a full snapshot at
-// the last tail would have serialized, byte for byte, whatever the capacity,
-// the gaps between cuts (none, a few events, several times the ring) and the
-// detail lengths.
-func TestMergedTailsEqualSnapshot(t *testing.T) {
-	for seed := int64(1); seed <= 200; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		capacity := 1 + rng.Intn(40)
-		r := NewRecorder(capacity)
-		record := func(n int) {
-			for i := 0; i < n; i++ {
-				r.Record(rng.Int63(), Kind(1+rng.Intn(20)), rng.Int63(), -rng.Int63(), int64(i),
-					strings.Repeat("d", rng.Intn(MaxDetail+8)))
-			}
-		}
-		gap := func() int {
-			switch rng.Intn(4) {
-			case 0:
-				return 0
-			case 1:
-				return rng.Intn(3 * capacity)
-			default:
-				return rng.Intn(6)
-			}
-		}
-		record(gap())
-		ring, seq := r.Since(0)
-		if !bytes.Equal(ring, r.Snapshot()) {
-			t.Fatalf("seed %d: Since(0) differs from Snapshot", seed)
-		}
-		for k := 0; k < 12; k++ {
-			record(gap())
-			var tail []byte
-			tail, seq = r.Since(seq)
-			var err error
-			if ring, err = Merge(ring, tail, r.Cap()); err != nil {
-				t.Fatalf("seed %d tail %d: %v", seed, k, err)
-			}
-			if want := r.Snapshot(); !bytes.Equal(ring, want) {
-				t.Fatalf("seed %d tail %d (cap %d, seq %d): merged ring differs from the snapshot (%d vs %d bytes)",
-					seed, k, capacity, seq, len(ring), len(want))
-			}
-		}
-		// The first tail of a fresh boot's recorder replaces the old ring.
-		r2 := NewRecorder(capacity)
-		r2.Record(1, EvRestore, 2, 3, 4, "boot")
-		tail, _ := r2.Since(0)
-		got, err := Merge(ring, tail, capacity)
-		if err != nil || !bytes.Equal(got, r2.Snapshot()) {
-			t.Fatalf("seed %d: another recorder's tail did not replace the ring (err %v)", seed, err)
-		}
-		// No base at all is an empty ring.
-		if got, err := Merge(nil, tail, capacity); err != nil || !bytes.Equal(got, r2.Snapshot()) {
-			t.Fatalf("seed %d: merge onto no base: err %v", seed, err)
-		}
-	}
-}
-
-func TestMergeRejectsCorrupt(t *testing.T) {
+// TestSinceTiles: consecutive tails, each cut from where the last ended,
+// decode to the events recorded in between, and a tail cut after the ring
+// wrapped past its seq holds the whole ring.
+func TestSinceTiles(t *testing.T) {
 	r := NewRecorder(4)
-	r.Record(1, EvRestore, 0, 0, 0, "x")
-	good := r.Snapshot()
-	bad := append([]byte(nil), good...)
-	bad[len(bad)/2] ^= 1
-	if _, err := Merge(good, bad, 4); !errors.Is(err, rec.ErrCorrupt) {
-		t.Fatalf("corrupt tail: %v", err)
-	}
-	if _, err := Merge(bad, good, 4); !errors.Is(err, rec.ErrCorrupt) {
-		t.Fatalf("corrupt base: %v", err)
+	var seq uint64
+	for i, n := range []int{0, 1, 3, 4, 9} {
+		for j := 0; j < n; j++ {
+			r.Record(int64(i*100+j), EvFlushJob, int64(j), 0, 0, "")
+		}
+		tail, next := r.Since(seq)
+		evs, tseq, err := Decode(tail)
+		if err != nil || tseq != next || next != seq+uint64(n) {
+			t.Fatalf("tail %d: seq %d next %d err %v", i, tseq, next, err)
+		}
+		if want := r.Tail(n); !slices.Equal(evs, want) {
+			t.Fatalf("tail %d holds %v, want %v", i, evs, want)
+		}
+		seq = next
 	}
 }

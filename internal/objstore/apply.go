@@ -13,7 +13,6 @@ package objstore
 import (
 	"fmt"
 
-	"aurora/internal/flight"
 	"aurora/internal/radix"
 )
 
@@ -33,7 +32,7 @@ func (s *Store) mutate(op *walOp) error {
 // impossible mutation is corrupt. An op that fails leaves its object as it
 // was. Ops travel by pointer and every body is a function of its own so that
 // a page publish, once per flushed page, carries a small frame, not the union
-// of all six. Requires mu.
+// of all five. Requires mu.
 func (s *Store) apply(op *walOp) error {
 	switch op.kind {
 	case walOpPut:
@@ -46,8 +45,6 @@ func (s *Store) apply(op *walOp) error {
 		return s.applyDelete(op)
 	case walOpJournal:
 		return s.applyJournal(op)
-	case walOpFlight:
-		return s.applyFlight(op)
 	}
 	return fmt.Errorf("%w: unknown wal op %d", ErrCorrupt, op.kind)
 }
@@ -157,19 +154,6 @@ func (s *Store) applyJournal(op *walOp) error {
 	}
 	o.size = 0
 	return nil
-}
-
-// applyFlight merges a frame's flight tail onto the ring FlightOID holds.
-func (s *Store) applyFlight(op *walOp) error {
-	o := s.ensure(op.oid, flight.UType)
-	if o.journal != nil {
-		return fmt.Errorf("%w: flight tail on journal %d", ErrCorrupt, op.oid)
-	}
-	ring, err := flight.Merge(o.inline, op.data, int(op.size))
-	if err != nil {
-		return corrupt(err)
-	}
-	return s.setInline(o, flight.UType, ring)
 }
 
 // extend grows a paged o to cover end: the size op the page writers note

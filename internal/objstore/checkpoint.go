@@ -44,15 +44,20 @@ func (s *Store) Checkpoint() (CheckpointStats, error) { return s.CheckpointRetai
 // bound of 1 keeps 2, and 0 keeps everything.
 func (s *Store) CheckpointRetaining(retain int) (st CheckpointStats, err error) {
 	// When WAL frames are outstanding this checkpoint is their fold: record
-	// it before the flight ring is serialized so the committing snapshot
-	// carries the fold that absorbed the frames.
+	// it before the flight ring is cut so the index carries the fold that
+	// absorbed the frames. Events recorded during the commit itself land in
+	// the next commit's ring.
 	s.mu.Lock()
 	foldBase, foldFrames := s.curEpoch(), len(s.walDurable)
 	s.mu.Unlock()
 	if foldFrames > 0 {
 		s.fl.Record(int64(s.clk.Now()), flight.EvWALFold, int64(foldBase), int64(foldFrames), 0, "")
 	}
-	s.persistFlight()
+	var ring []byte
+	var ringSeq uint64
+	if s.fl != nil {
+		ring, ringSeq = s.fl.Since(0)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	sw := clock.StartStopwatch(s.clk)
@@ -133,7 +138,9 @@ func (s *Store) CheckpointRetaining(retain int) (st CheckpointStats, err error) 
 	// storage and its size is known before it is placed: the superblock
 	// names the run, and loadIndex takes it back out of the map it loads.
 	s.releasing = coalesce(s.releasing)
-	e := encodeIndex(s.indexState(cur))
+	idx := s.indexState(cur)
+	idx.flight = ring
+	e := encodeIndex(idx)
 	idxLen := int64(e.Len()) + 4
 	idxAddr, err := s.allocRun(blocksFor(idxLen))
 	if err != nil {
@@ -163,6 +170,7 @@ func (s *Store) CheckpointRetaining(retain int) (st CheckpointStats, err error) 
 		return st, err
 	}
 	s.superSlot = 1 - s.superSlot
+	s.flSeq = ringSeq // WAL frames carry the events after it (see WALCommit)
 	phase.End(trace.I("epoch", int64(cur)))
 
 	// 5. The committed checkpoint joins retained history. Its index
@@ -228,23 +236,6 @@ func (s *Store) submitNew(p []byte, addr int64) error {
 		s.releasing = append(s.releasing, blockRun{addr, blocksFor(int64(len(p)))})
 	}
 	return err
-}
-
-// persistFlight serializes the flight ring into the reserved FlightOID so
-// the committing checkpoint carries the event history that led up to it.
-// It runs before the commit takes s.mu (PutRecord locks internally); events
-// recorded during the commit itself land in the next epoch's snapshot.
-func (s *Store) persistFlight() {
-	if s.fl == nil {
-		return
-	}
-	snap, seq := s.fl.Since(0)
-	// The ring is bounded (flight.DefaultCap events, capped details), so
-	// the snapshot stays an inline record — one contiguous write per epoch.
-	_ = s.PutRecord(FlightOID, flight.UType, snap)
-	s.mu.Lock()
-	s.flSeq = seq // WAL frames carry the events after it (see WALCommit)
-	s.mu.Unlock()
 }
 
 // indexState snapshots the free map and object table for encoding. Queued
@@ -347,6 +338,9 @@ func (s *Store) loadIndex(addr, length int64, sp trace.Span) error {
 	s.deadlist = idx.deadlist
 	s.retained = append(idx.retained, ckptInfo{epoch: idx.epoch, indexAddr: addr, indexLen: length})
 	s.image = image{s: s, objects: objects}
+	if idx.flight != nil {
+		s.recovered = [][]byte{idx.flight}
+	}
 	return nil
 }
 

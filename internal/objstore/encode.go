@@ -18,10 +18,10 @@ import (
 // every checkpoint index, is the one tools (and tests) look for on raw media.
 const (
 	magicSuper  = 0x41525342 // "ARSB"
-	IndexMagic  = 0x4152494E // "ARIN": an index of a store whose journal frames are log frames
+	IndexMagic  = 0x4152494F // "ARIO": an index that carries the flight ring after its object table
 	magicRecord = 0x41524F42 // "AROB"
 	magicFrame  = 0x4152464D // "ARFM"
-	magicWAL    = 0x4152574C // "ARWL"
+	magicWAL    = 0x4152574D // "ARWM": a frame whose flight tail is a field, not an op
 )
 
 // Object shapes stored in records.
@@ -162,6 +162,7 @@ type indexState struct {
 	deadlist []deadBlock
 	retained []ckptInfo
 	objects  []indexEntry
+	flight   []byte // the flight ring the commit carries (flight.Decode); empty without a recorder
 }
 
 type indexEntry struct {
@@ -173,7 +174,7 @@ type indexEntry struct {
 // encodeIndex serializes a checkpoint index, returning the unsealed body.
 func encodeIndex(st *indexState) *rec.Encoder {
 	var e rec.Encoder
-	e.Grow(int(indexLen(len(st.free), len(st.deadlist), len(st.retained), len(st.objects))))
+	e.Grow(int(indexLen(len(st.free), len(st.deadlist), len(st.retained), len(st.objects), len(st.flight))))
 	e.U32(IndexMagic)
 	e.U64(uint64(st.epoch))
 	e.U64(uint64(st.nextOID))
@@ -200,13 +201,15 @@ func encodeIndex(st *indexState) *rec.Encoder {
 		e.I64(o.addr)
 		e.I64(o.len)
 	}
+	e.Bytes(st.flight)
 	return &e
 }
 
-// indexLen is the sealed size of an index with the given list lengths: the
-// fixed header, four counted lists and the CRC.
-func indexLen(runs, dead, retained, objects int) int64 {
-	return 4 + 2*8 + 4*4 + 16*int64(runs) + 24*int64(dead+retained+objects) + 4
+// indexLen is the sealed size of an index with the given list lengths and
+// flight ring bytes: the fixed header, four counted lists, the counted ring
+// and the CRC.
+func indexLen(runs, dead, retained, objects, ring int) int64 {
+	return 4 + 2*8 + 5*4 + 16*int64(runs) + 24*int64(dead+retained+objects) + int64(ring) + 4
 }
 
 // decodeIndex parses a checkpoint index of a store whose data region is
@@ -251,6 +254,7 @@ func decodeIndex(b []byte, lo, hi int64) (*indexState, error) {
 			oid: OID(d.U64()), addr: d.I64(), len: d.I64(),
 		})
 	}
+	st.flight = d.Bytes()
 	if err := d.Err(); err != nil {
 		return nil, corrupt(err)
 	}

@@ -85,11 +85,15 @@ func TestRecoverRefusesOlderFormat(t *testing.T) {
 	idx := make([]byte, sb.indexLen)
 	_, err = dev.ReadAt(idx, sb.indexAddr)
 	must(err)
-	binary.LittleEndian.PutUint32(idx, 0x4152494D) // "ARIM", the index magic of that format
-	binary.LittleEndian.PutUint32(idx[len(idx)-4:], crc32.ChecksumIEEE(idx[:len(idx)-4]))
-	dev.PokeAt(idx, sb.indexAddr)
-	if _, err := Recover(dev, clk, clock.DefaultCosts()); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("Recover of an older-format image = %v, want ErrCorrupt", err)
+	// "ARIM", the index magic of that format, and "ARIN", that of the format
+	// whose flight ring was an object.
+	for _, magic := range []uint32{0x4152494D, 0x4152494E} {
+		binary.LittleEndian.PutUint32(idx, magic)
+		binary.LittleEndian.PutUint32(idx[len(idx)-4:], crc32.ChecksumIEEE(idx[:len(idx)-4]))
+		dev.PokeAt(idx, sb.indexAddr)
+		if _, err := Recover(dev, clk, clock.DefaultCosts()); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("Recover of an older-format image (index magic %#x) = %v, want ErrCorrupt", magic, err)
+		}
 	}
 }
 

@@ -43,11 +43,6 @@ import (
 // OID names an object in the store.
 type OID uint64
 
-// FlightOID is the reserved object holding the serialized flight-recorder
-// ring. It sits at the top of the OID space, out of reach of the bump
-// allocator, and is rewritten on every checkpoint (see Checkpoint).
-const FlightOID = OID(flight.StoreOID)
-
 // Epoch numbers checkpoints; epoch 0 is the formatted-empty state.
 type Epoch uint64
 
@@ -242,15 +237,17 @@ type Store struct {
 	walPending  []walOp
 	walReplayed int // frames replayed by the last Recover
 
-	// flSeq is the recorder sequence number the ring in FlightOID reaches:
-	// set by every full snapshot and every frame tail, 0 after Recover (a
-	// boot starts a fresh recorder, whose first tail is its whole ring).
+	// flSeq is the recorder sequence number the flight ring reaches in the
+	// last accepted commit: the index's whole ring or a frame's tail. It
+	// moves only once the superblock or frame is submitted, and is 0 after
+	// Recover (a boot starts a fresh recorder, whose first tail is its whole
+	// ring).
 	flSeq uint64
 
-	// recovered is the ring FlightOID held when Recover finished, WAL
-	// replay included: what RecoveredFlight reports for the life of the
-	// store. nil on a formatted store, or one whose image had no ring.
-	recovered []byte
+	// recovered is the flight ring Recover read: the index's ring, then each
+	// replayed frame's tail, in order (see RecoveredFlight). nil on a
+	// formatted store, or one whose commits carried no ring.
+	recovered [][]byte
 
 	// replaying is set while walRecover replays the chain. Replay runs the
 	// apply the live mutators run; while it does, walNote records nothing
@@ -331,11 +328,6 @@ func RecoverTraced(dev BlockDev, clk clock.Clock, costs *clock.Costs, tr *trace.
 	if err != nil {
 		return nil, err
 	}
-	if _, ok := s.objects[FlightOID]; ok {
-		if s.recovered, err = s.GetRecord(FlightOID); err != nil {
-			return nil, err
-		}
-	}
 	sp.End(trace.I("epoch", int64(s.epoch)), trace.I("objects", int64(len(s.objects))))
 	return s, nil
 }
@@ -344,10 +336,11 @@ func RecoverTraced(dev BlockDev, clk clock.Clock, costs *clock.Costs, tr *trace.
 // build time — it is not synchronized against in-flight operations.
 func (s *Store) SetTracer(tr *trace.Tracer) { s.tr = tr }
 
-// SetFlight attaches the flight recorder; nil disables it. Each Checkpoint
-// serializes the ring into FlightOID before committing, so the recent event
-// history persists and replicates with the rest of the store. Wire it at
-// build time, like the tracer.
+// SetFlight attaches the flight recorder; nil disables it. Each checkpoint
+// index carries the whole ring and each WAL frame the events since the last
+// accepted commit, so the recent event history survives a crash (see
+// RecoveredFlight). It stays on this machine: replication ships objects,
+// and the ring is none. Wire it at build time, like the tracer.
 func (s *Store) SetFlight(fl *flight.Recorder) { s.fl = fl }
 
 // Flight returns the attached flight recorder (nil if none).
@@ -358,12 +351,26 @@ func (s *Store) Flight() *flight.Recorder { return s.fl }
 // this boot do not change it. It returns the events oldest-first plus the
 // recorder's sequence number at that commit; ok is false on a store Format
 // created, or one whose image carried no ring.
+//
+// The pieces join in order: a frame's tail whose first event follows the
+// ring so far is appended, any other replaces it (the ring wrapped between
+// commits, or a new boot's recorder cut it), and the result keeps the newest
+// flight.DefaultCap events, as the recorder did.
 func (s *Store) RecoveredFlight() (evs []flight.Event, seq uint64, ok bool, err error) {
-	if s.recovered == nil {
-		return nil, 0, false, nil
+	for _, b := range s.recovered {
+		tail, tseq, err := flight.Decode(b)
+		if err != nil {
+			return nil, 0, true, err
+		}
+		if tseq-uint64(len(tail)) != seq {
+			evs = evs[:0]
+		}
+		evs, seq = append(evs, tail...), tseq
 	}
-	evs, seq, err = flight.Decode(s.recovered)
-	return evs, seq, true, err
+	if n := len(evs) - flight.DefaultCap; n > 0 {
+		evs = evs[n:]
+	}
+	return evs, seq, s.recovered != nil, nil
 }
 
 // Epoch returns the last committed checkpoint epoch.
@@ -423,9 +430,9 @@ func (s *Store) ensure(oid OID, utype uint16) *object {
 		o = &object{oid: oid, utype: utype, birth: s.curEpoch()}
 		s.objects[oid] = o
 		s.sorted = nil
-		// Reserved OIDs at the very top of the space (FlightOID) must not
-		// bump the allocator: oid+1 would wrap to 0 and restart allocation
-		// over live objects.
+		// A stream can name the top OID: it must not bump the allocator,
+		// since oid+1 would wrap to 0 and restart allocation over live
+		// objects.
 		if oid >= s.nextOID && oid+1 != 0 {
 			s.nextOID = oid + 1
 		}

@@ -42,8 +42,8 @@ const walSector = 512
 const DefaultWALBlocks = 1024
 
 // walLeast is the shortest frame: a log frame of internal/rec whose body is
-// base(8) + seq(8) + nextOID(8) + nops(4) and no op.
-const walLeast = rec.FrameOverhead + 28
+// base(8) + seq(8) + nextOID(8) + nops(4), no op, and an empty flight tail(4).
+const walLeast = rec.FrameOverhead + 32
 
 // walBlocksFor sizes the reserved region: an eighth of the device, clamped
 // to [4, DefaultWALBlocks] blocks.
@@ -75,7 +75,6 @@ const (
 	walOpSize    = 3 // explicit size change (shrink retires tail slots)
 	walOpDelete  = 4 // object removal
 	walOpJournal = 5 // journal create / truncate (extent + generation)
-	walOpFlight  = 6 // flight events since the last persisted ring (flight.Merge)
 )
 
 // walOp is one logical mutation captured for replay.
@@ -98,6 +97,7 @@ type walFrame struct {
 	seq     uint64
 	nextOID OID
 	ops     []walOp
+	flight  []byte // flight events since the last accepted commit (Recorder.Since); empty without a recorder
 }
 
 // walNote captures op into the pending delta set. Replay records nothing:
@@ -138,11 +138,9 @@ func encodeWALFrame(fr *walFrame) []byte {
 			e.I64(op.size)
 			e.U64(op.gen)
 			e.U64(op.fseq)
-		case walOpFlight:
-			e.I64(op.size) // ring capacity
-			e.Bytes(op.data)
 		}
 	}
+	e.Bytes(fr.flight)
 	e.EndFrame(mark)
 	return e.Raw()
 }
@@ -182,14 +180,12 @@ func decodeWALFrame(sc *frameScan) (fr *walFrame, padded int64, err error) {
 			op.size = d.I64()
 			op.gen = d.U64()
 			op.fseq = d.U64()
-		case walOpFlight:
-			op.size = d.I64()
-			op.data = d.Bytes()
 		default:
 			return nil, 0, nil
 		}
 		fr.ops = append(fr.ops, op)
 	}
+	fr.flight = d.Bytes()
 	if d.Err() != nil || d.Remaining() != 0 {
 		return nil, 0, nil
 	}
@@ -215,12 +211,16 @@ type WALCommitStats struct {
 func (s *Store) WALCommit() (WALCommitStats, error) {
 	// The append event is recorded before the flight tail is cut so frame
 	// N's ring carries appends 1..N — the crash-phase evidence the harness
-	// checks after replay. The tail is the events FlightOID's ring lacks.
+	// checks after replay. The tail is the events the last accepted commit
+	// lacks.
 	s.mu.Lock()
 	peekBase, peekSeq, flSeq := s.epoch, uint64(len(s.walDurable))+1, s.flSeq
 	s.mu.Unlock()
 	s.fl.Record(int64(s.clk.Now()), flight.EvWALAppend, int64(peekBase), int64(peekSeq), 0, "")
-	tail, flSeq := s.fl.Since(flSeq)
+	var tail []byte
+	if s.fl != nil {
+		tail, flSeq = s.fl.Since(flSeq)
+	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -232,12 +232,7 @@ func (s *Store) WALCommit() (WALCommitStats, error) {
 		seq:     uint64(len(s.walDurable)) + 1,
 		nextOID: s.nextOID,
 		ops:     s.walPending,
-	}
-	flightOp := walOp{kind: walOpFlight, oid: FlightOID, size: int64(s.fl.Cap()), data: tail}
-	if s.fl != nil {
-		// Appended to the frame's view only: a failed commit leaves the
-		// pending deltas as they were, and the retry cuts a fresh tail.
-		fr.ops = append(fr.ops, flightOp)
+		flight:  tail,
 	}
 	st := WALCommitStats{Base: fr.base, Seq: fr.seq}
 	body := encodeWALFrame(fr)
@@ -256,14 +251,7 @@ func (s *Store) WALCommit() (WALCommitStats, error) {
 		span.End()
 		return st, err
 	}
-	if s.fl != nil {
-		// The live ring advances exactly as replay will advance it.
-		if err := s.apply(&flightOp); err != nil {
-			span.End()
-			return st, err
-		}
-		s.flSeq = flSeq
-	}
+	s.flSeq = flSeq // a failed commit keeps it, and the retry cuts the tail again
 	s.walHead += total
 	s.walDurable = append(s.walDurable, done)
 	s.walPending = nil
@@ -439,6 +427,9 @@ func (s *Store) walReplayLocked(frames []*walFrame, end int64) error {
 			if err := s.apply(&fr.ops[i]); err != nil {
 				return fmt.Errorf("wal frame %d: %w", fr.seq, err)
 			}
+		}
+		if fr.flight != nil {
+			s.recovered = append(s.recovered, fr.flight)
 		}
 		s.walDurable = append(s.walDurable, 0)
 	}

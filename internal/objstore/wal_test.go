@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -615,7 +616,7 @@ func FuzzWALRecord(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	s.SetFlight(flight.NewRecorder(8)) // every frame carries a flight-tail op
+	s.SetFlight(flight.NewRecorder(8)) // every frame carries a flight tail
 	oid := s.NewOID()
 	pgd := s.NewOID()
 	s.Ensure(pgd, 9)
@@ -644,8 +645,8 @@ func FuzzWALRecord(f *testing.F) {
 		if fr == nil {
 			f.Fatalf("seed frame at %d undecodable", off)
 		}
-		if last := fr.ops[len(fr.ops)-1]; last.kind != walOpFlight {
-			f.Fatalf("seed frame %d ends on op kind %d, want the flight tail", fr.seq, last.kind)
+		if len(fr.flight) == 0 {
+			f.Fatalf("seed frame %d carries no flight tail", fr.seq)
 		}
 		f.Add(append([]byte(nil), ring[off:off+padded]...))
 		off += padded
@@ -746,116 +747,105 @@ func storeWithFlight(t *testing.T) (*Store, *device.Stripe, *clock.Virtual, *fli
 	return s, dev, clk, fl
 }
 
-// TestWALFrameCarriesFlightTailOnly: a 4-page commit is a ~1 KiB frame whether
-// the flight ring is empty or full — the frame carries the events recorded
-// since the last persisted ring, not the ring — and the ring FlightOID holds,
-// live and after replay, is the full snapshot taken at that frame.
-func TestWALFrameCarriesFlightTailOnly(t *testing.T) {
-	s, dev, clk, fl := storeWithFlight(t)
-	oid := s.NewOID()
-	s.Ensure(oid, 9)
-	commit := func(round int, steady bool) {
+// TestRecoveredFlightJoin: the ring RecoveredFlight reports is the one the
+// recorder held when the last recovered piece was cut, however the pieces
+// relate — a frame's tail continuing the ring, a tail cut after the ring
+// wrapped past the last commit, and a new boot's recorder whose first tail
+// starts its own count.
+func TestRecoveredFlightJoin(t *testing.T) {
+	fl := flight.NewRecorder(0)
+	record := func(n int) {
+		for i := 0; i < n; i++ {
+			fl.Record(int64(fl.Seq()), flight.EvFlushJob, int64(i), 0, 0, "")
+		}
+	}
+	s := &Store{}
+	check := func(what string, want []flight.Event, wantSeq uint64) {
 		t.Helper()
-		writes := make([]PageWrite, 4)
-		for i := range writes {
-			writes[i] = PageWrite{Pg: int64(i), Data: walPage(byte(round + i))}
-		}
-		if _, err := s.WritePages(oid, writes); err != nil {
-			t.Fatal(err)
-		}
-		st, err := s.WALCommit()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if steady && st.Bytes > 2<<10 {
-			t.Fatalf("commit %d: a 4-page frame is %d bytes with %d events in the ring, want <= 2 KiB",
-				round, st.Bytes, len(fl.Events()))
-		}
-		live, err := s.GetRecord(FlightOID)
-		if err != nil || !bytes.Equal(live, fl.Snapshot()) {
-			t.Fatalf("commit %d: live FlightOID differs from the full snapshot at the frame (err %v)", round, err)
+		evs, seq, ok, err := s.RecoveredFlight()
+		if err != nil || !ok || seq != wantSeq || !slices.Equal(evs, want) {
+			t.Fatalf("%s: %d events seq %d ok %v err %v, want %d events seq %d",
+				what, len(evs), seq, ok, err, len(want), wantSeq)
 		}
 	}
-	commit(0, true) // empty ring: the first tail is the one append event
-	for i := 1; i <= 3*flight.DefaultCap; i++ {
-		fl.Record(int64(clk.Now()), flight.EvFlushJob, int64(i), 0, 0, "noise between commits")
-		if i%100 == 0 || i == 3*flight.DefaultCap-flight.DefaultCap/2 {
-			commit(i, false) // tails shorter than the ring, and one wrapping it
-		}
+	if _, _, ok, err := s.RecoveredFlight(); ok || err != nil {
+		t.Fatalf("no pieces: ok %v err %v", ok, err)
 	}
-	if n := len(fl.Events()); n != flight.DefaultCap {
-		t.Fatalf("ring holds %d events, want it full", n)
-	}
-	commit(999, false)
-	commit(1000, true) // full ring, one new event
-	want := fl.Snapshot()
 
-	s2, err := Recover(dev, clk, clock.DefaultCosts())
-	if err != nil {
-		t.Fatal(err)
+	record(100)
+	ring, seq := fl.Since(0)
+	s.recovered = [][]byte{ring}
+	for _, n := range []int{1, 7, 0, 200} { // contiguous tails; the last overflows the capacity
+		record(n)
+		var tail []byte
+		tail, seq = fl.Since(seq)
+		s.recovered = append(s.recovered, tail)
+		check(fmt.Sprintf("tail of %d", n), fl.Events(), fl.Seq())
 	}
-	got, err := s2.GetRecord(FlightOID)
-	if err != nil || !bytes.Equal(got, want) {
-		t.Fatalf("recovered ring differs from the full snapshot at the last frame (err %v)", err)
-	}
-	evs, seq, ok, err := s2.RecoveredFlight()
-	if err != nil || !ok || seq != fl.Seq() || len(evs) != flight.DefaultCap {
-		t.Fatalf("RecoveredFlight: %d events seq %d ok %v err %v", len(evs), seq, ok, err)
-	}
-	// The next boot's recorder starts over: its first frame replaces the ring.
-	fl2 := flight.NewRecorder(0)
-	s2.SetFlight(fl2)
-	if _, err := s2.WritePages(oid, []PageWrite{{Pg: 9, Data: walPage(9)}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s2.WALCommit(); err != nil {
-		t.Fatal(err)
-	}
-	if live, _ := s2.GetRecord(FlightOID); !bytes.Equal(live, fl2.Snapshot()) {
-		t.Fatal("first frame after a reboot did not replace the previous boot's ring")
+	record(3 * flight.DefaultCap) // the ring wraps past the last commit
+	tail, _ := fl.Since(seq)
+	s.recovered = append(s.recovered, tail)
+	check("wrapped", fl.Events(), fl.Seq())
+
+	boot := flight.NewRecorder(0) // a new boot's first tail replaces the old ring
+	boot.Record(1, flight.EvRestore, 2, 3, 4, "boot")
+	tail, _ = boot.Since(0)
+	s.recovered = append(s.recovered, tail)
+	check("new boot", boot.Events(), 1)
+
+	s.recovered = append(s.recovered, []byte("not a ring"))
+	if _, _, ok, err := s.RecoveredFlight(); !ok || !errors.Is(err, rec.ErrCorrupt) {
+		t.Fatalf("corrupt piece: ok %v err %v", ok, err)
 	}
 }
 
-// TestWALFailedCommitKeepsFlightTail: a commit that fails leaves neither the
-// ring nor the pending deltas changed, so the retry's tail still starts where
-// the persisted ring ends, and ErrWALFull's fall-through to a fold persists
-// the whole ring.
-func TestWALFailedCommitKeepsFlightTail(t *testing.T) {
-	clk := clock.NewVirtual()
-	fd := &failNextSubmit{BlockDev: device.New(clk, clock.DefaultCosts(), 64<<20)}
-	s, err := Format(fd, clk, clock.DefaultCosts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	fl := flight.NewRecorder(0)
-	s.SetFlight(fl)
-	oid := s.NewOID()
-	if err := s.PutRecord(oid, 1, []byte("one")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.WALCommit(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.PutRecord(oid, 1, []byte("two")); err != nil {
-		t.Fatal(err)
-	}
-	fd.armed = true
-	if _, err := s.WALCommit(); err == nil {
-		t.Fatal("WALCommit over a failing device succeeded")
-	}
-	if st, err := s.WALCommit(); err != nil || st.Seq != 2 {
-		t.Fatalf("retry: %+v, %v", st, err)
-	}
-	want := fl.Snapshot()
-	s2, err := Recover(fd, clk, clock.DefaultCosts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := s2.GetRecord(FlightOID); err != nil || !bytes.Equal(got, want) {
-		t.Fatalf("ring recovered after a failed-then-retried commit differs from the snapshot (err %v)", err)
-	}
-	if got, _ := s2.GetRecord(oid); string(got) != "two" {
-		t.Fatalf("record after replay = %q", got)
+// TestFailedEpochCommitKeepsFlightEvents: an epoch commit that fails at any
+// of its submits does not move the sequence number WAL tails start from, so
+// the next frame still carries the events recorded before the failed commit
+// and recovery returns the ring the recorder held at that frame.
+func TestFailedEpochCommitKeepsFlightEvents(t *testing.T) {
+	for k := 0; ; k++ {
+		clk := clock.NewVirtual()
+		fd := &failNextSubmit{BlockDev: device.New(clk, clock.DefaultCosts(), 64<<20)}
+		s, err := Format(fd, clk, clock.DefaultCosts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		fl := flight.NewRecorder(0)
+		s.SetFlight(fl)
+		oid, pgd := s.NewOID(), s.NewOID()
+		s.Ensure(pgd, 9)
+		if err := s.PutRecord(oid, 1, []byte("one")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.WALCommit(); err != nil {
+			t.Fatal(err)
+		}
+		fl.Record(int64(clk.Now()), flight.EvRestore, 7, 7, 7, "before the failed commit")
+		if err := s.WritePage(pgd, 0, walPage(1)); err != nil {
+			t.Fatal(err)
+		}
+		fd.armed, fd.skip = true, k
+		if _, err := s.Checkpoint(); err == nil {
+			if k < 2 {
+				t.Fatalf("a checkpoint of %d submits cannot be failed", k)
+			}
+			return // k is past the commit's last submit: every one has failed once
+		}
+		fd.armed = false
+		if _, err := s.WALCommit(); err != nil {
+			t.Fatalf("submit %d: WAL commit after the failed checkpoint: %v", k, err)
+		}
+		want, wantSeq := fl.Events(), fl.Seq() // the device records nothing itself
+		s2, err := Recover(fd, clk, clock.DefaultCosts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		evs, seq, ok, err := s2.RecoveredFlight()
+		if err != nil || !ok || seq != wantSeq || !slices.Equal(evs, want) {
+			t.Fatalf("submit %d failed: recovered %d events seq %d (ok %v err %v), the recorder held %d at seq %d:\n%s",
+				k, len(evs), seq, ok, err, len(want), wantSeq, flight.Format(evs))
+		}
 	}
 }
 
@@ -927,7 +917,8 @@ func TestIndexLenIsArithmetic(t *testing.T) {
 		st.deadlist = make([]deadBlock, rng.Intn(300))
 		st.retained = make([]ckptInfo, rng.Intn(70))
 		st.objects = make([]indexEntry, rng.Intn(2000))
-		got := indexLen(len(st.free), len(st.deadlist), len(st.retained), len(st.objects))
+		st.flight = make([]byte, rng.Intn(12<<10))
+		got := indexLen(len(st.free), len(st.deadlist), len(st.retained), len(st.objects), len(st.flight))
 		if want := int64(len(encodeIndex(st).Seal())); got != want {
 			t.Fatalf("indexLen = %d, encoded %d (%d free, %d dead, %d retained, %d objects)",
 				got, want, len(st.free), len(st.deadlist), len(st.retained), len(st.objects))
@@ -1215,8 +1206,6 @@ func TestApplyRefusesImpossibleOps(t *testing.T) {
 		{walOp{kind: walOpSize, oid: jrn}, "objstore: corrupt metadata: size on journal 1"},
 		{walOp{kind: walOpSize, oid: 77}, "objstore: corrupt metadata: size for unknown object 77"},
 		{walOp{kind: walOpDelete, oid: 77}, "objstore: corrupt metadata: delete of unknown object 77"},
-		{walOp{kind: walOpFlight, oid: jrn}, "objstore: corrupt metadata: flight tail on journal 1"},
-		{walOp{kind: walOpFlight, oid: inl, data: []byte("not a ring")}, "objstore: corrupt metadata: flight: rec: corrupt record: bad checksum"},
 		{walOp{kind: 9, oid: inl}, "objstore: corrupt metadata: unknown wal op 9"},
 	} {
 		s.mu.Lock()

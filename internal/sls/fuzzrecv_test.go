@@ -226,7 +226,7 @@ func forgeRecord(oid objstore.OID, ut uint16, raw []byte) []byte {
 }
 
 // TestRecvRefusesUnlistedOIDs: a stream item may touch only an object the
-// stream's head listed, and never the receiver's manifest or flight ring.
+// stream's head listed, and never the receiver's manifest.
 // Each forged stream must be refused as corrupt before the item it carries
 // has changed the object it aims at.
 func TestRecvRefusesUnlistedOIDs(t *testing.T) {
@@ -247,9 +247,6 @@ func TestRecvRefusesUnlistedOIDs(t *testing.T) {
 		{"record over the manifest, listed", []objstore.OID{evil, ManifestOID},
 			func(v objstore.OID) []byte { return forgeRecord(v, UTManifest, nil) },
 			func(*world, *Group) objstore.OID { return ManifestOID }},
-		{"record over the flight ring, listed", []objstore.OID{evil, objstore.FlightOID},
-			func(v objstore.OID) []byte { return forgeRecord(v, 0, []byte("x")) },
-			func(*world, *Group) objstore.OID { return objstore.FlightOID }},
 		{"record over another group's record", []objstore.OID{evil},
 			func(v objstore.OID) []byte { return forgeRecord(v, UTGroup, []byte("x")) },
 			func(_ *world, g *Group) objstore.OID { return g.oid }},

@@ -344,10 +344,10 @@ func (o *Orchestrator) recvPayload(payload []byte) (string, error) {
 	}
 	delta := baseEpoch != 0
 	// The stream is outside input: an item may touch only an object its head
-	// listed, and never the receiver's own manifest or flight ring. Checked
-	// before the item mutates the store.
+	// listed, and never the receiver's own manifest. Checked before the item
+	// mutates the store.
 	listed := func(oid objstore.OID) error {
-		if !live[oid] || oid == ManifestOID || oid == objstore.FlightOID {
+		if !live[oid] || oid == ManifestOID {
 			return fmt.Errorf("%w: stream item for object %d, which is not the stream's to write", rec.ErrCorrupt, oid)
 		}
 		return nil
@@ -423,12 +423,11 @@ func (o *Orchestrator) recvPayload(payload []byte) (string, error) {
 				// Objects the receiver holds from the base epoch that this
 				// epoch no longer lists were deleted on the source between
 				// epochs: drop them so the standby image matches.
-				// ManifestOID and FlightOID live outside any group's live
-				// set: the manifest indexes every group on the receiver, and
-				// the flight ring is the receiver's own forensic record.
+				// ManifestOID lives outside any group's live set: the
+				// manifest indexes every group on the receiver.
 				stale := make([]objstore.OID, 0)
 				for oid := range state.live {
-					if !live[oid] && oid != ManifestOID && oid != objstore.FlightOID {
+					if !live[oid] && oid != ManifestOID {
 						stale = append(stale, oid)
 					}
 				}
