@@ -20,7 +20,7 @@ import (
 // sequence that lays it out) changes; a refactor must reproduce it exactly.
 // Re-pinned when WAL frames began to carry the flight ring's tail instead of
 // the ring (frame op 6) and an identical PutRecord stopped rewriting the record.
-const onDiskFormatSHA = "d8fe23ba3c77c4b97977fd2f26146bc9a45ba63a0e570a8da87e960897a5f616"
+const onDiskFormatSHA = "e1b6e4f7c56ae320ff980e8cd2289193c337af7f550bafc4d3631f4b6f627a27"
 
 // TestOnDiskFormatPinned drives every on-disk structure — inline records,
 // paged objects with block-map chunks, a journal extent, WAL frames, folds,

@@ -80,11 +80,15 @@ func TestQuickRowsPinned(t *testing.T) {
 }
 
 // TestWALWindowFootprint holds walwindow's full-epoch footprint flat as the
-// run doubles. On the machine users boot every commit also rewrites the
-// flight ring, a multi-block inline record, and every index serializes the
-// store's free map. "Used end" (blocks allocated minus freed) must be the
-// same at 128 and 256 rounds, and so must retention and the deadlist; the
-// free map's run count stays bounded, so the index does not grow either.
+// run doubles. On the machine users boot every index carries the flight
+// ring (≈ 10 KB once full) beside the store's free map and deadlist, and
+// the store retains 64 epochs, each with its index. The index settles at
+// its steady size once the ring is full and the deadlist steady (≈ 80
+// commits), so the footprint is flat once all 64 retained indexes have that
+// size, from ≈ 150 rounds on. "Used end" (blocks allocated minus freed) must
+// be the same at 256 and 512 rounds, and so must retention and the
+// deadlist; the free map's run count stays bounded, so the index does not
+// grow either.
 func TestWALWindowFootprint(t *testing.T) {
 	type footprint struct {
 		used, runs, dead int64
@@ -107,16 +111,16 @@ func TestWALWindowFootprint(t *testing.T) {
 		}
 		return footprint{row.UsedEnd, int64(m.Store.FreeRuns()), int64(m.Store.DeadBlocks()), len(m.History())}
 	}
-	a, b := run(128), run(256)
-	t.Logf("128 -> 256 rounds: used %d -> %d blocks, free map %d -> %d runs", a.used, b.used, a.runs, b.runs)
+	a, b := run(256), run(512)
+	t.Logf("256 -> 512 rounds: used %d -> %d blocks, free map %d -> %d runs", a.used, b.used, a.runs, b.runs)
 	if a.retained != b.retained || a.dead != b.dead {
-		t.Errorf("retention moved with the run: %d epochs / %d dead blocks at 128 rounds, %d / %d at 256",
+		t.Errorf("retention moved with the run: %d epochs / %d dead blocks at 256 rounds, %d / %d at 512",
 			a.retained, a.dead, b.retained, b.dead)
 	}
 	if a.used != b.used {
-		t.Errorf("used end grew with the run: %d blocks at 128 rounds, %d at 256", a.used, b.used)
+		t.Errorf("used end grew with the run: %d blocks at 256 rounds, %d at 512", a.used, b.used)
 	}
 	if b.runs > 64 {
-		t.Errorf("free map fragmented: %d runs after 256 rounds", b.runs)
+		t.Errorf("free map fragmented: %d runs after 512 rounds", b.runs)
 	}
 }

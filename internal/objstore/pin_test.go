@@ -24,9 +24,9 @@ func pinBytes(tag byte, n int) []byte {
 }
 
 const (
-	storeImageSHA   = "2495e7eb9766b695dc582aa024dd031a8c4be8d6c21adae9db1b351a1d92e32b"
-	storeImageState = "{Checkpoints:2 ObjectsLive:7 BlocksAllocated:100 BlocksFreed:4 MetaBytes:33537 DataBytes:294912} free=523166 dead=43 now=229591\n" +
-		"{Checkpoints:2 ObjectsLive:6 BlocksAllocated:16 BlocksFreed:87 MetaBytes:11119 DataBytes:16384} free=523237 dead=3 now=1075254"
+	storeImageSHA   = "4abd5ab9a88a9881876877e1033aefeb544c1ba00f2f7d3b396d31634660339c"
+	storeImageState = "{Checkpoints:2 ObjectsLive:7 BlocksAllocated:100 BlocksFreed:4 MetaBytes:33545 DataBytes:294912} free=523166 dead=43 now=229595\n" +
+		"{Checkpoints:2 ObjectsLive:6 BlocksAllocated:16 BlocksFreed:87 MetaBytes:11127 DataBytes:16384} free=523237 dead=3 now=1075267"
 )
 
 // TestStoreImagePinned drives, on a bare Store, the mutations the root

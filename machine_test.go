@@ -193,9 +193,9 @@ func TestMigrationPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	const (
-		wantSHA   = "28afaec54a4c85b7f67a0ec6c18d84b46d2002a2023b45c3fed7c6190cad851f"
+		wantSHA   = "5db398b6bd8b392522cc3e79be29a4238e39bba9dc39fb8661601fcaa8307fe9"
 		wantStop  = time.Duration(184369)
-		wantClock = time.Duration(3615373)
+		wantClock = time.Duration(3617576)
 	)
 	if sum := hex.EncodeToString(h.Sum(nil)); sum != wantSHA || st.Rounds != 4 || st.FinalStop != wantStop || cfg.Clock.Now() != wantClock {
 		t.Fatalf("migration moved: image %s rounds %d final stop %d clock %d; want %s 4 %d %d",

@@ -115,9 +115,9 @@ func restorePolicyRow(t *testing.T, name string, restore func(*aurora.Machine, s
 }
 
 // restorePolicyPin is TestRestorePolicyPinned's transcript.
-const restorePolicyPin = `full: time=57354 ttfo=0 eager=32 validated=0 objects=11 clock=1417292 reads=33 bytes=135168 arena=d5d6b369
-lazy: time=10800 ttfo=0 eager=0 validated=0 objects=11 clock=1370738 reads=0 bytes=0 arena=ff1200ec
-speculative: time=57354 ttfo=10800 eager=0 validated=32 objects=11 clock=1417292 reads=33 bytes=135168 arena=d5d6b369`
+const restorePolicyPin = `full: time=57354 ttfo=0 eager=32 validated=0 objects=11 clock=1419367 reads=33 bytes=135168 arena=d8f8e2bd
+lazy: time=10800 ttfo=0 eager=0 validated=0 objects=11 clock=1372813 reads=0 bytes=0 arena=83242f60
+speculative: time=57354 ttfo=10800 eager=0 validated=32 objects=11 clock=1419367 reads=33 bytes=135168 arena=d8f8e2bd`
 
 // TestRestorePolicyPinned holds Restore, RestoreLazily and
 // RestoreSpeculatively to what they report (time, time to first op, pages
