@@ -125,6 +125,9 @@ func FuzzRecv(f *testing.F) {
 	}
 	// Well-formed framing around an item for an object the head never listed.
 	f.Add(forgeStream("evil", 100, []objstore.OID{100}, forgeRecord(ManifestOID, UTManifest, nil)))
+	// A listed record just below the top of the OID space, which would move
+	// the allocator to the wrap.
+	f.Add(forgeStream("top", 100, []objstore.OID{100, topOID}, forgeRecord(topOID, 0, []byte("x"))))
 	// A stream cut right after a page whose data ends the payload: the decoder
 	// must not read past it, and finds no next item.
 	page := bytes.Repeat([]byte{0x5a}, objstore.BlockSize)
@@ -148,9 +151,13 @@ func FuzzRecv(f *testing.F) {
 			name, err := recv(w.o)
 			if err == nil {
 				// An accepted stream must have registered a restorable group
-				// or at least left the store healthy.
+				// or at least left the store healthy, with an allocator that
+				// hands out no OID the store holds.
 				if rep := w.store.Fsck(); !rep.OK() {
 					t.Fatalf("accepted stream %q left an unhealthy store: %v", name, rep.Problems)
+				}
+				if err := allocatorSound(w.store); err != nil {
+					t.Fatalf("accepted stream %q: %v", name, err)
 				}
 			}
 			verdicts[i] = fmt.Sprintf("name %q, err %v", name, err)
@@ -225,6 +232,52 @@ func forgeRecord(oid objstore.OID, ut uint16, raw []byte) []byte {
 	return e.Seal()
 }
 
+// topOID is the highest OID a stream head can list; ensure keeps it from
+// wrapping the allocator by itself, but the OIDs it would then allocate
+// wrap.
+const topOID = objstore.OID(1<<64 - 2)
+
+// allocatorSound checks the next few OIDs the store allocates: none may be 0
+// or name an object the store holds.
+func allocatorSound(s *objstore.Store) error {
+	for i := 0; i < 3; i++ {
+		if oid := s.NewOID(); oid == 0 || s.Exists(oid) {
+			return fmt.Errorf("allocation %d returned OID %d, which is 0 or live", i, oid)
+		}
+	}
+	return nil
+}
+
+// TestRecvKeepsAllocatorBelowLiveOIDs: a stream may list OIDs anywhere in the
+// space, but the receiver refuses any at or above 2^63 before it writes the
+// item, so after every stream it accepts the allocator still hands out fresh
+// OIDs, not 0 and not a live object's.
+func TestRecvKeepsAllocatorBelowLiveOIDs(t *testing.T) {
+	streams, err := fuzzSeedStreams()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := newWorld(t) // the full stream, then the two deltas over it
+	for i, stream := range streams {
+		if _, err := w.o.recvPayload(stream); err != nil {
+			t.Fatalf("real stream %d refused: %v", i, err)
+		}
+		if err := allocatorSound(w.store); err != nil {
+			t.Fatalf("real stream %d: %v", i, err)
+		}
+	}
+	for _, oid := range []objstore.OID{1 << 63, topOID, 1<<64 - 1} {
+		w := newWorld(t)
+		stream := forgeStream("top", 100, []objstore.OID{100, oid}, forgeRecord(oid, 0, []byte("x")))
+		if _, err := w.o.recvPayload(stream); !errors.Is(err, rec.ErrCorrupt) {
+			t.Fatalf("record at OID %#x: err = %v, want rec.ErrCorrupt", uint64(oid), err)
+		}
+		if err := allocatorSound(w.store); err != nil {
+			t.Fatalf("record at OID %#x: %v", uint64(oid), err)
+		}
+	}
+}
+
 // TestRecvRefusesUnlistedOIDs: a stream item may touch only an object the
 // stream's head listed, and never the receiver's manifest.
 // Each forged stream must be refused as corrupt before the item it carries
@@ -247,6 +300,9 @@ func TestRecvRefusesUnlistedOIDs(t *testing.T) {
 		{"record over the manifest, listed", []objstore.OID{evil, ManifestOID},
 			func(v objstore.OID) []byte { return forgeRecord(v, UTManifest, nil) },
 			func(*world, *Group) objstore.OID { return ManifestOID }},
+		{"record at the top of the OID space, listed", []objstore.OID{evil, topOID},
+			func(v objstore.OID) []byte { return forgeRecord(v, 0, []byte("x")) },
+			func(*world, *Group) objstore.OID { return topOID }},
 		{"record over another group's record", []objstore.OID{evil},
 			func(v objstore.OID) []byte { return forgeRecord(v, UTGroup, []byte("x")) },
 			func(_ *world, g *Group) objstore.OID { return g.oid }},

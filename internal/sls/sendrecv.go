@@ -344,10 +344,12 @@ func (o *Orchestrator) recvPayload(payload []byte) (string, error) {
 	}
 	delta := baseEpoch != 0
 	// The stream is outside input: an item may touch only an object its head
-	// listed, and never the receiver's own manifest. Checked before the item
-	// mutates the store.
+	// listed, never the receiver's own manifest, and none at or above 2^63,
+	// which no allocator reaches: writing one would move the receiver's
+	// allocator up to the wrap, and past it onto live OIDs. Checked before
+	// the item mutates the store.
 	listed := func(oid objstore.OID) error {
-		if !live[oid] || oid == ManifestOID {
+		if !live[oid] || oid == ManifestOID || oid >= 1<<63 {
 			return fmt.Errorf("%w: stream item for object %d, which is not the stream's to write", rec.ErrCorrupt, oid)
 		}
 		return nil
