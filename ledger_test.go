@@ -6,11 +6,10 @@ package aurora
 //	bash bench/run.sh --workload <workload> --seed 1 --seconds 10 --trace 0
 //
 // reports on its last line: the attempted and failed operation counts, every
-// virtual-clock figure and write_amp. These are functions of the seed (see
-// bench/README.md; one workload's figures also follow goroutine scheduling,
-// and its file says so), and a change that moves one updates the file in the
-// same commit: their history is the before/after record. Host-clock figures
-// depend on the machine and are not kept.
+// virtual-clock figure and write_amp. These are functions of the seed, and a
+// change that moves one updates the file in the same commit: their history is
+// the before/after record. Host-clock figures depend on the machine and are
+// not kept.
 //
 // TestPerfLedger always checks the files against BENCHMARK.json. When
 // AURORA_BENCH_REPORTS names a directory holding <workload>.json for every
@@ -36,11 +35,6 @@ type ledgerEntry struct {
 	Attempted int64              `json:"attempted"`
 	Failed    int64              `json:"failed"`
 	Figures   map[string]float64 `json:"figures"`
-	// Exact is false for a workload whose virtual figures depend on
-	// goroutine scheduling; a fresh report is then held to BENCHMARK.json's
-	// bound instead of equality. Why is in Note.
-	Exact bool   `json:"exact"`
-	Note  string `json:"note,omitempty"`
 }
 
 // benchManifest is the part of BENCHMARK.json the ledger follows.
@@ -49,8 +43,7 @@ type benchManifest struct {
 		Name string `json:"name"`
 	} `json:"workloads"`
 	EndToEnd []struct {
-		Name  string  `json:"name"`
-		Bound float64 `json:"bound"`
+		Name string `json:"name"`
 	} `json:"end_to_end"`
 }
 
@@ -80,11 +73,9 @@ func TestPerfLedger(t *testing.T) {
 		t.Fatal(err)
 	}
 	var names []string
-	bound := map[string]float64{}
 	for _, m := range man.EndToEnd {
 		if ledgered(m.Name) {
 			names = append(names, m.Name)
-			bound[m.Name] = m.Bound
 		}
 	}
 	slices.Sort(names)
@@ -108,9 +99,6 @@ func TestPerfLedger(t *testing.T) {
 		if ent.Failed != 0 || ent.Attempted <= 0 {
 			t.Errorf("BENCH_%s.json: attempted %d, failed %d", w.Name, ent.Attempted, ent.Failed)
 		}
-		if !ent.Exact && ent.Note == "" {
-			t.Errorf("BENCH_%s.json is not exact and does not say why", w.Name)
-		}
 		ledger[w.Name] = ent
 	}
 	files, _ := filepath.Glob("BENCH_*.json")
@@ -130,15 +118,8 @@ func TestPerfLedger(t *testing.T) {
 			t.Errorf("%s: attempted %d failed %d, ledger %d and %d", w.Name, rep.Attempted, rep.Failed, ent.Attempted, ent.Failed)
 		}
 		for _, name := range names {
-			m, ok := rep.Metrics[name]
-			want := ent.Figures[name]
-			switch {
-			case !ok:
-				t.Errorf("%s: report has no %s", w.Name, name)
-			case ent.Exact && m.Value != want:
-				t.Errorf("%s: %s = %v, ledger %v", w.Name, name, m.Value, want)
-			case !ent.Exact && (m.Value-want > bound[name]*want || want-m.Value > bound[name]*want):
-				t.Errorf("%s: %s = %v, ledger %v, beyond its bound of %v", w.Name, name, m.Value, want, bound[name])
+			if m, ok := rep.Metrics[name]; !ok || m.Value != ent.Figures[name] {
+				t.Errorf("%s: %s = %v (reported %v), ledger %v", w.Name, name, m.Value, ok, ent.Figures[name])
 			}
 		}
 	}
