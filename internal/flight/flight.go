@@ -206,7 +206,7 @@ func (r *Recorder) Tail(n int) []Event {
 // time, so that consecutive tails tile the event stream. Decode reads it.
 func (r *Recorder) Since(seq uint64) ([]byte, uint64) {
 	if r == nil {
-		r = new(Recorder) // an empty ring
+		return nil, 0
 	}
 	var e rec.Encoder
 	r.mu.Lock()

@@ -21,8 +21,8 @@ func TestNilRecorderSafe(t *testing.T) {
 	if r.Seq() != 0 {
 		t.Fatalf("nil recorder Seq = %d, want 0", r.Seq())
 	}
-	if b, seq := r.Since(0); b == nil || seq != 0 {
-		t.Fatalf("nil recorder Since should still seal an empty ring")
+	if b, seq := r.Since(0); b != nil || seq != 0 {
+		t.Fatalf("nil recorder Since = %d bytes, seq %d; want none", len(b), seq)
 	}
 }
 

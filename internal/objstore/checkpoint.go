@@ -53,11 +53,7 @@ func (s *Store) CheckpointRetaining(retain int) (st CheckpointStats, err error) 
 	if foldFrames > 0 {
 		s.fl.Record(int64(s.clk.Now()), flight.EvWALFold, int64(foldBase), int64(foldFrames), 0, "")
 	}
-	var ring []byte
-	var ringSeq uint64
-	if s.fl != nil {
-		ring, ringSeq = s.fl.Since(0)
-	}
+	ring, ringSeq := s.fl.Since(0)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	sw := clock.StartStopwatch(s.clk)

@@ -217,10 +217,7 @@ func (s *Store) WALCommit() (WALCommitStats, error) {
 	peekBase, peekSeq, flSeq := s.epoch, uint64(len(s.walDurable))+1, s.flSeq
 	s.mu.Unlock()
 	s.fl.Record(int64(s.clk.Now()), flight.EvWALAppend, int64(peekBase), int64(peekSeq), 0, "")
-	var tail []byte
-	if s.fl != nil {
-		tail, flSeq = s.fl.Since(flSeq)
-	}
+	tail, flSeq := s.fl.Since(flSeq)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
