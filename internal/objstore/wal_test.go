@@ -747,6 +747,119 @@ func storeWithFlight(t *testing.T) (*Store, *device.Stripe, *clock.Virtual, *fli
 	return s, dev, clk, fl
 }
 
+// recoveredRing is RecoveredFlight, failing t unless it found a ring.
+func recoveredRing(t *testing.T, s *Store) ([]flight.Event, uint64) {
+	t.Helper()
+	evs, seq, ok, err := s.RecoveredFlight()
+	if err != nil || !ok {
+		t.Fatalf("RecoveredFlight: ok %v err %v", ok, err)
+	}
+	return evs, seq
+}
+
+// TestWALFrameCarriesFlightTailOnly: a 4-page commit is a ~1 KiB frame whether
+// the flight ring is empty or full — the frame carries the events recorded
+// since the last accepted commit, not the ring — and recovery joins the tails
+// back into the ring the recorder held at the last frame. A new boot's first
+// frame replaces the previous boot's ring.
+func TestWALFrameCarriesFlightTailOnly(t *testing.T) {
+	s, dev, clk, fl := storeWithFlight(t)
+	oid := s.NewOID()
+	s.Ensure(oid, 9)
+	commit := func(s *Store, round int, steady bool) {
+		t.Helper()
+		writes := make([]PageWrite, 4)
+		for i := range writes {
+			writes[i] = PageWrite{Pg: int64(i), Data: walPage(byte(round + i))}
+		}
+		if _, err := s.WritePages(oid, writes); err != nil {
+			t.Fatal(err)
+		}
+		st, err := s.WALCommit()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if steady && st.Bytes > 2<<10 {
+			t.Fatalf("commit %d: a 4-page frame is %d bytes with %d events in the ring, want <= 2 KiB",
+				round, st.Bytes, len(fl.Events()))
+		}
+	}
+	commit(s, 0, true) // empty ring: the first tail is the one append event
+	for i := 1; i <= 3*flight.DefaultCap; i++ {
+		fl.Record(int64(clk.Now()), flight.EvFlushJob, int64(i), 0, 0, "noise between commits")
+		if i%100 == 0 || i == 3*flight.DefaultCap-flight.DefaultCap/2 {
+			commit(s, i, false) // tails shorter than the ring, and one wrapping it
+		}
+	}
+	if n := len(fl.Events()); n != flight.DefaultCap {
+		t.Fatalf("ring holds %d events, want it full", n)
+	}
+	commit(s, 999, false)
+	commit(s, 1000, true) // full ring, one new event
+
+	s2, err := Recover(dev, clk, clock.DefaultCosts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if evs, seq := recoveredRing(t, s2); seq != fl.Seq() || !slices.Equal(evs, fl.Events()) {
+		t.Fatalf("recovered %d events at seq %d, the recorder held %d at seq %d", len(evs), seq, len(fl.Events()), fl.Seq())
+	}
+	// The next boot's recorder starts over: its first frame replaces the ring.
+	fl = flight.NewRecorder(0)
+	s2.SetFlight(fl)
+	commit(s2, 9, true)
+	s3, err := Recover(dev, clk, clock.DefaultCosts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if evs, seq := recoveredRing(t, s3); seq != fl.Seq() || !slices.Equal(evs, fl.Events()) {
+		t.Fatalf("first frame after a reboot: recovered %d events at seq %d, want the new boot's %d", len(evs), seq, fl.Seq())
+	}
+}
+
+// TestWALFailedCommitKeepsFlightTail: a WAL commit that fails leaves neither
+// the sequence its tail starts from nor the pending deltas changed, so the
+// retry's tail still starts where the last accepted commit ends, and
+// recovery returns the whole ring.
+func TestWALFailedCommitKeepsFlightTail(t *testing.T) {
+	clk := clock.NewVirtual()
+	fd := &failNextSubmit{BlockDev: device.New(clk, clock.DefaultCosts(), 64<<20)}
+	s, err := Format(fd, clk, clock.DefaultCosts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fl := flight.NewRecorder(0)
+	s.SetFlight(fl)
+	oid := s.NewOID()
+	if err := s.PutRecord(oid, 1, []byte("one")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.WALCommit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutRecord(oid, 1, []byte("two")); err != nil {
+		t.Fatal(err)
+	}
+	fd.armed = true
+	if _, err := s.WALCommit(); err == nil {
+		t.Fatal("WALCommit over a failing device succeeded")
+	}
+	if st, err := s.WALCommit(); err != nil || st.Seq != 2 {
+		t.Fatalf("retry: %+v, %v", st, err)
+	}
+	s2, err := Recover(fd, clk, clock.DefaultCosts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if evs, seq := recoveredRing(t, s2); seq != fl.Seq() || !slices.Equal(evs, fl.Events()) {
+		t.Fatalf("ring recovered after a failed-then-retried commit: %d events at seq %d, the recorder held %d at seq %d",
+			len(evs), seq, len(fl.Events()), fl.Seq())
+	}
+	if got, _ := s2.GetRecord(oid); string(got) != "two" {
+		t.Fatalf("record after replay = %q", got)
+	}
+}
+
 // TestRecoveredFlightJoin: the ring RecoveredFlight reports is the one the
 // recorder held when the last recovered piece was cut, however the pieces
 // relate — a frame's tail continuing the ring, a tail cut after the ring
