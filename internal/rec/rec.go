@@ -190,9 +190,6 @@ func (d *Decoder) Err() error { return d.err }
 // Remaining reports undecoded bytes.
 func (d *Decoder) Remaining() int { return len(d.b) - d.off }
 
-// Rest returns the undecoded remainder, aliasing the record.
-func (d *Decoder) Rest() []byte { return d.b[d.off:] }
-
 func (d *Decoder) fail() {
 	if d.err == nil {
 		d.err = fmt.Errorf("%w: truncated", ErrCorrupt)
