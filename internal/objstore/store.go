@@ -430,9 +430,9 @@ func (s *Store) ensure(oid OID, utype uint16) *object {
 		o = &object{oid: oid, utype: utype, birth: s.curEpoch()}
 		s.objects[oid] = o
 		s.sorted = nil
-		// A stream can name the top OID: it must not bump the allocator,
-		// since oid+1 would wrap to 0 and restart allocation over live
-		// objects.
+		// A caller can name the top OID (PutRecord takes any): it must not
+		// bump the allocator, since oid+1 would wrap to 0 and restart
+		// allocation over live objects.
 		if oid >= s.nextOID && oid+1 != 0 {
 			s.nextOID = oid + 1
 		}
