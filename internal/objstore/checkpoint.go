@@ -342,8 +342,8 @@ func (s *Store) loadIndex(addr, length int64, sp trace.Span) error {
 
 // openImage reads the checkpoint image whose index is at addr: the index,
 // then every object record it lists as one batch at device queue depth. A
-// record that fails its seal, magic or bounds fails the whole open — there is
-// no partial table. The two phases are recorded as children of sp.
+// record that fails its seal, magic or bounds, or is not the object its entry
+// names, fails the whole open — there is no partial table. The two phases are recorded as children of sp.
 func (s *Store) openImage(addr, length int64, sp trace.Span) (*indexState, map[OID]*object, error) {
 	idxSpan := sp.Child("index")
 	idx, err := s.fetchIndex(addr, length)
@@ -359,6 +359,9 @@ func (s *Store) openImage(addr, length int64, sp trace.Span) (*indexState, map[O
 	objects := make(map[OID]*object, len(exts))
 	err = s.readBatch(exts, func(i int, b []byte) error {
 		o, err := decodeRecord(b)
+		if err == nil && o.oid != idx.objects[i].oid {
+			err = fmt.Errorf("%w: it is object %d's", ErrCorrupt, o.oid)
+		}
 		if err != nil {
 			return fmt.Errorf("record of object %d at %#x: %w", idx.objects[i].oid, exts[i].addr, err)
 		}

@@ -214,7 +214,8 @@ func indexLen(runs, dead, retained, objects, ring int) int64 {
 
 // decodeIndex parses a checkpoint index of a store whose data region is
 // [lo, hi). Its free map must be aligned, non-empty runs inside the region,
-// in descending order with a gap between each two.
+// in descending order with a gap between each two; its retained epochs and
+// its objects' OIDs must ascend strictly.
 func decodeIndex(b []byte, lo, hi int64) (*indexState, error) {
 	d, err := openSealed(b)
 	if err != nil {
@@ -250,9 +251,12 @@ func decodeIndex(b []byte, lo, hi int64) (*indexState, error) {
 		st.retained = append(st.retained, c)
 	}
 	for i, n := 0, int(d.U32()); i < n && d.Err() == nil; i++ {
-		st.objects = append(st.objects, indexEntry{
-			oid: OID(d.U64()), addr: d.I64(), len: d.I64(),
-		})
+		e := indexEntry{oid: OID(d.U64()), addr: d.I64(), len: d.I64()}
+		if d.Err() == nil && i > 0 && e.oid <= st.objects[i-1].oid {
+			// The commit lists each object once, ascending.
+			return nil, fmt.Errorf("%w: object %d listed out of order", ErrCorrupt, e.oid)
+		}
+		st.objects = append(st.objects, e)
 	}
 	st.flight = d.Bytes()
 	if err := d.Err(); err != nil {

@@ -225,6 +225,15 @@ func TestDecodeIndexRefusesBadRuns(t *testing.T) {
 			t.Errorf("retained %v under epoch 5: decode = %v, want ErrCorrupt", retained, err)
 		}
 	}
+	for _, oids := range [][]OID{{3, 3}, {4, 3}, {1 << 63, 1}} {
+		idx := &indexState{}
+		for _, oid := range oids {
+			idx.objects = append(idx.objects, indexEntry{oid: oid, addr: lo, len: 1})
+		}
+		if _, err := decodeIndex(encodeIndex(idx).Seal(), lo, hi); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("objects %v: decode = %v, want ErrCorrupt", oids, err)
+		}
+	}
 	for _, magic := range []uint32{
 		0x41524958, // "ARIX", the per-block freelist's index
 		0x4152494D, // "ARIM", the free map's, beside journal frames of their own layout

@@ -87,7 +87,8 @@ func chunkRoots(o *object) []int64 {
 	return roots
 }
 
-// FuzzDecodeIndex holds the checkpoint-index decoder to the same contract.
+// FuzzDecodeIndex holds the checkpoint-index decoder to the same contract,
+// and every index it accepts to listing its objects strictly ascending.
 func FuzzDecodeIndex(f *testing.F) {
 	s, dev := fuzzSeedStore(f)
 	for _, c := range s.retained {
@@ -109,6 +110,11 @@ func FuzzDecodeIndex(f *testing.F) {
 				t.Fatalf("decode error %v is not ErrCorrupt", err)
 			}
 			return
+		}
+		for i := 1; i < len(st.objects); i++ {
+			if st.objects[i].oid <= st.objects[i-1].oid {
+				t.Fatalf("accepted index lists object %d after %d", st.objects[i].oid, st.objects[i-1].oid)
+			}
 		}
 		again, err := decodeIndex(encodeIndex(st).Seal(), s.dataStart(), dev.Size())
 		if err != nil {

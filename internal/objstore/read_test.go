@@ -309,6 +309,65 @@ func TestOpenImageRejectsDamagedRecord(t *testing.T) {
 	}
 }
 
+// TestRecoverRefusesIndexNamingAnObjectTwice points the newest superblock at
+// a copy of its index that names object 1's retained record a second time:
+// as a second entry for object 1, then as object 2's entry. Loading either
+// would roll object 1 back (and lose object 2) with a record's blocks claimed
+// twice; Recover must refuse both as ErrCorrupt.
+func TestRecoverRefusesIndexNamingAnObjectTwice(t *testing.T) {
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		craft func(ents []indexEntry, old indexEntry) []indexEntry
+	}{
+		{"object 1 listed twice", func(ents []indexEntry, old indexEntry) []indexEntry {
+			return slices.Insert(ents, 1, old)
+		}},
+		{"object 2 naming object 1's record", func(ents []indexEntry, old indexEntry) []indexEntry {
+			ents[1].addr, ents[1].len = old.addr, old.len
+			return ents
+		}},
+	} {
+		s, dev, clk := newStore(t)
+		must(s.PutRecord(1, 1, []byte("a")))
+		must(s.PutRecord(2, 1, []byte("b")))
+		_, err := s.CheckpointRetaining(4)
+		must(err)
+		must(s.PutRecord(1, 1, []byte("aaaa")))
+		_, err = s.CheckpointRetaining(4)
+		must(err)
+		must(s.WaitDurable(s.Epoch()))
+		prev := s.retained[len(s.retained)-2]
+		old, err := s.fetchIndex(prev.indexAddr, prev.indexLen)
+		must(err)
+		u, sb, err := unopenedStore(dev, clk, clock.DefaultCosts())
+		must(err)
+		idx, err := u.fetchIndex(sb.indexAddr, sb.indexLen)
+		must(err)
+		if len(idx.objects) != 2 || len(old.objects) != 2 || old.objects[0].oid != 1 || old.objects[0].addr == idx.objects[0].addr {
+			t.Fatalf("%s: newest index lists %v, retained %v; want objects 1 and 2, object 1 rewritten", tc.name, idx.objects, old.objects)
+		}
+		idx.objects = tc.craft(idx.objects, old.objects[0])
+		body := encodeIndex(idx).Seal()
+		sb.indexAddr, sb.indexLen = idx.free[0].addr, int64(len(body)) // free in its own map
+		dev.PokeAt(body, sb.indexAddr)
+		dev.PokeAt(encodeSuperblock(sb), int64(1-u.superSlot)*BlockSize)
+		if s2, err := Recover(dev, clk, clock.DefaultCosts()); !errors.Is(err, ErrCorrupt) || s2 != nil {
+			rec := "unrecovered"
+			if s2 != nil {
+				got, _ := s2.GetRecord(1)
+				rec = fmt.Sprintf("object 1 reads %q, objects %v", got, s2.Objects())
+			}
+			t.Errorf("%s: Recover = %v (%s), want ErrCorrupt", tc.name, err, rec)
+		}
+	}
+}
+
 // TestRecoverAtQueueDepth bounds the records phase of recovering a
 // 1 000-object image by what the device must do — the index transfer, every
 // record's queue occupancy — plus four read latencies (one per batch, and
