@@ -246,3 +246,83 @@ func TestViewMatchesStore(t *testing.T) {
 		}
 	}
 }
+
+const sparseOIDImageSHA = "0035a23890c255b9efd2188ec155107eae1f01ed94dab1f5fc8073aa4e5c4203"
+
+// TestSparseOIDImagePinned places inline, paged and journal objects on both
+// sides of the object table's structural boundaries — a 64-slot leaf (63,
+// 64), a 4 096-index directory (4 095, 4 096), a far directory (2^40) and the
+// sign bit (2^63 − 1, 2^63, 2^63 + 1) — commits, makes a WAL commit, deletes
+// one object in a second, recovers through the chain and commits again. The
+// table must walk in ascending OID order throughout: Objects(), the last
+// index's entries and, through the flush order, the device image.
+func TestSparseOIDImagePinned(t *testing.T) {
+	s, dev, clk := newStore(t)
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	oids := []OID{1<<63 + 1, 64, 1 << 40, 4095, 1 << 63, 63, 4096, 1<<63 - 1}
+	for i, oid := range oids { // created out of order
+		switch i % 3 {
+		case 0:
+			must(s.PutRecord(oid, 1, pinBytes(byte(i), 40+i)))
+		case 1:
+			s.Ensure(oid, 2)
+			for _, pg := range []int64{0, ChunkFanout + 1} {
+				must(s.WritePage(oid, pg, pinBytes(byte(i)+byte(pg), BlockSize)))
+			}
+		case 2:
+			j, err := s.CreateJournal(oid, 3, 2*BlockSize)
+			must(err)
+			_, err = j.Append(pinBytes(byte(i), 300))
+			must(err)
+		}
+	}
+	_, err := s.Checkpoint()
+	must(err)
+	must(s.PutRecord(1<<63+1, 1, []byte("rewritten")))
+	must(s.WritePage(64, 2, pinBytes(0xA0, BlockSize)))
+	_, err = s.WALCommit()
+	must(err)
+	must(s.Delete(1 << 63))
+	_, err = s.WALCommit()
+	must(err)
+	must(s.WaitWALDurable(s.WALSeq()))
+
+	const want = "[63 64 4095 4096 1099511627776 9223372036854775807 9223372036854775809]"
+	if got := fmt.Sprint(s.Objects()); got != want {
+		t.Fatalf("live objects %s, want %s", got, want)
+	}
+	s = reopen(t, dev, clk)
+	if got := s.WALReplayed(); got != 2 {
+		t.Fatalf("replayed %d frames, want 2", got)
+	}
+	if got := fmt.Sprint(s.Objects()); got != want {
+		t.Fatalf("recovered objects %s, want %s", got, want)
+	}
+	_, err = s.Checkpoint()
+	must(err)
+	must(s.WaitDurable(s.Epoch()))
+	info := s.retained[len(s.retained)-1]
+	idx, err := s.fetchIndex(info.indexAddr, info.indexLen)
+	must(err)
+	var listed []OID
+	for _, ent := range idx.objects {
+		listed = append(listed, ent.oid)
+	}
+	if got := fmt.Sprint(listed); got != want {
+		t.Errorf("index lists %s, want %s", got, want)
+	}
+	if rep := s.Fsck(); !rep.OK() {
+		t.Fatalf("fsck: %v", rep.Problems)
+	}
+	if probs := s.AuditLive(); len(probs) != 0 {
+		t.Fatalf("audit: %v", probs)
+	}
+	if got := fmt.Sprintf("%x", imageHash(t, dev)); got != sparseOIDImageSHA {
+		t.Errorf("device image\n got %s\nwant %s", got, sparseOIDImageSHA)
+	}
+}
