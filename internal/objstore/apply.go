@@ -127,7 +127,6 @@ func (s *Store) applyDelete(op *walOp) error {
 	}
 	delete(s.objects, op.oid)
 	s.sorted = nil
-	s.deleted[op.oid] = true
 	return nil
 }
 

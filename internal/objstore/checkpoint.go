@@ -115,7 +115,6 @@ func (s *Store) CheckpointRetaining(retain int) (st CheckpointStats, err error) 
 		o.dirty = false
 		st.MetaBytes += int64(len(rec))
 	}
-	s.deleted = make(map[OID]bool)
 	phase.End(trace.I("dirty_objects", int64(st.DirtyObjects)), trace.I("meta_bytes", st.MetaBytes))
 	phase = commitSpan.Child("release")
 

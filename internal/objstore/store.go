@@ -212,8 +212,6 @@ type Store struct {
 	// gated on that instant, not on submit.
 	releaseQ []stagedRelease
 
-	deleted map[OID]bool // deleted since last checkpoint (must leave index)
-
 	// pendingDurable is the completion time of the latest submitted write
 	// belonging to the in-progress interval; the next commit waits for it.
 	pendingDurable time.Duration
@@ -264,11 +262,10 @@ type Store struct {
 // blankStore is a store over dev with nothing formatted or loaded.
 func blankStore(dev BlockDev, clk clock.Clock, costs *clock.Costs, tr *trace.Tracer) *Store {
 	s := &Store{
-		dev:     dev,
-		clk:     clk,
-		costs:   costs,
-		tr:      tr,
-		deleted: make(map[OID]bool),
+		dev:   dev,
+		clk:   clk,
+		costs: costs,
+		tr:    tr,
 	}
 	s.image = image{s: s, objects: make(map[OID]*object)}
 	return s
@@ -436,7 +433,6 @@ func (s *Store) ensure(oid OID, utype uint16) *object {
 		if oid >= s.nextOID && oid+1 != 0 {
 			s.nextOID = oid + 1
 		}
-		delete(s.deleted, oid)
 	}
 	o.dirty = true
 	return o
