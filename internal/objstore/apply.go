@@ -125,8 +125,7 @@ func (s *Store) applyDelete(op *walOp) error {
 	if o.recordAddr != 0 {
 		s.retireRun(o.recordAddr, blocksFor(o.recordLen))
 	}
-	delete(s.objects, op.oid)
-	s.sorted = nil
+	s.objects.Del(oidKey(op.oid))
 	return nil
 }
 

@@ -47,35 +47,34 @@ func (s *Store) auditLocked(a *auditScratch, page func(oid OID, pg, addr int64, 
 	}
 
 	loaded := true
-	for _, oid := range s.oids() {
-		o := s.objects[oid]
+	for _, o := range s.objects.All() {
 		if o.recordAddr != 0 {
-			claimRun(claim{blockRun{o.recordAddr, blocksFor(o.recordLen)}, claimRecord, int64(oid), 0})
+			claimRun(claim{blockRun{o.recordAddr, blocksFor(o.recordLen)}, claimRecord, int64(o.oid), 0})
 		}
 		if o.journal != nil {
-			claimRun(claim{blockRun{o.journal.extentAddr, o.journal.capBlocks}, claimJournal, int64(oid), 0})
+			claimRun(claim{blockRun{o.journal.extentAddr, o.journal.capBlocks}, claimJournal, int64(o.oid), 0})
 		}
 		for ci, c := range o.chunks.All() {
 			if c.addr != 0 {
-				claimRun(claim{blockRun{c.addr, 1}, claimChunk, int64(oid), ci})
+				claimRun(claim{blockRun{c.addr, 1}, claimChunk, int64(o.oid), ci})
 			}
 			if page == nil {
 				continue
 			}
 			if err := s.faultChunk(ci, c); err != nil {
-				prob("oid %d: %v", oid, err)
+				prob("oid %d: %v", o.oid, err)
 				loaded = false
 				continue
 			}
 			for slot, addr := range c.addrs {
 				pg := ci*ChunkFanout + int64(slot)
-				if addr != 0 && claimRun(claim{blockRun{addr, 1}, claimPage, int64(oid), pg}) {
-					page(oid, pg, addr, c.sums[slot])
+				if addr != 0 && claimRun(claim{blockRun{addr, 1}, claimPage, int64(o.oid), pg}) {
+					page(o.oid, pg, addr, c.sums[slot])
 				}
 			}
 		}
 		if o.size < 0 {
-			prob("oid %d has negative size %d", oid, o.size)
+			prob("oid %d has negative size %d", o.oid, o.size)
 		}
 	}
 
@@ -214,7 +213,7 @@ func (a *auditScratch) reset(s *Store) {
 	for _, q := range s.releaseQ {
 		n += len(q.runs)
 	}
-	for _, o := range s.objects {
+	for _, o := range s.objects.All() {
 		n += 2 + o.chunks.Len()
 	}
 	a.claims = slices.Grow(a.claims[:0], n)

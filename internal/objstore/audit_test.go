@@ -58,8 +58,8 @@ func auditBase(t testing.TB) *Store {
 // order reports come in. The fsck rows pin Fsck's report of a plant only its
 // page walk sees.
 func TestAuditLiveReportsPinned(t *testing.T) {
-	chunk0 := func(s *Store) int64 { return chunkOf(s.objects[2], 0).addr }
-	extent := func(s *Store) int64 { return s.objects[3].journal.extentAddr }
+	chunk0 := func(s *Store) int64 { return chunkOf(s.get(2), 0).addr }
+	extent := func(s *Store) int64 { return s.get(3).journal.extentAddr }
 	type pinned struct {
 		name  string
 		plant func(s *Store)
@@ -67,11 +67,11 @@ func TestAuditLiveReportsPinned(t *testing.T) {
 	}
 	cases := []pinned{
 		// A claim outside the data region, misaligned or empty.
-		{"record out of range", func(s *Store) { s.objects[1].recordAddr = BlockSize },
+		{"record out of range", func(s *Store) { s.get(1).recordAddr = BlockSize },
 			[]string{"store: record of oid 1 claims out-of-range run [4096,+1 blocks)"}},
-		{"journal extent out of range", func(s *Store) { s.objects[3].journal.extentAddr = s.dev.Size() - 2*BlockSize },
+		{"journal extent out of range", func(s *Store) { s.get(3).journal.extentAddr = s.dev.Size() - 2*BlockSize },
 			[]string{"store: journal extent of oid 3 claims out-of-range run [2147475456,+4 blocks)"}},
-		{"chunk out of range", func(s *Store) { chunkOf(s.objects[2], 0).addr = s.dataStart() + 1 },
+		{"chunk out of range", func(s *Store) { chunkOf(s.get(2), 0).addr = s.dataStart() + 1 },
 			[]string{"store: chunk 0 of oid 2 claims out-of-range run [4202497,+1 blocks)"}},
 		{"retained index out of range", func(s *Store) { s.retained[0].indexAddr = 0 },
 			[]string{"store: index of epoch 1 claims out-of-range run [0,+1 blocks)"}},
@@ -86,7 +86,7 @@ func TestAuditLiveReportsPinned(t *testing.T) {
 			[]string{"store: deadlist claims out-of-range run [-4096,+1 blocks)"}},
 
 		// Two claims on one block.
-		{"record in a free run", func(s *Store) { s.objects[1].recordAddr = s.free[0].addr + 2*BlockSize },
+		{"record in a free run", func(s *Store) { s.get(1).recordAddr = s.free[0].addr + 2*BlockSize },
 			[]string{"store: block 4288512 claimed by both free map and record of oid 1"}},
 		{"chunk on the deadlist", func(s *Store) {
 			s.deadlist = append(s.deadlist, deadBlock{addr: chunk0(s), birth: 2, freedAt: 3})
@@ -105,7 +105,7 @@ func TestAuditLiveReportsPinned(t *testing.T) {
 			[]string{"store: block 4268032 claimed by both free map and chunk 0 of oid 2", "store: block 4272128 claimed by both free map and record of oid 2"}},
 
 		// The walk's other rules.
-		{"negative size", func(s *Store) { s.objects[1].size = -5 },
+		{"negative size", func(s *Store) { s.get(1).size = -5 },
 			[]string{"store: oid 1 has negative size -5"}},
 		{"retained epochs out of order", func(s *Store) { s.retained[1].epoch = 1 },
 			[]string{"store: retained epochs out of order: 1 then 1"}},
@@ -134,17 +134,17 @@ func TestAuditLiveReportsPinned(t *testing.T) {
 
 		// Order: double claims by block, after the walk's other rules.
 		{"two double claims planted in reverse address order", func(s *Store) {
-			s.objects[1].recordAddr = s.free[0].addr + 2*BlockSize
+			s.get(1).recordAddr = s.free[0].addr + 2*BlockSize
 			s.deadlist = append(s.deadlist, s.deadlist[0])
 		}, []string{"store: block 4222976 claimed by both deadlist and deadlist", "store: block 4288512 claimed by both free map and record of oid 1"}},
 		{"a double claim beside a negative size", func(s *Store) {
 			s.deadlist = append(s.deadlist, s.deadlist[4])
-			s.objects[2].size = -1
+			s.get(2).size = -1
 		}, []string{"store: oid 2 has negative size -1", "store: block 4243456 claimed by both deadlist and deadlist"}},
 	}
 	// Fsck runs the same walk over every data page as well: these rows pin
 	// its whole report, the page claims, conservation and the scrub included.
-	page := func(s *Store, pg int64) *int64 { return &chunkOf(s.objects[2], 0).addrs[pg] }
+	page := func(s *Store, pg int64) *int64 { return &chunkOf(s.get(2), 0).addrs[pg] }
 	fsckCases := []pinned{
 		{"fsck: a leaked block", func(s *Store) { s.deadlist = s.deadlist[1:] },
 			[]string{"store: 1 blocks held by nothing, the first at 4222976"}},
@@ -158,8 +158,8 @@ func TestAuditLiveReportsPinned(t *testing.T) {
 				"store: 1 blocks held by nothing, the first at 4255744"}},
 		{"fsck: a page claimed by two objects", func(s *Store) {
 			c := &chunk{loaded: true, dirty: true}
-			c.addrs[1], c.sums[1] = *page(s, 1), chunkOf(s.objects[2], 0).sums[1]
-			s.objects[1].chunks = chunkTable(map[int64]*chunk{0: c})
+			c.addrs[1], c.sums[1] = *page(s, 1), chunkOf(s.get(2), 0).sums[1]
+			s.get(1).chunks = chunkTable(map[int64]*chunk{0: c})
 		}, []string{"store: block 4259840 claimed by both page 1 of oid 1 and page 1 of oid 2"}},
 		{"fsck: a page out of range", func(s *Store) { *page(s, 2) = s.dev.Size() },
 			[]string{"store: page 2 of oid 2 claims out-of-range run [2147483648,+1 blocks)",
@@ -280,9 +280,9 @@ func auditLoad(tb testing.TB) *Store {
 // however many claims it checks — its working memory is kept on the store.
 func TestAuditAllocsBounded(t *testing.T) {
 	s := auditLoad(t)
-	if len(s.objects) < 1000 || len(s.deadlist) < 10000 || len(s.free) < 1000 {
+	if s.objects.Len() < 1000 || len(s.deadlist) < 10000 || len(s.free) < 1000 {
 		t.Fatalf("store holds %d objects, %d deadlist blocks and %d free runs, want at least 1 000, 10 000 and 1 000",
-			len(s.objects), len(s.deadlist), len(s.free))
+			s.objects.Len(), len(s.deadlist), len(s.free))
 	}
 	if n := testing.AllocsPerRun(20, func() { s.AuditLive() }); n != 0 {
 		t.Fatalf("AuditLive allocated %.1f times per call over %d claims, want 0", n, len(s.audit.claims))

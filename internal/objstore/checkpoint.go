@@ -75,8 +75,7 @@ func (s *Store) CheckpointRetaining(retain int) (st CheckpointStats, err error) 
 	// chunk-index) order: a given logical state must always produce the
 	// identical submit sequence, because the crash-exploration harness
 	// replays checkpoints by submit index.
-	for _, oid := range s.oids() {
-		o := s.objects[oid]
+	for _, o := range s.objects.All() {
 		if !o.dirty {
 			continue
 		}
@@ -255,9 +254,8 @@ func (s *Store) indexState(cur Epoch) *indexState {
 		s.spare = mergeRuns(s.spare[:0], s.free, s.scratch)
 		idx.free = s.spare
 	}
-	for _, oid := range s.oids() {
-		o := s.objects[oid]
-		idx.objects = append(idx.objects, indexEntry{oid: oid, addr: o.recordAddr, len: o.recordLen})
+	for _, o := range s.objects.All() {
+		idx.objects = append(idx.objects, indexEntry{oid: o.oid, addr: o.recordAddr, len: o.recordLen})
 	}
 	return idx
 }
@@ -321,7 +319,7 @@ func (s *Store) readSuperblocks() (superblock, int, error) {
 // loadIndex replaces the store's live state with the image whose index is at
 // addr. Requires the caller to hold no references into the old state.
 func (s *Store) loadIndex(addr, length int64, sp trace.Span) error {
-	idx, objects, err := s.openImage(addr, length, sp)
+	idx, im, err := s.openImage(addr, length, sp)
 	if err != nil {
 		return err
 	}
@@ -332,7 +330,7 @@ func (s *Store) loadIndex(addr, length int64, sp trace.Span) error {
 	}
 	s.deadlist = idx.deadlist
 	s.retained = append(idx.retained, ckptInfo{epoch: idx.epoch, indexAddr: addr, indexLen: length})
-	s.image = image{s: s, objects: objects}
+	s.image = im
 	if idx.flight != nil {
 		s.recovered = [][]byte{idx.flight}
 	}
@@ -342,20 +340,21 @@ func (s *Store) loadIndex(addr, length int64, sp trace.Span) error {
 // openImage reads the checkpoint image whose index is at addr: the index,
 // then every object record it lists as one batch at device queue depth. A
 // record that fails its seal, magic or bounds, or is not the object its entry
-// names, fails the whole open — there is no partial table. The two phases are recorded as children of sp.
-func (s *Store) openImage(addr, length int64, sp trace.Span) (*indexState, map[OID]*object, error) {
+// names, fails the whole open — there is no partial table. The two phases are
+// recorded as children of sp.
+func (s *Store) openImage(addr, length int64, sp trace.Span) (*indexState, image, error) {
 	idxSpan := sp.Child("index")
 	idx, err := s.fetchIndex(addr, length)
 	idxSpan.End(trace.I("bytes", length))
 	if err != nil {
-		return nil, nil, err
+		return nil, image{}, err
 	}
 	recSpan := sp.Child("records")
 	exts := make([]extent, len(idx.objects))
 	for i, ent := range idx.objects {
 		exts[i] = extent{ent.addr, ent.len}
 	}
-	objects := make(map[OID]*object, len(exts))
+	im := image{s: s}
 	err = s.readBatch(exts, func(i int, b []byte) error {
 		o, err := decodeRecord(b)
 		if err == nil && o.oid != idx.objects[i].oid {
@@ -365,14 +364,14 @@ func (s *Store) openImage(addr, length int64, sp trace.Span) (*indexState, map[O
 			return fmt.Errorf("record of object %d at %#x: %w", idx.objects[i].oid, exts[i].addr, err)
 		}
 		o.recordAddr, o.recordLen = exts[i].addr, exts[i].n
-		objects[o.oid] = o
+		im.objects.Set(oidKey(o.oid), o)
 		return nil
 	})
 	recSpan.End(trace.I("objects", int64(len(exts))))
 	if err != nil {
-		return nil, nil, err
+		return nil, image{}, err
 	}
-	return idx, objects, nil
+	return idx, im, nil
 }
 
 // fetchIndex reads and decodes an index.
@@ -421,11 +420,11 @@ func (s *Store) RestoreView(epoch Epoch) (*View, error) {
 	if err != nil {
 		return nil, err
 	}
-	_, objects, err := s.openImage(info.indexAddr, info.indexLen, trace.Span{})
+	_, im, err := s.openImage(info.indexAddr, info.indexLen, trace.Span{})
 	if err != nil {
 		return nil, err
 	}
-	return &View{image: image{s: s, objects: objects}, epoch: epoch}, nil
+	return &View{image: im, epoch: epoch}, nil
 }
 
 // Epoch returns the epoch the view images.

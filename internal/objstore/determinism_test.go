@@ -51,7 +51,7 @@ func buildDamagedStore(t *testing.T) *Store {
 	// order unrelated to OID order.
 	for _, i := range []int{8, 1, 5} {
 		s.mu.Lock()
-		addr := s.objects[oids[i]].recordAddr
+		addr := s.get(oids[i]).recordAddr
 		s.mu.Unlock()
 		dev.PokeAt(garbage, addr)
 	}

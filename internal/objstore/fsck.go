@@ -55,15 +55,14 @@ func (s *Store) Fsck() FsckReport {
 			rep.Blocks += c.n
 		}
 	}
-	for _, oid := range s.oids() {
-		o := s.objects[oid]
+	for _, o := range s.objects.All() {
 		rep.Objects++
 		if o.journal != nil {
 			rep.Journals++
 		}
 		if o.recordAddr != 0 {
 			if _, err := s.fetchRecord(o.recordAddr, o.recordLen); err != nil {
-				rep.problemf("object %d: record unreadable: %v", oid, err)
+				rep.problemf("object %d: record unreadable: %v", o.oid, err)
 			}
 		}
 	}

@@ -83,7 +83,7 @@ func TestFsckDetectsCorruptRecord(t *testing.T) {
 	}
 	// Smash the record's committed blocks directly on the device.
 	s.mu.Lock()
-	addr := s.objects[oid].recordAddr
+	addr := s.get(oid).recordAddr
 	s.mu.Unlock()
 	garbage := make([]byte, BlockSize)
 	for i := range garbage {
@@ -102,8 +102,8 @@ func pageAddr(t *testing.T, s *Store, oid OID, pg int64) int64 {
 	t.Helper()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	o, ok := s.objects[oid]
-	if !ok || o.chunks == nil {
+	o := s.get(oid)
+	if o == nil || o.chunks == nil {
 		t.Fatalf("object %d not paged", oid)
 	}
 	c, err := s.loadChunk(o, pg, false)
@@ -216,7 +216,7 @@ func TestFsckDetectsCorruptChunkBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.mu.Lock()
-	chunkAddr := chunkOf(s.objects[oid], 0).addr
+	chunkAddr := chunkOf(s.get(oid), 0).addr
 	s.mu.Unlock()
 
 	s2 := reopen(t, dev, clk) // drop the in-memory chunk cache

@@ -46,7 +46,7 @@ func fuzzSeedStore(f *testing.F) (*Store, *device.Stripe) {
 // ErrCorrupt, and whatever it accepts must survive a re-encode.
 func FuzzDecodeRecord(f *testing.F) {
 	s, dev := fuzzSeedStore(f)
-	for _, o := range s.objects {
+	for _, o := range s.objects.All() {
 		b := make([]byte, o.recordLen)
 		if _, err := dev.ReadAt(b, o.recordAddr); err != nil {
 			f.Fatal(err)

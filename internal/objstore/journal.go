@@ -56,7 +56,7 @@ type Entry struct {
 func (s *Store) CreateJournal(oid OID, utype uint16, capacity int64) (*Journal, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.objects[oid]; ok {
+	if s.get(oid) != nil {
 		return nil, fmt.Errorf("objstore: object %d already exists", oid)
 	}
 	o, err := s.createJournalLocked(oid, utype, max(blocksFor(capacity), 1), 1, 0)
@@ -77,7 +77,7 @@ func (s *Store) createJournalLocked(oid OID, utype uint16, blocks int64, gen, fs
 	if err := s.mutate(op); err != nil {
 		return nil, err
 	}
-	o := s.objects[oid]
+	o := s.get(oid)
 	o.journal.scanned = true // the extent is new: there is no tail to find
 	o.journal.lastSeq = fseq
 	return o, nil
@@ -334,7 +334,7 @@ func (s *Store) WriteFrames(oid OID, utype uint16, capacity int64, run FrameRun)
 		return refuse("%d bytes at byte %d overrun the %d-byte extent", len(run.Frames), run.Off, blocks*BlockSize)
 	}
 	var held *journalState // the generation the run continues, if oid holds it
-	if o, ok := s.objects[oid]; ok && o.journal != nil {
+	if o := s.get(oid); o != nil && o.journal != nil {
 		if !o.journal.scanned {
 			if _, err := (&Journal{s: s, o: o}).scanLocked(); err != nil {
 				return err
@@ -369,7 +369,7 @@ func (s *Store) WriteFrames(oid OID, utype uint16, capacity int64, run FrameRun)
 		last = seq
 	}
 
-	o := s.objects[oid]
+	o := s.get(oid)
 	if held == nil {
 		if o != nil {
 			if err := s.mutate(&walOp{kind: walOpDelete, oid: oid}); err != nil {

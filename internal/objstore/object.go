@@ -52,8 +52,8 @@ func (s *Store) HoldsRecord(oid OID, utype uint16, data []byte) bool {
 }
 
 func (s *Store) holdsLocked(oid OID, utype uint16, data []byte) bool {
-	o, ok := s.objects[oid]
-	return ok && o.utype == utype && o.chunks == nil && o.journal == nil && bytes.Equal(o.inline, data)
+	o := s.get(oid)
+	return o != nil && o.utype == utype && o.chunks == nil && o.journal == nil && bytes.Equal(o.inline, data)
 }
 
 // Ensure creates oid as an empty inline object if it does not exist (the
@@ -61,7 +61,7 @@ func (s *Store) holdsLocked(oid OID, utype uint16, data []byte) bool {
 func (s *Store) Ensure(oid OID, utype uint16) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if o, ok := s.objects[oid]; ok {
+	if o := s.get(oid); o != nil {
 		o.dirty = true
 		return
 	}

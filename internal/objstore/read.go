@@ -3,8 +3,6 @@ package objstore
 import (
 	"fmt"
 	"hash/crc32"
-	"maps"
-	"slices"
 	"time"
 
 	"aurora/internal/rec"
@@ -24,21 +22,21 @@ import (
 // prefetch, a file read or a page shipped to a replica — naming the object and
 // the page.
 
-// oids returns the image's OIDs ascending. The slice is cached until an
-// object is created or deleted, which drops it rather than changing it, so a
-// caller may range over it while the table changes; it must not modify it.
-// Requires mu.
-func (im *image) oids() []OID {
-	if im.sorted == nil {
-		im.sorted = slices.Sorted(maps.Keys(im.objects))
-	}
-	return im.sorted
+// oidKey is oid's index in an object table. Flipping the sign bit makes the
+// table's ascending int64 walk ascending OID order over the whole OID space;
+// a plain int64(oid) would walk the OIDs from 2^63 up first.
+func oidKey(oid OID) int64 { return int64(oid ^ 1<<63) }
+
+// get returns oid's object, nil if the image has none. Requires mu.
+func (im *image) get(oid OID) *object {
+	o, _ := im.objects.Get(oidKey(oid))
+	return o
 }
 
 // lookup requires mu.
 func (im *image) lookup(oid OID) (*object, error) {
-	o, ok := im.objects[oid]
-	if !ok {
+	o := im.get(oid)
+	if o == nil {
 		return nil, fmt.Errorf("%w: %d", ErrNoObject, oid)
 	}
 	return o, nil
@@ -52,15 +50,18 @@ func (im *image) lookup(oid OID) (*object, error) {
 func (im *image) Objects() []OID {
 	im.s.mu.Lock()
 	defer im.s.mu.Unlock()
-	return slices.Clone(im.oids())
+	oids := make([]OID, 0, im.objects.Len())
+	for _, o := range im.objects.All() {
+		oids = append(oids, o.oid)
+	}
+	return oids
 }
 
 // Exists reports whether oid is in the image.
 func (im *image) Exists(oid OID) bool {
 	im.s.mu.Lock()
 	defer im.s.mu.Unlock()
-	_, ok := im.objects[oid]
-	return ok
+	return im.get(oid) != nil
 }
 
 // UType returns the user type tag of oid.

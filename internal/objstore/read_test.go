@@ -9,7 +9,6 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
-	"maps"
 	"math/rand"
 	"slices"
 	"strings"
@@ -18,12 +17,13 @@ import (
 
 	"aurora/internal/clock"
 	"aurora/internal/device"
+	"aurora/internal/radix"
 	"aurora/internal/trace"
 )
 
 // openImageSerial is the serial reference for openImage: one synchronous
 // dev.ReadAt per index and per object record.
-func openImageSerial(s *Store, addr, length int64) (*indexState, map[OID]*object, error) {
+func openImageSerial(s *Store, addr, length int64) (*indexState, *radix.Table[*object], error) {
 	buf := make([]byte, length)
 	if _, err := s.dev.ReadAt(buf, addr); err != nil {
 		return nil, nil, err
@@ -32,7 +32,7 @@ func openImageSerial(s *Store, addr, length int64) (*indexState, map[OID]*object
 	if err != nil {
 		return nil, nil, err
 	}
-	objects := make(map[OID]*object, len(idx.objects))
+	objects := new(radix.Table[*object])
 	for _, ent := range idx.objects {
 		b := make([]byte, ent.len)
 		if _, err := s.dev.ReadAt(b, ent.addr); err != nil {
@@ -43,7 +43,7 @@ func openImageSerial(s *Store, addr, length int64) (*indexState, map[OID]*object
 			return nil, nil, err
 		}
 		o.recordAddr, o.recordLen = ent.addr, ent.len
-		objects[o.oid] = o
+		objects.Set(oidKey(o.oid), o)
 	}
 	return idx, objects, nil
 }
@@ -76,7 +76,7 @@ func recoverSerial(dev BlockDev, clk clock.Clock, costs *clock.Costs) (*Store, e
 		return nil, ErrCorrupt
 	}
 	s.retained = append(idx.retained, ckptInfo{epoch: idx.epoch, indexAddr: sb.indexAddr, indexLen: sb.indexLen})
-	s.image = image{s: s, objects: objects}
+	s.image = image{s: s, objects: *objects}
 	s.epoch = sb.epoch
 	_, err = s.walRecover()
 	return s, err
@@ -84,11 +84,10 @@ func recoverSerial(dev BlockDev, clk clock.Clock, costs *clock.Costs) (*Store, e
 
 // tableDump renders an object table: every record re-encoded, with where it
 // was read from.
-func tableDump(objects map[OID]*object) string {
+func tableDump(objects *radix.Table[*object]) string {
 	var b strings.Builder
-	for _, oid := range slices.Sorted(maps.Keys(objects)) {
-		o := objects[oid]
-		fmt.Fprintf(&b, "%d @%#x+%d dirty=%v birth=%d %x\n", oid, o.recordAddr, o.recordLen, o.dirty, o.birth, encodeRecord(o))
+	for _, o := range objects.All() {
+		fmt.Fprintf(&b, "%d @%#x+%d dirty=%v birth=%d %x\n", o.oid, o.recordAddr, o.recordLen, o.dirty, o.birth, encodeRecord(o))
 	}
 	return b.String()
 }
@@ -100,7 +99,7 @@ func stateDump(s *Store) string {
 	defer s.mu.Unlock()
 	return fmt.Sprintf("epoch=%d nextOID=%d slot=%d wal=%d/%d/%d\nfree=%v\ndead=%v\nretained=%v\nreleasing=%v\n%s",
 		s.epoch, s.nextOID, s.superSlot, s.walHead, len(s.walDurable), s.walReplayed,
-		s.free, s.deadlist, s.retained, s.releasing, tableDump(s.objects))
+		s.free, s.deadlist, s.retained, s.releasing, tableDump(&s.objects))
 }
 
 // cloneStripe copies a stripe's media onto a fresh clock.
@@ -245,7 +244,7 @@ func TestOpenImageMatchesSerialReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if g, w := tableDump(v.objects), tableDump(ref); g != w {
+			if g, w := tableDump(&v.objects), tableDump(ref); g != w {
 				t.Fatalf("seed %d: view of epoch %d differs from the serial reference\n--- batched\n%s\n--- serial\n%s", seed, c.epoch, g, w)
 			}
 		}

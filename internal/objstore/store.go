@@ -164,9 +164,8 @@ type Stats struct {
 // the Store that embeds it, or a retained epoch's in a View. The read methods
 // both offer are declared on it, once (see read.go).
 type image struct {
-	s       *Store // whose device the table's blocks are on, and whose lock guards it
-	objects map[OID]*object
-	sorted  []OID // objects' keys ascending; nil until oids builds it, and after a create or delete
+	s       *Store               // whose device the table's blocks are on, and whose lock guards it
+	objects radix.Table[*object] // by oidKey, so it walks in ascending OID order
 }
 
 // Store is the Aurora object store.
@@ -267,7 +266,7 @@ func blankStore(dev BlockDev, clk clock.Clock, costs *clock.Costs, tr *trace.Tra
 		costs: costs,
 		tr:    tr,
 	}
-	s.image = image{s: s, objects: make(map[OID]*object)}
+	s.image = image{s: s}
 	return s
 }
 
@@ -325,7 +324,7 @@ func RecoverTraced(dev BlockDev, clk clock.Clock, costs *clock.Costs, tr *trace.
 	if err != nil {
 		return nil, err
 	}
-	sp.End(trace.I("epoch", int64(s.epoch)), trace.I("objects", int64(len(s.objects))))
+	sp.End(trace.I("epoch", int64(s.epoch)), trace.I("objects", int64(s.objects.Len())))
 	return s, nil
 }
 
@@ -416,17 +415,16 @@ func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.stats
-	st.ObjectsLive = int64(len(s.objects))
+	st.ObjectsLive = int64(s.objects.Len())
 	return st
 }
 
 // ensure returns the object, creating it if absent. Requires mu.
 func (s *Store) ensure(oid OID, utype uint16) *object {
-	o, ok := s.objects[oid]
-	if !ok {
+	o := s.get(oid)
+	if o == nil {
 		o = &object{oid: oid, utype: utype, birth: s.curEpoch()}
-		s.objects[oid] = o
-		s.sorted = nil
+		s.objects.Set(oidKey(oid), o)
 		// A caller can name the top OID (PutRecord takes any): it must not
 		// bump the allocator, since oid+1 would wrap to 0 and restart
 		// allocation over live objects.

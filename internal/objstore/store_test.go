@@ -219,7 +219,7 @@ func TestHugeSparseObjectStaysSmall(t *testing.T) {
 	}
 	s = reopen(t, dev, clk)
 	s.mu.Lock()
-	roots := chunkRoots(s.objects[oid])
+	roots := chunkRoots(s.get(oid))
 	s.mu.Unlock()
 	if len(roots) != 4 || roots[0] != 0 || roots[2] != last/ChunkFanout {
 		t.Fatalf("the recovered record roots chunks %v, want chunks 0 and %d", roots, last/ChunkFanout)
@@ -782,7 +782,7 @@ func TestDropOverRottedChunkRetiresNothing(t *testing.T) {
 	if err := s.WaitDurable(s.Epoch()); err != nil {
 		t.Fatal(err)
 	}
-	chunkAddr := chunkOf(s.objects[oid], 1).addr
+	chunkAddr := chunkOf(s.get(oid), 1).addr
 	saved := make([]byte, BlockSize)
 	if _, err := dev.ReadAt(saved, chunkAddr); err != nil {
 		t.Fatal(err)

@@ -981,7 +981,7 @@ func TestIdenticalPutIsNotAWrite(t *testing.T) {
 	state := func() (dirty bool, addr int64, ops int) {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		return s.objects[oid].dirty, s.objects[oid].recordAddr, len(s.walPending)
+		return s.get(oid).dirty, s.get(oid).recordAddr, len(s.walPending)
 	}
 	_, addr0, _ := state()
 
@@ -1331,7 +1331,7 @@ func TestApplyRefusesImpossibleOps(t *testing.T) {
 	// Replay also refuses a frame that names blocks the free map does not
 	// hold: one the journal owns, or a run no device has, and changes nothing.
 	s.mu.Lock()
-	ext := s.objects[jrn].journal.extentAddr
+	ext := s.get(jrn).journal.extentAddr
 	s.replaying = true
 	for _, c := range []struct {
 		op   walOp
