@@ -30,7 +30,8 @@ import (
 //     ones that changed since the group's last commit (the generation gate,
 //     serializer.unchanged).
 //  5. System-shadow all writable memory.
-//  6. Resume the applications. Everything after this overlaps execution.
+//  6. Resume the applications. Everything after this overlaps execution on
+//     the virtual clock; the checkpointer holds the kernel lock meanwhile.
 //  7. Flush the frozen shadows' pages into their objects' on-disk pages.
 //  8. Commit the store checkpoint (the superblock is the atomic cut).
 
@@ -47,7 +48,9 @@ func (g *Group) Checkpoint(kind CheckpointKind) (st CheckpointStats, err error) 
 
 	// 1. Previous flush must be durable; its covered messages release. A
 	// failed wait releases nothing; its error is the device's, which this
-	// checkpoint's own writes meet again and return.
+	// checkpoint's own writes meet again and return. The prologue runs inside
+	// the kernel; the barrier below needs it left.
+	o.K.Gate.Enter()
 	_ = g.settle()
 
 	// The span tree mirrors the stats: the four stop children (quiesce,
@@ -61,27 +64,31 @@ func (g *Group) Checkpoint(kind CheckpointKind) (st CheckpointStats, err error) 
 		int64(g.oid), g.ckpts+1, int64(kind), g.Name)
 	stopSpan := ckptSpan.Child("stop")
 	phase := stopSpan.Child("quiesce")
+	o.K.Gate.Exit()
 
 	stop := clock.StartStopwatch(o.Clk)
 	o.K.Quiesce()
 	quiesced := true
-	// A failed checkpoint stays on the timeline: Span.End is what appends the
-	// event, so every span still open is ended with the error (its children
-	// that did end keep a parent), the flight ring gets the end its begin
-	// lacks, and the kernel reopens if the failure came inside the barrier.
+	// From the barrier on, the checkpointer holds the kernel: stopped until
+	// step 6, then entered until it returns. A failed checkpoint stays on the
+	// timeline: Span.End is what appends the event, so every span still open
+	// is ended with the error (its children that did end keep a parent), the
+	// flight ring gets the end its begin lacks, and the kernel reopens if the
+	// failure came inside the barrier.
 	defer func() {
-		if err == nil {
-			return
-		}
 		if quiesced {
 			o.K.Resume()
+			o.K.Gate.Enter()
 		}
-		failed := trace.S("err", err.Error())
-		phase.End(failed)
-		stopSpan.End(failed)
-		ckptSpan.End(failed)
-		o.Store.Flight().Record(int64(o.Clk.Now()), flight.EvCheckpointFail,
-			int64(g.oid), g.ckpts+1, int64(kind), g.Name+": "+err.Error())
+		if err != nil {
+			failed := trace.S("err", err.Error())
+			phase.End(failed)
+			stopSpan.End(failed)
+			ckptSpan.End(failed)
+			o.Store.Flight().Record(int64(o.Clk.Now()), flight.EvCheckpointFail,
+				int64(g.oid), g.ckpts+1, int64(kind), g.Name+": "+err.Error())
+		}
+		o.K.Gate.Exit()
 	}()
 	o.Clk.Advance(o.Costs.CheckpointFloor)
 
@@ -180,6 +187,7 @@ func (g *Group) Checkpoint(kind CheckpointKind) (st CheckpointStats, err error) 
 	st.MemTime = memSW.Elapsed()
 
 	o.K.Resume()
+	o.K.Gate.Enter()
 	quiesced = false
 	phase.End(trace.I("dirty_pages", st.DirtyPages))
 	stopSpan.End()
@@ -322,11 +330,17 @@ func (g *Group) finishCommit(st *CheckpointStats, ckptSpan trace.Span, ser *seri
 
 // Barrier waits until the group's last checkpoint is durable and releases
 // externally-synchronized messages — sls_barrier.
-func (g *Group) Barrier() error { return g.settle() }
+func (g *Group) Barrier() error {
+	g.o.K.Gate.Enter()
+	defer g.o.K.Gate.Exit()
+	return g.settle()
+}
 
 // settle waits for the group's last commit — after a WAL commit the
 // durability point is the frame append, not an epoch — and on success
-// releases the externally-synchronized messages that commit covered.
+// releases the externally-synchronized messages that commit covered. Its
+// caller holds the kernel lock, so the receivers it wakes see the
+// deliveries.
 func (g *Group) settle() error {
 	var err error
 	switch {

@@ -416,19 +416,12 @@ func (g *Group) WALSeq() uint64 { return g.lastWALSeq }
 func (g *Group) Checkpoints() int64 { return g.ckpts }
 
 // releaseES delivers the messages covered by the last checkpoint (called
-// once that checkpoint is durable). Runs with the kernel briefly
-// re-entered so receivers wake.
+// by settle, inside the kernel, once that checkpoint is durable).
 func (g *Group) releaseES() {
-	held := g.esCovered
-	g.esCovered = nil
-	if len(held) == 0 {
-		return
-	}
-	g.o.K.Gate.Enter()
-	for _, deliver := range held {
+	for _, deliver := range g.esCovered {
 		deliver()
 	}
-	g.o.K.Gate.Exit()
+	g.esCovered = nil
 }
 
 // oidFor returns the stable on-disk OID for a kernel object, allocating on
