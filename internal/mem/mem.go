@@ -11,7 +11,6 @@ package mem
 import (
 	"errors"
 	"fmt"
-	"sync"
 )
 
 // PageSize is the frame size, matching the x86-64 base page.
@@ -50,8 +49,7 @@ func (q Queue) String() string {
 }
 
 // Page is one physical frame. A Page is owned by at most one VM object at a
-// time; the owning object's lock serializes access to the mutable fields, so
-// Page itself carries no lock.
+// time.
 type Page struct {
 	Data []byte // always PageSize long
 
@@ -96,7 +94,6 @@ type Stats struct {
 // PhysMem is the physical frame allocator. It enforces a capacity so the
 // paging policy (memory overcommitment, §6) has real pressure to respond to.
 type PhysMem struct {
-	mu       sync.Mutex
 	capacity int64 // max frames; 0 means unlimited
 	used     int64
 	free     []*Page // recycled frames
@@ -143,8 +140,6 @@ func (pm *PhysMem) AllocUnzeroed() (*Page, error) {
 // take hands out a recycled frame, its flags reset and its bytes as they
 // were, or a fresh one, zeroed, from the current slab.
 func (pm *PhysMem) take() (p *Page, recycled bool, err error) {
-	pm.mu.Lock()
-	defer pm.mu.Unlock()
 	if pm.capacity > 0 && pm.used >= pm.capacity {
 		return nil, false, ErrNoMemory
 	}
@@ -177,8 +172,6 @@ func (pm *PhysMem) MustAlloc() *Page {
 
 // Free returns a frame to the allocator. The frame must not be on a queue.
 func (pm *PhysMem) Free(p *Page) {
-	pm.mu.Lock()
-	defer pm.mu.Unlock()
 	if p.queue != QueueNone {
 		delete(pm.queues[p.queue], p)
 		p.queue = QueueNone
@@ -193,8 +186,6 @@ func (pm *PhysMem) Free(p *Page) {
 
 // Enqueue moves a frame onto q (or off all queues for QueueNone).
 func (pm *PhysMem) Enqueue(p *Page, q Queue) {
-	pm.mu.Lock()
-	defer pm.mu.Unlock()
 	if p.queue == q {
 		return
 	}
@@ -209,8 +200,6 @@ func (pm *PhysMem) Enqueue(p *Page, q Queue) {
 
 // Wire pins a frame in memory.
 func (pm *PhysMem) Wire(p *Page) {
-	pm.mu.Lock()
-	defer pm.mu.Unlock()
 	if p.Wired == 0 {
 		pm.wired++
 		if p.queue != QueueNone {
@@ -223,8 +212,6 @@ func (pm *PhysMem) Wire(p *Page) {
 
 // Unwire releases one pin. It panics if the frame is not wired.
 func (pm *PhysMem) Unwire(p *Page) {
-	pm.mu.Lock()
-	defer pm.mu.Unlock()
 	if p.Wired <= 0 {
 		panic("mem: unwire of unwired page")
 	}
@@ -237,8 +224,6 @@ func (pm *PhysMem) Unwire(p *Page) {
 // ScanQueue returns up to max pages from queue q, preferring clean pages
 // when preferClean is set. It is the page daemon's selection primitive.
 func (pm *PhysMem) ScanQueue(q Queue, max int, preferClean bool) []*Page {
-	pm.mu.Lock()
-	defer pm.mu.Unlock()
 	var clean, dirty []*Page
 	for p := range pm.queues[q] {
 		if p.Dirty {
@@ -268,8 +253,6 @@ func (pm *PhysMem) ScanQueue(q Queue, max int, preferClean bool) []*Page {
 // Pressure reports the fraction of capacity in use, in [0,1]. With no
 // capacity limit it reports 0.
 func (pm *PhysMem) Pressure() float64 {
-	pm.mu.Lock()
-	defer pm.mu.Unlock()
 	if pm.capacity == 0 {
 		return 0
 	}
@@ -278,8 +261,6 @@ func (pm *PhysMem) Pressure() float64 {
 
 // Stats returns an occupancy snapshot.
 func (pm *PhysMem) Stats() Stats {
-	pm.mu.Lock()
-	defer pm.mu.Unlock()
 	return Stats{
 		TotalPages:    pm.capacity,
 		FreePages:     pm.capacity - pm.used,
@@ -292,8 +273,6 @@ func (pm *PhysMem) Stats() Stats {
 
 // Used reports the number of allocated frames.
 func (pm *PhysMem) Used() int64 {
-	pm.mu.Lock()
-	defer pm.mu.Unlock()
 	return pm.used
 }
 
