@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 	"time"
 
 	"aurora/internal/clock"
@@ -45,7 +44,6 @@ type Stats struct {
 type member struct {
 	costs *clock.Costs
 
-	mu       sync.Mutex
 	size     int64
 	chunks   radix.Table[[]byte] // chunk index -> ChunkSize bytes
 	nextFree time.Duration       // virtual time at which the queue drains
@@ -110,11 +108,9 @@ func (d *member) write(clk clock.Clock, tr *trace.Tracer, name string, vec [][]b
 	for _, b := range vec {
 		occupancy += clock.XferTime(0, d.costs.DevWriteBps, int64(len(b)))
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	o := off
 	for _, b := range vec {
-		d.copyIn(b, o)
+		d.pokeAt(b, o)
 		o += int64(len(b))
 	}
 	d.stats.Writes++
@@ -125,18 +121,13 @@ func (d *member) write(clk clock.Clock, tr *trace.Tracer, name string, vec [][]b
 // read is write's counterpart for one queued read command.
 func (d *member) read(clk clock.Clock, tr *trace.Tracer, p []byte, off int64) time.Duration {
 	occupancy := clock.XferTime(0, d.costs.DevReadBps, int64(len(p)))
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.copyOut(p, off)
-	d.stats.Reads++
-	d.stats.BytesRead += int64(len(p))
+	d.readAt(p, off)
 	return d.enqueue(clk, tr, "dev.read", off, int64(len(p)), occupancy, d.costs.DevReadLatency, 0)
 }
 
 // enqueue is the queue model, written once: a command of n bytes enters the
 // queue when the device is next free (or now, or after — whichever is
-// latest), holds it for occupancy, and completes latency later. Requires
-// d.mu.
+// latest), holds it for occupancy, and completes latency later.
 func (d *member) enqueue(clk clock.Clock, tr *trace.Tracer, name string, off, n int64, occupancy, latency, after time.Duration) time.Duration {
 	now := clk.Now()
 	start := d.nextFree
@@ -156,32 +147,17 @@ func (d *member) enqueue(clk clock.Clock, tr *trace.Tracer, name string, off, n 
 	return done
 }
 
-// readAt moves p at off as one synchronous command, counted; the stripe
-// charges the time.
+// readAt moves p at off and counts the read. read queues it as a command;
+// for the stripe's synchronous ReadAt the stripe charges the time.
 func (d *member) readAt(p []byte, off int64) {
-	d.mu.Lock()
-	d.copyOut(p, off)
+	d.peekAt(p, off)
 	d.stats.Reads++
 	d.stats.BytesRead += int64(len(p))
-	d.mu.Unlock()
 }
 
-// peekAt and pokeAt move p at off with no command: nothing is charged or
+// pokeAt and peekAt move p at off with no command: nothing is charged or
 // counted.
-func (d *member) peekAt(p []byte, off int64) {
-	d.mu.Lock()
-	d.copyOut(p, off)
-	d.mu.Unlock()
-}
-
 func (d *member) pokeAt(p []byte, off int64) {
-	d.mu.Lock()
-	d.copyIn(p, off)
-	d.mu.Unlock()
-}
-
-// copyIn requires d.mu.
-func (d *member) copyIn(p []byte, off int64) {
 	for len(p) > 0 {
 		ci := off / ChunkSize
 		co := off % ChunkSize
@@ -196,8 +172,7 @@ func (d *member) copyIn(p []byte, off int64) {
 	}
 }
 
-// copyOut requires d.mu.
-func (d *member) copyOut(p []byte, off int64) {
+func (d *member) peekAt(p []byte, off int64) {
 	for len(p) > 0 {
 		ci := off / ChunkSize
 		co := off % ChunkSize
@@ -269,9 +244,7 @@ func (s *Stripe) Devices() int { return len(s.devs) }
 func (s *Stripe) Stats() Stats {
 	var out Stats
 	for _, d := range s.devs {
-		d.mu.Lock()
 		st := d.stats
-		d.mu.Unlock()
 		out.Reads += st.Reads
 		out.Writes += st.Writes
 		out.BytesRead += st.BytesRead
@@ -342,7 +315,7 @@ func (s *Stripe) ReadAt(p []byte, off int64) (int, error) {
 //
 // Each stripe-unit extent becomes one member command carrying all the
 // payload slices that fall inside it, so a batch of page writes costs one
-// member lock round trip per 64 KiB instead of one per page. The
+// member command per 64 KiB instead of one per page. The
 // virtual-time outcome is identical to submitting the pages one by one:
 // member queue occupancy accrues by total bytes either way.
 //

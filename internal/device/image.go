@@ -18,8 +18,6 @@ const imageMagic = 0x41444556 // "ADEV"
 
 // save writes the member's sparse contents.
 func (d *member) save(w io.Writer) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	var hdr [20]byte
 	binary.LittleEndian.PutUint32(hdr[0:], imageMagic)
 	binary.LittleEndian.PutUint64(hdr[4:], uint64(d.size))

@@ -31,7 +31,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
 	"aurora/internal/clock"
@@ -107,16 +106,14 @@ type pendingWrite struct {
 	done time.Duration
 }
 
-// Dev is the fault-injecting device. It is safe for concurrent use; the
-// whole wrapper serializes on one mutex, which changes no virtual-time
-// accounting (the inner queue model is charged identically either way).
+// Dev is the fault-injecting device. Like the device it wraps, it serves one
+// caller at a time.
 type Dev struct {
 	inner Inner
 	clk   clock.Clock
 	tr    *trace.Tracer
 	fl    *flight.Recorder
 
-	mu      sync.Mutex
 	plan    Plan
 	rng     *rand.Rand
 	submits int64
@@ -137,11 +134,14 @@ type Dev struct {
 // wrapper that never crashes (arm one later with Arm).
 func New(inner Inner, clk clock.Clock, plan Plan) *Dev {
 	d := &Dev{inner: inner, clk: clk}
-	d.setPlan(plan)
+	d.Arm(plan)
 	return d
 }
 
-func (d *Dev) setPlan(plan Plan) {
+// Arm replaces the fault plan mid-run (resetting the PRNG to the new
+// seed). The submit counter keeps counting — CutAtSubmit is always an
+// absolute index.
+func (d *Dev) Arm(plan Plan) {
 	if plan.TearSector <= 0 {
 		plan.TearSector = DefaultTearSector
 	}
@@ -149,36 +149,15 @@ func (d *Dev) setPlan(plan Plan) {
 	d.rng = rand.New(rand.NewSource(plan.Seed))
 }
 
-// Arm replaces the fault plan mid-run (resetting the PRNG to the new
-// seed). The submit counter keeps counting — CutAtSubmit is always an
-// absolute index.
-func (d *Dev) Arm(plan Plan) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.setPlan(plan)
-}
-
 // Submits returns how many writes have been counted so far. A sweep
 // records this after a fault-free run to learn the crash-index space.
-func (d *Dev) Submits() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.submits
-}
+func (d *Dev) Submits() int64 { return d.submits }
 
 // Crashed reports whether the device is currently dead.
-func (d *Dev) Crashed() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.crashed
-}
+func (d *Dev) Crashed() bool { return d.crashed }
 
 // Plan returns the currently armed plan.
-func (d *Dev) Plan() Plan {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.plan
-}
+func (d *Dev) Plan() Plan { return d.plan }
 
 // Inner returns the wrapped device, for stats or raw inspection.
 func (d *Dev) Inner() Inner { return d.inner }
@@ -186,32 +165,20 @@ func (d *Dev) Inner() Inner { return d.inner }
 // SetTracer attaches tr; nil disables. Fault events (the cut, rollbacks,
 // tearing) land on the fault track, so a failing crash sweep replayed with
 // a tracer dumps the exact timeline that led to the cut.
-func (d *Dev) SetTracer(tr *trace.Tracer) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.tr = tr
-}
+func (d *Dev) SetTracer(tr *trace.Tracer) { d.tr = tr }
 
 // SetFlight attaches the flight recorder; nil disables it. Fault events
 // are additionally kept in the device-resident crash log (see CrashLog),
 // which survives Reopen the way the recorder — rebuilt per boot — cannot.
-func (d *Dev) SetFlight(fl *flight.Recorder) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.fl = fl
-}
+func (d *Dev) SetFlight(fl *flight.Recorder) { d.fl = fl }
 
 // CrashLog returns the fault events recorded by every crash so far,
 // oldest-first. It persists across Reopen: media survives a power cut even
 // though the in-memory recorder does not.
-func (d *Dev) CrashLog() []flight.Event {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return append([]flight.Event(nil), d.crashLog...)
-}
+func (d *Dev) CrashLog() []flight.Event { return append([]flight.Event(nil), d.crashLog...) }
 
 // logEvent records a fault event into both the live flight ring and the
-// persistent crash log. Requires mu.
+// persistent crash log.
 func (d *Dev) logEvent(kind flight.Kind, a, b, c int64, detail string) {
 	ev := flight.Event{At: int64(d.clk.Now()), Kind: kind, A: a, B: b, C: c, Detail: detail}
 	d.fl.Record(ev.At, ev.Kind, ev.A, ev.B, ev.C, ev.Detail)
@@ -223,8 +190,6 @@ func (d *Dev) logEvent(kind flight.Kind, a, b, c int64, detail string) {
 // persists — it is a media property), and the submit counter keeps its
 // value so indexes stay comparable across the crash.
 func (d *Dev) Reopen() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	d.crashed = false
 	d.pending = nil
 	d.plan.CutAtSubmit = -1
@@ -239,9 +204,9 @@ func (d *Dev) deadErr() error {
 	return fmt.Errorf("%w (seed %d, submit %d)", ErrPowerCut, d.plan.Seed, d.cutAt)
 }
 
-// settleLocked prunes pending writes whose transfer completed by virtual
+// settle prunes pending writes whose transfer completed by virtual
 // time now: they are durable and can no longer be lost.
-func (d *Dev) settleLocked(now time.Duration) {
+func (d *Dev) settle(now time.Duration) {
 	kept := d.pending[:0]
 	for _, pw := range d.pending {
 		if pw.done > now {
@@ -276,12 +241,12 @@ func flatten(vec [][]byte, n int64) []byte {
 	return out
 }
 
-// crashLocked kills the device at submit idx, whose payload is vec@off.
+// crash kills the device at submit idx, whose payload is vec@off.
 // after is the cut write's ordering constraint (0 for plain submits).
-func (d *Dev) crashLocked(idx int64, vec [][]byte, off, total int64, after time.Duration) error {
+func (d *Dev) crash(idx int64, vec [][]byte, off, total int64, after time.Duration) error {
 	now := d.clk.Now()
 	// Writes that finished by the cut instant are on the media for good.
-	d.settleLocked(now)
+	d.settle(now)
 	if d.tr != nil {
 		d.tr.Instant(trace.TrackFault, "powercut",
 			trace.I("seed", d.plan.Seed), trace.I("submit", idx),
@@ -346,8 +311,6 @@ func (d *Dev) crashLocked(idx int64, vec [][]byte, off, total int64, after time.
 // pre-image is captured and it stays pending until its completion time
 // passes.
 func (d *Dev) Submit(vec [][]byte, off int64, after time.Duration) (time.Duration, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if d.crashed {
 		return 0, d.deadErr()
 	}
@@ -363,7 +326,7 @@ func (d *Dev) Submit(vec [][]byte, off int64, after time.Duration) (time.Duratio
 	idx := d.submits
 	d.submits++
 	if d.triggered(idx, off, total) {
-		return 0, d.crashLocked(idx, vec, off, total, after)
+		return 0, d.crash(idx, vec, off, total, after)
 	}
 	pre := make([]byte, total)
 	d.inner.PeekAt(pre, off)
@@ -374,7 +337,7 @@ func (d *Dev) Submit(vec [][]byte, off int64, after time.Duration) (time.Duratio
 	if done > d.clk.Now() {
 		d.pending = append(d.pending, pendingWrite{off: off, pre: pre, done: done})
 	}
-	d.settleLocked(d.clk.Now())
+	d.settle(d.clk.Now())
 	return done, nil
 }
 
@@ -390,8 +353,6 @@ func (d *Dev) rotApply(p []byte, off int64) {
 
 // ReadAt reads through to the inner device, applying bit-rot.
 func (d *Dev) ReadAt(p []byte, off int64) (int, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if d.crashed {
 		return 0, d.deadErr()
 	}
@@ -404,8 +365,6 @@ func (d *Dev) ReadAt(p []byte, off int64) (int, error) {
 
 // SubmitRead queues a read through to the inner device, applying bit-rot.
 func (d *Dev) SubmitRead(p []byte, off int64) (time.Duration, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if d.crashed {
 		return 0, d.deadErr()
 	}
@@ -420,13 +379,11 @@ func (d *Dev) SubmitRead(p []byte, off int64) (time.Duration, error) {
 // completed by then. A dead device ignores it: there is nothing to wait
 // for and no one to charge.
 func (d *Dev) WaitUntil(t time.Duration) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if d.crashed {
 		return
 	}
 	d.inner.WaitUntil(t)
-	d.settleLocked(d.clk.Now())
+	d.settle(d.clk.Now())
 }
 
 // PeekAt passes through to the raw media — it sees the true bits, rot and
