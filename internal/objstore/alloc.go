@@ -14,13 +14,13 @@ import (
 // is never rewritten once it holds committed data; blocks return to the map
 // only when no retained checkpoint can still see them.
 
-// promoteReleasedLocked merges queued releases whose omitting superblock
+// promoteReleased merges queued releases whose omitting superblock
 // has completed (virtual time passed its transfer) into the free map, one
 // pass per batch. Before that instant a power cut could still recover the
 // index that references them, so the allocator must not hand them out.
 // Queue entries carry monotonically increasing stamps, so a prefix scan
-// suffices. Requires mu.
-func (s *Store) promoteReleasedLocked() {
+// suffices.
+func (s *Store) promoteReleased() {
 	now := s.clk.Now()
 	i := 0
 	for ; i < len(s.releaseQ) && s.releaseQ[i].at <= now; i++ {
@@ -33,9 +33,9 @@ func (s *Store) promoteReleasedLocked() {
 }
 
 // allocRun returns n contiguous free blocks, born in the current interval:
-// the low end of the lowest run that holds them. Requires mu.
+// the low end of the lowest run that holds them.
 func (s *Store) allocRun(n int64) (int64, error) {
-	s.promoteReleasedLocked()
+	s.promoteReleased()
 	for i := len(s.free) - 1; i >= 0; i-- {
 		r := &s.free[i]
 		if r.n < n {
@@ -54,14 +54,13 @@ func (s *Store) allocRun(n int64) (int64, error) {
 }
 
 // findRun is the index of the first run of the free map at or below addr.
-// Requires mu.
 func (s *Store) findRun(addr int64) int {
 	i, _ := slices.BinarySearchFunc(s.free, addr, func(r blockRun, a int64) int { return cmp.Compare(a, r.addr) })
 	return i
 }
 
 // freeRun returns the n blocks from addr to the free map at once, merged with
-// the runs either side of them. Requires mu.
+// the runs either side of them.
 func (s *Store) freeRun(addr, n int64) {
 	i := s.findRun(addr)
 	below := i < len(s.free) && s.free[i].end() == addr
@@ -81,7 +80,6 @@ func (s *Store) freeRun(addr, n int64) {
 
 // claimRun takes the n blocks from addr out of the free map. It reports
 // false, with the map unchanged, unless one free run holds them all.
-// Requires mu.
 func (s *Store) claimRun(addr, n int64) bool {
 	i := s.findRun(addr)
 	if n <= 0 || addr%BlockSize != 0 || i == len(s.free) || n > (s.free[i].end()-addr)/BlockSize {
@@ -125,7 +123,7 @@ func coalesce(runs []blockRun) []blockRun {
 }
 
 // bear records the n blocks from addr as born in the current interval,
-// growing the birth table to cover them. Requires mu.
+// growing the birth table to cover them.
 func (s *Store) bear(addr, n int64) {
 	first := addr / BlockSize
 	if end := int(first + n); end > len(s.birthOf) {
@@ -140,7 +138,7 @@ func (s *Store) bear(addr, n int64) {
 // born and retired within the same interval are immediately reusable — this
 // is the property that keeps the store free of a garbage-collection pass.
 // Blocks born in earlier (committed) epochs join the deadlist and are
-// reclaimed once no retained checkpoint can see them. Requires mu.
+// reclaimed once no retained checkpoint can see them.
 func (s *Store) retireBlock(addr int64) {
 	if addr == 0 {
 		return
@@ -168,7 +166,7 @@ func (s *Store) retireBlock(addr int64) {
 	s.deadlist = append(s.deadlist, deadBlock{addr: addr, birth: birth, freedAt: cur})
 }
 
-// retireRun retires n consecutive blocks starting at addr. Requires mu.
+// retireRun retires n consecutive blocks starting at addr.
 func (s *Store) retireRun(addr, n int64) {
 	for i := int64(0); i < n; i++ {
 		s.retireBlock(addr + i*BlockSize)
@@ -177,7 +175,7 @@ func (s *Store) retireRun(addr, n int64) {
 
 // sweepDeadlist moves deadlist entries no retained checkpoint can see into
 // the release stage; they become allocatable once the next commit is
-// durable. Requires mu.
+// durable.
 func (s *Store) sweepDeadlist() int {
 	// A block with lifetime [birth, freedAt) is still needed iff some
 	// retained checkpoint epoch R satisfies birth <= R < freedAt. The live
@@ -217,13 +215,6 @@ func (s *Store) sweepDeadlist() int {
 // commit's superblock completion. The most recent checkpoint can never be
 // released.
 func (s *Store) ReleaseCheckpointsBefore(epoch Epoch) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.releaseBeforeLocked(epoch)
-}
-
-// releaseBeforeLocked is the one release body (the call above, commit step 2); requires mu.
-func (s *Store) releaseBeforeLocked(epoch Epoch) int {
 	freed := 0
 	kept := s.retained[:0]
 	for _, c := range s.retained {
@@ -241,8 +232,6 @@ func (s *Store) releaseBeforeLocked(epoch Epoch) int {
 
 // RetainedCheckpoints lists the epochs whose full state remains restorable.
 func (s *Store) RetainedCheckpoints() []Epoch {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	out := make([]Epoch, len(s.retained))
 	for i, c := range s.retained {
 		out[i] = c.epoch
@@ -253,9 +242,7 @@ func (s *Store) RetainedCheckpoints() []Epoch {
 // FreeBlocks reports how many blocks the free map holds, never-used space
 // included (for tests and tooling).
 func (s *Store) FreeBlocks() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.promoteReleasedLocked()
+	s.promoteReleased()
 	n := int64(0)
 	for _, r := range s.free {
 		n += r.n
@@ -265,15 +252,11 @@ func (s *Store) FreeBlocks() int {
 
 // FreeRuns reports how many runs the free map holds (for tests and tooling).
 func (s *Store) FreeRuns() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.promoteReleasedLocked()
+	s.promoteReleased()
 	return len(s.free)
 }
 
 // DeadBlocks reports the deadlist length (for tests and tooling).
 func (s *Store) DeadBlocks() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return len(s.deadlist)
 }

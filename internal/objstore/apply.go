@@ -17,7 +17,7 @@ import (
 )
 
 // mutate is the state-changing half of a live mutator: apply op, then note it
-// for the next WAL frame. Requires mu.
+// for the next WAL frame.
 func (s *Store) mutate(op *walOp) error {
 	if err := s.apply(op); err != nil {
 		return err
@@ -32,7 +32,7 @@ func (s *Store) mutate(op *walOp) error {
 // impossible mutation is corrupt. An op that fails leaves its object as it
 // was. Ops travel by pointer and every body is a function of its own so that
 // a page publish, once per flushed page, carries a small frame, not the union
-// of all five. Requires mu.
+// of all five.
 func (s *Store) apply(op *walOp) error {
 	switch op.kind {
 	case walOpPut:
@@ -155,13 +155,13 @@ func (s *Store) applyJournal(op *walOp) error {
 }
 
 // extend grows a paged o to cover end: the size op the page writers note
-// once per write. Requires mu.
+// once per write.
 func (s *Store) extend(o *object, end int64) error {
 	return s.mutate(&walOp{kind: walOpSize, oid: o.oid, size: max(o.size, end)})
 }
 
 // setInline makes o an inline object of the given type holding data, which
-// it keeps. Requires mu.
+// it keeps.
 func (s *Store) setInline(o *object, utype uint16, data []byte) error {
 	if err := s.dropChunks(o); err != nil {
 		return err
@@ -180,7 +180,7 @@ func makePaged(o *object) {
 // shrinkSlots retires the page slots at and past the last page of size, and
 // the chunks that leaves empty. It walks in chunk order: what it retires
 // feeds the free map, and the free map feeds the deterministic submit stream
-// the crash harness replays. Requires mu.
+// the crash harness replays.
 func (s *Store) shrinkSlots(o *object, size int64) error {
 	lastPg := blocksFor(size) // first page index to drop
 	for ci, c := range o.chunks.All() {
@@ -215,7 +215,7 @@ func (s *Store) shrinkSlots(o *object, size int64) error {
 // (see shrinkSlots). Every chunk is faulted in before any block is retired: a
 // chunk that cannot be read fails the drop with nothing retired, where
 // retiring around it would leave the blocks it addresses neither free nor
-// referenced. Requires mu.
+// referenced.
 func (s *Store) dropChunks(o *object) error {
 	if o.chunks == nil {
 		return nil // inline or journal: the common case, an inline put over an inline object

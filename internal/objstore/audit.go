@@ -14,12 +14,10 @@ import (
 // so the invariant watchdog can call it on a cadence. An empty result means
 // every rule held.
 func (s *Store) AuditLive() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.auditLocked(&s.audit, nil)
+	return s.walkClaims(&s.audit, nil)
 }
 
-// auditLocked is the one claim walk, run in a. Every record run, journal
+// walkClaims is the one claim walk, run in a. Every record run, journal
 // extent, block-map chunk block, retained index, free run, staged or queued
 // release and deadlist block must lie inside the data region and overlap no
 // other. Machine.Restore runs AuditLive inside the restore that the benchmark
@@ -31,8 +29,8 @@ func (s *Store) AuditLive() []string {
 // page set it faults in each chunk, claims each live data page and hands it
 // to page, and then every block of the bitmap must be held: conservation,
 // checked only when every chunk loaded, since an unreadable chunk's pages are
-// unknown. Requires mu.
-func (s *Store) auditLocked(a *auditScratch, page func(oid OID, pg, addr int64, sum uint32)) []string {
+// unknown.
+func (s *Store) walkClaims(a *auditScratch, page func(oid OID, pg, addr int64, sum uint32)) []string {
 	var problems []string
 	prob := func(format string, args ...any) {
 		problems = append(problems, "store: "+fmt.Sprintf(format, args...))
@@ -185,8 +183,7 @@ func (c claim) String() string {
 }
 
 // auditScratch is the claim walk's working memory. AuditLive's is kept on
-// the store and reused under mu, so an audit of a clean store allocates
-// nothing.
+// the store and reused, so an audit of a clean store allocates nothing.
 //
 // marks holds one bit per block of [lo, hi). hi is the data region's end,
 // unless the free map's highest run reaches the device end — as it does on a

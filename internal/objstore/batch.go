@@ -12,8 +12,7 @@ import (
 
 // The COW page write. Every page writer — WritePages, WritePage, a byte-range
 // WriteAt, a spilled PutRecord, the inline → paged conversion and the zeroed
-// tail page of a truncate — runs writePagesLocked, in one hold of the store
-// lock, in three phases:
+// tail page of a truncate — runs writePages, in three phases:
 //
 //  1. Reserve: fault in the block-map chunks the pages fall in, and
 //     allocate one fresh block per page. A chunk the object lacks is created
@@ -36,16 +35,16 @@ type PageWrite struct {
 	Data []byte // exactly BlockSize bytes, stable until WritePages returns
 }
 
-// pageScratch is writePagesLocked's working memory, kept on the store and
-// reused under mu, so a page write allocates nothing.
+// pageScratch is writePages's working memory, kept on the store and
+// reused, so a page write allocates nothing.
 type pageScratch struct {
 	addrs []int64  // the block reserved for each write, in write order
 	order []int    // write indexes in device-address order
 	bufs  [][]byte // the payloads of one contiguous block run
 }
 
-// batchPages bounds how many pages one hold of the store lock covers, so a
-// huge flush lets readers in between batches.
+// batchPages bounds how many pages one writepages span covers, so a huge
+// flush is traced, reserved and transferred in bounded batches.
 const batchPages = 256
 
 // WritePages applies a batch of COW page writes to oid. Every page is
@@ -70,19 +69,17 @@ func (s *Store) WritePages(oid OID, writes []PageWrite) (int64, error) {
 	return bytes, nil
 }
 
-// writePageBatch writes one bounded batch in one hold of the store lock,
-// traced as a writepages span, and grows oid to cover it.
+// writePageBatch writes one bounded batch, traced as a writepages span, and
+// grows oid to cover it.
 func (s *Store) writePageBatch(oid OID, writes []PageWrite) error {
 	sp := s.tr.Begin(trace.TrackObjstore, "writepages",
 		trace.I("oid", int64(oid)), trace.I("pages", int64(len(writes))))
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	o, err := s.lookup(oid)
 	if err == nil && o.journal != nil {
 		err = ErrIsJournal
 	}
 	if err == nil {
-		err = s.writePagesLocked(o, sp, writes...)
+		err = s.writePages(o, sp, writes...)
 	}
 	if err == nil {
 		var end int64
@@ -100,10 +97,10 @@ func (s *Store) writePageBatch(oid OID, writes []PageWrite) error {
 	return nil
 }
 
-// writePagesLocked is the COW page write (see the top of this file). It
+// writePages is the COW page write (see the top of this file). It
 // converts an inline object to paged form first. sp, when traced, is the span
-// the three phases are children of. Requires mu.
-func (s *Store) writePagesLocked(o *object, sp trace.Span, writes ...PageWrite) (err error) {
+// the three phases are children of.
+func (s *Store) writePages(o *object, sp trace.Span, writes ...PageWrite) (err error) {
 	phase := sp.Child("reserve")
 	defer func() {
 		if err != nil {
@@ -175,7 +172,7 @@ func (s *Store) writePagesLocked(o *object, sp trace.Span, writes ...PageWrite) 
 
 // unreserve returns blocks reserved by a failed write to the allocator.
 // They were born this interval and never published, so they recycle
-// immediately. Requires mu.
+// immediately.
 func (s *Store) unreserve(addrs []int64) {
 	for _, a := range addrs {
 		s.retireBlock(a)

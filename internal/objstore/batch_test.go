@@ -72,9 +72,10 @@ func TestWritePagesMatchesWritePage(t *testing.T) {
 }
 
 // TestWritePagesConcurrent hammers the batch path from many goroutines, one
-// per destination object, racing readers of already-committed objects:
-// WritePages holds the store lock for each batch, so concurrent callers are
-// safe. Run under -race.
+// per destination object, interleaved with readers of already-committed
+// objects. The store serves one caller at a time — in a machine the kernel
+// lock sees to that — so every store call here holds mu, which stands for
+// that lock. Run under -race.
 func TestWritePagesConcurrent(t *testing.T) {
 	s, dev, clk := newStore(t)
 	const objs = 8
@@ -95,6 +96,7 @@ func TestWritePagesConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	var mu sync.Mutex // the kernel lock
 	var wg sync.WaitGroup
 	errs := make(chan error, objs+2)
 	for i := 1; i < objs; i++ {
@@ -105,7 +107,10 @@ func TestWritePagesConcurrent(t *testing.T) {
 			for pg := int64(0); pg < pages; pg++ {
 				writes = append(writes, PageWrite{Pg: pg, Data: pageOf(oid, pg)})
 			}
-			if _, err := s.WritePages(oid, writes); err != nil {
+			mu.Lock()
+			_, err := s.WritePages(oid, writes)
+			mu.Unlock()
+			if err != nil {
 				errs <- err
 			}
 		}(oids[i])
@@ -117,7 +122,9 @@ func TestWritePagesConcurrent(t *testing.T) {
 			buf := make([]byte, BlockSize)
 			for i := 0; i < 200; i++ {
 				pg := int64(i % pages)
+				mu.Lock()
 				ok, err := s.ReadPage(oids[0], pg, buf)
+				mu.Unlock()
 				if err != nil {
 					errs <- err
 					return

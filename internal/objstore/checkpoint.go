@@ -47,15 +47,11 @@ func (s *Store) CheckpointRetaining(retain int) (st CheckpointStats, err error) 
 	// it before the flight ring is cut so the index carries the fold that
 	// absorbed the frames. Events recorded during the commit itself land in
 	// the next commit's ring.
-	s.mu.Lock()
 	foldBase, foldFrames := s.curEpoch(), len(s.walDurable)
-	s.mu.Unlock()
 	if foldFrames > 0 {
 		s.fl.Record(int64(s.clk.Now()), flight.EvWALFold, int64(foldBase), int64(foldFrames), 0, "")
 	}
 	ring, ringSeq := s.fl.Since(0)
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	sw := clock.StartStopwatch(s.clk)
 	cur := s.curEpoch()
 	st = CheckpointStats{Epoch: cur}
@@ -122,7 +118,7 @@ func (s *Store) CheckpointRetaining(retain int) (st CheckpointStats, err error) 
 	// The blocks stage until this superblock is durable (step 6).
 	nRet, released := len(s.retained), 0
 	if retain > 0 && cur > Epoch(retain) {
-		released = s.releaseBeforeLocked(cur - Epoch(retain) + 1)
+		released = s.ReleaseCheckpointsBefore(cur - Epoch(retain) + 1)
 	}
 	phase.End(trace.I("epochs", int64(nRet-len(s.retained))), trace.I("blocks", int64(released)))
 	phase = commitSpan.Child("index")
@@ -158,7 +154,7 @@ func (s *Store) CheckpointRetaining(retain int) (st CheckpointStats, err error) 
 		walBase: s.walBase, walBlocks: s.walBlocks,
 	})
 	slotOff := int64(s.superSlot) * BlockSize
-	sbDone, err := s.submitLocked(sb, slotOff, s.pendingDurable)
+	sbDone, err := s.submit(sb, slotOff, s.pendingDurable)
 	if err != nil {
 		s.releasing = append(s.releasing, blockRun{idxAddr, blocksFor(idxLen)})
 		return st, err
@@ -180,18 +176,18 @@ func (s *Store) CheckpointRetaining(retain int) (st CheckpointStats, err error) 
 	// the wire, but a power cut before its transfer completes would recover
 	// the previous index — which still needs these blocks intact. They
 	// become allocatable only once virtual time passes sbDone (see
-	// promoteReleasedLocked), though this index's map already lists them.
+	// promoteReleased), though this index's map already lists them.
 	if len(s.releasing) > 0 {
 		s.releaseQ = append(s.releaseQ, stagedRelease{at: sbDone, runs: s.releasing})
 		s.releasing = nil
 	}
-	s.promoteReleasedLocked()
+	s.promoteReleased()
 
 	// 7. This commit folds any outstanding WAL frames into base state: the
 	// new index fully describes them, so their generation is dead. The head
 	// reset itself waits until virtual time passes sbDone — a crash before
 	// that instant recovers the previous superblock, whose epoch still
-	// matches the old frames (see maybeResetWALLocked).
+	// matches the old frames (see maybeResetWAL).
 	if s.walBlocks > 0 {
 		clear(s.walPending) // no frame holds these ops: the next interval reuses the array
 		s.walPending = s.walPending[:0]
@@ -202,7 +198,7 @@ func (s *Store) CheckpointRetaining(retain int) (st CheckpointStats, err error) 
 			}
 		}
 	}
-	s.observeDurableLocked(sbDone)
+	s.observeDurable(sbDone)
 
 	st.DurableAt = sbDone
 	st.CommitCharged = sw.Elapsed()
@@ -223,9 +219,9 @@ func (s *Store) CheckpointRetaining(retain int) (st CheckpointStats, err error) 
 // failed submit stages the run for release, as a failed superblock submit
 // stages the index run: nothing the store keeps references it, but a write
 // that reported failure may still have landed, so the run is reusable only
-// behind the next commit's superblock. Requires mu.
+// behind the next commit's superblock.
 func (s *Store) submitNew(p []byte, addr int64) error {
-	_, err := s.submitLocked(p, addr, 0)
+	_, err := s.submit(p, addr, 0)
 	if err != nil {
 		s.releasing = append(s.releasing, blockRun{addr, blocksFor(int64(len(p)))})
 	}
@@ -236,7 +232,7 @@ func (s *Store) submitNew(p []byte, addr int64) error {
 // and staged (coalesced) releases are free in this epoch's map — if this
 // commit's superblock lands they are genuinely unreferenced, and if it
 // doesn't, recovery reads an older index that never listed them — even
-// though the allocator cannot touch them yet. Requires mu.
+// though the allocator cannot touch them yet.
 func (s *Store) indexState(cur Epoch) *indexState {
 	idx := &indexState{
 		epoch:    cur,
@@ -263,32 +259,25 @@ func (s *Store) indexState(cur Epoch) *indexState {
 // WaitDurable blocks (in virtual time) until epoch's commit is durable. Any
 // retained epoch can be waited on; one loaded from media is durable already.
 func (s *Store) WaitDurable(epoch Epoch) error {
-	s.mu.Lock()
 	c, err := s.retainedInfo(epoch)
 	if err != nil {
-		s.mu.Unlock()
 		return err
 	}
 	t, first := c.durable, !c.settled
 	c.settled = true
-	s.mu.Unlock()
 	s.dev.WaitUntil(t)
 	if first {
 		s.fl.Record(int64(s.clk.Now()), flight.EvDevSettle, int64(epoch), int64(t), 0, "")
 	}
 	// Waiting past a folding commit's superblock completes its deferred WAL
 	// head reset — callers that barrier on the fold see the log reclaimed.
-	s.mu.Lock()
-	s.maybeResetWALLocked()
-	s.mu.Unlock()
+	s.maybeResetWAL()
 	return nil
 }
 
 // DurableAt returns the virtual time a retained epoch became durable: 0 for
 // one loaded from media.
 func (s *Store) DurableAt(epoch Epoch) (time.Duration, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	c, err := s.retainedInfo(epoch)
 	if err != nil {
 		return 0, false
@@ -393,7 +382,7 @@ func (s *Store) fetchRecord(addr, length int64) (*object, error) {
 }
 
 // retainedInfo finds a retained epoch's entry, the current epoch's included,
-// by binary search: retained is sorted by epoch. Requires mu.
+// by binary search: retained is sorted by epoch.
 func (s *Store) retainedInfo(epoch Epoch) (*ckptInfo, error) {
 	i, ok := slices.BinarySearchFunc(s.retained, epoch, func(c ckptInfo, e Epoch) int { return cmp.Compare(c.epoch, e) })
 	if !ok {
@@ -414,8 +403,6 @@ type View struct {
 // RestoreView opens a read-only view of epoch. The current epoch and any
 // retained epoch are viewable.
 func (s *Store) RestoreView(epoch Epoch) (*View, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	info, err := s.retainedInfo(epoch)
 	if err != nil {
 		return nil, err
@@ -436,8 +423,6 @@ func (v *View) Epoch() Epoch { return v.epoch }
 // epoch diffs in full. Of the old image it reads the index and the one
 // record it compares; ErrNoEpoch means old is no longer retained.
 func (s *Store) DiffPages(oid OID, old Epoch) ([]int64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	info, err := s.retainedInfo(old)
 	if err != nil {
 		return nil, err

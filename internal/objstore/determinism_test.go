@@ -50,9 +50,7 @@ func buildDamagedStore(t *testing.T) *Store {
 	// Corrupt records of three objects and a data page of two more, in an
 	// order unrelated to OID order.
 	for _, i := range []int{8, 1, 5} {
-		s.mu.Lock()
 		addr := s.get(oids[i]).recordAddr
-		s.mu.Unlock()
 		dev.PokeAt(garbage, addr)
 	}
 	for _, i := range []int{9, 2} {

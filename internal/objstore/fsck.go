@@ -37,8 +37,7 @@ func (s *Store) Fsck() FsckReport {
 	var rep FsckReport
 	var a auditScratch
 	buf := make([]byte, BlockSize)
-	s.mu.Lock()
-	problems := s.auditLocked(&a, func(oid OID, pg, addr int64, sum uint32) {
+	problems := s.walkClaims(&a, func(oid OID, pg, addr int64, sum uint32) {
 		if _, err := s.dev.ReadAt(buf, addr); err != nil {
 			rep.problemf("object %d: page %d at %#x unreadable: %v", oid, pg, addr, err)
 			return
@@ -68,17 +67,13 @@ func (s *Store) Fsck() FsckReport {
 	}
 
 	// Retained history must load.
-	retained := append([]ckptInfo(nil), s.retained...)
-	walBase, walBlocks := s.walBase, s.walBlocks
-	walHead, walSeq, epoch := s.walHead, uint64(len(s.walDurable)), s.epoch
-	s.mu.Unlock()
-	for _, c := range retained {
+	for _, c := range s.retained {
 		rep.RetainedEpochs++
 		if _, err := s.fetchIndex(c.indexAddr, c.indexLen); err != nil {
 			rep.problemf("retained epoch %d: index unreadable: %v", c.epoch, err)
 		}
 	}
-	s.fsckWAL(&rep, walBase, walBlocks, walHead, walSeq, epoch)
+	s.fsckWAL(&rep)
 	return rep
 }
 
@@ -88,11 +83,12 @@ func (s *Store) Fsck() FsckReport {
 // contiguously, and no frame anywhere may claim a base epoch the store has
 // never committed (an orphaned segment). Bytes past the head that fail to
 // decode are a clean torn tail and are ignored.
-func (s *Store) fsckWAL(rep *FsckReport, walBase, walBlocks, walHead int64, walSeq uint64, epoch Epoch) {
-	if walBlocks == 0 {
+func (s *Store) fsckWAL(rep *FsckReport) {
+	walBase, walHead, walSeq, epoch := s.walBase, s.walHead, uint64(len(s.walDurable)), s.epoch
+	if s.walBlocks == 0 {
 		return
 	}
-	region := make([]byte, walBlocks*BlockSize)
+	region := make([]byte, s.walBlocks*BlockSize)
 	if _, err := s.dev.ReadAt(region, walBase); err != nil {
 		rep.problemf("wal: region unreadable: %v", err)
 		return
@@ -143,9 +139,7 @@ func (s *Store) fsckWAL(rep *FsckReport, walBase, walBlocks, walHead int64, walS
 func (s *Store) LivePageAddrs() []int64 {
 	var a auditScratch
 	var out []int64
-	s.mu.Lock()
-	s.auditLocked(&a, func(_ OID, _, addr int64, _ uint32) { out = append(out, addr) })
-	s.mu.Unlock()
+	s.walkClaims(&a, func(_ OID, _, addr int64, _ uint32) { out = append(out, addr) })
 	slices.Sort(out)
 	return out
 }

@@ -82,9 +82,7 @@ func TestFsckDetectsCorruptRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Smash the record's committed blocks directly on the device.
-	s.mu.Lock()
 	addr := s.get(oid).recordAddr
-	s.mu.Unlock()
 	garbage := make([]byte, BlockSize)
 	for i := range garbage {
 		garbage[i] = 0x5A
@@ -100,8 +98,6 @@ func TestFsckDetectsCorruptRecord(t *testing.T) {
 // that corrupt media underneath fsck.
 func pageAddr(t *testing.T, s *Store, oid OID, pg int64) int64 {
 	t.Helper()
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	o := s.get(oid)
 	if o == nil || o.chunks == nil {
 		t.Fatalf("object %d not paged", oid)
@@ -215,9 +211,7 @@ func TestFsckDetectsCorruptChunkBlock(t *testing.T) {
 	if _, err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	s.mu.Lock()
 	chunkAddr := chunkOf(s.get(oid), 0).addr
-	s.mu.Unlock()
 
 	s2 := reopen(t, dev, clk) // drop the in-memory chunk cache
 	garbage := make([]byte, BlockSize)

@@ -54,21 +54,19 @@ type Entry struct {
 // CreateJournal creates oid as a journal with the given byte capacity
 // (rounded up to whole blocks, preallocated and never moved).
 func (s *Store) CreateJournal(oid OID, utype uint16, capacity int64) (*Journal, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.get(oid) != nil {
 		return nil, fmt.Errorf("objstore: object %d already exists", oid)
 	}
-	o, err := s.createJournalLocked(oid, utype, max(blocksFor(capacity), 1), 1, 0)
+	o, err := s.createJournal(oid, utype, max(blocksFor(capacity), 1), 1, 0)
 	if err != nil {
 		return nil, err
 	}
 	return &Journal{s: s, o: o}, nil
 }
 
-// createJournalLocked makes oid a journal over a fresh extent of the given
-// blocks, at generation gen flushed through fseq. Requires mu.
-func (s *Store) createJournalLocked(oid OID, utype uint16, blocks int64, gen, fseq uint64) (*object, error) {
+// createJournal makes oid a journal over a fresh extent of the given
+// blocks, at generation gen flushed through fseq.
+func (s *Store) createJournal(oid OID, utype uint16, blocks int64, gen, fseq uint64) (*object, error) {
 	addr, err := s.allocRun(blocks)
 	if err != nil {
 		return nil, err
@@ -86,8 +84,6 @@ func (s *Store) createJournalLocked(oid OID, utype uint16, blocks int64, gen, fs
 // OpenJournal opens an existing journal, scanning the extent to find the
 // durable tail (the recovery path).
 func (s *Store) OpenJournal(oid OID) (*Journal, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	o, err := s.lookup(oid)
 	if err != nil {
 		return nil, err
@@ -97,7 +93,7 @@ func (s *Store) OpenJournal(oid OID) (*Journal, error) {
 	}
 	j := &Journal{s: s, o: o}
 	if !o.journal.scanned {
-		if _, err := j.scanLocked(); err != nil {
+		if _, err := j.scan(); err != nil {
 			return nil, err
 		}
 	}
@@ -111,21 +107,15 @@ func (j *Journal) OID() OID { return j.o.oid }
 func (j *Journal) Capacity() int64 { return j.o.journal.capBlocks * BlockSize }
 
 // Used returns the bytes consumed by the current generation's frames.
-func (j *Journal) Used() int64 {
-	j.s.mu.Lock()
-	defer j.s.mu.Unlock()
-	return j.o.journal.tail
-}
+func (j *Journal) Used() int64 { return j.o.journal.tail }
 
 // Append synchronously writes one record. On return the record is durable:
 // the caller's virtual clock has advanced past the transfer. It returns the
 // record's sequence number.
 func (j *Journal) Append(payload []byte) (uint64, error) {
-	j.s.mu.Lock()
 	js := j.o.journal
 	need := int64(frameOverhead + len(payload))
 	if js.tail+need > j.Capacity() {
-		j.s.mu.Unlock()
 		return 0, fmt.Errorf("%w: need %d bytes, %d free", ErrJournalFull, need, j.Capacity()-js.tail)
 	}
 	js.lastSeq++
@@ -137,19 +127,16 @@ func (j *Journal) Append(payload []byte) (uint64, error) {
 	// The frame joins the interval's durability horizon: the next
 	// superblock must not be able to land on media that lost this append,
 	// or recovery to that epoch would find a gap in the extent.
-	done, err := j.s.submitLocked(j.s.frame.Raw(), off, 0)
+	done, err := j.s.submit(j.s.frame.Raw(), off, 0)
 	if err != nil {
-		j.s.mu.Unlock()
 		return 0, err
 	}
-	dev, clk, costs := j.s.dev, j.s.clk, j.s.costs
-	j.s.mu.Unlock()
 	// The journal path is synchronous: charge the full calibrated latency,
 	// then wait out the device transfer itself. Without the wait the frame
 	// could still sit in a member queue when power is cut, violating the
 	// durable-on-return contract above.
-	clk.Advance(clock.XferTime(costs.JournalLatency, costs.JournalBps, need))
-	dev.WaitUntil(done)
+	j.s.clk.Advance(clock.XferTime(j.s.costs.JournalLatency, j.s.costs.JournalBps, need))
+	j.s.dev.WaitUntil(done)
 	return seq, nil
 }
 
@@ -171,8 +158,6 @@ func encodeFrame(e *rec.Encoder, gen, seq uint64, payload []byte) {
 // captures the journaled data has committed (the RocksDB pattern: fill WAL,
 // trigger checkpoint, barrier, truncate).
 func (j *Journal) Truncate() {
-	j.s.mu.Lock()
-	defer j.s.mu.Unlock()
 	js := j.o.journal
 	// The truncate branch of apply cannot fail.
 	_ = j.s.mutate(&walOp{kind: walOpJournal, oid: j.o.oid, utype: j.o.utype,
@@ -182,17 +167,13 @@ func (j *Journal) Truncate() {
 // Entries scans the extent and returns the records that post-date the
 // committed truncation point, in sequence order. This is the recovery
 // replay path.
-func (j *Journal) Entries() ([]Entry, error) {
-	j.s.mu.Lock()
-	defer j.s.mu.Unlock()
-	return j.scanLocked()
-}
+func (j *Journal) Entries() ([]Entry, error) { return j.scan() }
 
-// scanLocked walks frames from the extent head through a frameScan (a frame
+// scan walks frames from the extent head through a frameScan (a frame
 // larger than the read-ahead window is read whole) by the frame rule, the
 // generation floor rising with the frames it accepts; leftovers from older
-// generations terminate the scan. Requires mu.
-func (j *Journal) scanLocked() ([]Entry, error) {
+// generations terminate the scan.
+func (j *Journal) scan() ([]Entry, error) {
 	js := j.o.journal
 	var (
 		entries []Entry
@@ -277,8 +258,6 @@ type FrameRun struct {
 // a run, empty when nothing is new: it carries the generation. A frame below
 // the tail that fails the frame rule is an error, never a frame to ship.
 func (j *Journal) ReadFrames(from JournalMark, limit int64) ([]FrameRun, JournalMark, error) {
-	j.s.mu.Lock()
-	defer j.s.mu.Unlock()
 	js := j.o.journal
 	at := JournalMark{Extent: js.extentAddr, Gen: js.generation}
 	if from.Extent == at.Extent && from.Gen == at.Gen && from.Off <= js.tail {
@@ -320,8 +299,6 @@ func (j *Journal) ReadFrames(from JournalMark, limit int64) ([]FrameRun, Journal
 // check — capacity, offset, the frame rule over every byte — runs before the
 // store changes; a refusal wraps ErrFrames.
 func (s *Store) WriteFrames(oid OID, utype uint16, capacity int64, run FrameRun) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	refuse := func(format string, args ...any) error {
 		return fmt.Errorf("%w: journal %d: %s", ErrFrames, oid, fmt.Sprintf(format, args...))
 	}
@@ -336,7 +313,7 @@ func (s *Store) WriteFrames(oid OID, utype uint16, capacity int64, run FrameRun)
 	var held *journalState // the generation the run continues, if oid holds it
 	if o := s.get(oid); o != nil && o.journal != nil {
 		if !o.journal.scanned {
-			if _, err := (&Journal{s: s, o: o}).scanLocked(); err != nil {
+			if _, err := (&Journal{s: s, o: o}).scan(); err != nil {
 				return err
 			}
 		}
@@ -377,13 +354,13 @@ func (s *Store) WriteFrames(oid OID, utype uint16, capacity int64, run FrameRun)
 			}
 		}
 		var err error
-		if o, err = s.createJournalLocked(oid, utype, blocks, run.Gen, run.FlushedSeq); err != nil {
+		if o, err = s.createJournal(oid, utype, blocks, run.Gen, run.FlushedSeq); err != nil {
 			return err
 		}
 		held = o.journal
 	}
 	if len(run.Frames) > 0 {
-		if _, err := s.submitLocked(run.Frames, held.extentAddr+run.Off, 0); err != nil {
+		if _, err := s.submit(run.Frames, held.extentAddr+run.Off, 0); err != nil {
 			return err
 		}
 		held.lastSeq = last

@@ -3,10 +3,8 @@ package objstore
 import (
 	"bytes"
 	"fmt"
-	"math/bits"
 	"time"
 
-	"aurora/internal/radix"
 	"aurora/internal/trace"
 )
 
@@ -20,9 +18,7 @@ import (
 // Payloads up to InlineMax stay inline in the object record (one metadata
 // write at checkpoint time); larger payloads spill to data blocks.
 func (s *Store) PutRecord(oid OID, utype uint16, data []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.holdsLocked(oid, utype, data) {
+	if s.HoldsRecord(oid, utype, data) {
 		// An identical put is not a modification: the object keeps its
 		// record where it is, and neither the commit nor the WAL sees it.
 		return nil
@@ -36,22 +32,16 @@ func (s *Store) PutRecord(oid OID, utype uint16, data []byte) error {
 	}
 	o.utype = utype
 	makePaged(o)
-	if err := s.writeRangeLocked(o, 0, data); err != nil {
+	if err := s.writeRange(o, 0, data); err != nil {
 		return err
 	}
-	return s.truncateLocked(o, int64(len(data)))
+	return s.truncate(o, int64(len(data)))
 }
 
 // HoldsRecord reports whether PutRecord(oid, utype, data) would be the
 // identical put that is not a write. It answers from memory: a record kept
 // in data blocks (larger than InlineMax) is never held.
 func (s *Store) HoldsRecord(oid OID, utype uint16, data []byte) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.holdsLocked(oid, utype, data)
-}
-
-func (s *Store) holdsLocked(oid OID, utype uint16, data []byte) bool {
 	o := s.get(oid)
 	return o != nil && o.utype == utype && o.chunks == nil && o.journal == nil && bytes.Equal(o.inline, data)
 }
@@ -59,8 +49,6 @@ func (s *Store) holdsLocked(oid OID, utype uint16, data []byte) bool {
 // Ensure creates oid as an empty inline object if it does not exist (the
 // first page write converts it to a paged one) and marks it dirty if it does.
 func (s *Store) Ensure(oid OID, utype uint16) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if o := s.get(oid); o != nil {
 		o.dirty = true
 		return
@@ -68,14 +56,14 @@ func (s *Store) Ensure(oid OID, utype uint16) {
 	_ = s.mutate(&walOp{kind: walOpPut, oid: oid, utype: utype}) // a new object has no chunks to fail on
 }
 
-// toPaged converts an inline object to paged form. Requires mu.
+// toPaged converts an inline object to paged form.
 func (s *Store) toPaged(o *object) error {
 	if o.chunks != nil {
 		return nil
 	}
 	inline := o.inline
 	makePaged(o)
-	return s.writeRangeLocked(o, 0, inline)
+	return s.writeRange(o, 0, inline)
 }
 
 // WritePage writes one whole page (BlockSize bytes) at page index pg: a
@@ -85,8 +73,6 @@ func (s *Store) WritePage(oid OID, pg int64, data []byte) error {
 	if len(data) != BlockSize {
 		return fmt.Errorf("objstore: WritePage wants %d bytes, got %d", BlockSize, len(data))
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	o, err := s.lookup(oid)
 	if err != nil {
 		return err
@@ -94,7 +80,7 @@ func (s *Store) WritePage(oid OID, pg int64, data []byte) error {
 	if o.journal != nil {
 		return ErrIsJournal
 	}
-	if err := s.writePagesLocked(o, trace.Span{}, PageWrite{pg, data}); err != nil {
+	if err := s.writePages(o, trace.Span{}, PageWrite{pg, data}); err != nil {
 		return err
 	}
 	return s.extend(o, (pg+1)*BlockSize)
@@ -105,8 +91,6 @@ func (s *Store) WriteAt(oid OID, off int64, data []byte) error {
 	if off < 0 {
 		return fmt.Errorf("objstore: WriteAt at negative offset %d", off)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	o, err := s.lookup(oid)
 	if err != nil {
 		return err
@@ -117,14 +101,14 @@ func (s *Store) WriteAt(oid OID, off int64, data []byte) error {
 	if err := s.toPaged(o); err != nil {
 		return err
 	}
-	if err := s.writeRangeLocked(o, off, data); err != nil {
+	if err := s.writeRange(o, off, data); err != nil {
 		return err
 	}
 	return s.extend(o, off+int64(len(data)))
 }
 
-// writeRangeLocked requires mu and a paged (or being-paged) object.
-func (s *Store) writeRangeLocked(o *object, off int64, data []byte) error {
+// writeRange writes a byte range of a paged (or being-paged) object.
+func (s *Store) writeRange(o *object, off int64, data []byte) error {
 	page := make([]byte, BlockSize)
 	for len(data) > 0 {
 		pg := off / BlockSize
@@ -134,7 +118,7 @@ func (s *Store) writeRangeLocked(o *object, off int64, data []byte) error {
 			run = int64(len(data))
 		}
 		if in != 0 || run != BlockSize {
-			if _, err := s.readPageLocked(o, pg, page); err != nil {
+			if _, err := s.readPage(o, pg, page); err != nil {
 				return err
 			}
 		} else {
@@ -143,7 +127,7 @@ func (s *Store) writeRangeLocked(o *object, off int64, data []byte) error {
 			}
 		}
 		copy(page[in:], data[:run])
-		if err := s.writePagesLocked(o, trace.Span{}, PageWrite{pg, page}); err != nil {
+		if err := s.writePages(o, trace.Span{}, PageWrite{pg, page}); err != nil {
 			return err
 		}
 		data = data[run:]
@@ -158,8 +142,6 @@ func (s *Store) ReadAt(oid OID, off int64, buf []byte) (int, error) {
 	if off < 0 {
 		return 0, fmt.Errorf("objstore: ReadAt at negative offset %d", off)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	o, err := s.lookup(oid)
 	if err != nil {
 		return 0, err
@@ -183,16 +165,16 @@ func (s *Store) ReadAt(oid OID, off int64, buf []byte) (int, error) {
 		}
 		return len(buf), nil
 	}
-	if err := s.readRangeLocked(o, off, buf); err != nil {
+	if err := s.readRange(o, off, buf); err != nil {
 		return 0, err
 	}
 	return len(buf), nil
 }
 
-// readRangeLocked reads a byte range as one batch: the command latency is
+// readRange reads a byte range as one batch: the command latency is
 // paid once per range, not once per page (a multi-page file read behaves
-// like a queued sequential read, as on real NVMe). Requires mu.
-func (s *Store) readRangeLocked(o *object, off int64, buf []byte) error {
+// like a queued sequential read, as on real NVMe).
+func (s *Store) readRange(o *object, off int64, buf []byte) error {
 	if len(buf) == 0 {
 		return nil
 	}
@@ -222,7 +204,6 @@ func (s *Store) readRangeLocked(o *object, off int64, buf []byte) error {
 
 // pageExtents maps pages of a paged object to their device extents, holes
 // to the zero extent, beside the sum each stored page was committed with.
-// Requires mu.
 func (s *Store) pageExtents(o *object, pgs []int64) ([]extent, []uint32, error) {
 	exts := make([]extent, len(pgs))
 	sums := make([]uint32, len(pgs))
@@ -241,8 +222,6 @@ func (s *Store) pageExtents(o *object, pgs []int64) ([]extent, []uint32, error) 
 
 // Truncate sets oid's size, retiring blocks past the end.
 func (s *Store) Truncate(oid OID, size int64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	o, err := s.lookup(oid)
 	if err != nil {
 		return err
@@ -250,13 +229,13 @@ func (s *Store) Truncate(oid OID, size int64) error {
 	if o.journal != nil {
 		return ErrIsJournal
 	}
-	return s.truncateLocked(o, size)
+	return s.truncate(o, size)
 }
 
-// truncateLocked resizes o: the tail slots are retired, then the zeroed
+// truncate resizes o: the tail slots are retired, then the zeroed
 // partial page is rewritten (into a block the shrink may just have freed),
-// and the log carries the two ops in that order. Requires mu.
-func (s *Store) truncateLocked(o *object, size int64) error {
+// and the log carries the two ops in that order.
+func (s *Store) truncate(o *object, size int64) error {
 	if err := s.mutate(&walOp{kind: walOpSize, oid: o.oid, size: size}); err != nil {
 		return err
 	}
@@ -264,13 +243,13 @@ func (s *Store) truncateLocked(o *object, size int64) error {
 	if in := size % BlockSize; o.chunks != nil && in != 0 {
 		pg := size / BlockSize
 		page := make([]byte, BlockSize)
-		found, err := s.readPageLocked(o, pg, page)
+		found, err := s.readPage(o, pg, page)
 		if err != nil {
 			return err
 		}
 		if found {
 			clear(page[in:])
-			return s.writePagesLocked(o, trace.Span{}, PageWrite{pg, page})
+			return s.writePages(o, trace.Span{}, PageWrite{pg, page})
 		}
 	}
 	return nil
@@ -279,8 +258,6 @@ func (s *Store) truncateLocked(o *object, size int64) error {
 // Delete removes oid, retiring its blocks into the deadlist (they remain
 // reachable through retained checkpoints until history is released).
 func (s *Store) Delete(oid OID) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if _, err := s.lookup(oid); err != nil {
 		return err
 	}
@@ -292,9 +269,7 @@ func (s *Store) Delete(oid OID) error {
 // would deliver (a hole is a zero page), at one command latency for the
 // lot. This is the delta-ship read path.
 func (s *Store) EachPageOf(oid OID, pgs []int64, fn func(pg int64, data []byte) error) error {
-	s.mu.Lock()
 	o, err := s.lookup(oid)
-	s.mu.Unlock()
 	if err != nil {
 		return err
 	}
@@ -306,20 +281,15 @@ func (s *Store) EachPageOf(oid OID, pgs []int64, fn func(pg int64, data []byte) 
 // in ascending order when all is set, else exactly pgs, holes as zero pages,
 // each stored page checked against its committed sum before fn sees it —
 // and returns how many it delivered. Each page is read into the buffer into
-// gives for it, or the read window (EachPageInto). The lock is let go while
-// each chunk's pages stream, so the stream runs concurrently with other store
-// users (a chunk is walked if its leaf of the block map held it when the walk
-// got there); the clock waits once, after the last chunk's reads are queued.
+// gives for it, or the read window (EachPageInto). The clock waits once,
+// after the last chunk's reads are queued.
 func (s *Store) eachPage(o *object, pgs []int64, all bool, into func(pg int64) ([]byte, error), fn func(pg int64, data []byte) error) (n int64, err error) {
-	s.mu.Lock()
 	if o.journal != nil {
-		s.mu.Unlock()
 		return 0, ErrIsJournal
 	}
 	if o.chunks == nil {
-		// Inline object: synthesize the page view from a private copy.
-		inline := append([]byte(nil), o.inline...)
-		s.mu.Unlock()
+		// Inline object: synthesize the page view.
+		inline := o.inline
 		if all {
 			for pg := int64(0); pg < blocksFor(int64(len(inline))); pg++ {
 				pgs = append(pgs, pg)
@@ -367,7 +337,6 @@ func (s *Store) eachPage(o *object, pgs []int64, all bool, into func(pg int64) (
 	}
 	if !all {
 		exts, sums, err := s.pageExtents(o, pgs)
-		s.mu.Unlock()
 		if err == nil {
 			err = stream(pgs, exts, sums)
 		}
@@ -377,31 +346,22 @@ func (s *Store) eachPage(o *object, pgs []int64, all bool, into func(pg int64) (
 	} else {
 		var exts []extent
 		var sums []uint32
-		for base, l := o.chunks.LeafFrom(0); l != nil; base, l = o.chunks.LeafFrom(base + radix.LeafSize) {
-			for cis := l.Used; cis != 0; cis &= cis - 1 {
-				ci := base + int64(bits.TrailingZeros64(cis))
-				pgs, exts, sums = pgs[:0], exts[:0], sums[:0]
-				c, err := s.loadChunk(o, ci*ChunkFanout, false)
-				if c != nil {
-					for slot, a := range c.addrs {
-						if a != 0 {
-							pgs = append(pgs, ci*ChunkFanout+int64(slot))
-							exts = append(exts, extent{a, BlockSize})
-							sums = append(sums, c.sums[slot])
-						}
-					}
+		for ci, c := range o.chunks.All() {
+			if err := s.faultChunk(ci, c); err != nil {
+				return n, fmt.Errorf("oid %d %w", o.oid, err)
+			}
+			pgs, exts, sums = pgs[:0], exts[:0], sums[:0]
+			for slot, a := range c.addrs {
+				if a != 0 {
+					pgs = append(pgs, ci*ChunkFanout+int64(slot))
+					exts = append(exts, extent{a, BlockSize})
+					sums = append(sums, c.sums[slot])
 				}
-				s.mu.Unlock()
-				if err == nil {
-					err = stream(pgs, exts, sums)
-				}
-				if err != nil {
-					return n, err
-				}
-				s.mu.Lock()
+			}
+			if err := stream(pgs, exts, sums); err != nil {
+				return n, err
 			}
 		}
-		s.mu.Unlock()
 	}
 	s.dev.WaitUntil(last)
 	return n, nil

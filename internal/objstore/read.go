@@ -27,13 +27,13 @@ import (
 // a plain int64(oid) would walk the OIDs from 2^63 up first.
 func oidKey(oid OID) int64 { return int64(oid ^ 1<<63) }
 
-// get returns oid's object, nil if the image has none. Requires mu.
+// get returns oid's object, nil if the image has none.
 func (im *image) get(oid OID) *object {
 	o, _ := im.objects.Get(oidKey(oid))
 	return o
 }
 
-// lookup requires mu.
+// lookup is get with an error for a missing object.
 func (im *image) lookup(oid OID) (*object, error) {
 	o := im.get(oid)
 	if o == nil {
@@ -48,8 +48,6 @@ func (im *image) lookup(oid OID) (*object, error) {
 
 // Objects lists the image's OIDs in ascending order.
 func (im *image) Objects() []OID {
-	im.s.mu.Lock()
-	defer im.s.mu.Unlock()
 	oids := make([]OID, 0, im.objects.Len())
 	for _, o := range im.objects.All() {
 		oids = append(oids, o.oid)
@@ -59,15 +57,11 @@ func (im *image) Objects() []OID {
 
 // Exists reports whether oid is in the image.
 func (im *image) Exists(oid OID) bool {
-	im.s.mu.Lock()
-	defer im.s.mu.Unlock()
 	return im.get(oid) != nil
 }
 
 // UType returns the user type tag of oid.
 func (im *image) UType(oid OID) (uint16, error) {
-	im.s.mu.Lock()
-	defer im.s.mu.Unlock()
 	o, err := im.lookup(oid)
 	if err != nil {
 		return 0, err
@@ -77,8 +71,6 @@ func (im *image) UType(oid OID) (uint16, error) {
 
 // Size returns the byte size of oid.
 func (im *image) Size(oid OID) (int64, error) {
-	im.s.mu.Lock()
-	defer im.s.mu.Unlock()
 	o, err := im.lookup(oid)
 	if err != nil {
 		return 0, err
@@ -88,8 +80,6 @@ func (im *image) Size(oid OID) (int64, error) {
 
 // GetRecord returns the full content of oid.
 func (im *image) GetRecord(oid OID) ([]byte, error) {
-	im.s.mu.Lock()
-	defer im.s.mu.Unlock()
 	o, err := im.lookup(oid)
 	if err != nil {
 		return nil, err
@@ -101,7 +91,7 @@ func (im *image) GetRecord(oid OID) ([]byte, error) {
 		return append([]byte(nil), o.inline...), nil
 	}
 	out := make([]byte, o.size)
-	if err := im.s.readRangeLocked(o, 0, out); err != nil {
+	if err := im.s.readRange(o, 0, out); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -113,8 +103,6 @@ func (im *image) ReadPage(oid OID, pg int64, buf []byte) (bool, error) {
 	if len(buf) != BlockSize {
 		return false, fmt.Errorf("objstore: ReadPage wants %d bytes, got %d", BlockSize, len(buf))
 	}
-	im.s.mu.Lock()
-	defer im.s.mu.Unlock()
 	o, err := im.lookup(oid)
 	if err != nil {
 		return false, err
@@ -125,13 +113,11 @@ func (im *image) ReadPage(oid OID, pg int64, buf []byte) (bool, error) {
 	if o.chunks == nil && pg >= 0 { // loadChunk refuses a negative page
 		return inlinePage(o.inline, pg, buf), nil
 	}
-	return im.s.readPageLocked(o, pg, buf)
+	return im.s.readPage(o, pg, buf)
 }
 
 // HasPage reports whether oid stores page pg (without reading the data).
 func (im *image) HasPage(oid OID, pg int64) (bool, error) {
-	im.s.mu.Lock()
-	defer im.s.mu.Unlock()
 	o, err := im.lookup(oid)
 	if err != nil {
 		return false, err
@@ -164,9 +150,7 @@ func (im *image) EachPageBulk(oid OID, fn func(pg int64, data []byte) error) (in
 // returns nil. Pages are asked for and handed to fn in the same order; a
 // page fn has not yet been handed when the stream fails is never handed.
 func (im *image) EachPageInto(oid OID, into func(pg int64) ([]byte, error), fn func(pg int64, data []byte) error) (int64, error) {
-	im.s.mu.Lock()
 	o, err := im.lookup(oid)
-	im.s.mu.Unlock()
 	if err != nil {
 		return 0, err
 	}
@@ -185,9 +169,9 @@ func inlinePage(inline []byte, pg int64, page []byte) bool {
 	return true
 }
 
-// readPageLocked reads page pg of a paged object into buf, zeroing it for a
-// hole. Requires mu.
-func (s *Store) readPageLocked(o *object, pg int64, buf []byte) (bool, error) {
+// readPage reads page pg of a paged object into buf, zeroing it for a
+// hole.
+func (s *Store) readPage(o *object, pg int64, buf []byte) (bool, error) {
 	c, err := s.loadChunk(o, pg, false)
 	if err != nil {
 		return false, err
@@ -214,7 +198,7 @@ func checkPage(oid OID, pg int64, sum uint32, data []byte) error {
 
 // loadChunk returns the chunk covering page index pg of a paged object,
 // faulted in; a chunk the object lacks is nil, or created when create is set.
-// A negative page is refused. Requires mu.
+// A negative page is refused.
 func (s *Store) loadChunk(o *object, pg int64, create bool) (*chunk, error) {
 	if pg < 0 {
 		return nil, fmt.Errorf("objstore: oid %d has no page %d", o.oid, pg)
@@ -236,7 +220,6 @@ func (s *Store) loadChunk(o *object, pg int64, create bool) (*chunk, error) {
 
 // faultChunk reads c's slots from its block unless they are in memory: the
 // one place a block-map chunk is read. ci names the chunk in the error.
-// Requires mu.
 func (s *Store) faultChunk(ci int64, c *chunk) error {
 	if c.loaded {
 		return nil
@@ -272,7 +255,7 @@ const readWindow = 64 << 10
 // readWindow reuses the slab window by window while the queue stays full, so
 // fn may keep data only from a batch that fits one window.
 //
-// It takes no lock. Reads need no ordering against each other or against
+// Reads need no ordering against each other or against
 // queued writes: a submitted write is visible to reads at once (the model has
 // no volatile cache), and everything read here is copy-on-write state that no
 // in-flight write targets.

@@ -123,14 +123,12 @@ func testRetentionInsideCommit(t *testing.T, retain, keep int) {
 		if got := s.RetainedCheckpoints(); len(got) > keep || got[len(got)-1] != st.Epoch {
 			t.Fatalf("epoch %d: retained %v, want at most %d ending in it", st.Epoch, got, keep)
 		}
-		s.mu.Lock()
 		last := s.retained[len(s.retained)-1]
 		idx, err := s.fetchIndex(last.indexAddr, last.indexLen)
 		var staged []int64
 		if n := len(s.releaseQ); n > 0 && s.releaseQ[n-1].at == st.DurableAt {
 			staged = blocksOf(s.releaseQ[n-1].runs)
 		}
-		s.mu.Unlock()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -261,9 +259,7 @@ func TestRecoveryChainAccountsEveryBlock(t *testing.T) {
 // allocatable reports whether the block at addr is in s's free map once every
 // release whose superblock is durable has been promoted.
 func allocatable(s *Store, addr int64) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.promoteReleasedLocked()
+	s.promoteReleased()
 	i := s.findRun(addr)
 	return i < len(s.free) && addr < s.free[i].end()
 }

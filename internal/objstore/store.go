@@ -29,7 +29,6 @@ package objstore
 
 import (
 	"errors"
-	"sync"
 	"time"
 
 	"aurora/internal/clock"
@@ -164,14 +163,13 @@ type Stats struct {
 // the Store that embeds it, or a retained epoch's in a View. The read methods
 // both offer are declared on it, once (see read.go).
 type image struct {
-	s       *Store               // whose device the table's blocks are on, and whose lock guards it
+	s       *Store               // whose device the table's blocks are on
 	objects radix.Table[*object] // by oidKey, so it walks in ascending OID order
 }
 
 // Store is the Aurora object store.
 type Store struct {
 	image // the live object table
-	mu    sync.Mutex
 	dev   BlockDev
 	clk   clock.Clock
 	costs *clock.Costs
@@ -214,8 +212,8 @@ type Store struct {
 	// pendingDurable is the completion time of the latest submitted write
 	// belonging to the in-progress interval; the next commit waits for it.
 	pendingDurable time.Duration
-	one            [1][]byte    // submitLocked's vector, so single-buffer writes allocate none
-	pages          pageScratch  // writePagesLocked's, for the same reason
+	one            [1][]byte    // submit's vector, so single-buffer writes allocate none
+	pages          pageScratch  // writePages's, for the same reason
 	audit          auditScratch // AuditLive's, for the same reason
 	frame          rec.Encoder  // Journal.Append's, for the same reason
 
@@ -371,27 +369,23 @@ func (s *Store) RecoveredFlight() (evs []flight.Event, seq uint64, ok bool, err 
 
 // Epoch returns the last committed checkpoint epoch.
 func (s *Store) Epoch() Epoch {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.epoch
 }
 
-// curEpoch is the epoch the in-progress interval will commit as. Requires mu.
+// curEpoch is the epoch the in-progress interval will commit as.
 func (s *Store) curEpoch() Epoch { return s.epoch + 1 }
 
 // PendingDurable reports the virtual completion time of the latest
 // asynchronous write submitted to the device — the write-behind horizon.
 // Callers use it for flow control (bounding dirty data in flight).
 func (s *Store) PendingDurable() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.pendingDurable
 }
 
-// submitLocked queues p at off, its transfer not starting before after, and
+// submit queues p at off, its transfer not starting before after, and
 // folds the completion time into the interval's durability horizon — which
-// the next commit point is in turn ordered behind. Requires mu.
-func (s *Store) submitLocked(p []byte, off int64, after time.Duration) (time.Duration, error) {
+// the next commit point is in turn ordered behind.
+func (s *Store) submit(p []byte, off int64, after time.Duration) (time.Duration, error) {
 	s.one[0] = p
 	done, err := s.dev.Submit(s.one[:], off, after)
 	s.one[0] = nil
@@ -403,8 +397,6 @@ func (s *Store) submitLocked(p []byte, off int64, after time.Duration) (time.Dur
 
 // NewOID allocates a fresh object identifier.
 func (s *Store) NewOID() OID {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	oid := s.nextOID
 	s.nextOID++
 	return oid
@@ -412,14 +404,12 @@ func (s *Store) NewOID() OID {
 
 // Stats returns a snapshot of store counters.
 func (s *Store) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	st := s.stats
 	st.ObjectsLive = int64(s.objects.Len())
 	return st
 }
 
-// ensure returns the object, creating it if absent. Requires mu.
+// ensure returns the object, creating it if absent.
 func (s *Store) ensure(oid OID, utype uint16) *object {
 	o := s.get(oid)
 	if o == nil {

@@ -218,9 +218,7 @@ func TestHugeSparseObjectStaysSmall(t *testing.T) {
 		t.Fatal(err)
 	}
 	s = reopen(t, dev, clk)
-	s.mu.Lock()
 	roots := chunkRoots(s.get(oid))
-	s.mu.Unlock()
 	if len(roots) != 4 || roots[0] != 0 || roots[2] != last/ChunkFanout {
 		t.Fatalf("the recovered record roots chunks %v, want chunks 0 and %d", roots, last/ChunkFanout)
 	}

@@ -59,8 +59,8 @@ func walBlocksFor(devSize int64) int64 {
 }
 
 // dataStart is the first byte the block allocator may hand out: past the
-// superblocks and the reserved WAL region. Requires mu (or a quiescent
-// store — the geometry never changes after Format/Recover).
+// superblocks and the reserved WAL region. The geometry never changes after
+// Format/Recover.
 func (s *Store) dataStart() int64 {
 	if s.walBlocks > 0 {
 		return s.walBase + s.walBlocks*BlockSize
@@ -101,7 +101,7 @@ type walFrame struct {
 }
 
 // walNote captures op into the pending delta set. Replay records nothing:
-// what it applies is in the log already. Requires mu.
+// what it applies is in the log already.
 func (s *Store) walNote(op *walOp) {
 	if s.replaying || s.walBlocks == 0 {
 		return
@@ -213,17 +213,13 @@ func (s *Store) WALCommit() (WALCommitStats, error) {
 	// N's ring carries appends 1..N — the crash-phase evidence the harness
 	// checks after replay. The tail is the events the last accepted commit
 	// lacks.
-	s.mu.Lock()
 	peekBase, peekSeq, flSeq := s.epoch, uint64(len(s.walDurable))+1, s.flSeq
-	s.mu.Unlock()
 	s.fl.Record(int64(s.clk.Now()), flight.EvWALAppend, int64(peekBase), int64(peekSeq), 0, "")
 	tail, flSeq := s.fl.Since(flSeq)
 
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	sw := clock.StartStopwatch(s.clk)
 	span := s.tr.Begin(trace.TrackObjstore, "wal.append")
-	s.maybeResetWALLocked()
+	s.maybeResetWAL()
 	fr := &walFrame{
 		base:    s.epoch,
 		seq:     uint64(len(s.walDurable)) + 1,
@@ -253,7 +249,7 @@ func (s *Store) WALCommit() (WALCommitStats, error) {
 	s.walDurable = append(s.walDurable, done)
 	s.walPending = nil
 	s.pendingDurable = done
-	s.observeDurableLocked(done)
+	s.observeDurable(done)
 	st.Bytes = total
 	st.DurableAt = done
 	st.CommitCharged = sw.Elapsed()
@@ -266,24 +262,23 @@ func (s *Store) WALCommit() (WALCommitStats, error) {
 	return st, nil
 }
 
-// observeDurableLocked feeds the durable-window histogram: the virtual gap
+// observeDurable feeds the durable-window histogram: the virtual gap
 // between consecutive durability points, the store's recovery-loss bound.
-// Requires mu.
-func (s *Store) observeDurableLocked(done time.Duration) {
+func (s *Store) observeDurable(done time.Duration) {
 	if s.lastDurable > 0 && done > s.lastDurable {
 		s.tr.Observe("objstore.durable.gap.ns", int64(done-s.lastDurable))
 	}
 	s.lastDurable = done
 }
 
-// maybeResetWALLocked performs the deferred head reset, the log-structured
+// maybeResetWAL performs the deferred head reset, the log-structured
 // GC of a folded generation. The ring restarts from zero when it holds
 // frames, none of them the current generation's, and virtual time has passed
 // the newest commit's superblock completion: no recoverable superblock can
 // need the folded frames then. A frame appended behind a fold that is not
 // yet durable lands past the folded generation, which therefore stays the
-// prefix the recovery scan walks through until the next fold. Requires mu.
-func (s *Store) maybeResetWALLocked() {
+// prefix the recovery scan walks through until the next fold.
+func (s *Store) maybeResetWAL() {
 	if s.walHead == 0 || len(s.walDurable) > 0 || s.clk.Now() < s.retained[len(s.retained)-1].durable {
 		return
 	}
@@ -307,32 +302,24 @@ func (s *Store) Fold() (CheckpointStats, error) {
 	if err := s.WaitDurable(cst.Epoch); err != nil {
 		return cst, err
 	}
-	s.mu.Lock()
-	s.maybeResetWALLocked()
-	s.mu.Unlock()
+	s.maybeResetWAL()
 	return cst, nil
 }
 
 // WALSeq returns the sequence number of the last committed WAL frame in the
 // current generation (0 right after a fold or when the WAL is unused).
 func (s *Store) WALSeq() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return uint64(len(s.walDurable))
 }
 
 // WALHead returns the byte offset past the last appended frame in the
 // reserved region (for tests and tooling).
 func (s *Store) WALHead() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.walHead
 }
 
 // WALRegion returns the reserved region's device offset and size in bytes.
 func (s *Store) WALRegion() (base, size int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.walBase, s.walBlocks * BlockSize
 }
 
@@ -341,7 +328,6 @@ func (s *Store) WALRegion() (base, size int64) {
 // checkpoint fall back to the fold's own durability point, which covers
 // them by construction.
 func (s *Store) WaitWALDurable(seq uint64) error {
-	s.mu.Lock()
 	var t time.Duration
 	c, err := s.retainedInfo(s.epoch)
 	if seq > 0 && seq <= uint64(len(s.walDurable)) {
@@ -349,14 +335,11 @@ func (s *Store) WaitWALDurable(seq uint64) error {
 	} else if err == nil {
 		t = c.durable
 	}
-	s.mu.Unlock()
 	if err != nil {
 		return fmt.Errorf("%w: wal seq %d", ErrNoEpoch, seq)
 	}
 	s.dev.WaitUntil(t)
-	s.mu.Lock()
-	s.maybeResetWALLocked()
-	s.mu.Unlock()
+	s.maybeResetWAL()
 	return nil
 }
 
@@ -364,11 +347,9 @@ func (s *Store) WaitWALDurable(seq uint64) error {
 // Called by Recover after loadIndex with s.epoch set; scanned is the bytes it
 // read from the region.
 func (s *Store) walRecover() (scanned int64, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	frames, end, scanned, err := s.walScan()
 	if err == nil {
-		err = s.walReplayLocked(frames, end)
+		err = s.walReplay(frames, end)
 	}
 	return scanned, err
 }
@@ -401,9 +382,9 @@ func (s *Store) walScan() (frames []*walFrame, end, scanned int64, err error) {
 	return frames, end, sc.read, nil
 }
 
-// walReplayLocked applies the scanned chain, whose last frame ends at region
-// offset end. Requires mu.
-func (s *Store) walReplayLocked(frames []*walFrame, end int64) error {
+// walReplay applies the scanned chain, whose last frame ends at region
+// offset end.
+func (s *Store) walReplay(frames []*walFrame, end int64) error {
 	if len(frames) == 0 {
 		// No current-generation frames: the ring restarts. Recovery always
 		// picks the newest superblock, so older generations are dead.
@@ -437,15 +418,13 @@ func (s *Store) walReplayLocked(frames []*walFrame, end int64) error {
 
 // WALReplayed reports how many frames the last Recover replayed.
 func (s *Store) WALReplayed() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.walReplayed
 }
 
 // claimWALBlock is what replay adds to apply: the n blocks from addr that a
 // replayed frame names leave the free map and are born in the current
 // interval. Live, the mutator allocated them itself and there is nothing to
-// claim. Requires mu.
+// claim.
 func (s *Store) claimWALBlock(addr, n int64) error {
 	if !s.replaying {
 		return nil

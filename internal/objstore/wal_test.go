@@ -979,8 +979,6 @@ func TestIdenticalPutIsNotAWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	state := func() (dirty bool, addr int64, ops int) {
-		s.mu.Lock()
-		defer s.mu.Unlock()
 		return s.get(oid).dirty, s.get(oid).recordAddr, len(s.walPending)
 	}
 	_, addr0, _ := state()
@@ -1076,9 +1074,7 @@ func recoverWholeRegion(t *testing.T, dev BlockDev, clk clock.Clock) *Store {
 		}
 		off += padded
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.walReplayLocked(frames, end); err != nil {
+	if err := s.walReplay(frames, end); err != nil {
 		t.Fatal(err)
 	}
 	return s
@@ -1321,16 +1317,13 @@ func TestApplyRefusesImpossibleOps(t *testing.T) {
 		{walOp{kind: walOpDelete, oid: 77}, "objstore: corrupt metadata: delete of unknown object 77"},
 		{walOp{kind: 9, oid: inl}, "objstore: corrupt metadata: unknown wal op 9"},
 	} {
-		s.mu.Lock()
 		err := s.apply(&c.op)
-		s.mu.Unlock()
 		if err == nil || err.Error() != c.want || !errors.Is(err, ErrCorrupt) {
 			t.Errorf("op %d on %d: err = %v, want %q", c.op.kind, c.op.oid, err, c.want)
 		}
 	}
 	// Replay also refuses a frame that names blocks the free map does not
 	// hold: one the journal owns, or a run no device has, and changes nothing.
-	s.mu.Lock()
 	ext := s.get(jrn).journal.extentAddr
 	s.replaying = true
 	for _, c := range []struct {
@@ -1345,7 +1338,6 @@ func TestApplyRefusesImpossibleOps(t *testing.T) {
 		}
 	}
 	s.replaying = false
-	s.mu.Unlock()
 	if after := stateDump(s); after != before {
 		t.Errorf("refused ops changed the store\n--- before\n%s--- after\n%s", before, after)
 	}
