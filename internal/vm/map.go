@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"aurora/internal/mem"
@@ -38,14 +37,14 @@ type Entry struct {
 	Shared bool
 
 	// ptes is the entry's page table: the PTE of each translated page, by
-	// page number within the entry. Guarded by Map.mu.
+	// page number within the entry.
 	ptes radix.Table[PTE]
 	// gen counts the objects the entry has mapped: a PTE installed under an
 	// earlier one is stale (the mapping was downgraded since).
 	gen uint32
 	// writable lists the pages whose PTE Fault installed writable (the only
-	// place one becomes so) since the last downgrade. Invariant, under
-	// Map.mu: every writable PTE of the entry is listed, so a downgrade
+	// place one becomes so) since the last downgrade. Invariant: every
+	// writable PTE of the entry is listed, so a downgrade
 	// visits the pages written, not the mapping. Emptied by a downgrade and
 	// by InvalidateAll; a listed page whose PTE has since gone is skipped.
 	writable []int64
@@ -75,7 +74,6 @@ type PTE struct {
 type Map struct {
 	vm *System
 
-	mu       sync.Mutex
 	entries  []*Entry // sorted by Start; each holds its own page table
 	nextAddr uint64
 }
@@ -96,8 +94,6 @@ func (m *Map) System() *System { return m.vm }
 
 // Entries returns a snapshot of the entry list.
 func (m *Map) Entries() []*Entry {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	out := make([]*Entry, len(m.entries))
 	copy(out, m.entries)
 	return out
@@ -106,8 +102,6 @@ func (m *Map) Entries() []*Entry {
 // ResidentBytes sums the resident pages mapped by this address space's page
 // tables.
 func (m *Map) ResidentBytes() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	n := 0
 	for _, e := range m.entries {
 		n += e.ptes.Len()
@@ -120,20 +114,10 @@ func (m *Map) ResidentBytes() int64 {
 // For the invariant auditor: it needs the PTE->object association (private
 // elsewhere) to cross-check dirty bits and residency against the objects.
 func (m *Map) AuditPTEs(fn func(va uint64, pte PTE, obj *Object)) {
-	type ent struct {
-		va  uint64
-		pte PTE
-	}
-	var ents []ent
-	m.mu.Lock()
 	for _, e := range m.entries {
 		for i, pte := range e.ptes.All() {
-			ents = append(ents, ent{e.Start + uint64(i)*PageSize, pte})
+			fn(e.Start+uint64(i)*PageSize, pte, pte.owner)
 		}
-	}
-	m.mu.Unlock()
-	for _, e := range ents {
-		fn(e.va, e.pte, e.pte.owner)
 	}
 }
 
@@ -150,8 +134,6 @@ func (m *Map) Map(obj *Object, off, length int64, prot Prot, shared bool) (uint6
 		return 0, fmt.Errorf("vm: unaligned mapping offset %d", off)
 	}
 	pages := mem.PagesFor(length)
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	start := m.nextAddr
 	m.nextAddr += uint64(pages*PageSize) + PageSize // guard page gap
 	e := &Entry{
@@ -162,7 +144,7 @@ func (m *Map) Map(obj *Object, off, length int64, prot Prot, shared bool) (uint6
 		Off:    off,
 		Shared: shared,
 	}
-	m.insertLocked(e)
+	m.insert(e)
 	return start, nil
 }
 
@@ -173,8 +155,6 @@ func (m *Map) MapAt(start uint64, obj *Object, off, length int64, prot Prot, sha
 	}
 	pages := mem.PagesFor(length)
 	end := start + uint64(pages*PageSize)
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	for _, e := range m.entries {
 		if start < e.End && e.Start < end {
 			return fmt.Errorf("vm: MapAt(%#x) overlaps [%#x,%#x)", start, e.Start, e.End)
@@ -183,12 +163,12 @@ func (m *Map) MapAt(start uint64, obj *Object, off, length int64, prot Prot, sha
 	if end+PageSize > m.nextAddr && start >= UserBase {
 		m.nextAddr = end + PageSize
 	}
-	m.insertLocked(&Entry{Start: start, End: end, Prot: prot, Obj: obj, Off: off, Shared: shared})
+	m.insert(&Entry{Start: start, End: end, Prot: prot, Obj: obj, Off: off, Shared: shared})
 	return nil
 }
 
-// insertLocked requires mu.
-func (m *Map) insertLocked(e *Entry) {
+// insert adds e to the entry list, keeping it sorted by Start.
+func (m *Map) insert(e *Entry) {
 	i := sort.Search(len(m.entries), func(i int) bool { return m.entries[i].Start >= e.Start })
 	m.entries = append(m.entries, nil)
 	copy(m.entries[i+1:], m.entries[i:])
@@ -198,7 +178,6 @@ func (m *Map) insertLocked(e *Entry) {
 // Unmap removes the entry containing start, invalidating its PTEs and
 // dropping the object reference.
 func (m *Map) Unmap(start uint64) error {
-	m.mu.Lock()
 	var e *Entry
 	idx := -1
 	for i, cand := range m.entries {
@@ -208,18 +187,16 @@ func (m *Map) Unmap(start uint64) error {
 		}
 	}
 	if e == nil {
-		m.mu.Unlock()
 		return fmt.Errorf("vm: no entry at %#x", start)
 	}
 	m.entries = append(m.entries[:idx], m.entries[idx+1:]...)
 	e.ptes, e.writable = radix.Table[PTE]{}, nil
-	m.mu.Unlock()
 	m.vm.Clk.Advance(m.vm.Costs.TLBFlush)
 	e.Obj.Deref()
 	return nil
 }
 
-// findEntry requires mu.
+// findEntry returns the entry containing va, nil if none does.
 func (m *Map) findEntry(va uint64) *Entry {
 	i := sort.Search(len(m.entries), func(i int) bool { return m.entries[i].End > va })
 	if i < len(m.entries) && m.entries[i].Start <= va {
@@ -230,8 +207,6 @@ func (m *Map) findEntry(va uint64) *Entry {
 
 // EntryAt returns the entry containing va.
 func (m *Map) EntryAt(va uint64) (*Entry, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	e := m.findEntry(va)
 	return e, e != nil
 }
@@ -241,19 +216,15 @@ func (m *Map) EntryAt(va uint64) (*Entry, bool) {
 // page read-only.
 func (m *Map) Fault(va uint64, write bool) (*mem.Page, error) {
 	base := va &^ uint64(PageSize-1)
-	m.mu.Lock()
 	e := m.findEntry(base)
 	if e == nil {
-		m.mu.Unlock()
 		return nil, fmt.Errorf("vm: segmentation fault at %#x", va)
 	}
 	if write && e.Prot&ProtWrite == 0 {
-		m.mu.Unlock()
 		return nil, fmt.Errorf("vm: write protection fault at %#x", va)
 	}
 	obj, gen, slot := e.Obj, e.gen, e.slot(base)
 	pg := slot + e.Off/PageSize
-	m.mu.Unlock()
 
 	m.vm.Clk.Advance(m.vm.Costs.PageFault)
 	if write {
@@ -282,12 +253,10 @@ func (m *Map) Fault(va uint64, write bool) (*mem.Page, error) {
 		return nil, err
 	}
 	m.vm.Clk.Advance(m.vm.Costs.PageInstall)
-	m.mu.Lock()
 	old, _ := e.ptes.Set(slot, PTE{Page: p, Writable: write, Accessed: true, Dirty: write, gen: gen, owner: owner})
 	if write && !old.Writable {
 		e.writable = append(e.writable, slot)
 	}
-	m.mu.Unlock()
 	p.Referenced = true
 	if write {
 		p.Dirty = true
@@ -300,8 +269,6 @@ func (m *Map) Fault(va uint64, write bool) (*mem.Page, error) {
 // PTE's accessed bit (and for a write its dirty bit) set, or nil to take the
 // slow path.
 func (m *Map) pteFor(base uint64, write bool) *mem.Page {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	e := m.findEntry(base)
 	if e == nil {
 		return nil
@@ -381,14 +348,8 @@ func (m *Map) Read(va uint64, buf []byte) error {
 // behaviour system shadowing must coexist with.
 func (m *Map) Fork() *Map {
 	child := m.vm.NewMap()
-	m.mu.Lock()
-	entries := make([]*Entry, len(m.entries))
-	copy(entries, m.entries)
-	nextAddr := m.nextAddr
-	m.mu.Unlock()
-	child.nextAddr = nextAddr
-
-	for _, e := range entries {
+	child.nextAddr = m.nextAddr
+	for _, e := range m.entries {
 		ce := &Entry{Start: e.Start, End: e.End, Prot: e.Prot, Off: e.Off, Shared: e.Shared}
 		if !e.Shared && e.Prot&ProtWrite != 0 {
 			// Private writable mapping: both sides shadow the original,
@@ -406,9 +367,7 @@ func (m *Map) Fork() *Map {
 			e.Obj.Ref()
 			ce.Obj = e.Obj
 		}
-		child.mu.Lock()
-		child.insertLocked(ce)
-		child.mu.Unlock()
+		child.insert(ce)
 	}
 	m.vm.Clk.Advance(m.vm.Costs.TLBFlush)
 	return child
@@ -419,7 +378,6 @@ func (m *Map) Fork() *Map {
 // new object), found through the entry's writable list. The PTEs it keeps
 // are stale from here on: the next access through one drops it.
 func (m *Map) replaceEntryObject(e *Entry, newObj *Object) {
-	m.mu.Lock()
 	e.Obj = newObj
 	e.gen++
 	downgraded := 0
@@ -430,7 +388,6 @@ func (m *Map) replaceEntryObject(e *Entry, newObj *Object) {
 		}
 	}
 	e.writable = e.writable[:0]
-	m.mu.Unlock()
 	m.vm.Clk.Advance(time.Duration(downgraded) * m.vm.Costs.PageMarkCOW)
 }
 
@@ -442,8 +399,6 @@ func (m *Map) replaceEntryObject(e *Entry, newObj *Object) {
 // shadow. Only a moved page can have been resident in it, so the pass visits
 // those pages of each entry, not every installed translation.
 func (m *Map) reownPTEs(from, to *Object, moved []int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	for _, e := range m.entries {
 		first := e.Off / PageSize
 		i, _ := slices.BinarySearch(moved, first)
@@ -461,19 +416,15 @@ func (m *Map) reownPTEs(from, to *Object, moved []int64) {
 // InvalidateAll drops every PTE — a full page-table invalidation plus TLB
 // shootdown, used after page eviction and lazy restores.
 func (m *Map) InvalidateAll() {
-	m.mu.Lock()
 	for _, e := range m.entries {
 		e.ptes = radix.Table[PTE]{}
 		e.writable = e.writable[:0]
 	}
-	m.mu.Unlock()
 	m.vm.Clk.Advance(m.vm.Costs.TLBFlush)
 }
 
 // DirtyPages returns the number of dirty PTEs (diagnostic).
 func (m *Map) DirtyPages() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	n := 0
 	for _, e := range m.entries {
 		for _, pte := range e.ptes.All() {
@@ -487,14 +438,9 @@ func (m *Map) DirtyPages() int {
 
 // Destroy tears down the address space, releasing all objects.
 func (m *Map) Destroy() {
-	m.mu.Lock()
-	entries := m.entries
-	m.entries = nil
-	for _, e := range entries {
+	for _, e := range m.entries {
 		e.ptes, e.writable = radix.Table[PTE]{}, nil
-	}
-	m.mu.Unlock()
-	for _, e := range entries {
 		e.Obj.Deref()
 	}
+	m.entries = nil
 }

@@ -21,9 +21,6 @@ package vm
 
 import (
 	"fmt"
-	"math/bits"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"aurora/internal/clock"
@@ -91,7 +88,7 @@ type System struct {
 	// flushed and collapsed.
 	ContentionExtra func() time.Duration
 
-	nextObjID atomic.Uint64
+	nextObjID uint64
 }
 
 // NewSystem returns a VM subsystem.
@@ -109,7 +106,6 @@ type Object struct {
 	ID   uint64
 	Type ObjectType
 
-	mu     sync.Mutex
 	pages  radix.Table[*mem.Page] // resident pages by page number
 	size   int64                  // bytes
 	backer *Object
@@ -122,9 +118,10 @@ type Object struct {
 
 // NewObject creates an unmapped object of size bytes.
 func (vm *System) NewObject(t ObjectType, size int64) *Object {
+	vm.nextObjID++
 	return &Object{
 		vm:   vm,
-		ID:   vm.nextObjID.Add(1),
+		ID:   vm.nextObjID,
 		Type: t,
 		size: size,
 		ref:  1,
@@ -146,34 +143,21 @@ func (vm *System) RestoreObject(t ObjectType, size int64, pager Pager, backer *O
 	o.pager = pager
 	if backer != nil {
 		o.backer = backer
-		backer.mu.Lock()
 		backer.shadows++
-		backer.mu.Unlock()
 	}
 	return o
 }
 
 // Size returns the object's size in bytes.
-func (o *Object) Size() int64 {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.size
-}
+func (o *Object) Size() int64 { return o.size }
 
 // Pages returns the number of resident pages (this object only, not the
 // shadow chain).
-func (o *Object) Pages() int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.pages.Len()
-}
+func (o *Object) Pages() int { return o.pages.Len() }
 
 // CountPages returns how many of the object's own resident pages satisfy
-// keep. Unlike EachPage it holds the object lock throughout, so keep must
-// only inspect the page.
+// keep, which must only inspect the page.
 func (o *Object) CountPages(keep func(*mem.Page) bool) int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
 	n := 0
 	for _, p := range o.pages.All() {
 		if keep(p) {
@@ -184,29 +168,17 @@ func (o *Object) CountPages(keep func(*mem.Page) bool) int {
 }
 
 // Backer returns the object this object shadows, if any.
-func (o *Object) Backer() *Object {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.backer
-}
+func (o *Object) Backer() *Object { return o.backer }
 
 // Pager returns the object's pager, if any.
-func (o *Object) Pager() Pager {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.pager
-}
+func (o *Object) Pager() Pager { return o.pager }
 
 // SetPager installs a pager on an existing object. The SLS uses this once
 // an object's content is on the store: from then on the object's pages can
 // be evicted and fault back in — the unified checkpoint/swap data path of
 // §6 (swap metadata lives in the store, surviving crashes, unlike a
 // conventional swap partition).
-func (o *Object) SetPager(p Pager) {
-	o.mu.Lock()
-	o.pager = p
-	o.mu.Unlock()
-}
+func (o *Object) SetPager(p Pager) { o.pager = p }
 
 // ChainLength returns the number of objects in the shadow chain, including
 // this one.
@@ -219,44 +191,26 @@ func (o *Object) ChainLength() int {
 }
 
 // ShadowCount reports how many shadows directly back onto this object.
-func (o *Object) ShadowCount() int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return int(o.shadows)
-}
+func (o *Object) ShadowCount() int { return int(o.shadows) }
 
 // Terminal returns the bottom of the shadow chain (exported form).
 func (o *Object) Terminal() *Object { return o.terminal() }
 
 // RefCount returns the current reference count (auditing).
-func (o *Object) RefCount() int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return int(o.ref)
-}
+func (o *Object) RefCount() int { return int(o.ref) }
 
 // Dead reports whether the object has been fully dereferenced (auditing —
 // a dead object reachable from a map or table is an invariant violation).
-func (o *Object) Dead() bool {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.dead
-}
+func (o *Object) Dead() bool { return o.dead }
 
 // Ref takes a reference.
-func (o *Object) Ref() {
-	o.mu.Lock()
-	o.ref++
-	o.mu.Unlock()
-}
+func (o *Object) Ref() { o.ref++ }
 
 // Deref drops a reference; the last reference frees the object's pages and
 // releases its backer.
 func (o *Object) Deref() {
-	o.mu.Lock()
 	o.ref--
 	if o.ref > 0 {
-		o.mu.Unlock()
 		return
 	}
 	o.dead = true
@@ -266,11 +220,8 @@ func (o *Object) Deref() {
 		o.vm.PM.Free(p)
 	}
 	o.pages = radix.Table[*mem.Page]{}
-	o.mu.Unlock()
 	if backer != nil {
-		backer.mu.Lock()
 		backer.shadows--
-		backer.mu.Unlock()
 		backer.Deref()
 	}
 }
@@ -284,25 +235,18 @@ func (vm *System) Shadow(o *Object) *Object {
 	vm.Clk.Advance(vm.Costs.ShadowCreate)
 	s := vm.NewObject(Anonymous, o.Size())
 	s.backer = o
-	o.mu.Lock()
 	o.shadows++
 	o.ref++ // the shadow's backer reference
-	o.mu.Unlock()
 	return s
 }
 
 // Lookup walks the shadow chain for page pg, returning the page and the
 // object that owns it.
 func (o *Object) Lookup(pg int64) (*mem.Page, *Object) {
-	for c := o; c != nil; {
-		c.mu.Lock()
+	for c := o; c != nil; c = c.backer {
 		if p, ok := c.pages.Get(pg); ok {
-			c.mu.Unlock()
 			return p, c
 		}
-		next := c.backer
-		c.mu.Unlock()
-		c = next
 	}
 	return nil, nil
 }
@@ -310,43 +254,26 @@ func (o *Object) Lookup(pg int64) (*mem.Page, *Object) {
 // terminal returns the bottom of the shadow chain.
 func (o *Object) terminal() *Object {
 	c := o
-	for {
-		next := c.Backer()
-		if next == nil {
-			return c
-		}
-		c = next
+	for c.backer != nil {
+		c = c.backer
 	}
+	return c
 }
 
-// pageInLocal faults page pg into o itself from o's pager, returning the
-// resident page (existing or freshly filled).
+// pageInLocal faults page pg, which o lacks, into o itself from o's pager,
+// returning the freshly filled page.
 func (o *Object) pageInLocal(pg int64) (*mem.Page, error) {
-	o.mu.Lock()
-	if p, ok := o.pages.Get(pg); ok {
-		o.mu.Unlock()
-		return p, nil
-	}
-	pager := o.pager
-	o.mu.Unlock()
 	p, err := o.vm.PM.Alloc()
 	if err != nil {
 		return nil, err
 	}
-	if pager != nil {
-		if err := pager.PageIn(pg, p); err != nil {
+	if o.pager != nil {
+		if err := o.pager.PageIn(pg, p); err != nil {
 			o.vm.PM.Free(p)
 			return nil, fmt.Errorf("vm: page-in %d: %w", pg, err)
 		}
 	}
-	o.mu.Lock()
-	if exist, ok := o.pages.Get(pg); ok {
-		o.mu.Unlock()
-		o.vm.PM.Free(p)
-		return exist, nil
-	}
 	o.pages.Set(pg, p)
-	o.mu.Unlock()
 	return p, nil
 }
 
@@ -356,23 +283,18 @@ func (o *Object) pageInLocal(pg int64) (*mem.Page, error) {
 // caches, devices — are authoritative at the chain terminal). It returns
 // the page and the owning object, or (nil, nil) for a true hole.
 func (o *Object) chainPage(pg int64) (*mem.Page, *Object, error) {
-	for c := o; c != nil; c = c.Backer() {
-		c.mu.Lock()
+	for c := o; c != nil; c = c.backer {
 		if p, ok := c.pages.Get(pg); ok {
-			c.mu.Unlock()
 			return p, c, nil
 		}
-		pager := c.pager
-		terminal := c.backer == nil
-		c.mu.Unlock()
-		if pager == nil {
+		if c.pager == nil {
 			continue
 		}
-		if sp, ok := pager.(SparsePager); ok {
+		if sp, ok := c.pager.(SparsePager); ok {
 			if !sp.HasPage(pg) {
 				continue
 			}
-		} else if !terminal {
+		} else if c.backer != nil {
 			// Non-sparse pagers mid-chain would shadow everything
 			// below; only honour them at the terminal.
 			continue
@@ -399,12 +321,9 @@ func (o *Object) FindPage(pg int64) (*mem.Page, error) {
 // pager) is searched. For reads the chain's page is shared; for writes a
 // private copy lands in o itself — the COW resolution.
 func (o *Object) getPage(pg int64, forWrite bool) (*mem.Page, *Object, error) {
-	o.mu.Lock()
 	if p, ok := o.pages.Get(pg); ok {
-		o.mu.Unlock()
 		return p, o, nil
 	}
-	o.mu.Unlock()
 
 	src, owner, err := o.chainPage(pg)
 	if err != nil {
@@ -427,73 +346,43 @@ func (o *Object) getPage(pg int64, forWrite bool) (*mem.Page, *Object, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	o.mu.Lock()
-	if exist, ok := o.pages.Get(pg); ok {
-		// Lost a race; keep the existing page.
-		o.mu.Unlock()
-		o.vm.PM.Free(p)
-		return exist, o, nil
-	}
 	o.pages.Set(pg, p)
-	o.mu.Unlock()
 	return p, o, nil
 }
 
 // InsertPage places a frame at page index pg, replacing and freeing any
 // existing frame. Used by restore and swap-in paths.
 func (o *Object) InsertPage(pg int64, p *mem.Page) {
-	o.mu.Lock()
 	if old, had := o.pages.Set(pg, p); had {
 		o.vm.PM.Free(old)
 	}
-	o.mu.Unlock()
 }
 
 // RemovePage evicts page pg from the object (swap-out), returning it. The
 // caller owns writing it back and freeing it.
 func (o *Object) RemovePage(pg int64) (*mem.Page, bool) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
 	return o.pages.Del(pg)
 }
 
 // ResidentPage returns the object's own resident page pg without walking
 // the backer chain and without faulting — what the restore loader skips.
 func (o *Object) ResidentPage(pg int64) (*mem.Page, bool) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
 	return o.pages.Get(pg)
 }
 
 // EachPage calls fn for every resident page in ascending page order — the
 // flush path depends on the order being deterministic so that two runs of
 // the same workload submit the identical write stream (crash-replay
-// harnesses count on it). fn must not re-enter the object.
-//
-// The walk holds the object lock for one leaf of the page index (64 page
-// numbers) at a time and calls fn without it. A page removed concurrently is
-// still visited if its leaf was read before the removal; a page inserted
-// concurrently is visited only if its leaf was read after the insertion.
+// harnesses count on it). fn may change the page it is given, or remove it
+// from the object, and must not otherwise change the object's pages.
 func (o *Object) EachPage(fn func(pg int64, p *mem.Page)) {
-	for from := int64(0); ; { // page numbers are never negative
-		o.mu.Lock()
-		base, l := o.pages.LeafFrom(from)
-		if l == nil {
-			o.mu.Unlock()
-			return
-		}
-		used, slots := l.Used, l.Slots
-		o.mu.Unlock()
-		for s := used; s != 0; s &= s - 1 {
-			i := bits.TrailingZeros64(s)
-			fn(base+int64(i), slots[i])
-		}
-		from = base + radix.LeafSize
+	for pg, p := range o.pages.All() {
+		fn(pg, p)
 	}
 }
 
 // CollapseAurora merges a fully-flushed shadow o into its backer by moving
-// o's pages down, in page order under one hold of the backer's lock: the
+// o's pages down, in page order: the
 // backer's stale versions are freed and replaced. This is Aurora's reversed
 // collapse — linear in the (few) pages of the short-lived shadow rather than
 // the (many) pages of the parent. Callers must ensure o has exactly one
@@ -509,15 +398,12 @@ func CollapseAurora(top, o *Object, maps ...*Map) int {
 	if backer == nil {
 		panic("vm: CollapseAurora: o has no backer")
 	}
-	o.mu.Lock()
 	pages := o.pages
 	o.pages = radix.Table[*mem.Page]{}
-	o.mu.Unlock()
 	var moved []int64
 	if len(maps) > 0 {
 		moved = make([]int64, 0, pages.Len())
 	}
-	backer.mu.Lock()
 	for pg, p := range pages.All() {
 		if old, had := backer.pages.Set(pg, p); had {
 			o.vm.PM.Free(old)
@@ -526,7 +412,6 @@ func CollapseAurora(top, o *Object, maps ...*Map) int {
 			moved = append(moved, pg)
 		}
 	}
-	backer.mu.Unlock()
 	n := pages.Len()
 	o.vm.Clk.Advance(time.Duration(n) * o.vm.Costs.CollapsePerPage)
 	for _, m := range maps {
@@ -548,12 +433,9 @@ func CollapseLegacy(top, o *Object) int {
 	if backer == nil {
 		panic("vm: CollapseLegacy: o has no backer")
 	}
-	backer.mu.Lock()
 	pages := backer.pages
 	backer.pages = radix.Table[*mem.Page]{}
 	grandpa := backer.backer
-	backer.mu.Unlock()
-	o.mu.Lock()
 	for pg, p := range pages.All() {
 		if _, ok := o.pages.Get(pg); ok {
 			// The shadow's version wins; the backer's page dies.
@@ -565,14 +447,11 @@ func CollapseLegacy(top, o *Object) int {
 	// o now absorbs the backer: it inherits the backer's backer.
 	old := o.backer
 	o.backer = grandpa
-	o.mu.Unlock()
 	n := pages.Len()
 	o.vm.Clk.Advance(time.Duration(n) * o.vm.Costs.CollapsePerPage)
 	if old != nil {
-		old.mu.Lock()
 		old.shadows--
 		old.backer = nil // pages already transferred; don't double-free chain
-		old.mu.Unlock()
 		old.Deref()
 	}
 	return n
@@ -581,16 +460,10 @@ func CollapseLegacy(top, o *Object) int {
 // unlink removes o from the chain top -> o -> backer, transferring the
 // backer reference. Requires that o's pages have already been disposed of.
 func unlink(top, o, backer *Object) {
-	top.mu.Lock()
 	top.backer = backer
-	top.mu.Unlock()
-	backer.mu.Lock()
 	backer.shadows++ // top now shadows backer directly
 	backer.ref++
-	backer.mu.Unlock()
 
-	o.mu.Lock()
 	o.shadows--
-	o.mu.Unlock()
 	o.Deref() // drops o's own existence (the top's old backer ref)
 }
