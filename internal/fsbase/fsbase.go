@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"aurora/internal/clock"
@@ -79,7 +78,6 @@ func ZFS(checksums bool) Profile {
 
 // FS is a baseline file system instance.
 type FS struct {
-	mu      sync.Mutex
 	dev     *device.Stripe
 	clk     clock.Clock
 	profile Profile
@@ -119,8 +117,6 @@ func (fs *FS) Name() string { return fs.profile.FSName }
 // Create implements vfs.FileSystem.
 func (fs *FS) Create(path string) (vfs.File, error) {
 	fs.clk.Advance(fs.profile.PerCreate)
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	if _, ok := fs.files[path]; ok {
 		return nil, fmt.Errorf("%w: %s", vfs.ErrExist, path)
 	}
@@ -132,8 +128,6 @@ func (fs *FS) Create(path string) (vfs.File, error) {
 // Open implements vfs.FileSystem.
 func (fs *FS) Open(path string) (vfs.File, error) {
 	fs.clk.Advance(fs.profile.PerReadOp)
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	ino, ok := fs.files[path]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", vfs.ErrNotExist, path)
@@ -147,8 +141,6 @@ func (fs *FS) Open(path string) (vfs.File, error) {
 // gone (the edge case the Aurora file system exists to fix).
 func (fs *FS) Remove(path string) error {
 	fs.clk.Advance(fs.profile.PerRemove)
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	ino, ok := fs.files[path]
 	if !ok {
 		return fmt.Errorf("%w: %s", vfs.ErrNotExist, path)
@@ -164,8 +156,6 @@ func (fs *FS) Remove(path string) error {
 // Rename implements vfs.FileSystem.
 func (fs *FS) Rename(old, new string) error {
 	fs.clk.Advance(fs.profile.PerRemove + fs.profile.PerCreate)
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	ino, ok := fs.files[old]
 	if !ok {
 		return fmt.Errorf("%w: %s", vfs.ErrNotExist, old)
@@ -183,16 +173,12 @@ func (fs *FS) Rename(old, new string) error {
 
 // Exists implements vfs.FileSystem.
 func (fs *FS) Exists(path string) bool {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	_, ok := fs.files[path]
 	return ok
 }
 
 // List implements vfs.FileSystem.
 func (fs *FS) List(prefix string) []string {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	var out []string
 	for p := range fs.files {
 		if strings.HasPrefix(p, prefix) {
@@ -206,14 +192,11 @@ func (fs *FS) List(prefix string) []string {
 // Sync implements vfs.FileSystem: it waits for every write issued so far
 // to complete.
 func (fs *FS) Sync() error {
-	fs.mu.Lock()
-	horizon := fs.horizon
-	fs.mu.Unlock()
-	fs.dev.WaitUntil(horizon)
+	fs.dev.WaitUntil(fs.horizon)
 	return nil
 }
 
-// reclaim returns a file's extents to the free pool. Requires mu.
+// reclaim returns a file's extents to the free pool.
 func (fs *FS) reclaim(ino *inode) {
 	for _, off := range ino.extents {
 		fs.freeExts = append(fs.freeExts, off)
@@ -221,7 +204,7 @@ func (fs *FS) reclaim(ino *inode) {
 	ino.extents = nil
 }
 
-// allocExtent requires mu.
+// allocExtent takes an extent from the free pool, or a fresh one.
 func (fs *FS) allocExtent() (int64, error) {
 	if n := len(fs.freeExts); n > 0 {
 		off := fs.freeExts[n-1]
@@ -251,7 +234,6 @@ func (f *bfile) WriteAt(p []byte, off int64) (int, error) {
 	if fs.profile.ChecksumBps > 0 {
 		fs.clk.Advance(clock.XferTime(0, fs.profile.ChecksumBps, int64(len(p))))
 	}
-	fs.mu.Lock()
 	n := len(p)
 	written := int64(0)
 	var latest time.Duration
@@ -267,14 +249,12 @@ func (f *bfile) WriteAt(p []byte, off int64) (int, error) {
 			var err error
 			devOff, err = fs.allocExtent()
 			if err != nil {
-				fs.mu.Unlock()
 				return int(written), err
 			}
 			f.ino.extents[ext] = devOff
 		}
 		done, err := fs.dev.SubmitWrite(p[:run], devOff+in)
 		if err != nil {
-			fs.mu.Unlock()
 			return int(written), err
 		}
 		latest = max(latest, done)
@@ -299,7 +279,6 @@ func (f *bfile) WriteAt(p []byte, off int64) (int, error) {
 	if latest > f.ino.pending {
 		f.ino.pending = latest
 	}
-	fs.mu.Unlock()
 	// Write-behind flow control.
 	if now := fs.clk.Now(); latest > now+fs.ioWindow {
 		fs.clk.Advance(latest - now - fs.ioWindow)
@@ -314,9 +293,7 @@ func (f *bfile) Append(p []byte) (int, error) {
 func (f *bfile) ReadAt(p []byte, off int64) (int, error) {
 	fs := f.fs
 	fs.clk.Advance(fs.profile.PerReadOp)
-	fs.mu.Lock()
 	if off >= f.ino.size {
-		fs.mu.Unlock()
 		return 0, nil
 	}
 	if max := f.ino.size - off; int64(len(p)) > max {
@@ -332,7 +309,6 @@ func (f *bfile) ReadAt(p []byte, off int64) (int, error) {
 		}
 		if devOff, ok := f.ino.extents[ext]; ok {
 			if _, err := fs.dev.ReadAt(p[:run], devOff+in); err != nil {
-				fs.mu.Unlock()
 				return total, err
 			}
 		} else {
@@ -344,19 +320,12 @@ func (f *bfile) ReadAt(p []byte, off int64) (int, error) {
 		off += run
 		total += int(run)
 	}
-	fs.mu.Unlock()
 	return total, nil
 }
 
-func (f *bfile) Size() int64 {
-	f.fs.mu.Lock()
-	defer f.fs.mu.Unlock()
-	return f.ino.size
-}
+func (f *bfile) Size() int64 { return f.ino.size }
 
 func (f *bfile) Truncate(size int64) error {
-	f.fs.mu.Lock()
-	defer f.fs.mu.Unlock()
 	f.ino.size = size
 	return nil
 }
@@ -365,16 +334,12 @@ func (f *bfile) Truncate(size int64) error {
 // writes, then pay the journal/ZIL record.
 func (f *bfile) Fsync() error {
 	fs := f.fs
-	fs.mu.Lock()
-	pending := f.ino.pending
-	size := f.ino.size
-	fs.mu.Unlock()
-	if now := fs.clk.Now(); pending > now {
-		fs.clk.Advance(pending - now)
+	if now := fs.clk.Now(); f.ino.pending > now {
+		fs.clk.Advance(f.ino.pending - now)
 	}
 	stream := int64(0)
-	if fs.profile.FsyncStream > 0 && size > 0 {
-		stream = min64(size, extentSize) // dirty tail, bounded
+	if fs.profile.FsyncStream > 0 && f.ino.size > 0 {
+		stream = min64(f.ino.size, extentSize) // dirty tail, bounded
 	}
 	fs.clk.Advance(clock.XferTime(fs.profile.FsyncFixed, fs.profile.FsyncStream, stream))
 	return nil
@@ -386,8 +351,6 @@ func (f *bfile) Close() error {
 	}
 	f.closed = true
 	fs := f.fs
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	f.ino.refs--
 	if f.ino.refs <= 0 && f.ino.links <= 0 {
 		fs.reclaim(f.ino)

@@ -28,11 +28,9 @@ func buildNamespace(t *testing.T, fs *FS) []byte {
 	oid, _ := fs.OIDOf("/var/db/data")
 	fs.AddHiddenRef(oid)
 	// slsfs has no link call; a hard link is a second name and a count.
-	fs.mu.Lock()
 	fs.names["/var/db/link"] = oid
 	fs.nlink[oid]++
 	fs.dirtyNS = true
-	fs.mu.Unlock()
 	anon, _ := fs.OIDOf("/tmp/scratch")
 	fs.AddHiddenRef(anon)
 	if err := fs.Remove("/tmp/scratch"); err != nil {

@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"aurora/internal/clock"
@@ -44,7 +43,6 @@ const (
 
 // FS is the Aurora file system.
 type FS struct {
-	mu    sync.Mutex
 	store *objstore.Store
 	clk   clock.Clock
 	costs *clock.Costs
@@ -107,26 +105,19 @@ func (fs *FS) Store() *objstore.Store { return fs.store }
 
 // SetCheckpointPeriod enables op-triggered periodic checkpoints.
 func (fs *FS) SetCheckpointPeriod(d time.Duration) {
-	fs.mu.Lock()
 	fs.period = d
 	fs.lastCkpt = fs.clk.Now()
-	fs.mu.Unlock()
 }
 
 // Name implements vfs.FileSystem.
 func (fs *FS) Name() string { return "aurora" }
 
 // opEnter charges the syscall path and triggers a periodic checkpoint when
-// due. It must be called without fs.mu held.
+// due.
 func (fs *FS) opEnter() {
 	fs.clk.Advance(fs.costs.SyscallGate)
-	fs.mu.Lock()
-	due := fs.period > 0 && fs.clk.Now()-fs.lastCkpt >= fs.period
-	if due {
+	if fs.period > 0 && fs.clk.Now()-fs.lastCkpt >= fs.period {
 		fs.lastCkpt = fs.clk.Now()
-	}
-	fs.mu.Unlock()
-	if due {
 		fs.Checkpoint() //nolint:errcheck // periodic best-effort; surfaced by Sync
 	}
 }
@@ -137,8 +128,6 @@ func (fs *FS) Create(path string) (vfs.File, error) {
 	fs.opEnter()
 	// Global-lock create: charge the serialized section.
 	fs.clk.Advance(fs.costs.LockAcquire + 18*time.Microsecond)
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	if _, ok := fs.names[path]; ok {
 		return nil, fmt.Errorf("%w: %s", vfs.ErrExist, path)
 	}
@@ -154,8 +143,6 @@ func (fs *FS) Create(path string) (vfs.File, error) {
 // Open implements vfs.FileSystem.
 func (fs *FS) Open(path string) (vfs.File, error) {
 	fs.opEnter()
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	oid, ok := fs.names[path]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", vfs.ErrNotExist, path)
@@ -167,8 +154,6 @@ func (fs *FS) Open(path string) (vfs.File, error) {
 // OpenByOID opens a file by its object identifier — the restore path, and
 // the reason checkpointing vnodes needs no path lookups.
 func (fs *FS) OpenByOID(oid objstore.OID) (vfs.File, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	if !fs.store.Exists(oid) {
 		return nil, fmt.Errorf("%w: oid %d", vfs.ErrNotExist, oid)
 	}
@@ -178,8 +163,6 @@ func (fs *FS) OpenByOID(oid objstore.OID) (vfs.File, error) {
 
 // OIDOf returns the object identifier linked at path.
 func (fs *FS) OIDOf(path string) (objstore.OID, bool) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	oid, ok := fs.names[path]
 	return oid, ok
 }
@@ -188,34 +171,13 @@ func (fs *FS) OIDOf(path string) (objstore.OID, bool) {
 // checkpointed process). The object outlives unlinking while such
 // references exist.
 func (fs *FS) AddHiddenRef(oid objstore.OID) {
-	fs.mu.Lock()
 	fs.hidden[oid]++
 	fs.dirtyNS = true
-	fs.mu.Unlock()
 }
 
 // DropHiddenRef releases a hidden reference, reaping the object if it is
 // fully unreferenced and unlinked.
 func (fs *FS) DropHiddenRef(oid objstore.OID) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	fs.dropHiddenLocked(oid)
-}
-
-// ReleaseHiddenRef drops a hidden reference like DropHiddenRef but never
-// reaps: the object stays for whoever opens it by OID next. A restore that
-// fails hands its references back this way, so the image it could not
-// restore keeps the unnamed files it holds.
-func (fs *FS) ReleaseHiddenRef(oid objstore.OID) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if fs.hidden[oid]--; fs.hidden[oid] <= 0 {
-		delete(fs.hidden, oid)
-	}
-	fs.dirtyNS = true
-}
-
-func (fs *FS) dropHiddenLocked(oid objstore.OID) {
 	fs.hidden[oid]--
 	fs.dirtyNS = true
 	if fs.hidden[oid] <= 0 {
@@ -227,11 +189,20 @@ func (fs *FS) dropHiddenLocked(oid objstore.OID) {
 	}
 }
 
+// ReleaseHiddenRef drops a hidden reference like DropHiddenRef but never
+// reaps: the object stays for whoever opens it by OID next. A restore that
+// fails hands its references back this way, so the image it could not
+// restore keeps the unnamed files it holds.
+func (fs *FS) ReleaseHiddenRef(oid objstore.OID) {
+	if fs.hidden[oid]--; fs.hidden[oid] <= 0 {
+		delete(fs.hidden, oid)
+	}
+	fs.dirtyNS = true
+}
+
 // Remove implements vfs.FileSystem.
 func (fs *FS) Remove(path string) error {
 	fs.opEnter()
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	oid, ok := fs.names[path]
 	if !ok {
 		return fmt.Errorf("%w: %s", vfs.ErrNotExist, path)
@@ -254,8 +225,6 @@ func (fs *FS) Remove(path string) error {
 // Rename implements vfs.FileSystem.
 func (fs *FS) Rename(old, new string) error {
 	fs.opEnter()
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	oid, ok := fs.names[old]
 	if !ok {
 		return fmt.Errorf("%w: %s", vfs.ErrNotExist, old)
@@ -275,16 +244,12 @@ func (fs *FS) Rename(old, new string) error {
 
 // Exists implements vfs.FileSystem.
 func (fs *FS) Exists(path string) bool {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	_, ok := fs.names[path]
 	return ok
 }
 
 // List implements vfs.FileSystem.
 func (fs *FS) List(prefix string) []string {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	var out []string
 	for p := range fs.names {
 		if strings.HasPrefix(p, prefix) {
@@ -310,21 +275,18 @@ func (fs *FS) Sync() error {
 // namespace record, so a file created and never synced is unnamed after a
 // crash and lives on its descriptor's hidden reference.
 func (fs *FS) Checkpoint() error {
-	fs.mu.Lock()
 	if fs.dirtyNS {
 		if err := fs.store.PutRecord(NamespaceOID, UTypeNamespace, fs.encodeNamespace()); err != nil {
-			fs.mu.Unlock()
 			return err
 		}
 		fs.dirtyNS = false
 	}
-	fs.mu.Unlock()
 	_, err := fs.store.Checkpoint()
 	return err
 }
 
 // encodeNamespace serializes names, link counts, and hidden references. The
-// record is unsealed: it carries no checksum of its own. Requires mu.
+// record is unsealed: it carries no checksum of its own.
 func (fs *FS) encodeNamespace() []byte {
 	paths := make([]string, 0, len(fs.names))
 	for p := range fs.names {
