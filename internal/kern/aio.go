@@ -37,10 +37,8 @@ func (p *Proc) AioSubmit(kind AIOKind, fd int, off int64, buf []byte) (uint64, e
 		if off < 0 {
 			return ErrInvalid
 		}
-		p.k.mu.Lock()
 		p.k.nextAIO++
 		id = p.k.nextAIO
-		p.k.mu.Unlock()
 		req := &AIORequest{ID: id, Kind: kind, FD: fd, Offset: off, Len: len(buf), buf: buf}
 		p.aios = append(p.aios, req)
 		// The simulated kernel completes AIOs inline (the device is

@@ -135,13 +135,12 @@ func (vp *vdsoPager) BackingOID() uint64 { return 0 }
 const VDSOBase = 0x7FFF_FFFF_0000
 
 // MapVDSO injects the current kernel's vDSO page at the fixed address.
-// Restore calls this instead of restoring the checkpointed content.
-func (p *Proc) MapVDSO() error {
-	return p.k.syscall(func() error { return p.mapVDSOLocked() })
-}
+func (p *Proc) MapVDSO() error { return p.k.syscall(p.RestoreVDSO) }
 
-// mapVDSOLocked requires the BKL (or a quiesced kernel).
-func (p *Proc) mapVDSOLocked() error {
+// RestoreVDSO is MapVDSO for restore, which drives the kernel itself: it
+// maps the current vDSO instead of the checkpointed content, without
+// entering the kernel.
+func (p *Proc) RestoreVDSO() error {
 	obj := p.k.VM.NewPagedObject(vm.Device, vm.PageSize, &vdsoPager{k: p.k})
 	return p.Mem.MapAt(VDSOBase, obj, 0, vm.PageSize, vm.ProtRead|vm.ProtExec, true)
 }

@@ -1,9 +1,6 @@
 package kern
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // ObjKind tags the kind of kernel object behind a descriptor; it doubles as
 // the user-type tag of the corresponding on-disk object.
@@ -94,7 +91,6 @@ func (g *gen) Generation() uint64 { return g.n }
 // which bump the generation.
 type File struct {
 	gen
-	mu     sync.Mutex
 	refs   int32
 	offset int64
 	flags  int
@@ -119,33 +115,20 @@ func NewFile(impl FileImpl, flags int) *File {
 }
 
 // Ref takes a descriptor reference.
-func (f *File) Ref() {
-	f.mu.Lock()
-	f.refs++
-	f.mu.Unlock()
-}
+func (f *File) Ref() { f.refs++ }
 
 // Unref drops a reference, closing the implementation on the last one.
 func (f *File) Unref() {
-	f.mu.Lock()
-	f.refs--
-	last := f.refs == 0
-	f.mu.Unlock()
-	if last {
+	if f.refs--; f.refs == 0 {
 		f.Impl.CloseLast()
 	}
 }
 
 // Refs returns the current reference count (diagnostics and checkpointing).
-func (f *File) Refs() int32 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.refs
-}
+func (f *File) Refs() int32 { return f.refs }
 
 // FDTable maps small integers to open-file descriptions.
 type FDTable struct {
-	mu    sync.Mutex
 	slots []*File
 }
 
@@ -154,8 +137,6 @@ func NewFDTable() *FDTable { return &FDTable{} }
 
 // Install places a description in the lowest free slot.
 func (t *FDTable) Install(f *File) int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	for i, s := range t.slots {
 		if s == nil {
 			t.slots[i] = f
@@ -170,8 +151,6 @@ func (t *FDTable) Install(f *File) int {
 // growing the table as needed. Any existing description is replaced
 // without closing (restore builds fresh tables).
 func (t *FDTable) InstallAt(fd int, f *File) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	for len(t.slots) <= fd {
 		t.slots = append(t.slots, nil)
 	}
@@ -180,8 +159,6 @@ func (t *FDTable) InstallAt(fd int, f *File) {
 
 // Get resolves a descriptor.
 func (t *FDTable) Get(fd int) (*File, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if fd < 0 || fd >= len(t.slots) || t.slots[fd] == nil {
 		return nil, fmt.Errorf("%w: %d", ErrBadFD, fd)
 	}
@@ -190,14 +167,11 @@ func (t *FDTable) Get(fd int) (*File, error) {
 
 // Close removes a descriptor, dropping its reference.
 func (t *FDTable) Close(fd int) error {
-	t.mu.Lock()
 	if fd < 0 || fd >= len(t.slots) || t.slots[fd] == nil {
-		t.mu.Unlock()
 		return fmt.Errorf("%w: %d", ErrBadFD, fd)
 	}
 	f := t.slots[fd]
 	t.slots[fd] = nil
-	t.mu.Unlock()
 	f.Unref()
 	return nil
 }
@@ -215,8 +189,6 @@ func (t *FDTable) Dup(fd int) (int, error) {
 
 // Clone copies the table for fork: every slot shares its description.
 func (t *FDTable) Clone() *FDTable {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	nt := &FDTable{slots: make([]*File, len(t.slots))}
 	for i, f := range t.slots {
 		if f != nil {
@@ -229,10 +201,8 @@ func (t *FDTable) Clone() *FDTable {
 
 // CloseAll drops every descriptor (process exit).
 func (t *FDTable) CloseAll() {
-	t.mu.Lock()
 	slots := t.slots
 	t.slots = nil
-	t.mu.Unlock()
 	for _, f := range slots {
 		if f != nil {
 			f.Unref()
@@ -242,11 +212,7 @@ func (t *FDTable) CloseAll() {
 
 // Each visits every open descriptor in slot order.
 func (t *FDTable) Each(fn func(fd int, f *File)) {
-	t.mu.Lock()
-	slots := make([]*File, len(t.slots))
-	copy(slots, t.slots)
-	t.mu.Unlock()
-	for i, f := range slots {
+	for i, f := range t.slots {
 		if f != nil {
 			fn(i, f)
 		}
@@ -255,8 +221,6 @@ func (t *FDTable) Each(fn func(fd int, f *File)) {
 
 // Len counts open descriptors.
 func (t *FDTable) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	n := 0
 	for _, f := range t.slots {
 		if f != nil {

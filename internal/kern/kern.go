@@ -8,8 +8,9 @@
 // (§5).
 //
 // Execution model: application drivers are goroutines that enter the kernel
-// through syscalls. The kernel runs under one lock (a big kernel lock),
-// which doubles as the quiesce mechanism: stopping the world means taking
+// through syscalls. The kernel runs under one lock (a big kernel lock, the
+// Gate), the only lock of a machine — nothing below it locks again — which
+// doubles as the quiesce mechanism: stopping the world means taking
 // the lock, waking all sleepers so they transparently back out to the
 // boundary, and waiting for in-kernel activity to drain — the simulation's
 // analog of the paper's IPI-to-the-boundary protocol, including transparent
@@ -162,7 +163,6 @@ type Kernel struct {
 	// current kernel's version (§5.3).
 	VDSOVersion string
 
-	mu        sync.Mutex // protects tables below (not the BKL)
 	byGlobal  map[PID]*Proc
 	nextPID   PID
 	nextTID   PID
@@ -194,8 +194,6 @@ func New(clk clock.Clock, costs *clock.Costs, vmsys *vm.System, fs *slsfs.FS) *K
 
 // allocPID returns a fresh global PID.
 func (k *Kernel) allocPID() PID {
-	k.mu.Lock()
-	defer k.mu.Unlock()
 	pid := k.nextPID
 	k.nextPID++
 	return pid
@@ -203,33 +201,21 @@ func (k *Kernel) allocPID() PID {
 
 // allocTID returns a fresh global TID.
 func (k *Kernel) allocTID() PID {
-	k.mu.Lock()
-	defer k.mu.Unlock()
 	tid := k.nextTID
 	k.nextTID++
 	return tid
 }
 
 // register inserts a process into the global table.
-func (k *Kernel) register(p *Proc) {
-	k.mu.Lock()
-	k.byGlobal[p.GlobalPID] = p
-	k.mu.Unlock()
-}
+func (k *Kernel) register(p *Proc) { k.byGlobal[p.GlobalPID] = p }
 
 // unregister removes a process from the global table.
-func (k *Kernel) unregister(p *Proc) {
-	k.mu.Lock()
-	delete(k.byGlobal, p.GlobalPID)
-	k.mu.Unlock()
-}
+func (k *Kernel) unregister(p *Proc) { delete(k.byGlobal, p.GlobalPID) }
 
 // ProcByLocal finds a process by its local (application-visible) PID within
 // a group. Local PIDs are virtualized: the same local PID can exist in
 // different groups simultaneously (§5.3, System Wide Identifiers).
 func (k *Kernel) ProcByLocal(group uint64, pid PID) (*Proc, bool) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
 	for _, p := range k.byGlobal {
 		if p.GroupID == group && p.LocalPID == pid {
 			return p, true
@@ -240,8 +226,6 @@ func (k *Kernel) ProcByLocal(group uint64, pid PID) (*Proc, bool) {
 
 // Procs returns all processes, optionally filtered by group.
 func (k *Kernel) Procs(group uint64) []*Proc {
-	k.mu.Lock()
-	defer k.mu.Unlock()
 	var out []*Proc
 	for _, p := range k.byGlobal {
 		if group == 0 || p.GroupID == group {
@@ -283,7 +267,5 @@ func (k *Kernel) Resume() {
 
 // String renders a small kernel summary.
 func (k *Kernel) String() string {
-	k.mu.Lock()
-	defer k.mu.Unlock()
 	return fmt.Sprintf("kernel{procs=%d nextPID=%d}", len(k.byGlobal), k.nextPID)
 }

@@ -2,7 +2,6 @@ package kern
 
 import (
 	"fmt"
-	"sync"
 
 	"aurora/internal/vm"
 )
@@ -67,8 +66,6 @@ type Proc struct {
 	// umtx is a tiny futex-like wait channel keyed by TID, standing in
 	// for pthread synchronization that depends on stable TIDs.
 	umtxWaits map[PID]int
-
-	mu sync.Mutex // protects fields not covered by the BKL during restore
 }
 
 // NewProc creates a root process (init of a group).

@@ -77,10 +77,8 @@ func (p *Proc) OpenPTY() (int, int, error) {
 	var mfd, sfd int
 	err := p.k.syscall(func() error {
 		k := p.k
-		k.mu.Lock()
 		idx := k.nextPTY
 		k.nextPTY++
-		k.mu.Unlock()
 		pty := &PTY{k: k, Index: idx}
 		mfd = p.FDs.Install(NewFile(&ptyEnd{pty: pty, master: true}, ORead|OWrite))
 		sfd = p.FDs.Install(NewFile(&ptyEnd{pty: pty}, ORead|OWrite))

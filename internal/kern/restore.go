@@ -126,7 +126,6 @@ func (s *Socket) MarkDisconnected() { s.closed = true }
 // consumed by the segment.
 func (k *Kernel) RestoreShm(id, key int64, name string, size int64, sysv bool, obj *vm.Object, refs int32) *ShmSegment {
 	seg := &ShmSegment{k: k, ID: id, Key: key, Name: name, Size: size, SysV: sysv, obj: obj, refs: refs}
-	k.mu.Lock()
 	if sysv {
 		k.sysv[key] = seg
 	} else {
@@ -135,7 +134,6 @@ func (k *Kernel) RestoreShm(id, key int64, name string, size int64, sysv bool, o
 	if id >= k.nextShmID {
 		k.nextShmID = id + 1
 	}
-	k.mu.Unlock()
 	return seg
 }
 
@@ -156,11 +154,9 @@ func (k *Kernel) RestoreKqueue(events []Kevent) *Kqueue {
 func (k *Kernel) RestorePTY(index int, toSlave, toMaster []byte, termios [64]byte) *PTY {
 	k.Clk.Advance(k.Costs.PtyDevfsLock)
 	pty := &PTY{k: k, Index: index, toSlave: toSlave, toMaster: toMaster, termios: termios}
-	k.mu.Lock()
 	if index >= k.nextPTY {
 		k.nextPTY = index + 1
 	}
-	k.mu.Unlock()
 	return pty
 }
 
@@ -173,9 +169,6 @@ func (p *Proc) MapDeviceAt(name string, va uint64) error {
 	obj := p.k.VM.NewPagedObject(vm.Device, vm.PageSize, &devicePager{k: p.k, name: name})
 	return p.Mem.MapAt(va, obj, 0, vm.PageSize, vm.ProtRead, true)
 }
-
-// MapVDSOLockedRestore injects the current vDSO during restore.
-func (p *Proc) MapVDSOLockedRestore() error { return p.mapVDSOLocked() }
 
 // RestoreFile is Behind's inverse: a description of obj — with aux, the pipe's
 // write end or the pty's master side — at the recorded offset and flags. It

@@ -51,13 +51,11 @@ func (s *ShmSegment) deref() {
 	s.refs--
 	if s.refs <= 0 {
 		k := s.k
-		k.mu.Lock()
 		if s.SysV {
 			delete(k.sysv, s.Key)
 		} else {
 			delete(k.shmNames, s.Name)
 		}
-		k.mu.Unlock()
 		if s.obj != nil {
 			s.obj.Deref()
 			s.obj = nil
@@ -76,7 +74,6 @@ func (p *Proc) ShmOpen(name string, size int64) (int, error) {
 	var fd int
 	err := p.k.syscall(func() error {
 		k := p.k
-		k.mu.Lock()
 		seg, ok := k.shmNames[name]
 		if !ok {
 			seg = &ShmSegment{
@@ -90,7 +87,6 @@ func (p *Proc) ShmOpen(name string, size int64) (int, error) {
 			k.shmNames[name] = seg
 		}
 		seg.ref()
-		k.mu.Unlock()
 		fd = p.FDs.Install(NewFile(&shmFile{seg: seg}, ORead|OWrite))
 		return nil
 	})
@@ -104,7 +100,6 @@ func (p *Proc) ShmGet(key int64, size int64) (int64, error) {
 	var id int64
 	err := p.k.syscall(func() error {
 		k := p.k
-		k.mu.Lock()
 		seg, ok := k.sysv[key]
 		if !ok {
 			seg = &ShmSegment{
@@ -120,7 +115,6 @@ func (p *Proc) ShmGet(key int64, size int64) (int64, error) {
 			seg.ref() // SysV segments persist until explicitly removed
 		}
 		id = seg.ID
-		k.mu.Unlock()
 		return nil
 	})
 	return id, err
@@ -171,8 +165,6 @@ func (p *Proc) MmapShm(fd int, prot vm.Prot) (uint64, error) {
 
 // sysvByID scans the SysV namespace by segment id.
 func (k *Kernel) sysvByID(id int64) *ShmSegment {
-	k.mu.Lock()
-	defer k.mu.Unlock()
 	for _, seg := range k.sysv {
 		if seg.ID == id {
 			return seg
@@ -187,8 +179,6 @@ func (k *Kernel) sysvByID(id int64) *ShmSegment {
 // namespace scan cost is charged here, matching Table 4's SysV-vs-POSIX
 // asymmetry.
 func (k *Kernel) ShmSegments() []*ShmSegment {
-	k.mu.Lock()
-	defer k.mu.Unlock()
 	var out []*ShmSegment
 	for _, seg := range k.shmNames {
 		out = append(out, seg)

@@ -431,7 +431,7 @@ func (r *restorer) entry(p *kern.Proc, raw []byte) error {
 
 	switch kind {
 	case entVDSO:
-		return p.MapVDSOLockedRestore()
+		return p.RestoreVDSO()
 	case entDevice:
 		return p.MapDeviceAt(d.Str(), start)
 	case entVnodeShared:
