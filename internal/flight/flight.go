@@ -21,7 +21,6 @@ package flight
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"aurora/internal/rec"
 )
@@ -130,7 +129,6 @@ const MaxDetail = 96
 // receiver (they drop writes and return zero values), mirroring the
 // nil-tracer convention, so hook sites never need guards.
 type Recorder struct {
-	mu   sync.Mutex
 	cap  int
 	seq  uint64 // events ever recorded, including overwritten ones
 	ring []Event
@@ -155,8 +153,6 @@ func (r *Recorder) Record(at int64, kind Kind, a, b, c int64, detail string) {
 		detail = detail[:MaxDetail]
 	}
 	ev := Event{At: at, Kind: kind, A: a, B: b, C: c, Detail: detail}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.seq++
 	if len(r.ring) < r.cap {
 		r.ring = append(r.ring, ev)
@@ -172,8 +168,6 @@ func (r *Recorder) Seq() uint64 {
 	if r == nil {
 		return 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.seq
 }
 
@@ -182,8 +176,6 @@ func (r *Recorder) Events() []Event {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	out := make([]Event, 0, len(r.ring))
 	out = append(out, r.ring[r.head:]...)
 	out = append(out, r.ring[:r.head]...)
@@ -209,8 +201,6 @@ func (r *Recorder) Since(seq uint64) ([]byte, uint64) {
 		return nil, 0
 	}
 	var e rec.Encoder
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	n := len(r.ring)
 	if d := r.seq - seq; d < uint64(n) {
 		n = int(d)

@@ -40,8 +40,6 @@ func (r *Registry) Snapshot(machine string) Snapshot {
 	}
 	m := r.store.Metrics()
 	snap.Counters, snap.Gauges, snap.Histograms = m.Counters, m.Gauges, m.Histograms
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	for _, name := range slices.Sorted(maps.Keys(r.series)) {
 		s := r.series[name]
 		snap.Series = append(snap.Series, SeriesView{

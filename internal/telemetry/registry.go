@@ -14,7 +14,6 @@
 package telemetry
 
 import (
-	"sync"
 	"time"
 
 	"aurora/internal/trace"
@@ -25,7 +24,6 @@ import (
 type Registry struct {
 	store *trace.Tracer
 
-	mu     sync.Mutex
 	series map[string]*Series
 }
 
@@ -53,13 +51,10 @@ func (r *Registry) Record(name string, agg Agg, v int64) {
 	if r == nil {
 		return
 	}
-	now := r.store.Now()
-	r.mu.Lock()
-	r.recordLocked(now, name, agg, v)
-	r.mu.Unlock()
+	r.record(r.store.Now(), name, agg, v)
 }
 
-func (r *Registry) recordLocked(now time.Duration, name string, agg Agg, v int64) {
+func (r *Registry) record(now time.Duration, name string, agg Agg, v int64) {
 	s := r.series[name]
 	if s == nil {
 		s = newSeries(name, agg, defaultSeriesCap)
@@ -73,8 +68,6 @@ func (r *Registry) SeriesPoints(name string) []Point {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	s := r.series[name]
 	if s == nil {
 		return nil
@@ -84,8 +77,6 @@ func (r *Registry) SeriesPoints(name string) []Point {
 
 // reduce folds the named series' stored points with fn (0 if absent).
 func (r *Registry) reduce(name string, fn func(*Series) int64) int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if s := r.series[name]; s != nil {
 		return fn(s)
 	}
@@ -101,15 +92,13 @@ func (r *Registry) Sample() {
 		return
 	}
 	now, m := r.store.Now(), r.store.Metrics()
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	for _, c := range m.Counters {
-		r.recordLocked(now, c.Name, AggLast, c.Value)
+		r.record(now, c.Name, AggLast, c.Value)
 	}
 	for _, g := range m.Gauges {
-		r.recordLocked(now, g.Name, AggLast, g.Value)
+		r.record(now, g.Name, AggLast, g.Value)
 	}
 	for _, h := range m.Histograms {
-		r.recordLocked(now, h.Name+".p99", AggMax, h.P99)
+		r.record(now, h.Name+".p99", AggMax, h.P99)
 	}
 }

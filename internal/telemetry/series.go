@@ -40,7 +40,7 @@ type Point struct {
 const defaultSeriesCap = 64
 
 // Series is a bounded time-series ring with pair-merge downsampling.
-// All mutation happens under the owning Registry's lock.
+// Only its owning Registry mutates it.
 type Series struct {
 	name   string
 	agg    Agg

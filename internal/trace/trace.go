@@ -29,8 +29,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"aurora/internal/clock"
@@ -142,9 +140,7 @@ type Tracer struct {
 	clk      clock.Clock
 	timeline bool // events are retained; fixed at construction
 
-	spanID atomic.Uint64
-
-	mu       sync.Mutex
+	spanID   uint64 // the last span id handed out
 	events   []Event
 	counters map[string]int64
 	gauges   map[string]int64
@@ -199,9 +195,14 @@ func (t *Tracer) begin(track Track, name string, parent uint64, args []Arg) Span
 	}
 	return Span{t: t, ev: &Event{
 		Kind: KindSpan, Track: track, Name: name,
-		Start: t.clk.Now(), ID: t.spanID.Add(1), Parent: parent,
+		Start: t.clk.Now(), ID: t.nextID(), Parent: parent,
 		Args: append([]Arg(nil), args...),
 	}}
+}
+
+func (t *Tracer) nextID() uint64 {
+	t.spanID++
+	return t.spanID
 }
 
 // Child opens a span nested under s, on s's track.
@@ -229,7 +230,7 @@ func (s Span) End(args ...Arg) {
 	ev := *s.ev
 	ev.Dur = s.t.clk.Now() - ev.Start
 	ev.Args = append(ev.Args, args...)
-	s.t.append(ev)
+	s.t.events = append(s.t.events, ev)
 }
 
 // ID returns the span's id, for cross-referencing in args; 0 for the inert
@@ -259,10 +260,10 @@ func (t *Tracer) Range(track Track, name string, start, end time.Duration, args 
 	if end < start {
 		end = start
 	}
-	t.append(Event{
+	t.events = append(t.events, Event{
 		Kind: KindSpan, Track: track, Name: name,
 		Start: start, Dur: end - start,
-		ID: t.spanID.Add(1), Args: append([]Arg(nil), args...),
+		ID: t.nextID(), Args: append([]Arg(nil), args...),
 	})
 }
 
@@ -271,7 +272,7 @@ func (t *Tracer) Instant(track Track, name string, args ...Arg) {
 	if t == nil || !t.timeline {
 		return
 	}
-	t.append(Event{Kind: KindInstant, Track: track, Name: name, Start: t.clk.Now(), Args: append([]Arg(nil), args...)})
+	t.events = append(t.events, Event{Kind: KindInstant, Track: track, Name: name, Start: t.clk.Now(), Args: append([]Arg(nil), args...)})
 }
 
 // Count adds delta to the named monotonic counter; a timeline also takes a
@@ -281,11 +282,9 @@ func (t *Tracer) Count(name string, delta int64) {
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
 	total := t.counters[name] + delta
 	t.counters[name] = total
-	t.sampleLocked(name, total)
-	t.mu.Unlock()
+	t.sample(name, total)
 }
 
 // Gauge sets the named momentary value (queue depths, backlogs, load); a
@@ -294,13 +293,11 @@ func (t *Tracer) Gauge(name string, v int64) {
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
 	t.gauges[name] = v
-	t.sampleLocked(name, v)
-	t.mu.Unlock()
+	t.sample(name, v)
 }
 
-func (t *Tracer) sampleLocked(name string, v int64) {
+func (t *Tracer) sample(name string, v int64) {
 	if t.timeline {
 		t.events = append(t.events, Event{Kind: KindCounter, Name: name, Start: t.clk.Now(), Value: v})
 	}
@@ -312,20 +309,12 @@ func (t *Tracer) Observe(name string, v int64) {
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
 	h := t.hists[name]
 	if h == nil {
 		h = NewHistogram(name)
 		t.hists[name] = h
 	}
 	h.observe(v)
-	t.mu.Unlock()
-}
-
-func (t *Tracer) append(ev Event) {
-	t.mu.Lock()
-	t.events = append(t.events, ev)
-	t.mu.Unlock()
 }
 
 // Events returns a copy of the collected timeline in collection order (nil
@@ -334,8 +323,6 @@ func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return append([]Event(nil), t.events...)
 }
 
@@ -344,8 +331,6 @@ func (t *Tracer) CounterValue(name string) int64 {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.counters[name]
 }
 
@@ -354,8 +339,6 @@ func (t *Tracer) GaugeValue(name string) int64 {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.gauges[name]
 }
 
@@ -364,8 +347,6 @@ func (t *Tracer) Quantile(name string, q float64) int64 {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.hists[name].Quantile(q)
 }
 
@@ -375,8 +356,6 @@ func (t *Tracer) HistogramCopy(name string) *Histogram {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	h := t.hists[name]
 	if h == nil {
 		return nil
@@ -546,8 +525,6 @@ func (t *Tracer) Metrics() Metrics {
 	if t == nil {
 		return m
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	m.Counters = sortedValues(t.counters)
 	m.Gauges = sortedValues(t.gauges)
 	for _, h := range t.hists {
