@@ -55,9 +55,7 @@ func (o *Orchestrator) installRecordTap() {
 		return
 	}
 	o.K.RecordInput = func(group uint64, localAddr string, data []byte, from string) {
-		o.mu.Lock()
 		g := o.groups[group]
-		o.mu.Unlock()
 		if g == nil || g.recorder == nil {
 			return
 		}

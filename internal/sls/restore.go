@@ -91,8 +91,8 @@ func (sp *storePager) PageIn(pg int64, p *mem.Page) error {
 			if sp.swap {
 				name = "sls.swapin"
 			} else {
-				g.lazyFaults.Add(1)
-				g.lazyBytes.Add(int64(len(p.Data)))
+				g.lazyFaults++
+				g.lazyBytes += int64(len(p.Data))
 			}
 			if tr := g.o.Tracer; tr != nil {
 				tr.Count(name+".faults", 1)

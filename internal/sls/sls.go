@@ -16,8 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"aurora/internal/clock"
@@ -137,7 +135,6 @@ type Orchestrator struct {
 	// hook costs one pointer check when it is nil.
 	Tracer *trace.Tracer
 
-	mu        sync.Mutex
 	groups    map[uint64]*Group
 	nextGroup uint64
 
@@ -252,19 +249,15 @@ type Group struct {
 
 	// Lazy-restore page-in traffic served by this group's pagers after
 	// RestoreGroup returned. RestoreStats is a point-in-time report and
-	// cannot see it; it accumulates here (atomics — faults arrive from
-	// whatever goroutine runs the process) and is mirrored into the
-	// tracer's counters when one is wired, as swap-in traffic is.
-	lazyFaults atomic.Int64
-	lazyBytes  atomic.Int64
+	// cannot see it; it accumulates here and is mirrored into the tracer's
+	// counters when one is wired, as swap-in traffic is.
+	lazyFaults, lazyBytes int64
 }
 
 // LazyPageIns reports the faults served and bytes paged in by lazy-restore
 // pagers since the group was created — traffic that arrives after
 // RestoreGroup returns and is invisible to RestoreStats.
-func (g *Group) LazyPageIns() (faults, bytes int64) {
-	return g.lazyFaults.Load(), g.lazyBytes.Load()
-}
+func (g *Group) LazyPageIns() (faults, bytes int64) { return g.lazyFaults, g.lazyBytes }
 
 // defaultRetainEpochs bounds on-disk history by default; 0 keeps the full
 // execution history ("only limited by the available storage").
@@ -272,8 +265,6 @@ const defaultRetainEpochs = 64
 
 // CreateGroup makes an empty consistency group.
 func (o *Orchestrator) CreateGroup(name string) *Group {
-	o.mu.Lock()
-	defer o.mu.Unlock()
 	g := &Group{
 		o:            o,
 		ID:           o.nextGroup,
@@ -298,16 +289,12 @@ func (o *Orchestrator) CreateGroup(name string) *Group {
 
 // Group returns a group by id.
 func (o *Orchestrator) Group(id uint64) (*Group, bool) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
 	g, ok := o.groups[id]
 	return g, ok
 }
 
 // GroupByName finds a group by name.
 func (o *Orchestrator) GroupByName(name string) (*Group, bool) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
 	for _, g := range o.groups {
 		if g.Name == name {
 			return g, true
@@ -318,8 +305,6 @@ func (o *Orchestrator) GroupByName(name string) (*Group, bool) {
 
 // Groups lists groups sorted by id.
 func (o *Orchestrator) Groups() []*Group {
-	o.mu.Lock()
-	defer o.mu.Unlock()
 	out := make([]*Group, 0, len(o.groups))
 	for _, g := range o.groups {
 		out = append(out, g)
@@ -331,11 +316,7 @@ func (o *Orchestrator) Groups() []*Group {
 // Forget drops a group from the live table (its on-disk state and manifest
 // entry remain, so it can be restored later). Used by suspend and by the
 // source side of a completed migration.
-func (o *Orchestrator) Forget(g *Group) {
-	o.mu.Lock()
-	delete(o.groups, g.ID)
-	o.mu.Unlock()
-}
+func (o *Orchestrator) Forget(g *Group) { delete(o.groups, g.ID) }
 
 // Suspend checkpoints the group, waits for durability, and terminates its
 // processes — sls suspend. The application stays restorable (sls resume).
@@ -356,9 +337,7 @@ func (g *Group) Suspend() error {
 // Hold implements kern.ESHook: cross-group sends wait for the sender
 // group's next durable checkpoint.
 func (o *Orchestrator) Hold(group uint64, deliver func()) bool {
-	o.mu.Lock()
 	g, ok := o.groups[group]
-	o.mu.Unlock()
 	if !ok {
 		return false
 	}
