@@ -18,8 +18,8 @@ import (
 // walking the bitmaps visits what is set in ascending order, so the
 // deterministic order a flush, a commit and an auditor need falls out of the
 // structure. The zero table is empty and ready to use, and a nil *Table
-// reads as empty, as a nil map does. It is not synchronized: its owner's
-// lock guards it.
+// reads as empty, as a nil map does. It is not synchronized: it serves one
+// caller at a time.
 type Table[T any] struct {
 	dirs []*tableDir[T] // ascending key
 	n    int
@@ -27,20 +27,20 @@ type Table[T any] struct {
 
 const (
 	leafBits = 6
-	LeafSize = 1 << leafBits       // slots per leaf
+	leafSize = 1 << leafBits       // slots per leaf
 	dirBits  = leafBits + leafBits // indexes per directory: 4 096
 )
 
-// Leaf is one run of LeafSize indexes, the first a multiple of LeafSize.
-type Leaf[T any] struct {
+// leaf is one run of leafSize indexes, the first a multiple of leafSize.
+type leaf[T any] struct {
 	Used  uint64 // bit i: Slots[i] holds a value
-	Slots [LeafSize]T
+	Slots [leafSize]T
 }
 
 type tableDir[T any] struct {
 	key    int64  // index >> dirBits
 	used   uint64 // bit i: leaves[i] is allocated
-	leaves [LeafSize]*Leaf[T]
+	leaves [leafSize]*leaf[T]
 }
 
 // dir finds the directory holding index k: its position in t.dirs, and
@@ -77,8 +77,8 @@ func (t *Table[T]) Ptr(k int64) *T {
 	if !ok {
 		return nil
 	}
-	if l := t.dirs[i].leaves[k>>leafBits&(LeafSize-1)]; l != nil && l.Used&(1<<(k&(LeafSize-1))) != 0 {
-		return &l.Slots[k&(LeafSize-1)]
+	if l := t.dirs[i].leaves[k>>leafBits&(leafSize-1)]; l != nil && l.Used&(1<<(k&(leafSize-1))) != 0 {
+		return &l.Slots[k&(leafSize-1)]
 	}
 	return nil
 }
@@ -98,15 +98,15 @@ func (t *Table[T]) Set(k int64, v T) (old T, had bool) {
 		t.dirs = slices.Insert(t.dirs, i, &tableDir[T]{key: k >> dirBits})
 	}
 	d := t.dirs[i]
-	li := k >> leafBits & (LeafSize - 1)
+	li := k >> leafBits & (leafSize - 1)
 	l := d.leaves[li]
 	if l == nil {
-		l = new(Leaf[T])
+		l = new(leaf[T])
 		d.leaves[li] = l
 		d.used |= 1 << li
 	}
-	bit := uint64(1) << (k & (LeafSize - 1))
-	slot := &l.Slots[k&(LeafSize-1)]
+	bit := uint64(1) << (k & (leafSize - 1))
+	slot := &l.Slots[k&(leafSize-1)]
 	if l.Used&bit != 0 {
 		old, had = *slot, true
 	} else {
@@ -125,14 +125,14 @@ func (t *Table[T]) Del(k int64) (v T, ok bool) {
 		return v, false
 	}
 	d := t.dirs[i]
-	li := k >> leafBits & (LeafSize - 1)
+	li := k >> leafBits & (leafSize - 1)
 	l := d.leaves[li]
-	bit := uint64(1) << (k & (LeafSize - 1))
+	bit := uint64(1) << (k & (leafSize - 1))
 	if l == nil || l.Used&bit == 0 {
 		return v, false
 	}
 	var zero T
-	slot := &l.Slots[k&(LeafSize-1)]
+	slot := &l.Slots[k&(leafSize-1)]
 	v, *slot = *slot, zero // the leaf must not keep what it no longer holds alive
 	l.Used &^= bit
 	t.n--
@@ -146,35 +146,35 @@ func (t *Table[T]) Del(k int64) (v T, ok bool) {
 }
 
 // All yields every index and its value in ascending index order, walking
-// leaf by leaf through LeafFrom. The loop body may delete the index it was
+// leaf by leaf through leafFrom. The loop body may delete the index it was
 // given, and must not change the table otherwise.
 func (t *Table[T]) All() iter.Seq2[int64, T] {
 	return func(yield func(int64, T) bool) {
-		for base, l := t.LeafFrom(math.MinInt64); l != nil; base, l = t.LeafFrom(base + LeafSize) {
+		for base, l := t.leafFrom(math.MinInt64); l != nil; base, l = t.leafFrom(base + leafSize) {
 			for s := l.Used; s != 0; s &= s - 1 {
 				i := bits.TrailingZeros64(s)
 				if !yield(base+int64(i), l.Slots[i]) {
 					return
 				}
 			}
-			if base == math.MaxInt64&^(LeafSize-1) {
+			if base == math.MaxInt64&^(leafSize-1) {
 				return // no leaf starts above this one
 			}
 		}
 	}
 }
 
-// LeafFrom returns the first leaf whose indexes are all at or above from,
-// with its first index: where a walk that let go of the table's lock
-// resumes. from must be a multiple of LeafSize.
-func (t *Table[T]) LeafFrom(from int64) (int64, *Leaf[T]) {
+// leafFrom returns the first leaf whose indexes are all at or above from,
+// with its first index: All's step from one leaf to the next. from must be a
+// multiple of leafSize.
+func (t *Table[T]) leafFrom(from int64) (int64, *leaf[T]) {
 	if t == nil {
 		return 0, nil
 	}
 	i, ok := t.dir(from)
 	var first uint // leaves below it in dirs[i] are behind the walk
 	if ok {
-		first = uint(from >> leafBits & (LeafSize - 1))
+		first = uint(from >> leafBits & (leafSize - 1))
 	}
 	for ; i < len(t.dirs); i, first = i+1, 0 {
 		d := t.dirs[i]

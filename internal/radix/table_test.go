@@ -23,7 +23,7 @@ func TestTableMatchesMapOracle(t *testing.T) {
 			case 0:
 				return rng.Int63n(200) - 100 // around zero, both signs
 			case 1:
-				return int64(rng.Intn(40))*LeafSize + rng.Int63n(3) - 1 // leaf edges
+				return int64(rng.Intn(40))*leafSize + rng.Int63n(3) - 1 // leaf edges
 			case 2:
 				return int64(rng.Intn(8))<<dirBits + rng.Int63n(3) - 1 // directory edges
 			default:
@@ -70,7 +70,7 @@ func TestTableMatchesMapOracle(t *testing.T) {
 }
 
 // checkWalks: All visits exactly the oracle's keys, strictly ascending, with
-// their values, and so does a walk by LeafFrom. So do two walks of a copy
+// their values, and so does a walk by leafFrom. So do two walks of a copy
 // that delete as they go, one every key it is given and one every other key,
 // and afterwards the copy holds exactly what they left.
 func checkWalks(t *testing.T, tb *Table[int], oracle map[int64]int) {
@@ -92,22 +92,22 @@ func checkWalks(t *testing.T, tb *Table[int], oracle map[int64]int) {
 	var walked []int64
 	from := int64(-1 << 62)
 	for {
-		base, l := tb.LeafFrom(from)
+		base, l := tb.leafFrom(from)
 		if l == nil {
 			break
 		}
 		if l.Used == 0 {
-			t.Fatalf("LeafFrom(%d) returned an empty leaf", from)
+			t.Fatalf("leafFrom(%d) returned an empty leaf", from)
 		}
-		for i := int64(0); i < LeafSize; i++ {
+		for i := int64(0); i < leafSize; i++ {
 			if l.Used&(1<<i) != 0 {
 				walked = append(walked, base+i)
 			}
 		}
-		from = base + LeafSize
+		from = base + leafSize
 	}
 	if !slices.Equal(walked, want) {
-		t.Fatalf("a LeafFrom walk visited %d keys, oracle holds %d", len(walked), len(want))
+		t.Fatalf("a leafFrom walk visited %d keys, oracle holds %d", len(walked), len(want))
 	}
 	for _, every := range []int{1, 2} {
 		var cp Table[int]
@@ -147,7 +147,7 @@ func TestNilTableReadsEmpty(t *testing.T) {
 	if _, ok := tb.Del(3); ok {
 		t.Fatal("a nil table deleted a value")
 	}
-	if _, l := tb.LeafFrom(0); l != nil {
+	if _, l := tb.leafFrom(0); l != nil {
 		t.Fatal("a nil table has a leaf")
 	}
 	for k := range tb.All() {
@@ -159,7 +159,7 @@ func TestNilTableReadsEmpty(t *testing.T) {
 // the walk reaches keys at both ends of the int64 range.
 func TestAllStopsAtBreak(t *testing.T) {
 	var tb Table[int]
-	keys := []int64{math.MinInt64, -1, 0, 1, LeafSize, math.MaxInt64}
+	keys := []int64{math.MinInt64, -1, 0, 1, leafSize, math.MaxInt64}
 	for _, k := range keys {
 		tb.Set(k, 1)
 	}
