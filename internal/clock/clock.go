@@ -28,10 +28,14 @@ type Clock interface {
 	Advance(d time.Duration)
 }
 
-// Virtual is the standard Clock implementation: an atomic counter, so the
-// hot paths that read time on every page (device submits, fault accounting)
-// never serialize on a lock. The zero value is a valid clock positioned at
-// its epoch.
+// Virtual is the standard Clock implementation. The zero value is a valid
+// clock positioned at its epoch.
+//
+// Its counter is the one word of a machine shared outside the kernel lock
+// (kern.Gate), so it stays atomic: a syscall charges the gate crossing
+// before it enters the kernel, and the checkpointer charges its IPI rounds
+// and starts its stop-time stopwatch before it stops the kernel, each while
+// simulated threads may be running inside it.
 type Virtual struct {
 	now atomic.Int64
 }

@@ -272,9 +272,7 @@ func (pm *PhysMem) Stats() Stats {
 }
 
 // Used reports the number of allocated frames.
-func (pm *PhysMem) Used() int64 {
-	return pm.used
-}
+func (pm *PhysMem) Used() int64 { return pm.used }
 
 // PagesFor returns how many frames span n bytes.
 func PagesFor(n int64) int64 {

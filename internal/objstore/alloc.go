@@ -257,6 +257,4 @@ func (s *Store) FreeRuns() int {
 }
 
 // DeadBlocks reports the deadlist length (for tests and tooling).
-func (s *Store) DeadBlocks() int {
-	return len(s.deadlist)
-}
+func (s *Store) DeadBlocks() int { return len(s.deadlist) }

@@ -13,9 +13,7 @@ import (
 // Fsck's claim walk without the data pages: it reads nothing from the device,
 // so the invariant watchdog can call it on a cadence. An empty result means
 // every rule held.
-func (s *Store) AuditLive() []string {
-	return s.walkClaims(&s.audit, nil)
-}
+func (s *Store) AuditLive() []string { return s.walkClaims(&s.audit, nil) }
 
 // walkClaims is the one claim walk, run in a. Every record run, journal
 // extent, block-map chunk block, retained index, free run, staged or queued

@@ -56,9 +56,7 @@ func (im *image) Objects() []OID {
 }
 
 // Exists reports whether oid is in the image.
-func (im *image) Exists(oid OID) bool {
-	return im.get(oid) != nil
-}
+func (im *image) Exists(oid OID) bool { return im.get(oid) != nil }
 
 // UType returns the user type tag of oid.
 func (im *image) UType(oid OID) (uint16, error) {

@@ -368,9 +368,7 @@ func (s *Store) RecoveredFlight() (evs []flight.Event, seq uint64, ok bool, err 
 }
 
 // Epoch returns the last committed checkpoint epoch.
-func (s *Store) Epoch() Epoch {
-	return s.epoch
-}
+func (s *Store) Epoch() Epoch { return s.epoch }
 
 // curEpoch is the epoch the in-progress interval will commit as.
 func (s *Store) curEpoch() Epoch { return s.epoch + 1 }
@@ -378,9 +376,7 @@ func (s *Store) curEpoch() Epoch { return s.epoch + 1 }
 // PendingDurable reports the virtual completion time of the latest
 // asynchronous write submitted to the device — the write-behind horizon.
 // Callers use it for flow control (bounding dirty data in flight).
-func (s *Store) PendingDurable() time.Duration {
-	return s.pendingDurable
-}
+func (s *Store) PendingDurable() time.Duration { return s.pendingDurable }
 
 // submit queues p at off, its transfer not starting before after, and
 // folds the completion time into the interval's durability horizon — which

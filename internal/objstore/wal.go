@@ -308,20 +308,14 @@ func (s *Store) Fold() (CheckpointStats, error) {
 
 // WALSeq returns the sequence number of the last committed WAL frame in the
 // current generation (0 right after a fold or when the WAL is unused).
-func (s *Store) WALSeq() uint64 {
-	return uint64(len(s.walDurable))
-}
+func (s *Store) WALSeq() uint64 { return uint64(len(s.walDurable)) }
 
 // WALHead returns the byte offset past the last appended frame in the
 // reserved region (for tests and tooling).
-func (s *Store) WALHead() int64 {
-	return s.walHead
-}
+func (s *Store) WALHead() int64 { return s.walHead }
 
 // WALRegion returns the reserved region's device offset and size in bytes.
-func (s *Store) WALRegion() (base, size int64) {
-	return s.walBase, s.walBlocks * BlockSize
-}
+func (s *Store) WALRegion() (base, size int64) { return s.walBase, s.walBlocks * BlockSize }
 
 // WaitWALDurable blocks (in virtual time) until WAL frame seq of the
 // current generation is durable. Sequence numbers folded away by a
@@ -417,9 +411,7 @@ func (s *Store) walReplay(frames []*walFrame, end int64) error {
 }
 
 // WALReplayed reports how many frames the last Recover replayed.
-func (s *Store) WALReplayed() int {
-	return s.walReplayed
-}
+func (s *Store) WALReplayed() int { return s.walReplayed }
 
 // claimWALBlock is what replay adds to apply: the n blocks from addr that a
 // replayed frame names leave the free map and are born in the current

@@ -360,15 +360,11 @@ func (o *Object) InsertPage(pg int64, p *mem.Page) {
 
 // RemovePage evicts page pg from the object (swap-out), returning it. The
 // caller owns writing it back and freeing it.
-func (o *Object) RemovePage(pg int64) (*mem.Page, bool) {
-	return o.pages.Del(pg)
-}
+func (o *Object) RemovePage(pg int64) (*mem.Page, bool) { return o.pages.Del(pg) }
 
 // ResidentPage returns the object's own resident page pg without walking
 // the backer chain and without faulting — what the restore loader skips.
-func (o *Object) ResidentPage(pg int64) (*mem.Page, bool) {
-	return o.pages.Get(pg)
-}
+func (o *Object) ResidentPage(pg int64) (*mem.Page, bool) { return o.pages.Get(pg) }
 
 // EachPage calls fn for every resident page in ascending page order — the
 // flush path depends on the order being deterministic so that two runs of
