@@ -196,6 +196,13 @@ func Defaults() Config {
 }
 
 // Machine is one simulated computer.
+//
+// Its kernel lock (kern.Gate) is its one lock. Below it, one goroutine runs
+// at a time: a simulated thread inside a syscall or ReadMem/WriteMem; the
+// checkpointer, while it has stopped the gate or entered it; or a caller that
+// drives a machine nobody else touches (restore, recv, audit, the scenario
+// driver, the bench). A Machine is not safe for concurrent use except
+// through its processes.
 type Machine struct {
 	Clock *clock.Virtual
 	Costs *clock.Costs

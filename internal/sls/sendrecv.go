@@ -301,7 +301,7 @@ func (o *Orchestrator) Recv(r io.Reader) (string, error) {
 }
 
 // recvBatch bounds the pages of a run one WritePages call lands: the store's
-// own batch, one hold of its lock.
+// own batch, one writepages span.
 const recvBatch = 256
 
 // recvPayload applies a stream in memory, decoding it where it lies: each

@@ -178,9 +178,9 @@ func TestConcurrentWorkersUnderCheckpointing(t *testing.T) {
 }
 
 // Stress the flush pipeline specifically: worker goroutines dirty pages
-// continuously while checkpoints flush, exercising encode/write racing
-// application faults (the shadow pairs are frozen, but the live side
-// COW-copies from the same chains the flush walks). Meant to run under
+// continuously while checkpoints flush. The checkpointer holds the kernel
+// lock through the flush, so each fault lands between two checkpoints and
+// COW-copies from the chains the last flush walked. Meant to run under
 // -race; consistency is checked by restoring the final crash image.
 func TestParallelFlushUnderConcurrentDirtying(t *testing.T) {
 	w := newWorld(t)
