@@ -47,9 +47,8 @@ func (s *Store) CheckpointRetaining(retain int) (st CheckpointStats, err error) 
 	// it before the flight ring is cut so the index carries the fold that
 	// absorbed the frames. Events recorded during the commit itself land in
 	// the next commit's ring.
-	foldBase, foldFrames := s.curEpoch(), len(s.walDurable)
-	if foldFrames > 0 {
-		s.fl.Record(int64(s.clk.Now()), flight.EvWALFold, int64(foldBase), int64(foldFrames), 0, "")
+	if n := len(s.walDurable); n > 0 {
+		s.fl.Record(int64(s.clk.Now()), flight.EvWALFold, int64(s.curEpoch()), int64(n), 0, "")
 	}
 	ring, ringSeq := s.fl.Since(0)
 	sw := clock.StartStopwatch(s.clk)

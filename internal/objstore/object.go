@@ -289,9 +289,8 @@ func (s *Store) eachPage(o *object, pgs []int64, all bool, into func(pg int64) (
 	}
 	if o.chunks == nil {
 		// Inline object: synthesize the page view.
-		inline := o.inline
 		if all {
-			for pg := int64(0); pg < blocksFor(int64(len(inline))); pg++ {
+			for pg := int64(0); pg < blocksFor(int64(len(o.inline))); pg++ {
 				pgs = append(pgs, pg)
 			}
 		}
@@ -305,7 +304,7 @@ func (s *Store) eachPage(o *object, pgs []int64, all bool, into func(pg int64) (
 					page = window
 				}
 			}
-			inlinePage(inline, pg, page)
+			inlinePage(o.inline, pg, page)
 			if err := fn(pg, page); err != nil {
 				return n, err
 			}

@@ -213,9 +213,8 @@ func (s *Store) WALCommit() (WALCommitStats, error) {
 	// N's ring carries appends 1..N — the crash-phase evidence the harness
 	// checks after replay. The tail is the events the last accepted commit
 	// lacks.
-	peekBase, peekSeq, flSeq := s.epoch, uint64(len(s.walDurable))+1, s.flSeq
-	s.fl.Record(int64(s.clk.Now()), flight.EvWALAppend, int64(peekBase), int64(peekSeq), 0, "")
-	tail, flSeq := s.fl.Since(flSeq)
+	s.fl.Record(int64(s.clk.Now()), flight.EvWALAppend, int64(s.epoch), int64(len(s.walDurable))+1, 0, "")
+	tail, flSeq := s.fl.Since(s.flSeq)
 
 	sw := clock.StartStopwatch(s.clk)
 	span := s.tr.Begin(trace.TrackObjstore, "wal.append")
