@@ -66,7 +66,7 @@ func (c *Config) fill() {
 		c.HeartbeatEvery = 5 * time.Millisecond
 	}
 	if c.DeadAfterMisses <= 0 {
-		c.DeadAfterMisses = net.DefaultDetectorMisses
+		c.DeadAfterMisses = 3
 	}
 	if c.HotFactor <= 0 {
 		c.HotFactor = 2.0
@@ -81,10 +81,11 @@ type Node struct {
 	Name string
 	M    *aurora.Machine
 
-	hb     *net.Link     // heartbeat wire the detector probes over
+	hb     *net.Link     // heartbeat wire the coordinator probes over
 	down   bool          // ground truth: the driver cut power; probes go unanswered
 	downAt time.Duration // when the driver cut power; anchors failover latency
-	dead   bool          // coordinator's belief, set by the detector or a watchdog declare
+	misses int           // consecutive unanswered heartbeats
+	dead   bool          // coordinator's belief, set by missed heartbeats or a declare
 	ops    int64         // load window: driver-reported ops landed on this primary
 }
 
@@ -189,7 +190,6 @@ func (e Event) String() string {
 type Coordinator struct {
 	clk clock.Clock
 	cfg Config
-	det *net.Detector
 
 	nodes  map[string]*Node
 	order  []string // registration order: the deterministic iteration order
@@ -218,7 +218,6 @@ func New(clk clock.Clock, cfg Config) *Coordinator {
 	return &Coordinator{
 		clk:    clk,
 		cfg:    cfg,
-		det:    net.NewDetector(net.DetectorConfig{Misses: cfg.DeadAfterMisses}),
 		nodes:  make(map[string]*Node),
 		groups: make(map[string]*Assignment),
 	}
@@ -345,7 +344,6 @@ func (c *Coordinator) DeclareDead(name string) []Event {
 	if !ok || n.dead {
 		return nil
 	}
-	c.det.Declare(name)
 	var evs []Event
 	c.markDead(n, &evs)
 	return evs
@@ -394,11 +392,16 @@ func (c *Coordinator) heartbeat(evs *[]Event) {
 			continue
 		}
 		probed++
-		if c.det.Probe(name, n.hb, !n.down) {
+		n.hb.Send(hbFrame)
+		if _, delivered := n.hb.Recv(); delivered && !n.down {
+			n.misses = 0
+		} else if n.misses++; n.misses >= c.cfg.DeadAfterMisses {
+			// Dead nodes are not probed, so crossing the threshold is
+			// the edge: each death fails over once.
 			c.markDead(n, evs)
-		} else {
-			alive++
+			continue
 		}
+		alive++
 	}
 	sp.End(trace.I("probed", int64(probed)), trace.I("alive", int64(alive)))
 	if c.tr != nil {
@@ -416,6 +419,9 @@ func (c *Coordinator) heartbeat(evs *[]Event) {
 	}
 }
 
+// hbFrame is the one-byte heartbeat payload; only its delivery matters.
+var hbFrame = []byte{0x48}
+
 // auditPass runs each live machine's invariant audit; a machine whose
 // kernel/store invariants fail is fail-stopped on the spot.
 func (c *Coordinator) auditPass(evs *[]Event) {
@@ -429,7 +435,6 @@ func (c *Coordinator) auditPass(evs *[]Event) {
 		scanned++
 		if rep := n.M.Audit(); !rep.OK() {
 			failed++
-			c.det.Declare(name)
 			c.markDead(n, evs)
 		}
 	}
@@ -843,7 +848,7 @@ func (c *Coordinator) Status() string {
 			state = "dead"
 		}
 		fmt.Fprintf(&b, "  node  %-8s %-5s primaries=%d hosted=%d misses=%d\n",
-			name, state, c.primaries(name), c.hosted(name), c.det.Misses(name))
+			name, state, c.primaries(name), c.hosted(name), n.misses)
 	}
 	for _, name := range c.gorder {
 		a := c.groups[name]
