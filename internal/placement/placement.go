@@ -33,20 +33,14 @@ import (
 )
 
 // Config tunes the coordinator's cadences and thresholds. Zero values
-// select defaults; AuditEvery and RebalanceEvery are opt-in (zero
-// disables those passes).
+// select defaults; RebalanceEvery is opt-in (zero disables the scan).
 type Config struct {
 	SyncEvery       time.Duration // replica delta-ship cadence (default 10ms)
 	HeartbeatEvery  time.Duration // failure-detector probe cadence (default 5ms)
 	DeadAfterMisses int           // consecutive missed probes before a machine is declared dead
-	AuditEvery      time.Duration // invariant-watchdog audit cadence; 0 disables
 	RebalanceEvery  time.Duration // hot-group scan cadence; 0 disables
 	HotFactor       float64       // a node hotter than HotFactor x mean load sheds a group (default 2.0)
 	MigrateRounds   int           // pre-copy rounds for rebalancing migrations (default 2)
-
-	// HeartbeatPlan supplies the fault plan for a node's heartbeat wire,
-	// letting scenarios probe over lossy links. Nil wires are clean.
-	HeartbeatPlan func(node string) net.Plan
 }
 
 // Filled returns a copy of the config with every defaultable knob
@@ -81,7 +75,6 @@ type Node struct {
 	Name string
 	M    *aurora.Machine
 
-	hb     *net.Link     // heartbeat wire the coordinator probes over
 	down   bool          // ground truth: the driver cut power; probes go unanswered
 	downAt time.Duration // when the driver cut power; anchors failover latency
 	misses int           // consecutive unanswered heartbeats
@@ -196,12 +189,12 @@ type Coordinator struct {
 	groups map[string]*Assignment
 	gorder []string
 
-	lastHB, lastSync, lastAudit, lastReb time.Duration
+	lastHB, lastSync, lastReb time.Duration
 
 	deaths, failovers, rebalances, syncErrors, orphans int64
 
 	// Observability hooks, both optional. tr is the coordinator's observer:
-	// placement decisions on the fleet/audit lanes, fleet-level counters,
+	// placement decisions on the fleet lane, fleet-level counters,
 	// gauges and latency histograms. slo is a watch whose breach log Status
 	// renders (the driver that samples metrics evaluates it; the
 	// coordinator only reports).
@@ -225,8 +218,8 @@ func New(clk clock.Clock, cfg Config) *Coordinator {
 
 // Instrument attaches an observer to the coordinator. Placement decisions
 // — heartbeat scans, death declarations, failovers, reseeds, rebalance
-// migrations — become spans and instants on the fleet lane (watchdog audits
-// on the audit lane) when it keeps a timeline, and its store accumulates
+// migrations — become spans and instants on the fleet lane when it keeps a
+// timeline, and its store accumulates
 // fleet counters, per-node load gauges, and failover/migration latency
 // histograms. A nil observer leaves the coordinator uninstrumented.
 func (c *Coordinator) Instrument(tr *trace.Tracer) {
@@ -255,15 +248,7 @@ func (c *Coordinator) AddMachine(name string, m *aurora.Machine) (*Node, error) 
 	if _, ok := c.nodes[name]; ok {
 		return nil, fmt.Errorf("placement: machine %q already registered", name)
 	}
-	var plan net.Plan
-	if c.cfg.HeartbeatPlan != nil {
-		plan = c.cfg.HeartbeatPlan(name)
-	}
-	n := &Node{
-		Name: name,
-		M:    m,
-		hb:   net.NewLink(c.clk, net.DefaultParams(), plan),
-	}
+	n := &Node{Name: name, M: m}
 	c.nodes[name] = n
 	c.order = append(c.order, name)
 	return n, nil
@@ -350,7 +335,7 @@ func (c *Coordinator) DeclareDead(name string) []Event {
 }
 
 // Tick runs every pass whose cadence has elapsed: heartbeat probes,
-// watchdog audits, replica syncs, and the rebalance scan. Call it from
+// replica syncs, and the rebalance scan. Call it from
 // the fleet drive loop after advancing the clock.
 func (c *Coordinator) Tick() []Event {
 	var evs []Event
@@ -358,10 +343,6 @@ func (c *Coordinator) Tick() []Event {
 	if now-c.lastHB >= c.cfg.HeartbeatEvery {
 		c.lastHB = now
 		c.heartbeat(&evs)
-	}
-	if c.cfg.AuditEvery > 0 && now-c.lastAudit >= c.cfg.AuditEvery {
-		c.lastAudit = now
-		c.auditPass(&evs)
 	}
 	if now-c.lastSync >= c.cfg.SyncEvery {
 		c.lastSync = now
@@ -381,19 +362,23 @@ func (c *Coordinator) Rebalance() []Event {
 	return evs
 }
 
-// heartbeat probes every registered machine over its heartbeat wire and
-// acts on death edges.
+// heartbeat probes every machine not yet believed dead and acts on death
+// edges. A probe is one byte each way over a clean default wire, so its
+// only effect is on the coordinator's clock: the byte's serialisation, then
+// the wire latency. A powered-off machine leaves it unanswered.
 func (c *Coordinator) heartbeat(evs *[]Event) {
 	sp := c.tr.Begin(trace.TrackFleet, "fleet.heartbeat")
 	probed, alive := 0, 0
+	hb := net.DefaultParams()
 	for _, name := range c.order {
 		n := c.nodes[name]
 		if n.dead {
 			continue
 		}
 		probed++
-		n.hb.Send(hbFrame)
-		if _, delivered := n.hb.Recv(); delivered && !n.down {
+		c.clk.Advance(hb.PerByte)
+		c.clk.Advance(hb.Latency)
+		if !n.down {
 			n.misses = 0
 		} else if n.misses++; n.misses >= c.cfg.DeadAfterMisses {
 			// Dead nodes are not probed, so crossing the threshold is
@@ -417,28 +402,6 @@ func (c *Coordinator) heartbeat(evs *[]Event) {
 			c.tr.Gauge("fleet.load."+name, load)
 		}
 	}
-}
-
-// hbFrame is the one-byte heartbeat payload; only its delivery matters.
-var hbFrame = []byte{0x48}
-
-// auditPass runs each live machine's invariant audit; a machine whose
-// kernel/store invariants fail is fail-stopped on the spot.
-func (c *Coordinator) auditPass(evs *[]Event) {
-	sp := c.tr.Begin(trace.TrackAudit, "fleet.audit")
-	scanned, failed := 0, 0
-	for _, name := range c.order {
-		n := c.nodes[name]
-		if n.dead || n.down {
-			continue
-		}
-		scanned++
-		if rep := n.M.Audit(); !rep.OK() {
-			failed++
-			c.markDead(n, evs)
-		}
-	}
-	sp.End(trace.I("scanned", int64(scanned)), trace.I("failed", int64(failed)))
 }
 
 // markDead records the coordinator's belief and fails over or reseeds

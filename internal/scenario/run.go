@@ -296,15 +296,7 @@ func (r *Harness) setup() error {
 	}
 
 	if p := r.sc.Placement; p != nil {
-		cfg := p.EffectiveConfig()
-		if p.HeartbeatDrop > 0 {
-			drop := p.HeartbeatDrop
-			seed := r.seed
-			cfg.HeartbeatPlan = func(node string) net.Plan {
-				return net.Plan{Seed: subseed(seed, "hb/"+node), DropProb: drop}
-			}
-		}
-		r.coord = placement.New(r.clk, cfg)
+		r.coord = placement.New(r.clk, p.EffectiveConfig())
 		if r.tele != nil {
 			// The coordinator gets its own observer: fleet.* counters and
 			// failover/migration latency histograms live in its store, and

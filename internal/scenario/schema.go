@@ -102,19 +102,14 @@ type PlacementDecl struct {
 	SyncEveryMS      int64   `json:"sync_every_ms,omitempty"`      // default 10
 	HeartbeatEveryMS int64   `json:"heartbeat_every_ms,omitempty"` // default 5
 	DeadAfterMisses  int64   `json:"dead_after_misses,omitempty"`  // default 3
-	AuditEveryMS     int64   `json:"audit_every_ms,omitempty"`     // watchdog audits; 0 disables
 	RebalanceEveryMS int64   `json:"rebalance_every_ms,omitempty"` // hot-group scan; 0 disables
 	HotFactor        float64 `json:"hot_factor,omitempty"`         // default 2.0
 	MigrateRounds    int64   `json:"migrate_rounds,omitempty"`     // default 2
-	// HeartbeatDrop makes every heartbeat wire lossy: the detector must
-	// distinguish a lossy link from a dead machine.
-	HeartbeatDrop float64 `json:"heartbeat_drop,omitempty"`
 }
 
 // EffectiveConfig resolves the declared knobs into the coordinator config
 // the runner builds — unset cadences get the runner defaults, everything
-// else gets placement's own. The runner layers HeartbeatPlan (which needs
-// the run seed) on top; validate prints from this so the reported
+// else gets placement's own. Validate prints from this so the reported
 // effective values cannot drift from what a run uses.
 func (p *PlacementDecl) EffectiveConfig() placement.Config {
 	ms := func(v int64) time.Duration { return time.Duration(v) * time.Millisecond }
@@ -122,7 +117,6 @@ func (p *PlacementDecl) EffectiveConfig() placement.Config {
 		SyncEvery:       ms(cmp.Or(p.SyncEveryMS, 10)),
 		HeartbeatEvery:  ms(cmp.Or(p.HeartbeatEveryMS, 5)),
 		DeadAfterMisses: int(p.DeadAfterMisses),
-		AuditEvery:      ms(p.AuditEveryMS),
 		RebalanceEvery:  ms(p.RebalanceEveryMS),
 		HotFactor:       p.HotFactor,
 		MigrateRounds:   int(p.MigrateRounds),
@@ -395,14 +389,11 @@ func (s *Scenario) Validate() error {
 			bad("placement: declares standbys itself; remove the replications block")
 		}
 		if p.SyncEveryMS < 0 || p.HeartbeatEveryMS < 0 || p.DeadAfterMisses < 0 ||
-			p.AuditEveryMS < 0 || p.RebalanceEveryMS < 0 || p.MigrateRounds < 0 {
+			p.RebalanceEveryMS < 0 || p.MigrateRounds < 0 {
 			bad("placement: cadences and counts must not be negative")
 		}
 		if p.HotFactor < 0 {
 			bad("placement.hot_factor: must not be negative, got %g", p.HotFactor)
-		}
-		if p.HeartbeatDrop < 0 || p.HeartbeatDrop >= 1 {
-			bad("placement.heartbeat_drop: probability must be in [0,1), got %g", p.HeartbeatDrop)
 		}
 	}
 

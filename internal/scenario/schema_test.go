@@ -188,7 +188,6 @@ func malformedCases() []malformedCase {
 		{"placement with replications", replSrc + "\nplacement:\n  sync_every_ms: 5\n", `placement: declares standbys itself; remove the replications block`},
 		{"negative placement cadence", sub(placeSrc, "sync_every_ms: 5", "sync_every_ms: -5"), `placement: cadences and counts must not be negative`},
 		{"negative hot factor", sub(placeSrc, "sync_every_ms: 5", "hot_factor: -1"), `placement.hot_factor: must not be negative, got -1`},
-		{"heartbeat drop out of range", sub(placeSrc, "sync_every_ms: 5", "heartbeat_drop: 1"), `placement.heartbeat_drop: probability must be in [0,1), got 1`},
 
 		// ---- telemetry ----
 		{"negative sample cadence", sub(sloSrc, "sample_every_ms: 5", "sample_every_ms: -5"), `telemetry.sample_every_ms: must not be negative, got -5`},
