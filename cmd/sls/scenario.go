@@ -147,14 +147,8 @@ func cmdScenarioValidate(args []string) error {
 			if p.HeartbeatEveryMS <= 0 {
 				defs = append(defs, fmt.Sprintf("heartbeat_every_ms=%d", cfg.HeartbeatEvery.Milliseconds()))
 			}
-			if p.DeadAfterMisses <= 0 {
-				defs = append(defs, fmt.Sprintf("dead_after_misses=%d", cfg.DeadAfterMisses))
-			}
 			if p.HotFactor <= 0 {
 				defs = append(defs, fmt.Sprintf("hot_factor=%g", cfg.HotFactor))
-			}
-			if p.MigrateRounds <= 0 {
-				defs = append(defs, fmt.Sprintf("migrate_rounds=%d", cfg.MigrateRounds))
 			}
 			if len(defs) > 0 {
 				fmt.Printf("          placement: %s (default)\n", strings.Join(defs, " "))

@@ -35,13 +35,16 @@ import (
 // Config tunes the coordinator's cadences and thresholds. Zero values
 // select defaults; RebalanceEvery is opt-in (zero disables the scan).
 type Config struct {
-	SyncEvery       time.Duration // replica delta-ship cadence (default 10ms)
-	HeartbeatEvery  time.Duration // failure-detector probe cadence (default 5ms)
-	DeadAfterMisses int           // consecutive missed probes before a machine is declared dead
-	RebalanceEvery  time.Duration // hot-group scan cadence; 0 disables
-	HotFactor       float64       // a node hotter than HotFactor x mean load sheds a group (default 2.0)
-	MigrateRounds   int           // pre-copy rounds for rebalancing migrations (default 2)
+	SyncEvery      time.Duration // replica delta-ship cadence (default 10ms)
+	HeartbeatEvery time.Duration // heartbeat probe cadence (default 5ms)
+	RebalanceEvery time.Duration // hot-group scan cadence; 0 disables
+	HotFactor      float64       // a node hotter than HotFactor x mean load sheds a group (default 2.0)
 }
+
+const (
+	deadAfterMisses = 3 // consecutive unanswered heartbeats that declare a machine dead
+	migrateRounds   = 2 // pre-copy rounds of a rebalancing migration
+)
 
 // Filled returns a copy of the config with every defaultable knob
 // resolved — what the coordinator will actually run with. Callers that
@@ -59,14 +62,8 @@ func (c *Config) fill() {
 	if c.HeartbeatEvery <= 0 {
 		c.HeartbeatEvery = 5 * time.Millisecond
 	}
-	if c.DeadAfterMisses <= 0 {
-		c.DeadAfterMisses = 3
-	}
 	if c.HotFactor <= 0 {
 		c.HotFactor = 2.0
-	}
-	if c.MigrateRounds <= 0 {
-		c.MigrateRounds = 2
 	}
 }
 
@@ -380,7 +377,7 @@ func (c *Coordinator) heartbeat(evs *[]Event) {
 		c.clk.Advance(hb.Latency)
 		if !n.down {
 			n.misses = 0
-		} else if n.misses++; n.misses >= c.cfg.DeadAfterMisses {
+		} else if n.misses++; n.misses >= deadAfterMisses {
 			// Dead nodes are not probed, so crossing the threshold is
 			// the edge: each death fails over once.
 			c.markDead(n, evs)
@@ -717,7 +714,7 @@ func (c *Coordinator) migrate(a *Assignment, target *Node, evs *[]Event) {
 	start := c.clk.Now()
 	sp := c.tr.Begin(trace.TrackFleet, "fleet.migrate",
 		trace.S("group", a.Name), trace.S("from", src.Name), trace.S("to", target.Name))
-	g, _, err := src.M.MigrateTo(target.M, a.Name, c.cfg.MigrateRounds, a.work)
+	g, _, err := src.M.MigrateTo(target.M, a.Name, migrateRounds, a.work)
 	if err != nil {
 		// The group survived in place (migration failure leaves the
 		// source intact); report and move on.

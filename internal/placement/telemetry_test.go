@@ -136,11 +136,11 @@ func TestFailoverSpansAndFlowChain(t *testing.T) {
 	if fo.Start < killAt {
 		t.Fatalf("failover span at %v predates kill at %v", fo.Start, killAt)
 	}
-	// Detection needs DeadAfterMisses probes, so the measured latency must
+	// Detection needs deadAfterMisses probes, so the measured latency must
 	// cover at least that window.
-	minLat := int64(time.Duration(f.c.cfg.DeadAfterMisses) * f.c.cfg.HeartbeatEvery)
+	minLat := int64(deadAfterMisses * f.c.cfg.HeartbeatEvery)
 	if q := h.Quantile(1); q < minLat/2 {
-		t.Fatalf("failover latency %d too small for a %d-miss detector", q, f.c.cfg.DeadAfterMisses)
+		t.Fatalf("failover latency %d too small for a %d-miss detector", q, deadAfterMisses)
 	}
 }
 

@@ -96,15 +96,13 @@ type SLODecl struct {
 // live migration. A placement scenario declares no `replications` block
 // (the coordinator owns standbys) and kills machines with `machine-dies`
 // rather than `power-cut` (dead machines stay dead; the coordinator must
-// notice on its own). Migrate events route through the coordinator and use
-// migrate_rounds, keeping its view of placement authoritative.
+// notice on its own). Migrate events route through the coordinator,
+// keeping its view of placement authoritative.
 type PlacementDecl struct {
 	SyncEveryMS      int64   `json:"sync_every_ms,omitempty"`      // default 10
 	HeartbeatEveryMS int64   `json:"heartbeat_every_ms,omitempty"` // default 5
-	DeadAfterMisses  int64   `json:"dead_after_misses,omitempty"`  // default 3
 	RebalanceEveryMS int64   `json:"rebalance_every_ms,omitempty"` // hot-group scan; 0 disables
 	HotFactor        float64 `json:"hot_factor,omitempty"`         // default 2.0
-	MigrateRounds    int64   `json:"migrate_rounds,omitempty"`     // default 2
 }
 
 // EffectiveConfig resolves the declared knobs into the coordinator config
@@ -114,12 +112,10 @@ type PlacementDecl struct {
 func (p *PlacementDecl) EffectiveConfig() placement.Config {
 	ms := func(v int64) time.Duration { return time.Duration(v) * time.Millisecond }
 	return placement.Config{
-		SyncEvery:       ms(cmp.Or(p.SyncEveryMS, 10)),
-		HeartbeatEvery:  ms(cmp.Or(p.HeartbeatEveryMS, 5)),
-		DeadAfterMisses: int(p.DeadAfterMisses),
-		RebalanceEvery:  ms(p.RebalanceEveryMS),
-		HotFactor:       p.HotFactor,
-		MigrateRounds:   int(p.MigrateRounds),
+		SyncEvery:      ms(cmp.Or(p.SyncEveryMS, 10)),
+		HeartbeatEvery: ms(cmp.Or(p.HeartbeatEveryMS, 5)),
+		RebalanceEvery: ms(p.RebalanceEveryMS),
+		HotFactor:      p.HotFactor,
 	}.Filled()
 }
 
@@ -388,8 +384,7 @@ func (s *Scenario) Validate() error {
 		if len(s.Replications) > 0 {
 			bad("placement: declares standbys itself; remove the replications block")
 		}
-		if p.SyncEveryMS < 0 || p.HeartbeatEveryMS < 0 || p.DeadAfterMisses < 0 ||
-			p.RebalanceEveryMS < 0 || p.MigrateRounds < 0 {
+		if p.SyncEveryMS < 0 || p.HeartbeatEveryMS < 0 || p.RebalanceEveryMS < 0 {
 			bad("placement: cadences and counts must not be negative")
 		}
 		if p.HotFactor < 0 {

@@ -56,7 +56,6 @@ telemetry:
 placement:
   sync_every_ms: 10
   heartbeat_every_ms: 5
-  dead_after_misses: 3
 events:
   - at_ms: 60
     kind: machine-dies
