@@ -363,7 +363,7 @@ func (m *Machine) RecoveredFlight() (evs []FlightEvent, seq uint64, ok bool, err
 func (m *Machine) Audit() AuditReport {
 	if m.auditor == nil {
 		m.auditor = &audit.Auditor{
-			Store: m.Store, K: m.K, O: m.SLS,
+			Store: m.Store, O: m.SLS,
 			Fl: m.Flight, Tr: m.Tracer, Clk: m.Clock, SLO: m.slo,
 		}
 	}

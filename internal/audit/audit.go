@@ -64,7 +64,6 @@ func (r Report) String() string {
 // machine and the bare-store crash harness.
 type Auditor struct {
 	Store *objstore.Store
-	K     *kern.Kernel
 	O     *sls.Orchestrator
 	Fl    *flight.Recorder // violations become EvAuditViolation events
 	Tr    *trace.Tracer    // audit.runs / audit.violations / slo.breaches counters
@@ -140,11 +139,7 @@ func (a *Auditor) auditSLO(r *Report, add func(rule, format string, args ...any)
 		}
 	}
 	for _, b := range breaches {
-		violates := b.Value >= b.Bound
-		if b.Kind == "final-at-least" {
-			violates = b.Value < b.Bound
-		}
-		if !violates {
+		if b.SLOKind().Holds(b.Value, b.Bound) {
 			add("sls.slo", "breach %q recorded but value %d does not violate %s bound %d",
 				b.SLO, b.Value, b.Kind, b.Bound)
 		}

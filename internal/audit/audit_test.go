@@ -67,7 +67,7 @@ func busyWorld(t *testing.T) (*world, *kern.Proc) {
 
 func TestCleanSystemPasses(t *testing.T) {
 	w, _ := busyWorld(t)
-	a := &Auditor{Store: w.store, K: w.k, O: w.o, Clk: w.clk}
+	a := &Auditor{Store: w.store, O: w.o, Clk: w.clk}
 	rep := a.Run()
 	if !rep.OK() {
 		t.Fatalf("clean system audit failed:\n%s", rep)
@@ -86,7 +86,7 @@ func TestCleanAfterCheckpointAndCrash(t *testing.T) {
 	if _, err := g.Checkpoint(sls.CkptIncremental); err != nil {
 		t.Fatal(err)
 	}
-	a := &Auditor{Store: w.store, K: w.k, O: w.o, Clk: w.clk}
+	a := &Auditor{Store: w.store, O: w.o, Clk: w.clk}
 	if rep := a.Run(); !rep.OK() {
 		t.Fatalf("post-checkpoint audit failed:\n%s", rep)
 	}
@@ -248,7 +248,7 @@ func TestCaptureRuleComparesStoreWithKernel(t *testing.T) {
 	if _, err := g.Checkpoint(sls.CkptIncremental); err != nil {
 		t.Fatal(err)
 	}
-	a := &Auditor{Store: w.store, K: w.k, O: w.o, Clk: w.clk}
+	a := &Auditor{Store: w.store, O: w.o, Clk: w.clk}
 	if rep := a.Run(); !rep.OK() {
 		t.Fatalf("clean system: %s", rep)
 	}

@@ -56,9 +56,9 @@ type Inner interface {
 	PokeAt(p []byte, off int64)
 }
 
-// DefaultTearSector is the granularity at which a torn write lands, matching
-// the 512-byte atom real NVMe devices guarantee.
-const DefaultTearSector = 512
+// TearSector is the granularity at which a torn write lands, matching the
+// 512-byte atom real NVMe devices guarantee.
+const TearSector = 512
 
 // Plan describes one deterministic fault scenario.
 type Plan struct {
@@ -78,9 +78,6 @@ type Plan struct {
 	// Torn lands a PRNG-chosen sector prefix of the cut write; when false
 	// the cut write is dropped whole.
 	Torn bool
-
-	// TearSector is the tearing granularity; 0 means DefaultTearSector.
-	TearSector int64
 
 	// DropInFlight loses every write whose modeled completion time lies
 	// after the cut instant (the unsynced queue window). When false, every
@@ -142,9 +139,6 @@ func New(inner Inner, clk clock.Clock, plan Plan) *Dev {
 // seed). The submit counter keeps counting — CutAtSubmit is always an
 // absolute index.
 func (d *Dev) Arm(plan Plan) {
-	if plan.TearSector <= 0 {
-		plan.TearSector = DefaultTearSector
-	}
 	d.plan = plan
 	d.rng = rand.New(rand.NewSource(plan.Seed))
 }
@@ -282,9 +276,8 @@ func (d *Dev) crash(idx int64, vec [][]byte, off, total int64, after time.Durati
 	// nothing otherwise. The prefix length is the only PRNG draw in a
 	// run, so replay is exact.
 	if d.plan.Torn && total > 0 {
-		sect := d.plan.TearSector
-		units := (total + sect - 1) / sect
-		landed := d.rng.Int63n(units+1) * sect
+		units := (total + TearSector - 1) / TearSector
+		landed := d.rng.Int63n(units+1) * TearSector
 		if landed > total {
 			landed = total
 		}

@@ -116,7 +116,7 @@ func TestTornWriteLandsSectorPrefix(t *testing.T) {
 		for landed < len(got) && got[landed] == 0x5A {
 			landed++
 		}
-		if landed%DefaultTearSector != 0 {
+		if landed%TearSector != 0 {
 			t.Fatalf("seed %d: torn prefix %d bytes, not sector-aligned", seed, landed)
 		}
 		for i := landed; i < len(got); i++ {
@@ -269,7 +269,7 @@ func TestStripeComposition(t *testing.T) {
 	for landed < len(got) && got[landed] == 0x99 {
 		landed++
 	}
-	if landed%DefaultTearSector != 0 {
+	if landed%TearSector != 0 {
 		t.Fatalf("torn prefix %d bytes, not sector-aligned", landed)
 	}
 	// Beyond the prefix the pre-image (the first write, then zeros) remains.

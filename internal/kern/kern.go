@@ -156,9 +156,6 @@ type Kernel struct {
 	// bounds is the socket address registry, guarded by the BKL.
 	bounds map[string]*Socket
 
-	// CPUCount models how many cores run the application (IPI fan-out).
-	CPUCount int
-
 	// VDSOVersion tags the vDSO device object; restores inject the
 	// current kernel's version (§5.3).
 	VDSOVersion string
@@ -181,7 +178,6 @@ func New(clk clock.Clock, costs *clock.Costs, vmsys *vm.System, fs *slsfs.FS) *K
 		VM:          vmsys,
 		FS:          fs,
 		Gate:        NewGate(),
-		CPUCount:    2,
 		VDSOVersion: "aurora-1",
 		byGlobal:    make(map[PID]*Proc),
 		nextPID:     1,
@@ -251,10 +247,14 @@ func (k *Kernel) syscall(fn func() error) error {
 	}
 }
 
+// cpuCount is how many cores run the application: the IPI fan-out of a
+// quiesce.
+const cpuCount = 2
+
 // Quiesce stops the world, charging one IPI round per CPU (forcing every
 // core to the kernel boundary).
 func (k *Kernel) Quiesce() {
-	for i := 0; i < k.CPUCount; i++ {
+	for i := 0; i < cpuCount; i++ {
 		k.Clk.Advance(k.Costs.IPIRound)
 	}
 	k.Gate.Stop()

@@ -108,10 +108,6 @@ type Plan struct {
 	// when PartitionDur is 0.
 	PartitionXmit int64
 	PartitionDur  time.Duration
-
-	// ReorderBy is how far a reordered frame's arrival is pushed back;
-	// 0 selects 4x the link latency.
-	ReorderBy time.Duration
 }
 
 // LinkStats counts what one link did to its traffic.
@@ -283,10 +279,9 @@ func (l *Link) Send(frame []byte) {
 			l.tr.Instant(trace.TrackNet, "net.link.dup", trace.I("xmit", idx))
 		}
 	case FaultReorder:
-		by := l.plan.ReorderBy
-		if by <= 0 {
-			by = 4 * l.params.Latency
-		}
+		// A reordered frame arrives four link latencies late (10µs on a
+		// zero-latency link).
+		by := 4 * l.params.Latency
 		if by <= 0 {
 			by = 10 * time.Microsecond
 		}
