@@ -755,7 +755,7 @@ func (r *Harness) finish() {
 		r.sampleTelemetry()
 		for _, mem := range r.tele.members {
 			for _, b := range mem.watch.Final(mem.reg, r.clk.Now()) {
-				if b.Kind == telemetry.SLOFinalAtLeast.String() {
+				if b.SLOKind() == telemetry.SLOFinalAtLeast {
 					r.recordBreach(mem.name, b)
 				}
 			}

@@ -28,6 +28,24 @@ func (k SLOKind) String() string {
 	return "slo?"
 }
 
+// op is the comparison a kind's metric must satisfy against its bound.
+func (k SLOKind) op() string {
+	if k == SLOFinalAtLeast {
+		return ">="
+	}
+	return "<"
+}
+
+// Holds reports whether value meets an objective of kind k with bound.
+// It is the one statement of that comparison: the watch, the breach
+// rendering, the auditor and the scenario runner all judge through it.
+func (k SLOKind) Holds(value, bound int64) bool {
+	if k.op() == ">=" {
+		return value >= bound
+	}
+	return value < bound
+}
+
 // SLO is one declarative objective over a registry metric. Bound units
 // match the metric's units (nanoseconds for latency histograms).
 type SLO struct {
@@ -47,14 +65,21 @@ type Breach struct {
 	Bound  int64         `json:"bound"`
 }
 
+// SLOKind recovers the kind of objective the breach broke from its
+// rendered name. An unknown name reads as an "under" kind.
+func (b Breach) SLOKind() SLOKind {
+	for k := SLOP99Under; k <= SLOFinalAtLeast; k++ {
+		if k.String() == b.Kind {
+			return k
+		}
+	}
+	return ^SLOKind(0)
+}
+
 // String renders the breach for status lines and flight notes.
 func (b Breach) String() string {
-	op := "<"
-	if b.Kind == SLOFinalAtLeast.String() {
-		op = ">="
-	}
 	return fmt.Sprintf("slo %s: %s %s %s %d violated (value %d) at %s",
-		b.SLO, b.Metric, b.Kind, op, b.Bound, b.Value, b.At)
+		b.SLO, b.Metric, b.Kind, b.SLOKind().op(), b.Bound, b.Value, b.At)
 }
 
 // Watch evaluates a rule set against one registry on the sampler
@@ -107,15 +132,14 @@ func (rule SLO) check(r *Registry) (value int64, violated bool) {
 	switch rule.Kind {
 	case SLOP99Under:
 		value = r.store.Quantile(rule.Metric, 0.99)
-		return value, value >= rule.Bound
 	case SLOMaxUnder:
 		value = r.reduce(rule.Metric, (*Series).max)
-		return value, value >= rule.Bound
 	case SLOFinalAtLeast:
 		value = r.reduce(rule.Metric, (*Series).last)
-		return value, value < rule.Bound
+	default:
+		return 0, false
 	}
-	return 0, false
+	return value, !rule.Kind.Holds(value, rule.Bound)
 }
 
 func (rule SLO) breach(now time.Duration, value int64) Breach {
