@@ -28,22 +28,12 @@ func (k SLOKind) String() string {
 	return "slo?"
 }
 
-// op is the comparison a kind's metric must satisfy against its bound.
-func (k SLOKind) op() string {
-	if k == SLOFinalAtLeast {
-		return ">="
-	}
-	return "<"
-}
-
-// Holds reports whether value meets an objective of kind k with bound.
-// It is the one statement of that comparison: the watch, the breach
-// rendering, the auditor and the scenario runner all judge through it.
+// Holds reports whether value meets an objective of kind k with bound:
+// final-at-least needs value >= bound, the other kinds value < bound. It
+// is the one statement of that comparison; the watch, the auditor and the
+// scenario runner judge through it, and Breach.String renders it.
 func (k SLOKind) Holds(value, bound int64) bool {
-	if k.op() == ">=" {
-		return value >= bound
-	}
-	return value < bound
+	return (value >= bound) == (k == SLOFinalAtLeast)
 }
 
 // SLO is one declarative objective over a registry metric. Bound units
@@ -65,8 +55,8 @@ type Breach struct {
 	Bound  int64         `json:"bound"`
 }
 
-// SLOKind recovers the kind of objective the breach broke from its
-// rendered name. An unknown name reads as an "under" kind.
+// SLOKind recovers the breached objective's kind from its rendered name;
+// an unknown name reads as an "under" kind.
 func (b Breach) SLOKind() SLOKind {
 	for k := SLOP99Under; k <= SLOFinalAtLeast; k++ {
 		if k.String() == b.Kind {
@@ -76,10 +66,16 @@ func (b Breach) SLOKind() SLOKind {
 	return ^SLOKind(0)
 }
 
-// String renders the breach for status lines and flight notes.
+// String renders the breach for status lines and flight notes, with the
+// comparison its value must satisfy: a value equal to its bound meets only
+// an at-least objective.
 func (b Breach) String() string {
+	op := "<"
+	if b.SLOKind().Holds(b.Bound, b.Bound) {
+		op = ">="
+	}
 	return fmt.Sprintf("slo %s: %s %s %s %d violated (value %d) at %s",
-		b.SLO, b.Metric, b.Kind, b.SLOKind().op(), b.Bound, b.Value, b.At)
+		b.SLO, b.Metric, b.Kind, op, b.Bound, b.Value, b.At)
 }
 
 // Watch evaluates a rule set against one registry on the sampler

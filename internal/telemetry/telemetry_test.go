@@ -422,3 +422,40 @@ func TestExportsIgnoreFirstTouchOrder(t *testing.T) {
 		t.Fatalf("prometheus text depends on first-touch order:\n%s\nvs\n%s", prom1, prom2)
 	}
 }
+
+func TestSLOComparisonPerKind(t *testing.T) {
+	for _, c := range []struct {
+		kind         SLOKind
+		below, equal bool // Holds for bound-1 and for bound
+		op           string
+	}{
+		{SLOP99Under, true, false, "<"},
+		{SLOMaxUnder, true, false, "<"},
+		{SLOFinalAtLeast, false, true, ">="},
+	} {
+		if got := c.kind.Holds(9, 10); got != c.below {
+			t.Errorf("%s holds 9 against 10 = %v", c.kind, got)
+		}
+		if got := c.kind.Holds(10, 10); got != c.equal {
+			t.Errorf("%s holds 10 against 10 = %v", c.kind, got)
+		}
+		if c.kind.Holds(11, 10) == c.below {
+			t.Errorf("%s judges 11 like 9 against 10", c.kind)
+		}
+		b := Breach{SLO: "r", Metric: "m", Kind: c.kind.String(), At: time.Millisecond, Value: 7, Bound: 10}
+		if b.SLOKind() != c.kind {
+			t.Errorf("breach of %s reads back as %s", c.kind, b.SLOKind())
+		}
+		want := "slo r: m " + c.kind.String() + " " + c.op + " 10 violated (value 7) at 1ms"
+		if got := b.String(); got != want {
+			t.Errorf("breach renders %q, want %q", got, want)
+		}
+	}
+	odd := Breach{SLO: "r", Metric: "m", Kind: "odd", Value: 3, Bound: 2}
+	if got := odd.String(); got != "slo r: m odd < 2 violated (value 3) at 0s" {
+		t.Errorf("unknown kind renders %q", got)
+	}
+	if odd.SLOKind().Holds(odd.Value, odd.Bound) {
+		t.Error("an unknown kind is not judged as an under kind")
+	}
+}
