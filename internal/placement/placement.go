@@ -1,9 +1,8 @@
 // Package placement is the fleet coordinator: it tracks which machine
 // hosts each checkpointing group (a primary) and which machine holds its
 // warm standby, drives periodic replica syncs, discovers machine death
-// through a heartbeat detector (and, optionally, through invariant-watchdog
-// audits), fails groups over to their standbys, and rebalances hot groups
-// onto cold machines via live migration.
+// by counting missed heartbeats, fails groups over to their standbys, and
+// rebalances hot groups onto cold machines via live migration.
 //
 // The coordinator is deterministic by construction: machines and groups
 // are iterated in registration order, standby and migration targets are
@@ -51,11 +50,6 @@ const (
 // report effective settings (scenario validate) use this so their output
 // can never drift from the real defaults.
 func (c Config) Filled() Config {
-	c.fill()
-	return c
-}
-
-func (c *Config) fill() {
 	if c.SyncEvery <= 0 {
 		c.SyncEvery = 10 * time.Millisecond
 	}
@@ -65,6 +59,7 @@ func (c *Config) fill() {
 	if c.HotFactor <= 0 {
 		c.HotFactor = 2.0
 	}
+	return c
 }
 
 // Node is one machine in the fleet as the coordinator sees it.
@@ -200,14 +195,13 @@ type Coordinator struct {
 	src uint64 // coordinator's trace-context source id for flow stitching
 }
 
-// New builds a coordinator driven by clk. All cadences and the failure
-// detector read this clock, so a fleet of machines with independent
-// clocks still gets one coherent coordination timeline.
+// New builds a coordinator driven by clk. All cadences and the heartbeat
+// read this clock, so a fleet of machines with independent clocks still
+// gets one coherent coordination timeline.
 func New(clk clock.Clock, cfg Config) *Coordinator {
-	cfg.fill()
 	return &Coordinator{
 		clk:    clk,
-		cfg:    cfg,
+		cfg:    cfg.Filled(),
 		nodes:  make(map[string]*Node),
 		groups: make(map[string]*Assignment),
 	}
@@ -216,9 +210,9 @@ func New(clk clock.Clock, cfg Config) *Coordinator {
 // Instrument attaches an observer to the coordinator. Placement decisions
 // — heartbeat scans, death declarations, failovers, reseeds, rebalance
 // migrations — become spans and instants on the fleet lane when it keeps a
-// timeline, and its store accumulates
-// fleet counters, per-node load gauges, and failover/migration latency
-// histograms. A nil observer leaves the coordinator uninstrumented.
+// timeline, and its store accumulates fleet counters, per-node load
+// gauges, and failover/migration latency histograms. A nil observer leaves
+// the coordinator uninstrumented.
 func (c *Coordinator) Instrument(tr *trace.Tracer) {
 	c.tr = tr
 	c.src = trace.MachineID("coordinator")
@@ -307,7 +301,7 @@ func (c *Coordinator) RecordOps(group string, n int64) {
 
 // KillMachine marks a machine's ground truth as down: heartbeats go
 // unanswered from now on. The coordinator does NOT learn of the death
-// here — that is the detector's job, DeadAfterMisses probes later.
+// here — it takes deadAfterMisses missed heartbeats.
 func (c *Coordinator) KillMachine(name string) error {
 	n, ok := c.nodes[name]
 	if !ok {
@@ -318,9 +312,9 @@ func (c *Coordinator) KillMachine(name string) error {
 	return nil
 }
 
-// DeclareDead is the fail-stop path: an invariant watchdog (or operator)
-// asserts the machine is gone and the coordinator acts immediately,
-// without waiting out the detector. Returns the resulting events.
+// DeclareDead is the fail-stop path: an operator asserts the machine is
+// gone and the coordinator acts immediately, without waiting out the
+// missed heartbeats. Returns the resulting events.
 func (c *Coordinator) DeclareDead(name string) []Event {
 	n, ok := c.nodes[name]
 	if !ok || n.dead {
@@ -332,8 +326,8 @@ func (c *Coordinator) DeclareDead(name string) []Event {
 }
 
 // Tick runs every pass whose cadence has elapsed: heartbeat probes,
-// replica syncs, and the rebalance scan. Call it from
-// the fleet drive loop after advancing the clock.
+// replica syncs, and the rebalance scan. Call it from the fleet drive loop
+// after advancing the clock.
 func (c *Coordinator) Tick() []Event {
 	var evs []Event
 	now := c.clk.Now()
@@ -465,7 +459,7 @@ func (c *Coordinator) failover(a *Assignment, deadPrimary string, evs *[]Event) 
 	c.failovers++
 	c.tr.Count("fleet.failovers", 1)
 
-	// Latency from the moment the driver cut power (when known; a watchdog
+	// Latency from the moment the driver cut power (when known; a
 	// declare has no ground-truth kill time, so fall back to the promotion
 	// itself): detection window plus promote, the number an operator means
 	// by "failover latency".

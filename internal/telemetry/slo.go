@@ -33,7 +33,10 @@ func (k SLOKind) String() string {
 // is the one statement of that comparison; the watch, the auditor and the
 // scenario runner judge through it, and Breach.String renders it.
 func (k SLOKind) Holds(value, bound int64) bool {
-	return (value >= bound) == (k == SLOFinalAtLeast)
+	if k == SLOFinalAtLeast {
+		return value >= bound
+	}
+	return value < bound
 }
 
 // SLO is one declarative objective over a registry metric. Bound units
