@@ -354,7 +354,7 @@ func (c *Coordinator) Rebalance() []Event {
 }
 
 // heartbeat probes every machine not yet believed dead and acts on death
-// edges. A probe is one byte each way over a clean default wire, so its
+// edges. A probe is one byte sent over a clean default wire, so its
 // only effect is on the coordinator's clock: the byte's serialisation, then
 // the wire latency. A powered-off machine leaves it unanswered.
 func (c *Coordinator) heartbeat(evs *[]Event) {
