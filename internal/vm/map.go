@@ -261,8 +261,31 @@ func (m *Map) Fault(va uint64, write bool) (*mem.Page, error) {
 	if write {
 		p.Dirty = true
 		p.Backed = false
+	} else {
+		m.prefault(e, slot)
 	}
 	return p, nil
+}
+
+// prefaultSpan is how many slots on each side of a read fault prefault
+// visits: FreeBSD's PFBAK and PFFOR.
+const prefaultSpan = 4
+
+// prefault maps the resident pages within prefaultSpan slots of a read
+// fault's slot that have no PTE, as FreeBSD's vm_fault_prefault does: each
+// read-only and not yet accessed, for one PageInstall and no trap. It never
+// pages in or allocates, so a page that is not resident stays unmapped, and
+// a slot that has a PTE, current or stale, keeps it.
+func (m *Map) prefault(e *Entry, slot int64) {
+	for s := max(slot-prefaultSpan, 0); s <= min(slot+prefaultSpan, e.Pages()-1); s++ {
+		if e.ptes.Ptr(s) != nil {
+			continue
+		}
+		if p, owner := e.Obj.Lookup(s + e.Off/PageSize); p != nil {
+			m.vm.Clk.Advance(m.vm.Costs.PageInstall)
+			e.ptes.Set(s, PTE{Page: p, gen: e.gen, owner: owner})
+		}
+	}
 }
 
 // pteFor returns the page a usable PTE translates the access to, with the
