@@ -124,7 +124,7 @@ func TestTwoJobFlushPinned(t *testing.T) {
 	}
 	got := fmt.Sprintf("image=%x clock=%d writes=%d mem=%08x",
 		h.Sum(nil), m2.Clock.Now(), m2.Disk.Stats().Writes, crc32.ChecksumIEEE(mem))
-	const want = "image=badffe066ba3cedbc441a5b034884a157bbb8efbae59dae6566e3029ccb09cdc clock=23339565 writes=339 mem=53380b4d"
+	const want = "image=badffe066ba3cedbc441a5b034884a157bbb8efbae59dae6566e3029ccb09cdc clock=22356765 writes=339 mem=53380b4d"
 	if got != want {
 		t.Errorf("two-job flush moved:\n got %s\nwant %s", got, want)
 	}
