@@ -92,6 +92,66 @@ func TestCleanAfterCheckpointAndCrash(t *testing.T) {
 	}
 }
 
+// TestCleanAfterCollapseOfPrefaultedPTEs: a read of every fifth page after a
+// checkpoint maps the rest by prefault, from the frozen shadow and its
+// backer; the next checkpoint collapses that shadow, and no PTE is left on
+// the dead one.
+func TestCleanAfterCollapseOfPrefaultedPTEs(t *testing.T) {
+	w := newWorld(t)
+	p := w.k.NewProc("app")
+	g := w.o.CreateGroup("app")
+	if err := g.Attach(p); err != nil {
+		t.Fatal(err)
+	}
+	const pages = 64
+	va, err := p.Mmap(pages*vm.PageSize, vm.ProtRead|vm.ProtWrite, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	touch := func(stride int, write bool) {
+		for pg := 0; pg < pages; pg += stride {
+			addr, err := va+uint64(pg)*vm.PageSize, error(nil)
+			if write {
+				err = p.WriteMem(addr, []byte{byte(pg)})
+			} else {
+				err = p.ReadMem(addr, make([]byte, 1))
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	checkpoint := func() {
+		if _, err := g.Checkpoint(sls.CkptIncremental); err != nil {
+			t.Fatal(err)
+		}
+	}
+	touch(1, true)
+	checkpoint()
+	e, _ := p.Mem.EntryAt(va)
+	shadow := e.Obj
+	touch(3, true)
+	checkpoint()    // freezes the shadow holding every third page
+	touch(5, false) // each read maps four resident neighbours
+	prefaulted := 0
+	p.Mem.AuditPTEs(func(_ uint64, pte vm.PTE, obj *vm.Object) {
+		if !pte.Accessed && obj == shadow {
+			prefaulted++
+		}
+	})
+	if prefaulted == 0 {
+		t.Fatal("the read scan prefaulted no page of the frozen shadow")
+	}
+	checkpoint()
+	if !shadow.Dead() {
+		t.Fatal("the checkpoint did not collapse the frozen shadow")
+	}
+	a := &Auditor{Store: w.store, O: w.o, Clk: w.clk}
+	if rep := a.Run(); !rep.OK() {
+		t.Fatalf("audit after collapsing prefaulted PTEs failed:\n%s", rep)
+	}
+}
+
 func TestEpochRegressionDetected(t *testing.T) {
 	w, _ := busyWorld(t)
 	g, _ := w.o.GroupByName("app")
