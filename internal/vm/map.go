@@ -89,9 +89,6 @@ func (vm *System) NewMap() *Map {
 	}
 }
 
-// System returns the owning VM system.
-func (m *Map) System() *System { return m.vm }
-
 // Entries returns a snapshot of the entry list.
 func (m *Map) Entries() []*Entry {
 	out := make([]*Entry, len(m.entries))
@@ -444,19 +441,6 @@ func (m *Map) InvalidateAll() {
 		e.writable = e.writable[:0]
 	}
 	m.vm.Clk.Advance(m.vm.Costs.TLBFlush)
-}
-
-// DirtyPages returns the number of dirty PTEs (diagnostic).
-func (m *Map) DirtyPages() int {
-	n := 0
-	for _, e := range m.entries {
-		for _, pte := range e.ptes.All() {
-			if pte.Dirty {
-				n++
-			}
-		}
-	}
-	return n
 }
 
 // Destroy tears down the address space, releasing all objects.

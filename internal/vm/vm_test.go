@@ -84,12 +84,20 @@ func TestDirtyBitsTracked(t *testing.T) {
 	m := sys.NewMap()
 	obj := sys.NewObject(Anonymous, 1<<20)
 	va, _ := m.Map(obj, 0, 1<<20, ProtRead|ProtWrite, false)
+	dirty := func() (n int) {
+		m.AuditPTEs(func(_ uint64, pte PTE, _ *Object) {
+			if pte.Dirty {
+				n++
+			}
+		})
+		return n
+	}
 	m.Read(va, make([]byte, PageSize)) // read fault only
-	if got := m.DirtyPages(); got != 0 {
+	if got := dirty(); got != 0 {
 		t.Fatalf("dirty after read = %d", got)
 	}
 	m.Write(va+4*PageSize, []byte("dirty"))
-	if got := m.DirtyPages(); got != 1 {
+	if got := dirty(); got != 1 {
 		t.Fatalf("dirty after one write = %d", got)
 	}
 }
