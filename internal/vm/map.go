@@ -210,7 +210,7 @@ func (m *Map) EntryAt(va uint64) (*Entry, bool) {
 
 // Fault resolves a page fault at va, returning the frame. Write faults on
 // COW pages copy into the entry's object; read faults may map the backer's
-// page read-only.
+// page read-only, and map its resident neighbours too (prefault).
 func (m *Map) Fault(va uint64, write bool) (*mem.Page, error) {
 	base := va &^ uint64(PageSize-1)
 	e := m.findEntry(base)
@@ -264,8 +264,8 @@ func (m *Map) Fault(va uint64, write bool) (*mem.Page, error) {
 	return p, nil
 }
 
-// prefaultSpan is how many slots on each side of a read fault prefault
-// visits: FreeBSD's PFBAK and PFFOR.
+// prefaultSpan is how far prefault looks on each side of a read fault's
+// slot: FreeBSD's PFBAK and PFFOR.
 const prefaultSpan = 4
 
 // prefault maps the resident pages within prefaultSpan slots of a read
