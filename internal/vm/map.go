@@ -210,7 +210,8 @@ func (m *Map) EntryAt(va uint64) (*Entry, bool) {
 
 // Fault resolves a page fault at va, returning the frame. Write faults on
 // COW pages copy into the entry's object; read faults may map the backer's
-// page read-only, and map its resident neighbours too (prefault).
+// page read-only, and in a private entry map its resident neighbours too
+// (prefault).
 func (m *Map) Fault(va uint64, write bool) (*mem.Page, error) {
 	base := va &^ uint64(PageSize-1)
 	e := m.findEntry(base)
@@ -258,7 +259,7 @@ func (m *Map) Fault(va uint64, write bool) (*mem.Page, error) {
 	if write {
 		p.Dirty = true
 		p.Backed = false
-	} else {
+	} else if !e.Shared {
 		m.prefault(e, slot)
 	}
 	return p, nil
@@ -272,7 +273,10 @@ const prefaultSpan = 4
 // fault's slot that have no PTE, as FreeBSD's vm_fault_prefault does: each
 // read-only and not yet accessed, for one PageInstall and no trap. It never
 // pages in or allocates, so a page that is not resident stays unmapped, and
-// a slot that has a PTE, current or stale, keeps it.
+// a slot that has a PTE, current or stale, keeps it. Fault calls it for a
+// private entry only: another map's write copies a frozen page up into a
+// shared top without dropping this map's PTEs, so a neighbour mapped from
+// below the top would go on reading the frozen bytes.
 func (m *Map) prefault(e *Entry, slot int64) {
 	for s := max(slot-prefaultSpan, 0); s <= min(slot+prefaultSpan, e.Pages()-1); s++ {
 		if e.ptes.Ptr(s) != nil {

@@ -94,7 +94,8 @@ func (w *prefaultWorld) check(t *testing.T, owners map[int64]*Object) {
 // mapped, a mapped slot is skipped, and a write fault maps only its own page.
 // A prefaulted page takes the ordinary write fault, which lists it writable
 // for the next shadow pass to downgrade, and a collapse re-owns prefaulted
-// PTEs like any other.
+// PTEs like any other. A read in a shared entry maps only its own page, so
+// one map never reads a frozen page another has since copied up.
 func TestReadFaultPrefaultsResidentNeighbours(t *testing.T) {
 	costs := newSys().Costs
 	fault, install := costs.PageFault, costs.PageInstall
@@ -168,6 +169,39 @@ func TestReadFaultPrefaultsResidentNeighbours(t *testing.T) {
 		}
 		if pte := w.e.ptes.Ptr(2); pte == nil || pte.owner != w.top || pte.gen != w.e.gen || pte.Writable {
 			t.Fatal("slot 2 was not prefaulted read-only from the frozen shadow")
+		}
+	})
+
+	t.Run("shared", func(t *testing.T) {
+		// Two maps of one shared object, shadowed by a checkpoint. B's
+		// write copies slot 1 up into the shared shadow and nothing drops
+		// A's PTEs, so A must not have mapped slot 1's frozen page when it
+		// read slot 0.
+		sys := newSys()
+		a := sys.NewMap()
+		va, err := a.Map(sys.NewObject(Anonymous, 4*PageSize), 0, 4*PageSize, ProtRead|ProtWrite, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := a.Fork()
+		for slot := uint64(0); slot < 4; slot++ {
+			if err := b.Write(va+slot*PageSize, []byte{1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		SystemShadow(sys, []*Map{a, b}, nil)
+		got := make([]byte, 1)
+		if err := a.Read(va, got); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Write(va+PageSize, []byte{2}); err != nil {
+			t.Fatal(err)
+		}
+		if err := a.Read(va+PageSize, got); err != nil {
+			t.Fatal(err)
+		}
+		if got[0] != 2 {
+			t.Fatalf("map A reads %d at slot 1 after map B wrote 2 there", got[0])
 		}
 	})
 
