@@ -274,9 +274,9 @@ const prefaultSpan = 4
 // read-only and not yet accessed, for one PageInstall and no trap. It never
 // pages in or allocates, so a page that is not resident stays unmapped, and
 // a slot that has a PTE, current or stale, keeps it. Fault calls it for a
-// private entry only: another map's write copies a frozen page up into a
-// shared top without dropping this map's PTEs, so a neighbour mapped from
-// below the top would go on reading the frozen bytes.
+// private entry only: in a shared entry another map's write copies a frozen
+// page up into the top, and pteFor drops a PTE that mapped it from below at
+// its next access, so such a neighbour would be paid for twice.
 func (m *Map) prefault(e *Entry, slot int64) {
 	for s := max(slot-prefaultSpan, 0); s <= min(slot+prefaultSpan, e.Pages()-1); s++ {
 		if e.ptes.Ptr(s) != nil {
@@ -303,8 +303,11 @@ func (m *Map) pteFor(base uint64, write bool) *mem.Page {
 		return nil
 	}
 	// The TLB-hit path must still honour object replacement: a stale PTE
-	// into a replaced object means the mapping was downgraded.
-	if pte.gen != e.gen {
+	// into a replaced object means the mapping was downgraded. In a shared
+	// entry, another map's write may have copied the page up into the top
+	// object since this PTE mapped it from below; the PTE drops then, as
+	// FreeBSD's pmap_remove_all does on a copy-up.
+	if pte.gen != e.gen || e.Shared && pte.owner != e.Obj && e.Obj.pages.Ptr(slot+e.Off/PageSize) != nil {
 		e.ptes.Del(slot)
 		return nil
 	}

@@ -94,8 +94,9 @@ func (w *prefaultWorld) check(t *testing.T, owners map[int64]*Object) {
 // mapped, a mapped slot is skipped, and a write fault maps only its own page.
 // A prefaulted page takes the ordinary write fault, which lists it writable
 // for the next shadow pass to downgrade, and a collapse re-owns prefaulted
-// PTEs like any other. A read in a shared entry maps only its own page, so
-// one map never reads a frozen page another has since copied up.
+// PTEs like any other. A read in a shared entry maps only its own page, and
+// its PTE drops once another map copies the page up, so one map never reads a
+// frozen page another has since written.
 func TestReadFaultPrefaultsResidentNeighbours(t *testing.T) {
 	costs := newSys().Costs
 	fault, install := costs.PageFault, costs.PageInstall
@@ -174,9 +175,10 @@ func TestReadFaultPrefaultsResidentNeighbours(t *testing.T) {
 
 	t.Run("shared", func(t *testing.T) {
 		// Two maps of one shared object, shadowed by a checkpoint. B's
-		// write copies slot 1 up into the shared shadow and nothing drops
-		// A's PTEs, so A must not have mapped slot 1's frozen page when it
-		// read slot 0.
+		// writes copy slots 1 and 2 up into the shared shadow and drop no
+		// PTE of A's, so A must not have mapped slot 1's frozen page when
+		// it read slot 0, and the PTE A's own read of slot 2 installed
+		// from the frozen object must not outlive the copy-up.
 		sys := newSys()
 		a := sys.NewMap()
 		va, err := a.Map(sys.NewObject(Anonymous, 4*PageSize), 0, 4*PageSize, ProtRead|ProtWrite, true)
@@ -202,6 +204,18 @@ func TestReadFaultPrefaultsResidentNeighbours(t *testing.T) {
 		}
 		if got[0] != 2 {
 			t.Fatalf("map A reads %d at slot 1 after map B wrote 2 there", got[0])
+		}
+		if err := a.Read(va+2*PageSize, got); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Write(va+2*PageSize, []byte{2}); err != nil {
+			t.Fatal(err)
+		}
+		if err := a.Read(va+2*PageSize, got); err != nil {
+			t.Fatal(err)
+		}
+		if got[0] != 2 {
+			t.Fatalf("map A reads %d at slot 2, which it had read, after map B wrote 2 there", got[0])
 		}
 	})
 
