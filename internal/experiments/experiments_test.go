@@ -4,6 +4,10 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"aurora"
+	"aurora/internal/sls"
+	"aurora/internal/vm"
 )
 
 // The experiment tests run at Quick scale and assert the paper's claims —
@@ -119,6 +123,51 @@ func TestTable5Shape(t *testing.T) {
 		t.Errorf("4 KiB journaled = %v, want ~28 us", first.Journaled)
 	}
 	t.Log("\n" + r.Render())
+}
+
+// TestIncrementalStopIsSteady re-dirties a 16 MiB private region and takes
+// four incremental checkpoints, each followed by a barrier. From the third
+// on, each has the previous interval's flushed shadow to collapse; the
+// collapse runs after resume, so every stop after the first is the same
+// (Table 5's 16 MiB row) and does not grow by the pages collapsed.
+func TestIncrementalStopIsSteady(t *testing.T) {
+	const size = 16 << 20
+	m, err := aurora.NewMachine(aurora.Config{StorageBytes: 8 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := m.Spawn("steady")
+	g, err := m.Attach("steady", p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	va, err := p.Mmap(size, vm.ProtRead|vm.ProtWrite, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, vm.PageSize)
+	var stops []time.Duration
+	for range 4 {
+		for off := uint64(0); off < size; off += vm.PageSize {
+			if err := p.WriteMem(va+off, buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st, err := g.Checkpoint(sls.CkptIncremental)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := g.Barrier(); err != nil {
+			t.Fatal(err)
+		}
+		stops = append(stops, st.StopTime)
+	}
+	for i, stop := range stops[2:] {
+		if stop != stops[1] {
+			t.Errorf("checkpoint %d stopped for %v, checkpoint 2 for %v: the stop window grows with the collapse", i+3, stop, stops[1])
+		}
+	}
+	t.Logf("stop times %v", stops)
 }
 
 func TestTable6Shape(t *testing.T) {

@@ -23,15 +23,15 @@ import (
 //  1. Wait for the previous checkpoint's flush (Aurora never overlaps two),
 //     then release externally-synchronized messages it covered.
 //  2. Quiesce the system at the kernel boundary.
-//  3. Collapse the previous interval's fully-flushed system shadows
-//     (Aurora's reversed collapse, bounding chains at length two).
-//  4. Walk every POSIX object reachable from the group — each has its own
+//  3. Walk every POSIX object reachable from the group — each has its own
 //     on-disk object, sharing preserved by construction — and serialize the
 //     ones that changed since the group's last commit (the generation gate,
 //     serializer.unchanged).
-//  5. System-shadow all writable memory.
-//  6. Resume the applications. Everything after this overlaps execution on
+//  4. System-shadow all writable memory.
+//  5. Resume the applications. Everything after this overlaps execution on
 //     the virtual clock; the checkpointer holds the kernel lock meanwhile.
+//  6. Collapse the previous interval's fully-flushed system shadows
+//     (Aurora's reversed collapse, bounding chains at length two).
 //  7. Flush the frozen shadows' pages into their objects' on-disk pages.
 //  8. Commit the store checkpoint (the superblock is the atomic cut).
 
@@ -70,7 +70,7 @@ func (g *Group) Checkpoint(kind CheckpointKind) (st CheckpointStats, err error) 
 	o.K.Quiesce()
 	quiesced := true
 	// From the barrier on, the checkpointer holds the kernel: stopped until
-	// step 6, then entered until it returns. A failed checkpoint stays on the
+	// step 5, then entered until it returns. A failed checkpoint stays on the
 	// timeline: Span.End is what appends the event, so every span still open
 	// is ended with the error (its children that did end keep a parent), the
 	// flight ring gets the end its begin lacks, and the kernel reopens if the
@@ -91,28 +91,6 @@ func (g *Group) Checkpoint(kind CheckpointKind) (st CheckpointStats, err error) 
 		o.K.Gate.Exit()
 	}()
 	o.Clk.Advance(o.Costs.CheckpointFloor)
-
-	// 2. Collapse previous shadows (their flush completed above). A
-	// shadow frozen by a mem-only checkpoint still holds dirty pages —
-	// collapsing it would bury unflushed data in the base, so it stays
-	// mid-chain where the next committing checkpoint's trapped-transient
-	// flush picks it up.
-	for _, pair := range g.pending {
-		frozen := pair.Frozen
-		if !g.transient[frozen] {
-			continue
-		}
-		if frozen.CountPages(dirty) == 0 && frozen.ShadowCount() == 1 && pair.Live.Backer() == frozen && frozen.Backer() != nil {
-			// Pages move into the backer with their identity intact; the
-			// group's PTEs that translate them as the dying shadow's follow.
-			vm.CollapseAurora(pair.Live, frozen, g.Maps()...)
-			delete(g.transient, frozen)
-		}
-		// Multi-shadow (fork mid-interval), baseless, or unflushed
-		// objects stay in the chain; their pages either were already
-		// flushed to the persistent root or will be by flushTrapped.
-	}
-	g.pending = nil
 
 	if kind != CkptMemOnly {
 		// ES: everything held up to this cut is covered by this
@@ -194,6 +172,28 @@ func (g *Group) Checkpoint(kind CheckpointKind) (st CheckpointStats, err error) 
 	phase, stopSpan = trace.Span{}, trace.Span{}
 	st.StopTime = stop.Elapsed()
 
+	// 6. Collapse the previous interval's shadows (their flush completed in
+	// step 1) while the applications run. A shadow frozen by a mem-only
+	// checkpoint still holds dirty pages — collapsing it would bury
+	// unflushed data in the base, so it stays mid-chain where the next
+	// committing checkpoint's trapped-transient flush picks it up.
+	for _, pair := range g.pending {
+		frozen := pair.Frozen
+		if !g.transient[frozen] {
+			continue
+		}
+		if frozen.CountPages(dirty) == 0 && frozen.ShadowCount() == 1 && pair.Live.Backer() == frozen && frozen.Backer() != nil {
+			// Pages move into the backer with their identity intact; the
+			// group's PTEs that translate them as the dying shadow's follow.
+			vm.CollapseAurora(pair.Live, frozen, g.Maps()...)
+			delete(g.transient, frozen)
+		}
+		// Multi-shadow (fork mid-interval), baseless, or unflushed
+		// objects stay in the chain; their pages either were already
+		// flushed to the persistent root or will be by flushTrapped.
+	}
+	g.pending = nil
+
 	if kind == CkptMemOnly {
 		// In-memory capture only: keep the shadows for the next pass but
 		// skip the store entirely.
@@ -206,7 +206,7 @@ func (g *Group) Checkpoint(kind CheckpointKind) (st CheckpointStats, err error) 
 		return st, nil
 	}
 
-	// 5–7. Flush memory through the pipeline (flush.go) and commit. Cold
+	// 7–8. Flush memory through the pipeline (flush.go) and commit. Cold
 	// objects — persistent objects serialized but never flushed (read-only
 	// regions no shadow covers) — join the same plan.
 	plan := newFlushPlan()

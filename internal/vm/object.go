@@ -385,7 +385,9 @@ func (o *Object) EachPage(fn func(pg int64, p *mem.Page)) {
 // shadow above it holding the live mapping; that shadow's backer pointer is
 // rewired to o's backer. The PTEs of maps that translate a moved page as o's
 // follow it to the backer (Map.reownPTEs), so none is left owned by the dead
-// shadow. It returns the number of pages moved.
+// shadow. It returns the number of pages moved and charges no virtual time:
+// the checkpoint runs it after resume, overlapping execution (§6), and a
+// caller that prices it charges Costs.CollapsePerPage per page moved.
 func CollapseAurora(top, o *Object, maps ...*Map) int {
 	if top.Backer() != o {
 		panic("vm: CollapseAurora: top does not shadow o")
@@ -408,19 +410,18 @@ func CollapseAurora(top, o *Object, maps ...*Map) int {
 			moved = append(moved, pg)
 		}
 	}
-	n := pages.Len()
-	o.vm.Clk.Advance(time.Duration(n) * o.vm.Costs.CollapsePerPage)
 	for _, m := range maps {
 		m.reownPTEs(o, backer, moved)
 	}
 	unlink(top, o, backer)
-	return n
+	return pages.Len()
 }
 
 // CollapseLegacy merges the backer of o upward into o by copying the
 // backer's pages into o where o has none — the original Mach direction,
 // linear in the parent's resident pages. Used by the ablation benchmark.
-// top is the live shadow above o. It returns the number of pages moved.
+// top is the live shadow above o. It returns the number of pages moved and,
+// like CollapseAurora, charges no virtual time.
 func CollapseLegacy(top, o *Object) int {
 	if top.Backer() != o {
 		panic("vm: CollapseLegacy: top does not shadow o")
@@ -443,14 +444,12 @@ func CollapseLegacy(top, o *Object) int {
 	// o now absorbs the backer: it inherits the backer's backer.
 	old := o.backer
 	o.backer = grandpa
-	n := pages.Len()
-	o.vm.Clk.Advance(time.Duration(n) * o.vm.Costs.CollapsePerPage)
 	if old != nil {
 		old.shadows--
 		old.backer = nil // pages already transferred; don't double-free chain
 		old.Deref()
 	}
-	return n
+	return pages.Len()
 }
 
 // unlink removes o from the chain top -> o -> backer, transferring the
