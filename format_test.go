@@ -20,7 +20,12 @@ import (
 // sequence that lays it out) changes; a refactor must reproduce it exactly.
 // Re-pinned when WAL frames began to carry the flight ring's tail instead of
 // the ring (frame op 6) and an identical PutRecord stopped rewriting the record.
-const onDiskFormatSHA = "e1b6e4f7c56ae320ff980e8cd2289193c337af7f550bafc4d3631f4b6f627a27"
+// Re-pinned when the collapse of the previous interval's shadows left the stop
+// window: formatLogicalSHA did not move, and with every virtual time the flight
+// ring carries zeroed (an event's instant, EvDevSettle's landing time and
+// EvDevWrite's ordering token) the old and new images are byte-identical, so
+// only those timestamps and the checksums over them moved.
+const onDiskFormatSHA = "b2b0c34dd675df0dc8ec350c8df7afa86121ad78f7b3187259b18559731f1999"
 
 // TestOnDiskFormatPinned drives every on-disk structure — inline records,
 // paged objects with block-map chunks, a journal extent, WAL frames, folds,

@@ -80,7 +80,10 @@ func (s *syncShape) rewrite(tb testing.TB, i int) {
 // place: the standby must write the same blocks, in the same order, at the
 // same virtual times, however the stream reaches it. Only its device command
 // count follows how it batches them: 27 293 when it wrote page by page, 13 517
-// since each page run lands through WritePages.
+// since each page run lands through WritePages. Both clocks were re-pinned
+// 3 041 280 ns earlier when the collapse of each sync's previous shadows (99 ×
+// 256 pages × CollapsePerPage) left the stop window; the standby's image, its
+// device counters and the wire did not move.
 func TestReplicaStandbyImagePinned(t *testing.T) {
 	s := newSyncShape(t)
 	for i := 1; i <= 100; i++ {
@@ -98,7 +101,7 @@ func TestReplicaStandbyImagePinned(t *testing.T) {
 	}
 	got := fmt.Sprintf("standby=%x src-clock=%d dst-clock=%d disk=%+v wire=%d retx=%d",
 		h.Sum(nil)[:12], s.src.clk.Now(), s.dst.clk.Now(), s.dst.dev.Stats(), s.rep.WireBytes, s.rep.Retransmits)
-	const want = "standby=6d33777c2a9e69693f7341b5 src-clock=277984633 dst-clock=278547853 " +
+	const want = "standby=6d33777c2a9e69693f7341b5 src-clock=274943353 dst-clock=275506573 " +
 		"disk={Reads:1024 Writes:13517 BytesRead:4194304 BytesWritten:112938164} wire=112324474 retx=68"
 	if got != want {
 		t.Fatalf("standby after 100 syncs and a failover\n got %s\nwant %s", got, want)

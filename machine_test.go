@@ -140,7 +140,10 @@ func TestImageBootRoundTrip(t *testing.T) {
 // moves the destination's flight timestamps, so the shared clock is the case
 // that must not move.) The group carries a journal, so the image and the
 // clock were re-pinned when rounds began shipping only its new frames, written
-// once at their offsets; the round count and the final stop did not move.
+// once at their offsets; the round count and the final stop did not move. The
+// image, the final stop and the clock were re-pinned again when the collapse of
+// the previous round's shadows left the stop window; the round count did not
+// move.
 func TestMigrationPinned(t *testing.T) {
 	cfg := Defaults()
 	cfg.StorageBytes = 64 << 20
@@ -193,9 +196,9 @@ func TestMigrationPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	const (
-		wantSHA   = "5db398b6bd8b392522cc3e79be29a4238e39bba9dc39fb8661601fcaa8307fe9"
-		wantStop  = time.Duration(184369)
-		wantClock = time.Duration(3617576)
+		wantSHA   = "1bf439c0aeb8abfc31ca311cc966c4a004cfa50ce19e62a3017960c06c3ce596"
+		wantStop  = time.Duration(183409)
+		wantClock = time.Duration(3615656)
 	)
 	if sum := hex.EncodeToString(h.Sum(nil)); sum != wantSHA || st.Rounds != 4 || st.FinalStop != wantStop || cfg.Clock.Now() != wantClock {
 		t.Fatalf("migration moved: image %s rounds %d final stop %d clock %d; want %s 4 %d %d",
