@@ -30,8 +30,7 @@ type Costs struct {
 	// may cache the read-only translation)
 	FaultContention time.Duration // extra fault cost while a flush holds
 	// VM object locks (§6's fault/collapse contention)
-	ShadowCreate    time.Duration // allocate + link one shadow VM object
-	CollapsePerPage time.Duration // move one page between objects in collapse
+	ShadowCreate time.Duration // allocate + link one shadow VM object
 
 	// Object serialization (checkpointing POSIX state).
 	SerializeBase     time.Duration // fixed cost to serialize one kernel object
@@ -90,7 +89,6 @@ func DefaultCosts() *Costs {
 		COWShootdown:    2300 * time.Nanosecond, // ~dual-socket IPI round
 		FaultContention: 2600 * time.Nanosecond,
 		ShadowCreate:    1500 * time.Nanosecond,
-		CollapsePerPage: 120 * time.Nanosecond,
 
 		SerializeBase:     600 * time.Nanosecond,
 		SerializePerWord:  1 * time.Nanosecond,

@@ -82,7 +82,7 @@ func (s *syncShape) rewrite(tb testing.TB, i int) {
 // count follows how it batches them: 27 293 when it wrote page by page, 13 517
 // since each page run lands through WritePages. Both clocks were re-pinned
 // 3 041 280 ns earlier when the collapse of each sync's previous shadows (99 ×
-// 256 pages × CollapsePerPage) left the stop window; the standby's image, its
+// 256 pages at 120 ns each) left the stop window; the standby's image, its
 // device counters and the wire did not move.
 func TestReplicaStandbyImagePinned(t *testing.T) {
 	s := newSyncShape(t)

@@ -259,7 +259,7 @@ func (m *Map) Fault(va uint64, write bool) (*mem.Page, error) {
 	if write {
 		p.Dirty = true
 		p.Backed = false
-	} else if !e.Shared {
+	} else {
 		m.prefault(e, slot)
 	}
 	return p, nil
@@ -273,10 +273,8 @@ const prefaultSpan = 4
 // fault's slot that have no PTE, as FreeBSD's vm_fault_prefault does: each
 // read-only and not yet accessed, for one PageInstall and no trap. It never
 // pages in or allocates, so a page that is not resident stays unmapped, and
-// a slot that has a PTE, current or stale, keeps it. Fault calls it for a
-// private entry only: in a shared entry another map's write copies a frozen
-// page up into the top, and pteFor drops a PTE that mapped it from below at
-// its next access, so such a neighbour would be paid for twice.
+// a slot that has a PTE, current or stale, keeps it. In a shared entry,
+// pteFor drops a prefaulted PTE once another map copies its page up.
 func (m *Map) prefault(e *Entry, slot int64) {
 	for s := max(slot-prefaultSpan, 0); s <= min(slot+prefaultSpan, e.Pages()-1); s++ {
 		if e.ptes.Ptr(s) != nil {

@@ -386,8 +386,7 @@ func (o *Object) EachPage(fn func(pg int64, p *mem.Page)) {
 // rewired to o's backer. The PTEs of maps that translate a moved page as o's
 // follow it to the backer (Map.reownPTEs), so none is left owned by the dead
 // shadow. It returns the number of pages moved and charges no virtual time:
-// the checkpoint runs it after resume, overlapping execution (§6), and a
-// caller that prices it charges Costs.CollapsePerPage per page moved.
+// the checkpoint runs it after resume, overlapping execution (§6).
 func CollapseAurora(top, o *Object, maps ...*Map) int {
 	if top.Backer() != o {
 		panic("vm: CollapseAurora: top does not shadow o")
