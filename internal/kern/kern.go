@@ -149,10 +149,6 @@ type Kernel struct {
 	// synchrony (the SLS orchestrator installs it).
 	ES ESHook
 
-	// RecordInput, when set, observes external messages delivered into a
-	// consistency group's bound sockets (the record/replay tap).
-	RecordInput func(group uint64, localAddr string, data []byte, from string)
-
 	// bounds is the socket address registry, guarded by the BKL.
 	bounds map[string]*Socket
 

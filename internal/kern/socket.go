@@ -277,11 +277,6 @@ func (s *Socket) send(f *File, data []byte, files []*File) (int, error) {
 	deliver := func() {
 		dst.recvQ = append(dst.recvQ, msg)
 		dst.bump()
-		// Record/replay tap: external input entering a persistent group
-		// through a bound socket is logged for bounded replay.
-		if k.RecordInput != nil && dst.OwnerGroup != 0 && dst.OwnerGroup != s.OwnerGroup && dst.Bound {
-			k.RecordInput(dst.OwnerGroup, dst.Local, msg.data, msg.from)
-		}
 		k.Gate.Broadcast()
 	}
 	// External synchrony: cross-group sends wait for the checkpoint.
@@ -431,13 +426,6 @@ func (s *Socket) InFlightFiles() []*File {
 		out = append(out, m.files...)
 	}
 	return out
-}
-
-// SocketByAddr resolves a bound socket by address (the replay path).
-// Callers must hold the kernel via the gate or a quiesce.
-func (k *Kernel) SocketByAddr(addr string) (*Socket, bool) {
-	s, ok := k.bounds[addr]
-	return s, ok
 }
 
 // Kind returns the socket kind.

@@ -98,10 +98,6 @@ func (g *Group) Checkpoint(kind CheckpointKind) (st CheckpointStats, err error) 
 		// neither cover nor release anything.)
 		g.esCovered = append(g.esCovered, g.esHeld...)
 		g.esHeld = nil
-
-		// Record/replay: inputs before the cut are inside the captured
-		// socket buffers, so the bounded log truncates here.
-		g.onCheckpointTruncate()
 	}
 
 	// 3. Serialize POSIX objects.

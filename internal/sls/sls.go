@@ -239,8 +239,6 @@ type Group struct {
 	vnodeRef map[objstore.OID]bool
 	// journals maps API journal names to their store objects.
 	journals map[string]objstore.OID
-	// recorder, when set, logs external inputs for record/replay.
-	recorder *Recorder
 
 	// RetainEpochs bounds on-disk history, 0 keeps everything; persisted in
 	// the group record, enforced inside every epoch commit (which always
