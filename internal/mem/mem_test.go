@@ -19,7 +19,7 @@ func TestAllocZeroed(t *testing.T) {
 			t.Fatalf("byte %d = %d, want 0", i, b)
 		}
 	}
-	if p.Dirty || p.Referenced || p.Wired != 0 {
+	if p.Dirty || p.Backed {
 		t.Fatalf("fresh frame has stale flags: %+v", p)
 	}
 }
@@ -48,80 +48,11 @@ func TestRecycledFrameIsClean(t *testing.T) {
 	p := pm.MustAlloc()
 	p.Data[123] = 0xAB
 	p.Dirty = true
-	p.Referenced = true
-	pm.Enqueue(p, QueueActive)
+	p.Backed = true
 	pm.Free(p)
 	q := pm.MustAlloc()
-	if q.Data[123] != 0 || q.Dirty || q.Referenced || q.Queue() != QueueNone {
+	if q.Data[123] != 0 || q.Dirty || q.Backed {
 		t.Fatalf("recycled frame not reset: %+v", q)
-	}
-}
-
-func TestQueueTransitions(t *testing.T) {
-	pm := New(0)
-	p := pm.MustAlloc()
-	pm.Enqueue(p, QueueActive)
-	if got := pm.Stats(); got.ActivePages != 1 {
-		t.Fatalf("active = %d, want 1", got.ActivePages)
-	}
-	pm.Enqueue(p, QueueLaundry)
-	st := pm.Stats()
-	if st.ActivePages != 0 || st.LaundryPages != 1 {
-		t.Fatalf("after move: %+v", st)
-	}
-	pm.Enqueue(p, QueueNone)
-	if got := pm.Stats(); got.LaundryPages != 0 {
-		t.Fatalf("laundry = %d, want 0", got.LaundryPages)
-	}
-}
-
-func TestWireRemovesFromQueue(t *testing.T) {
-	pm := New(0)
-	p := pm.MustAlloc()
-	pm.Enqueue(p, QueueInactive)
-	pm.Wire(p)
-	st := pm.Stats()
-	if st.InactivePages != 0 || st.WiredPages != 1 {
-		t.Fatalf("after wire: %+v", st)
-	}
-	pm.Wire(p)
-	pm.Unwire(p)
-	if got := pm.Stats().WiredPages; got != 1 {
-		t.Fatalf("wired = %d after one unwire of double wire, want 1", got)
-	}
-	pm.Unwire(p)
-	if got := pm.Stats().WiredPages; got != 0 {
-		t.Fatalf("wired = %d, want 0", got)
-	}
-}
-
-func TestUnwireUnwiredPanics(t *testing.T) {
-	pm := New(0)
-	p := pm.MustAlloc()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Unwire of unwired page did not panic")
-		}
-	}()
-	pm.Unwire(p)
-}
-
-func TestScanQueuePrefersClean(t *testing.T) {
-	pm := New(0)
-	var dirty, clean *Page
-	dirty = pm.MustAlloc()
-	dirty.Dirty = true
-	clean = pm.MustAlloc()
-	pm.Enqueue(dirty, QueueInactive)
-	pm.Enqueue(clean, QueueInactive)
-	got := pm.ScanQueue(QueueInactive, 1, true)
-	if len(got) != 1 || got[0] != clean {
-		t.Fatalf("ScanQueue preferClean picked dirty page")
-	}
-	// Under pressure (asking for more than clean supply) dirty pages appear.
-	got = pm.ScanQueue(QueueInactive, 2, true)
-	if len(got) != 2 {
-		t.Fatalf("ScanQueue returned %d pages, want 2", len(got))
 	}
 }
 
@@ -183,11 +114,5 @@ func TestUsedAccountingProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestQueueString(t *testing.T) {
-	if QueueLaundry.String() != "laundry" || Queue(99).String() == "" {
-		t.Fatal("Queue.String misbehaves")
 	}
 }

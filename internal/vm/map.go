@@ -255,7 +255,6 @@ func (m *Map) Fault(va uint64, write bool) (*mem.Page, error) {
 	if write && !old.Writable {
 		e.writable = append(e.writable, slot)
 	}
-	p.Referenced = true
 	if write {
 		p.Dirty = true
 		p.Backed = false
