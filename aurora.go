@@ -239,7 +239,6 @@ type Machine struct {
 
 	cfg     Config
 	auditor *audit.Auditor
-	wd      *audit.Watchdog
 	slo     *telemetry.Watch
 }
 
@@ -368,14 +367,6 @@ func (m *Machine) Audit() AuditReport {
 		}
 	}
 	return m.auditor.Run()
-}
-
-// StartWatchdog arms periodic auditing: RunPeriodic calls the watchdog
-// between workload iterations and fails fast on any violation. interval <= 0
-// selects the default cadence.
-func (m *Machine) StartWatchdog(interval time.Duration) {
-	m.Audit() // force the auditor into existence and take a baseline
-	m.wd = &audit.Watchdog{A: m.auditor, Interval: interval}
 }
 
 // NewConn builds a replication connection over this machine's clock from a
@@ -620,29 +611,3 @@ func (m *Machine) History() []Epoch { return m.Store.RetainedCheckpoints() }
 
 // Now returns the machine's virtual time.
 func (m *Machine) Now() time.Duration { return m.Clock.Now() }
-
-// RunPeriodic drives the named group's periodic checkpointing for the given
-// virtual duration while fn runs the application workload. fn is called
-// repeatedly until the duration elapses; checkpoints trigger between calls,
-// exactly as the orchestrator's timer would.
-func (m *Machine) RunPeriodic(group string, dur time.Duration, fn func() error) error {
-	g, ok := m.SLS.GroupByName(group)
-	if !ok {
-		return fmt.Errorf("aurora: no group %q", group)
-	}
-	start := m.Clock.Now()
-	for m.Clock.Now()-start < dur {
-		if err := fn(); err != nil {
-			return err
-		}
-		if _, _, err := g.MaybePeriodic(); err != nil {
-			return err
-		}
-		if m.wd != nil {
-			if rep, ran := m.wd.MaybeRun(m.Clock.Now()); ran && !rep.OK() {
-				return fmt.Errorf("aurora: watchdog: %s", rep)
-			}
-		}
-	}
-	return nil
-}

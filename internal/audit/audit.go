@@ -2,8 +2,8 @@
 // — VM shadow chains, page tables, kernel descriptor tables, the object
 // store's allocation maps, SLS group and replication epochs — and reports
 // every cross-layer invariant that does not hold. The same auditor runs
-// three ways: on demand (`sls inspect`/`sls audit`), on a virtual-clock
-// cadence (Watchdog), and as the post-restore self-check. A healthy system
+// two ways: on demand (`sls inspect`/`sls audit`) and as the post-restore
+// self-check. A healthy system
 // reports zero violations after any sequence of checkpoints, crashes,
 // restores, and replication syncs; a violation means a bookkeeping bug,
 // and is worth a flight-recorder event and a counter, never a panic — the
@@ -12,7 +12,6 @@ package audit
 
 import (
 	"fmt"
-	"time"
 
 	"aurora/internal/clock"
 	"aurora/internal/flight"
@@ -74,7 +73,7 @@ type Auditor struct {
 	// slo.breaches counter, and the breaches themselves must agree.
 	SLO *telemetry.Watch
 
-	// Watchdog memory: epochs must only move forward between passes.
+	// Memory between passes: epochs must only move forward.
 	lastStoreEpoch objstore.Epoch
 	lastGroupEpoch map[string]objstore.Epoch
 }
@@ -277,31 +276,3 @@ func (a *Auditor) auditChain(r *Report, p *kern.Proc, top *vm.Object, add func(r
 		}
 	}
 }
-
-// Watchdog runs the auditor on a virtual-clock cadence. Call MaybeRun from
-// any convenient point in the simulation loop; passes fire at most once per
-// Interval of virtual time.
-type Watchdog struct {
-	A        *Auditor
-	Interval time.Duration
-
-	next time.Duration
-	runs int64
-}
-
-// MaybeRun audits if the interval has elapsed since the previous pass.
-// The first call always runs (baseline).
-func (w *Watchdog) MaybeRun(now time.Duration) (Report, bool) {
-	if w.runs > 0 && now < w.next {
-		return Report{}, false
-	}
-	w.runs++
-	if w.Interval <= 0 {
-		w.Interval = 100 * time.Millisecond
-	}
-	w.next = now + w.Interval
-	return w.A.Run(), true
-}
-
-// Runs returns how many passes the watchdog has fired.
-func (w *Watchdog) Runs() int64 { return w.runs }

@@ -3,7 +3,6 @@ package audit
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"aurora/internal/clock"
 	"aurora/internal/device"
@@ -247,30 +246,6 @@ func TestDeadObjectInEntryDetected(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("expected vm.ref violation, got:\n%s", rep)
-	}
-}
-
-func TestWatchdogCadence(t *testing.T) {
-	w, _ := busyWorld(t)
-	a := &Auditor{Store: w.store, O: w.o, Clk: w.clk}
-	wd := &Watchdog{A: a, Interval: 10 * time.Millisecond}
-
-	if _, ran := wd.MaybeRun(w.clk.Now()); !ran {
-		t.Fatal("first pass must run")
-	}
-	if _, ran := wd.MaybeRun(w.clk.Now()); ran {
-		t.Fatal("second pass ran before the interval elapsed")
-	}
-	w.clk.Advance(11 * time.Millisecond)
-	rep, ran := wd.MaybeRun(w.clk.Now())
-	if !ran {
-		t.Fatal("pass did not run after the interval")
-	}
-	if !rep.OK() {
-		t.Fatalf("watchdog pass failed:\n%s", rep)
-	}
-	if wd.Runs() != 2 {
-		t.Fatalf("runs = %d, want 2", wd.Runs())
 	}
 }
 

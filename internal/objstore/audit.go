@@ -11,7 +11,7 @@ import (
 // the free map versus allocated extents, retained-checkpoint ordering,
 // durability monotonicity — and returns one message per violation. It is
 // Fsck's claim walk without the data pages: it reads nothing from the device,
-// so the invariant watchdog can call it on a cadence. An empty result means
+// so the invariant audit can run it on a live machine. An empty result means
 // every rule held.
 func (s *Store) AuditLive() []string { return s.walkClaims(&s.audit, nil) }
 
