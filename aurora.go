@@ -518,16 +518,6 @@ func (m *Machine) Attach(group string, p *Proc) (*Group, error) {
 // Group finds a named consistency group.
 func (m *Machine) Group(name string) (*Group, bool) { return m.SLS.GroupByName(name) }
 
-// Checkpoint takes an incremental checkpoint of the named group —
-// the sls checkpoint command.
-func (m *Machine) Checkpoint(group string) (CheckpointStats, error) {
-	g, ok := m.SLS.GroupByName(group)
-	if !ok {
-		return CheckpointStats{}, fmt.Errorf("aurora: no group %q", group)
-	}
-	return g.Checkpoint(CkptIncremental)
-}
-
 // Restore rebuilds the named group from the store's last complete
 // checkpoint — the sls restore command after a crash. The rebuilt state
 // passes through the invariant watchdog before being handed back: a restore
@@ -568,16 +558,6 @@ func (m *Machine) RestoreAt(group string, epoch Epoch) (*Group, RestoreStats, er
 		return nil, RestoreStats{}, err
 	}
 	return m.SLS.RestoreGroup(group, view, RestoreEager, false)
-}
-
-// Suspend checkpoints the named group and terminates its processes; the
-// application stays on disk, restorable with Restore — sls suspend.
-func (m *Machine) Suspend(group string) error {
-	g, ok := m.SLS.GroupByName(group)
-	if !ok {
-		return fmt.Errorf("aurora: no group %q", group)
-	}
-	return g.Suspend()
 }
 
 // MigrateTo live-migrates the named group to another machine with

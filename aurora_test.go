@@ -22,14 +22,13 @@ func TestMachineLifecycle(t *testing.T) {
 	if err := p.WriteMem(va, []byte("facade state")); err != nil {
 		t.Fatal(err)
 	}
-	st, err := m.Checkpoint("app")
+	st, err := g.Checkpoint(CkptIncremental)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.Epoch == 0 || st.StopTime <= 0 {
 		t.Fatalf("stats: %+v", st)
 	}
-	_ = g
 
 	m2, err := m.Crash()
 	if err != nil {
@@ -61,17 +60,18 @@ func TestTimeTravelRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := m.Spawn("app")
-	if _, err := m.Attach("app", p); err != nil {
+	g, err := m.Attach("app", p)
+	if err != nil {
 		t.Fatal(err)
 	}
 	va, _ := p.Mmap(1<<20, ProtRead|ProtWrite, false)
 	p.WriteMem(va, []byte("one"))
-	st1, err := m.Checkpoint("app")
+	st1, err := g.Checkpoint(CkptIncremental)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.WriteMem(va, []byte("two"))
-	if _, err := m.Checkpoint("app"); err != nil {
+	if _, err := g.Checkpoint(CkptIncremental); err != nil {
 		t.Fatal(err)
 	}
 	found := false
@@ -83,12 +83,12 @@ func TestTimeTravelRestore(t *testing.T) {
 	if !found {
 		t.Fatalf("epoch %d missing from history %v", st1.Epoch, m.History())
 	}
-	g, _, err := m.RestoreAt("app", st1.Epoch)
+	g2, _, err := m.RestoreAt("app", st1.Epoch)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, 3)
-	g.Procs()[0].ReadMem(va, got)
+	g2.Procs()[0].ReadMem(va, got)
 	if string(got) != "one" {
 		t.Fatalf("time travel got %q, want \"one\"", got)
 	}
@@ -126,10 +126,10 @@ func TestRunPeriodic(t *testing.T) {
 func TestRestoreLazyFacade(t *testing.T) {
 	m, _ := NewMachine(Defaults())
 	p := m.Spawn("app")
-	m.Attach("app", p)
+	g0, _ := m.Attach("app", p)
 	va, _ := p.Mmap(4<<20, ProtRead|ProtWrite, false)
 	p.WriteMem(va+5*PageSize, []byte("lazy"))
-	m.Checkpoint("app")
+	g0.Checkpoint(CkptIncremental)
 	m2, _ := m.Crash()
 	g, rst, err := m2.RestoreLazily("app")
 	if err != nil {
@@ -147,9 +147,6 @@ func TestRestoreLazyFacade(t *testing.T) {
 
 func TestUnknownGroupErrors(t *testing.T) {
 	m, _ := NewMachine(Defaults())
-	if _, err := m.Checkpoint("nope"); err == nil {
-		t.Fatal("checkpoint of unknown group succeeded")
-	}
 	if _, _, err := m.Restore("nope"); err == nil {
 		t.Fatal("restore of unknown group succeeded")
 	}
@@ -174,7 +171,7 @@ func TestCrashTraceDecomposesTTFO(t *testing.T) {
 	if _, err := p.Mmap(1<<20, ProtRead|ProtWrite, false); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Checkpoint("app"); err != nil {
+	if _, err := g.Checkpoint(CkptIncremental); err != nil {
 		t.Fatal(err)
 	}
 	if err := g.Barrier(); err != nil {

@@ -228,8 +228,8 @@ func benchRestore(b *testing.B, lazy bool) {
 		for pg := 0; pg < (64<<20)/aurora.PageSize; pg++ {
 			p.WriteMem(va+uint64(pg)*aurora.PageSize, buf[:1])
 		}
-		m.Attach("app", p)
-		if _, err := m.Checkpoint("app"); err != nil {
+		g, _ := m.Attach("app", p)
+		if _, err := g.Checkpoint(aurora.CkptIncremental); err != nil {
 			b.Fatal(err)
 		}
 		m2, err := m.Crash()
@@ -271,11 +271,11 @@ func BenchmarkAblationVnodeByPath(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	m.Attach("files", p)
-	m.Checkpoint("files")
+	g, _ := m.Attach("files", p)
+	g.Checkpoint(aurora.CkptIncremental)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st, err := m.Checkpoint("files")
+		st, err := g.Checkpoint(aurora.CkptIncremental)
 		if err != nil {
 			b.Fatal(err)
 		}

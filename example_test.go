@@ -13,15 +13,15 @@ func Example() {
 	m, _ := aurora.NewMachine(aurora.Defaults())
 	p := m.Spawn("app")
 	va, _ := p.Mmap(1<<20, aurora.ProtRead|aurora.ProtWrite, false)
-	m.Attach("app", p)
+	g, _ := m.Attach("app", p)
 
 	p.WriteMem(va, []byte("no save files"))
-	m.Checkpoint("app")
+	g.Checkpoint(aurora.CkptIncremental)
 
 	m2, _ := m.Crash()
-	g, _, _ := m2.Restore("app")
+	g2, _, _ := m2.Restore("app")
 	buf := make([]byte, 13)
-	g.Procs()[0].ReadMem(va, buf)
+	g2.Procs()[0].ReadMem(va, buf)
 	fmt.Println(string(buf))
 	// Output: no save files
 }
@@ -31,16 +31,16 @@ func ExampleMachine_RestoreAt() {
 	m, _ := aurora.NewMachine(aurora.Defaults())
 	p := m.Spawn("app")
 	va, _ := p.Mmap(1<<20, aurora.ProtRead|aurora.ProtWrite, false)
-	m.Attach("app", p)
+	g, _ := m.Attach("app", p)
 
 	p.WriteMem(va, []byte{1})
-	st, _ := m.Checkpoint("app")
+	st, _ := g.Checkpoint(aurora.CkptIncremental)
 	p.WriteMem(va, []byte{2})
-	m.Checkpoint("app")
+	g.Checkpoint(aurora.CkptIncremental)
 
-	g, _, _ := m.RestoreAt("app", st.Epoch)
+	g2, _, _ := m.RestoreAt("app", st.Epoch)
 	buf := make([]byte, 1)
-	g.Procs()[0].ReadMem(va, buf)
+	g2.Procs()[0].ReadMem(va, buf)
 	fmt.Println(buf[0])
 	// Output: 1
 }

@@ -17,7 +17,8 @@ func inspectWorld(t *testing.T) (*Machine, *Proc) {
 		t.Fatal(err)
 	}
 	p := m.Spawn("app")
-	if _, err := m.Attach("app", p); err != nil {
+	g, err := m.Attach("app", p)
+	if err != nil {
 		t.Fatal(err)
 	}
 	va, err := p.Mmap(1<<20, ProtRead|ProtWrite, false)
@@ -30,7 +31,7 @@ func inspectWorld(t *testing.T) (*Machine, *Proc) {
 	if _, _, err := p.Pipe(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Checkpoint("app"); err != nil {
+	if _, err := g.Checkpoint(CkptIncremental); err != nil {
 		t.Fatal(err)
 	}
 	return m, p
@@ -149,7 +150,8 @@ func TestRecoveredFlightAfterCrash(t *testing.T) {
 	m, _ := inspectWorld(t)
 	// A second checkpoint so the persisted ring holds the first one's
 	// events (the ring snapshot is taken at the start of each commit).
-	if _, err := m.Checkpoint("app"); err != nil {
+	g, _ := m.Group("app")
+	if _, err := g.Checkpoint(CkptIncremental); err != nil {
 		t.Fatal(err)
 	}
 	cutAt := m.Now()
@@ -198,7 +200,7 @@ func TestRecoveredFlightAfterCrash(t *testing.T) {
 
 	// The recovered timeline is what recovery read: a commit of the new boot
 	// neither replaces it nor echoes the new boot's own ring into it.
-	if _, err := m2.Checkpoint("app"); err != nil {
+	if _, err := g2.Checkpoint(CkptIncremental); err != nil {
 		t.Fatal(err)
 	}
 	if err := g2.Barrier(); err != nil {
@@ -221,7 +223,8 @@ func TestRecoveredFlightAfterCrash(t *testing.T) {
 	// A machine that never crashed recovered nothing, however often it has
 	// committed.
 	fresh, _ := inspectWorld(t)
-	if _, err := fresh.Checkpoint("app"); err != nil {
+	fg, _ := fresh.Group("app")
+	if _, err := fg.Checkpoint(CkptIncremental); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, ok, err := fresh.RecoveredFlight(); ok || err != nil {

@@ -23,7 +23,7 @@ func sendTo(t *testing.T, g *Group, dst *Orchestrator, since objstore.Epoch) {
 	if since == 0 {
 		err = g.Send(&buf)
 	} else {
-		err = g.SendDelta(&buf, since)
+		err = g.send(&buf, since)
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -276,7 +276,7 @@ func TestDeltaWithoutBaseErrors(t *testing.T) {
 
 	objsBefore := len(dst.store.Objects())
 	var delta bytes.Buffer
-	if err := g.SendDelta(&delta, base); err != nil {
+	if err := g.send(&delta, base); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := dst.o.Recv(bytes.NewReader(delta.Bytes())); err == nil {
@@ -338,7 +338,7 @@ func TestDeltaWrongBaseEpochErrors(t *testing.T) {
 
 	// Delta over e2: the standby holds e1, not e2.
 	var wrong bytes.Buffer
-	if err := g.SendDelta(&wrong, e2); err != nil {
+	if err := g.send(&wrong, e2); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := dst.o.Recv(bytes.NewReader(wrong.Bytes())); err == nil {

@@ -70,7 +70,7 @@ func TestDeltaStreamBytesPinned(t *testing.T) {
 	w := newWorld(t)
 	g, base, _ := twoEpochGroup(t, w.k.NewProc("app"), w.o)
 	var delta, full bytes.Buffer
-	if err := g.SendDelta(&delta, base); err != nil {
+	if err := g.send(&delta, base); err != nil {
 		t.Fatal(err)
 	}
 	if err := g.Send(&full); err != nil {

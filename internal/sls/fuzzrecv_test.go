@@ -5,7 +5,7 @@ package sls
 // payload a replica lands. The invariants: on a fresh machine each either
 // succeeds or returns an error — it never panics, never allocates unboundedly
 // from a corrupt length header and never reads past the payload — and both
-// reach the same verdict. Seeds are real Send/SendDelta output plus
+// reach the same verdict. Seeds are real full and delta Send output plus
 // truncations and header mutations so the fuzzer starts at the interesting
 // surface.
 

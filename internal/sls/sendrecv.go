@@ -58,19 +58,12 @@ const maxStreamOIDs = 1 << 20
 // checkpointed at least once. Network transfer time is charged per byte.
 func (g *Group) Send(w io.Writer) error { return g.send(w, 0) }
 
-// SendDelta writes only the state that changed since the retained epoch
-// `since` — one round of pre-copy live migration. Records are small and
-// always resent; memory pages resend only where the stored block moved.
-// The receiver must already hold the group from a previous Send.
-func (g *Group) SendDelta(w io.Writer, since objstore.Epoch) error {
-	if since == 0 {
-		return fmt.Errorf("sls: SendDelta needs a base epoch")
-	}
-	return g.send(w, since)
-}
-
 // send serializes the stream and charges direct-path wire time — the
-// in-process byte-copy transport, kept as the nil-link case.
+// in-process byte-copy transport, kept as the nil-link case. A nonzero
+// since writes only the state that changed since that retained epoch — one
+// round of pre-copy live migration: records are small and always resent,
+// memory pages resend only where the stored block moved, and the receiver
+// must already hold the group from a previous Send.
 func (g *Group) send(w io.Writer, since objstore.Epoch) error {
 	var e rec.Encoder
 	if _, err := g.encodeStream(&e, since, nil); err != nil {

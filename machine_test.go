@@ -13,10 +13,10 @@ import (
 func TestFacadeSuspendResume(t *testing.T) {
 	m, _ := NewMachine(Defaults())
 	p := m.Spawn("app")
-	m.Attach("app", p)
+	g, _ := m.Attach("app", p)
 	va, _ := p.Mmap(1<<20, ProtRead|ProtWrite, false)
 	p.WriteMem(va, []byte("idle"))
-	if err := m.Suspend("app"); err != nil {
+	if err := g.Suspend(); err != nil {
 		t.Fatal(err)
 	}
 	if !p.Exited() {
@@ -30,9 +30,6 @@ func TestFacadeSuspendResume(t *testing.T) {
 	g.Procs()[0].ReadMem(va, got)
 	if string(got) != "idle" {
 		t.Fatalf("resumed state %q", got)
-	}
-	if err := m.Suspend("nope"); err == nil {
-		t.Fatal("suspend of unknown group succeeded")
 	}
 }
 
@@ -61,7 +58,7 @@ func TestFacadeMigrateTo(t *testing.T) {
 		t.Fatalf("migrated state %q, want v2", got)
 	}
 	// Destination can keep checkpointing it.
-	if _, err := b.Checkpoint("svc"); err != nil {
+	if _, err := g.Checkpoint(CkptIncremental); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -98,13 +95,12 @@ func TestFacadeReplicateTo(t *testing.T) {
 func TestImageBootRoundTrip(t *testing.T) {
 	m, _ := NewMachine(Config{StorageBytes: 1 << 30})
 	p := m.Spawn("app")
-	m.Attach("app", p)
+	g, _ := m.Attach("app", p)
 	va, _ := p.Mmap(1<<20, ProtRead|ProtWrite, false)
 	p.WriteMem(va, []byte("imaged"))
-	if _, err := m.Checkpoint("app"); err != nil {
+	if _, err := g.Checkpoint(CkptIncremental); err != nil {
 		t.Fatal(err)
 	}
-	g, _ := m.Group("app")
 	if err := g.Barrier(); err != nil {
 		t.Fatal(err)
 	}
