@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"testing"
 
 	"aurora/internal/clock"
 	"aurora/internal/device"
@@ -249,16 +250,14 @@ type Report struct {
 
 // Explore runs the baseline, then sweeps a crash at every post-format
 // submit index. Failures are reported on t with the seed and crash index.
-func (h *Harness) Explore(t TB) Report {
+func (h *Harness) Explore(t testing.TB) Report {
 	base, err := h.newRun(Plan{Seed: h.Seed, CutAtSubmit: -1}, false)
 	if err != nil {
 		t.Fatalf("harness baseline: %v", err)
-		return Report{}
 	}
 	format := base.points[0].after
 	if err := h.Workload(base); err != nil {
 		t.Fatalf("harness baseline workload (seed %d): %v", h.Seed, err)
-		return Report{}
 	}
 	total := base.Dev.Submits()
 	rep := Report{TotalSubmits: total, CrashPoints: total - format, Commits: len(base.points)}
@@ -273,15 +272,13 @@ func (h *Harness) Explore(t TB) Report {
 
 // Replay re-runs the workload crashing at submit index k and verifies
 // recovery, for reproducing a sweep failure in isolation.
-func (h *Harness) Replay(t TB, k int64) {
+func (h *Harness) Replay(t testing.TB, k int64) {
 	base, err := h.newRun(Plan{Seed: h.Seed, CutAtSubmit: -1}, false)
 	if err != nil {
 		t.Fatalf("harness baseline: %v", err)
-		return
 	}
 	if err := h.Workload(base); err != nil {
 		t.Fatalf("harness baseline workload (seed %d): %v", h.Seed, err)
-		return
 	}
 	if err := h.replayOne(base.points, k); err != nil {
 		t.Errorf("%v", err)
@@ -496,11 +493,4 @@ func compareSnapshot(s *objstore.Store, want snapshot) error {
 		}
 	}
 	return nil
-}
-
-// TB is the subset of testing.TB the harness reports through, so
-// non-test tooling can drive sweeps too.
-type TB interface {
-	Errorf(format string, args ...any)
-	Fatalf(format string, args ...any)
 }
