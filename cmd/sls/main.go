@@ -29,6 +29,7 @@ import (
 
 	"aurora"
 	"aurora/internal/elfcore"
+	"aurora/internal/flight"
 	"aurora/internal/scenario"
 	"aurora/internal/vm"
 )
@@ -592,9 +593,7 @@ func cmdFlight(img string, args []string) error {
 		evs = evs[len(evs)-*tail:]
 	}
 	fmt.Printf("pre-crash flight timeline (%d events, seq %d):\n", len(evs), seq)
-	for _, ev := range evs {
-		fmt.Printf("  %s\n", ev)
-	}
+	fmt.Print(flight.Format(evs))
 	return nil
 }
 

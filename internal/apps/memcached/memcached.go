@@ -150,9 +150,6 @@ func (s *Server) charge() {
 	s.Proc.Kernel().Clk.Advance(s.ServiceTime)
 }
 
-// Stats returns a snapshot.
-func (s *Server) Stats() Stats { return s.stats }
-
 // Items returns the number of stored items.
 func (s *Server) Items() int { return len(s.slots) }
 

@@ -114,7 +114,7 @@ func TestRebuildIndexAfterAuroraRestore(t *testing.T) {
 	}
 
 	// Crash and restore on a fresh kernel.
-	store2, err := objstore.Recover(h.dev, h.clk, h.costs)
+	store2, err := objstore.Recover(h.dev, h.clk, h.costs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

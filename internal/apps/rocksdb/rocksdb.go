@@ -579,9 +579,6 @@ func (db *DB) Flush() error {
 	return nil
 }
 
-// Stats returns a snapshot.
-func (db *DB) Stats() Stats { return db.stats }
-
 // MemtableArena exposes the arena for post-restore rebuilds.
 func (db *DB) MemtableArena() (uint64, int64) { return db.mt.arena, db.mt.cap }
 

@@ -185,7 +185,7 @@ func TestAuroraBuildSurvivesCrash(t *testing.T) {
 	arena, capacity := db.MemtableArena()
 
 	// Crash: recover the store on a fresh kernel.
-	store2, err := objstore.Recover(e.dev, e.clk, e.costs)
+	store2, err := objstore.Recover(e.dev, e.clk, e.costs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -237,9 +237,6 @@ func NewStripe(clk clock.Clock, costs *clock.Costs, n int, unit, perDevSize int6
 // Size returns the aggregate capacity.
 func (s *Stripe) Size() int64 { return int64(len(s.devs)) * s.devs[0].size }
 
-// Devices returns the number of member devices.
-func (s *Stripe) Devices() int { return len(s.devs) }
-
 // Stats sums the member counters.
 func (s *Stripe) Stats() Stats {
 	var out Stats

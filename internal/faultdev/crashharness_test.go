@@ -100,7 +100,11 @@ func (c *Ctl) CommitWAL() error {
 // golden.
 func (c *Ctl) Fold() error {
 	c.began = c.note()
-	if _, err := c.Store.Fold(); err != nil {
+	cst, err := c.Store.Checkpoint()
+	if err == nil {
+		err = c.Store.WaitDurable(cst.Epoch)
+	}
+	if err != nil {
 		return err
 	}
 	c.record()
@@ -141,7 +145,7 @@ func (c *Ctl) record() {
 			seq++
 		}
 	}
-	ring := c.history[max(0, int(seq)-c.Fl.Cap()):seq]
+	ring := c.history[max(0, int(seq)-flight.DefaultCap):seq]
 	c.points = append(c.points, commitPoint{
 		epoch:   c.Store.Epoch(),
 		walSeq:  c.Store.WALSeq(),
@@ -334,7 +338,7 @@ func (h *Harness) replayAttempt(points []commitPoint, k int64, traced bool) erro
 
 	// Reboot: recover, fsck, and compare against the goldens.
 	ctl.Dev.Reopen()
-	s2, err := objstore.Recover(ctl.Dev, ctl.Clk, ctl.Costs)
+	s2, err := objstore.Recover(ctl.Dev, ctl.Clk, ctl.Costs, nil)
 	if err != nil {
 		return fail("recovery failed: %v", err)
 	}

@@ -153,9 +153,6 @@ func (d *Dev) Crashed() bool { return d.crashed }
 // Plan returns the currently armed plan.
 func (d *Dev) Plan() Plan { return d.plan }
 
-// Inner returns the wrapped device, for stats or raw inspection.
-func (d *Dev) Inner() Inner { return d.inner }
-
 // SetTracer attaches tr; nil disables. Fault events (the cut, rollbacks,
 // tearing) land on the fault track, so a failing crash sweep replayed with
 // a tracer dumps the exact timeline that led to the cut.

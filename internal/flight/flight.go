@@ -221,14 +221,6 @@ func (r *Recorder) Since(seq uint64) ([]byte, uint64) {
 	return e.Seal(), r.seq
 }
 
-// Cap returns the ring's capacity in events.
-func (r *Recorder) Cap() int {
-	if r == nil {
-		return 0
-	}
-	return r.cap
-}
-
 const snapMagic = 0x464C5431 // "FLT1"
 
 // eventWire is the minimum serialized size of one event: timestamp,

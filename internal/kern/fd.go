@@ -219,17 +219,6 @@ func (t *FDTable) Each(fn func(fd int, f *File)) {
 	}
 }
 
-// Len counts open descriptors.
-func (t *FDTable) Len() int {
-	n := 0
-	for _, f := range t.slots {
-		if f != nil {
-			n++
-		}
-	}
-	return n
-}
-
 // Descriptor-level syscalls on Proc.
 
 // Close closes a descriptor.

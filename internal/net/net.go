@@ -159,9 +159,6 @@ func NewLink(clk clock.Clock, params Params, plan Plan) *Link {
 // history.
 func (l *Link) SetTracer(tr *trace.Tracer) { l.tr = tr }
 
-// Stats returns a copy of the link's counters.
-func (l *Link) Stats() LinkStats { return l.stats }
-
 // Xmits returns how many frames have been handed to Send — the index space
 // a deterministic fault sweep enumerates.
 func (l *Link) Xmits() int64 { return l.xmits }

@@ -239,17 +239,6 @@ func (s *Store) RetainedCheckpoints() []Epoch {
 	return out
 }
 
-// FreeBlocks reports how many blocks the free map holds, never-used space
-// included (for tests and tooling).
-func (s *Store) FreeBlocks() int {
-	s.promoteReleased()
-	n := int64(0)
-	for _, r := range s.free {
-		n += r.n
-	}
-	return int(n)
-}
-
 // FreeRuns reports how many runs the free map holds (for tests and tooling).
 func (s *Store) FreeRuns() int {
 	s.promoteReleased()

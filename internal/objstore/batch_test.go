@@ -232,7 +232,7 @@ func TestFailedWritePagesLeavesNoChunkRoot(t *testing.T) {
 	if rep := s.Fsck(); !rep.OK() {
 		t.Fatalf("fsck: %v", rep.Problems)
 	}
-	s2, err := Recover(fd, clk, clock.DefaultCosts())
+	s2, err := Recover(fd, clk, clock.DefaultCosts(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +369,7 @@ func TestFailedCommitLeaksNothing(t *testing.T) {
 			if err := s.WaitDurable(st.Epoch); err != nil {
 				t.Fatal(err)
 			}
-			s2, err := Recover(fd, clk, clock.DefaultCosts())
+			s2, err := Recover(fd, clk, clock.DefaultCosts(), nil)
 			if err != nil {
 				t.Fatal(err)
 			}

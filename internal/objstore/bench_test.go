@@ -141,7 +141,7 @@ func BenchmarkRecover1kObjects(b *testing.B) {
 	b.ResetTimer()
 	t0 := clk.Now()
 	for i := 0; i < b.N; i++ {
-		if _, err := Recover(dev, clk, costs); err != nil {
+		if _, err := Recover(dev, clk, costs, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

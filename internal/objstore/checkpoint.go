@@ -274,16 +274,6 @@ func (s *Store) WaitDurable(epoch Epoch) error {
 	return nil
 }
 
-// DurableAt returns the virtual time a retained epoch became durable: 0 for
-// one loaded from media.
-func (s *Store) DurableAt(epoch Epoch) (time.Duration, bool) {
-	c, err := s.retainedInfo(epoch)
-	if err != nil {
-		return 0, false
-	}
-	return c.durable, true
-}
-
 // readSuperblocks picks the valid superblock with the highest epoch,
 // returning it and its slot.
 func (s *Store) readSuperblocks() (superblock, int, error) {
@@ -412,9 +402,6 @@ func (s *Store) RestoreView(epoch Epoch) (*View, error) {
 	}
 	return &View{image: im, epoch: epoch}, nil
 }
-
-// Epoch returns the epoch the view images.
-func (v *View) Epoch() Epoch { return v.epoch }
 
 // DiffPages reports the page indexes of oid whose stored block differs
 // between retained epoch old and the current committed state — the changed

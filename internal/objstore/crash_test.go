@@ -70,7 +70,7 @@ func TestTornCheckpointProperty(t *testing.T) {
 		page := make([]byte, objstore.BlockSize)
 		recover := func() bool {
 			fd.Reopen()
-			s2, err := objstore.Recover(fd, clk, costs)
+			s2, err := objstore.Recover(fd, clk, costs, nil)
 			if err != nil {
 				return false
 			}
@@ -139,7 +139,7 @@ func TestCrashBeforeCommitKeepsPreviousCheckpoint(t *testing.T) {
 		t.Fatal("power cut on superblock did not surface")
 	}
 	fd.Reopen()
-	s2, err := objstore.Recover(fd, clk, costs)
+	s2, err := objstore.Recover(fd, clk, costs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestReopenAfterCrash(t *testing.T) {
 		t.Fatal("power cut did not surface")
 	}
 	fd.Reopen()
-	s2, err := objstore.Recover(fd, clk, costs)
+	s2, err := objstore.Recover(fd, clk, costs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,11 +211,11 @@ func TestRecoverSeesArmedRot(t *testing.T) {
 		t.Fatal("marker record not found on the device")
 	}
 	fd.Arm(faultdev.Plan{CutAtSubmit: -1, RotOffsets: []int64{off + 3}})
-	if s2, err := objstore.Recover(fd, clk, costs); !errors.Is(err, objstore.ErrCorrupt) || s2 != nil {
+	if s2, err := objstore.Recover(fd, clk, costs, nil); !errors.Is(err, objstore.ErrCorrupt) || s2 != nil {
 		t.Fatalf("Recover over a rotted record = %v, %v; want nil, ErrCorrupt", s2, err)
 	}
 	fd.Arm(faultdev.Plan{CutAtSubmit: -1})
-	s2, err := objstore.Recover(fd, clk, costs)
+	s2, err := objstore.Recover(fd, clk, costs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestWALRecoverSeesArmedRot(t *testing.T) {
 		{ends[3] + 8, 4},      // the zeroes behind the chain
 	} {
 		fd.Arm(faultdev.Plan{CutAtSubmit: -1, RotOffsets: []int64{base + tc.rot}})
-		s2, err := objstore.Recover(fd, clk, costs)
+		s2, err := objstore.Recover(fd, clk, costs, nil)
 		if err != nil {
 			t.Fatalf("rot at %d: %v", tc.rot, err)
 		}
@@ -396,7 +396,7 @@ func TestRecoveryAfterManyEpochs(t *testing.T) {
 			s.ReleaseCheckpointsBefore(s.Epoch())
 		}
 	}
-	s2, err := objstore.Recover(dev, clk, costs)
+	s2, err := objstore.Recover(dev, clk, costs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -100,9 +100,6 @@ func (s *Store) OpenJournal(oid OID) (*Journal, error) {
 	return j, nil
 }
 
-// OID returns the journal's object identifier.
-func (j *Journal) OID() OID { return j.o.oid }
-
 // Capacity returns the extent size in bytes.
 func (j *Journal) Capacity() int64 { return j.o.journal.capBlocks * BlockSize }
 

@@ -91,7 +91,7 @@ func TestRecoverRefusesOlderFormat(t *testing.T) {
 		binary.LittleEndian.PutUint32(idx, magic)
 		binary.LittleEndian.PutUint32(idx[len(idx)-4:], crc32.ChecksumIEEE(idx[:len(idx)-4]))
 		dev.PokeAt(idx, sb.indexAddr)
-		if _, err := Recover(dev, clk, clock.DefaultCosts()); !errors.Is(err, ErrCorrupt) {
+		if _, err := Recover(dev, clk, clock.DefaultCosts(), nil); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("Recover of an older-format image (index magic %#x) = %v, want ErrCorrupt", magic, err)
 		}
 	}

@@ -109,7 +109,7 @@ func TestStoreImagePinned(t *testing.T) {
 	before := state(s)
 
 	// Reboot with the chain outstanding, then keep going on what replay built.
-	s, err = Recover(dev, clk, clock.DefaultCosts())
+	s, err = Recover(dev, clk, clock.DefaultCosts(), nil)
 	must(err)
 	if got := s.WALReplayed(); got != 3 {
 		t.Fatalf("replayed %d frames, want 3", got)

@@ -219,7 +219,7 @@ func TestOpenImageMatchesSerialReference(t *testing.T) {
 		}
 		devA, clkA := cloneStripe(t, dev)
 		devB, clkB := cloneStripe(t, dev)
-		got, err := Recover(devA, clkA, clock.DefaultCosts())
+		got, err := Recover(devA, clkA, clock.DefaultCosts(), nil)
 		if err != nil {
 			t.Fatalf("seed %d: Recover: %v", seed, err)
 		}
@@ -292,7 +292,7 @@ func TestOpenImageRejectsDamagedRecord(t *testing.T) {
 		}
 		for name, bad := range map[string][]byte{"rot": rot, "tear": torn} {
 			dev.PokeAt(bad, ent.addr)
-			if s2, err := Recover(dev, clk, clock.DefaultCosts()); !errors.Is(err, ErrCorrupt) || s2 != nil {
+			if s2, err := Recover(dev, clk, clock.DefaultCosts(), nil); !errors.Is(err, ErrCorrupt) || s2 != nil {
 				t.Fatalf("record %d %s: Recover = %v, %v; want nil, ErrCorrupt", i, name, s2, err)
 			}
 			if v, err := s.RestoreView(info.epoch); !errors.Is(err, ErrCorrupt) || v != nil {
@@ -301,7 +301,7 @@ func TestOpenImageRejectsDamagedRecord(t *testing.T) {
 		}
 		dev.PokeAt(good, ent.addr)
 	}
-	if _, err := Recover(dev, clk, clock.DefaultCosts()); err != nil {
+	if _, err := Recover(dev, clk, clock.DefaultCosts(), nil); err != nil {
 		t.Fatalf("repaired image does not recover: %v", err)
 	}
 }
@@ -354,7 +354,7 @@ func TestRecoverRefusesIndexNamingAnObjectTwice(t *testing.T) {
 		sb.indexAddr, sb.indexLen = idx.free[0].addr, int64(len(body)) // free in its own map
 		dev.PokeAt(body, sb.indexAddr)
 		dev.PokeAt(encodeSuperblock(sb), int64(1-u.superSlot)*BlockSize)
-		if s2, err := Recover(dev, clk, clock.DefaultCosts()); !errors.Is(err, ErrCorrupt) || s2 != nil {
+		if s2, err := Recover(dev, clk, clock.DefaultCosts(), nil); !errors.Is(err, ErrCorrupt) || s2 != nil {
 			rec := "unrecovered"
 			if s2 != nil {
 				got, _ := s2.GetRecord(1)
@@ -386,7 +386,7 @@ func TestRecoverAtQueueDepth(t *testing.T) {
 	}
 	costs := clock.DefaultCosts()
 	tr := trace.New(clk)
-	s, err := RecoverTraced(dev, clk, costs, tr)
+	s, err := Recover(dev, clk, costs, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +423,7 @@ func TestRecoverSpanTiling(t *testing.T) {
 	tr := trace.New(clk)
 	devA.SetTracer(tr)
 	t0 := clk.Now()
-	if _, err := RecoverTraced(devA, clk, clock.DefaultCosts(), tr); err != nil {
+	if _, err := Recover(devA, clk, clock.DefaultCosts(), tr); err != nil {
 		t.Fatal(err)
 	}
 	var root trace.Event

@@ -289,15 +289,11 @@ func Format(dev BlockDev, clk clock.Clock, costs *clock.Costs) (*Store, error) {
 }
 
 // Recover opens the store from the last complete checkpoint on dev. All
-// uncommitted state (the paper's crash case) is invisible.
-func Recover(dev BlockDev, clk clock.Clock, costs *clock.Costs) (*Store, error) {
-	return RecoverTraced(dev, clk, costs, nil)
-}
-
-// RecoverTraced is Recover with the tracer attached before the first read,
-// so recovery itself lands on the timeline: one objstore "recover" span whose
-// children super, index, records and wal tile it exactly.
-func RecoverTraced(dev BlockDev, clk clock.Clock, costs *clock.Costs, tr *trace.Tracer) (*Store, error) {
+// uncommitted state (the paper's crash case) is invisible. A non-nil tr is
+// attached before the first read, so recovery itself lands on the timeline:
+// one objstore "recover" span whose children super, index, records and wal
+// tile it exactly.
+func Recover(dev BlockDev, clk clock.Clock, costs *clock.Costs, tr *trace.Tracer) (*Store, error) {
 	s := blankStore(dev, clk, costs, tr)
 	sp := tr.Begin(trace.TrackObjstore, "recover")
 	superSpan := sp.Child("super")

@@ -27,7 +27,7 @@ func newStore(t *testing.T) (*Store, *device.Stripe, *clock.Virtual) {
 
 func reopen(t *testing.T, dev *device.Stripe, clk *clock.Virtual) *Store {
 	t.Helper()
-	s, err := Recover(dev, clk, clock.DefaultCosts())
+	s, err := Recover(dev, clk, clock.DefaultCosts(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -719,7 +719,7 @@ func TestCommittedStateProperty(t *testing.T) {
 		for _, st := range steps {
 			switch {
 			case st.Crash:
-				s2, err := Recover(dev, clk, clock.DefaultCosts())
+				s2, err := Recover(dev, clk, clock.DefaultCosts(), nil)
 				if err != nil {
 					return false
 				}
@@ -823,7 +823,7 @@ func TestDropOverRottedChunkRetiresNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	rot()
-	if _, err := Recover(dev, clk, clock.DefaultCosts()); !errors.Is(err, ErrCorrupt) {
+	if _, err := Recover(dev, clk, clock.DefaultCosts(), nil); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("replay of a delete over a rotted chunk: err = %v, want ErrCorrupt", err)
 	}
 	dev.PokeAt(saved, chunkAddr)

@@ -290,21 +290,6 @@ func (s *Store) maybeResetWAL() {
 	}
 }
 
-// Fold runs a full checkpoint, waits for it to become durable, and resets
-// the WAL head. It is the guaranteed-progress fallback for ErrWALFull: on
-// return the region is empty.
-func (s *Store) Fold() (CheckpointStats, error) {
-	cst, err := s.Checkpoint()
-	if err != nil {
-		return cst, err
-	}
-	if err := s.WaitDurable(cst.Epoch); err != nil {
-		return cst, err
-	}
-	s.maybeResetWAL()
-	return cst, nil
-}
-
 // WALSeq returns the sequence number of the last committed WAL frame in the
 // current generation (0 right after a fold or when the WAL is unused).
 func (s *Store) WALSeq() uint64 { return uint64(len(s.walDurable)) }
@@ -312,9 +297,6 @@ func (s *Store) WALSeq() uint64 { return uint64(len(s.walDurable)) }
 // WALHead returns the byte offset past the last appended frame in the
 // reserved region (for tests and tooling).
 func (s *Store) WALHead() int64 { return s.walHead }
-
-// WALRegion returns the reserved region's device offset and size in bytes.
-func (s *Store) WALRegion() (base, size int64) { return s.walBase, s.walBlocks * BlockSize }
 
 // WaitWALDurable blocks (in virtual time) until WAL frame seq of the
 // current generation is durable. Sequence numbers folded away by a

@@ -797,7 +797,7 @@ func TestWALFrameCarriesFlightTailOnly(t *testing.T) {
 	commit(s, 999, false)
 	commit(s, 1000, true) // full ring, one new event
 
-	s2, err := Recover(dev, clk, clock.DefaultCosts())
+	s2, err := Recover(dev, clk, clock.DefaultCosts(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -808,7 +808,7 @@ func TestWALFrameCarriesFlightTailOnly(t *testing.T) {
 	fl = flight.NewRecorder(0)
 	s2.SetFlight(fl)
 	commit(s2, 9, true)
-	s3, err := Recover(dev, clk, clock.DefaultCosts())
+	s3, err := Recover(dev, clk, clock.DefaultCosts(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -847,7 +847,7 @@ func TestWALFailedCommitKeepsFlightTail(t *testing.T) {
 	if st, err := s.WALCommit(); err != nil || st.Seq != 2 {
 		t.Fatalf("retry: %+v, %v", st, err)
 	}
-	s2, err := Recover(fd, clk, clock.DefaultCosts())
+	s2, err := Recover(fd, clk, clock.DefaultCosts(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -950,7 +950,7 @@ func TestFailedEpochCommitKeepsFlightEvents(t *testing.T) {
 			t.Fatalf("submit %d: WAL commit after the failed checkpoint: %v", k, err)
 		}
 		want, wantSeq := fl.Events(), fl.Seq() // the device records nothing itself
-		s2, err := Recover(fd, clk, clock.DefaultCosts())
+		s2, err := Recover(fd, clk, clock.DefaultCosts(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -1117,7 +1117,7 @@ func TestWALRecoverScansInWindows(t *testing.T) {
 		ref := recoverWholeRegion(t, dev, clk)
 		tr := trace.New(clk)
 		r0 := dev.Stats().BytesRead
-		got, err := RecoverTraced(dev, clk, clock.DefaultCosts(), tr)
+		got, err := Recover(dev, clk, clock.DefaultCosts(), tr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -1268,7 +1268,7 @@ func TestWALRecoverScansInWindows(t *testing.T) {
 		check(t, dev, clk, n, size)
 		// No window reaches past the region into the data blocks behind it.
 		spy := &readSpy{BlockDev: dev}
-		if _, err := Recover(spy, clk, clock.DefaultCosts()); err != nil {
+		if _, err := Recover(spy, clk, clock.DefaultCosts(), nil); err != nil {
 			t.Fatal(err)
 		}
 		base, inRegion := s.walBase, 0

@@ -96,9 +96,6 @@ type Assignment struct {
 	Orphaned   bool // primary died with no live standby: state is lost until a restore
 }
 
-// Group returns the live group handle on the current primary.
-func (a *Assignment) Group() *aurora.Group { return a.g }
-
 // StandbyEpoch returns the checkpoint epoch the standby holds, 0 while
 // the group is unprotected.
 func (a *Assignment) StandbyEpoch() int64 {
@@ -310,19 +307,6 @@ func (c *Coordinator) KillMachine(name string) error {
 	n.down = true
 	n.downAt = c.clk.Now()
 	return nil
-}
-
-// DeclareDead is the fail-stop path: an operator asserts the machine is
-// gone and the coordinator acts immediately, without waiting out the
-// missed heartbeats. Returns the resulting events.
-func (c *Coordinator) DeclareDead(name string) []Event {
-	n, ok := c.nodes[name]
-	if !ok || n.dead {
-		return nil
-	}
-	var evs []Event
-	c.markDead(n, &evs)
-	return evs
 }
 
 // Tick runs every pass whose cadence has elapsed: heartbeat probes,
@@ -755,7 +739,6 @@ func (c *Coordinator) Assignment(group string) (*Assignment, bool) {
 }
 
 // Counters.
-func (c *Coordinator) Deaths() int64     { return c.deaths }
 func (c *Coordinator) Failovers() int64  { return c.failovers }
 func (c *Coordinator) Rebalances() int64 { return c.rebalances }
 func (c *Coordinator) Orphans() int64    { return c.orphans }

@@ -65,7 +65,7 @@ func newFaultWorld(plan faultdev.Plan) (*faultWorld, error) {
 // recovered is the machine after a reboot: a fresh kernel over the store
 // recovered from the same device (recovery only reads, so it can repeat).
 func (w *faultWorld) recovered() (*faultWorld, error) {
-	store, err := objstore.Recover(w.fd, w.clk, w.costs)
+	store, err := objstore.Recover(w.fd, w.clk, w.costs, nil)
 	if err != nil {
 		return nil, fmt.Errorf("recovery: %w", err)
 	}

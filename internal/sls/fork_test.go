@@ -98,7 +98,7 @@ func TestForkThenManyCheckpointsStaysCorrect(t *testing.T) {
 		}
 	}
 	ent, _ := parent.Mem.EntryAt(va)
-	if got := ent.Obj.ChainLength(); got > 5 {
+	if got := chainLength(ent.Obj); got > 5 {
 		t.Fatalf("parent chain length = %d after 10 post-fork checkpoints", got)
 	}
 

@@ -102,7 +102,7 @@ func TestWorkingSetLargerThanPhysicalMemory(t *testing.T) {
 	if _, err := g.Checkpoint(CkptIncremental); err != nil {
 		t.Fatal(err)
 	}
-	store2, err := objstore.Recover(dev, clk, costs)
+	store2, err := objstore.Recover(dev, clk, costs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

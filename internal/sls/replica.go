@@ -73,15 +73,10 @@ type pendingShip struct {
 	cutStart time.Duration
 }
 
-// ReplicateTo seeds a standby with the group's full state over the direct
-// path and returns the replication handle. The group must be checkpointing
-// (the seed takes a checkpoint if none exists).
-func (g *Group) ReplicateTo(dst *Orchestrator) (*Replica, error) {
-	return g.ReplicateToVia(dst, nil)
-}
-
-// ReplicateToVia is ReplicateTo over a simulated network connection;
-// conn == nil selects the direct path. The seed transfer itself is
+// ReplicateToVia seeds a standby with the group's full state over a
+// simulated network connection (conn == nil selects the direct path) and
+// returns the replication handle. The group must be checkpointing (the seed
+// takes a checkpoint if none exists). The seed transfer itself is
 // resumable: on ErrRetriesExhausted the returned replica is still live and
 // Resume completes the seed once the wire heals.
 func (g *Group) ReplicateToVia(dst *Orchestrator, conn *net.Conn) (*Replica, error) {
@@ -174,9 +169,6 @@ func (r *Replica) dropPending() {
 		r.pending = nil
 	}
 }
-
-// FailedOver reports whether the standby has been promoted.
-func (r *Replica) FailedOver() bool { return r.failedOver }
 
 // Base returns the last checkpoint epoch the standby holds — the "caught
 // up to epoch N" a failover scenario asserts before pulling the plug.

@@ -285,12 +285,6 @@ func (o *Orchestrator) CreateGroup(name string) *Group {
 	return g
 }
 
-// Group returns a group by id.
-func (o *Orchestrator) Group(id uint64) (*Group, bool) {
-	g, ok := o.groups[id]
-	return g, ok
-}
-
 // GroupByName finds a group by name.
 func (o *Orchestrator) GroupByName(name string) (*Group, bool) {
 	for _, g := range o.groups {
@@ -384,10 +378,6 @@ func (g *Group) Maps() []*vm.Map {
 
 // Epoch returns the last committed checkpoint epoch for this group.
 func (g *Group) Epoch() objstore.Epoch { return g.lastEpoch }
-
-// WALSeq returns the frame sequence of the group's newest WAL commit, or
-// zero when the newest commit was a full checkpoint.
-func (g *Group) WALSeq() uint64 { return g.lastWALSeq }
 
 // Checkpoints returns how many checkpoints the group has taken.
 func (g *Group) Checkpoints() int64 { return g.ckpts }

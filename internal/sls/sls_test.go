@@ -46,7 +46,7 @@ func newWorld(t *testing.T) *world {
 // device, recovered through the store.
 func (w *world) crash(t testing.TB) *world {
 	t.Helper()
-	store, err := objstore.Recover(w.dev, w.clk, w.costs)
+	store, err := objstore.Recover(w.dev, w.clk, w.costs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestShadowChainBounded(t *testing.T) {
 		}
 	}
 	ent, _ := p.Mem.EntryAt(va)
-	if got := ent.Obj.ChainLength(); got > 3 {
+	if got := chainLength(ent.Obj); got > 3 {
 		t.Fatalf("chain length after 20 checkpoints = %d, want <= 3", got)
 	}
 	// Data still correct.
@@ -843,4 +843,13 @@ func TestTable5StopTimeShape(t *testing.T) {
 	if large <= small {
 		t.Errorf("stop time not scaling: small=%v large=%v", small, large)
 	}
+}
+
+// chainLength counts the objects in o's shadow chain, o included.
+func chainLength(o *vm.Object) int {
+	n := 0
+	for ; o != nil; o = o.Backer() {
+		n++
+	}
+	return n
 }

@@ -100,9 +100,6 @@ func newFS(store *objstore.Store, clk clock.Clock, costs *clock.Costs) *FS {
 	}
 }
 
-// Store exposes the underlying object store (the SLS orchestrator shares it).
-func (fs *FS) Store() *objstore.Store { return fs.store }
-
 // SetCheckpointPeriod enables op-triggered periodic checkpoints.
 func (fs *FS) SetCheckpointPeriod(d time.Duration) {
 	fs.period = d
@@ -345,9 +342,6 @@ type file struct {
 }
 
 var _ vfs.File = (*file)(nil)
-
-// OID returns the backing object identifier (the "inode number").
-func (f *file) OID() objstore.OID { return f.oid }
 
 func (f *file) ReadAt(p []byte, off int64) (int, error) {
 	f.fs.opEnter()

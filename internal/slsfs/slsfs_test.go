@@ -32,7 +32,7 @@ func mountFS(t *testing.T) (*FS, *device.Stripe, *clock.Virtual) {
 func remount(t *testing.T, dev *device.Stripe, clk *clock.Virtual) *FS {
 	t.Helper()
 	costs := clock.DefaultCosts()
-	store, err := objstore.Recover(dev, clk, costs)
+	store, err := objstore.Recover(dev, clk, costs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestAnonymousFileSurvivesViaHiddenRef(t *testing.T) {
 	fs, dev, clk := mountFS(t)
 	f, _ := fs.Create("/tmp/scratch")
 	f.WriteAt([]byte("anonymous"), 0)
-	oid := f.(interface{ OID() objstore.OID }).OID()
+	oid := f.(*file).oid
 	// A checkpointed process holds the descriptor: hidden reference.
 	fs.AddHiddenRef(oid)
 	if err := fs.Remove("/tmp/scratch"); err != nil {
@@ -170,7 +170,7 @@ func TestAnonymousFileSurvivesViaHiddenRef(t *testing.T) {
 func TestAnonymousFileReapedWhenLastRefDrops(t *testing.T) {
 	fs, _, _ := mountFS(t)
 	f, _ := fs.Create("/tmp/x")
-	oid := f.(interface{ OID() objstore.OID }).OID()
+	oid := f.(*file).oid
 	fs.Remove("/tmp/x")
 	// The open handle still holds it.
 	if !fs.Store().Exists(oid) {

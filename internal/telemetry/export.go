@@ -165,10 +165,3 @@ func promLabels(machine, quantile string) string {
 func (r *Registry) WritePrometheus(w io.Writer, machine string) error {
 	return WritePrometheus(w, r.Snapshot(machine))
 }
-
-// WritePrometheus renders every member under shared family headers.
-func (f *Fleet) WritePrometheus(w io.Writer) error {
-	var snaps []Snapshot
-	f.each(func(name string, r *Registry) { snaps = append(snaps, r.Snapshot(name)) })
-	return WritePrometheus(w, snaps...)
-}

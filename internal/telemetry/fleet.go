@@ -42,19 +42,6 @@ func (f *Fleet) MergedHistogram(name string) *trace.Histogram {
 	return out
 }
 
-// Quantile returns the fleet-merged q-quantile of the named histogram
-// (0 if no member observed it).
-func (f *Fleet) Quantile(name string, q float64) int64 {
-	return f.MergedHistogram(name).Quantile(q)
-}
-
-// CounterTotal sums the named counter across members.
-func (f *Fleet) CounterTotal(name string) int64 {
-	var total int64
-	f.each(func(_ string, r *Registry) { total += r.store.CounterValue(name) })
-	return total
-}
-
 // each visits every (name, registry) pair with a non-nil registry.
 func (f *Fleet) each(fn func(name string, r *Registry)) {
 	if f == nil {

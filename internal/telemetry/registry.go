@@ -45,15 +45,6 @@ func (r *Registry) Store() *trace.Tracer {
 	return r.store
 }
 
-// Record appends a raw sample to the named time series, creating it with
-// the given aggregator and default retention on first use.
-func (r *Registry) Record(name string, agg Agg, v int64) {
-	if r == nil {
-		return
-	}
-	r.record(r.store.Now(), name, agg, v)
-}
-
 func (r *Registry) record(now time.Duration, name string, agg Agg, v int64) {
 	s := r.series[name]
 	if s == nil {

@@ -51,15 +51,6 @@ const (
 	numTracks
 )
 
-// Tracks returns every defined lane in export order.
-func Tracks() []Track {
-	out := make([]Track, 0, numTracks)
-	for t := Track(0); t < numTracks; t++ {
-		out = append(out, t)
-	}
-	return out
-}
-
 // String names the track as exported.
 func (t Track) String() string {
 	switch t {
@@ -213,14 +204,6 @@ func (s Span) Child(name string, args ...Arg) Span {
 	return s.t.begin(s.ev.Track, name, s.ev.ID, args)
 }
 
-// ChildOn opens a span nested under s on a different track.
-func (s Span) ChildOn(track Track, name string, args ...Arg) Span {
-	if s.t == nil {
-		return Span{}
-	}
-	return s.t.begin(track, name, s.ev.ID, args)
-}
-
 // End closes the span at the current virtual time. The recorded event
 // carries the begin-args first, then args.
 func (s Span) End(args ...Arg) {
@@ -334,14 +317,6 @@ func (t *Tracer) CounterValue(name string) int64 {
 	return t.counters[name]
 }
 
-// GaugeValue returns the named gauge's last value (0 if never set).
-func (t *Tracer) GaugeValue(name string) int64 {
-	if t == nil {
-		return 0
-	}
-	return t.gauges[name]
-}
-
 // Quantile returns the named histogram's q-quantile (0 if absent).
 func (t *Tracer) Quantile(name string, q float64) int64 {
 	if t == nil {
@@ -383,13 +358,6 @@ type Histogram struct {
 func NewHistogram(name string) *Histogram {
 	return &Histogram{name: name, min: int64(^uint64(0) >> 1)}
 }
-
-// Name returns the histogram's name.
-func (h *Histogram) Name() string { return h.name }
-
-// Add records one observation. Negative values clamp to zero, matching
-// the tracer's Observe path.
-func (h *Histogram) Add(v int64) { h.observe(v) }
 
 // Samples returns the observation count.
 func (h *Histogram) Samples() int64 { return h.count }

@@ -180,16 +180,6 @@ func (o *Object) Pager() Pager { return o.pager }
 // conventional swap partition).
 func (o *Object) SetPager(p Pager) { o.pager = p }
 
-// ChainLength returns the number of objects in the shadow chain, including
-// this one.
-func (o *Object) ChainLength() int {
-	n := 0
-	for c := o; c != nil; c = c.Backer() {
-		n++
-	}
-	return n
-}
-
 // ShadowCount reports how many shadows directly back onto this object.
 func (o *Object) ShadowCount() int { return int(o.shadows) }
 
