@@ -105,16 +105,7 @@ func (g *Group) MCtl(p *kern.Proc, va uint64, exclude bool) error {
 	if !ok {
 		return fmt.Errorf("%w: %#x", ErrNoEntry, va)
 	}
-	set := g.excluded[p]
-	if set == nil {
-		set = make(map[uint64]bool)
-		g.excluded[p] = set
-	}
-	if exclude {
-		set[ent.Start] = true
-	} else {
-		delete(set, ent.Start)
-	}
+	ent.NoCheckpoint = exclude
 	return nil
 }
 

@@ -151,9 +151,7 @@ func (g *Group) Checkpoint(kind CheckpointKind) (st CheckpointStats, err error) 
 	for _, seg := range o.K.ShmSegments() {
 		backrefs = append(backrefs, seg)
 	}
-	pairs := vm.SystemShadowFiltered(o.K.VM, g.Maps(), backrefs, func(m *vm.Map, e *vm.Entry) bool {
-		return g.entryExcluded(m, e)
-	})
+	pairs := vm.SystemShadow(o.K.VM, g.Maps(), backrefs)
 	for _, pair := range pairs {
 		g.transient[pair.Live] = true
 		st.DirtyPages += int64(pair.Frozen.CountPages(unstored))
@@ -412,16 +410,6 @@ func (g *Group) writebackMappedFiles() error {
 		}
 	}
 	return nil
-}
-
-// entryExcluded implements sls_mctl exclusions.
-func (g *Group) entryExcluded(m *vm.Map, e *vm.Entry) bool {
-	for p, set := range g.excluded {
-		if p.Mem == m && set[e.Start] {
-			return true
-		}
-	}
-	return false
 }
 
 // generational is a kernel object the capture gate covers: kern.File, Pipe,

@@ -119,7 +119,7 @@ func (g *Group) planPairs(pl *flushPlan, pairs []vm.ShadowPair, kind CheckpointK
 }
 
 // planCold enumerates serialized memory objects no shadow pair covered
-// (read-only or excluded regions seen for the first time): their resident
+// (read-only regions seen for the first time): their resident
 // content flushes once, in full. Jobs are planned in ascending-OID order so
 // the submit stream is identical across runs of the same workload — the
 // crash-replay harness depends on that determinism.

@@ -261,7 +261,7 @@ func (s *serializer) proc(p *kern.Proc) error {
 	entries := p.Mem.Entries()
 	var encoded [][]byte
 	for _, ent := range entries {
-		b, err := s.entry(ent, s.g.entryExcluded(p.Mem, ent))
+		b, err := s.entry(ent)
 		if err != nil {
 			return err
 		}
@@ -363,10 +363,10 @@ const (
 )
 
 // entry serializes one vm_map_entry, classifying its backing. Excluded
-// regions (sls_mctl) record their geometry only: the restore maps fresh
-// zero-filled memory there, and no page of the region ever reaches the
-// store.
-func (s *serializer) entry(ent *vm.Entry, excluded bool) ([]byte, error) {
+// regions (sls_mctl, Entry.NoCheckpoint) record their geometry only: the
+// restore maps fresh zero-filled memory there, still excluded, and no page
+// of the region ever reaches the store.
+func (s *serializer) entry(ent *vm.Entry) ([]byte, error) {
 	e := rec.NewEncoder()
 	e.U64(ent.Start)
 	e.U64(ent.End)
@@ -390,7 +390,7 @@ func (s *serializer) entry(ent *vm.Entry, excluded bool) ([]byte, error) {
 		// Shared file mapping: pages live in the file's own object.
 		e.U8(entVnodeShared)
 		e.U64(ent.Obj.Pager().BackingOID())
-	case excluded:
+	case ent.NoCheckpoint:
 		e.U8(entAnon)
 		e.U64(0) // no backing object: restore maps fresh memory
 	default:
@@ -444,9 +444,14 @@ func (r *restorer) entry(p *kern.Proc, raw []byte) error {
 		oid := objstore.OID(d.U64())
 		if oid == 0 {
 			// An excluded (sls_mctl) region: geometry only, content is
-			// the application's to rebuild.
+			// the application's to rebuild, and it stays excluded.
 			fresh := r.o.K.VM.NewObject(vm.Anonymous, length)
-			return p.Mem.MapAt(start, fresh, off, length, prot, shared)
+			if err := p.Mem.MapAt(start, fresh, off, length, prot, shared); err != nil {
+				return err
+			}
+			ent, _ := p.Mem.EntryAt(start)
+			ent.NoCheckpoint = true
+			return nil
 		}
 		obj, err := r.memObject(oid)
 		if err != nil {

@@ -215,9 +215,6 @@ type Group struct {
 	trappedDone map[*vm.Object]bool
 	pending     []vm.ShadowPair // shadows being flushed (collapse next time)
 
-	// mctl exclusions: entry start addresses excluded per process.
-	excluded map[*kern.Proc]map[uint64]bool
-
 	// External synchrony: esHeld accumulates deliveries during the
 	// current interval; esCovered holds those cut off by the last
 	// checkpoint, releasing once it is durable.
@@ -276,7 +273,6 @@ func (o *Orchestrator) CreateGroup(name string) *Group {
 		transient:    make(map[*vm.Object]bool),
 		flushed:      make(map[objstore.OID]bool),
 		trappedDone:  make(map[*vm.Object]bool),
-		excluded:     make(map[*kern.Proc]map[uint64]bool),
 		vnodeRef:     make(map[objstore.OID]bool),
 		journals:     make(map[string]objstore.OID),
 	}

@@ -722,6 +722,84 @@ func TestMCtlExcludesRegion(t *testing.T) {
 	}
 }
 
+// TestMCtlExclusionSurvivesRestore: the exclusion is part of the mapping, so
+// a group restored from a checkpoint that excluded a region keeps excluding
+// it — its writes there are neither flushed nor restored after a second crash.
+func TestMCtlExclusionSurvivesRestore(t *testing.T) {
+	w := newWorld(t)
+	p := w.k.NewProc("app")
+	g := w.o.CreateGroup("app")
+	g.Attach(p)
+	keep, _ := p.Mmap(1<<20, vm.ProtRead|vm.ProtWrite, false)
+	scratch, _ := p.Mmap(1<<20, vm.ProtRead|vm.ProtWrite, false)
+	if err := g.MCtl(p, scratch, true); err != nil {
+		t.Fatal(err)
+	}
+	p.WriteMem(keep, []byte("keep"))
+	p.WriteMem(scratch, []byte("scratch"))
+	if _, err := g.Checkpoint(CkptIncremental); err != nil {
+		t.Fatal(err)
+	}
+
+	w2 := w.crash(t)
+	g2, _, err := w2.o.RestoreGroup("app", w2.store, RestoreFull, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g2.Procs()[0].WriteMem(scratch, []byte("scratch2")); err != nil {
+		t.Fatal(err)
+	}
+	st, err := g2.Checkpoint(CkptIncremental)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.DirtyPages != 0 {
+		t.Fatalf("dirty pages = %d after writing only the excluded region, want 0", st.DirtyPages)
+	}
+
+	w3 := w2.crash(t)
+	g3, _, err := w3.o.RestoreGroup("app", w3.store, RestoreFull, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, 8)
+	if err := g3.Procs()[0].ReadMem(scratch, got); err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != "\x00\x00\x00\x00\x00\x00\x00\x00" {
+		t.Fatalf("excluded region after a second crash = %q, want zeros", got)
+	}
+}
+
+// TestMCtlExclusionEndsWithTheMapping: the exclusion belongs to the mapping,
+// not to its address, so a fresh mapping at an unmapped excluded region's
+// start is checkpointed.
+func TestMCtlExclusionEndsWithTheMapping(t *testing.T) {
+	w := newWorld(t)
+	p := w.k.NewProc("app")
+	g := w.o.CreateGroup("app")
+	g.Attach(p)
+	scratch, _ := p.Mmap(1<<20, vm.ProtRead|vm.ProtWrite, false)
+	if err := g.MCtl(p, scratch, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Munmap(scratch); err != nil {
+		t.Fatal(err)
+	}
+	fresh := w.k.VM.NewObject(vm.Anonymous, 1<<20)
+	if err := p.Mem.MapAt(scratch, fresh, 0, 1<<20, vm.ProtRead|vm.ProtWrite, false); err != nil {
+		t.Fatal(err)
+	}
+	p.WriteMem(scratch, []byte("fresh"))
+	st, err := g.Checkpoint(CkptIncremental)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.DirtyPages != 1 {
+		t.Fatalf("dirty pages = %d, want 1: the new mapping is not excluded", st.DirtyPages)
+	}
+}
+
 func TestVDSOReinjectedOnRestore(t *testing.T) {
 	w := newWorld(t)
 	p := w.k.NewProc("app")

@@ -35,6 +35,10 @@ type Entry struct {
 	// a shadow of the file object, so the vnode object itself only ever
 	// stores the file's true pages.
 	Shared bool
+	// NoCheckpoint marks an sls_mctl exclusion: the checkpoint neither
+	// shadows nor flushes the entry, and records its geometry only. Fork
+	// copies it, as FreeBSD copies an entry's MAP_ENTRY_NOCOREDUMP.
+	NoCheckpoint bool
 
 	// ptes is the entry's page table: the PTE of each translated page, by
 	// page number within the entry.
@@ -374,7 +378,7 @@ func (m *Map) Fork() *Map {
 	child := m.vm.NewMap()
 	child.nextAddr = m.nextAddr
 	for _, e := range m.entries {
-		ce := &Entry{Start: e.Start, End: e.End, Prot: e.Prot, Off: e.Off, Shared: e.Shared}
+		ce := &Entry{Start: e.Start, End: e.End, Prot: e.Prot, Off: e.Off, Shared: e.Shared, NoCheckpoint: e.NoCheckpoint}
 		if !e.Shared && e.Prot&ProtWrite != 0 {
 			// Private writable mapping: both sides shadow the original,
 			// which becomes the shared read-only backer.

@@ -37,14 +37,9 @@ type ShadowPair struct {
 // Vnode objects are skipped — the Aurora file system provides COW for file
 // pages — as are device objects. Per the paper, a private mapping of a file
 // is expressed as an anonymous shadow over the vnode object, so its dirty
-// pages are anonymous and are shadowed here.
+// pages are anonymous and are shadowed here. So are entries marked
+// NoCheckpoint (sls_mctl).
 func SystemShadow(vmsys *System, maps []*Map, backrefs []BackRef) []ShadowPair {
-	return SystemShadowFiltered(vmsys, maps, backrefs, nil)
-}
-
-// SystemShadowFiltered is SystemShadow with an entry filter: entries for
-// which skip returns true are not shadowed (the sls_mctl exclusion path).
-func SystemShadowFiltered(vmsys *System, maps []*Map, backrefs []BackRef, skip func(*Map, *Entry) bool) []ShadowPair {
 	// 1. Collect the distinct shadow targets: objects referenced by any
 	// writable entry (and all writable shm backrefs). First-encounter
 	// order, never map order — the pair order decides shadow ID
@@ -57,10 +52,7 @@ func SystemShadowFiltered(vmsys *System, maps []*Map, backrefs []BackRef, skip f
 			if e.Prot&ProtWrite == 0 {
 				continue
 			}
-			if e.Obj.Type == Vnode || e.Obj.Type == Device {
-				continue
-			}
-			if skip != nil && skip(m, e) {
+			if e.Obj.Type == Vnode || e.Obj.Type == Device || e.NoCheckpoint {
 				continue
 			}
 			if !seen[e.Obj] {
