@@ -84,7 +84,6 @@ type Assignment struct {
 	Primary string
 	Standby string // "" while unprotected
 
-	g    *aurora.Group
 	rep  *aurora.Replica
 	work func() error    // application step run between migration pre-copy rounds
 	held map[string]bool // nodes whose store holds this group's image
@@ -260,14 +259,12 @@ func (c *Coordinator) Manage(group, primary string, work func() error) (*Assignm
 	if !ok {
 		return nil, fmt.Errorf("placement: no machine %q", primary)
 	}
-	g, ok := pn.M.Group(group)
-	if !ok {
+	if _, ok := pn.M.Group(group); !ok {
 		return nil, fmt.Errorf("placement: machine %q hosts no group %q", primary, group)
 	}
 	a := &Assignment{
 		Name:    group,
 		Primary: primary,
-		g:       g,
 		work:    work,
 		held:    map[string]bool{primary: true},
 	}
@@ -438,7 +435,7 @@ func (c *Coordinator) failover(a *Assignment, deadPrimary string, evs *[]Event) 
 	}
 	newPrimary := a.Standby
 	a.Primary, a.Standby = newPrimary, ""
-	a.g, a.rep = g, nil
+	a.rep = nil
 	a.Failovers++
 	c.failovers++
 	c.tr.Count("fleet.failovers", 1)
@@ -712,7 +709,6 @@ func (c *Coordinator) migrate(a *Assignment, target *Node, evs *[]Event) {
 	from := a.Primary
 	a.Primary = target.Name
 	a.Standby = ""
-	a.g = g
 	a.held[target.Name] = true
 	a.Migrations++
 	c.rebalances++
