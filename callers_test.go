@@ -148,8 +148,10 @@ func unusedFuncs(modules map[string]string, callersOnly ...string) ([]string, er
 			if err != nil || !d.IsDir() {
 				return err
 			}
+			// testdata, hidden directories and nested modules, which walk
+			// themselves, are not this module's packages.
 			if name := d.Name(); p != dir && (name == "testdata" || strings.HasPrefix(name, ".") || modDirs[p]) {
-				return filepath.SkipDir // a nested module walks itself
+				return filepath.SkipDir
 			}
 			rel, _ := filepath.Rel(dir, p)
 			paths = append(paths, filepath.ToSlash(filepath.Join(mod, rel)))
@@ -187,8 +189,7 @@ func unusedFuncs(modules map[string]string, callersOnly ...string) ([]string, er
 		}
 	}
 	used := map[*types.Func]bool{}
-	var decls []*types.Func
-	declMod := map[*types.Func]string{}
+	declared := map[*types.Func]string{} // each checked function's reported name
 	for _, lp := range l.pkgs {
 		if lp == nil {
 			continue
@@ -205,8 +206,7 @@ func unusedFuncs(modules map[string]string, callersOnly ...string) ([]string, er
 				if fd, ok := d.(*ast.FuncDecl); ok {
 					self = lp.info.Defs[fd.Name].(*types.Func)
 					if !slices.Contains(callersOnly, lp.mod) && fd.Name.Name != "init" && !(fd.Name.Name == "main" && fd.Recv == nil) {
-						decls = append(decls, self)
-						declMod[self] = lp.mod
+						declared[self] = funcName(self, lp.mod)
 					}
 				}
 				ast.Inspect(d, func(n ast.Node) bool {
@@ -222,19 +222,32 @@ func unusedFuncs(modules map[string]string, callersOnly ...string) ([]string, er
 	}
 
 	var out []string
-	for _, fn := range decls {
-		if used[fn] || implementsAny(fn, ifaces) {
-			continue
+	for fn, name := range declared {
+		if !used[fn] && !implementsAny(fn, ifaces) {
+			out = append(out, name)
 		}
-		name := fn.Name()
-		if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
-			name = recvName(recv.Type()) + "." + name
-		}
-		rel := strings.TrimPrefix(strings.TrimPrefix(fn.Pkg().Path(), declMod[fn]), "/")
-		out = append(out, rel+"."+name)
 	}
 	slices.Sort(out)
 	return out, nil
+}
+
+// funcName is how unusedFuncs reports fn: its package path relative to mod
+// (mod itself for the module's root package), its receiver type if it has
+// one, then its name.
+func funcName(fn *types.Func, mod string) string {
+	name := fn.Name()
+	if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+		t := recv.Type()
+		if p, ok := t.(*types.Pointer); ok {
+			t = p.Elem()
+		}
+		name = t.(*types.Named).Obj().Name() + "." + name
+	}
+	pkg := strings.TrimPrefix(strings.TrimPrefix(fn.Pkg().Path(), mod), "/")
+	if pkg == "" {
+		pkg = mod
+	}
+	return pkg + "." + name
 }
 
 // implementsAny reports whether fn is a method whose receiver type, as a
@@ -260,17 +273,6 @@ func implementsAny(fn *types.Func, ifaces []*types.Interface) bool {
 		}
 	}
 	return false
-}
-
-// recvName is a receiver's type name without pointer or type arguments.
-func recvName(t types.Type) string {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if n, ok := t.(*types.Named); ok {
-		return n.Obj().Name()
-	}
-	return t.String()
 }
 
 // loader type-checks the modules' packages from source, and the standard
