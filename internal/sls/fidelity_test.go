@@ -197,6 +197,11 @@ func TestCoreDumpOfLazyRestore(t *testing.T) {
 	if core.Type != elf.ET_CORE || len(core.Progs) == 0 {
 		t.Fatalf("core dump: type %v, %d program headers", core.Type, len(core.Progs))
 	}
+	for i, ph := range core.Progs {
+		if ph.Off+ph.Filesz > uint64(buf.Len()) {
+			t.Fatalf("segment %d: [%d, %d) beyond the %d-byte image", i, ph.Off, ph.Off+ph.Filesz, buf.Len())
+		}
+	}
 }
 
 func TestRestoredDeviceAndFlags(t *testing.T) {
