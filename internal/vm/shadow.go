@@ -35,10 +35,10 @@ type ShadowPair struct {
 // shootdown per address space.
 //
 // Vnode objects are skipped — the Aurora file system provides COW for file
-// pages — as are device objects. Per the paper, a private mapping of a file
-// is expressed as an anonymous shadow over the vnode object, so its dirty
-// pages are anonymous and are shadowed here. So are entries marked
-// NoCheckpoint (sls_mctl).
+// pages — as are device objects and entries marked NoCheckpoint (sls_mctl).
+// Per the paper, a private mapping of a file is expressed as an anonymous
+// shadow over the vnode object, so its dirty pages are anonymous and are
+// shadowed here.
 func SystemShadow(vmsys *System, maps []*Map, backrefs []BackRef) []ShadowPair {
 	// 1. Collect the distinct shadow targets: objects referenced by any
 	// writable entry (and all writable shm backrefs). First-encounter
