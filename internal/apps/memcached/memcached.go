@@ -42,14 +42,6 @@ type Server struct {
 	capacity int64 // slots
 	slots    map[string]int64
 	next     int64
-
-	stats Stats
-}
-
-// Stats counts server activity.
-type Stats struct {
-	Gets, Sets, Misses int64
-	BytesIn, BytesOut  int64
 }
 
 // New creates a server with capacity for n items, as a kernel process.
@@ -96,8 +88,6 @@ func (s *Server) Set(key string, val []byte) error {
 	if err := s.Proc.WriteMem(s.slotAddr(idx), buf); err != nil {
 		return err
 	}
-	s.stats.Sets++
-	s.stats.BytesIn += int64(len(val))
 	return nil
 }
 
@@ -106,8 +96,6 @@ func (s *Server) Get(key string) ([]byte, bool, error) {
 	s.charge()
 	idx, ok := s.slots[key]
 	if !ok {
-		s.stats.Misses++
-		s.stats.Gets++
 		return nil, false, nil
 	}
 	addr := s.slotAddr(idx)
@@ -127,8 +115,6 @@ func (s *Server) Get(key string) ([]byte, bool, error) {
 	if err := s.Proc.ReadMem(addr+slotHeader+uint64(keyLen), val); err != nil {
 		return nil, false, err
 	}
-	s.stats.Gets++
-	s.stats.BytesOut += int64(valLen)
 	return val, true, nil
 }
 

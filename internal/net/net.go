@@ -110,17 +110,6 @@ type Plan struct {
 	PartitionDur  time.Duration
 }
 
-// LinkStats counts what one link did to its traffic.
-type LinkStats struct {
-	Xmits          int64 // frames handed to Send
-	Delivered      int64 // frames handed out by Recv
-	Drops          int64 // injected drops
-	Dups           int64 // injected duplications
-	Reorders       int64 // injected reorders
-	Corrupts       int64 // injected corruptions
-	PartitionDrops int64 // frames lost to partition windows
-}
-
 // delivery is one frame in flight.
 type delivery struct {
 	data   []byte
@@ -139,8 +128,7 @@ type Link struct {
 	rng      *rand.Rand
 	xmits    int64
 	inflight []delivery
-	parts    []Partition // triggered (index- or Cut-armed) windows
-	stats    LinkStats
+	parts    []Partition        // triggered (index- or Cut-armed) windows
 	tap      func(frame []byte) // when set, sees every frame handed to Send
 }
 
@@ -216,7 +204,6 @@ func (l *Link) faultFor(idx int64, p float64) FaultKind {
 func (l *Link) Send(frame []byte) {
 	idx := l.xmits
 	l.xmits++
-	l.stats.Xmits++
 	if l.tap != nil {
 		l.tap(frame)
 	}
@@ -243,7 +230,6 @@ func (l *Link) Send(frame []byte) {
 	kind := l.faultFor(idx, l.rng.Float64())
 
 	if l.partitioned(now) {
-		l.stats.PartitionDrops++
 		if l.tr != nil {
 			l.tr.Instant(trace.TrackNet, "net.link.partition-drop", trace.I("xmit", idx))
 		}
@@ -253,7 +239,6 @@ func (l *Link) Send(frame []byte) {
 	arrive := now + l.params.Latency + jit
 	switch kind {
 	case FaultDrop:
-		l.stats.Drops++
 		if l.tr != nil {
 			l.tr.Instant(trace.TrackNet, "net.link.drop", trace.I("xmit", idx))
 		}
@@ -264,14 +249,12 @@ func (l *Link) Send(frame []byte) {
 			b[l.rng.Intn(len(b))] ^= 0x20
 		}
 		frame = b
-		l.stats.Corrupts++
 		if l.tr != nil {
 			l.tr.Instant(trace.TrackNet, "net.link.corrupt", trace.I("xmit", idx))
 		}
 	case FaultDup:
 		l.enqueue(frame, arrive)
 		arrive += l.params.Latency/2 + time.Microsecond
-		l.stats.Dups++
 		if l.tr != nil {
 			l.tr.Instant(trace.TrackNet, "net.link.dup", trace.I("xmit", idx))
 		}
@@ -283,7 +266,6 @@ func (l *Link) Send(frame []byte) {
 			by = 10 * time.Microsecond
 		}
 		arrive += by
-		l.stats.Reorders++
 		if l.tr != nil {
 			l.tr.Instant(trace.TrackNet, "net.link.reorder", trace.I("xmit", idx))
 		}
@@ -313,7 +295,6 @@ func (l *Link) Recv() ([]byte, bool) {
 	if now := l.clk.Now(); d.arrive > now {
 		l.clk.Advance(d.arrive - now)
 	}
-	l.stats.Delivered++
 	return d.data, true
 }
 

@@ -2,15 +2,37 @@ package net
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 	"time"
 
 	"aurora/internal/clock"
+	"aurora/internal/trace"
 )
+
+// traced attaches a timeline tracer to l.
+func traced(clk clock.Clock, l *Link) *trace.Tracer {
+	tr := trace.New(clk)
+	l.SetTracer(tr)
+	return tr
+}
+
+// faults counts the fault instants ("net.link.drop", ...) l's tracer
+// recorded, by name.
+func faults(tr *trace.Tracer) map[string]int {
+	n := make(map[string]int)
+	for _, ev := range tr.Events() {
+		if ev.Kind == trace.KindInstant {
+			n[ev.Name]++
+		}
+	}
+	return n
+}
 
 func TestLinkCleanDelivery(t *testing.T) {
 	clk := clock.NewVirtual()
 	l := NewLink(clk, Params{Latency: 10 * time.Microsecond, PerByte: time.Nanosecond}, Plan{})
+	tr := traced(clk, l)
 	l.Send(bytes.Repeat([]byte{0xaa}, 1000))
 	// Serialization charged at send time.
 	if got, want := clk.Now(), 1000*time.Nanosecond; got != want {
@@ -27,9 +49,8 @@ func TestLinkCleanDelivery(t *testing.T) {
 	if _, ok := l.Recv(); ok {
 		t.Fatal("empty link delivered a frame")
 	}
-	st := l.Stats()
-	if st.Xmits != 1 || st.Delivered != 1 || st.Drops != 0 {
-		t.Fatalf("stats = %+v", st)
+	if n := faults(tr); l.Xmits() != 1 || len(n) != 0 {
+		t.Fatalf("xmits = %d, faults = %v", l.Xmits(), n)
 	}
 }
 
@@ -48,9 +69,10 @@ func TestLinkOrderPreservedWhenClean(t *testing.T) {
 }
 
 func TestLinkDeterministicFaults(t *testing.T) {
-	run := func(kind FaultKind) (LinkStats, [][]byte) {
+	run := func(kind FaultKind) (map[string]int, [][]byte) {
 		clk := clock.NewVirtual()
 		l := NewLink(clk, DefaultParams(), Plan{Faults: []Fault{{Xmit: 1, Kind: kind}}})
+		tr := traced(clk, l)
 		for i := 0; i < 3; i++ {
 			l.Send([]byte{byte(i), 0x55})
 		}
@@ -62,28 +84,28 @@ func TestLinkDeterministicFaults(t *testing.T) {
 			}
 			out = append(out, b)
 		}
-		return l.Stats(), out
+		return faults(tr), out
 	}
 
-	st, out := run(FaultDrop)
-	if st.Drops != 1 || len(out) != 2 {
-		t.Fatalf("drop: stats=%+v frames=%d", st, len(out))
+	n, out := run(FaultDrop)
+	if n["net.link.drop"] != 1 || len(n) != 1 || len(out) != 2 {
+		t.Fatalf("drop: faults=%v frames=%d", n, len(out))
 	}
-	st, out = run(FaultDup)
-	if st.Dups != 1 || len(out) != 4 {
-		t.Fatalf("dup: stats=%+v frames=%d", st, len(out))
+	n, out = run(FaultDup)
+	if n["net.link.dup"] != 1 || len(n) != 1 || len(out) != 4 {
+		t.Fatalf("dup: faults=%v frames=%d", n, len(out))
 	}
-	st, out = run(FaultReorder)
-	if st.Reorders != 1 || len(out) != 3 {
-		t.Fatalf("reorder: stats=%+v frames=%d", st, len(out))
+	n, out = run(FaultReorder)
+	if n["net.link.reorder"] != 1 || len(n) != 1 || len(out) != 3 {
+		t.Fatalf("reorder: faults=%v frames=%d", n, len(out))
 	}
 	// The reordered frame (index 1) arrives after frame 2.
 	if out[1][0] != 2 || out[2][0] != 1 {
 		t.Fatalf("reorder order: got %v %v %v", out[0][0], out[1][0], out[2][0])
 	}
-	st, out = run(FaultCorrupt)
-	if st.Corrupts != 1 || len(out) != 3 {
-		t.Fatalf("corrupt: stats=%+v frames=%d", st, len(out))
+	n, out = run(FaultCorrupt)
+	if n["net.link.corrupt"] != 1 || len(n) != 1 || len(out) != 3 {
+		t.Fatalf("corrupt: faults=%v frames=%d", n, len(out))
 	}
 	if bytes.Equal(out[1], []byte{1, 0x55}) {
 		t.Fatal("corrupt fault delivered the frame unmodified")
@@ -106,9 +128,10 @@ func TestLinkPartitionWindow(t *testing.T) {
 	l := NewLink(clk, Params{Latency: 10 * time.Microsecond}, Plan{
 		Partitions: []Partition{{From: 0, Until: 50 * time.Microsecond}},
 	})
+	tr := traced(clk, l)
 	l.Send([]byte{1}) // t=0: inside window, lost
-	if st := l.Stats(); st.PartitionDrops != 1 {
-		t.Fatalf("stats = %+v", st)
+	if n := faults(tr); n["net.link.partition-drop"] != 1 {
+		t.Fatalf("faults = %v", n)
 	}
 	clk.Advance(60 * time.Microsecond)
 	l.Send([]byte{2}) // past the window
@@ -123,13 +146,13 @@ func TestLinkIndexTriggeredPartition(t *testing.T) {
 	l := NewLink(clk, Params{Latency: 10 * time.Microsecond}, Plan{
 		PartitionXmit: 2, PartitionDur: time.Millisecond,
 	})
+	tr := traced(clk, l)
 	l.Send([]byte{0})
 	l.Send([]byte{1})
 	l.Send([]byte{2}) // triggers the partition and is itself lost
 	l.Send([]byte{3}) // still inside the window
-	st := l.Stats()
-	if st.PartitionDrops != 2 {
-		t.Fatalf("stats = %+v", st)
+	if n := faults(tr); n["net.link.partition-drop"] != 2 {
+		t.Fatalf("faults = %v", n)
 	}
 	clk.Advance(2 * time.Millisecond)
 	l.Send([]byte{4})
@@ -170,10 +193,11 @@ func TestLinkAddPartitionMidRun(t *testing.T) {
 // TestLinkProbabilisticReplay pins the determinism contract: the same plan
 // against the same send sequence produces the identical fault history.
 func TestLinkProbabilisticReplay(t *testing.T) {
-	run := func() (LinkStats, []time.Duration) {
+	run := func() ([]trace.Event, []time.Duration) {
 		clk := clock.NewVirtual()
 		l := NewLink(clk, Params{Latency: 15 * time.Microsecond, PerByte: time.Nanosecond, Jitter: 5 * time.Microsecond},
 			Plan{Seed: 42, DropProb: 0.1, DupProb: 0.1, ReorderProb: 0.1, CorruptProb: 0.1})
+		tr := traced(clk, l)
 		for i := 0; i < 200; i++ {
 			l.Send(bytes.Repeat([]byte{byte(i)}, 64))
 		}
@@ -185,15 +209,19 @@ func TestLinkProbabilisticReplay(t *testing.T) {
 			}
 			arrivals = append(arrivals, clk.Now())
 		}
-		return l.Stats(), arrivals
+		return tr.Events(), arrivals
 	}
-	s1, a1 := run()
-	s2, a2 := run()
-	if s1 != s2 {
-		t.Fatalf("stats diverged:\n%+v\n%+v", s1, s2)
+	e1, a1 := run()
+	e2, a2 := run()
+	if !reflect.DeepEqual(e1, e2) {
+		t.Fatalf("fault history diverged:\n%+v\n%+v", e1, e2)
 	}
-	if s1.Drops == 0 || s1.Dups == 0 || s1.Reorders == 0 || s1.Corrupts == 0 {
-		t.Fatalf("probabilistic plan injected nothing: %+v", s1)
+	n := make(map[string]int)
+	for _, ev := range e1 {
+		n[ev.Name]++
+	}
+	if n["net.link.drop"] == 0 || n["net.link.dup"] == 0 || n["net.link.reorder"] == 0 || n["net.link.corrupt"] == 0 {
+		t.Fatalf("probabilistic plan injected nothing: %v", n)
 	}
 	if len(a1) != len(a2) {
 		t.Fatalf("delivery count diverged: %d vs %d", len(a1), len(a2))

@@ -12,6 +12,3 @@ func (c *Coordinator) DeclareDead(name string) []Event {
 	c.markDead(n, &evs)
 	return evs
 }
-
-// Deaths counts the machines declared dead.
-func (c *Coordinator) Deaths() int64 { return c.deaths }

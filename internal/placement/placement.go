@@ -179,7 +179,7 @@ type Coordinator struct {
 
 	lastHB, lastSync, lastReb time.Duration
 
-	deaths, failovers, rebalances, syncErrors, orphans int64
+	failovers, rebalances, syncErrors, orphans int64
 
 	// Observability hooks, both optional. tr is the coordinator's observer:
 	// placement decisions on the fleet lane, fleet-level counters,
@@ -380,7 +380,6 @@ func (c *Coordinator) heartbeat(evs *[]Event) {
 // every assignment touching the dead machine.
 func (c *Coordinator) markDead(n *Node, evs *[]Event) {
 	n.dead = true
-	c.deaths++
 	c.tr.Count("fleet.deaths", 1)
 	c.tr.Instant(trace.TrackFleet, "fleet.dead", trace.S("node", n.Name))
 	*evs = append(*evs, Event{Kind: EvDead, At: c.clk.Now(), Node: n.Name})

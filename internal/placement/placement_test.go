@@ -13,6 +13,7 @@ import (
 
 	"aurora"
 	"aurora/internal/clock"
+	"aurora/internal/trace"
 	"aurora/internal/vm"
 )
 
@@ -209,6 +210,8 @@ func TestHeartbeatDeathFailsOverToStandby(t *testing.T) {
 
 func TestDeclareDeadFailStopPath(t *testing.T) {
 	f := newFleet(t, 3, Config{SyncEvery: 2 * time.Millisecond, HeartbeatEvery: time.Millisecond})
+	tr := trace.NewMetricsOnly(f.clk)
+	f.c.Instrument(tr)
 	a := f.start(t, "app", 0)
 	f.run(t, 6, time.Millisecond)
 
@@ -224,8 +227,8 @@ func TestDeclareDeadFailStopPath(t *testing.T) {
 	if evs2 := f.c.DeclareDead("aur0"); evs2 != nil {
 		t.Fatalf("double declare produced events: %v", evs2)
 	}
-	if f.c.Deaths() != 1 || f.c.Failovers() != 1 {
-		t.Fatalf("counters: deaths=%d failovers=%d", f.c.Deaths(), f.c.Failovers())
+	if tr.CounterValue("fleet.deaths") != 1 || f.c.Failovers() != 1 {
+		t.Fatalf("counters: deaths=%d failovers=%d", tr.CounterValue("fleet.deaths"), f.c.Failovers())
 	}
 }
 
