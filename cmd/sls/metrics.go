@@ -79,20 +79,20 @@ func cmdTop(args []string) error {
 		}
 		fmt.Printf("%-8s %-5s %8d %6d %10s %6d %9d %6d\n",
 			m.Machine, up,
-			metric(coord.Gauges, "fleet.load."+m.Machine),
-			metric(m.Counters, "sls.ckpt.total"),
+			trace.ValueOf(coord.Gauges, "fleet.load."+m.Machine),
+			trace.ValueOf(m.Counters, "sls.ckpt.total"),
 			nsStr(p99(m.Histograms, "sls.stop.ns")),
-			metric(m.Counters, "sls.wal.commits"),
-			metric(m.Counters, "sls.restores"),
-			metric(m.Counters, "sls.replica.syncs"))
+			trace.ValueOf(m.Counters, "sls.wal.commits"),
+			trace.ValueOf(m.Counters, "sls.restores"),
+			trace.ValueOf(m.Counters, "sls.replica.syncs"))
 	}
 	fmt.Printf("\nfleet: alive=%d deaths=%d failovers=%d reseeds=%d orphans=%d sync-errors=%d\n",
-		metric(coord.Gauges, "fleet.alive"),
-		metric(coord.Counters, "fleet.deaths"),
-		metric(coord.Counters, "fleet.failovers"),
-		metric(coord.Counters, "fleet.reseeds"),
-		metric(coord.Counters, "fleet.orphans"),
-		metric(coord.Counters, "fleet.sync_errors"))
+		trace.ValueOf(coord.Gauges, "fleet.alive"),
+		trace.ValueOf(coord.Counters, "fleet.deaths"),
+		trace.ValueOf(coord.Counters, "fleet.failovers"),
+		trace.ValueOf(coord.Counters, "fleet.reseeds"),
+		trace.ValueOf(coord.Counters, "fleet.orphans"),
+		trace.ValueOf(coord.Counters, "fleet.sync_errors"))
 	if failover := p99(coord.Histograms, "fleet.failover.ns"); failover > 0 {
 		fmt.Printf("fleet: failover p99 %s, ckpt stop p99 %s fleet-wide\n",
 			nsStr(failover), nsStr(p99(res.Metrics.Merged, "sls.stop.ns")))
@@ -106,16 +106,6 @@ func cmdTop(args []string) error {
 		fmt.Println("slo: all objectives met")
 	}
 	return nil
-}
-
-// metric reads one counter or gauge out of a snapshot list; 0 when absent.
-func metric(list []trace.NamedValue, name string) int64 {
-	for _, v := range list {
-		if v.Name == name {
-			return v.Value
-		}
-	}
-	return 0
 }
 
 // p99 reads one histogram's p99 out of a snapshot list; 0 when absent.

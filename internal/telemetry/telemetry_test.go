@@ -18,7 +18,7 @@ func TestNilRegistryIsInert(t *testing.T) {
 	r.Store().Observe("h", 3)
 	r.Record("s", AggLast, 4)
 	r.Sample()
-	if r.Store().CounterValue("c") != 0 || gaugeValue(r.Store(), "g") != 0 {
+	if r.Store().CounterValue("c") != 0 || trace.ValueOf(r.Store().Metrics().Gauges, "g") != 0 {
 		t.Fatal("nil registry leaked a value")
 	}
 	if r.Store().Quantile("h", 0.99) != 0 || r.Store().HistogramCopy("h") != nil || r.SeriesPoints("s") != nil {
@@ -47,7 +47,7 @@ func TestCountersGaugesHistograms(t *testing.T) {
 	}
 	r.Store().Gauge("load", 3)
 	r.Store().Gauge("load", 9)
-	if got := gaugeValue(r.Store(), "load"); got != 9 {
+	if got := trace.ValueOf(r.Store().Metrics().Gauges, "load"); got != 9 {
 		t.Fatalf("gauge = %d, want 9", got)
 	}
 	for _, v := range []int64{100, 200, 400} {
@@ -458,14 +458,4 @@ func TestSLOComparisonPerKind(t *testing.T) {
 	if odd.SLOKind().Holds(odd.Value, odd.Bound) {
 		t.Error("an unknown kind is not judged as an under kind")
 	}
-}
-
-// gaugeValue reads the named gauge through the tracer's one metrics walk.
-func gaugeValue(tr *trace.Tracer, name string) int64 {
-	for _, g := range tr.Metrics().Gauges {
-		if g.Name == name {
-			return g.Value
-		}
-	}
-	return 0
 }

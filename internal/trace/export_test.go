@@ -20,11 +20,3 @@ func Tracks() []Track {
 	}
 	return out
 }
-
-// GaugeValue returns the named gauge's last value (0 if never set).
-func (t *Tracer) GaugeValue(name string) int64 {
-	if t == nil {
-		return 0
-	}
-	return t.gauges[name]
-}

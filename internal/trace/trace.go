@@ -476,6 +476,16 @@ type NamedValue struct {
 	Value int64  `json:"value"`
 }
 
+// ValueOf returns the value of the entry called name in list (0 if absent).
+func ValueOf(list []NamedValue, name string) int64 {
+	for _, v := range list {
+		if v.Name == name {
+			return v.Value
+		}
+	}
+	return 0
+}
+
 // Metrics is the store at one instant, every list sorted by name: names can
 // be first touched from concurrent goroutines (simulated threads are
 // goroutines), so any other order would make the artifacts
