@@ -47,16 +47,8 @@ import (
 type (
 	// Proc is a simulated process.
 	Proc = kern.Proc
-	// Thread is a simulated kernel thread.
-	Thread = kern.Thread
-	// CPUState is the per-thread register file.
-	CPUState = kern.CPUState
-	// Kernel is the simulated POSIX kernel.
-	Kernel = kern.Kernel
 	// Group is a consistency group — the unit of atomic persistence.
 	Group = sls.Group
-	// Orchestrator is the SLS core.
-	Orchestrator = sls.Orchestrator
 	// CheckpointKind selects how much a checkpoint captures.
 	CheckpointKind = sls.CheckpointKind
 	// CheckpointStats reports one checkpoint.
@@ -65,33 +57,20 @@ type (
 	RestoreStats = sls.RestoreStats
 	// Journal is an sls_journal write-ahead log.
 	Journal = objstore.Journal
-	// Tracer is a machine's one observer: the metric store (counters,
-	// gauges, histograms) and, under Config.Trace, the span timeline.
-	Tracer = trace.Tracer
 	// Replica is a warm standby of a group on another machine.
 	Replica = sls.Replica
 	// NetParams describe one direction of a simulated replication wire.
 	NetParams = net.Params
 	// NetPlan is a deterministic seeded wire fault scenario.
 	NetPlan = net.Plan
-	// NetFault arms one fault at a wire transmission index.
-	NetFault = net.Fault
 	// NetConn is a framed, ack-windowed replication connection.
 	NetConn = net.Conn
 	// Epoch numbers checkpoints in the store.
 	Epoch = objstore.Epoch
-	// OID names an object in the store.
-	OID = objstore.OID
-	// Signal is a POSIX signal number.
-	Signal = kern.Signal
-	// Prot is a memory protection mask.
-	Prot = vm.Prot
 	// FlightEvent is one entry in the crash flight recorder.
 	FlightEvent = flight.Event
 	// AuditReport is the outcome of one invariant-watchdog pass.
 	AuditReport = audit.Report
-	// AuditViolation is one broken invariant found by the watchdog.
-	AuditViolation = audit.Violation
 	// FaultPlan is a deterministic storage fault scenario (power cut, torn
 	// write, in-flight loss, bit-rot) armed on a machine's fault device.
 	FaultPlan = faultdev.Plan
@@ -104,30 +83,18 @@ type (
 const (
 	ProtRead  = vm.ProtRead
 	ProtWrite = vm.ProtWrite
-	ProtExec  = vm.ProtExec
 
 	CkptIncremental = sls.CkptIncremental
-	CkptFull        = sls.CkptFull
-	CkptMemOnly     = sls.CkptMemOnly
 	CkptWAL         = sls.CkptWAL
 
 	RestoreEager       = sls.RestoreFull
 	RestoreLazy        = sls.RestoreLazy
 	RestoreSpeculative = sls.RestoreSpeculative
 
-	SIGCHLD    = kern.SIGCHLD
-	SIGRESTORE = kern.SIGRESTORE
-	SIGTERM    = kern.SIGTERM
-	SIGUSR1    = kern.SIGUSR1
+	ORead  = kern.ORead
+	OWrite = kern.OWrite
 
-	ORead     = kern.ORead
-	OWrite    = kern.OWrite
-	ONonblock = kern.ONonblock
-	OAppend   = kern.OAppend
-
-	SockUnix = kern.KindSocketUnix
-	SockUDP  = kern.KindSocketUDP
-	SockTCP  = kern.KindSocketTCP
+	SockTCP = kern.KindSocketTCP
 
 	PageSize = vm.PageSize
 )

@@ -18,6 +18,7 @@ import (
 
 	"aurora"
 	"aurora/internal/experiments"
+	"aurora/internal/kern"
 	"aurora/internal/vm"
 )
 
@@ -300,9 +301,9 @@ func BenchmarkAblationExternalSynchrony(b *testing.B) {
 			app := m.Spawn("app")
 			ext := m.Spawn("client")
 			g, _ := m.Attach("app", app)
-			efd, _ := ext.Socket(aurora.SockUDP)
+			efd, _ := ext.Socket(kern.KindSocketUDP)
 			ext.Bind(efd, "10.0.0.9:1")
-			afd, _ := app.Socket(aurora.SockUDP)
+			afd, _ := app.Socket(kern.KindSocketUDP)
 			app.Bind(afd, "10.0.0.1:1")
 			if !es {
 				if err := g.FdCtl(app, afd, true); err != nil {

@@ -87,7 +87,7 @@ func TestOnDiskFormatPinned(t *testing.T) {
 			}
 			folds++
 		default:
-			if _, err := g.Checkpoint(aurora.CkptFull); err != nil {
+			if _, err := g.Checkpoint(sls.CkptFull); err != nil {
 				t.Fatal(err)
 			}
 			folds++
@@ -251,19 +251,19 @@ func newPosixWorld(t *testing.T, m *aurora.Machine) *posixWorld {
 	w.srvN = 1
 
 	// A UNIX pair with a descriptor in flight inside the buffer.
-	ul := fd(p.Socket(aurora.SockUnix))
+	ul := fd(p.Socket(kern.KindSocketUnix))
 	ok(p.Bind(ul, "/run/app.sock"))
 	ok(p.Listen(ul))
-	uc := fd(p.Socket(aurora.SockUnix))
+	uc := fd(p.Socket(kern.KindSocketUnix))
 	ok(p.Connect(uc, "/run/app.sock"))
 	fd(p.Accept(ul))
 	ok(p.SendFDs(uc, []byte("take this"), []int{w.pipeR}))
 
-	w.udp = fd(p.Socket(aurora.SockUDP))
+	w.udp = fd(p.Socket(kern.KindSocketUDP))
 	ok(p.Bind(w.udp, "10.0.0.1:53"))
-	w.qudp = fd(w.q.Socket(aurora.SockUDP))
+	w.qudp = fd(w.q.Socket(kern.KindSocketUDP))
 	ok(w.q.Bind(w.qudp, "10.0.0.2:53"))
-	w.extudp = fd(w.ext.Socket(aurora.SockUDP))
+	w.extudp = fd(w.ext.Socket(kern.KindSocketUDP))
 	ok(w.ext.Bind(w.extudp, "10.0.0.9:53"))
 
 	w.kq = fd(p.Kqueue())
@@ -353,7 +353,7 @@ func TestLogicalImagePinned(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	kinds := []aurora.CheckpointKind{
 		aurora.CkptIncremental, aurora.CkptIncremental, aurora.CkptWAL, aurora.CkptWAL,
-		aurora.CkptWAL, aurora.CkptMemOnly, aurora.CkptFull,
+		aurora.CkptWAL, sls.CkptMemOnly, sls.CkptFull,
 	}
 	run := func(w *posixWorld, rounds int) {
 		t.Helper()
@@ -404,8 +404,8 @@ func TestLogicalImagePinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	fd := must[int](t)
-	w2.qudp = fd(w2.q.Socket(aurora.SockUDP))
-	w2.extudp = fd(w2.ext.Socket(aurora.SockUDP))
+	w2.qudp = fd(w2.q.Socket(kern.KindSocketUDP))
+	w2.extudp = fd(w2.ext.Socket(kern.KindSocketUDP))
 	if err := errors.Join(w2.q.Bind(w2.qudp, "10.0.0.2:53"), w2.ext.Bind(w2.extudp, "10.0.0.9:53")); err != nil {
 		t.Fatal(err)
 	}

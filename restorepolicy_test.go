@@ -68,7 +68,7 @@ func policyImage(t *testing.T) (*aurora.Machine, uint64) {
 	fd(p.Write(cli, []byte("get k007")))
 
 	set(0, policyItems, 1)
-	_, err = g.Checkpoint(aurora.CkptFull)
+	_, err = g.Checkpoint(sls.CkptFull)
 	ok(err)
 	set(0, policyItems/3, 2)
 	_, err = g.Checkpoint(aurora.CkptIncremental)
@@ -169,7 +169,7 @@ func TestRotFailsEveryRestorePolicy(t *testing.T) {
 			if err := errors.Join(p.WriteMem(va, marker), p.WriteMem(va+vm.PageSize, []byte{0x11})); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := g.Checkpoint(aurora.CkptFull); err != nil {
+			if _, err := g.Checkpoint(sls.CkptFull); err != nil {
 				t.Fatal(err)
 			}
 			if err := g.Barrier(); err != nil {

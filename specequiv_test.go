@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"aurora"
+	"aurora/internal/sls"
 	"aurora/internal/vm"
 )
 
@@ -76,7 +77,7 @@ func buildCrashedTwin(seed int64) (*aurora.Machine, uint64, error) {
 				return nil, 0, err
 			}
 		case 8:
-			if _, err := g.Checkpoint(aurora.CkptFull); err != nil {
+			if _, err := g.Checkpoint(sls.CkptFull); err != nil {
 				return nil, 0, err
 			}
 		case 9:
