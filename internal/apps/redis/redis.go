@@ -155,10 +155,8 @@ func (r *Redis) compact() error {
 
 // RDBStats reports a fork-based save, Table 7's RDB column.
 type RDBStats struct {
-	StopTime  time.Duration // fork duration (the parent is blocked)
-	SaveTime  time.Duration // child serialization + write
-	Keys      int
-	ImageSize int64
+	StopTime time.Duration // fork duration (the parent is blocked)
+	SaveTime time.Duration // child serialization + write
 }
 
 // BGSave performs Redis's RDB persistence: fork the process and serialize
@@ -201,9 +199,7 @@ func (r *Redis) BGSave(dev interface {
 			return st, err
 		}
 		off += int64(len(buf))
-		st.Keys++
 	}
-	st.ImageSize = off
 	// Serialization-bound stream write (the paper: 3x slower than
 	// Aurora's write path because of serialization overheads).
 	target := clock.XferTime(0, k.Costs.RDBWriteBps, off)

@@ -160,8 +160,22 @@ func TestBGSave(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Keys != 100 {
-		t.Fatalf("saved keys = %d", st.Keys)
+	// The image is every pair, each as key length, key, value length, value.
+	rec := 4 + len("key-0000") + 4 + len(val)
+	img := make([]byte, 100*rec)
+	if _, err := imgDev.ReadAt(img, 0); err != nil {
+		t.Fatal(err)
+	}
+	saved := map[string]bool{}
+	for off := 0; off < len(img); off += rec {
+		key := string(img[off+4 : off+4+len("key-0000")])
+		if !bytes.Equal(img[off+rec-len(val):off+rec], val) {
+			t.Fatalf("saved value of %q differs", key)
+		}
+		saved[key] = true
+	}
+	if len(saved) != 100 {
+		t.Fatalf("saved keys = %d", len(saved))
 	}
 	if st.StopTime <= 0 || st.SaveTime <= st.StopTime {
 		t.Fatalf("timing shape wrong: %+v", st)

@@ -90,16 +90,8 @@ type DB struct {
 	// pendingCommit batches sync writes for group commit.
 	pendingCommit int
 
-	stats Stats
-}
-
-// Stats counts engine activity.
-type Stats struct {
-	Gets, Puts      int64
-	WALSyncs        int64
-	MemtableFlushes int64
-	Compactions     int64
-	CkptTriggers    int64
+	// compactions numbers the merged sorted runs.
+	compactions int
 }
 
 // memtable is a sorted in-memory run: key/value bytes live in an arena and
@@ -225,7 +217,6 @@ type sstable struct {
 	file  vfs.File
 	path  string
 	index map[string]ssEntry
-	size  int64
 }
 
 type ssEntry struct {
@@ -315,7 +306,6 @@ func OpenOnProc(p *kern.Proc, opts Options) (*DB, error) {
 // Put inserts a key/value pair under the configured persistence contract.
 func (db *DB) Put(key string, val []byte) error {
 	db.Proc.Kernel().Clk.Advance(db.ServiceTime)
-	db.stats.Puts++
 
 	switch db.Config {
 	case ConfigWAL:
@@ -332,7 +322,6 @@ func (db *DB) Put(key string, val []byte) error {
 			if err := db.wal.Fsync(); err != nil {
 				return err
 			}
-			db.stats.WALSyncs++
 			db.pendingCommit = 0
 		}
 	case ConfigAuroraWAL:
@@ -342,7 +331,6 @@ func (db *DB) Put(key string, val []byte) error {
 			if _, err := db.journal.Append(batchRecord(key, val, db.walBatch)); err != nil {
 				return err
 			}
-			db.stats.WALSyncs++
 			db.pendingCommit = 0
 		}
 		db.walBytes += int64(len(key) + len(val) + 16)
@@ -373,7 +361,6 @@ func (db *DB) Put(key string, val []byte) error {
 // Get reads a key (memtable first, then newest-to-oldest sorted runs).
 func (db *DB) Get(key string) ([]byte, bool, error) {
 	db.Proc.Kernel().Clk.Advance(db.ServiceTime)
-	db.stats.Gets++
 	if v, ok, err := db.mt.get(key); err != nil || ok {
 		return v, ok, err
 	}
@@ -411,7 +398,6 @@ func (db *DB) rotate() error {
 	case ConfigWAL, ConfigNoSync:
 		return db.flushMemtable()
 	default:
-		db.stats.CkptTriggers++
 		if db.group != nil {
 			if _, err := db.group.Checkpoint(sls.CkptIncremental); err != nil {
 				return err
@@ -453,7 +439,6 @@ func (db *DB) onWALFull() error {
 		}
 		db.walBytes = 0
 	case ConfigAuroraWAL:
-		db.stats.CkptTriggers++
 		if _, err := db.group.Checkpoint(sls.CkptIncremental); err != nil {
 			return err
 		}
@@ -473,7 +458,6 @@ func (db *DB) flushMemtable() error {
 	if db.fs == nil || len(db.mt.index) == 0 {
 		return nil
 	}
-	db.stats.MemtableFlushes++
 	path := fmt.Sprintf("/rocksdb/sst-%06d.sst", len(db.lsm))
 	f, err := db.fs.Create(path)
 	if err != nil {
@@ -506,9 +490,7 @@ func (db *DB) flushMemtable() error {
 		if _, err := f.WriteAt(block.Bytes(), off); err != nil {
 			return err
 		}
-		off += int64(block.Len())
 	}
-	sst.size = off
 	db.lsm = append(db.lsm, sst)
 	db.mt.reset()
 	if len(db.lsm) > 4 {
@@ -519,7 +501,7 @@ func (db *DB) flushMemtable() error {
 
 // compact merges all runs into one (a simplified universal compaction).
 func (db *DB) compact() error {
-	db.stats.Compactions++
+	db.compactions++
 	merged := make(map[string][]byte)
 	for _, sst := range db.lsm {
 		for k, ent := range sst.index {
@@ -535,7 +517,7 @@ func (db *DB) compact() error {
 		db.fs.Remove(sst.path) //nolint:errcheck
 	}
 	db.lsm = nil
-	path := fmt.Sprintf("/rocksdb/sst-merged-%06d.sst", int(db.stats.Compactions))
+	path := fmt.Sprintf("/rocksdb/sst-merged-%06d.sst", db.compactions)
 	f, err := db.fs.Create(path)
 	if err != nil {
 		return err
@@ -555,7 +537,6 @@ func (db *DB) compact() error {
 		sst.index[k] = ssEntry{off: off, valLen: len(v)}
 		off += int64(len(v))
 	}
-	sst.size = off
 	db.lsm = []*sstable{sst}
 	return nil
 }
@@ -568,7 +549,6 @@ func (db *DB) Flush() error {
 			if err := db.wal.Fsync(); err != nil {
 				return err
 			}
-			db.stats.WALSyncs++
 		case ConfigAuroraWAL:
 			if _, err := db.journal.Append([]byte("flush")); err != nil {
 				return err

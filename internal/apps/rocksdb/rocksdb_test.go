@@ -108,8 +108,8 @@ func TestMemtableFlushAndLSMRead(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if small.Stats().MemtableFlushes == 0 {
-		t.Fatal("no memtable flushes despite tiny memtable")
+	if len(small.lsm) == 0 {
+		t.Fatal("no sorted runs despite tiny memtable")
 	}
 	// Old keys now live in sorted runs, not the memtable.
 	v, ok, err := small.Get("key-000001")
@@ -130,7 +130,7 @@ func TestCompactionPreservesData(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if db.Stats().Compactions == 0 {
+	if db.compactions == 0 {
 		t.Fatal("no compactions triggered")
 	}
 	for i := 0; i < 300; i++ {
@@ -152,14 +152,12 @@ func TestWALFullTriggersCheckpointInAuroraBuild(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if db.Stats().CkptTriggers == 0 {
-		t.Fatal("WAL never filled / no checkpoint trigger")
-	}
+	// The group has no period, so every checkpoint is a trigger.
 	if db.group.Checkpoints() <= before {
-		t.Fatal("no Aurora checkpoints taken")
+		t.Fatal("WAL never filled / no Aurora checkpoint taken")
 	}
-	if db.Stats().WALSyncs == 0 {
-		t.Fatal("no journal syncs")
+	if ents, err := db.journal.Entries(); err != nil || len(ents) == 0 {
+		t.Fatalf("no journal appends since the last trigger: %d entries, err=%v", len(ents), err)
 	}
 }
 
@@ -234,11 +232,9 @@ func TestAuroraMemtableRotationCompacts(t *testing.T) {
 			t.Fatalf("put %d: %v", i, err)
 		}
 	}
-	if db.Stats().CkptTriggers == 0 {
-		t.Fatal("memtable never rotated")
-	}
+	// The group has no period, so every checkpoint is a rotation.
 	if g.Checkpoints() == 0 {
-		t.Fatal("rotation took no checkpoint")
+		t.Fatal("memtable never rotated")
 	}
 	for i := 0; i < 40; i++ {
 		v, ok, err := db.Get(fmt.Sprintf("key-%02d", i))
