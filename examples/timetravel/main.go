@@ -47,9 +47,8 @@ func main() {
 
 	// Run with periodic checkpoints, recording the epoch timeline.
 	type moment struct {
-		step    int
-		balance uint64
-		epoch   aurora.Epoch
+		step  int
+		epoch aurora.Epoch
 	}
 	var timeline []moment
 	balance := uint64(100)
@@ -64,7 +63,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		timeline = append(timeline, moment{step, balance, st.Epoch})
+		timeline = append(timeline, moment{step, st.Epoch})
 	}
 	fmt.Printf("ran 12 steps; final balance %d (corrupted at step 9)\n", read(p))
 	fmt.Printf("history: %d restorable epochs\n", len(m.History()))
