@@ -1,9 +1,8 @@
 package kern
 
-// Asynchronous IO (§5.3): the kernel tracks every AIO in flight so the
-// checkpoint can quiesce them. Writes are not recorded in the checkpoint —
-// the checkpoint simply completes after they are incorporated. Reads are
-// recorded so the restore can reissue them.
+// Asynchronous IO (§5.3): the kernel tracks every AIO until AioWait reaps
+// it. The simulated kernel completes each request inline at submit, so a
+// checkpoint never finds one in flight and records none.
 
 // AIOKind distinguishes reads from writes.
 type AIOKind uint8
@@ -16,14 +15,9 @@ const (
 
 // AIORequest is one in-flight asynchronous IO.
 type AIORequest struct {
-	ID     uint64
-	Kind   AIOKind
-	FD     int
-	Offset int64
-	Len    int
-	Done   bool
-	Err    error
-	buf    []byte
+	ID   uint64
+	Done bool
+	Err  error
 }
 
 // AioSubmit queues an asynchronous vnode read or write; off < 0 is ErrInvalid.
@@ -39,7 +33,7 @@ func (p *Proc) AioSubmit(kind AIOKind, fd int, off int64, buf []byte) (uint64, e
 		}
 		p.k.nextAIO++
 		id = p.k.nextAIO
-		req := &AIORequest{ID: id, Kind: kind, FD: fd, Offset: off, Len: len(buf), buf: buf}
+		req := &AIORequest{ID: id}
 		p.aios = append(p.aios, req)
 		// The simulated kernel completes AIOs inline (the device is
 		// asynchronous underneath); what matters for checkpointing is

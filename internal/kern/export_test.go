@@ -1,8 +1,7 @@
 package kern
 
-// InFlightAIOs returns tracked requests (checkpoint path). Pending reads
-// are reissued at restore; the checkpoint completes only after writes are
-// incorporated.
+// InFlightAIOs returns the requests AioSubmit tracked and AioWait has not
+// reaped.
 func (p *Proc) InFlightAIOs() []*AIORequest {
 	out := make([]*AIORequest, len(p.aios))
 	copy(out, p.aios)

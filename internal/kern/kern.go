@@ -50,11 +50,7 @@ type Signal int32
 
 // Signals.
 const (
-	SIGHUP     Signal = 1
-	SIGINT     Signal = 2
-	SIGKILL    Signal = 9
 	SIGUSR1    Signal = 10
-	SIGUSR2    Signal = 12
 	SIGTERM    Signal = 15
 	SIGCHLD    Signal = 20
 	SIGRESTORE Signal = 64 // Aurora-specific: delivered after a restore

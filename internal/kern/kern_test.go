@@ -594,6 +594,35 @@ func TestAIO(t *testing.T) {
 	}
 }
 
+// TestFsync: fsync of a vnode descriptor succeeds for the cost of the
+// syscall alone (the checkpoint, not fsync, makes a file durable); any other
+// descriptor is ErrInvalid.
+func TestFsync(t *testing.T) {
+	k := newKernel(t)
+	p := k.NewProc("p")
+	fd, err := p.Open("/fsync", ORead|OWrite, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Write(fd, []byte("unsynced")); err != nil {
+		t.Fatal(err)
+	}
+	before := k.Clk.Now()
+	if err := p.Fsync(fd); err != nil {
+		t.Fatalf("fsync of a vnode: %v", err)
+	}
+	if got := k.Clk.Now() - before; got != k.Costs.SyscallGate {
+		t.Fatalf("fsync of a vnode took %v, want one syscall gate (%v)", got, k.Costs.SyscallGate)
+	}
+	rfd, _, err := p.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Fsync(rfd); !errors.Is(err, ErrInvalid) {
+		t.Fatalf("fsync of a pipe = %v, want ErrInvalid", err)
+	}
+}
+
 // TestNegativeOffsetsAreRefused: a negative page or byte offset is an error
 // at every store entry point and at the descriptor calls that hand one down
 // (lseek and aio, EINVAL), never a panic. The store calls run against an

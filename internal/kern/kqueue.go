@@ -10,7 +10,6 @@ type Filter int16
 // Kevent filters (subset).
 const (
 	FilterRead  Filter = -1
-	FilterWrite Filter = -2
 	FilterTimer Filter = -7
 	FilterUser  Filter = -11
 )
@@ -30,7 +29,6 @@ type Kevent struct {
 // Kqueue is the event queue object.
 type Kqueue struct {
 	gen
-	k      *Kernel
 	events []*Kevent
 }
 
@@ -53,7 +51,7 @@ func (kf *kqueueFile) CloseLast() {
 func (p *Proc) Kqueue() (int, error) {
 	var fd int
 	err := p.k.syscall(func() error {
-		fd = p.FDs.Install(NewFile(&kqueueFile{kq: &Kqueue{k: p.k}}, ORead|OWrite))
+		fd = p.FDs.Install(NewFile(&kqueueFile{kq: &Kqueue{}}, ORead|OWrite))
 		return nil
 	})
 	return fd, err

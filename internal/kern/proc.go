@@ -21,7 +21,6 @@ type CPUState struct {
 
 // Thread is one kernel thread.
 type Thread struct {
-	Proc      *Proc
 	LocalTID  PID // application-visible, stable across restores
 	GlobalTID PID // kernel allocation, fresh after restore
 	CPU       CPUState
@@ -81,7 +80,7 @@ func (k *Kernel) NewProc(name string) *Proc {
 	p.LocalPID = p.GlobalPID // identical until a restore re-virtualizes
 	p.PGID = p.LocalPID
 	p.SID = p.LocalPID
-	t := &Thread{Proc: p, GlobalTID: k.allocTID(), Name: "main"}
+	t := &Thread{GlobalTID: k.allocTID(), Name: "main"}
 	t.LocalTID = t.GlobalTID
 	p.Threads = []*Thread{t}
 	k.register(p)
@@ -99,7 +98,7 @@ func (p *Proc) MainThread() *Thread { return p.Threads[0] }
 func (p *Proc) SpawnThread(name string) *Thread {
 	var t *Thread
 	p.k.syscall(func() error { //nolint:errcheck // cannot fail
-		t = &Thread{Proc: p, GlobalTID: p.k.allocTID(), Name: name}
+		t = &Thread{GlobalTID: p.k.allocTID(), Name: name}
 		t.LocalTID = t.GlobalTID
 		p.Threads = append(p.Threads, t)
 		return nil
@@ -126,7 +125,7 @@ func (p *Proc) Fork() *Proc {
 			umtxWaits: make(map[PID]int),
 		}
 		child.LocalPID = child.GlobalPID
-		t := &Thread{Proc: child, GlobalTID: p.k.allocTID(), Name: "main"}
+		t := &Thread{GlobalTID: p.k.allocTID(), Name: "main"}
 		t.LocalTID = t.GlobalTID
 		t.CPU = p.MainThread().CPU
 		child.Threads = []*Thread{t}

@@ -36,7 +36,6 @@ func (k *Kernel) RestoreProc(name string, localPID, pgid, sid PID, group uint64)
 // RestoreThread attaches a thread with recorded local TID and CPU state.
 func (p *Proc) RestoreThread(name string, localTID PID, cpu CPUState, sigMask uint64, prio int) *Thread {
 	t := &Thread{
-		Proc:      p,
 		LocalTID:  localTID,
 		GlobalTID: p.k.allocTID(),
 		CPU:       cpu,
@@ -141,7 +140,7 @@ func (k *Kernel) RestoreShm(id, key int64, name string, size int64, sysv bool, o
 // cost is tiny (one object) compared to the checkpoint's per-event scan —
 // Table 4's kqueue asymmetry.
 func (k *Kernel) RestoreKqueue(events []Kevent) *Kqueue {
-	kq := &Kqueue{k: k}
+	kq := &Kqueue{}
 	for _, ev := range events {
 		e := ev
 		kq.events = append(kq.events, &e)
@@ -198,12 +197,12 @@ func RestoreFile(obj any, aux uint32, offset int64, flags int) (*File, error) {
 
 // RestoreVnodeFile reopens a file by object identifier — no path lookup,
 // exactly how Aurora checkpoints vnodes by inode number (§5.2).
-func (k *Kernel) RestoreVnodeFile(oid uint64, path string) (*VnodeFile, error) {
+func (k *Kernel) RestoreVnodeFile(oid uint64) (*VnodeFile, error) {
 	h, err := k.FS.OpenByOID(objstore.OID(oid))
 	if err != nil {
 		return nil, err
 	}
-	return &VnodeFile{k: k, h: h, OID: objstore.OID(oid), Path: path}, nil
+	return &VnodeFile{h: h, OID: objstore.OID(oid)}, nil
 }
 
 // VnodeVMObject builds a vnode-backed VM object for a file identified by

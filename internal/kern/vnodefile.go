@@ -14,10 +14,8 @@ import (
 // §5.1: fork shares the description and therefore the offset, while an
 // independent open shares only the vnode.
 type VnodeFile struct {
-	k    *Kernel
-	h    vfs.File     // the open slsfs handle (holds a hidden ref)
-	OID  objstore.OID // the vnode identity / inode number
-	Path string       // last known path; informational only
+	h   vfs.File     // the open slsfs handle (holds a hidden ref)
+	OID objstore.OID // the vnode identity / inode number
 }
 
 var _ FileImpl = (*VnodeFile)(nil)
@@ -51,9 +49,6 @@ func (v *VnodeFile) CloseLast() { v.h.Close() } //nolint:errcheck
 // Size returns the file size.
 func (v *VnodeFile) Size() int64 { return v.h.Size() }
 
-// Fsync is a no-op under checkpoint consistency.
-func (v *VnodeFile) Fsync() error { return v.h.Fsync() }
-
 // Open opens path on the Aurora file system, creating it if create is set.
 func (p *Proc) Open(path string, flags int, create bool) (int, error) {
 	var fd int
@@ -71,7 +66,7 @@ func (p *Proc) Open(path string, flags int, create bool) (int, error) {
 			return err
 		}
 		oid, _ := p.k.FS.OIDOf(path)
-		v := &VnodeFile{k: p.k, h: h, OID: oid, Path: path}
+		v := &VnodeFile{h: h, OID: oid}
 		fd = p.FDs.Install(NewFile(v, flags))
 		return nil
 	})
@@ -84,15 +79,12 @@ func (p *Proc) Unlink(path string) error {
 	return p.k.syscall(func() error { return p.k.FS.Remove(path) })
 }
 
-// Fsync on a descriptor: no-op for vnodes (checkpoint consistency), error
-// for non-vnodes.
+// Fsync on a descriptor: a no-op for vnodes under checkpoint consistency,
+// costing the syscall alone; an error for non-vnodes.
 func (p *Proc) Fsync(fd int) error {
 	return p.k.syscall(func() error {
-		v, err := behindFD[*VnodeFile](p, fd, ErrInvalid)
-		if err != nil {
-			return err
-		}
-		return v.Fsync()
+		_, err := behindFD[*VnodeFile](p, fd, ErrInvalid)
+		return err
 	})
 }
 

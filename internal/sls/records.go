@@ -619,7 +619,7 @@ func (r *restorer) decodeObject(oid objstore.OID, utype uint16, d *rec.Decoder) 
 		if ut, ok := recordOf[kind]; ok {
 			impl, err = r.object(implOID, ut)
 		} else if kind == kern.KindVnode {
-			impl, err = r.o.K.RestoreVnodeFile(uint64(implOID), "")
+			impl, err = r.o.K.RestoreVnodeFile(uint64(implOID))
 		} else {
 			err = fmt.Errorf("sls: restore: unknown file kind %v", kind)
 		}
