@@ -220,24 +220,14 @@ type session struct {
 
 // ConnStats counts a connection's lifetime activity across transfers.
 type ConnStats struct {
-	Transfers    int64 // completed transfers
-	Connects     int64 // successful handshakes
-	Resumes      int64 // handshakes that skipped already-acked frames
 	FramesSent   int64 // data frames put on the wire, including retransmits
-	Retransmits  int64 // data frames re-sent within a transfer
 	AcksSeen     int64 // ack frames processed by the sender
 	DupDiscards  int64 // already-applied data frames discarded (re-acked)
-	OOODiscards  int64 // data frames more than sackSpan past a gap, discarded
-	Held         int64 // data frames held past a gap until it filled
 	CorruptDrops int64 // frames rejected by CRC/structure checks
-	Strays       int64 // well-formed frames for no live session
-	Backoffs     int64 // timeout rounds slept
 }
 
 // TransferStats reports one Transfer call.
 type TransferStats struct {
-	Frames      uint64        // total frames in the payload
-	ResumedFrom uint64        // first frame actually shipped (>0 on resume)
 	FramesSent  int64         // data frames sent, including retransmits
 	Retransmits int64         // data frames re-sent
 	Backoffs    int64         // timeout rounds slept
@@ -381,8 +371,6 @@ func (c *Conn) pump(epoch uint64) pumpResult {
 			c.handleHello(f)
 		case FrameData:
 			c.handleData(f)
-		default:
-			c.stats.Strays++
 		}
 	}
 	for {
@@ -396,7 +384,6 @@ func (c *Conn) pump(epoch uint64) pumpResult {
 			continue
 		}
 		if f.Epoch != epoch {
-			c.stats.Strays++
 			continue
 		}
 		switch f.Type {
@@ -414,8 +401,6 @@ func (c *Conn) pump(epoch uint64) pumpResult {
 			if f.Seq > res.helloNext {
 				res.helloNext = f.Seq
 			}
-		default:
-			c.stats.Strays++
 		}
 	}
 	return res
@@ -457,12 +442,7 @@ func (c *Conn) handleHello(f *Frame) {
 // full frame, or 1 to FrameData bytes for the last) is dropped as corrupt.
 func (c *Conn) handleData(f *Frame) {
 	s := c.sess[f.Epoch]
-	if s == nil {
-		c.stats.Strays++
-		return
-	}
-	if f.Total != s.total {
-		c.stats.Strays++
+	if s == nil || f.Total != s.total {
 		return
 	}
 	if n := len(f.Payload); n > c.cfg.FrameData || n == 0 || n < c.cfg.FrameData && f.Seq != s.total-1 {
@@ -479,11 +459,10 @@ func (c *Conn) handleData(f *Frame) {
 			c.tr.Count("net.frames.dup-discard", 1)
 		}
 	case f.Seq > s.next+sackSpan:
-		c.stats.OOODiscards++
+		// Past what the bitmap can hold: discarded.
 	case f.Seq > s.next:
 		s.place(f.Seq*uint64(c.cfg.FrameData), f.Payload)
 		s.sack |= 1 << (f.Seq - s.next - 1)
-		c.stats.Held++
 	default:
 		s.place(f.Seq*uint64(c.cfg.FrameData), f.Payload)
 		for more := true; more; {
@@ -523,7 +502,6 @@ func (c *Conn) connect(epoch, total, spanID uint64, st *TransferStats) (uint64, 
 		c.pipe.Fwd.Send(hello)
 		res := c.pump(epoch)
 		if res.haveHello {
-			c.stats.Connects++
 			if c.tr != nil {
 				c.tr.Count("net.connects", 1)
 			}
@@ -540,7 +518,6 @@ func (c *Conn) connect(epoch, total, spanID uint64, st *TransferStats) (uint64, 
 
 func (c *Conn) backoff(rto *time.Duration, st *TransferStats) {
 	st.Backoffs++
-	c.stats.Backoffs++
 	if c.tr != nil {
 		c.tr.Instant(trace.TrackNet, "net.backoff", trace.D("rto", *rto))
 		c.tr.Count("net.backoffs", 1)
@@ -569,7 +546,6 @@ func (c *Conn) Transfer(epoch uint64, payload []byte) (TransferStats, error) {
 	var st TransferStats
 	sw := clock.StartStopwatch(c.clk)
 	total := uint64((len(payload) + c.cfg.FrameData - 1) / c.cfg.FrameData)
-	st.Frames = total
 	span := c.tr.Begin(trace.TrackNet, "net.transfer",
 		trace.I("epoch", int64(epoch)), trace.I("bytes", int64(len(payload))), trace.I("frames", int64(total)))
 
@@ -585,9 +561,7 @@ func (c *Conn) Transfer(epoch uint64, payload []byte) (TransferStats, error) {
 		span.End(trace.S("err", "resume past end"))
 		return st, fmt.Errorf("%w: epoch %d: receiver ahead of payload (%d > %d frames)", ErrFrame, epoch, base, total)
 	}
-	st.ResumedFrom = base
 	if base > 0 {
-		c.stats.Resumes++
 		if c.tr != nil {
 			c.tr.Instant(trace.TrackNet, "net.resume",
 				trace.I("epoch", int64(epoch)), trace.I("from", int64(base)), trace.I("total", int64(total)))
@@ -616,7 +590,6 @@ func (c *Conn) Transfer(epoch uint64, payload []byte) (TransferStats, error) {
 			frame := encodeFrame(slot, FrameData, epoch, seq, total, c.src, span.ID(), payload[lo:hi])
 			if retx {
 				st.Retransmits++
-				c.stats.Retransmits++
 				if c.tr != nil {
 					c.tr.Instant(trace.TrackNet, "net.retx", trace.I("seq", int64(seq)))
 					c.tr.Count("net.frames.retx", 1)
@@ -665,7 +638,6 @@ func (c *Conn) Transfer(epoch uint64, payload []byte) (TransferStats, error) {
 	}
 
 	st.Elapsed = sw.Elapsed()
-	c.stats.Transfers++
 	if c.tr != nil {
 		c.tr.Count("net.transfers", 1)
 		c.tr.Observe("net.transfer.ns", int64(st.Elapsed))

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"aurora/internal/clock"
+	"aurora/internal/trace"
 )
 
 func testPayload(n int) []byte {
@@ -112,7 +113,7 @@ func TestTransferCleanPipe(t *testing.T) {
 	c, clk := newTestConn(Plan{}, Plan{}, Config{})
 	payload := testPayload(200 << 10) // 7 frames at 32 KiB
 	st := mustTransfer(t, c, 1, payload)
-	if st.Frames != 7 || st.FramesSent != 7 || st.Retransmits != 0 || st.Backoffs != 0 {
+	if st.FramesSent != 7 || st.Retransmits != 0 || st.Backoffs != 0 {
 		t.Fatalf("clean transfer stats = %+v", st)
 	}
 	if st.Elapsed <= 0 || clk.Now() == 0 {
@@ -159,7 +160,7 @@ func TestCleanWireTransferPinned(t *testing.T) {
 func TestTransferEmptyPayload(t *testing.T) {
 	c, _ := newTestConn(Plan{}, Plan{}, Config{})
 	st := mustTransfer(t, c, 1, nil)
-	if st.Frames != 0 || st.FramesSent != 0 {
+	if st.FramesSent != 0 {
 		t.Fatalf("empty transfer stats = %+v", st)
 	}
 }
@@ -170,12 +171,13 @@ func TestTransferSingleByte(t *testing.T) {
 }
 
 func TestTransferManyEpochs(t *testing.T) {
-	c, _ := newTestConn(Plan{}, Plan{}, Config{})
+	c, clk := newTestConn(Plan{}, Plan{}, Config{})
+	c.tr = trace.New(clk)
 	for e := uint64(1); e <= 5; e++ {
 		mustTransfer(t, c, e, testPayload(int(e)*10000))
 	}
-	if st := c.Stats(); st.Transfers != 5 {
-		t.Fatalf("conn stats = %+v", st)
+	if n := c.tr.CounterValue("net.transfers"); n != 5 {
+		t.Fatalf("net.transfers = %d, want 5", n)
 	}
 }
 
@@ -285,6 +287,7 @@ func TestTransferResume(t *testing.T) {
 	payload := testPayload(256 << 10) // 64 frames
 
 	c, clk := newTestConn(Plan{}, Plan{}, cfg)
+	c.tr = trace.New(clk)
 	// Kill the wire permanently at forward transmission 30 (past the
 	// handshake and a couple of window rounds).
 	c.Pipe().Fwd.plan.PartitionXmit = 30
@@ -308,18 +311,17 @@ func TestTransferResume(t *testing.T) {
 	if err != nil {
 		t.Fatalf("resumed transfer: %v", err)
 	}
-	if st.ResumedFrom != next {
-		t.Fatalf("ResumedFrom = %d, want %d", st.ResumedFrom, next)
-	}
-	if st.FramesSent >= int64(st.Frames) {
-		t.Fatalf("resume re-shipped everything: sent %d of %d total frames", st.FramesSent, st.Frames)
+	// The healed wire is clean: the resume ships frames [next, total) once.
+	if st.FramesSent != int64(total-next) || st.Retransmits != 0 {
+		t.Fatalf("resume from frame %d of %d sent %d frames (%d retransmits), want %d",
+			next, total, st.FramesSent, st.Retransmits, total-next)
 	}
 	got, ok := c.Take(1)
 	if !ok || !bytes.Equal(got, payload) {
 		t.Fatal("resumed payload mismatch")
 	}
-	if c.Stats().Resumes != 1 {
-		t.Fatalf("conn stats = %+v", c.Stats())
+	if n := c.tr.CounterValue("net.resumes"); n != 1 {
+		t.Fatalf("net.resumes = %d, want 1", n)
 	}
 }
 
@@ -375,7 +377,7 @@ func TestTransferStatsAccounting(t *testing.T) {
 		t.Fatalf("WireBytes %d not accounting framing overhead over %d payload bytes", st.WireBytes, len(payload))
 	}
 	cs := c.Stats()
-	if cs.FramesSent != st.FramesSent || cs.Retransmits != st.Retransmits {
+	if cs.FramesSent != st.FramesSent {
 		t.Fatalf("conn stats %+v disagree with transfer stats %+v", cs, st)
 	}
 }
@@ -493,15 +495,24 @@ func TestConnReusesBuffersUnderFaults(t *testing.T) {
 		Plan{Seed: 21, DropProb: 0.05, DupProb: 0.05, ReorderProb: 0.05, CorruptProb: 0.05},
 		Plan{Seed: 22, DropProb: 0.05},
 		Config{Window: 8, FrameData: 4 << 10})
+	sackAcks := 0 // acks with a SACK bitmap: the receiver held frames past a gap
+	c.Pipe().Rev.tap = func(frame []byte) {
+		if f, err := DecodeFrame(frame); err == nil && f.Type == FrameAck && len(f.Payload) == sackBytes {
+			sackAcks++
+		}
+	}
 	rng := rand.New(rand.NewSource(23))
 	reused := 0
+	var retx int64
 	var last []byte
 	for epoch := uint64(1); epoch <= 200; epoch++ {
 		payload := make([]byte, 1+rng.Intn(96<<10))
 		rng.Read(payload)
-		if _, err := c.Transfer(epoch, payload); err != nil {
+		st, err := c.Transfer(epoch, payload)
+		if err != nil {
 			t.Fatalf("transfer %d: %v", epoch, err)
 		}
+		retx += st.Retransmits
 		got, ok := c.Take(epoch)
 		if !ok || !bytes.Equal(got, payload) {
 			t.Fatalf("transfer %d of %d bytes: took %d bytes that differ from those sent (ok=%v)", epoch, len(payload), len(got), ok)
@@ -511,8 +522,8 @@ func TestConnReusesBuffersUnderFaults(t *testing.T) {
 		}
 		last = got
 	}
-	if st := c.Stats(); st.Retransmits == 0 || st.CorruptDrops == 0 || st.Held == 0 || st.DupDiscards == 0 {
-		t.Fatalf("the faults never bit: %+v", st)
+	if st := c.Stats(); retx == 0 || st.CorruptDrops == 0 || sackAcks == 0 || st.DupDiscards == 0 {
+		t.Fatalf("the faults never bit: %d retransmits, %d SACK acks, %+v", retx, sackAcks, st)
 	}
 	if len(c.slots) != 8 || cap(c.spare) > maxPresize {
 		t.Fatalf("the Conn holds %d frame slots and a %d-byte buffer", len(c.slots), cap(c.spare))

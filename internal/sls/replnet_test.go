@@ -68,6 +68,7 @@ type replApp struct {
 	j     *objstore.Journal
 	model map[int64]byte
 	jour  [][]byte
+	rep   *Replica // set by runReplScenario once the seed has shipped
 }
 
 func startReplApp(w *world) (*replApp, error) {
@@ -225,6 +226,7 @@ func runReplScenario(fwd, rev net.Plan, cfg net.Config) (*replImage, *net.Conn, 
 	if err != nil {
 		return nil, conn, app, fmt.Errorf("seed: %w", err)
 	}
+	app.rep = rep
 	for i := 1; i <= 2; i++ {
 		if err := step(i); err != nil {
 			return nil, conn, app, err
@@ -238,16 +240,16 @@ func runReplScenario(fwd, rev net.Plan, cfg net.Config) (*replImage, *net.Conn, 
 }
 
 func TestReplicateViaCleanNetwork(t *testing.T) {
-	img, conn, app, err := runReplScenario(net.Plan{}, net.Plan{}, replConfig())
+	img, _, app, err := runReplScenario(net.Plan{}, net.Plan{}, replConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := img.checkModel(app.model, app.jour); err != nil {
 		t.Fatal(err)
 	}
-	st := conn.Stats()
-	if st.Transfers != 3 || st.Retransmits != 0 {
-		t.Fatalf("clean run conn stats = %+v", st)
+	// The seed and two syncs: three transfers on a clean wire.
+	if r := app.rep; r.Syncs != 3 || r.Retransmits != 0 || r.Backoffs != 0 || r.Resumes != 0 {
+		t.Fatalf("clean run: %d syncs, %d retransmits, %d backoffs, %d resumes", r.Syncs, r.Retransmits, r.Backoffs, r.Resumes)
 	}
 	// Direct-path run must land on the identical standby image.
 	direct, _, _, err := runReplScenario(net.Plan{}, net.Plan{}, replConfig())
@@ -340,14 +342,14 @@ func TestReplicationFaultSweepExhaustive(t *testing.T) {
 		// Partition outlasting several RTOs: convergence must ride the
 		// capped-backoff path, still without exhausting retries.
 		plan := net.Plan{PartitionXmit: idx, PartitionDur: 8 * time.Millisecond}
-		img, c, _, err := runReplScenario(plan, net.Plan{}, replConfig())
+		img, _, app, err := runReplScenario(plan, net.Plan{}, replConfig())
 		if err != nil {
 			t.Fatalf("[fwd-xmit=%d kind=partition] %v", idx, err)
 		}
 		if err := img.equal(golden); err != nil {
 			t.Fatalf("[fwd-xmit=%d kind=partition] standby diverged: %v", idx, err)
 		}
-		if c.Stats().Backoffs == 0 {
+		if app.rep.Backoffs == 0 {
 			t.Fatalf("[fwd-xmit=%d kind=partition] no backoffs recorded", idx)
 		}
 		runs++
@@ -493,8 +495,8 @@ func TestReplicaResumeShipsOnlyTail(t *testing.T) {
 		t.Fatalf("resume: %v", err)
 	}
 	st := conn.Stats()
-	if st.Resumes != 1 {
-		t.Fatalf("conn resumes = %d, want 1 (stats %+v)", st.Resumes, st)
+	if rep.Resumes != 1 {
+		t.Fatalf("replica resumes = %d, want 1 (stats %+v)", rep.Resumes, st)
 	}
 	resumedSent := st.FramesSent - sentBefore
 	// The resumed leg must ship strictly fewer data frames than a from-zero
