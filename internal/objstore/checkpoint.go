@@ -6,7 +6,6 @@ import (
 	"slices"
 	"time"
 
-	"aurora/internal/clock"
 	"aurora/internal/flight"
 	"aurora/internal/radix"
 	"aurora/internal/trace"
@@ -17,11 +16,10 @@ import (
 
 // CheckpointStats describes one committed checkpoint.
 type CheckpointStats struct {
-	Epoch         Epoch
-	DirtyObjects  int
-	MetaBytes     int64
-	DurableAt     time.Duration // virtual time the commit is durable
-	CommitCharged time.Duration // virtual time charged synchronously
+	Epoch        Epoch
+	DirtyObjects int
+	MetaBytes    int64
+	DurableAt    time.Duration // virtual time the commit is durable
 }
 
 // Checkpoint is CheckpointRetaining with no bound: all history stays.
@@ -51,7 +49,6 @@ func (s *Store) CheckpointRetaining(retain int) (st CheckpointStats, err error) 
 		s.fl.Record(int64(s.clk.Now()), flight.EvWALFold, int64(s.curEpoch()), int64(n), 0, "")
 	}
 	ring, ringSeq := s.fl.Since(0)
-	sw := clock.StartStopwatch(s.clk)
 	cur := s.curEpoch()
 	st = CheckpointStats{Epoch: cur}
 	commitSpan := s.tr.Begin(trace.TrackObjstore, "commit")
@@ -200,7 +197,6 @@ func (s *Store) CheckpointRetaining(retain int) (st CheckpointStats, err error) 
 	s.observeDurable(sbDone)
 
 	st.DurableAt = sbDone
-	st.CommitCharged = sw.Elapsed()
 	if s.tr != nil {
 		// The commit window stretches from submission to the superblock's
 		// durability point — the drain that overlaps resumed execution.
@@ -384,10 +380,7 @@ func (s *Store) retainedInfo(epoch Epoch) (*ckptInfo, error) {
 // history ("sls restore" of a named checkpoint, time-travel debugging). Its
 // read methods are the embedded image's — the ones the Store has, over the
 // epoch's object table instead of the live one (read.go).
-type View struct {
-	image
-	epoch Epoch
-}
+type View struct{ image }
 
 // RestoreView opens a read-only view of epoch. The current epoch and any
 // retained epoch are viewable.
@@ -400,7 +393,7 @@ func (s *Store) RestoreView(epoch Epoch) (*View, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &View{image: im, epoch: epoch}, nil
+	return &View{image: im}, nil
 }
 
 // DiffPages reports the page indexes of oid whose stored block differs

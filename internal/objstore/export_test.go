@@ -26,9 +26,6 @@ func (s *Store) FreeBlocks() int {
 	return int(n)
 }
 
-// Epoch returns the epoch the view images.
-func (v *View) Epoch() Epoch { return v.epoch }
-
 // WALRegion returns the reserved region's device offset and size in bytes.
 func (s *Store) WALRegion() (base, size int64) { return s.walBase, s.walBlocks * BlockSize }
 

@@ -220,9 +220,6 @@ func TestViewMatchesStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Epoch() != s.Epoch() {
-		t.Fatalf("view epoch %d, store %d", v.Epoch(), s.Epoch())
-	}
 	oids := []OID{inl, pgd, spill, jrn, absent}
 	pgs := []int64{0, 1, 2, ChunkFanout - 1, ChunkFanout, ChunkFanout + 1, 3 * ChunkFanout}
 	got, want := readTranscript(v, oids, pgs), readTranscript(s, oids, pgs)

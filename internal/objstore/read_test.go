@@ -87,7 +87,7 @@ func recoverSerial(dev BlockDev, clk clock.Clock, costs *clock.Costs) (*Store, e
 func tableDump(objects *radix.Table[*object]) string {
 	var b strings.Builder
 	for _, o := range objects.All() {
-		fmt.Fprintf(&b, "%d @%#x+%d dirty=%v birth=%d %x\n", o.oid, o.recordAddr, o.recordLen, o.dirty, o.birth, encodeRecord(o))
+		fmt.Fprintf(&b, "%d @%#x+%d dirty=%v %x\n", o.oid, o.recordAddr, o.recordLen, o.dirty, encodeRecord(o))
 	}
 	return b.String()
 }

@@ -135,7 +135,6 @@ type object struct {
 	journal *journalState        // non-COW journal extent
 
 	dirty      bool  // modified since last checkpoint
-	birth      Epoch // epoch the object was created in
 	recordAddr int64 // where the last committed record lives
 	recordLen  int64
 }
@@ -405,7 +404,7 @@ func (s *Store) Stats() Stats {
 func (s *Store) ensure(oid OID, utype uint16) *object {
 	o := s.get(oid)
 	if o == nil {
-		o = &object{oid: oid, utype: utype, birth: s.curEpoch()}
+		o = &object{oid: oid, utype: utype}
 		s.objects.Set(oidKey(oid), o)
 		// A caller can name the top OID (PutRecord takes any): it must not
 		// bump the allocator, since oid+1 would wrap to 0 and restart

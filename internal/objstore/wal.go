@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"time"
 
-	"aurora/internal/clock"
 	"aurora/internal/flight"
 	"aurora/internal/rec"
 	"aurora/internal/trace"
@@ -194,11 +193,9 @@ func decodeWALFrame(sc *frameScan) (fr *walFrame, padded int64, err error) {
 
 // WALCommitStats describes one WAL commit.
 type WALCommitStats struct {
-	Base          Epoch // epoch the frame applies on top of
-	Seq           uint64
-	Bytes         int64
-	DurableAt     time.Duration
-	CommitCharged time.Duration
+	Base      Epoch // epoch the frame applies on top of
+	Seq       uint64
+	DurableAt time.Duration
 }
 
 // WALCommit makes the interval's mutations durable by appending one delta
@@ -216,7 +213,6 @@ func (s *Store) WALCommit() (WALCommitStats, error) {
 	s.fl.Record(int64(s.clk.Now()), flight.EvWALAppend, int64(s.epoch), int64(len(s.walDurable))+1, 0, "")
 	tail, flSeq := s.fl.Since(s.flSeq)
 
-	sw := clock.StartStopwatch(s.clk)
 	span := s.tr.Begin(trace.TrackObjstore, "wal.append")
 	s.maybeResetWAL()
 	fr := &walFrame{
@@ -249,9 +245,7 @@ func (s *Store) WALCommit() (WALCommitStats, error) {
 	s.walPending = nil
 	s.pendingDurable = done
 	s.observeDurable(done)
-	st.Bytes = total
 	st.DurableAt = done
-	st.CommitCharged = sw.Elapsed()
 	if s.tr != nil {
 		s.tr.Count("objstore.wal_appends", 1)
 		s.tr.Count("objstore.wal.bytes", total)

@@ -17,6 +17,21 @@ import (
 	"aurora/internal/trace"
 )
 
+// walCommit runs WALCommit and returns its stats and the size of the frame
+// it appended, read off the objstore.wal.bytes counter of the store's tracer.
+func walCommit(t *testing.T, s *Store) (WALCommitStats, int64) {
+	t.Helper()
+	if s.tr == nil {
+		s.SetTracer(trace.New(s.clk))
+	}
+	before := s.tr.CounterValue("objstore.wal.bytes")
+	st, err := s.WALCommit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st, s.tr.CounterValue("objstore.wal.bytes") - before
+}
+
 // putPage builds a deterministic page payload.
 func walPage(tag byte) []byte {
 	p := make([]byte, BlockSize)
@@ -173,15 +188,12 @@ func TestWALDeferredResetKeepsOldFramesUntilFoldDurable(t *testing.T) {
 	if err := s.PutRecord(oid, 1, []byte("b")); err != nil {
 		t.Fatal(err)
 	}
-	st, err := s.WALCommit()
-	if err != nil {
-		t.Fatal(err)
-	}
+	st, n := walCommit(t, s)
 	if st.Seq != 1 {
 		t.Fatalf("new generation seq = %d, want 1", st.Seq)
 	}
-	if s.WALHead() != st.Bytes {
-		t.Fatalf("head = %d after reset+append of %d bytes", s.WALHead(), st.Bytes)
+	if s.WALHead() != n {
+		t.Fatalf("head = %d after reset+append of %d bytes", s.WALHead(), n)
 	}
 }
 
@@ -775,13 +787,10 @@ func TestWALFrameCarriesFlightTailOnly(t *testing.T) {
 		if _, err := s.WritePages(oid, writes); err != nil {
 			t.Fatal(err)
 		}
-		st, err := s.WALCommit()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if steady && st.Bytes > 2<<10 {
+		_, n := walCommit(t, s)
+		if steady && n > 2<<10 {
 			t.Fatalf("commit %d: a 4-page frame is %d bytes with %d events in the ring, want <= 2 KiB",
-				round, st.Bytes, len(fl.Events()))
+				round, n, len(fl.Events()))
 		}
 	}
 	commit(s, 0, true) // empty ring: the first tail is the one append event
@@ -1188,9 +1197,8 @@ func TestWALRecoverScansInWindows(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		st, err := s.WALCommit()
-		if err != nil || st.Bytes <= win {
-			t.Fatalf("setup: frame of %d bytes (err %v), want more than a window", st.Bytes, err)
+		if _, n := walCommit(t, s); n <= win {
+			t.Fatalf("setup: frame of %d bytes, want more than a window", n)
 		}
 		commit(t, s, a, 100, 2)
 		check(t, dev, clk, 3, s.WALHead())
@@ -1260,10 +1268,11 @@ func TestWALRecoverScansInWindows(t *testing.T) {
 			n++
 		}
 		// One put of k bytes makes a frame of k+63: fill to the last byte.
-		st := commit(t, s, oid, int(size-s.WALHead())-63, 0xFF)
+		last := size - s.WALHead()
+		commit(t, s, oid, int(last)-63, 0xFF)
 		n++
 		if s.WALHead() != size {
-			t.Fatalf("setup: head %d after a closing frame of %d bytes, region %d", s.WALHead(), st.Bytes, size)
+			t.Fatalf("setup: head %d after a closing frame meant to be %d bytes, region %d", s.WALHead(), last, size)
 		}
 		check(t, dev, clk, n, size)
 		// No window reaches past the region into the data blocks behind it.
