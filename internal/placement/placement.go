@@ -71,7 +71,6 @@ type Node struct {
 	downAt time.Duration // when the driver cut power; anchors failover latency
 	misses int           // consecutive unanswered heartbeats
 	dead   bool          // coordinator's belief, set by missed heartbeats or a declare
-	ops    int64         // load window: driver-reported ops landed on this primary
 }
 
 // Alive reports the coordinator's belief about the node.
