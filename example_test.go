@@ -47,17 +47,21 @@ func ExampleMachine_RestoreAt() {
 
 // Migration: an application moves between machines mid-flight.
 func ExampleMachine_MigrateTo() {
-	a, _ := aurora.NewMachine(aurora.Defaults())
+	cfg := aurora.Defaults()
+	cfg.Telemetry = true // a.Tracer counts the rounds
+	a, _ := aurora.NewMachine(cfg)
 	b, _ := aurora.NewMachine(aurora.Defaults())
 	p := a.Spawn("svc")
 	va, _ := p.Mmap(1<<20, aurora.ProtRead|aurora.ProtWrite, false)
 	a.Attach("svc", p)
 	p.WriteMem(va, []byte("travels"))
 
-	g, st, _ := a.MigrateTo(b, "svc", 1, nil)
+	// Each round is one replica sync: the full image, one pre-copy delta,
+	// and the final stop-and-copy.
+	g, _, _ := a.MigrateTo(b, "svc", 1, nil)
 	buf := make([]byte, 7)
 	g.Procs()[0].ReadMem(va, buf)
-	fmt.Println(string(buf), st.Rounds, "rounds")
+	fmt.Println(string(buf), a.Tracer.CounterValue("sls.replica.syncs"), "rounds")
 	// Output: travels 3 rounds
 }
 

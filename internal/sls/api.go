@@ -16,9 +16,7 @@ import (
 
 // MemCkptStats reports an atomic-region checkpoint.
 type MemCkptStats struct {
-	StopTime   time.Duration
-	Pages      int64
-	FlushBytes int64
+	StopTime time.Duration
 }
 
 // MemCkpt asynchronously checkpoints the single memory region mapped at va
@@ -60,15 +58,10 @@ func (g *Group) MemCkpt(p *kern.Proc, va uint64) (MemCkptStats, error) {
 	// them naturally.
 	plan := newFlushPlan()
 	g.planPairs(plan, pairs, CkptIncremental)
-	res, err := g.runFlush(plan)
-	if err != nil {
+	if _, err := g.runFlush(plan); err != nil {
 		return st, err
 	}
-	st.FlushBytes = res.bytes
 	g.pending = append(g.pending, pairs...)
-	for _, pair := range pairs {
-		st.Pages += int64(pair.Frozen.Pages())
-	}
 	return st, nil
 }
 

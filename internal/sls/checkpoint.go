@@ -44,7 +44,6 @@ func (g *Group) Checkpoint(kind CheckpointKind) (st CheckpointStats, err error) 
 	if kind == CkptWAL && g.Options.FoldEvery > 0 && g.walSinceFold >= g.Options.FoldEvery {
 		kind = CkptIncremental
 	}
-	st = CheckpointStats{Kind: kind}
 
 	// 1. Previous flush must be durable; its covered messages release. A
 	// failed wait releases nothing; its error is the device's, which this

@@ -336,12 +336,13 @@ func TestMigrateToDeadMachine(t *testing.T) {
 
 	// Once the partition lifts, the same group migrates cleanly.
 	src.clk.Advance(2 * time.Hour)
-	g2, st, err := app.g.MigrateVia(dst.o, 2, work, conn)
+	deltas := 0 // work runs before each delta round
+	g2, _, err := app.g.MigrateVia(dst.o, 2, func() error { deltas++; return work() }, conn)
 	if err != nil {
 		t.Fatalf("migrate after heal: %v", err)
 	}
-	if st.Rounds < 2 {
-		t.Fatalf("healed migrate rounds = %d, want >= 2", st.Rounds)
+	if deltas != 2 {
+		t.Fatalf("healed migrate ran %d delta rounds, want 2", deltas)
 	}
 	buf := make([]byte, 1)
 	if err := g2.Procs()[0].ReadMem(app.va+2*vm.PageSize, buf); err != nil {

@@ -6,8 +6,23 @@ import (
 	"time"
 
 	"aurora/internal/net"
+	"aurora/internal/trace"
 	"aurora/internal/vm"
 )
+
+// shipBytes returns the stream size of each replica sync tr's timeline saw,
+// in order: the steps of its running sls.replica.bytes samples.
+func shipBytes(tr *trace.Tracer) []int64 {
+	var out []int64
+	var last int64
+	for _, ev := range tr.Events() {
+		if ev.Kind == trace.KindCounter && ev.Name == "sls.replica.bytes" {
+			out = append(out, ev.Value-last)
+			last = ev.Value
+		}
+	}
+	return out
+}
 
 func TestPreCopyLiveMigration(t *testing.T) {
 	src := newWorld(t)
@@ -21,6 +36,8 @@ func TestPreCopyLiveMigration(t *testing.T) {
 	}
 
 	dst := newWorld(t)
+	tr := trace.New(src.clk)
+	src.o.Tracer = tr
 	round := 0
 	restored, st, err := g.MigrateVia(dst.o, 2, func() error {
 		// The app keeps running between rounds, dirtying a few pages.
@@ -35,17 +52,17 @@ func TestPreCopyLiveMigration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Rounds != 4 { // full + 2 pre-copy + final
-		t.Fatalf("rounds = %d, want 4", st.Rounds)
+	rounds := shipBytes(tr)
+	if len(rounds) != 4 { // full + 2 pre-copy + final
+		t.Fatalf("rounds = %d, want 4", len(rounds))
 	}
 	// Pre-copy property: delta rounds are far smaller than the full round.
-	if !(st.RoundBytes[1] < st.RoundBytes[0]/10) {
-		t.Fatalf("delta round %d bytes not << full round %d", st.RoundBytes[1], st.RoundBytes[0])
+	if !(rounds[1] < rounds[0]/10) {
+		t.Fatalf("delta round %d bytes not << full round %d", rounds[1], rounds[0])
 	}
 	// The final (stop-and-copy) round is small: little residual dirt.
-	last := st.RoundBytes[len(st.RoundBytes)-1]
-	if !(last < st.RoundBytes[0]/10) {
-		t.Fatalf("final round %d bytes not << full round %d", last, st.RoundBytes[0])
+	if last := rounds[len(rounds)-1]; !(last < rounds[0]/10) {
+		t.Fatalf("final round %d bytes not << full round %d", last, rounds[0])
 	}
 	if st.FinalStop <= 0 {
 		t.Fatal("no final stop time")
@@ -172,12 +189,14 @@ func TestMigrateRoundCutMidTransfer(t *testing.T) {
 	}
 
 	src.clk.Advance(2 * time.Hour)
-	g2, st, err := app.g.MigrateVia(dst.o, 1, work, conn)
+	tr := trace.New(src.clk)
+	src.o.Tracer = tr
+	g2, _, err := app.g.MigrateVia(dst.o, 1, work, conn)
 	if err != nil {
 		t.Fatalf("retry on the same connection: %v", err)
 	}
-	if st.Rounds != 3 {
-		t.Fatalf("retry rounds = %d, want 3", st.Rounds)
+	if n := len(shipBytes(tr)); n != 3 {
+		t.Fatalf("retry rounds = %d, want 3", n)
 	}
 	img := make([]byte, workloadPages*vm.PageSize)
 	if err := g2.Procs()[0].ReadMem(app.va, img); err != nil {

@@ -121,7 +121,6 @@ var _ vm.SparsePager = (*storePager)(nil)
 // historical view) the next checkpoint performs a full reflush.
 func (o *Orchestrator) RestoreGroup(name string, src Source, mode RestoreMode, continuing bool) (retG *Group, st RestoreStats, retErr error) {
 	sw := clock.StartStopwatch(o.Clk)
-	st.Mode = mode
 	restSpan := o.Tracer.Begin(trace.TrackSLS, "restore",
 		trace.S("group", name), trace.I("mode", int64(mode)))
 	if fl := o.Store.Flight(); fl != nil {
@@ -243,7 +242,6 @@ func (o *Orchestrator) RestoreGroup(name string, src Source, mode RestoreMode, c
 		g.primeGate()
 	}
 	st.Objects = len(r.objs)
-	st.Epoch = o.Store.Epoch()
 	if mode == RestoreSpeculative {
 		// Metadata is rebuilt and every page would fault in on demand: the
 		// group could execute its first instruction now, before a single

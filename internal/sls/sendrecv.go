@@ -563,11 +563,7 @@ func checkItems(items []byte, groupOID objstore.OID, listed func(objstore.OID) e
 
 // MigrateStats reports a pre-copy live migration.
 type MigrateStats struct {
-	Rounds int
-	// RoundBytes is each round's stream size (full, then deltas) — the bytes
-	// the receiver applies, the same on the direct path and over a wire.
-	RoundBytes []int64
-	FinalStop  time.Duration // source stop during the final round
+	FinalStop time.Duration // source stop during the final round
 }
 
 // MigrateVia performs iterative pre-copy live migration (§10): a replica
@@ -591,8 +587,6 @@ func (g *Group) MigrateVia(dst *Orchestrator, rounds int, work func() error, con
 		if err != nil {
 			return err
 		}
-		st.Rounds++
-		st.RoundBytes = append(st.RoundBytes, r.LastBytes)
 		st.FinalStop = cst.StopTime
 		return nil
 	}

@@ -80,7 +80,6 @@ const (
 type CheckpointStats struct {
 	Epoch      objstore.Epoch
 	WALSeq     uint64 // nonzero when the commit was a WAL frame append
-	Kind       CheckpointKind
 	StopTime   time.Duration // application pause (quiesce..resume)
 	OSTime     time.Duration // portion spent serializing POSIX objects
 	MemTime    time.Duration // portion spent shadowing / marking COW
@@ -99,8 +98,6 @@ type CheckpointStats struct {
 
 // RestoreStats reports one restore's costs.
 type RestoreStats struct {
-	Epoch      objstore.Epoch
-	Mode       RestoreMode
 	Time       time.Duration
 	Procs      int
 	Objects    int

@@ -23,9 +23,7 @@ func (g *Group) installPager(obj *vm.Object, oid objstore.OID) {
 
 // EvictStats reports one eviction pass.
 type EvictStats struct {
-	Scanned   int64
-	Evicted   int64
-	SkippedIO int64 // dirty/unbacked pages that would need laundering
+	Evicted int64
 }
 
 // Evict reclaims up to maxPages clean, checkpoint-backed pages from the
@@ -46,15 +44,10 @@ func (g *Group) Evict(maxPages int64) EvictStats {
 			seen[term] = true
 			var evict []int64
 			term.EachPage(func(pg int64, p *mem.Page) {
-				st.Scanned++
-				if st.Evicted+int64(len(evict)) >= maxPages {
-					return
+				// A dirty or unbacked page would need laundering first.
+				if st.Evicted+int64(len(evict)) < maxPages && !unstored(p) {
+					evict = append(evict, pg)
 				}
-				if unstored(p) {
-					st.SkippedIO++
-					return
-				}
-				evict = append(evict, pg)
 			})
 			for _, pg := range evict {
 				if p, ok := term.RemovePage(pg); ok {
