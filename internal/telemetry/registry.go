@@ -48,7 +48,7 @@ func (r *Registry) Store() *trace.Tracer {
 func (r *Registry) record(now time.Duration, name string, agg Agg, v int64) {
 	s := r.series[name]
 	if s == nil {
-		s = newSeries(name, agg, defaultSeriesCap)
+		s = newSeries(agg, defaultSeriesCap)
 		r.series[name] = s
 	}
 	s.append(now, v)

@@ -10,7 +10,6 @@ type Agg uint8
 const (
 	AggLast Agg = iota // latest value wins — counters, gauges
 	AggMax             // maximum survives — latency quantiles, spikes
-	AggSum             // values add — per-interval deltas
 )
 
 // String names the aggregator in snapshots.
@@ -20,8 +19,6 @@ func (a Agg) String() string {
 		return "last"
 	case AggMax:
 		return "max"
-	case AggSum:
-		return "sum"
 	}
 	return "agg?"
 }
@@ -42,7 +39,6 @@ const defaultSeriesCap = 64
 // Series is a bounded time-series ring with pair-merge downsampling.
 // Only its owning Registry mutates it.
 type Series struct {
-	name   string
 	agg    Agg
 	cap    int
 	stride int64 // raw samples folded into one stored point
@@ -50,8 +46,8 @@ type Series struct {
 	pts    []Point
 }
 
-func newSeries(name string, agg Agg, capacity int) *Series {
-	return &Series{name: name, agg: agg, cap: capacity, stride: 1}
+func newSeries(agg Agg, capacity int) *Series {
+	return &Series{agg: agg, cap: capacity, stride: 1}
 }
 
 // combine folds nv into ov under the series aggregator.
@@ -62,8 +58,6 @@ func (s *Series) combine(ov, nv int64) int64 {
 			return nv
 		}
 		return ov
-	case AggSum:
-		return ov + nv
 	}
 	return nv // AggLast
 }
