@@ -131,10 +131,12 @@ func TestCleanAfterCollapseOfPrefaultedPTEs(t *testing.T) {
 	shadow := e.Obj
 	touch(3, true)
 	checkpoint()    // freezes the shadow holding every third page
+	mapped := map[uint64]bool{}
+	p.Mem.AuditPTEs(func(addr uint64, _ vm.PTE, _ *vm.Object) { mapped[addr] = true })
 	touch(5, false) // each read maps four resident neighbours
-	prefaulted := 0
-	p.Mem.AuditPTEs(func(_ uint64, pte vm.PTE, obj *vm.Object) {
-		if !pte.Accessed && obj == shadow {
+	prefaulted := 0 // PTEs the scan installed on the frozen shadow at pages it did not read
+	p.Mem.AuditPTEs(func(addr uint64, _ vm.PTE, obj *vm.Object) {
+		if obj == shadow && !mapped[addr] && (addr-va)/vm.PageSize%5 != 0 {
 			prefaulted++
 		}
 	})

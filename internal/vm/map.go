@@ -66,7 +66,6 @@ type PTE struct {
 	Page     *mem.Page
 	Writable bool
 	Dirty    bool
-	Accessed bool
 	gen      uint32  // the entry's gen when it was installed
 	owner    *Object // the object Page was resident in when it was installed
 }
@@ -255,7 +254,7 @@ func (m *Map) Fault(va uint64, write bool) (*mem.Page, error) {
 		return nil, err
 	}
 	m.vm.Clk.Advance(m.vm.Costs.PageInstall)
-	old, _ := e.ptes.Set(slot, PTE{Page: p, Writable: write, Accessed: true, Dirty: write, gen: gen, owner: owner})
+	old, _ := e.ptes.Set(slot, PTE{Page: p, Writable: write, Dirty: write, gen: gen, owner: owner})
 	if write && !old.Writable {
 		e.writable = append(e.writable, slot)
 	}
@@ -274,7 +273,7 @@ const prefaultSpan = 4
 
 // prefault maps the resident pages within prefaultSpan slots of a read
 // fault's slot that have no PTE, as FreeBSD's vm_fault_prefault does: each
-// read-only and not yet accessed, for one PageInstall and no trap. It never
+// read-only, for one PageInstall and no trap. It never
 // pages in or allocates, so a page that is not resident stays unmapped, and
 // a slot that has a PTE, current or stale, keeps it. In a shared entry,
 // pteFor drops a prefaulted PTE once another map copies its page up.
@@ -291,8 +290,7 @@ func (m *Map) prefault(e *Entry, slot int64) {
 }
 
 // pteFor returns the page a usable PTE translates the access to, with the
-// PTE's accessed bit (and for a write its dirty bit) set, or nil to take the
-// slow path.
+// PTE's dirty bit set for a write, or nil to take the slow path.
 func (m *Map) pteFor(base uint64, write bool) *mem.Page {
 	e := m.findEntry(base)
 	if e == nil {
@@ -312,7 +310,6 @@ func (m *Map) pteFor(base uint64, write bool) *mem.Page {
 		e.ptes.Del(slot)
 		return nil
 	}
-	pte.Accessed = true
 	pte.Dirty = pte.Dirty || write
 	return pte.Page
 }

@@ -1,7 +1,7 @@
 // Package vm implements the Mach-derived virtual memory subsystem the paper
 // builds on (§6, Figure 2), in simulation: VM objects with shadow chains,
 // VM maps with entries, and a software pmap whose page-table entries carry
-// the dirty and accessed bits Aurora's incremental checkpointing relies on.
+// the dirty bits Aurora's incremental checkpointing relies on.
 //
 // The paper's two memory mechanisms live here:
 //

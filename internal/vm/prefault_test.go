@@ -89,7 +89,7 @@ func (w *prefaultWorld) check(t *testing.T, owners map[int64]*Object) {
 
 // TestReadFaultPrefaultsResidentNeighbours: a read fault maps the resident
 // pages within prefaultSpan slots of it, found down the shadow chain,
-// read-only and unaccessed, for one PageInstall each; a page resident nowhere
+// read-only, for one PageInstall each; a page resident nowhere
 // stays unmapped with its pager uncalled, nothing past the entry's ends is
 // mapped, a mapped slot is skipped, and a write fault maps only its own page.
 // A prefaulted page takes the ordinary write fault, which lists it writable
@@ -110,8 +110,8 @@ func TestReadFaultPrefaultsResidentNeighbours(t *testing.T) {
 		}
 		w.check(t, map[int64]*Object{1: root, 2: root, 3: top, 4: root, 5: root})
 		for slot, pte := range w.e.ptes.All() {
-			if pte.Accessed != (slot == 1) || pte.Writable {
-				t.Fatalf("slot %d: accessed %v, writable %v", slot, pte.Accessed, pte.Writable)
+			if pte.Writable {
+				t.Fatalf("slot %d: a read mapped it writable", slot)
 			}
 		}
 		// Slot 11 is the entry's last: object page 14 is resident but
@@ -123,9 +123,6 @@ func TestReadFaultPrefaultsResidentNeighbours(t *testing.T) {
 		// A prefaulted page reads without a trap.
 		if got := w.access(t, 3, false); got != 0 {
 			t.Fatalf("read of a prefaulted page took %v", got)
-		}
-		if !w.e.ptes.Ptr(3).Accessed {
-			t.Fatal("read of a prefaulted page left it unaccessed")
 		}
 		// Every slot in reach of slot 6 is mapped already or resident nowhere.
 		if got := w.access(t, 6, false); got != fault+install {
