@@ -18,7 +18,6 @@ type OpKind uint8
 const (
 	OpGet OpKind = iota
 	OpSet
-	OpDelete
 )
 
 // Op is one generated operation.
@@ -41,7 +40,6 @@ type Generator interface {
 type ETC struct {
 	rng     *rand.Rand
 	zipf    *rand.Zipf
-	keys    int
 	setFrac float64
 	value   []byte
 }
@@ -52,7 +50,6 @@ func NewETC(seed int64, keys int) *ETC {
 	return &ETC{
 		rng:     rng,
 		zipf:    rand.NewZipf(rng, 1.01, 1, uint64(keys-1)),
-		keys:    keys,
 		setFrac: 0.033, // ~30:1 read:write
 		value:   make([]byte, 300),
 	}
@@ -83,22 +80,20 @@ func (e *ETC) Next() Op {
 // FAST'20): keys cluster under hot prefixes, values average ~400 bytes,
 // and the get:put ratio is roughly 3:1.
 type PrefixDist struct {
-	rng      *rand.Rand
-	prefixes int
-	perPre   int
-	zipf     *rand.Zipf
-	putFrac  float64
+	rng     *rand.Rand
+	perPre  int
+	zipf    *rand.Zipf
+	putFrac float64
 }
 
 // NewPrefixDist builds the generator with the given key-space shape.
 func NewPrefixDist(seed int64, prefixes, keysPerPrefix int) *PrefixDist {
 	rng := rand.New(rand.NewSource(seed))
 	return &PrefixDist{
-		rng:      rng,
-		prefixes: prefixes,
-		perPre:   keysPerPrefix,
-		zipf:     rand.NewZipf(rng, 1.2, 1, uint64(prefixes-1)),
-		putFrac:  0.25,
+		rng:     rng,
+		perPre:  keysPerPrefix,
+		zipf:    rand.NewZipf(rng, 1.2, 1, uint64(prefixes-1)),
+		putFrac: 0.25,
 	}
 }
 
