@@ -14,9 +14,6 @@ import "errors"
 // PageSize is the frame size, matching the x86-64 base page.
 const PageSize = 4096
 
-// PageShift is log2(PageSize).
-const PageShift = 12
-
 // ErrNoMemory is returned when PhysMem cannot satisfy an allocation.
 var ErrNoMemory = errors.New("mem: out of physical memory")
 
