@@ -69,17 +69,3 @@ func StartStopwatch(c Clock) Stopwatch {
 
 // Elapsed reports the virtual time accumulated since the stopwatch started.
 func (s Stopwatch) Elapsed() time.Duration { return s.c.Now() - s.start }
-
-// Discard is a Clock that accepts advances and discards them. It is useful
-// for running a mechanism purely for its structural side effects.
-type Discard struct{}
-
-// Now always returns zero.
-func (Discard) Now() time.Duration { return 0 }
-
-// Advance discards the charge after validating it.
-func (Discard) Advance(d time.Duration) {
-	if d < 0 {
-		panic(fmt.Sprintf("clock: negative advance %v", d))
-	}
-}

@@ -57,14 +57,6 @@ func TestStopwatch(t *testing.T) {
 	}
 }
 
-func TestDiscard(t *testing.T) {
-	var d Discard
-	d.Advance(time.Hour)
-	if got := d.Now(); got != 0 {
-		t.Fatalf("Discard.Now() = %v, want 0", got)
-	}
-}
-
 func TestXferTime(t *testing.T) {
 	tests := []struct {
 		name string

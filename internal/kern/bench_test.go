@@ -13,7 +13,7 @@ import (
 
 func benchKernel(b *testing.B) *Kernel {
 	b.Helper()
-	clk := clock.Discard{}
+	clk := clock.NewVirtual()
 	costs := clock.DefaultCosts()
 	dev := device.NewStripe(clk, costs, 4, 64<<10, 1<<30)
 	store, err := objstore.Format(dev, clk, costs)

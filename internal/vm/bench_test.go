@@ -14,7 +14,7 @@ import (
 
 func benchSetup(b testing.TB, size int64) (*System, *Map, uint64) {
 	b.Helper()
-	sys := NewSystem(mem.New(0), clock.Discard{}, clock.DefaultCosts())
+	sys := NewSystem(mem.New(0), clock.NewVirtual(), clock.DefaultCosts())
 	m := sys.NewMap()
 	obj := sys.NewObject(Anonymous, size)
 	va, err := m.Map(obj, 0, size, ProtRead|ProtWrite, false)
