@@ -68,11 +68,7 @@ func (c *Checkpointer) Checkpoint(procs []*kern.Proc) (Stats, error) {
 	c.Clk.Advance(c.Costs.CRIUFixed)
 	img := rec.NewEncoder()
 	img.U32(uint32(len(procs)))
-	type fdKey struct {
-		p  *kern.Proc
-		fd int
-	}
-	seenFiles := make(map[*kern.File][]fdKey)
+	refs := make(map[*kern.File]int) // descriptors found per description
 	for _, p := range procs {
 		img.Str(p.Name)
 		img.U32(uint32(p.LocalPID))
@@ -81,17 +77,17 @@ func (c *Checkpointer) Checkpoint(procs []*kern.Proc) (Stats, error) {
 		st.Objects++
 		c.Clk.Advance(c.Costs.CRIUPerObject) // /proc/<pid>/* round trips
 
-		var slots []fdKey
+		var slots []int
 		p.FDs.Each(func(fd int, f *kern.File) {
 			// Query each descriptor individually from user space.
 			c.Clk.Advance(c.Costs.CRIUPerObject)
 			st.Objects++
-			seenFiles[f] = append(seenFiles[f], fdKey{p, fd})
-			slots = append(slots, fdKey{p, fd})
+			refs[f]++
+			slots = append(slots, fd)
 		})
 		img.U32(uint32(len(slots)))
-		for _, s := range slots {
-			img.U32(uint32(s.fd))
+		for _, fd := range slots {
+			img.U32(uint32(fd))
 		}
 		// Address space layout from /proc/<pid>/maps.
 		for range p.Mem.Entries() {
@@ -102,9 +98,9 @@ func (c *Checkpointer) Checkpoint(procs []*kern.Proc) (Stats, error) {
 	// Dedup pass: for every shared description, compare the references
 	// found in different processes to reconstruct the sharing (work
 	// Aurora never does — the object model represents sharing directly).
-	for f, refs := range seenFiles {
-		if len(refs) > 1 {
-			c.Clk.Advance(time.Duration(len(refs)) * c.Costs.CRIUPerObject / 2)
+	for f, n := range refs {
+		if n > 1 {
+			c.Clk.Advance(time.Duration(n) * c.Costs.CRIUPerObject / 2)
 		}
 		img.U16(uint16(f.Impl.Kind()))
 		img.I64(f.Offset())
