@@ -130,7 +130,7 @@ func TestCleanAfterCollapseOfPrefaultedPTEs(t *testing.T) {
 	e, _ := p.Mem.EntryAt(va)
 	shadow := e.Obj
 	touch(3, true)
-	checkpoint()    // freezes the shadow holding every third page
+	checkpoint() // freezes the shadow holding every third page
 	mapped := map[uint64]bool{}
 	p.Mem.AuditPTEs(func(addr uint64, _ vm.PTE, _ *vm.Object) { mapped[addr] = true })
 	touch(5, false) // each read maps four resident neighbours

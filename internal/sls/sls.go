@@ -79,7 +79,7 @@ const (
 // durations: they measure the reproduction's own pipeline.
 type CheckpointStats struct {
 	Epoch      objstore.Epoch
-	WALSeq     uint64 // nonzero when the commit was a WAL frame append
+	WALSeq     uint64        // nonzero when the commit was a WAL frame append
 	StopTime   time.Duration // application pause (quiesce..resume)
 	OSTime     time.Duration // portion spent serializing POSIX objects
 	MemTime    time.Duration // portion spent shadowing / marking COW
