@@ -70,21 +70,20 @@ func TestFacadeMigrateOverNet(t *testing.T) {
 	// A migration round is a replica sync: it leaves the same forensic mark
 	// and counts in the same metric. Two delta rounds sit between the full
 	// image and the final stop-and-copy.
-	if ships, syncs := replShips(a), a.Tracer.CounterValue("sls.replica.syncs"); ships != 4 || syncs != 4 {
+	if ships, syncs := flightEvents(a, flight.EvReplShip), a.Tracer.CounterValue("sls.replica.syncs"); ships != 4 || syncs != 4 {
 		t.Fatalf("4 rounds left %d repl.ship flight events and sls.replica.syncs = %d", ships, syncs)
 	}
 }
 
-// replShips counts the repl.ship events in m's flight ring: one per replica
-// sync, so one per migration round.
-func replShips(m *Machine) int {
-	ships := 0
+// flightEvents counts the events of one kind in m's flight ring.
+func flightEvents(m *Machine, kind flight.Kind) int {
+	n := 0
 	for _, ev := range m.Flight.Events() {
-		if ev.Kind == flight.EvReplShip {
-			ships++
+		if ev.Kind == kind {
+			n++
 		}
 	}
-	return ships
+	return n
 }
 
 func TestFacadeReplicationResume(t *testing.T) {

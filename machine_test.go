@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"aurora/internal/clock"
+	"aurora/internal/flight"
 )
 
 func TestFacadeSuspendResume(t *testing.T) {
@@ -49,8 +50,10 @@ func TestFacadeMigrateTo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ships := replShips(a); ships != 4 {
-		t.Fatalf("migration shipped %d rounds, want 4", ships)
+	// The destination receives one stream per round: the full image, two
+	// pre-copy deltas and the final stop-and-copy.
+	if recvs := flightEvents(b, flight.EvRecv); recvs != 4 {
+		t.Fatalf("migration landed %d rounds, want 4", recvs)
 	}
 	got := make([]byte, 2)
 	g.Procs()[0].ReadMem(va, got)
@@ -196,8 +199,9 @@ func TestMigrationPinned(t *testing.T) {
 		wantStop  = time.Duration(183409)
 		wantClock = time.Duration(3615656)
 	)
-	if sum := hex.EncodeToString(h.Sum(nil)); sum != wantSHA || replShips(a) != 4 || st.FinalStop != wantStop || cfg.Clock.Now() != wantClock {
+	rounds := flightEvents(b, flight.EvRecv)
+	if sum := hex.EncodeToString(h.Sum(nil)); sum != wantSHA || rounds != 4 || st.FinalStop != wantStop || cfg.Clock.Now() != wantClock {
 		t.Fatalf("migration moved: image %s rounds %d final stop %d clock %d; want %s 4 %d %d",
-			sum, replShips(a), st.FinalStop, cfg.Clock.Now(), wantSHA, wantStop, wantClock)
+			sum, rounds, st.FinalStop, cfg.Clock.Now(), wantSHA, wantStop, wantClock)
 	}
 }
