@@ -59,8 +59,8 @@ func (r Report) String() string {
 }
 
 // Auditor checks the live system. Store is required; every other field is
-// optional — absent layers are skipped, so the same type serves the full
-// machine and the bare-store crash harness.
+// optional, and an absent layer is skipped: a machine sets them all, and
+// audit's own tests build store-only auditors.
 type Auditor struct {
 	Store *objstore.Store
 	O     *sls.Orchestrator

@@ -210,8 +210,8 @@ func TestViolationsFeedFlightRing(t *testing.T) {
 }
 
 func TestStoreOnlyAuditor(t *testing.T) {
-	// The crash harness runs with only a store: every other layer must be
-	// skippable without nil panics.
+	// An auditor with only a store: every other layer must be skippable
+	// without nil panics.
 	w := newWorld(t)
 	a := &Auditor{Store: w.store}
 	if rep := a.Run(); !rep.OK() {

@@ -1,4 +1,5 @@
-// Package lib plants one function and one method nothing calls.
+// Package lib plants functions, fields and declarations nothing but a test
+// uses, next to one of each kind of use.
 package lib
 
 // Used is called from main.
@@ -26,3 +27,29 @@ func (s Shape) String() string { return "shape" }
 
 // Unused has no caller.
 func (s Shape) Unused() {}
+
+// Quiet implements fmt.Stringer, but nothing outside its own method names
+// it, so its method is unused too.
+type Quiet struct{}
+
+// String has no caller.
+func (Quiet) String() string { return "quiet" }
+
+// Limit is read by main; PlantedConst only by a test.
+const (
+	Limit        = 10
+	PlantedConst = 2
+)
+
+// Tally holds one field of each kind the declaration check tells apart.
+type Tally struct {
+	Read       int   // read by main
+	Written    []int // assigned, appended to and incremented, never read
+	TestOnly   int   // read only by a test
+	Positional int   // set by a positional literal, never read
+	Keyed      Key   // a map key
+	Tagged     int   `json:"tagged"` // serialized by encoding/json
+}
+
+// Key is a map key: every lookup reads its fields.
+type Key struct{ Name string }
