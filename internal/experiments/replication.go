@@ -37,14 +37,12 @@ type ReplicationResult struct {
 	Rows []ReplRow
 }
 
-// replConfig is one sweep point: a forward/reverse fault plan plus an
-// optional hard partition (cut at partitionXmit for partitionDur, healed by
-// the workload advancing the clock, completed by Resume).
+// replConfig is one sweep point: a forward/reverse fault plan. A partition
+// fault in the forward plan is healed by the workload waiting out its
+// outage on the clock and completed by Resume.
 type replConfigCase struct {
-	name          string
-	fwd, rev      net.Plan
-	partitionXmit int64
-	partitionDur  time.Duration
+	name     string
+	fwd, rev net.Plan
 }
 
 // Replication runs the sweep. Quick scale shrinks the working set and sync
@@ -60,7 +58,7 @@ func Replication(scale Scale) (*ReplicationResult, error) {
 		{name: "drop 2%", fwd: net.Plan{Seed: 11, DropProb: 0.02}, rev: net.Plan{Seed: 12, DropProb: 0.02}},
 		{name: "drop 10%", fwd: net.Plan{Seed: 21, DropProb: 0.10}, rev: net.Plan{Seed: 22, DropProb: 0.10}},
 		{name: "drop+dup+corrupt 5%", fwd: net.Plan{Seed: 31, DropProb: 0.05, DupProb: 0.05, CorruptProb: 0.05}, rev: net.Plan{Seed: 32, DropProb: 0.05}},
-		{name: "1s partition + resume", partitionXmit: 40, partitionDur: time.Second},
+		{name: "1s partition + resume", fwd: net.Plan{Faults: []net.Fault{{Xmit: 40, Kind: net.FaultPartition, For: time.Second}}}},
 	}
 	res := &ReplicationResult{}
 	for _, c := range cases {
@@ -77,14 +75,9 @@ func Replication(scale Scale) (*ReplicationResult, error) {
 func replicationRun(c replConfigCase, pages int64, syncs int) (ReplRow, error) {
 	cfg := aurora.Config{StorageBytes: 1 << 30}
 	if c.name != "direct" {
-		fwd := c.fwd
-		if c.partitionXmit > 0 {
-			fwd.PartitionXmit = c.partitionXmit
-			fwd.PartitionDur = c.partitionDur
-		}
 		// 8 KiB frames keep the per-sync transmission count high enough
 		// that low loss rates are visible even at Quick scale.
-		cfg.Net = &aurora.NetConfig{Fwd: fwd, Rev: c.rev, Conn: net.Config{FrameData: 8 << 10}}
+		cfg.Net = &aurora.NetConfig{Fwd: c.fwd, Rev: c.rev, Conn: net.Config{FrameData: 8 << 10}}
 	}
 	src, err := aurora.NewMachine(cfg)
 	if err != nil {
@@ -133,7 +126,9 @@ func replicationRun(c replConfigCase, pages int64, syncs int) (ReplRow, error) {
 			// Partition outlasted the retry budget: wait out the outage on
 			// the virtual clock, then complete the ship from the standby's
 			// high-water mark.
-			src.Clock.Advance(c.partitionDur)
+			for _, f := range c.fwd.Faults {
+				src.Clock.Advance(f.For)
+			}
 			if err := rep.Resume(); err != nil {
 				return ReplRow{}, err
 			}

@@ -52,6 +52,7 @@ const (
 	FaultDup
 	FaultReorder
 	FaultCorrupt
+	FaultPartition
 )
 
 // String names the kind for error messages and sweep labels.
@@ -65,14 +66,19 @@ func (k FaultKind) String() string {
 		return "reorder"
 	case FaultCorrupt:
 		return "corrupt"
+	case FaultPartition:
+		return "partition"
 	}
 	return "none"
 }
 
 // Fault arms one deterministic fault at a 0-based link transmission index.
+// A FaultPartition kills the link for For starting at that transmission's
+// instant (the triggering frame is lost); the other kinds ignore For.
 type Fault struct {
 	Xmit int64
 	Kind FaultKind
+	For  time.Duration
 }
 
 // Partition is a virtual-time window during which every transmission is
@@ -97,17 +103,6 @@ type Plan struct {
 	// Faults lists deterministic per-transmission-index triggers; they take
 	// precedence over the probabilistic rates for their index.
 	Faults []Fault
-
-	// Partitions lists absolute virtual-time windows during which the link
-	// is dead.
-	Partitions []Partition
-
-	// PartitionXmit/PartitionDur arm an index-triggered partition: when
-	// transmission PartitionXmit is sent, the link dies for PartitionDur
-	// starting at that instant (the triggering frame is lost). Disabled
-	// when PartitionDur is 0.
-	PartitionXmit int64
-	PartitionDur  time.Duration
 }
 
 // delivery is one frame in flight.
@@ -128,7 +123,7 @@ type Link struct {
 	rng      *rand.Rand
 	xmits    int64
 	inflight []delivery
-	parts    []Partition        // triggered (index- or Cut-armed) windows
+	parts    []Partition        // triggered (fault- or Cut-armed) windows
 	tap      func(frame []byte) // when set, sees every frame handed to Send
 }
 
@@ -158,11 +153,6 @@ func (l *Link) AddPartition(d time.Duration) {
 }
 
 func (l *Link) partitioned(now time.Duration) bool {
-	for _, p := range l.plan.Partitions {
-		if now >= p.From && now < p.Until {
-			return true
-		}
-	}
 	for _, p := range l.parts {
 		if now >= p.From && now < p.Until {
 			return true
@@ -173,29 +163,29 @@ func (l *Link) partitioned(now time.Duration) bool {
 
 // faultFor resolves the fault for transmission idx: an armed deterministic
 // trigger wins; otherwise one PRNG draw p maps onto the probability bands.
-func (l *Link) faultFor(idx int64, p float64) FaultKind {
+func (l *Link) faultFor(idx int64, p float64) Fault {
 	for _, f := range l.plan.Faults {
 		if f.Xmit == idx {
-			return f.Kind
+			return f
 		}
 	}
 	edge := l.plan.DropProb
 	if p < edge {
-		return FaultDrop
+		return Fault{Kind: FaultDrop}
 	}
 	edge += l.plan.DupProb
 	if p < edge {
-		return FaultDup
+		return Fault{Kind: FaultDup}
 	}
 	edge += l.plan.ReorderProb
 	if p < edge {
-		return FaultReorder
+		return Fault{Kind: FaultReorder}
 	}
 	edge += l.plan.CorruptProb
 	if p < edge {
-		return FaultCorrupt
+		return Fault{Kind: FaultCorrupt}
 	}
-	return FaultNone
+	return Fault{Kind: FaultNone}
 }
 
 // Send puts one frame on the wire, charging serialization time and applying
@@ -212,14 +202,6 @@ func (l *Link) Send(frame []byte) {
 	}
 	now := l.clk.Now()
 
-	if l.plan.PartitionDur > 0 && idx == l.plan.PartitionXmit {
-		l.parts = append(l.parts, Partition{From: now, Until: now + l.plan.PartitionDur})
-		if l.tr != nil {
-			l.tr.Instant(trace.TrackNet, "net.link.partition",
-				trace.I("xmit", idx), trace.D("for", l.plan.PartitionDur))
-		}
-	}
-
 	// Fixed PRNG consumption order per transmission: jitter draw (when
 	// configured), then one fault draw. Branch-local draws below depend
 	// only on the (deterministic) outcome, so replays are exact.
@@ -227,7 +209,13 @@ func (l *Link) Send(frame []byte) {
 	if l.params.Jitter > 0 {
 		jit = time.Duration(l.rng.Int63n(int64(l.params.Jitter)))
 	}
-	kind := l.faultFor(idx, l.rng.Float64())
+	f := l.faultFor(idx, l.rng.Float64())
+	if f.Kind == FaultPartition {
+		l.AddPartition(f.For)
+		if l.tr != nil {
+			l.tr.Instant(trace.TrackNet, "net.link.partition", trace.I("xmit", idx), trace.D("for", f.For))
+		}
+	}
 
 	if l.partitioned(now) {
 		if l.tr != nil {
@@ -237,7 +225,7 @@ func (l *Link) Send(frame []byte) {
 	}
 
 	arrive := now + l.params.Latency + jit
-	switch kind {
+	switch f.Kind {
 	case FaultDrop:
 		if l.tr != nil {
 			l.tr.Instant(trace.TrackNet, "net.link.drop", trace.I("xmit", idx))
@@ -328,6 +316,6 @@ func (p *Pipe) Cut(d time.Duration) {
 
 // String summarizes a plan for sweep failure messages.
 func (p Plan) String() string {
-	return fmt.Sprintf("seed=%d probs(drop=%g dup=%g reorder=%g corrupt=%g) faults=%d partXmit=%d partDur=%v",
-		p.Seed, p.DropProb, p.DupProb, p.ReorderProb, p.CorruptProb, len(p.Faults), p.PartitionXmit, p.PartitionDur)
+	return fmt.Sprintf("seed=%d probs(drop=%g dup=%g reorder=%g corrupt=%g) faults=%d",
+		p.Seed, p.DropProb, p.DupProb, p.ReorderProb, p.CorruptProb, len(p.Faults))
 }

@@ -125,10 +125,9 @@ func TestLinkCorruptDoesNotAliasCallerBuffer(t *testing.T) {
 
 func TestLinkPartitionWindow(t *testing.T) {
 	clk := clock.NewVirtual()
-	l := NewLink(clk, Params{Latency: 10 * time.Microsecond}, Plan{
-		Partitions: []Partition{{From: 0, Until: 50 * time.Microsecond}},
-	})
+	l := NewLink(clk, Params{Latency: 10 * time.Microsecond}, Plan{})
 	tr := traced(clk, l)
+	l.AddPartition(50 * time.Microsecond)
 	l.Send([]byte{1}) // t=0: inside window, lost
 	if n := faults(tr); n["net.link.partition-drop"] != 1 {
 		t.Fatalf("faults = %v", n)
@@ -144,7 +143,7 @@ func TestLinkPartitionWindow(t *testing.T) {
 func TestLinkIndexTriggeredPartition(t *testing.T) {
 	clk := clock.NewVirtual()
 	l := NewLink(clk, Params{Latency: 10 * time.Microsecond}, Plan{
-		PartitionXmit: 2, PartitionDur: time.Millisecond,
+		Faults: []Fault{{Xmit: 2, Kind: FaultPartition, For: time.Millisecond}},
 	})
 	tr := traced(clk, l)
 	l.Send([]byte{0})

@@ -232,7 +232,7 @@ func TestTransferExhaustiveFaultSweep(t *testing.T) {
 		}
 		// Partition: the link dies at this index for longer than the RTO cap,
 		// so recovery must ride the backoff path.
-		plan := Plan{PartitionXmit: idx, PartitionDur: 8 * time.Millisecond}
+		plan := Plan{Faults: []Fault{{Xmit: idx, Kind: FaultPartition, For: 8 * time.Millisecond}}}
 		c, _ := newTestConn(plan, Plan{}, Config{})
 		st, err := c.Transfer(1, payload)
 		if err != nil {
@@ -290,8 +290,7 @@ func TestTransferResume(t *testing.T) {
 	c.tr = trace.New(clk)
 	// Kill the wire permanently at forward transmission 30 (past the
 	// handshake and a couple of window rounds).
-	c.Pipe().Fwd.plan.PartitionXmit = 30
-	c.Pipe().Fwd.plan.PartitionDur = time.Hour
+	c.Pipe().Fwd.plan.Faults = []Fault{{Xmit: 30, Kind: FaultPartition, For: time.Hour}}
 
 	_, err := c.Transfer(1, payload)
 	if !errors.Is(err, ErrRetriesExhausted) {
@@ -304,7 +303,7 @@ func TestTransferResume(t *testing.T) {
 
 	// Heal: clear the partition (simulates the link coming back) and retry.
 	c.pipe.Fwd.parts = nil
-	c.pipe.Fwd.plan.PartitionDur = 0
+	c.pipe.Fwd.plan.Faults = nil
 	clk.Advance(time.Second)
 
 	st, err := c.Transfer(1, payload)
@@ -337,13 +336,13 @@ func TestTransferResumeAfterPartitionSweep(t *testing.T) {
 	xmits := c0.Pipe().Fwd.Xmits()
 
 	for idx := int64(0); idx < xmits; idx++ {
-		c, clk := newTestConn(Plan{PartitionXmit: idx, PartitionDur: time.Hour}, Plan{}, cfg)
+		c, clk := newTestConn(Plan{Faults: []Fault{{Xmit: idx, Kind: FaultPartition, For: time.Hour}}}, Plan{}, cfg)
 		_, err := c.Transfer(1, payload)
 		if !errors.Is(err, ErrRetriesExhausted) {
 			t.Fatalf("cut at %d: err = %v, want retries exhausted", idx, err)
 		}
 		c.pipe.Fwd.parts = nil
-		c.pipe.Fwd.plan.PartitionDur = 0
+		c.pipe.Fwd.plan.Faults = nil
 		clk.Advance(time.Second)
 		if _, err := c.Transfer(1, payload); err != nil {
 			t.Fatalf("cut at %d: resume failed: %v", idx, err)
@@ -416,14 +415,14 @@ func TestTransferDeterministicReplay(t *testing.T) {
 }
 
 func TestPlanString(t *testing.T) {
-	p := Plan{Seed: 3, DropProb: 0.5, PartitionXmit: 7, PartitionDur: time.Millisecond}
+	p := Plan{Seed: 3, DropProb: 0.5, Faults: []Fault{{Xmit: 7, Kind: FaultPartition, For: time.Millisecond}}}
 	s := p.String()
-	for _, want := range []string{"seed=3", "drop=0.5", "partXmit=7"} {
+	for _, want := range []string{"seed=3", "drop=0.5", "faults=1"} {
 		if !bytes.Contains([]byte(s), []byte(want)) {
 			t.Fatalf("Plan.String() = %q missing %q", s, want)
 		}
 	}
-	if FaultDrop.String() != "drop" || FaultNone.String() != "none" {
+	if FaultDrop.String() != "drop" || FaultPartition.String() != "partition" || FaultNone.String() != "none" {
 		t.Fatal("FaultKind.String broken")
 	}
 }
@@ -619,5 +618,5 @@ func BenchmarkTransferSteadyLossy(b *testing.B) {
 
 func ExamplePlan() {
 	fmt.Println(Plan{Seed: 1, DropProb: 0.25}.String())
-	// Output: seed=1 probs(drop=0.25 dup=0 reorder=0 corrupt=0) faults=0 partXmit=0 partDur=0s
+	// Output: seed=1 probs(drop=0.25 dup=0 reorder=0 corrupt=0) faults=0
 }

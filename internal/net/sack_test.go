@@ -106,7 +106,7 @@ func TestForgedSACKsShipEveryFrame(t *testing.T) {
 	}
 	// The wire dies after the handshake: forged SACKs must not count as
 	// progress forever.
-	st, _, err := hookedTransfer(Plan{PartitionXmit: 1, PartitionDur: time.Hour}, payload, forge)
+	st, _, err := hookedTransfer(Plan{Faults: []Fault{{Xmit: 1, Kind: FaultPartition, For: time.Hour}}}, payload, forge)
 	if !errors.Is(err, ErrRetriesExhausted) {
 		t.Fatalf("dead wire under forged SACKs: err = %v (stats %+v)", err, st)
 	}

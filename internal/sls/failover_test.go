@@ -312,9 +312,9 @@ func TestMigrateToDeadMachine(t *testing.T) {
 
 	// The destination is dead: every transmission vanishes for an hour.
 	cfg := net.Config{Window: 4, FrameData: 4 << 10, MaxRetries: 3}
-	conn := net.NewConn(net.NewPipe(src.clk, net.DefaultParams(),
-		net.Plan{Partitions: []net.Partition{{From: 0, Until: time.Hour}}}, net.Plan{}),
-		src.clk, cfg, nil)
+	pipe := net.NewPipe(src.clk, net.DefaultParams(), net.Plan{}, net.Plan{})
+	pipe.Fwd.AddPartition(time.Hour)
+	conn := net.NewConn(pipe, src.clk, cfg, nil)
 	work := func() error { return app.write(1, 0x77) }
 	if _, _, err := app.g.MigrateVia(dst.o, 2, work, conn); !errors.Is(err, net.ErrRetriesExhausted) {
 		t.Fatalf("migrate to dead machine: err = %v, want retries exhausted", err)

@@ -171,7 +171,7 @@ func TestMigrateRoundCutMidTransfer(t *testing.T) {
 	cfg.MaxRetries = 3
 	// Transmission 0 is the Hello; the cable is pulled on the sixth.
 	conn := net.NewConn(net.NewPipe(src.clk, net.DefaultParams(),
-		net.Plan{PartitionXmit: 6, PartitionDur: time.Hour}, net.Plan{}), src.clk, cfg, nil)
+		net.Plan{Faults: []net.Fault{{Xmit: 6, Kind: net.FaultPartition, For: time.Hour}}}, net.Plan{}), src.clk, cfg, nil)
 	work := func() error { return app.write(1, 0x77) }
 
 	if _, _, err := app.g.MigrateVia(dst.o, 1, work, conn); !errors.Is(err, net.ErrRetriesExhausted) {

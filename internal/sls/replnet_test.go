@@ -341,7 +341,7 @@ func TestReplicationFaultSweepExhaustive(t *testing.T) {
 		}
 		// Partition outlasting several RTOs: convergence must ride the
 		// capped-backoff path, still without exhausting retries.
-		plan := net.Plan{PartitionXmit: idx, PartitionDur: 8 * time.Millisecond}
+		plan := net.Plan{Faults: []net.Fault{{Xmit: idx, Kind: net.FaultPartition, For: 8 * time.Millisecond}}}
 		img, _, app, err := runReplScenario(plan, net.Plan{}, replConfig())
 		if err != nil {
 			t.Fatalf("[fwd-xmit=%d kind=partition] %v", idx, err)
@@ -475,7 +475,7 @@ func TestReplicaResumeShipsOnlyTail(t *testing.T) {
 	}
 	cfg := net.Config{Window: 4, FrameData: 4 << 10, MaxRetries: 3}
 	conn := net.NewConn(net.NewPipe(src.clk, net.DefaultParams(),
-		net.Plan{PartitionXmit: 12, PartitionDur: time.Hour}, net.Plan{}), src.clk, cfg, nil)
+		net.Plan{Faults: []net.Fault{{Xmit: 12, Kind: net.FaultPartition, For: time.Hour}}}, net.Plan{}), src.clk, cfg, nil)
 
 	rep, err := app.g.ReplicateToVia(dst.o, conn)
 	if !errors.Is(err, net.ErrRetriesExhausted) {
