@@ -3,7 +3,7 @@
 // standby) actually has to cross. It supplies two layers:
 //
 //   - Link / Pipe (this file): a virtual-clock simulated wire with latency,
-//     serialization bandwidth, jitter, and a deterministic seeded fault plan
+//     serialization bandwidth, and a deterministic seeded fault plan
 //     injecting frame drop, duplication, reorder, corruption, and timed
 //     partitions — faultdev's design applied to the network.
 //   - Conn (proto.go): a framed, CRC-checked, selective-repeat replication
@@ -32,8 +32,6 @@ type Params struct {
 	Latency time.Duration
 	// PerByte is the serialization cost per byte put on the wire.
 	PerByte time.Duration
-	// Jitter bounds the extra seeded per-frame delivery delay; 0 disables.
-	Jitter time.Duration
 }
 
 // DefaultParams models the paper's testbed interconnect (Intel x722 10 GbE,
@@ -91,7 +89,7 @@ type Partition struct {
 // Plan describes one deterministic wire fault scenario. The zero Plan is a
 // clean link.
 type Plan struct {
-	// Seed feeds the PRNG behind jitter, probabilistic faults, and the
+	// Seed feeds the PRNG behind probabilistic faults and the
 	// corrupted-byte choice.
 	Seed int64
 
@@ -202,13 +200,9 @@ func (l *Link) Send(frame []byte) {
 	}
 	now := l.clk.Now()
 
-	// Fixed PRNG consumption order per transmission: jitter draw (when
-	// configured), then one fault draw. Branch-local draws below depend
-	// only on the (deterministic) outcome, so replays are exact.
-	var jit time.Duration
-	if l.params.Jitter > 0 {
-		jit = time.Duration(l.rng.Int63n(int64(l.params.Jitter)))
-	}
+	// Fixed PRNG consumption per transmission: one fault draw. Branch-local
+	// draws below depend only on the (deterministic) outcome, so replays are
+	// exact.
 	f := l.faultFor(idx, l.rng.Float64())
 	if f.Kind == FaultPartition {
 		l.AddPartition(f.For)
@@ -224,7 +218,7 @@ func (l *Link) Send(frame []byte) {
 		return
 	}
 
-	arrive := now + l.params.Latency + jit
+	arrive := now + l.params.Latency
 	switch f.Kind {
 	case FaultDrop:
 		if l.tr != nil {

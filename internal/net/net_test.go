@@ -194,7 +194,7 @@ func TestLinkAddPartitionMidRun(t *testing.T) {
 func TestLinkProbabilisticReplay(t *testing.T) {
 	run := func() ([]trace.Event, []time.Duration) {
 		clk := clock.NewVirtual()
-		l := NewLink(clk, Params{Latency: 15 * time.Microsecond, PerByte: time.Nanosecond, Jitter: 5 * time.Microsecond},
+		l := NewLink(clk, Params{Latency: 15 * time.Microsecond, PerByte: time.Nanosecond},
 			Plan{Seed: 42, DropProb: 0.1, DupProb: 0.1, ReorderProb: 0.1, CorruptProb: 0.1})
 		tr := traced(clk, l)
 		for i := 0; i < 200; i++ {
