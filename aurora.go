@@ -59,8 +59,6 @@ type (
 	Journal = objstore.Journal
 	// Replica is a warm standby of a group on another machine.
 	Replica = sls.Replica
-	// NetParams describe one direction of a simulated replication wire.
-	NetParams = net.Params
 	// NetPlan is a deterministic seeded wire fault scenario.
 	NetPlan = net.Plan
 	// NetConn is a framed, ack-windowed replication connection.
@@ -143,13 +141,11 @@ type Config struct {
 	Fault *FaultPlan
 }
 
-// NetConfig describes the simulated replication wire between machines:
-// link characteristics, per-direction fault plans, and protocol tuning.
-// The zero value is a clean default link.
+// NetConfig describes the simulated replication wire between machines —
+// the paper's testbed interconnect (net.DefaultParams) — by its
+// per-direction fault plans and protocol tuning. The zero value is a clean
+// link.
 type NetConfig struct {
-	// Params sets latency/bandwidth/jitter; zero selects the paper's
-	// testbed interconnect (15 µs one-way, ~1 GB/s).
-	Params NetParams
 	// Fwd and Rev are the fault plans for the data and ack directions.
 	Fwd, Rev NetPlan
 	// Conn tunes the transfer protocol (window, frame size, retries);
@@ -347,11 +343,7 @@ func (m *Machine) NewConn(nc *NetConfig) *NetConn {
 	if nc == nil {
 		return nil
 	}
-	params := nc.Params
-	if params == (NetParams{}) {
-		params = net.DefaultParams()
-	}
-	pipe := net.NewPipe(m.Clock, params, nc.Fwd, nc.Rev)
+	pipe := net.NewPipe(m.Clock, net.DefaultParams(), nc.Fwd, nc.Rev)
 	conn := net.NewConn(pipe, m.Clock, nc.Conn, m.Tracer)
 	conn.SetFlight(m.Flight)
 	if m.cfg.Name != "" {

@@ -35,9 +35,11 @@ type Params struct {
 }
 
 // DefaultParams models the paper's testbed interconnect (Intel x722 10 GbE,
-// same rack): 30 µs RTT split into two one-way hops, ~1 GB/s effective.
+// same rack) as the cost model states it: half the round trip one way, and
+// the per-byte serialization.
 func DefaultParams() Params {
-	return Params{Latency: 15 * time.Microsecond, PerByte: 1 * time.Nanosecond}
+	c := clock.DefaultCosts()
+	return Params{Latency: c.NetRTT / 2, PerByte: c.NetPerByte}
 }
 
 // FaultKind is one class of injected wire fault.
