@@ -176,7 +176,7 @@ type Machine struct {
 	SLS   *sls.Orchestrator
 	// Tracer is the machine's observer, non-nil when it was built with
 	// Config.Trace or Config.Telemetry: read a number with
-	// Tracer.CounterValue / Quantile / Metrics, and export what a
+	// Tracer.CounterValue / Metrics, and export what a
 	// Config.Trace machine recorded with Tracer.WriteChrome / Rollup. It
 	// rides across Crash, so restore spans and counts land beside the
 	// checkpoints before the cut.

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"aurora/internal/telemetry"
-	"aurora/internal/trace"
 )
 
 // atLeast builds a counting kind: what the run produced against the declared
@@ -99,40 +98,25 @@ func (r *Harness) rollbacksAtMost(a AssertionDecl) (bool, string) {
 }
 
 func (r *Harness) metricP99Under(a AssertionDecl) (bool, string) {
-	h := r.metricHistogram(a)
-	if h == nil || h.Samples() == 0 {
+	p99, n := telemetry.Judge(telemetry.SLOP99Under, a.Metric, r.metricRegistries(a)...)
+	if n == 0 {
 		return false, fmt.Sprintf("no samples for metric %q", a.Metric)
 	}
-	p99 := h.Quantile(0.99)
 	return p99 < a.Max, fmt.Sprintf("%s p99 %dns over %d samples (want < %dns)%s",
-		a.Metric, p99, h.Samples(), a.Max, metricScope(a))
+		a.Metric, p99, n, a.Max, metricScope(a))
 }
 
 func (r *Harness) metricMaxUnder(a AssertionDecl) (bool, string) {
-	max, found := int64(0), false
-	for _, reg := range r.metricRegistries(a) {
-		for _, p := range reg.SeriesPoints(a.Metric) {
-			found = true
-			if p.V > max {
-				max = p.V
-			}
-		}
-	}
-	if !found {
+	max, n := telemetry.Judge(telemetry.SLOMaxUnder, a.Metric, r.metricRegistries(a)...)
+	if n == 0 {
 		return false, fmt.Sprintf("no series for metric %q", a.Metric)
 	}
 	return max < a.Max, fmt.Sprintf("%s max %d (want < %d)%s", a.Metric, max, a.Max, metricScope(a))
 }
 
 func (r *Harness) metricFinalAtLeast(a AssertionDecl) (bool, string) {
-	total, found := int64(0), false
-	for _, reg := range r.metricRegistries(a) {
-		if pts := reg.SeriesPoints(a.Metric); len(pts) > 0 {
-			found = true
-			total += pts[len(pts)-1].V
-		}
-	}
-	if !found {
+	total, n := telemetry.Judge(telemetry.SLOFinalAtLeast, a.Metric, r.metricRegistries(a)...)
+	if n == 0 {
 		return false, fmt.Sprintf("no series for metric %q", a.Metric)
 	}
 	min := max(a.Min, 1)
@@ -150,22 +134,6 @@ func (r *Harness) metricRegistries(a AssertionDecl) []*telemetry.Registry {
 		}
 	}
 	return regs
-}
-
-// metricHistogram merges the named histogram across the assertion's scope.
-func (r *Harness) metricHistogram(a AssertionDecl) *trace.Histogram {
-	var out *trace.Histogram
-	for _, reg := range r.metricRegistries(a) {
-		h := reg.Store().HistogramCopy(a.Metric)
-		if h == nil {
-			continue
-		}
-		if out == nil {
-			out = trace.NewHistogram(a.Metric)
-		}
-		out.Merge(h)
-	}
-	return out
 }
 
 // metricScope labels the assertion detail with where the metric was read.

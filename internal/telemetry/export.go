@@ -71,7 +71,7 @@ func (f *Fleet) FleetSnapshot() FleetSnapshot {
 		}
 	})
 	for _, hn := range slices.Sorted(maps.Keys(seen)) {
-		out.Merged = append(out.Merged, f.MergedHistogram(hn).Snapshot())
+		out.Merged = append(out.Merged, merge(hn, f.regs).Snapshot())
 	}
 	return out
 }

@@ -1,12 +1,33 @@
 package telemetry
 
-import "io"
+import (
+	"io"
+
+	"aurora/internal/trace"
+)
 
 // CounterTotal sums the named counter across members.
 func (f *Fleet) CounterTotal(name string) int64 {
 	var total int64
 	f.each(func(_ string, r *Registry) { total += r.store.CounterValue(name) })
 	return total
+}
+
+// MergedHistogram folds the named histogram from every member into one
+// fleet histogram; nil when no member has it.
+func (f *Fleet) MergedHistogram(name string) *trace.Histogram {
+	if f == nil {
+		return nil
+	}
+	return merge(name, f.regs)
+}
+
+// SeriesPoints returns a copy of the named series' stored points.
+func (r *Registry) SeriesPoints(name string) []Point {
+	if r == nil || r.series[name] == nil {
+		return nil
+	}
+	return append([]Point(nil), r.series[name].pts...)
 }
 
 // Quantile returns the fleet-merged q-quantile of the named histogram

@@ -26,19 +26,21 @@ func (f *Fleet) Add(name string, r *Registry) {
 	f.regs = append(f.regs, r)
 }
 
-// MergedHistogram folds the named histogram from every member into one
-// fleet histogram. Members that never observed the metric contribute
-// nothing; the result is nil only when no member has it.
-func (f *Fleet) MergedHistogram(name string) *trace.Histogram {
+// merge folds the named histogram from every registry in regs into one
+// standalone histogram. Registries that are nil or never observed the
+// metric contribute nothing; the result is nil only when none has it.
+func merge(name string, regs []*Registry) *trace.Histogram {
 	var out *trace.Histogram
-	f.each(func(_ string, r *Registry) {
-		if h := r.store.HistogramCopy(name); h != nil {
-			if out == nil {
-				out = trace.NewHistogram(name)
-			}
+	for _, r := range regs {
+		h := r.Store().HistogramCopy(name)
+		switch {
+		case h == nil:
+		case out == nil:
+			out = h
+		default:
 			out.Merge(h)
 		}
-	})
+	}
 	return out
 }
 

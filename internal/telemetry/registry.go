@@ -54,26 +54,6 @@ func (r *Registry) record(now time.Duration, name string, agg Agg, v int64) {
 	s.append(now, v)
 }
 
-// SeriesPoints returns a copy of the named series' stored points.
-func (r *Registry) SeriesPoints(name string) []Point {
-	if r == nil {
-		return nil
-	}
-	s := r.series[name]
-	if s == nil {
-		return nil
-	}
-	return append([]Point(nil), s.pts...)
-}
-
-// reduce folds the named series' stored points with fn (0 if absent).
-func (r *Registry) reduce(name string, fn func(*Series) int64) int64 {
-	if s := r.series[name]; s != nil {
-		return fn(s)
-	}
-	return 0
-}
-
 // Sample snapshots every counter, gauge, and histogram p99 of the store
 // into its backing series — the sampler-cadence tick. Counters and gauges
 // sample with AggLast (the total/level at the sample instant); histogram

@@ -89,25 +89,3 @@ func (s *Series) append(t time.Duration, v int64) {
 		s.fill = 1
 	}
 }
-
-// last returns the most recent stored value (0 if empty).
-func (s *Series) last() int64 {
-	if len(s.pts) == 0 {
-		return 0
-	}
-	return s.pts[len(s.pts)-1].V
-}
-
-// max returns the maximum stored value (0 if empty).
-func (s *Series) max() int64 {
-	if len(s.pts) == 0 {
-		return 0
-	}
-	m := s.pts[0].V
-	for _, p := range s.pts[1:] {
-		if p.V > m {
-			m = p.V
-		}
-	}
-	return m
-}

@@ -128,17 +128,44 @@ func (w *Watch) Eval(r *Registry, now time.Duration) []Breach {
 
 // check reads the rule's metric from r and judges it against the bound.
 func (rule SLO) check(r *Registry) (value int64, violated bool) {
-	switch rule.Kind {
-	case SLOP99Under:
-		value = r.store.Quantile(rule.Metric, 0.99)
-	case SLOMaxUnder:
-		value = r.reduce(rule.Metric, (*Series).max)
-	case SLOFinalAtLeast:
-		value = r.reduce(rule.Metric, (*Series).last)
-	default:
-		return 0, false
-	}
+	value, _ = Judge(rule.Kind, rule.Metric, r)
 	return value, !rule.Kind.Holds(value, rule.Bound)
+}
+
+// Judge reads metric the way an objective of kind reads it, across regs:
+// the p99 of the histogram merged over them (p99-under), the largest point
+// of any of their series (max-under), or the sum of their series' last
+// points (final-at-least). n counts what value folds — histogram samples,
+// series points, series — and is 0, with value 0, when no registry has the
+// metric. Nil registries are skipped. It is the one place an objective's
+// metric is read: a Watch judges its registry, the scenario's metric
+// assertions their scope.
+func Judge(kind SLOKind, metric string, regs ...*Registry) (value, n int64) {
+	if kind == SLOP99Under {
+		h := merge(metric, regs)
+		if h == nil {
+			return 0, 0
+		}
+		return h.Quantile(0.99), h.Samples()
+	}
+	for _, r := range regs {
+		if r == nil || r.series[metric] == nil {
+			continue
+		}
+		pts := r.series[metric].pts
+		if kind == SLOFinalAtLeast {
+			value += pts[len(pts)-1].V
+			n++
+			continue
+		}
+		for _, p := range pts {
+			if n == 0 || p.V > value {
+				value = p.V
+			}
+			n++
+		}
+	}
+	return value, n
 }
 
 func (rule SLO) breach(now time.Duration, value int64) Breach {

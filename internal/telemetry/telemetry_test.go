@@ -21,7 +21,7 @@ func TestNilRegistryIsInert(t *testing.T) {
 	if r.Store().CounterValue("c") != 0 || trace.ValueOf(r.Store().Metrics().Gauges, "g") != 0 {
 		t.Fatal("nil registry leaked a value")
 	}
-	if r.Store().Quantile("h", 0.99) != 0 || r.Store().HistogramCopy("h") != nil || r.SeriesPoints("s") != nil {
+	if v, n := Judge(SLOP99Under, "h", r); v != 0 || n != 0 || r.Store().HistogramCopy("h") != nil || r.SeriesPoints("s") != nil {
 		t.Fatal("nil registry reads not zero")
 	}
 	snap := r.Snapshot("m")
@@ -53,7 +53,7 @@ func TestCountersGaugesHistograms(t *testing.T) {
 	for _, v := range []int64{100, 200, 400} {
 		r.Store().Observe("lat", v)
 	}
-	if q := r.Store().Quantile("lat", 0.99); q < 200 || q > 400 {
+	if q, _ := Judge(SLOP99Under, "lat", r); q < 200 || q > 400 {
 		t.Fatalf("p99 = %d, want within [200,400]", q)
 	}
 	h := r.Store().HistogramCopy("lat")
@@ -102,11 +102,8 @@ func TestSeriesAggregators(t *testing.T) {
 	for i := int64(1); i <= 8; i++ {
 		l.append(time.Duration(i), i)
 	}
-	if l.last() != 8 {
-		t.Fatalf("AggLast tail = %d, want 8", l.last())
-	}
-	if (&Series{}).last() != 0 || (&Series{}).max() != 0 {
-		t.Fatal("empty series reads not zero")
+	if tail := l.pts[len(l.pts)-1].V; tail != 8 {
+		t.Fatalf("AggLast tail = %d, want 8", tail)
 	}
 	for _, a := range []Agg{AggLast, AggMax, Agg(99)} {
 		if a.String() == "" {
@@ -206,6 +203,58 @@ func TestSLOFinalAtLeast(t *testing.T) {
 	}
 	if NewWatch(nil).Eval(nil, 0) != nil {
 		t.Fatal("nil registry eval not inert")
+	}
+}
+
+// TestJudge reads each objective kind over one registry and over two: the
+// p99 of the merged histogram, the largest point of any series, and the sum
+// of the series' last points. A metric no registry has reads 0 with n == 0.
+func TestJudge(t *testing.T) {
+	clk := clock.NewVirtual()
+	a, b := New(trace.NewMetricsOnly(clk)), New(trace.NewMetricsOnly(clk))
+	for i := 0; i < 99; i++ {
+		a.Store().Observe("stop", 100)
+	}
+	b.Store().Observe("stop", 1000)
+	for _, v := range []int64{3, 9, 2} {
+		a.Record("load", AggLast, v)
+		clk.Advance(time.Millisecond)
+	}
+	b.Record("load", AggLast, 5)
+
+	type reading struct{ value, n int64 }
+	judge := func(kind SLOKind, metric string, regs ...*Registry) reading {
+		v, n := Judge(kind, metric, regs...)
+		return reading{v, n}
+	}
+	for _, c := range []struct {
+		what string
+		got  reading
+		want reading
+	}{
+		{"p99 of one", judge(SLOP99Under, "stop", a), reading{100, 99}},
+		{"max of one", judge(SLOMaxUnder, "load", a), reading{9, 3}},
+		{"final of one", judge(SLOFinalAtLeast, "load", a), reading{2, 1}},
+		{"max of two", judge(SLOMaxUnder, "load", b, a), reading{9, 4}},
+		{"final of two", judge(SLOFinalAtLeast, "load", a, b), reading{7, 2}},
+		{"p99 of two, a nil skipped", judge(SLOP99Under, "stop", a, nil, b), reading{767, 100}},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s: (value, n) = %v, want %v", c.what, c.got, c.want)
+		}
+	}
+	// The merged p99 is the histogram merge's: b's one outlier is a's 100th
+	// sample's bucket, which a alone never reaches.
+	if want := (&Fleet{regs: []*Registry{a, b}}).MergedHistogram("stop").Quantile(0.99); want != 767 {
+		t.Fatalf("fleet merge p99 = %d, Judge read 767", want)
+	}
+	for _, kind := range []SLOKind{SLOP99Under, SLOMaxUnder, SLOFinalAtLeast} {
+		if got := judge(kind, "absent", a, b); got != (reading{}) {
+			t.Errorf("%v of an absent metric = %v, want zero", kind, got)
+		}
+		if got := judge(kind, "stop"); got != (reading{}) {
+			t.Errorf("%v over no registry = %v, want zero", kind, got)
+		}
 	}
 }
 

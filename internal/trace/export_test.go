@@ -4,6 +4,14 @@ package trace
 // the tracer's Observe path.
 func (h *Histogram) Add(v int64) { h.observe(v) }
 
+// Quantile returns the named histogram's q-quantile (0 if absent).
+func (t *Tracer) Quantile(name string, q float64) int64 {
+	if t == nil {
+		return 0
+	}
+	return t.hists[name].Quantile(q)
+}
+
 // ChildOn opens a span nested under s on a different track.
 func (s Span) ChildOn(track Track, name string, args ...Arg) Span {
 	if s.t == nil {

@@ -317,14 +317,6 @@ func (t *Tracer) CounterValue(name string) int64 {
 	return t.counters[name]
 }
 
-// Quantile returns the named histogram's q-quantile (0 if absent).
-func (t *Tracer) Quantile(name string, q float64) int64 {
-	if t == nil {
-		return 0
-	}
-	return t.hists[name].Quantile(q)
-}
-
 // HistogramCopy returns a standalone copy of the named histogram for
 // merging, or nil if never observed.
 func (t *Tracer) HistogramCopy(name string) *Histogram {
