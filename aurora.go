@@ -106,8 +106,6 @@ type Config struct {
 	Name string
 	// StorageBytes is the total capacity of the striped store devices.
 	StorageBytes int64
-	// Costs overrides the calibrated cost model; nil uses DefaultCosts.
-	Costs *clock.Costs
 	// Trace and Telemetry each give the machine its observer
 	// (Machine.Tracer), wired through the devices, the store, the SLS
 	// orchestrator and the wire: every layer's counters, gauges and
@@ -123,10 +121,6 @@ type Config struct {
 	// (Machine.Metrics, internal/telemetry) for SLO watches, fleet
 	// aggregation and the Prometheus/JSON exports.
 	Telemetry bool
-	// Net, when non-nil, routes ReplicateTo and MigrateTo over a simulated
-	// lossy network instead of the direct in-process copy. Each call builds
-	// a fresh connection from this description.
-	Net *NetConfig
 	// Clock, when non-nil, runs the machine on an existing virtual timeline
 	// instead of a fresh one. Fleet scenarios share one clock across every
 	// machine so cross-machine event ordering ("power-cut machine 2 at
@@ -181,8 +175,9 @@ type Machine struct {
 	// rides across Crash, so restore spans and counts land beside the
 	// checkpoints before the cut.
 	Tracer *trace.Tracer
-	// Net is the replication wire description from Config.Net; nil selects
-	// the direct in-process path.
+	// Net, when non-nil, routes ReplicateTo and MigrateTo over a simulated
+	// lossy network instead of the direct in-process copy; each call builds
+	// a fresh connection from this description. It rides across Crash.
 	Net *NetConfig
 	// Flight is the machine's crash flight recorder: a bounded ring of
 	// structured events (checkpoints, flushes, device barriers, power
@@ -207,26 +202,24 @@ type Machine struct {
 
 // NewMachine boots a machine with freshly formatted storage.
 func NewMachine(cfg Config) (*Machine, error) {
-	return build(cfg, nil, nil, true, nil, nil)
+	return build(cfg, clock.DefaultCosts(), nil, nil, nil, nil)
 }
 
-// build assembles a machine; when disk is non-nil the store is recovered
-// from it instead of formatted, and the timeline continues on clk. A
+// build assembles a machine on the cost model costs; when disk is non-nil
+// the store is recovered from it instead of formatted, and the timeline
+// continues on clk. A
 // non-nil tr carries an existing observer across a crash so the metric
 // store and the recorded timeline span reboots; otherwise cfg.Trace or
 // cfg.Telemetry creates a fresh one. A non-nil fd carries an existing fault
 // device across a crash (its crash log and rot are media state); otherwise
 // cfg.Fault interposes a fresh one.
-func build(cfg Config, disk *device.Stripe, clk *clock.Virtual, format bool, tr *trace.Tracer, fd *FaultDev) (*Machine, error) {
+func build(cfg Config, costs *clock.Costs, disk *device.Stripe, clk *clock.Virtual, tr *trace.Tracer, fd *FaultDev) (*Machine, error) {
 	// The paper's testbed: four devices striped at 64 KiB, memory unlimited.
 	const devices, stripeUnit, memoryBytes = 4, 64 << 10, 0
 	if cfg.StorageBytes == 0 {
 		cfg.StorageBytes = 8 << 30
 	}
-	costs := cfg.Costs
-	if costs == nil {
-		costs = clock.DefaultCosts()
-	}
+	format := disk == nil
 	if clk == nil {
 		clk = cfg.Clock
 	}
@@ -304,7 +297,6 @@ func build(cfg Config, disk *device.Stripe, clk *clock.Virtual, format bool, tr 
 		m.Metrics = telemetry.New(tr)
 	}
 	m.SLS.Tracer = tr
-	m.Net = cfg.Net
 	return m, nil
 }
 
@@ -376,14 +368,11 @@ func (m *Machine) Crash() (*Machine, error) {
 	if m.Fault != nil && m.Fault.Crashed() {
 		m.Fault.Reopen()
 	}
-	cfg := m.cfg
-	cfg.Costs = m.Costs
-	cfg.Net = m.Net
-	m2, err := build(cfg, m.Disk, m.Clock, false, m.Tracer, m.Fault)
+	m2, err := build(m.cfg, m.Costs, m.Disk, m.Clock, m.Tracer, m.Fault)
 	if err != nil {
 		return nil, err
 	}
-	m2.Metrics = m.Metrics
+	m2.Net, m2.Metrics = m.Net, m.Metrics
 	return m2, nil
 }
 
@@ -439,18 +428,13 @@ func (m *Machine) SaveImage(w io.Writer) error { return m.Disk.Save(w) }
 
 // BootImage loads a saved disk image and boots a machine from it,
 // recovering the store from the last complete checkpoint.
-func BootImage(r io.Reader, cfg Config) (*Machine, error) {
-	costs := cfg.Costs
-	if costs == nil {
-		costs = clock.DefaultCosts()
-	}
-	clk := clock.NewVirtual()
+func BootImage(r io.Reader) (*Machine, error) {
+	costs, clk := clock.DefaultCosts(), clock.NewVirtual()
 	disk, err := device.LoadStripe(clk, costs, r)
 	if err != nil {
 		return nil, err
 	}
-	cfg.Costs = costs
-	return build(cfg, disk, clk, false, nil, nil)
+	return build(Config{}, costs, disk, clk, nil, nil)
 }
 
 // PersistedGroups lists group names recorded on disk (sls ps after boot).
@@ -522,7 +506,7 @@ func (m *Machine) RestoreAt(group string, epoch Epoch) (*Group, RestoreStats, er
 // MigrateTo live-migrates the named group to another machine with
 // iterative pre-copy (§10): a full round, `rounds` delta rounds while the
 // application runs (work is called between them), and a final short
-// stop-and-copy. The group resumes on dst. With Config.Net set, every
+// stop-and-copy. The group resumes on dst. With Machine.Net set, every
 // round ships over the simulated wire as a resumable transfer.
 func (m *Machine) MigrateTo(dst *Machine, group string, rounds int, work func() error) (*Group, sls.MigrateStats, error) {
 	g, ok := m.SLS.GroupByName(group)
@@ -534,7 +518,7 @@ func (m *Machine) MigrateTo(dst *Machine, group string, rounds int, work func() 
 
 // ReplicateTo seeds a warm standby of the named group on dst and returns
 // the replication handle (Sync ships deltas; Failover takes over). With
-// Config.Net set, the seed and every sync run over the simulated wire; a
+// Machine.Net set, the seed and every sync run over the simulated wire; a
 // sync that exhausts its retries stays pending on the handle and Resume
 // re-ships only the unacked tail.
 func (m *Machine) ReplicateTo(dst *Machine, group string) (*sls.Replica, error) {

@@ -151,7 +151,7 @@ func boot(img string) (*aurora.Machine, error) {
 		return nil, fmt.Errorf("open image (run 'sls init' first?): %w", err)
 	}
 	defer f.Close()
-	return aurora.BootImage(f, aurora.Config{})
+	return aurora.BootImage(f)
 }
 
 func save(m *aurora.Machine, img string) error {

@@ -73,15 +73,14 @@ func Replication(scale Scale) (*ReplicationResult, error) {
 
 // replicationRun drives one primary/standby pair through the sync loop.
 func replicationRun(c replConfigCase, pages int64, syncs int) (ReplRow, error) {
-	cfg := aurora.Config{StorageBytes: 1 << 30}
+	src, err := aurora.NewMachine(aurora.Config{StorageBytes: 1 << 30})
+	if err != nil {
+		return ReplRow{}, err
+	}
 	if c.name != "direct" {
 		// 8 KiB frames keep the per-sync transmission count high enough
 		// that low loss rates are visible even at Quick scale.
-		cfg.Net = &aurora.NetConfig{Fwd: c.fwd, Rev: c.rev, Conn: net.Config{FrameData: 8 << 10}}
-	}
-	src, err := aurora.NewMachine(cfg)
-	if err != nil {
-		return ReplRow{}, err
+		src.Net = &aurora.NetConfig{Fwd: c.fwd, Rev: c.rev, Conn: net.Config{FrameData: 8 << 10}}
 	}
 	dst, err := aurora.NewMachine(aurora.Config{StorageBytes: 1 << 30})
 	if err != nil {

@@ -10,12 +10,11 @@ import (
 )
 
 func TestFacadeReplicateOverLossyNet(t *testing.T) {
-	cfg := Defaults()
-	cfg.Net = &NetConfig{
+	a, _ := NewMachine(Defaults())
+	a.Net = &NetConfig{
 		Fwd: NetPlan{Seed: 7, DropProb: 0.1, DupProb: 0.05, CorruptProb: 0.05},
 		Rev: NetPlan{Seed: 8, DropProb: 0.1},
 	}
-	a, _ := NewMachine(cfg)
 	b, _ := NewMachine(Defaults())
 	p := a.Spawn("db")
 	a.Attach("db", p)
@@ -45,9 +44,9 @@ func TestFacadeReplicateOverLossyNet(t *testing.T) {
 
 func TestFacadeMigrateOverNet(t *testing.T) {
 	cfg := Defaults()
-	cfg.Net = &NetConfig{Fwd: NetPlan{Seed: 3, DropProb: 0.05}}
 	cfg.Telemetry = true
 	a, _ := NewMachine(cfg)
+	a.Net = &NetConfig{Fwd: NetPlan{Seed: 3, DropProb: 0.05}}
 	b, _ := NewMachine(Defaults())
 	p := a.Spawn("svc")
 	a.Attach("svc", p)

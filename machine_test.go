@@ -112,7 +112,7 @@ func TestImageBootRoundTrip(t *testing.T) {
 	if err := m.SaveImage(&img); err != nil {
 		t.Fatal(err)
 	}
-	m2, err := BootImage(&img, Config{})
+	m2, err := BootImage(&img)
 	if err != nil {
 		t.Fatal(err)
 	}
