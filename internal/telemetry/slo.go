@@ -53,7 +53,7 @@ type Breach struct {
 	SLO    string        `json:"slo"`
 	Metric string        `json:"metric"`
 	Kind   string        `json:"kind"`
-	At     time.Duration `json:"at_us"`
+	At     time.Duration `json:"at_ns"`
 	Value  int64         `json:"value"`
 	Bound  int64         `json:"bound"`
 }

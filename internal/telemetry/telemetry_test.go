@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"encoding/json"
 	"slices"
 	"strings"
 	"testing"
@@ -494,5 +495,17 @@ func TestSLOComparisonPerKind(t *testing.T) {
 	}
 	if odd.SLOKind().Holds(odd.Value, odd.Bound) {
 		t.Error("an unknown kind is not judged as an under kind")
+	}
+}
+
+// TestBreachTimeIsInNanoseconds pins the unit the artifact's breach time
+// carries: At is a time.Duration, so its JSON key says ns.
+func TestBreachTimeIsInNanoseconds(t *testing.T) {
+	b, err := json.Marshal(Breach{SLO: "r", Metric: "m", Kind: "p99-under", At: 1500 * time.Microsecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(b), `"at_ns":1500000`) {
+		t.Fatalf("breach marshals as %s, want \"at_ns\":1500000", b)
 	}
 }
