@@ -54,19 +54,11 @@ const journalItemHead = 64
 // maxStreamOIDs bounds the head's live-OID list.
 const maxStreamOIDs = 1 << 20
 
-// Send writes the group's last committed state to w. The group must have
-// checkpointed at least once. Network transfer time is charged per byte.
-func (g *Group) Send(w io.Writer) error { return g.send(w, 0) }
-
-// send serializes the stream and charges direct-path wire time — the
-// in-process byte-copy transport, kept as the nil-link case. A nonzero
-// since writes only the state that changed since that retained epoch — one
-// round of pre-copy live migration: records are small and always resent,
-// memory pages resend only where the stored block moved, and the receiver
-// must already hold the group from a previous Send.
-func (g *Group) send(w io.Writer, since objstore.Epoch) error {
+// Send writes the group's last committed state to w and charges the direct
+// path's wire time. The group must have checkpointed at least once.
+func (g *Group) Send(w io.Writer) error {
 	var e rec.Encoder
-	if _, err := g.encodeStream(&e, since, nil); err != nil {
+	if _, err := g.encodeStream(&e, 0, nil); err != nil {
 		return err
 	}
 	if _, err := w.Write(e.Raw()); err != nil {
