@@ -217,7 +217,7 @@ func build(cfg Config, costs *clock.Costs, disk *device.Stripe, clk *clock.Virtu
 	// The paper's testbed: four devices striped at 64 KiB, memory unlimited.
 	const devices, stripeUnit, memoryBytes = 4, 64 << 10, 0
 	if cfg.StorageBytes == 0 {
-		cfg.StorageBytes = 8 << 30
+		cfg.StorageBytes = Defaults().StorageBytes
 	}
 	format := disk == nil
 	if clk == nil {
