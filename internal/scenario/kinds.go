@@ -149,9 +149,9 @@ var assertionKinds = []kind[AssertionDecl, func(*Harness, AssertionDecl) (bool, 
 		})},
 	{name: "rollbacks-at-most", doc: "group: restore rollbacks <= max (default 0; a restore that meets rot fails instead)",
 		needs: needGroup, check: checkRollbackMax, do: (*Harness).rollbacksAtMost},
-	// The metric kinds read a named metric of the telemetry block's stores:
-	// one machine's when `machine` is set, else fleet-wide (histograms merge
-	// exactly, series reduce across members).
+	// The metric kinds read a named metric through telemetry.Judge, as an
+	// SLO of that kind does: one machine's store when `machine` is set,
+	// else fleet-wide (histograms merge exactly, series reduce across members).
 	{name: "metric-max-under", doc: "metric: the series' max < max",
 		needs: needTelemetry, check: checkMetricMax, do: (*Harness).metricMaxUnder},
 	{name: "metric-p99-under", doc: "metric: the histogram's p99 < max",
