@@ -207,12 +207,11 @@ func NewMachine(cfg Config) (*Machine, error) {
 
 // build assembles a machine on the cost model costs; when disk is non-nil
 // the store is recovered from it instead of formatted, and the timeline
-// continues on clk. A
-// non-nil tr carries an existing observer across a crash so the metric
-// store and the recorded timeline span reboots; otherwise cfg.Trace or
-// cfg.Telemetry creates a fresh one. A non-nil fd carries an existing fault
-// device across a crash (its crash log and rot are media state); otherwise
-// cfg.Fault interposes a fresh one.
+// continues on clk. A non-nil tr carries an existing observer across a
+// crash so the metric store and the recorded timeline span reboots;
+// otherwise cfg.Trace or cfg.Telemetry creates a fresh one. A non-nil fd
+// carries an existing fault device across a crash (its crash log and rot
+// are media state); otherwise cfg.Fault interposes a fresh one.
 func build(cfg Config, costs *clock.Costs, disk *device.Stripe, clk *clock.Virtual, tr *trace.Tracer, fd *FaultDev) (*Machine, error) {
 	// The paper's testbed: four devices striped at 64 KiB, memory unlimited.
 	const devices, stripeUnit, memoryBytes = 4, 64 << 10, 0

@@ -244,10 +244,11 @@ func TestJudge(t *testing.T) {
 			t.Errorf("%s: (value, n) = %v, want %v", c.what, c.got, c.want)
 		}
 	}
-	// The merged p99 is the histogram merge's: b's one outlier is a's 100th
-	// sample's bucket, which a alone never reaches.
-	if want := (&Fleet{regs: []*Registry{a, b}}).MergedHistogram("stop").Quantile(0.99); want != 767 {
-		t.Fatalf("fleet merge p99 = %d, Judge read 767", want)
+	// The merged p99 is b's one outlier, the 100th sample, read as its log2
+	// bucket's midpoint (767), which a alone never reaches; the fleet
+	// snapshot's merge reads the same.
+	if got := (&Fleet{regs: []*Registry{a, b}}).MergedHistogram("stop").Quantile(0.99); got != 767 {
+		t.Fatalf("fleet merge p99 = %d, Judge read 767", got)
 	}
 	for _, kind := range []SLOKind{SLOP99Under, SLOMaxUnder, SLOFinalAtLeast} {
 		if got := judge(kind, "absent", a, b); got != (reading{}) {
