@@ -40,6 +40,14 @@ func TestFacadeReplicateOverLossyNet(t *testing.T) {
 	if string(got) != "r1" {
 		t.Fatalf("failover state %q", got)
 	}
+	// The wire description is the machine's, and a reboot keeps it.
+	a2, err := a.Crash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a2.Net != a.Net {
+		t.Fatalf("rebooted primary: Net %p, want %p", a2.Net, a.Net)
+	}
 }
 
 func TestFacadeMigrateOverNet(t *testing.T) {
