@@ -25,7 +25,7 @@ func (a Agg) String() string {
 
 // Point is one stored sample: virtual timestamp and aggregated value.
 type Point struct {
-	T time.Duration `json:"t_us"`
+	T time.Duration `json:"t_ns"`
 	V int64         `json:"v"`
 }
 

@@ -510,3 +510,15 @@ func TestBreachTimeIsInNanoseconds(t *testing.T) {
 		t.Fatalf("breach marshals as %s, want \"at_ns\":1500000", b)
 	}
 }
+
+// TestSeriesPointTimeIsInNanoseconds pins the unit a series point's time
+// carries: T is a time.Duration, so its JSON key says ns, as Breach.At's does.
+func TestSeriesPointTimeIsInNanoseconds(t *testing.T) {
+	b, err := json.Marshal(Point{T: 1500 * time.Microsecond, V: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(b), `"t_ns":1500000`) {
+		t.Fatalf("point marshals as %s, want \"t_ns\":1500000", b)
+	}
+}
