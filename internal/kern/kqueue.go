@@ -29,6 +29,7 @@ type Kevent struct {
 // Kqueue is the event queue object.
 type Kqueue struct {
 	gen
+	k      *Kernel
 	events []*Kevent
 }
 
@@ -44,14 +45,14 @@ func (kf *kqueueFile) Write(f *File, p []byte) (int, error) {
 }
 func (kf *kqueueFile) CloseLast() {
 	kf.kq.events = nil
-	kf.kq.bump()
+	kf.kq.k.bump(kf.kq)
 }
 
 // Kqueue creates an event queue descriptor.
 func (p *Proc) Kqueue() (int, error) {
 	var fd int
 	err := p.k.syscall(func() error {
-		fd = p.FDs.Install(NewFile(&kqueueFile{kq: &Kqueue{}}, ORead|OWrite))
+		fd = p.FDs.Install(NewFile(&kqueueFile{kq: &Kqueue{k: p.k}}, ORead|OWrite))
 		return nil
 	})
 	return fd, err
@@ -71,7 +72,7 @@ func (p *Proc) KeventAdd(fd int, ev Kevent) error {
 		}
 		e := ev
 		kq.events = append(kq.events, &e)
-		kq.bump()
+		p.k.bump(kq)
 		return nil
 	})
 }

@@ -26,7 +26,7 @@ func (k *Kernel) RestoreProc(name string, localPID, pgid, sid PID, group uint64)
 		SID:       sid,
 		GroupID:   group,
 		Mem:       k.VM.NewMap(),
-		FDs:       NewFDTable(),
+		FDs:       NewFDTable(k),
 		umtxWaits: make(map[PID]int),
 	}
 	k.register(p)
@@ -105,15 +105,15 @@ func (k *Kernel) RestoreSocket(ps RestoreSocketParams) *Socket {
 // EnqueueRestored appends a message to a restored socket's receive queue.
 func (s *Socket) EnqueueRestored(data []byte, from string, files []*File) {
 	s.recvQ = append(s.recvQ, sockMsg{data: data, from: from, files: files})
-	s.bump() // Replay injects into sockets a checkpoint may already have captured
+	s.n++ // counted, not logged: a restored object is new to every group
 }
 
 // LinkPeers connects two restored stream sockets.
 func LinkPeers(a, b *Socket) {
 	a.peer = b
 	b.peer = a
-	a.bump()
-	b.bump()
+	a.n++
+	b.n++
 }
 
 // MarkDisconnected severs a restored socket whose peer was outside the
@@ -140,7 +140,7 @@ func (k *Kernel) RestoreShm(id, key int64, name string, size int64, sysv bool, o
 // cost is tiny (one object) compared to the checkpoint's per-event scan —
 // Table 4's kqueue asymmetry.
 func (k *Kernel) RestoreKqueue(events []Kevent) *Kqueue {
-	kq := &Kqueue{}
+	kq := &Kqueue{k: k}
 	for _, ev := range events {
 		e := ev
 		kq.events = append(kq.events, &e)
@@ -202,7 +202,7 @@ func (k *Kernel) RestoreVnodeFile(oid uint64) (*VnodeFile, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &VnodeFile{h: h, OID: objstore.OID(oid)}, nil
+	return &VnodeFile{k: k, h: h, OID: objstore.OID(oid)}, nil
 }
 
 // VnodeVMObject builds a vnode-backed VM object for a file identified by

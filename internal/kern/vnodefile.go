@@ -14,6 +14,7 @@ import (
 // §5.1: fork shares the description and therefore the offset, while an
 // independent open shares only the vnode.
 type VnodeFile struct {
+	k   *Kernel
 	h   vfs.File     // the open slsfs handle (holds a hidden ref)
 	OID objstore.OID // the vnode identity / inode number
 }
@@ -26,7 +27,7 @@ func (v *VnodeFile) Kind() ObjKind { return KindVnode }
 // Read implements FileImpl: reads at the shared offset and advances it.
 func (v *VnodeFile) Read(f *File, p []byte) (int, error) {
 	n, err := v.h.ReadAt(p, f.offset)
-	f.setOffset(f.offset + int64(n))
+	f.setOffset(v.k, f.offset+int64(n))
 	return n, err
 }
 
@@ -35,11 +36,11 @@ func (v *VnodeFile) Read(f *File, p []byte) (int, error) {
 func (v *VnodeFile) Write(f *File, p []byte) (int, error) {
 	if f.flags&OAppend != 0 {
 		n, err := v.h.Append(p)
-		f.setOffset(v.h.Size())
+		f.setOffset(v.k, v.h.Size())
 		return n, err
 	}
 	n, err := v.h.WriteAt(p, f.offset)
-	f.setOffset(f.offset + int64(n))
+	f.setOffset(v.k, f.offset+int64(n))
 	return n, err
 }
 
@@ -66,7 +67,7 @@ func (p *Proc) Open(path string, flags int, create bool) (int, error) {
 			return err
 		}
 		oid, _ := p.k.FS.OIDOf(path)
-		v := &VnodeFile{h: h, OID: oid}
+		v := &VnodeFile{k: p.k, h: h, OID: oid}
 		fd = p.FDs.Install(NewFile(v, flags))
 		return nil
 	})

@@ -542,3 +542,48 @@ func TestWALCommitAllocBytesPinned(t *testing.T) {
 		t.Fatalf("%d bytes allocated per WAL commit, ceiling %d", per, ceiling)
 	}
 }
+
+// idleServer is a server group holding conns established TCP connections
+// whose clients sit outside the group, checkpointed once: the memcached-ckpt
+// shape with nothing touched between checkpoints.
+func idleServer(tb testing.TB, conns int) (*world, *Group) {
+	tb.Helper()
+	w := benchWorld(tb)
+	srv, cli := w.k.NewProc("server"), w.k.NewProc("clients")
+	lfd, _ := srv.Socket(kern.KindSocketTCP)
+	srv.Bind(lfd, "10.0.0.1:11211")
+	srv.Listen(lfd)
+	for i := 0; i < conns; i++ {
+		cfd, _ := cli.Socket(kern.KindSocketTCP)
+		cli.Connect(cfd, "10.0.0.1:11211")
+		if _, err := srv.Accept(lfd); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	g := w.o.CreateGroup("server")
+	g.RetainEpochs = 4
+	if err := g.Attach(srv); err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := g.Checkpoint(CkptIncremental); err != nil {
+		tb.Fatal(err)
+	}
+	return w, g
+}
+
+// BenchmarkCheckpointIdleSockets checkpoints a server holding 576 idle
+// connections (memcached-ckpt's population) with nothing touched in between.
+// virt-ns/op is the virtual time one checkpoint charges; the dirty log leaves
+// it independent of the idle sockets (TestSerializeTimeIgnoresIdleSockets).
+func BenchmarkCheckpointIdleSockets(b *testing.B) {
+	w, g := idleServer(b, 576)
+	start := w.clk.Now()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := g.Checkpoint(CkptIncremental); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(w.clk.Now()-start)/float64(b.N), "virt-ns/op")
+}

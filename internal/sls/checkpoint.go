@@ -23,10 +23,13 @@ import (
 //  1. Wait for the previous checkpoint's flush (Aurora never overlaps two),
 //     then release externally-synchronized messages it covered.
 //  2. Quiesce the system at the kernel boundary.
-//  3. Walk every POSIX object reachable from the group — each has its own
-//     on-disk object, sharing preserved by construction — and serialize the
-//     ones that changed since the group's last commit (the generation gate,
-//     serializer.unchanged).
+//  3. Account every POSIX object reachable from the group into the cut — each
+//     has its own on-disk object, sharing preserved by construction — and
+//     serialize the ones that changed since the group's last commit. A
+//     process whose descriptor table the last commit remembers unchanged
+//     replays what it reached then, visiting only what the kernel's dirty log
+//     names (serializer.table); any other is walked in full, every object's
+//     generation read (the generation gate, serializer.unchanged).
 //  4. System-shadow all writable memory.
 //  5. Resume the applications. Everything after this overlaps execution on
 //     the virtual clock; the checkpointer holds the kernel lock meanwhile.
@@ -103,7 +106,7 @@ func (g *Group) Checkpoint(kind CheckpointKind) (st CheckpointStats, err error) 
 	phase.End()
 	phase = stopSpan.Child("serialize")
 	osSW := clock.StartStopwatch(o.Clk)
-	ser := newSerializer(g, kind == CkptFull)
+	ser := newSerializer(g, kind)
 	procs := g.Procs()
 	var ephemeral []*kern.Proc
 	for _, p := range procs {
@@ -284,6 +287,7 @@ func (g *Group) finishCommit(st *CheckpointStats, ckptSpan trace.Span, ser *seri
 	for _, c := range ser.staged {
 		g.committed[c.oid] = c
 	}
+	g.cursor, g.tables = ser.end, ser.tables
 	o.Store.Flight().Record(int64(o.Clk.Now()), flight.EvCheckpointEnd,
 		int64(g.oid), int64(epoch), st.FlushBytes, g.Name)
 	st.Epoch, st.WALSeq, st.DurableAt = epoch, walSeq, durableAt
@@ -423,6 +427,13 @@ type captured struct {
 	gen uint64
 }
 
+// reach is what one process's descriptor table reached at a committed cut:
+// the table's generation, and every object met walking it, in walk order.
+type reach struct {
+	gen  uint64
+	keys []any
+}
+
 // serializer walks kernel objects, emitting one store record per object that
 // changed.
 type serializer struct {
@@ -436,6 +447,12 @@ type serializer struct {
 	full bool
 	// staged are this cut's captures of gated objects, for finishCommit.
 	staged []captured
+	// dirty is what the kernel's log names since the group's cursor, nil
+	// when every table is walked in full; end and tables become the group's
+	// cursor and table memory when this cut commits.
+	dirty  map[any]bool
+	end    uint64
+	tables map[*kern.Proc]reach
 
 	// Deduplication: each kernel object — description or what is behind
 	// one — serializes exactly once per checkpoint regardless of how many
@@ -447,15 +464,26 @@ type serializer struct {
 	shmOIDs  []objstore.OID
 }
 
-func newSerializer(g *Group, full bool) *serializer {
-	return &serializer{
+func newSerializer(g *Group, kind CheckpointKind) *serializer {
+	s := &serializer{
 		g:       g,
 		o:       g.o,
-		full:    full,
+		full:    kind == CkptFull,
 		live:    make(map[objstore.OID]bool),
 		done:    make(map[any]objstore.OID),
 		memOIDs: make(map[*vm.Object]objstore.OID),
+		tables:  make(map[*kern.Proc]reach),
 	}
+	if !s.full && len(g.committed) > 0 {
+		s.dirty = make(map[any]bool)
+		for _, obj := range g.o.K.Dirtied(g.cursor) {
+			s.dirty[obj] = true
+		}
+	}
+	if kind != CkptMemOnly {
+		s.end = g.o.K.Cut(g.o.logKept())
+	}
+	return s
 }
 
 // put stores a sealed record, charging serialization costs. Called directly
@@ -588,9 +616,102 @@ func (s *serializer) file(f *kern.File) (objstore.OID, error) {
 	if err := s.impl(f); err != nil {
 		return 0, err
 	}
+	if oid, ok := s.done[f]; ok {
+		return oid, nil // its own socket's queue holds it: captured on the way
+	}
 	oid := s.g.oidFor(f)
 	s.done[f] = oid
 	return oid, s.object(oid, f)
+}
+
+// table accounts what p's descriptor table reaches, ahead of the slots file
+// resolves. A table the last commit remembers at its present generation, no
+// dirty socket in it linked to other objects now, replays that reach; any
+// other is walked in full.
+func (s *serializer) table(p *kern.Proc) error {
+	r, ok := s.g.tables[p]
+	if s.dirty == nil || !ok || r.gen != p.FDs.Generation() || s.relinked(p, r) {
+		s.tables[p] = reach{p.FDs.Generation(), s.g.reach(p)}
+		return nil
+	}
+	s.tables[p] = r
+	for _, key := range r.keys {
+		if err := s.replay(key); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// replay accounts a remembered object where the walk meets it: through object
+// when the log names it or the gate never trusted it, else untouched.
+func (s *serializer) replay(key any) error {
+	if seg, ok := key.(*kern.ShmSegment); ok {
+		return s.shm(seg)
+	}
+	obj := key.(generational)
+	oid, first := s.implOID(obj)
+	if !first {
+		return nil
+	}
+	if f, ok := obj.(*kern.File); ok {
+		if v, ok := f.Impl.(*kern.VnodeFile); ok {
+			s.vnode(v)
+		}
+	}
+	if _, trusted := s.g.committed[oid]; !trusted || s.dirty[obj] {
+		return s.object(oid, obj)
+	}
+	s.live[oid] = true
+	s.count++
+	return nil
+}
+
+// relinked reports whether a dirty socket p's table reached links to other
+// objects now (a peer, descriptors in flight): the remembered reach is stale.
+func (s *serializer) relinked(p *kern.Proc, r reach) bool {
+	for _, key := range r.keys {
+		if _, ok := key.(*kern.Socket); ok && s.dirty[key] {
+			return !slices.Equal(s.g.reach(p), r.keys)
+		}
+	}
+	return false
+}
+
+// reach lists what p's table reaches now in the walk's order: a description
+// after the object behind it (not a vnode, a store object already), a socket
+// after its peer in the group and the descriptors in flight in its queue.
+// It reads the objects and charges nothing.
+func (g *Group) reach(p *kern.Proc) []any {
+	var keys []any
+	seen := make(map[any]bool)
+	var visit func(key any)
+	visit = func(key any) {
+		if seen[key] {
+			return
+		}
+		switch o := key.(type) {
+		case *kern.File:
+			if obj, _ := o.Behind(); obj != nil && o.Impl.Kind() != kern.KindVnode {
+				visit(obj)
+			}
+			if seen[key] {
+				return // its own socket's queue holds it
+			}
+		case *kern.Socket:
+			seen[key] = true // the peer names this socket back
+			if peer := o.Peer(); peer != nil && peer.OwnerGroup == g.ID {
+				visit(peer)
+			}
+			for _, f := range o.InFlightFiles() {
+				visit(f)
+			}
+		}
+		seen[key] = true
+		keys = append(keys, key)
+	}
+	p.FDs.Each(func(_ int, f *kern.File) { visit(f) })
+	return keys
 }
 
 // knownOID looks up the OID of an object a record references. The walk
@@ -609,14 +730,7 @@ func (s *serializer) impl(f *kern.File) error {
 	case nil:
 		return fmt.Errorf("sls: unsupported file kind %v", f.Impl.Kind())
 	case *kern.VnodeFile:
-		// Keep a hidden reference so unlinking cannot reap it (§5.2). The
-		// reference is per group lifetime, not per checkpoint.
-		if !s.g.vnodeRef[o.OID] {
-			s.g.vnodeRef[o.OID] = true
-			s.o.K.FS.AddHiddenRef(o.OID)
-		}
-		s.live[o.OID] = true
-		s.o.Clk.Advance(s.o.Costs.SerializeBase) // inode ref, no namei
+		s.vnode(o)
 	case *kern.Socket:
 		return s.socket(o)
 	case *kern.ShmSegment:
@@ -627,6 +741,18 @@ func (s *serializer) impl(f *kern.File) error {
 		}
 	}
 	return nil
+}
+
+// vnode accounts a file the description reaches: no record, the vnode is a
+// store object already. Keep a hidden reference so unlinking cannot reap it
+// (§5.2); the reference is per group lifetime, not per checkpoint.
+func (s *serializer) vnode(v *kern.VnodeFile) {
+	if !s.g.vnodeRef[v.OID] {
+		s.g.vnodeRef[v.OID] = true
+		s.o.K.FS.AddHiddenRef(v.OID)
+	}
+	s.live[v.OID] = true
+	s.o.Clk.Advance(s.o.Costs.SerializeBase) // inode ref, no namei
 }
 
 // implOID returns the OID of an implementation object and whether this is

@@ -314,6 +314,10 @@ func (g *Group) primeGate() {
 			g.committed[oid] = captured{oid, obj, obj.Generation()}
 		}
 	}
+	for _, p := range g.Procs() {
+		g.tables[p] = reach{p.FDs.Generation(), g.reach(p)}
+	}
+	g.cursor = g.o.K.Cut(g.o.logKept())
 }
 
 func boolInt(b bool) int64 {
