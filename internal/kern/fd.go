@@ -64,48 +64,42 @@ type FileImpl interface {
 }
 
 // gen is the generation of a kernel object that becomes a store record
-// (File, Pipe, Socket, Kqueue, PTY, Device) or decides what a process reaches
-// (FDTable): a counter moved, under the BKL, by every mutation of a field the
-// record holds (Kernel.bump). The first bump since the last committing cut
-// also logs the object, paying at the syscall the cache miss a checkpoint
-// would otherwise pay to find out it changed; a checkpoint visits what the log
-// names (internal/sls, serializer.table). A spurious bump costs one re-capture
-// and a missing one loses an update, which the sls.capture audit rule and the
-// dirty-log oracle test catch. Restore constructors count without logging
-// while they link objects up; where that leaves an object is the generation a
-// restored group trusts its checked record at (internal/sls, primeGate).
-type gen struct{ n, logged uint64 } // logged: one past the newest log entry
+// (File, Pipe, Socket, Kqueue, PTY, Device): a counter bumped, under the BKL,
+// by every mutation of a field the record holds. A checkpoint captures the
+// object only when its generation differs from the one the group last
+// committed (internal/sls, serializer.unchanged), so a spurious bump costs one
+// re-capture and a missing one loses an update — which is what the sls.capture
+// rule of internal/audit exists to catch. A committed cut that trusts the
+// object at its generation arms it; the first bump after that pays, at the
+// syscall, the cache miss of marking it dirty, so the checkpoint need not read
+// the generation of each object it skips. An object no group trusts, or one
+// already changed since, bumps for free. Restore constructors build objects
+// at generation 0 and bump like any other mutation while they link them up;
+// wherever that leaves an object is the generation a restored group trusts
+// its record at, once it has checked the record against the object
+// (internal/sls, Group.primeGate).
+type gen struct {
+	n     uint64
+	armed bool
+}
+
+func (g *gen) bump(k *Kernel) {
+	g.n++
+	if g.armed {
+		g.armed = false
+		k.Clk.Advance(k.Costs.CacheMiss)
+	}
+}
 
 // Generation returns the object's mutation count. Callers hold the BKL or a
 // quiesce.
 func (g *gen) Generation() uint64 { return g.n }
 
-func (g *gen) counter() *gen { return g }
-
-// bump moves obj's generation and logs obj on its first bump since the last
-// committing cut.
-func (k *Kernel) bump(obj interface{ counter() *gen }) {
-	g := obj.counter()
-	if g.n++; g.logged <= k.dirtyMark {
-		k.Clk.Advance(k.Costs.CacheMiss)
-		k.dirty = append(k.dirty, obj)
-		g.logged = k.dirtyBase + uint64(len(k.dirty))
-	}
-}
-
-// Cut marks the log's end as a committing cut's and returns it, the cursor
-// that group reads from next; entries before keep, which every reader has
-// passed, are dropped.
-func (k *Kernel) Cut(keep uint64) uint64 {
-	n := min(max(keep, k.dirtyBase)-k.dirtyBase, uint64(len(k.dirty)))
-	k.dirty, k.dirtyBase = k.dirty[n:], k.dirtyBase+n
-	k.dirtyMark = k.dirtyBase + uint64(len(k.dirty))
-	return k.dirtyMark
-}
-
-// Dirtied returns the objects logged from position since on, an object
-// possibly more than once. Callers hold the BKL or a quiesce.
-func (k *Kernel) Dirtied(since uint64) []any { return k.dirty[since-k.dirtyBase:] }
+// Arm marks the object trusted at its present generation by a committed cut;
+// Armed reports that no bump has come since. Callers hold the BKL or a
+// quiesce.
+func (g *gen) Arm()        { g.armed = true }
+func (g *gen) Armed() bool { return g.armed }
 
 // File is an open-file description: the object fork and dup share, carrying
 // the offset and flags. Two processes with the same File see each other's
@@ -131,7 +125,7 @@ func (f *File) Flags() int { return f.flags }
 // setOffset moves the shared offset. Requires the BKL.
 func (f *File) setOffset(k *Kernel, off int64) {
 	f.offset = off
-	k.bump(f)
+	f.bump(k)
 }
 
 // NewFile wraps an implementation in a description with one reference.
@@ -152,20 +146,16 @@ func (f *File) Unref() {
 // Refs returns the current reference count (diagnostics and checkpointing).
 func (f *File) Refs() int32 { return f.refs }
 
-// FDTable maps small integers to open-file descriptions. Its generation
-// moves whenever what the process can reach through it changes.
+// FDTable maps small integers to open-file descriptions.
 type FDTable struct {
-	gen
-	k     *Kernel
 	slots []*File
 }
 
 // NewFDTable returns an empty table.
-func NewFDTable(k *Kernel) *FDTable { return &FDTable{k: k} }
+func NewFDTable() *FDTable { return &FDTable{} }
 
 // Install places a description in the lowest free slot.
 func (t *FDTable) Install(f *File) int {
-	t.k.bump(t)
 	for i, s := range t.slots {
 		if s == nil {
 			t.slots[i] = f
@@ -201,7 +191,6 @@ func (t *FDTable) Close(fd int) error {
 	}
 	f := t.slots[fd]
 	t.slots[fd] = nil
-	t.k.bump(t)
 	f.Unref()
 	return nil
 }
@@ -219,10 +208,7 @@ func (t *FDTable) Dup(fd int) (int, error) {
 
 // Clone copies the table for fork: every slot shares its description.
 func (t *FDTable) Clone() *FDTable {
-	nt := &FDTable{k: t.k, slots: make([]*File, len(t.slots))}
-	if len(t.slots) > 0 { // an empty table reaches nothing
-		t.k.bump(nt)
-	}
+	nt := &FDTable{slots: make([]*File, len(t.slots))}
 	for i, f := range t.slots {
 		if f != nil {
 			f.Ref()
@@ -236,9 +222,6 @@ func (t *FDTable) Clone() *FDTable {
 func (t *FDTable) CloseAll() {
 	slots := t.slots
 	t.slots = nil
-	if len(slots) > 0 {
-		t.k.bump(t)
-	}
 	for _, f := range slots {
 		if f != nil {
 			f.Unref()
@@ -327,7 +310,7 @@ func (p *Proc) SetFlags(fd int, flags int) error {
 			return err
 		}
 		f.flags = flags
-		p.k.bump(f)
+		f.bump(p.k)
 		return nil
 	})
 }

@@ -15,7 +15,7 @@ func TestFDTableRefcountProperty(t *testing.T) {
 		Slot uint8
 	}
 	f := func(ops []op) bool {
-		tbl := NewFDTable(newKernel(t))
+		tbl := NewFDTable()
 		refs := make(map[*File]int) // model: live references per description
 		mk := func() *File {
 			f := NewFile(&nullImpl{}, ORead)
@@ -85,7 +85,7 @@ func (n *nullImpl) Write(f *File, p []byte) (int, error) {
 func (n *nullImpl) CloseLast() { n.closed = true }
 
 func TestCloseLastFiresExactlyOnce(t *testing.T) {
-	tbl := NewFDTable(newKernel(t))
+	tbl := NewFDTable()
 	impl := &nullImpl{}
 	f := NewFile(impl, ORead)
 	fd := tbl.Install(f)

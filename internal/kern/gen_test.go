@@ -10,10 +10,18 @@ func (h *holdES) Hold(group uint64, deliver func()) bool {
 	return true
 }
 
+// armable is an object the capture gate covers.
+type armable interface {
+	Generation() uint64
+	Arm()
+	Armed() bool
+}
+
 // TestEveryRecordedMutationBumps drives each syscall that changes a field a
 // store record holds and requires the generation of the object behind that
-// record to move — the positive half of the capture gate's contract (the
-// oracle in internal/audit is the other half).
+// record to move, and the object, armed before, to have paid for it — the
+// positive half of the capture gate's contract (the oracle in internal/audit
+// is the other half).
 func TestEveryRecordedMutationBumps(t *testing.T) {
 	k := newKernel(t)
 	p := k.NewProc("p")
@@ -55,7 +63,7 @@ func TestEveryRecordedMutationBumps(t *testing.T) {
 
 	steps := []struct {
 		name string
-		obj  interface{ Generation() uint64 }
+		obj  armable
 		do   func()
 	}{
 		{"file write moves the offset", file(vfd), func() { p.Write(vfd, []byte("abc")) }},
@@ -79,10 +87,14 @@ func TestEveryRecordedMutationBumps(t *testing.T) {
 		{"send advances the sender's sequence", sock(p, ufd), func() { p.Write(ufd, []byte("held")) }},
 	}
 	for _, s := range steps {
+		s.obj.Arm()
 		before := s.obj.Generation()
 		s.do()
 		if s.obj.Generation() == before {
 			t.Errorf("%s: generation stayed at %d", s.name, before)
+		}
+		if s.obj.Armed() {
+			t.Errorf("%s: still armed, the move went unpaid", s.name)
 		}
 	}
 
@@ -95,12 +107,13 @@ func TestEveryRecordedMutationBumps(t *testing.T) {
 	if n, err := out.Read(ofd, make([]byte, 8)); n != 0 || err == nil {
 		t.Fatalf("held message already readable (%d bytes, err %v)", n, err)
 	}
+	dst.Arm()
 	before := dst.Generation()
 	k.Gate.Enter()
 	es.held[0]()
 	k.Gate.Exit()
-	if dst.Generation() == before {
-		t.Errorf("deferred delivery: receiver's generation stayed at %d", before)
+	if dst.Generation() == before || dst.Armed() {
+		t.Errorf("deferred delivery: receiver's generation stayed at %d, or went unpaid", before)
 	}
 	before = dst.Generation()
 	if n, _ := out.Read(ofd, make([]byte, 8)); n != 4 {
@@ -108,5 +121,21 @@ func TestEveryRecordedMutationBumps(t *testing.T) {
 	}
 	if dst.Generation() == before {
 		t.Errorf("recv: generation stayed at %d", before)
+	}
+}
+
+// TestBumpPaysOncePerArm: an armed object's first bump charges one cache miss
+// and disarms it; an unarmed object's bumps charge nothing.
+func TestBumpPaysOncePerArm(t *testing.T) {
+	k := newKernel(t)
+	var g gen
+	start := k.Clk.Now()
+	g.bump(k)
+	g.Arm()
+	g.bump(k)
+	g.bump(k)
+	if got := k.Clk.Now() - start; got != k.Costs.CacheMiss || g.Armed() || g.Generation() != 3 {
+		t.Fatalf("three bumps around one arm charged %v (want %v), armed %v, generation %d",
+			got, k.Costs.CacheMiss, g.Armed(), g.Generation())
 	}
 }

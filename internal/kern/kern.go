@@ -148,11 +148,6 @@ type Kernel struct {
 	// bounds is the socket address registry, guarded by the BKL.
 	bounds map[string]*Socket
 
-	// dirty logs mutated objects (bump); dirtyBase is the position of its
-	// first entry, dirtyMark its end at the last committing cut (Cut).
-	dirty                []any
-	dirtyBase, dirtyMark uint64
-
 	// VDSOVersion tags the vDSO device object; restores inject the
 	// current kernel's version (§5.3).
 	VDSOVersion string

@@ -45,7 +45,7 @@ func (kf *kqueueFile) Write(f *File, p []byte) (int, error) {
 }
 func (kf *kqueueFile) CloseLast() {
 	kf.kq.events = nil
-	kf.kq.k.bump(kf.kq)
+	kf.kq.bump(kf.kq.k)
 }
 
 // Kqueue creates an event queue descriptor.
@@ -72,7 +72,7 @@ func (p *Proc) KeventAdd(fd int, ev Kevent) error {
 		}
 		e := ev
 		kq.events = append(kq.events, &e)
-		p.k.bump(kq)
+		kq.bump(p.k)
 		return nil
 	})
 }

@@ -48,7 +48,7 @@ func (e *pipeEnd) Read(f *File, buf []byte) (int, error) {
 	}
 	n := copy(buf, p.buf)
 	p.buf = p.buf[n:]
-	p.k.bump(p)
+	p.bump(p.k)
 	p.k.Gate.Broadcast() // wake writers waiting for space
 	return n, nil
 }
@@ -91,7 +91,7 @@ func (e *pipeEnd) Write(f *File, buf []byte) (int, error) {
 			n = space
 		}
 		p.buf = append(p.buf, buf[:n]...)
-		p.k.bump(p)
+		p.bump(p.k)
 		buf = buf[n:]
 		total += n
 		p.k.Gate.Broadcast() // wake readers
@@ -105,7 +105,7 @@ func (e *pipeEnd) CloseLast() {
 	} else {
 		e.p.readersRef--
 	}
-	e.p.k.bump(e.p)
+	e.p.bump(e.p.k)
 	e.p.k.Gate.Broadcast()
 }
 

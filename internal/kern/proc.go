@@ -74,7 +74,7 @@ func (k *Kernel) NewProc(name string) *Proc {
 		Name:      name,
 		GlobalPID: k.allocPID(),
 		Mem:       k.VM.NewMap(),
-		FDs:       NewFDTable(k),
+		FDs:       NewFDTable(),
 		umtxWaits: make(map[PID]int),
 	}
 	p.LocalPID = p.GlobalPID // identical until a restore re-virtualizes

@@ -49,7 +49,7 @@ func (e *ptyEnd) Read(f *File, p []byte) (int, error) {
 	}
 	n := copy(p, *buf)
 	*buf = (*buf)[n:]
-	e.pty.k.bump(e.pty)
+	e.pty.bump(e.pty.k)
 	return n, nil
 }
 
@@ -62,7 +62,7 @@ func (e *ptyEnd) Write(f *File, p []byte) (int, error) {
 	} else {
 		e.pty.toMaster = append(e.pty.toMaster, p...)
 	}
-	e.pty.k.bump(e.pty)
+	e.pty.bump(e.pty.k)
 	e.pty.k.Gate.Broadcast()
 	return len(p), nil
 }
@@ -95,7 +95,7 @@ func (p *Proc) SetTermios(fd int, termios [64]byte) error {
 			return err
 		}
 		pty.termios = termios
-		p.k.bump(pty)
+		pty.bump(p.k)
 		return nil
 	})
 }

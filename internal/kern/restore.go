@@ -26,7 +26,7 @@ func (k *Kernel) RestoreProc(name string, localPID, pgid, sid PID, group uint64)
 		SID:       sid,
 		GroupID:   group,
 		Mem:       k.VM.NewMap(),
-		FDs:       NewFDTable(k),
+		FDs:       NewFDTable(),
 		umtxWaits: make(map[PID]int),
 	}
 	k.register(p)
@@ -105,15 +105,15 @@ func (k *Kernel) RestoreSocket(ps RestoreSocketParams) *Socket {
 // EnqueueRestored appends a message to a restored socket's receive queue.
 func (s *Socket) EnqueueRestored(data []byte, from string, files []*File) {
 	s.recvQ = append(s.recvQ, sockMsg{data: data, from: from, files: files})
-	s.n++ // counted, not logged: a restored object is new to every group
+	s.bump(s.k) // Replay injects into sockets a checkpoint may already have captured
 }
 
 // LinkPeers connects two restored stream sockets.
 func LinkPeers(a, b *Socket) {
 	a.peer = b
 	b.peer = a
-	a.n++
-	b.n++
+	a.bump(a.k)
+	b.bump(b.k)
 }
 
 // MarkDisconnected severs a restored socket whose peer was outside the

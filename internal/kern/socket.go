@@ -150,7 +150,7 @@ func (p *Proc) Bind(fd int, addr string) error {
 		}
 		s.Local = addr
 		s.Bound = true
-		s.k.bump(s)
+		s.bump(s.k)
 		return nil
 	})
 }
@@ -166,7 +166,7 @@ func (p *Proc) Listen(fd int) error {
 			return ErrInvalid
 		}
 		s.listening = true
-		s.k.bump(s)
+		s.bump(s.k)
 		return nil
 	})
 }
@@ -181,7 +181,7 @@ func (p *Proc) Connect(fd int, addr string) error {
 		}
 		if s.kind == KindSocketUDP {
 			s.Remote = addr // connected UDP: just a default destination
-			s.k.bump(s)
+			s.bump(s.k)
 			return nil
 		}
 		l, ok := p.k.bounds[addr]
@@ -199,7 +199,7 @@ func (p *Proc) Connect(fd int, addr string) error {
 		}
 		s.peer = srv
 		s.Remote = addr
-		s.k.bump(s)
+		s.bump(s.k)
 		l.acceptQ = append(l.acceptQ, srv)
 		p.k.Clk.Advance(p.k.Costs.NetSetupRTT)
 		p.k.Gate.Broadcast()
@@ -268,7 +268,7 @@ func (s *Socket) send(f *File, data []byte, files []*File) (int, error) {
 		return 0, ErrPipeClosed
 	}
 	s.seq += uint64(len(data))
-	s.k.bump(s)
+	s.bump(s.k)
 	k := s.k
 	// deliver runs now or, held by external synchrony, under the BKL after a
 	// later checkpoint of the sender's group is durable — possibly after a
@@ -276,7 +276,7 @@ func (s *Socket) send(f *File, data []byte, files []*File) (int, error) {
 	// here, where its queue does, and not at the entry of the syscall.
 	deliver := func() {
 		dst.recvQ = append(dst.recvQ, msg)
-		k.bump(dst)
+		dst.bump(k)
 		k.Gate.Broadcast()
 	}
 	// External synchrony: cross-group sends wait for the checkpoint.
@@ -311,7 +311,7 @@ func (s *Socket) recv(f *File, buf []byte, outFiles *[]*File) (int, error) {
 		}
 	}
 	msg := s.recvQ[0]
-	s.k.bump(s)
+	s.bump(s.k)
 	n := copy(buf, msg.data)
 	if n < len(msg.data) && s.kind == KindSocketTCP {
 		// Stream semantics: leave the remainder queued.
@@ -352,7 +352,7 @@ func (p *Proc) SetES(fd int, disabled bool) error {
 			return err
 		}
 		s.esDisabled = disabled
-		s.k.bump(s)
+		s.bump(s.k)
 		return nil
 	})
 }
@@ -365,7 +365,7 @@ func (p *Proc) SetSockOpt(fd int, options uint32) error {
 			return err
 		}
 		s.options = options
-		s.k.bump(s)
+		s.bump(s.k)
 		return nil
 	})
 }

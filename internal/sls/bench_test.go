@@ -573,8 +573,8 @@ func idleServer(tb testing.TB, conns int) (*world, *Group) {
 
 // BenchmarkCheckpointIdleSockets checkpoints a server holding 576 idle
 // connections (memcached-ckpt's population) with nothing touched in between.
-// virt-ns/op is the virtual time one checkpoint charges; the dirty log leaves
-// it independent of the idle sockets (TestSerializeTimeIgnoresIdleSockets).
+// virt-ns/op is the virtual time one checkpoint charges; an unchanged object
+// costs the stop nothing, so it is independent of the idle sockets (TestSerializeTimeIgnoresIdleSockets).
 func BenchmarkCheckpointIdleSockets(b *testing.B) {
 	w, g := idleServer(b, 576)
 	start := w.clk.Now()

@@ -23,13 +23,11 @@ import (
 //  1. Wait for the previous checkpoint's flush (Aurora never overlaps two),
 //     then release externally-synchronized messages it covered.
 //  2. Quiesce the system at the kernel boundary.
-//  3. Account every POSIX object reachable from the group into the cut — each
-//     has its own on-disk object, sharing preserved by construction — and
-//     serialize the ones that changed since the group's last commit. A
-//     process whose descriptor table the last commit remembers unchanged
-//     replays what it reached then, visiting only what the kernel's dirty log
-//     names (serializer.table); any other is walked in full, every object's
-//     generation read (the generation gate, serializer.unchanged).
+//  3. Walk every POSIX object reachable from the group — each has its own
+//     on-disk object, sharing preserved by construction — and serialize the
+//     ones that changed since the group's last commit (the generation gate,
+//     serializer.unchanged). An unchanged object costs the stop nothing: the
+//     first mutation after a commit paid for marking it changed.
 //  4. System-shadow all writable memory.
 //  5. Resume the applications. Everything after this overlaps execution on
 //     the virtual clock; the checkpointer holds the kernel lock meanwhile.
@@ -106,7 +104,7 @@ func (g *Group) Checkpoint(kind CheckpointKind) (st CheckpointStats, err error) 
 	phase.End()
 	phase = stopSpan.Child("serialize")
 	osSW := clock.StartStopwatch(o.Clk)
-	ser := newSerializer(g, kind)
+	ser := newSerializer(g, kind == CkptFull)
 	procs := g.Procs()
 	var ephemeral []*kern.Proc
 	for _, p := range procs {
@@ -286,8 +284,8 @@ func (g *Group) finishCommit(st *CheckpointStats, ckptSpan trace.Span, ser *seri
 	wal := walSeq != 0
 	for _, c := range ser.staged {
 		g.committed[c.oid] = c
+		c.obj.Arm()
 	}
-	g.cursor, g.tables = ser.end, ser.tables
 	o.Store.Flight().Record(int64(o.Clk.Now()), flight.EvCheckpointEnd,
 		int64(g.oid), int64(epoch), st.FlushBytes, g.Name)
 	st.Epoch, st.WALSeq, st.DurableAt = epoch, walSeq, durableAt
@@ -417,7 +415,11 @@ func (g *Group) writebackMappedFiles() error {
 
 // generational is a kernel object the capture gate covers: kern.File, Pipe,
 // Socket, Kqueue, PTY and Device, each of which counts its own mutations.
-type generational interface{ Generation() uint64 }
+type generational interface {
+	Generation() uint64
+	Arm()
+	Armed() bool
+}
 
 // captured is what the gate remembers of one committed record: the kernel
 // object behind the OID and its generation at that cut.
@@ -425,13 +427,6 @@ type captured struct {
 	oid objstore.OID
 	obj generational
 	gen uint64
-}
-
-// reach is what one process's descriptor table reached at a committed cut:
-// the table's generation, and every object met walking it, in walk order.
-type reach struct {
-	gen  uint64
-	keys []any
 }
 
 // serializer walks kernel objects, emitting one store record per object that
@@ -447,12 +442,6 @@ type serializer struct {
 	full bool
 	// staged are this cut's captures of gated objects, for finishCommit.
 	staged []captured
-	// dirty is what the kernel's log names since the group's cursor, nil
-	// when every table is walked in full; end and tables become the group's
-	// cursor and table memory when this cut commits.
-	dirty  map[any]bool
-	end    uint64
-	tables map[*kern.Proc]reach
 
 	// Deduplication: each kernel object — description or what is behind
 	// one — serializes exactly once per checkpoint regardless of how many
@@ -464,26 +453,15 @@ type serializer struct {
 	shmOIDs  []objstore.OID
 }
 
-func newSerializer(g *Group, kind CheckpointKind) *serializer {
-	s := &serializer{
+func newSerializer(g *Group, full bool) *serializer {
+	return &serializer{
 		g:       g,
 		o:       g.o,
-		full:    kind == CkptFull,
+		full:    full,
 		live:    make(map[objstore.OID]bool),
 		done:    make(map[any]objstore.OID),
 		memOIDs: make(map[*vm.Object]objstore.OID),
-		tables:  make(map[*kern.Proc]reach),
 	}
-	if !s.full && len(g.committed) > 0 {
-		s.dirty = make(map[any]bool)
-		for _, obj := range g.o.K.Dirtied(g.cursor) {
-			s.dirty[obj] = true
-		}
-	}
-	if kind != CkptMemOnly {
-		s.end = g.o.K.Cut(g.o.logKept())
-	}
-	return s
 }
 
 // put stores a sealed record, charging serialization costs. Called directly
@@ -508,7 +486,8 @@ func (s *serializer) putSealed(oid objstore.OID, utype uint16, body []byte) erro
 // back found it as stored (primeGate) — at the generation it has now; the
 // store then already holds the record this cut would put (PutRecord would
 // compare the bytes and drop them), so the object is accounted into the cut
-// for the price of the pointer chase that read its generation. A CkptFull,
+// at no virtual cost: the commit armed it, and its first mutation since would
+// have paid, at the syscall, the cache miss of marking it changed. A CkptFull,
 // and a group whose gate is empty — a new one, or one restored from a
 // historical view — find no object unchanged.
 func (s *serializer) unchanged(oid objstore.OID, obj generational) bool {
@@ -516,7 +495,6 @@ func (s *serializer) unchanged(oid objstore.OID, obj generational) bool {
 	if s.full || !ok || c.gen != obj.Generation() {
 		return false
 	}
-	s.o.Clk.Advance(s.o.Costs.CacheMiss)
 	s.live[oid] = true
 	s.count++
 	return true
@@ -624,96 +602,6 @@ func (s *serializer) file(f *kern.File) (objstore.OID, error) {
 	return oid, s.object(oid, f)
 }
 
-// table accounts what p's descriptor table reaches, ahead of the slots file
-// resolves. A table the last commit remembers at its present generation, no
-// dirty socket in it linked to other objects now, replays that reach; any
-// other is walked in full.
-func (s *serializer) table(p *kern.Proc) error {
-	r, ok := s.g.tables[p]
-	if s.dirty == nil || !ok || r.gen != p.FDs.Generation() || s.relinked(p, r) {
-		s.tables[p] = reach{p.FDs.Generation(), s.g.reach(p)}
-		return nil
-	}
-	s.tables[p] = r
-	for _, key := range r.keys {
-		if err := s.replay(key); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// replay accounts a remembered object where the walk meets it: through object
-// when the log names it or the gate never trusted it, else untouched.
-func (s *serializer) replay(key any) error {
-	if seg, ok := key.(*kern.ShmSegment); ok {
-		return s.shm(seg)
-	}
-	obj := key.(generational)
-	oid, first := s.implOID(obj)
-	if !first {
-		return nil
-	}
-	if f, ok := obj.(*kern.File); ok {
-		if v, ok := f.Impl.(*kern.VnodeFile); ok {
-			s.vnode(v)
-		}
-	}
-	if _, trusted := s.g.committed[oid]; !trusted || s.dirty[obj] {
-		return s.object(oid, obj)
-	}
-	s.live[oid] = true
-	s.count++
-	return nil
-}
-
-// relinked reports whether a dirty socket p's table reached links to other
-// objects now (a peer, descriptors in flight): the remembered reach is stale.
-func (s *serializer) relinked(p *kern.Proc, r reach) bool {
-	for _, key := range r.keys {
-		if _, ok := key.(*kern.Socket); ok && s.dirty[key] {
-			return !slices.Equal(s.g.reach(p), r.keys)
-		}
-	}
-	return false
-}
-
-// reach lists what p's table reaches now in the walk's order: a description
-// after the object behind it (not a vnode, a store object already), a socket
-// after its peer in the group and the descriptors in flight in its queue.
-// It reads the objects and charges nothing.
-func (g *Group) reach(p *kern.Proc) []any {
-	var keys []any
-	seen := make(map[any]bool)
-	var visit func(key any)
-	visit = func(key any) {
-		if seen[key] {
-			return
-		}
-		switch o := key.(type) {
-		case *kern.File:
-			if obj, _ := o.Behind(); obj != nil && o.Impl.Kind() != kern.KindVnode {
-				visit(obj)
-			}
-			if seen[key] {
-				return // its own socket's queue holds it
-			}
-		case *kern.Socket:
-			seen[key] = true // the peer names this socket back
-			if peer := o.Peer(); peer != nil && peer.OwnerGroup == g.ID {
-				visit(peer)
-			}
-			for _, f := range o.InFlightFiles() {
-				visit(f)
-			}
-		}
-		seen[key] = true
-		keys = append(keys, key)
-	}
-	p.FDs.Each(func(_ int, f *kern.File) { visit(f) })
-	return keys
-}
-
 // knownOID looks up the OID of an object a record references. The walk
 // reached it first, so it has one; nothing is allocated here.
 func (g *Group) knownOID(key any) objstore.OID {
@@ -730,7 +618,14 @@ func (s *serializer) impl(f *kern.File) error {
 	case nil:
 		return fmt.Errorf("sls: unsupported file kind %v", f.Impl.Kind())
 	case *kern.VnodeFile:
-		s.vnode(o)
+		// Keep a hidden reference so unlinking cannot reap it (§5.2). The
+		// reference is per group lifetime, not per checkpoint.
+		if !s.g.vnodeRef[o.OID] {
+			s.g.vnodeRef[o.OID] = true
+			s.o.K.FS.AddHiddenRef(o.OID)
+		}
+		s.live[o.OID] = true
+		s.o.Clk.Advance(s.o.Costs.SerializeBase) // inode ref, no namei
 	case *kern.Socket:
 		return s.socket(o)
 	case *kern.ShmSegment:
@@ -741,18 +636,6 @@ func (s *serializer) impl(f *kern.File) error {
 		}
 	}
 	return nil
-}
-
-// vnode accounts a file the description reaches: no record, the vnode is a
-// store object already. Keep a hidden reference so unlinking cannot reap it
-// (§5.2); the reference is per group lifetime, not per checkpoint.
-func (s *serializer) vnode(v *kern.VnodeFile) {
-	if !s.g.vnodeRef[v.OID] {
-		s.g.vnodeRef[v.OID] = true
-		s.o.K.FS.AddHiddenRef(v.OID)
-	}
-	s.live[v.OID] = true
-	s.o.Clk.Advance(s.o.Costs.SerializeBase) // inode ref, no namei
 }
 
 // implOID returns the OID of an implementation object and whether this is
@@ -792,7 +675,8 @@ func (s *serializer) socket(sk *kern.Socket) error {
 // is the one the group last committed — is re-encoded, uncharged, and must
 // byte-equal the record the store holds; a difference means some mutation of
 // that object did not bump its generation, and the next checkpoint would have
-// lost it. An inline record is compared in place (Store.HoldsRecord); only a
+// lost it. Each must also still be armed (kern's gen), or its next mutation
+// would not pay for marking it changed. An inline record is compared in place (Store.HoldsRecord); only a
 // record kept in data blocks, or one that differs, is read back to name the
 // difference. report receives each mismatch in ascending OID order. The pass
 // holds the kernel lock, allocates no OID, takes no hidden reference and
@@ -812,6 +696,9 @@ func (g *Group) AuditCapture(report func(oid objstore.OID, detail string)) int {
 		utype := g.encodeObject(&e, c.obj)
 		want := e.Seal()
 		if g.o.Store.HoldsRecord(oid, utype, want) {
+			if !c.obj.Armed() {
+				report(oid, fmt.Sprintf("%T unchanged at generation %d, yet not armed", c.obj, c.gen))
+			}
 			continue
 		}
 		got, err := g.o.Store.GetRecord(oid)

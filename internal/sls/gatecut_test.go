@@ -1,15 +1,19 @@
 package sls
 
-// The dirty-log cut against the full walk. A seeded random syscall mix —
-// sockets, SCM_RIGHTS, pipes, dup, close, fork, exit, kqueue, pty, lseek —
-// runs over two groups and an outside process, with incremental, WAL, full,
-// mem-only and failed checkpoints interleaved. After every cut an uncharged
-// full walk of what the group's processes reach now must find each gated
-// object held in the store exactly as a fresh encoding puts it (the same
-// records), and after every committed cut the group must count live exactly
-// the objects reached and have deleted the ones it dropped (the same live set
-// and gone list). Two planted bugs — a bump that misses the log, and a close
-// that misses the table's generation — must each fail it.
+// The gated cut against the full walk, and the arming that makes skipping an
+// unchanged object free. A seeded random syscall mix — sockets, SCM_RIGHTS,
+// pipes, dup, close, fork, exit, kqueue, pty, lseek — runs over two groups and
+// an outside process, with incremental, WAL, full, mem-only and failed
+// checkpoints interleaved. After every cut an uncharged full walk of what the
+// group's processes reach now must find each gated object held in the store
+// exactly as a fresh encoding puts it (the same records), and after every
+// committed cut the group must count live exactly the objects reached and have
+// deleted the ones it dropped (the same live set and gone list). Before every
+// cut each object a group trusts at its present generation must be armed, and
+// one that moved since must not (checkArms): otherwise a mutation went
+// unpaid, or will. Two planted bugs — a mutation that counts
+// without paying, and a commit that leaves a capture unarmed — must each fail
+// it.
 
 import (
 	"errors"
@@ -91,6 +95,32 @@ func checkCut(g *Group, committed bool, before map[objstore.OID]bool) error {
 	for oid := range before {
 		if !want[oid] && g.o.Store.Exists(oid) {
 			return fmt.Errorf("object %d left the cut but was not deleted", oid)
+		}
+	}
+	return nil
+}
+
+// checkArms holds the groups' gates to the arming rule (kern's gen): an object
+// some group trusts at its present generation is armed, so its next mutation
+// pays for marking it changed; an object one group alone has reached, trusted
+// at a generation it has since left, is unarmed, so that move was paid for.
+// (A shared object may be armed again by the other group's commit.)
+func checkArms(groups []*Group) error {
+	owners := make(map[any]int)
+	for _, g := range groups {
+		for key := range g.oidOf {
+			owners[key]++
+		}
+	}
+	for _, g := range groups {
+		for oid, c := range g.committed {
+			switch moved := c.obj.Generation() != c.gen; {
+			case !moved && !c.obj.Armed():
+				return fmt.Errorf("group %s trusts object %d (%T) at generation %d, unarmed", g.Name, oid, c.obj, c.gen)
+			case moved && c.obj.Armed() && owners[c.obj] == 1:
+				return fmt.Errorf("object %d (%T) moved from generation %d to %d and is still armed: a mutation did not pay",
+					oid, c.obj, c.gen, c.obj.Generation())
+			}
 		}
 	}
 	return nil
@@ -309,6 +339,9 @@ func (m *mixWorld) cut(g *Group) error {
 		}
 		kind, m.dev.armed = CkptIncremental, true
 	}
+	if err := checkArms(m.groups); err != nil {
+		return err
+	}
 	before := gatedLive(g)
 	_, err := g.Checkpoint(kind)
 	m.dev.armed = false
@@ -339,7 +372,7 @@ func (m *mixWorld) run(cuts int) error {
 	return nil
 }
 
-func TestDirtyLogCutEqualsFullWalk(t *testing.T) {
+func TestGatedCutEqualsFullWalk(t *testing.T) {
 	for seed := int64(1); seed <= 100; seed++ {
 		if err := newMixWorld(t, seed).run(40); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -347,19 +380,27 @@ func TestDirtyLogCutEqualsFullWalk(t *testing.T) {
 	}
 }
 
-// TestDirtyLogPlantedBugsAreCaught plants each bug the log exists to prevent
-// into a group's remembered state after a clean stretch of the mix, and
-// requires the oracle to fail the next incremental cut.
-func TestDirtyLogPlantedBugsAreCaught(t *testing.T) {
-	plants := map[string]func(m *mixWorld, g *Group, p *kern.Proc, fd int){
-		"a bump that misses the log": func(m *mixWorld, g *Group, p *kern.Proc, fd int) {
-			p.Lseek(fd, 17)
-			g.cursor += uint64(len(m.w.k.Dirtied(g.cursor))) // every bump since the cut missed it
-		},
-		"a close that misses the table's generation": func(m *mixWorld, g *Group, p *kern.Proc, fd int) {
-			r := g.tables[p]
-			p.Close(fd)
-			g.tables[p] = reach{gen: p.FDs.Generation(), keys: r.keys}
+// TestGatedCutPlantedBugsAreCaught plants each arming bug into a trusted
+// description after a clean stretch of the mix, and requires the oracle to
+// fail the next cut.
+func TestGatedCutPlantedBugsAreCaught(t *testing.T) {
+	plants := map[string]func(g *Group, f *kern.File){
+		// A count with no charge leaves the object armed past its move.
+		"a mutation that counts without paying": func(g *Group, f *kern.File) { f.Arm() },
+		// The commit captured the move but did not arm the capture.
+		"a commit that leaves a capture unarmed": func(g *Group, f *kern.File) {
+			oid := g.oidOf[f]
+			var e rec.Encoder
+			utype := g.encodeObject(&e, f)
+			if err := g.o.Store.PutRecord(oid, utype, e.Seal()); err != nil {
+				t.Fatal(err)
+			}
+			g.committed[oid] = captured{oid, f, f.Generation()}
+			var reports int
+			g.AuditCapture(func(objstore.OID, string) { reports++ })
+			if reports != 1 {
+				t.Fatalf("AuditCapture reported %d objects, want the unarmed one", reports)
+			}
 		},
 	}
 	for name, plant := range plants {
@@ -374,19 +415,16 @@ func TestDirtyLogPlantedBugsAreCaught(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				// Two cuts: the second releases the sends the first covered,
-				// so the planted cut's dirty set is the plant's alone.
-				for i := 0; i < 2; i++ {
-					if _, err := g.Checkpoint(CkptIncremental); err != nil {
-						t.Fatal(err)
-					}
-				}
-				before := gatedLive(g)
-				plant(m, g, p, fd)
 				if _, err := g.Checkpoint(CkptIncremental); err != nil {
 					t.Fatal(err)
 				}
-				if checkCut(g, true, before) == nil {
+				f, _ := p.FDs.Get(fd)
+				if !f.Armed() {
+					t.Fatalf("seed %d: a committed capture is unarmed", seed)
+				}
+				p.Lseek(fd, 17)
+				plant(g, f)
+				if m.cut(g) == nil {
 					t.Fatalf("seed %d: the oracle missed it", seed)
 				}
 			}
@@ -399,7 +437,7 @@ func TestDirtyLogPlantedBugsAreCaught(t *testing.T) {
 // connections, checkpointed incrementally with nothing touched: from the
 // second checkpoint on, their OSTime differs by exactly the per-word charge of
 // the longer descriptor table in the process record, which is always
-// captured. Not one idle socket or description is visited.
+// captured. Not one idle socket or description charges the stop.
 func TestSerializeTimeIgnoresIdleSockets(t *testing.T) {
 	serialize := func(conns int) ([]time.Duration, time.Duration) {
 		w, g := idleServer(t, conns)
@@ -429,5 +467,39 @@ func TestSerializeTimeIgnoresIdleSockets(t *testing.T) {
 			t.Fatalf("checkpoint %d: 576 idle sockets serialize in %v, 16 in %v: a gap of %v, want the process record's %v",
 				i+2, big[i], small[i], gap, bigWords-smallWords)
 		}
+	}
+}
+
+// TestDescriptionInItsOwnPeersQueueCountsOnce: a description sent over its own
+// socket waits in the peer's queue, so the walk meets it again inside its own
+// visit; it is put and counted once.
+func TestDescriptionInItsOwnPeersQueueCountsOnce(t *testing.T) {
+	w := newWorld(t)
+	p := w.k.NewProc("p")
+	g := w.o.CreateGroup("self")
+	if err := g.Attach(p); err != nil {
+		t.Fatal(err)
+	}
+	lfd, _ := p.Socket(kern.KindSocketUnix)
+	if err := p.Bind(lfd, "/sock/self"); err != nil {
+		t.Fatal(err)
+	}
+	p.Listen(lfd)
+	cfd, _ := p.Socket(kern.KindSocketUnix)
+	if err := p.Connect(cfd, "/sock/self"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Accept(lfd); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.SendFDs(cfd, []byte("me"), []int{cfd}); err != nil {
+		t.Fatal(err)
+	}
+	st, err := g.Checkpoint(CkptIncremental)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 2*3 + 2; st.Objects != want || st.Captured != want { // descriptions, sockets, process, group
+		t.Fatalf("the cut holds %d objects, %d captured; want %d each", st.Objects, st.Captured, want)
 	}
 }

@@ -231,9 +231,6 @@ func (s *serializer) proc(p *kern.Proc) error {
 	}
 
 	// Descriptor table.
-	if err := s.table(p); err != nil {
-		return err
-	}
 	type slot struct {
 		fd  int
 		oid objstore.OID

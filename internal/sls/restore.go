@@ -300,8 +300,9 @@ func (o *Orchestrator) RestoreGroups(names []string, src Source, mode RestoreMod
 // encodeObject (hence last in RestoreGroup, when every OID a record
 // references is known) and trusted, at its present generation, only if the
 // store holds exactly those bytes inline — the rule serializer.object stages
-// by. Whatever differs is left for the next checkpoint to capture. Uncharged,
-// like AuditCapture: a kernel notes "as stored" while it builds the object.
+// by, and armed as a commit arms what it captured. Whatever differs is left
+// for the next checkpoint to capture. Uncharged, like AuditCapture: a kernel
+// notes "as stored" while it builds the object.
 func (g *Group) primeGate() {
 	var e rec.Encoder // one buffer for every record: HoldsRecord keeps none of it
 	for key, oid := range g.oidOf {
@@ -312,12 +313,9 @@ func (g *Group) primeGate() {
 		e.Reset()
 		if utype := g.encodeObject(&e, obj); g.o.Store.HoldsRecord(oid, utype, e.Seal()) {
 			g.committed[oid] = captured{oid, obj, obj.Generation()}
+			obj.Arm()
 		}
 	}
-	for _, p := range g.Procs() {
-		g.tables[p] = reach{p.FDs.Generation(), g.reach(p)}
-	}
-	g.cursor = g.o.K.Cut(g.o.logKept())
 }
 
 func boolInt(b bool) int64 {

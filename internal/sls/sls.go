@@ -15,7 +15,6 @@ package sls
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"time"
 
@@ -203,12 +202,6 @@ type Group struct {
 	// historical-view restore, whose first checkpoint therefore captures
 	// everything.
 	committed map[objstore.OID]captured
-	// cursor is where the group reads the kernel's dirty log from: the log's
-	// end at its last committing cut, or at the restore that primed its gate.
-	// tables is what each process's descriptor table reached at that cut
-	// (serializer.table).
-	cursor uint64
-	tables map[*kern.Proc]reach
 
 	// Memory bookkeeping. transient marks system shadows that will be
 	// merged down; persistent objects own a store OID and a flushed flag.
@@ -274,7 +267,6 @@ func (o *Orchestrator) CreateGroup(name string) *Group {
 		oidOf:        make(map[any]objstore.OID),
 		prevLive:     make(map[objstore.OID]bool),
 		committed:    make(map[objstore.OID]captured),
-		tables:       make(map[*kern.Proc]reach),
 		transient:    make(map[*vm.Object]bool),
 		flushed:      make(map[objstore.OID]bool),
 		trappedDone:  make(map[*vm.Object]bool),
@@ -390,18 +382,6 @@ func (g *Group) releaseES() {
 		deliver()
 	}
 	g.esCovered = nil
-}
-
-// logKept is the oldest position of the kernel's dirty log a group still
-// reads: the least cursor among groups whose gate trusts anything.
-func (o *Orchestrator) logKept() uint64 {
-	keep := uint64(math.MaxUint64)
-	for _, g := range o.groups {
-		if len(g.committed) > 0 {
-			keep = min(keep, g.cursor)
-		}
-	}
-	return keep
 }
 
 // oidFor returns the stable on-disk OID for a kernel object, allocating on
