@@ -117,9 +117,9 @@ func restorePolicyRow(t *testing.T, name string, restore func(*aurora.Machine, s
 // restorePolicyPin is TestRestorePolicyPinned's transcript. The arena digest
 // covers the LRU word the first Get stamps with the clock, so it also moves
 // with the virtual cost of RebuildIndex's read scan before it.
-const restorePolicyPin = `full: time=57354 ttfo=0 eager=32 validated=0 objects=11 clock=1419007 reads=33 bytes=135168 arena=861b65df
-lazy: time=10800 ttfo=0 eager=0 validated=0 objects=11 clock=1372453 reads=0 bytes=0 arena=27b68cc2
-speculative: time=57354 ttfo=10800 eager=0 validated=32 objects=11 clock=1419007 reads=33 bytes=135168 arena=861b65df`
+const restorePolicyPin = `full: time=57354 ttfo=0 eager=32 validated=0 objects=11 clock=1418557 reads=33 bytes=135168 arena=9709522d
+lazy: time=10800 ttfo=0 eager=0 validated=0 objects=11 clock=1372003 reads=0 bytes=0 arena=0e745f5c
+speculative: time=57354 ttfo=10800 eager=0 validated=32 objects=11 clock=1418557 reads=33 bytes=135168 arena=9709522d`
 
 // TestRestorePolicyPinned holds Restore, RestoreLazily and
 // RestoreSpeculatively to what they report (time, time to first op, pages
