@@ -75,7 +75,7 @@ func objectCosts(setup func(p *kern.Proc) error) (objCost, error) {
 	// Warm checkpoint (full image), then measure the steady state. The table
 	// is the cost of *capturing* an object, and an untouched object's second
 	// incremental checkpoint no longer captures it (the generation gate
-	// skips it for one cache miss), so the timed one is a CkptFull: the gate
+	// skips it), so the timed one is a CkptFull: the gate
 	// is open and every object costs what a changed one costs.
 	if _, err := g.Checkpoint(sls.CkptIncremental); err != nil {
 		return objCost{}, err

@@ -66,7 +66,7 @@ func BenchmarkCheckpointIdle(b *testing.B) {
 // established connections, so 1 000 sockets behind them), checkpointed with
 // nothing touched in between. The generation gate leaves every one of them as
 // the store holds it: captured/op is the process and the group record, and
-// virt-stop-us is what the walk costs at one cache miss per object.
+// virt-stop-us is the stop with every descriptor skipped at no charge.
 func BenchmarkCheckpointIdle1kObjects(b *testing.B) {
 	benchCheckpoint1kObjects(b, func(*kern.Proc, int) {})
 }

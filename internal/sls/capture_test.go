@@ -117,16 +117,16 @@ func TestCaptureFollowsWhatChanged(t *testing.T) {
 	requireCaptureClean(t, a.g)
 
 	// Nothing touched: only the always-captured families are serialized, the
-	// cut is as large as before, and each skip costs one cache miss where a
-	// capture cost at least SerializeBase.
+	// cut is as large as before, and each skip costs nothing where a capture
+	// cost at least SerializeBase.
 	idle := a.checkpoint(t, CkptIncremental)
 	if idle.Captured != a.always || idle.Objects != first.Objects {
 		t.Fatalf("idle checkpoint: captured %d of %d (first cut had %d), want %d captured and the same cut",
 			idle.Captured, idle.Objects, first.Objects, a.always)
 	}
 	saved := first.OSTime - idle.OSTime
-	if min := a.gated * int(w.costs.SerializeBase-w.costs.CacheMiss); int(saved) < min {
-		t.Fatalf("idle serialize %v against %v: saved %v, want at least %d skips x (SerializeBase - CacheMiss)",
+	if min := a.gated * int(w.costs.SerializeBase); int(saved) < min {
+		t.Fatalf("idle serialize %v against %v: saved %v, want at least %d skips x SerializeBase",
 			idle.OSTime, first.OSTime, saved, a.gated)
 	}
 
