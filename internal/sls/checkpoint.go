@@ -675,8 +675,8 @@ func (s *serializer) socket(sk *kern.Socket) error {
 // is the one the group last committed — is re-encoded, uncharged, and must
 // byte-equal the record the store holds; a difference means some mutation of
 // that object did not bump its generation, and the next checkpoint would have
-// lost it. Each must also still be armed (kern's gen), or its next mutation
-// would not pay for marking it changed. An inline record is compared in place (Store.HoldsRecord); only a
+// lost it; each must also be armed (kern's gen), or its next mutation goes
+// unpaid. An inline record is compared in place (Store.HoldsRecord); only a
 // record kept in data blocks, or one that differs, is read back to name the
 // difference. report receives each mismatch in ascending OID order. The pass
 // holds the kernel lock, allocates no OID, takes no hidden reference and
