@@ -273,19 +273,19 @@ func (s *Store) EachPageOf(oid OID, pgs []int64, fn func(pg int64, data []byte) 
 	if err != nil {
 		return err
 	}
-	_, err = s.eachPage(o, pgs, false, nil, fn)
-	return err
+	_, done, err := s.eachPage(o, pgs, false, nil, fn)
+	return s.waited(done, err)
 }
 
 // eachPage streams pages of a live or view object to fn — every stored page
 // in ascending order when all is set, else exactly pgs, holes as zero pages,
 // each stored page checked against its committed sum before fn sees it —
-// and returns how many it delivered. Each page is read into the buffer into
-// gives for it, or the read window (EachPageInto). The clock waits once,
-// after the last chunk's reads are queued.
-func (s *Store) eachPage(o *object, pgs []int64, all bool, into func(pg int64) ([]byte, error), fn func(pg int64, data []byte) error) (n int64, err error) {
+// and returns how many it delivered and, failed or not, the latest completion
+// of the reads it queued, which the caller's clock waits for. Each page is
+// read into the buffer into gives for it, or the read window (EachPageInto).
+func (s *Store) eachPage(o *object, pgs []int64, all bool, into func(pg int64) ([]byte, error), fn func(pg int64, data []byte) error) (n int64, done time.Duration, err error) {
 	if o.journal != nil {
-		return 0, ErrIsJournal
+		return 0, 0, ErrIsJournal
 	}
 	if o.chunks == nil {
 		// Inline object: synthesize the page view.
@@ -299,27 +299,26 @@ func (s *Store) eachPage(o *object, pgs []int64, all bool, into func(pg int64) (
 			page := window
 			if into != nil {
 				if page, err = into(pg); err != nil {
-					return n, err
+					return n, 0, err
 				} else if page == nil {
 					page = window
 				}
 			}
 			inlinePage(o.inline, pg, page)
 			if err := fn(pg, page); err != nil {
-				return n, err
+				return n, 0, err
 			}
 			n++
 		}
-		return n, nil
+		return n, 0, nil
 	}
 	// stream queues one batch of page reads behind whatever is already queued.
-	var last time.Duration
 	stream := func(pgs []int64, exts []extent, sums []uint32) error {
 		var dst func(i int) ([]byte, error)
 		if into != nil {
 			dst = func(i int) ([]byte, error) { return into(pgs[i]) }
 		}
-		done, err := s.submitReads(exts, dst, func(i int, data []byte) error {
+		last, err := s.submitReads(exts, dst, func(i int, data []byte) error {
 			if exts[i].addr != 0 {
 				if err := checkPage(o.oid, pgs[i], sums[i], data); err != nil {
 					return err
@@ -331,7 +330,7 @@ func (s *Store) eachPage(o *object, pgs []int64, all bool, into func(pg int64) (
 			n++
 			return nil
 		})
-		last = max(last, done)
+		done = max(done, last)
 		return err
 	}
 	if !all {
@@ -340,14 +339,14 @@ func (s *Store) eachPage(o *object, pgs []int64, all bool, into func(pg int64) (
 			err = stream(pgs, exts, sums)
 		}
 		if err != nil {
-			return n, err
+			return n, done, err
 		}
 	} else {
 		var exts []extent
 		var sums []uint32
 		for ci, c := range o.chunks.All() {
 			if err := s.faultChunk(ci, c); err != nil {
-				return n, fmt.Errorf("oid %d %w", o.oid, err)
+				return n, done, fmt.Errorf("oid %d %w", o.oid, err)
 			}
 			pgs, exts, sums = pgs[:0], exts[:0], sums[:0]
 			for slot, a := range c.addrs {
@@ -358,12 +357,11 @@ func (s *Store) eachPage(o *object, pgs []int64, all bool, into func(pg int64) (
 				}
 			}
 			if err := stream(pgs, exts, sums); err != nil {
-				return n, err
+				return n, done, err
 			}
 		}
 	}
-	s.dev.WaitUntil(last)
-	return n, nil
+	return n, done, nil
 }
 
 // blocksFor returns the block count spanning n bytes.

@@ -135,22 +135,25 @@ func (im *image) HasPage(oid OID, pg int64) (bool, error) {
 
 // EachPageBulk streams every present page of oid to fn in ascending page
 // order, charging pipelined read bandwidth (one queue drain at the end)
-// instead of a full command latency per page. This is the eager-restore
-// read path: a 200 MiB image loads at device bandwidth. fn sees each page in
-// the store's read window.
+// instead of a full command latency per page: a 200 MiB image ships at
+// device bandwidth. fn sees each page in the store's read window.
 func (im *image) EachPageBulk(oid OID, fn func(pg int64, data []byte) error) (int64, error) {
-	return im.EachPageInto(oid, nil, fn)
+	n, done, err := im.EachPageInto(oid, nil, fn)
+	return n, im.s.waited(done, err)
 }
 
 // EachPageInto is EachPageBulk reading each page into the buffer into
 // returns for it (BlockSize bytes, which the read overwrites whole) instead
 // of the read window, which stays the destination when into is nil or
-// returns nil. Pages are asked for and handed to fn in the same order; a
-// page fn has not yet been handed when the stream fails is never handed.
-func (im *image) EachPageInto(oid OID, into func(pg int64) ([]byte, error), fn func(pg int64, data []byte) error) (int64, error) {
+// returns nil, and without the wait: done is the latest completion of the
+// reads it queued, failed or not, and the caller's clock waits for it (the
+// eager restore rebuilds kernel state meanwhile). Pages are asked for and
+// handed to fn, checked, in the same order; a page fn has not yet been handed
+// when the stream fails is never handed.
+func (im *image) EachPageInto(oid OID, into func(pg int64) ([]byte, error), fn func(pg int64, data []byte) error) (n int64, done time.Duration, err error) {
 	o, err := im.lookup(oid)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	return im.s.eachPage(o, nil, true, into, fn)
 }
@@ -258,18 +261,22 @@ const readWindow = 64 << 10
 // no volatile cache), and everything read here is copy-on-write state that no
 // in-flight write targets.
 func (s *Store) readBatch(exts []extent, fn func(i int, data []byte) error) error {
-	last, err := s.submitReads(exts, nil, fn)
+	return s.waited(s.submitReads(exts, nil, fn))
+}
+
+// waited ends a stream: the clock waits for done unless the stream failed.
+func (s *Store) waited(done time.Duration, err error) error {
 	if err == nil {
-		s.dev.WaitUntil(last)
+		s.dev.WaitUntil(done)
 	}
 	return err
 }
 
 // submitReads is readBatch without the wait: it returns the latest completion
-// time, for a caller (eachPage) that has further extents to queue behind
-// these before its clock should stop. An extent into gives a buffer for (of
-// its length) is read there rather than into the slab, which is made only
-// for the extents that need it; the windows are the same either way.
+// time of what it queued, failed or not, for a caller (eachPage) that queues
+// more behind it before its clock should stop. An extent into gives a buffer
+// for (of its length) is read there rather than into the slab, which is made
+// only for the extents that need it; the windows are the same either way.
 func (s *Store) submitReads(exts []extent, into func(i int) ([]byte, error), fn func(i int, data []byte) error) (last time.Duration, err error) {
 	var total, largest int64
 	size := s.dev.Size()
@@ -289,7 +296,7 @@ func (s *Store) submitReads(exts []extent, into func(i int) ([]byte, error), fn 
 			var buf []byte
 			if into != nil {
 				if buf, err = into(j); err != nil {
-					return 0, err
+					return last, err
 				}
 			}
 			if buf == nil {
@@ -306,13 +313,13 @@ func (s *Store) submitReads(exts []extent, into func(i int) ([]byte, error), fn 
 			}
 			done, err := s.dev.SubmitRead(buf, exts[j].addr)
 			if err != nil {
-				return 0, err
+				return last, err
 			}
 			last = max(last, done)
 		}
 		for _, buf := range bufs {
 			if err := fn(i, buf); err != nil {
-				return 0, err
+				return last, err
 			}
 			i++
 		}

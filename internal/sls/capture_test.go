@@ -13,6 +13,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"aurora/internal/faultdev"
 	"aurora/internal/flight"
@@ -348,8 +349,8 @@ func TestRestorePrimesTheGate(t *testing.T) {
 // rotted device do.
 type rotted struct{ *objstore.Store }
 
-func (rotted) EachPageInto(oid objstore.OID, _ func(int64) ([]byte, error), _ func(int64, []byte) error) (int64, error) {
-	return 0, fmt.Errorf("%w: oid %d page 0", objstore.ErrPageSum, oid)
+func (rotted) EachPageInto(oid objstore.OID, _ func(int64) ([]byte, error), _ func(int64, []byte) error) (int64, time.Duration, error) {
+	return 0, 0, fmt.Errorf("%w: oid %d page 0", objstore.ErrPageSum, oid)
 }
 
 // doctored is the store with one record swapped: what restore reads of oid

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"slices"
+	"time"
 
 	"aurora/internal/clock"
 	"aurora/internal/flight"
@@ -40,8 +41,9 @@ type Source interface {
 	// EachPageInto visits every stored page of oid in ascending order, the
 	// reads pipelined at device bandwidth (Table 6's full-restore times),
 	// each read into the buffer into gives for it (the store's read window
-	// when that is nil) and then handed to fn.
-	EachPageInto(oid objstore.OID, into func(pg int64) ([]byte, error), fn func(pg int64, data []byte) error) (int64, error)
+	// when that is nil), checked, and handed to fn. It does not wait: done,
+	// failed or not, is when the last read it queued completes.
+	EachPageInto(oid objstore.OID, into func(pg int64) ([]byte, error), fn func(pg int64, data []byte) error) (n int64, done time.Duration, err error)
 }
 
 var (
@@ -49,15 +51,17 @@ var (
 	_ Source = (*objstore.View)(nil)
 )
 
-// RestoreMode is a prefetch policy over the one page loader (installPages):
-// when it runs. Whatever the policy, a page the loader does not install
-// faults in through the store pager, and both read through the same checked
-// path.
+// RestoreMode is a prefetch policy over the one page loader (restorer.load):
+// when it runs. A restore that ran it waits once for its reads before it
+// returns, failed or not. Whatever the policy, a page the loader does not
+// install faults in through the store pager, and both read through the same
+// checked path.
 type RestoreMode uint8
 
 // Restore modes (Table 6's Full and Lazy rows).
 const (
-	// RestoreFull runs the loader on each memory object as it is built.
+	// RestoreFull runs the loader once the memory objects are built, so the
+	// page reads are in flight while the rest of the group is rebuilt.
 	RestoreFull RestoreMode = iota
 	// RestoreLazy never runs the loader: the restore rebuilds the minimal
 	// OS state and pages fault in on demand through the store pager (§6,
@@ -65,8 +69,7 @@ const (
 	RestoreLazy
 	// RestoreSpeculative rebuilds every object first — the group could run
 	// from there, and RestoreStats.TimeToFirstOp says when — and then runs
-	// the loader over the memory objects in the order they were built,
-	// before the restore returns.
+	// the loader, before the restore returns.
 	RestoreSpeculative
 )
 
@@ -123,6 +126,7 @@ func (o *Orchestrator) RestoreGroup(name string, src Source, mode RestoreMode, c
 	sw := clock.StartStopwatch(o.Clk)
 	restSpan := o.Tracer.Begin(trace.TrackSLS, "restore",
 		trace.S("group", name), trace.I("mode", int64(mode)))
+	rebuild := restSpan.Child("rebuild") // then "wait": the two tile the restore
 	if fl := o.Store.Flight(); fl != nil {
 		fl.Record(int64(o.Clk.Now()), flight.EvRestore, int64(o.Store.Epoch()), int64(mode), boolInt(continuing), name)
 	}
@@ -144,7 +148,7 @@ func (o *Orchestrator) RestoreGroup(name string, src Source, mode RestoreMode, c
 	g := o.CreateGroup(name)
 	g.oid = groupOID
 	g.Period, g.RetainEpochs, g.journals = gr.period, gr.retain, gr.journals
-	r := &restorer{o: o, g: g, src: src, mode: mode, st: &st, memMetas: gr.memMetas,
+	r := &restorer{o: o, g: g, src: src, memMetas: gr.memMetas,
 		memUsed: make(map[objstore.OID]bool), objs: make(map[objstore.OID]any)}
 	// A restore that dies partway — corrupt record, or the standby itself
 	// power-cut mid-restore — must not leave the half-built group
@@ -155,6 +159,7 @@ func (o *Orchestrator) RestoreGroup(name string, src Source, mode RestoreMode, c
 		if retErr == nil {
 			return
 		}
+		r.wait() // the device still reads into frames the teardown frees
 		// A file the application never synced has no name after the crash:
 		// it lives on the reference of the description being torn down.
 		// Hold each across the teardown, so that closing the description
@@ -188,6 +193,11 @@ func (o *Orchestrator) RestoreGroup(name string, src Source, mode RestoreMode, c
 	// backer-first by the serializer).
 	for _, m := range r.memMetas {
 		if _, err := r.memObject(m.oid); err != nil {
+			return nil, st, err
+		}
+	}
+	if mode == RestoreFull {
+		if err := r.load(&st.PagesEager); err != nil {
 			return nil, st, err
 		}
 	}
@@ -247,14 +257,14 @@ func (o *Orchestrator) RestoreGroup(name string, src Source, mode RestoreMode, c
 		// group could execute its first instruction now, before a single
 		// data page has moved. The loader then installs the image.
 		st.TimeToFirstOp = sw.Elapsed()
-		for _, rm := range r.mems {
-			n, err := o.installPages(src, rm.oid, rm.obj)
-			st.PagesValidated += n
-			if err != nil {
-				return nil, st, err
-			}
+		if err := r.load(&st.PagesValidated); err != nil {
+			return nil, st, err
 		}
 	}
+	rebuild.End()
+	wait := restSpan.Child("wait")
+	r.wait()
+	wait.End()
 	st.Time = sw.Elapsed()
 	end := []trace.Arg{trace.I("procs", int64(st.Procs)), trace.I("objects", int64(st.Objects)),
 		trace.I("pages_eager", st.PagesEager)}
@@ -359,19 +369,11 @@ type restorer struct {
 	o    *Orchestrator
 	g    *Group
 	src  Source
-	mode RestoreMode
-	st   *RestoreStats
+	done time.Duration // the latest completion of the page reads queued
 
 	memMetas []memMeta
 	memUsed  map[objstore.OID]bool // creator reference consumed
 	objs     map[objstore.OID]any
-	mems     []restoredMem // memory objects in the order they were built
-}
-
-// restoredMem is one memory object RestoreGroup rebuilt.
-type restoredMem struct {
-	obj *vm.Object
-	oid objstore.OID
 }
 
 // object rebuilds the kernel object of the record oid, of type utype, or
@@ -465,55 +467,63 @@ func (r *restorer) memObject(oid objstore.OID) (*vm.Object, error) {
 
 	obj := r.o.K.VM.RestoreObject(vm.Anonymous, meta.size, &storePager{src: r.src, oid: oid, g: r.g}, backer)
 	r.keep(oid, obj)
-	r.mems = append(r.mems, restoredMem{obj: obj, oid: oid})
-
-	if r.mode == RestoreFull {
-		n, err := r.o.installPages(r.src, oid, obj)
-		r.st.PagesEager += n
-		if err != nil {
-			return nil, err
-		}
-	}
 	return obj, nil
 }
 
-// installPages is the one page loader: every stored page of oid not already
-// resident in obj is read straight into a fresh frame — checked against its
-// committed sum by the store on the way — and installed. It returns how many
-// pages it installed. A frame read into but not installed when the load fails
-// goes back to the allocator.
-func (o *Orchestrator) installPages(src Source, oid objstore.OID, obj *vm.Object) (installed int64, err error) {
-	pm := o.K.VM.PM
+// load is the one page loader: every stored page of each memory object, in
+// the group record's order, not already resident is read straight into a
+// fresh frame — checked against its committed sum by the store on the way —
+// installed and counted in installed. Nothing waits for the reads here but a
+// failed load, whose frames the allocator gets back once the reads are done:
+// r.done is when they are, and no installed page is read before wait.
+func (r *restorer) load(installed *int64) (err error) {
+	pm := r.o.K.VM.PM
 	type read struct {
 		pg    int64
 		frame *mem.Page
 	}
 	var reading []read // frames handed to the store, in page order, not yet installed
 	defer func() {
-		for _, r := range reading {
-			pm.Free(r.frame)
+		if err != nil {
+			r.wait()
+		}
+		for _, rd := range reading {
+			pm.Free(rd.frame)
 		}
 	}()
-	_, err = src.EachPageInto(oid, func(pg int64) ([]byte, error) {
-		if _, resident := obj.ResidentPage(pg); resident {
-			return nil, nil // read and checked all the same, into the store's window
+	for _, m := range r.memMetas {
+		obj := r.objs[m.oid].(*vm.Object)
+		_, done, err := r.src.EachPageInto(m.oid, func(pg int64) ([]byte, error) {
+			if _, resident := obj.ResidentPage(pg); resident {
+				return nil, nil // read and checked all the same, into the store's window
+			}
+			frame, err := pm.AllocUnzeroed()
+			if err != nil {
+				return nil, err
+			}
+			reading = append(reading, read{pg, frame})
+			return frame.Data, nil
+		}, func(pg int64, _ []byte) error {
+			if len(reading) == 0 || reading[0].pg != pg {
+				return nil // resident
+			}
+			frame := reading[0].frame
+			reading = reading[:copy(reading, reading[1:])]
+			frame.Backed = true
+			obj.InsertPage(pg, frame)
+			*installed++
+			return nil
+		})
+		if r.done = max(r.done, done); err != nil {
+			return err
 		}
-		frame, err := pm.AllocUnzeroed()
-		if err != nil {
-			return nil, err
-		}
-		reading = append(reading, read{pg, frame})
-		return frame.Data, nil
-	}, func(pg int64, _ []byte) error {
-		if len(reading) == 0 || reading[0].pg != pg {
-			return nil // resident
-		}
-		frame := reading[0].frame
-		reading = reading[:copy(reading, reading[1:])]
-		frame.Backed = true
-		obj.InsertPage(pg, frame)
-		installed++
-		return nil
-	})
-	return installed, err
+	}
+	return nil
+}
+
+// wait blocks, in virtual time, until every page read load queued is done.
+func (r *restorer) wait() {
+	if d := r.done - r.o.Clk.Now(); d > 0 {
+		r.o.Clk.Advance(d)
+	}
 }

@@ -14,10 +14,14 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
+	"aurora/internal/clock"
 	"aurora/internal/faultdev"
 	"aurora/internal/kern"
+	"aurora/internal/mem"
 	"aurora/internal/objstore"
+	"aurora/internal/trace"
 	"aurora/internal/vm"
 )
 
@@ -193,7 +197,10 @@ func rebootFault(t *testing.T, w *faultWorld) *faultWorld {
 
 // findOnDevice scans the raw device for a byte pattern (committed pages
 // are stored as raw blocks, so the marker is findable verbatim).
-func findOnDevice(fd *faultdev.Dev, marker []byte) (int64, bool) {
+func findOnDevice(fd interface {
+	Size() int64
+	PeekAt(p []byte, off int64)
+}, marker []byte) (int64, bool) {
 	const chunk = 1 << 20
 	size := fd.Size()
 	buf := make([]byte, chunk+len(marker)-1)
@@ -368,4 +375,158 @@ func TestRotDoesNotCrossTheWire(t *testing.T) {
 			t.Fatal("the refused migration landed a group on the destination")
 		}
 	})
+}
+
+// loaderProbe is the store a restore reads pages from and the clock it waits
+// on, watched: done is the latest completion of every page read the restore
+// queued; a stream that fails notes the clock and the frames the allocator
+// has out (failedAt, heldAtFail), and the first advance of the clock to done
+// after it notes the frames out then (heldAtDone).
+type loaderProbe struct {
+	*objstore.Store
+	clock.Clock
+	pm                     *mem.PhysMem
+	done, failedAt         time.Duration
+	heldAtFail, heldAtDone int64
+}
+
+func (p *loaderProbe) EachPageInto(oid objstore.OID, into func(int64) ([]byte, error), fn func(int64, []byte) error) (int64, time.Duration, error) {
+	n, done, err := p.Store.EachPageInto(oid, into, fn)
+	p.done = max(p.done, done)
+	if err != nil {
+		p.failedAt, p.heldAtFail = p.Clock.Now(), p.pm.Used()
+	}
+	return n, done, err
+}
+
+func (p *loaderProbe) Advance(d time.Duration) {
+	p.Clock.Advance(d)
+	if p.heldAtFail > 0 && p.heldAtDone == 0 && p.Clock.Now() >= p.done {
+		p.heldAtDone = p.pm.Used()
+	}
+}
+
+// TestEagerRestoreOverlapsRebuild: an eager restore queues every page read
+// and rebuilds the kernel objects while they are in flight, so it takes about
+// as long as the longer of the two, not their sum. The image holds two memory
+// objects and 500 descriptors. The restore span is tiled by its "rebuild" and
+// "wait" children. A restore that fails on a rotted page of its last memory
+// object still waits for every read it queued, and hands the frames it read
+// into back to the allocator only after that wait.
+func TestEagerRestoreOverlapsRebuild(t *testing.T) {
+	const maps, pages = 2, 2048 // 16 MiB: the reads outlast the rebuild
+	w, tr := tracedWorld(t)
+	p := w.k.NewProc("app")
+	g := w.o.CreateGroup("app")
+	if err := g.Attach(p); err != nil {
+		t.Fatal(err)
+	}
+	for m := 0; m < maps; m++ {
+		va, err := p.Mmap(pages*vm.PageSize, vm.ProtRead|vm.ProtWrite, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pg := 0; pg < pages; pg++ {
+			if err := p.WriteMem(va+uint64(pg)*vm.PageSize, fmt.Appendf(nil, "map %d page %05d", m, pg)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := 0; i < 250; i++ {
+		if _, _, err := p.Pipe(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := g.Checkpoint(CkptFull); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Barrier(); err != nil {
+		t.Fatal(err)
+	}
+	groupOID, err := w.o.findGroupOID(w.store, "app")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := w.store.GetRecord(groupOID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gr, err := decodeGroupRecord(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fds := 0
+	p.FDs.Each(func(int, *kern.File) { fds++ })
+	if len(gr.memMetas) < maps || fds < 500 {
+		t.Fatalf("image holds %d memory objects and %d descriptors", len(gr.memMetas), fds)
+	}
+
+	restore := func(mode RestoreMode) RestoreStats {
+		t.Helper()
+		w2 := w.crash(t)
+		retrace(w2, tr)
+		_, st, err := w2.o.RestoreGroup("app", w2.store, mode, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spans := spansNamed(tr.Events(), "restore")
+		rs := spans[len(spans)-1]
+		var rebuild, wait trace.Event
+		for _, ev := range tr.Events() {
+			if ev.Parent == rs.ID && ev.Name == "rebuild" {
+				rebuild = ev
+			} else if ev.Parent == rs.ID && ev.Name == "wait" {
+				wait = ev
+			}
+		}
+		if rebuild.Start != rs.Start || wait.Start != rebuild.Start+rebuild.Dur ||
+			wait.Start+wait.Dur != rs.Start+rs.Dur || rs.Dur != st.Time {
+			t.Fatalf("%s: restore [%v +%v] (time %v) is not tiled by rebuild [%v +%v] and wait [%v +%v]",
+				restoreModeNames[mode], rs.Start, rs.Dur, st.Time, rebuild.Start, rebuild.Dur, wait.Start, wait.Dur)
+		}
+		if (wait.Dur > 0) != (mode == RestoreFull) {
+			t.Fatalf("%s: wait span %v", restoreModeNames[mode], wait.Dur)
+		}
+		return st
+	}
+	full, lazy := restore(RestoreFull), restore(RestoreLazy)
+	const members = 4 // newWorld's stripe
+	stored := int64(maps * pages)
+	device := time.Duration(stored*vm.PageSize*int64(time.Second)/(members*w.costs.DevReadBps)) + w.costs.DevReadLatency
+	if full.PagesEager != stored || full.Time < device || full.Time < lazy.Time || full.Time > device+lazy.Time/2 {
+		t.Fatalf("eager restore of %d pages took %v: want at least the reads' device time %v and the lazy restore's %v, "+
+			"and well below their sum", full.PagesEager, full.Time, device, lazy.Time)
+	}
+
+	// Rot a page near the end of the memory object the loader reads last: its
+	// stream fails with reads in flight and frames out.
+	last, rot := gr.memMetas[len(gr.memMetas)-1].oid, int64(pages-8)
+	page := make([]byte, vm.PageSize)
+	if found, err := w.store.ReadPage(last, rot, page); err != nil || !found {
+		t.Fatalf("page %d of oid %d: found %v, %v", rot, last, found, err)
+	}
+	off, found := findOnDevice(w.dev, page[:16])
+	if !found {
+		t.Fatal("the page to rot is not on the device")
+	}
+	w.dev.PokeAt([]byte{page[0] ^ 0xFF}, off)
+	w4 := w.crash(t)
+	probe := &loaderProbe{Store: w4.store, Clock: w4.o.Clk, pm: w4.k.VM.PM}
+	w4.o.Clk = probe
+	used := w4.k.VM.PM.Used()
+	g4, _, err := w4.o.RestoreGroup("app", probe, RestoreFull, true)
+	requireRot(t, err, last, rot)
+	if g4 != nil {
+		t.Fatal("a rotted image restored")
+	}
+	switch {
+	case probe.failedAt >= probe.done:
+		t.Fatalf("the reads were done (%v) when the stream failed (%v): nothing left to wait for", probe.done, probe.failedAt)
+	case w4.clk.Now() < probe.done:
+		t.Fatalf("the failed restore returned at %v, before its reads completed at %v", w4.clk.Now(), probe.done)
+	case probe.heldAtFail <= used || probe.heldAtDone != probe.heldAtFail:
+		t.Fatalf("frames out: %d before, %d when the stream failed, %d when the reads completed", used, probe.heldAtFail, probe.heldAtDone)
+	case w4.k.VM.PM.Used() != used:
+		t.Fatalf("the failed restore leaves %d frames out, had %d", w4.k.VM.PM.Used(), used)
+	}
 }
