@@ -127,7 +127,7 @@ func TestTwoJobFlushPinned(t *testing.T) {
 	}
 	got := fmt.Sprintf("image=%x clock=%d writes=%d mem=%08x",
 		h.Sum(nil), m2.Clock.Now(), m2.Disk.Stats().Writes, crc32.ChecksumIEEE(mem))
-	const want = "image=429172473282cc2ea48b30dbd8710ddeaf2439e54c402602fe31c838e10596e5 clock=22151805 writes=339 mem=53380b4d"
+	const want = "image=429172473282cc2ea48b30dbd8710ddeaf2439e54c402602fe31c838e10596e5 clock=22117509 writes=339 mem=53380b4d"
 	if got != want {
 		t.Errorf("two-job flush moved:\n got %s\nwant %s", got, want)
 	}

@@ -77,10 +77,10 @@ func TestDetectionTimelinePinned(t *testing.T) {
 const detectionTimeline = `events:
 kill+3 22892469 [  22.892ms] dead       node=aur1
 kill+3 22939200 [  22.939ms] reseed     group=g0 aur0->aur2
-kill+3 22952562 [  22.952ms] failover   group=g2 aur1->aur3
-kill+3 23209687 [  23.209ms] reseed     group=g2 aur3->aur0
-rebalance 33572195 [  33.572ms] rebalance  group=g0 aur0->aur3
-rebalance 33572195 [  33.572ms] reseed     group=g0 err=placement: no standby candidate for "g0"
+kill+3 22950762 [  22.950ms] failover   group=g2 aur1->aur3
+kill+3 23207887 [  23.207ms] reseed     group=g2 aur3->aur0
+rebalance 33570395 [  33.570ms] rebalance  group=g0 aur0->aur3
+rebalance 33570395 [  33.570ms] reseed     group=g0 err=placement: no standby candidate for "g0"
 --- after sync
 fleet: 4 machines (4 alive), 3 groups (0 orphaned)
   failovers=0 rebalances=0 sync_errors=0
@@ -122,5 +122,5 @@ fleet: 4 machines (3 alive), 3 groups (0 orphaned)
   group g1       primary=aur0     standby=aur2     syncs=14 failovers=0 migrations=0
   group g2       primary=aur3     standby=aur0     syncs=14 failovers=1 migrations=0
 dead on tick 3 after the kill
-clock 33572195 ns
+clock 33570395 ns
 `

@@ -101,7 +101,7 @@ func TestReplicaStandbyImagePinned(t *testing.T) {
 	}
 	got := fmt.Sprintf("standby=%x src-clock=%d dst-clock=%d disk=%+v wire=%d retx=%d",
 		h.Sum(nil)[:12], s.src.clk.Now(), s.dst.clk.Now(), s.dst.dev.Stats(), s.rep.WireBytes, s.rep.Retransmits)
-	const want = "standby=6d33777c2a9e69693f7341b5 src-clock=274943353 dst-clock=275506573 " +
+	const want = "standby=6d33777c2a9e69693f7341b5 src-clock=274943353 dst-clock=275504773 " +
 		"disk={Reads:1024 Writes:13517 BytesRead:4194304 BytesWritten:112938164} wire=112324474 retx=68"
 	if got != want {
 		t.Fatalf("standby after 100 syncs and a failover\n got %s\nwant %s", got, want)

@@ -117,7 +117,7 @@ func restorePolicyRow(t *testing.T, name string, restore func(*aurora.Machine, s
 // restorePolicyPin is TestRestorePolicyPinned's transcript. The arena digest
 // covers the LRU word the first Get stamps with the clock, so it also moves
 // with the virtual cost of RebuildIndex's read scan before it.
-const restorePolicyPin = `full: time=57354 ttfo=0 eager=32 validated=0 objects=11 clock=1418557 reads=33 bytes=135168 arena=9709522d
+const restorePolicyPin = `full: time=46554 ttfo=0 eager=32 validated=0 objects=11 clock=1407757 reads=33 bytes=135168 arena=4e960aab
 lazy: time=10800 ttfo=0 eager=0 validated=0 objects=11 clock=1372003 reads=0 bytes=0 arena=0e745f5c
 speculative: time=57354 ttfo=10800 eager=0 validated=32 objects=11 clock=1418557 reads=33 bytes=135168 arena=9709522d`
 
