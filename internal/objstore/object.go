@@ -283,7 +283,7 @@ func (s *Store) EachPageOf(oid OID, pgs []int64, fn func(pg int64, data []byte) 
 // and returns how many it delivered and, failed or not, the latest completion
 // of the reads it queued, which the caller's clock waits for. Each page is
 // read into the buffer into gives for it, or the read window (EachPageInto).
-func (s *Store) eachPage(o *object, pgs []int64, all bool, into func(pg int64) ([]byte, error), fn func(pg int64, data []byte) error) (n int64, done time.Duration, err error) {
+func (s *Store) eachPage(o *object, pgs []int64, all bool, into func(pg int64) ([]byte, bool, error), fn func(pg int64, data []byte) error) (n int64, done time.Duration, err error) {
 	if o.journal != nil {
 		return 0, 0, ErrIsJournal
 	}
@@ -298,7 +298,7 @@ func (s *Store) eachPage(o *object, pgs []int64, all bool, into func(pg int64) (
 		for _, pg := range pgs {
 			page := window
 			if into != nil {
-				if page, err = into(pg); err != nil {
+				if page, _, err = into(pg); err != nil {
 					return n, 0, err
 				} else if page == nil {
 					page = window
@@ -314,9 +314,12 @@ func (s *Store) eachPage(o *object, pgs []int64, all bool, into func(pg int64) (
 	}
 	// stream queues one batch of page reads behind whatever is already queued.
 	stream := func(pgs []int64, exts []extent, sums []uint32) error {
-		var dst func(i int) ([]byte, error)
+		var dst func(i int) ([]byte, bool, error)
 		if into != nil {
-			dst = func(i int) ([]byte, error) { return into(pgs[i]) }
+			dst = func(i int) ([]byte, bool, error) {
+				buf, held, err := into(pgs[i])
+				return buf, held && checkPage(o.oid, pgs[i], sums[i], buf) == nil, err
+			}
 		}
 		last, err := s.submitReads(exts, dst, func(i int, data []byte) error {
 			if exts[i].addr != 0 {

@@ -149,8 +149,9 @@ func (im *image) EachPageBulk(oid OID, fn func(pg int64, data []byte) error) (in
 // reads it queued, failed or not, and the caller's clock waits for it (the
 // eager restore rebuilds kernel state meanwhile). Pages are asked for and
 // handed to fn, checked, in the same order; a page fn has not yet been handed
-// when the stream fails is never handed.
-func (im *image) EachPageInto(oid OID, into func(pg int64) ([]byte, error), fn func(pg int64, data []byte) error) (n int64, done time.Duration, err error) {
+// when the stream fails is never handed. A buffer into holds the page in
+// already (held) is read only if it fails the page's committed sum.
+func (im *image) EachPageInto(oid OID, into func(pg int64) (buf []byte, held bool, err error), fn func(pg int64, data []byte) error) (n int64, done time.Duration, err error) {
 	o, err := im.lookup(oid)
 	if err != nil {
 		return 0, 0, err
@@ -276,8 +277,9 @@ func (s *Store) waited(done time.Duration, err error) error {
 // time of what it queued, failed or not, for a caller (eachPage) that queues
 // more behind it before its clock should stop. An extent into gives a buffer
 // for (of its length) is read there rather than into the slab, which is made
-// only for the extents that need it; the windows are the same either way.
-func (s *Store) submitReads(exts []extent, into func(i int) ([]byte, error), fn func(i int, data []byte) error) (last time.Duration, err error) {
+// only for the extents that need it (and a held one is not read); the
+// windows are the same either way.
+func (s *Store) submitReads(exts []extent, into func(i int) ([]byte, bool, error), fn func(i int, data []byte) error) (last time.Duration, err error) {
 	var total, largest int64
 	size := s.dev.Size()
 	for _, e := range exts {
@@ -294,8 +296,9 @@ func (s *Store) submitReads(exts []extent, into func(i int) ([]byte, error), fn 
 		used, j := int64(0), i
 		for bufs = bufs[:0]; j < len(exts) && used+exts[j].n <= window; j++ {
 			var buf []byte
+			held := false
 			if into != nil {
-				if buf, err = into(j); err != nil {
+				if buf, held, err = into(j); err != nil {
 					return last, err
 				}
 			}
@@ -309,6 +312,9 @@ func (s *Store) submitReads(exts []extent, into func(i int) ([]byte, error), fn 
 			bufs = append(bufs, buf)
 			if exts[j].addr == 0 {
 				clear(buf)
+				continue
+			}
+			if held {
 				continue
 			}
 			done, err := s.dev.SubmitRead(buf, exts[j].addr)

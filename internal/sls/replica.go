@@ -154,10 +154,14 @@ func (r *Replica) Pending() bool { return r.pending != nil }
 // ship is dropped and its receiver session discarded, and every later
 // Sync/Resume/Failover returns ErrFailedOver. A coordinator calls this
 // when the primary moves (live migration) — the handle's source group no
-// longer exists, so shipping through it would replicate a corpse.
+// longer exists, so shipping through it would replicate a corpse. The
+// standby's resident image of the group goes back to its memory.
 func (r *Replica) Abandon() {
 	r.dropPending()
 	r.failedOver = true
+	if rs := r.dst.recvState[r.g.Name]; rs != nil {
+		rs.image.drop(r.dst.K.VM.PM, nil)
+	}
 }
 
 // dropPending forgets an interrupted ship on both ends: the encoded stream

@@ -41,9 +41,9 @@ type Source interface {
 	// EachPageInto visits every stored page of oid in ascending order, the
 	// reads pipelined at device bandwidth (Table 6's full-restore times),
 	// each read into the buffer into gives for it (the store's read window
-	// when that is nil), checked, and handed to fn. It does not wait: done,
-	// failed or not, is when the last read it queued completes.
-	EachPageInto(oid objstore.OID, into func(pg int64) ([]byte, error), fn func(pg int64, data []byte) error) (n int64, done time.Duration, err error)
+	// when that is nil; none if it is held and passes its sum), checked, and
+	// handed to fn. It does not wait: done is when the last read completes.
+	EachPageInto(oid objstore.OID, into func(pg int64) (buf []byte, held bool, err error), fn func(pg int64, data []byte) error) (n int64, done time.Duration, err error)
 }
 
 var (
@@ -63,9 +63,9 @@ const (
 	// RestoreFull runs the loader once the memory objects are built, so the
 	// page reads are in flight while the rest of the group is rebuilt.
 	RestoreFull RestoreMode = iota
-	// RestoreLazy never runs the loader: the restore rebuilds the minimal
-	// OS state and pages fault in on demand through the store pager (§6,
-	// lazy restores).
+	// RestoreLazy runs the loader only over a warm image (warmImage): the
+	// restore rebuilds the minimal OS state and pages fault in on demand
+	// through the store pager (§6, lazy restores).
 	RestoreLazy
 	// RestoreSpeculative rebuilds every object first — the group could run
 	// from there, and RestoreStats.TimeToFirstOp says when — and then runs
@@ -121,12 +121,25 @@ var _ vm.SparsePager = (*storePager)(nil)
 // RestoreGroup rebuilds the named consistency group from src. When
 // continuing is true (restoring the live store's latest state), the group
 // keeps flushing incrementally into the same objects; otherwise (a
-// historical view) the next checkpoint performs a full reflush.
+// historical view) the next checkpoint performs a full reflush. A continuing
+// restore takes the image streams left of the group, failed or not (warmImage).
 func (o *Orchestrator) RestoreGroup(name string, src Source, mode RestoreMode, continuing bool) (retG *Group, st RestoreStats, retErr error) {
 	sw := clock.StartStopwatch(o.Clk)
+	var warm warmImage
+	if rs := o.recvState[name]; rs != nil && continuing {
+		warm, rs.image = rs.image, nil
+	}
+	defer warm.drop(o.K.VM.PM, nil) // what the loader did not install
 	restSpan := o.Tracer.Begin(trace.TrackSLS, "restore",
 		trace.S("group", name), trace.I("mode", int64(mode)))
-	rebuild := restSpan.Child("rebuild") // then "wait": the two tile the restore
+	phase := restSpan.Child("rebuild") // then "wait": the two tile the restore
+	defer func() {
+		if retErr != nil { // a failed restore stays on the timeline, with its error
+			failed := trace.S("err", retErr.Error())
+			phase.End(failed)
+			restSpan.End(failed)
+		}
+	}()
 	if fl := o.Store.Flight(); fl != nil {
 		fl.Record(int64(o.Clk.Now()), flight.EvRestore, int64(o.Store.Epoch()), int64(mode), boolInt(continuing), name)
 	}
@@ -148,7 +161,7 @@ func (o *Orchestrator) RestoreGroup(name string, src Source, mode RestoreMode, c
 	g := o.CreateGroup(name)
 	g.oid = groupOID
 	g.Period, g.RetainEpochs, g.journals = gr.period, gr.retain, gr.journals
-	r := &restorer{o: o, g: g, src: src, memMetas: gr.memMetas,
+	r := &restorer{o: o, g: g, src: src, warm: warm, memMetas: gr.memMetas,
 		memUsed: make(map[objstore.OID]bool), objs: make(map[objstore.OID]any)}
 	// A restore that dies partway — corrupt record, or the standby itself
 	// power-cut mid-restore — must not leave the half-built group
@@ -196,7 +209,7 @@ func (o *Orchestrator) RestoreGroup(name string, src Source, mode RestoreMode, c
 			return nil, st, err
 		}
 	}
-	if mode == RestoreFull {
+	if mode == RestoreFull || mode == RestoreLazy && len(warm) > 0 {
 		if err := r.load(&st.PagesEager); err != nil {
 			return nil, st, err
 		}
@@ -261,10 +274,10 @@ func (o *Orchestrator) RestoreGroup(name string, src Source, mode RestoreMode, c
 			return nil, st, err
 		}
 	}
-	rebuild.End()
-	wait := restSpan.Child("wait")
+	phase.End()
+	phase = restSpan.Child("wait")
 	r.wait()
-	wait.End()
+	phase.End()
 	st.Time = sw.Elapsed()
 	end := []trace.Arg{trace.I("procs", int64(st.Procs)), trace.I("objects", int64(st.Objects)),
 		trace.I("pages_eager", st.PagesEager)}
@@ -369,6 +382,7 @@ type restorer struct {
 	o    *Orchestrator
 	g    *Group
 	src  Source
+	warm warmImage     // the pages the loader installs unread when they match their sums
 	done time.Duration // the latest completion of the page reads queued
 
 	memMetas []memMeta
@@ -473,9 +487,10 @@ func (r *restorer) memObject(oid objstore.OID) (*vm.Object, error) {
 // load is the one page loader: every stored page of each memory object, in
 // the group record's order, not already resident is read straight into a
 // fresh frame — checked against its committed sum by the store on the way —
-// installed and counted in installed. Nothing waits for the reads here but a
-// failed load, whose frames the allocator gets back once the reads are done:
-// r.done is when they are, and no installed page is read before wait.
+// installed and counted in installed (a warm page in its frame, unread unless
+// it fails its sum). Nothing waits for the reads here but a failed load, whose
+// frames the allocator gets back once the reads are done: r.done is when they
+// are, and no installed page is read before wait.
 func (r *restorer) load(installed *int64) (err error) {
 	pm := r.o.K.VM.PM
 	type read struct {
@@ -493,16 +508,20 @@ func (r *restorer) load(installed *int64) (err error) {
 	}()
 	for _, m := range r.memMetas {
 		obj := r.objs[m.oid].(*vm.Object)
-		_, done, err := r.src.EachPageInto(m.oid, func(pg int64) ([]byte, error) {
+		_, done, err := r.src.EachPageInto(m.oid, func(pg int64) ([]byte, bool, error) {
 			if _, resident := obj.ResidentPage(pg); resident {
-				return nil, nil // read and checked all the same, into the store's window
+				return nil, false, nil // read and checked all the same, into the store's window
 			}
-			frame, err := pm.AllocUnzeroed()
-			if err != nil {
-				return nil, err
+			frame, held := r.warm[m.oid][pg]
+			delete(r.warm[m.oid], pg)
+			if !held {
+				var err error
+				if frame, err = pm.AllocUnzeroed(); err != nil {
+					return nil, false, err
+				}
 			}
 			reading = append(reading, read{pg, frame})
-			return frame.Data, nil
+			return frame.Data, held, nil
 		}, func(pg int64, _ []byte) error {
 			if len(reading) == 0 || reading[0].pg != pg {
 				return nil // resident

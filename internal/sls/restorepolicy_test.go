@@ -390,7 +390,7 @@ type loaderProbe struct {
 	heldAtFail, heldAtDone int64
 }
 
-func (p *loaderProbe) EachPageInto(oid objstore.OID, into func(int64) ([]byte, error), fn func(int64, []byte) error) (int64, time.Duration, error) {
+func (p *loaderProbe) EachPageInto(oid objstore.OID, into func(int64) ([]byte, bool, error), fn func(int64, []byte) error) (int64, time.Duration, error) {
 	n, done, err := p.Store.EachPageInto(oid, into, fn)
 	p.done = max(p.done, done)
 	if err != nil {

@@ -4,10 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"maps"
+	"slices"
 	"time"
 
 	"aurora/internal/flight"
+	"aurora/internal/mem"
 	"aurora/internal/net"
 	"aurora/internal/objstore"
 	"aurora/internal/rec"
@@ -100,19 +102,9 @@ func (g *Group) encodeStream(e *rec.Encoder, since objstore.Epoch, marks journal
 	// Only objects that still exist are listed — the head's live list is
 	// the receiver's contract for which OIDs this epoch contains, and on a
 	// delta it deletes anything it holds that is no longer listed.
-	oids := make([]objstore.OID, 0, len(g.prevLive)+1)
-	oids = append(oids, g.oid)
-	rest := make([]objstore.OID, 0, len(g.prevLive))
-	for oid := range g.prevLive {
-		if oid != g.oid {
-			rest = append(rest, oid)
-		}
-	}
-	sort.Slice(rest, func(i, j int) bool { return rest[i] < rest[j] })
-	oids = append(oids, rest...)
-	live := oids[:0:0]
-	for _, oid := range oids {
-		if g.o.Store.Exists(oid) {
+	live := make([]objstore.OID, 0, len(g.prevLive)+1)
+	for i, oid := range append([]objstore.OID{g.oid}, slices.Sorted(maps.Keys(g.prevLive))...) {
+		if (i == 0 || oid != g.oid) && g.o.Store.Exists(oid) {
 			live = append(live, oid)
 		}
 	}
@@ -271,6 +263,54 @@ func journalItem(e *rec.Encoder, oid objstore.OID, ut uint16, capacity int64, ru
 type recvGroupState struct {
 	epoch objstore.Epoch
 	live  map[objstore.OID]bool
+	image warmImage // the group's memory at epoch: a continuing restore installs it unread
+}
+
+// warmImage is a clean copy, per memory object, of each page streams landed.
+type warmImage map[objstore.OID]map[int64]*mem.Page
+
+// drop frees the frames of the objects live does not list (nil: every object).
+func (w warmImage) drop(pm *mem.PhysMem, live map[objstore.OID]bool) {
+	for oid, pages := range w {
+		if !live[oid] {
+			for _, f := range pages {
+				pm.Free(f)
+			}
+			delete(w, oid)
+		}
+	}
+}
+
+// publish copies a committed stream's landed pages into its group's image w,
+// one page copy each on this machine's clock, and drops the objects the stream
+// no longer lists. Out of memory, the image is dropped whole, uncharged, and
+// no later delta starts another (w nil): an image holds all the store holds.
+func (o *Orchestrator) publish(w warmImage, live map[objstore.OID]bool, landed map[objstore.OID][]objstore.PageWrite) warmImage {
+	if w == nil {
+		return nil
+	}
+	pm := o.K.VM.PM
+	w.drop(pm, live)
+	var n time.Duration
+	for oid, pws := range landed {
+		if w[oid] == nil {
+			w[oid] = make(map[int64]*mem.Page, len(pws))
+		}
+		for _, pw := range pws {
+			f := w[oid][pw.Pg]
+			if f == nil {
+				if f, _ = pm.AllocUnzeroed(); f == nil {
+					w.drop(pm, nil)
+					return nil
+				}
+				w[oid][pw.Pg] = f
+			}
+			copy(f.Data, pw.Data)
+			n++
+		}
+	}
+	o.Clk.Advance(n * o.Costs.MemCopyPerPage)
+	return w
 }
 
 // Recv reads a checkpoint stream into the local store and registers the
@@ -343,10 +383,8 @@ func (o *Orchestrator) recvPayload(payload []byte) (string, error) {
 	// Validate a delta against what this receiver holds BEFORE any store
 	// mutation: applying page deltas over the wrong base would silently
 	// corrupt the standby image.
-	if o.recvState == nil {
-		o.recvState = make(map[string]*recvGroupState)
-	}
 	state := o.recvState[name]
+	image := warmImage{} // a full stream starts the group's image, a delta extends its base's
 	if delta {
 		if state == nil {
 			return "", fmt.Errorf("sls: delta stream for group %q but no base image received", name)
@@ -355,6 +393,7 @@ func (o *Orchestrator) recvPayload(payload []byte) (string, error) {
 			return "", fmt.Errorf("sls: delta stream for group %q needs base epoch %d, receiver holds %d",
 				name, baseEpoch, state.epoch)
 		}
+		image = state.image
 	}
 
 	// A full stream registers a new group. Refuse it here, before the first
@@ -378,15 +417,17 @@ func (o *Orchestrator) recvPayload(payload []byte) (string, error) {
 		return "", err
 	}
 
-	// The open page run's object, and its pages not yet landed.
+	// The open page run's object, its pages not yet landed, and those landed.
 	var cur objstore.OID
 	var batch [recvBatch]objstore.PageWrite
 	pages := batch[:0]
+	landed := make(map[objstore.OID][]objstore.PageWrite)
 	land := func() error {
 		if len(pages) == 0 {
 			return nil
 		}
 		_, err := o.Store.WritePages(cur, pages)
+		landed[cur] = append(landed[cur], pages...)
 		pages = pages[:0]
 		return err
 	}
@@ -412,15 +453,8 @@ func (o *Orchestrator) recvPayload(payload []byte) (string, error) {
 				// epochs: drop them so the standby image matches.
 				// ManifestOID lives outside any group's live set: the
 				// manifest indexes every group on the receiver.
-				stale := make([]objstore.OID, 0)
-				for oid := range state.live {
-					if !live[oid] && oid != ManifestOID {
-						stale = append(stale, oid)
-					}
-				}
-				sort.Slice(stale, func(i, j int) bool { return stale[i] < stale[j] })
-				for _, oid := range stale {
-					if !o.Store.Exists(oid) {
+				for _, oid := range slices.Sorted(maps.Keys(state.live)) {
+					if live[oid] || oid == ManifestOID || !o.Store.Exists(oid) {
 						continue
 					}
 					if err := o.Store.Delete(oid); err != nil {
@@ -443,7 +477,7 @@ func (o *Orchestrator) recvPayload(payload []byte) (string, error) {
 				}
 				return "", err
 			}
-			o.recvState[name] = &recvGroupState{epoch: srcEpoch, live: live}
+			o.recvState[name] = &recvGroupState{epoch: srcEpoch, live: live, image: o.publish(image, live, landed)}
 			return name, nil
 		case itemRecord:
 			oid := objstore.OID(d.U64())

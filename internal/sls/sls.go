@@ -151,6 +151,7 @@ func New(k *kern.Kernel, store *objstore.Store) *Orchestrator {
 		Costs:     k.Costs,
 		groups:    make(map[uint64]*Group),
 		nextGroup: 1,
+		recvState: make(map[string]*recvGroupState),
 	}
 	store.Ensure(ManifestOID, UTManifest)
 	k.ES = o
