@@ -6,8 +6,10 @@ package placement
 // clock. TestCoordinatorDeterminism only compares two runs of one build;
 // this test holds the heartbeat's clock charge and the miss threshold to
 // fixed numbers across refactors. Every instant was re-pinned earlier when the
-// collapse of a sync's previous shadows left the stop window; the events, their
-// order, the death tick and every Status rendering did not move.
+// collapse of a sync's previous shadows left the stop window, and again when a
+// standby began copying each page it receives into its resident image (one
+// MemCopyPerPage each on the fleet's one clock); the events, their order, the
+// death tick and every Status rendering did not move either time.
 
 import (
 	"fmt"
@@ -75,12 +77,12 @@ func TestDetectionTimelinePinned(t *testing.T) {
 }
 
 const detectionTimeline = `events:
-kill+3 22892469 [  22.892ms] dead       node=aur1
-kill+3 22939200 [  22.939ms] reseed     group=g0 aur0->aur2
-kill+3 22950762 [  22.950ms] failover   group=g2 aur1->aur3
-kill+3 23207887 [  23.207ms] reseed     group=g2 aur3->aur0
-rebalance 33570395 [  33.570ms] rebalance  group=g0 aur0->aur3
-rebalance 33570395 [  33.570ms] reseed     group=g0 err=placement: no standby candidate for "g0"
+kill+3 22903669 [  22.903ms] dead       node=aur1
+kill+3 22950800 [  22.950ms] reseed     group=g0 aur0->aur2
+kill+3 22952600 [  22.952ms] failover   group=g2 aur1->aur3
+kill+3 23210125 [  23.210ms] reseed     group=g2 aur3->aur0
+rebalance 33578233 [  33.578ms] rebalance  group=g0 aur0->aur3
+rebalance 33578233 [  33.578ms] reseed     group=g0 err=placement: no standby candidate for "g0"
 --- after sync
 fleet: 4 machines (4 alive), 3 groups (0 orphaned)
   failovers=0 rebalances=0 sync_errors=0
@@ -122,5 +124,5 @@ fleet: 4 machines (3 alive), 3 groups (0 orphaned)
   group g1       primary=aur0     standby=aur2     syncs=14 failovers=0 migrations=0
   group g2       primary=aur3     standby=aur0     syncs=14 failovers=1 migrations=0
 dead on tick 3 after the kill
-clock 33570395 ns
+clock 33578233 ns
 `

@@ -83,7 +83,12 @@ func (s *syncShape) rewrite(tb testing.TB, i int) {
 // since each page run lands through WritePages. Both clocks were re-pinned
 // 3 041 280 ns earlier when the collapse of each sync's previous shadows (99 ×
 // 256 pages at 120 ns each) left the stop window; the standby's image, its
-// device counters and the wire did not move.
+// device counters and the wire did not move. The standby's clock was re-pinned
+// 457 220 ns earlier, and its reads went from 1 024 (4 MiB) to none, when it
+// began keeping the pages it receives resident: the failover installs them
+// unread, and each sync's copy (256 pages at 400 ns) lands after its commit,
+// inside the wait for the next stream. The image, the writes and the primary's
+// clock did not move.
 func TestReplicaStandbyImagePinned(t *testing.T) {
 	s := newSyncShape(t)
 	for i := 1; i <= 100; i++ {
@@ -101,8 +106,8 @@ func TestReplicaStandbyImagePinned(t *testing.T) {
 	}
 	got := fmt.Sprintf("standby=%x src-clock=%d dst-clock=%d disk=%+v wire=%d retx=%d",
 		h.Sum(nil)[:12], s.src.clk.Now(), s.dst.clk.Now(), s.dst.dev.Stats(), s.rep.WireBytes, s.rep.Retransmits)
-	const want = "standby=6d33777c2a9e69693f7341b5 src-clock=274943353 dst-clock=275504773 " +
-		"disk={Reads:1024 Writes:13517 BytesRead:4194304 BytesWritten:112938164} wire=112324474 retx=68"
+	const want = "standby=6d33777c2a9e69693f7341b5 src-clock=274943353 dst-clock=275047553 " +
+		"disk={Reads:0 Writes:13517 BytesRead:0 BytesWritten:112938164} wire=112324474 retx=68"
 	if got != want {
 		t.Fatalf("standby after 100 syncs and a failover\n got %s\nwant %s", got, want)
 	}
