@@ -42,7 +42,8 @@ type Source interface {
 	// reads pipelined at device bandwidth (Table 6's full-restore times),
 	// each read into the buffer into gives for it (the store's read window
 	// when that is nil; none if it is held and passes its sum), checked, and
-	// handed to fn. It does not wait: done is when the last read completes.
+	// handed to fn. It does not wait: done, failed or not, is when the last
+	// read it queued completes.
 	EachPageInto(oid objstore.OID, into func(pg int64) (buf []byte, held bool, err error), fn func(pg int64, data []byte) error) (n int64, done time.Duration, err error)
 }
 

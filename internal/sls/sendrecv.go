@@ -291,7 +291,7 @@ func (o *Orchestrator) publish(w warmImage, live map[objstore.OID]bool, landed m
 	}
 	pm := o.K.VM.PM
 	w.drop(pm, live)
-	var n time.Duration
+	var n int64
 	for oid, pws := range landed {
 		if w[oid] == nil {
 			w[oid] = make(map[int64]*mem.Page, len(pws))
@@ -309,7 +309,7 @@ func (o *Orchestrator) publish(w warmImage, live map[objstore.OID]bool, landed m
 			n++
 		}
 	}
-	o.Clk.Advance(n * o.Costs.MemCopyPerPage)
+	o.Clk.Advance(time.Duration(n) * o.Costs.MemCopyPerPage)
 	return w
 }
 

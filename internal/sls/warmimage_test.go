@@ -229,8 +229,9 @@ func TestStandbyImageMatchesAColdRestore(t *testing.T) {
 // TestRefusedDeltaKeepsTheBaseImage fills the standby's device with a delta: the
 // stream is refused mid-apply with ErrFull, the image stays at the last
 // committed base and the standby's memory holds nothing else. The failover
-// that follows restores from a store the refused stream half wrote: the
-// pages it changed fail their sums against the image and are read back.
+// that follows restores from a store the refused stream half wrote (ROADMAP
+// item 27): the pages it wrote are missing from the image or fail their sums
+// against it, and are read back.
 func TestRefusedDeltaKeepsTheBaseImage(t *testing.T) {
 	src := newWorld(t)
 	dst, err := newWorldSized(16<<20, nil)
