@@ -375,6 +375,45 @@ func TestLazyFailoverInstallsTheImage(t *testing.T) {
 	}
 }
 
+// TestStandbyOutOfMemoryKeepsNoImage: a standby whose memory cannot hold the
+// seed's pages keeps no image, and no later delta starts one, so its failover
+// reads the pages back as it would without the feature.
+func TestStandbyOutOfMemoryKeepsNoImage(t *testing.T) {
+	src, dst := newWorld(t), newWorld(t)
+	dst.k.VM.PM = mem.New(8 * mem.PageSize)
+	a := startWarmApp(t, src)
+	rep, err := a.g.ReplicateTo(dst.o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A delta small enough to fit still starts no image.
+	if err := a.p.WriteMem(a.va, []byte("one page")); err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if dst.o.recvState["app"].image != nil || dst.k.VM.PM.Used() != 0 {
+		t.Fatalf("a standby out of memory keeps an image of %d frames", dst.k.VM.PM.Used())
+	}
+	want := make([]byte, 2*vm.PageSize)
+	if err := a.p.ReadMem(a.va, want); err != nil {
+		t.Fatal(err)
+	}
+	reads := dst.dev.Stats().Reads
+	g, st, err := rep.Failover(RestoreLazy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, len(want))
+	if err := g.Procs()[0].ReadMem(a.va, got); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("promoted pages differ from the primary's (%v)", err)
+	}
+	if faults, _ := g.LazyPageIns(); st.PagesEager != 0 || faults == 0 || dst.dev.Stats().Reads == reads {
+		t.Fatalf("lazy failover with no image installed %d pages and faulted %d in", st.PagesEager, faults)
+	}
+}
+
 // faultFirst is the standby's store with the application touching one page
 // before the loader reaches it, as a speculatively restored group may: the
 // page faults in through the pager, and the loader finds it resident.
