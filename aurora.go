@@ -85,8 +85,10 @@ const (
 	CkptIncremental = sls.CkptIncremental
 	CkptWAL         = sls.CkptWAL
 
-	RestoreEager       = sls.RestoreFull
-	RestoreLazy        = sls.RestoreLazy
+	RestoreEager = sls.RestoreFull
+	RestoreLazy  = sls.RestoreLazy
+	// RestoreSpeculative is kept only for bench/'s restore chain (mode 2);
+	// it goes once that chain restores lazily (ROADMAP items 20 and 21).
 	RestoreSpeculative = sls.RestoreSpeculative
 
 	ORead  = kern.ORead
@@ -475,7 +477,9 @@ func (m *Machine) RestoreLazily(group string) (*Group, RestoreStats, error) {
 
 // RestoreSpeculatively rebuilds every object of the named group first — the
 // stats' TimeToFirstOp is the span until the group could execute — and then
-// installs its pages, PagesValidated of them, before it returns.
+// installs its pages, PagesValidated of them, before it returns. It is kept
+// only for bench/'s restore chain (mode 2) and goes once that chain restores
+// lazily (ROADMAP items 20 and 21).
 func (m *Machine) RestoreSpeculatively(group string) (*Group, RestoreStats, error) {
 	return m.restore(group, RestoreSpeculative)
 }

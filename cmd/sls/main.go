@@ -107,8 +107,6 @@ commands:
   attach -name N [-steps K]         run the demo app under persistence
   checkpoint -name N                take a named checkpoint
   restore -name N [-steps K]        restore the app and continue it
-          [-speculative]            rebuild every object first, then
-                                    load the pages
   suspend -name N                   suspend the app into the store
   ps                                list persisted applications
   history                           list restorable checkpoint epochs
@@ -285,7 +283,6 @@ func cmdRestore(img string, args []string) error {
 	fs := flag.NewFlagSet("restore", flag.ExitOnError)
 	name := fs.String("name", "demo", "application name")
 	steps := fs.Int("steps", 200, "demo app steps to continue")
-	speculative := fs.Bool("speculative", false, "speculative restore: rebuild every object first, then load the pages")
 	fs.Parse(args)
 
 	m, err := boot(img)
@@ -303,11 +300,7 @@ func cmdRestore(img string, args []string) error {
 			fmt.Printf("  %s\n", ev)
 		}
 	}
-	restore := m.Restore
-	if *speculative {
-		restore = m.RestoreSpeculatively
-	}
-	g, rst, err := restore(*name)
+	g, rst, err := m.Restore(*name)
 	if err != nil {
 		return err
 	}
@@ -325,10 +318,6 @@ func cmdRestore(img string, args []string) error {
 	}
 	fmt.Printf("%s restored in %v (%d procs): counter %d -> %d\n",
 		*name, rst.Time, rst.Procs, before, after)
-	if *speculative {
-		fmt.Printf("  speculative: first op after %v, %d page(s) loaded\n",
-			rst.TimeToFirstOp, rst.PagesValidated)
-	}
 	return save(m, img)
 }
 

@@ -7,7 +7,7 @@
 //
 // Experiments: table1, fig3a, fig3b, fig3c, fig3d, table4, table5, table6,
 // fig4, fig5, fig6, table7, repl (replication lag under lossy wires),
-// walwindow, fleet, restore (serial vs speculative time to first request).
+// walwindow, fleet, restore (eager vs lazy time to first request).
 //
 // The crash-demo trace, the post-restore inspect page and the scenario
 // corpus have their own surfaces: sls trace, sls -img F inspect and

@@ -196,6 +196,21 @@ func TestTable6Shape(t *testing.T) {
 	}
 }
 
+// TestRestoreShape is the restore experiment's floor: at every group count
+// the lazy restore reaches the first request at least 3× sooner than the
+// eager one, which loads every page before the group runs.
+func TestRestoreShape(t *testing.T) {
+	r := quickRun(t, "restore", RestoreBench)
+	if len(r.Points) != len(RestoreGroupCounts) {
+		t.Fatalf("%d rows for %d group counts", len(r.Points), len(RestoreGroupCounts))
+	}
+	for _, p := range r.Points {
+		if p.LazyFirstReq <= 0 || 3*p.LazyFirstReq > p.EagerFirstReq {
+			t.Errorf("%d groups: lazy %v, eager %v: want lazy at least 3x sooner", p.Groups, p.LazyFirstReq, p.EagerFirstReq)
+		}
+	}
+}
+
 func TestFig4Shape(t *testing.T) {
 	r := quickRun(t, "fig4", Fig4)
 	byPeriod := map[int]Fig4Point{}

@@ -15,21 +15,18 @@ import (
 // several restored back to back.
 var RestoreGroupCounts = []int{1, 4, 8}
 
-// RestorePoint is one row of the serial-vs-speculative comparison. "First
-// request" is the virtual span from the reboot to a single-item read
-// completing: under RestoreFull that is the whole eager page load plus the
-// (resident) read; under RestoreSpeculative it is the metadata rebuild —
-// when the group could first execute — plus the same read of the page the
-// prefetch installed. Either way the read is of one slot, not a request
-// through the server: the application's own post-restore index scan is
-// skipped (EXPERIMENTS.md lists this as a deviation).
+// RestorePoint is one row of the eager-vs-lazy comparison, the two ways the
+// paper's Table 6 restores. "First request" is the virtual span from the
+// reboot to a single-item read completing in every group: under RestoreFull
+// that is the whole eager page load plus the (resident) read; under
+// RestoreLazy it is the object rebuild plus the read, which faults its page
+// in from the store. The read is of one slot, not a request through the
+// server: the application's own post-restore index scan is skipped
+// (EXPERIMENTS.md lists this as a deviation).
 type RestorePoint struct {
-	Groups         int
-	SerialFirstReq time.Duration
-	SpecFirstReq   time.Duration
-	SpecSettle     time.Duration // the whole speculative restore, prefetch included
-	PagesValidated int64
-	Rollbacks      int // always 0: a restore that meets rot fails
+	Groups        int
+	EagerFirstReq time.Duration
+	LazyFirstReq  time.Duration
 }
 
 // RestoreResult is the sweep.
@@ -41,27 +38,23 @@ type RestoreResult struct {
 func (r RestoreResult) Render() string {
 	var rows [][]string
 	for _, p := range r.Points {
-		speedup := float64(p.SerialFirstReq) / float64(p.SpecFirstReq)
 		rows = append(rows, []string{
 			fmt.Sprintf("%d", p.Groups),
-			fmtDur(p.SerialFirstReq),
-			fmtDur(p.SpecFirstReq),
-			fmtDur(p.SpecSettle),
-			fmt.Sprintf("%.0fx", speedup),
-			fmt.Sprintf("%d", p.PagesValidated),
-			fmt.Sprintf("%d", p.Rollbacks),
+			fmtDur(p.EagerFirstReq),
+			fmtDur(p.LazyFirstReq),
+			fmt.Sprintf("%.1fx", float64(p.EagerFirstReq)/float64(p.LazyFirstReq)),
 		})
 	}
-	return "Restore: time to first request, serial vs speculative (memcached)\n" +
-		table([]string{"Groups", "Serial", "Speculative", "Spec settle", "Speedup", "Validated", "Rollbacks"}, rows)
+	return "Restore: time to first request, eager vs lazy (memcached)\n" +
+		table([]string{"Groups", "Eager", "Lazy", "Speedup"}, rows)
 }
 
 // RestoreBench builds N memcached groups, checkpoints them, power-cuts the
 // machine, and restores the image both ways from identical crash states
 // (object-store recovery is read-only, so each restore gets its own reboot
 // of the same device). The paper's restore claim is about availability:
-// the speculative path must put the first request on the wire well before
-// the serial path has finished loading pages.
+// the lazy restore puts the first request on the wire well before the eager
+// one has finished loading pages.
 func RestoreBench(scale Scale) (RestoreResult, error) {
 	var out RestoreResult
 	for _, n := range RestoreGroupCounts {
@@ -125,52 +118,32 @@ func restorePoint(scale Scale, groups int) (RestorePoint, error) {
 		return reads, nil
 	}
 
-	// Serial: eager pages, then the read.
-	mSer, err := m.Crash()
-	if err != nil {
+	// firstRequest reboots the image, restores every group in mode and
+	// reads the first item of each: the span from the reboot to the last
+	// read, and what was read.
+	firstRequest := func(mode sls.RestoreMode) (time.Duration, [][]byte, error) {
+		m2, err := m.Crash()
+		if err != nil {
+			return 0, nil, err
+		}
+		t0 := m2.Clock.Now()
+		gs, _, err := m2.SLS.RestoreGroups(names, m2.Store, mode, true)
+		if err != nil {
+			return 0, nil, err
+		}
+		reads, err := firstItem(gs)
+		return m2.Clock.Now() - t0, reads, err
+	}
+	var eagerReads, lazyReads [][]byte
+	if pt.EagerFirstReq, eagerReads, err = firstRequest(sls.RestoreFull); err != nil {
 		return pt, err
 	}
-	t0 := mSer.Clock.Now()
-	gsSer, _, err := mSer.SLS.RestoreGroups(names, mSer.Store, sls.RestoreFull, true)
-	if err != nil {
+	if pt.LazyFirstReq, lazyReads, err = firstRequest(sls.RestoreLazy); err != nil {
 		return pt, err
 	}
-	serReads, err := firstItem(gsSer)
-	if err != nil {
-		return pt, err
-	}
-	pt.SerialFirstReq = mSer.Clock.Now() - t0
-
-	// Speculative: each group's metadata, then its pages, one group after
-	// another; TimeToFirstOp is the span the mode exists to shrink.
-	mSpec, err := m.Crash()
-	if err != nil {
-		return pt, err
-	}
-	t0 = mSpec.Clock.Now()
-	gsSpec, sts, err := mSpec.SLS.RestoreGroups(names, mSpec.Store, sls.RestoreSpeculative, true)
-	if err != nil {
-		return pt, err
-	}
-	pt.SpecSettle = mSpec.Clock.Now() - t0
-	var ttfo time.Duration
-	for _, st := range sts {
-		// The metadata rebuilds summed: when the last group could run had
-		// every group's objects been rebuilt before any page loaded.
-		ttfo += st.TimeToFirstOp
-		pt.PagesValidated += st.PagesValidated
-		pt.Rollbacks += st.Rollbacks
-	}
-	before := mSpec.Clock.Now()
-	specReads, err := firstItem(gsSpec)
-	if err != nil {
-		return pt, err
-	}
-	pt.SpecFirstReq = ttfo + (mSpec.Clock.Now() - before)
-
-	for i := range serReads {
-		if !bytes.Equal(serReads[i], specReads[i]) {
-			return pt, fmt.Errorf("group %s: serial and speculative restores disagree on the first item", names[i])
+	for i := range eagerReads {
+		if !bytes.Equal(eagerReads[i], lazyReads[i]) {
+			return pt, fmt.Errorf("group %s: eager and lazy restores disagree on the first item", names[i])
 		}
 	}
 	return pt, nil

@@ -90,13 +90,6 @@ func (r *Harness) restoresUnder(a AssertionDecl) (bool, string) {
 	return worst <= a.MaxUS, fmt.Sprintf("worst restore %dus over %d restores (want <= %dus)", worst, len(gs.restoreTimes), a.MaxUS)
 }
 
-// rollbacksAtMost: max defaults to 0. No restore rolls back any more — one
-// that meets a rotted page fails — so the bound always holds.
-func (r *Harness) rollbacksAtMost(a AssertionDecl) (bool, string) {
-	gs := r.groups[a.Group]
-	return gs.rollbacks <= a.Max, fmt.Sprintf("%d restore rollback(s) (want <= %d)", gs.rollbacks, a.Max)
-}
-
 func (r *Harness) metricP99Under(a AssertionDecl) (bool, string) {
 	p99, n := telemetry.Judge(telemetry.SLOP99Under, a.Metric, r.metricRegistries(a)...)
 	if n == 0 {

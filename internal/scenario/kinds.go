@@ -137,7 +137,7 @@ var assertionKinds = []kind[AssertionDecl, func(*Harness, AssertionDecl) (bool, 
 		needs: needMachine | needGroup, do: (*Harness).groupOn},
 	{name: "p99-stop-under-us", doc: "group: p99 checkpoint stop time <= max_us",
 		needs: needGroup, check: checkMaxUS, do: (*Harness).p99StopUnder},
-	{name: "restores-under-us", doc: "group: every restore (time to first op when speculative) <= max_us",
+	{name: "restores-under-us", doc: "group: every restore <= max_us",
 		needs: needGroup, check: checkMaxUS, do: (*Harness).restoresUnder},
 	{name: "durable-window-under-us", doc: "group: p99 span from checkpoint start to durable commit <= max_us",
 		needs: needGroup, check: checkMaxUS, do: (*Harness).durableWindowUnder},
@@ -147,8 +147,6 @@ var assertionKinds = []kind[AssertionDecl, func(*Harness, AssertionDecl) (bool, 
 		needs: needPlacement, do: atLeast("%d failovers (want >= %d)", func(r *Harness, _ AssertionDecl) int64 {
 			return r.coord.Failovers()
 		})},
-	{name: "rollbacks-at-most", doc: "group: restore rollbacks <= max (default 0; a restore that meets rot fails instead)",
-		needs: needGroup, check: checkRollbackMax, do: (*Harness).rollbacksAtMost},
 	// The metric kinds read a named metric through telemetry.Judge, as an
 	// SLO of that kind does: one machine's store when `machine` is set,
 	// else fleet-wide (histograms merge exactly, series reduce across members).
@@ -208,25 +206,13 @@ var sloKinds = []kind[SLODecl, telemetry.SLOKind]{
 	{name: "final-at-least", doc: "the series' last value must reach bound (judged at end of run)", do: telemetry.SLOFinalAtLeast},
 }
 
-// restoreMode is how a restore event brings a group back, and which of the
-// restore's times is the one its mode is about.
-type restoreMode struct {
-	restore func(*aurora.Machine, string) (*aurora.Group, aurora.RestoreStats, error)
-	cost    func(aurora.RestoreStats) time.Duration
-}
-
-func totalTime(st aurora.RestoreStats) time.Duration { return st.Time }
-
-// Restore modes of a restore event; unset means the first.
-var restoreModes = []kind[EventDecl, restoreMode]{
+// Restore modes of a restore event: how it brings a group back. Unset means
+// the first.
+var restoreModes = []kind[EventDecl, func(*aurora.Machine, string) (*aurora.Group, aurora.RestoreStats, error)]{
 	{name: "serial", doc: "eager: every page back before the first op; the default",
-		do: restoreMode{(*aurora.Machine).Restore, totalTime}},
+		do: (*aurora.Machine).Restore},
 	{name: "lazy", doc: "pages come back on first touch",
-		do: restoreMode{(*aurora.Machine).RestoreLazily, totalTime}},
-	// The budget that matters speculatively is time-to-first-op —
-	// restores-under-us bounds exactly the span the mode shrinks.
-	{name: "speculative", doc: "every object first, then every page, each checked against its committed sum; rot fails the restore",
-		do: restoreMode{(*aurora.Machine).RestoreSpeculatively, func(st aurora.RestoreStats) time.Duration { return st.TimeToFirstOp }}},
+		do: (*aurora.Machine).RestoreLazily},
 }
 
 // Help renders every table: what `sls scenario` prints for its usage.

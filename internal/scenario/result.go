@@ -83,11 +83,7 @@ type GroupStat struct {
 	// rather than full epochs (wal_commit workloads).
 	WALCommits int64 `json:"wal_commits,omitempty"`
 	Restores   int64 `json:"restores"`
-	// Rollbacks counts restores that fell back to another restore: always 0,
-	// since a restore that meets rot fails. Kept so the fingerprint format
-	// holds.
-	Rollbacks int64 `json:"rollbacks,omitempty"`
-	P99StopUS int64 `json:"p99_stop_us"`
+	P99StopUS  int64 `json:"p99_stop_us"`
 	// P99DurableUS is the p99 of per-checkpoint durable windows — the
 	// virtual span from checkpoint start to the commit landing on media.
 	P99DurableUS int64 `json:"p99_durable_us,omitempty"`
@@ -119,8 +115,8 @@ func (r *Result) Fingerprint() string {
 		w("event %d %d %s %s err=%s\n", e.AtMS, e.FiredNS, e.Kind, e.Target, e.Err)
 	}
 	for _, g := range r.Groups {
-		w("group %s on=%s alive=%v ops=%d ckpts=%d wal=%d restores=%d rollbacks=%d p99=%d durable=%d epoch=%d syncs=%d\n",
-			g.Group, g.Machine, g.Alive, g.Ops, g.Checkpoints, g.WALCommits, g.Restores, g.Rollbacks, g.P99StopUS, g.P99DurableUS, g.StandbyEpoch, g.Syncs)
+		w("group %s on=%s alive=%v ops=%d ckpts=%d wal=%d restores=%d p99=%d durable=%d epoch=%d syncs=%d\n",
+			g.Group, g.Machine, g.Alive, g.Ops, g.Checkpoints, g.WALCommits, g.Restores, g.P99StopUS, g.P99DurableUS, g.StandbyEpoch, g.Syncs)
 	}
 	for _, f := range r.Flights {
 		w("flight %s\n%s", f.Machine, f.Timeline)

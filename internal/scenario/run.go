@@ -56,7 +56,6 @@ type groupState struct {
 	ckpts        int64
 	walCommits   int64
 	lastCkptMS   int64
-	rollbacks    int64 // RestoreStats.Rollbacks, summed: always 0
 	stopTimes    []time.Duration
 	restoreTimes []time.Duration
 	// durableWindows is, per checkpoint, the span from checkpoint start to
@@ -661,14 +660,12 @@ func (r *Harness) applyFleetEvents(evs []placement.Event) {
 func (r *Harness) fireRestore(e EventDecl) {
 	ms := r.machines[e.Machine]
 	gs := r.groups[e.Group]
-	mode := pick(restoreModes, e.RestoreMode).do
-	g, rst, err := mode.restore(ms.m, e.Group)
+	g, rst, err := pick(restoreModes, e.RestoreMode).do(ms.m, e.Group)
 	r.recordEvent(e, e.Machine+"/"+e.Group, err)
 	if err != nil {
 		return
 	}
-	gs.restoreTimes = append(gs.restoreTimes, mode.cost(rst))
-	gs.rollbacks += int64(rst.Rollbacks)
+	gs.restoreTimes = append(gs.restoreTimes, rst.Time)
 	r.moved(gs, g, ms, "")
 }
 
@@ -781,7 +778,6 @@ func (r *Harness) finish() {
 			Checkpoints:  gs.ckpts,
 			WALCommits:   gs.walCommits,
 			Restores:     int64(len(gs.restoreTimes)),
-			Rollbacks:    gs.rollbacks,
 			P99StopUS:    p99us(gs.stopTimes),
 			P99DurableUS: p99us(gs.durableWindows),
 		}

@@ -196,9 +196,8 @@ type EventDecl struct {
 	To     string `json:"to,omitempty"`
 	Rounds int64  `json:"rounds,omitempty"`
 
-	// restore mode, one of restoreModes: "serial" (eager, the default),
-	// "lazy", or "speculative" — every object rebuilt before any page
-	// loads, so its restores-under-us budget is the time to first op.
+	// restore mode, one of restoreModes: "serial" (eager, the default) or
+	// "lazy".
 	RestoreMode string `json:"restore_mode,omitempty"`
 }
 
@@ -214,8 +213,8 @@ type AssertionDecl struct {
 	Event   string `json:"event,omitempty"` // flight-contains: flight kind name, e.g. "power.cut"
 	Min     int64  `json:"min,omitempty"`   // thresholds (counts, epochs); default 1
 	MaxUS   int64  `json:"max_us,omitempty"`
-	// Max is the at-most bound (rollbacks-at-most, metric-*-under); unlike
-	// Min it does not default — 0 means none allowed.
+	// Max is the at-most bound of the metric-*-under kinds; unlike Min it
+	// does not default.
 	Max int64 `json:"max,omitempty"`
 	// Metric names the registry metric a metric-* assertion reads, e.g.
 	// "sls.stop.ns" or "fleet.failover.ns".
@@ -488,9 +487,7 @@ func checkFilebench(c *checker, at string, w *WorkloadDecl) {
 
 func checkRestoreMode(c *checker, at string, e *EventDecl) {
 	if e.RestoreMode != "" && lookup(restoreModes, e.RestoreMode) == nil {
-		modes := names(restoreModes)
-		c.bad("%s.restore_mode: unknown mode %q (want %s, or %s)", at, e.RestoreMode,
-			strings.Join(modes[:len(modes)-1], ", "), modes[len(modes)-1])
+		c.bad("%s.restore_mode: unknown mode %q (want one of %s)", at, e.RestoreMode, strings.Join(names(restoreModes), ", "))
 	}
 }
 
@@ -537,12 +534,6 @@ func checkFlightEvent(c *checker, at string, a *AssertionDecl) {
 func checkMaxUS(c *checker, at string, a *AssertionDecl) {
 	if a.MaxUS <= 0 {
 		c.bad("%s.max_us: needs a positive bound", at)
-	}
-}
-
-func checkRollbackMax(c *checker, at string, a *AssertionDecl) {
-	if a.Max < 0 {
-		c.bad("%s.max: must not be negative", at)
 	}
 }
 

@@ -35,26 +35,27 @@ func TestDecodeValidMinimal(t *testing.T) {
 	}
 }
 
-func TestDecodeSpeculativeRestore(t *testing.T) {
+func TestDecodeLazyRestore(t *testing.T) {
 	src := validSrc + `
-  - kind: rollbacks-at-most
+  - kind: restores-under-us
     group: demo
+    max_us: 20
 events:
   - at_ms: 5
     kind: restore
     machine: alpha
     group: demo
-    restore_mode: speculative
+    restore_mode: lazy
 `
 	sc, err := Parse([]byte(src))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sc.Events[0].RestoreMode != "speculative" {
+	if sc.Events[0].RestoreMode != "lazy" {
 		t.Fatalf("restore mode = %q", sc.Events[0].RestoreMode)
 	}
 	a := sc.Assertions[1]
-	if a.Kind != "rollbacks-at-most" || a.Max != 0 {
+	if a.Kind != "restores-under-us" || a.MaxUS != 20 {
 		t.Fatalf("assertion = %+v", a)
 	}
 }
@@ -121,7 +122,7 @@ assertions:
 
 const (
 	wantEventKinds     = "power-cut, restore, partition, bit-rot, migrate, failover, checkpoint, sync, machine-dies, rebalance"
-	wantAssertionKinds = "audit-clean, fsck-clean, fsck-problems, flight-contains, standby-min-epoch, syncs-at-least, ops-at-least, checkpoints-at-least, group-on, p99-stop-under-us, restores-under-us, durable-window-under-us, fleet-health, failovers-at-least, rollbacks-at-most, metric-max-under, metric-p99-under, metric-final-at-least"
+	wantAssertionKinds = "audit-clean, fsck-clean, fsck-problems, flight-contains, standby-min-epoch, syncs-at-least, ops-at-least, checkpoints-at-least, group-on, p99-stop-under-us, restores-under-us, durable-window-under-us, fleet-health, failovers-at-least, metric-max-under, metric-p99-under, metric-final-at-least"
 )
 
 // malformedCase is one authoring mistake and the full text of the message
@@ -213,7 +214,7 @@ func malformedCases() []malformedCase {
 		// ---- events: the checks every kind shares ----
 		{"negative event time", events(validSrc, "at_ms: -3", "kind: power-cut", "machine: alpha"), `events[0].at_ms: must not be negative, got -3`},
 		{"event after the end", events(validSrc, "at_ms: 500", "kind: power-cut", "machine: alpha"), `events[0].at_ms: 500 is after the scenario ends (10)`},
-		{"restore mode on a non-restore event", events(validSrc, "at_ms: 5", "kind: power-cut", "machine: alpha", "restore_mode: speculative"), `events[0].restore_mode: only "restore" events take a restore mode`},
+		{"restore mode on a non-restore event", events(validSrc, "at_ms: 5", "kind: power-cut", "machine: alpha", "restore_mode: lazy"), `events[0].restore_mode: only "restore" events take a restore mode`},
 		{"event without a kind", events(validSrc, "at_ms: 5", "machine: alpha"), `events[0].kind: required`},
 		{"unknown event kind", events(validSrc, "at_ms: 5", "kind: meteor-strike", "machine: alpha"), `events[0].kind: unknown event kind "meteor-strike" (want one of ` + wantEventKinds + `)`},
 
@@ -223,7 +224,8 @@ func malformedCases() []malformedCase {
 		{"restore on an undeclared machine", events(validSrc, "at_ms: 5", "kind: restore", "machine: ghost", "group: demo"), `events[0].machine: no machine "ghost"`},
 		{"restore of an undeclared group", events(validSrc, "at_ms: 5", "kind: restore", "machine: alpha", "group: ghost"), `events[0].group: no workload declares group "ghost"`},
 		{"restore under placement", events(placeSrc, "at_ms: 5", "kind: restore", "machine: a", "group: demo"), `events[0]: placement scenarios recover through coordinator failover, not explicit restore`},
-		{"unknown restore mode", events(validSrc, "at_ms: 5", "kind: restore", "machine: alpha", "group: demo", "restore_mode: psychic"), `events[0].restore_mode: unknown mode "psychic" (want serial, lazy, or speculative)`},
+		{"unknown restore mode", events(validSrc, "at_ms: 5", "kind: restore", "machine: alpha", "group: demo", "restore_mode: psychic"), `events[0].restore_mode: unknown mode "psychic" (want one of serial, lazy)`},
+		{"speculative restore mode", events(validSrc, "at_ms: 5", "kind: restore", "machine: alpha", "group: demo", "restore_mode: speculative"), `events[0].restore_mode: unknown mode "speculative" (want one of serial, lazy)`},
 		{"partition without replication", events(validSrc, "at_ms: 5", "kind: partition", "group: demo", "for_ms: 2"), `events[0].group: no replication declared for group "demo"`},
 		{"partition without a duration", events(replSrc, "at_ms: 5", "kind: partition", "group: demo"), `events[0].for_ms: partition needs a positive duration`},
 		{"bit-rot on an undeclared machine", events(validSrc, "at_ms: 5", "kind: bit-rot", "machine: ghost", "pages: [0]"), `events[0].machine: no machine "ghost"`},
@@ -251,7 +253,7 @@ func malformedCases() []malformedCase {
 		{"p99 bound without max_us", assertion(validSrc, "kind: p99-stop-under-us", "group: demo"), `assertions[1].max_us: needs a positive bound`},
 		{"restore bound without max_us", assertion(validSrc, "kind: restores-under-us", "group: demo"), `assertions[1].max_us: needs a positive bound`},
 		{"durable window bound without max_us", assertion(validSrc, "kind: durable-window-under-us", "group: demo"), `assertions[1].max_us: needs a positive bound`},
-		{"negative rollbacks bound", assertion(validSrc, "kind: rollbacks-at-most", "group: demo", "max: -1"), `assertions[1].max: must not be negative`},
+		{"rollbacks bound", assertion(validSrc, "kind: rollbacks-at-most", "group: demo"), `assertions[1].kind: unknown assertion kind "rollbacks-at-most" (want one of ` + wantAssertionKinds + `)`},
 		{"metric assertion without a metric", assertion(sloSrc, "kind: metric-p99-under", "max: 5"), `assertions[1].metric: required`},
 		{"metric assertion on an undeclared machine", assertion(sloSrc, "kind: metric-p99-under", "metric: sls.stop.ns", "machine: ghost", "max: 5"), `assertions[1].machine: no machine "ghost"`},
 		{"metric-max-under without max", assertion(sloSrc, "kind: metric-max-under", "metric: fleet.orphans"), `assertions[1].max: needs a positive bound`},
@@ -292,7 +294,7 @@ func malformedCases() []malformedCase {
 			assertion(validSrc, "kind: "+kind, "machine: ghost", "group: demo", "event: power.cut"),
 			`assertions[1].machine: no machine "ghost"`})
 	}
-	for _, kind := range []string{"ops-at-least", "checkpoints-at-least", "group-on", "p99-stop-under-us", "restores-under-us", "durable-window-under-us", "rollbacks-at-most"} {
+	for _, kind := range []string{"ops-at-least", "checkpoints-at-least", "group-on", "p99-stop-under-us", "restores-under-us", "durable-window-under-us"} {
 		cases = append(cases, malformedCase{kind + " of an undeclared group",
 			assertion(validSrc, "kind: "+kind, "machine: alpha", "group: ghost", "max_us: 5"),
 			`assertions[1].group: no workload declares group "ghost"`})

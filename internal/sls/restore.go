@@ -70,7 +70,9 @@ const (
 	RestoreLazy
 	// RestoreSpeculative rebuilds every object first — the group could run
 	// from there, and RestoreStats.TimeToFirstOp says when — and then runs
-	// the loader, before the restore returns.
+	// the loader, before the restore returns. It is kept only for bench/'s
+	// restore chain (mode 2) and goes once that chain restores lazily
+	// (ROADMAP items 20 and 21).
 	RestoreSpeculative
 )
 

@@ -103,16 +103,16 @@ type RestoreStats struct {
 	Objects    int
 	PagesEager int64
 
-	// RestoreSpeculative's breakdown (zero in the other modes).
+	// RestoreSpeculative's breakdown (zero in the other modes), kept only
+	// for bench/'s restore chain (mode 2) with the mode itself; all three go
+	// once that chain restores lazily (ROADMAP items 20 and 21).
 	// TimeToFirstOp is the span until the group could execute its first
 	// instruction: metadata (kernel objects, VM maps, PTE skeleton)
 	// rebuilt, no page data moved. PagesValidated is what the loader then
 	// installed, every page checked against its committed sum.
 	TimeToFirstOp  time.Duration
 	PagesValidated int64
-	// Rollbacks is always 0: a restore that meets a rotted page fails. It
-	// stays for the callers that still read it (bench/, the scenario
-	// runner's rollbacks-at-most).
+	// Rollbacks is always 0: a restore that meets a rotted page fails.
 	Rollbacks int
 }
 
