@@ -149,7 +149,7 @@ func (s *Store) retireBlock(addr int64) {
 	}
 	cur := s.curEpoch()
 	if birth == cur {
-		if len(s.walDurable) > 0 {
+		if s.walFrames > 0 {
 			// A committed WAL frame of this interval may reference the
 			// block: until the fold's superblock is durable, replaying that
 			// frame needs it intact. Stage it like a release — serialized

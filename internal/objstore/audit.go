@@ -136,8 +136,8 @@ func (s *Store) walkClaims(a *auditScratch, page func(oid OID, pg, addr int64, s
 		if s.walHead%walSector != 0 {
 			prob("wal head %d not sector aligned", s.walHead)
 		}
-		if len(s.walDurable) > 0 && s.walHead == 0 {
-			prob("wal seq %d with empty ring", len(s.walDurable))
+		if s.walFrames > 0 && s.walHead == 0 {
+			prob("wal seq %d with empty ring", s.walFrames)
 		}
 	}
 	return problems

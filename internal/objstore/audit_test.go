@@ -129,7 +129,7 @@ func TestAuditLiveReportsPinned(t *testing.T) {
 			[]string{"store: wal head 4194816 outside region of 1024 blocks"}},
 		{"wal head off a sector", func(s *Store) { s.walHead = 1 },
 			[]string{"store: wal head 1 not sector aligned"}},
-		{"wal frames in an empty ring", func(s *Store) { s.walDurable = []time.Duration{0} },
+		{"wal frames in an empty ring", func(s *Store) { s.walFrames = 1 },
 			[]string{"store: wal seq 1 with empty ring"}},
 
 		// Order: double claims by block, after the walk's other rules.

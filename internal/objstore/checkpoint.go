@@ -45,7 +45,7 @@ func (s *Store) CheckpointRetaining(retain int) (st CheckpointStats, err error) 
 	// it before the flight ring is cut so the index carries the fold that
 	// absorbed the frames. Events recorded during the commit itself land in
 	// the next commit's ring.
-	if n := len(s.walDurable); n > 0 {
+	if n := s.walFrames; n > 0 {
 		s.fl.Record(int64(s.clk.Now()), flight.EvWALFold, int64(s.curEpoch()), int64(n), 0, "")
 	}
 	ring, ringSeq := s.fl.Since(0)
@@ -187,8 +187,8 @@ func (s *Store) CheckpointRetaining(retain int) (st CheckpointStats, err error) 
 	if s.walBlocks > 0 {
 		clear(s.walPending) // no frame holds these ops: the next interval reuses the array
 		s.walPending = s.walPending[:0]
-		if len(s.walDurable) > 0 {
-			s.walDurable = s.walDurable[:0]
+		if s.walFrames > 0 {
+			s.walFrames = 0
 			if s.tr != nil {
 				s.tr.Count("objstore.wal_folds", 1)
 			}

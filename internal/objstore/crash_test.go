@@ -233,18 +233,18 @@ func TestWALRecoverSeesArmedRot(t *testing.T) {
 	s, fd, clk, costs := newFaultStore(t, 128<<20)
 	oid := s.NewOID()
 	var ends []int64
+	var last objstore.WALCommitStats
 	for i := 1; i <= 4; i++ { // 40 KB frames: the second straddles the first window's edge
 		if err := s.PutRecord(oid, 7, bytes.Repeat([]byte{byte(i)}, 40_000)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.WALCommit(); err != nil {
+		var err error
+		if last, err = s.WALCommit(); err != nil {
 			t.Fatal(err)
 		}
 		ends = append(ends, s.WALHead())
 	}
-	if err := s.WaitWALDurable(4); err != nil {
-		t.Fatal(err)
-	}
+	s.WaitDurableAt(last.DurableAt)
 	base, _ := s.WALRegion()
 	for _, tc := range []struct {
 		rot     int64 // region offset of the flipped bit

@@ -84,7 +84,7 @@ func (s *Store) Fsck() FsckReport {
 // never committed (an orphaned segment). Bytes past the head that fail to
 // decode are a clean torn tail and are ignored.
 func (s *Store) fsckWAL(rep *FsckReport) {
-	walBase, walHead, walSeq, epoch := s.walBase, s.walHead, uint64(len(s.walDurable)), s.epoch
+	walBase, walHead, walSeq, epoch := s.walBase, s.walHead, uint64(s.walFrames), s.epoch
 	if s.walBlocks == 0 {
 		return
 	}

@@ -45,10 +45,11 @@ func TestStoreImagePinned(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	walCommit := func(s *Store) {
+	walCommit := func(s *Store) WALCommitStats {
 		t.Helper()
-		_, err := s.WALCommit()
+		st, err := s.WALCommit()
 		must(err)
+		return st
 	}
 	var inl, pgd, pgd2, pgd3, spill, spill2, jrn, jrn2, bare OID
 	for _, p := range []*OID{&inl, &pgd, &pgd2, &pgd3, &spill, &spill2, &jrn, &jrn2, &bare} {
@@ -100,9 +101,9 @@ func TestStoreImagePinned(t *testing.T) {
 	must(s.Delete(jrn2))
 	s.Ensure(bare, 5)
 	must(s.Truncate(inl, 4))
-	walCommit(s)
+	last := walCommit(s)
 	must(s.PutRecord(inl, 1, []byte("never committed")))
-	must(s.WaitWALDurable(s.WALSeq()))
+	s.WaitDurableAt(last.DurableAt)
 	state := func(s *Store) string {
 		return fmt.Sprintf("%+v free=%d dead=%d now=%d", s.Stats(), s.FreeBlocks(), s.DeadBlocks(), clk.Now())
 	}
@@ -285,9 +286,9 @@ func TestSparseOIDImagePinned(t *testing.T) {
 	_, err = s.WALCommit()
 	must(err)
 	must(s.Delete(1 << 63))
-	_, err = s.WALCommit()
+	st, err := s.WALCommit()
 	must(err)
-	must(s.WaitWALDurable(s.WALSeq()))
+	s.WaitDurableAt(st.DurableAt)
 
 	const want = "[63 64 4095 4096 1099511627776 9223372036854775807 9223372036854775809]"
 	if got := fmt.Sprint(s.Objects()); got != want {

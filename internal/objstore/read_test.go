@@ -96,7 +96,7 @@ func tableDump(objects *radix.Table[*object]) string {
 // position and the object table.
 func stateDump(s *Store) string {
 	return fmt.Sprintf("epoch=%d nextOID=%d slot=%d wal=%d/%d/%d\nfree=%v\ndead=%v\nretained=%v\nreleasing=%v\n%s",
-		s.epoch, s.nextOID, s.superSlot, s.walHead, len(s.walDurable), s.walReplayed,
+		s.epoch, s.nextOID, s.superSlot, s.walHead, s.walFrames, s.walReplayed,
 		s.free, s.deadlist, s.retained, s.releasing, tableDump(&s.objects))
 }
 
@@ -194,15 +194,15 @@ func buildMixedImage(t *testing.T, seed int64) (*Store, *device.Stripe) {
 			s.ReleaseCheckpointsBefore(s.Epoch() - 1)
 		}
 	}
+	var last WALCommitStats
 	for i, n := 0, 1+rng.Intn(3); i < n; i++ {
 		mutate()
-		if _, err := s.WALCommit(); err != nil {
+		var err error
+		if last, err = s.WALCommit(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := s.WaitWALDurable(s.WALSeq()); err != nil {
-		t.Fatal(err)
-	}
+	s.WaitDurableAt(last.DurableAt)
 	return s, dev
 }
 

@@ -220,14 +220,13 @@ type Store struct {
 
 	// WAL-first commit state (see wal.go). walBase/walBlocks fix the
 	// reserved region's geometry at Format time; walHead is the append
-	// offset within it; walDurable holds this generation's committed frames
-	// (emptied by every fold), element i being when frame i+1 lands — 0 for
-	// a replayed frame — so its length is the last frame's seq; walPending
+	// offset within it; walFrames counts this generation's committed frames
+	// (zeroed by every fold), so it is the last frame's seq; walPending
 	// accumulates the interval's delta ops.
 	walBase     int64
 	walBlocks   int64
 	walHead     int64
-	walDurable  []time.Duration
+	walFrames   int
 	walPending  []walOp
 	walReplayed int // frames replayed by the last Recover
 

@@ -573,9 +573,7 @@ func TestRecoveredStoreWaitsOnWhatItRecovered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.WaitWALDurable(st.Seq); err != nil {
-		t.Fatal(err)
-	}
+	s.WaitDurableAt(st.DurableAt)
 	r := reopen(t, dev, clk)
 	if r.Epoch() != 2 || r.WALSeq() != 1 || !slices.Equal(r.RetainedCheckpoints(), []Epoch{1, 2}) {
 		t.Fatalf("setup: recovered epoch %d, wal seq %d, retained %v", r.Epoch(), r.WALSeq(), r.RetainedCheckpoints())
@@ -588,9 +586,6 @@ func TestRecoveredStoreWaitsOnWhatItRecovered(t *testing.T) {
 		if at, ok := r.DurableAt(e); at != 0 || !ok {
 			t.Errorf("DurableAt(%d) = %v, %v; want 0, true", e, at, ok)
 		}
-	}
-	if err := r.WaitWALDurable(1); err != nil {
-		t.Errorf("WaitWALDurable(1): %v", err)
 	}
 	if clk.Now() != now {
 		t.Errorf("waits on recovered state moved the clock %v -> %v", now, clk.Now())
@@ -816,12 +811,11 @@ func TestDropOverRottedChunkRetiresNothing(t *testing.T) {
 	if err := s.Delete(oid); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.WALCommit(); err != nil {
+	st, err := s.WALCommit()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.WaitWALDurable(s.WALSeq()); err != nil {
-		t.Fatal(err)
-	}
+	s.WaitDurableAt(st.DurableAt)
 	rot()
 	if _, err := Recover(dev, clk, clock.DefaultCosts(), nil); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("replay of a delete over a rotted chunk: err = %v, want ErrCorrupt", err)

@@ -210,14 +210,14 @@ func (s *Store) WALCommit() (WALCommitStats, error) {
 	// N's ring carries appends 1..N — the crash-phase evidence the harness
 	// checks after replay. The tail is the events the last accepted commit
 	// lacks.
-	s.fl.Record(int64(s.clk.Now()), flight.EvWALAppend, int64(s.epoch), int64(len(s.walDurable))+1, 0, "")
+	s.fl.Record(int64(s.clk.Now()), flight.EvWALAppend, int64(s.epoch), int64(s.walFrames)+1, 0, "")
 	tail, flSeq := s.fl.Since(s.flSeq)
 
 	span := s.tr.Begin(trace.TrackObjstore, "wal.append")
 	s.maybeResetWAL()
 	fr := &walFrame{
 		base:    s.epoch,
-		seq:     uint64(len(s.walDurable)) + 1,
+		seq:     uint64(s.walFrames) + 1,
 		nextOID: s.nextOID,
 		ops:     s.walPending,
 		flight:  tail,
@@ -241,7 +241,7 @@ func (s *Store) WALCommit() (WALCommitStats, error) {
 	}
 	s.flSeq = flSeq // a failed commit keeps it, and the retry cuts the tail again
 	s.walHead += total
-	s.walDurable = append(s.walDurable, done)
+	s.walFrames++
 	s.walPending = nil
 	s.pendingDurable = done
 	s.observeDurable(done)
@@ -272,7 +272,7 @@ func (s *Store) observeDurable(done time.Duration) {
 // yet durable lands past the folded generation, which therefore stays the
 // prefix the recovery scan walks through until the next fold.
 func (s *Store) maybeResetWAL() {
-	if s.walHead == 0 || len(s.walDurable) > 0 || s.clk.Now() < s.retained[len(s.retained)-1].durable {
+	if s.walHead == 0 || s.walFrames > 0 || s.clk.Now() < s.retained[len(s.retained)-1].durable {
 		return
 	}
 	reclaimed := s.walHead
@@ -286,30 +286,20 @@ func (s *Store) maybeResetWAL() {
 
 // WALSeq returns the sequence number of the last committed WAL frame in the
 // current generation (0 right after a fold or when the WAL is unused).
-func (s *Store) WALSeq() uint64 { return uint64(len(s.walDurable)) }
+func (s *Store) WALSeq() uint64 { return uint64(s.walFrames) }
 
 // WALHead returns the byte offset past the last appended frame in the
 // reserved region (for tests and tooling).
 func (s *Store) WALHead() int64 { return s.walHead }
 
-// WaitWALDurable blocks (in virtual time) until WAL frame seq of the
-// current generation is durable. Sequence numbers folded away by a
-// checkpoint fall back to the fold's own durability point, which covers
-// them by construction.
-func (s *Store) WaitWALDurable(seq uint64) error {
-	var t time.Duration
-	c, err := s.retainedInfo(s.epoch)
-	if seq > 0 && seq <= uint64(len(s.walDurable)) {
-		t, err = s.walDurable[seq-1], nil
-	} else if err == nil {
-		t = c.durable
-	}
-	if err != nil {
-		return fmt.Errorf("%w: wal seq %d", ErrNoEpoch, seq)
-	}
-	s.dev.WaitUntil(t)
+// WaitDurableAt blocks (in virtual time) until at, the DurableAt a WAL
+// commit returned, and then completes a fold's deferred WAL head reset if
+// the fold has landed by then. A frame's sequence number names no frame
+// once a fold has folded it away (the next generation counts from 1
+// again), so the wait is on the commit's own time, never on its seq.
+func (s *Store) WaitDurableAt(at time.Duration) {
+	s.dev.WaitUntil(at)
 	s.maybeResetWAL()
-	return nil
 }
 
 // walRecover replays the WAL chain the crash left on top of the loaded index.
@@ -378,7 +368,7 @@ func (s *Store) walReplay(frames []*walFrame, end int64) error {
 		if fr.flight != nil {
 			s.recovered = append(s.recovered, fr.flight)
 		}
-		s.walDurable = append(s.walDurable, 0)
+		s.walFrames++
 	}
 	s.walHead = end
 	s.walReplayed = len(frames)

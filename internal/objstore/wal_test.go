@@ -81,9 +81,7 @@ func TestWALCommitReplaysAfterReopen(t *testing.T) {
 	if st.Seq != 2 {
 		t.Fatalf("frame 2 seq = %d", st.Seq)
 	}
-	if err := s.WaitWALDurable(2); err != nil {
-		t.Fatal(err)
-	}
+	s.WaitDurableAt(st.DurableAt)
 
 	// The epoch did not advance: WAL commits are sub-checkpoint durability.
 	if s.Epoch() != 1 {
@@ -157,10 +155,6 @@ func TestWALFoldResetsGenerationAndHead(t *testing.T) {
 	if s.Epoch() != cst.Epoch {
 		t.Fatalf("epoch %d != fold epoch %d", s.Epoch(), cst.Epoch)
 	}
-	// Old-generation sequence numbers remain coverable via the fold.
-	if err := s.WaitWALDurable(2); err != nil {
-		t.Fatal(err)
-	}
 	_ = clk
 }
 
@@ -232,9 +226,7 @@ func TestWALFrameBehindUnsettledFoldSurvives(t *testing.T) {
 	if st, err = s.WALCommit(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.WaitWALDurable(st.Seq); err != nil {
-		t.Fatal(err)
-	}
+	s.WaitDurableAt(st.DurableAt)
 	r := reopen(t, dev, clk)
 	if got, err := r.GetRecord(oid); err != nil || string(got) != "d" || r.WALReplayed() != 2 {
 		t.Fatalf("recovered %q (err %v) from %d frames, want \"d\" from 2", got, err, r.WALReplayed())
@@ -1370,12 +1362,11 @@ func TestWALReplayOfTruncateKeepsTailPage(t *testing.T) {
 	if err := s.Truncate(oid, BlockSize+BlockSize/2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.WALCommit(); err != nil {
+	st, err := s.WALCommit()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.WaitWALDurable(s.WALSeq()); err != nil {
-		t.Fatal(err)
-	}
+	s.WaitDurableAt(st.DurableAt)
 	s2 := reopen(t, dev, clk)
 	if _, err := s2.Checkpoint(); err != nil {
 		t.Fatal(err)

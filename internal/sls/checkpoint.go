@@ -289,7 +289,10 @@ func (g *Group) finishCommit(st *CheckpointStats, ckptSpan trace.Span, ser *seri
 	o.Store.Flight().Record(int64(o.Clk.Now()), flight.EvCheckpointEnd,
 		int64(g.oid), int64(epoch), st.FlushBytes, g.Name)
 	st.Epoch, st.WALSeq, st.DurableAt = epoch, walSeq, durableAt
-	g.lastEpoch, g.lastWALSeq = epoch, walSeq
+	g.lastEpoch, g.lastWALDurable = epoch, 0
+	if wal {
+		g.lastWALDurable = durableAt
+	}
 	if wal {
 		g.walSinceFold++
 	} else {
@@ -332,15 +335,16 @@ func (g *Group) Barrier() error {
 }
 
 // settle waits for the group's last commit — after a WAL commit the
-// durability point is the frame append, not an epoch — and on success
-// releases the externally-synchronized messages that commit covered. Its
-// caller holds the kernel lock, so the receivers it wakes see the
-// deliveries.
+// durability point is the frame append the commit returned, not an epoch
+// and not a sequence number another group's commit may have reused since a
+// fold — and on success releases the externally-synchronized messages that
+// commit covered. Its caller holds the kernel lock, so the receivers it
+// wakes see the deliveries.
 func (g *Group) settle() error {
 	var err error
 	switch {
-	case g.lastWALSeq != 0:
-		err = g.o.Store.WaitWALDurable(g.lastWALSeq)
+	case g.lastWALDurable != 0:
+		g.o.Store.WaitDurableAt(g.lastWALDurable)
 	case g.lastEpoch != 0:
 		err = g.o.Store.WaitDurable(g.lastEpoch)
 	default:

@@ -2,6 +2,7 @@ package sls
 
 import (
 	"io"
+	"time"
 
 	"aurora/internal/objstore"
 	"aurora/internal/rec"
@@ -29,9 +30,9 @@ func (g *Group) ReplicateTo(dst *Orchestrator) (*Replica, error) {
 	return g.ReplicateToVia(dst, nil)
 }
 
-// WALSeq returns the frame sequence of the group's newest WAL commit, or
-// zero when the newest commit was a full checkpoint.
-func (g *Group) WALSeq() uint64 { return g.lastWALSeq }
+// WALDurable returns when the group's newest WAL commit lands, or zero when
+// the newest commit was a full checkpoint.
+func (g *Group) WALDurable() time.Duration { return g.lastWALDurable }
 
 // FailedOver reports whether the standby has been promoted.
 func (r *Replica) FailedOver() bool { return r.failedOver }

@@ -221,10 +221,10 @@ type Group struct {
 	lastEpoch objstore.Epoch
 	lastCkpt  time.Duration
 	ckpts     int64
-	// lastWALSeq is the frame sequence of the group's newest WAL commit;
-	// zero when the newest commit was a full checkpoint. Barriers and ES
-	// release wait on the frame's durability instead of the epoch's.
-	lastWALSeq uint64
+	// lastWALDurable is when the group's newest WAL commit lands; zero when
+	// the newest commit was a full checkpoint. Barriers and ES release wait
+	// on the frame's durability instead of the epoch's.
+	lastWALDurable time.Duration
 	// walSinceFold counts WAL commits since the last fold, driving
 	// Options.FoldEvery.
 	walSinceFold int

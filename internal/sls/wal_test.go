@@ -45,8 +45,8 @@ func TestWALCheckpointRestore(t *testing.T) {
 	if st2.WALSeq != 2 || st2.Epoch != base.Epoch {
 		t.Fatalf("second WAL commit: epoch %d seq %d, want epoch %d seq 2", st2.Epoch, st2.WALSeq, base.Epoch)
 	}
-	if g.WALSeq() != 2 {
-		t.Fatalf("group WALSeq = %d, want 2", g.WALSeq())
+	if g.WALDurable() != st2.DurableAt {
+		t.Fatalf("group waits on a WAL commit durable at %v, want frame 2's %v", g.WALDurable(), st2.DurableAt)
 	}
 	if err := g.Barrier(); err != nil {
 		t.Fatal(err)
@@ -134,8 +134,8 @@ func TestWALFoldOnFullCheckpoint(t *testing.T) {
 	if st.WALSeq != 0 {
 		t.Fatalf("full checkpoint reported wal seq %d", st.WALSeq)
 	}
-	if g.WALSeq() != 0 {
-		t.Fatalf("group WALSeq = %d after fold", g.WALSeq())
+	if g.WALDurable() != 0 {
+		t.Fatalf("group waits on a WAL commit durable at %v after fold", g.WALDurable())
 	}
 	if w.store.WALSeq() != 0 {
 		t.Fatalf("store WALSeq = %d after fold", w.store.WALSeq())
