@@ -206,11 +206,8 @@ func (g *Group) Checkpoint(kind CheckpointKind) (st CheckpointStats, err error) 
 	plan := newFlushPlan()
 	g.planPairs(plan, pairs, kind)
 	g.planCold(plan, ser)
-	if fl := o.Store.Flight(); fl != nil {
-		now := int64(o.Clk.Now())
-		for _, j := range plan.jobs {
-			fl.Record(now, flight.EvFlushJob, int64(g.oid), int64(j.toid), int64(len(j.sources)), "")
-		}
+	for _, j := range plan.jobs {
+		o.Store.Flight().Record(int64(o.Clk.Now()), flight.EvFlushJob, int64(g.oid), int64(j.toid), int64(len(j.sources)), "")
 	}
 	phase = ckptSpan.Child("flush")
 	res, err := g.runFlush(plan)

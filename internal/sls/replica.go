@@ -137,9 +137,7 @@ func (r *Replica) Resume() error {
 	}
 	p := r.pending
 	span := r.g.o.Tracer.Begin(trace.TrackSLS, "sls.replica.resume", trace.I("epoch", int64(p.epoch)))
-	if fl := r.g.o.Store.Flight(); fl != nil {
-		fl.Record(int64(r.g.o.Clk.Now()), flight.EvReplResume, int64(p.epoch), int64(len(p.data)), 0, "")
-	}
+	r.g.o.Store.Flight().Record(int64(r.g.o.Clk.Now()), flight.EvReplResume, int64(p.epoch), int64(len(p.data)), 0, "")
 	err := r.wire(p, span, "resuming replication of")
 	if r.pending == nil {
 		r.Resumes++ // the transfer completed, whatever became of landing it
@@ -206,9 +204,7 @@ func (r *Replica) move(p *pendingShip, since objstore.Epoch) error {
 	}
 	span := o.Tracer.Begin(trace.TrackSLS, "sls.replica.ship",
 		trace.I("epoch", int64(p.epoch)), trace.I("bytes", int64(len(p.data))), trace.I("since", int64(since)))
-	if fl := o.Store.Flight(); fl != nil {
-		fl.Record(int64(o.Clk.Now()), flight.EvReplShip, int64(p.epoch), int64(len(p.data)), int64(since), "")
-	}
+	o.Store.Flight().Record(int64(o.Clk.Now()), flight.EvReplShip, int64(p.epoch), int64(len(p.data)), int64(since), "")
 	return r.wire(p, span, "replicating")
 }
 

@@ -143,9 +143,7 @@ func (o *Orchestrator) RestoreGroup(name string, src Source, mode RestoreMode, c
 			restSpan.End(failed)
 		}
 	}()
-	if fl := o.Store.Flight(); fl != nil {
-		fl.Record(int64(o.Clk.Now()), flight.EvRestore, int64(o.Store.Epoch()), int64(mode), boolInt(continuing), name)
-	}
+	o.Store.Flight().Record(int64(o.Clk.Now()), flight.EvRestore, int64(o.Store.Epoch()), int64(mode), boolInt(continuing), name)
 
 	// 1. Manifest -> group record.
 	groupOID, err := o.findGroupOID(src, name)

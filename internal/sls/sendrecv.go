@@ -462,9 +462,7 @@ func (o *Orchestrator) recvPayload(payload []byte) (string, error) {
 					}
 				}
 			}
-			if fl := o.Store.Flight(); fl != nil {
-				fl.Record(int64(o.Clk.Now()), flight.EvRecv, int64(srcEpoch), int64(baseEpoch), int64(len(live)), name)
-			}
+			o.Store.Flight().Record(int64(o.Clk.Now()), flight.EvRecv, int64(srcEpoch), int64(baseEpoch), int64(len(live)), name)
 			if _, err := o.Store.CheckpointRetaining(retain); err != nil {
 				// Nothing committed, so the base this receiver holds has not
 				// moved: advancing it here would refuse every later delta.
