@@ -304,15 +304,13 @@ func decodeSuperblock(b []byte) (superblock, bool) {
 	if d.U32() != magicSuper {
 		return superblock{}, false
 	}
-	sb := superblock{
+	// The sealed body is exactly the five fields past the magic, so no read
+	// runs short.
+	return superblock{
 		epoch:     Epoch(d.U64()),
 		indexAddr: d.I64(),
 		indexLen:  d.I64(),
 		walBase:   d.I64(),
 		walBlocks: d.I64(),
-	}
-	if d.Err() != nil {
-		return superblock{}, false
-	}
-	return sb, true
+	}, true
 }

@@ -1,9 +1,14 @@
 package objstore
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
+
+	"aurora/internal/device"
+	"aurora/internal/rec"
 )
 
 func TestFsckCleanStore(t *testing.T) {
@@ -232,5 +237,127 @@ func TestFsckDetectsCorruptChunkBlock(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("no chunk problem reported: %v", rep.Problems)
+	}
+}
+
+// TestFsckWALDetectors plants one fault per WAL detector in the committed
+// head — frames written straight to the region, and the store told how many
+// frames its generation holds — and wants exactly that detector's report.
+func TestFsckWALDetectors(t *testing.T) {
+	build := func(t *testing.T) (*Store, *device.Stripe) {
+		s, dev, _ := newStore(t)
+		for i := 0; i < 2; i++ {
+			if _, err := s.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return s, dev
+	}
+	// plant writes frames from the region's start, one sector each, makes
+	// them the committed head and says the generation holds walSeq frames.
+	plant := func(s *Store, dev *device.Stripe, walSeq int, frames ...*walFrame) {
+		for i, fr := range frames {
+			dev.PokeAt(encodeWALFrame(fr), s.walBase+int64(i)*walSector)
+		}
+		s.walHead, s.walFrames = int64(len(frames))*walSector, walSeq
+	}
+	cases := []struct {
+		name  string
+		fault func(s *Store, dev *device.Stripe)
+		want  func(s *Store) string
+	}{
+		{"future epoch inside the head", func(s *Store, dev *device.Stripe) {
+			plant(s, dev, 1, &walFrame{base: s.epoch, seq: 1}, &walFrame{base: s.epoch + 2, seq: 2})
+		}, func(s *Store) string {
+			return fmt.Sprintf("wal: orphaned frame at %#x for future epoch %d (store at %d)", s.walBase+walSector, s.epoch+2, s.epoch)
+		}},
+		{"sequence gap", func(s *Store, dev *device.Stripe) {
+			plant(s, dev, 3, &walFrame{base: s.epoch, seq: 1}, &walFrame{base: s.epoch, seq: 3})
+		}, func(s *Store) string {
+			return fmt.Sprintf("wal: frame at %#x has seq 3, expected 2", s.walBase+walSector)
+		}},
+		{"stale generation inside the head", func(s *Store, dev *device.Stripe) {
+			plant(s, dev, 1, &walFrame{base: s.epoch, seq: 1}, &walFrame{base: s.epoch - 1, seq: 1})
+		}, func(s *Store) string {
+			return fmt.Sprintf("wal: stale generation frame at %#x inside committed head", s.walBase+walSector)
+		}},
+		{"chain short of the store's sequence", func(s *Store, dev *device.Stripe) {
+			plant(s, dev, 3, &walFrame{base: s.epoch, seq: 1}, &walFrame{base: s.epoch, seq: 2})
+		}, func(*Store) string {
+			return "wal: committed chain reaches seq 2, store says 3"
+		}},
+		{"unreadable region", func(s *Store, _ *device.Stripe) {
+			s.dev = walReadFails{s.dev, s.walBase}
+		}, func(*Store) string {
+			return "wal: region unreadable: planted read error"
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s, dev := build(t)
+			tc.fault(s, dev)
+			want := tc.want(s)
+			if rep := s.Fsck(); len(rep.Problems) != 1 || rep.Problems[0] != want {
+				t.Fatalf("problems %q, want only %q", rep.Problems, want)
+			}
+		})
+	}
+}
+
+// walReadFails fails every read that starts at the WAL region's base.
+type walReadFails struct {
+	BlockDev
+	base int64
+}
+
+func (d walReadFails) ReadAt(p []byte, off int64) (int, error) {
+	if off == d.base {
+		return 0, errors.New("planted read error")
+	}
+	return d.BlockDev.ReadAt(p, off)
+}
+
+// TestFsckDetectsRottedRetainedIndex: the index of an epoch the store still
+// retains, though no longer the current one, rots on the device.
+func TestFsckDetectsRottedRetainedIndex(t *testing.T) {
+	s, dev, _ := newStore(t)
+	oid := s.NewOID()
+	for i := 0; i < 2; i++ {
+		if err := s.PutRecord(oid, 1, []byte(fmt.Sprintf("v%d", i))); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	old := s.retained[0]
+	if old.epoch == s.epoch {
+		t.Fatalf("setup: only epoch %d retained", old.epoch)
+	}
+	dev.PokeAt(bytes.Repeat([]byte{0x5A}, BlockSize), old.indexAddr)
+	rep := s.Fsck()
+	if len(rep.Problems) != 1 || !strings.HasPrefix(rep.Problems[0], fmt.Sprintf("retained epoch %d: index unreadable: ", old.epoch)) {
+		t.Fatalf("problems %q, want epoch %d's index unreadable", rep.Problems, old.epoch)
+	}
+}
+
+// TestDecodeSuperblockRefusals: a slot too short for the body, and a sealed
+// body that is not a superblock, are refused; the same bytes with the
+// superblock's magic are not.
+func TestDecodeSuperblockRefusals(t *testing.T) {
+	good := encodeSuperblock(superblock{epoch: 7, indexAddr: 1 << 20, indexLen: 4096, walBase: 8192, walBlocks: 16})
+	if sb, ok := decodeSuperblock(good); !ok || sb.epoch != 7 || sb.walBlocks != 16 {
+		t.Fatalf("a good superblock decodes to %+v, %v", sb, ok)
+	}
+	if _, ok := decodeSuperblock(good[:40]); ok {
+		t.Error("a slot shorter than the body decoded")
+	}
+	var e rec.Encoder
+	e.U32(magicSuper + 1)
+	for range 5 {
+		e.U64(9)
+	}
+	if _, ok := decodeSuperblock(e.Seal()); ok {
+		t.Error("a sealed body with the wrong magic decoded")
 	}
 }
