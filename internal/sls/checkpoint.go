@@ -206,8 +206,9 @@ func (g *Group) Checkpoint(kind CheckpointKind) (st CheckpointStats, err error) 
 	plan := newFlushPlan()
 	g.planPairs(plan, pairs, kind)
 	g.planCold(plan, ser)
+	fl, now := o.Store.Flight(), int64(o.Clk.Now())
 	for _, j := range plan.jobs {
-		o.Store.Flight().Record(int64(o.Clk.Now()), flight.EvFlushJob, int64(g.oid), int64(j.toid), int64(len(j.sources)), "")
+		fl.Record(now, flight.EvFlushJob, int64(g.oid), int64(j.toid), int64(len(j.sources)), "")
 	}
 	phase = ckptSpan.Child("flush")
 	res, err := g.runFlush(plan)
@@ -289,8 +290,6 @@ func (g *Group) finishCommit(st *CheckpointStats, ckptSpan trace.Span, ser *seri
 	g.lastEpoch, g.lastWALDurable = epoch, 0
 	if wal {
 		g.lastWALDurable = durableAt
-	}
-	if wal {
 		g.walSinceFold++
 	} else {
 		g.walSinceFold = 0
