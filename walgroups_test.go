@@ -13,6 +13,7 @@ type walGroups struct {
 	t    *testing.T
 	m    *Machine
 	apps map[string]*walApp
+	a    CheckpointStats // a's first WAL commit
 	fold CheckpointStats // b's
 	c    CheckpointStats // c's WAL commit
 }
@@ -21,7 +22,6 @@ type walApp struct {
 	g  *Group
 	p  *Proc
 	va uint64
-	a  CheckpointStats // its first WAL commit
 }
 
 const walGroupsBulk = 32 << 20
@@ -42,7 +42,7 @@ func newWALGroups(t *testing.T) *walGroups {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w.apps[name] = &walApp{g: g, p: p, va: va}
+		w.apps[name] = &walApp{g, p, va}
 		if _, err := g.Checkpoint(CkptIncremental); err != nil {
 			t.Fatal(err)
 		}
@@ -51,7 +51,7 @@ func newWALGroups(t *testing.T) *walGroups {
 		}
 	}
 	w.set("a", 2)
-	w.apps["a"].a = w.commit("a", CkptWAL)
+	w.a = w.commit("a", CkptWAL)
 	b := w.apps["b"]
 	for off := uint64(0); off < walGroupsBulk; off += PageSize {
 		if err := b.p.WriteMem(b.va+off, []byte{1}); err != nil {
@@ -133,12 +133,11 @@ func TestCrashKeepsWALCommitsBehindAnUnsettledFold(t *testing.T) {
 // recovery replays a's frame on the previous epoch.
 func TestBarrierWaitsOnItsOwnWALCommit(t *testing.T) {
 	w := newWALGroups(t)
-	a := w.apps["a"]
 	now := w.m.Now()
-	if a.a.WALSeq != w.c.WALSeq || a.a.DurableAt > now {
-		t.Fatalf("setup: a's frame %d durable at %v, c's frame %d, now %v", a.a.WALSeq, a.a.DurableAt, w.c.WALSeq, now)
+	if w.a.WALSeq != w.c.WALSeq || w.a.DurableAt > now {
+		t.Fatalf("setup: a's frame %d durable at %v, c's frame %d, now %v", w.a.WALSeq, w.a.DurableAt, w.c.WALSeq, now)
 	}
-	if err := a.g.Barrier(); err != nil {
+	if err := w.apps["a"].g.Barrier(); err != nil {
 		t.Fatal(err)
 	}
 	if got := w.m.Now(); got != now {
