@@ -117,7 +117,7 @@ type Config struct {
 	// observer and each hook site costs one nil check.
 	//
 	// Trace decides whether the observer also retains the event timeline:
-	// spans, instants and counter samples, for Tracer.WriteChrome.
+	// spans, instants and counter samples, for trace.WriteChrome.
 	Trace bool
 	// Telemetry decides whether the store is sampled into time series
 	// (Machine.Metrics, internal/telemetry) for SLO watches, fleet
@@ -173,7 +173,7 @@ type Machine struct {
 	// Tracer is the machine's observer, non-nil when it was built with
 	// Config.Trace or Config.Telemetry: read a number with
 	// Tracer.CounterValue / Metrics, and export what a
-	// Config.Trace machine recorded with Tracer.WriteChrome / Rollup. It
+	// Config.Trace machine recorded with trace.WriteChrome / Tracer.Rollup. It
 	// rides across Crash, so restore spans and counts land beside the
 	// checkpoints before the cut.
 	Tracer *trace.Tracer
@@ -344,9 +344,6 @@ func (m *Machine) NewConn(nc *NetConfig) *NetConn {
 	}
 	return conn
 }
-
-// Name returns the machine's fleet identity from Config.Name.
-func (m *Machine) Name() string { return m.cfg.Name }
 
 // AttachSLO points the machine's auditor at an SLO watch: the sls.slo
 // audit family cross-checks the watch's breach log against the observer's

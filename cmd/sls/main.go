@@ -30,7 +30,6 @@ import (
 	"aurora"
 	"aurora/internal/elfcore"
 	"aurora/internal/flight"
-	"aurora/internal/scenario"
 	"aurora/internal/vm"
 )
 
@@ -84,16 +83,8 @@ func run() error {
 		return cmdAudit(*img, args)
 	case "flight":
 		return cmdFlight(*img, args)
-	case "trace":
-		return cmdTrace(args)
-	case "metrics":
-		return cmdMetrics(args)
-	case "top":
-		return cmdTop(args)
 	case "scenario":
 		return cmdScenario(args)
-	case "fleet":
-		return cmdFleet(args)
 	default:
 		usage()
 		return fmt.Errorf("unknown command %q", cmd)
@@ -126,20 +117,7 @@ commands:
                                     execute declarative chaos scenarios
   scenario validate FILE|DIR...     check scenario files without running
   scenario list [-json] FILE|DIR... enumerate a scenario corpus
-  scenario                          list every kind a scenario can name
-the demo verbs need no image; each declares a scenario and runs it:
-  trace [-steps K] [-o FILE]        crash demo (counter app, checkpoints,
-                                    power cut, lazy restore) under the
-                                    tracer: a Chrome trace-event file
-  metrics [-steps K] [-format F]    the crash demo with a sampled metric
-          [-o FILE]                 store, exported as Prometheus text
-                                    (prom) or a JSON snapshot (json)
-  top [-machines N] [-groups G]     drive the demo fleet and render a
-      [-ticks T] [-kill M]          per-machine metrics table with fleet
-                                    counters and SLO breaches
-  fleet status [-machines N] [-groups G] [-ticks T] [-kill M]
-                                    run the demo fleet under the placement
-                                    coordinator and print its status`)
+  scenario                          list every kind a scenario can name`)
 }
 
 // boot loads the machine image, save writes it back.
@@ -583,35 +561,6 @@ func cmdFlight(img string, args []string) error {
 	}
 	fmt.Printf("pre-crash flight timeline (%d events, seq %d):\n", len(evs), seq)
 	fmt.Print(flight.Format(evs))
-	return nil
-}
-
-// cmdTrace runs the crash demo (fleet.go) on a traced machine — attach,
-// cadence checkpoints, power loss, lazy restore, continue — and exports the
-// virtual timeline as a Chrome trace-event file (load it in ui.perfetto.dev
-// or chrome://tracing) plus a text rollup on stdout. The machine image is
-// not touched; the scenario is its own world.
-func cmdTrace(args []string) error {
-	fs := flag.NewFlagSet("trace", flag.ExitOnError)
-	name := fs.String("name", "demo", "application name")
-	steps := fs.Int64("steps", 200, "demo app steps per phase")
-	out := fs.String("o", "trace.json", "Chrome trace-event output file")
-	fs.Parse(args)
-
-	m, v, err := crashDemo(*name, *steps, scenario.MachineDecl{Name: "demo-machine", StorageMB: 1024, Trace: true}, nil)
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(*out)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := m.Tracer.WriteChrome(f); err != nil {
-		return err
-	}
-	fmt.Print(m.Tracer.Rollup())
-	fmt.Printf("counter ended at %d; trace written to %s\n", v, *out)
 	return nil
 }
 

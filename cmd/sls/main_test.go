@@ -174,15 +174,28 @@ func TestCLIBadUsage(t *testing.T) {
 	}
 }
 
-// TestCLIDemoVerbs drives the four image-less verbs — fleet status, top,
-// metrics, trace — which declare a scenario from their flags and run it on
-// the scenario engine. The numbers are the engine's to move; what is pinned
-// is the shape: the headers and line prefixes CI greps and people read.
-func TestCLIDemoVerbs(t *testing.T) {
+// TestCLIScenarioArtifacts runs the telemetry showcase scenario through
+// `sls scenario run -artifacts` and reads back what a run of it exports: the
+// coordinator's status page, the metrics snapshot as Prometheus text and as
+// JSON, the merged Chrome timeline and a machine's rollup. The numbers are
+// the engine's to move; what is pinned is the shape: the headers and line
+// prefixes CI greps and people read. trace, metrics, top and fleet are
+// not sls commands.
+func TestCLIScenarioArtifacts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a binary")
 	}
 	bin := buildCLI(t)
+	dir := t.TempDir()
+	runCLI(t, bin, nil, "scenario", "run", "-artifacts", dir, filepath.Join("..", "..", "scenarios", "fleet-observability.yaml"))
+	art := func(name string) string {
+		t.Helper()
+		blob, err := os.ReadFile(filepath.Join(dir, "fleet-observability", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(blob)
+	}
 	hasLine := func(out, prefix string) bool {
 		for _, line := range strings.Split(out, "\n") {
 			if strings.HasPrefix(line, prefix) {
@@ -192,72 +205,77 @@ func TestCLIDemoVerbs(t *testing.T) {
 		return false
 	}
 
-	out := runCLI(t, bin, nil, "fleet", "status", "-kill", "m1")
+	status := art("status.txt")
 	for _, want := range []string{
-		"fleet: 4 machines (3 alive), 3 groups (0 orphaned)",
+		"fleet: 4 machines (3 alive), 2 groups (0 orphaned)",
 		"  failovers=1 rebalances=0 sync_errors=0",
-		"  node  m1       dead ",
-		"  group g1       primary=m2 ",
+		"  node  a        dead ",
+		"  group g0       primary=b ",
 		"  slo: 0 breaches",
 	} {
-		if !hasLine(out, want) {
-			t.Errorf("fleet status: no line starting %q:\n%s", want, out)
-		}
-	}
-	// The decision log: the kill, the detector noticing, the failover.
-	log := regexp.MustCompile(`(?m)^\[ *\d+\.\d{3}ms\] (machine-dies +m1|dead +m1|failover +g1 m1->m2)$`)
-	if got := len(log.FindAllString(out, -1)); got != 3 {
-		t.Errorf("fleet status: %d of the 3 decision-log lines:\n%s", got, out)
-	}
-	if out := runCLI(t, bin, nil, "fleet", "status", "-machines", "3", "-groups", "2", "-ticks", "20"); !hasLine(out, "fleet: 3 machines (3 alive), 2 groups (0 orphaned)") {
-		t.Errorf("fleet status without a kill:\n%s", out)
-	}
-
-	out = runCLI(t, bin, nil, "top", "-kill", "m1")
-	for _, want := range []string{
-		"MACHINE  UP        LOAD  CKPTS   STOP-P99    WAL  RESTORES  SYNCS",
-		"m0       yes ",
-		"m1       DEAD ",
-		"fleet: alive=3 deaths=1 failovers=1 ",
-		"fleet: failover p99 ",
-		"slo: all objectives met",
-	} {
-		if !hasLine(out, want) {
-			t.Errorf("top: no line starting %q:\n%s", want, out)
+		if !hasLine(status, want) {
+			t.Errorf("status.txt: no line starting %q:\n%s", want, status)
 		}
 	}
 
-	out = runCLI(t, bin, nil, "metrics", "-steps", "100", "-format", "prom")
+	prom := art("metrics.prom")
 	for _, want := range []string{
 		"# TYPE aurora_sls_ckpt_total counter",
-		`aurora_sls_ckpt_total{machine="demo-machine"} `,
-		`aurora_sls_restores{machine="demo-machine"} 1`,
+		`aurora_sls_ckpt_total{machine="a"} `,
+		`aurora_fleet_failovers{machine="fleet"} 1`,
 	} {
-		if !hasLine(out, want) {
-			t.Errorf("metrics -format prom: no line starting %q:\n%s", want, out)
+		if !hasLine(prom, want) {
+			t.Errorf("metrics.prom: no line starting %q", want)
 		}
 	}
-	snapFile := filepath.Join(t.TempDir(), "metrics.json")
-	runCLI(t, bin, nil, "metrics", "-steps", "100", "-format", "json", "-o", snapFile)
+
 	var snap struct {
-		Machine  string
-		Counters []struct{ Name string }
-		Series   []struct{ Name string }
+		Machines []struct {
+			Machine  string
+			Counters []struct {
+				Name  string
+				Value int64
+			}
+		}
 	}
-	if blob, err := os.ReadFile(snapFile); err != nil || json.Unmarshal(blob, &snap) != nil {
-		t.Fatalf("metrics -format json: unreadable snapshot (%v)", err)
+	if err := json.Unmarshal([]byte(art("metrics.json")), &snap); err != nil || len(snap.Machines) == 0 {
+		t.Fatalf("metrics.json: unreadable snapshot (%v)", err)
 	}
-	if snap.Machine != "demo-machine" || len(snap.Counters) == 0 || len(snap.Series) == 0 {
-		t.Errorf("metrics -format json: snapshot %+v", snap)
+	ckpts := int64(0)
+	for _, c := range snap.Machines[0].Counters {
+		if c.Name == "sls.ckpt.total" {
+			ckpts = c.Value
+		}
+	}
+	if snap.Machines[0].Machine != "a" || ckpts == 0 {
+		t.Errorf("metrics.json: machine %q counts %d checkpoints", snap.Machines[0].Machine, ckpts)
 	}
 
-	traceFile := filepath.Join(t.TempDir(), "trace.json")
-	out = runCLI(t, bin, nil, "trace", "-steps", "50", "-o", traceFile)
-	if !hasLine(out, "counter ended at 100; trace written to "+traceFile) {
-		t.Errorf("trace: the counter did not survive the crash at 100:\n%s", out)
+	var events []struct{ Name, Ph string }
+	if err := json.Unmarshal([]byte(art("timeline.json")), &events); err != nil {
+		t.Fatalf("timeline.json is not a Chrome trace-event array: %v", err)
 	}
-	var spans []map[string]any
-	if blob, err := os.ReadFile(traceFile); err != nil || json.Unmarshal(blob, &spans) != nil || len(spans) == 0 {
-		t.Errorf("trace: %s is not a Chrome trace-event array (%v)", traceFile, err)
+	spans := make(map[string]int)
+	for _, ev := range events {
+		if ev.Ph == "X" {
+			spans[ev.Name]++
+		}
+	}
+	if spans["checkpoint"] == 0 || spans["restore"] == 0 {
+		t.Errorf("timeline.json: %d checkpoint and %d restore spans", spans["checkpoint"], spans["restore"])
+	}
+
+	if roll := art("rollup-b.txt"); !hasLine(roll, "spans (virtual time):") {
+		t.Errorf("rollup-b.txt has no span section:\n%s", roll)
+	}
+
+	for _, verb := range [][]string{{"trace"}, {"metrics"}, {"top"}, {"fleet", "status"}} {
+		out, err := exec.Command(bin, verb...).CombinedOutput()
+		if err == nil || !strings.Contains(string(out), "unknown command") {
+			t.Errorf("sls %s: err=%v, want an unknown command:\n%s", verb[0], err, out)
+		}
+		if regexp.MustCompile(`(?m)^  ` + verb[0] + ` `).Match(out) {
+			t.Errorf("usage still lists %q:\n%s", verb[0], out)
+		}
 	}
 }

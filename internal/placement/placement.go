@@ -73,9 +73,6 @@ type Node struct {
 	dead   bool          // coordinator's belief, set by missed heartbeats or a declare
 }
 
-// Alive reports the coordinator's belief about the node.
-func (n *Node) Alive() bool { return !n.dead }
-
 // Assignment is one managed group: where it runs, where its standby
 // lives, and its replication handle.
 type Assignment struct {

@@ -491,7 +491,7 @@ func TestAddMachineAndManageValidation(t *testing.T) {
 	if _, err := f.c.Manage("app", "aur0", nil); err == nil {
 		t.Fatal("double manage succeeded")
 	}
-	if n, ok := f.c.Node("aur0"); !ok || !n.Alive() {
+	if n, ok := f.c.Node("aur0"); !ok || !!n.dead {
 		t.Fatal("node lookup broken")
 	}
 	if _, ok := f.c.Node("nope"); ok {

@@ -164,17 +164,27 @@ func TestStatusRendersSLOBreaches(t *testing.T) {
 	}
 }
 
+// gaugeValue returns the named gauge's reading (0 if absent).
+func gaugeValue(tr *trace.Tracer, name string) int64 {
+	for _, v := range tr.Metrics().Gauges {
+		if v.Name == name {
+			return v.Value
+		}
+	}
+	return 0
+}
+
 func TestLoadGaugesTrackPrimaries(t *testing.T) {
 	f, tr := newTracedFleet(t, 2, Config{HeartbeatEvery: time.Millisecond})
 	f.start(t, "g0", 0)
 	f.run(t, 3, time.Millisecond)
-	if got := trace.ValueOf(tr.Metrics().Gauges, "fleet.alive"); got != 2 {
+	if got := gaugeValue(tr, "fleet.alive"); got != 2 {
 		t.Fatalf("fleet.alive = %d, want 2", got)
 	}
-	if got := trace.ValueOf(tr.Metrics().Gauges, "fleet.load.aur0"); got <= 0 {
+	if got := gaugeValue(tr, "fleet.load.aur0"); got <= 0 {
 		t.Fatalf("fleet.load.aur0 = %d, want > 0", got)
 	}
-	if got := trace.ValueOf(tr.Metrics().Gauges, "fleet.load.aur1"); got != 0 {
+	if got := gaugeValue(tr, "fleet.load.aur1"); got != 0 {
 		t.Fatalf("fleet.load.aur1 = %d, want 0 (standby only)", got)
 	}
 }

@@ -54,13 +54,17 @@ func (r *Harness) groupOn(a AssertionDecl) (bool, string) {
 		fmt.Sprintf("group on %q alive=%v (want on %q)", gs.host.decl.Name, gs.alive, a.Machine)
 }
 
+// budget is a time assertion's max_us as a duration: a measured time is
+// compared with it whole, so a fraction of a microsecond over fails.
+func budget(a AssertionDecl) time.Duration { return time.Duration(a.MaxUS) * time.Microsecond }
+
 func (r *Harness) p99StopUnder(a AssertionDecl) (bool, string) {
 	gs := r.groups[a.Group]
 	if len(gs.stopTimes) == 0 {
 		return false, "no checkpoints measured"
 	}
-	p99 := p99us(gs.stopTimes)
-	return p99 <= a.MaxUS, fmt.Sprintf("p99 stop %dus over %d checkpoints (want <= %dus)", p99, len(gs.stopTimes), a.MaxUS)
+	q := p99(gs.stopTimes)
+	return q <= budget(a), fmt.Sprintf("p99 stop %dus over %d checkpoints (want <= %dus)", q/time.Microsecond, len(gs.stopTimes), a.MaxUS)
 }
 
 // durableWindowUnder is the proof WAL-first commit keeps the loss window tiny.
@@ -69,9 +73,9 @@ func (r *Harness) durableWindowUnder(a AssertionDecl) (bool, string) {
 	if len(gs.durableWindows) == 0 {
 		return false, "no checkpoints measured"
 	}
-	p99 := p99us(gs.durableWindows)
-	return p99 <= a.MaxUS, fmt.Sprintf("p99 durable window %dus over %d commits (%d via WAL, want <= %dus)",
-		p99, len(gs.durableWindows), gs.walCommits, a.MaxUS)
+	q := p99(gs.durableWindows)
+	return q <= budget(a), fmt.Sprintf("p99 durable window %dus over %d commits (%d via WAL, want <= %dus)",
+		q/time.Microsecond, len(gs.durableWindows), gs.walCommits, a.MaxUS)
 }
 
 // fleetHealth is the invariant a machine kill must not break.
@@ -86,8 +90,8 @@ func (r *Harness) restoresUnder(a AssertionDecl) (bool, string) {
 	if len(gs.restoreTimes) == 0 {
 		return false, "no restores measured"
 	}
-	worst := int64(slices.Max(gs.restoreTimes) / time.Microsecond)
-	return worst <= a.MaxUS, fmt.Sprintf("worst restore %dus over %d restores (want <= %dus)", worst, len(gs.restoreTimes), a.MaxUS)
+	worst := slices.Max(gs.restoreTimes)
+	return worst <= budget(a), fmt.Sprintf("worst restore %dus over %d restores (want <= %dus)", worst/time.Microsecond, len(gs.restoreTimes), a.MaxUS)
 }
 
 func (r *Harness) metricP99Under(a AssertionDecl) (bool, string) {

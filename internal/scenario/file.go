@@ -1,13 +1,18 @@
 package scenario
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
+
+	"aurora/internal/telemetry"
 )
 
 // Load reads and decodes one scenario file. The syntax is chosen by
@@ -57,9 +62,12 @@ func Discover(dir string) ([]string, error) {
 	return out, nil
 }
 
-// WriteArtifacts dumps the run's forensic outputs under dir, one file per
-// machine timeline plus the full summary — what the CI sweep uploads when
-// a scenario fails.
+// WriteArtifacts dumps the run's forensic outputs under dir: the full
+// summary and result, one flight timeline per machine, and — when the
+// scenario declares them — the metrics snapshot (JSON and Prometheus text),
+// the merged trace with one rollup per traced machine, and the
+// coordinator's status page. It is what the CI sweep uploads when a
+// scenario fails.
 func (r *Result) WriteArtifacts(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -81,12 +89,21 @@ func (r *Result) WriteArtifacts(dir string) error {
 	if r.Metrics != nil {
 		// The deterministic fleet metrics snapshot: the telemetry-golden CI
 		// job runs the scenario twice and diffs this file byte-for-byte.
-		errs = append(errs, writeJSON("metrics.json", r.Metrics))
+		// metrics.prom is the same snapshot as Prometheus text.
+		var prom bytes.Buffer
+		errs = append(errs, writeJSON("metrics.json", r.Metrics),
+			telemetry.WritePrometheus(&prom, r.Metrics.Machines...), write("metrics.prom", prom.Bytes()))
 	}
 	if r.TimelineJSON != "" {
 		// The merged fleet Chrome/Perfetto timeline (ui.perfetto.dev): one
 		// process per machine, flow arrows across them.
 		errs = append(errs, write("timeline.json", []byte(r.TimelineJSON)))
+	}
+	for _, machine := range slices.Sorted(maps.Keys(r.Rollups)) {
+		errs = append(errs, write(fmt.Sprintf("rollup-%s.txt", machine), []byte(r.Rollups[machine])))
+	}
+	if r.FleetStatus != "" {
+		errs = append(errs, write("status.txt", []byte(r.FleetStatus)))
 	}
 	return errors.Join(errs...)
 }

@@ -39,10 +39,18 @@ type Result struct {
 	// counter) plus end-of-run final-at-least verdicts.
 	SLOBreaches []SLOBreach `json:"slo_breaches,omitempty"`
 	// TimelineJSON is the merged fleet Chrome/Perfetto trace (scenarios
-	// with traced machines under a telemetry block). It is an artifact, not
-	// part of the JSON result — WriteArtifacts saves it as timeline.json —
-	// but it is folded into the fingerprint.
+	// with traced machines). It is an artifact, not part of the JSON result
+	// — WriteArtifacts saves it as timeline.json — but it is folded into
+	// the fingerprint.
 	TimelineJSON string `json:"-"`
+	// Rollups holds each traced machine's text rollup (counters, gauges,
+	// histograms, span time per track), by machine name, and FleetStatus
+	// the placement coordinator's status page at the end of the run.
+	// WriteArtifacts saves them as rollup-<machine>.txt and status.txt.
+	// Neither is folded into the fingerprint: each re-renders what the
+	// run's timeline, metrics and events already carry.
+	Rollups     map[string]string `json:"-"`
+	FleetStatus string            `json:"-"`
 	// Errors are runtime failures recorded mid-run (a sync that exhausted
 	// retries under a partition, a workload that died with its machine).
 	// They are evidence, not verdicts: the assertions judge the run.

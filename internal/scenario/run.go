@@ -75,12 +75,9 @@ type replState struct {
 	lastSyncMS int64
 }
 
-// Harness is one started scenario: the fleet booted on one virtual clock,
+// Harness is one running scenario: the fleet booted on one virtual clock,
 // every workload bound, replications seeded and the coordinator managing
-// its groups, with the timeline still to run. Start builds one, Finish
-// drives it to the end and judges it; in between (and after) Machine and
-// Coordinator give read access to what a scenario file cannot name — a
-// machine's observer, the coordinator's status page.
+// its groups. Run builds one, drives its timeline and judges it.
 type Harness struct {
 	sc   *Scenario
 	opts RunOptions
@@ -137,9 +134,11 @@ func (t *teleState) add(name string, reg *telemetry.Registry, ms *machineState) 
 	return w
 }
 
-// Start validates the scenario and assembles its fleet. Setup failures (a
-// machine that cannot boot, a workload that cannot bind) return an error.
-func Start(sc *Scenario, opts RunOptions) (*Harness, error) {
+// Run validates the scenario, assembles its fleet, runs the timeline to its
+// end and evaluates the assertions. Setup failures (a machine that cannot
+// boot, a workload that cannot bind) return an error; runtime failures
+// along the way are recorded in the Result and judged by the assertions.
+func Run(sc *Scenario, opts RunOptions) (*Result, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
@@ -155,36 +154,9 @@ func Start(sc *Scenario, opts RunOptions) (*Harness, error) {
 	if err := r.setup(); err != nil {
 		return nil, err
 	}
-	return r, nil
-}
-
-// Finish runs the timeline to its end and evaluates the assertions. Runtime
-// failures along the way are recorded in the Result and judged by them.
-func (r *Harness) Finish() *Result {
 	r.drive()
 	r.finish()
-	return r.res
-}
-
-// Machine returns the named machine at its current incarnation (a power cut
-// replaces it), nil when the scenario declares none of that name.
-func (r *Harness) Machine(name string) *aurora.Machine {
-	if ms := r.machines[name]; ms != nil {
-		return ms.m
-	}
-	return nil
-}
-
-// Coordinator returns the fleet coordinator, nil without a placement block.
-func (r *Harness) Coordinator() *placement.Coordinator { return r.coord }
-
-// Run executes a scenario and returns its Result.
-func Run(sc *Scenario, opts RunOptions) (*Result, error) {
-	r, err := Start(sc, opts)
-	if err != nil {
-		return nil, err
-	}
-	return r.Finish(), nil
+	return r.res, nil
 }
 
 func (r *Harness) logf(format string, args ...any) {
@@ -763,7 +735,10 @@ func (r *Harness) finish() {
 			snap.Breaches = append(snap.Breaches, b.Breach)
 		}
 		r.res.Metrics = &snap
-		r.res.TimelineJSON = r.fleetTimeline()
+	}
+	r.exportTraces()
+	if r.coord != nil {
+		r.res.FleetStatus = r.coord.Status()
 	}
 
 	for _, ms := range r.machineList {
@@ -778,8 +753,8 @@ func (r *Harness) finish() {
 			Checkpoints:  gs.ckpts,
 			WALCommits:   gs.walCommits,
 			Restores:     int64(len(gs.restoreTimes)),
-			P99StopUS:    p99us(gs.stopTimes),
-			P99DurableUS: p99us(gs.durableWindows),
+			P99StopUS:    int64(p99(gs.stopTimes) / time.Microsecond),
+			P99DurableUS: int64(p99(gs.durableWindows) / time.Microsecond),
 		}
 		if rs, ok := r.repls[gs.key]; ok {
 			st.StandbyEpoch = int64(rs.rep.Base())
@@ -810,30 +785,36 @@ func (r *Harness) finish() {
 	}
 }
 
-// fleetTimeline merges every traced machine's tracer — plus the placement
-// coordinator's, when instrumented — into one Chrome/Perfetto trace: one
-// process per machine, cross-machine causality (replication ships,
-// kill -> failover -> promote chains) drawn as flow arrows. Empty when no
-// machine declared trace: true.
-func (r *Harness) fleetTimeline() string {
+// exportTraces renders what the traced machines recorded: one text rollup
+// each, and one merged Chrome/Perfetto trace of every traced machine's
+// tracer — plus the placement coordinator's, when a telemetry block
+// instruments it — with one process per machine and cross-machine
+// causality (replication ships, kill -> failover -> promote chains) drawn
+// as flow arrows. Nothing when no machine declared trace: true.
+func (r *Harness) exportTraces() {
 	var tls []trace.Timeline
+	r.res.Rollups = make(map[string]string)
 	for _, ms := range r.machineList {
-		if ms.decl.Trace {
-			tls = append(tls, trace.Timeline{Name: ms.decl.Name, T: ms.m.Tracer})
+		if !ms.decl.Trace {
+			continue
 		}
+		r.res.Rollups[ms.decl.Name] = ms.m.Tracer.Rollup()
+		tls = append(tls, trace.Timeline{Name: ms.decl.Name, T: ms.m.Tracer})
 	}
 	if len(tls) == 0 {
-		return ""
+		return
 	}
-	if coord := r.tele.members[len(r.tele.members)-1]; coord.ms == nil {
-		tls = append(tls, trace.Timeline{Name: "coordinator", T: coord.reg.Store()})
+	if r.tele != nil {
+		if coord := r.tele.members[len(r.tele.members)-1]; coord.ms == nil {
+			tls = append(tls, trace.Timeline{Name: "coordinator", T: coord.reg.Store()})
+		}
 	}
 	var sb strings.Builder
 	if err := trace.WriteChrome(&sb, tls); err != nil {
 		r.recordErr("fleet timeline export: %v", err)
-		return ""
+		return
 	}
-	return sb.String()
+	r.res.TimelineJSON = sb.String()
 }
 
 // combinedFlight assembles a machine's forensic timeline: the ring the
@@ -857,11 +838,11 @@ func combinedFlight(m *aurora.Machine) string {
 	return sb.String()
 }
 
-// p99us returns the 99th-percentile of the samples in microseconds.
-func p99us(samples []time.Duration) int64 {
+// p99 returns the 99th-percentile of the samples (0 for none).
+func p99(samples []time.Duration) time.Duration {
 	if len(samples) == 0 {
 		return 0
 	}
 	s := slices.Sorted(slices.Values(samples))
-	return int64(s[len(s)*99/100] / time.Microsecond)
+	return s[len(s)*99/100]
 }

@@ -1,10 +1,12 @@
 package scenario
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 // crashSrc is a small but eventful scenario: a checkpointing memcached
@@ -247,5 +249,112 @@ func TestMigrateRetiresReplication(t *testing.T) {
 	}
 	if late == nil || late.Err != "replication is down" {
 		t.Fatalf("sync after the move: %+v, want it refused with \"replication is down\"", late)
+	}
+}
+
+// TestTimeBudgetsCompareWholeDurations: a measured time exactly at max_us
+// passes its budget and one a nanosecond over fails, for every kind that
+// holds a time against max_us. The detail line still reads whole
+// microseconds.
+func TestTimeBudgetsCompareWholeDurations(t *testing.T) {
+	const maxUS = 20
+	for _, kind := range []string{"p99-stop-under-us", "durable-window-under-us", "restores-under-us"} {
+		for _, c := range []struct {
+			d    time.Duration
+			pass bool
+		}{{maxUS * time.Microsecond, true}, {maxUS*time.Microsecond + 1, false}} {
+			d := []time.Duration{c.d}
+			r := &Harness{groups: map[string]*groupState{"g": {stopTimes: d, durableWindows: d, restoreTimes: d}}}
+			pass, detail := lookup(assertionKinds, kind).do(r, AssertionDecl{Kind: kind, Group: "g", MaxUS: maxUS})
+			if pass != c.pass || !strings.Contains(detail, " 20us ") {
+				t.Errorf("%s at %v: pass=%v (want %v), detail %q", kind, c.d, pass, c.pass, detail)
+			}
+		}
+	}
+}
+
+// tracedCrashSrc is the counter app on one traced machine with no
+// telemetry block: cadence checkpoints, a power cut, a lazy restore, and
+// the app going on after it.
+const tracedCrashSrc = `
+name: unit-traced-crash
+duration_ms: 100
+machines:
+  - name: solo
+    trace: true
+workloads:
+  - machine: solo
+    group: demo
+    app: counter
+    checkpoint_every_ms: 10
+events:
+  - at_ms: 50
+    kind: checkpoint
+    group: demo
+  - at_ms: 50
+    kind: power-cut
+    machine: solo
+  - at_ms: 50
+    kind: restore
+    machine: solo
+    group: demo
+    restore_mode: lazy
+assertions:
+  - kind: group-on
+    machine: solo
+    group: demo
+`
+
+// TestTracedMachineWithoutTelemetryExports: trace: true alone is enough
+// for the merged timeline and the machine's rollup. The timeline holds the
+// checkpoints and the restore across the cut, and no coordinator track.
+func TestTracedMachineWithoutTelemetryExports(t *testing.T) {
+	sc, err := Parse([]byte(tracedCrashSrc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(sc, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Passed {
+		t.Fatalf("scenario failed:\n%s", res.Summary())
+	}
+	dir := t.TempDir()
+	if err := res.WriteArtifacts(dir); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := os.ReadFile(filepath.Join(dir, "timeline.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events []struct {
+		Name string
+		Ph   string
+		Args map[string]any
+	}
+	if err := json.Unmarshal(blob, &events); err != nil {
+		t.Fatalf("timeline.json is not a Chrome trace-event array: %v", err)
+	}
+	spans := make(map[string]int)
+	for _, ev := range events {
+		if ev.Ph == "X" {
+			spans[ev.Name]++
+		}
+		if ev.Name == "process_name" && ev.Args["name"] == "coordinator" {
+			t.Error("a coordinator track without a placement block")
+		}
+	}
+	if spans["checkpoint"] < 5 || spans["restore"] != 1 {
+		t.Errorf("timeline has %d checkpoint and %d restore spans, want >= 5 and 1", spans["checkpoint"], spans["restore"])
+	}
+	roll, err := os.ReadFile(filepath.Join(dir, "rollup-solo.txt"))
+	if err != nil || !strings.Contains(string(roll), "spans (virtual time):") {
+		t.Errorf("rollup-solo.txt (%v):\n%s", err, roll)
+	}
+	for _, absent := range []string{"metrics.json", "metrics.prom", "status.txt"} {
+		if _, err := os.Stat(filepath.Join(dir, absent)); err == nil {
+			t.Errorf("%s written for a scenario that declares no telemetry or placement", absent)
+		}
 	}
 }

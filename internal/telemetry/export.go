@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"maps"
@@ -74,14 +73,6 @@ func (f *Fleet) FleetSnapshot() FleetSnapshot {
 		out.Merged = append(out.Merged, merge(hn, f.regs).Snapshot())
 	}
 	return out
-}
-
-// WriteJSON encodes the snapshot with stable formatting (two-space
-// indent, trailing newline) so artifacts diff cleanly.
-func WriteJSON(w io.Writer, v any) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(v)
 }
 
 // promName mangles a metric name into the Prometheus exposition charset:
@@ -158,10 +149,4 @@ func promLabels(machine, quantile string) string {
 		return ""
 	}
 	return "{" + strings.Join(parts, ",") + "}"
-}
-
-// WritePrometheus renders the registry's snapshot, labelled by machine
-// when one is given.
-func (r *Registry) WritePrometheus(w io.Writer, machine string) error {
-	return WritePrometheus(w, r.Snapshot(machine))
 }

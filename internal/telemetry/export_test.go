@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"encoding/json"
 	"io"
 
 	"aurora/internal/trace"
@@ -50,4 +51,23 @@ func (r *Registry) Record(name string, agg Agg, v int64) {
 		return
 	}
 	r.record(r.store.Now(), name, agg, v)
+}
+
+// writeJSON encodes v with two-space indent and a trailing newline, the
+// layout of the metrics.json artifact.
+func writeJSON(w io.Writer, v any) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(v)
+}
+
+// gaugeValue returns the named gauge's reading in the registry's store (0
+// if absent).
+func gaugeValue(r *Registry, name string) int64 {
+	for _, v := range r.Store().Metrics().Gauges {
+		if v.Name == name {
+			return v.Value
+		}
+	}
+	return 0
 }

@@ -19,7 +19,7 @@ func TestNilRegistryIsInert(t *testing.T) {
 	r.Store().Observe("h", 3)
 	r.Record("s", AggLast, 4)
 	r.Sample()
-	if r.Store().CounterValue("c") != 0 || trace.ValueOf(r.Store().Metrics().Gauges, "g") != 0 {
+	if r.Store().CounterValue("c") != 0 || gaugeValue(r, "g") != 0 {
 		t.Fatal("nil registry leaked a value")
 	}
 	if v, n := Judge(SLOP99Under, "h", r); v != 0 || n != 0 || r.Store().HistogramCopy("h") != nil || r.SeriesPoints("s") != nil {
@@ -33,7 +33,7 @@ func TestNilRegistryIsInert(t *testing.T) {
 		t.Fatal("a registry over no store must be the nil registry")
 	}
 	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf, "m"); err != nil || buf.Len() != 0 {
+	if err := WritePrometheus(&buf, r.Snapshot("m")); err != nil || buf.Len() != 0 {
 		t.Fatalf("nil prometheus: %v %q", err, buf.String())
 	}
 }
@@ -48,7 +48,7 @@ func TestCountersGaugesHistograms(t *testing.T) {
 	}
 	r.Store().Gauge("load", 3)
 	r.Store().Gauge("load", 9)
-	if got := trace.ValueOf(r.Store().Metrics().Gauges, "load"); got != 9 {
+	if got := gaugeValue(r, "load"); got != 9 {
 		t.Fatalf("gauge = %d, want 9", got)
 	}
 	for _, v := range []int64{100, 200, 400} {
@@ -316,10 +316,10 @@ func TestSnapshotDeterminism(t *testing.T) {
 		return f
 	}
 	var one, two bytes.Buffer
-	if err := WriteJSON(&one, build().FleetSnapshot()); err != nil {
+	if err := writeJSON(&one, build().FleetSnapshot()); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteJSON(&two, build().FleetSnapshot()); err != nil {
+	if err := writeJSON(&two, build().FleetSnapshot()); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(one.Bytes(), two.Bytes()) {
@@ -338,7 +338,7 @@ func TestPrometheusExposition(t *testing.T) {
 	r.Store().Gauge("load", 2)
 	r.Store().Observe("stop", 700)
 	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf, "m0"); err != nil {
+	if err := WritePrometheus(&buf, r.Snapshot("m0")); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -356,7 +356,7 @@ func TestPrometheusExposition(t *testing.T) {
 	}
 	// Unlabeled form.
 	buf.Reset()
-	if err := r.WritePrometheus(&buf, ""); err != nil {
+	if err := WritePrometheus(&buf, r.Snapshot("")); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "aurora_ckpt_total 9") {
@@ -444,10 +444,10 @@ func TestExportsIgnoreFirstTouchOrder(t *testing.T) {
 		}
 		r.Sample()
 		var js, prom bytes.Buffer
-		if err := WriteJSON(&js, r.Snapshot("m")); err != nil {
+		if err := writeJSON(&js, r.Snapshot("m")); err != nil {
 			t.Fatal(err)
 		}
-		if err := r.WritePrometheus(&prom, "m"); err != nil {
+		if err := WritePrometheus(&prom, r.Snapshot("m")); err != nil {
 			t.Fatal(err)
 		}
 		return js.String(), prom.String()

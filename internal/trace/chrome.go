@@ -73,11 +73,6 @@ type chromeEvent struct {
 
 func usec(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
 
-// WriteChrome emits the tracer's own timeline as Chrome trace-event JSON.
-func (t *Tracer) WriteChrome(w io.Writer) error {
-	return WriteChrome(w, []Timeline{{T: t}})
-}
-
 // WriteChrome merges timelines into one Chrome/Perfetto trace: one process
 // per timeline (pid = position + 1), one thread per track, counters on tid
 // 0, and flow arrows binding FlowOut events to their FlowIn counterparts

@@ -68,7 +68,7 @@ func TestCountersAndGauges(t *testing.T) {
 		t.Errorf("missing counter=%d, want 0", got)
 	}
 	tr.Gauge("flush.depth", 4)
-	if got := ValueOf(tr.Metrics().Gauges, "flush.depth"); got != 4 {
+	if got := gaugeValue(tr, "flush.depth"); got != 4 {
 		t.Errorf("gauge=%d, want the last value 4", got)
 	}
 	m := tr.Metrics()
@@ -100,7 +100,7 @@ func TestMetricsOnlyKeepsStoreNotTimeline(t *testing.T) {
 	if sp.ID() != 0 || tr.Events() != nil {
 		t.Fatalf("metrics-only tracer kept a timeline: span id %d, %d events", sp.ID(), len(tr.Events()))
 	}
-	if tr.CounterValue("c") != 2 || ValueOf(tr.Metrics().Gauges, "g") != 3 || tr.Quantile("h", 0.5) != 4 {
+	if tr.CounterValue("c") != 2 || gaugeValue(tr, "g") != 3 || tr.Quantile("h", 0.5) != 4 {
 		t.Fatalf("metrics-only tracer lost a number: %+v", tr.Metrics())
 	}
 }
@@ -235,7 +235,7 @@ func TestNilTracerSafe(t *testing.T) {
 	if tr.Events() != nil || m.Histograms != nil || m.Counters != nil || m.Gauges != nil {
 		t.Error("nil tracer returned non-nil snapshots")
 	}
-	if tr.CounterValue("c") != 0 || ValueOf(tr.Metrics().Gauges, "g") != 0 || tr.Quantile("h", 0.99) != 0 || tr.HistogramCopy("h") != nil {
+	if tr.CounterValue("c") != 0 || gaugeValue(tr, "g") != 0 || tr.Quantile("h", 0.99) != 0 || tr.HistogramCopy("h") != nil {
 		t.Error("nil tracer reads not zero")
 	}
 	if tr.Rollup() == "" || tr.TimelineTail(5) != "" {
