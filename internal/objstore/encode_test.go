@@ -102,11 +102,21 @@ func TestRecordCodecRejectsCorruption(t *testing.T) {
 		return e.Seal()
 	}
 
+	// Validly sealed and well formed, under another magic.
+	var alien rec.Encoder
+	alien.U32(magicRecord ^ 1)
+	alien.U64(1)
+	alien.U16(1)
+	alien.I64(1)
+	alien.U8(shapeInline)
+	alien.Bytes([]byte("x"))
+
 	for _, tc := range []struct {
 		name string
 		b    []byte
 	}{
 		{"flipped byte", flipped},
+		{"bad magic", alien.Seal()},
 		{"nil", nil},
 		{"short buffer", []byte{1, 2, 3}},
 		{"huge chunk count", huge.Seal()},

@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"aurora/internal/objstore"
@@ -331,6 +332,88 @@ func TestRecvRefusesUnlistedOIDs(t *testing.T) {
 			if w.store.Exists(victim) != existed || !bytes.Equal(after, before) {
 				t.Fatalf("object %d changed under a refused stream: existed %v -> %v, %d -> %d bytes",
 					victim, existed, w.store.Exists(victim), len(before), len(after))
+			}
+		})
+	}
+}
+
+// TestRecvRefusesMalformedStreams: a stream sealed item by item, so every
+// sum holds, is still refused when its head is not a checkpoint stream's
+// head or an item breaks the stream's own rules — each by the check meant
+// for it — and the refusal leaves the receiver's store and manifest as they
+// were.
+func TestRecvRefusesMalformedStreams(t *testing.T) {
+	const grp = objstore.OID(1 << 40)
+	live := []objstore.OID{grp, grp + 1}
+	head := func(magic uint32, version uint8, count uint32) []byte {
+		e := rec.NewEncoder()
+		e.U32(magic)
+		e.U8(version)
+		e.Str("bad")
+		e.U64(uint64(grp))
+		e.U64(1) // source epoch
+		e.U64(0) // base epoch: a full stream
+		e.U32(count)
+		for _, oid := range live {
+			e.U64(uint64(oid))
+		}
+		return e.Seal()
+	}
+	end := func() []byte {
+		e := rec.NewEncoder()
+		e.U8(itemEnd)
+		return e.Seal()
+	}
+	cut := rec.NewEncoder() // a head that stops after the group's name
+	cut.U32(streamMagic)
+	cut.U8(streamVersion)
+	cut.Str("bad")
+	unknown := rec.NewEncoder()
+	unknown.U8(itemEnd + 1)
+	unknown.U64(uint64(grp + 1))
+	short := bytes.Repeat([]byte{0x5a}, objstore.BlockSize-1)
+
+	for _, tc := range []struct {
+		name   string
+		stream []byte
+		want   string
+	}{
+		{"wrong magic", framed(head(streamMagic^1, streamVersion, 2), end()), "not a checkpoint stream"},
+		{"wrong version", framed(head(streamMagic, streamVersion+1, 2), end()), "checkpoint stream version"},
+		{"head cut before its live list", framed(cut.Seal(), end()), "truncated"},
+		{"live list shorter than its count", framed(head(streamMagic, streamVersion, 3), end()), "truncated"},
+		{"live list over the cap", framed(head(streamMagic, streamVersion, maxStreamOIDs+1), end()), "objects, cap"},
+		{"page of less than a block", forgeStream("bad", grp, live,
+			forgePages(grp+1, vm.PageSize, nil), forgePages(grp+1, 0, short)), "carries 4095 bytes"},
+		{"unknown item kind", forgeStream("bad", grp, live, unknown.Seal()), "unknown stream item"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := newWorld(t)
+			g := w.o.CreateGroup("local")
+			g.Attach(w.k.NewProc("local"))
+			if _, err := g.Checkpoint(CkptIncremental); err != nil {
+				t.Fatal(err)
+			}
+			stats, epoch := w.store.Stats(), w.store.Epoch()
+			manifest, err := w.store.GetRecord(ManifestOID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := w.o.Recv(bytes.NewReader(tc.stream)); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want one saying %q", err, tc.want)
+			}
+			after, _ := w.store.GetRecord(ManifestOID)
+			if !bytes.Equal(after, manifest) || w.store.Stats() != stats || w.store.Epoch() != epoch {
+				t.Fatalf("the refused stream changed the receiver: manifest %d -> %d bytes, stats %+v -> %+v, epoch %d -> %d",
+					len(manifest), len(after), stats, w.store.Stats(), epoch, w.store.Epoch())
+			}
+			for _, oid := range live {
+				if w.store.Exists(oid) {
+					t.Fatalf("the refused stream created object %d", oid)
+				}
+			}
+			if w.o.recvState["bad"] != nil {
+				t.Fatal("the refused stream left receive state behind")
 			}
 		})
 	}
