@@ -9,9 +9,9 @@
 // fig4, fig5, fig6, table7, repl (replication lag under lossy wires),
 // walwindow, fleet, restore (eager vs lazy time to first request).
 //
-// The crash-demo trace, the post-restore inspect page and the scenario
-// corpus have their own surfaces: sls trace, sls -img F inspect and
-// sls scenario run.
+// The post-restore inspect page and the scenario corpus have their own
+// surfaces: sls -img F inspect, and sls scenario run, whose -artifacts
+// DIR holds a traced run's timeline and rollups.
 //
 // With -results DIR, every experiment additionally writes a
 // BENCH_<experiment>.json artifact under DIR — the typed result rows the
