@@ -196,11 +196,12 @@ func (r *Recorder) Tail(n int) []Event {
 // sequence number seq — the whole ring when it has wrapped past seq, or for
 // seq 0 — and returns the recorder's sequence number: the seq to pass next
 // time, so that consecutive tails tile the event stream. Decode reads it.
-func (r *Recorder) Since(seq uint64) ([]byte, uint64) {
+// The record is built in e, which Since resets, and lives in e's buffer.
+func (r *Recorder) Since(e *rec.Encoder, seq uint64) ([]byte, uint64) {
 	if r == nil {
 		return nil, 0
 	}
-	var e rec.Encoder
+	e.Reset()
 	n := len(r.ring)
 	if d := r.seq - seq; d < uint64(n) {
 		n = int(d)

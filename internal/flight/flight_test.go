@@ -7,6 +7,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"aurora/internal/rec"
 )
 
 func TestNilRecorderSafe(t *testing.T) {
@@ -21,14 +23,14 @@ func TestNilRecorderSafe(t *testing.T) {
 	if r.Seq() != 0 {
 		t.Fatalf("nil recorder Seq = %d, want 0", r.Seq())
 	}
-	if b, seq := r.Since(0); b != nil || seq != 0 {
+	if b, seq := r.Since(new(rec.Encoder), 0); b != nil || seq != 0 {
 		t.Fatalf("nil recorder Since = %d bytes, seq %d; want none", len(b), seq)
 	}
 }
 
 // snapshot is the whole resident ring, serialized.
 func snapshot(r *Recorder) []byte {
-	b, _ := r.Since(0)
+	b, _ := r.Since(new(rec.Encoder), 0)
 	return b
 }
 
@@ -204,7 +206,7 @@ func TestSinceTiles(t *testing.T) {
 		for j := 0; j < n; j++ {
 			r.Record(int64(i*100+j), EvFlushJob, int64(j), 0, 0, "")
 		}
-		tail, next := r.Since(seq)
+		tail, next := r.Since(new(rec.Encoder), seq)
 		evs, tseq, err := Decode(tail)
 		if err != nil || tseq != next || next != seq+uint64(n) {
 			t.Fatalf("tail %d: seq %d next %d err %v", i, tseq, next, err)

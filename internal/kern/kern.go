@@ -213,14 +213,16 @@ func (k *Kernel) ProcByLocal(group uint64, pid PID) (*Proc, bool) {
 }
 
 // Procs returns all processes, optionally filtered by group.
-func (k *Kernel) Procs(group uint64) []*Proc {
-	var out []*Proc
+func (k *Kernel) Procs(group uint64) []*Proc { return k.AppendProcs(nil, group) }
+
+// AppendProcs appends what Procs returns to dst.
+func (k *Kernel) AppendProcs(dst []*Proc, group uint64) []*Proc {
 	for _, p := range k.byGlobal {
 		if group == 0 || p.GroupID == group {
-			out = append(out, p)
+			dst = append(dst, p)
 		}
 	}
-	return out
+	return dst
 }
 
 // syscall wraps a syscall body with the gate and the transparent-restart

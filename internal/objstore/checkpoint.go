@@ -48,7 +48,7 @@ func (s *Store) CheckpointRetaining(retain int) (st CheckpointStats, err error) 
 	if n := s.walFrames; n > 0 {
 		s.fl.Record(int64(s.clk.Now()), flight.EvWALFold, int64(s.curEpoch()), int64(n), 0, "")
 	}
-	ring, ringSeq := s.fl.Since(0)
+	ring, ringSeq := s.fl.Since(&s.ring, 0)
 	cur := s.curEpoch()
 	st = CheckpointStats{Epoch: cur}
 	commitSpan := s.tr.Begin(trace.TrackObjstore, "commit")

@@ -257,7 +257,7 @@ func TestFsckWALDetectors(t *testing.T) {
 	// them the committed head and says the generation holds walSeq frames.
 	plant := func(s *Store, dev *device.Stripe, walSeq int, frames ...*walFrame) {
 		for i, fr := range frames {
-			dev.PokeAt(encodeWALFrame(fr), s.walBase+int64(i)*walSector)
+			dev.PokeAt(encodeWALFrame(new(rec.Encoder), fr), s.walBase+int64(i)*walSector)
 		}
 		s.walHead, s.walFrames = int64(len(frames))*walSector, walSeq
 	}

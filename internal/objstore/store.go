@@ -211,10 +211,11 @@ type Store struct {
 	// pendingDurable is the completion time of the latest submitted write
 	// belonging to the in-progress interval; the next commit waits for it.
 	pendingDurable time.Duration
-	one            [1][]byte    // submit's vector, so single-buffer writes allocate none
+	vec            [2][]byte    // submit's and WALCommit's vector, so their writes allocate none
 	pages          pageScratch  // writePages's, for the same reason
 	audit          auditScratch // AuditLive's, for the same reason
-	frame          rec.Encoder  // Journal.Append's, for the same reason
+	frame          rec.Encoder  // Journal.Append's and WALCommit's frame, for the same reason
+	ring           rec.Encoder  // the flight ring or tail a commit carries, for the same reason
 
 	superSlot int // which superblock slot the next commit uses
 
@@ -376,9 +377,9 @@ func (s *Store) PendingDurable() time.Duration { return s.pendingDurable }
 // folds the completion time into the interval's durability horizon — which
 // the next commit point is in turn ordered behind.
 func (s *Store) submit(p []byte, off int64, after time.Duration) (time.Duration, error) {
-	s.one[0] = p
-	done, err := s.dev.Submit(s.one[:], off, after)
-	s.one[0] = nil
+	s.vec[0] = p
+	done, err := s.dev.Submit(s.vec[:1], off, after)
+	s.vec[0] = nil
 	if err == nil && done > s.pendingDurable {
 		s.pendingDurable = done
 	}

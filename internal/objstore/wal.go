@@ -37,6 +37,9 @@ var ErrWALFull = errors.New("objstore: wal region full")
 // before it.
 const walSector = 512
 
+// walPad is the zeros a frame is padded with to its sector boundary.
+var walPad [walSector]byte
+
 // DefaultWALBlocks caps the reserved region at 4 MiB.
 const DefaultWALBlocks = 1024
 
@@ -109,8 +112,8 @@ func (s *Store) walNote(op *walOp) {
 }
 
 // encodeWALFrame serializes fr as a log frame, not sector-padded.
-func encodeWALFrame(fr *walFrame) []byte {
-	var e rec.Encoder
+func encodeWALFrame(e *rec.Encoder, fr *walFrame) []byte {
+	e.Reset()
 	mark := e.BeginFrame(magicWAL)
 	e.U64(uint64(fr.base))
 	e.U64(fr.seq)
@@ -211,11 +214,11 @@ func (s *Store) WALCommit() (WALCommitStats, error) {
 	// checks after replay. The tail is the events the last accepted commit
 	// lacks.
 	s.fl.Record(int64(s.clk.Now()), flight.EvWALAppend, int64(s.epoch), int64(s.walFrames)+1, 0, "")
-	tail, flSeq := s.fl.Since(s.flSeq)
+	tail, flSeq := s.fl.Since(&s.ring, s.flSeq)
 
 	span := s.tr.Begin(trace.TrackObjstore, "wal.append")
 	s.maybeResetWAL()
-	fr := &walFrame{
+	fr := walFrame{
 		base:    s.epoch,
 		seq:     uint64(s.walFrames) + 1,
 		nextOID: s.nextOID,
@@ -223,18 +226,21 @@ func (s *Store) WALCommit() (WALCommitStats, error) {
 		flight:  tail,
 	}
 	st := WALCommitStats{Base: fr.base, Seq: fr.seq}
-	body := encodeWALFrame(fr)
+	body := encodeWALFrame(&s.frame, &fr)
 	total := (int64(len(body)) + walSector - 1) / walSector * walSector
 	if s.walHead+total > s.walBlocks*BlockSize {
 		span.End(trace.I("full", 1))
 		return st, fmt.Errorf("%w: frame %d bytes, %d free", ErrWALFull,
 			total, s.walBlocks*BlockSize-s.walHead)
 	}
-	vec := [][]byte{body}
+	s.vec[0] = body
+	vec := s.vec[:1]
 	if pad := total - int64(len(body)); pad > 0 {
-		vec = append(vec, make([]byte, pad))
+		s.vec[1] = walPad[:pad] // the device copies what it is given: one zero sector serves every frame
+		vec = s.vec[:2]
 	}
 	done, err := s.dev.Submit(vec, s.walBase+s.walHead, s.pendingDurable)
+	s.vec = [2][]byte{}
 	if err != nil {
 		span.End()
 		return st, err
@@ -242,7 +248,8 @@ func (s *Store) WALCommit() (WALCommitStats, error) {
 	s.flSeq = flSeq // a failed commit keeps it, and the retry cuts the tail again
 	s.walHead += total
 	s.walFrames++
-	s.walPending = nil
+	clear(s.walPending) // the submitted frame carries these ops: the next interval reuses the array
+	s.walPending = s.walPending[:0]
 	s.pendingDurable = done
 	s.observeDurable(done)
 	st.DurableAt = done

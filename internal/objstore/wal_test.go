@@ -532,7 +532,7 @@ func TestFsckWALScrub(t *testing.T) {
 			name: "orphan-future-epoch-frame",
 			corrupt: func(t *testing.T, s *Store, dev *device.Stripe) {
 				walBase, _ := s.WALRegion()
-				orphan := encodeWALFrame(&walFrame{base: s.Epoch() + 5, seq: 1})
+				orphan := encodeWALFrame(new(rec.Encoder), &walFrame{base: s.Epoch() + 5, seq: 1})
 				dev.PokeAt(orphan, walBase+s.WALHead())
 			},
 			want: "orphaned frame",
@@ -542,7 +542,7 @@ func TestFsckWALScrub(t *testing.T) {
 			corrupt: func(t *testing.T, s *Store, dev *device.Stripe) {
 				// A prefix of a valid frame past the head: torn, not corrupt.
 				walBase, _ := s.WALRegion()
-				frame := encodeWALFrame(&walFrame{base: s.Epoch(), seq: 99})
+				frame := encodeWALFrame(new(rec.Encoder), &walFrame{base: s.Epoch(), seq: 99})
 				dev.PokeAt(frame[:len(frame)-6], walBase+s.WALHead())
 			},
 			want: "",
@@ -688,7 +688,7 @@ func FuzzWALRecord(f *testing.F) {
 				return nil, nil
 			}
 			frame, _ := rec.Frame(b, magicWAL)
-			return frame, encodeWALFrame(fr)
+			return frame, encodeWALFrame(new(rec.Encoder), fr)
 		}},
 		{"journal", func(b []byte) ([]byte, []byte) {
 			frame, gen, seq, _ := nextFrame(&frameScan{size: int64(len(b)), win: b}, 0, 0)
@@ -887,23 +887,23 @@ func TestRecoveredFlightJoin(t *testing.T) {
 	}
 
 	record(100)
-	ring, seq := fl.Since(0)
+	ring, seq := fl.Since(new(rec.Encoder), 0)
 	s.recovered = [][]byte{ring}
 	for _, n := range []int{1, 7, 0, 200} { // contiguous tails; the last overflows the capacity
 		record(n)
 		var tail []byte
-		tail, seq = fl.Since(seq)
+		tail, seq = fl.Since(new(rec.Encoder), seq)
 		s.recovered = append(s.recovered, tail)
 		check(fmt.Sprintf("tail of %d", n), fl.Events(), fl.Seq())
 	}
 	record(3 * flight.DefaultCap) // the ring wraps past the last commit
-	tail, _ := fl.Since(seq)
+	tail, _ := fl.Since(new(rec.Encoder), seq)
 	s.recovered = append(s.recovered, tail)
 	check("wrapped", fl.Events(), fl.Seq())
 
 	boot := flight.NewRecorder(0) // a new boot's first tail replaces the old ring
 	boot.Record(1, flight.EvRestore, 2, 3, 4, "boot")
-	tail, _ = boot.Since(0)
+	tail, _ = boot.Since(new(rec.Encoder), 0)
 	s.recovered = append(s.recovered, tail)
 	check("new boot", boot.Events(), 1)
 

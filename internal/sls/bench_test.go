@@ -520,13 +520,14 @@ var raceDetector bool
 
 // TestWALCommitAllocBytesPinned: steady-state heap bytes per WAL commit of a
 // 4-page delta, folds included, with the flight ring full. The ceiling is 1.25
-// × what this commit path measures (28.1 KB on go1.24; it was 114.9 KB while
-// every frame re-serialized the whole ring), so the snapshot cannot creep back.
+// × what this commit path measures (7.9 KB on go1.24; it was 16.3 KB while
+// every cut remade its serializer, and 114.9 KB while every frame
+// re-serialized the whole ring), so neither can creep back.
 func TestWALCommitAllocBytesPinned(t *testing.T) {
 	if raceDetector {
 		t.Skip("allocation pin: plain build only")
 	}
-	const commits, ceiling = 320, 35000
+	const commits, ceiling = 320, 9850
 	_, dirty, commit := walCommitWorld(t, 1024)
 	var m0, m1 runtime.MemStats
 	runtime.GC()
@@ -540,6 +541,49 @@ func TestWALCommitAllocBytesPinned(t *testing.T) {
 	t.Logf("%d bytes allocated per WAL commit", per)
 	if per > ceiling {
 		t.Fatalf("%d bytes allocated per WAL commit, ceiling %d", per, ceiling)
+	}
+}
+
+// TestSteadyStateCommitAllocsPinned: heap allocations per idle cut of a
+// server holding 576 connections and per WAL commit of a 4-page delta, folds
+// included, with only the cut or the commit counted. A steady-state cut keeps
+// its working set on the group and rewrites no unchanged manifest, so what is
+// left is the shadow pair, the flush plan and the store's commit. The
+// ceilings are 1.25 × what this commit path measures on go1.24 (22.5 and 13.7
+// allocations, most of them the store's epoch commit; they were 119 and 82
+// while every cut remade its serializer and re-encoded the manifest).
+func TestSteadyStateCommitAllocsPinned(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation pin: plain build only")
+	}
+	// allocsPer counts op's allocations alone, averaged over n rounds.
+	allocsPer := func(n int, between, op func(i int)) float64 {
+		var m0, m1 runtime.MemStats
+		var total uint64
+		for i := 0; i < n; i++ {
+			between(i)
+			runtime.ReadMemStats(&m0)
+			op(i)
+			runtime.ReadMemStats(&m1)
+			total += m1.Mallocs - m0.Mallocs
+		}
+		return float64(total) / float64(n)
+	}
+	_, g := idleServer(t, 576)
+	idle := allocsPer(64, func(int) {}, func(int) {
+		if _, err := g.Checkpoint(CkptIncremental); err != nil {
+			t.Fatal(err)
+		}
+	})
+	_, dirty, commit := walCommitWorld(t, 1024)
+	wal := allocsPer(320, func(i int) { dirty(64 + i) }, func(int) { commit() })
+	t.Logf("%.1f allocations per idle cut of 576 sockets, %.1f per WAL commit", idle, wal)
+	const idleCeiling, walCeiling = 28, 17
+	if idle > idleCeiling {
+		t.Errorf("%.1f allocations per idle cut, ceiling %d", idle, idleCeiling)
+	}
+	if wal > walCeiling {
+		t.Errorf("%.1f allocations per WAL commit, ceiling %d", wal, walCeiling)
 	}
 }
 

@@ -104,10 +104,9 @@ func (g *Group) Checkpoint(kind CheckpointKind) (st CheckpointStats, err error) 
 	phase.End()
 	phase = stopSpan.Child("serialize")
 	osSW := clock.StartStopwatch(o.Clk)
-	ser := newSerializer(g, kind == CkptFull)
-	procs := g.Procs()
+	ser := g.newSerializer(kind == CkptFull)
 	var ephemeral []*kern.Proc
-	for _, p := range procs {
+	for _, p := range ser.procs {
 		if p.Exited() {
 			continue
 		}
@@ -139,7 +138,7 @@ func (g *Group) Checkpoint(kind CheckpointKind) (st CheckpointStats, err error) 
 	// their dirty pages are captured into the file's store object here,
 	// inside the quiesce window, for a consistent cut. The store copies
 	// the data synchronously and flushes it asynchronously.
-	if err := g.writebackMappedFiles(); err != nil {
+	if err := g.writebackMappedFiles(ser.maps); err != nil {
 		return st, err
 	}
 
@@ -151,7 +150,7 @@ func (g *Group) Checkpoint(kind CheckpointKind) (st CheckpointStats, err error) 
 	for _, seg := range o.K.ShmSegments() {
 		backrefs = append(backrefs, seg)
 	}
-	pairs := vm.SystemShadow(o.K.VM, g.Maps(), backrefs)
+	pairs := vm.SystemShadow(o.K.VM, ser.maps, backrefs)
 	for _, pair := range pairs {
 		g.transient[pair.Live] = true
 		st.DirtyPages += int64(pair.Frozen.CountPages(unstored))
@@ -179,7 +178,7 @@ func (g *Group) Checkpoint(kind CheckpointKind) (st CheckpointStats, err error) 
 		if frozen.CountPages(dirty) == 0 && frozen.ShadowCount() == 1 && pair.Live.Backer() == frozen && frozen.Backer() != nil {
 			// Pages move into the backer with their identity intact; the
 			// group's PTEs that translate them as the dying shadow's follow.
-			vm.CollapseAurora(pair.Live, frozen, g.Maps()...)
+			vm.CollapseAurora(pair.Live, frozen, ser.maps...)
 			delete(g.transient, frozen)
 		}
 		// Multi-shadow (fork mid-interval), baseless, or unflushed
@@ -241,7 +240,7 @@ func (g *Group) Checkpoint(kind CheckpointKind) (st CheckpointStats, err error) 
 		// this one fail and the object come back, it is captured again.
 		delete(g.committed, oid)
 	}
-	g.prevLive = ser.live
+	g.prevLive, ser.live = ser.live, g.prevLive
 
 	// 8a. WAL-first commit: the cut is one CRC-framed delta append ordered
 	// behind the interval's flushed writes, not a new epoch. The epoch —
@@ -361,12 +360,12 @@ func (g *Group) persistentRoot(obj *vm.Object) *vm.Object {
 	return obj
 }
 
-// writebackMappedFiles writes the dirty pages of shared file mappings back
-// into their files' store objects. Runs under quiesce; the COW store
-// guarantees the previous checkpoint's file content is untouched.
-func (g *Group) writebackMappedFiles() error {
+// writebackMappedFiles writes the dirty pages of shared file mappings in
+// maps back into their files' store objects. Runs under quiesce; the COW
+// store guarantees the previous checkpoint's file content is untouched.
+func (g *Group) writebackMappedFiles(maps []*vm.Map) error {
 	seen := make(map[*vm.Object]bool)
-	for _, m := range g.Maps() {
+	for _, m := range maps {
 		for _, e := range m.Entries() {
 			if e.Obj.Type != vm.Vnode || seen[e.Obj] {
 				continue
@@ -430,11 +429,15 @@ type captured struct {
 }
 
 // serializer walks kernel objects, emitting one store record per object that
-// changed.
+// changed. Each group keeps one (Group.ser) and empties it for every cut.
 type serializer struct {
 	g    *Group
 	o    *Orchestrator
 	live map[objstore.OID]bool
+	// procs are the group's processes at this cut, by local PID; maps, the
+	// address spaces of those that have not exited.
+	procs []*kern.Proc
+	maps  []*vm.Map
 	// count is the number of objects in the cut; captured, how many of them
 	// were encoded and put rather than left as the store holds them.
 	count, captured int
@@ -451,17 +454,39 @@ type serializer struct {
 	memMetas []memMeta
 	procOIDs []procRef
 	shmOIDs  []objstore.OID
+
+	// The record writers' scratch. A record goes to PutRecord, which copies
+	// what it keeps, or to HoldsRecord, which only compares, so each buffer
+	// is free again once its record is put. procBuf holds a process record
+	// while its descriptors' records are written through recBuf; entBuf is
+	// one address-space entry, slots the descriptor table, journals the
+	// group's journal names.
+	procBuf, recBuf, entBuf rec.Encoder
+	slots                   []fdSlot
+	journals                []string
 }
 
-func newSerializer(g *Group, full bool) *serializer {
-	return &serializer{
-		g:       g,
-		o:       g.o,
-		full:    full,
-		live:    make(map[objstore.OID]bool),
-		done:    make(map[any]objstore.OID),
-		memOIDs: make(map[*vm.Object]objstore.OID),
-	}
+// fdSlot is one open descriptor in a process record.
+type fdSlot struct {
+	fd  int
+	oid objstore.OID
+}
+
+// newSerializer readies the group's serializer for a cut. Everything the last
+// cut left in it is emptied, not remade — a failed cut included, so the next
+// one reads nothing of it — and live becomes the set prevLive held before
+// the last cut swapped them.
+func (g *Group) newSerializer(full bool) *serializer {
+	s := &g.ser
+	clear(s.live)
+	clear(s.done)
+	clear(s.memOIDs)
+	s.full, s.count, s.captured = full, 0, 0
+	s.staged = s.staged[:0]
+	s.memMetas, s.procOIDs, s.shmOIDs = s.memMetas[:0], s.procOIDs[:0], s.shmOIDs[:0]
+	s.procs = g.appendProcs(s.procs[:0])
+	s.maps = appendMaps(s.maps[:0], s.procs)
+	return s
 }
 
 // put stores a sealed record, charging serialization costs. Called directly
@@ -514,9 +539,9 @@ func (s *serializer) object(oid objstore.OID, obj generational) error {
 		// Each event structure is locked and copied (Table 4).
 		s.o.Clk.Advance(time.Duration(len(kq.Events())) * s.o.Costs.KqueueEvent)
 	}
-	e := rec.NewEncoder()
-	utype := s.g.encodeObject(e, obj)
-	body := e.Seal()
+	s.recBuf.Reset()
+	utype := s.g.encodeObject(&s.recBuf, obj)
+	body := s.recBuf.Seal()
 	if err := s.putSealed(oid, utype, body); err != nil {
 		return err
 	}
@@ -528,24 +553,35 @@ func (s *serializer) object(oid objstore.OID, obj generational) error {
 
 // writeManifest refreshes the orchestrator's group list, preserving
 // entries for groups that are not live in this kernel (suspended
-// applications, groups received but not yet restored).
+// applications, groups received but not yet restored). The live groups are
+// merged into the manifest's own entries, and the record is written only
+// when one of those changed: a restored group's new ID is a change, though
+// the live table alone would not show it.
 func (o *Orchestrator) writeManifest() error {
-	entries, err := readManifest(o.Store)
+	entries, err := o.manifestEntries()
 	if err != nil {
 		return err
 	}
-	index := make(map[string]int, len(entries))
-	for i, ent := range entries {
-		index[ent.name] = i
-	}
-	for _, g := range o.Groups() {
+	changed := false
+	o.sorted = o.appendGroups(o.sorted[:0])
+	for _, g := range o.sorted {
 		ent := manifestEntry{id: g.ID, name: g.Name, oid: g.oid}
-		if i, ok := index[g.Name]; ok {
-			entries[i] = ent
-		} else {
-			index[g.Name] = len(entries)
-			entries = append(entries, ent)
+		i := 0
+		for i < len(entries) && entries[i].name != g.Name {
+			i++
 		}
+		switch {
+		case i == len(entries):
+			entries = append(entries, ent)
+		case entries[i] != ent:
+			entries[i] = ent
+		default:
+			continue
+		}
+		changed = true
+	}
+	if !changed {
+		return nil
 	}
 	return o.putManifest(entries)
 }

@@ -156,3 +156,83 @@ func TestRefusedSeedWritesNothing(t *testing.T) {
 		})
 	}
 }
+
+// TestManifestMirrorIsTheRecord drives one orchestrator through every kind of
+// manifest change — two new groups, a suspended one (forgotten, its entry
+// kept), a received one, and a restore that gives a group a new ID — and
+// after every commit holds the mirror equal to the record in the store and
+// the record equal to the entries those steps make. A commit that changes
+// no entry writes no record: the mirror still holds the bytes putManifest
+// last sealed.
+func TestManifestMirrorIsTheRecord(t *testing.T) {
+	w := newWorld(t)
+	entryOf := func(g *Group) manifestEntry { return manifestEntry{id: g.ID, name: g.Name, oid: g.oid} }
+	check := func(step string, want []manifestEntry) {
+		t.Helper()
+		got, _, err := readManifest(w.store)
+		if err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: manifest record = %v, want %v", step, got, want)
+		}
+		if !slices.Equal(w.o.manifest, got) {
+			t.Fatalf("%s: mirror = %v, record = %v", step, w.o.manifest, got)
+		}
+	}
+	checkpoint := func(g *Group) {
+		t.Helper()
+		if _, err := g.Checkpoint(CkptIncremental); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// unchanged checkpoints g and requires the manifest to stay unwritten.
+	unchanged := func(step string, g *Group, want []manifestEntry) {
+		t.Helper()
+		raw := w.o.manifestRaw
+		checkpoint(g)
+		check(step, want)
+		if &w.o.manifestRaw[0] != &raw[0] {
+			t.Fatalf("%s: a commit that changed no entry rewrote the manifest", step)
+		}
+	}
+
+	ga := w.o.CreateGroup("a")
+	ga.Attach(w.k.NewProc("a"))
+	checkpoint(ga)
+	check("a's first checkpoint", []manifestEntry{entryOf(ga)})
+	gb := w.o.CreateGroup("b")
+	gb.Attach(w.k.NewProc("b"))
+	checkpoint(gb)
+	want := []manifestEntry{entryOf(ga), entryOf(gb)}
+	check("b's first checkpoint", want)
+	unchanged("a again", ga, want)
+
+	if err := ga.Suspend(); err != nil {
+		t.Fatal(err)
+	}
+	check("a suspended", want)
+	unchanged("b after a was forgotten", gb, want)
+
+	other := newWorld(t)
+	gc := other.o.CreateGroup("c")
+	gc.Attach(other.k.NewProc("c"))
+	checkpoint(gc)
+	sendTo(t, gc, w.o, 0)
+	want = append(want, manifestEntry{id: 3, name: "c", oid: gc.oid})
+	check("c received", want)
+	unchanged("b after c arrived", gb, want)
+
+	ra, _, err := w.o.RestoreGroup("a", w.store, RestoreFull, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ra.ID == ga.ID {
+		t.Fatalf("restored a kept ID %d; the test needs a new one", ra.ID)
+	}
+	checkpoint(ra)
+	want[0] = entryOf(ra)
+	check("a restored under a new ID", want)
+	unchanged("a restored, again", ra, want)
+	unchanged("b at the end", gb, want)
+}

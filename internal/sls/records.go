@@ -27,7 +27,8 @@ type manifestEntry struct {
 	oid  objstore.OID
 }
 
-// putManifest is the one writer of the manifest record.
+// putManifest is the one writer of the manifest record, and so of its
+// mirror, Orchestrator.manifest, which then holds entries.
 func (o *Orchestrator) putManifest(entries []manifestEntry) error {
 	e := rec.NewEncoder()
 	e.U32(uint32(len(entries)))
@@ -36,31 +37,53 @@ func (o *Orchestrator) putManifest(entries []manifestEntry) error {
 		e.Str(ent.name)
 		e.U64(uint64(ent.oid))
 	}
-	return o.Store.PutRecord(ManifestOID, UTManifest, e.Seal())
+	raw := e.Seal()
+	if err := o.Store.PutRecord(ManifestOID, UTManifest, raw); err != nil {
+		return err
+	}
+	o.manifest, o.manifestRaw, o.manifestRead = entries, raw, true
+	return nil
 }
 
-// readManifest decodes src's manifest. An absent object or a zero-byte
-// record is "no groups": New ensures the object, so every store holds an
-// empty one before its first group checkpoint. Any other read or decode
-// failure is returned — taken for empty, the next write would drop every
-// group the record names.
-func readManifest(src Source) ([]manifestEntry, error) {
-	raw, err := src.GetRecord(ManifestOID)
-	if errors.Is(err, objstore.ErrNoObject) || (err == nil && len(raw) == 0) {
-		return nil, nil
+// manifestEntries returns the manifest's entries from its mirror while the
+// store holds the record the mirror was made from — one in-memory compare —
+// and reads the record again otherwise: the first time, and after anything
+// but putManifest wrote it. The slice is the mirror's: a caller that changes
+// it passes it to putManifest.
+func (o *Orchestrator) manifestEntries() ([]manifestEntry, error) {
+	if o.manifestRead && o.Store.HoldsRecord(ManifestOID, UTManifest, o.manifestRaw) {
+		return o.manifest, nil
 	}
+	entries, raw, err := readManifest(o.Store)
 	if err != nil {
 		return nil, err
+	}
+	o.manifest, o.manifestRaw, o.manifestRead = entries, raw, true
+	return entries, nil
+}
+
+// readManifest decodes src's manifest, and returns the record it read. An
+// absent object or a zero-byte record is "no groups": New ensures the
+// object, so every store holds an empty one before its first group
+// checkpoint. Any other read or decode failure is returned — taken for
+// empty, the next write would drop every group the record names.
+func readManifest(src Source) ([]manifestEntry, []byte, error) {
+	raw, err := src.GetRecord(ManifestOID)
+	if errors.Is(err, objstore.ErrNoObject) || (err == nil && len(raw) == 0) {
+		return nil, raw, nil
+	}
+	if err != nil {
+		return nil, nil, err
 	}
 	d, err := rec.NewDecoder(raw)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var entries []manifestEntry
 	for i, n := 0, int(d.U32()); i < n && d.Err() == nil; i++ {
 		entries = append(entries, manifestEntry{id: d.U64(), name: d.Str(), oid: objstore.OID(d.U64())})
 	}
-	return entries, d.Err()
+	return entries, raw, d.Err()
 }
 
 // Group record.
@@ -89,7 +112,8 @@ type procRef struct {
 // group emits the group record — processes, ephemeral children, shm
 // segments, memory-object metadata, journals — and refreshes the manifest.
 func (s *serializer) group(ephemeral []*kern.Proc) error {
-	e := rec.NewEncoder()
+	e := &s.recBuf
+	e.Reset()
 	e.Str(s.g.Name)
 	e.U64(uint64(s.g.Period))
 
@@ -128,7 +152,9 @@ func (s *serializer) group(ephemeral []*kern.Proc) error {
 
 	// Journals created through the Aurora API, by name.
 	e.U32(uint32(len(s.g.journals)))
-	for _, jn := range slices.Sorted(maps.Keys(s.g.journals)) {
+	s.journals = slices.AppendSeq(s.journals[:0], maps.Keys(s.g.journals))
+	slices.Sort(s.journals)
+	for _, jn := range s.journals {
 		e.Str(jn)
 		e.U64(uint64(s.g.journals[jn]))
 		s.live[s.g.journals[jn]] = true
@@ -204,7 +230,8 @@ func decodeGroupRecord(raw []byte) (groupRecord, error) {
 // proc serializes one process: identity, tree links, threads with CPU
 // state, pending signals, descriptor table, and address space.
 func (s *serializer) proc(p *kern.Proc) error {
-	e := rec.NewEncoder()
+	e := &s.procBuf
+	e.Reset()
 	e.Str(p.Name)
 	e.U32(uint32(p.LocalPID))
 	e.U32(uint32(p.PGID))
@@ -231,11 +258,7 @@ func (s *serializer) proc(p *kern.Proc) error {
 	}
 
 	// Descriptor table.
-	type slot struct {
-		fd  int
-		oid objstore.OID
-	}
-	var slots []slot
+	s.slots = s.slots[:0]
 	var ferr error
 	p.FDs.Each(func(fd int, f *kern.File) {
 		if ferr != nil {
@@ -246,32 +269,25 @@ func (s *serializer) proc(p *kern.Proc) error {
 			ferr = err
 			return
 		}
-		slots = append(slots, slot{fd, oid})
+		s.slots = append(s.slots, fdSlot{fd, oid})
 	})
 	if ferr != nil {
 		return ferr
 	}
-	e.U32(uint32(len(slots)))
-	for _, sl := range slots {
+	e.U32(uint32(len(s.slots)))
+	for _, sl := range s.slots {
 		e.U32(uint32(sl.fd))
 		e.U64(uint64(sl.oid))
 	}
 
 	// Address space.
 	entries := p.Mem.Entries()
-	var encoded [][]byte
+	e.U32(uint32(len(entries)))
 	for _, ent := range entries {
-		b, err := s.entry(ent)
-		if err != nil {
+		if err := s.entry(&s.entBuf, ent); err != nil {
 			return err
 		}
-		if b != nil {
-			encoded = append(encoded, b)
-		}
-	}
-	e.U32(uint32(len(encoded)))
-	for _, b := range encoded {
-		e.Bytes(b)
+		e.Bytes(s.entBuf.Raw())
 	}
 
 	oid := s.g.oidFor(p)
@@ -362,12 +378,12 @@ const (
 	entVDSO
 )
 
-// entry serializes one vm_map_entry, classifying its backing. Excluded
-// regions (sls_mctl, Entry.NoCheckpoint) record their geometry only: the
-// restore maps fresh zero-filled memory there, still excluded, and no page
-// of the region ever reaches the store.
-func (s *serializer) entry(ent *vm.Entry) ([]byte, error) {
-	e := rec.NewEncoder()
+// entry serializes one vm_map_entry into e, which it resets, classifying its
+// backing. Excluded regions (sls_mctl, Entry.NoCheckpoint) record their
+// geometry only: the restore maps fresh zero-filled memory there, still
+// excluded, and no page of the region ever reaches the store.
+func (s *serializer) entry(e *rec.Encoder, ent *vm.Entry) error {
+	e.Reset()
 	e.U64(ent.Start)
 	e.U64(ent.End)
 	e.U8(uint8(ent.Prot))
@@ -382,7 +398,7 @@ func (s *serializer) entry(ent *vm.Entry) ([]byte, error) {
 	case ent.Obj.Type == vm.Device:
 		name, ok := deviceNameOfObject(ent.Obj)
 		if !ok || !kern.DeviceWhitelisted(name) {
-			return nil, fmt.Errorf("sls: cannot persist mapping of device %q", name)
+			return fmt.Errorf("sls: cannot persist mapping of device %q", name)
 		}
 		e.U8(entDevice)
 		e.Str(name)
@@ -396,12 +412,12 @@ func (s *serializer) entry(ent *vm.Entry) ([]byte, error) {
 	default:
 		oid, err := s.memObject(s.g.persistentRoot(ent.Obj))
 		if err != nil {
-			return nil, err
+			return err
 		}
 		e.U8(entAnon)
 		e.U64(uint64(oid))
 	}
-	return e.Raw(), nil
+	return nil
 }
 
 // deviceNameOfObject recovers the device name behind a device VM object.
@@ -474,7 +490,8 @@ func (s *serializer) shm(seg *kern.ShmSegment) error {
 	if err != nil {
 		return err
 	}
-	e := rec.NewEncoder()
+	e := &s.recBuf
+	e.Reset()
 	e.I64(seg.ID)
 	e.I64(seg.Key)
 	e.Str(seg.Name)

@@ -352,7 +352,7 @@ func boolInt(b bool) int64 {
 // ManifestGroups lists the group names recorded in a store's manifest —
 // what sls ps shows after a reboot, before anything is restored.
 func ManifestGroups(src Source) ([]string, error) {
-	entries, err := readManifest(src)
+	entries, _, err := readManifest(src)
 	var out []string
 	for _, ent := range entries {
 		out = append(out, ent.name)
@@ -362,7 +362,7 @@ func ManifestGroups(src Source) ([]string, error) {
 
 // findGroupOID scans the manifest for a named group.
 func (o *Orchestrator) findGroupOID(src Source, name string) (objstore.OID, error) {
-	entries, err := readManifest(src)
+	entries, _, err := readManifest(src)
 	if err != nil {
 		return 0, err
 	}

@@ -402,7 +402,7 @@ func (o *Orchestrator) recvPayload(payload []byte) (string, error) {
 	// own joins them and the record is written.
 	var manifest []manifestEntry
 	if !delta {
-		if manifest, err = readManifest(o.Store); err != nil {
+		if manifest, err = o.manifestEntries(); err != nil {
 			return "", err
 		}
 		for _, ent := range manifest {

@@ -13,9 +13,10 @@
 package sls
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"aurora/internal/clock"
@@ -134,6 +135,15 @@ type Orchestrator struct {
 
 	groups    map[uint64]*Group
 	nextGroup uint64
+	// sorted is writeManifest's scratch for the live groups in id order.
+	sorted []*Group
+
+	// manifest mirrors the manifest record: the entries putManifest last
+	// wrote, or manifestEntries last read, and the sealed record they are,
+	// manifestRaw. manifestRead is false until the first of those.
+	manifest     []manifestEntry
+	manifestRaw  []byte
+	manifestRead bool
 
 	// recvState tracks, per replicated group, the epoch and live-OID set of
 	// the last checkpoint stream applied here — the receive-side contract
@@ -192,8 +202,12 @@ type Group struct {
 	// paper's kernel-address-to-OID table (§5.2).
 	oidOf map[any]objstore.OID
 	// prevLive holds the OIDs serialized by the previous checkpoint so
-	// vanished objects can be deleted from the store.
+	// vanished objects can be deleted from the store. It and ser.live are
+	// one pair of sets: a cut fills ser.live, then the two swap.
 	prevLive map[objstore.OID]bool
+	// ser is the cut's working set, kept from cut to cut and emptied by
+	// newSerializer, so a steady-state cut regrows none of it.
+	ser serializer
 	// committed is the capture gate's memory (serializer.unchanged): for each
 	// gated kernel object in the last committed checkpoint, the generation
 	// its stored record was encoded at. finishCommit adds to it, and so does
@@ -274,6 +288,8 @@ func (o *Orchestrator) CreateGroup(name string) *Group {
 		vnodeRef:     make(map[objstore.OID]bool),
 		journals:     make(map[string]objstore.OID),
 	}
+	g.ser = serializer{g: g, o: o, live: make(map[objstore.OID]bool),
+		done: make(map[any]objstore.OID), memOIDs: make(map[*vm.Object]objstore.OID)}
 	o.nextGroup++
 	o.groups[g.ID] = g
 	return g
@@ -290,13 +306,16 @@ func (o *Orchestrator) GroupByName(name string) (*Group, bool) {
 }
 
 // Groups lists groups sorted by id.
-func (o *Orchestrator) Groups() []*Group {
-	out := make([]*Group, 0, len(o.groups))
+func (o *Orchestrator) Groups() []*Group { return o.appendGroups(nil) }
+
+// appendGroups appends what Groups returns to dst.
+func (o *Orchestrator) appendGroups(dst []*Group) []*Group {
+	n := len(dst)
 	for _, g := range o.groups {
-		out = append(out, g)
+		dst = append(dst, g)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	slices.SortFunc(dst[n:], func(a, b *Group) int { return cmp.Compare(a.ID, b.ID) })
+	return dst
 }
 
 // Forget drops a group from the live table (its on-disk state and manifest
@@ -353,21 +372,27 @@ func (g *Group) Detach(p *kern.Proc) {
 }
 
 // Procs returns the group's processes sorted by local PID.
-func (g *Group) Procs() []*kern.Proc {
-	procs := g.o.K.Procs(g.ID)
-	sort.Slice(procs, func(i, j int) bool { return procs[i].LocalPID < procs[j].LocalPID })
-	return procs
+func (g *Group) Procs() []*kern.Proc { return g.appendProcs(nil) }
+
+// appendProcs appends what Procs returns to dst.
+func (g *Group) appendProcs(dst []*kern.Proc) []*kern.Proc {
+	n := len(dst)
+	dst = g.o.K.AppendProcs(dst, g.ID)
+	slices.SortFunc(dst[n:], func(a, b *kern.Proc) int { return cmp.Compare(a.LocalPID, b.LocalPID) })
+	return dst
 }
 
 // Maps returns the address spaces of all group processes.
-func (g *Group) Maps() []*vm.Map {
-	var out []*vm.Map
-	for _, p := range g.Procs() {
+func (g *Group) Maps() []*vm.Map { return appendMaps(nil, g.Procs()) }
+
+// appendMaps appends the address spaces of procs that have not exited to dst.
+func appendMaps(dst []*vm.Map, procs []*kern.Proc) []*vm.Map {
+	for _, p := range procs {
 		if !p.Exited() {
-			out = append(out, p.Mem)
+			dst = append(dst, p.Mem)
 		}
 	}
-	return out
+	return dst
 }
 
 // Epoch returns the last committed checkpoint epoch for this group.

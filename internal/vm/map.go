@@ -92,12 +92,9 @@ func (vm *System) NewMap() *Map {
 	}
 }
 
-// Entries returns a snapshot of the entry list.
-func (m *Map) Entries() []*Entry {
-	out := make([]*Entry, len(m.entries))
-	copy(out, m.entries)
-	return out
-}
+// Entries returns the entry list itself, in address order, for reading: it
+// is not a copy, so it is valid until the next map or unmap.
+func (m *Map) Entries() []*Entry { return m.entries[:len(m.entries):len(m.entries)] }
 
 // ResidentBytes sums the resident pages mapped by this address space's page
 // tables.
