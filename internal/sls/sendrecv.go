@@ -354,9 +354,6 @@ func (o *Orchestrator) recvPayload(payload []byte) (string, error) {
 	srcEpoch := objstore.Epoch(head.U64())
 	baseEpoch := objstore.Epoch(head.U64())
 	nlive := int(head.U32())
-	if err := head.Err(); err != nil {
-		return "", err
-	}
 	if nlive > maxStreamOIDs {
 		return "", fmt.Errorf("%w: stream lists %d objects, cap %d", rec.ErrCorrupt, nlive, maxStreamOIDs)
 	}
