@@ -81,8 +81,8 @@ kill+3 22903669 [  22.903ms] dead       node=aur1
 kill+3 22950800 [  22.950ms] reseed     group=g0 aur0->aur2
 kill+3 22952600 [  22.952ms] failover   group=g2 aur1->aur3
 kill+3 23210125 [  23.210ms] reseed     group=g2 aur3->aur0
-rebalance 33578233 [  33.578ms] rebalance  group=g0 aur0->aur3
-rebalance 33578233 [  33.578ms] reseed     group=g0 err=placement: no standby candidate for "g0"
+rebalance 33557433 [  33.557ms] rebalance  group=g0 aur0->aur3
+rebalance 33557433 [  33.557ms] reseed     group=g0 err=placement: no standby candidate for "g0"
 --- after sync
 fleet: 4 machines (4 alive), 3 groups (0 orphaned)
   failovers=0 rebalances=0 sync_errors=0
@@ -124,5 +124,5 @@ fleet: 4 machines (3 alive), 3 groups (0 orphaned)
   group g1       primary=aur0     standby=aur2     syncs=14 failovers=0 migrations=0
   group g2       primary=aur3     standby=aur0     syncs=14 failovers=1 migrations=0
 dead on tick 3 after the kill
-clock 33578233 ns
+clock 33557433 ns
 `

@@ -286,6 +286,7 @@ func (g *Group) finishCommit(st *CheckpointStats, ckptSpan trace.Span, ser *seri
 	o.Store.Flight().Record(int64(o.Clk.Now()), flight.EvCheckpointEnd,
 		int64(g.oid), int64(epoch), st.FlushBytes, g.Name)
 	st.Epoch, st.WALSeq, st.DurableAt = epoch, walSeq, durableAt
+	o.lastDurable = durableAt
 	g.lastEpoch, g.lastWALDurable = epoch, 0
 	if wal {
 		g.lastWALDurable = durableAt

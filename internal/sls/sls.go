@@ -135,6 +135,9 @@ type Orchestrator struct {
 
 	groups    map[uint64]*Group
 	nextGroup uint64
+	// lastDurable is when the checkpoint this orchestrator committed last
+	// lands (finishCommit records it).
+	lastDurable time.Duration
 	// sorted is writeManifest's scratch for the live groups in id order.
 	sorted []*Group
 
@@ -165,10 +168,12 @@ func New(k *kern.Kernel, store *objstore.Store) *Orchestrator {
 	}
 	store.Ensure(ManifestOID, UTManifest)
 	k.ES = o
-	// Faults contend with in-flight flush/collapse work on VM object
-	// locks (§6); charge the extra while the store has writes in flight.
+	// Faults contend with a checkpoint's flush/collapse work on VM object
+	// locks (§6); charge the extra until the last committed checkpoint is
+	// durable. Other store writes in flight (a received stream's) hold no
+	// VM object and charge nothing.
 	k.VM.ContentionExtra = func() time.Duration {
-		if store.PendingDurable() > k.Clk.Now() {
+		if o.lastDurable > k.Clk.Now() {
 			return k.Costs.FaultContention
 		}
 		return 0

@@ -202,7 +202,7 @@ func TestMigrationPinned(t *testing.T) {
 	const (
 		wantSHA   = "6ed8da242af7210941f81b6fc0425a3d0843f7b96fa38b599a0bee7efa60c953"
 		wantStop  = time.Duration(183409)
-		wantClock = time.Duration(3714144)
+		wantClock = time.Duration(3711544)
 	)
 	rounds := flightEvents(b, flight.EvRecv)
 	if sum := hex.EncodeToString(h.Sum(nil)); sum != wantSHA || rounds != 4 || st.FinalStop != wantStop || cfg.Clock.Now() != wantClock {
