@@ -240,7 +240,6 @@ func (s *Store) WALCommit() (WALCommitStats, error) {
 		vec = s.vec[:2]
 	}
 	done, err := s.dev.Submit(vec, s.walBase+s.walHead, s.pendingDurable)
-	s.vec = [2][]byte{}
 	if err != nil {
 		span.End()
 		return st, err

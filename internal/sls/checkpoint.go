@@ -571,15 +571,17 @@ func (o *Orchestrator) writeManifest() error {
 		for i < len(entries) && entries[i].name != g.Name {
 			i++
 		}
-		switch {
-		case i == len(entries):
-			entries = append(entries, ent)
-		case entries[i] != ent:
-			entries[i] = ent
-		default:
+		if i < len(entries) && entries[i] == ent {
 			continue
 		}
-		changed = true
+		if !changed { // the mirror changes only once the record has
+			entries, changed = slices.Clone(entries), true
+		}
+		if i == len(entries) {
+			entries = append(entries, ent)
+		} else {
+			entries[i] = ent
+		}
 	}
 	if !changed {
 		return nil

@@ -41,24 +41,24 @@ func (o *Orchestrator) putManifest(entries []manifestEntry) error {
 	if err := o.Store.PutRecord(ManifestOID, UTManifest, raw); err != nil {
 		return err
 	}
-	o.manifest, o.manifestRaw, o.manifestRead = entries, raw, true
+	o.manifest, o.manifestRaw = entries, raw
 	return nil
 }
 
 // manifestEntries returns the manifest's entries from its mirror while the
 // store holds the record the mirror was made from — one in-memory compare —
-// and reads the record again otherwise: the first time, and after anything
-// but putManifest wrote it. The slice is the mirror's: a caller that changes
-// it passes it to putManifest.
+// and reads the record again otherwise: the first time, while it is empty,
+// and after anything but putManifest wrote it. The slice is the mirror's:
+// a caller changes a copy, which putManifest makes the mirror once written.
 func (o *Orchestrator) manifestEntries() ([]manifestEntry, error) {
-	if o.manifestRead && o.Store.HoldsRecord(ManifestOID, UTManifest, o.manifestRaw) {
+	if o.manifestRaw != nil && o.Store.HoldsRecord(ManifestOID, UTManifest, o.manifestRaw) {
 		return o.manifest, nil
 	}
 	entries, raw, err := readManifest(o.Store)
 	if err != nil {
 		return nil, err
 	}
-	o.manifest, o.manifestRaw, o.manifestRead = entries, raw, true
+	o.manifest, o.manifestRaw = entries, raw
 	return entries, nil
 }
 
@@ -284,10 +284,11 @@ func (s *serializer) proc(p *kern.Proc) error {
 	entries := p.Mem.Entries()
 	e.U32(uint32(len(entries)))
 	for _, ent := range entries {
-		if err := s.entry(&s.entBuf, ent); err != nil {
+		b, err := s.entry(ent)
+		if err != nil {
 			return err
 		}
-		e.Bytes(s.entBuf.Raw())
+		e.Bytes(b)
 	}
 
 	oid := s.g.oidFor(p)
@@ -378,11 +379,13 @@ const (
 	entVDSO
 )
 
-// entry serializes one vm_map_entry into e, which it resets, classifying its
-// backing. Excluded regions (sls_mctl, Entry.NoCheckpoint) record their
-// geometry only: the restore maps fresh zero-filled memory there, still
-// excluded, and no page of the region ever reaches the store.
-func (s *serializer) entry(e *rec.Encoder, ent *vm.Entry) error {
+// entry serializes one vm_map_entry, classifying its backing, into the
+// serializer's entry buffer, which the next call reuses. Excluded regions
+// (sls_mctl, Entry.NoCheckpoint) record their geometry only: the restore
+// maps fresh zero-filled memory there, still excluded, and no page of the
+// region ever reaches the store.
+func (s *serializer) entry(ent *vm.Entry) ([]byte, error) {
+	e := &s.entBuf
 	e.Reset()
 	e.U64(ent.Start)
 	e.U64(ent.End)
@@ -398,7 +401,7 @@ func (s *serializer) entry(e *rec.Encoder, ent *vm.Entry) error {
 	case ent.Obj.Type == vm.Device:
 		name, ok := deviceNameOfObject(ent.Obj)
 		if !ok || !kern.DeviceWhitelisted(name) {
-			return fmt.Errorf("sls: cannot persist mapping of device %q", name)
+			return nil, fmt.Errorf("sls: cannot persist mapping of device %q", name)
 		}
 		e.U8(entDevice)
 		e.Str(name)
@@ -412,12 +415,12 @@ func (s *serializer) entry(e *rec.Encoder, ent *vm.Entry) error {
 	default:
 		oid, err := s.memObject(s.g.persistentRoot(ent.Obj))
 		if err != nil {
-			return err
+			return nil, err
 		}
 		e.U8(entAnon)
 		e.U64(uint64(oid))
 	}
-	return nil
+	return e.Raw(), nil
 }
 
 // deviceNameOfObject recovers the device name behind a device VM object.

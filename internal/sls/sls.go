@@ -143,10 +143,9 @@ type Orchestrator struct {
 
 	// manifest mirrors the manifest record: the entries putManifest last
 	// wrote, or manifestEntries last read, and the sealed record they are,
-	// manifestRaw. manifestRead is false until the first of those.
-	manifest     []manifestEntry
-	manifestRaw  []byte
-	manifestRead bool
+	// manifestRaw (nil until then, and while the record is empty).
+	manifest    []manifestEntry
+	manifestRaw []byte
 
 	// recvState tracks, per replicated group, the epoch and live-OID set of
 	// the last checkpoint stream applied here — the receive-side contract
