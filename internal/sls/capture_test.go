@@ -158,12 +158,12 @@ func TestCaptureFollowsWhatChanged(t *testing.T) {
 	}
 
 	// A vanished object drops out of the gate's memory with its OID.
-	before := len(a.g.committed)
+	before := a.g.trusts()
 	if err := a.p.Close(a.kq); err != nil {
 		t.Fatal(err)
 	}
 	a.checkpoint(t, CkptIncremental)
-	if got := len(a.g.committed); got != before-2 {
+	if got := a.g.trusts(); got != before-2 {
 		t.Fatalf("after closing the kqueue the gate remembers %d objects, want %d", got, before-2)
 	}
 	requireCaptureClean(t, a.g)
@@ -180,7 +180,7 @@ func TestCaptureFollowsWhatChanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := len(g2.committed), before-2-2; got != want {
+	if got, want := g2.trusts(), before-2-2; got != want {
 		t.Fatalf("restored group trusts %d records, want %d (every gated object but the device and its description)", got, want)
 	}
 	requireCaptureClean(t, g2)
@@ -248,7 +248,7 @@ func (a *gateApp) connect(t *testing.T) {
 // captures only the always-captured objects and extra.
 func requirePrimed(t *testing.T, g *Group, want, always, extra int) {
 	t.Helper()
-	if got := len(g.committed); got != want {
+	if got := g.trusts(); got != want {
 		t.Fatalf("restored group trusts %d records, want %d", got, want)
 	}
 	requireCaptureClean(t, g)
@@ -376,7 +376,7 @@ func TestPrimeRefusesWhatDiffers(t *testing.T) {
 	pipeOf := func(a *gateApp) objstore.OID {
 		f, _ := a.p.FDs.Get(a.pipeW)
 		pipe := behind(f).(*kern.Pipe)
-		return a.g.oidOf[pipe]
+		return a.g.oidOf(pipe)
 	}
 	for _, tc := range []struct {
 		name string
@@ -416,7 +416,7 @@ func TestPrimeRefusesWhatDiffers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, trusted := g.committed[oid]; trusted {
+			if _, trusted := g.trustedAt(oid); trusted {
 				t.Fatal("the diverging pipe record was primed")
 			}
 			requirePrimed(t, g, a.gated-1, a.always, 1)
@@ -471,7 +471,7 @@ func TestMutationAfterRestoreIsCaptured(t *testing.T) {
 // their metadata rides in the group record, and they have no record to capture.
 func memObjectsIn(g *Group) int {
 	n := 0
-	for key := range g.oidOf {
+	for key := range g.ents {
 		if _, ok := key.(*vm.Object); ok {
 			n++
 		}
@@ -486,19 +486,19 @@ func memObjectsIn(g *Group) int {
 // keeps the state from arising on its own.
 func plantMissedBump(t *testing.T, g *Group, obj generational, mutate func()) objstore.OID {
 	t.Helper()
-	oid, ok := g.oidOf[obj]
-	if !ok {
+	oid := g.oidOf(obj)
+	if oid == 0 {
 		t.Fatalf("%T never checkpointed", obj)
 	}
 	before := obj.Generation()
-	if c := g.committed[oid]; c.gen != before {
-		t.Fatalf("%T: gate holds generation %d, object is at %d before the mutation", obj, c.gen, before)
+	if gen, _ := g.trustedAt(oid); gen != before {
+		t.Fatalf("%T: gate holds generation %d, object is at %d before the mutation", obj, gen, before)
 	}
 	mutate()
 	if obj.Generation() == before {
 		t.Fatalf("%T: the mutation did not move the generation", obj)
 	}
-	g.committed[oid] = captured{oid: oid, obj: obj, gen: obj.Generation()}
+	g.trust(obj)
 	return oid
 }
 
@@ -564,12 +564,12 @@ func TestPlantedMissingBumpIsCaught(t *testing.T) {
 			}
 			a.checkpoint(t, CkptIncremental)
 			pipe := behind(fileOf(a, a.pipeW)).(*kern.Pipe)
-			oid := a.g.oidOf[pipe]
+			oid := a.g.oidOf(pipe)
 			stored, _ := a.w.store.GetRecord(oid)
 			if ut, _ := a.w.store.UType(oid); len(stored) <= objstore.InlineMax || a.w.store.HoldsRecord(oid, ut, stored) {
 				t.Fatalf("the pipe's %d-byte record is inline", len(stored))
 			}
-			a.g.committed[oid] = captured{oid: oid, obj: pipe, gen: pipe.Generation()}
+			a.g.trust(pipe)
 			requireCaptureClean(t, a.g)
 			return plantMissedBump(t, a.g, pipe, func() { a.p.Write(a.pipeW, []byte("lost")) })
 		}},
@@ -662,7 +662,7 @@ func TestPagedRecordIsNeverStaged(t *testing.T) {
 			a.checkpoint(t, CkptIncremental)
 			f, _ := a.p.FDs.Get(a.pipeW)
 			pipe := behind(f).(*kern.Pipe)
-			if _, staged := a.g.committed[a.g.oidOf[pipe]]; staged != tc.staged {
+			if _, staged := a.g.trustedAt(a.g.oidOf(pipe)); staged != tc.staged {
 				t.Fatalf("pipe holding %d bytes: in the gate = %v, want %v", tc.buffered, staged, tc.staged)
 			}
 			now := a.w.clk.Now()
@@ -707,7 +707,7 @@ func TestFailedCommitPromotesNothing(t *testing.T) {
 	}
 	a.p.WriteMem(va, []byte{1}) // a dirty page, so the flush has something to fail on
 	pipe := behind(fileOf(a, a.pipeW)).(*kern.Pipe)
-	trusted := a.g.committed[a.g.oidOf[pipe]].gen
+	trusted, _ := a.g.trustedAt(a.g.oidOf(pipe))
 
 	fd.armed = true
 	failed, err := a.g.Checkpoint(CkptIncremental)
@@ -717,7 +717,7 @@ func TestFailedCommitPromotesNothing(t *testing.T) {
 	if failed.Captured != a.always+1 {
 		t.Fatalf("failed checkpoint captured %d records, want %d", failed.Captured, a.always+1)
 	}
-	if got := a.g.committed[a.g.oidOf[pipe]].gen; got != trusted || got == pipe.Generation() {
+	if got, _ := a.g.trustedAt(a.g.oidOf(pipe)); got != trusted || got == pipe.Generation() {
 		t.Fatalf("failed commit moved the gate: pipe trusted at %d (was %d), object at %d", got, trusted, pipe.Generation())
 	}
 	requireCaptureClean(t, a.g)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"maps"
 	"slices"
 	"time"
 
@@ -204,10 +203,10 @@ func (g *Group) Checkpoint(kind CheckpointKind) (st CheckpointStats, err error) 
 	// regions no shadow covers) — join the same plan.
 	plan := newFlushPlan()
 	g.planPairs(plan, pairs, kind)
-	g.planCold(plan, ser)
+	g.planCold(plan)
 	fl, now := o.Store.Flight(), int64(o.Clk.Now())
 	for _, j := range plan.jobs {
-		fl.Record(now, flight.EvFlushJob, int64(g.oid), int64(j.toid), int64(len(j.sources)), "")
+		fl.Record(now, flight.EvFlushJob, int64(g.oid), int64(j.ent.oid), int64(len(j.sources)), "")
 	}
 	phase = ckptSpan.Child("flush")
 	res, err := g.runFlush(plan)
@@ -224,23 +223,23 @@ func (g *Group) Checkpoint(kind CheckpointKind) (st CheckpointStats, err error) 
 	st.WriteTime = res.write
 	g.pending = pairs
 
-	// Delete store objects that vanished since the last checkpoint, in
-	// ascending-OID order (map iteration would randomize the metadata
-	// stream and break crash-replay determinism).
-	var gone []objstore.OID
-	for oid := range g.prevLive {
-		if !ser.live[oid] {
-			gone = append(gone, oid)
+	// The sweep, in ascending-OID order (map order would randomize the
+	// metadata stream and break crash-replay determinism): what this cut
+	// walked is live; what was live and was not walked is deleted and
+	// forgotten, which is always safe, so it does not wait for the commit.
+	// So is an entry only a failed or mem-only cut walked; what no cut walks
+	// (memory only the flush reaches, an ephemeral process's) stays.
+	for _, e := range g.byOID.All() {
+		switch {
+		case e.cut == g.cut:
+			e.live = true
+		case e.live:
+			o.Store.Delete(e.oid) //nolint:errcheck // absent is fine
+			g.forget(e)
+		case e.cut != 0:
+			g.forget(e)
 		}
 	}
-	slices.Sort(gone)
-	for _, oid := range gone {
-		o.Store.Delete(oid) //nolint:errcheck // absent is fine
-		// Forgetting is always safe, so it does not wait for the commit: should
-		// this one fail and the object come back, it is captured again.
-		delete(g.committed, oid)
-	}
-	g.prevLive, ser.live = ser.live, g.prevLive
 
 	// 8a. WAL-first commit: the cut is one CRC-framed delta append ordered
 	// behind the interval's flushed writes, not a new epoch. The epoch —
@@ -280,7 +279,7 @@ func (g *Group) finishCommit(st *CheckpointStats, ckptSpan trace.Span, ser *seri
 	o := g.o
 	wal := walSeq != 0
 	for _, c := range ser.staged {
-		g.committed[c.oid] = c
+		c.e.trusted, c.e.gen = true, c.gen
 		c.obj.Arm()
 	}
 	o.Store.Flight().Record(int64(o.Clk.Now()), flight.EvCheckpointEnd,
@@ -421,10 +420,10 @@ type generational interface {
 	Armed() bool
 }
 
-// captured is what the gate remembers of one committed record: the kernel
-// object behind the OID and its generation at that cut.
+// captured is one record a cut staged for the gate: the gated object, its
+// entry, and its generation at that cut.
 type captured struct {
-	oid objstore.OID
+	e   *entry
 	obj generational
 	gen uint64
 }
@@ -432,9 +431,8 @@ type captured struct {
 // serializer walks kernel objects, emitting one store record per object that
 // changed. Each group keeps one (Group.ser) and empties it for every cut.
 type serializer struct {
-	g    *Group
-	o    *Orchestrator
-	live map[objstore.OID]bool
+	g *Group
+	o *Orchestrator
 	// procs are the group's processes at this cut, by local PID; maps, the
 	// address spaces of those that have not exited.
 	procs []*kern.Proc
@@ -447,11 +445,9 @@ type serializer struct {
 	// staged are this cut's captures of gated objects, for finishCommit.
 	staged []captured
 
-	// Deduplication: each kernel object — description or what is behind
-	// one — serializes exactly once per checkpoint regardless of how many
-	// references reach it.
-	done     map[any]objstore.OID
-	memOIDs  map[*vm.Object]objstore.OID
+	// Each kernel object — description or what is behind one — and each
+	// memory object serializes exactly once per cut, however many references
+	// reach it: its entry is stamped with the cut (Group.cut) as it is walked.
 	memMetas []memMeta
 	procOIDs []procRef
 	shmOIDs  []objstore.OID
@@ -475,13 +471,11 @@ type fdSlot struct {
 
 // newSerializer readies the group's serializer for a cut. Everything the last
 // cut left in it is emptied, not remade — a failed cut included, so the next
-// one reads nothing of it — and live becomes the set prevLive held before
-// the last cut swapped them.
+// one reads nothing of it — and the cut gets a new number, so no entry reads
+// as walked by it yet.
 func (g *Group) newSerializer(full bool) *serializer {
 	s := &g.ser
-	clear(s.live)
-	clear(s.done)
-	clear(s.memOIDs)
+	g.cut++
 	s.full, s.count, s.captured = full, 0, 0
 	s.staged = s.staged[:0]
 	s.memMetas, s.procOIDs, s.shmOIDs = s.memMetas[:0], s.procOIDs[:0], s.shmOIDs[:0]
@@ -495,16 +489,16 @@ func (g *Group) newSerializer(full bool) *serializer {
 // space change without a syscall), shared-memory segments and the group
 // record (both embed memory-object OIDs that follow the shadow chain, which
 // moves outside any generation).
-func (s *serializer) put(oid objstore.OID, utype uint16, e *rec.Encoder) error {
-	return s.putSealed(oid, utype, e.Seal())
+func (s *serializer) put(ent *entry, utype uint16, e *rec.Encoder) error {
+	return s.putSealed(ent, utype, e.Seal())
 }
 
-func (s *serializer) putSealed(oid objstore.OID, utype uint16, body []byte) error {
+func (s *serializer) putSealed(e *entry, utype uint16, body []byte) error {
 	s.o.Clk.Advance(s.o.Costs.SerializeBase + time.Duration(len(body)/8)*s.o.Costs.SerializePerWord)
-	s.live[oid] = true
+	e.cut = s.g.cut
 	s.count++
 	s.captured++
-	return s.o.Store.PutRecord(oid, utype, body)
+	return s.o.Store.PutRecord(e.oid, utype, body)
 }
 
 // unchanged is the generation gate. obj is unchanged when the group's last
@@ -516,12 +510,11 @@ func (s *serializer) putSealed(oid objstore.OID, utype uint16, body []byte) erro
 // have paid, at the syscall, the cache miss of marking it changed. A CkptFull,
 // and a group whose gate is empty — a new one, or one restored from a
 // historical view — find no object unchanged.
-func (s *serializer) unchanged(oid objstore.OID, obj generational) bool {
-	c, ok := s.g.committed[oid]
-	if s.full || !ok || c.gen != obj.Generation() {
+func (s *serializer) unchanged(e *entry, obj generational) bool {
+	if s.full || !e.trusted || e.gen != obj.Generation() {
 		return false
 	}
-	s.live[oid] = true
+	e.cut = s.g.cut
 	s.count++
 	return true
 }
@@ -532,8 +525,8 @@ func (s *serializer) unchanged(oid objstore.OID, obj generational) bool {
 // record references must have been walked already (encodeObject looks their
 // OIDs up). A record whose sealed body the store does not keep inline is never
 // staged, because the oracle could not read it back without device reads.
-func (s *serializer) object(oid objstore.OID, obj generational) error {
-	if s.unchanged(oid, obj) {
+func (s *serializer) object(e *entry, obj generational) error {
+	if s.unchanged(e, obj) {
 		return nil
 	}
 	if kq, ok := obj.(*kern.Kqueue); ok {
@@ -543,11 +536,11 @@ func (s *serializer) object(oid objstore.OID, obj generational) error {
 	s.recBuf.Reset()
 	utype := s.g.encodeObject(&s.recBuf, obj)
 	body := s.recBuf.Seal()
-	if err := s.putSealed(oid, utype, body); err != nil {
+	if err := s.putSealed(e, utype, body); err != nil {
 		return err
 	}
 	if len(body) <= objstore.InlineMax {
-		s.staged = append(s.staged, captured{oid, obj, obj.Generation()})
+		s.staged = append(s.staged, captured{e, obj, obj.Generation()})
 	}
 	return nil
 }
@@ -593,12 +586,12 @@ func (o *Orchestrator) writeManifest() error {
 // downward, returning root's OID. Metadata lands in the group record;
 // pages flow through the flush path into the OID's own pages.
 func (s *serializer) memObject(root *vm.Object) (objstore.OID, error) {
-	if oid, ok := s.memOIDs[root]; ok {
-		return oid, nil
+	e := s.g.entryFor(root, 0)
+	if e.cut == s.g.cut {
+		return e.oid, nil
 	}
-	oid := s.g.oidFor(root)
-	s.memOIDs[root] = oid
-	s.live[oid] = true
+	oid := e.oid
+	e.cut = s.g.cut
 	s.count++
 	s.o.Clk.Advance(s.o.Costs.SerializeBase)
 
@@ -627,18 +620,20 @@ func (s *serializer) memObject(root *vm.Object) (objstore.OID, error) {
 
 // file serializes an open-file description and its implementation object.
 func (s *serializer) file(f *kern.File) (objstore.OID, error) {
-	if oid, ok := s.done[f]; ok {
-		return oid, nil
+	e := s.g.ents[f]
+	if e != nil && e.cut == s.g.cut {
+		return e.oid, nil
 	}
 	if err := s.impl(f); err != nil {
 		return 0, err
 	}
-	if oid, ok := s.done[f]; ok {
-		return oid, nil // its own socket's queue holds it: captured on the way
+	if e == nil { // its OID follows its object's; a queue on the way may have entered it
+		e = s.g.entryFor(f, 0)
 	}
-	oid := s.g.oidFor(f)
-	s.done[f] = oid
-	return oid, s.object(oid, f)
+	if e.cut == s.g.cut {
+		return e.oid, nil // its own socket's queue holds it: captured on the way
+	}
+	return e.oid, s.object(e, f)
 }
 
 // knownOID looks up the OID of an object a record references. The walk
@@ -647,7 +642,10 @@ func (g *Group) knownOID(key any) objstore.OID {
 	if v, ok := key.(*kern.VnodeFile); ok {
 		return v.OID // the vnode IS a store object already (the slsfs file)
 	}
-	return g.oidOf[key]
+	if e := g.ents[key]; e != nil {
+		return e.oid
+	}
+	return 0
 }
 
 // impl serializes the object behind a description.
@@ -663,33 +661,33 @@ func (s *serializer) impl(f *kern.File) error {
 			s.g.vnodeRef[o.OID] = true
 			s.o.K.FS.AddHiddenRef(o.OID)
 		}
-		s.live[o.OID] = true
+		s.g.entryFor(o.OID, o.OID).cut = s.g.cut
 		s.o.Clk.Advance(s.o.Costs.SerializeBase) // inode ref, no namei
 	case *kern.Socket:
 		return s.socket(o)
 	case *kern.ShmSegment:
 		return s.shm(o)
 	case generational: // pipe, kqueue, pty, device: nothing behind them to walk
-		if oid, first := s.implOID(o); first {
-			return s.object(oid, o)
+		if e, first := s.implEntry(o); first {
+			return s.object(e, o)
 		}
 	}
 	return nil
 }
 
-// implOID returns the OID of an implementation object and whether this is
-// the walk's first visit to it.
-func (s *serializer) implOID(impl any) (objstore.OID, bool) {
-	if oid, ok := s.done[impl]; ok {
-		return oid, false
+// implEntry returns the entry of an implementation object, stamped with the
+// cut, and whether this is the walk's first visit to it.
+func (s *serializer) implEntry(impl any) (*entry, bool) {
+	e := s.g.entryFor(impl, 0)
+	if e.cut == s.g.cut {
+		return e, false
 	}
-	oid := s.g.oidFor(impl)
-	s.done[impl] = oid
-	return oid, true
+	e.cut = s.g.cut
+	return e, true
 }
 
 func (s *serializer) socket(sk *kern.Socket) error {
-	oid, first := s.implOID(sk)
+	e, first := s.implEntry(sk)
 	if !first {
 		return nil
 	}
@@ -706,7 +704,7 @@ func (s *serializer) socket(sk *kern.Socket) error {
 			return err
 		}
 	}
-	return s.object(oid, sk)
+	return s.object(e, sk)
 }
 
 // AuditCapture is the capture gate's oracle, the sls.capture rule of
@@ -725,29 +723,32 @@ func (g *Group) AuditCapture(report func(oid objstore.OID, detail string)) int {
 	defer g.o.K.Gate.Exit()
 	checked := 0
 	var e rec.Encoder // one buffer for every record: HoldsRecord keeps none of it
-	for _, oid := range slices.Sorted(maps.Keys(g.committed)) {
-		c := g.committed[oid]
-		if c.obj.Generation() != c.gen {
+	for _, c := range g.byOID.All() {
+		if !c.trusted {
+			continue
+		}
+		oid, obj := c.oid, c.key.(generational)
+		if obj.Generation() != c.gen {
 			continue // changed since the commit: the next checkpoint captures it
 		}
 		checked++
 		e.Reset()
-		utype := g.encodeObject(&e, c.obj)
+		utype := g.encodeObject(&e, obj)
 		want := e.Seal()
 		if g.o.Store.HoldsRecord(oid, utype, want) {
-			if !c.obj.Armed() {
-				report(oid, fmt.Sprintf("%T unchanged at generation %d, yet not armed", c.obj, c.gen))
+			if !obj.Armed() {
+				report(oid, fmt.Sprintf("%T unchanged at generation %d, yet not armed", obj, c.gen))
 			}
 			continue
 		}
 		got, err := g.o.Store.GetRecord(oid)
 		if err != nil {
-			report(oid, fmt.Sprintf("%T at committed generation %d has no readable record: %v", c.obj, c.gen, err))
+			report(oid, fmt.Sprintf("%T at committed generation %d has no readable record: %v", obj, c.gen, err))
 			continue
 		}
 		if ut, _ := g.o.Store.UType(oid); ut != utype || !bytes.Equal(got, want) {
 			report(oid, fmt.Sprintf("%T unchanged at generation %d, yet its record (%d bytes, type %#x) differs from a fresh encoding (%d bytes, type %#x)",
-				c.obj, c.gen, len(got), ut, len(want), utype))
+				obj, c.gen, len(got), ut, len(want), utype))
 		}
 	}
 	return checked

@@ -111,9 +111,9 @@ func TestCheckpointAfterRestoreFlushesDirtyOnly(t *testing.T) {
 				t.Fatalf("arena after crash differs from the reference (err %v)", err)
 			}
 			var arena objstore.OID
-			for key, oid := range g3.oidOf {
+			for key, e := range g3.ents {
 				if obj, ok := key.(*vm.Object); ok && obj.Size() == int64(len(want)) {
-					arena = oid
+					arena = e.oid
 				}
 			}
 			// The store hands out a page only under its committed sum.

@@ -66,7 +66,7 @@ func TestDesignObjectModelTable(t *testing.T) {
 		ut, _ := w.store.UType(oid)
 		if i := int(ut) - int(UTManifest); i >= 0 && i < len(codeTags) {
 			held[codeTags[i]]++
-			if _, ok := g.committed[oid]; ok {
+			if _, ok := g.trustedAt(oid); ok {
 				gated[codeTags[i]]++
 			}
 		}

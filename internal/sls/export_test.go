@@ -36,3 +36,38 @@ func (g *Group) WALDurable() time.Duration { return g.lastWALDurable }
 
 // FailedOver reports whether the standby has been promoted.
 func (r *Replica) FailedOver() bool { return r.failedOver }
+
+// oidOf returns the OID the group's table files key under, 0 if it holds none.
+func (g *Group) oidOf(key any) objstore.OID {
+	if e := g.ents[key]; e != nil {
+		return e.oid
+	}
+	return 0
+}
+
+// trustedAt returns the generation at which the capture gate trusts oid's
+// record, and whether it trusts one.
+func (g *Group) trustedAt(oid objstore.OID) (uint64, bool) {
+	if e, ok := g.byOID.Get(oidKey(oid)); ok && e.trusted {
+		return e.gen, true
+	}
+	return 0, false
+}
+
+// trusts counts the records the capture gate trusts.
+func (g *Group) trusts() int {
+	n := 0
+	for _, e := range g.ents {
+		if e.trusted {
+			n++
+		}
+	}
+	return n
+}
+
+// trust plants the capture gate's memory: the group trusts obj's record at
+// obj's present generation.
+func (g *Group) trust(obj generational) {
+	e := g.ents[obj]
+	e.trusted, e.gen = true, obj.Generation()
+}

@@ -47,7 +47,7 @@ type flushSource struct {
 // Sources are ordered newest-first; the encoder stages each page index once,
 // from the first source that holds it.
 type flushJob struct {
-	toid    objstore.OID
+	ent     *entry        // the destination
 	install *vm.Object    // persistent root to pager-install once flushed
 	covers  bool          // stages the object's own image: flushed once it lands
 	sources []flushSource // precedence order: newest version first
@@ -57,20 +57,20 @@ type flushJob struct {
 // flushPlan is the Enumerate stage's output.
 type flushPlan struct {
 	jobs  []*flushJob
-	index map[objstore.OID]*flushJob
+	index map[*entry]*flushJob
 }
 
 func newFlushPlan() *flushPlan {
-	return &flushPlan{index: make(map[objstore.OID]*flushJob)}
+	return &flushPlan{index: make(map[*entry]*flushJob)}
 }
 
-// job returns (creating if needed) the plan's job for toid.
-func (pl *flushPlan) job(toid objstore.OID) *flushJob {
-	if j, ok := pl.index[toid]; ok {
+// job returns (creating if needed) the plan's job for the object of e.
+func (pl *flushPlan) job(e *entry) *flushJob {
+	if j, ok := pl.index[e]; ok {
 		return j
 	}
-	j := &flushJob{toid: toid}
-	pl.index[toid] = j
+	j := &flushJob{ent: e}
+	pl.index[e] = j
 	pl.jobs = append(pl.jobs, j)
 	return j
 }
@@ -82,10 +82,10 @@ func (g *Group) planPairs(pl *flushPlan, pairs []vm.ShadowPair, kind CheckpointK
 	o := g.o
 	for _, pair := range pairs {
 		target := g.persistentRoot(pair.Frozen)
-		toid := g.oidFor(target)
-		o.Store.Ensure(toid, UTMemObject)
-		j := pl.job(toid)
-		full := kind == CkptFull || !(g.flushed[toid] || j.covers)
+		e := g.entryFor(target, 0)
+		o.Store.Ensure(e.oid, UTMemObject)
+		j := pl.job(e)
+		full := kind == CkptFull || !(e.flushed || j.covers)
 		j.install = target
 		src := flushSource{obj: pair.Frozen}
 		if full {
@@ -109,32 +109,31 @@ func (g *Group) planPairs(pl *flushPlan, pairs []vm.ShadowPair, kind CheckpointK
 			if target == nil {
 				continue
 			}
-			toid := g.oidFor(target)
-			o.Store.Ensure(toid, UTMemObject)
-			j := pl.job(toid)
+			e := g.entryFor(target, 0)
+			o.Store.Ensure(e.oid, UTMemObject)
+			j := pl.job(e)
 			j.sources = append(j.sources, flushSource{obj: obj})
 			j.trapped = append(j.trapped, obj)
 		}
 	}
 }
 
-// planCold enumerates serialized memory objects no shadow pair covered
-// (read-only regions seen for the first time): their resident
+// planCold enumerates the memory objects this cut walked that no shadow pair
+// covered (read-only regions seen for the first time): their resident
 // content flushes once, in full. Jobs are planned in ascending-OID order so
 // the submit stream is identical across runs of the same workload — the
 // crash-replay harness depends on that determinism.
-func (g *Group) planCold(pl *flushPlan, ser *serializer) {
-	cold := make([]*vm.Object, 0, len(ser.memOIDs))
-	for obj, oid := range ser.memOIDs {
-		if j := pl.index[oid]; !g.flushed[oid] && (j == nil || !j.covers) {
-			cold = append(cold, obj)
+func (g *Group) planCold(pl *flushPlan) {
+	for _, e := range g.byOID.All() {
+		obj, ok := e.key.(*vm.Object)
+		if !ok || e.cut != g.cut || e.flushed {
+			continue
 		}
-	}
-	slices.SortFunc(cold, func(a, b *vm.Object) int { return cmp.Compare(ser.memOIDs[a], ser.memOIDs[b]) })
-	for _, obj := range cold {
-		oid := ser.memOIDs[obj]
-		g.o.Store.Ensure(oid, UTMemObject)
-		j := pl.job(oid)
+		if j := pl.index[e]; j != nil && j.covers {
+			continue
+		}
+		g.o.Store.Ensure(e.oid, UTMemObject)
+		j := pl.job(e)
 		j.sources = append(j.sources, flushSource{obj: obj, target: obj})
 		j.covers = true
 	}
@@ -158,7 +157,7 @@ func (g *Group) runFlush(pl *flushPlan) (flushResult, error) {
 		// Job spans are zero-width in virtual time — encode and submit
 		// burn host CPU only — so the host costs ride as args while the
 		// virtual timeline stays authoritative.
-		jobSpan := tr.Begin(trace.TrackFlush, "flush.job", trace.I("oid", int64(j.toid)))
+		jobSpan := tr.Begin(trace.TrackFlush, "flush.job", trace.I("oid", int64(j.ent.oid)))
 		t0 := time.Now()
 		writes, frames := encodeJob(j)
 		encNS := time.Since(t0)
@@ -168,7 +167,7 @@ func (g *Group) runFlush(pl *flushPlan) (flushResult, error) {
 			continue
 		}
 		t0 = time.Now()
-		n, err := g.o.Store.WritePages(j.toid, writes)
+		n, err := g.o.Store.WritePages(j.ent.oid, writes)
 		wrNS := time.Since(t0)
 		res.write += wrNS
 		res.bytes += n
@@ -189,10 +188,10 @@ func (g *Group) runFlush(pl *flushPlan) (flushResult, error) {
 	// stage its full image again.
 	for _, j := range pl.jobs {
 		if j.covers {
-			g.flushed[j.toid] = true
+			j.ent.flushed = true
 		}
 		if j.install != nil {
-			g.installPager(j.install, j.toid)
+			g.installPager(j.install, j.ent.oid)
 		}
 		for _, obj := range j.trapped {
 			g.trappedDone[obj] = true

@@ -72,8 +72,8 @@ func checkCut(g *Group, committed bool, before map[objstore.OID]bool) error {
 	var e rec.Encoder
 	want := make(map[objstore.OID]bool)
 	for obj := range fullWalk(g) {
-		oid, ok := g.oidOf[obj]
-		if !ok {
+		oid := g.oidOf(obj)
+		if oid == 0 {
 			return fmt.Errorf("%T reached but never given an OID", obj)
 		}
 		want[oid] = true
@@ -104,35 +104,49 @@ func checkCut(g *Group, committed bool, before map[objstore.OID]bool) error {
 // some group trusts at its present generation is armed, so its next mutation
 // pays for marking it changed; an object one group alone has reached, trusted
 // at a generation it has since left, is unarmed, so that move was paid for.
-// (A shared object may be armed again by the other group's commit.)
-func checkArms(groups []*Group) error {
-	owners := make(map[any]int)
+// (A shared object may be armed again by the other group's commit.) reached
+// holds, per object, the groups whose tables have held it, to which checkArms
+// adds what they hold now: a group's table forgets what leaves its cut, a
+// commit's arming does not.
+func checkArms(groups []*Group, reached map[any]map[*Group]bool) error {
 	for _, g := range groups {
-		for key := range g.oidOf {
-			owners[key]++
-		}
+		noteReached(g, reached)
 	}
 	for _, g := range groups {
-		for oid, c := range g.committed {
-			switch moved := c.obj.Generation() != c.gen; {
-			case !moved && !c.obj.Armed():
-				return fmt.Errorf("group %s trusts object %d (%T) at generation %d, unarmed", g.Name, oid, c.obj, c.gen)
-			case moved && c.obj.Armed() && owners[c.obj] == 1:
+		for key, c := range g.ents {
+			obj, ok := key.(generational)
+			if !ok || !c.trusted {
+				continue
+			}
+			switch moved := obj.Generation() != c.gen; {
+			case !moved && !obj.Armed():
+				return fmt.Errorf("group %s trusts object %d (%T) at generation %d, unarmed", g.Name, c.oid, obj, c.gen)
+			case moved && obj.Armed() && len(reached[obj]) == 1:
 				return fmt.Errorf("object %d (%T) moved from generation %d to %d and is still armed: a mutation did not pay",
-					oid, c.obj, c.gen, c.obj.Generation())
+					c.oid, obj, c.gen, obj.Generation())
 			}
 		}
 	}
 	return nil
 }
 
+// noteReached adds what g's table holds to reached.
+func noteReached(g *Group, reached map[any]map[*Group]bool) {
+	for key := range g.ents {
+		if reached[key] == nil {
+			reached[key] = make(map[*Group]bool)
+		}
+		reached[key][g] = true
+	}
+}
+
 // gatedLive is the part of the group's live set that tables reach: the OIDs
 // of gated objects.
 func gatedLive(g *Group) map[objstore.OID]bool {
 	out := make(map[objstore.OID]bool)
-	for key, oid := range g.oidOf {
-		if _, ok := key.(generational); ok && g.prevLive[oid] {
-			out[oid] = true
+	for key, e := range g.ents {
+		if _, ok := key.(generational); ok && e.live {
+			out[e.oid] = true
 		}
 	}
 	return out
@@ -163,6 +177,8 @@ type mixWorld struct {
 	lfd    map[*kern.Proc]int // the roots' listeners
 	addrs  []string
 	pages  map[*kern.Proc]uint64
+	// reached: for checkArms, every group whose table has held each object.
+	reached map[any]map[*Group]bool
 }
 
 const nonblock = kern.ORead | kern.OWrite | kern.ONonblock
@@ -170,7 +186,7 @@ const nonblock = kern.ORead | kern.OWrite | kern.ONonblock
 func newMixWorld(t *testing.T, seed int64) *mixWorld {
 	t.Helper()
 	m := &mixWorld{t: t, rng: rand.New(rand.NewSource(seed)), roots: make(map[*kern.Proc]bool),
-		lfd: make(map[*kern.Proc]int), pages: make(map[*kern.Proc]uint64)}
+		lfd: make(map[*kern.Proc]int), pages: make(map[*kern.Proc]uint64), reached: make(map[any]map[*Group]bool)}
 	w, err := newWorldOn(func(d objstore.BlockDev) objstore.BlockDev {
 		m.dev = &failOnceDev{BlockDev: d}
 		return m.dev
@@ -339,12 +355,13 @@ func (m *mixWorld) cut(g *Group) error {
 		}
 		kind, m.dev.armed = CkptIncremental, true
 	}
-	if err := checkArms(m.groups); err != nil {
+	if err := checkArms(m.groups, m.reached); err != nil {
 		return err
 	}
 	before := gatedLive(g)
 	_, err := g.Checkpoint(kind)
 	m.dev.armed = false
+	noteReached(g, m.reached)
 	switch {
 	case err != nil && !(fail && errors.Is(err, errFlushFailed)):
 		return fmt.Errorf("%v checkpoint: %w", kind, err)
@@ -389,13 +406,13 @@ func TestGatedCutPlantedBugsAreCaught(t *testing.T) {
 		"a mutation that counts without paying": func(g *Group, f *kern.File) { f.Arm() },
 		// The commit captured the move but did not arm the capture.
 		"a commit that leaves a capture unarmed": func(g *Group, f *kern.File) {
-			oid := g.oidOf[f]
+			oid := g.oidOf(f)
 			var e rec.Encoder
 			utype := g.encodeObject(&e, f)
 			if err := g.o.Store.PutRecord(oid, utype, e.Seal()); err != nil {
 				t.Fatal(err)
 			}
-			g.committed[oid] = captured{oid, f, f.Generation()}
+			g.trust(f)
 			var reports int
 			g.AuditCapture(func(objstore.OID, string) { reports++ })
 			if reports != 1 {
@@ -453,9 +470,9 @@ func TestSerializeTimeIgnoresIdleSockets(t *testing.T) {
 			times = append(times, st.OSTime)
 		}
 		var procRec []byte
-		for key, oid := range g.oidOf {
+		for key, e := range g.ents {
 			if _, ok := key.(*kern.Proc); ok {
-				procRec, _ = w.store.GetRecord(oid)
+				procRec, _ = w.store.GetRecord(e.oid)
 			}
 		}
 		return times, time.Duration(len(procRec)/8) * w.costs.SerializePerWord

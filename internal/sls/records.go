@@ -155,14 +155,15 @@ func (s *serializer) group(ephemeral []*kern.Proc) error {
 	s.journals = slices.AppendSeq(s.journals[:0], maps.Keys(s.g.journals))
 	slices.Sort(s.journals)
 	for _, jn := range s.journals {
+		oid := s.g.journals[jn]
 		e.Str(jn)
-		e.U64(uint64(s.g.journals[jn]))
-		s.live[s.g.journals[jn]] = true
+		e.U64(uint64(oid))
+		s.g.entryFor(oid, oid).cut = s.g.cut
 	}
 
 	e.U64(uint64(s.g.RetainEpochs)) // appended: a record that ends above still decodes
 
-	if err := s.put(s.g.oid, UTGroup, e); err != nil {
+	if err := s.put(s.g.entryFor(s.g.oid, s.g.oid), UTGroup, e); err != nil {
 		return err
 	}
 	return s.o.writeManifest()
@@ -291,13 +292,13 @@ func (s *serializer) proc(p *kern.Proc) error {
 		e.Bytes(b)
 	}
 
-	oid := s.g.oidFor(p)
+	ent := s.g.entryFor(p, 0)
 	parent := kern.PID(0)
 	if p.Parent() != nil && !p.Parent().Ephemeral {
 		parent = p.Parent().LocalPID
 	}
-	s.procOIDs = append(s.procOIDs, procRef{oid: oid, localPID: p.LocalPID, parentPID: parent})
-	return s.put(oid, UTProc, e)
+	s.procOIDs = append(s.procOIDs, procRef{oid: ent.oid, localPID: p.LocalPID, parentPID: parent})
+	return s.put(ent, UTProc, e)
 }
 
 // proc rebuilds one process.
@@ -485,7 +486,7 @@ func (r *restorer) entry(p *kern.Proc, raw []byte) error {
 // Shared-memory segment record.
 
 func (s *serializer) shm(seg *kern.ShmSegment) error {
-	oid, first := s.implOID(seg)
+	ent, first := s.implEntry(seg)
 	if !first {
 		return nil
 	}
@@ -501,8 +502,8 @@ func (s *serializer) shm(seg *kern.ShmSegment) error {
 	e.I64(seg.Size)
 	e.Bool(seg.SysV)
 	e.U64(uint64(memOID))
-	s.shmOIDs = append(s.shmOIDs, oid)
-	return s.put(oid, UTShm, e)
+	s.shmOIDs = append(s.shmOIDs, ent.oid)
+	return s.put(ent, UTShm, e)
 }
 
 // shm rebuilds a shared-memory segment.

@@ -129,7 +129,7 @@ func descImages(t *testing.T, w *world, g *Group, p *kern.Proc) map[int]descImag
 	t.Helper()
 	out := make(map[int]descImage)
 	p.FDs.Each(func(fd int, f *kern.File) {
-		im := descImage{oid: g.oidOf[f]}
+		im := descImage{oid: g.oidOf(f)}
 		raw, err := w.store.GetRecord(im.oid)
 		if err != nil {
 			t.Fatalf("fd %d: description record %d: %v", fd, im.oid, err)
@@ -204,11 +204,11 @@ func TestRecordRoundTripPerKind(t *testing.T) {
 					t.Errorf("fd %d came back as %v, was %v", fd, f.Impl.Kind(), im.kind)
 				}
 				primed := im.kind != kern.KindDevice
-				if _, ok := g2.committed[im.oid]; ok != primed {
+				if _, ok := g2.trustedAt(im.oid); ok != primed {
 					t.Errorf("fd %d (%v): description primed = %v, want %v", fd, im.kind, ok, primed)
 				}
 				gated := primed && im.kind != kern.KindVnode && im.kind != kern.KindShm
-				if _, ok := g2.committed[im.implOID]; ok != gated {
+				if _, ok := g2.trustedAt(im.implOID); ok != gated {
 					t.Errorf("fd %d (%v): object primed = %v, want %v", fd, im.kind, ok, gated)
 				}
 			})

@@ -179,7 +179,7 @@ func (o *Orchestrator) RestoreGroup(name string, src Source, mode RestoreMode, c
 		// Hold each across the teardown, so that closing the description
 		// leaves the file in the store for the retry to open by OID.
 		var held []objstore.OID
-		for key := range g.oidOf {
+		for key := range g.ents {
 			if f, ok := key.(*kern.File); ok {
 				obj, _ := f.Behind()
 				if v, ok := obj.(*kern.VnodeFile); ok {
@@ -255,15 +255,14 @@ func (o *Orchestrator) RestoreGroup(name string, src Source, mode RestoreMode, c
 		byPID[pid].QueueSignal(kern.SIGRESTORE)
 	}
 
-	// 6. Bookkeeping so the group continues checkpointing.
-	for oid := range r.objs {
-		g.prevLive[oid] = true
-	}
+	// 6. Bookkeeping so the group continues checkpointing: keep entered every
+	// rebuilt object live.
+	primed := 0
 	if continuing {
 		for _, m := range r.memMetas {
-			g.flushed[m.oid] = true
+			g.ents[r.objs[m.oid]].flushed = true
 		}
-		g.primeGate()
+		primed = g.primeGate()
 	}
 	st.Objects = len(r.objs)
 	if mode == RestoreSpeculative {
@@ -282,11 +281,11 @@ func (o *Orchestrator) RestoreGroup(name string, src Source, mode RestoreMode, c
 	st.Time = sw.Elapsed()
 	end := []trace.Arg{trace.I("procs", int64(st.Procs)), trace.I("objects", int64(st.Objects)),
 		trace.I("pages_eager", st.PagesEager)}
-	if primed := int64(len(g.committed)); primed > 0 {
+	if primed > 0 {
 		// Said only when there is something to say: a group without
 		// descriptors adds no span argument and no metric row.
-		end = append(end, trace.I("primed", primed))
-		o.Tracer.Count("sls.capture.primed", primed)
+		end = append(end, trace.I("primed", int64(primed)))
+		o.Tracer.Count("sls.capture.primed", int64(primed))
 	}
 	restSpan.End(end...)
 	if tr := o.Tracer; tr != nil {
@@ -326,20 +325,24 @@ func (o *Orchestrator) RestoreGroups(names []string, src Source, mode RestoreMod
 // store holds exactly those bytes inline — the rule serializer.object stages
 // by, and armed as a commit arms what it captured. Whatever differs is left
 // for the next checkpoint to capture. Uncharged, like AuditCapture: a kernel
-// notes "as stored" while it builds the object.
-func (g *Group) primeGate() {
+// notes "as stored" while it builds the object. It returns how many records
+// the gate trusts.
+func (g *Group) primeGate() int {
+	n := 0
 	var e rec.Encoder // one buffer for every record: HoldsRecord keeps none of it
-	for key, oid := range g.oidOf {
+	for key, ent := range g.ents {
 		obj, ok := key.(generational)
 		if !ok {
 			continue
 		}
 		e.Reset()
-		if utype := g.encodeObject(&e, obj); g.o.Store.HoldsRecord(oid, utype, e.Seal()) {
-			g.committed[oid] = captured{oid, obj, obj.Generation()}
+		if utype := g.encodeObject(&e, obj); g.o.Store.HoldsRecord(ent.oid, utype, e.Seal()) {
+			ent.trusted, ent.gen = true, obj.Generation()
 			obj.Arm()
+			n++
 		}
 	}
+	return n
 }
 
 func boolInt(b bool) int64 {
@@ -426,15 +429,18 @@ func restored[T any](r *restorer, oid objstore.OID, utype uint16) (T, error) {
 	return t, err
 }
 
-// keep enters a rebuilt object into the memo and gives the group its OID,
-// which is what lets the next checkpoint write the object back where it came
-// from. A device is the exception: it comes back without its OID, and the
-// next checkpoint files it under a new one.
+// keep enters a rebuilt object into the memo, and into the group's table as
+// live under its OID, which is what lets the next checkpoint write the object
+// back where it came from. A device is the exception: it is entered by its
+// old OID only, so the next checkpoint files it under a new one and deletes
+// the old.
 func (r *restorer) keep(oid objstore.OID, obj any) {
 	r.objs[oid] = obj
-	if _, dev := obj.(*kern.Device); !dev {
-		r.g.oidOf[obj] = oid
+	key := obj
+	if _, dev := obj.(*kern.Device); dev {
+		key = oid
 	}
+	r.g.entryFor(key, oid).live = true
 }
 
 // takeRef returns obj with one reference for the caller: the first taker

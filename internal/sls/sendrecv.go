@@ -102,10 +102,13 @@ func (g *Group) encodeStream(e *rec.Encoder, since objstore.Epoch, marks journal
 	// Only objects that still exist are listed — the head's live list is
 	// the receiver's contract for which OIDs this epoch contains, and on a
 	// delta it deletes anything it holds that is no longer listed.
-	live := make([]objstore.OID, 0, len(g.prevLive)+1)
-	for i, oid := range append([]objstore.OID{g.oid}, slices.Sorted(maps.Keys(g.prevLive))...) {
-		if (i == 0 || oid != g.oid) && g.o.Store.Exists(oid) {
-			live = append(live, oid)
+	live := make([]objstore.OID, 0, g.byOID.Len()+1)
+	if g.o.Store.Exists(g.oid) {
+		live = append(live, g.oid)
+	}
+	for _, e := range g.byOID.All() {
+		if e.live && e.oid != g.oid && g.o.Store.Exists(e.oid) {
+			live = append(live, e.oid)
 		}
 	}
 

@@ -22,6 +22,7 @@ import (
 	"aurora/internal/clock"
 	"aurora/internal/kern"
 	"aurora/internal/objstore"
+	"aurora/internal/radix"
 	"aurora/internal/trace"
 	"aurora/internal/vm"
 )
@@ -202,32 +203,25 @@ type Group struct {
 
 	oid objstore.OID // the group record in the store
 
-	// oidOf maps kernel object identity -> on-disk object. This is the
-	// paper's kernel-address-to-OID table (§5.2).
-	oidOf map[any]objstore.OID
-	// prevLive holds the OIDs serialized by the previous checkpoint so
-	// vanished objects can be deleted from the store. It and ser.live are
-	// one pair of sets: a cut fills ser.live, then the two swap.
-	prevLive map[objstore.OID]bool
+	// ents is the paper's kernel-address-to-OID table (§5.2) and the one
+	// record of what the group persists: an entry per object a cut walked,
+	// keyed by the kernel or VM object, or by its OID where it has no key of
+	// its own (a vnode file, a journal, the group record, a restored
+	// device). byOID holds the same entries in OID order, for every walk
+	// whose order reaches the store or the wire. cut numbers the
+	// serializer's walks (newSerializer bumps it).
+	ents  map[any]*entry
+	byOID radix.Table[*entry]
+	cut   uint64
 	// ser is the cut's working set, kept from cut to cut and emptied by
 	// newSerializer, so a steady-state cut regrows none of it.
 	ser serializer
-	// committed is the capture gate's memory (serializer.unchanged): for each
-	// gated kernel object in the last committed checkpoint, the generation
-	// its stored record was encoded at. finishCommit adds to it, and so does
-	// primeGate, for the records a continuing restore just rebuilt its
-	// objects from; forgetting an entry is always safe and happens as soon
-	// as its OID leaves the cut. Empty on a new group and after a
-	// historical-view restore, whose first checkpoint therefore captures
-	// everything.
-	committed map[objstore.OID]captured
 
 	// Memory bookkeeping. transient marks system shadows that will be
-	// merged down; persistent objects own a store OID and a flushed flag.
+	// merged down; persistent objects own an entry with a flushed bit.
 	// trappedDone marks transients stranded mid-chain by a fork whose
 	// pages have been flushed into their persistent root.
 	transient   map[*vm.Object]bool
-	flushed     map[objstore.OID]bool
 	trappedDone map[*vm.Object]bool
 	pending     []vm.ShadowPair // shadows being flushed (collapse next time)
 
@@ -283,17 +277,13 @@ func (o *Orchestrator) CreateGroup(name string) *Group {
 		Period:       10 * time.Millisecond,
 		RetainEpochs: defaultRetainEpochs,
 		oid:          o.Store.NewOID(),
-		oidOf:        make(map[any]objstore.OID),
-		prevLive:     make(map[objstore.OID]bool),
-		committed:    make(map[objstore.OID]captured),
+		ents:         make(map[any]*entry),
 		transient:    make(map[*vm.Object]bool),
-		flushed:      make(map[objstore.OID]bool),
 		trappedDone:  make(map[*vm.Object]bool),
 		vnodeRef:     make(map[objstore.OID]bool),
 		journals:     make(map[string]objstore.OID),
 	}
-	g.ser = serializer{g: g, o: o, live: make(map[objstore.OID]bool),
-		done: make(map[any]objstore.OID), memOIDs: make(map[*vm.Object]objstore.OID)}
+	g.ser = serializer{g: g, o: o}
 	o.nextGroup++
 	o.groups[g.ID] = g
 	return g
@@ -414,15 +404,48 @@ func (g *Group) releaseES() {
 	g.esCovered = nil
 }
 
-// oidFor returns the stable on-disk OID for a kernel object, allocating on
-// first encounter.
-func (g *Group) oidFor(key any) objstore.OID {
-	if oid, ok := g.oidOf[key]; ok {
-		return oid
+// entry is what a group keeps of one object it persists.
+type entry struct {
+	key any // the kernel or VM object, or the OID it is keyed by
+	oid objstore.OID
+	// cut is the last cut that walked the object, 0 if none has; live, that
+	// the last sweep found it walked, so the store holds it for the group.
+	cut  uint64
+	live bool
+	// flushed: a memory object whose whole image the store holds, so that a
+	// flush stages only its dirty set.
+	flushed bool
+	// trusted and gen are the capture gate's memory (serializer.unchanged):
+	// the last commit — or primeGate, for what a continuing restore rebuilt —
+	// holds the gated object's record as encoded at generation gen. None is
+	// trusted on a new group or after a historical-view restore.
+	trusted bool
+	gen     uint64
+}
+
+// oidKey is an OID's index in byOID: with the sign bit flipped, the table's
+// ascending walk is ascending uint64 order.
+func oidKey(oid objstore.OID) int64 { return int64(oid ^ 1<<63) }
+
+// entryFor returns key's entry, entering it under oid on first encounter — a
+// new OID when oid is 0.
+func (g *Group) entryFor(key any, oid objstore.OID) *entry {
+	if e := g.ents[key]; e != nil {
+		return e
 	}
-	oid := g.o.Store.NewOID()
-	g.oidOf[key] = oid
-	return oid
+	if oid == 0 {
+		oid = g.o.Store.NewOID()
+	}
+	e := &entry{key: key, oid: oid}
+	g.ents[key] = e
+	g.byOID.Set(oidKey(oid), e)
+	return e
+}
+
+// forget drops an entry from both indexes.
+func (g *Group) forget(e *entry) {
+	delete(g.ents, e.key)
+	g.byOID.Del(oidKey(e.oid))
 }
 
 // MaybePeriodic triggers a checkpoint if the group's period has elapsed.

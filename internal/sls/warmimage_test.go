@@ -109,10 +109,10 @@ func warmCopy(o *Orchestrator, name string) map[objstore.OID]map[int64][]byte {
 // groupMemory is every resident page of the group's memory objects, by OID.
 func groupMemory(g *Group) map[objstore.OID]map[int64][]byte {
 	out := map[objstore.OID]map[int64][]byte{}
-	for key, oid := range g.oidOf {
+	for key, e := range g.ents {
 		if obj, ok := key.(*vm.Object); ok {
-			out[oid] = map[int64][]byte{}
-			obj.EachPage(func(pg int64, p *mem.Page) { out[oid][pg] = bytes.Clone(p.Data) })
+			out[e.oid] = map[int64][]byte{}
+			obj.EachPage(func(pg int64, p *mem.Page) { out[e.oid][pg] = bytes.Clone(p.Data) })
 		}
 	}
 	return out
