@@ -223,7 +223,8 @@ func (s *Store) submitNew(p []byte, addr int64) error {
 	return err
 }
 
-// indexState snapshots the free map and object table for encoding. Queued
+// indexState snapshots the free map, and names the object table, for
+// encoding. Queued
 // and staged (coalesced) releases are free in this epoch's map — if this
 // commit's superblock lands they are genuinely unreferenced, and if it
 // doesn't, recovery reads an older index that never listed them — even
@@ -235,6 +236,7 @@ func (s *Store) indexState(cur Epoch) *indexState {
 		free:     s.free,
 		deadlist: s.deadlist,
 		retained: s.retained,
+		live:     &s.objects,
 	}
 	if len(s.releaseQ) > 0 || len(s.releasing) > 0 {
 		q := append(s.scratch[:0], s.releasing...)
@@ -244,9 +246,6 @@ func (s *Store) indexState(cur Epoch) *indexState {
 		s.scratch = coalesce(q)
 		s.spare = mergeRuns(s.spare[:0], s.free, s.scratch)
 		idx.free = s.spare
-	}
-	for _, o := range s.objects.All() {
-		idx.objects = append(idx.objects, indexEntry{oid: o.oid, addr: o.recordAddr, len: o.recordLen})
 	}
 	return idx
 }

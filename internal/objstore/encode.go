@@ -161,8 +161,11 @@ type indexState struct {
 	free     []blockRun // the free map, its own run included (see loadIndex)
 	deadlist []deadBlock
 	retained []ckptInfo
-	objects  []indexEntry
-	flight   []byte // the flight ring the commit carries (flight.Decode); empty without a recorder
+	objects  []indexEntry // as decoded; encoded with live, which the commit sets instead
+	// live is the committing store's object table, which encodeIndex writes
+	// in place: at most one of live and objects is set.
+	live   *radix.Table[*object]
+	flight []byte // the flight ring the commit carries (flight.Decode); empty without a recorder
 }
 
 type indexEntry struct {
@@ -174,7 +177,8 @@ type indexEntry struct {
 // encodeIndex serializes a checkpoint index, returning the unsealed body.
 func encodeIndex(st *indexState) *rec.Encoder {
 	var e rec.Encoder
-	e.Grow(int(indexLen(len(st.free), len(st.deadlist), len(st.retained), len(st.objects), len(st.flight))))
+	n := len(st.objects) + st.live.Len()
+	e.Grow(int(indexLen(len(st.free), len(st.deadlist), len(st.retained), n, len(st.flight))))
 	e.U32(IndexMagic)
 	e.U64(uint64(st.epoch))
 	e.U64(uint64(st.nextOID))
@@ -195,11 +199,16 @@ func encodeIndex(st *indexState) *rec.Encoder {
 		e.I64(c.indexAddr)
 		e.I64(c.indexLen)
 	}
-	e.U32(uint32(len(st.objects)))
+	e.U32(uint32(n))
 	for _, o := range st.objects {
 		e.U64(uint64(o.oid))
 		e.I64(o.addr)
 		e.I64(o.len)
+	}
+	for _, o := range st.live.All() {
+		e.U64(uint64(o.oid))
+		e.I64(o.recordAddr)
+		e.I64(o.recordLen)
 	}
 	e.Bytes(st.flight)
 	return &e
