@@ -79,10 +79,6 @@ func run() error {
 		return cmdFsck(*img)
 	case "inspect":
 		return cmdInspect(*img, args)
-	case "audit":
-		return cmdAudit(*img, args)
-	case "flight":
-		return cmdFlight(*img, args)
 	case "scenario":
 		return cmdScenario(args)
 	default:
@@ -109,10 +105,9 @@ commands:
                                     syncing over a simulated lossy wire
   fsck                              verify store consistency
   inspect [-name N] [-json] [-tail K]
-                                    machine summary: store, groups, flight
-                                    recorder tail, invariant audit
-  audit [-name N]                   run the invariant watchdog once
-  flight [-tail K]                  dump the pre-crash flight timeline
+                                    machine summary: store, groups, live and
+                                    pre-crash flight tails, invariant audit;
+                                    fails on a violation or an undecodable ring
   scenario run [-seed S] [-stretch N] [-artifacts DIR] [-v] FILE|DIR...
                                     execute declarative chaos scenarios
   scenario validate FILE|DIR...     check scenario files without running
@@ -273,10 +268,8 @@ func cmdRestore(img string, args []string) error {
 		if len(evs) > tail {
 			evs = evs[len(evs)-tail:]
 		}
-		fmt.Printf("pre-crash flight tail (%d events, 'sls flight' for more):\n", len(evs))
-		for _, ev := range evs {
-			fmt.Printf("  %s\n", ev)
-		}
+		fmt.Printf("pre-crash flight tail (%d events, 'sls inspect' for more):\n", len(evs))
+		fmt.Print(flight.Format(evs))
 	}
 	g, rst, err := m.Restore(*name)
 	if err != nil {
@@ -485,7 +478,9 @@ func cmdFsck(img string) error {
 // occupancy, per-group process/VM/descriptor tables, the flight-recorder
 // tail (live and pre-crash), and an invariant-audit report. With -name the
 // group is first restored (lazily, without saving the image back) so its
-// live tables appear; without it only persisted state shows.
+// live tables appear; without it only persisted state shows. It is the one
+// read-only view of an image, and fails when the audit finds a violation or
+// the pre-crash flight ring does not decode.
 func cmdInspect(img string, args []string) error {
 	fs := flag.NewFlagSet("inspect", flag.ExitOnError)
 	name := fs.String("name", "", "restore this group before inspecting")
@@ -506,61 +501,18 @@ func cmdInspect(img string, args []string) error {
 	if *asJSON {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		return enc.Encode(r)
-	}
-	fmt.Print(r.Text())
-	return nil
-}
-
-// cmdAudit runs the invariant watchdog once and fails if anything is wrong.
-func cmdAudit(img string, args []string) error {
-	fs := flag.NewFlagSet("audit", flag.ExitOnError)
-	name := fs.String("name", "", "restore this group before auditing")
-	fs.Parse(args)
-
-	m, err := boot(img)
-	if err != nil {
-		return err
-	}
-	if *name != "" {
-		if _, _, err := m.RestoreLazily(*name); err != nil {
+		if err := enc.Encode(r); err != nil {
 			return err
 		}
+	} else {
+		fmt.Print(r.Text())
 	}
-	rep := m.Audit()
-	fmt.Println(rep)
-	if !rep.OK() {
-		return fmt.Errorf("%d invariant violations", len(rep.Violations))
-	}
-	return nil
-}
-
-// cmdFlight dumps the forensic timeline: the flight-recorder ring persisted
-// by the machine's last completed checkpoint — the last N things the system
-// did before it stopped, surviving power cuts and torn writes like any
-// other object in the store.
-func cmdFlight(img string, args []string) error {
-	fs := flag.NewFlagSet("flight", flag.ExitOnError)
-	tail := fs.Int("tail", 32, "events to show")
-	fs.Parse(args)
-
-	m, err := boot(img)
-	if err != nil {
-		return err
-	}
-	evs, seq, ok, err := m.RecoveredFlight()
-	if err != nil {
+	if _, _, _, err := m.RecoveredFlight(); err != nil {
 		return fmt.Errorf("flight ring: %w", err)
 	}
-	if !ok {
-		fmt.Println("no flight timeline on this image (no completed checkpoint yet)")
-		return nil
+	if !r.Audit.OK() {
+		return fmt.Errorf("%d invariant violations", len(r.Audit.Violations))
 	}
-	if len(evs) > *tail {
-		evs = evs[len(evs)-*tail:]
-	}
-	fmt.Printf("pre-crash flight timeline (%d events, seq %d):\n", len(evs), seq)
-	fmt.Print(flight.Format(evs))
 	return nil
 }
 

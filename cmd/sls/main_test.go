@@ -65,6 +65,13 @@ func TestCLIEndToEnd(t *testing.T) {
 		t.Fatalf("ps output: %s", out)
 	}
 
+	// The one read-only view: a clean audit and a decodable pre-crash ring
+	// exit zero.
+	out = runCLI(t, bin, nil, "-img", img, "inspect", "-name", "demo", "-tail", "4")
+	if !strings.Contains(out, "audit: ok") || !strings.Contains(out, "pre-crash flight") {
+		t.Fatalf("inspect output: %s", out)
+	}
+
 	out = runCLI(t, bin, nil, "-img", img, "history")
 	if !strings.Contains(out, "epoch") {
 		t.Fatalf("history output: %s", out)

@@ -2,12 +2,11 @@
 // — VM shadow chains, page tables, kernel descriptor tables, the object
 // store's allocation maps, SLS group and replication epochs — and reports
 // every cross-layer invariant that does not hold. The same auditor runs
-// two ways: on demand (`sls inspect`/`sls audit`) and as the post-restore
-// self-check. A healthy system
-// reports zero violations after any sequence of checkpoints, crashes,
-// restores, and replication syncs; a violation means a bookkeeping bug,
-// and is worth a flight-recorder event and a counter, never a panic — the
-// auditor observes, it does not repair.
+// two ways: on demand (`sls inspect`) and as the post-restore self-check.
+// A healthy system reports zero violations after any sequence of
+// checkpoints, crashes, restores, and replication syncs; a violation means a
+// bookkeeping bug, and is worth a flight-recorder event and a counter, never
+// a panic — the auditor observes, it does not repair.
 package audit
 
 import (
